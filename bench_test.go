@@ -371,24 +371,6 @@ func BenchmarkDFPForward(b *testing.B) {
 	}
 }
 
-func BenchmarkDFPTrainStep(b *testing.B) {
-	cfg := dfp.DefaultConfig(256, 2, 10)
-	cfg.BatchSize = 16
-	agent := dfp.New(cfg)
-	state := make([]float64, 256)
-	goal := []float64{0.5, 0.5}
-	for ep := 0; ep < 4; ep++ {
-		for t := 0; t < 40; t++ {
-			agent.Act(state, []float64{0.5, 0.5}, goal, 10, true)
-		}
-		agent.EndEpisode()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainStep()
-	}
-}
-
 // trainReadyAgent builds a DefaultConfig-scale agent with a populated replay
 // buffer for the TrainStep benchmarks.
 func trainReadyAgent(workers int) *dfp.Agent {
@@ -428,7 +410,7 @@ func BenchmarkTrainStepSingleWorker(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepReference is the pre-refactor per-sample scalar path
+// BenchmarkTrainStepReference is the sample-at-a-time (bsz=1) training step
 // with the dense dueling backward — the baseline the batched engine is
 // required to beat by >=3x.
 func BenchmarkTrainStepReference(b *testing.B) {

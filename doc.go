@@ -13,11 +13,15 @@
 //
 // # Performance engine
 //
-// The learning hot path is a zero-steady-state-allocation batched engine:
+// The learning hot path is a zero-steady-state-allocation batched engine
+// over one nn.Layer contract — Forward/Backward take a batch of bsz
+// row-major samples, and a single sample is a batch of one:
 //
-//   - Inference: dfp.Agent.Act runs the full forward pass (three input
-//     modules, dueling streams, goal scoring) through agent-owned scratch
-//     buffers — 0 heap allocations per decision. BenchmarkDecisionLatency
+//   - Inference: dfp has one inference forward (three input modules,
+//     dueling streams, combine). dfp.Agent.Act runs it at bsz=1 and the
+//     decision daemon's batched decider at bsz=B, through layer-owned and
+//     agent-owned buffers — 0 heap allocations per decision, and each
+//     decision bitwise independent of the batch it shared. BenchmarkDecisionLatency
 //     measures the paper's §V-F full-scale network (11410 inputs,
 //     4000/1000/512 widths) at ~39 ms per decision on one 2.7 GHz core
 //     against the paper's reported < 2 s.
@@ -28,8 +32,9 @@
 //     action stream sparsely (only the taken action's slice, with a
 //     rank-collapsed mean correction), and shards the batch across
 //     dfp.Config.Workers goroutines with per-worker gradients reduced in
-//     fixed order — bitwise deterministic for any fixed worker count. The
-//     pre-refactor scalar path is retained as TrainStepReference and
+//     fixed order — bitwise deterministic for any fixed worker count. A
+//     sample-at-a-time step over the same layers at bsz=1, with the dense
+//     dueling backward, is retained as TrainStepReference and
 //     equivalence-tested against the engine to ≤1e-12.
 //
 // Benchmarks live in bench_test.go (BenchmarkTrainStep*, BenchmarkAct*,

@@ -62,8 +62,7 @@ func (m *modules) sharedClone() (modules, bool) { return m.cloneVia(nn.SharedClo
 // snapshotClone returns a replica whose parameters alias the published
 // copy-on-write weight snapshot (nn.SnapshotClone) with private forward
 // state, so it can run forward passes concurrently with TrainStep. It
-// reports false when any module cannot be snapshot-cloned (custom
-// SharedCloner state modules alias live values by construction).
+// reports false when a custom state module cannot be snapshot-cloned.
 func (m *modules) snapshotClone() (modules, bool) { return m.cloneVia(nn.SnapshotClone) }
 
 // inferScratch owns the buffers of one zero-allocation inference pass.
@@ -72,8 +71,6 @@ func (m *modules) snapshotClone() (modules, bool) { return m.cloneVia(nn.Snapsho
 type inferScratch struct {
 	goalExt     nn.Vec
 	joint       nn.Vec
-	exp         nn.Vec
-	act         nn.Vec
 	meanA       nn.Vec
 	predBacking nn.Vec
 	predRows    [][]float64
@@ -82,62 +79,66 @@ type inferScratch struct {
 	score       nn.Vec
 }
 
-// forwardDueling runs the full network through the provided scratch buffers
-// and returns per-action prediction rows aliasing the scratch backing array
-// (valid until the next call with the same scratch). Zero heap allocations
-// in steady state. The layers retain forward state, so a single-sample
-// backward may follow immediately (the master agent's reference path).
-func (m *modules) forwardDueling(cfg *Config, s *inferScratch, state, meas, goalExt []float64) [][]float64 {
+// forwardDueling is the one inference forward: it runs bsz row-major samples
+// (a single decision is bsz=1) through the three input modules and the two
+// streams, one batched pass per network, and applies the dueling combine.
+// It returns bsz*Actions prediction rows — sample i's action a at index
+// i*Actions+a — aliasing the scratch backing array (valid until the next
+// call with the same scratch). Zero heap allocations in steady state. Each
+// sample's rows are bitwise independent of bsz (the nn.Layer row contract),
+// and the layers retain forward state, so at bsz=1 a backward may follow
+// immediately (TrainStepReference).
+func (m *modules) forwardDueling(cfg *Config, s *inferScratch, state, meas, goalExt nn.Vec, bsz int) [][]float64 {
 	so, h := cfg.StateOut, cfg.ModuleHidden
 	pd, n := cfg.PredDim(), cfg.Actions
 	jd := so + 2*h
 
-	s.joint = nn.Ensure(s.joint, jd)
-	forwardInto1(m.state, s.joint[:so], state)
-	forwardInto1(m.meas, s.joint[so:so+h], meas)
-	forwardInto1(m.goal, s.joint[so+h:], goalExt)
+	// Module outputs land in layer-owned buffers and are interleaved into
+	// the joint rows (the training engine's layout).
+	js := m.state.Forward(nil, state, bsz)
+	jm := m.meas.Forward(nil, meas, bsz)
+	jg := m.goal.Forward(nil, goalExt, bsz)
+	s.joint = nn.Ensure(s.joint, bsz*jd)
+	for i := 0; i < bsz; i++ {
+		row := s.joint[i*jd : (i+1)*jd]
+		copy(row[:so], js[i*so:(i+1)*so])
+		copy(row[so:so+h], jm[i*h:(i+1)*h])
+		copy(row[so+h:], jg[i*h:(i+1)*h])
+	}
+	exp := m.exp.Forward(nil, s.joint, bsz)
+	act := m.act.Forward(nil, s.joint, bsz)
 
-	s.exp = nn.Ensure(s.exp, pd)
-	s.act = nn.Ensure(s.act, n*pd)
-	exp := m.exp.ForwardInto(s.exp, s.joint)
-	act := m.act.ForwardInto(s.act, s.joint)
-
-	// Dueling combine: p_a = E + A_a - mean_a(A).
+	// Dueling combine per sample: p_a = E + A_a - mean_a(A).
 	s.meanA = nn.Ensure(s.meanA, pd)
 	meanA := s.meanA
-	nn.Fill(meanA, 0)
-	for ai := 0; ai < n; ai++ {
-		row := act[ai*pd : (ai+1)*pd]
-		for k, v := range row {
-			meanA[k] += v
+	s.predBacking = nn.Ensure(s.predBacking, bsz*n*pd)
+	if cap(s.predRows) < bsz*n {
+		s.predRows = make([][]float64, bsz*n)
+	}
+	s.predRows = s.predRows[:bsz*n]
+	for i := 0; i < bsz; i++ {
+		expRow := exp[i*pd : (i+1)*pd]
+		actRow := act[i*n*pd : (i+1)*n*pd]
+		nn.Fill(meanA, 0)
+		for ai := 0; ai < n; ai++ {
+			row := actRow[ai*pd : (ai+1)*pd]
+			for k, v := range row {
+				meanA[k] += v
+			}
 		}
-	}
-	for k := range meanA {
-		meanA[k] /= float64(n)
-	}
-	s.predBacking = nn.Ensure(s.predBacking, n*pd)
-	if len(s.predRows) != n {
-		s.predRows = make([][]float64, n)
-	}
-	for ai := 0; ai < n; ai++ {
-		row := act[ai*pd : (ai+1)*pd]
-		p := s.predBacking[ai*pd : (ai+1)*pd]
-		for k := range p {
-			p[k] = exp[k] + row[k] - meanA[k]
+		for k := range meanA {
+			meanA[k] /= float64(n)
 		}
-		s.predRows[ai] = p
+		for ai := 0; ai < n; ai++ {
+			row := actRow[ai*pd : (ai+1)*pd]
+			p := s.predBacking[(i*n+ai)*pd : (i*n+ai+1)*pd]
+			for k := range p {
+				p[k] = expRow[k] + row[k] - meanA[k]
+			}
+			s.predRows[i*n+ai] = p
+		}
 	}
 	return s.predRows
-}
-
-// forwardInto1 runs one module's scratch-buffer forward, falling back to the
-// allocating path for layers outside this package's substrate.
-func forwardInto1(l nn.Layer, dst, x []float64) {
-	if bl, ok := l.(nn.BufferedLayer); ok {
-		bl.ForwardInto(dst, x)
-		return
-	}
-	copy(dst, l.Forward(x))
 }
 
 // scoreInto collapses predictions into one scalar objective per action: the
@@ -239,7 +240,7 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 		action = ac.rng.Intn(valid)
 	} else {
 		ac.scr.score = nn.Ensure(ac.scr.score, ac.cfg.Actions)
-		scores := scoreInto(ac.scr.score, ac.nets.forwardDueling(ac.cfg, &ac.scr, state, meas, goalExt), goalExt)
+		scores := scoreInto(ac.scr.score, ac.nets.forwardDueling(ac.cfg, &ac.scr, state, meas, goalExt, 1), goalExt)
 		action = nn.ArgMax(scores[:valid])
 	}
 	ac.steps = append(ac.steps, &stepRecord{

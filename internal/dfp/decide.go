@@ -1,18 +1,16 @@
 // The batched greedy decider behind the decision service (internal/serve).
 // A BatchDecider scores B decision requests in ONE batched forward pass per
-// module — the admission-batching amortization — while keeping every row's
-// arithmetic bitwise identical to the single-sample greedy path (Agent.Act
-// with train=false):
+// module — the admission-batching amortization — through the same
+// modules.forwardDueling that Agent.Act runs at bsz=1, so every row's
+// arithmetic is bitwise identical to the single-sample greedy path
+// (Agent.Act with train=false):
 //
-//   - Dense.ForwardBatchInto computes every sample row with the same kernel
-//     primitives in the same order regardless of batch size (ForwardInto IS
-//     ForwardBatchInto with bsz=1), so each row of a batched matmul is
-//     bitwise equal to the single-sample product under whichever nn kernel
-//     set the process runs — the Set contract in internal/nn/kernel.
-//     Activations are elementwise, and nn.Batched's per-row adapter falls
-//     back to the single path outright.
-//   - The dueling combine, goal extension, scoring dot product, and argmax
-//     below reproduce forwardDueling/scoreInto/Act operation for operation.
+//   - nn.Layer.Forward computes every sample row with the same kernel
+//     primitives in the same order regardless of bsz, so each row of a
+//     batched pass is bitwise equal to the bsz=1 result under whichever nn
+//     kernel set the process runs — the Set contract in internal/nn/kernel.
+//   - The dueling combine is forwardDueling's, and goal extension, the
+//     scoring dot product and the argmax below are the calls Act makes.
 //
 // Together that yields the serve contract's headline guarantee: the action
 // chosen for a request does not depend on which other requests happened to
@@ -35,15 +33,12 @@ import (
 type BatchDecider struct {
 	cfg  *Config
 	nets modules
+	scr  inferScratch
 
-	stateNet nn.BatchLayer
-
-	// Scratch, Ensure-grown and reused across calls: steady-state Decide
-	// performs zero heap allocations, matching the single-sample Act.
-	stateB, measB, goalExtB nn.Vec
-	jsB, jmB, jgB, jointB   nn.Vec
-	expB, actB              nn.Vec
-	meanA, predRow, score   nn.Vec
+	// Gathered request rows, Ensure-grown and reused across calls:
+	// steady-state Decide performs zero heap allocations, matching the
+	// single-sample Act. The extended goals live in scr.goalExt.
+	stateB, measB nn.Vec
 }
 
 // SnapshotDecider returns a batched greedy decider reading the published
@@ -55,11 +50,7 @@ func (a *Agent) SnapshotDecider() (*BatchDecider, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &BatchDecider{
-		cfg:      &a.cfg,
-		nets:     nets,
-		stateNet: nn.Batched(nets.state),
-	}, true
+	return &BatchDecider{cfg: &a.cfg, nets: nets}, true
 }
 
 // DecideBatch greedily selects one action per request row. states[i] is the
@@ -81,16 +72,13 @@ func (d *BatchDecider) DecideBatch(states, meas, goals [][]float64, valid []int,
 		return dst
 	}
 	cfg := d.cfg
-	sd, m, gd := cfg.StateDim, cfg.Measurements, cfg.GoalDim()
-	pd, n := cfg.PredDim(), cfg.Actions
-	so, h := cfg.StateOut, cfg.ModuleHidden
-	jd := so + 2*h
+	sd, m, gd, n := cfg.StateDim, cfg.Measurements, cfg.GoalDim(), cfg.Actions
 
 	// Gather rows into row-major input matrices; extendGoalInto validates
-	// each goal's length, and the copies below validate states and meas.
+	// each goal's length.
 	d.stateB = nn.Ensure(d.stateB, b*sd)
 	d.measB = nn.Ensure(d.measB, b*m)
-	d.goalExtB = nn.Ensure(d.goalExtB, b*gd)
+	d.scr.goalExt = nn.Ensure(d.scr.goalExt, b*gd)
 	for i := 0; i < b; i++ {
 		if len(states[i]) != sd {
 			panic(fmt.Sprintf("dfp: DecideBatch row %d state has %d elements, want %d", i, len(states[i]), sd))
@@ -100,60 +88,19 @@ func (d *BatchDecider) DecideBatch(states, meas, goals [][]float64, valid []int,
 		}
 		copy(d.stateB[i*sd:(i+1)*sd], states[i])
 		copy(d.measB[i*m:(i+1)*m], meas[i])
-		cfg.extendGoalInto(d.goalExtB[i*gd:(i+1)*gd], goals[i])
+		cfg.extendGoalInto(d.scr.goalExt[i*gd:(i+1)*gd], goals[i])
 	}
 
-	// One batched forward per module, interleaved into the joint rows (the
-	// training engine's layout), then one batched forward per stream.
-	d.jsB = nn.Ensure(d.jsB, b*so)
-	d.jmB = nn.Ensure(d.jmB, b*h)
-	d.jgB = nn.Ensure(d.jgB, b*h)
-	js := d.stateNet.ForwardBatchInto(d.jsB, d.stateB, b)
-	jm := d.nets.meas.ForwardBatchInto(d.jmB, d.measB, b)
-	jg := d.nets.goal.ForwardBatchInto(d.jgB, d.goalExtB, b)
-	d.jointB = nn.Ensure(d.jointB, b*jd)
-	for i := 0; i < b; i++ {
-		row := d.jointB[i*jd : (i+1)*jd]
-		copy(row[:so], js[i*so:(i+1)*so])
-		copy(row[so:so+h], jm[i*h:(i+1)*h])
-		copy(row[so+h:], jg[i*h:(i+1)*h])
-	}
-	d.expB = nn.Ensure(d.expB, b*pd)
-	d.actB = nn.Ensure(d.actB, b*n*pd)
-	exp := d.nets.exp.ForwardBatchInto(d.expB, d.jointB, b)
-	act := d.nets.act.ForwardBatchInto(d.actB, d.jointB, b)
+	preds := d.nets.forwardDueling(cfg, &d.scr, d.stateB, d.measB, d.scr.goalExt, b)
 
-	// Per-row dueling combine, scoring, and argmax — the exact arithmetic of
-	// forwardDueling and scoreInto, row by row.
-	d.meanA = nn.Ensure(d.meanA, pd)
-	d.predRow = nn.Ensure(d.predRow, pd)
-	d.score = nn.Ensure(d.score, n)
+	d.scr.score = nn.Ensure(d.scr.score, n)
 	for i := 0; i < b; i++ {
-		expRow := exp[i*pd : (i+1)*pd]
-		actRow := act[i*n*pd : (i+1)*n*pd]
-		goalExt := d.goalExtB[i*gd : (i+1)*gd]
-		nn.Fill(d.meanA, 0)
-		for ai := 0; ai < n; ai++ {
-			row := actRow[ai*pd : (ai+1)*pd]
-			for k, v := range row {
-				d.meanA[k] += v
-			}
-		}
-		for k := range d.meanA {
-			d.meanA[k] /= float64(n)
-		}
-		for ai := 0; ai < n; ai++ {
-			row := actRow[ai*pd : (ai+1)*pd]
-			for k := range d.predRow {
-				d.predRow[k] = expRow[k] + row[k] - d.meanA[k]
-			}
-			d.score[ai] = nn.Dot(goalExt, d.predRow)
-		}
+		scores := scoreInto(d.scr.score, preds[i*n:(i+1)*n], d.scr.goalExt[i*gd:(i+1)*gd])
 		v := valid[i]
 		if v <= 0 || v > n {
 			v = n
 		}
-		dst[i] = nn.ArgMax(d.score[:v])
+		dst[i] = nn.ArgMax(scores[:v])
 	}
 	return dst
 }

@@ -74,7 +74,7 @@ type Config struct {
 	// across, each accumulating into per-worker gradient buffers that are
 	// reduced in worker order before the Adam step. 0 defaults to
 	// runtime.GOMAXPROCS(0). Workers=1 runs the single-threaded engine,
-	// whose arithmetic matches the pre-batched scalar reference
+	// whose arithmetic matches the sample-at-a-time reference
 	// (TrainStepReference) to floating-point reassociation (~1e-12); any
 	// fixed value is bitwise deterministic run to run. Custom StateModules
 	// that nn.SharedClone cannot replicate fall back to a single worker.
@@ -325,59 +325,22 @@ func (c *Config) extendGoalInto(dst, goal []float64) []float64 {
 	return dst
 }
 
-// forwardScratch runs the full network through agent-owned scratch buffers
-// and returns per-action prediction rows aliasing an internal backing array
-// (valid until the next forwardScratch). Zero heap allocations in steady
-// state. The layers retain forward state for the single-sample backward.
-// The shared implementation (modules.forwardDueling, actor.go) also serves
-// rollout actors with their own scratch.
+// forwardScratch runs one sample through the shared inference forward
+// (modules.forwardDueling at bsz=1) with the agent's own scratch and returns
+// the per-action prediction rows (valid until the next forwardScratch). The
+// layers retain forward state, so backwardFromPredGrads may follow
+// immediately.
 func (a *Agent) forwardScratch(state, meas, goalExt []float64) [][]float64 {
-	return a.nets.forwardDueling(&a.cfg, &a.scr, state, meas, goalExt)
-}
-
-// forward runs the full network and returns freshly-allocated per-action
-// predictions, each of length PredDim. It is the scalar reference
-// implementation retained for gradient checks and equivalence tests; hot
-// paths use forwardScratch. The layers retain forward state, so
-// backwardFromPredGrads may be called immediately afterwards.
-func (a *Agent) forward(state, meas, goalExt []float64) [][]float64 {
-	js := a.nets.state.Forward(state)
-	jm := a.nets.meas.Forward(meas)
-	jg := a.nets.goal.Forward(goalExt)
-	joint := nn.Concat(js, jm, jg)
-	exp := a.nets.exp.Forward(joint)
-	act := a.nets.act.Forward(joint)
-
-	pd := a.cfg.PredDim()
-	// Dueling combine: p_a = E + A_a - mean_a(A).
-	meanA := make([]float64, pd)
-	for ai := 0; ai < a.cfg.Actions; ai++ {
-		row := act[ai*pd : (ai+1)*pd]
-		for k, v := range row {
-			meanA[k] += v
-		}
-	}
-	for k := range meanA {
-		meanA[k] /= float64(a.cfg.Actions)
-	}
-	preds := make([][]float64, a.cfg.Actions)
-	for ai := 0; ai < a.cfg.Actions; ai++ {
-		row := act[ai*pd : (ai+1)*pd]
-		p := make([]float64, pd)
-		for k := range p {
-			p[k] = exp[k] + row[k] - meanA[k]
-		}
-		preds[ai] = p
-	}
-	return preds
+	return a.nets.forwardDueling(&a.cfg, &a.scr, state, meas, goalExt, 1)
 }
 
 // backwardFromPredGrads backpropagates gradients of the loss with respect to
 // the per-action predictions through the dueling combine, both streams, the
 // concatenation, and the three input modules, accumulating parameter
-// gradients. It is the dense reference backward; the training engine's
-// sparse path (engine.go) produces the same gradients while only propagating
-// the taken action's PredDim slice through the action stream.
+// gradients, after a forwardScratch of the same sample. It is the dense
+// reference backward; the training engine's sparse path (engine.go) produces
+// the same gradients while only propagating the taken action's PredDim slice
+// through the action stream.
 func (a *Agent) backwardFromPredGrads(grads [][]float64) {
 	pd := a.cfg.PredDim()
 	n := a.cfg.Actions
@@ -397,15 +360,15 @@ func (a *Agent) backwardFromPredGrads(grads [][]float64) {
 		}
 	}
 
-	gJointExp := a.nets.exp.Backward(gradExp)
-	gJointAct := a.nets.act.Backward(gradAct)
+	gJointExp := a.nets.exp.Backward(nil, gradExp, 1)
+	gJointAct := a.nets.act.Backward(nil, gradAct, 1)
 	gJoint := nn.Add(gJointExp, gJointAct)
 
 	so := a.cfg.StateOut
 	h := a.cfg.ModuleHidden
-	a.nets.state.Backward(gJoint[:so])
-	a.nets.meas.Backward(gJoint[so : so+h])
-	a.nets.goal.Backward(gJoint[so+h:])
+	a.nets.state.Backward(nil, gJoint[:so], 1)
+	a.nets.meas.Backward(nil, gJoint[so:so+h], 1)
+	a.nets.goal.Backward(nil, gJoint[so+h:], 1)
 }
 
 // Predict returns the per-action predicted future-measurement changes for

@@ -48,7 +48,7 @@ func TestForwardShapes(t *testing.T) {
 	state := make([]float64, 12)
 	meas := []float64{0.5, 0.2}
 	goalExt := a.ExtendGoal([]float64{0.7, 0.3})
-	preds := a.forward(state, meas, goalExt)
+	preds := a.forwardScratch(state, meas, goalExt)
 	if len(preds) != 3 {
 		t.Fatalf("preds for %d actions", len(preds))
 	}
@@ -56,8 +56,10 @@ func TestForwardShapes(t *testing.T) {
 		if len(p) != a.cfg.PredDim() {
 			t.Fatalf("pred dim %d, want %d", len(p), a.cfg.PredDim())
 		}
-		if !nn.IsFinite(p) {
-			t.Fatal("non-finite prediction")
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatal("non-finite prediction")
+			}
 		}
 	}
 }
@@ -100,12 +102,12 @@ func TestFullTopologyGradCheck(t *testing.T) {
 	}
 
 	loss := func() float64 {
-		preds := a.forward(state, meas, goalExt)
+		preds := a.forwardScratch(state, meas, goalExt)
 		l, _ := nn.MaskedMSE(preds[action], target, mask)
 		return l
 	}
 	backward := func() {
-		preds := a.forward(state, meas, goalExt)
+		preds := a.forwardScratch(state, meas, goalExt)
 		_, grad := nn.MaskedMSE(preds[action], target, mask)
 		grads := make([][]float64, cfg.Actions)
 		zero := make([]float64, cfg.PredDim())
@@ -145,12 +147,12 @@ func TestCNNVariantGradCheck(t *testing.T) {
 		mask[i] = true
 	}
 	loss := func() float64 {
-		preds := a.forward(state, meas, goalExt)
+		preds := a.forwardScratch(state, meas, goalExt)
 		l, _ := nn.MaskedMSE(preds[0], target, mask)
 		return l
 	}
 	backward := func() {
-		preds := a.forward(state, meas, goalExt)
+		preds := a.forwardScratch(state, meas, goalExt)
 		_, grad := nn.MaskedMSE(preds[0], target, mask)
 		grads := make([][]float64, cfg.Actions)
 		zero := make([]float64, cfg.PredDim())

@@ -17,17 +17,21 @@
 //
 // # Engine invariants
 //
-// The hot paths are engineered for throughput, and each fast path carries a
-// retained reference it must match:
+// The hot paths are engineered for throughput over the one nn.Layer contract
+// (a batch of bsz row-major samples per call; a single sample is bsz=1):
 //
-//   - Inference (Act, Predict) runs through agent-owned scratch buffers with
-//     zero steady-state heap allocations; forwardDueling is shared verbatim
-//     between the master agent and every rollout actor.
+//   - There is one inference forward, modules.forwardDueling. Agent.Act,
+//     Agent.Predict and Actor.Act call it at bsz=1; BatchDecider.DecideBatch
+//     calls it at bsz=B and adds only the request gather, the scoring dot
+//     product and the argmax. It runs through layer-owned and caller-owned
+//     scratch with zero steady-state heap allocations, and every sample's
+//     predictions are bitwise independent of the batch it ran in.
 //
 //   - TrainStep processes each minibatch through batched matrix-matrix
 //     kernels with a sparse dueling backward, sharded across Config.Workers
 //     goroutines whose per-worker gradients reduce in fixed worker order
-//     (engine.go). It must match the scalar TrainStepReference to ≤1e-12,
+//     (engine.go). It must match TrainStepReference — forwardDueling at
+//     bsz=1 plus the dense dueling backward, sample by sample — to ≤1e-12,
 //     consume the agent rng identically, and stay at 0 allocs/op in steady
 //     state — all equivalence- and property-tested in engine_test.go.
 //

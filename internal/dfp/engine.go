@@ -1,14 +1,14 @@
 // The minibatch training engine. One TrainStep samples a minibatch, shards
 // it across Config.Workers goroutines, and runs one *batched* forward and
-// backward pass per shard through the nn package's matrix-matrix kernels —
-// replacing the pre-refactor per-sample scalar loop. Three ideas carry the
-// speedup:
+// backward pass per shard through the nn package's matrix-matrix kernels,
+// where a per-sample loop (TrainStepReference) would run bsz=1 passes. Three
+// ideas carry the speedup:
 //
 //  1. Batched kernels: each worker gathers its shard into row-major
-//     matrices and drives Dense/activation layers through
-//     ForwardBatchInto/BackwardBatchInto, so loop overhead amortizes and
-//     the Dense kernels run cache-blocked 4-way-unrolled matrix-matrix
-//     loops against L1-resident weight tiles.
+//     matrices and drives every layer's Forward/Backward at bsz = shard
+//     size, so loop overhead amortizes and the Dense kernels run
+//     cache-blocked 4-way-unrolled matrix-matrix loops against L1-resident
+//     weight tiles.
 //
 //  2. Sparse dueling backward: the gradient of the masked MSE with respect
 //     to the action stream's output is e_a⊗g − (1/n)·1⊗g (only the taken
@@ -40,12 +40,12 @@ import (
 type trainWorker struct {
 	a *Agent
 
-	stateNet nn.BatchLayer
-	measNet  nn.BatchLayer
-	goalNet  nn.BatchLayer
-	expNet   nn.BatchLayer
-	trunk    nn.BatchLayer // action stream minus its final Dense
-	head     *nn.Dense     // StreamHidden -> Actions*PredDim
+	stateNet nn.Layer
+	measNet  *nn.Sequential
+	goalNet  *nn.Sequential
+	expNet   *nn.Sequential
+	trunk    *nn.Sequential // action stream minus its final Dense
+	head     *nn.Dense      // StreamHidden -> Actions*PredDim
 
 	params []*nn.Param // replica params in master order; nil for worker 0
 
@@ -64,7 +64,7 @@ type trainWorker struct {
 }
 
 // splitActStream views an action-stream Sequential as trunk + final Dense.
-func splitActStream(act *nn.Sequential) (nn.BatchLayer, *nn.Dense) {
+func splitActStream(act *nn.Sequential) (*nn.Sequential, *nn.Dense) {
 	last := len(act.Layers) - 1
 	return &nn.Sequential{Layers: act.Layers[:last]}, act.Layers[last].(*nn.Dense)
 }
@@ -82,7 +82,7 @@ func (a *Agent) ensureWorkers() {
 	trunk, head := splitActStream(a.nets.act)
 	a.workers = []*trainWorker{{
 		a:        a,
-		stateNet: nn.Batched(a.nets.state),
+		stateNet: a.nets.state,
 		measNet:  a.nets.meas,
 		goalNet:  a.nets.goal,
 		expNet:   a.nets.exp,
@@ -106,7 +106,7 @@ func (a *Agent) newReplicaWorker() (*trainWorker, bool) {
 	trunk, head := splitActStream(nets.act)
 	tw := &trainWorker{
 		a:        a,
-		stateNet: nn.Batched(nets.state),
+		stateNet: nets.state,
 		measNet:  nets.meas,
 		goalNet:  nets.goal,
 		expNet:   nets.exp,
@@ -234,9 +234,9 @@ func (tw *trainWorker) run(exps []*Experience) {
 	tw.jsB = nn.Ensure(tw.jsB, bs*so)
 	tw.jmB = nn.Ensure(tw.jmB, bs*h)
 	tw.jgB = nn.Ensure(tw.jgB, bs*h)
-	js := tw.stateNet.ForwardBatchInto(tw.jsB, tw.stateB, bs)
-	jm := tw.measNet.ForwardBatchInto(tw.jmB, tw.measB, bs)
-	jg := tw.goalNet.ForwardBatchInto(tw.jgB, tw.goalB, bs)
+	js := tw.stateNet.Forward(tw.jsB, tw.stateB, bs)
+	jm := tw.measNet.Forward(tw.jmB, tw.measB, bs)
+	jg := tw.goalNet.Forward(tw.jgB, tw.goalB, bs)
 	tw.jointB = nn.Ensure(tw.jointB, bs*jd)
 	for b := 0; b < bs; b++ {
 		row := tw.jointB[b*jd : (b+1)*jd]
@@ -249,9 +249,9 @@ func (tw *trainWorker) run(exps []*Experience) {
 	tw.expOutB = nn.Ensure(tw.expOutB, bs*pd)
 	tw.hB = nn.Ensure(tw.hB, bs*sh)
 	tw.actOutB = nn.Ensure(tw.actOutB, bs*n*pd)
-	expOut := tw.expNet.ForwardBatchInto(tw.expOutB, tw.jointB, bs)
-	hB := tw.trunk.ForwardBatchInto(tw.hB, tw.jointB, bs)
-	actOut := tw.head.ForwardBatchInto(tw.actOutB, hB, bs)
+	expOut := tw.expNet.Forward(tw.expOutB, tw.jointB, bs)
+	hB := tw.trunk.Forward(tw.hB, tw.jointB, bs)
+	actOut := tw.head.Forward(tw.actOutB, hB, bs)
 
 	// Dueling combine and masked-MSE gradient per sample: only the taken
 	// action's prediction enters the loss, so gB carries one PredDim row
@@ -279,7 +279,7 @@ func (tw *trainWorker) run(exps []*Experience) {
 
 	// Expectation stream: dL/dE is just g, batched straight through.
 	tw.dJointExpB = nn.Ensure(tw.dJointExpB, bs*jd)
-	dJoint := tw.expNet.BackwardBatchInto(tw.dJointExpB, tw.gB, bs)
+	dJoint := tw.expNet.Backward(tw.dJointExpB, tw.gB, bs)
 
 	// Action head, sparse path. Per sample only the taken block receives
 	// +g⊗h; the −(1/n)·1⊗g mean term is accumulated in gsum/bsum and
@@ -330,7 +330,7 @@ func (tw *trainWorker) run(exps []*Experience) {
 	// Trunk backward, then sum both streams' joint gradients and split them
 	// across the three input modules.
 	tw.dJointActB = nn.Ensure(tw.dJointActB, bs*jd)
-	dJointAct := tw.trunk.BackwardBatchInto(tw.dJointActB, tw.dHB, bs)
+	dJointAct := tw.trunk.Backward(tw.dJointActB, tw.dHB, bs)
 	nn.AddTo(dJoint, dJointAct)
 
 	tw.stateGB = nn.Ensure(tw.stateGB, bs*so)
@@ -350,19 +350,21 @@ func (tw *trainWorker) run(exps []*Experience) {
 // backwardBatchNoInput elides the module's first-layer input gradient (the
 // module input is data, so nobody consumes it) when the module is a plain
 // Sequential; custom modules take the generic path.
-func backwardBatchNoInput(l nn.BatchLayer, grad nn.Vec, bsz int) {
+func backwardBatchNoInput(l nn.Layer, grad nn.Vec, bsz int) {
 	if s, ok := l.(*nn.Sequential); ok {
 		s.BackwardBatchNoInput(grad, bsz)
 		return
 	}
-	l.BackwardBatchInto(nil, grad, bsz)
+	l.Backward(nil, grad, bsz)
 }
 
-// TrainStepReference is the pre-batched scalar training step: one forward
-// and one dense dueling backward per sample, in sample order. It is
-// retained as the arithmetic reference for the batched engine — equivalence
-// tests assert TrainStep matches it to ≤1e-12 — and as the baseline for
-// BenchmarkTrainStepReference. It consumes the rng exactly like TrainStep.
+// TrainStepReference is the sample-at-a-time training step: one bsz=1
+// inference forward (forwardScratch) and one dense dueling backward per
+// sample, in sample order, through nn's exact-order single-row backward. It
+// is retained as the arithmetic reference for the batched engine —
+// equivalence tests assert TrainStep matches it to ≤1e-12 — and as the
+// baseline for BenchmarkTrainStepReference. It consumes the rng exactly like
+// TrainStep.
 func (a *Agent) TrainStepReference() float64 {
 	if a.replay.len() == 0 {
 		return -1
@@ -375,7 +377,7 @@ func (a *Agent) TrainStepReference() float64 {
 	total := 0.0
 	for b := 0; b < batch; b++ {
 		e := a.replay.sample(a.rng)
-		preds := a.forward(e.State, e.Meas, e.Goal)
+		preds := a.forwardScratch(e.State, e.Meas, e.Goal)
 		loss, grad := nn.MaskedMSE(preds[e.Action], e.Target, e.Mask)
 		total += loss
 		grads := make([][]float64, a.cfg.Actions)

@@ -185,10 +185,10 @@ func TestTrainStepCustomStateModuleFallsBack(t *testing.T) {
 // opaqueModule hides a Dense behind a type SharedClone does not know.
 type opaqueModule struct{ inner *nn.Dense }
 
-func (o *opaqueModule) Forward(x nn.Vec) nn.Vec  { return o.inner.Forward(x) }
-func (o *opaqueModule) Backward(g nn.Vec) nn.Vec { return o.inner.Backward(g) }
-func (o *opaqueModule) Params() []*nn.Param      { return o.inner.Params() }
-func (o *opaqueModule) OutSize(in int) int       { return o.inner.OutSize(in) }
+func (o *opaqueModule) Forward(dst, x nn.Vec, bsz int) nn.Vec  { return o.inner.Forward(dst, x, bsz) }
+func (o *opaqueModule) Backward(dst, g nn.Vec, bsz int) nn.Vec { return o.inner.Backward(dst, g, bsz) }
+func (o *opaqueModule) Params() []*nn.Param                    { return o.inner.Params() }
+func (o *opaqueModule) OutSize(in int) int                     { return o.inner.OutSize(in) }
 
 // TestActZeroAlloc: steady-state inference must not touch the heap — the
 // acceptance target behind BenchmarkDecisionLatency (§V-F).
@@ -207,25 +207,36 @@ func TestActZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestForwardScratchMatchesReference: the scratch forward used by Act must
-// agree with the allocating reference forward bit for bit.
-func TestForwardScratchMatchesReference(t *testing.T) {
+// TestForwardDuelingRowsIndependentOfBatch: every prediction the one
+// inference forward produces for a sample must be bitwise the same whether the
+// sample runs alone (what Act and Predict do) or as row i of a batch (what
+// DecideBatch does) — the value-level form of the serve byte-identity contract.
+func TestForwardDuelingRowsIndependentOfBatch(t *testing.T) {
 	a := New(smallConfig())
+	cfg := &a.cfg
 	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 10; trial++ {
-		state := make([]float64, a.cfg.StateDim)
-		for i := range state {
-			state[i] = rng.NormFloat64()
-		}
-		meas := []float64{rng.Float64(), rng.Float64()}
-		goalExt := a.ExtendGoal([]float64{rng.Float64(), rng.Float64()})
-		want := a.forward(state, meas, goalExt)
-		got := a.forwardScratch(state, meas, goalExt)
-		for ai := range want {
-			for k := range want[ai] {
-				if want[ai][k] != got[ai][k] {
-					t.Fatalf("trial %d action %d slot %d: scratch %v != reference %v",
-						trial, ai, k, got[ai][k], want[ai][k])
+	const bsz = 7
+	states := make([]float64, bsz*cfg.StateDim)
+	for i := range states {
+		states[i] = rng.NormFloat64()
+	}
+	meas := make([]float64, bsz*cfg.Measurements)
+	goals := make([]float64, bsz*cfg.GoalDim())
+	for i := 0; i < bsz; i++ {
+		meas[2*i], meas[2*i+1] = rng.Float64(), rng.Float64()
+		cfg.extendGoalInto(goals[i*cfg.GoalDim():(i+1)*cfg.GoalDim()], []float64{rng.Float64(), rng.Float64()})
+	}
+	var batchScr inferScratch
+	batch := a.nets.forwardDueling(cfg, &batchScr, states, meas, goals, bsz)
+	for i := 0; i < bsz; i++ {
+		single := a.forwardScratch(
+			states[i*cfg.StateDim:(i+1)*cfg.StateDim],
+			meas[i*cfg.Measurements:(i+1)*cfg.Measurements],
+			goals[i*cfg.GoalDim():(i+1)*cfg.GoalDim()])
+		for ai, row := range single {
+			for k, v := range row {
+				if got := batch[i*cfg.Actions+ai][k]; got != v {
+					t.Fatalf("sample %d action %d slot %d: batched %v != bsz=1 %v", i, ai, k, got, v)
 				}
 			}
 		}

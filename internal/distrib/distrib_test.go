@@ -54,7 +54,13 @@ func render(name string, results []experiments.CellResult) []byte {
 // testPool runs n in-process workers over synchronous pipes. The cleanup
 // waits for every ServeWorker goroutine: after Run severs the connections
 // they must all come home (a stuck worker is itself a bug).
-func testPool(t *testing.T, n int) Pool {
+func testPool(t *testing.T, n int) Pool { return gatedPool(t, n, nil) }
+
+// gatedPool is testPool whose workers other than worker 0 say hello only
+// once gate is closed (nil = at once). The coordinator assigns to whoever is
+// ready, so on a loaded host an ungated healthy worker can finish the whole
+// grid before worker 0 is handed the cell its fault plan sabotages.
+func gatedPool(t *testing.T, n int, gate <-chan struct{}) Pool {
 	t.Helper()
 	var wg sync.WaitGroup
 	t.Cleanup(wg.Wait)
@@ -63,6 +69,9 @@ func testPool(t *testing.T, n int) Pool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if id != 0 && gate != nil {
+				<-gate
+			}
 			ServeWorker(work, WorkerOptions{})
 		}()
 		return coord, nil
@@ -187,7 +196,19 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			var events []Event
 			opt := fastOptions(&events)
 			opt.Faults = Faults{0: tc.plan}
-			got, err := Run(spec, experiments.CampaignOptions{Workers: 1}, opt, testPool(t, 2))
+			// The healthy worker joins once the sabotaged one holds a cell
+			// (or the run is over), so the fault always has a cell to hit.
+			gate := make(chan struct{})
+			var open sync.Once
+			record := opt.OnEvent
+			opt.OnEvent = func(ev Event) {
+				record(ev)
+				if ev.Kind == EventAssign && ev.Worker == 0 {
+					open.Do(func() { close(gate) })
+				}
+			}
+			got, err := Run(spec, experiments.CampaignOptions{Workers: 1}, opt, gatedPool(t, 2, gate))
+			open.Do(func() { close(gate) })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,6 @@
 package distrib
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -18,7 +16,8 @@ import (
 // corrupt (contract rule 5): there is no in-band resynchronization, the
 // connection is abandoned and the peer's in-flight work requeued. The frame
 // codec itself lives in internal/wire, shared with the decision service
-// (internal/serve); this file owns only the gob message layer.
+// (internal/serve), as is the one-gob-stream-per-frame encoding
+// (wire.EncodeGob/DecodeGob); this file owns only the message type.
 
 // ProtocolVersion gates the handshake — in both directions: the coordinator
 // rejects a worker hello carrying another version, and the worker rejects a
@@ -26,9 +25,6 @@ import (
 // the error. Two binaries built from different protocol revisions refuse to
 // pair instead of mis-decoding each other's frames.
 const ProtocolVersion = 1
-
-// maxFrameBytes is the shared frame bound (see wire.MaxFrameBytes).
-const maxFrameBytes = wire.MaxFrameBytes
 
 // ErrCorruptFrame marks a frame whose length, checksum, or encoding is
 // damaged. The coordinator maps it to worker death (rule 5). It aliases
@@ -125,23 +121,11 @@ func writeFrame(w io.Writer, m *message) error {
 
 // encodeMessage gob-encodes one message as an independent stream.
 func encodeMessage(m *message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("distrib: encoding %s frame: %w", m.Type, err)
+	payload, err := wire.EncodeGob(m)
+	if err != nil {
+		return nil, fmt.Errorf("distrib: %s frame: %w", m.Type, err)
 	}
-	if buf.Len() > maxFrameBytes {
-		return nil, fmt.Errorf("distrib: %s frame of %d bytes exceeds the %d-byte frame bound", m.Type, buf.Len(), maxFrameBytes)
-	}
-	return buf.Bytes(), nil
-}
-
-// writeRawFrame writes a frame from pre-encoded payload bytes, with the
-// length and checksum the header claims (wire.WriteRawFrame). The fault
-// harness calls it with a deliberately wrong combination (flipped payload
-// byte, over-long declared length) to manufacture the corrupt and truncated
-// frames of rule 5; every healthy path goes through writeFrame.
-func writeRawFrame(w io.Writer, payload []byte, declaredLen int, sum uint32) error {
-	return wire.WriteRawFrame(w, payload, declaredLen, sum)
+	return payload, nil
 }
 
 // readFrame reads and decodes one frame. io.EOF passes through untouched so
@@ -152,11 +136,7 @@ func readFrame(r io.Reader) (*message, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := decodeMessage(payload)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decodeMessage(payload)
 }
 
 // decodeMessage decodes one verified frame payload into a message; gob
@@ -164,8 +144,8 @@ func readFrame(r io.Reader) (*message, error) {
 // layer the shared FuzzDecodeFrame corpus drives for this protocol.
 func decodeMessage(payload []byte) (*message, error) {
 	var m message
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorruptFrame, err)
+	if err := wire.DecodeGob(payload, &m); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -225,7 +225,6 @@ func (w *worker) sendResult(m *message) error {
 	if err != nil {
 		return err
 	}
-	sum := wire.Checksum(payload)
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	switch {
@@ -234,20 +233,20 @@ func (w *worker) sendResult(m *message) error {
 		// arrives whole but provably damaged.
 		bad := append([]byte(nil), payload...)
 		bad[len(bad)/2] ^= 0xff
-		writeRawFrame(w.conn, bad, len(bad), sum)
+		wire.WriteRawFrame(w.conn, bad, len(bad), wire.Checksum(payload))
 		return nil // keep serving; the coordinator severs us on receipt
 	case w.plan.TruncateResult == n:
 		// Declare the full length, deliver half, die — a crash mid-write.
-		writeRawFrame(w.conn, payload[:len(payload)/2], len(payload), sum)
+		wire.WriteRawFrame(w.conn, payload[:len(payload)/2], len(payload), wire.Checksum(payload))
 		w.conn.Close()
 		return faultError{"truncate_result"}
 	case w.plan.DuplicateResult == n:
-		if err := writeRawFrame(w.conn, payload, len(payload), sum); err != nil {
+		if err := wire.WriteFrame(w.conn, payload); err != nil {
 			return err
 		}
-		return writeRawFrame(w.conn, payload, len(payload), sum)
+		return wire.WriteFrame(w.conn, payload)
 	default:
-		return writeRawFrame(w.conn, payload, len(payload), sum)
+		return wire.WriteFrame(w.conn, payload)
 	}
 }
 

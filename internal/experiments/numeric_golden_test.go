@@ -1,0 +1,124 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/nn/kernel"
+	"repro/internal/scenario"
+)
+
+// numericGoldenPath pins the numbers of every trained method end to end:
+// report digests and saved-weights hashes, one block per kernel set
+// (cross-set results agree to 1e-12, not bitwise). Regenerate after an
+// intentional numeric change, once per kernel set:
+//
+//	UPDATE_GOLDEN=1 MRSCH_KERNEL=go   go test -run TestNumericGolden ./internal/experiments/
+//	UPDATE_GOLDEN=1 MRSCH_KERNEL=avx2 go test -run TestNumericGolden ./internal/experiments/
+var numericGoldenPath = filepath.Join("testdata", "numeric-golden.json")
+
+// numericDigest is what one trained method must reproduce bit for bit.
+type numericDigest struct {
+	Report  string `json:"report"`  // SHA-256 of the S4 cell's report JSON
+	Weights string `json:"weights"` // SHA-256 of the stored model file
+}
+
+// numericGoldenCases cover the three layer stacks a refactor of nn/dfp/rl can
+// move: Dense+LeakyReLU through the DFP engine, Conv1D+MaxPool1D through the
+// same engine, and Dense+Softmax through per-step REINFORCE.
+var numericGoldenCases = []struct {
+	name   string
+	method scenario.MethodSpec
+}{
+	{"mrsch-mlp", scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true}},
+	{"mrsch-cnn", scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true, CNN: true}},
+	{"scalar-rl", scenario.MethodSpec{Kind: scenario.KindScalarRL, Train: true}},
+}
+
+// numericRun trains the method on S4 at tiny scale, evaluates the S4 cell
+// with the trained model and digests both artifacts.
+func numericRun(t *testing.T, method scenario.MethodSpec) numericDigest {
+	t.Helper()
+	s4, err := scenario.ByName("S4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := scenario.CampaignSpec{
+		Name:      "numeric-golden",
+		Scale:     scenario.TinyScaleSpec(),
+		Scenarios: []scenario.ScenarioSpec{s4},
+		Methods:   []scenario.MethodSpec{method},
+	}
+	var model string
+	results, err := RunCampaign(spec, CampaignOptions{
+		Workers:  1,
+		ModelDir: t.TempDir(),
+		OnModel:  func(_, _, path string) { model = path },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || model == "" {
+		t.Fatalf("%d results, model file %q", len(results), model)
+	}
+	report, err := json.Marshal(results[0].Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return numericDigest{
+		Report:  fmt.Sprintf("%x", sha256.Sum256(report)),
+		Weights: fmt.Sprintf("%x", sha256.Sum256(weights)),
+	}
+}
+
+func TestNumericGolden(t *testing.T) {
+	// dfp shards each minibatch over GOMAXPROCS workers and the shard
+	// boundaries set the summation order: pin the count so the golden does
+	// not depend on the host, at 2 so replica workers are on the path.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	got := map[string]numericDigest{}
+	for _, c := range numericGoldenCases {
+		got[c.name] = numericRun(t, c.method)
+	}
+
+	golden := map[string]map[string]numericDigest{}
+	data, err := os.ReadFile(numericGoldenPath)
+	if err == nil {
+		err = json.Unmarshal(data, &golden)
+	}
+	set := kernel.Name()
+	if os.Getenv("UPDATE_GOLDEN") == "1" {
+		golden[set] = got // a missing or unreadable file starts empty
+		out, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(numericGoldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("regenerated %s for kernel set %q", numericGoldenPath, set)
+		return
+	}
+	if err != nil {
+		t.Fatalf("numeric golden unreadable (generate with UPDATE_GOLDEN=1): %v", err)
+	}
+	want, ok := golden[set]
+	if !ok {
+		t.Skipf("%s has no entry for kernel set %q (generate with UPDATE_GOLDEN=1)", numericGoldenPath, set)
+	}
+	for _, c := range numericGoldenCases {
+		if got[c.name] != want[c.name] {
+			t.Errorf("%s under kernel set %q:\n got %+v\nwant %+v", c.name, set, got[c.name], want[c.name])
+		}
+	}
+}

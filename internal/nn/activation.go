@@ -10,8 +10,7 @@ import (
 // Backward routes on the sign of the retained *output* (for alpha>0 the
 // output sign equals the input sign), so no input copy is needed and the
 // caller may freely reuse its input slice. The element-wise kernel is
-// shape-agnostic, so the batched variants simply reinterpret the buffer as
-// bsz rows.
+// shape-agnostic: a batch is just a longer vector, and bsz is not inspected.
 type LeakyReLU struct {
 	Alpha float64
 
@@ -29,14 +28,10 @@ func NewLeakyReLU(alpha float64) *LeakyReLU {
 	return &LeakyReLU{Alpha: alpha, lastN: -1}
 }
 
-// Forward applies the activation element-wise.
-func (l *LeakyReLU) Forward(x Vec) Vec { return l.ForwardInto(make(Vec, len(x)), x) }
-
-// ForwardInto applies the activation into dst. nil selects the layer-owned
-// output buffer, which Backward's sign-routing reads — per the
-// BufferedLayer contract the returned buffer must not be mutated before
-// Backward.
-func (l *LeakyReLU) ForwardInto(dst, x Vec) Vec {
+// Forward applies the activation into dst. nil selects the layer-owned
+// output buffer, which Backward's sign-routing reads — per the Layer
+// contract the returned buffer must not be mutated before Backward.
+func (l *LeakyReLU) Forward(dst, x Vec, bsz int) Vec {
 	l.outBuf = Ensure(l.outBuf, len(x))
 	l.lastN = len(x)
 	for i, v := range x {
@@ -56,11 +51,8 @@ func (l *LeakyReLU) ForwardInto(dst, x Vec) Vec {
 	return dst
 }
 
-// Backward routes gradients through the active/leaky regions.
-func (l *LeakyReLU) Backward(grad Vec) Vec { return l.BackwardInto(make(Vec, len(grad)), grad) }
-
-// BackwardInto routes gradients into dst (nil selects a layer-owned buffer).
-func (l *LeakyReLU) BackwardInto(dst, grad Vec) Vec {
+// Backward routes gradients through the active/leaky regions into dst.
+func (l *LeakyReLU) Backward(dst, grad Vec, bsz int) Vec {
 	if l.lastN < 0 {
 		panic("nn: LeakyReLU.Backward before Forward")
 	}
@@ -85,43 +77,33 @@ func (l *LeakyReLU) BackwardInto(dst, grad Vec) Vec {
 	return dst
 }
 
-// ForwardBatchInto implements BatchLayer; the kernel is element-wise, so the
-// batch is just a longer vector.
-func (l *LeakyReLU) ForwardBatchInto(dst, x Vec, bsz int) Vec { return l.ForwardInto(dst, x) }
-
-// BackwardBatchInto implements BatchLayer.
-func (l *LeakyReLU) BackwardBatchInto(dst, grad Vec, bsz int) Vec { return l.BackwardInto(dst, grad) }
-
 // Params implements Layer (no parameters).
 func (l *LeakyReLU) Params() []*Param { return nil }
 
 // OutSize implements Layer.
 func (l *LeakyReLU) OutSize(in int) int { return in }
 
-// Tanh applies the hyperbolic tangent element-wise.
+// Tanh applies the hyperbolic tangent element-wise; like LeakyReLU it does
+// not inspect bsz.
 type Tanh struct {
-	outBuf  Vec // layer-owned copy of the last output (backward needs tanh(x))
-	ginBuf  Vec
-	scratch Vec
-	lastN   int
+	outBuf Vec // layer-owned copy of the last output (backward needs tanh(x))
+	ginBuf Vec
+	lastN  int
 }
 
 // NewTanh returns a tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{lastN: -1} }
 
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x Vec) Vec { return t.ForwardInto(make(Vec, len(x)), x) }
-
-// ForwardInto applies tanh into dst (nil selects a layer-owned buffer).
-func (t *Tanh) ForwardInto(dst, x Vec) Vec {
+// Forward applies tanh into dst (nil selects the layer-owned output buffer
+// Backward reads).
+func (t *Tanh) Forward(dst, x Vec, bsz int) Vec {
 	t.outBuf = Ensure(t.outBuf, len(x))
 	t.lastN = len(x)
 	for i, v := range x {
 		t.outBuf[i] = math.Tanh(v)
 	}
 	if dst == nil {
-		t.scratch = Ensure(t.scratch, len(x))
-		dst = t.scratch
+		return t.outBuf
 	}
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("nn: Tanh dst len %d, want %d", len(dst), len(x)))
@@ -130,12 +112,8 @@ func (t *Tanh) ForwardInto(dst, x Vec) Vec {
 	return dst
 }
 
-// Backward multiplies by 1-tanh^2.
-func (t *Tanh) Backward(grad Vec) Vec { return t.BackwardInto(make(Vec, len(grad)), grad) }
-
-// BackwardInto multiplies by 1-tanh^2 into dst (nil selects a layer-owned
-// buffer).
-func (t *Tanh) BackwardInto(dst, grad Vec) Vec {
+// Backward multiplies by 1-tanh^2 into dst.
+func (t *Tanh) Backward(dst, grad Vec, bsz int) Vec {
 	if t.lastN < 0 {
 		panic("nn: Tanh.Backward before Forward")
 	}
@@ -156,12 +134,6 @@ func (t *Tanh) BackwardInto(dst, grad Vec) Vec {
 	return dst
 }
 
-// ForwardBatchInto implements BatchLayer (element-wise kernel).
-func (t *Tanh) ForwardBatchInto(dst, x Vec, bsz int) Vec { return t.ForwardInto(dst, x) }
-
-// BackwardBatchInto implements BatchLayer.
-func (t *Tanh) BackwardBatchInto(dst, grad Vec, bsz int) Vec { return t.BackwardInto(dst, grad) }
-
 // Params implements Layer (no parameters).
 func (t *Tanh) Params() []*Param { return nil }
 
@@ -170,28 +142,21 @@ func (t *Tanh) OutSize(in int) int { return in }
 
 // SoftmaxLayer turns logits into a probability distribution. Backward
 // applies the full softmax Jacobian, so it composes with any upstream loss
-// gradient (the policy-gradient baseline feeds dL/dp directly). In batch
-// mode each row is normalized independently.
+// gradient (the policy-gradient baseline feeds dL/dp directly). Each of the
+// bsz rows is normalized independently.
 type SoftmaxLayer struct {
-	outBuf  Vec // layer-owned copy of the last output distribution(s)
-	ginBuf  Vec
-	scratch Vec
-	lastN   int // total elements
-	lastB   int // rows
+	outBuf Vec // layer-owned copy of the last output distribution(s)
+	ginBuf Vec
+	lastN  int // total elements
+	lastB  int // rows
 }
 
 // NewSoftmax returns a softmax output layer.
 func NewSoftmax() *SoftmaxLayer { return &SoftmaxLayer{lastN: -1} }
 
-// Forward computes a numerically-stable softmax.
-func (s *SoftmaxLayer) Forward(x Vec) Vec { return s.ForwardInto(make(Vec, len(x)), x) }
-
-// ForwardInto computes the softmax into dst (nil selects a layer-owned
-// buffer).
-func (s *SoftmaxLayer) ForwardInto(dst, x Vec) Vec { return s.ForwardBatchInto(dst, x, 1) }
-
-// ForwardBatchInto normalizes each of the bsz rows independently.
-func (s *SoftmaxLayer) ForwardBatchInto(dst, x Vec, bsz int) Vec {
+// Forward computes a numerically-stable softmax of each row into dst (nil
+// selects the layer-owned output buffer Backward reads).
+func (s *SoftmaxLayer) Forward(dst, x Vec, bsz int) Vec {
 	if bsz <= 0 || len(x)%bsz != 0 {
 		panic(fmt.Sprintf("nn: Softmax batch %d does not divide input %d", bsz, len(x)))
 	}
@@ -202,8 +167,7 @@ func (s *SoftmaxLayer) ForwardBatchInto(dst, x Vec, bsz int) Vec {
 		SoftmaxInto(s.outBuf[b*n:(b+1)*n], x[b*n:(b+1)*n])
 	}
 	if dst == nil {
-		s.scratch = Ensure(s.scratch, len(x))
-		dst = s.scratch
+		return s.outBuf
 	}
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("nn: Softmax dst len %d, want %d", len(dst), len(x)))
@@ -212,19 +176,9 @@ func (s *SoftmaxLayer) ForwardBatchInto(dst, x Vec, bsz int) Vec {
 	return dst
 }
 
-// Backward computes J^T grad where J is the softmax Jacobian.
-func (s *SoftmaxLayer) Backward(grad Vec) Vec { return s.BackwardInto(make(Vec, len(grad)), grad) }
-
-// BackwardInto computes J^T grad into dst (nil selects a layer-owned buffer).
-func (s *SoftmaxLayer) BackwardInto(dst, grad Vec) Vec {
-	if s.lastN < 0 {
-		panic("nn: Softmax.Backward before Forward")
-	}
-	return s.BackwardBatchInto(dst, grad, s.lastB)
-}
-
-// BackwardBatchInto applies each row's softmax Jacobian independently.
-func (s *SoftmaxLayer) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
+// Backward computes J^T grad into dst, where J is each row's softmax
+// Jacobian.
+func (s *SoftmaxLayer) Backward(dst, grad Vec, bsz int) Vec {
 	if s.lastN < 0 {
 		panic("nn: Softmax.Backward before Forward")
 	}
@@ -254,9 +208,3 @@ func (s *SoftmaxLayer) Params() []*Param { return nil }
 
 // OutSize implements Layer.
 func (s *SoftmaxLayer) OutSize(in int) int { return in }
-
-var (
-	_ BatchLayer = (*LeakyReLU)(nil)
-	_ BatchLayer = (*Tanh)(nil)
-	_ BatchLayer = (*SoftmaxLayer)(nil)
-)

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// Property tests for the scratch-buffer and minibatch engine: every Into /
-// Batch path must reproduce the scalar allocating path across randomized
-// layer shapes, both forward values and accumulated gradients.
+// Property tests for the one layer contract across randomized layer shapes:
+// a caller-provided dst and the layer-owned buffer carry the same values, and
+// a batch of B rows reproduces B passes at bsz=1 — forward rows bit for bit,
+// accumulated gradients to the cross-path tolerance.
 
 const kernelTol = 1e-12
 
@@ -103,83 +104,67 @@ func sweepCases(rng *rand.Rand) []layerCase {
 	}
 }
 
-// TestForwardIntoMatchesForward: the scratch-buffer scalar path must equal
-// the allocating path bit for bit, for caller-provided and layer-owned dst.
-func TestForwardIntoMatchesForward(t *testing.T) {
+// TestDstMatchesLayerBuffer: a pass into a caller-provided dst must equal the
+// pass into the layer-owned buffer (dst == nil) bit for bit, forward values,
+// input gradients and accumulated parameter gradients alike.
+func TestDstMatchesLayerBuffer(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		shapes := rand.New(rand.NewSource(int64(1000 + trial)))
 		for _, tc := range sweepCases(shapes) {
 			ref, dut := freshPair(tc.build, int64(trial))
-			bdut, ok := dut.(BufferedLayer)
-			if !ok {
-				t.Fatalf("%s does not implement BufferedLayer", tc.name)
-			}
 			dataRng := rand.New(rand.NewSource(int64(5000 + trial)))
 			x := randVec(dataRng, tc.in)
-			want := ref.Forward(x)
-			got := bdut.ForwardInto(nil, x)
+			want := ref.Forward(nil, x, 1)
+			got := dut.Forward(make(Vec, len(want)), x, 1)
 			if d := maxAbsDiff(want, got); d > 0 {
-				t.Fatalf("%s trial %d: ForwardInto(nil) diverges by %g", tc.name, trial, d)
+				t.Fatalf("%s trial %d: Forward(dst) diverges from Forward(nil) by %g", tc.name, trial, d)
 			}
-			dst := make(Vec, len(want))
-			got = bdut.ForwardInto(dst, x)
-			if d := maxAbsDiff(want, got); d > 0 {
-				t.Fatalf("%s trial %d: ForwardInto(dst) diverges by %g", tc.name, trial, d)
-			}
-			// Backward through both paths with the same output gradient.
 			g := randVec(dataRng, len(want))
 			zeroGrads(ref)
 			zeroGrads(dut)
-			wantGin := ref.Backward(g)
-			gotGin := bdut.BackwardInto(nil, g)
+			wantGin := ref.Backward(nil, g, 1)
+			gotGin := dut.Backward(make(Vec, tc.in), g, 1)
 			if d := maxAbsDiff(wantGin, gotGin); d > 0 {
-				t.Fatalf("%s trial %d: BackwardInto diverges by %g", tc.name, trial, d)
+				t.Fatalf("%s trial %d: Backward(dst) diverges from Backward(nil) by %g", tc.name, trial, d)
 			}
 			compareGrads(t, ref, dut, tc.name)
 		}
 	}
 }
 
-// TestBatchMatchesScalar: one ForwardBatchInto/BackwardBatchInto over B rows
-// must reproduce B sequential scalar passes — outputs, input gradients, and
-// accumulated parameter gradients.
+// TestBatchMatchesScalar: one Forward/Backward over B rows must reproduce B
+// sequential bsz=1 passes — output rows bit for bit (the contract the serve
+// daemon's batch-size independence rests on), input gradients and accumulated
+// parameter gradients to the cross-path tolerance.
 func TestBatchMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		shapes := rand.New(rand.NewSource(int64(2000 + trial)))
 		bsz := 1 + shapes.Intn(9)
 		for _, tc := range sweepCases(shapes) {
 			ref, dut := freshPair(tc.build, int64(100+trial))
-			bdut := Batched(dut)
 			dataRng := rand.New(rand.NewSource(int64(7000 + trial)))
 			outDim := ref.OutSize(tc.in)
 			xs := randVec(dataRng, bsz*tc.in)
 			gs := randVec(dataRng, bsz*outDim)
 
-			// Reference: scalar loop in row order.
+			// Reference: one bsz=1 forward and backward per row, in row order.
 			zeroGrads(ref)
 			wantOut := make(Vec, 0, bsz*outDim)
 			wantGin := make(Vec, 0, bsz*tc.in)
 			for b := 0; b < bsz; b++ {
-				wantOut = append(wantOut, ref.Forward(xs[b*tc.in:(b+1)*tc.in])...)
-			}
-			// Scalar Backward must follow its own Forward per row, so rerun.
-			for b := 0; b < bsz; b++ {
-				ref.Forward(xs[b*tc.in : (b+1)*tc.in])
-				wantGin = append(wantGin, ref.Backward(gs[b*outDim:(b+1)*outDim])...)
+				wantOut = append(wantOut, ref.Forward(nil, xs[b*tc.in:(b+1)*tc.in], 1)...)
+				wantGin = append(wantGin, ref.Backward(nil, gs[b*outDim:(b+1)*outDim], 1)...)
 			}
 
 			zeroGrads(dut)
-			gotOut := bdut.ForwardBatchInto(nil, xs, bsz)
-			if d := maxAbsDiff(wantOut, gotOut); d > kernelTol {
+			gotOut := dut.Forward(nil, xs, bsz)
+			if d := maxAbsDiff(wantOut, gotOut); d > 0 {
 				t.Fatalf("%s trial %d bsz %d: batch forward diverges by %g", tc.name, trial, bsz, d)
 			}
-			gotGin := bdut.BackwardBatchInto(nil, gs, bsz)
+			gotGin := dut.Backward(nil, gs, bsz)
 			if d := maxAbsDiff(wantGin, gotGin); d > kernelTol {
 				t.Fatalf("%s trial %d bsz %d: batch input grad diverges by %g", tc.name, trial, bsz, d)
 			}
-			// The reference accumulated two forward passes' worth of nothing
-			// (forward does not touch grads) and one backward per row; the
-			// batch path one backward over the batch. Grads must match.
 			compareGrads(t, ref, dut, tc.name)
 		}
 	}
@@ -195,14 +180,14 @@ func TestBatchedDenseGradCheck(t *testing.T) {
 	x := randVec(rng, bsz*in)
 	target := randVec(rng, bsz*out)
 	loss := func() float64 {
-		y := d.ForwardBatchInto(nil, x, bsz)
+		y := d.Forward(nil, x, bsz)
 		l, _ := MSE(y, target)
 		return l
 	}
 	backward := func() {
-		y := d.ForwardBatchInto(nil, x, bsz)
+		y := d.Forward(nil, x, bsz)
 		_, g := MSE(y, target)
-		d.BackwardBatchInto(nil, g, bsz)
+		d.Backward(nil, g, bsz)
 	}
 	if worst := GradCheck(d.Params(), loss, backward, 1e-5, 0); worst > 1e-4 {
 		t.Fatalf("batched Dense gradient check failed: max rel err %v", worst)
@@ -219,14 +204,14 @@ func TestDenseInputAliasing(t *testing.T) {
 	g := randVec(rng, 4)
 
 	xCopy := append(Vec(nil), x...)
-	ref.Forward(xCopy)
+	ref.Forward(nil, xCopy, 1)
 	zeroGrads(ref)
-	ref.Backward(g)
+	ref.Backward(nil, g, 1)
 
-	dut.Forward(x)
+	dut.Forward(nil, x, 1)
 	Fill(x, 1e9) // caller reuses its buffer before Backward
 	zeroGrads(dut)
-	dut.Backward(g)
+	dut.Backward(nil, g, 1)
 
 	compareGrads(t, ref, dut, "dense-aliasing")
 }
@@ -237,9 +222,9 @@ func TestActivationInputAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	l := NewLeakyReLU(0.01)
 	x := Vec{1, -2, 3, -4}
-	l.Forward(x)
+	l.Forward(nil, x, 1)
 	x[0], x[1] = -1, 2 // flip signs after forward
-	gin := l.Backward(Vec{1, 1, 1, 1})
+	gin := l.Backward(nil, Vec{1, 1, 1, 1}, 1)
 	want := Vec{1, 0.01, 1, 0.01} // routing must follow the ORIGINAL input
 	if d := maxAbsDiff(gin, want); d > 0 {
 		t.Fatalf("LeakyReLU used mutated input: gin=%v want %v", gin, want)
@@ -262,16 +247,16 @@ func TestSharedClone(t *testing.T) {
 	clone := cloneL.(*Sequential)
 
 	x := randVec(rng, 8)
-	want := master.Forward(x)
-	got := clone.Forward(x)
+	want := master.Forward(nil, x, 1)
+	got := clone.Forward(nil, x, 1)
 	if d := maxAbsDiff(want, got); d > 0 {
 		t.Fatalf("clone forward diverges by %g", d)
 	}
 
 	// Mutate a master weight; the clone must see it (shared Values).
 	master.Params()[0].Value[0] += 0.5
-	want = master.Forward(x)
-	got = clone.Forward(x)
+	want = master.Forward(nil, x, 1)
+	got = clone.Forward(nil, x, 1)
 	if d := maxAbsDiff(want, got); d > 0 {
 		t.Fatalf("clone did not observe master weight update (diff %g)", d)
 	}
@@ -279,7 +264,7 @@ func TestSharedClone(t *testing.T) {
 	// Backward on the clone must not touch master gradients.
 	zeroGrads(master)
 	g := randVec(rng, 3)
-	clone.Backward(g)
+	clone.Backward(nil, g, 1)
 	for _, p := range master.Params() {
 		for _, v := range p.Grad {
 			if v != 0 {
@@ -287,16 +272,12 @@ func TestSharedClone(t *testing.T) {
 			}
 		}
 	}
-
-	if _, ok := SharedClone(&batchAdapter{}); ok {
-		t.Fatal("SharedClone accepted an unsupported layer type")
-	}
 }
 
-// TestSequentialForwardIntoZeroAlloc: after warm-up, the scratch-buffer path
+// TestSequentialZeroAlloc: after warm-up, a pass through layer-owned buffers
 // must not allocate — the property the §V-F decision-latency target rests
 // on.
-func TestSequentialForwardIntoZeroAlloc(t *testing.T) {
+func TestSequentialZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	net := NewSequential(32,
 		NewDense(32, 24, HeInit, rng), NewLeakyReLU(0.01),
@@ -304,14 +285,14 @@ func TestSequentialForwardIntoZeroAlloc(t *testing.T) {
 	)
 	x := randVec(rng, 32)
 	g := randVec(rng, 8)
-	net.ForwardInto(nil, x)
-	net.BackwardInto(nil, g)
+	net.Forward(nil, x, 1)
+	net.Backward(nil, g, 1)
 	allocs := testing.AllocsPerRun(50, func() {
-		net.ForwardInto(nil, x)
-		net.BackwardInto(nil, g)
+		net.Forward(nil, x, 1)
+		net.Backward(nil, g, 1)
 	})
 	if allocs != 0 {
-		t.Fatalf("scratch-buffer pass allocates %v times per run, want 0", allocs)
+		t.Fatalf("layer-buffer pass allocates %v times per run, want 0", allocs)
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 // Conv1D is a one-dimensional convolution over a channel-major input layout
 // ([ch0 pos0..posL-1, ch1 pos0..posL-1, ...]). It exists to reproduce the
 // paper's Figure 3 ablation, which compares the original DFP's convolutional
-// state module against MRSch's MLP state module. It implements BatchLayer;
-// the batch variants run the row kernel per sample over a layer-owned copy
-// of the batch input.
+// state module against MRSch's MLP state module. A batch runs the row kernel
+// per sample over a layer-owned copy of the batch input.
 type Conv1D struct {
 	InCh, OutCh int
 	InLen       int
@@ -51,22 +50,10 @@ func (c *Conv1D) wAt(oc, ic, k int) int { return (oc*c.InCh+ic)*c.Kernel + k }
 func (c *Conv1D) inDim() int  { return c.InCh * c.InLen }
 func (c *Conv1D) outDim() int { return c.OutCh * c.outLen }
 
-// Forward performs the convolution. Input length must be InCh*InLen.
-func (c *Conv1D) Forward(x Vec) Vec { return c.ForwardInto(make(Vec, c.outDim()), x) }
-
-// ForwardInto performs the convolution into dst (nil selects a layer-owned
-// buffer).
-func (c *Conv1D) ForwardInto(dst, x Vec) Vec {
-	if len(x) != c.inDim() {
-		panic(fmt.Sprintf("nn: Conv1D.Forward got %d inputs, want %d", len(x), c.inDim()))
-	}
-	return c.ForwardBatchInto(dst, x, 1)
-}
-
-// ForwardBatchInto convolves bsz row-major samples in one call.
-func (c *Conv1D) ForwardBatchInto(dst, x Vec, bsz int) Vec {
+// Forward convolves bsz row-major samples of InCh*InLen values each.
+func (c *Conv1D) Forward(dst, x Vec, bsz int) Vec {
 	if bsz <= 0 || len(x) != bsz*c.inDim() {
-		panic(fmt.Sprintf("nn: Conv1D.ForwardBatch got %d inputs, want %d x %d", len(x), bsz, c.inDim()))
+		panic(fmt.Sprintf("nn: Conv1D.Forward got %d inputs, want %d x %d", len(x), bsz, c.inDim()))
 	}
 	c.inBuf = Ensure(c.inBuf, len(x))
 	copy(c.inBuf, x)
@@ -76,7 +63,7 @@ func (c *Conv1D) ForwardBatchInto(dst, x Vec, bsz int) Vec {
 		dst = c.outBuf
 	}
 	if len(dst) != bsz*c.outDim() {
-		panic(fmt.Sprintf("nn: Conv1D.ForwardBatch dst len %d, want %d x %d", len(dst), bsz, c.outDim()))
+		panic(fmt.Sprintf("nn: Conv1D.Forward dst len %d, want %d x %d", len(dst), bsz, c.outDim()))
 	}
 	for bi := 0; bi < bsz; bi++ {
 		c.forwardRow(dst[bi*c.outDim():(bi+1)*c.outDim()], c.inBuf[bi*c.inDim():(bi+1)*c.inDim()])
@@ -100,25 +87,11 @@ func (c *Conv1D) forwardRow(out, x Vec) {
 	}
 }
 
-// Backward accumulates kernel/bias gradients and returns input gradients.
-func (c *Conv1D) Backward(grad Vec) Vec {
-	return c.BackwardInto(make(Vec, c.lastB*c.inDim()), grad)
-}
-
-// BackwardInto accumulates gradients and writes input gradients into dst
-// (nil selects a layer-owned buffer).
-func (c *Conv1D) BackwardInto(dst, grad Vec) Vec {
-	if c.lastB == 0 {
-		panic("nn: Conv1D.Backward before Forward")
-	}
-	return c.BackwardBatchInto(dst, grad, c.lastB)
-}
-
-// BackwardBatchInto is the batched backward: parameter gradients accumulate
-// summed over rows.
-func (c *Conv1D) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
+// Backward accumulates kernel/bias gradients summed over rows and writes
+// input gradients into dst.
+func (c *Conv1D) Backward(dst, grad Vec, bsz int) Vec {
 	if c.lastB != bsz {
-		panic(fmt.Sprintf("nn: Conv1D.BackwardBatch bsz %d, forward saw %d", bsz, c.lastB))
+		panic(fmt.Sprintf("nn: Conv1D.Backward bsz %d, forward saw %d", bsz, c.lastB))
 	}
 	if len(grad) != bsz*c.outDim() {
 		panic(fmt.Sprintf("nn: Conv1D.Backward got %d grads, want %d x %d", len(grad), bsz, c.outDim()))
@@ -128,7 +101,7 @@ func (c *Conv1D) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
 		dst = c.ginBuf
 	}
 	if len(dst) != bsz*c.inDim() {
-		panic(fmt.Sprintf("nn: Conv1D.BackwardBatch dst len %d, want %d x %d", len(dst), bsz, c.inDim()))
+		panic(fmt.Sprintf("nn: Conv1D.Backward dst len %d, want %d x %d", len(dst), bsz, c.inDim()))
 	}
 	Fill(dst, 0)
 	for bi := 0; bi < bsz; bi++ {
@@ -173,8 +146,8 @@ func (c *Conv1D) OutSize(in int) int {
 }
 
 // MaxPool1D downsamples each channel by taking the maximum over
-// non-overlapping windows of size Pool. It implements BatchLayer with a
-// per-row argmax record.
+// non-overlapping windows of size Pool, keeping a per-row argmax record for
+// Backward.
 type MaxPool1D struct {
 	Ch, InLen, Pool int
 	outLen          int
@@ -200,21 +173,11 @@ func (m *MaxPool1D) OutLen() int { return m.outLen }
 func (m *MaxPool1D) inDim() int  { return m.Ch * m.InLen }
 func (m *MaxPool1D) outDim() int { return m.Ch * m.outLen }
 
-// Forward records argmax indices for the backward pass.
-func (m *MaxPool1D) Forward(x Vec) Vec { return m.ForwardInto(make(Vec, m.outDim()), x) }
-
-// ForwardInto pools into dst (nil selects a layer-owned buffer).
-func (m *MaxPool1D) ForwardInto(dst, x Vec) Vec {
-	if len(x) != m.inDim() {
-		panic(fmt.Sprintf("nn: MaxPool1D.Forward got %d inputs, want %d", len(x), m.inDim()))
-	}
-	return m.ForwardBatchInto(dst, x, 1)
-}
-
-// ForwardBatchInto pools bsz row-major samples in one call.
-func (m *MaxPool1D) ForwardBatchInto(dst, x Vec, bsz int) Vec {
+// Forward pools bsz row-major samples, recording argmax indices for the
+// backward pass.
+func (m *MaxPool1D) Forward(dst, x Vec, bsz int) Vec {
 	if bsz <= 0 || len(x) != bsz*m.inDim() {
-		panic(fmt.Sprintf("nn: MaxPool1D.ForwardBatch got %d inputs, want %d x %d", len(x), bsz, m.inDim()))
+		panic(fmt.Sprintf("nn: MaxPool1D.Forward got %d inputs, want %d x %d", len(x), bsz, m.inDim()))
 	}
 	if cap(m.argmax) < bsz*m.outDim() {
 		m.argmax = make([]int, bsz*m.outDim())
@@ -226,7 +189,7 @@ func (m *MaxPool1D) ForwardBatchInto(dst, x Vec, bsz int) Vec {
 		dst = m.outBuf
 	}
 	if len(dst) != bsz*m.outDim() {
-		panic(fmt.Sprintf("nn: MaxPool1D.ForwardBatch dst len %d, want %d x %d", len(dst), bsz, m.outDim()))
+		panic(fmt.Sprintf("nn: MaxPool1D.Forward dst len %d, want %d x %d", len(dst), bsz, m.outDim()))
 	}
 	for bi := 0; bi < bsz; bi++ {
 		xr := x[bi*m.inDim() : (bi+1)*m.inDim()]
@@ -250,22 +213,9 @@ func (m *MaxPool1D) ForwardBatchInto(dst, x Vec, bsz int) Vec {
 }
 
 // Backward routes each gradient to the position that won the max.
-func (m *MaxPool1D) Backward(grad Vec) Vec {
-	return m.BackwardInto(make(Vec, m.lastB*m.inDim()), grad)
-}
-
-// BackwardInto routes gradients into dst (nil selects a layer-owned buffer).
-func (m *MaxPool1D) BackwardInto(dst, grad Vec) Vec {
-	if m.lastB == 0 {
-		panic("nn: MaxPool1D.Backward before Forward")
-	}
-	return m.BackwardBatchInto(dst, grad, m.lastB)
-}
-
-// BackwardBatchInto routes each row's gradients to its recorded winners.
-func (m *MaxPool1D) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
+func (m *MaxPool1D) Backward(dst, grad Vec, bsz int) Vec {
 	if m.lastB != bsz {
-		panic(fmt.Sprintf("nn: MaxPool1D.BackwardBatch bsz %d, forward saw %d", bsz, m.lastB))
+		panic(fmt.Sprintf("nn: MaxPool1D.Backward bsz %d, forward saw %d", bsz, m.lastB))
 	}
 	if len(grad) != bsz*m.outDim() {
 		panic(fmt.Sprintf("nn: MaxPool1D.Backward got %d grads, want %d x %d", len(grad), bsz, m.outDim()))
@@ -275,7 +225,7 @@ func (m *MaxPool1D) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
 		dst = m.ginBuf
 	}
 	if len(dst) != bsz*m.inDim() {
-		panic(fmt.Sprintf("nn: MaxPool1D.BackwardBatch dst len %d, want %d x %d", len(dst), bsz, m.inDim()))
+		panic(fmt.Sprintf("nn: MaxPool1D.Backward dst len %d, want %d x %d", len(dst), bsz, m.inDim()))
 	}
 	Fill(dst, 0)
 	for i, g := range grad {
@@ -294,8 +244,3 @@ func (m *MaxPool1D) OutSize(in int) int {
 	}
 	return m.outDim()
 }
-
-var (
-	_ BatchLayer = (*Conv1D)(nil)
-	_ BatchLayer = (*MaxPool1D)(nil)
-)

@@ -10,11 +10,10 @@ import (
 // measurement and goal modules, the dueling streams, and the policy-gradient
 // baseline are all stacks of Dense layers.
 //
-// Dense implements BatchLayer: the Into variants run without allocation, and
-// the batch variants process B row-major samples through one cache-blocked,
-// 4-way-unrolled matrix-matrix kernel instead of B matrix-vector loops. The
-// forward input is copied into a layer-owned buffer, so callers may mutate
-// their input slice between Forward and Backward.
+// A batch of B row-major samples runs through one cache-blocked, 4-way-
+// unrolled matrix-matrix kernel instead of B matrix-vector loops. The forward
+// input is copied into a layer-owned buffer, so callers may mutate their
+// input slice between Forward and Backward.
 type Dense struct {
 	In, Out int
 	W       *Param // len In*Out, row-major (row = output neuron)
@@ -43,22 +42,11 @@ func NewDense(in, out int, scheme Init, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward computes W*x+b and retains a copy of x for Backward.
-func (d *Dense) Forward(x Vec) Vec { return d.ForwardInto(make(Vec, d.Out), x) }
-
-// ForwardInto computes W*x+b into dst (nil selects a layer-owned buffer).
-func (d *Dense) ForwardInto(dst, x Vec) Vec {
-	if len(x) != d.In {
-		panic(fmt.Sprintf("nn: Dense.Forward got %d inputs, want %d", len(x), d.In))
-	}
-	return d.ForwardBatchInto(dst, x, 1)
-}
-
-// ForwardBatchInto computes one batched forward pass over bsz row-major
-// samples: x is bsz*In values, the result is bsz*Out values.
-func (d *Dense) ForwardBatchInto(dst, x Vec, bsz int) Vec {
+// Forward computes W*x+b for bsz row-major samples: x is bsz*In values, the
+// result is bsz*Out values.
+func (d *Dense) Forward(dst, x Vec, bsz int) Vec {
 	if bsz <= 0 || len(x) != bsz*d.In {
-		panic(fmt.Sprintf("nn: Dense.ForwardBatch got %d inputs, want %d x %d", len(x), bsz, d.In))
+		panic(fmt.Sprintf("nn: Dense.Forward got %d inputs, want %d x %d", len(x), bsz, d.In))
 	}
 	d.inBuf = Ensure(d.inBuf, bsz*d.In)
 	copy(d.inBuf, x)
@@ -68,7 +56,7 @@ func (d *Dense) ForwardBatchInto(dst, x Vec, bsz int) Vec {
 		dst = d.outBuf
 	}
 	if len(dst) != bsz*d.Out {
-		panic(fmt.Sprintf("nn: Dense.ForwardBatch dst len %d, want %d x %d", len(dst), bsz, d.Out))
+		panic(fmt.Sprintf("nn: Dense.Forward dst len %d, want %d x %d", len(dst), bsz, d.Out))
 	}
 	// The forward matmul is a kernel-set call: dst = x·Wᵀ + b through the
 	// process-global set (pure-Go reference or CPUID-dispatched SIMD).
@@ -76,28 +64,11 @@ func (d *Dense) ForwardBatchInto(dst, x Vec, bsz int) Vec {
 	return dst
 }
 
-// Backward accumulates dL/dW and dL/db and returns dL/dx.
-func (d *Dense) Backward(grad Vec) Vec {
-	return d.BackwardInto(make(Vec, d.lastB*d.In), grad)
-}
-
-// BackwardInto accumulates parameter gradients and writes dL/dx into dst
-// (nil selects a layer-owned buffer). After a batched forward, grad must
-// carry one row per batch sample and dst receives one input-gradient row per
-// sample.
-func (d *Dense) BackwardInto(dst, grad Vec) Vec {
-	if d.lastB == 0 {
-		panic("nn: Dense.Backward before Forward")
-	}
-	return d.BackwardBatchInto(dst, grad, d.lastB)
-}
-
-// BackwardBatchInto is the batched backward kernel: grad holds bsz rows of
-// output gradients; parameter gradients accumulate summed over rows and dst
-// receives bsz rows of input gradients.
-func (d *Dense) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
+// Backward accumulates dL/dW and dL/db summed over the bsz rows of grad and
+// writes bsz rows of dL/dx into dst.
+func (d *Dense) Backward(dst, grad Vec, bsz int) Vec {
 	if d.lastB != bsz {
-		panic(fmt.Sprintf("nn: Dense.BackwardBatch bsz %d, forward saw %d", bsz, d.lastB))
+		panic(fmt.Sprintf("nn: Dense.Backward bsz %d, forward saw %d", bsz, d.lastB))
 	}
 	if len(grad) != bsz*d.Out {
 		panic(fmt.Sprintf("nn: Dense.Backward got %d grads, want %d x %d", len(grad), bsz, d.Out))
@@ -107,7 +78,7 @@ func (d *Dense) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
 		dst = d.ginBuf
 	}
 	if len(dst) != bsz*d.In {
-		panic(fmt.Sprintf("nn: Dense.BackwardBatch dst len %d, want %d x %d", len(dst), bsz, d.In))
+		panic(fmt.Sprintf("nn: Dense.Backward dst len %d, want %d x %d", len(dst), bsz, d.In))
 	}
 	if bsz == 1 {
 		denseBackwardRow(dst, grad, d.inBuf, d.W.Value, d.W.Grad, d.B.Grad, d.In, d.Out)
@@ -125,7 +96,7 @@ func (d *Dense) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
 // backward pass.
 func (d *Dense) BackwardBatchParams(grad Vec, bsz int) {
 	if d.lastB != bsz {
-		panic(fmt.Sprintf("nn: Dense.BackwardBatch bsz %d, forward saw %d", bsz, d.lastB))
+		panic(fmt.Sprintf("nn: Dense.Backward bsz %d, forward saw %d", bsz, d.lastB))
 	}
 	if len(grad) != bsz*d.Out {
 		panic(fmt.Sprintf("nn: Dense.Backward got %d grads, want %d x %d", len(grad), bsz, d.Out))
@@ -133,9 +104,10 @@ func (d *Dense) BackwardBatchParams(grad Vec, bsz int) {
 	d.accumBatchGrads(grad, bsz)
 }
 
-// denseBackwardRow is the exact-order single-sample backward: parameter
-// gradients accumulate element-wise in output order, bitwise identical to
-// the pre-batch scalar path. Zero output-gradients skip their row entirely,
+// denseBackwardRow is the exact-order backward Dense runs at bsz=1:
+// parameter gradients accumulate element-wise in output order — the order
+// dfp.TrainStepReference and the REINFORCE baseline are pinned to. Zero
+// output-gradients skip their row entirely,
 // which the sparse dueling backward in internal/dfp relies on.
 func denseBackwardRow(gin, grad, x, w, gw, gb Vec, in, out int) {
 	gi := gin[:in]
@@ -215,5 +187,3 @@ func (d *Dense) OutSize(in int) int {
 	}
 	return d.Out
 }
-
-var _ BatchLayer = (*Dense)(nil)

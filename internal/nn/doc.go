@@ -7,36 +7,45 @@
 // mean-squared-error and policy-gradient losses, SGD/Adam optimizers, and
 // weight (de)serialization.
 //
-// All layers implement the Layer interface. Backward must be called after
-// Forward on the same input; it accumulates parameter gradients and returns
-// the gradient with respect to the layer input, so arbitrary directed
-// compositions (such as DFP's three-branch, two-stream topology) can be
-// wired by hand in higher-level packages.
+// All layers implement the one Layer interface, so arbitrary directed
+// compositions (such as DFP's three-branch, two-stream topology) can be wired
+// by hand in higher-level packages.
 //
-// # Execution engine
+// # The layer contract
 //
-// Three API tiers trade convenience for throughput:
+// Forward(dst, x, bsz) and Backward(dst, grad, bsz) process a minibatch of
+// bsz row-major samples per call; a single sample is a batch of one, and
+// there is no other path:
 //
-//   - Layer (Forward/Backward) is the allocating single-sample path: every
-//     call returns a fresh slice. Simple, and the arithmetic reference for
-//     everything below.
+//   - Row k of a batched Forward is bitwise equal to the bsz=1 result for
+//     that row, under either kernel set. Inference at any batch size and
+//     sample-at-a-time training therefore run the same arithmetic as the
+//     batched engine's forward.
 //
-//   - BufferedLayer (ForwardInto/BackwardInto) runs the same arithmetic
-//     through caller-provided or lazily-grown layer-owned scratch buffers:
-//     zero heap allocations in steady state. Buffered layers also copy (or
-//     avoid retaining) their forward input, so callers may reuse their input
-//     buffers between Forward and Backward — the allocating API wraps this
-//     path.
+//   - dst == nil selects a lazily-grown layer-owned buffer that stays valid
+//     until the layer's next call and is read-only: a layer may route its
+//     backward pass through it (LeakyReLU routes on the output sign).
+//     Sequential threads these buffers through the chain, so after warm-up a
+//     whole network runs forward and backward with zero heap allocations.
 //
-//   - BatchLayer (ForwardBatchInto/BackwardBatchInto) processes a minibatch
-//     of B row-major samples per call. Dense implements these as
-//     cache-blocked, register-unrolled matrix-matrix kernels: the forward
-//     tiles weight rows to stay L1-resident across the batch with a 4-wide
-//     output microkernel, the weight-gradient accumulation merges 8 samples'
-//     rank-1 updates into one streaming pass, and the input gradient runs
-//     through a per-call transposed weight copy so every dot product is
-//     sequential. Sequential composes batch kernels across layers and
-//     Batched adapts any other Layer per-row, so whole networks run batched.
+//   - The input is copied, never retained: callers may reuse or mutate x
+//     between Forward and Backward.
+//
+//   - Backward must follow a Forward of the same bsz. Parameter gradients
+//     accumulate summed over the batch rows, across calls, until the
+//     optimizer zeroes them.
+//
+// Dense runs a batch as cache-blocked, register-unrolled matrix-matrix
+// kernels: the forward tiles weight rows to stay L1-resident across the
+// batch with a 4-wide output microkernel, the weight-gradient accumulation
+// merges 8 samples' rank-1 updates into one streaming pass, and the input
+// gradient runs through a per-call transposed weight copy so every dot
+// product is sequential. At bsz=1 its backward is the exact-order
+// element-wise loop (denseBackwardRow), which agrees with the batched
+// kernels to ≤1e-12. Conv1D, MaxPool1D and Softmax run their row kernel per
+// sample, the element-wise activations treat the batch as one longer vector,
+// and MultiBranch gathers each branch's columns of all rows, runs the
+// branch's own batched pass, and scatters the rows back.
 //
 // For data-parallel training, SharedClone replicates a network so that the
 // replica shares parameter Values with the original but owns private
@@ -71,17 +80,18 @@
 // SharedClone and SnapshotClone are two views of one structural cloner
 // (cloneWith): the former aliases live Values for same-weights data
 // parallelism, the latter aliases published snapshots for lagged-weights
-// pipelining. Custom SharedCloner layers alias live values by construction
-// and therefore cannot participate in SnapshotClone; networks containing
-// them must fall back to barrier-synchronized training.
+// pipelining. Both reject a network containing a layer type from outside
+// this package; such networks train on a single worker behind a barrier.
 //
-// Equivalence between all tiers is enforced by property tests
-// (batch_test.go): identical outputs and ≤1e-12 gradient agreement across
-// randomized shapes, plus finite-difference checks on the batched kernels.
+// The contract is enforced by property tests (batch_test.go) across
+// randomized shapes: batched forward rows bitwise equal to bsz=1, ≤1e-12
+// gradient agreement between batched and row-at-a-time backward, caller dst
+// equal to the layer-owned buffer, plus finite-difference checks on the
+// batched kernels.
 //
 // # Kernel dispatch
 //
-// The four floating-point hot loops under the tiers above — the batched
+// The four floating-point hot loops under the layers above — the batched
 // Dense forward, the transposed-matmul input gradient, the weight-gradient
 // accumulation, and the fused Adam step — live in internal/nn/kernel as a
 // function Set selected once at process start: the portable pure-Go
@@ -93,7 +103,7 @@
 // What that means for numerical contracts:
 //
 //   - Bitwise-stable within a process, under either set: batch forward rows
-//     vs single-sample calls at every batch size, rollout determinism for a
+//     vs bsz=1 calls at every batch size, rollout determinism for a
 //     fixed (Seed, Workers), checkpoint resume, and the serve daemon's
 //     batched-vs-offline byte identity.
 //

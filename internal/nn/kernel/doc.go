@@ -23,8 +23,8 @@
 //
 // Selection happens exactly once, at package init, and is process-global:
 // Active returns the same Set for the life of the process, and every
-// caller — the single-sample inference path (Act/Pick), the batched
-// decision path (BatchDecider), and the training engine (TrainStep) —
+// caller — inference at bsz=1 (Act/Pick), the batched decision path
+// (BatchDecider), and the training engine (TrainStep) —
 // funnels through it. The best supported set wins by default; the
 // MRSCH_KERNEL environment variable forces one for testing:
 //

@@ -33,51 +33,31 @@ func NewParam(name string, n int) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { Fill(p.Grad, 0) }
 
-// Layer is a differentiable transformation of a single sample.
+// Layer is a differentiable transformation of a minibatch of bsz row-major
+// samples: x holds bsz rows of the layer's input width back to back and the
+// result holds bsz rows of the output width. A single sample is a batch of
+// one; row k of a batched Forward is bitwise equal to the bsz=1 result for
+// that row under either kernel set.
 //
-// Backward must be invoked after Forward with the gradient of the loss with
-// respect to the layer's most recent output; it accumulates parameter
-// gradients and returns the gradient with respect to the input. Layers keep
-// whatever forward state they need, so a Layer value must not be shared by
-// concurrent forward/backward passes.
+// Forward and Backward write their result into dst and return it. dst == nil
+// selects a lazily-grown layer-owned buffer, which stays valid until the next
+// call on the same layer and must be treated as read-only — a layer may route
+// its backward pass through it (LeakyReLU routes on the output sign). Layers
+// copy whatever they need of x, so callers may reuse or mutate their input
+// slice between Forward and Backward.
+//
+// Backward must follow a Forward of the same bsz, with the gradient of the
+// loss with respect to that Forward's output; it accumulates parameter
+// gradients summed over the batch rows and returns the gradient with respect
+// to the input. Layers keep their forward state, so a Layer value must not be
+// shared by concurrent passes. After warm-up neither call allocates.
 type Layer interface {
-	Forward(x Vec) Vec
-	Backward(grad Vec) Vec
+	Forward(dst, x Vec, bsz int) Vec
+	Backward(dst, grad Vec, bsz int) Vec
 	Params() []*Param
-	// OutSize reports the length of the output vector for an input of
-	// length in. It lets Sequential validate composition at build time.
+	// OutSize reports the per-sample output width for a per-sample input
+	// of width in. It lets Sequential validate composition at build time.
 	OutSize(in int) int
-}
-
-// BufferedLayer is a Layer whose forward and backward passes can run without
-// heap allocation in steady state. ForwardInto/BackwardInto write their
-// result into dst and return it; passing dst == nil selects a lazily-grown
-// layer-owned scratch buffer, which stays valid until the next call on the
-// same layer and must be treated as read-only — a layer may route its
-// backward pass through the returned buffer (LeakyReLU routes on the output
-// sign), so mutating it corrupts gradients. Buffered layers copy (or avoid
-// retaining) their forward input, so callers may freely reuse or mutate the
-// input slice between Forward and Backward.
-//
-// Forward and Backward on the allocating Layer interface remain available as
-// thin wrappers that allocate a fresh result.
-type BufferedLayer interface {
-	Layer
-	ForwardInto(dst, x Vec) Vec
-	BackwardInto(dst, grad Vec) Vec
-}
-
-// BatchLayer is a BufferedLayer that additionally processes a minibatch of
-// bsz row-major samples in one call: x holds bsz rows of the layer's input
-// width back to back, and the result holds bsz rows of the output width.
-// One batched call replaces bsz scalar calls, amortizing loop overhead and
-// (for Dense) turning matrix-vector products into blocked matrix-matrix
-// kernels. BackwardBatchInto must follow a ForwardBatchInto with the same
-// bsz; parameter gradients accumulate summed over the batch rows.
-type BatchLayer interface {
-	BufferedLayer
-	ForwardBatchInto(dst, x Vec, bsz int) Vec
-	BackwardBatchInto(dst, grad Vec, bsz int) Vec
 }
 
 // Init is a weight-initialization scheme.

@@ -10,14 +10,14 @@ import (
 // output from a fixed target, for a fixed input.
 func lossThrough(net Layer, in, target Vec) (loss func() float64, backward func()) {
 	loss = func() float64 {
-		out := net.Forward(in)
+		out := net.Forward(nil, in, 1)
 		l, _ := MSE(out, target)
 		return l
 	}
 	backward = func() {
-		out := net.Forward(in)
+		out := net.Forward(nil, in, 1)
 		_, g := MSE(out, target)
-		net.Backward(g)
+		net.Backward(nil, g, 1)
 	}
 	return loss, backward
 }
@@ -27,7 +27,7 @@ func TestDenseForwardKnownValues(t *testing.T) {
 	d := NewDense(2, 2, ZeroInit, rng)
 	copy(d.W.Value, Vec{1, 2, 3, 4}) // rows: [1 2], [3 4]
 	copy(d.B.Value, Vec{10, 20})
-	out := d.Forward(Vec{1, 1})
+	out := d.Forward(nil, Vec{1, 1}, 1)
 	if out[0] != 13 || out[1] != 27 {
 		t.Fatalf("Forward = %v, want [13 27]", out)
 	}
@@ -53,16 +53,16 @@ func TestDenseInputGradient(t *testing.T) {
 	d := NewDense(4, 2, HeInit, rng)
 	in := Vec{0.5, -0.3, 0.8, 0.1}
 	target := Vec{1, -1}
-	out := d.Forward(in)
+	out := d.Forward(nil, in, 1)
 	_, g := MSE(out, target)
-	gin := d.Backward(g)
+	gin := d.Backward(nil, g, 1)
 	eps := 1e-6
 	for i := range in {
 		orig := in[i]
 		in[i] = orig + eps
-		lp, _ := MSE(d.Forward(in), target)
+		lp, _ := MSE(d.Forward(nil, in, 1), target)
 		in[i] = orig - eps
-		lm, _ := MSE(d.Forward(in), target)
+		lm, _ := MSE(d.Forward(nil, in, 1), target)
 		in[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-gin[i]) > 1e-5 {
@@ -73,11 +73,11 @@ func TestDenseInputGradient(t *testing.T) {
 
 func TestLeakyReLU(t *testing.T) {
 	l := NewLeakyReLU(0.1)
-	out := l.Forward(Vec{-2, 0, 3})
+	out := l.Forward(nil, Vec{-2, 0, 3}, 1)
 	if out[0] != -0.2 || out[1] != 0 || out[2] != 3 {
 		t.Fatalf("LeakyReLU forward = %v", out)
 	}
-	gin := l.Backward(Vec{1, 1, 1})
+	gin := l.Backward(nil, Vec{1, 1, 1}, 1)
 	if gin[0] != 0.1 || gin[2] != 1 {
 		t.Fatalf("LeakyReLU backward = %v", gin)
 	}
@@ -107,15 +107,16 @@ func TestSoftmaxLayerJacobian(t *testing.T) {
 	in := Vec{0.3, -1.2, 0.8, 0.0}
 	// Check J^T g numerically for an arbitrary upstream gradient.
 	g := Vec{0.7, -0.1, 0.4, 0.2}
-	s.Forward(in)
-	gin := s.Backward(g)
+	s.Forward(nil, in, 1)
+	gin := s.Backward(nil, g, 1)
 	eps := 1e-6
+	pp, pm := make(Vec, len(in)), make(Vec, len(in))
 	for i := range in {
 		orig := in[i]
 		in[i] = orig + eps
-		pp := Softmax(in)
+		SoftmaxInto(pp, in)
 		in[i] = orig - eps
-		pm := Softmax(in)
+		SoftmaxInto(pm, in)
 		in[i] = orig
 		num := (Dot(pp, g) - Dot(pm, g)) / (2 * eps)
 		if math.Abs(num-gin[i]) > 1e-6 {
@@ -129,7 +130,7 @@ func TestConv1DKnownValues(t *testing.T) {
 	c := NewConv1D(1, 4, 1, 2, 1, rng)
 	copy(c.W.Value, Vec{1, -1})
 	copy(c.B.Value, Vec{0.5})
-	out := c.Forward(Vec{1, 2, 3, 5})
+	out := c.Forward(nil, Vec{1, 2, 3, 5}, 1)
 	// windows: (1-2), (2-3), (3-5) each +0.5
 	want := Vec{-0.5, -0.5, -1.5}
 	for i := range want {
@@ -165,7 +166,7 @@ func TestConv1DStride(t *testing.T) {
 	if c.OutLen() != 4 { // (10-4)/2+1
 		t.Fatalf("OutLen = %d, want 4", c.OutLen())
 	}
-	out := c.Forward(make(Vec, 10))
+	out := c.Forward(nil, make(Vec, 10), 1)
 	if len(out) != 4 {
 		t.Fatalf("len(out) = %d, want 4", len(out))
 	}
@@ -173,14 +174,14 @@ func TestConv1DStride(t *testing.T) {
 
 func TestMaxPool1D(t *testing.T) {
 	m := NewMaxPool1D(2, 4, 2)
-	out := m.Forward(Vec{1, 3, 2, 0 /* ch0 */, 5, 4, 7, 8 /* ch1 */})
+	out := m.Forward(nil, Vec{1, 3, 2, 0 /* ch0 */, 5, 4, 7, 8 /* ch1 */}, 1)
 	want := Vec{3, 2, 5, 8}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("pool out = %v, want %v", out, want)
 		}
 	}
-	gin := m.Backward(Vec{1, 1, 1, 1})
+	gin := m.Backward(nil, Vec{1, 1, 1, 1}, 1)
 	// Gradient must land on the argmax positions only.
 	wantG := Vec{0, 1, 1, 0, 1, 0, 0, 1}
 	for i := range wantG {
@@ -205,7 +206,7 @@ func TestSequentialComposition(t *testing.T) {
 	if net.NumParams() != 8*6+6+6*4+4+4*2+2 {
 		t.Fatalf("NumParams = %d", net.NumParams())
 	}
-	out := net.Forward(make(Vec, 8))
+	out := net.Forward(nil, make(Vec, 8), 1)
 	if len(out) != 2 {
 		t.Fatalf("forward output len = %d", len(out))
 	}
@@ -237,10 +238,10 @@ func TestTrainingConvergesOnXOR(t *testing.T) {
 	for epoch := 0; epoch < 800; epoch++ {
 		last = 0
 		for i, x := range xs {
-			out := net.Forward(x)
+			out := net.Forward(nil, x, 1)
 			l, g := MSE(out, ys[i])
 			last += l
-			net.Backward(g)
+			net.Backward(nil, g, 1)
 		}
 		opt.Step(net.Params())
 	}

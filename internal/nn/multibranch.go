@@ -25,14 +25,18 @@ func (b *Branch) inSize() int {
 // neural network per resource, each seeing the job window plus its own
 // resource's units — the configuration MRSch rejects in favour of a single
 // network. Ablation benchmarks compare both.
+//
+// A batch gathers each branch's columns of all bsz rows into one contiguous
+// matrix, runs the branch's own batched pass, and scatters the rows back.
 type MultiBranch struct {
 	InSize   int
 	Branches []Branch
 	outSizes []int
 
-	gatherBufs [][]float64 // per-branch gathered-input scratch
-	outBuf     Vec
-	ginBuf     Vec
+	gather Vec // one branch's gathered rows; branches copy what they keep
+	outBuf Vec
+	ginBuf Vec
+	lastB  int // rows seen by the last forward (0 = none yet)
 }
 
 // NewMultiBranch validates the branch geometry against the input size.
@@ -49,92 +53,87 @@ func NewMultiBranch(inSize int, branches ...Branch) *MultiBranch {
 	return m
 }
 
-// Forward gathers each branch's ranges, runs its net, and concatenates.
-func (m *MultiBranch) Forward(x Vec) Vec {
-	return m.ForwardInto(make(Vec, m.OutSize(len(x))), x)
-}
-
-// ForwardInto gathers each branch's ranges into layer-owned scratch buffers,
-// runs each branch net (writing directly into the branch's slice of dst),
-// and returns the concatenation. dst == nil selects a layer-owned buffer.
-func (m *MultiBranch) ForwardInto(dst, x Vec) Vec {
-	if len(x) != m.InSize {
-		panic(fmt.Sprintf("nn: MultiBranch.Forward got %d inputs, want %d", len(x), m.InSize))
-	}
+// outSize is the per-sample output width: the branches' outputs concatenated.
+func (m *MultiBranch) outSize() int {
 	total := 0
 	for _, n := range m.outSizes {
 		total += n
 	}
+	return total
+}
+
+// Forward gathers each branch's ranges of every row, runs the branch net over
+// the bsz gathered rows, and writes the per-row concatenation into dst.
+func (m *MultiBranch) Forward(dst, x Vec, bsz int) Vec {
+	if bsz <= 0 || len(x) != bsz*m.InSize {
+		panic(fmt.Sprintf("nn: MultiBranch.Forward got %d inputs, want %d x %d", len(x), bsz, m.InSize))
+	}
+	total := m.outSize()
 	if dst == nil {
-		m.outBuf = Ensure(m.outBuf, total)
+		m.outBuf = Ensure(m.outBuf, bsz*total)
 		dst = m.outBuf
 	}
-	if len(dst) != total {
-		panic(fmt.Sprintf("nn: MultiBranch dst len %d, want %d", len(dst), total))
+	if len(dst) != bsz*total {
+		panic(fmt.Sprintf("nn: MultiBranch.Forward dst len %d, want %d x %d", len(dst), bsz, total))
 	}
-	if m.gatherBufs == nil {
-		m.gatherBufs = make([][]float64, len(m.Branches))
-	}
+	m.lastB = bsz
 	off := 0
 	for i := range m.Branches {
 		b := &m.Branches[i]
-		in := Ensure(m.gatherBufs[i], b.inSize())
-		m.gatherBufs[i] = in
+		m.gather = Ensure(m.gather, bsz*b.inSize())
 		pos := 0
-		for _, r := range b.Ranges {
-			pos += copy(in[pos:], x[r[0]:r[1]])
+		for bi := 0; bi < bsz; bi++ {
+			row := x[bi*m.InSize : (bi+1)*m.InSize]
+			for _, r := range b.Ranges {
+				pos += copy(m.gather[pos:], row[r[0]:r[1]])
+			}
 		}
-		d := dst[off : off+m.outSizes[i]]
-		if bl, ok := b.Net.(BufferedLayer); ok {
-			bl.ForwardInto(d, in)
-		} else {
-			copy(d, b.Net.Forward(in))
+		out, n := b.Net.Forward(nil, m.gather, bsz), m.outSizes[i]
+		for bi := 0; bi < bsz; bi++ {
+			copy(dst[bi*total+off:bi*total+off+n], out[bi*n:(bi+1)*n])
 		}
-		off += m.outSizes[i]
+		off += n
 	}
 	return dst
 }
 
-// Backward splits the output gradient per branch and scatter-adds each
-// branch's input gradient back into the shared input positions.
-func (m *MultiBranch) Backward(grad Vec) Vec {
-	return m.BackwardInto(make(Vec, m.InSize), grad)
-}
-
-// BackwardInto is the scratch-buffer backward; dst == nil selects a
-// layer-owned buffer. dst is zeroed before the scatter-add, since ranges may
-// overlap between branches.
-func (m *MultiBranch) BackwardInto(dst, grad Vec) Vec {
+// Backward splits each row's output gradient per branch, runs the branch's
+// batched backward, and scatter-adds its input gradient back into the shared
+// input positions (ranges may overlap between branches, so dst is zeroed
+// first). Every length is checked before any branch accumulates a gradient.
+func (m *MultiBranch) Backward(dst, grad Vec, bsz int) Vec {
+	total := m.outSize()
+	if bsz != m.lastB || len(grad) != bsz*total {
+		panic(fmt.Sprintf("nn: MultiBranch.Backward got %d grads (%d rows), want %d x %d", len(grad), bsz, m.lastB, total))
+	}
 	if dst == nil {
-		m.ginBuf = Ensure(m.ginBuf, m.InSize)
+		m.ginBuf = Ensure(m.ginBuf, bsz*m.InSize)
 		dst = m.ginBuf
 	}
-	if len(dst) != m.InSize {
-		panic(fmt.Sprintf("nn: MultiBranch dst len %d, want %d", len(dst), m.InSize))
+	if len(dst) != bsz*m.InSize {
+		panic(fmt.Sprintf("nn: MultiBranch.Backward dst len %d, want %d x %d", len(dst), bsz, m.InSize))
 	}
 	Fill(dst, 0)
 	off := 0
 	for i := range m.Branches {
 		b := &m.Branches[i]
-		g := grad[off : off+m.outSizes[i]]
-		off += m.outSizes[i]
-		var gBranch Vec
-		if bl, ok := b.Net.(BufferedLayer); ok {
-			gBranch = bl.BackwardInto(nil, g)
-		} else {
-			gBranch = b.Net.Backward(g)
+		n := m.outSizes[i]
+		m.gather = Ensure(m.gather, bsz*n)
+		for bi := 0; bi < bsz; bi++ {
+			copy(m.gather[bi*n:(bi+1)*n], grad[bi*total+off:bi*total+off+n])
 		}
+		off += n
+		gBranch := b.Net.Backward(nil, m.gather, bsz)
 		pos := 0
-		for _, r := range b.Ranges {
-			n := r[1] - r[0]
-			for k := 0; k < n; k++ {
-				dst[r[0]+k] += gBranch[pos+k]
+		for bi := 0; bi < bsz; bi++ {
+			row := dst[bi*m.InSize : (bi+1)*m.InSize]
+			for _, r := range b.Ranges {
+				for k := r[0]; k < r[1]; k++ {
+					row[k] += gBranch[pos]
+					pos++
+				}
 			}
-			pos += n
 		}
-	}
-	if off != len(grad) {
-		panic(fmt.Sprintf("nn: MultiBranch.Backward got %d grads, want %d", len(grad), off))
 	}
 	return dst
 }
@@ -153,11 +152,5 @@ func (m *MultiBranch) OutSize(in int) int {
 	if in != m.InSize {
 		panic(fmt.Sprintf("nn: MultiBranch.OutSize input %d, layer expects %d", in, m.InSize))
 	}
-	total := 0
-	for _, n := range m.outSizes {
-		total += n
-	}
-	return total
+	return m.outSize()
 }
-
-var _ BufferedLayer = (*MultiBranch)(nil)

@@ -2,17 +2,10 @@ package nn
 
 import "fmt"
 
-// Sequential chains layers, feeding each output into the next layer.
-//
-// Sequential implements BatchLayer: the Into variants thread layer-owned
-// scratch buffers through the chain (zero steady-state allocations when
-// every child is a BufferedLayer), and the batch variants run each child's
-// minibatch kernel, transparently wrapping children that lack one with the
-// Batched per-row adapter.
+// Sequential chains layers, feeding each output into the next layer through
+// the children's layer-owned buffers; only the final result lands in dst.
 type Sequential struct {
 	Layers []Layer
-
-	adapters []BatchLayer // lazily built batch view per child
 }
 
 // NewSequential validates that the layers compose for the given input size
@@ -35,32 +28,16 @@ func NewSequential(inSize int, layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs the input through every layer in order.
-func (s *Sequential) Forward(x Vec) Vec {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// ForwardInto runs the chain through layer-owned scratch buffers, writing
-// the final output into dst (nil selects the last layer's own buffer).
-func (s *Sequential) ForwardInto(dst, x Vec) Vec {
+// Forward runs the bsz rows of x through every layer in order, writing the
+// final output into dst (nil selects the last layer's own buffer).
+func (s *Sequential) Forward(dst, x Vec, bsz int) Vec {
 	last := len(s.Layers) - 1
 	for i, l := range s.Layers {
 		d := Vec(nil)
 		if i == last {
 			d = dst
 		}
-		if bl, ok := l.(BufferedLayer); ok {
-			x = bl.ForwardInto(d, x)
-		} else {
-			x = l.Forward(x)
-			if d != nil {
-				copy(d, x)
-				x = d
-			}
-		}
+		x = l.Forward(d, x, bsz)
 	}
 	if dst != nil && last < 0 {
 		copy(dst, x)
@@ -69,79 +46,14 @@ func (s *Sequential) ForwardInto(dst, x Vec) Vec {
 	return x
 }
 
-// Backward propagates the output gradient through the layers in reverse and
-// returns the gradient with respect to the network input.
-func (s *Sequential) Backward(grad Vec) Vec {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// BackwardInto propagates the gradient through layer-owned scratch buffers,
-// writing the input gradient into dst (nil selects the first layer's own
-// buffer).
-func (s *Sequential) BackwardInto(dst, grad Vec) Vec {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		d := Vec(nil)
-		if i == 0 {
-			d = dst
-		}
-		if bl, ok := s.Layers[i].(BufferedLayer); ok {
-			grad = bl.BackwardInto(d, grad)
-		} else {
-			grad = s.Layers[i].Backward(grad)
-			if d != nil {
-				copy(d, grad)
-				grad = d
-			}
-		}
-	}
-	if dst != nil && len(s.Layers) == 0 {
-		copy(dst, grad)
-		return dst
-	}
-	return grad
-}
-
-// batchLayer returns the batch view of child i, building it on first use.
-func (s *Sequential) batchLayer(i int) BatchLayer {
-	if s.adapters == nil {
-		s.adapters = make([]BatchLayer, len(s.Layers))
-	}
-	if s.adapters[i] == nil {
-		s.adapters[i] = Batched(s.Layers[i])
-	}
-	return s.adapters[i]
-}
-
-// ForwardBatchInto runs one minibatch pass through every child's batch
-// kernel.
-func (s *Sequential) ForwardBatchInto(dst, x Vec, bsz int) Vec {
-	last := len(s.Layers) - 1
-	for i := range s.Layers {
-		d := Vec(nil)
-		if i == last {
-			d = dst
-		}
-		x = s.batchLayer(i).ForwardBatchInto(d, x, bsz)
-	}
-	if dst != nil && last < 0 {
-		copy(dst, x)
-		return dst
-	}
-	return x
-}
-
-// BackwardBatchNoInput propagates a minibatch of gradients like
-// BackwardBatchInto but elides the first layer's input-gradient computation
-// when that layer supports it (Dense). For networks whose input is data —
-// the DFP state, measurement, and goal modules — dL/dx of the first layer is
-// never consumed, and skipping it removes one full matrix-matrix product
-// from every training step.
+// BackwardBatchNoInput propagates gradients like Backward but elides the first
+// layer's input-gradient computation when that layer supports it (Dense).
+// For networks whose input is data — the DFP state, measurement, and goal
+// modules — dL/dx of the first layer is never consumed, and skipping it
+// removes one full matrix-matrix product from every training step.
 func (s *Sequential) BackwardBatchNoInput(grad Vec, bsz int) {
 	for i := len(s.Layers) - 1; i >= 1; i-- {
-		grad = s.batchLayer(i).BackwardBatchInto(nil, grad, bsz)
+		grad = s.Layers[i].Backward(nil, grad, bsz)
 	}
 	if len(s.Layers) == 0 {
 		return
@@ -150,17 +62,19 @@ func (s *Sequential) BackwardBatchNoInput(grad Vec, bsz int) {
 		d.BackwardBatchParams(grad, bsz)
 		return
 	}
-	s.batchLayer(0).BackwardBatchInto(nil, grad, bsz)
+	s.Layers[0].Backward(nil, grad, bsz)
 }
 
-// BackwardBatchInto propagates a minibatch of gradients in reverse.
-func (s *Sequential) BackwardBatchInto(dst, grad Vec, bsz int) Vec {
+// Backward propagates the output gradient through the layers in reverse,
+// writing the gradient with respect to the network input into dst (nil
+// selects the first layer's own buffer).
+func (s *Sequential) Backward(dst, grad Vec, bsz int) Vec {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		d := Vec(nil)
 		if i == 0 {
 			d = dst
 		}
-		grad = s.batchLayer(i).BackwardBatchInto(d, grad, bsz)
+		grad = s.Layers[i].Backward(d, grad, bsz)
 	}
 	if dst != nil && len(s.Layers) == 0 {
 		copy(dst, grad)
@@ -194,5 +108,3 @@ func (s *Sequential) NumParams() int {
 	}
 	return n
 }
-
-var _ BatchLayer = (*Sequential)(nil)

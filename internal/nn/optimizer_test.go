@@ -153,7 +153,7 @@ func TestSaveLoadWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := NewSequential(4, NewDense(4, 3, HeInit, rng), NewLeakyReLU(0.01), NewDense(3, 2, HeInit, rng))
 	in := Vec{0.1, 0.2, 0.3, 0.4}
-	want := net.Forward(in)
+	want := net.Forward(nil, in, 1)
 
 	var buf bytes.Buffer
 	if err := SaveWeights(&buf, net.Params()); err != nil {
@@ -165,7 +165,7 @@ func TestSaveLoadWeights(t *testing.T) {
 	if err := LoadWeights(&buf, net2.Params()); err != nil {
 		t.Fatal(err)
 	}
-	got := net2.Forward(in)
+	got := net2.Forward(nil, in, 1)
 	for i := range want {
 		if !almostEq(got[i], want[i], 1e-15) {
 			t.Fatalf("restored output %v, want %v", got, want)

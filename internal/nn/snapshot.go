@@ -76,9 +76,6 @@ func snapshotParam(p *Param) *Param {
 // clone's weights stay frozen at the last published version while the
 // original trains, and advance when the owner calls Publish/PublishParams at
 // a synchronization point. The second result reports whether every sub-layer
-// is of a supported built-in type; custom SharedCloner layers cannot opt in
-// (they alias live values by construction), so networks containing them
+// is one of this package's layer types; networks containing anything else
 // report false and callers must fall back to barrier-synchronized training.
-func SnapshotClone(l Layer) (Layer, bool) {
-	return cloneWith(l, snapshotParam, nil)
-}
+func SnapshotClone(l Layer) (Layer, bool) { return cloneWith(l, snapshotParam) }

@@ -69,7 +69,7 @@ func TestSnapshotCloneFreezesUntilPublish(t *testing.T) {
 	if !ok {
 		t.Fatal("SharedClone rejected a built-in network")
 	}
-	before := Copy(net.Forward(x))
+	before := Copy(net.Forward(nil, x, 1))
 
 	// Perturb the live weights.
 	for _, p := range net.Params() {
@@ -77,15 +77,15 @@ func TestSnapshotCloneFreezesUntilPublish(t *testing.T) {
 			p.Value[i] += 0.1
 		}
 	}
-	after := Copy(net.Forward(x))
+	after := Copy(net.Forward(nil, x, 1))
 
-	snapOut := snapC.Forward(x)
+	snapOut := snapC.Forward(nil, x, 1)
 	for i := range snapOut {
 		if snapOut[i] != before[i] {
 			t.Fatalf("snapshot clone output[%d] = %v, want frozen %v", i, snapOut[i], before[i])
 		}
 	}
-	sharedOut := sharedC.Forward(x)
+	sharedOut := sharedC.Forward(nil, x, 1)
 	for i := range sharedOut {
 		if sharedOut[i] != after[i] {
 			t.Fatalf("shared clone output[%d] = %v, want live %v", i, sharedOut[i], after[i])
@@ -93,7 +93,7 @@ func TestSnapshotCloneFreezesUntilPublish(t *testing.T) {
 	}
 
 	PublishParams(net.Params())
-	snapOut = snapC.Forward(x)
+	snapOut = snapC.Forward(nil, x, 1)
 	for i := range snapOut {
 		if snapOut[i] != after[i] {
 			t.Fatalf("published snapshot clone output[%d] = %v, want %v", i, snapOut[i], after[i])
@@ -113,7 +113,7 @@ func TestSnapshotClonesShareOneVersion(t *testing.T) {
 	net.Params()[0].Value[0] += 2.5
 	PublishParams(net.Params())
 
-	ao, bo := a.Forward(x), b.Forward(x)
+	ao, bo := a.Forward(nil, x, 1), b.Forward(nil, x, 1)
 	for i := range ao {
 		if ao[i] != bo[i] {
 			t.Fatalf("clone outputs diverge at %d: %v vs %v", i, ao[i], bo[i])
@@ -123,18 +123,17 @@ func TestSnapshotClonesShareOneVersion(t *testing.T) {
 
 type customLayer struct{ Layer }
 
-func (c customLayer) SharedClone() Layer { return c }
-
-// Custom SharedCloner layers alias live values by construction, so
-// SnapshotClone must reject networks containing them (barrier fallback).
+// The cloners cannot see inside a layer type from outside this package, so
+// both must reject networks containing one (callers fall back to a single
+// worker and barrier-synchronized training).
 func TestSnapshotCloneRejectsCustomLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := NewSequential(0, customLayer{NewDense(4, 4, HeInit, rng)})
 	if _, ok := SnapshotClone(net); ok {
-		t.Fatal("SnapshotClone accepted a custom SharedCloner layer")
+		t.Fatal("SnapshotClone accepted a custom layer")
 	}
-	if _, ok := SharedClone(net); !ok {
-		t.Fatal("SharedClone must still accept custom SharedCloner layers")
+	if _, ok := SharedClone(net); ok {
+		t.Fatal("SharedClone accepted a custom layer")
 	}
 }
 

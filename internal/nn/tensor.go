@@ -9,9 +9,6 @@ import (
 // inputs, outputs, and gradients are all Vecs.
 type Vec = []float64
 
-// Zeros returns a vector of n zeros.
-func Zeros(n int) Vec { return make(Vec, n) }
-
 // Copy returns a fresh copy of v.
 func Copy(v Vec) Vec {
 	out := make(Vec, len(v))
@@ -78,28 +75,6 @@ func Scale(v Vec, s float64) {
 	}
 }
 
-// Scaled returns s*v as a new vector.
-func Scaled(v Vec, s float64) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
-}
-
-// Concat concatenates vectors into one new vector.
-func Concat(vs ...Vec) Vec {
-	n := 0
-	for _, v := range vs {
-		n += len(v)
-	}
-	out := make(Vec, 0, n)
-	for _, v := range vs {
-		out = append(out, v...)
-	}
-	return out
-}
-
 // ArgMax returns the index of the largest element, or -1 for an empty vector.
 func ArgMax(v Vec) int {
 	if len(v) == 0 {
@@ -124,16 +99,6 @@ func Mean(v Vec) float64 {
 		s += x
 	}
 	return s / float64(len(v))
-}
-
-// Softmax returns the softmax distribution of v, computed stably.
-func Softmax(v Vec) Vec {
-	if len(v) == 0 {
-		return nil
-	}
-	out := make(Vec, len(v))
-	SoftmaxInto(out, v)
-	return out
 }
 
 // SoftmaxInto writes the stable softmax of v into dst (same length, may
@@ -188,14 +153,4 @@ func ClipNorm(v Vec, max float64) float64 {
 		Scale(v, max/n)
 	}
 	return n
-}
-
-// IsFinite reports whether every element of v is finite (no NaN or Inf).
-func IsFinite(v Vec) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }

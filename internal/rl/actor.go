@@ -67,7 +67,7 @@ func (a *Actor) Reset(seed int64) {
 // fixed-weight scalar reward of the selection.
 func (a *Actor) Pick(ctx *sched.PickContext) int {
 	state := a.s.enc.Encode(ctx)
-	probs := a.net.Forward(state)
+	probs := a.net.Forward(nil, state, 1)
 	valid := len(ctx.Window)
 	if valid > a.s.cfg.Window {
 		valid = a.s.cfg.Window

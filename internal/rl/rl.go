@@ -112,7 +112,7 @@ func (s *Scheduler) Policy() *sched.WindowPolicy {
 // immediate effect of the selection under the static priorities.
 func (s *Scheduler) Pick(ctx *sched.PickContext) int {
 	state := s.enc.Encode(ctx)
-	probs := s.net.Forward(state)
+	probs := s.net.Forward(nil, state, 1)
 	valid := len(ctx.Window)
 	if valid > s.cfg.Window {
 		valid = s.cfg.Window
@@ -211,10 +211,10 @@ func (s *Scheduler) ingest(steps []step) float64 {
 	totalLoss := 0.0
 	for t, st := range steps {
 		adv := (returns[t] - mean) / std
-		probs := s.net.Forward(st.state)
+		probs := s.net.Forward(nil, st.state, 1)
 		loss, grad := prefixNLLGrad(probs, st.action, st.valid, adv)
 		totalLoss += loss
-		s.net.Backward(grad)
+		s.net.Backward(nil, grad, 1)
 	}
 	params := s.net.Params()
 	for _, p := range params {

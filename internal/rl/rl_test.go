@@ -73,6 +73,19 @@ func TestPickWithinWindow(t *testing.T) {
 	}
 }
 
+// In eval mode the policy network's share of a Pick must not touch the heap:
+// whatever a Pick allocates is the state encoding's.
+func TestPickNetworkZeroAlloc(t *testing.T) {
+	s := New(sys(), tinyConfig(3))
+	ctx := ctxWith(cluster.New(sys()), 0, []*job.Job{mk(1, 0, 10, 1, 0), mk(2, 0, 10, 2, 1)})
+	s.Pick(ctx) // warm the layer buffers
+	encode := testing.AllocsPerRun(100, func() { s.enc.Encode(ctx) })
+	pick := testing.AllocsPerRun(100, func() { s.Pick(ctx) })
+	if pick != encode {
+		t.Fatalf("eval Pick allocates %v times, the encoding alone %v: the network pass allocates", pick, encode)
+	}
+}
+
 func TestSamplePrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	probs := []float64{0.1, 0.9, 0.0, 0.0}

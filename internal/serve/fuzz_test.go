@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // FuzzDecodeRequest wires the serve protocol's gob layer to the shared
@@ -17,11 +17,11 @@ import (
 // garbage).
 func FuzzDecodeRequest(f *testing.F) {
 	encode := func(m *message) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		payload, err := wire.EncodeGob(m)
+		if err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		return payload
 	}
 	rng := rand.New(rand.NewSource(53))
 	req := randomRequest(rng, testSystem())

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -126,15 +124,15 @@ type message struct {
 // frames themselves (the server interleaves decisions and swap acks from
 // multiple goroutines behind a per-connection mutex).
 func writeMessage(w io.Writer, m *message) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return fmt.Errorf("serve: encoding %s frame: %w", m.Type, err)
+	payload, err := wire.EncodeGob(m)
+	if err != nil {
+		return fmt.Errorf("serve: %s frame: %w", m.Type, err)
 	}
-	return wire.WriteFrame(w, buf.Bytes())
+	return wire.WriteFrame(w, payload)
 }
 
 // readMessage reads and decodes one frame. io.EOF passes through untouched;
-// any damage wraps ErrCorruptFrame (via wire or decodeMessage).
+// any damage wraps ErrCorruptFrame.
 func readMessage(r io.Reader) (*message, error) {
 	payload, err := wire.ReadFrame(r)
 	if err != nil {
@@ -148,8 +146,8 @@ func readMessage(r io.Reader) (*message, error) {
 // FuzzDecodeRequest drives.
 func decodeMessage(payload []byte) (*message, error) {
 	var m message
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorruptFrame, err)
+	if err := wire.DecodeGob(payload, &m); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -12,11 +12,13 @@
 // healthy stream, and a truncated frame surfaces as an unexpected EOF.
 // There is no in-band resynchronization: a receiver that sees ErrCorruptFrame
 // treats the peer as corrupt and abandons the connection. Both protocols
-// build their typed messages on top of these raw payload frames.
+// carry one typed message per frame through EncodeGob/DecodeGob.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -90,4 +92,24 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (header %08x, payload %08x)", ErrCorruptFrame, sum, got)
 	}
 	return payload, nil
+}
+
+// EncodeGob encodes v as one independent gob stream, the payload of one
+// frame: every frame re-sends its type descriptors, so any frame decodes
+// without the ones before it.
+func EncodeGob(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("wire: encoding payload: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeGob decodes one verified frame payload into v. Gob damage wraps
+// ErrCorruptFrame like any other frame corruption.
+func DecodeGob(payload []byte, v any) error {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		return fmt.Errorf("%w: decoding payload: %v", ErrCorruptFrame, err)
+	}
+	return nil
 }

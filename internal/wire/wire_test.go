@@ -131,3 +131,35 @@ func TestCleanCloseIsEOF(t *testing.T) {
 		t.Fatalf("mid-header EOF returned %v, want a loud error", err)
 	}
 }
+
+func TestGobPayloadRoundTripAndDamage(t *testing.T) {
+	type msg struct {
+		ID   uint64
+		Vals []float64
+	}
+	in := msg{ID: 7, Vals: []float64{0.1, -2.5e-300, 3}}
+	payload, err := EncodeGob(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out msg
+	if err := DecodeGob(payload, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.ID != in.ID || len(out.Vals) != 3 || out.Vals[1] != in.Vals[1] {
+		t.Fatalf("round trip changed the message: %+v -> %+v", in, out)
+	}
+	// Two encodings are independent streams: the second decodes alone.
+	again, err := EncodeGob(&in)
+	if err != nil || !bytes.Equal(again, payload) {
+		t.Fatalf("second encoding differs from the first (err %v)", err)
+	}
+	for _, bad := range [][]byte{nil, payload[:len(payload)/2], []byte("not a gob stream")} {
+		if err := DecodeGob(bad, &out); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("damaged payload returned %v, want ErrCorruptFrame", err)
+		}
+	}
+	if _, err := EncodeGob(func() {}); err == nil {
+		t.Fatal("an unencodable value encoded cleanly")
+	}
+}
