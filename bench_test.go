@@ -315,25 +315,32 @@ func benchSystem() cluster.Config {
 	return workload.ThetaScaled(16)
 }
 
+// BenchmarkSimulatorFCFS replays S4 traces of 7 and 28 days under FCFS at the
+// geometry the repository benchmark's campaign cells use (1/32 Theta, 110 s
+// mean interarrival; campaign-fcfs runs the 7-day length). The 28d/7d ratio
+// of ns/op is how simulator cost grows with trace length: 4 is linear.
 func BenchmarkSimulatorFCFS(b *testing.B) {
-	sys := benchSystem()
-	base := workload.GenerateBase(workload.GeneratorConfig{
-		System: sys, Duration: 86400, MeanInterarrival: 60, Seed: 3,
-	})
-	pool := workload.AssignDarshanBB(base, sys.Capacities[1], 4)
+	sys := workload.ThetaScaled(32)
 	scn, _ := workload.ScenarioByName("S4")
-	jobs := workload.Apply(base, pool, scn, sys, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := sim.New(sys, sched.NewWindowPolicy(sched.FCFS{}, 10))
-		if err := s.Load(job.CloneAll(jobs)); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
+	for _, days := range []int{7, 28} {
+		base := workload.GenerateBase(workload.GeneratorConfig{
+			System: sys, Duration: float64(days) * 86400, MeanInterarrival: 110, Seed: 3,
+		})
+		pool := workload.AssignDarshanBB(base, sys.Capacities[1], 4)
+		jobs := workload.Apply(base, pool, scn, sys, 5)
+		b.Run(fmt.Sprintf("%dd", days), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := sim.New(sys, sched.NewWindowPolicy(sched.FCFS{}, 10))
+				if err := s.Load(job.CloneAll(jobs)); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(jobs)), "jobs/run")
+		})
 	}
-	b.ReportMetric(float64(len(jobs)), "jobs/run")
 }
 
 func BenchmarkStateEncoding(b *testing.B) {

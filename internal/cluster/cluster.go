@@ -3,11 +3,31 @@
 // with unit-granular accounting, allocation/release, look-ahead queries used
 // by reservation and EASY backfilling, and the per-unit availability data the
 // MRSch state encoding consumes (§III-A of the paper).
+//
+// # The ordered running set
+//
+// A Cluster keeps its live allocations in one slice ordered by
+// (EstEnd, JobID), maintained by a binary-search insert on Allocate and a
+// binary-search removal on Release. Job IDs are unique among live
+// allocations, so the order is total and is exactly what sorting the set by
+// estimated end then job ID would produce; nothing sorts at query time.
+// Running hands that slice out as a read-only view, and EarliestFit and
+// FreeAt walk it directly.
+//
+// A total order needs comparable keys: Allocate rejects a NaN or infinite
+// now or estEnd before it changes anything (a NaN key would send the binary
+// search to the wrong element), and Release checks that the element its
+// search lands on is the allocation it was asked to release.
+//
+// Released *Alloc values (and their Demand backing arrays) are recycled by
+// later Allocate calls, so a steady-state allocate/release cycle does not
+// touch the heap. That is why the Running view, and every *Alloc in it, is
+// valid only until the next Allocate, Release or Reset.
 package cluster
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Resource identifies a schedulable resource by index. By convention index 0
@@ -52,7 +72,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Alloc records one running job's holdings.
+// Alloc records one running job's holdings. Values handed out by Running are
+// read-only: EstEnd and JobID are the allocation's position in the ordered
+// running set.
 type Alloc struct {
 	JobID  int
 	Demand []int
@@ -65,9 +87,11 @@ type Alloc struct {
 
 // Cluster is the live state of a multi-resource system.
 type Cluster struct {
-	cfg    Config
-	free   []int
-	allocs map[int]*Alloc // keyed by job ID
+	cfg     Config
+	free    []int
+	running []*Alloc       // live allocations ordered by (EstEnd, JobID)
+	byJob   map[int]*Alloc // the same allocations keyed by job ID
+	spare   []*Alloc       // released allocations awaiting reuse
 }
 
 // New creates an idle cluster from cfg. It panics on an invalid config (a
@@ -78,7 +102,7 @@ func New(cfg Config) *Cluster {
 	}
 	free := make([]int, len(cfg.Capacities))
 	copy(free, cfg.Capacities)
-	return &Cluster{cfg: cfg, free: free, allocs: make(map[int]*Alloc)}
+	return &Cluster{cfg: cfg, free: free, byJob: make(map[int]*Alloc)}
 }
 
 // Config returns the cluster configuration.
@@ -105,12 +129,16 @@ func (c *Cluster) Used(r int) int { return c.cfg.Capacities[r] - c.free[r] }
 
 // Usage returns the used fraction of each resource — the paper's
 // measurement vector <Resource A util, Resource B util, ...>.
-func (c *Cluster) Usage() []float64 {
-	out := make([]float64, len(c.free))
-	for r := range out {
-		out[r] = float64(c.Used(r)) / float64(c.cfg.Capacities[r])
+func (c *Cluster) Usage() []float64 { return c.AppendUsage(nil) }
+
+// AppendUsage appends the Usage vector to dst and returns the extended
+// slice; a caller that decides once per round passes its previous vector
+// resliced to [:0] and allocates nothing.
+func (c *Cluster) AppendUsage(dst []float64) []float64 {
+	for r, free := range c.free {
+		dst = append(dst, float64(c.cfg.Capacities[r]-free)/float64(c.cfg.Capacities[r]))
 	}
-	return out
+	return dst
 }
 
 // CanFit reports whether demand fits in the currently free resources.
@@ -127,9 +155,13 @@ func (c *Cluster) CanFit(demand []int) bool {
 }
 
 // Allocate reserves demand for jobID from now until an estimated end time.
-// It returns an error if the job is already allocated or does not fit.
+// It returns an error, with the cluster unchanged, if either time is NaN or
+// infinite, the job is already allocated, or the demand does not fit.
 func (c *Cluster) Allocate(jobID int, demand []int, now, estEnd float64) error {
-	if _, ok := c.allocs[jobID]; ok {
+	if !finite(now) || !finite(estEnd) {
+		return fmt.Errorf("cluster: job %d has a non-finite start %v or estimated end %v", jobID, now, estEnd)
+	}
+	if _, ok := c.byJob[jobID]; ok {
 		return fmt.Errorf("cluster: job %d already allocated", jobID)
 	}
 	if len(demand) != len(c.free) {
@@ -138,89 +170,105 @@ func (c *Cluster) Allocate(jobID int, demand []int, now, estEnd float64) error {
 	if !c.CanFit(demand) {
 		return fmt.Errorf("cluster: job %d demand %v exceeds free %v", jobID, demand, c.free)
 	}
-	d := make([]int, len(demand))
-	copy(d, demand)
-	for r, need := range d {
+	var a *Alloc
+	if n := len(c.spare); n > 0 {
+		a, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		a = new(Alloc)
+	}
+	*a = Alloc{JobID: jobID, Demand: append(a.Demand[:0], demand...), Start: now, EstEnd: estEnd}
+	for r, need := range demand {
 		c.free[r] -= need
 	}
-	c.allocs[jobID] = &Alloc{JobID: jobID, Demand: d, Start: now, EstEnd: estEnd}
+	i := c.position(estEnd, jobID)
+	c.running = append(c.running, nil)
+	copy(c.running[i+1:], c.running[i:])
+	c.running[i] = a
+	c.byJob[jobID] = a
 	return nil
 }
 
-// Release frees the resources held by jobID.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// position returns the index in the ordered running set of the first
+// allocation not before (estEnd, jobID): where that key is, or would go.
+func (c *Cluster) position(estEnd float64, jobID int) int {
+	lo, hi := 0, len(c.running)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a := c.running[mid]; a.EstEnd < estEnd || (a.EstEnd == estEnd && a.JobID < jobID) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Release frees the resources held by jobID. On error the cluster is
+// unchanged.
 func (c *Cluster) Release(jobID int) error {
-	a, ok := c.allocs[jobID]
+	a, ok := c.byJob[jobID]
 	if !ok {
 		return fmt.Errorf("cluster: job %d not allocated", jobID)
 	}
+	i := c.position(a.EstEnd, jobID)
+	if i == len(c.running) || c.running[i] != a {
+		return fmt.Errorf("cluster: job %d is not at its place in the ordered running set (EstEnd or JobID changed while allocated)", jobID)
+	}
 	for r, d := range a.Demand {
-		c.free[r] += d
-		if c.free[r] > c.cfg.Capacities[r] {
-			return fmt.Errorf("cluster: release of job %d overflowed resource %d", jobID, r)
+		if c.free[r]+d > c.cfg.Capacities[r] {
+			return fmt.Errorf("cluster: release of job %d would overflow resource %d", jobID, r)
 		}
 	}
-	delete(c.allocs, jobID)
+	for r, d := range a.Demand {
+		c.free[r] += d
+	}
+	c.running = append(c.running[:i], c.running[i+1:]...)
+	delete(c.byJob, jobID)
+	c.spare = append(c.spare, a)
 	return nil
 }
 
-// Running returns the live allocations sorted by estimated end time then job
-// ID (a deterministic order for look-ahead and encoding).
-func (c *Cluster) Running() []*Alloc {
-	out := make([]*Alloc, 0, len(c.allocs))
-	for _, a := range c.allocs {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].EstEnd != out[j].EstEnd {
-			return out[i].EstEnd < out[j].EstEnd
-		}
-		return out[i].JobID < out[j].JobID
-	})
-	return out
-}
+// Running returns the live allocations ordered by estimated end time then
+// job ID (a deterministic order for look-ahead and encoding). The slice is
+// the cluster's own ordered set, not a copy: callers must not modify it or
+// the allocations it points to, and it is valid only until the next
+// Allocate, Release or Reset (see the package documentation).
+func (c *Cluster) Running() []*Alloc { return c.running }
 
 // NumRunning returns the number of live allocations.
-func (c *Cluster) NumRunning() int { return len(c.allocs) }
+func (c *Cluster) NumRunning() int { return len(c.running) }
 
 // Reset returns the cluster to idle.
 func (c *Cluster) Reset() {
 	copy(c.free, c.cfg.Capacities)
-	c.allocs = make(map[int]*Alloc)
+	c.spare = append(c.spare, c.running...)
+	c.running = c.running[:0]
+	clear(c.byJob)
 }
 
 // EarliestFit returns the earliest time >= now at which demand fits,
 // assuming every running job releases its resources at its estimated end
 // (walltime-based — the scheduler's view). The second return is the free
-// vector at that time. A demand that can never fit (exceeds capacity)
-// returns (-1, nil).
-func (c *Cluster) EarliestFit(demand []int, now float64) (float64, []int) {
+// vector at that time, appended to dst[:0] (pass nil for a fresh one). A
+// demand that can never fit (exceeds capacity) returns (-1, nil).
+func (c *Cluster) EarliestFit(demand []int, now float64, dst []int) (float64, []int) {
 	for r, d := range demand {
 		if d > c.cfg.Capacities[r] {
 			return -1, nil
 		}
 	}
-	free := c.FreeVec()
-	fits := func() bool {
-		for r, d := range demand {
-			if d > free[r] {
-				return false
-			}
-		}
-		return true
-	}
-	if fits() {
+	free := append(dst[:0], c.free...)
+	if fitsVec(demand, free) {
 		return now, free
 	}
-	for _, a := range c.Running() {
+	for _, a := range c.running {
 		for r, d := range a.Demand {
 			free[r] += d
 		}
-		if fits() {
-			t := a.EstEnd
-			if t < now {
-				t = now
-			}
-			return t, free
+		if fitsVec(demand, free) {
+			return max(a.EstEnd, now), free
 		}
 	}
 	// All running jobs released and it still doesn't fit: impossible since
@@ -228,27 +276,50 @@ func (c *Cluster) EarliestFit(demand []int, now float64) (float64, []int) {
 	return -1, nil
 }
 
+func fitsVec(demand, free []int) bool {
+	for r, d := range demand {
+		if d > free[r] {
+			return false
+		}
+	}
+	return true
+}
+
 // FreeAt returns the projected free vector at time t (>= now), assuming
 // estimated-end releases. Used to compute EASY backfilling's shadow free
 // resources.
 func (c *Cluster) FreeAt(t float64) []int {
 	free := c.FreeVec()
-	for _, a := range c.allocs {
-		if a.EstEnd <= t {
-			for r, d := range a.Demand {
-				free[r] += d
-			}
+	for _, a := range c.running {
+		if a.EstEnd > t {
+			break
+		}
+		for r, d := range a.Demand {
+			free[r] += d
 		}
 	}
 	return free
 }
 
-// CheckInvariants verifies conservation: free + sum(alloc demands) equals
-// capacity for every resource. Tests call this after mutation sequences.
+// CheckInvariants verifies conservation — free + sum(alloc demands) equals
+// capacity for every resource — and that the running set is strictly
+// ordered by (EstEnd, JobID) and agrees with the by-job index. Tests call
+// this after mutation sequences.
 func (c *Cluster) CheckInvariants() error {
+	if len(c.running) != len(c.byJob) {
+		return fmt.Errorf("cluster: %d allocations in the running set, %d in the job index", len(c.running), len(c.byJob))
+	}
+	for i, a := range c.running {
+		if c.byJob[a.JobID] != a {
+			return fmt.Errorf("cluster: running[%d] (job %d) is not the job index's entry", i, a.JobID)
+		}
+		if c.position(a.EstEnd, a.JobID) != i {
+			return fmt.Errorf("cluster: running[%d] (job %d, est. end %v) is out of order", i, a.JobID, a.EstEnd)
+		}
+	}
 	for r := range c.free {
 		total := c.free[r]
-		for _, a := range c.allocs {
+		for _, a := range c.running {
 			total += a.Demand[r]
 		}
 		if total != c.cfg.Capacities[r] {

@@ -106,12 +106,12 @@ func TestEarliestFit(t *testing.T) {
 	_ = c.Allocate(2, []int{15, 30}, 0, 200)
 
 	// Fits now.
-	at, free := c.EarliestFit([]int{5, 10}, 10)
+	at, free := c.EarliestFit([]int{5, 10}, 10, nil)
 	if at != 10 || free[0] != 5 {
 		t.Fatalf("EarliestFit now: at=%v free=%v", at, free)
 	}
 	// Needs job 1's release.
-	at, free = c.EarliestFit([]int{50, 0}, 10)
+	at, free = c.EarliestFit([]int{50, 0}, 10, nil)
 	if at != 100 {
 		t.Fatalf("EarliestFit after j1: at=%v", at)
 	}
@@ -119,12 +119,12 @@ func TestEarliestFit(t *testing.T) {
 		t.Fatalf("free at shadow = %v", free)
 	}
 	// Needs both releases.
-	at, _ = c.EarliestFit([]int{90, 35}, 10)
+	at, _ = c.EarliestFit([]int{90, 35}, 10, nil)
 	if at != 200 {
 		t.Fatalf("EarliestFit after j2: at=%v", at)
 	}
 	// Impossible demand.
-	at, _ = c.EarliestFit([]int{101, 0}, 10)
+	at, _ = c.EarliestFit([]int{101, 0}, 10, nil)
 	if at != -1 {
 		t.Fatalf("impossible demand: at=%v", at)
 	}
@@ -134,7 +134,7 @@ func TestEarliestFitClampsToNow(t *testing.T) {
 	c := New(testConfig())
 	_ = c.Allocate(1, []int{100, 0}, 0, 50)
 	// Asking at now=80 (> estEnd 50): release already overdue, so earliest is now.
-	at, _ := c.EarliestFit([]int{10, 0}, 80)
+	at, _ := c.EarliestFit([]int{10, 0}, 80, nil)
 	if at != 80 {
 		t.Fatalf("EarliestFit should clamp to now, got %v", at)
 	}
@@ -214,7 +214,7 @@ func TestEarliestFitProperty(t *testing.T) {
 		}
 		demand := []int{rng.Intn(100) + 1, rng.Intn(40)}
 		now := float64(rng.Intn(100))
-		at, free := c.EarliestFit(demand, now)
+		at, free := c.EarliestFit(demand, now, nil)
 		if at < 0 {
 			return demand[0] > 100 || demand[1] > 40
 		}

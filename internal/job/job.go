@@ -10,6 +10,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -62,6 +63,13 @@ type Job struct {
 // Validate reports whether the job is well-formed for a system with
 // resources capacities caps (nil caps skips the capacity check).
 func (j *Job) Validate(caps []int) error {
+	// NaN passes every ordered comparison below, and the simulator's event
+	// heap and the cluster's ordered running set need comparable times.
+	for _, t := range [...]float64{j.Submit, j.Runtime, j.Walltime} {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("job %d: submit %v, runtime %v or walltime %v is not finite", j.ID, j.Submit, j.Runtime, j.Walltime)
+		}
+	}
 	if j.Submit < 0 {
 		return fmt.Errorf("job %d: negative submit time %v", j.ID, j.Submit)
 	}

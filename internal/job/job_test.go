@@ -31,6 +31,10 @@ func TestValidate(t *testing.T) {
 		{"negative demand", func(j *Job) { j.Demand = []int{5, -1} }},
 		{"over capacity", func(j *Job) { j.Demand = []int{101, 5} }},
 		{"zero primary", func(j *Job) { j.Demand = []int{0, 5} }},
+		{"NaN submit", func(j *Job) { j.Submit = math.NaN() }},
+		{"NaN runtime", func(j *Job) { j.Runtime = math.NaN() }},
+		{"NaN walltime", func(j *Job) { j.Walltime = math.NaN() }},
+		{"infinite walltime", func(j *Job) { j.Walltime = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		j := mkJob(2, 0, 60, 10, 5)

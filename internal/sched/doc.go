@@ -9,7 +9,7 @@
 // # Determinism
 //
 // The framework itself is deterministic: WindowPolicy consults its Picker
-// and the simulator in fixed order, backfilling scans the queue snapshot in
+// and the simulator in fixed order, backfilling scans the waiting queue in
 // arrival order, and no randomness or map iteration enters any decision.
 // All stochastic behaviour lives inside Pickers and is seeded there — a
 // WindowPolicy over a deterministic Picker replays identically. Rollout

@@ -45,6 +45,10 @@ func (FCFS) Pick(*PickContext) int { return 0 }
 // that does not fit is reserved (its resources held via the shadow-time
 // computation) and the remaining queue is EASY-backfilled around the
 // reservation. A window size of 10 matches the paper's experiments.
+//
+// A WindowPolicy drives one simulator at a time: the PickContext it hands
+// to Picker and OnDecision (and the Usage vector in it) is reused from one
+// pick to the next, so neither may keep it past the call.
 type WindowPolicy struct {
 	Picker   Picker
 	W        int
@@ -54,6 +58,9 @@ type WindowPolicy struct {
 	// the RL methods record trajectories with it, Figures 8/9 sample the
 	// goal vector with it).
 	OnDecision func(ctx *PickContext, pick int)
+
+	ctx   PickContext // the context of the pick in progress
+	extra []int       // easyBackfill's spare capacity at the shadow time
 }
 
 // NewWindowPolicy builds a policy with EASY backfilling enabled.
@@ -66,23 +73,21 @@ func NewWindowPolicy(p Picker, w int) *WindowPolicy {
 
 // OnSchedule implements sim.Policy.
 func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
+	cl := s.Cluster()
 	for {
 		queue := s.Queue()
 		if len(queue) == 0 {
 			s.Reserved = nil
 			return
 		}
-		w := wp.W
-		if w > len(queue) {
-			w = len(queue)
-		}
-		window := queue[:w]
-		ctx := &PickContext{
+		w := min(wp.W, len(queue))
+		ctx := &wp.ctx
+		*ctx = PickContext{
 			Now:     s.Now(),
-			Window:  window,
+			Window:  queue[:w],
 			Queue:   queue,
-			Cluster: s.Cluster(),
-			Usage:   s.Cluster().Usage(),
+			Cluster: cl,
+			Usage:   cl.AppendUsage(ctx.Usage[:0]),
 		}
 		idx := wp.Picker.Pick(ctx)
 		if idx < 0 || idx >= w {
@@ -91,9 +96,9 @@ func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
 		if wp.OnDecision != nil {
 			wp.OnDecision(ctx, idx)
 		}
-		j := window[idx]
-		if s.Cluster().CanFit(j.Demand) {
-			if err := s.StartJob(j); err != nil {
+		j := queue[idx]
+		if cl.CanFit(j.Demand) {
+			if err := s.StartAt(idx); err != nil {
 				// CanFit held, so failure indicates a framework bug.
 				panic(fmt.Sprintf("sched: start after CanFit: %v", err))
 			}
@@ -102,7 +107,7 @@ func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
 		// The selected job cannot start: reserve it and backfill around it.
 		s.Reserved = j
 		if wp.Backfill {
-			easyBackfill(s, j)
+			wp.easyBackfill(s, j)
 		}
 		return
 	}
@@ -112,26 +117,24 @@ func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
 // jump ahead of the reserved job only if they do not delay it — either they
 // finish (by walltime estimate) before the reservation's shadow time, or
 // they fit entirely within the resources left over at the shadow time.
-func easyBackfill(s *sim.Simulator, reserved *job.Job) {
+//
+// The scan walks the live queue in arrival order: starting a job removes it
+// at the index the scan holds, so the index advances only past jobs left
+// waiting. It ends once no unit of resource 0 is free — every loaded job
+// demands at least one (job.Validate), so no later candidate could pass
+// CanFit and the cut changes no schedule.
+func (wp *WindowPolicy) easyBackfill(s *sim.Simulator, reserved *job.Job) {
 	cl := s.Cluster()
 	now := s.Now()
-	shadow, freeAtShadow := cl.EarliestFit(reserved.Demand, now)
+	shadow, extra := shadowInto(cl, reserved.Demand, now, wp.extra)
 	if shadow < 0 {
 		return
 	}
-	extra := make([]int, len(freeAtShadow))
-	for r := range extra {
-		extra[r] = freeAtShadow[r] - reserved.Demand[r]
-	}
-	// Snapshot the queue: StartJob mutates it while we iterate.
-	candidates := make([]*job.Job, 0, len(s.Queue()))
-	for _, c := range s.Queue() {
-		if c != reserved {
-			candidates = append(candidates, c)
-		}
-	}
-	for _, cand := range candidates {
-		if !cl.CanFit(cand.Demand) {
+	wp.extra = extra
+	for i := 0; i < len(s.Queue()) && cl.Free(0) > 0; {
+		cand := s.Queue()[i]
+		if cand == reserved || !cl.CanFit(cand.Demand) {
+			i++
 			continue
 		}
 		endsBeforeShadow := now+cand.Walltime <= shadow
@@ -143,9 +146,10 @@ func easyBackfill(s *sim.Simulator, reserved *job.Job) {
 			}
 		}
 		if !endsBeforeShadow && !fitsExtra {
+			i++
 			continue
 		}
-		if err := s.StartJob(cand); err != nil {
+		if err := s.StartAt(i); err != nil {
 			panic(fmt.Sprintf("sched: backfill start: %v", err))
 		}
 		if !endsBeforeShadow {
@@ -162,13 +166,17 @@ func easyBackfill(s *sim.Simulator, reserved *job.Job) {
 // analysis: the earliest start for demand and the spare capacity vector
 // after the reserved job claims its share at that time.
 func Shadow(cl *cluster.Cluster, demand []int, now float64) (shadow float64, extra []int) {
-	shadow, freeAtShadow := cl.EarliestFit(demand, now)
+	return shadowInto(cl, demand, now, nil)
+}
+
+// shadowInto is Shadow with the spare-capacity vector built in dst[:0].
+func shadowInto(cl *cluster.Cluster, demand []int, now float64, dst []int) (shadow float64, extra []int) {
+	shadow, extra = cl.EarliestFit(demand, now, dst)
 	if shadow < 0 {
 		return -1, nil
 	}
-	extra = make([]int, len(freeAtShadow))
 	for r := range extra {
-		extra[r] = freeAtShadow[r] - demand[r]
+		extra[r] -= demand[r]
 	}
 	return shadow, extra
 }

@@ -41,7 +41,8 @@
 //     nothing: the previous version keeps serving, untouched.
 //
 //  4. Request-level failures keep the connection. A malformed request (bad
-//     geometry, overcommitted cluster state, empty queue) or a refused swap
+//     geometry, overcommitted cluster state, empty queue, a NaN or infinite
+//     time) or a refused swap
 //     is answered with an error reply on an intact connection. Only frame
 //     damage — bad length, checksum, or encoding — kills the connection,
 //     with no resynchronization attempt (the internal/distrib rule 5

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,6 +46,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	bitflip := append([]byte(nil), decide...)
 	bitflip[len(bitflip)/3] ^= 0x04
 	f.Add(bitflip)
+	nanReq := randomRequest(rng, testSystem())
+	nanReq.Running = append(nanReq.Running, Alloc{JobID: 1 << 20, Demand: []int{0, 0}, EstEnd: math.NaN()})
+	f.Add(encode(&message{Type: msgDecide, ID: 20, Req: nanReq}))
 	f.Add([]byte("MRSCH SERVE, BUT NOT GOB"))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -57,6 +61,21 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if m == nil {
 			t.Fatal("nil message with nil error")
+		}
+		// A decoded request is rebuilt into a decision instant or refused
+		// (rule 4), never a panic, and never an instant with a NaN or
+		// infinite time in it.
+		if ctx, err := buildContext(testSystem(), 6, &m.Req); err == nil {
+			ok := finite(ctx.Now)
+			for _, j := range ctx.Queue {
+				ok = ok && finite(j.Walltime) && finite(j.Submit)
+			}
+			for _, a := range ctx.Cluster.Running() {
+				ok = ok && finite(a.Start) && finite(a.EstEnd)
+			}
+			if !ok {
+				t.Fatalf("buildContext accepted a non-finite time: %+v", m.Req)
+			}
 		}
 		// Whatever decoded must survive a round trip: re-encode and
 		// re-decode to an identical request payload.

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -159,11 +160,16 @@ func decodeMessage(payload []byte) (*message, error) {
 // float64 bits and the cluster derives Usage from the same integer
 // arithmetic the simulator uses — which is what makes served decisions
 // byte-identical to offline ones. Validation is exhaustive: anything that
-// could panic the encoder is rejected here, with the connection intact.
+// could panic the encoder is rejected here, with the connection intact —
+// NaN and infinite times included (the cluster's ordered running set needs
+// comparable keys, and Allocate refuses a running entry that has none).
 func buildContext(sys cluster.Config, window int, req *Request) (*sched.PickContext, error) {
 	r := len(sys.Capacities)
 	if len(req.Queue) == 0 {
 		return nil, fmt.Errorf("serve: request has an empty queue; there is nothing to schedule")
+	}
+	if !finite(req.Now) {
+		return nil, fmt.Errorf("serve: request time %v is not finite", req.Now)
 	}
 	cl := cluster.New(sys)
 	for i, a := range req.Running {
@@ -179,6 +185,9 @@ func buildContext(sys cluster.Config, window int, req *Request) (*sched.PickCont
 		if len(q.Demand) != r {
 			return nil, fmt.Errorf("serve: queue[%d] demands %d resources, system has %d", i, len(q.Demand), r)
 		}
+		if !finite(q.Walltime) || !finite(q.Submit) {
+			return nil, fmt.Errorf("serve: queue[%d] walltime %v or submit time %v is not finite", i, q.Walltime, q.Submit)
+		}
 		queue[i] = &job.Job{ID: i, Submit: q.Submit, Walltime: q.Walltime, Demand: q.Demand}
 	}
 	w := window
@@ -193,6 +202,8 @@ func buildContext(sys cluster.Config, window int, req *Request) (*sched.PickCont
 		Usage:   cl.Usage(),
 	}, nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // RequestFromContext converts a live decision instant into its wire form —
 // the bridge between an in-process scheduling loop and the daemon, used by

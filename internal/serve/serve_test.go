@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -416,6 +417,18 @@ func TestRequestErrorKeepsConnection(t *testing.T) {
 		{Now: 1, Queue: []Job{{Demand: []int{999, 999}, Walltime: 60}},
 			Running: []Alloc{{JobID: 1, Demand: []int{999, 999}, Start: 0, EstEnd: 100}}},
 		{Now: 1, Queue: []Job{{Demand: []int{1}, Walltime: 60}}},
+	}
+	// Non-finite times: one request per field the daemon reads.
+	d := []int{1, 1}
+	queue := []Job{{Demand: d, Walltime: 60}}
+	for _, t := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			Request{Now: t, Queue: queue},
+			Request{Now: 1, Queue: []Job{{Demand: d, Walltime: t}}},
+			Request{Now: 1, Queue: []Job{{Demand: d, Walltime: 60, Submit: t}}},
+			Request{Now: 1, Queue: queue, Running: []Alloc{{JobID: 1, Demand: d, Start: t, EstEnd: 100}}},
+			Request{Now: 1, Queue: queue, Running: []Alloc{{JobID: 1, Demand: d, EstEnd: 100}, {JobID: 2, Demand: d, EstEnd: t}}},
+		)
 	}
 	for i := range bad {
 		_, _, err := c.Decide(&bad[i])

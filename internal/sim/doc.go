@@ -14,6 +14,30 @@
 // episode-collection harness builds on; see the internal/rollout package
 // documentation for the repo-wide determinism and seeding contract.
 //
+// # What a round costs
+//
+// Events are values in a binary heap ordered by (time, kind, seq) — finishes
+// before submits at one instant, push order within a kind; seq is unique, so
+// the order is total. The cluster keeps its running set ordered by
+// (EstEnd, JobID) as it allocates and releases (see internal/cluster), so
+// the look-ahead of a reservation, the state encoder and the goal vector
+// read it without sorting. StartAt removes the started job at the queue
+// index the policy already holds. The window driver (internal/sched) reuses
+// one PickContext, usage vector and spare-capacity vector from round to
+// round, and its EASY backfill scans the live queue in place, ending as soon
+// as no unit of resource 0 is free: Load admits only jobs that pass
+// job.Validate, which requires Demand[0] >= 1, so no job behind that point
+// could have passed CanFit and the cut cannot change a schedule. A run
+// allocates for set-up and for slices that grow, not per event or per round
+// (TestFCFSAllocationsPerJob).
+//
+// # Finite times
+//
+// Both orders need comparable keys. Load refuses a job whose submit time,
+// runtime or walltime is NaN or infinite (job.Validate), and
+// cluster.Allocate refuses a non-finite start or estimated end, so neither
+// order ever holds a key that compares false against everything.
+//
 // # Accounting at cutoffs
 //
 // ResourceSeconds and Utilization integrate usage over the processed prefix

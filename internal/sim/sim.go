@@ -84,7 +84,7 @@ func (s *Simulator) Load(jobs []*job.Job) error {
 		}
 		j.State = job.Queued
 		s.byID[j.ID] = j
-		s.events.push(j.Submit, evSubmit, j.ID)
+		s.events.push(j.Submit, evSubmit, j)
 	}
 	return nil
 }
@@ -93,29 +93,32 @@ func (s *Simulator) Load(jobs []*job.Job) error {
 // schedules the completion event, and removes the job from the queue.
 // Policies must only call it for jobs that currently fit.
 func (s *Simulator) StartJob(j *job.Job) error {
-	if j.State != job.Queued {
-		return fmt.Errorf("sim: start job %d in state %v", j.ID, j.State)
+	for i, q := range s.queue {
+		if q == j {
+			return s.StartAt(i)
+		}
 	}
+	return fmt.Errorf("sim: start job %d in state %v: not in the waiting queue", j.ID, j.State)
+}
+
+// StartAt is StartJob for the job at Queue()[i], for a policy that already
+// holds the index: the job is removed there instead of searched for.
+func (s *Simulator) StartAt(i int) error {
+	if i < 0 || i >= len(s.queue) {
+		return fmt.Errorf("sim: start queue[%d] of %d waiting jobs", i, len(s.queue))
+	}
+	j := s.queue[i]
 	if err := s.cl.Allocate(j.ID, j.Demand, s.clk, s.clk+j.Walltime); err != nil {
 		return fmt.Errorf("sim: start: %w", err)
 	}
 	j.State = job.Running
 	j.Start = s.clk
-	s.events.push(s.clk+j.Runtime, evFinish, j.ID)
-	s.removeFromQueue(j.ID)
+	s.events.push(s.clk+j.Runtime, evFinish, j)
+	s.queue = append(s.queue[:i], s.queue[i+1:]...)
 	if s.Reserved == j {
 		s.Reserved = nil
 	}
 	return nil
-}
-
-func (s *Simulator) removeFromQueue(id int) {
-	for i, q := range s.queue {
-		if q.ID == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
-	}
 }
 
 // Step processes all events at the next event time, then invokes the policy
@@ -141,7 +144,7 @@ func (s *Simulator) Step() (bool, error) {
 			break
 		}
 		s.events.pop()
-		j := s.byID[e.jobID]
+		j := e.job
 		switch e.kind {
 		case evSubmit:
 			s.queue = append(s.queue, j)
