@@ -260,14 +260,14 @@ func (c *Cluster) EarliestFit(demand []int, now float64, dst []int) (float64, []
 		}
 	}
 	free := append(dst[:0], c.free...)
-	if fitsVec(demand, free) {
+	if Fits(demand, free) {
 		return now, free
 	}
 	for _, a := range c.running {
 		for r, d := range a.Demand {
 			free[r] += d
 		}
-		if fitsVec(demand, free) {
+		if Fits(demand, free) {
 			return max(a.EstEnd, now), free
 		}
 	}
@@ -276,7 +276,8 @@ func (c *Cluster) EarliestFit(demand []int, now float64, dst []int) (float64, []
 	return -1, nil
 }
 
-func fitsVec(demand, free []int) bool {
+// Fits reports whether demand is at most free in every resource.
+func Fits(demand, free []int) bool {
 	for r, d := range demand {
 		if d > free[r] {
 			return false

@@ -49,7 +49,7 @@ func runClusterOps(t *testing.T, data []byte) {
 			}
 			_, dup := held[id]
 			err := c.Allocate(id, demand, 0, float64(op[2]%5)*10)
-			if want := !dup && fitsVec(demand, before); (err == nil) != want {
+			if want := !dup && Fits(demand, before); (err == nil) != want {
 				t.Fatalf("Allocate(%d, %v) with free %v, dup %v: %v", id, demand, before, dup, err)
 			}
 			if err == nil {

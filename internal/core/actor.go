@@ -19,6 +19,8 @@ type MRSchActor struct {
 	enc       encode.Config
 	ac        *dfp.Actor
 	fixedGoal []float64
+
+	state, goal []float64 // the pick in progress; the dfp actor copies what it records
 }
 
 // Actor returns a rollout actor for the agent. The second result reports
@@ -60,13 +62,18 @@ func (a *MRSchActor) Reset(seed int64, eps float64) { a.ac.Reset(seed, eps) }
 // exploration mode: encode the state, compute the dynamic goal vector, and
 // let the DFP actor choose (and record) a window job.
 func (a *MRSchActor) Pick(ctx *sched.PickContext) int {
-	state := a.enc.Encode(ctx)
+	a.state = a.enc.EncodeInto(a.state, ctx)
 	goal := a.fixedGoal
 	if goal == nil {
-		goal = GoalVector(ctx)
+		a.goal = GoalVectorInto(a.goal, ctx)
+		goal = a.goal
 	}
-	return a.ac.Act(state, ctx.Usage, goal, len(ctx.Window))
+	return a.ac.Act(a.state, ctx.Usage, goal, len(ctx.Window))
 }
+
+// Unrecorded makes the actor an evaluator (dfp.Actor.Unrecorded): the same
+// picks, no transcript, and once its buffers are warm no allocation per pick.
+func (a *MRSchActor) Unrecorded() { a.ac.Unrecorded() }
 
 // Policy wraps the actor in the shared window/reservation/backfilling driver
 // with the master's window size.

@@ -1,0 +1,81 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/job"
+	"repro/internal/sched"
+)
+
+// pickContexts are a few decision instants on a half-busy cluster, with
+// queues longer and shorter than the window.
+func pickContexts() []*sched.PickContext {
+	cl := cluster.New(sys())
+	_ = cl.Allocate(100, []int{6, 2}, 0, 900)
+	_ = cl.Allocate(101, []int{3, 1}, 0, 400)
+	queue := []*job.Job{mk(1, 0, 300, 8, 4), mk(2, 5, 100, 2, 0), mk(3, 9, 700, 12, 6), mk(4, 9, 50, 1, 1), mk(5, 11, 60, 4, 2)}
+	return []*sched.PickContext{ctxWith(cl, 20, queue), ctxWith(cl, 35, queue[1:]), ctxWith(cl, 50, queue[3:]), ctxWith(cl, 60, queue[:1])}
+}
+
+// An evaluating actor decides from buffers it owns: the state, the goal and
+// the network's activations are all in place after the first pick. The picks
+// are those of a recording actor and of the agent itself.
+func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
+	m := New(sys(), tinyOptions(5))
+	ctxs := pickContexts()
+	recording, _ := m.Actor()
+	recording.Reset(9, 0)
+	actor, _ := m.Actor()
+	actor.Reset(9, 0)
+	actor.Unrecorded()
+	for i, ctx := range ctxs { // also the warm-up
+		got, rec, want := actor.Pick(ctx), recording.Pick(ctx), m.Pick(ctx)
+		if got != want || rec != want {
+			t.Fatalf("context %d: unrecorded actor picks %d, recording actor %d, agent %d", i, got, rec, want)
+		}
+	}
+	if n := actor.TakeTranscript().Len(); n != 0 {
+		t.Fatalf("an unrecorded actor kept %d decisions", n)
+	}
+	if n := recording.TakeTranscript().Len(); n != len(ctxs) {
+		t.Fatalf("the recording actor kept %d of %d decisions", n, len(ctxs))
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		actor.Pick(ctxs[i%len(ctxs)])
+		i++
+	}); avg != 0 {
+		t.Fatalf("%v allocations per unrecorded pick, want 0", avg)
+	}
+}
+
+// A decider that has seen a batch of b contexts decides any batch of at most
+// b without allocating, and row for row like the agent.
+func TestBatchDeciderAllocatesNothingOnceWarm(t *testing.T) {
+	for _, fixed := range [][]float64{nil, {0.7, 0.3}} {
+		m := New(sys(), tinyOptions(6))
+		m.FixedGoal = fixed
+		d, ok := m.BatchDecider()
+		if !ok {
+			t.Fatal("no batch decider for the default state module")
+		}
+		ctxs := pickContexts()
+		dst := d.Decide(ctxs, nil)
+		for i, ctx := range ctxs {
+			if want := m.Pick(ctx); dst[i] != want {
+				t.Fatalf("fixed goal %v, row %d: decider picks %d, agent %d", fixed, i, dst[i], want)
+			}
+		}
+		want := slices.Clone(dst)
+		for _, b := range []int{len(ctxs), 1, 3} {
+			if avg := testing.AllocsPerRun(100, func() { dst = d.Decide(ctxs[:b], dst) }); avg != 0 {
+				t.Fatalf("fixed goal %v: %v allocations per warm batch of %d, want 0", fixed, avg, b)
+			}
+			if !slices.Equal(dst, want[:b]) {
+				t.Fatalf("fixed goal %v: warm batch of %d decided %v, want %v", fixed, b, dst, want[:b])
+			}
+		}
+	}
+}

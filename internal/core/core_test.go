@@ -250,3 +250,21 @@ func TestNewDefaultWindow(t *testing.T) {
 		t.Fatalf("default window = %d, want 10 (paper)", m.Enc.Window)
 	}
 }
+
+// GoalVectorInto is GoalVector in the caller's storage, stale contents and
+// the idle fallback included.
+func TestGoalVectorIntoMatchesGoalVector(t *testing.T) {
+	cl := cluster.New(sys())
+	_ = cl.Allocate(99, []int{8, 2}, 0, 500)
+	buf := []float64{7, 7, 7, 7}
+	for _, ctx := range []*sched.PickContext{
+		ctxWith(cl, 100, []*job.Job{mk(1, 0, 100, 8, 4), mk(2, 0, 50, 2, 0)}),
+		ctxWith(cluster.New(sys()), 0, nil),
+	} {
+		want := GoalVector(ctx)
+		buf = GoalVectorInto(buf, ctx)
+		if len(buf) != len(want) || buf[0] != want[0] || buf[1] != want[1] {
+			t.Fatalf("GoalVectorInto = %v, GoalVector = %v", buf, want)
+		}
+	}
+}

@@ -19,6 +19,8 @@ type BatchDecider struct {
 	bd        *dfp.BatchDecider
 	fixedGoal []float64
 
+	// One row per context of the largest batch seen: states and (without a
+	// FixedGoal) goals own their vectors, meas borrows each context's Usage.
 	states, meas, goals [][]float64
 	valid               []int
 }
@@ -39,22 +41,17 @@ func (m *MRSch) BatchDecider() (*BatchDecider, bool) {
 // needed).
 func (d *BatchDecider) Decide(ctxs []*sched.PickContext, dst []int) []int {
 	b := len(ctxs)
-	if cap(d.states) < b {
-		d.states = make([][]float64, b)
-		d.meas = make([][]float64, b)
-		d.goals = make([][]float64, b)
-		d.valid = make([]int, b)
+	for len(d.states) < b {
+		d.states, d.meas = append(d.states, nil), append(d.meas, nil)
+		d.goals, d.valid = append(d.goals, d.fixedGoal), append(d.valid, 0)
 	}
-	d.states, d.meas, d.goals, d.valid = d.states[:b], d.meas[:b], d.goals[:b], d.valid[:b]
 	for i, ctx := range ctxs {
-		d.states[i] = d.enc.Encode(ctx)
+		d.states[i] = d.enc.EncodeInto(d.states[i], ctx)
 		d.meas[i] = ctx.Usage
-		if d.fixedGoal != nil {
-			d.goals[i] = d.fixedGoal
-		} else {
-			d.goals[i] = GoalVector(ctx)
+		if d.fixedGoal == nil {
+			d.goals[i] = GoalVectorInto(d.goals[i], ctx)
 		}
 		d.valid[i] = len(ctx.Window)
 	}
-	return d.bd.DecideBatch(d.states, d.meas, d.goals, d.valid, dst)
+	return d.bd.DecideBatch(d.states[:b], d.meas[:b], d.goals[:b], d.valid[:b], dst)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/sched"
 )
 
@@ -17,9 +19,15 @@ import (
 //
 // The result is a probability simplex (non-negative, sums to 1); with no
 // load at all it falls back to uniform weights.
-func GoalVector(ctx *sched.PickContext) []float64 {
+func GoalVector(ctx *sched.PickContext) []float64 { return GoalVectorInto(nil, ctx) }
+
+// GoalVectorInto is GoalVector into dst[:0], which it returns (grown if it
+// was too short), for a caller that does not keep the vector past its next
+// decision.
+func GoalVectorInto(dst []float64, ctx *sched.PickContext) []float64 {
 	r := ctx.Cluster.NumResources()
-	acc := make([]float64, r)
+	acc := slices.Grow(dst[:0], r)[:r]
+	clear(acc)
 
 	for _, j := range ctx.Queue {
 		for res := 0; res < r; res++ {
@@ -43,11 +51,10 @@ func GoalVector(ctx *sched.PickContext) []float64 {
 		total += v
 	}
 	if total <= 0 {
-		uniform := make([]float64, r)
-		for i := range uniform {
-			uniform[i] = 1 / float64(r)
+		for i := range acc {
+			acc[i] = 1 / float64(r)
 		}
-		return uniform
+		return acc
 	}
 	for i := range acc {
 		acc[i] /= total

@@ -164,9 +164,10 @@ type Actor struct {
 	nets modules
 	scr  inferScratch
 
-	rng   *rand.Rand
-	eps   float64
-	steps []*stepRecord
+	rng        *rand.Rand
+	eps        float64
+	steps      []*stepRecord
+	unrecorded bool
 }
 
 // Actor returns a rollout actor for the agent. The second result reports
@@ -225,6 +226,11 @@ func (ac *Actor) Reset(seed int64, eps float64) {
 	ac.steps = nil
 }
 
+// Unrecorded makes the actor an evaluator: Act decides exactly as before, rng
+// draws included, but keeps no record of it — nothing is copied and
+// TakeTranscript stays empty. For callers that will never take the episode.
+func (ac *Actor) Unrecorded() { ac.unrecorded = true }
+
 // Act selects an action among the first valid actions under the actor's
 // epsilon-greedy policy and records the decision. It consumes the actor's
 // rng exactly like the master's training-mode Act consumes the agent rng:
@@ -242,6 +248,9 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 		ac.scr.score = nn.Ensure(ac.scr.score, ac.cfg.Actions)
 		scores := scoreInto(ac.scr.score, ac.nets.forwardDueling(ac.cfg, &ac.scr, state, meas, goalExt, 1), goalExt)
 		action = nn.ArgMax(scores[:valid])
+	}
+	if ac.unrecorded {
+		return action
 	}
 	ac.steps = append(ac.steps, &stepRecord{
 		state:  append([]float64(nil), state...),

@@ -79,13 +79,20 @@ func (c *Config) clampTime(seconds float64) float64 {
 	return t
 }
 
-// Encode builds the state vector for one scheduling instant. Missing window
-// slots (queue shorter than W) encode as zeros.
+// Encode builds the state vector for one scheduling instant in a fresh
+// slice. Missing window slots (queue shorter than W) encode as zeros.
 func (c *Config) Encode(ctx *sched.PickContext) []float64 {
+	return c.EncodeInto(make([]float64, 0, c.StateDim()), ctx)
+}
+
+// EncodeInto is Encode into dst[:0], which it returns (grown if it was
+// shorter than StateDim): a caller that encodes once per decision and does
+// not keep the vector passes its previous one and allocates nothing.
+func (c *Config) EncodeInto(dst []float64, ctx *sched.PickContext) []float64 {
 	if len(c.Units) != ctx.Cluster.NumResources() {
 		panic(fmt.Sprintf("encode: config has %d resources, cluster %d", len(c.Units), ctx.Cluster.NumResources()))
 	}
-	out := make([]float64, 0, c.StateDim())
+	out := dst[:0]
 
 	// Job slots.
 	for i := 0; i < c.Window; i++ {

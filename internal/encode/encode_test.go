@@ -2,6 +2,7 @@ package encode
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,4 +176,31 @@ func TestEncodeMismatchedClusterPanics(t *testing.T) {
 		}
 	}()
 	c.Encode(ctxWith(cl, 0))
+}
+
+// EncodeInto overwrites whatever its destination held — a longer vector of
+// another instant included — with exactly Encode's vector, in place once the
+// destination is large enough.
+func TestEncodeIntoReusesItsDestination(t *testing.T) {
+	cl := cluster.New(sys())
+	c := NewConfig(3, sys().Capacities)
+	busy := ctxWith(cl, 50, mk(1, 0, 7200, 4, 2), mk(2, 10, 600, 1, 0))
+	if err := cl.Allocate(9, []int{5, 3}, 0, 4000); err != nil {
+		t.Fatal(err)
+	}
+	idle := ctxWith(cluster.New(sys()), 0)
+	var buf []float64
+	for i, ctx := range []*sched.PickContext{busy, idle, busy} {
+		prev := buf
+		buf = c.EncodeInto(buf, ctx)
+		if want := c.Encode(ctx); !slices.Equal(buf, want) {
+			t.Fatalf("instant %d: EncodeInto = %v, Encode = %v", i, buf, want)
+		}
+		if i > 0 && &buf[0] != &prev[0] {
+			t.Fatalf("instant %d: EncodeInto left its destination for a new array", i)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { buf = c.EncodeInto(buf, busy) }); avg != 0 {
+		t.Fatalf("%v allocations per EncodeInto into a large enough destination", avg)
+	}
 }

@@ -500,6 +500,7 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 			return nil, fmt.Errorf("method mrsch: state module is not clonable for parallel evaluation")
 		}
 		actor.Reset(m.Scale.Seed+9000+int64(cell.Index), 0) // eps 0: greedy
+		actor.Unrecorded()
 		return actor.Policy(), nil
 	case scenario.KindScalarRL:
 		agent := r.scalarRL[r.modelKey(cell)]
@@ -508,6 +509,7 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 			return nil, fmt.Errorf("method scalar-rl: network is not clonable for parallel evaluation")
 		}
 		actor.Reset(m.Scale.Seed + 9000 + int64(cell.Index))
+		actor.Unrecorded()
 		return actor.Policy(), nil
 	}
 	return nil, fmt.Errorf("unknown method kind %q", cell.Method.Kind)

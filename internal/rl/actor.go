@@ -2,6 +2,7 @@ package rl
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/sched"
@@ -19,6 +20,9 @@ type Actor struct {
 	net   *nn.Sequential
 	rng   *rand.Rand
 	steps []step
+
+	unrecorded bool
+	state      []float64 // the pick in progress; a recorded step keeps a copy
 }
 
 // Actor returns a rollout actor for the scheduler. The second result reports
@@ -62,19 +66,27 @@ func (a *Actor) Reset(seed int64) {
 	a.steps = nil
 }
 
+// Unrecorded makes the actor an evaluator: Pick samples exactly as before but
+// keeps no trajectory (and computes no reward), for callers that will never
+// take it.
+func (a *Actor) Unrecorded() { a.unrecorded = true }
+
 // Pick implements sched.Picker with the master's training-mode decision
 // logic: stochastic sampling over the valid window prefix, recording the
 // fixed-weight scalar reward of the selection.
 func (a *Actor) Pick(ctx *sched.PickContext) int {
-	state := a.s.enc.Encode(ctx)
-	probs := a.net.Forward(nil, state, 1)
+	a.state = a.s.enc.EncodeInto(a.state, ctx)
+	probs := a.net.Forward(nil, a.state, 1)
 	valid := len(ctx.Window)
 	if valid > a.s.cfg.Window {
 		valid = a.s.cfg.Window
 	}
 	action := samplePrefix(probs, valid, a.rng)
+	if a.unrecorded {
+		return action
+	}
 	a.steps = append(a.steps, step{
-		state:  state,
+		state:  slices.Clone(a.state),
 		action: action,
 		valid:  valid,
 		reward: a.s.reward(ctx, action),

@@ -233,3 +233,35 @@ func TestPolicyLearnsUtilizationBandit(t *testing.T) {
 		t.Fatalf("policy failed to prefer high-reward action: %v", counts)
 	}
 }
+
+// An unrecorded actor samples what a recording one samples, keeps no
+// trajectory, and once warm allocates nothing per pick.
+func TestUnrecordedActorSamplesTheSameAndKeepsNothing(t *testing.T) {
+	s := New(sys(), tinyConfig(4))
+	cl := cluster.New(sys())
+	if err := cl.Allocate(9, []int{6, 2}, 0, 300); err != nil {
+		t.Fatal(err)
+	}
+	queue := []*job.Job{mk(1, 0, 10, 1, 0), mk(2, 0, 10, 2, 1), mk(3, 4, 90, 12, 4), mk(4, 5, 30, 3, 3), mk(5, 6, 20, 1, 1)}
+	ctxs := []*sched.PickContext{ctxWith(cl, 10, queue), ctxWith(cl, 20, queue[2:]), ctxWith(cl, 30, queue[4:])}
+	recording, _ := s.Actor()
+	recording.Reset(11)
+	actor, _ := s.Actor()
+	actor.Reset(11)
+	actor.Unrecorded()
+	for i := 0; i < 60; i++ {
+		ctx := ctxs[i%len(ctxs)]
+		if got, want := actor.Pick(ctx), recording.Pick(ctx); got != want {
+			t.Fatalf("pick %d: unrecorded actor samples %d, recording actor %d", i, got, want)
+		}
+	}
+	if n := actor.TakeTrajectory().Len(); n != 0 {
+		t.Fatalf("an unrecorded actor kept %d decisions", n)
+	}
+	if n := recording.TakeTrajectory().Len(); n != 60 {
+		t.Fatalf("the recording actor kept %d of 60 decisions", n)
+	}
+	if avg := testing.AllocsPerRun(100, func() { actor.Pick(ctxs[0]) }); avg != 0 {
+		t.Fatalf("%v allocations per unrecorded pick, want 0", avg)
+	}
+}

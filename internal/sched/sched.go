@@ -59,8 +59,22 @@ type WindowPolicy struct {
 	// goal vector with it).
 	OnDecision func(ctx *PickContext, pick int)
 
-	ctx   PickContext // the context of the pick in progress
-	extra []int       // easyBackfill's spare capacity at the shadow time
+	ctx PickContext // the context of the pick in progress
+
+	// The limits of the EASY scan in progress, and those the last one ended
+	// with: under held, heldSim.Queue()[:heldN], ending in heldLast, was refused.
+	lim, held limits
+	heldSim   *sim.Simulator
+	heldN     int
+	heldLast  *job.Job
+	carried   int // scans that began behind refused jobs (the tests' floor)
+}
+
+// limits are the three bounds of the EASY test, which is monotone in each.
+type limits struct {
+	free   []int   // units free now
+	extra  []int   // units spare at the shadow time, after the reservation
+	shadow float64 // the earliest start of the reserved job
 }
 
 // NewWindowPolicy builds a policy with EASY backfilling enabled.
@@ -102,6 +116,9 @@ func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
 				// CanFit held, so failure indicates a framework bug.
 				panic(fmt.Sprintf("sched: start after CanFit: %v", err))
 			}
+			if idx < wp.heldN {
+				wp.heldN-- // one of the refused jobs left the queue
+			}
 			continue
 		}
 		// The selected job cannot start: reserve it and backfill around it.
@@ -118,48 +135,53 @@ func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
 // finish (by walltime estimate) before the reservation's shadow time, or
 // they fit entirely within the resources left over at the shadow time.
 //
-// The scan walks the live queue in arrival order: starting a job removes it
-// at the index the scan holds, so the index advances only past jobs left
-// waiting. It ends once no unit of resource 0 is free — every loaded job
-// demands at least one (job.Validate), so no later candidate could pass
-// CanFit and the cut changes no schedule.
+// The scan asks the simulator for the next waiting job that fits what is
+// free and touches a *Job only then; starting one removes it at the index
+// the scan holds, so the index advances only past jobs left waiting. The
+// reserved job needs no test of its own: it did not fit a moment ago and
+// free only shrinks. The package doc says where the scan begins and ends.
 func (wp *WindowPolicy) easyBackfill(s *sim.Simulator, reserved *job.Job) {
-	cl := s.Cluster()
-	now := s.Now()
-	shadow, extra := shadowInto(cl, reserved.Demand, now, wp.extra)
-	if shadow < 0 {
+	cl, now, lim := s.Cluster(), s.Now(), &wp.lim
+	lim.shadow, lim.extra = shadowInto(cl, reserved.Demand, now, lim.extra)
+	if lim.shadow < 0 {
 		return
 	}
-	wp.extra = extra
-	for i := 0; i < len(s.Queue()) && cl.Free(0) > 0; {
+	lim.free = lim.free[:0]
+	for r := range lim.extra {
+		lim.free = append(lim.free, cl.Free(r))
+	}
+	free, extra, shadow := lim.free, lim.extra, lim.shadow
+	i := 0
+	if q, h := s.Queue(), &wp.held; wp.heldSim == s && wp.heldN > 0 && wp.heldN <= len(q) && q[wp.heldN-1] == wp.heldLast &&
+		shadow <= h.shadow && cluster.Fits(free, h.free) && cluster.Fits(extra, h.extra) {
+		i = wp.heldN
+		wp.carried++
+	}
+	for free[0] > 0 {
+		if i = s.NextFit(i, free); i == len(s.Queue()) {
+			break
+		}
 		cand := s.Queue()[i]
-		if cand == reserved || !cl.CanFit(cand.Demand) {
-			i++
-			continue
-		}
 		endsBeforeShadow := now+cand.Walltime <= shadow
-		fitsExtra := true
-		for r, d := range cand.Demand {
-			if d > extra[r] {
-				fitsExtra = false
-				break
-			}
-		}
-		if !endsBeforeShadow && !fitsExtra {
+		if !endsBeforeShadow && !cluster.Fits(cand.Demand, extra) {
 			i++
 			continue
 		}
 		if err := s.StartAt(i); err != nil {
 			panic(fmt.Sprintf("sched: backfill start: %v", err))
 		}
-		if !endsBeforeShadow {
-			// The job borrows shadow-time capacity; charge it against the
-			// reservation's leftovers so later candidates cannot overdraw.
-			for r, d := range cand.Demand {
+		for r, d := range cand.Demand {
+			free[r] -= d
+			if !endsBeforeShadow {
+				// The job borrows shadow-time capacity; charge it against the
+				// reservation's leftovers so later candidates cannot overdraw.
 				extra[r] -= d
 			}
 		}
 	}
+	q := s.Queue() // every job of it was refused under limits no smaller than lim
+	wp.lim, wp.held = wp.held, wp.lim
+	wp.heldSim, wp.heldN, wp.heldLast = s, len(q), q[len(q)-1]
 }
 
 // Shadow exposes the reservation shadow-time computation for tests and

@@ -22,14 +22,19 @@
 // (EstEnd, JobID) as it allocates and releases (see internal/cluster), so
 // the look-ahead of a reservation, the state encoder and the goal vector
 // read it without sorting. StartAt removes the started job at the queue
-// index the policy already holds. The window driver (internal/sched) reuses
-// one PickContext, usage vector and spare-capacity vector from round to
-// round, and its EASY backfill scans the live queue in place, ending as soon
-// as no unit of resource 0 is free: Load admits only jobs that pass
-// job.Validate, which requires Demand[0] >= 1, so no job behind that point
-// could have passed CanFit and the cut cannot change a schedule. A run
-// allocates for set-up and for slices that grow, not per event or per round
-// (TestFCFSAllocationsPerJob).
+// index the policy already holds, moving the shorter side of the queue (the
+// head: nothing). The window driver (internal/sched) reuses one PickContext,
+// usage vector and set of scan limits from round to round.
+//
+// Its EASY backfill does not walk the jobs. Beside the queue the simulator
+// keeps one word per waiting job, the demand vector packed into lanes
+// (lanes.go), appended at submit and removed with the queue entry (so a
+// job's Demand must not change while it waits). NextFit refuses a job with
+// one subtraction on that word and compares in full only a job the word lets
+// through; the word never refuses a job that fits, so NextFit is exact. The
+// scan ends once no unit of resource 0 is free: job.Validate, which Load
+// applies, requires Demand[0] >= 1. A run allocates for set-up and for slices
+// that grow, not per event or per round (TestFCFSAllocationsPerJob).
 //
 // # Finite times
 //

@@ -1,0 +1,197 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/job"
+)
+
+// checkMirror fails unless the demand keys are the queue's, index for index,
+// and NextFit answers like a walk over the jobs for the vectors given.
+func checkMirror(t testing.TB, s *Simulator, haves ...[]int) {
+	t.Helper()
+	if len(s.qKey) != len(s.queue) {
+		t.Fatalf("%d demand keys for %d waiting jobs", len(s.qKey), len(s.queue))
+	}
+	for i, j := range s.queue {
+		if j == nil || j.State != job.Queued {
+			t.Fatalf("queue[%d] is not a waiting job: %+v", i, j)
+		}
+		if want := s.lanes.key(j.Demand); s.qKey[i] != want {
+			t.Fatalf("key[%d] = %#x, job %d's demand %v packs to %#x", i, s.qKey[i], j.ID, j.Demand, want)
+		}
+	}
+	for _, have := range haves {
+		for from := 0; from <= len(s.queue); from++ {
+			want := from
+			for want < len(s.queue) && !cluster.Fits(s.queue[want].Demand, have) {
+				want++
+			}
+			if got := s.NextFit(from, have); got != want {
+				t.Fatalf("NextFit(%d, %v) = %d, the first waiting job that fits is at %d", from, have, got, want)
+			}
+		}
+	}
+}
+
+// runQueueOps drives a simulator with a do-nothing policy from a byte
+// string: submit a job and step, start the job at a queue index, or start a
+// waiting job by pointer. After every operation the demand keys must mirror
+// the queue, also after a start the cluster refused.
+func runQueueOps(t testing.TB, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	// The first byte picks the system: two or three resources, and whether
+	// the last one is wide enough for its lane to clamp.
+	sys := cluster.Config{Name: "fuzz", Resources: []string{"nodes", "bb"}, Capacities: []int{12, 300}}
+	if data[0]&1 != 0 {
+		sys.Resources, sys.Capacities = append(sys.Resources, "bytes"), append(sys.Capacities, 1<<20+7)
+	}
+	if data[0]&2 != 0 {
+		sys.Capacities[len(sys.Capacities)-1] = 5 << 20
+	}
+	s := New(sys, PolicyFunc(func(*Simulator) {}))
+	nextID := 0
+	for data = data[1:]; len(data) >= 3; data = data[3:] {
+		op, a, b := data[0]%3, int(data[1]), int(data[2])
+		free := s.Cluster().FreeVec()
+		switch {
+		case op == 0:
+			demand := make([]int, len(sys.Capacities))
+			for r, n := range sys.Capacities {
+				demand[r] = (a*(r+7) + b*(n/200+1)*131) % (n + 1)
+			}
+			demand[0] = 1 + a%sys.Capacities[0]
+			j := &job.Job{ID: nextID, Submit: s.Now() + float64(b%3), Runtime: float64(1 + a), Walltime: float64(1 + b), Demand: demand}
+			nextID++
+			if err := s.Load([]*job.Job{j}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		case len(s.queue) == 0:
+		default:
+			i := a % len(s.queue)
+			j, before := s.queue[i], len(s.queue)
+			var err error
+			if op == 1 {
+				err = s.StartAt(i)
+			} else {
+				err = s.StartJob(j)
+			}
+			if fit := cluster.Fits(j.Demand, free); fit != (err == nil) {
+				t.Fatalf("start of job %d (demand %v, free %v): %v", j.ID, j.Demand, free, err)
+			}
+			if err != nil && (len(s.queue) != before || s.queue[i] != j) {
+				t.Fatalf("a refused start changed the queue")
+			}
+			if err == nil && (len(s.queue) != before-1 || j.State != job.Running) {
+				t.Fatalf("job %d started: %d waiting of %d, state %v", j.ID, len(s.queue), before, j.State)
+			}
+		}
+		checkMirror(t, s, free, s.Cluster().FreeVec())
+	}
+}
+
+func TestQueueMirrorUnderRandomStartOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		data := make([]byte, 1+3*150)
+		rng.Read(data)
+		runQueueOps(t, data)
+	}
+}
+
+func FuzzQueueMirror(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 1, 0, 9, 0, 0, 200, 2, 1, 1, 0, 1, 0, 0, 2, 0, 0})
+	f.Add([]byte{3, 0, 11, 250, 0, 5, 77, 0, 0, 0, 2, 2, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) { runQueueOps(t, data) })
+}
+
+// Whatever was started, in whatever order, removeAt hands back the other
+// entries in order and leaves no pointer to the removed one in the array.
+func TestRemoveAtMovesTheShorterSideAndClearsTheSlot(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		for i := 0; i < n; i++ {
+			all := make([]*int, n)
+			for k := range all {
+				all[k] = new(int)
+				*all[k] = k
+			}
+			got := removeAt(all, i)
+			if len(got) != n-1 {
+				t.Fatalf("n=%d i=%d: %d entries left", n, i, len(got))
+			}
+			for k, p := range got {
+				want := k
+				if k >= i {
+					want++
+				}
+				if *p != want {
+					t.Fatalf("n=%d i=%d: entry %d is %d, want %d", n, i, k, *p, want)
+				}
+			}
+			cleared := 0
+			for _, p := range all {
+				if p == nil {
+					cleared++
+				}
+			}
+			if cleared != 1 {
+				t.Fatalf("n=%d i=%d: %d slots of the array cleared, want the vacated one", n, i, cleared)
+			}
+			if n > 1 && (&got[0] != &all[0]) != (i < n-1-i) {
+				t.Fatalf("n=%d i=%d: moved the longer side", n, i)
+			}
+		}
+	}
+}
+
+// A lost guard must prove that the demand does not fit, whatever was
+// clamped or left out of the key; with nothing clamped and every resource
+// in a lane the guards decide the question alone.
+func TestLanesNeverRefuseADemandThatFits(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 20000; trial++ {
+		l := newLanes(1 + rng.Intn(12))
+		exact := trial%2 == 0
+		top := min(l.max, 1<<40) // one resource has the whole word
+		if !exact {
+			top *= 4
+		}
+		demand, have := make([]int, 1+rng.Intn(12)), []int(nil)
+		for len(demand) < int(l.n) {
+			demand = append(demand, 0)
+		}
+		for r := range demand {
+			demand[r] = rng.Intn(top + 1)
+			h := demand[r] + rng.Intn(5) - 2 // near misses and near fits
+			if rng.Intn(4) == 0 {
+				h = rng.Intn(top+1) - top/8
+			}
+			if exact {
+				h = min(max(h, 0), l.max)
+			}
+			have = append(have, h)
+		}
+		floored := make([]int, len(have))
+		for r, h := range have {
+			floored[r] = max(h, 0)
+		}
+		if l.key(have) != l.key(floored) {
+			t.Fatalf("lanes %+v: %v and %v pack differently; a negative limit is a limit of zero", l, have, floored)
+		}
+		pass := ((l.key(have)|l.guard)-l.key(demand))&l.guard == l.guard
+		fits := cluster.Fits(demand, have)
+		if fits && !pass {
+			t.Fatalf("lanes %+v refuse demand %v, which fits %v", l, demand, have)
+		}
+		if exact && len(demand) == int(l.n) && pass != fits {
+			t.Fatalf("lanes %+v, nothing clamped: guards say %v, demand %v fits %v: %v", l, pass, demand, have, fits)
+		}
+	}
+}

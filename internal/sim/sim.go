@@ -28,6 +28,8 @@ type Simulator struct {
 	cl       *cluster.Cluster
 	events   eventQueue
 	queue    []*job.Job // waiting jobs in arrival order
+	qKey     []uint64   // lanes.key(queue[i].Demand), index for index: see NextFit
+	lanes    lanes
 	byID     map[int]*job.Job
 	finished []*job.Job
 	policy   Policy
@@ -51,10 +53,10 @@ type Simulator struct {
 // New builds a simulator over a fresh cluster with the given policy.
 func New(cfg cluster.Config, p Policy) *Simulator {
 	return &Simulator{
-		cl:        cluster.New(cfg),
-		byID:      make(map[int]*job.Job),
-		policy:    p,
-		maxEvents: 0,
+		cl:     cluster.New(cfg),
+		lanes:  newLanes(len(cfg.Capacities)),
+		byID:   make(map[int]*job.Job),
+		policy: p,
 	}
 }
 
@@ -67,6 +69,21 @@ func (s *Simulator) Now() float64 { return s.clk }
 // Queue returns the waiting jobs in arrival order. Callers must not mutate
 // the returned slice.
 func (s *Simulator) Queue() []*job.Job { return s.queue }
+
+// NextFit returns the index of the first waiting job at or after i (i >= 0)
+// whose demand fits have in every resource, or len(Queue()) when none does.
+// It refuses most jobs on their demand key (see lanes) and dereferences only
+// a job the key lets through, to compare it in full.
+func (s *Simulator) NextFit(i int, have []int) int {
+	keys, guard := s.qKey, s.lanes.guard
+	limit := s.lanes.key(have) | guard
+	for ; i < len(keys); i++ {
+		if (limit-keys[i])&guard == guard && cluster.Fits(s.queue[i].Demand, have) {
+			break
+		}
+	}
+	return i
+}
 
 // Finished returns all completed jobs.
 func (s *Simulator) Finished() []*job.Job { return s.finished }
@@ -114,11 +131,26 @@ func (s *Simulator) StartAt(i int) error {
 	j.State = job.Running
 	j.Start = s.clk
 	s.events.push(s.clk+j.Runtime, evFinish, j)
-	s.queue = append(s.queue[:i], s.queue[i+1:]...)
+	s.queue = removeAt(s.queue, i)
+	s.qKey = removeAt(s.qKey, i)
 	if s.Reserved == j {
 		s.Reserved = nil
 	}
 	return nil
+}
+
+// removeAt deletes q[i] by moving the shorter side of q and zeroes the slot
+// that frees, so the backing array does not keep a started job alive.
+func removeAt[T any](q []T, i int) []T {
+	last := len(q) - 1
+	if i < last-i {
+		copy(q[1:i+1], q[:i])
+		clear(q[:1])
+		return q[1:]
+	}
+	copy(q[i:], q[i+1:])
+	clear(q[last:])
+	return q[:last]
 }
 
 // Step processes all events at the next event time, then invokes the policy
@@ -148,6 +180,7 @@ func (s *Simulator) Step() (bool, error) {
 		switch e.kind {
 		case evSubmit:
 			s.queue = append(s.queue, j)
+			s.qKey = append(s.qKey, s.lanes.key(j.Demand))
 		case evFinish:
 			if err := s.cl.Release(j.ID); err != nil {
 				return false, fmt.Errorf("sim: finish: %w", err)
