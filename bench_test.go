@@ -1,21 +1,16 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (§V), plus microbenchmarks of the substrates. Each figure
-// benchmark regenerates the corresponding rows/series at the quick scale
-// and prints them once; timings report the cost of one full regeneration.
+// Benchmark harness: microbenchmarks of the substrates the repository
+// benchmark (go run ./bench) decomposes into — the simulator, the state
+// encoder, the DFP forward and training step, decision latency at the
+// paper's full scale, rollout collection and the baseline pickers. The
+// paper's figures are regenerated by cmd/mrsch-exp, not from here.
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
-//
-// Individual figures:
-//
-//	go test -bench=BenchmarkFigure5 -benchmem
+//	go test -run=NONE -bench=. -benchmem
 package repro_test
 
 import (
 	"fmt"
-	"os"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -29,284 +24,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// campaign is shared across figure benchmarks so trained agents are reused,
-// exactly as the paper reuses one trained model per workload across figures.
-var (
-	campaignOnce sync.Once
-	campaign     *experiments.Campaign
-)
-
-func sharedCampaign() *experiments.Campaign {
-	campaignOnce.Do(func() {
-		c, err := experiments.NewCampaign(experiments.QuickScale())
-		if err != nil {
-			panic(err)
-		}
-		campaign = c
-	})
-	return campaign
-}
-
-var printOnce sync.Map
-
-// printFigure emits a figure's rows exactly once per `go test` process.
-func printFigure(key string, emit func()) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		emit()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 1 — motivating example.
-
-func BenchmarkFigure1Motivation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.FixedWeightMakespanH != 3 || r.OptimalMakespanH != 2 {
-			b.Fatalf("motivation broken: fixed=%v optimal=%v", r.FixedWeightMakespanH, r.OptimalMakespanH)
-		}
-		printFigure("fig1", func() { experiments.FprintFigure1(os.Stdout, r) })
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table III — workload generation ladder.
-
-func BenchmarkTableIIIWorkloads(b *testing.B) {
-	sc := experiments.QuickScale()
-	sys := sc.System()
-	for i := 0; i < b.N; i++ {
-		base := workload.GenerateBase(workload.GeneratorConfig{
-			System: sys, Duration: sc.TraceDuration, MeanInterarrival: sc.MeanInterarrival, Seed: sc.Seed,
-		})
-		pool := workload.AssignDarshanBB(base, sys.Capacities[1], sc.Seed+1)
-		demands := make(map[string]float64, 5)
-		for _, scenario := range workload.Scenarios() {
-			jobs := workload.Apply(base, pool, scenario, sys, sc.Seed+2)
-			tot := 0.0
-			for _, j := range jobs {
-				tot += float64(j.Demand[1]) * j.Walltime
-			}
-			demands[scenario.Name] = tot
-		}
-		if demands["S2"] <= demands["S1"] || demands["S4"] <= demands["S3"] {
-			b.Fatal("Table III contention ladder violated")
-		}
-		printFigure("table3", func() {
-			fmt.Println("Table III — BB demand ladder (unit-seconds of burst-buffer request):")
-			for _, name := range experiments.WorkloadNames() {
-				fmt.Printf("  %-3s %.3g\n", name, demands[name])
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 3 — MLP vs CNN state module.
-
-func BenchmarkFigure3MLPvsCNN(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure3(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("fig3", func() { experiments.FprintFigure3(os.Stdout, rows) })
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 — curriculum orderings.
-
-func BenchmarkFigure4TrainingOrder(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure4(c, "S4")
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("fig4", func() { experiments.FprintFigure4(os.Stdout, series) })
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figures 5-7 — the four-method comparison.
-
-var (
-	rows56Once sync.Once
-	rows56     []experiments.MethodReports
-	rows56Err  error
-)
-
-func sharedRows56(b *testing.B) []experiments.MethodReports {
-	rows56Once.Do(func() {
-		rows56, rows56Err = experiments.Figures56(sharedCampaign())
-	})
-	if rows56Err != nil {
-		b.Fatal(rows56Err)
-	}
-	return rows56
-}
-
-func BenchmarkFigure5SystemMetrics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := sharedRows56(b)
-		printFigure("fig5", func() { experiments.FprintFigure5(os.Stdout, rows) })
-	}
-}
-
-func BenchmarkFigure6UserMetrics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := sharedRows56(b)
-		printFigure("fig6", func() { experiments.FprintFigure6(os.Stdout, rows) })
-	}
-}
-
-func BenchmarkFigure7Kiviat(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := sharedRows56(b)
-		kv := experiments.Figure7(rows)
-		if len(kv) != 5 {
-			b.Fatal("kiviat incomplete")
-		}
-		printFigure("fig7", func() { experiments.FprintFigure7(os.Stdout, rows) })
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figures 8 and 9 — dynamic resource prioritizing.
-
-func BenchmarkFigure8RbbTimeline(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		samples, err := experiments.Figure8(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("fig8", func() { experiments.FprintFigure8(os.Stdout, samples) })
-	}
-}
-
-func BenchmarkFigure9RbbBoxplot(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure9(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows[4].Stats.Mean <= rows[0].Stats.Mean {
-			b.Fatal("S5 r_BB should dominate S1 (paper Figure 9)")
-		}
-		printFigure("fig9", func() { experiments.FprintFigure9(os.Stdout, rows) })
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 10 — three schedulable resources.
-
-func BenchmarkFigure10ThreeResource(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure10(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("fig10", func() { experiments.FprintFigure10(os.Stdout, rows) })
-	}
-}
-
-// ---------------------------------------------------------------------------
-// §V-F — decision latency at the paper's full Theta scale (the 11410-input
-// network of §IV-C). The paper reports < 2 s for two resources and < 3 s for
-// three on a 2 GHz quad-core PC.
-
-func BenchmarkOverheadDecision2R(b *testing.B) {
-	agent, ctx := experiments.OverheadContext(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Pick(ctx)
-	}
-}
-
-func BenchmarkOverheadDecision3R(b *testing.B) {
-	agent, ctx := experiments.OverheadContext(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Pick(ctx)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations of the design choices DESIGN.md calls out.
-
-func BenchmarkAblationGoalVector(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationGoal(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("abl-goal", func() {
-			experiments.FprintAblation(os.Stdout, "dynamic vs fixed goal vector (S5)", rows)
-		})
-	}
-}
-
-func BenchmarkAblationStateNets(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationStateNets(c.M)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("abl-nets", func() {
-			experiments.FprintAblation(os.Stdout, "single vs per-resource state nets (S4)", rows)
-		})
-	}
-}
-
-func BenchmarkAblationWindowSize(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationWindow(c.M, []int{1, 5, 10, 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("abl-window", func() {
-			experiments.FprintAblation(os.Stdout, "window size sweep, GA picker (S4)", rows)
-		})
-	}
-}
-
-func BenchmarkAblationBackfill(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBackfill(c.M)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("abl-backfill", func() {
-			experiments.FprintAblation(os.Stdout, "EASY backfilling on/off (S4)", rows)
-		})
-	}
-}
-
-func BenchmarkAblationPickers(b *testing.B) {
-	c := sharedCampaign()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationPickers(c.M)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("abl-pickers", func() {
-			experiments.FprintAblation(os.Stdout, "list-scheduling picker family (S4)", rows)
-		})
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Substrate microbenchmarks.
@@ -414,18 +131,6 @@ func BenchmarkTrainStepSingleWorker(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.TrainStep()
-	}
-}
-
-// BenchmarkTrainStepReference is the sample-at-a-time (bsz=1) training step
-// with the dense dueling backward — the baseline the batched engine is
-// required to beat by >=3x.
-func BenchmarkTrainStepReference(b *testing.B) {
-	agent := trainReadyAgent(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainStepReference()
 	}
 }
 

@@ -1,21 +1,25 @@
-// Command mrsch-exp regenerates the paper's evaluation figures (§V) as text
-// tables — the MLP-vs-CNN ablation (Figure 3), curriculum orderings
-// (Figure 4), the four-method comparison (Figures 5-7), dynamic resource
-// prioritizing (Figures 8-9), the three-resource case study (Figure 10),
-// and the Figure 1 motivating example — and runs declarative scenario
-// campaigns (internal/scenario).
+// Command mrsch-exp runs declarative scenario campaigns (internal/scenario)
+// and regenerates the paper's evaluation figures (§V) as text tables. -fig
+// and -campaign are one path. A figure that is a scenario x method grid is
+// a builtin campaign under a figure-shaped renderer — Figure 3 is fig3,
+// Figures 5-7 are fig567, Figure 10 is fig10, "sweep" is paper — and its
+// rows are exactly the cells -campaign prints for that name. The others
+// (Figures 1, 4, 8, 9 and the five ablations) are studies on the same run's
+// materials and family models. One run serves a whole invocation, so a
+// family model is trained once however many figures read it.
 //
 // Usage:
 //
-//	mrsch-exp [-scale quick|standard|tiny] [-fig all|1|3|4|5|6|7|8|9|10|sweep] [-parallel 4] [-pipeline]
+//	mrsch-exp [-scale quick|standard|tiny] [-fig all|1|3|4|5|6|7|8|9|10|sweep|ablations] [-parallel 4] [-pipeline]
+//	mrsch-exp -fig 3,5 [-checkpoint dir [-resume]] [-workers 2] [-report file] [-dry-run]
 //	mrsch-exp -campaign spec.json [-parallel 4] [-pipeline] [-checkpoint dir [-resume]] [-report file]
-//	mrsch-exp -campaign paper|theta-variants|theta-skew [-scale quick]
+//	mrsch-exp -campaign paper|theta-variants|theta-skew|fig3|fig567|fig10 [-scale quick]
 //	mrsch-exp -campaign spec.json -dry-run
 //	mrsch-exp -campaign spec.json -workers 4 [-fault-plan faults.json]
 //	mrsch-exp -campaign spec.json -workers 4 -listen :7077
 //	mrsch-exp -worker [-connect host:7077]
 //	mrsch-exp -prune -checkpoint dir [-dry-run]
-//	mrsch-exp -dump-campaign paper|theta-variants|theta-skew [-scale quick]
+//	mrsch-exp -dump-campaign paper|theta-variants|theta-skew|fig3|fig567|fig10 [-scale quick]
 //	mrsch-exp -list
 //
 // -campaign runs a campaign spec: a JSON file (see -dump-campaign for the
@@ -25,17 +29,17 @@
 //
 // -dump-campaign writes a builtin campaign as JSON to stdout at the
 // selected -scale — the starting point for custom specs, and the golden
-// file CI pins (specs/paper-campaign.json).
+// files CI pins (specs/paper-campaign.json, specs/fig567-campaign.json).
 //
 // -list prints the builtin scenarios (Table III S1-S10 and the
 // ingested-trace transfer family T1-T5), methods, variant axes (div,
 // interarrival, walltime-noise, zipf user skew, and Markov-modulated
-// bursty arrivals), and campaigns, generated from the spec registry.
+// bursty arrivals), campaigns, and figures with the campaign each renders,
+// generated from the spec and figure registries.
 //
 // -parallel N runs training rollouts and campaign evaluation episodes on N
-// simulator environments concurrently (0 = all CPU cores). The "sweep"
-// figure fans the full S1-S10 x method scenario grid across the same worker
-// pool. Results are reproducible for any fixed N (see internal/rollout).
+// simulator environments concurrently (0 = all CPU cores). Results are
+// reproducible for any fixed N (see internal/rollout).
 //
 // -pipeline overlaps every training campaign's episode collection with its
 // gradient steps against a versioned weight snapshot (rollout.Config
@@ -44,15 +48,16 @@
 // barrier-mode campaigns (one-round policy lag); figure tables trained
 // either way keep their qualitative shape.
 //
-// -checkpoint DIR (campaign mode only) makes campaign runs durable twice
-// over: trained family models are stored content-addressed in DIR (keyed
-// by scenario family plus a hash of the spec and training settings), so
-// re-running a finished campaign retrains zero models; and in-process
-// family training writes round-granular checkpoints there, so -resume
-// continues a preempted training run bitwise identically instead of
-// restarting it.
+// -checkpoint DIR makes runs durable twice over: trained family models are
+// stored content-addressed in DIR (keyed by scenario family plus a hash of
+// the spec and training settings), so re-running a finished campaign or
+// figure retrains zero models; and in-process family training writes
+// round-granular checkpoints there, so -resume continues a preempted
+// training run bitwise identically instead of restarting it. The studies'
+// own training runs (Figure 4, the state-nets ablation) are not
+// checkpointed.
 //
-// -workers N runs the campaign through the fault-tolerant distributed
+// -workers N runs each campaign through the fault-tolerant distributed
 // coordinator (internal/distrib) over N worker processes instead of
 // in-process goroutines. By default the workers are re-invocations of this
 // binary with -worker, speaking the frame protocol over stdio; with
@@ -60,18 +65,21 @@
 // TCP (start them with -worker -connect HOST:PORT; they must share the
 // coordinator's filesystem so the model store resolves). Family models are
 // trained exactly once by the coordinator before distribution; the collated
-// table is byte-identical to the in-process run.
+// table is byte-identical to the in-process run. Studies always run in the
+// coordinator process.
 //
 // -fault-plan FILE (with -workers) injects deterministic worker sabotage
 // from a JSON map of worker id to fault plan (see distrib.FaultPlan) —
 // the robustness smoke CI runs.
 //
-// -dry-run with -campaign validates and prints the expanded grid without
-// evaluating it; with -prune it lists prunable entries without deleting.
+// -dry-run validates and prints the expanded grid of every campaign the
+// invocation would run without evaluating it; with -prune it lists
+// prunable entries without deleting.
 //
-// -report FILE additionally writes the campaign table (exactly as printed,
-// without the surrounding timing lines) to FILE, so two runs can be
-// compared byte-for-byte.
+// -report FILE additionally writes what was rendered — the campaign table,
+// or the requested figures separated by blank lines — to FILE, without the
+// surrounding banner and timing lines, so two runs can be compared
+// byte-for-byte.
 //
 // -telemetry-addr ADDR exposes live campaign metrics (training and, with
 // -workers, coordinator counters) plus /health and pprof over HTTP, and
@@ -105,22 +113,22 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick, standard, or tiny")
-	figFlag := flag.String("fig", "all", "comma-separated figures to run: 1,3,4,5,6,7,8,9,10,sweep or all")
+	figFlag := flag.String("fig", "all", "comma-separated figures to run: 1,3,4,5,6,7,8,9,10,sweep,ablations or all")
 	seed := flag.Int64("seed", 0, "override campaign seed (0 keeps the scale default)")
 	parallel := flag.Int("parallel", 1, "parallel rollout environments (0 = all CPU cores)")
 	pipeline := flag.Bool("pipeline", false, "overlap collection with training against a versioned weight snapshot")
-	campaignFlag := flag.String("campaign", "", "run a campaign: a spec JSON file or a builtin name (paper, theta-variants)")
-	checkpoint := flag.String("checkpoint", "", "campaign mode: directory for the family-model store and training checkpoints")
-	resume := flag.Bool("resume", false, "campaign mode: resume preempted family training from -checkpoint")
-	dumpFlag := flag.String("dump-campaign", "", "write a builtin campaign spec (paper, theta-variants) as JSON to stdout and exit")
-	listFlag := flag.Bool("list", false, "list builtin scenarios, methods, theta-variant axes, and campaigns, then exit")
+	campaignFlag := flag.String("campaign", "", "run a campaign instead of figures: a spec JSON file or a builtin name (see -list)")
+	checkpoint := flag.String("checkpoint", "", "directory for the family-model store and training checkpoints")
+	resume := flag.Bool("resume", false, "resume preempted family training from -checkpoint")
+	dumpFlag := flag.String("dump-campaign", "", "write a builtin campaign spec (see -list) as JSON to stdout and exit")
+	listFlag := flag.Bool("list", false, "list builtin scenarios, methods, theta-variant axes, campaigns, and figures, then exit")
 	workerFlag := flag.Bool("worker", false, "run as a distributed campaign worker (protocol on stdio, or TCP with -connect)")
 	connectFlag := flag.String("connect", "", "worker mode: dial the coordinator at host:port instead of using stdio")
-	distWorkers := flag.Int("workers", 0, "campaign mode: distribute cells over N worker processes (0 = in-process)")
-	listenFlag := flag.String("listen", "", "campaign mode: accept -workers N TCP workers at this address instead of spawning them")
-	faultFlag := flag.String("fault-plan", "", "campaign mode with -workers: JSON file mapping worker id to an injected fault plan")
-	dryRun := flag.Bool("dry-run", false, "with -campaign: validate and print the grid without running; with -prune: list without deleting")
-	reportFlag := flag.String("report", "", "campaign mode: also write the campaign table to this file (byte-comparable across runs)")
+	distWorkers := flag.Int("workers", 0, "distribute each campaign's cells over N worker processes (0 = in-process)")
+	listenFlag := flag.String("listen", "", "accept -workers N TCP workers at this address instead of spawning them")
+	faultFlag := flag.String("fault-plan", "", "with -workers: JSON file mapping worker id to an injected fault plan")
+	dryRun := flag.Bool("dry-run", false, "validate and print the campaign grids without running; with -prune: list without deleting")
+	reportFlag := flag.String("report", "", "also write the rendered campaign table or figures to this file (byte-comparable across runs)")
 	pruneFlag := flag.Bool("prune", false, "garbage-collect the -checkpoint model store against the builtin-campaign keep-set")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /health, and pprof over HTTP at this address (empty = off)")
 	journalPath := flag.String("journal", "", "append run events as JSONL to this file (empty = off)")
@@ -142,7 +150,7 @@ func main() {
 
 	// Telemetry is observe-only end to end (rollout rule 11, distrib rule
 	// 10): campaign and figure results are identical with or without it.
-	var tel telemetrySinks
+	var opt experiments.CampaignOptions
 	if *telemetryAddr != "" {
 		reg := telemetry.NewRegistry()
 		tsrv, err := telemetry.ListenAndServe(*telemetryAddr, reg)
@@ -152,7 +160,7 @@ func main() {
 		}
 		defer tsrv.Close()
 		logger.Event("telemetry", "addr", tsrv.Addr())
-		tel.reg = reg
+		opt.Metrics = reg
 	}
 	if *journalPath != "" {
 		j, err := telemetry.OpenJournal(*journalPath)
@@ -161,7 +169,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer j.Close()
-		tel.journal = j
+		opt.Journal = j
 	}
 
 	// A negative -parallel used to fall back to all cores silently via the
@@ -213,35 +221,54 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mrsch-exp: -listen and -fault-plan apply to distributed campaigns; set -workers N")
 		os.Exit(2)
 	}
+	opt.Workers = *parallel
+	opt.Pipelined = *pipeline
+	opt.ModelDir = *checkpoint
+	opt.CheckpointDir = *checkpoint
+	opt.Resume = *resume
+	dist := distConfig{
+		workers:   *distWorkers,
+		listen:    *listenFlag,
+		faultPlan: *faultFlag,
+		dryRun:    *dryRun,
+		report:    *reportFlag,
+	}
 	if *campaignFlag != "" {
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		runCampaign(*campaignFlag, scaleSpec, *parallel, *pipeline, *checkpoint, *resume, set["scale"], set["seed"], *seed, distConfig{
-			workers:   *distWorkers,
-			listen:    *listenFlag,
-			faultPlan: *faultFlag,
-			dryRun:    *dryRun,
-			report:    *reportFlag,
-		}, tel)
+		spec, err := loadCampaign(*campaignFlag, scaleSpec, set["scale"], set["seed"], *seed)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mrsch-exp: %v\n", err)
+			os.Exit(1)
+		}
+		banner := fmt.Sprintf("MRSch campaign %s — scale=%s (Theta/%d, seed %d), %d scenarios x %d methods",
+			spec.Name, spec.Scale.Name, spec.Scale.Div, spec.Scale.Seed, len(spec.Scenarios), len(spec.Methods))
+		runCampaign(banner, spec, []experiments.Figure{{
+			Spec:   spec,
+			Render: func(w io.Writer, results []experiments.CellResult) { experiments.FprintCells(w, spec.Name, results) },
+		}}, opt, dist)
 		return
 	}
-	if *checkpoint != "" {
-		fmt.Fprintln(os.Stderr, "mrsch-exp: -checkpoint applies to campaign mode only; run it with -campaign (figure-mode training is not checkpointed)")
+
+	// Figure mode: the requested figures share one run, opened on the
+	// four-method grid whose MRSch families the studies read.
+	figures, err := selectFigures(*figFlag, scaleSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrsch-exp: %v\n", err)
 		os.Exit(2)
 	}
-	if *distWorkers > 0 || *dryRun || *reportFlag != "" {
-		fmt.Fprintln(os.Stderr, "mrsch-exp: -workers, -dry-run, and -report apply to campaign mode; run them with -campaign")
-		os.Exit(2)
+	base, err := scenario.CampaignByName("fig567", scaleSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrsch-exp: %v\n", err)
+		os.Exit(1)
 	}
-
-	runFigures(scaleSpec, *figFlag, *parallel, *pipeline, tel)
-}
-
-// telemetrySinks carries the process-wide telemetry knobs (-telemetry-addr,
-// -journal) into campaign and figure runs.
-type telemetrySinks struct {
-	reg     *telemetry.Registry
-	journal *telemetry.Journal
+	mode := "barrier"
+	if *pipeline {
+		mode = "pipelined"
+	}
+	banner := fmt.Sprintf("MRSch experiment campaign — scale=%s (Theta/%d, window %d, seed %d, %s training)",
+		scaleSpec.Name, scaleSpec.Div, scaleSpec.Window, scaleSpec.Seed, mode)
+	runCampaign(banner, base, figures, opt, dist)
 }
 
 // runWorker is the -worker entry point: serve the distributed campaign
@@ -302,54 +329,85 @@ type distConfig struct {
 	listen    string // accept TCP workers here instead of spawning
 	faultPlan string // JSON fault-injection file
 	dryRun    bool   // validate and print the grid, don't run
-	report    string // also write the campaign table to this file
+	report    string // also write the rendered figures to this file
 }
 
-// runCampaign resolves a builtin name or spec file and runs it. A spec
-// file carries its own scale, so an explicit -scale is rejected rather
-// than silently ignored; an explicit -seed overrides the file's seed.
-func runCampaign(ref string, scaleSpec scenario.ScaleSpec, parallel int, pipeline bool, checkpoint string, resume bool, scaleSet, seedSet bool, seed int64, dist distConfig, tel telemetrySinks) {
+// selectFigures resolves a -fig list ("all" or comma-separated names)
+// against the figure registry, in the registry's printing order.
+func selectFigures(figs string, scale scenario.ScaleSpec) ([]experiments.Figure, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(figs, ",") {
+		want[strings.TrimSpace(f)] = true
+	}
+	all := want["all"]
+	delete(want, "all")
+	var out []experiments.Figure
+	for _, fig := range experiments.Figures(scale) {
+		if all || want[fig.Name] {
+			out = append(out, fig)
+		}
+		delete(want, fig.Name)
+	}
+	for name := range want {
+		return nil, fmt.Errorf("-fig: unknown figure %q (see -list)", name)
+	}
+	return out, nil
+}
+
+// loadCampaign resolves a builtin name or spec file. A spec file carries
+// its own scale, so an explicit -scale is rejected rather than silently
+// ignored; an explicit -seed overrides the file's seed.
+func loadCampaign(ref string, scaleSpec scenario.ScaleSpec, scaleSet, seedSet bool, seed int64) (scenario.CampaignSpec, error) {
+	if spec, err := scenario.CampaignByName(ref, scaleSpec); err == nil {
+		return spec, nil
+	}
+	f, err := os.Open(ref)
+	if err != nil {
+		return scenario.CampaignSpec{}, fmt.Errorf("-campaign %q is neither a builtin campaign nor a readable spec file: %w", ref, err)
+	}
+	spec, err := scenario.Load(f)
+	f.Close()
+	if err != nil {
+		return spec, err
+	}
+	if scaleSet {
+		return spec, fmt.Errorf("-scale applies to builtin campaigns only; spec file %s carries its own scale (%s)", ref, spec.Scale.Name)
+	}
+	if seedSet {
+		spec.Scale.Seed = seed
+	}
+	return spec, nil
+}
+
+// runCampaign renders the figures in order on one campaign run opened on
+// base, so a family model one figure trained serves the next; -campaign is
+// the one-figure case, a grid under the plain cell table. Grids are
+// evaluated in-process or, with -workers, by the distributed coordinator
+// (which resolves models through the -checkpoint store, as does the run);
+// figures that render the same campaign share its results. Every figure
+// prints followed by a blank line; with -report the figures, joined by
+// blank lines, are also written to a file for byte-for-byte comparison
+// across runs.
+func runCampaign(banner string, base scenario.CampaignSpec, figures []experiments.Figure, opt experiments.CampaignOptions, dist distConfig) {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "mrsch-exp: %v\n", err)
 		os.Exit(1)
 	}
-	spec, err := scenario.CampaignByName(ref, scaleSpec)
-	if err != nil {
-		f, ferr := os.Open(ref)
-		if ferr != nil {
-			fail(fmt.Errorf("-campaign %q is neither a builtin campaign nor a readable spec file: %w", ref, ferr))
-		}
-		spec, err = scenario.Load(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		if scaleSet {
-			fail(fmt.Errorf("-scale applies to builtin campaigns only; spec file %s carries its own scale (%s)", ref, spec.Scale.Name))
-		}
-		if seedSet {
-			spec.Scale.Seed = seed
-		}
-	}
 	if dist.dryRun {
-		if err := dryRunCampaign(os.Stdout, spec); err != nil {
-			fail(err)
+		listed := map[string]bool{}
+		for _, fig := range figures { // a study has no grid to list
+			if fig.Study == nil && !listed[fig.Spec.Name] {
+				listed[fig.Spec.Name] = true
+				if err := dryRunCampaign(os.Stdout, fig.Spec); err != nil {
+					fail(err)
+				}
+			}
 		}
 		return
 	}
-	fmt.Printf("MRSch campaign %s — scale=%s (Theta/%d, seed %d), %d scenarios x %d methods\n\n",
-		spec.Name, spec.Scale.Name, spec.Scale.Div, spec.Scale.Seed, len(spec.Scenarios), len(spec.Methods))
+	fmt.Printf("%s\n\n", banner)
 	start := time.Now()
-	opt := experiments.CampaignOptions{
-		Workers:       parallel,
-		Pipelined:     pipeline,
-		ModelDir:      checkpoint,
-		CheckpointDir: checkpoint,
-		Resume:        resume,
-		Metrics:       tel.reg,
-		Journal:       tel.journal,
-	}
-	if checkpoint != "" {
+	if opt.ModelDir != "" {
 		opt.OnModel = func(family, action, path string) {
 			switch action {
 			case "cached":
@@ -359,28 +417,59 @@ func runCampaign(ref string, scaleSpec scenario.ScaleSpec, parallel int, pipelin
 			}
 		}
 	}
-	var results []experiments.CellResult
-	if dist.workers > 0 {
-		results, err = runDistributed(spec, opt, dist, tel)
-	} else {
-		results, err = experiments.RunCampaign(spec, opt)
-	}
-	// Cell failures don't abort the rest of the grid: print whatever
-	// completed before reporting the failures.
-	if len(results) > 0 {
-		if rerr := renderResults(spec.Name, results, dist.report); rerr != nil {
-			fail(rerr)
-		}
-	}
+	run, err := experiments.OpenCampaign(base, opt)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("\ncampaign finished in %v\n", time.Since(start).Round(time.Millisecond))
+	results := map[string][]experiments.CellResult{}
+	var report bytes.Buffer
+	var failed error
+	for i, fig := range figures {
+		var buf bytes.Buffer
+		var err error
+		if fig.Study != nil {
+			if err = fig.Study(&buf, run); err != nil {
+				err = fmt.Errorf("figure %s: %w", fig.Name, err)
+			}
+		} else {
+			cells, done := results[fig.Spec.Name]
+			if !done {
+				if dist.workers > 0 {
+					cells, err = runDistributed(fig.Spec, opt, dist)
+				} else {
+					cells, err = run.Run(fig.Spec)
+				}
+				results[fig.Spec.Name] = cells
+			}
+			// Cell failures don't abort the rest of the grid: render
+			// whatever completed before reporting the failures.
+			if len(cells) > 0 {
+				fig.Render(&buf, cells)
+			}
+		}
+		fmt.Printf("%s\n", buf.Bytes())
+		if i > 0 {
+			report.WriteByte('\n')
+		}
+		report.Write(buf.Bytes())
+		if failed = err; failed != nil {
+			break
+		}
+	}
+	if dist.report != "" {
+		if err := os.WriteFile(dist.report, report.Bytes(), 0o644); err != nil {
+			fail(fmt.Errorf("-report: %w", err))
+		}
+	}
+	if failed != nil {
+		fail(failed)
+	}
+	fmt.Printf("campaign finished in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 // runDistributed runs the campaign through the internal/distrib coordinator
 // over worker processes (spawned, or dialing in over TCP with -listen).
-func runDistributed(spec scenario.CampaignSpec, opt experiments.CampaignOptions, dist distConfig, tel telemetrySinks) ([]experiments.CellResult, error) {
+func runDistributed(spec scenario.CampaignSpec, opt experiments.CampaignOptions, dist distConfig) ([]experiments.CellResult, error) {
 	var faults distrib.Faults
 	if dist.faultPlan != "" {
 		f, err := os.Open(dist.faultPlan)
@@ -409,8 +498,8 @@ func runDistributed(spec scenario.CampaignSpec, opt experiments.CampaignOptions,
 	dopt := distrib.Options{
 		Seed:    spec.Scale.Seed,
 		Faults:  faults,
-		Metrics: tel.reg,
-		Journal: tel.journal,
+		Metrics: opt.Metrics,
+		Journal: opt.Journal,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "mrsch-exp: "+format+"\n", args...)
 		},
@@ -432,22 +521,6 @@ func dryRunCampaign(w io.Writer, spec scenario.CampaignSpec) error {
 	fmt.Fprintf(w, "campaign %s: %d cells, fingerprint %s\n", spec.Name, len(cells), fp)
 	for _, c := range cells {
 		fmt.Fprintf(w, "  %4d  %s\n", c.Index, c.Label())
-	}
-	return nil
-}
-
-// renderResults prints the campaign table and, with -report, writes the
-// identical bytes to a file for byte-for-byte comparison across runs.
-func renderResults(name string, results []experiments.CellResult, report string) error {
-	var buf bytes.Buffer
-	experiments.FprintCells(&buf, name, results)
-	if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if report != "" {
-		if err := os.WriteFile(report, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("-report: %w", err)
-		}
 	}
 	return nil
 }
@@ -477,148 +550,12 @@ func printRegistry() {
 	for _, c := range scenario.BuiltinCampaigns(scenario.QuickScaleSpec()) {
 		fmt.Printf("  %-15s %d scenarios x %d methods  %s\n", c.Name, len(c.Scenarios), len(c.Methods), c.Description)
 	}
-}
-
-// runFigures reproduces the paper figures (the legacy mode).
-func runFigures(scaleSpec scenario.ScaleSpec, figs string, parallel int, pipeline bool, tel telemetrySinks) {
-	sc := experiments.ScaleFromSpec(scaleSpec)
-	sc.RolloutWorkers = parallel
-	sc.Pipelined = pipeline
-	sc.Metrics = tel.reg
-	sc.Journal = tel.journal
-
-	want := map[string]bool{}
-	if figs == "all" {
-		for _, f := range []string{"1", "3", "4", "5", "6", "7", "8", "9", "10", "ablations", "sweep"} {
-			want[f] = true
-		}
-	} else {
-		for _, f := range strings.Split(figs, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-
-	mode := "barrier"
-	if sc.Pipelined {
-		mode = "pipelined"
-	}
-	fmt.Printf("MRSch experiment campaign — scale=%s (Theta/%d, window %d, seed %d, %s training)\n\n",
-		sc.Name, sc.Div, sc.Window, sc.Seed, mode)
-	start := time.Now()
-
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "mrsch-exp: %v\n", err)
-		os.Exit(1)
-	}
-
-	c, err := experiments.NewCampaign(sc)
-	if err != nil {
-		fail(err)
-	}
-
-	if want["1"] {
-		r, err := experiments.Figure1()
-		if err != nil {
-			fail(err)
-		}
-		experiments.FprintFigure1(os.Stdout, r)
-		fmt.Println()
-	}
-	if want["3"] {
-		rows, err := experiments.Figure3(c)
-		if err != nil {
-			fail(err)
-		}
-		experiments.FprintFigure3(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want["4"] {
-		series, err := experiments.Figure4(c, "S4")
-		if err != nil {
-			fail(err)
-		}
-		experiments.FprintFigure4(os.Stdout, series)
-		fmt.Println()
-	}
-	var rows56 []experiments.MethodReports
-	if want["5"] || want["6"] || want["7"] {
-		var err error
-		rows56, err = experiments.Figures56(c)
-		if err != nil {
-			fail(err)
-		}
-	}
-	if want["5"] {
-		experiments.FprintFigure5(os.Stdout, rows56)
-		fmt.Println()
-	}
-	if want["6"] {
-		experiments.FprintFigure6(os.Stdout, rows56)
-		fmt.Println()
-	}
-	if want["7"] {
-		experiments.FprintFigure7(os.Stdout, rows56)
-		fmt.Println()
-	}
-	if want["8"] {
-		samples, err := experiments.Figure8(c)
-		if err != nil {
-			fail(err)
-		}
-		experiments.FprintFigure8(os.Stdout, samples)
-		fmt.Println()
-	}
-	if want["9"] {
-		rows, err := experiments.Figure9(c)
-		if err != nil {
-			fail(err)
-		}
-		experiments.FprintFigure9(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want["10"] {
-		rows, err := experiments.Figure10(c)
-		if err != nil {
-			fail(err)
-		}
-		experiments.FprintFigure10(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want["sweep"] {
-		results, err := experiments.RunSweep(c.M, experiments.SweepGrid(nil), sc.RolloutWorkers)
-		if err != nil {
-			fail(err)
-		}
-		experiments.FprintSweep(os.Stdout, results)
-		fmt.Println()
-	}
-	if want["ablations"] {
-		if rows, err := experiments.AblationGoal(c); err != nil {
-			fail(err)
+	fmt.Println("\nFigures (-fig), each a rendering of a campaign's cells or a study on the run:")
+	for _, f := range experiments.Figures(scenario.QuickScaleSpec()) {
+		if f.Study == nil {
+			fmt.Printf("  %-10s campaign %s\n", f.Name, f.Spec.Name)
 		} else {
-			experiments.FprintAblation(os.Stdout, "dynamic vs fixed goal vector (S5)", rows)
+			fmt.Printf("  %-10s study\n", f.Name)
 		}
-		if rows, err := experiments.AblationStateNets(c.M); err != nil {
-			fail(err)
-		} else {
-			experiments.FprintAblation(os.Stdout, "single vs per-resource state nets (S4)", rows)
-		}
-		if rows, err := experiments.AblationWindow(c.M, nil); err != nil {
-			fail(err)
-		} else {
-			experiments.FprintAblation(os.Stdout, "window size sweep (S4)", rows)
-		}
-		if rows, err := experiments.AblationBackfill(c.M); err != nil {
-			fail(err)
-		} else {
-			experiments.FprintAblation(os.Stdout, "EASY backfilling on/off (S4)", rows)
-		}
-		if rows, err := experiments.AblationPickers(c.M); err != nil {
-			fail(err)
-		} else {
-			experiments.FprintAblation(os.Stdout, "list-scheduling pickers (S4)", rows)
-		}
-		fmt.Println()
 	}
-	fmt.Printf("campaign finished in %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -1,17 +1,23 @@
 // Command mrsch-sim replays one workload through one scheduling method and
 // prints the §IV-B metrics. It is the single-run counterpart of mrsch-exp:
-// useful for trying a scheduler on a generated trace file or on a built-in
-// scenario — Table III S1-S10, the ingested-trace transfer family T1-T5,
-// and variant syntax all resolve (e.g. "S4@wtn=0.5", "S4@zipf=0.9",
-// "S4@burst=5x0.25"; see internal/scenario). Variant and trace scenarios
-// prepare their own base materials, exactly like the campaign runner, so
-// e.g. `-method mrsch -model s4.model -workload T4` measures cross-machine
+// a one-scenario, one-method campaign (internal/experiments), so the method
+// is built, trained, seeded and evaluated exactly as that cell of a larger
+// campaign would be. Built-in scenarios — Table III S1-S10, the
+// ingested-trace transfer family T1-T5, and variant syntax (e.g.
+// "S4@wtn=0.5", "S4@zipf=0.9", "S4@burst=5x0.25"; see internal/scenario) —
+// prepare their own base materials like any campaign cell, so e.g.
+// `-method mrsch -model s4.model -workload T4` measures cross-machine
 // transfer of an S4-trained model.
+//
+// With -trace FILE the jobs come from a trace file (cmd/mrsch-gen) instead
+// and replay on a Theta/-div machine; the policy is still the campaign
+// cell's, with -workload naming the scenario family a trained method learns
+// on (a power scenario for a three-resource trace).
 //
 // Usage:
 //
 //	mrsch-sim -method mrsch|optimization|rl|fcfs -workload S1..S10|T1..T5
-//	          [-scale quick|standard] [-model mrsch-s1.model]
+//	          [-scale quick|standard|tiny] [-model mrsch-s1.model]
 //	mrsch-sim -method fcfs -trace trace.txt -div 16
 package main
 
@@ -20,14 +26,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/sched"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -35,142 +36,92 @@ func main() {
 	wl := flag.String("workload", "S1", "built-in workload S1-S10")
 	traceFile := flag.String("trace", "", "replay a trace file instead of a built-in workload")
 	div := flag.Int("div", 16, "Theta divisor for -trace replays")
-	scaleFlag := flag.String("scale", "quick", "quick or standard")
+	scaleFlag := flag.String("scale", "quick", "quick, standard, or tiny")
 	model := flag.String("model", "", "pre-trained MRSch weights (otherwise trains in-process)")
 	flag.Parse()
 
-	var sc experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "standard":
-		sc = experiments.StandardScale()
-	default:
-		fmt.Fprintf(os.Stderr, "mrsch-sim: unknown scale %q\n", *scaleFlag)
+	scale, err := scenario.ScaleByName(*scaleFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrsch-sim: %v\n", err)
 		os.Exit(2)
 	}
-
-	sys, jobs, power := loadWorkload(sc, *wl, *traceFile, *div)
-	powerIdx := -1
-	if power {
-		powerIdx = 2
+	if *method == "rl" {
+		*method = string(scenario.KindScalarRL)
 	}
-
-	var report metrics.Report
-	var err error
-	switch *method {
-	case "fcfs":
-		report, err = experiments.Evaluate(sys, experiments.FCFSPolicy(sc.Window), jobs, experiments.MethodHeuristic, *wl, powerIdx)
-	case "optimization":
-		policy := sched.NewWindowPolicy(experiments.NewGA(sc.Seed+29), sc.Window)
-		report, err = experiments.Evaluate(sys, policy, jobs, experiments.MethodOptimize, *wl, powerIdx)
-	case "rl":
-		m, perr := materialsFor(sc, *wl)
-		if perr != nil {
-			fail(perr)
-		}
-		var agent interface {
-			Policy() *sched.WindowPolicy
-		}
-		agent, err = experiments.TrainScalarRL(m, trainingFamily(*wl), sys, power)
-		if err == nil {
-			report, err = experiments.Evaluate(sys, agent.Policy(), jobs, experiments.MethodScalarRL, *wl, powerIdx)
-		}
-	case "mrsch":
-		var agent *core.MRSch
-		agent, err = mrschAgent(sc, *wl, power, *model)
-		if err == nil {
-			report, err = experiments.Evaluate(sys, agent.Policy(), jobs, experiments.MethodMRSch, *wl, powerIdx)
-		}
-	default:
+	spec, err := scenario.MethodByName(*method)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrsch-sim: unknown method %q\n", *method)
 		os.Exit(2)
 	}
+	if spec.Kind == scenario.KindMRSch && *model != "" {
+		spec.Model = *model
+	} else {
+		spec.Train = spec.Kind.Trained()
+	}
+	sp, err := scenario.ByName(*wl)
+	if err != nil {
+		fail(err)
+	}
+	if *traceFile != "" {
+		scale.Div = *div // the machine the trace replays on, and the one a trained method learns
+	}
+	campaign := scenario.CampaignSpec{
+		Name:      "sim",
+		Scale:     scale,
+		Scenarios: []scenario.ScenarioSpec{sp},
+		Methods:   []scenario.MethodSpec{spec},
+	}
+	opt := experiments.CampaignOptions{Workers: 1}
+
+	if *traceFile == "" {
+		results, err := experiments.RunCampaign(campaign, opt)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(results[0].Report.String())
+		return
+	}
+
+	jobs := readTrace(*traceFile)
+	power := len(jobs[0].Demand) == 3
+	if spec.Kind.Trained() && power != sp.Power {
+		fail(fmt.Errorf("trace %s has %d resources but -workload %s, the family %s learns on, has %d", *traceFile, len(jobs[0].Demand), sp.Name, spec.Kind, sp.Arity()))
+	}
+	run, err := experiments.OpenCampaign(campaign, opt)
+	if err != nil {
+		fail(err)
+	}
+	policy, err := run.Policy(run.Cells()[0])
+	if err != nil {
+		fail(err)
+	}
+	sc := experiments.ScaleFromSpec(scale)
+	sys := sc.System()
+	if power {
+		sys = sc.PowerSystem()
+	}
+	report, err := experiments.Evaluate(sys, policy, jobs, spec.DisplayName(), *wl, sys.ResourceIndex("power_kw"))
 	if err != nil {
 		fail(err)
 	}
 	fmt.Println(report.String())
 }
 
-// loadWorkload resolves either a trace file or a built-in scenario.
-func loadWorkload(sc experiments.Scale, wl, traceFile string, div int) (cluster.Config, []*job.Job, bool) {
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		jobs, err := job.ReadTrace(f)
-		if err != nil {
-			fail(err)
-		}
-		if len(jobs) == 0 {
-			fail(fmt.Errorf("trace %s is empty", traceFile))
-		}
-		if len(jobs[0].Demand) == 3 {
-			return workload.WithPower(workload.ThetaScaled(div)), jobs, true
-		}
-		return workload.ThetaScaled(div), jobs, false
-	}
-	sp, err := scenario.ByName(wl)
+// readTrace loads a non-empty trace file.
+func readTrace(path string) []*job.Job {
+	f, err := os.Open(path)
 	if err != nil {
 		fail(err)
 	}
-	m, err := experiments.PrepareFor(sc, sp)
+	defer f.Close()
+	jobs, err := job.ReadTrace(f)
 	if err != nil {
 		fail(err)
 	}
-	jobs, err := m.WorkloadSpec(sp)
-	if err != nil {
-		fail(err)
+	if len(jobs) == 0 {
+		fail(fmt.Errorf("trace %s is empty", path))
 	}
-	return m.SystemFor(sp), jobs, sp.Power
-}
-
-// materialsFor prepares the materials a workload trains against: variant
-// and trace scenarios fold their base-trace overrides into the scale
-// (experiments.PrepareFor, the campaign runner's path); trace-file labels
-// fall back to the plain campaign materials.
-func materialsFor(sc experiments.Scale, wl string) (*experiments.Materials, error) {
-	if sp, err := scenario.ByName(wl); err == nil {
-		return experiments.PrepareFor(sc, sp)
-	}
-	return experiments.Prepare(sc)
-}
-
-// mrschAgent loads pre-trained weights or trains in-process.
-func mrschAgent(sc experiments.Scale, wl string, power bool, model string) (*core.MRSch, error) {
-	if model != "" {
-		agent := experiments.NewMRSchUntrained(sc, power)
-		f, err := os.Open(model)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := agent.Load(f); err != nil {
-			return nil, err
-		}
-		return agent, nil
-	}
-	m, err := materialsFor(sc, wl)
-	if err != nil {
-		return nil, err
-	}
-	if power {
-		return experiments.TrainMRSchPower(m, trainingFamily(wl))
-	}
-	agent, _, err := experiments.TrainMRSch(m, trainingFamily(wl), false)
-	return agent, err
-}
-
-// trainingFamily resolves the workload's model family: theta variants train
-// on their base scenario's curriculum (matching the campaign runner) and
-// are evaluated on the variant workload. Trace-file labels pass through.
-func trainingFamily(wl string) string {
-	if sp, err := scenario.ByName(wl); err == nil {
-		return sp.FamilyName()
-	}
-	return wl
+	return jobs
 }
 
 func fail(err error) {

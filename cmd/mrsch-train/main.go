@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mrsch-train -workload S4 [-scale quick|standard] [-parallel 4] [-pipeline] [-out mrsch-s4.model]
+//	mrsch-train -workload S4 [-scale quick|standard|tiny] [-parallel 4] [-pipeline] [-out mrsch-s4.model]
 //
 // -parallel N collects training episodes from N simulator environments
 // concurrently (0 = all CPU cores) through the internal/rollout harness;
@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/nn"
 	"repro/internal/rollout"
@@ -58,7 +57,7 @@ import (
 
 func main() {
 	wl := flag.String("workload", "S1", "Table III workload (S1-S5)")
-	scaleFlag := flag.String("scale", "quick", "training scale: quick or standard")
+	scaleFlag := flag.String("scale", "quick", "training scale: quick, standard, or tiny")
 	out := flag.String("out", "", "weights output file (default mrsch-<workload>.model)")
 	cnn := flag.Bool("cnn", false, "use the CNN state module (Figure 3 ablation)")
 	validate := flag.Bool("validate", false, "keep the best weights by validation score (§IV-A protocol)")
@@ -95,16 +94,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mrsch-train: -checkpoint-every must be >= 1, got %d\n", *checkpointEvery)
 		os.Exit(2)
 	}
-	var sc experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "standard":
-		sc = experiments.StandardScale()
-	default:
-		fmt.Fprintf(os.Stderr, "mrsch-train: unknown scale %q\n", *scaleFlag)
+	scaleSpec, err := scenario.ScaleByName(*scaleFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrsch-train: %v\n", err)
 		os.Exit(2)
 	}
+	sc := experiments.ScaleFromSpec(scaleSpec)
 
 	// Reject unknown workloads before generating materials; curricula exist
 	// for the two-resource Table III scenarios only.
@@ -163,22 +158,17 @@ func main() {
 	}
 	fmt.Printf("training MRSch on %s (scale %s: Theta/%d, %d sets x %d jobs per kind, %d rollout workers, %s)\n",
 		*wl, sc.Name, sc.Div, sc.SetsPerKind, sc.SetSize, rollout.ResolveWorkers(sc.RolloutWorkers), mode)
-	var agent *core.MRSch
-	var results []core.EpisodeResult
-	if *validate {
-		var best core.ValidationMetrics
-		agent, results, best, err = experiments.TrainMRSchValidated(m, *wl)
-		if err == nil {
-			fmt.Printf("best validation score %.4f (mean utilization), wait %.2f h, slowdown %.2f\n",
-				best.Score, best.AvgWaitSec/3600, best.AvgSlowdown)
-		}
-	} else {
-		agent, results, err = experiments.TrainMRSch(m, *wl, *cnn)
-	}
+	trained, err := experiments.Train(m, experiments.TrainRun{Kind: scenario.KindMRSch, Family: *wl, CNN: *cnn, Validate: *validate})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrsch-train: %v\n", err)
 		os.Exit(1)
 	}
+	if *validate {
+		best := trained.Best
+		fmt.Printf("best validation score %.4f (mean utilization), wait %.2f h, slowdown %.2f\n",
+			best.Score, best.AvgWaitSec/3600, best.AvgSlowdown)
+	}
+	agent, results := trained.MRSch, trained.Episodes
 	for i, r := range results {
 		fmt.Printf("  episode %2d [%s] loss=%.4f eps=%.3f\n", resumedAt+i+1, r.Set, r.Loss, r.Epsilon)
 	}

@@ -6,10 +6,13 @@
 // (core), the CQSim-equivalent event-driven simulator (sim), the scheduling
 // framework with window-based reservation and EASY backfilling (sched), the
 // comparison baselines (ga, rl), the workload generators (workload), the
-// evaluation metrics (metrics), and the figure-regeneration harness
-// (experiments). Executables are under cmd/, runnable walkthroughs under
-// examples/, and the benchmark harness that regenerates every figure of the
-// paper's evaluation is bench_test.go in this directory.
+// evaluation metrics (metrics), the declarative campaign specs (scenario)
+// and the campaign runner that trains, evaluates and renders them
+// (experiments): every figure of the paper's evaluation is a builtin
+// campaign or a study on a campaign run, regenerated by cmd/mrsch-exp.
+// Executables are under cmd/, runnable walkthroughs under examples/, the
+// repository benchmark under bench/, and substrate microbenchmarks in
+// bench_test.go in this directory.
 //
 // # Performance engine
 //
@@ -34,8 +37,8 @@
 //     dfp.Config.Workers goroutines with per-worker gradients reduced in
 //     fixed order — bitwise deterministic for any fixed worker count. A
 //     sample-at-a-time step over the same layers at bsz=1, with the dense
-//     dueling backward, is retained as TrainStepReference and
-//     equivalence-tested against the engine to ≤1e-12.
+//     dueling backward, lives in dfp's engine_test.go as the oracle the
+//     engine is equivalence-tested against to ≤1e-12.
 //
 // Benchmarks live in bench_test.go (BenchmarkTrainStep*, BenchmarkAct*,
 // BenchmarkDecisionLatency); BENCH_dfp.json records the current snapshot

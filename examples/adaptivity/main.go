@@ -15,18 +15,26 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 func main() {
-	sc := experiments.QuickScale()
-	sc.Div = 48
-	sc.TraceDuration = 0.5 * 86400
-	sc.SetsPerKind = 3
-	sc.SetSize = 50
-	c, err := experiments.NewCampaign(sc)
+	// Figures 8 and 9 are studies on a campaign run: they read the S1-S5
+	// MRSch family models the four-method campaign trains.
+	scale := scenario.QuickScaleSpec()
+	scale.Div = 48
+	scale.TraceDuration = 0.5 * 86400
+	scale.SetsPerKind = 3
+	scale.SetSize = 50
+	spec, err := scenario.CampaignByName("fig567", scale)
+	if err != nil {
+		log.Fatal(err)
+	}
+	c, err := experiments.OpenCampaign(spec, experiments.CampaignOptions{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,13 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("r_BB distribution per workload (Figure 9):")
-	fmt.Printf("  %-4s %8s %8s %8s %8s %8s %8s\n", "", "min", "q1", "median", "q3", "max", "mean")
-	for _, r := range rows {
-		s := r.Stats
-		fmt.Printf("  %-4s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n",
-			r.Workload, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean)
-	}
+	experiments.FprintFigure9(os.Stdout, rows)
 	fmt.Println()
 	fmt.Println("The scalar-RL baseline would sit at 0.500 on every row; the rising")
 	fmt.Println("mean from S1 to S5 is the dynamic prioritizing of §III-B at work.")

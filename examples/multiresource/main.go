@@ -14,63 +14,45 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
-	"repro/internal/sched"
+	"repro/internal/scenario"
 )
 
 func main() {
 	wl := flag.String("workload", "S4", "Table III workload (S1-S5)")
 	flag.Parse()
 
-	sc := experiments.QuickScale()
-	sc.Div = 48 // a bit smaller than the benchmark scale: this is a demo
-	sc.TraceDuration = 0.5 * 86400
-	sc.SetsPerKind = 3
-	sc.SetSize = 50
-
-	fmt.Printf("comparing 4 methods on %s (Theta/%d, %.1f-day trace)\n\n", *wl, sc.Div, sc.TraceDuration/86400)
-	c, err := experiments.NewCampaign(sc)
+	// One row of the fig567 campaign, on a machine a bit smaller than the
+	// benchmark scale: this is a demo.
+	scale := scenario.QuickScaleSpec()
+	scale.Div = 48
+	scale.TraceDuration = 0.5 * 86400
+	scale.SetsPerKind = 3
+	scale.SetSize = 50
+	spec, err := scenario.CampaignByName("fig567", scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys := sc.System()
-	jobs := c.M.Workload(*wl)
-
-	var reports []metrics.Report
-	add := func(r metrics.Report, err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		reports = append(reports, r)
-	}
-
-	agent, err := c.MRSchAgent(*wl, false, false)
+	sp, err := scenario.ByName(*wl)
 	if err != nil {
 		log.Fatal(err)
 	}
-	add(experiments.Evaluate(sys, agent.Policy(), jobs, experiments.MethodMRSch, *wl, -1))
+	spec.Scenarios = []scenario.ScenarioSpec{sp}
 
-	gaPolicy := sched.NewWindowPolicy(experiments.NewGA(sc.Seed+29), sc.Window)
-	add(experiments.Evaluate(sys, gaPolicy, jobs, experiments.MethodOptimize, *wl, -1))
-
-	rlAgent, err := experiments.TrainScalarRL(c.M, *wl, sys, false)
+	fmt.Printf("comparing 4 methods on %s (Theta/%d, %.1f-day trace)\n\n", *wl, scale.Div, scale.TraceDuration/86400)
+	results, err := experiments.RunCampaign(spec, experiments.CampaignOptions{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	add(experiments.Evaluate(sys, rlAgent.Policy(), jobs, experiments.MethodScalarRL, *wl, -1))
-
-	add(experiments.Evaluate(sys, experiments.FCFSPolicy(sc.Window), jobs, experiments.MethodHeuristic, *wl, -1))
-
-	fmt.Println("           method   node-util    bb-util   avg-wait   slowdown   kiviat-area")
-	areas := experiments.OverallScore(reports, false)
-	for i, rep := range reports {
-		fmt.Printf("%17s   %8.1f%%  %8.1f%%  %7.2f h  %9.2f  %12.3f\n",
-			rep.Method, rep.Utilization[0]*100, rep.Utilization[1]*100,
-			rep.AvgWaitHours(), rep.AvgSlowdown, areas[i])
+	// The figures are renderers over a campaign's cells, whichever cells.
+	for _, render := range []func(io.Writer, []experiments.CellResult){
+		experiments.FprintFigure5, experiments.FprintFigure6, experiments.FprintFigure7,
+	} {
+		render(os.Stdout, results)
+		fmt.Println()
 	}
-	fmt.Println()
-	fmt.Println("(larger Kiviat area = better overall, as in Figure 7)")
 }

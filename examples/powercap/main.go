@@ -14,49 +14,43 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
+	"repro/internal/scenario"
 )
 
 func main() {
-	sc := experiments.QuickScale()
-	sc.Div = 48
-	sc.TraceDuration = 0.5 * 86400
-	sc.SetsPerKind = 3
-	sc.SetSize = 50
+	// Two cells of the fig10 campaign: S9 under MRSch and under FCFS.
+	scale := scenario.QuickScaleSpec()
+	scale.Div = 48
+	scale.TraceDuration = 0.5 * 86400
+	scale.SetsPerKind = 3
+	scale.SetSize = 50
+	s9, err := scenario.ByName("S9")
+	if err != nil {
+		log.Fatal(err)
+	}
+	spec := scenario.CampaignSpec{
+		Name:      "powercap",
+		Scale:     scale,
+		Scenarios: []scenario.ScenarioSpec{s9},
+		Methods: []scenario.MethodSpec{
+			{Kind: scenario.KindMRSch, Train: true},
+			{Kind: scenario.KindHeuristic},
+		},
+	}
 
-	psys := sc.PowerSystem()
+	psys := experiments.ScaleFromSpec(scale).PowerSystem()
 	fmt.Printf("three-resource system: %d nodes, %d TB burst buffer, %d kW power budget\n\n",
 		psys.Capacities[0], psys.Capacities[1], psys.Capacities[2])
 
-	c, err := experiments.NewCampaign(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	jobs := c.M.PowerWorkload("S9")
-
-	agent, err := c.MRSchAgent("S9", false, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mrsch, err := experiments.Evaluate(psys, agent.Policy(), jobs, experiments.MethodMRSch, "S9", 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fcfs, err := experiments.Evaluate(psys, experiments.FCFSPolicy(sc.Window), jobs, experiments.MethodHeuristic, "S9", 2)
+	results, err := experiments.RunCampaign(spec, experiments.CampaignOptions{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Println("    method   node-util    bb-util   avg power   avg-wait   slowdown")
-	printRow := func(r metrics.Report) {
-		fmt.Printf("%10s   %8.1f%%  %8.1f%%  %7.1f kW  %7.2f h  %9.2f\n",
-			r.Method, r.Utilization[0]*100, r.Utilization[1]*100,
-			r.AvgSysPowerKW, r.AvgWaitHours(), r.AvgSlowdown)
-	}
-	printRow(mrsch)
-	printRow(fcfs)
+	experiments.FprintFigure10(os.Stdout, results)
 	fmt.Println()
 	fmt.Println("The site objective of §V-E is to maximize node and burst-buffer")
 	fmt.Println("utilization and the power consumption of running jobs within the")

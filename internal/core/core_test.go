@@ -189,6 +189,26 @@ func TestTrainEpisodeAccumulatesExperienceAndLoss(t *testing.T) {
 	}
 }
 
+// trainSets is the library's harness-free training loop: TrainEpisode over
+// the sets in order, with an optional model-selection protocol observing
+// every episode.
+func trainSets(m *MRSch, cfg TrainConfig, sets []JobSet, sel *Selection) ([]EpisodeResult, error) {
+	var results []EpisodeResult
+	for i, set := range sets {
+		r, err := TrainEpisode(m, cfg, set)
+		if err != nil {
+			return results, err
+		}
+		results = append(results, r)
+		if sel != nil {
+			if err := sel.AfterEpisode(i, r); err != nil {
+				return results, err
+			}
+		}
+	}
+	return results, nil
+}
+
 func TestTrainCurriculumRunsAllSets(t *testing.T) {
 	m := New(sys(), tinyOptions(13))
 	rng := rand.New(rand.NewSource(5))
@@ -202,7 +222,7 @@ func TestTrainCurriculumRunsAllSets(t *testing.T) {
 		return JobSet{Kind: kind, Jobs: jobs}
 	}
 	sets := []JobSet{mkSet(Sampled), mkSet(Real), mkSet(Synthetic)}
-	results, err := TrainCurriculum(m, TrainConfig{System: sys(), StepsPerEpisode: 2}, sets)
+	results, err := trainSets(m, TrainConfig{System: sys(), StepsPerEpisode: 2}, sets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

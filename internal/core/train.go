@@ -93,18 +93,3 @@ func TrainEpisode(m *MRSch, cfg TrainConfig, set JobSet) (EpisodeResult, error) 
 	}
 	return res, nil
 }
-
-// TrainCurriculum trains over the job sets in order (the §III-D gradual-
-// improvement principle: the set ordering *is* the experiment of Figure 4)
-// and returns the per-episode loss curve.
-func TrainCurriculum(m *MRSch, cfg TrainConfig, sets []JobSet) ([]EpisodeResult, error) {
-	results := make([]EpisodeResult, 0, len(sets))
-	for i, set := range sets {
-		r, err := TrainEpisode(m, cfg, set)
-		if err != nil {
-			return results, fmt.Errorf("core: curriculum episode %d (%s): %w", i, set.Kind, err)
-		}
-		results = append(results, r)
-	}
-	return results, nil
-}

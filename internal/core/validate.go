@@ -61,22 +61,12 @@ func Validate(m *MRSch, sys cluster.Config, jobs []*job.Job) (ValidationMetrics,
 	return vm, nil
 }
 
-// SelectionConfig extends TrainConfig with a validation workload.
-type SelectionConfig struct {
-	TrainConfig
-	// Validation is the held-out workload scored after every Every
-	// episodes (Every <= 0 means every episode).
-	Validation []*job.Job
-	Every      int
-}
-
 // Selection tracks the §IV-A model-selection protocol across a training
 // run: every Every episodes the agent is scored greedily on the validation
 // workload and the best-scoring weights are snapshotted; Finish restores
-// them. It is the single implementation of the protocol, consumed by the
-// serial TrainCurriculumWithSelection below and, as an AfterEpisode hook,
-// by the parallel rollout harness (experiments.TrainMRSchValidated) —
-// rollout calls the hook between rounds, when the weights are stable.
+// them. It is the single implementation of the protocol; the rollout
+// harness runs it as an AfterEpisode hook (experiments.Train with
+// TrainRun.Validate), between rounds, when the weights are stable.
 type Selection struct {
 	m          *MRSch
 	sys        cluster.Config
@@ -167,25 +157,4 @@ func (s *Selection) Finish() (ValidationMetrics, error) {
 		}
 	}
 	return s.best, nil
-}
-
-// TrainCurriculumWithSelection trains over the ordered job sets while
-// tracking validation score, and restores the best-scoring weights at the
-// end — the paper's §IV-A protocol. It returns the per-episode results and
-// the best validation metrics observed.
-func TrainCurriculumWithSelection(m *MRSch, cfg SelectionConfig, sets []JobSet) ([]EpisodeResult, ValidationMetrics, error) {
-	sel := NewSelection(m, cfg.System, cfg.Validation, cfg.Every)
-	results := make([]EpisodeResult, 0, len(sets))
-	for i, set := range sets {
-		r, err := TrainEpisode(m, cfg.TrainConfig, set)
-		if err != nil {
-			return results, sel.best, fmt.Errorf("core: selection episode %d: %w", i, err)
-		}
-		results = append(results, r)
-		if err := sel.AfterEpisode(i, r); err != nil {
-			return results, sel.best, err
-		}
-	}
-	best, err := sel.Finish()
-	return results, best, err
 }

@@ -50,12 +50,12 @@ func TestTrainWithSelectionKeepsBestWeights(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sets = append(sets, JobSet{Kind: Sampled, Jobs: randomJobs(int64(10+i), 20)})
 	}
-	cfg := SelectionConfig{
-		TrainConfig: TrainConfig{System: sys(), StepsPerEpisode: 4},
-		Validation:  valid,
-		Every:       1,
+	sel := NewSelection(m, sys(), valid, 1)
+	results, err := trainSets(m, TrainConfig{System: sys(), StepsPerEpisode: 4}, sets, sel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	results, best, err := TrainCurriculumWithSelection(m, cfg, sets)
+	best, err := sel.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,12 @@ func TestTrainWithSelectionKeepsBestWeights(t *testing.T) {
 func TestTrainWithSelectionNoValidationSet(t *testing.T) {
 	m := New(sys(), tinyOptions(41))
 	sets := []JobSet{{Kind: Sampled, Jobs: randomJobs(3, 15)}}
-	cfg := SelectionConfig{TrainConfig: TrainConfig{System: sys(), StepsPerEpisode: 2}}
-	results, best, err := TrainCurriculumWithSelection(m, cfg, sets)
+	sel := NewSelection(m, sys(), nil, 0)
+	results, err := trainSets(m, TrainConfig{System: sys(), StepsPerEpisode: 2}, sets, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := sel.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

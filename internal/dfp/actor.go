@@ -87,7 +87,7 @@ type inferScratch struct {
 // call with the same scratch). Zero heap allocations in steady state. Each
 // sample's rows are bitwise independent of bsz (the nn.Layer row contract),
 // and the layers retain forward state, so at bsz=1 a backward may follow
-// immediately (TrainStepReference).
+// immediately (the reference step in engine_test.go does).
 func (m *modules) forwardDueling(cfg *Config, s *inferScratch, state, meas, goalExt nn.Vec, bsz int) [][]float64 {
 	so, h := cfg.StateOut, cfg.ModuleHidden
 	pd, n := cfg.PredDim(), cfg.Actions

@@ -74,8 +74,8 @@ type Config struct {
 	// across, each accumulating into per-worker gradient buffers that are
 	// reduced in worker order before the Adam step. 0 defaults to
 	// runtime.GOMAXPROCS(0). Workers=1 runs the single-threaded engine,
-	// whose arithmetic matches the sample-at-a-time reference
-	// (TrainStepReference) to floating-point reassociation (~1e-12); any
+	// whose arithmetic matches the sample-at-a-time reference step
+	// (engine_test.go) to floating-point reassociation (~1e-12); any
 	// fixed value is bitwise deterministic run to run. Custom StateModules
 	// that nn.SharedClone cannot replicate fall back to a single worker.
 	Workers int
@@ -327,48 +327,9 @@ func (c *Config) extendGoalInto(dst, goal []float64) []float64 {
 
 // forwardScratch runs one sample through the shared inference forward
 // (modules.forwardDueling at bsz=1) with the agent's own scratch and returns
-// the per-action prediction rows (valid until the next forwardScratch). The
-// layers retain forward state, so backwardFromPredGrads may follow
-// immediately.
+// the per-action prediction rows (valid until the next forwardScratch).
 func (a *Agent) forwardScratch(state, meas, goalExt []float64) [][]float64 {
 	return a.nets.forwardDueling(&a.cfg, &a.scr, state, meas, goalExt, 1)
-}
-
-// backwardFromPredGrads backpropagates gradients of the loss with respect to
-// the per-action predictions through the dueling combine, both streams, the
-// concatenation, and the three input modules, accumulating parameter
-// gradients, after a forwardScratch of the same sample. It is the dense
-// reference backward; the training engine's sparse path (engine.go) produces
-// the same gradients while only propagating the taken action's PredDim slice
-// through the action stream.
-func (a *Agent) backwardFromPredGrads(grads [][]float64) {
-	pd := a.cfg.PredDim()
-	n := a.cfg.Actions
-
-	gradExp := make([]float64, pd)
-	sumGrad := make([]float64, pd)
-	for ai := 0; ai < n; ai++ {
-		for k, g := range grads[ai] {
-			gradExp[k] += g
-			sumGrad[k] += g
-		}
-	}
-	gradAct := make([]float64, n*pd)
-	for ai := 0; ai < n; ai++ {
-		for k, g := range grads[ai] {
-			gradAct[ai*pd+k] = g - sumGrad[k]/float64(n)
-		}
-	}
-
-	gJointExp := a.nets.exp.Backward(nil, gradExp, 1)
-	gJointAct := a.nets.act.Backward(nil, gradAct, 1)
-	gJoint := nn.Add(gJointExp, gJointAct)
-
-	so := a.cfg.StateOut
-	h := a.cfg.ModuleHidden
-	a.nets.state.Backward(nil, gJoint[:so], 1)
-	a.nets.meas.Backward(nil, gJoint[so:so+h], 1)
-	a.nets.goal.Backward(nil, gJoint[so+h:], 1)
 }
 
 // Predict returns the per-action predicted future-measurement changes for

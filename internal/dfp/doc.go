@@ -30,8 +30,9 @@
 //   - TrainStep processes each minibatch through batched matrix-matrix
 //     kernels with a sparse dueling backward, sharded across Config.Workers
 //     goroutines whose per-worker gradients reduce in fixed worker order
-//     (engine.go). It must match TrainStepReference — forwardDueling at
-//     bsz=1 plus the dense dueling backward, sample by sample — to ≤1e-12,
+//     (engine.go). It must match the reference step kept in engine_test.go
+//     — forwardDueling at bsz=1 plus the dense dueling backward, sample by
+//     sample — to ≤1e-12,
 //     consume the agent rng identically, and stay at 0 allocs/op in steady
 //     state — all equivalence- and property-tested in engine_test.go.
 //

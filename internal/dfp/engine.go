@@ -1,8 +1,8 @@
 // The minibatch training engine. One TrainStep samples a minibatch, shards
 // it across Config.Workers goroutines, and runs one *batched* forward and
 // backward pass per shard through the nn package's matrix-matrix kernels,
-// where a per-sample loop (TrainStepReference) would run bsz=1 passes. Three
-// ideas carry the speedup:
+// where a per-sample loop (the reference step in engine_test.go) would run
+// bsz=1 passes. Three ideas carry the speedup:
 //
 //  1. Batched kernels: each worker gathers its shard into row-major
 //     matrices and drives every layer's Forward/Backward at bsz = shard
@@ -356,48 +356,4 @@ func backwardBatchNoInput(l nn.Layer, grad nn.Vec, bsz int) {
 		return
 	}
 	l.Backward(nil, grad, bsz)
-}
-
-// TrainStepReference is the sample-at-a-time training step: one bsz=1
-// inference forward (forwardScratch) and one dense dueling backward per
-// sample, in sample order, through nn's exact-order single-row backward. It
-// is retained as the arithmetic reference for the batched engine —
-// equivalence tests assert TrainStep matches it to ≤1e-12 — and as the
-// baseline for BenchmarkTrainStepReference. It consumes the rng exactly like
-// TrainStep.
-func (a *Agent) TrainStepReference() float64 {
-	if a.replay.len() == 0 {
-		return -1
-	}
-	batch := a.cfg.BatchSize
-	if batch > a.replay.len() {
-		batch = a.replay.len()
-	}
-	pd := a.cfg.PredDim()
-	total := 0.0
-	for b := 0; b < batch; b++ {
-		e := a.replay.sample(a.rng)
-		preds := a.forwardScratch(e.State, e.Meas, e.Goal)
-		loss, grad := nn.MaskedMSE(preds[e.Action], e.Target, e.Mask)
-		total += loss
-		grads := make([][]float64, a.cfg.Actions)
-		zero := make([]float64, pd)
-		for ai := range grads {
-			if ai == e.Action {
-				grads[ai] = grad
-			} else {
-				grads[ai] = zero
-			}
-		}
-		a.backwardFromPredGrads(grads)
-	}
-	for _, p := range a.params {
-		nn.Scale(p.Grad, 1/float64(batch))
-	}
-	if a.cfg.GradClip > 0 {
-		nn.ClipGrads(a.params, a.cfg.GradClip)
-	}
-	a.opt.Step(a.params)
-	a.trainSteps++
-	return total / float64(batch)
 }

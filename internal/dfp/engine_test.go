@@ -8,6 +8,87 @@ import (
 	"repro/internal/nn"
 )
 
+// TrainStepReference is the sample-at-a-time training step: one bsz=1
+// inference forward (forwardScratch) and one dense dueling backward per
+// sample, in sample order, through nn's exact-order single-row backward. It
+// is the arithmetic reference for the batched engine — the equivalence tests
+// below assert TrainStep matches it to ≤1e-12 — and consumes the rng exactly
+// like TrainStep.
+func (a *Agent) TrainStepReference() float64 {
+	if a.replay.len() == 0 {
+		return -1
+	}
+	batch := a.cfg.BatchSize
+	if batch > a.replay.len() {
+		batch = a.replay.len()
+	}
+	pd := a.cfg.PredDim()
+	total := 0.0
+	for b := 0; b < batch; b++ {
+		e := a.replay.sample(a.rng)
+		preds := a.forwardScratch(e.State, e.Meas, e.Goal)
+		loss, grad := nn.MaskedMSE(preds[e.Action], e.Target, e.Mask)
+		total += loss
+		grads := make([][]float64, a.cfg.Actions)
+		zero := make([]float64, pd)
+		for ai := range grads {
+			if ai == e.Action {
+				grads[ai] = grad
+			} else {
+				grads[ai] = zero
+			}
+		}
+		a.backwardFromPredGrads(grads)
+	}
+	for _, p := range a.params {
+		nn.Scale(p.Grad, 1/float64(batch))
+	}
+	if a.cfg.GradClip > 0 {
+		nn.ClipGrads(a.params, a.cfg.GradClip)
+	}
+	a.opt.Step(a.params)
+	a.trainSteps++
+	return total / float64(batch)
+}
+
+// backwardFromPredGrads backpropagates gradients of the loss with respect to
+// the per-action predictions through the dueling combine, both streams, the
+// concatenation, and the three input modules, accumulating parameter
+// gradients, after a forwardScratch of the same sample (the layers retain
+// forward state). It is the dense reference backward, shared with the
+// gradient checks in dfp_test.go; the training engine's sparse path produces
+// the same gradients while only propagating the taken action's PredDim slice
+// through the action stream.
+func (a *Agent) backwardFromPredGrads(grads [][]float64) {
+	pd := a.cfg.PredDim()
+	n := a.cfg.Actions
+
+	gradExp := make([]float64, pd)
+	sumGrad := make([]float64, pd)
+	for ai := 0; ai < n; ai++ {
+		for k, g := range grads[ai] {
+			gradExp[k] += g
+			sumGrad[k] += g
+		}
+	}
+	gradAct := make([]float64, n*pd)
+	for ai := 0; ai < n; ai++ {
+		for k, g := range grads[ai] {
+			gradAct[ai*pd+k] = g - sumGrad[k]/float64(n)
+		}
+	}
+
+	gJointExp := a.nets.exp.Backward(nil, gradExp, 1)
+	gJointAct := a.nets.act.Backward(nil, gradAct, 1)
+	gJoint := nn.Add(gJointExp, gJointAct)
+
+	so := a.cfg.StateOut
+	h := a.cfg.ModuleHidden
+	a.nets.state.Backward(nil, gJoint[:so], 1)
+	a.nets.meas.Backward(nil, gJoint[so:so+h], 1)
+	a.nets.goal.Backward(nil, gJoint[so+h:], 1)
+}
+
 // fillReplay stores a deterministic, varied set of experiences in a's
 // replay buffer (mixed actions, partially-masked targets).
 func fillReplay(a *Agent, count int, seed int64) {

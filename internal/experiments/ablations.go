@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 )
 
@@ -25,118 +25,100 @@ type AblationRow struct {
 	Report metrics.Report
 }
 
-// AblationGoal compares the trained MRSch agent on S5 with its own Eq. (1)
+// policyVariant is one labelled scheduling policy of an ablation that
+// varies the policy itself rather than the method behind it.
+type policyVariant struct {
+	name   string
+	policy *sched.WindowPolicy
+}
+
+// ablatePolicies replays the base materials' workload through each variant.
+func ablatePolicies(r *CampaignRun, wl string, variants []policyVariant) ([]AblationRow, error) {
+	m, err := r.baseMaterials()
+	if err != nil {
+		return nil, err
+	}
+	jobs := m.Workload(wl)
+	var rows []AblationRow
+	for _, v := range variants {
+		rep, err := Evaluate(m.Scale.System(), v.policy, jobs, v.name, wl, -1)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, AblationRow{Name: v.name, Report: rep})
+	}
+	return rows, nil
+}
+
+// AblationGoal compares the run's S5 family model with its own Eq. (1)
 // dynamic goal against the same weights forced to a fixed uniform goal.
 // The gap is the isolated value of dynamic resource prioritizing.
-func AblationGoal(c *Campaign) ([]AblationRow, error) {
-	sys := c.M.Scale.System()
-	jobs := c.M.Workload("S5")
-	agent, err := c.MRSchAgent("S5", false, false)
+func AblationGoal(r *CampaignRun) ([]AblationRow, error) {
+	agent, _, err := r.FamilyModel("S5")
 	if err != nil {
 		return nil, err
 	}
-	dynamic, err := Evaluate(sys, agent.Policy(), jobs, "dynamic-goal", "S5", -1)
-	if err != nil {
-		return nil, err
-	}
-	agent.FixedGoal = []float64{0.5, 0.5}
-	fixed, err := Evaluate(sys, agent.Policy(), jobs, "fixed-goal", "S5", -1)
-	agent.FixedGoal = nil
-	if err != nil {
-		return nil, err
-	}
-	return []AblationRow{
-		{Name: "dynamic goal (Eq. 1)", Report: dynamic},
-		{Name: "fixed goal (0.5/0.5)", Report: fixed},
-	}, nil
+	fixed := *agent // same weights; the shared agent keeps its dynamic goal
+	fixed.FixedGoal = []float64{0.5, 0.5}
+	return ablatePolicies(r, "S5", []policyVariant{
+		{"dynamic goal (Eq. 1)", agent.Policy()},
+		{"fixed goal (0.5/0.5)", fixed.Policy()},
+	})
 }
 
 // AblationStateNets trains two otherwise-identical agents on S4: one with
 // MRSch's single state network, one with the per-resource networks the
 // paper rejects (job info encoded R times).
-func AblationStateNets(m *Materials) ([]AblationRow, error) {
-	sys := m.Scale.System()
-	jobs := m.Workload("S4")
-	byKind := m.CurriculumSets("S4")
-	order := Ordering{core.Sampled, core.Real, core.Synthetic}
-	sets := order.Sets(byKind)
-
-	var rows []AblationRow
-	for _, variant := range []struct {
+func AblationStateNets(r *CampaignRun) ([]AblationRow, error) {
+	m, err := r.baseMaterials()
+	if err != nil {
+		return nil, err
+	}
+	var variants []policyVariant
+	for _, v := range []struct {
 		name string
 		per  bool
 	}{
 		{"single state net", false},
 		{"per-resource nets", true},
 	} {
-		opts := m.Scale.mrschOptions(m.Scale.Seed+47, false)
-		opts.PerResourceNets = variant.per
-		agent := core.New(sys, opts)
-		_, err := core.TrainCurriculum(agent, core.TrainConfig{
-			System:          sys,
-			StepsPerEpisode: m.Scale.StepsPerEpisode,
-		}, sets)
+		t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S4", Seed: m.Scale.Seed + 47, PerResourceNets: v.per})
 		if err != nil {
 			return nil, err
 		}
-		rep, err := Evaluate(sys, agent.Policy(), jobs, variant.name, "S4", -1)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: variant.name, Report: rep})
+		variants = append(variants, policyVariant{v.name, t.MRSch.Policy()})
 	}
-	return rows, nil
+	return ablatePolicies(r, "S4", variants)
 }
 
 // AblationWindow sweeps the scheduling window size with the GA picker
 // (training-free, so the sweep isolates the window mechanism itself).
-func AblationWindow(m *Materials, sizes []int) ([]AblationRow, error) {
+func AblationWindow(r *CampaignRun, sizes []int) ([]AblationRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{1, 5, 10, 20}
 	}
-	sys := m.Scale.System()
-	jobs := m.Workload("S4")
-	var rows []AblationRow
+	var variants []policyVariant
 	for _, w := range sizes {
-		policy := sched.NewWindowPolicy(NewGA(m.Scale.Seed+43), w)
-		rep, err := Evaluate(sys, policy, jobs, fmt.Sprintf("W=%d", w), "S4", -1)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: fmt.Sprintf("window %d", w), Report: rep})
+		variants = append(variants, policyVariant{fmt.Sprintf("window %d", w), sched.NewWindowPolicy(NewGA(r.baseScale.Seed+43), w)})
 	}
-	return rows, nil
+	return ablatePolicies(r, "S4", variants)
 }
 
 // AblationBackfill runs FCFS with and without EASY backfilling.
-func AblationBackfill(m *Materials) ([]AblationRow, error) {
-	sys := m.Scale.System()
-	jobs := m.Workload("S4")
-	var rows []AblationRow
-	for _, variant := range []struct {
-		name     string
-		backfill bool
-	}{
-		{"EASY backfilling on", true},
-		{"EASY backfilling off", false},
-	} {
-		policy := sched.NewWindowPolicy(sched.FCFS{}, m.Scale.Window)
-		policy.Backfill = variant.backfill
-		rep, err := Evaluate(sys, policy, jobs, variant.name, "S4", -1)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: variant.name, Report: rep})
-	}
-	return rows, nil
+func AblationBackfill(r *CampaignRun) ([]AblationRow, error) {
+	off := FCFSPolicy(r.baseScale.Window)
+	off.Backfill = false
+	return ablatePolicies(r, "S4", []policyVariant{
+		{"EASY backfilling on", FCFSPolicy(r.baseScale.Window)},
+		{"EASY backfilling off", off},
+	})
 }
 
 // AblationPickers compares the list-scheduling picker family inside the
 // shared framework.
-func AblationPickers(m *Materials) ([]AblationRow, error) {
-	sys := m.Scale.System()
-	jobs := m.Workload("S4")
-	pickers := []struct {
+func AblationPickers(r *CampaignRun) ([]AblationRow, error) {
+	var variants []policyVariant
+	for _, pk := range []struct {
 		name string
 		p    sched.Picker
 	}{
@@ -144,16 +126,32 @@ func AblationPickers(m *Materials) ([]AblationRow, error) {
 		{"Tetris packing", sched.Tetris{}},
 		{"SJF", sched.SJF{}},
 		{"LargestFirst", sched.LargestFirst{}},
+	} {
+		variants = append(variants, policyVariant{pk.name, sched.NewWindowPolicy(pk.p, r.baseScale.Window)})
 	}
-	var rows []AblationRow
-	for _, pk := range pickers {
-		rep, err := Evaluate(sys, sched.NewWindowPolicy(pk.p, m.Scale.Window), jobs, pk.name, "S4", -1)
+	return ablatePolicies(r, "S4", variants)
+}
+
+// fprintAblations runs and renders the five ablations (mrsch-exp -fig
+// ablations).
+func fprintAblations(w io.Writer, r *CampaignRun) error {
+	for _, a := range []struct {
+		title string
+		run   func(*CampaignRun) ([]AblationRow, error)
+	}{
+		{"dynamic vs fixed goal vector (S5)", AblationGoal},
+		{"single vs per-resource state nets (S4)", AblationStateNets},
+		{"window size sweep (S4)", func(r *CampaignRun) ([]AblationRow, error) { return AblationWindow(r, nil) }},
+		{"EASY backfilling on/off (S4)", AblationBackfill},
+		{"list-scheduling pickers (S4)", AblationPickers},
+	} {
+		rows, err := a.run(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, AblationRow{Name: pk.name, Report: rep})
+		FprintAblation(w, a.title, rows)
 	}
-	return rows, nil
+	return nil
 }
 
 // FprintAblation renders ablation rows as a metric table.

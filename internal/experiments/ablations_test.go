@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblationGoalDynamicVsFixed(t *testing.T) {
-	c := mustCampaign(t, tinyScale())
+	c := mustRun(t, tinyScale(), CampaignOptions{})
 	rows, err := AblationGoal(c)
 	if err != nil {
 		t.Fatal(err)
@@ -20,7 +20,7 @@ func TestAblationGoalDynamicVsFixed(t *testing.T) {
 		}
 	}
 	// The FixedGoal must have been reset after the ablation.
-	agent, err := c.MRSchAgent("S5", false, false)
+	agent, _, err := c.FamilyModel("S5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestAblationGoalDynamicVsFixed(t *testing.T) {
 }
 
 func TestAblationStateNets(t *testing.T) {
-	m := MustPrepare(tinyScale())
-	rows, err := AblationStateNets(m)
+	r := mustRun(t, tinyScale(), CampaignOptions{})
+	rows, err := AblationStateNets(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestAblationStateNets(t *testing.T) {
 }
 
 func TestAblationWindowSweep(t *testing.T) {
-	m := MustPrepare(tinyScale())
-	rows, err := AblationWindow(m, []int{1, 4})
+	r := mustRun(t, tinyScale(), CampaignOptions{})
+	rows, err := AblationWindow(r, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestAblationWindowSweep(t *testing.T) {
 }
 
 func TestAblationBackfill(t *testing.T) {
-	m := MustPrepare(tinyScale())
-	rows, err := AblationBackfill(m)
+	r := mustRun(t, tinyScale(), CampaignOptions{})
+	rows, err := AblationBackfill(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestAblationBackfill(t *testing.T) {
 }
 
 func TestAblationPickers(t *testing.T) {
-	m := MustPrepare(tinyScale())
-	rows, err := AblationPickers(m)
+	r := mustRun(t, tinyScale(), CampaignOptions{})
+	rows, err := AblationPickers(r)
 	if err != nil {
 		t.Fatal(err)
 	}

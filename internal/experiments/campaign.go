@@ -8,11 +8,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/rl"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -80,14 +81,16 @@ type CampaignOptions struct {
 // maps are populated serially (ResolveCell) before cells fan out and are
 // read-only afterwards. RunCampaign drives the whole lifecycle in-process;
 // the distributed runner (internal/distrib) opens a run per process and
-// resolves cells lazily as they are assigned.
+// resolves cells lazily as they are assigned. The caches are keyed by base
+// materials and model family, never by campaign, so one run can serve the
+// cells of several equally sized campaigns (Run) and the bespoke studies
+// (FamilyModel): mrsch-exp -fig all trains each family once.
 type CampaignRun struct {
 	spec      scenario.CampaignSpec
 	opt       CampaignOptions
 	baseScale Scale
 	materials map[string]*Materials
-	mrsch     map[string]*core.MRSch
-	scalarRL  map[string]*rl.Scheduler
+	models    map[string]Trained // by modelKey; Episodes empty for a loaded model
 }
 
 // OpenCampaign validates the spec and prepares a run whose cells can be
@@ -116,13 +119,9 @@ func OpenCampaign(spec scenario.CampaignSpec, opt CampaignOptions) (*CampaignRun
 		opt:       opt,
 		baseScale: baseScale,
 		materials: make(map[string]*Materials),
-		mrsch:     make(map[string]*core.MRSch),
-		scalarRL:  make(map[string]*rl.Scheduler),
+		models:    make(map[string]Trained),
 	}, nil
 }
-
-// Spec returns the run's campaign spec.
-func (r *CampaignRun) Spec() scenario.CampaignSpec { return r.spec }
 
 // Cells returns the run's deterministic grid expansion.
 func (r *CampaignRun) Cells() []scenario.Cell { return r.spec.Expand() }
@@ -135,10 +134,10 @@ func (r *CampaignRun) Cells() []scenario.Cell { return r.spec.Expand() }
 // concurrently: callers resolve serially, then fan evaluation out.
 func (r *CampaignRun) ResolveCell(cell scenario.Cell) error {
 	if _, err := r.resolveMaterials(cell); err != nil {
-		return fmt.Errorf("experiments: campaign %s: %s: %w", r.spec.Name, cell.Label(), err)
+		return fmt.Errorf("experiments: %s: %w", cell.Label(), err)
 	}
 	if err := r.resolveModel(cell); err != nil {
-		return fmt.Errorf("experiments: campaign %s: %s: %w", r.spec.Name, cell.Label(), err)
+		return fmt.Errorf("experiments: %s: %w", cell.Label(), err)
 	}
 	return nil
 }
@@ -152,19 +151,28 @@ func RunCampaign(spec scenario.CampaignSpec, opt CampaignOptions) ([]CellResult,
 	if err != nil {
 		return nil, err
 	}
-	cells := run.Cells()
+	return run.Run(spec)
+}
+
+// Run is RunCampaign on an open run: the grid's cells resolve against —
+// and add to — the run's caches, so a family model an earlier grid trained
+// is not trained again. The spec must be sized like the run's own: base
+// materials and model-store keys derive from the scale.
+func (r *CampaignRun) Run(spec scenario.CampaignSpec) ([]CellResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	if !reflect.DeepEqual(spec.Scale, r.spec.Scale) {
+		return nil, fmt.Errorf("experiments: campaign %s is sized differently from campaign %s, whose run it was given", spec.Name, r.spec.Name)
+	}
+	cells := spec.Expand()
 	for _, cell := range cells {
-		if err := run.ResolveCell(cell); err != nil {
+		if err := r.ResolveCell(cell); err != nil {
 			return nil, err
 		}
 	}
-	return run.evalCells(cells, opt.Workers)
-}
-
-// evalCells fans the prepared cells across the worker pool.
-func (r *CampaignRun) evalCells(cells []scenario.Cell, workers int) ([]CellResult, error) {
-	results, errs := rollout.MapCollect(workers, cells, func(_, _ int, cell scenario.Cell) (CellResult, error) {
-		return r.evalCell(cell)
+	results, errs := rollout.MapCollect(r.opt.Workers, cells, func(_, _ int, cell scenario.Cell) (CellResult, error) {
+		return r.EvalCell(cell)
 	})
 	var failed []string
 	for i, err := range errs {
@@ -174,9 +182,37 @@ func (r *CampaignRun) evalCells(cells []scenario.Cell, workers int) ([]CellResul
 	}
 	if failed != nil {
 		return results, fmt.Errorf("experiments: campaign %s: %d cell(s) failed: %s",
-			r.spec.Name, len(failed), strings.Join(failed, "; "))
+			spec.Name, len(failed), strings.Join(failed, "; "))
 	}
 	return results, nil
+}
+
+// FamilyModel returns the run's MLP MRSch model for a builtin scenario's
+// family, with the materials it was trained on — the model the scenario's
+// mrsch cells act through, resolved like theirs (cached, from the store, or
+// trained now). It is how the studies that are not grids (Figures 8 and 9,
+// the goal ablation) reach the agents the figure campaigns trained. The
+// agent is shared: a caller that sets a hook on it must clear it again.
+func (r *CampaignRun) FamilyModel(name string) (*core.MRSch, *Materials, error) {
+	sp, err := scenario.ByName(name)
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: %w", err)
+	}
+	cell := scenario.Cell{Scenario: sp, Method: scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true}}
+	if err := r.ResolveCell(cell); err != nil {
+		return nil, nil, err
+	}
+	return r.models[r.modelKey(cell)].MRSch, r.materialsOf(cell), nil
+}
+
+// Policy resolves the cell and returns the scheduling policy it is
+// evaluated under, for a caller that replays its own jobs through it
+// (mrsch-sim -trace). EvalCell builds the same policy per evaluation.
+func (r *CampaignRun) Policy(cell scenario.Cell) (*sched.WindowPolicy, error) {
+	if err := r.ResolveCell(cell); err != nil {
+		return nil, err
+	}
+	return r.cellPolicy(r.materialsOf(cell), cell)
 }
 
 // ScaleForSpec folds a scenario's base-trace overrides — div, interarrival,
@@ -238,7 +274,7 @@ func materialsKey(sc Scale) string {
 }
 
 // resolveMaterials prepares (and caches) the cell's base materials. Called
-// serially before the fan-out; evalCell only reads the cache.
+// serially before the fan-out; EvalCell only reads the cache.
 func (r *CampaignRun) resolveMaterials(cell scenario.Cell) (*Materials, error) {
 	sc := r.scaleFor(cell)
 	key := materialsKey(sc)
@@ -258,6 +294,13 @@ func (r *CampaignRun) resolveMaterials(cell scenario.Cell) (*Materials, error) {
 
 func (r *CampaignRun) materialsOf(cell scenario.Cell) *Materials {
 	return r.materials[materialsKey(r.scaleFor(cell))]
+}
+
+// baseMaterials returns the materials of the campaign scale itself — what a
+// scenario without base-trace overrides evaluates against, and what the
+// bespoke studies train and replay on.
+func (r *CampaignRun) baseMaterials() (*Materials, error) {
+	return r.resolveMaterials(scenario.Cell{})
 }
 
 // modelKey identifies one trained model: a method's model is shared by
@@ -286,69 +329,42 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 		return fmt.Errorf("scenario %s: train=true with a power_budget_kw override is unsupported (the state encoding is sized by the budget); train at the default budget and load the model file", sp.Name)
 	}
 	key := r.modelKey(cell)
+	if _, ok := r.models[key]; ok {
+		return nil
+	}
 	m := r.materialsOf(cell)
 	family := sp.FamilyName()
-	switch method.Kind {
-	case scenario.KindMRSch:
-		if _, ok := r.mrsch[key]; ok {
-			return nil
+	run := TrainRun{Kind: method.Kind, Family: family, Power: sp.Power, CNN: method.CNN}
+	stored := r.storePath(cell)
+	path, action := method.Model, "file"
+	if path == "" && stored != "" {
+		if _, err := os.Stat(stored); err == nil {
+			path, action = stored, "cached"
 		}
-		stored := r.storePath(cell)
-		// Power families train through TrainMRSchPower, which builds the
-		// MLP state module regardless of method.CNN; every load path must
-		// mirror that construction or the saved weights won't fit.
-		cnn := method.CNN && !sp.Power
-		var agent *core.MRSch
-		var err error
-		switch {
-		case method.Model != "":
-			agent, err = loadMRSchModel(m, sp, cnn, method.Model)
-			r.notifyModel(family, "file", method.Model, err)
-		case stored != "" && fileExists(stored):
-			agent, err = loadMRSchModel(m, sp, cnn, stored)
-			r.notifyModel(family, "cached", stored, err)
-		case r.opt.NoTrain:
-			return errNoTrain(family, stored)
-		default:
-			if sp.Power {
-				agent, err = TrainMRSchPower(m, family)
-			} else {
-				agent, _, err = TrainMRSch(m, family, method.CNN)
-			}
-			if err == nil && stored != "" {
-				err = storeModel(stored, agent.Save)
-			}
-			r.notifyModel(family, "trained", stored, err)
-		}
-		if err != nil {
-			return fmt.Errorf("model for family %s: %w", family, err)
-		}
-		agent.Train = false
-		r.mrsch[key] = agent
-	case scenario.KindScalarRL:
-		if _, ok := r.scalarRL[key]; ok {
-			return nil
-		}
-		stored := r.storePath(cell)
-		var agent *rl.Scheduler
-		var err error
-		if stored != "" && fileExists(stored) {
-			agent, err = loadScalarRLModel(m, sp, stored)
-			r.notifyModel(family, "cached", stored, err)
-		} else if r.opt.NoTrain {
-			return errNoTrain(family, stored)
-		} else {
-			agent, err = TrainScalarRL(m, family, m.SystemFor(sp), sp.Power)
-			if err == nil && stored != "" {
-				err = storeModel(stored, agent.Save)
-			}
-			r.notifyModel(family, "trained", stored, err)
-		}
-		if err != nil {
-			return fmt.Errorf("model for family %s: %w", family, err)
-		}
-		r.scalarRL[key] = agent
 	}
+	var model Trained
+	var err error
+	switch {
+	case path != "":
+		model, err = m.loadModel(run, m.SystemFor(sp), path)
+	case r.opt.NoTrain:
+		return errNoTrain(family, stored)
+	default:
+		path, action = stored, "trained"
+		if model, err = Train(m, run); err == nil && stored != "" {
+			err = storeModel(stored, model.agent.Save)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("model for family %s: %w", family, err)
+	}
+	if r.opt.OnModel != nil {
+		r.opt.OnModel(family, action, path)
+	}
+	if model.MRSch != nil {
+		model.MRSch.Train = false
+	}
+	r.models[key] = model
 	return nil
 }
 
@@ -376,14 +392,6 @@ func (r *CampaignRun) storePath(cell scenario.Cell) string {
 	return filepath.Join(r.opt.ModelDir, name)
 }
 
-// notifyModel reports a family-model resolution to the OnModel observer
-// (successful resolutions only; failures surface through the error path).
-func (r *CampaignRun) notifyModel(family, action, path string, err error) {
-	if err == nil && r.opt.OnModel != nil {
-		r.opt.OnModel(family, action, path)
-	}
-}
-
 // errNoTrain names a family model a NoTrain run could not resolve. The
 // store path is part of the message: on a distributed worker it tells the
 // operator whether the store was never populated or the worker is pointed
@@ -394,11 +402,6 @@ func errNoTrain(family, stored string) error {
 		where = fmt.Sprintf("store file %s does not exist", stored)
 	}
 	return fmt.Errorf("family %s needs a trained model but in-process training is disabled (NoTrain): %s", family, where)
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // storeModel atomically writes a trained model's weights into the store.
@@ -413,58 +416,37 @@ func storeModel(path string, save func(io.Writer) error) error {
 	return nil
 }
 
-// loadMRSchModel builds the campaign-architecture agent for the cell's
-// system and restores saved weights (cmd/mrsch-train output or a model-
-// store entry) into it.
-func loadMRSchModel(m *Materials, sp scenario.ScenarioSpec, cnn bool, path string) (*core.MRSch, error) {
-	agent := core.New(m.SystemFor(sp), m.Scale.mrschOptions(m.Scale.Seed+11, cnn))
+// loadModel builds the run's untrained agent on sys — the construction
+// Train uses, so stored weights fit — and restores saved weights
+// (cmd/mrsch-train output or a model-store entry) into it.
+func (m *Materials) loadModel(run TrainRun, sys cluster.Config, path string) (Trained, error) {
+	model, _, err := m.Scale.newAgent(run, sys)
+	if err != nil {
+		return model, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return model, err
 	}
 	defer f.Close()
-	if err := agent.Load(f); err != nil {
-		return nil, fmt.Errorf("loading %s: %w", path, err)
+	if err := model.agent.Load(f); err != nil {
+		return model, fmt.Errorf("loading %s: %w", path, err)
 	}
-	return agent, nil
-}
-
-// loadScalarRLModel builds the campaign-architecture scalar-RL scheduler
-// (the shared scalarRLConfig construction TrainScalarRL uses) and
-// restores model-store weights into it.
-func loadScalarRLModel(m *Materials, sp scenario.ScenarioSpec, path string) (*rl.Scheduler, error) {
-	agent := rl.New(m.SystemFor(sp), m.Scale.scalarRLConfig())
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if err := agent.Load(f); err != nil {
-		return nil, fmt.Errorf("loading %s: %w", path, err)
-	}
-	return agent, nil
+	return model, nil
 }
 
 // EvalCell runs one resolved grid cell as an independent evaluation
 // episode. The cell must have been ResolveCell'd first; evaluation reads
 // only frozen models and cached materials, so distinct cells may be
-// evaluated concurrently (RunCampaign fans them over the rollout pool, a
-// distributed worker runs them one at a time).
+// evaluated concurrently (Run fans them over the rollout pool, a
+// distributed worker runs them one at a time). Error results still carry
+// the cell (with a zero Report), so partial campaign renderings label failed
+// cells by name instead of collapsing them into one anonymous row.
 func (r *CampaignRun) EvalCell(cell scenario.Cell) (CellResult, error) {
-	return r.evalCell(cell)
-}
-
-// evalCell runs one grid cell as an independent evaluation episode. Error
-// results still carry the cell (with a zero Report), so partial campaign
-// renderings label failed cells by name instead of collapsing them into
-// one anonymous row.
-func (r *CampaignRun) evalCell(cell scenario.Cell) (CellResult, error) {
 	failed := CellResult{Cell: cell}
 	m := r.materialsOf(cell)
 	if m == nil {
-		// Unreachable through RunCampaign (resolveMaterials runs first);
-		// guards adapters that seed the materials map themselves.
-		return failed, fmt.Errorf("no materials prepared for scale %q", materialsKey(r.scaleFor(cell)))
+		return failed, fmt.Errorf("no materials prepared for scale %q: EvalCell needs a ResolveCell first", materialsKey(r.scaleFor(cell)))
 	}
 	sp := cell.Scenario
 	sys := m.SystemFor(sp)
@@ -483,10 +465,17 @@ func (r *CampaignRun) evalCell(cell scenario.Cell) (CellResult, error) {
 	return CellResult{Cell: cell, Report: rep}, nil
 }
 
-// cellPolicy builds the cell's scheduling policy. Training-free methods
-// construct fresh; trained methods wrap a read-only actor clone of the
-// family's frozen model, so cells sharing one model may run concurrently.
-// All seeding derives from Cell.Index.
+// failed reports a zero-value report: the cell failed (the caller has the
+// per-cell error) or was never run.
+func (r CellResult) failed() bool { return len(r.Report.Utilization) < 2 }
+
+// cellPolicy builds the cell's scheduling policy — the one place a method
+// kind becomes a policy. Heuristic is FCFS and deterministic; Optimization
+// is the GA seeded Seed+7000+Index; MRSch acts greedily (epsilon 0) and
+// Scalar RL samples its policy from a stream seeded Seed+9000+Index, each
+// through an unrecorded read-only actor clone of the family's frozen model,
+// so cells sharing one model may run concurrently. All seeding derives from
+// Cell.Index.
 func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.WindowPolicy, error) {
 	switch cell.Method.Kind {
 	case scenario.KindHeuristic:
@@ -494,7 +483,7 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 	case scenario.KindOptimize:
 		return sched.NewWindowPolicy(NewGA(m.Scale.Seed+7000+int64(cell.Index)), m.Scale.Window), nil
 	case scenario.KindMRSch:
-		agent := r.mrsch[r.modelKey(cell)]
+		agent := r.models[r.modelKey(cell)].MRSch
 		actor, parallel := agent.Actor()
 		if !parallel {
 			return nil, fmt.Errorf("method mrsch: state module is not clonable for parallel evaluation")
@@ -503,7 +492,7 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 		actor.Unrecorded()
 		return actor.Policy(), nil
 	case scenario.KindScalarRL:
-		agent := r.scalarRL[r.modelKey(cell)]
+		agent := r.models[r.modelKey(cell)].ScalarRL
 		actor, parallel := agent.Actor()
 		if !parallel {
 			return nil, fmt.Errorf("method scalar-rl: network is not clonable for parallel evaluation")
@@ -528,9 +517,7 @@ func FprintCells(w io.Writer, name string, results []CellResult) {
 		if r.Cell.Seed != 0 {
 			name = fmt.Sprintf("%s#%d", name, r.Cell.Seed)
 		}
-		if len(r.Report.Utilization) < 2 {
-			// A zero-value report: the cell failed (the caller has the
-			// per-cell error) or was never run.
+		if r.failed() {
 			fmt.Fprintf(w, "  %-16s %-13s %-5d %s\n",
 				name, r.Cell.Method.DisplayName(), r.Cell.Scenario.Arity(), "(failed)")
 			continue
@@ -563,7 +550,7 @@ func fprintSeedAggregate(w io.Writer, results []CellResult) {
 		if total[k] > 1 {
 			replicated = true
 		}
-		if len(r.Report.Utilization) >= 2 {
+		if !r.failed() {
 			reports[k] = append(reports[k], r.Report)
 		}
 	}

@@ -30,54 +30,80 @@ func TestMethodConstantsMatchScenarioRegistry(t *testing.T) {
 	}
 }
 
-// The redesign contract: SweepGrid(nil) yields the same cells in the same
-// order as before the spec layer existed (hard-coded here from the
-// pre-redesign implementation).
-func TestSweepGridMatchesLegacyCells(t *testing.T) {
-	var want []SweepCell
-	for _, wl := range []string{"S1", "S2", "S3", "S4", "S5"} {
-		for _, method := range []string{"Heuristic", "Optimization"} {
-			want = append(want, SweepCell{Workload: wl, Method: method})
+// The -fig sweep grid is the paper campaign: every builtin scenario under
+// the two training-free methods, half of them on the three-resource system.
+func TestSweepGridShape(t *testing.T) {
+	cells := scenario.PaperCampaign(tinyScale().Spec()).Expand()
+	if len(cells) != 20 { // (5 + 5 workloads) x 2 methods
+		t.Fatalf("%d cells, want 20", len(cells))
+	}
+	twoRes, threeRes := 0, 0
+	for _, c := range cells {
+		if c.Method.Kind.Trained() {
+			t.Fatalf("%s: the sweep grid is training-free", c.Label())
+		}
+		if c.Scenario.Arity() == 3 {
+			threeRes++
+		} else {
+			twoRes++
 		}
 	}
-	for _, wl := range []string{"S6", "S7", "S8", "S9", "S10"} {
-		for _, method := range []string{"Heuristic", "Optimization"} {
-			want = append(want, SweepCell{Workload: wl, Method: method, Power: true})
-		}
-	}
-	if got := SweepGrid(nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("SweepGrid(nil) drifted from the legacy cells:\n got %+v\nwant %+v", got, want)
+	if twoRes != 10 || threeRes != 10 {
+		t.Fatalf("arity split %d/%d, want 10/10", twoRes, threeRes)
 	}
 }
 
-// The paper campaign expanded through the spec layer evaluates to exactly
-// the results the legacy RunSweep adapter produces for the same grid.
-func TestPaperCampaignMatchesLegacySweep(t *testing.T) {
-	sc := tinyScale()
-	m := MustPrepare(sc)
-	grid := SweepGrid([]string{MethodHeuristic})
-	legacy, err := RunSweep(m, grid, 2)
+// Sweep cells are independent evaluation episodes, so the worker count must
+// not change any result — unlike training, where it changes the (equally
+// valid) interleaving.
+func TestSweepIndependentOfWorkerCount(t *testing.T) {
+	spec := scenario.PaperCampaign(tinyScale().Spec())
+	serial, err := RunCampaign(spec, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	parallel, err := RunCampaign(spec, CampaignOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatal("sweep results depend on worker count")
+	}
+	for i, r := range serial {
+		if r.Cell != spec.Expand()[i] {
+			t.Fatalf("result %d out of grid order: %s", i, r.Cell.Label())
+		}
+		if r.Report.Jobs == 0 {
+			t.Fatalf("%s completed no jobs", r.Cell.Label())
+		}
+		if len(r.Report.Utilization) != r.Cell.Scenario.Arity() {
+			t.Fatalf("%s: %d resources, want %d", r.Cell.Label(), len(r.Report.Utilization), r.Cell.Scenario.Arity())
+		}
+	}
+}
 
-	spec := scenario.PaperCampaign(sc.Spec())
-	spec.Methods = []scenario.MethodSpec{{Kind: scenario.KindHeuristic}}
-	results, err := RunCampaign(spec, CampaignOptions{Workers: 2})
+// Base-trace variants need their own materials, which the campaign run
+// prepares per cell; a workload built for one against the base materials
+// must fail, not report results for a scenario that was never built (the
+// check the sweep adapter made up front is WorkloadSpec's own).
+func TestSweepRejectsBaseTraceVariants(t *testing.T) {
+	m := MustPrepare(tinyScale())
+	for _, wl := range []string{"S4@div=16", "S4@ia=0.75"} {
+		sp, err := scenario.ByName(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.WorkloadSpec(sp); err == nil {
+			t.Fatalf("base materials accepted %s", wl)
+		}
+	}
+	// Walltime noise applies at workload construction and is fine.
+	sp, err := scenario.ByName("S4@wtn=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(legacy) {
-		t.Fatalf("%d campaign cells vs %d legacy cells", len(results), len(legacy))
-	}
-	for i := range results {
-		if results[i].Cell.Scenario.Name != legacy[i].Cell.Workload {
-			t.Fatalf("cell %d: %s vs %s", i, results[i].Cell.Scenario.Name, legacy[i].Cell.Workload)
-		}
-		if !reflect.DeepEqual(results[i].Report, legacy[i].Report) {
-			t.Fatalf("cell %d (%s): campaign report differs from legacy sweep:\n%+v\nvs\n%+v",
-				i, legacy[i].Cell.Workload, results[i].Report, legacy[i].Report)
-		}
+	if jobs, err := m.WorkloadSpec(sp); err != nil || len(jobs) == 0 {
+		t.Fatalf("wtn variant against base materials: %d jobs, %v", len(jobs), err)
 	}
 }
 

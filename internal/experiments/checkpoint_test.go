@@ -158,7 +158,7 @@ func TestCampaignSeedAxisWithCheckpointResume(t *testing.T) {
 }
 
 // Power families train with the MLP state module regardless of the
-// method's cnn flag (TrainMRSchPower); the store's load path must mirror
+// method's cnn flag (Train); the store's load path must mirror
 // that, or a finished power+cnn campaign cannot be re-run.
 func TestCampaignModelStorePowerCNNReload(t *testing.T) {
 	dir := t.TempDir()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,14 +11,59 @@ import (
 	"repro/internal/scenario"
 )
 
-// mustCampaign builds a Campaign for a vetted test scale.
-func mustCampaign(t *testing.T, sc Scale) *Campaign {
+// mustRun opens the campaign run the figures share, at a vetted test scale.
+func mustRun(t *testing.T, sc Scale, opt CampaignOptions) *CampaignRun {
 	t.Helper()
-	c, err := NewCampaign(sc)
+	opt.Workers = sc.RolloutWorkers
+	r, err := OpenCampaign(builtinCampaign(t, sc, "fig567"), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return r
+}
+
+// builtinCampaign resolves a builtin campaign at a test scale.
+func builtinCampaign(t *testing.T, sc Scale, name string) scenario.CampaignSpec {
+	t.Helper()
+	spec, err := scenario.CampaignByName(name, sc.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// renderFigure renders one figure on the run the way mrsch-exp does: a study
+// runs on r, a grid renders its campaign's cells, which figures of the same
+// campaign share through results.
+func renderFigure(t *testing.T, r *CampaignRun, fig Figure, results map[string][]CellResult) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if fig.Study != nil {
+		if err := fig.Study(&buf, r); err != nil {
+			t.Fatalf("figure %s: %v", fig.Name, err)
+		}
+		return buf.String()
+	}
+	if results[fig.Spec.Name] == nil {
+		cells, err := r.Run(fig.Spec)
+		if err != nil {
+			t.Fatalf("figure %s: %v", fig.Name, err)
+		}
+		results[fig.Spec.Name] = cells
+	}
+	fig.Render(&buf, results[fig.Spec.Name])
+	return buf.String()
+}
+
+// figureCells runs a figure's builtin campaign on a fresh run and returns
+// its cells grouped by scenario.
+func figureCells(t *testing.T, name string) ([]CellResult, [][]CellResult) {
+	t.Helper()
+	results, err := mustRun(t, tinyScale(), CampaignOptions{}).Run(builtinCampaign(t, tinyScale(), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, byScenario(results)
 }
 
 // tinyScale keeps unit tests fast while exercising every code path.
@@ -71,10 +117,13 @@ func TestPrepareMaterials(t *testing.T) {
 			t.Fatalf("%s not rebased: first submit %v", wl, jobs[0].Submit)
 		}
 	}
-	for _, wl := range PowerWorkloadNames() {
-		jobs := m.PowerWorkload(wl)
+	for _, sp := range scenario.Builtins() {
+		if !sp.Power {
+			continue
+		}
+		jobs := m.Workload(sp.Name)
 		if len(jobs) == 0 || len(jobs[0].Demand) != 3 {
-			t.Fatalf("%s power workload malformed", wl)
+			t.Fatalf("%s power workload malformed", sp.Name)
 		}
 	}
 }
@@ -138,47 +187,33 @@ func TestTrainMRSchProducesWorkingAgent(t *testing.T) {
 }
 
 func TestFigures56AllMethodsComplete(t *testing.T) {
-	c := mustCampaign(t, tinyScale())
-	rows, err := Figures56(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, rows := figureCells(t, "fig567")
 	if len(rows) != 5 {
 		t.Fatalf("%d workloads", len(rows))
 	}
 	for _, row := range rows {
-		if len(row.Reports) != 4 {
-			t.Fatalf("%s: %d methods", row.Workload, len(row.Reports))
+		wl := row[0].Cell.Scenario.Name
+		if len(row) != 4 {
+			t.Fatalf("%s: %d methods", wl, len(row))
 		}
-		for i, r := range row.Reports {
-			if r.Method != Methods()[i] {
+		for i, cell := range row {
+			r := cell.Report
+			if r.Method != scenario.Kinds()[i].DisplayName() {
 				t.Fatalf("method order broken: %s at %d", r.Method, i)
 			}
 			if r.Jobs == 0 {
-				t.Fatalf("%s/%s completed no jobs", row.Workload, r.Method)
+				t.Fatalf("%s/%s completed no jobs", wl, r.Method)
 			}
 			for _, u := range r.Utilization {
 				if u < 0 || u > 1 {
-					t.Fatalf("%s/%s utilization %v", row.Workload, r.Method, u)
+					t.Fatalf("%s/%s utilization %v", wl, r.Method, u)
 				}
 			}
 			if r.AvgSlowdown < 1 {
-				t.Fatalf("%s/%s slowdown %v < 1", row.Workload, r.Method, r.AvgSlowdown)
+				t.Fatalf("%s/%s slowdown %v < 1", wl, r.Method, r.AvgSlowdown)
 			}
 		}
-	}
-	// Renderers must not crash and must mention every workload.
-	var buf bytes.Buffer
-	FprintFigure5(&buf, rows)
-	FprintFigure6(&buf, rows)
-	FprintFigure7(&buf, rows)
-	if buf.Len() == 0 {
-		t.Fatal("empty figure rendering")
-	}
-
-	kv := Figure7(rows)
-	for wl, mat := range kv {
-		for _, mrow := range mat {
+		for _, mrow := range kiviatOf(row, false) {
 			for _, v := range mrow {
 				if v < 0 || v > 1 || math.IsNaN(v) {
 					t.Fatalf("%s kiviat value %v", wl, v)
@@ -186,11 +221,20 @@ func TestFigures56AllMethodsComplete(t *testing.T) {
 			}
 		}
 	}
+	// Renderers must not crash and must mention every workload.
+	var buf bytes.Buffer
+	FprintFigure5(&buf, results)
+	FprintFigure6(&buf, results)
+	FprintFigure7(&buf, results)
+	for _, wl := range WorkloadNames() {
+		if !strings.Contains(buf.String(), "  "+wl+" ") {
+			t.Fatalf("figure rendering never mentions %s", wl)
+		}
+	}
 }
 
 func TestFigure4SeriesShape(t *testing.T) {
-	c := mustCampaign(t, tinyScale())
-	series, err := Figure4(c, "S4")
+	series, err := Figure4(mustRun(t, tinyScale(), CampaignOptions{}), "S4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +259,7 @@ func TestFigure4SeriesShape(t *testing.T) {
 }
 
 func TestFigure8And9GoalDynamics(t *testing.T) {
-	c := mustCampaign(t, tinyScale())
+	c := mustRun(t, tinyScale(), CampaignOptions{})
 	samples, err := Figure8(c)
 	if err != nil {
 		t.Fatal(err)
@@ -257,30 +301,29 @@ func TestFigure8And9GoalDynamics(t *testing.T) {
 }
 
 func TestFigure10ThreeResources(t *testing.T) {
-	c := mustCampaign(t, tinyScale())
-	rows, err := Figure10(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, rows := figureCells(t, "fig10")
 	if len(rows) != 5 {
 		t.Fatalf("%d workloads", len(rows))
 	}
 	for _, row := range rows {
-		for _, r := range row.Reports {
+		for _, cell := range row {
+			r := cell.Report
 			if len(r.Utilization) != 3 {
-				t.Fatalf("%s/%s: %d resources", row.Workload, r.Method, len(r.Utilization))
+				t.Fatalf("%s/%s: %d resources", r.Workload, r.Method, len(r.Utilization))
 			}
 			if r.AvgSysPowerKW <= 0 {
-				t.Fatalf("%s/%s: no power accounted", row.Workload, r.Method)
+				t.Fatalf("%s/%s: no power accounted", r.Workload, r.Method)
 			}
 		}
 	}
-	kv := Figure10Kiviat(rows)
-	if len(kv["S6"][0]) != 5 {
-		t.Fatalf("power kiviat has %d axes, want 5", len(kv["S6"][0]))
+	if rows[0][0].Cell.Scenario.Name != "S6" {
+		t.Fatalf("first fig10 scenario is %s, want S6", rows[0][0].Cell.Scenario.Name)
+	}
+	if axes := len(kiviatOf(rows[0], true)[0]); axes != 5 {
+		t.Fatalf("power kiviat has %d axes, want 5", axes)
 	}
 	var buf bytes.Buffer
-	FprintFigure10(&buf, rows)
+	FprintFigure10(&buf, results)
 }
 
 func TestOverallScoreOrdersByArea(t *testing.T) {

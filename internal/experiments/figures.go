@@ -2,68 +2,78 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
 
-// WorkloadNames are the Table III scenarios in plotting order, read from
-// the scenario registry.
-func WorkloadNames() []string { return builtinNames(false) }
-
-// PowerWorkloadNames are the §V-E scenarios, read from the registry.
-func PowerWorkloadNames() []string { return builtinNames(true) }
-
-func builtinNames(power bool) []string {
+// WorkloadNames are the Table III scenarios S1-S5 in plotting order, read
+// from the scenario registry.
+func WorkloadNames() []string {
 	var names []string
 	for _, sp := range scenario.Builtins() {
-		if sp.Power == power {
+		if !sp.Power {
 			names = append(names, sp.Name)
 		}
 	}
 	return names
 }
 
-// Campaign caches trained agents so the figures can share them (the paper
-// trains one agent per workload and reuses it across Figures 5-9).
-type Campaign struct {
-	M      *Materials
-	agents map[string]*core.MRSch
+// Figure is one entry of the paper's evaluation as mrsch-exp -fig names it.
+// A grid figure renders the cells of a builtin campaign, however they were
+// computed — in process, from the model store, or by distributed workers; a
+// study is an ordinary function of the process's campaign run, from which it
+// takes base materials and family models.
+type Figure struct {
+	Name string
+	// Spec is the campaign whose results Render tabulates. A study has none
+	// (Spec.Name is empty); Study runs instead.
+	Spec   scenario.CampaignSpec
+	Render func(w io.Writer, results []CellResult)
+	Study  func(w io.Writer, r *CampaignRun) error
 }
 
-// NewCampaign validates the scale and prepares materials for it.
-func NewCampaign(sc Scale) (*Campaign, error) {
-	m, err := Prepare(sc)
-	if err != nil {
-		return nil, err
+// Figures lists the figures at a sizing, in the order mrsch-exp prints
+// them. Figures 5, 6 and 7 are three renderings of one campaign, and
+// "sweep" is the paper campaign under its ordinary cell table.
+func Figures(scale scenario.ScaleSpec) []Figure {
+	grid := func(name, campaign string, render func(io.Writer, []CellResult)) Figure {
+		spec, err := scenario.CampaignByName(campaign, scale)
+		if err != nil {
+			panic(err) // the names below are program constants
+		}
+		return Figure{Name: name, Spec: spec, Render: render}
 	}
-	return &Campaign{M: m, agents: make(map[string]*core.MRSch)}, nil
+	return []Figure{
+		{Name: "1", Study: study(func(*CampaignRun) (Figure1Result, error) { return Figure1() }, FprintFigure1)},
+		grid("3", "fig3", FprintFigure3),
+		{Name: "4", Study: study(func(r *CampaignRun) ([]Fig4Series, error) { return Figure4(r, "S4") }, FprintFigure4)},
+		grid("5", "fig567", FprintFigure5),
+		grid("6", "fig567", FprintFigure6),
+		grid("7", "fig567", FprintFigure7),
+		{Name: "8", Study: study(Figure8, FprintFigure8)},
+		{Name: "9", Study: study(Figure9, FprintFigure9)},
+		grid("10", "fig10", FprintFigure10),
+		grid("sweep", "paper", func(w io.Writer, results []CellResult) { FprintCells(w, "paper", results) }),
+		{Name: "ablations", Study: fprintAblations},
+	}
 }
 
-// MRSchAgent returns the (cached) trained agent for a workload; set cnn for
-// the Figure 3 convolutional variant, power for S6-S10.
-func (c *Campaign) MRSchAgent(wl string, cnn, power bool) (*core.MRSch, error) {
-	key := fmt.Sprintf("%s/cnn=%v/power=%v", wl, cnn, power)
-	if a, ok := c.agents[key]; ok {
-		return a, nil
+// study pairs a bespoke computation with its renderer.
+func study[T any](compute func(*CampaignRun) (T, error), render func(io.Writer, T)) func(io.Writer, *CampaignRun) error {
+	return func(w io.Writer, r *CampaignRun) error {
+		v, err := compute(r)
+		if err != nil {
+			return err
+		}
+		render(w, v)
+		return nil
 	}
-	var agent *core.MRSch
-	var err error
-	if power {
-		agent, err = TrainMRSchPower(c.M, wl)
-	} else {
-		agent, _, err = TrainMRSch(c.M, wl, cnn)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.agents[key] = agent
-	return agent, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -180,43 +190,6 @@ func optimalBatches(jobs []*job.Job, caps []int) int {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 3 — MLP vs CNN state modules (§V-A).
-
-// Fig3Row holds both variants' reports for one workload.
-type Fig3Row struct {
-	Workload string
-	MLP, CNN metrics.Report
-}
-
-// Figure3 trains an MLP-state and a CNN-state MRSch per workload and
-// evaluates both on the test workload.
-func Figure3(c *Campaign) ([]Fig3Row, error) {
-	sys := c.M.Scale.System()
-	var rows []Fig3Row
-	for _, wl := range WorkloadNames() {
-		jobs := c.M.Workload(wl)
-		mlpAgent, err := c.MRSchAgent(wl, false, false)
-		if err != nil {
-			return nil, err
-		}
-		mlp, err := Evaluate(sys, mlpAgent.Policy(), jobs, "MLP", wl, -1)
-		if err != nil {
-			return nil, err
-		}
-		cnnAgent, err := c.MRSchAgent(wl, true, false)
-		if err != nil {
-			return nil, err
-		}
-		cnn, err := Evaluate(sys, cnnAgent.Policy(), jobs, "CNN", wl, -1)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig3Row{Workload: wl, MLP: mlp, CNN: cnn})
-	}
-	return rows, nil
-}
-
-// ---------------------------------------------------------------------------
 // Figure 4 — curriculum orderings (§V-B).
 
 // Fig4Series is one ordering's training-loss curve.
@@ -227,88 +200,26 @@ type Fig4Series struct {
 
 // Figure4 trains six fresh agents, one per curriculum ordering, on the same
 // scenario and budget, and returns their loss curves.
-func Figure4(c *Campaign, scenario string) ([]Fig4Series, error) {
+func Figure4(r *CampaignRun, scenarioName string) ([]Fig4Series, error) {
+	m, err := r.baseMaterials()
+	if err != nil {
+		return nil, err
+	}
 	var out []Fig4Series
 	for _, order := range Orderings() {
-		results, err := TrainMRSchOrdered(c.M, scenario, order, c.M.Scale.Seed+23)
+		t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: scenarioName, Order: order, Seed: m.Scale.Seed + 23})
 		if err != nil {
 			return nil, err
 		}
-		losses := make([]float64, 0, len(results))
-		for _, r := range results {
-			if r.Loss >= 0 {
-				losses = append(losses, r.Loss)
+		losses := make([]float64, 0, len(t.Episodes))
+		for _, ep := range t.Episodes {
+			if ep.Loss >= 0 {
+				losses = append(losses, ep.Loss)
 			}
 		}
 		out = append(out, Fig4Series{Label: order.Label(), Loss: losses})
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Figures 5, 6, 7 — the four-method comparison (§V-C).
-
-// MethodReports holds the four methods' reports for one workload, in
-// Methods() order.
-type MethodReports struct {
-	Workload string
-	Reports  []metrics.Report
-}
-
-// Figures56 runs MRSch, Optimization, Scalar RL and Heuristic on S1-S5.
-// Figure 5 reads the utilizations, Figure 6 the wait/slowdown.
-func Figures56(c *Campaign) ([]MethodReports, error) {
-	sys := c.M.Scale.System()
-	var out []MethodReports
-	for _, wl := range WorkloadNames() {
-		jobs := c.M.Workload(wl)
-		var reports []metrics.Report
-
-		agent, err := c.MRSchAgent(wl, false, false)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Evaluate(sys, agent.Policy(), jobs, MethodMRSch, wl, -1)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		r, err = Evaluate(sys, sched.NewWindowPolicy(NewGA(c.M.Scale.Seed+29), c.M.Scale.Window), jobs, MethodOptimize, wl, -1)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		rlAgent, err := TrainScalarRL(c.M, wl, sys, false)
-		if err != nil {
-			return nil, err
-		}
-		r, err = Evaluate(sys, rlAgent.Policy(), jobs, MethodScalarRL, wl, -1)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		r, err = Evaluate(sys, FCFSPolicy(c.M.Scale.Window), jobs, MethodHeuristic, wl, -1)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		out = append(out, MethodReports{Workload: wl, Reports: reports})
-	}
-	return out, nil
-}
-
-// Figure7 normalizes Figures56 rows into the radar-chart values the paper
-// plots (one [method][axis] matrix per workload).
-func Figure7(rows []MethodReports) map[string][][]float64 {
-	out := make(map[string][][]float64, len(rows))
-	for _, row := range rows {
-		out[row.Workload] = metrics.Kiviat(row.Reports, false)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -320,9 +231,10 @@ type GoalSample struct {
 	RBB float64
 }
 
-// goalTrace runs the trained agent over a workload collecting r_BB samples.
-func (c *Campaign) goalTrace(wl string) ([]GoalSample, error) {
-	agent, err := c.MRSchAgent(wl, false, false)
+// goalTrace replays a workload through its family's model — the agent
+// itself, greedy, since the goal hook lives on it — collecting r_BB samples.
+func goalTrace(r *CampaignRun, wl string) ([]GoalSample, error) {
+	agent, m, err := r.FamilyModel(wl)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +243,7 @@ func (c *Campaign) goalTrace(wl string) ([]GoalSample, error) {
 		samples = append(samples, GoalSample{T: now, RBB: g[1]})
 	}
 	defer func() { agent.GoalHook = nil }()
-	_, err = Evaluate(c.M.Scale.System(), agent.Policy(), c.M.Workload(wl), MethodMRSch, wl, -1)
+	_, err = Evaluate(m.Scale.System(), agent.Policy(), m.Workload(wl), MethodMRSch, wl, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -341,8 +253,8 @@ func (c *Campaign) goalTrace(wl string) ([]GoalSample, error) {
 // Figure8 returns the r_BB fluctuation during a 12-hour window of the S5
 // run (the paper samples a random 12 hours; we take the window starting at
 // one quarter of the trace for reproducibility).
-func Figure8(c *Campaign) ([]GoalSample, error) {
-	samples, err := c.goalTrace("S5")
+func Figure8(r *CampaignRun) ([]GoalSample, error) {
+	samples, err := goalTrace(r, "S5")
 	if err != nil {
 		return nil, err
 	}
@@ -371,10 +283,10 @@ type Fig9Row struct {
 }
 
 // Figure9 computes r_BB box plots for S1-S5.
-func Figure9(c *Campaign) ([]Fig9Row, error) {
+func Figure9(r *CampaignRun) ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for _, wl := range WorkloadNames() {
-		samples, err := c.goalTrace(wl)
+		samples, err := goalTrace(r, wl)
 		if err != nil {
 			return nil, err
 		}
@@ -388,110 +300,7 @@ func Figure9(c *Campaign) ([]Fig9Row, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 10 — three schedulable resources (§V-E).
-
-// Figure10 runs the four methods on the power-extended S6-S10 workloads.
-func Figure10(c *Campaign) ([]MethodReports, error) {
-	psys := c.M.Scale.PowerSystem()
-	powerIdx := 2
-	var out []MethodReports
-	for _, wl := range PowerWorkloadNames() {
-		jobs := c.M.PowerWorkload(wl)
-		var reports []metrics.Report
-
-		agent, err := c.MRSchAgent(wl, false, true)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Evaluate(psys, agent.Policy(), jobs, MethodMRSch, wl, powerIdx)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		r, err = Evaluate(psys, sched.NewWindowPolicy(NewGA(c.M.Scale.Seed+31), c.M.Scale.Window), jobs, MethodOptimize, wl, powerIdx)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		rlAgent, err := TrainScalarRL(c.M, wl, psys, true)
-		if err != nil {
-			return nil, err
-		}
-		r, err = Evaluate(psys, rlAgent.Policy(), jobs, MethodScalarRL, wl, powerIdx)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		r, err = Evaluate(psys, FCFSPolicy(c.M.Scale.Window), jobs, MethodHeuristic, wl, powerIdx)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-
-		out = append(out, MethodReports{Workload: wl, Reports: reports})
-	}
-	return out, nil
-}
-
-// Figure10Kiviat normalizes Figure10 rows with the power axis included.
-func Figure10Kiviat(rows []MethodReports) map[string][][]float64 {
-	out := make(map[string][][]float64, len(rows))
-	for _, row := range rows {
-		out[row.Workload] = metrics.Kiviat(row.Reports, true)
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// §V-F — runtime overhead.
-
-// OverheadContext builds a full-Theta-scale agent (the §IV-C network:
-// 11410-input state module with 4000/1000 hidden layers) and a representative
-// decision context, for timing a single scheduling decision.
-func OverheadContext(resources int) (*core.MRSch, *sched.PickContext) {
-	var sys cluster.Config
-	if resources >= 3 {
-		sys = cluster.Config{
-			Name:       "theta+power",
-			Resources:  []string{"nodes", "bb_tb", "power_kw"},
-			Capacities: []int{4392, 1293, 500},
-		}
-	} else {
-		sys = cluster.Config{
-			Name:       "theta",
-			Resources:  []string{"nodes", "bb_tb"},
-			Capacities: []int{4392, 1293},
-		}
-	}
-	agent := core.New(sys, core.Options{Window: 10, Seed: 1, PaperScale: true})
-	cl := cluster.New(sys)
-	// Half-loaded machine with a full window of waiting jobs.
-	demand := []int{512, 100}
-	if resources >= 3 {
-		demand = append(demand, 40)
-	}
-	for id := 1; id <= 4; id++ {
-		_ = cl.Allocate(id, demand, 0, float64(3600*id))
-	}
-	var window []*job.Job
-	for i := 0; i < 10; i++ {
-		d := []int{128 << (i % 4), 10 * (i + 1)}
-		if resources >= 3 {
-			d = append(d, 10+i)
-		}
-		window = append(window, &job.Job{
-			ID: 100 + i, Submit: 0, Runtime: 3600, Walltime: 5400, Demand: d,
-		})
-	}
-	ctx := &sched.PickContext{Now: 1800, Window: window, Queue: window, Cluster: cl, Usage: cl.Usage()}
-	return agent, ctx
-}
-
-// ---------------------------------------------------------------------------
-// Shape checks shared by tests and EXPERIMENTS.md tooling.
+// Shape checks shared by tests and the examples.
 
 // OverallScore is the Kiviat polygon area, the paper's "larger area =
 // better overall performance" aggregate.

@@ -168,43 +168,30 @@ func (m *Materials) powerSystemFor(sp scenario.ScenarioSpec) (cluster.Config, in
 // scenario.ByName, so trace-family names ("T4") and variant syntax work;
 // only the mix applies here — validation always runs unperturbed.
 func (m *Materials) ValidationWorkload(name string) []*job.Job {
-	sp, err := scenario.ByName(name)
-	if err != nil {
-		panic(err)
-	}
+	sp := mustScenario(name)
 	return rebase(workload.Apply(m.Valid, m.Pool, sp.Mix(), m.Scale.System(), m.Scale.Seed+150))
 }
 
 // Workload builds the named builtin scenario over the test split — the
 // string-keyed adapter over WorkloadSpec (variant syntax like "S4@wtn=0.5"
-// resolves too; see scenario.ByName). Unknown names panic: the legacy
-// callers treat names as program constants.
+// resolves too; see scenario.ByName). Unknown names panic: the callers
+// treat names as program constants.
 func (m *Materials) Workload(name string) []*job.Job {
-	sp, err := scenario.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	jobs, err := m.WorkloadSpec(sp)
+	jobs, err := m.WorkloadSpec(mustScenario(name))
 	if err != nil {
 		panic(err)
 	}
 	return jobs
 }
 
-// PowerWorkload builds an S6-S10 workload over the test split.
-func (m *Materials) PowerWorkload(name string) []*job.Job {
+// mustScenario resolves a scenario name the caller treats as a program
+// constant.
+func mustScenario(name string) scenario.ScenarioSpec {
 	sp, err := scenario.ByName(name)
-	if err == nil && !sp.Power {
-		err = fmt.Errorf("experiments: %s is not a power scenario", name)
-	}
 	if err != nil {
 		panic(err)
 	}
-	jobs, err := m.WorkloadSpec(sp)
-	if err != nil {
-		panic(err)
-	}
-	return jobs
+	return sp
 }
 
 // rebase shifts arrivals so the workload starts at time zero.
@@ -223,11 +210,7 @@ func rebase(jobs []*job.Job) []*job.Job {
 // from the training split: sampled (Poisson arrivals), real (trace slices),
 // and synthetic (fresh generator output), each transformed by the scenario.
 func (m *Materials) CurriculumSets(scenarioName string) map[core.JobSetKind][][]*job.Job {
-	sp, err := scenario.ByName(scenarioName)
-	if err != nil {
-		panic(err)
-	}
-	sc := sp.Mix()
+	sc := mustScenario(scenarioName).Mix()
 	s := m.Scale
 	sys := s.System()
 	apply := func(sets [][]*job.Job, seedOff int64) [][]*job.Job {

@@ -50,7 +50,7 @@ func TestTrainMRSchValidatedPipelined(t *testing.T) {
 	sc.RolloutWorkers = 2
 	sc.Pipelined = true
 	m := MustPrepare(sc)
-	_, results, best, err := TrainMRSchValidated(m, "S2")
+	_, results, best, err := trainValidated(m, "S2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rl"
 	"repro/internal/rollout"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -25,11 +27,6 @@ const (
 	MethodScalarRL  = "Scalar RL"
 	MethodHeuristic = "Heuristic"
 )
-
-// Methods lists the comparison in the paper's plotting order.
-func Methods() []string {
-	return []string{MethodMRSch, MethodOptimize, MethodScalarRL, MethodHeuristic}
-}
 
 // Evaluate replays jobs through the policy on a fresh cluster and collects
 // the §IV-B metrics. powerIdx is the power resource index or -1.
@@ -71,105 +68,160 @@ func (s Scale) mrschOptions(seed int64, useCNN bool) core.Options {
 // NewMRSchUntrained builds the campaign-architecture agent without training,
 // so saved weights (cmd/mrsch-train) can be loaded into it.
 func NewMRSchUntrained(sc Scale, power bool) *core.MRSch {
-	sys := sc.System()
-	if power {
-		sys = sc.PowerSystem()
-	}
-	return core.New(sys, sc.mrschOptions(sc.Seed+11, false))
+	model, _, _ := sc.newAgent(TrainRun{Kind: scenario.KindMRSch, Power: power}, sc.systemFor(power))
+	return model.MRSch
 }
 
-// TrainMRSch builds and curriculum-trains an MRSch agent for the scenario,
-// using the paper's best ordering (sampled -> real -> synthetic, §V-B).
-// Episodes are collected through the internal/rollout harness, with
-// Scale.RolloutWorkers simulator environments in parallel. With
-// Scale.CheckpointDir set, the run writes a resumable checkpoint at every
-// round boundary and — with Scale.Resume — continues a previously
-// interrupted run bitwise identically (the returned results are then the
-// remaining tail of the episode stream).
-func TrainMRSch(m *Materials, scenario string, useCNN bool) (*core.MRSch, []core.EpisodeResult, error) {
-	sys := m.Scale.System()
-	agent := core.New(sys, m.Scale.mrschOptions(m.Scale.Seed+11, useCNN))
-	byKind := m.CurriculumSets(scenario)
-	order := Ordering{core.Sampled, core.Real, core.Synthetic}
-	sets := order.Sets(byKind)
-	cfg := m.Scale.rolloutConfig()
-	if err := m.Scale.wireCheckpoint(&cfg, trainKey("mrsch", scenario, useCNN, false), len(sets), agent.SaveState, agent.LoadState); err != nil {
-		return agent, nil, err
-	}
-	results, err := rollout.Train(rollout.NewMRSchLearner(agent, core.TrainConfig{
-		System:          sys,
-		StepsPerEpisode: m.Scale.StepsPerEpisode,
-	}), cfg, sets)
-	return agent, results, err
+// TrainMRSch trains the two-resource MRSch family model for a Table III
+// scenario: Train on a TrainRun of kind mrsch.
+func TrainMRSch(m *Materials, name string, useCNN bool) (*core.MRSch, []core.EpisodeResult, error) {
+	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, CNN: useCNN})
+	return t.MRSch, t.Episodes, err
 }
 
-// TrainMRSchValidated curriculum-trains with the §IV-A model-selection
-// protocol: every second episode the agent is scored greedily on the
-// validation workload and the best weights are restored at the end. The
-// validation runs hook into the rollout harness between episodes (weights
-// are stable there — no rollouts in flight), so the protocol composes with
-// parallel collection unchanged. With Scale.CheckpointDir set, the round
-// checkpoints carry the selection state (best score and weights) alongside
-// the agent state, so a resumed validated run keeps a best model found
-// before the interruption; the "-validated" key suffix keeps these
-// checkpoints from colliding with plain TrainMRSch ones.
-func TrainMRSchValidated(m *Materials, scenario string) (*core.MRSch, []core.EpisodeResult, core.ValidationMetrics, error) {
-	sys := m.Scale.System()
-	agent := core.New(sys, m.Scale.mrschOptions(m.Scale.Seed+11, false))
-	byKind := m.CurriculumSets(scenario)
-	order := Ordering{core.Sampled, core.Real, core.Synthetic}
-	sel := core.NewSelection(agent, sys, m.ValidationWorkload(scenario), 2)
-	sets := order.Sets(byKind)
+// TrainRun names one training run: which method's agent (Kind: mrsch or
+// scalar-rl) learns on which builtin scenario family's curriculum. Power
+// selects the three-resource system and the §V-E power curriculum of an
+// S6-S10 family, which always builds the MLP; CNN selects the convolutional
+// state module (Figure 3) elsewhere.
+type TrainRun struct {
+	Kind   scenario.MethodKind
+	Family string
+	Power  bool
+	CNN    bool
+	// Validate runs the §IV-A model-selection protocol (mrsch only): every
+	// second episode the agent is scored greedily on the validation
+	// workload — between rounds, when no rollout is in flight — and the
+	// best weights are restored at the end.
+	Validate bool
 
-	cfg := m.Scale.rolloutConfig()
-	cfg.AfterEpisode = sel.AfterEpisode
-	if err := m.Scale.wireCheckpoint(&cfg, trainKey("mrsch", scenario, false, false)+"-validated", len(sets),
-		validatedSaver(agent, sel), validatedLoader(agent, sel)); err != nil {
-		return agent, nil, core.ValidationMetrics{}, err
+	// The bespoke studies' deviations from the campaign's recipe: Order
+	// replaces the sampled -> real -> synthetic curriculum (Figure 4), Seed
+	// the agent seed, and PerResourceNets builds the §III-A per-resource
+	// state networks MRSch rejects. Such a run is not checkpointed: a study
+	// reads the whole episode stream, and a resumed run returns its tail.
+	Order           Ordering
+	Seed            int64
+	PerResourceNets bool
+}
+
+// Trained is what a training run leaves behind: the agent, by kind, the
+// per-episode results (after a resume, the tail that ran in this process)
+// and, for a validated run, the best validation score seen.
+type Trained struct {
+	MRSch    *core.MRSch
+	ScalarRL *rl.Scheduler
+	Episodes []core.EpisodeResult
+	Best     core.ValidationMetrics
+
+	// agent is MRSch or ScalarRL as what both are to the model store and
+	// the checkpoint layer: a weight file and a full training state.
+	agent interface {
+		Save(io.Writer) error
+		Load(io.Reader) error
+		SaveState(io.Writer) error
+		LoadState(io.Reader) error
 	}
-	results, err := rollout.Train(rollout.NewMRSchLearner(agent, core.TrainConfig{
-		System:          sys,
-		StepsPerEpisode: m.Scale.StepsPerEpisode,
-	}), cfg, sets)
+}
+
+// paperOrdering is the curriculum ordering the paper found best (§V-B).
+var paperOrdering = Ordering{core.Sampled, core.Real, core.Synthetic}
+
+// Train is the one training entry point: it builds the run's agent, lays
+// out its curriculum and collects the episodes through the internal/rollout
+// harness on Scale.RolloutWorkers simulator environments. With
+// Scale.CheckpointDir set the run writes a resumable checkpoint at every
+// round boundary — validated runs carry the selection state (best score and
+// weights) alongside the agent state, under a "-validated" key so they never
+// collide with plain ones — and with Scale.Resume it continues a previously
+// interrupted run bitwise identically.
+func Train(m *Materials, run TrainRun) (Trained, error) {
+	sc := m.Scale
+	sys := sc.systemFor(run.Power)
+	out, learner, err := sc.newAgent(run, sys)
 	if err != nil {
-		return agent, results, core.ValidationMetrics{}, err
+		return out, err
 	}
-	best, err := sel.Finish()
-	return agent, results, best, err
+	save, load := out.agent.SaveState, out.agent.LoadState
+
+	var sets []core.JobSet
+	if run.Power {
+		sets = m.powerCurriculum(run.Family)
+	} else {
+		order := run.Order
+		if order == (Ordering{}) {
+			order = paperOrdering
+		}
+		sets = order.Sets(m.CurriculumSets(run.Family))
+	}
+
+	cfg := sc.rolloutConfig()
+	key := trainKey(string(run.Kind), run.Family, run.CNN && !run.Power, run.Power)
+	var sel *core.Selection
+	if run.Validate {
+		if out.MRSch == nil {
+			return out, fmt.Errorf("experiments: validated training applies to %s only", scenario.KindMRSch)
+		}
+		sel = core.NewSelection(out.MRSch, sys, m.ValidationWorkload(run.Family), 2)
+		cfg.AfterEpisode = sel.AfterEpisode
+		key += "-validated"
+		save, load = validatedSaver(out.MRSch, sel), validatedLoader(out.MRSch, sel)
+	}
+	if study := run.Order != (Ordering{}) || run.Seed != 0 || run.PerResourceNets; !study {
+		if err := sc.wireCheckpoint(&cfg, key, len(sets), save, load); err != nil {
+			return out, err
+		}
+	}
+	if out.Episodes, err = rollout.Train(learner, cfg, sets); err != nil {
+		return out, fmt.Errorf("experiments: training %s on %s: %w", run.Kind, run.Family, err)
+	}
+	if sel != nil {
+		out.Best, err = sel.Finish()
+	}
+	return out, err
 }
 
-// TrainMRSchOrdered trains a fresh agent with an explicit curriculum
-// ordering (Figure 4).
-func TrainMRSchOrdered(m *Materials, scenario string, order Ordering, seed int64) ([]core.EpisodeResult, error) {
-	sys := m.Scale.System()
-	agent := core.New(sys, m.Scale.mrschOptions(seed, false))
-	byKind := m.CurriculumSets(scenario)
-	return rollout.Train(rollout.NewMRSchLearner(agent, core.TrainConfig{
-		System:          sys,
-		StepsPerEpisode: m.Scale.StepsPerEpisode,
-	}), m.Scale.rolloutConfig(), order.Sets(byKind))
+// newAgent builds a run's untrained agent on sys together with the learner
+// that trains it — the one construction training, model-store reloading and
+// mrsch-train's weight files must agree on, or saved weights stop fitting.
+// MRSch seeds Seed+11 (Seed+13 on the three-resource system), scalar RL
+// Seed+17.
+func (s Scale) newAgent(run TrainRun, sys cluster.Config) (Trained, rollout.Learner, error) {
+	switch run.Kind {
+	case scenario.KindMRSch:
+		seed := run.Seed
+		if seed == 0 {
+			seed = s.Seed + 11
+			if run.Power {
+				seed = s.Seed + 13
+			}
+		}
+		opts := s.mrschOptions(seed, run.CNN && !run.Power)
+		opts.PerResourceNets = run.PerResourceNets
+		agent := core.New(sys, opts)
+		return Trained{MRSch: agent, agent: agent}, rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: s.StepsPerEpisode}), nil
+	case scenario.KindScalarRL:
+		cfg := rl.DefaultConfig()
+		cfg.Window = s.Window
+		cfg.Seed = s.Seed + 17
+		agent := rl.New(sys, cfg)
+		return Trained{ScalarRL: agent, agent: agent}, rollout.NewScalarRLLearner(agent, core.TrainConfig{System: sys}), nil
+	}
+	return Trained{}, nil, fmt.Errorf("experiments: method %s is training-free", run.Kind)
 }
 
-// TrainMRSchPower trains an agent on the three-resource system for an
-// S6-S10 workload (§V-E). Power workloads reuse the scenario transform of
-// their S1-S5 counterpart for the curriculum.
-func TrainMRSchPower(m *Materials, powerName string) (*core.MRSch, error) {
-	psys := m.Scale.PowerSystem()
-	agent := core.New(psys, m.Scale.mrschOptions(m.Scale.Seed+13, false))
-	sets := m.powerCurriculum(powerName)
-	cfg := m.Scale.rolloutConfig()
-	if err := m.Scale.wireCheckpoint(&cfg, trainKey("mrsch", powerName, false, true), len(sets), agent.SaveState, agent.LoadState); err != nil {
-		return agent, err
+// systemFor returns the scaled machine: two resources, or the §V-E
+// three-resource one.
+func (s Scale) systemFor(power bool) cluster.Config {
+	if power {
+		return s.PowerSystem()
 	}
-	_, err := rollout.Train(rollout.NewMRSchLearner(agent, core.TrainConfig{
-		System:          psys,
-		StepsPerEpisode: m.Scale.StepsPerEpisode,
-	}), cfg, sets)
-	return agent, err
+	return s.System()
 }
 
 // powerCurriculum builds sampled and real training sets carrying power
-// demands for an S6-S10 workload.
+// demands for an S6-S10 workload. Power workloads reuse the scenario
+// transform of their S1-S5 counterpart for the curriculum.
 func (m *Materials) powerCurriculum(powerName string) []core.JobSet {
 	for i, p := range workload.PowerScenarios() {
 		if p.Name != powerName {
@@ -193,43 +245,6 @@ func (m *Materials) powerCurriculum(powerName string) []core.JobSet {
 		return sets
 	}
 	panic("experiments: unknown power workload " + powerName)
-}
-
-// scalarRLConfig is the single source of the campaign-architecture
-// scalar-RL configuration: training (TrainScalarRL) and model-store
-// reloading (loadScalarRLModel) must construct identical schedulers or
-// stored weights stop fitting.
-func (s Scale) scalarRLConfig() rl.Config {
-	cfg := rl.DefaultConfig()
-	cfg.Window = s.Window
-	cfg.Seed = s.Seed + 17
-	return cfg
-}
-
-// TrainScalarRL trains the fixed-weight policy-gradient baseline on the same
-// sampled sets as MRSch (episode count matched for fairness), through the
-// same rollout harness.
-func TrainScalarRL(m *Materials, scenario string, sys cluster.Config, powerAware bool) (*rl.Scheduler, error) {
-	agent := rl.New(sys, m.Scale.scalarRLConfig())
-
-	var sets []core.JobSet
-	if powerAware {
-		sets = m.powerCurriculum(scenario)
-	} else {
-		byKind := m.CurriculumSets(scenario)
-		order := Ordering{core.Sampled, core.Real, core.Synthetic}
-		sets = order.Sets(byKind)
-	}
-	rcfg := m.Scale.rolloutConfig()
-	if err := m.Scale.wireCheckpoint(&rcfg, trainKey("scalar-rl", scenario, false, powerAware), len(sets), agent.SaveState, agent.LoadState); err != nil {
-		return nil, err
-	}
-	if _, err := rollout.Train(rollout.NewScalarRLLearner(agent, core.TrainConfig{
-		System: sys,
-	}), rcfg, sets); err != nil {
-		return nil, fmt.Errorf("experiments: scalar RL training: %w", err)
-	}
-	return agent, nil
 }
 
 // NewGA returns the Optimization baseline picker.

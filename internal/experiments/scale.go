@@ -1,13 +1,25 @@
-// Package experiments regenerates every figure of the paper's evaluation
-// (§V): the MLP-vs-CNN state-module ablation (Figure 3), the curriculum-
-// ordering convergence study (Figure 4), the system- and user-level
-// comparisons of the four scheduling methods (Figures 5-7), the dynamic
-// resource-prioritizing traces (Figures 8-9), the three-resource case study
-// (Figure 10), and the decision-latency measurement (§V-F). Each experiment
-// is a pure function of an explicit Scale, so the same code runs a
-// CI-sized replica or a heavier standalone configuration. Campaigns beyond
-// the paper grid are declared with internal/scenario specs and run through
-// RunCampaign.
+// Package experiments runs declarative campaigns (internal/scenario specs)
+// and, through them, regenerates every figure of the paper's evaluation
+// (§V). CampaignRun is the one place a (scenario, method) pair becomes base
+// materials, a trained family model and a scheduling policy; Train is the
+// one training entry point behind it. The figures that are scenario x method
+// grids (3, 5-7, 10) are builtin campaigns under renderers over
+// []CellResult; the rest (1, 4, 8, 9, the ablations) are ordinary functions
+// of a run, which lends them its materials and family models (Figures lists
+// both kinds). Everything is a pure function of an explicit Scale, so the
+// same code runs a CI-sized replica or a heavier standalone configuration.
+//
+// # How a cell evaluates each method
+//
+// One definition, in CampaignRun.cellPolicy; every seed derives from the
+// scale seed and the cell's grid index, never from worker identity:
+//
+//   - Heuristic: FCFS with EASY backfilling; deterministic.
+//   - Optimization: the GA picker, seeded Seed+7000+Index.
+//   - MRSch: greedy (epsilon 0) through an unrecorded read-only actor clone
+//     of the family's frozen model, so a report does not depend on Index.
+//   - Scalar RL: samples its softmax policy, as in training, from a stream
+//     seeded Seed+9000+Index, through the same kind of actor clone.
 package experiments
 
 import (

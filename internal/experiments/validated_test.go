@@ -6,11 +6,20 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/scenario"
 )
+
+// trainValidated is the training run mrsch-train -validate makes.
+func trainValidated(m *Materials, name string) (*core.MRSch, []core.EpisodeResult, core.ValidationMetrics, error) {
+	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, Validate: true})
+	return t.MRSch, t.Episodes, t.Best, err
+}
 
 func TestTrainMRSchValidatedSelectsModel(t *testing.T) {
 	m := MustPrepare(tinyScale())
-	agent, results, best, err := TrainMRSchValidated(m, "S2")
+	agent, results, best, err := trainValidated(m, "S2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +49,7 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 	sc.RolloutWorkers = 2
 
 	// Uninterrupted reference, no checkpointing.
-	refAgent, refResults, refBest, err := TrainMRSchValidated(MustPrepare(sc), "S2")
+	refAgent, refResults, refBest, err := trainValidated(MustPrepare(sc), "S2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +91,7 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	ckptAgent, _, ckptBest, err := TrainMRSchValidated(MustPrepare(ckpt), "S2")
+	ckptAgent, _, ckptBest, err := trainValidated(MustPrepare(ckpt), "S2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 			resumedAt = episodes
 		}
 	}
-	resAgent, resResults, resBest, err := TrainMRSchValidated(MustPrepare(res), "S2")
+	resAgent, resResults, resBest, err := trainValidated(MustPrepare(res), "S2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +150,7 @@ func TestValidatedTrainResumeFinishedRunKeepsSelection(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScale()
 	sc.CheckpointDir = dir
-	agent1, results1, best1, err := TrainMRSchValidated(MustPrepare(sc), "S2")
+	agent1, results1, best1, err := trainValidated(MustPrepare(sc), "S2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +159,7 @@ func TestValidatedTrainResumeFinishedRunKeepsSelection(t *testing.T) {
 	}
 
 	sc.Resume = true
-	agent2, results2, best2, err := TrainMRSchValidated(MustPrepare(sc), "S2")
+	agent2, results2, best2, err := trainValidated(MustPrepare(sc), "S2")
 	if err != nil {
 		t.Fatal(err)
 	}

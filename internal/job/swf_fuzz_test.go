@@ -11,12 +11,12 @@ import (
 // panic), and the user column survives the import when present.
 func TestReadSWFHardening(t *testing.T) {
 	swf := strings.Join([]string{
-		"1 0 10 3600 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",     // good, user 5
-		"2 NaN 10 3600 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",   // NaN submit
-		"3 0 10 +Inf 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",     // Inf runtime
+		"1 0 10 3600 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",       // good, user 5
+		"2 NaN 10 3600 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",     // NaN submit
+		"3 0 10 +Inf 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",       // Inf runtime
 		"4 0 10 3600 1e300 -1 -1 1e300 7200 -1 1 5 5 1 1 -1 -1 -1", // absurd procs
-		"5 1e20 10 3600 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",  // beyond a century
-		"6 0 10 3600 64 -1 -1 64 NaN -1 1 5 5 1 1 -1 -1 -1",      // NaN walltime: runtime fallback
+		"5 1e20 10 3600 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1",    // beyond a century
+		"6 0 10 3600 64 -1 -1 64 NaN -1 1 5 5 1 1 -1 -1 -1",        // NaN walltime: runtime fallback
 	}, "\n")
 	jobs, skipped, err := ReadSWF(strings.NewReader(swf), SWFOptions{ProcsPerNode: 64, Resources: 2})
 	if err != nil {
@@ -65,12 +65,12 @@ func FuzzParseSWF(f *testing.F) {
 	f.Add([]byte("; comment only\n"))
 	f.Add([]byte("# hash comment\n\n"))
 	f.Add([]byte("1 0 10 3600 64 -1 -1 64 7200 -1 1 5 5 1 1 -1 -1 -1"))
-	f.Add([]byte("1 0 10 3600 64"))                                     // truncated
-	f.Add([]byte("x 0 10 3600 64 -1 -1 64 7200"))                       // bad job number
-	f.Add([]byte("1 NaN 10 +Inf -Inf -1 -1 1e300 7200 -1 1 5"))        // non-finite soup
-	f.Add([]byte("1 0 10 3600 9223372036854775807 -1 -1 1 1"))          // overflow-sized procs
+	f.Add([]byte("1 0 10 3600 64"))                             // truncated
+	f.Add([]byte("x 0 10 3600 64 -1 -1 64 7200"))               // bad job number
+	f.Add([]byte("1 NaN 10 +Inf -Inf -1 -1 1e300 7200 -1 1 5")) // non-finite soup
+	f.Add([]byte("1 0 10 3600 9223372036854775807 -1 -1 1 1"))  // overflow-sized procs
 	f.Add([]byte("2 100 0 10 1 -1 -1 1 10 -1 1 1 1 1 1 -1 -1 -1\n1 50 0 10 1 -1 -1 1 10 -1 1 1 1 1 1 -1 -1 -1\n"))
-	f.Add([]byte("1\t0\t10\t3600\t64\t-1\t-1\t64\t7200"))               // tab-separated
+	f.Add([]byte("1\t0\t10\t3600\t64\t-1\t-1\t64\t7200")) // tab-separated
 	f.Add([]byte("-1 -1 -1 -1 -1 -1 -1 -1 -1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jobs, skipped, err := ReadSWF(strings.NewReader(string(data)),

@@ -106,7 +106,8 @@ func (d *Dense) BackwardBatchParams(grad Vec, bsz int) {
 
 // denseBackwardRow is the exact-order backward Dense runs at bsz=1:
 // parameter gradients accumulate element-wise in output order — the order
-// dfp.TrainStepReference and the REINFORCE baseline are pinned to. Zero
+// dfp's sample-at-a-time reference step (engine_test.go) and the REINFORCE
+// baseline are pinned to. Zero
 // output-gradients skip their row entirely,
 // which the sparse dueling backward in internal/dfp relies on.
 func denseBackwardRow(gin, grad, x, w, gw, gb Vec, in, out int) {

@@ -17,4 +17,14 @@
 // order by Scheduler.IngestTrajectory. The canonical statement of the
 // per-episode seeding and ordering rules lives in the internal/rollout
 // package documentation.
+//
+// # Evaluation
+//
+// A campaign cell (internal/experiments) evaluates the trained policy the
+// way it was trained: it samples every action from the softmax, through an
+// unrecorded Actor reseeded Seed+9000+Index for the cell. It does not take
+// the argmax — Scheduler.Policy on the master outside training does, and no
+// experiment path uses that — so a scalar-RL cell's report depends on the
+// cell's index, and comparisons across campaigns should replicate over a
+// seed axis rather than read one cell.
 package rl

@@ -32,9 +32,10 @@
 //     on both hosts (internal/nn "Kernel dispatch"): sets agree to ≤1e-12,
 //     not bit-for-bit. MRSCH_KERNEL=go pins the portable set anywhere.
 //
-//  4. Workers=1 reproduces TrainSerial, the retained inline reference loop,
-//     exactly — the analogue of dfp.TrainStepReference for the batched
-//     training engine. Different worker counts produce different (equally
+//  4. Workers=1 reproduces the inline serial reference loop exactly. The
+//     loop lives in rollout_test.go, as dfp's sample-at-a-time reference
+//     step lives in its engine_test.go: each is an oracle the equivalence
+//     tests compare against, not an API. Different worker counts produce different (equally
 //     valid) interleavings of collection and training, because a round of k
 //     episodes shares the weights from its start; they are each individually
 //     reproducible but not equal to one another.
@@ -99,9 +100,9 @@
 //     equivalence, hold with telemetry enabled. The resume-equivalence
 //     suite runs with instruments active to enforce this.
 //
-// The serial paths retained elsewhere (core.TrainCurriculum and the
-// training-mode Act of dfp.Agent/rl.Scheduler) draw exploration and replay
-// sampling from one shared agent rng; the harness instead gives each episode
+// The library's harness-free path (core.TrainEpisode and the training-mode
+// Act of dfp.Agent/rl.Scheduler) draws exploration and replay sampling from
+// one shared agent rng; the harness instead gives each episode
 // its own stream (rule 1) so episode transcripts cannot depend on collection
 // order. The two designs produce different but statistically equivalent
 // runs; harness results are self-consistent under rules 3-4.

@@ -27,7 +27,7 @@ type mrschLearner struct {
 	replayOcc *telemetry.Gauge
 }
 
-// NewMRSchLearner adapts an MRSch agent for Train/TrainSerial. cfg follows
+// NewMRSchLearner adapts an MRSch agent for Train. cfg follows
 // core.TrainConfig semantics with one extension: StepsPerEpisode < 0 runs no
 // gradient steps at all (pure episode collection, used by the throughput
 // benchmark), while 0 keeps the package default of 16.

@@ -124,7 +124,8 @@ type Learner interface {
 // driven by a private rng seeded EpisodeSeed(cfg.Seed, i) and the episode's
 // own slot in the exploration schedule, so for a fixed (Seed, Workers) pair
 // the full result stream — including final network weights — is bitwise
-// reproducible run to run, and Workers=1 reproduces TrainSerial exactly.
+// reproducible run to run, and Workers=1 reproduces the serial reference loop
+// in rollout_test.go exactly.
 //
 // With cfg.Pipelined set, Train instead overlaps round k+1's collection with
 // round k's reduction against a versioned weight snapshot (pipeline.go); the
@@ -229,8 +230,8 @@ func runCheckpoint(cfg Config, done int) error {
 // rollout error, Reduce the transcript, record the result, and run the
 // AfterEpisode hook. It is the per-episode sequence shared by trainBarrier
 // and trainPipelined, so the two modes cannot drift apart in error wrapping
-// or hook semantics; TrainSerial keeps its own inline copy as the
-// independent reference loop.
+// or hook semantics; the test suite's serial reference keeps its own inline
+// copy as the independent oracle.
 func reduceEpisode(l Learner, cfg Config, m rolloutMetrics, sets []core.JobSet, idx int, tr Transcript, rollErr error, results []core.EpisodeResult) ([]core.EpisodeResult, error) {
 	if rollErr != nil {
 		return results, fmt.Errorf("rollout: episode %d (%s): %w", idx, sets[idx].Kind, rollErr)
@@ -244,35 +245,6 @@ func reduceEpisode(l Learner, cfg Config, m rolloutMetrics, sets []core.JobSet, 
 	if cfg.AfterEpisode != nil {
 		if err := cfg.AfterEpisode(idx, r); err != nil {
 			return results, err
-		}
-	}
-	return results, nil
-}
-
-// TrainSerial is the retained serial reference: one actor, one inline loop,
-// no goroutines or round structure, with the same per-episode seed
-// derivation as Train. Train with Workers=1 must produce an identical result
-// stream and identical final weights — the property the package's
-// determinism tests pin, mirroring dfp.TrainStepReference's role for the
-// batched engine.
-func TrainSerial(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeResult, error) {
-	actor, _ := l.Spawn()
-	results := make([]core.EpisodeResult, 0, len(sets))
-	for i := range sets {
-		ep := episodeAt(cfg, sets, i)
-		tr, err := actor.Rollout(ep)
-		if err != nil {
-			return results, fmt.Errorf("rollout: episode %d (%s): %w", i, sets[i].Kind, err)
-		}
-		r, err := l.Reduce(ep, tr)
-		if err != nil {
-			return results, fmt.Errorf("rollout: reduce episode %d (%s): %w", i, sets[i].Kind, err)
-		}
-		results = append(results, r)
-		if cfg.AfterEpisode != nil {
-			if err := cfg.AfterEpisode(i, r); err != nil {
-				return results, err
-			}
 		}
 	}
 	return results, nil

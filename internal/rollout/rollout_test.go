@@ -17,6 +17,34 @@ import (
 	"repro/internal/workload"
 )
 
+// TrainSerial is the serial reference: one actor, one inline loop, no
+// goroutines or round structure, with the same per-episode seed derivation
+// as Train. Train with Workers=1 must produce an identical result stream and
+// identical final weights — the property the determinism tests below pin,
+// mirroring TrainStepReference's role for dfp's batched engine.
+func TrainSerial(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeResult, error) {
+	actor, _ := l.Spawn()
+	results := make([]core.EpisodeResult, 0, len(sets))
+	for i := range sets {
+		ep := episodeAt(cfg, sets, i)
+		tr, err := actor.Rollout(ep)
+		if err != nil {
+			return results, fmt.Errorf("rollout: episode %d (%s): %w", i, sets[i].Kind, err)
+		}
+		r, err := l.Reduce(ep, tr)
+		if err != nil {
+			return results, fmt.Errorf("rollout: reduce episode %d (%s): %w", i, sets[i].Kind, err)
+		}
+		results = append(results, r)
+		if cfg.AfterEpisode != nil {
+			if err := cfg.AfterEpisode(i, r); err != nil {
+				return results, err
+			}
+		}
+	}
+	return results, nil
+}
+
 // testSystem is a small two-resource machine.
 func testSystem() cluster.Config {
 	return workload.ThetaScaled(64)

@@ -17,7 +17,7 @@ type scalarRLLearner struct {
 	cfg core.TrainConfig
 }
 
-// NewScalarRLLearner adapts a scalar-RL scheduler for Train/TrainSerial.
+// NewScalarRLLearner adapts a scalar-RL scheduler for Train.
 // Only cfg.System and cfg.MaxEventsPerEpisode are consulted — REINFORCE
 // takes exactly one update per episode, so StepsPerEpisode does not apply.
 func NewScalarRLLearner(s *rl.Scheduler, cfg core.TrainConfig) Learner {

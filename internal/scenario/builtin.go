@@ -314,10 +314,9 @@ func ScaleByName(name string) (ScaleSpec, error) {
 	return ScaleSpec{}, fmt.Errorf("scenario: unknown scale %q (builtins: quick, standard, tiny)", name)
 }
 
-// PaperCampaign is the paper's evaluation grid as run by the legacy sweep
-// mode: every builtin scenario under the training-free methods. Its
-// expansion reproduces the legacy SweepGrid(nil) cells exactly, order
-// included.
+// PaperCampaign is the paper's evaluation grid under the training-free
+// methods: every builtin scenario, two cells each (mrsch-exp -fig sweep
+// renders it). The description string is part of the committed golden spec.
 func PaperCampaign(scale ScaleSpec) CampaignSpec {
 	return CampaignSpec{
 		Name:        "paper",
@@ -329,6 +328,16 @@ func PaperCampaign(scale ScaleSpec) CampaignSpec {
 			{Kind: KindOptimize},
 		},
 	}
+}
+
+// fourMethods is the §IV-D comparison in the paper's plotting order, every
+// trained kind training one model per scenario family.
+func fourMethods() []MethodSpec {
+	var out []MethodSpec
+	for _, k := range Kinds() {
+		out = append(out, MethodSpec{Kind: k, Train: k.Trained()})
+	}
+	return out
 }
 
 // ThetaVariantCampaign sweeps the three theta-variant axes over the S4
@@ -398,9 +407,42 @@ func ThetaSkewCampaign(scale ScaleSpec) CampaignSpec {
 }
 
 // BuiltinCampaigns returns the named campaigns -dump-campaign can emit, at
-// the given sizing.
+// the given sizing. The last three are the grids behind the paper's figures:
+// fig3 (§V-A) runs S1-S5 under MRSch with the MLP and with the CNN state
+// module — its MLP family models are the ones fig567 trains, a label being
+// no part of a model's identity; fig567 (§V-C) is the four-method comparison
+// Figures 5, 6 and 7 all render; fig10 (§V-E) is the same comparison on the
+// power-capped S6-S10.
 func BuiltinCampaigns(scale ScaleSpec) []CampaignSpec {
-	return []CampaignSpec{PaperCampaign(scale), ThetaVariantCampaign(scale), ThetaSkewCampaign(scale)}
+	all := Builtins() // S1-S5, then the power-capped S6-S10
+	tableIII, powerCapped := all[:len(all)/2], all[len(all)/2:]
+	return []CampaignSpec{
+		PaperCampaign(scale), ThetaVariantCampaign(scale), ThetaSkewCampaign(scale),
+		{
+			Name:        "fig3",
+			Description: "Figure 3: S1-S5 under MRSch with the MLP and the CNN state module",
+			Scale:       scale,
+			Scenarios:   tableIII,
+			Methods: []MethodSpec{
+				{Kind: KindMRSch, Train: true, Label: "MLP"},
+				{Kind: KindMRSch, Train: true, CNN: true, Label: "CNN"},
+			},
+		},
+		{
+			Name:        "fig567",
+			Description: "Figures 5-7: S1-S5 under MRSch, Optimization, Scalar RL and Heuristic",
+			Scale:       scale,
+			Scenarios:   tableIII,
+			Methods:     fourMethods(),
+		},
+		{
+			Name:        "fig10",
+			Description: "Figure 10: the power-capped S6-S10 under the four methods",
+			Scale:       scale,
+			Scenarios:   powerCapped,
+			Methods:     fourMethods(),
+		},
+	}
 }
 
 // CampaignByName resolves a builtin campaign name at the given sizing.
@@ -410,5 +452,5 @@ func CampaignByName(name string, scale ScaleSpec) (CampaignSpec, error) {
 			return c, nil
 		}
 	}
-	return CampaignSpec{}, fmt.Errorf("scenario: unknown campaign %q (builtins: paper, theta-variants, theta-skew)", name)
+	return CampaignSpec{}, fmt.Errorf("scenario: unknown campaign %q (builtins: paper, theta-variants, theta-skew, fig3, fig567, fig10)", name)
 }

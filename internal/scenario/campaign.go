@@ -85,9 +85,9 @@ func (c CampaignSpec) Validate() error {
 }
 
 // Expand flattens the axes into cells: scenario-major, then method, then
-// seed — the order the legacy S1-S10 x method SweepGrid used, so the paper
-// campaign reproduces its cells exactly. Expansion is a pure function of
-// the spec; expanding an unmarshalled copy yields identical cells.
+// seed (the figure renderers rely on a scenario's cells being consecutive).
+// Expansion is a pure function of the spec; expanding an unmarshalled copy
+// yields identical cells.
 func (c CampaignSpec) Expand() []Cell {
 	seeds := c.Seeds
 	if len(seeds) == 0 {

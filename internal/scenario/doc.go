@@ -22,7 +22,9 @@
 // A CampaignSpec is scenario axis x method axis x optional seed axis over
 // one ScaleSpec (the serializable sizing). ByName resolves builtin
 // scenarios and variant syntax ("S4@wtn=0.5", "S4@div=16,ia=0.75");
-// PaperCampaign and ThetaVariantCampaign are the builtin campaigns.
+// BuiltinCampaigns lists the builtin campaigns: the paper grid, the theta
+// variants, and the grids behind Figures 3, 5-7 and 10 (fig3, fig567,
+// fig10), which mrsch-exp -fig renders.
 //
 // # Determinism contract
 //
@@ -33,10 +35,7 @@
 //     per-cell policy, so campaign results are identical for every worker
 //     count (cells are independent evaluation episodes; see
 //     internal/rollout for the training-side contract).
-//  3. The paper campaign's expansion reproduces the legacy
-//     experiments.SweepGrid(nil) cells exactly, order included; the legacy
-//     helpers survive as thin adapters over this package.
-//  4. Load rejects unknown JSON fields, so a typoed axis never silently
+//  3. Load rejects unknown JSON fields, so a typoed axis never silently
 //     runs the default campaign; Dump emits stable indented JSON suitable
 //     for golden files (specs/paper-campaign.json in CI).
 package scenario

@@ -408,3 +408,44 @@ func TestScaleByName(t *testing.T) {
 		t.Fatal("ScaleByName accepted an unknown scale")
 	}
 }
+
+// The figure campaigns are the paper's grids: S1-S5 for Figures 3 and 5-7,
+// the power-capped S6-S10 for Figure 10, the four methods in plotting order
+// with every trained kind training its own family models.
+func TestFigureCampaignShapes(t *testing.T) {
+	for name, want := range map[string]struct {
+		power   bool
+		methods []string
+	}{
+		"fig3":   {false, []string{"MLP", "CNN"}},
+		"fig567": {false, []string{"MRSch", "Optimization", "Scalar RL", "Heuristic"}},
+		"fig10":  {true, []string{"MRSch", "Optimization", "Scalar RL", "Heuristic"}},
+	} {
+		c, err := CampaignByName(name, TinyScaleSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(c.Scenarios) != 5 {
+			t.Fatalf("%s: %d scenarios, want 5", name, len(c.Scenarios))
+		}
+		for _, sp := range c.Scenarios {
+			if sp.Power != want.power || sp.IsVariant() {
+				t.Fatalf("%s: scenario %s (power=%v) does not belong to the grid", name, sp.Name, sp.Power)
+			}
+		}
+		if len(c.Methods) != len(want.methods) {
+			t.Fatalf("%s: %d methods, want %d", name, len(c.Methods), len(want.methods))
+		}
+		for i, m := range c.Methods {
+			if m.DisplayName() != want.methods[i] {
+				t.Fatalf("%s: method %d is %q, want %q", name, i, m.DisplayName(), want.methods[i])
+			}
+			if m.Train != m.Kind.Trained() {
+				t.Fatalf("%s: method %s has train=%v", name, m.DisplayName(), m.Train)
+			}
+		}
+	}
+}

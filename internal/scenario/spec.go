@@ -14,7 +14,7 @@ import (
 // (§V-E), and the theta-variant axes that stress the base trace itself.
 // The zero value of every variant field means "inherit from the campaign
 // scale"; a spec with no variant overrides evaluates against the campaign's
-// shared base materials, byte-identical to the legacy string-keyed path.
+// shared base materials.
 type ScenarioSpec struct {
 	// Name identifies the scenario; grid cells and reports carry it.
 	Name string `json:"name"`
