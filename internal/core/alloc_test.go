@@ -21,7 +21,10 @@ func pickContexts() []*sched.PickContext {
 
 // An evaluating actor decides from buffers it owns: the state, the goal and
 // the network's activations are all in place after the first pick. The picks
-// are those of a recording actor and of the agent itself.
+// are those of a recording actor and of the agent itself. Both actors were
+// Reset, so under a kernel set that packs (CI forces each set over this
+// package) their first layer runs packed while the agent's runs dense: the
+// pick equality and the zero below hold for the packed path too.
 func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
 	m := New(sys(), tinyOptions(5))
 	ctxs := pickContexts()

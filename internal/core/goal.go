@@ -27,23 +27,27 @@ func GoalVector(ctx *sched.PickContext) []float64 { return GoalVectorInto(nil, c
 func GoalVectorInto(dst []float64, ctx *sched.PickContext) []float64 {
 	r := ctx.Cluster.NumResources()
 	acc := slices.Grow(dst[:0], r)[:r]
-	clear(acc)
+	running := ctx.Cluster.Running()
 
-	for _, j := range ctx.Queue {
-		for res := 0; res < r; res++ {
-			p := float64(j.Demand[res]) / float64(ctx.Cluster.Capacity(res))
-			acc[res] += p * j.Walltime
+	// One resource at a time, so that its capacity is converted once and its
+	// sum stays in a register; each sum still takes its terms in the order
+	// queue, then running set, each term d / c * t.
+	for res := range acc {
+		c := float64(ctx.Cluster.Capacity(res))
+		var sum float64
+		for _, j := range ctx.Queue {
+			p := float64(j.Demand[res]) / c
+			sum += p * j.Walltime
 		}
-	}
-	for _, a := range ctx.Cluster.Running() {
-		remaining := a.EstEnd - ctx.Now
-		if remaining < 0 {
-			remaining = 0
+		for _, a := range running {
+			remaining := a.EstEnd - ctx.Now
+			if remaining < 0 {
+				remaining = 0
+			}
+			p := float64(a.Demand[res]) / c
+			sum += p * remaining
 		}
-		for res := 0; res < r; res++ {
-			p := float64(a.Demand[res]) / float64(ctx.Cluster.Capacity(res))
-			acc[res] += p * remaining
-		}
+		acc[res] = sum
 	}
 
 	var total float64

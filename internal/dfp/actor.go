@@ -168,6 +168,24 @@ type Actor struct {
 	eps        float64
 	steps      []*stepRecord
 	unrecorded bool
+
+	// first is the state module's first Dense when the actor's networks are
+	// its own clones, and nil otherwise. Its packed copy (nn.Dense.Pack) is
+	// good from one Reset to the next — the interval over which nothing may
+	// change the weights an actor reads — so Reset marks it stale and the
+	// first forward after a Reset refreshes it.
+	first  *nn.Dense
+	repack bool
+}
+
+// firstDense returns the Dense a state module opens with, nil when it opens
+// with anything else (the CNN, a custom module).
+func firstDense(state nn.Layer) *nn.Dense {
+	if seq, ok := state.(*nn.Sequential); ok && len(seq.Layers) > 0 {
+		d, _ := seq.Layers[0].(*nn.Dense)
+		return d
+	}
+	return nil
 }
 
 // Actor returns a rollout actor for the agent. The second result reports
@@ -178,14 +196,20 @@ type Actor struct {
 func (a *Agent) Actor() (*Actor, bool) {
 	nets, ok := a.nets.sharedClone()
 	if !ok {
-		nets = a.nets
+		return a.newActor(a.nets, false), false
 	}
-	return &Actor{
-		cfg:  &a.cfg,
-		nets: nets,
-		rng:  rand.New(rand.NewSource(a.cfg.Seed)),
-		eps:  a.eps,
-	}, ok
+	return a.newActor(nets, true), true
+}
+
+// newActor builds an actor over nets. Only layers that are the actor's own
+// clones are ever packed: borrowed ones are the master's, Agent.Act runs
+// through them too and stays dense.
+func (a *Agent) newActor(nets modules, own bool) *Actor {
+	ac := &Actor{cfg: &a.cfg, nets: nets, rng: rand.New(rand.NewSource(a.cfg.Seed)), eps: a.eps}
+	if own {
+		ac.first = firstDense(nets.state)
+	}
+	return ac
 }
 
 // SnapshotActor returns a rollout actor reading the published copy-on-write
@@ -203,12 +227,7 @@ func (a *Agent) SnapshotActor() (*Actor, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &Actor{
-		cfg:  &a.cfg,
-		nets: nets,
-		rng:  rand.New(rand.NewSource(a.cfg.Seed)),
-		eps:  a.eps,
-	}, true
+	return a.newActor(nets, true), true
 }
 
 // PublishWeights copies the live network weights into the snapshot read by
@@ -219,11 +238,16 @@ func (a *Agent) PublishWeights() { nn.PublishParams(a.params) }
 
 // Reset prepares the actor for one episode: a fresh rng at the given seed,
 // the episode's exploration rate (see Config.EpsilonAt), and an empty
-// transcript.
+// transcript. It is also where the actor catches up with its weights: an
+// actor must be Reset after the weights it reads have changed (a TrainStep
+// for Agent.Actor, a PublishWeights for Agent.SnapshotActor) and before it
+// acts again, which is what every rollout round and every evaluated cell
+// does. An actor that was never Reset reads the weights themselves.
 func (ac *Actor) Reset(seed int64, eps float64) {
 	ac.rng = rand.New(rand.NewSource(seed))
 	ac.eps = eps
 	ac.steps = nil
+	ac.repack = ac.first != nil
 }
 
 // Unrecorded makes the actor an evaluator: Act decides exactly as before, rng
@@ -245,6 +269,10 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 	if ac.rng.Float64() < ac.eps {
 		action = ac.rng.Intn(valid)
 	} else {
+		if ac.repack {
+			ac.first.Pack()
+			ac.repack = false
+		}
 		ac.scr.score = nn.Ensure(ac.scr.score, ac.cfg.Actions)
 		scores := scoreInto(ac.scr.score, ac.nets.forwardDueling(ac.cfg, &ac.scr, state, meas, goalExt, 1), goalExt)
 		action = nn.ArgMax(scores[:valid])

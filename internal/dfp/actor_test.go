@@ -2,8 +2,11 @@ package dfp
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/nn"
 )
 
 // actorTestAgent builds a small agent with a filled replay buffer seed.
@@ -147,5 +150,108 @@ func TestActorRecordingIsIndependent(t *testing.T) {
 	}
 	if ac.Steps() != 0 {
 		t.Fatal("TakeTranscript did not clear the actor")
+	}
+}
+
+// actorPreds runs one greedy decision through the actor and returns copies of
+// the predictions its forward left behind, one row per action.
+func actorPreds(ac *Actor, state, meas, goal []float64) (int, [][]float64) {
+	action := ac.Act(state, meas, goal, ac.cfg.Actions)
+	rows := make([][]float64, len(ac.scr.predRows))
+	for i, p := range ac.scr.predRows {
+		rows[i] = append([]float64(nil), p...)
+	}
+	return action, rows
+}
+
+func samePreds(t *testing.T, what string, got, want [][]float64) {
+	t.Helper()
+	for i := range want {
+		for k := range want[i] {
+			if math.Float64bits(got[i][k]) != math.Float64bits(want[i][k]) {
+				t.Fatalf("%s: action %d prediction %d: %v, want %v", what, i, k, got[i][k], want[i][k])
+			}
+		}
+	}
+}
+
+// An actor's packed first layer is a copy, good from one Reset to the next.
+// After the master trains, a Reset brings the actor back to what a fresh actor
+// and the agent itself compute, bit for bit — and, where the kernel set packs,
+// the copy really was stale until then, which is why Reset is the rule.
+func TestActorRepacksOnReset(t *testing.T) {
+	a := snapshotTestAgent(t)
+	ac, _ := a.Actor()
+	if ac.first == nil {
+		t.Fatal("the MLP state module opens with a Dense; the actor should hold it")
+	}
+	rng := rand.New(rand.NewSource(5))
+	state, meas, goal := randInputs(rng, a.cfg.StateDim, a.cfg.Measurements)
+	for i := range state {
+		if i%3 != 0 {
+			state[i] = 0 // zero runs, as the encoder leaves them
+		}
+	}
+	goalExt := a.cfg.extendGoalInto(make([]float64, a.cfg.GoalDim()), goal)
+
+	ac.Reset(1, 0)
+	_, before := actorPreds(ac, state, meas, goal)
+	samePreds(t, "packed actor before training", before, a.Predict(state, meas, goalExt))
+	packs := ac.first.Pack()
+
+	for i := 0; i < 3; i++ {
+		a.TrainStep()
+	}
+	live := a.Predict(state, meas, goalExt)
+	if packs {
+		// Only the first layer is a copy; the rest already follow the master.
+		_, stale := actorPreds(ac, state, meas, goal)
+		differs := false
+		for i := range live {
+			for k := range live[i] {
+				differs = differs || stale[i][k] != live[i][k]
+			}
+		}
+		if !differs {
+			t.Fatal("three training steps did not move the first layer's output: the guard below guards nothing")
+		}
+	}
+
+	ac.Reset(2, 0)
+	fresh, _ := a.Actor()
+	fresh.Reset(2, 0)
+	gotA, got := actorPreds(ac, state, meas, goal)
+	wantA, want := actorPreds(fresh, state, meas, goal)
+	samePreds(t, "reset actor vs the agent", got, live)
+	samePreds(t, "fresh actor vs the agent", want, live)
+	if agentA := a.Act(state, meas, goal, a.cfg.Actions, false); gotA != agentA || wantA != agentA {
+		t.Fatalf("reset actor picks %d, fresh actor %d, agent %d", gotA, wantA, agentA)
+	}
+}
+
+// An actor that was never Reset has packed nothing and reads the weights
+// themselves, as does one whose layers are not its own or whose state module
+// does not open with a Dense.
+func TestActorWithoutResetRunsDense(t *testing.T) {
+	a := snapshotTestAgent(t)
+	a.eps = 0 // the actor inherits it: greedy without a Reset
+	ac, _ := a.Actor()
+	rng := rand.New(rand.NewSource(6))
+	state, meas, goal := randInputs(rng, a.cfg.StateDim, a.cfg.Measurements)
+	goalExt := a.cfg.extendGoalInto(make([]float64, a.cfg.GoalDim()), goal)
+	for round := 0; round < 2; round++ {
+		_, got := actorPreds(ac, state, meas, goal)
+		samePreds(t, "never-Reset actor follows the live weights", got, a.Predict(state, meas, goalExt))
+		a.TrainStep()
+	}
+
+	cfg := a.cfg
+	cfg.StateModule = &opaqueModule{inner: nn.NewDense(cfg.StateDim, cfg.StateOut, nn.HeInit, rng)}
+	if borrowed, parallel := New(cfg).Actor(); parallel || borrowed.first != nil {
+		t.Fatal("an actor borrowing the master's layers must not pack them")
+	}
+	cfg.StateModule, cfg.UseCNN, cfg.CNNKernel, cfg.CNNStride = nil, true, 4, 2
+	if cnn, _ := New(cfg).Actor(); cnn.first != nil {
+		t.Fatal("the CNN state module opens with a convolution; nothing to pack")
 	}
 }

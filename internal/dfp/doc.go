@@ -61,6 +61,20 @@
 //     forward; internal/rollout's pipelined mode provides exactly that
 //     point between rounds.
 //
+// Both flavors pack their state module's first Dense (nn.Dense.Pack) when it
+// is their own clone: MRSch's state vector is half exact zeros, lying in runs,
+// and the packed one-sample forward skips them with bitwise the dense
+// result. The packed copy lives in one buffer per actor, from one Reset to
+// the next: Reset marks it stale and the first forward after it refreshes
+// it, which is the interval over which the barrier (Actor) and
+// PublishWeights (SnapshotActor) already forbid an actor's weights to
+// change. So an actor must be Reset after its weights change and before it
+// acts again — every rollout episode and every evaluated cell does — and
+// there is nothing to configure: an actor that was never Reset, one that
+// borrows the master's layers, a CNN or custom state module, a layer the
+// kernel declines and the go kernel set all run dense, as do Agent.Act,
+// Agent.Predict, TrainStep and BatchDecider always.
+//
 // # Durable state
 //
 // Save/Load persist weights only (the model-file format). SaveState/

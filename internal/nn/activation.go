@@ -19,6 +19,9 @@ type LeakyReLU struct {
 	lastN  int // elements retained by the last forward (-1 = none yet)
 }
 
+// infBits is +Inf's bit pattern, the largest a positive float64's gets.
+const infBits = 0x7FF0000000000000
+
 // NewLeakyReLU returns a leaky rectifier with the conventional alpha=0.01
 // slope when alpha<=0 is given.
 func NewLeakyReLU(alpha float64) *LeakyReLU {
@@ -34,12 +37,16 @@ func NewLeakyReLU(alpha float64) *LeakyReLU {
 func (l *LeakyReLU) Forward(dst, x Vec, bsz int) Vec {
 	l.outBuf = Ensure(l.outBuf, len(x))
 	l.lastN = len(x)
+	// The sign of a pre-activation is a coin flip, so the slope is looked up,
+	// not branched on: with u = bits(v)-1, v > 0 exactly when u is below
+	// +Inf's bit pattern as an unsigned number and has no sign bit — zero
+	// wraps to all ones, negatives and -0 keep their sign bit, NaNs lie
+	// above +Inf — and v*1 is v bit for bit.
+	slope := [2]float64{l.Alpha, 1}
+	out := l.outBuf[:len(x)]
 	for i, v := range x {
-		if v > 0 {
-			l.outBuf[i] = v
-		} else {
-			l.outBuf[i] = l.Alpha * v
-		}
+		u := math.Float64bits(v) - 1
+		out[i] = slope[((u-infBits)&^u)>>63] * v
 	}
 	if dst == nil {
 		return l.outBuf

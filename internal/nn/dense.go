@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/nn/kernel"
 )
 
 // Dense is a fully-connected layer: y = W*x + b, with W stored row-major
@@ -24,6 +26,9 @@ type Dense struct {
 	ginBuf Vec
 	wtBuf  Vec // transposed weights (in x out), rebuilt per batched backward
 	lastB  int // rows retained by the last forward (0 = none yet)
+
+	pack   kernel.Packed // Pack's copy of W and B, one buffer for the layer's life
+	packed bool          // the last Pack took the layer: bsz=1 forwards read pack
 }
 
 // NewDense constructs an in->out fully-connected layer with the given
@@ -59,9 +64,27 @@ func (d *Dense) Forward(dst, x Vec, bsz int) Vec {
 		panic(fmt.Sprintf("nn: Dense.Forward dst len %d, want %d x %d", len(dst), bsz, d.Out))
 	}
 	// The forward matmul is a kernel-set call: dst = x·Wᵀ + b through the
-	// process-global set (pure-Go reference or CPUID-dispatched SIMD).
+	// process-global set (pure-Go reference or CPUID-dispatched SIMD). A
+	// packed layer's single sample reads the packed copy instead — the same
+	// bits, without the work on x's zero runs.
+	if bsz == 1 && d.packed {
+		kern.PackedForward(dst, d.inBuf, &d.pack)
+		return dst
+	}
 	kern.DenseForward(dst, d.inBuf, d.W.Value, d.B.Value, d.In, d.Out, bsz)
 	return dst
+}
+
+// Pack builds, or refreshes in place, the layer's packed copy of W and B for
+// the active kernel set's one-sample forward (kernel.Set.Pack) and reports
+// whether single-sample Forward calls now read it; when the set has no packed
+// path or declines the layer, they stay on the dense kernel. Either way a
+// Forward returns the same bits. The copy does not follow W and B: the caller
+// packs again once they have changed and before the next single-sample
+// Forward — dfp.Actor does, from Reset to Reset, and nothing else packs.
+func (d *Dense) Pack() bool {
+	d.packed = kern.Pack != nil && kern.Pack(&d.pack, d.W.Value, d.B.Value, d.In, d.Out)
+	return d.packed
 }
 
 // Backward accumulates dL/dW and dL/db summed over the bsz rows of grad and

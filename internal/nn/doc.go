@@ -47,6 +47,18 @@
 // and MultiBranch gathers each branch's columns of all rows, runs the
 // branch's own batched pass, and scatters the rows back.
 //
+// A single sample (bsz=1) through Dense is one kernel call per layer. Dense.Pack
+// additionally builds a packed copy of W and B for the active set's packed
+// one-sample forward (kernel.Set.Pack: the avx2 set has one, the go set does
+// not, and a layer the kernel declines stays dense), after which bsz=1
+// Forward calls skip the zero runs of x — with the same bits as before, so
+// the row contract above is untouched. The copy lives in one buffer the
+// layer keeps and does not follow the weights: whoever packs must pack again
+// after they change. Only dfp.Actor packs — the state module's first layer,
+// refreshed on the first forward after each Reset — so Agent.Act, the
+// training engine, the serve daemon's BatchDecider and every bsz>1 caller
+// read W itself through DenseForward.
+//
 // For data-parallel training, SharedClone replicates a network so that the
 // replica shares parameter Values with the original but owns private
 // gradient buffers and forward state — each worker accumulates into its own
@@ -93,7 +105,8 @@
 //
 // The four floating-point hot loops under the layers above — the batched
 // Dense forward, the transposed-matmul input gradient, the weight-gradient
-// accumulation, and the fused Adam step — live in internal/nn/kernel as a
+// accumulation, and the fused Adam step — and the packed one-sample forward
+// live in internal/nn/kernel as a
 // function Set selected once at process start: the portable pure-Go
 // reference set ("go", bit-for-bit the pre-dispatch engine), or a
 // CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting amd64

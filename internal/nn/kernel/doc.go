@@ -2,7 +2,9 @@
 // floating-point hot loops of the training and inference engines — the
 // batched Dense matmul forward, the transposed-matmul input gradient, the
 // weight-gradient accumulation, and the fused Adam step — packaged as a
-// Set of function pointers selected once at process start.
+// Set of function pointers selected once at process start, plus, in a set
+// that has one, a packed one-sample forward for a layer whose input is
+// mostly runs of zeros (Pack, PackedForward).
 //
 // # Kernel sets
 //
@@ -16,8 +18,10 @@
 //   - "avx2" (amd64 only) — hand-written AVX2/FMA assembly primitives
 //     (4-row fused-multiply-add dot products, 8/4-way rank-1 axpy updates,
 //     a fully vectorized Adam step including VSQRTPD/VDIVPD) driven by the
-//     same cache-blocking loop nests as the go set. Requires AVX2, FMA,
-//     and OS AVX state support (OSXSAVE/XCR0), probed via CPUID.
+//     same cache-blocking loop nests as the go set. A single sample is one
+//     assembly call per layer (the same dot-product bodies, looped over the
+//     rows in assembly), and this set has the packed forward. Requires AVX2,
+//     FMA, and OS AVX state support (OSXSAVE/XCR0), probed via CPUID.
 //
 // # Selection and the MRSCH_KERNEL override
 //
@@ -43,6 +47,42 @@
 // regardless of bsz — the serve daemon's byte-identity contract rides on
 // this), rollout/pipelined training is bitwise reproducible for a fixed
 // (Seed, Workers), and checkpoint resume reproduces the uninterrupted run.
+//
+// The packed forward of the avx2 set is DenseForward at bsz = 1 to the bit,
+// not to a tolerance. Three facts carry that:
+//
+//   - The lane map. A dot4 row sends element i of x to lane i mod 8 of two
+//     4-wide accumulators, each lane a chain of FMAs in index order, and
+//     folds them ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), then adds the in%4
+//     tail elements by scalar FMA and the bias last. The packed kernel
+//     de-interleaves x into its even and odd elements, so 4-wide chunk k of
+//     the even half is lanes [l0,l2,l4,l6] of dense step k and chunk k of the
+//     odd half is [l1,l3,l5,l7]. An even and an odd accumulator, each reduced
+//     by the same extract-high/add/shuffle/add sequence, give (l0+l4)+(l2+l6)
+//     and (l1+l5)+(l3+l7); their sum, the same tail FMAs and the same bias
+//     add follow in the same order. When in%8 >= 4 dot4's last half-step
+//     fills lanes 0-3 only; here it is an ordinary chunk whose upper two
+//     lanes are zero padding in both x and W.
+//
+//   - The exact no-op. fma(w, ±0, acc) == acc for a finite w and an acc
+//     that is not itself a zero, and 0 + 0·0 is a zero, so dropping a chunk
+//     of x whose four lanes are all ±0 — or multiplying a lane of padding —
+//     leaves every lane either bit-equal to the dense one or a zero of
+//     possibly the other sign. (A lane can hold -0 only when a non-zero
+//     product underflowed to it.) That invariant survives every add of the
+//     fold and every FMA of the tail, and the bias add erases it — x + b is
+//     b for either zero x — unless b is -0.
+//
+//   - Hence the preconditions, which Pack checks and declines on: every
+//     weight finite (w = Inf or NaN times a skipped 0 is NaN in the dense
+//     path) and no bias equal to -0. It also declines out%4 != 0, whose
+//     remainder rows the dense path runs through the differently-shaped
+//     dot1. x is unrestricted: a chunk holding a NaN or an infinity is not
+//     all zero and is multiplied like any other.
+//
+// The property test (TestPackedEqualsDenseBitwise) compares bits over every
+// in mod 8 residue and fails when the fold order or one lane assignment is
+// perturbed. The go set has no packed path; callers stay on DenseForward.
 //
 // Across sets the results differ by floating-point reassociation and FMA
 // contraction only: the avx2 set accumulates in 4-wide lanes and contracts

@@ -44,6 +44,32 @@ type Set struct {
 	// where a1 = 1-beta1, a2 = 1-beta2 and invB1c/invB2c are the step's
 	// reciprocal bias corrections, all precomputed by the caller.
 	AdamStep func(val, grad, m, v []float64, f, lr, beta1, beta2, a1, a2, invB1c, invB2c, eps float64)
+
+	// Pack re-lays one layer's w (out×in row-major) and b into p for
+	// PackedForward, reusing p's storage, and reports whether it took the
+	// layer. It declines — and the caller stays on DenseForward — a weight
+	// that is not finite, a bias that is -0, and a shape the packed kernel
+	// does not handle (see the package doc's numerical contract for why
+	// each would break bitwise equality). p is a copy: it goes stale when w
+	// or b change. Pack and PackedForward are nil in a set without a packed
+	// path (the go set).
+	Pack func(p *Packed, w, b []float64, in, out int) bool
+
+	// PackedForward is DenseForward at bsz = 1 against a layer Pack took,
+	// bit for bit, in time proportional to the 4-wide chunks of x's even
+	// and odd elements that are not all zero. It uses p's scratch, so one
+	// Packed serves one goroutine.
+	PackedForward func(dst, x []float64, p *Packed)
+}
+
+// Packed is one Dense layer's weights and bias in the layout of a set's
+// packed one-sample forward, with the scratch that forward lists x's
+// non-zero chunks in. The zero value is ready for Set.Pack.
+type Packed struct {
+	in, out int
+	w       []float64 // per row block: even chunks, odd chunks, in%4 tail columns, bias
+	xs      []float64 // the listed chunks of xe, then of xo
+	offs    []int64   // each listed chunk's byte offset in a 4-row block
 }
 
 // Reference is the portable pure-Go kernel set — the arithmetic reference

@@ -19,6 +19,9 @@ func dot4(w *float64, stride int, x *float64, n int) (s0, s1, s2, s3 float64)
 func dot1(w, x *float64, n int) float64
 
 //go:noescape
+func matvec(dst, w, x, b *float64, in, out int)
+
+//go:noescape
 func axpy8(dst, x *float64, xstride int, gp *float64, gstride int, n int)
 
 //go:noescape
@@ -82,11 +85,13 @@ var avx2Set, archFeatures = func() (*Set, string) {
 		return nil, strings.Join(feats, " ")
 	}
 	return &Set{
-		Name:         "avx2",
-		DenseForward: avx2DenseForward,
-		InputGrad:    avx2InputGrad,
-		AccumGrads:   avx2AccumGrads,
-		AdamStep:     avx2AdamStep,
+		Name:          "avx2",
+		DenseForward:  avx2DenseForward,
+		InputGrad:     avx2InputGrad,
+		AccumGrads:    avx2AccumGrads,
+		AdamStep:      avx2AdamStep,
+		Pack:          avx2Pack,
+		PackedForward: avx2PackedForward,
 	}, strings.Join(feats, " ")
 }()
 
@@ -95,8 +100,15 @@ func cpuFeatures() string { return archFeatures }
 
 // avx2DenseForward mirrors goDenseForward's L1 tiling; each 4-output
 // microkernel is one dot4 call (4 weight rows at stride in against one
-// input row), remainder outputs go through dot1.
+// input row), remainder outputs go through dot1. A single sample has no
+// tile to share and is one matvec call: the same dot4 and dot1 bodies over
+// the same rows, looped in assembly.
 func avx2DenseForward(dst, x, w, b []float64, in, out, bsz int) {
+	if bsz == 1 {
+		_, _, _, _ = dst[out-1], x[in-1], w[out*in-1], b[out-1]
+		matvec(&dst[0], &w[0], &x[0], &b[0], in, out)
+		return
+	}
 	oblk := 2048 / in
 	oblk -= oblk % 4
 	if oblk < 4 {

@@ -16,110 +16,170 @@
 // vector code's association (same FMA chains) so an element's rounding does
 // not depend on which loop produced it.
 
-// func dot4(w *float64, stride int, x *float64, n int) (s0, s1, s2, s3 float64)
+// DOT4_BODY is four simultaneous dot products s_k = sum_i w[k*stride+i]*x[i]
+// as straight-line code shared by dot4 and matvec, which is what makes a
+// matvec row bitwise a dot4 row. In: SI = w, R8 = stride in bytes, DX = x,
+// CX = n. Out: the low lanes of X0-X3. Clobbers AX, DX, SI, R9-R11, Y0-Y9;
+// preserves CX and R8.
 //
-// Four simultaneous dot products: s_k = sum_i w[k*stride+i]*x[i]. Each of
-// the four rows keeps two 4-lane FMA accumulators (8 YMM total), folded
-// pairwise, reduced horizontally, then a scalar FMA tail for n%4.
+// Each of the four rows keeps two 4-lane FMA accumulators (8 YMM total),
+// folded pairwise, reduced horizontally, then a scalar FMA tail for n%4:
+// element i lands in lane i mod 8 and the fold is
+// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+#define DOT4_BODY \
+	LEAQ (SI)(R8*1), R9; \
+	LEAQ (R9)(R8*1), R10; \
+	LEAQ (R10)(R8*1), R11; \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7; \
+	MOVQ CX, AX; \
+	SHRQ $3, AX; \
+	JZ   dot4_tail4; \
+dot4_loop8: \
+	VMOVUPD (DX), Y8; \
+	VMOVUPD 32(DX), Y9; \
+	VFMADD231PD (SI), Y8, Y0; \
+	VFMADD231PD 32(SI), Y9, Y4; \
+	VFMADD231PD (R9), Y8, Y1; \
+	VFMADD231PD 32(R9), Y9, Y5; \
+	VFMADD231PD (R10), Y8, Y2; \
+	VFMADD231PD 32(R10), Y9, Y6; \
+	VFMADD231PD (R11), Y8, Y3; \
+	VFMADD231PD 32(R11), Y9, Y7; \
+	ADDQ $64, DX; \
+	ADDQ $64, SI; \
+	ADDQ $64, R9; \
+	ADDQ $64, R10; \
+	ADDQ $64, R11; \
+	DECQ AX; \
+	JNZ  dot4_loop8; \
+dot4_tail4: \
+	TESTQ $4, CX; \
+	JZ    dot4_fold; \
+	VMOVUPD (DX), Y8; \
+	VFMADD231PD (SI), Y8, Y0; \
+	VFMADD231PD (R9), Y8, Y1; \
+	VFMADD231PD (R10), Y8, Y2; \
+	VFMADD231PD (R11), Y8, Y3; \
+	ADDQ $32, DX; \
+	ADDQ $32, SI; \
+	ADDQ $32, R9; \
+	ADDQ $32, R10; \
+	ADDQ $32, R11; \
+dot4_fold: \
+	VADDPD Y4, Y0, Y0; \
+	VADDPD Y5, Y1, Y1; \
+	VADDPD Y6, Y2, Y2; \
+	VADDPD Y7, Y3, Y3; \
+	VEXTRACTF128 $1, Y0, X8; \
+	VADDPD  X8, X0, X0; \
+	VSHUFPD $1, X0, X0, X8; \
+	VADDSD  X8, X0, X0; \
+	VEXTRACTF128 $1, Y1, X8; \
+	VADDPD  X8, X1, X1; \
+	VSHUFPD $1, X1, X1, X8; \
+	VADDSD  X8, X1, X1; \
+	VEXTRACTF128 $1, Y2, X8; \
+	VADDPD  X8, X2, X2; \
+	VSHUFPD $1, X2, X2, X8; \
+	VADDSD  X8, X2, X2; \
+	VEXTRACTF128 $1, Y3, X8; \
+	VADDPD  X8, X3, X3; \
+	VSHUFPD $1, X3, X3, X8; \
+	VADDSD  X8, X3, X3; \
+	MOVQ CX, AX; \
+	ANDQ $3, AX; \
+	JZ   dot4_done; \
+dot4_tail1: \
+	VMOVSD (DX), X8; \
+	VFMADD231SD (SI), X8, X0; \
+	VFMADD231SD (R9), X8, X1; \
+	VFMADD231SD (R10), X8, X2; \
+	VFMADD231SD (R11), X8, X3; \
+	ADDQ $8, DX; \
+	ADDQ $8, SI; \
+	ADDQ $8, R9; \
+	ADDQ $8, R10; \
+	ADDQ $8, R11; \
+	DECQ AX; \
+	JNZ  dot4_tail1; \
+dot4_done:
+
+// DOT1_BODY is the single dot product shared by dot1 and matvec's remainder
+// rows, with four 4-lane accumulators (16 elements in flight). In: SI = w,
+// DX = x, CX = n. Out: the low lane of X0. Clobbers AX, DX, SI, Y0-Y3,
+// Y8-Y11; preserves CX.
+#define DOT1_BODY \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	MOVQ CX, AX; \
+	SHRQ $4, AX; \
+	JZ   dot1_tail8; \
+dot1_loop16: \
+	VMOVUPD (DX), Y8; \
+	VMOVUPD 32(DX), Y9; \
+	VMOVUPD 64(DX), Y10; \
+	VMOVUPD 96(DX), Y11; \
+	VFMADD231PD (SI), Y8, Y0; \
+	VFMADD231PD 32(SI), Y9, Y1; \
+	VFMADD231PD 64(SI), Y10, Y2; \
+	VFMADD231PD 96(SI), Y11, Y3; \
+	ADDQ $128, DX; \
+	ADDQ $128, SI; \
+	DECQ AX; \
+	JNZ  dot1_loop16; \
+dot1_tail8: \
+	TESTQ $8, CX; \
+	JZ    dot1_tail4; \
+	VMOVUPD (DX), Y8; \
+	VMOVUPD 32(DX), Y9; \
+	VFMADD231PD (SI), Y8, Y0; \
+	VFMADD231PD 32(SI), Y9, Y1; \
+	ADDQ $64, DX; \
+	ADDQ $64, SI; \
+dot1_tail4: \
+	TESTQ $4, CX; \
+	JZ    dot1_fold; \
+	VMOVUPD (DX), Y8; \
+	VFMADD231PD (SI), Y8, Y2; \
+	ADDQ $32, DX; \
+	ADDQ $32, SI; \
+dot1_fold: \
+	VADDPD Y1, Y0, Y0; \
+	VADDPD Y3, Y2, Y2; \
+	VADDPD Y2, Y0, Y0; \
+	VEXTRACTF128 $1, Y0, X8; \
+	VADDPD  X8, X0, X0; \
+	VSHUFPD $1, X0, X0, X8; \
+	VADDSD  X8, X0, X0; \
+	MOVQ CX, AX; \
+	ANDQ $3, AX; \
+	JZ   dot1_done; \
+dot1_tail1: \
+	VMOVSD (DX), X8; \
+	VFMADD231SD (SI), X8, X0; \
+	ADDQ $8, DX; \
+	ADDQ $8, SI; \
+	DECQ AX; \
+	JNZ  dot1_tail1; \
+dot1_done:
+
+// func dot4(w *float64, stride int, x *float64, n int) (s0, s1, s2, s3 float64)
 TEXT ·dot4(SB), NOSPLIT, $0-64
 	MOVQ w+0(FP), SI
 	MOVQ stride+8(FP), R8
 	SHLQ $3, R8
 	MOVQ x+16(FP), DX
 	MOVQ n+24(FP), CX
-
-	LEAQ (SI)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-	MOVQ CX, AX
-	SHRQ $3, AX
-	JZ   dot4_tail4
-
-dot4_loop8:
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
-	VFMADD231PD (SI), Y8, Y0
-	VFMADD231PD 32(SI), Y9, Y4
-	VFMADD231PD (R9), Y8, Y1
-	VFMADD231PD 32(R9), Y9, Y5
-	VFMADD231PD (R10), Y8, Y2
-	VFMADD231PD 32(R10), Y9, Y6
-	VFMADD231PD (R11), Y8, Y3
-	VFMADD231PD 32(R11), Y9, Y7
-	ADDQ $64, DX
-	ADDQ $64, SI
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, R11
-	DECQ AX
-	JNZ  dot4_loop8
-
-dot4_tail4:
-	TESTQ $4, CX
-	JZ    dot4_fold
-	VMOVUPD (DX), Y8
-	VFMADD231PD (SI), Y8, Y0
-	VFMADD231PD (R9), Y8, Y1
-	VFMADD231PD (R10), Y8, Y2
-	VFMADD231PD (R11), Y8, Y3
-	ADDQ $32, DX
-	ADDQ $32, SI
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-
-dot4_fold:
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-
-	VEXTRACTF128 $1, Y0, X8
-	VADDPD  X8, X0, X0
-	VSHUFPD $1, X0, X0, X8
-	VADDSD  X8, X0, X0
-	VEXTRACTF128 $1, Y1, X8
-	VADDPD  X8, X1, X1
-	VSHUFPD $1, X1, X1, X8
-	VADDSD  X8, X1, X1
-	VEXTRACTF128 $1, Y2, X8
-	VADDPD  X8, X2, X2
-	VSHUFPD $1, X2, X2, X8
-	VADDSD  X8, X2, X2
-	VEXTRACTF128 $1, Y3, X8
-	VADDPD  X8, X3, X3
-	VSHUFPD $1, X3, X3, X8
-	VADDSD  X8, X3, X3
-
-	MOVQ CX, AX
-	ANDQ $3, AX
-	JZ   dot4_done
-
-dot4_tail1:
-	VMOVSD (DX), X8
-	VFMADD231SD (SI), X8, X0
-	VFMADD231SD (R9), X8, X1
-	VFMADD231SD (R10), X8, X2
-	VFMADD231SD (R11), X8, X3
-	ADDQ $8, DX
-	ADDQ $8, SI
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ AX
-	JNZ  dot4_tail1
-
-dot4_done:
+	DOT4_BODY
 	VMOVSD X0, s0+32(FP)
 	VMOVSD X1, s1+40(FP)
 	VMOVSD X2, s2+48(FP)
@@ -128,77 +188,68 @@ dot4_done:
 	RET
 
 // func dot1(w, x *float64, n int) float64
-//
-// Single dot product with four 4-lane accumulators (16 elements in flight).
 TEXT ·dot1(SB), NOSPLIT, $0-32
 	MOVQ w+0(FP), SI
 	MOVQ x+8(FP), DX
 	MOVQ n+16(FP), CX
-
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-
-	MOVQ CX, AX
-	SHRQ $4, AX
-	JZ   dot1_tail8
-
-dot1_loop16:
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
-	VMOVUPD 64(DX), Y10
-	VMOVUPD 96(DX), Y11
-	VFMADD231PD (SI), Y8, Y0
-	VFMADD231PD 32(SI), Y9, Y1
-	VFMADD231PD 64(SI), Y10, Y2
-	VFMADD231PD 96(SI), Y11, Y3
-	ADDQ $128, DX
-	ADDQ $128, SI
-	DECQ AX
-	JNZ  dot1_loop16
-
-dot1_tail8:
-	TESTQ $8, CX
-	JZ    dot1_tail4
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
-	VFMADD231PD (SI), Y8, Y0
-	VFMADD231PD 32(SI), Y9, Y1
-	ADDQ $64, DX
-	ADDQ $64, SI
-
-dot1_tail4:
-	TESTQ $4, CX
-	JZ    dot1_fold
-	VMOVUPD (DX), Y8
-	VFMADD231PD (SI), Y8, Y2
-	ADDQ $32, DX
-	ADDQ $32, SI
-
-dot1_fold:
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X8
-	VADDPD  X8, X0, X0
-	VSHUFPD $1, X0, X0, X8
-	VADDSD  X8, X0, X0
-
-	MOVQ CX, AX
-	ANDQ $3, AX
-	JZ   dot1_done
-
-dot1_tail1:
-	VMOVSD (DX), X8
-	VFMADD231SD (SI), X8, X0
-	ADDQ $8, DX
-	ADDQ $8, SI
-	DECQ AX
-	JNZ  dot1_tail1
-
-dot1_done:
+	DOT1_BODY
 	VMOVSD X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func matvec(dst, w, x, b *float64, in, out int)
+//
+// One sample through a whole layer: dst[o] = dot(w[o*in:], x) + b[o]. Rows go
+// four at a time through DOT4_BODY and the out%4 remainder through
+// DOT1_BODY, the bias joined by one scalar add, so every output is bitwise
+// what avx2DenseForward's Go loop over dot4 and dot1 stores at bsz = 1.
+TEXT ·matvec(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), R12
+	MOVQ b+24(FP), BX
+	MOVQ in+32(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8
+	MOVQ out+40(FP), R13
+	SHRQ $2, R13
+	JZ   matvec_rows1
+
+matvec_rows4:
+	MOVQ R12, SI
+	MOVQ x+16(FP), DX
+	DOT4_BODY
+	VADDSD (BX), X0, X0
+	VADDSD 8(BX), X1, X1
+	VADDSD 16(BX), X2, X2
+	VADDSD 24(BX), X3, X3
+	VMOVSD X0, (DI)
+	VMOVSD X1, 8(DI)
+	VMOVSD X2, 16(DI)
+	VMOVSD X3, 24(DI)
+	LEAQ (R12)(R8*4), R12
+	ADDQ $32, BX
+	ADDQ $32, DI
+	DECQ R13
+	JNZ  matvec_rows4
+
+matvec_rows1:
+	MOVQ out+40(FP), R13
+	ANDQ $3, R13
+	JZ   matvec_done
+
+matvec_row1:
+	MOVQ R12, SI
+	MOVQ x+16(FP), DX
+	DOT1_BODY
+	VADDSD (BX), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ R8, R12
+	ADDQ $8, BX
+	ADDQ $8, DI
+	DECQ R13
+	JNZ  matvec_row1
+
+matvec_done:
 	VZEROUPPER
 	RET
 

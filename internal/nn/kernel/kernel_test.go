@@ -153,7 +153,18 @@ func TestCrossSetAdam(t *testing.T) {
 // TestBatchRowIdentity checks the contract the serve daemon's byte-identity
 // suite rides on: under a fixed set, forward row k of a batch is bitwise
 // identical to the same sample pushed through bsz=1, at every batch size.
+// In the avx2 set the two sides are different code — a Go loop over dot4 and
+// dot1 calls against one assembly call per layer — so the shapes cover every
+// in mod 16 residue (dot1 keeps sixteen elements in flight) and every out
+// mod 4.
 func TestBatchRowIdentity(t *testing.T) {
+	ins, outs := []int{130}, []int{32, 130}
+	for n := 1; n <= 70; n++ {
+		ins = append(ins, n)
+	}
+	for n := 1; n <= 13; n++ {
+		outs = append(outs, n)
+	}
 	for _, name := range Names() {
 		s, err := Select(name)
 		if err != nil {
@@ -161,8 +172,8 @@ func TestBatchRowIdentity(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(3))
-			for _, in := range []int{3, 17, 64, 130} {
-				for _, out := range []int{1, 5, 32, 130} {
+			for _, in := range ins {
+				for _, out := range outs {
 					for _, bsz := range testBsz {
 						x := fill(r, bsz*in)
 						w := fill(r, out*in)
@@ -282,6 +293,52 @@ func BenchmarkDenseKernels(b *testing.B) {
 				s.AccumGrads(gw, gb, grad, x, in, out, bsz)
 			}
 		})
+		benchOneSample(b, s, 394, 128)
+	}
+}
+
+// benchOneSample times one encoder-shaped decision (90 % of the units busy)
+// through an in→out first layer: OneSample is DenseForward at bsz = 1, Packed
+// the packed forward in a set that has one.
+func benchOneSample(b *testing.B, s *Set, in, out int) {
+	r := rand.New(rand.NewSource(6))
+	x := encoderShaped(r, in, 0.9)
+	w, bias, dst := fill(r, out*in), fill(r, out), make([]float64, out)
+	b.Run("OneSample/"+s.Name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.DenseForward(dst, x, w, bias, in, out, 1)
+		}
+	})
+	if s.Pack == nil {
+		return
+	}
+	var p Packed
+	if !s.Pack(&p, w, bias, in, out) {
+		b.Fatalf("Pack declined a finite %dx%d layer", out, in)
+	}
+	b.Run("Packed/"+s.Name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.PackedForward(dst, x, &p)
+		}
+	})
+	b.Run("Pack/"+s.Name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Pack(&p, w, bias, in, out)
+		}
+	})
+}
+
+// BenchmarkPaperScaleFirstLayer is the §IV-C state module's 11410→4000 layer
+// on one decision, dense and packed: two 365 MB matrices, so a one-off line
+// and not a CI step.
+//
+//	go test -run=NONE -bench=BenchmarkPaperScaleFirstLayer -benchtime=20x ./internal/nn/kernel/
+func BenchmarkPaperScaleFirstLayer(b *testing.B) {
+	for _, s := range benchSets() {
+		benchOneSample(b, s, 11410, 4000)
 	}
 }
 

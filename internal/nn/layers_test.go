@@ -83,6 +83,47 @@ func TestLeakyReLU(t *testing.T) {
 	}
 }
 
+// leakyBranching is the sign branch Forward used to take, kept as the oracle
+// for its table-lookup replacement.
+func leakyBranching(alpha, v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return alpha * v
+}
+
+// The branch-free LeakyReLU is the branching one bit for bit — signed zeros,
+// subnormals, infinities and NaNs of either sign and quietness included — into
+// the layer's own buffer and into a caller's.
+func TestLeakyReLUSelectIsExact(t *testing.T) {
+	table := Vec{
+		0, math.Copysign(0, -1), 1, -1, 3.5, -3.5,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000FFFFFFFFFFFFF), math.Float64frombits(0x800FFFFFFFFFFFFF), // largest subnormals
+		math.Float64frombits(0x0010000000000000), math.Float64frombits(0x8010000000000000), // smallest normals
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xFFF8000000000001), // quiet NaNs, both signs
+		math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF0000000000001), // signalling NaNs
+		1e-310, -1e-310, 1e308, -1e308,
+	}
+	r := rand.New(rand.NewSource(21))
+	for i := 0; i < 4096; i++ {
+		table = append(table, math.Float64frombits(r.Uint64()), r.NormFloat64())
+	}
+	for _, alpha := range []float64{0.01, 0.1, 1, 0.3} {
+		l := &LeakyReLU{Alpha: alpha, lastN: -1}
+		own := l.Forward(nil, table, 1)
+		dst := l.Forward(make(Vec, len(table)), table, 1)
+		for i, v := range table {
+			want := math.Float64bits(leakyBranching(alpha, v))
+			if math.Float64bits(own[i]) != want || math.Float64bits(dst[i]) != want || math.Float64bits(l.outBuf[i]) != want {
+				t.Fatalf("alpha %v, input %v (%#x): got %#x / %#x, branching form %#x",
+					alpha, v, math.Float64bits(v), math.Float64bits(own[i]), math.Float64bits(dst[i]), want)
+			}
+		}
+	}
+}
+
 func TestLeakyReLUDefaultAlpha(t *testing.T) {
 	if NewLeakyReLU(0).Alpha != 0.01 {
 		t.Fatal("default alpha should be 0.01")

@@ -173,6 +173,55 @@ func TestSaveLoadWeights(t *testing.T) {
 	}
 }
 
+// A file that is wrong only at its end — the last parameter's name, its
+// length, one NaN or one Inf in its last value — is refused before anything
+// is copied: every parameter keeps its bits.
+func TestLoadWeightsIsAllOrNothing(t *testing.T) {
+	build := func(seed int64) *Sequential {
+		rng := rand.New(rand.NewSource(seed))
+		return NewSequential(4, NewDense(4, 3, HeInit, rng), NewLeakyReLU(0.01), NewDense(3, 2, HeInit, rng))
+	}
+	src := build(9).Params()
+	last := len(src) - 1
+	damage := map[string]func(ps []*Param){
+		"last param renamed": func(ps []*Param) { ps[last].Name = "someone_else" },
+		"last param longer":  func(ps []*Param) { ps[last].Value = append(ps[last].Value, 0) },
+		"one NaN":            func(ps []*Param) { ps[last].Value[len(ps[last].Value)-1] = math.NaN() },
+		"one -Inf":           func(ps []*Param) { ps[last].Value[len(ps[last].Value)-1] = math.Inf(-1) },
+		"NaN in the middle":  func(ps []*Param) { ps[1].Value[0] = math.NaN() },
+	}
+	for name, hurt := range damage {
+		saved := make([]*Param, len(src))
+		for i, p := range src {
+			saved[i] = &Param{Name: p.Name, Value: Copy(p.Value)}
+		}
+		hurt(saved)
+		var buf bytes.Buffer
+		if err := SaveWeights(&buf, saved); err != nil {
+			t.Fatal(err)
+		}
+		dst := build(1234).Params()
+		var before [][]uint64
+		for _, p := range dst {
+			bits := make([]uint64, len(p.Value))
+			for k, v := range p.Value {
+				bits[k] = math.Float64bits(v)
+			}
+			before = append(before, bits)
+		}
+		if err := LoadWeights(&buf, dst); err == nil {
+			t.Fatalf("%s: LoadWeights accepted the file", name)
+		}
+		for i, p := range dst {
+			for k, v := range p.Value {
+				if math.Float64bits(v) != before[i][k] {
+					t.Fatalf("%s: param %d (%s) value %d overwritten by a refused file", name, i, p.Name, k)
+				}
+			}
+		}
+	}
+}
+
 func TestLoadWeightsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := NewSequential(4, NewDense(4, 3, HeInit, rng))

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // weightsFile is the on-disk format: a named flat vector per parameter, in
@@ -35,9 +36,9 @@ func SaveWeights(w io.Writer, params []*Param) error {
 }
 
 // LoadWeights restores parameter values previously written by SaveWeights.
-// Parameters are matched positionally and checked by name and length, so a
-// mismatch between the saved model and the reconstructed architecture is
-// reported rather than silently corrupting the network.
+// Parameters are matched positionally and checked by name and length, and
+// every value must be finite. The whole file is checked before anything is
+// copied: on any error every parameter is left exactly as it was.
 func LoadWeights(r io.Reader, params []*Param) error {
 	var f weightsFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
@@ -57,7 +58,14 @@ func LoadWeights(r io.Reader, params []*Param) error {
 		if len(sp.Values) != len(p.Value) {
 			return fmt.Errorf("nn: load weights: param %q length %d, file has %d", p.Name, len(p.Value), len(sp.Values))
 		}
-		copy(p.Value, sp.Values)
+		for k, v := range sp.Values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: load weights: param %q value %d is %v", p.Name, k, v)
+			}
+		}
+	}
+	for i, sp := range f.Params {
+		copy(params[i].Value, sp.Values)
 	}
 	return nil
 }
