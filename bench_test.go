@@ -113,13 +113,25 @@ func trainReadyAgent(workers int) *dfp.Agent {
 }
 
 // BenchmarkTrainStep measures the batched sparse-dueling training engine at
-// DefaultConfig scale (BatchSize 32), sharded across all cores.
+// DefaultConfig scale (BatchSize 32), sharded across all cores: a burst of
+// one, so every op pays the helpers' start.
 func BenchmarkTrainStep(b *testing.B) {
 	agent := trainReadyAgent(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.TrainStep()
+	}
+}
+
+// BenchmarkTrainSteps is what an episode's reduction runs: one op is one
+// 32-step burst on all cores, its helper goroutines started once.
+func BenchmarkTrainSteps(b *testing.B) {
+	agent := trainReadyAgent(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.TrainSteps(32, nil)
 	}
 }
 

@@ -29,18 +29,20 @@
 //     4000/1000/512 widths) at ~39 ms per decision on one 2.7 GHz core
 //     against the paper's reported < 2 s.
 //
-//   - Training: dfp.Agent.TrainStep gathers each minibatch into row-major
-//     matrices and drives the nn package's cache-blocked batch kernels once
-//     per shard instead of once per sample, backpropagates the dueling
-//     action stream sparsely (only the taken action's slice, with a
-//     rank-collapsed mean correction), and shards the batch across
-//     dfp.Config.Workers goroutines with per-worker gradients reduced in
-//     fixed order — bitwise deterministic for any fixed worker count. A
+//   - Training: dfp.Agent.TrainSteps runs an episode's gradient steps as
+//     one burst. Each step gathers its minibatch into row-major matrices
+//     and drives the nn package's cache-blocked batch kernels once per
+//     shard instead of once per sample, backpropagates the dueling action
+//     stream sparsely (only the taken action's slice, with a
+//     rank-collapsed mean correction), and spreads the shards, the
+//     gradient reduction in fixed worker order, the clipping and the Adam
+//     update over dfp.Config.Workers goroutines that are started once per
+//     burst — bitwise deterministic for any fixed worker count. A
 //     sample-at-a-time step over the same layers at bsz=1, with the dense
 //     dueling backward, lives in dfp's engine_test.go as the oracle the
 //     engine is equivalence-tested against to ≤1e-12.
 //
-// Benchmarks live in bench_test.go (BenchmarkTrainStep*, BenchmarkAct*,
+// Benchmarks live in bench_test.go (BenchmarkTrainStep*, BenchmarkTrainSteps, BenchmarkAct*,
 // BenchmarkDecisionLatency); BENCH_dfp.json records the current snapshot
 // against the seed baseline, and ROADMAP.md's Performance section describes
 // the methodology.

@@ -81,12 +81,12 @@ func TrainEpisode(m *MRSch, cfg TrainConfig, set JobSet) (EpisodeResult, error) 
 		steps = 16
 	}
 	total, n := 0.0, 0
-	for i := 0; i < steps; i++ {
-		if l := m.Agent.TrainStep(); l >= 0 {
+	m.Agent.TrainSteps(steps, func(l float64) {
+		if l >= 0 {
 			total += l
 			n++
 		}
-	}
+	})
 	res := EpisodeResult{Set: set.Kind, Epsilon: m.Agent.Epsilon(), Loss: -1}
 	if n > 0 {
 		res.Loss = total / float64(n)

@@ -70,9 +70,13 @@ type Config struct {
 	ReplayShards int
 	// BatchSize is the minibatch size per training step.
 	BatchSize int
-	// Workers is the number of goroutines TrainStep shards each minibatch
-	// across, each accumulating into per-worker gradient buffers that are
-	// reduced in worker order before the Adam step. 0 defaults to
+	// Workers is the number of goroutines a gradient step is spread over:
+	// each takes a shard of the minibatch and accumulates into its own
+	// gradient buffers, which are folded in worker order, and each takes a
+	// share of that fold, of the clipping and of the Adam update (engine.go).
+	// The goroutines beyond the caller live for one burst of steps
+	// (TrainSteps) and meet at a barrier that polls and yields, so more
+	// Workers than CPUs is slower but never stuck. 0 defaults to
 	// runtime.GOMAXPROCS(0). Workers=1 runs the single-threaded engine,
 	// whose arithmetic matches the sample-at-a-time reference step
 	// (engine_test.go) to floating-point reassociation (~1e-12); any
@@ -187,6 +191,8 @@ type Agent struct {
 
 	// Training engine state (engine.go).
 	workers  []*trainWorker
+	plan     stepPlan
+	gang     gang
 	batchBuf []*Experience
 	headWcol nn.Vec // per-step column-collapsed action-head weights (PredDim x StreamHidden)
 }

@@ -27,14 +27,21 @@
 //     scratch with zero steady-state heap allocations, and every sample's
 //     predictions are bitwise independent of the batch it ran in.
 //
-//   - TrainStep processes each minibatch through batched matrix-matrix
-//     kernels with a sparse dueling backward, sharded across Config.Workers
-//     goroutines whose per-worker gradients reduce in fixed worker order
-//     (engine.go). It must match the reference step kept in engine_test.go
-//     — forwardDueling at bsz=1 plus the dense dueling backward, sample by
-//     sample — to ≤1e-12,
-//     consume the agent rng identically, and stay at 0 allocs/op in steady
-//     state — all equivalence- and property-tested in engine_test.go.
+//   - TrainSteps runs a burst of gradient steps — an episode's worth — and
+//     TrainStep is a burst of one. Each minibatch goes through batched
+//     matrix-matrix kernels with a sparse dueling backward, sharded across
+//     Config.Workers goroutines that are started once per burst, meet at a
+//     polling barrier, and share the rest of the step too: per-worker
+//     gradients are folded in fixed worker order by each parameter's owner,
+//     who also computes its clip factor, and the Adam update is cut into
+//     one range of the concatenated parameters per worker (engine.go). A
+//     step must match the reference step kept in engine_test.go —
+//     forwardDueling at bsz=1 plus the dense dueling backward, sample by
+//     sample — to ≤1e-12 and consume the agent rng identically
+//     (engine_test.go); a burst of n must be n single steps to the bit,
+//     leave no goroutine behind, and allocate nothing per step — a warm
+//     burst allocates only what starting its helpers costs, nothing at one
+//     worker (burst_test.go).
 //
 //   - The replay buffer (replay.go) is sharded into independent rings sized
 //     by Config.ReplayShards: insertion round-robins the shards (or targets
@@ -73,7 +80,7 @@
 // there is nothing to configure: an actor that was never Reset, one that
 // borrows the master's layers, a CNN or custom state module, a layer the
 // kernel declines and the go kernel set all run dense, as do Agent.Act,
-// Agent.Predict, TrainStep and BatchDecider always.
+// Agent.Predict, TrainSteps and BatchDecider always.
 //
 // # Durable state
 //

@@ -20,16 +20,46 @@
 //     fraction of the FLOPs. The input gradient's mean term reuses a
 //     per-step column-collapse of the head weights (headWcol).
 //
-//  3. Data parallelism: workers 1..N-1 run on nn.SharedClone replicas whose
-//     parameters alias the master weight Values but own private gradient
-//     buffers; gradients are reduced into the master in fixed worker order
-//     before the Adam step, so a given Workers setting is bitwise
-//     deterministic run to run.
+//  3. Data parallelism, forked once per burst. An episode's gradient steps
+//     run back to back (TrainSteps), so the unit of forking is that burst:
+//     workers 1..N-1 are started once, stay for its n steps and exit with
+//     it. They run on nn.SharedClone replicas whose parameters alias the
+//     master weight Values but own private (shadow) gradient buffers, and
+//     all N workers share every phase of a step, not only the backward
+//     pass:
+//
+//     batch published → each worker runs its shard → each parameter's
+//     owner folds that parameter's shadow gradients into the master in
+//     worker order, zeroes them and computes its clip factor → each
+//     worker applies Adam to its contiguous range of the concatenated
+//     parameters → weights complete.
+//
+//     Owners are whole parameters (largest first onto the least loaded
+//     worker) because a clip factor is an L2 norm in nn.L2Norm's own lane
+//     order; the fold is element-wise in worker order and the Adam kernel
+//     is element-wise, so neither the owner assignment nor where the
+//     ranges are cut changes a bit: shard boundaries, sample order, rng
+//     consumption and reduction association are a function of the worker
+//     count alone, and a given Workers setting is bitwise deterministic
+//     run to run.
+//
+//     The phases are separated by a generation-counting barrier (gang)
+//     whose waiter polls an atomic and never parks: waking a parked
+//     goroutine on an idle CPU costs a futex round trip of the same order
+//     as a whole shard (≈100 µs on the benchmark host against ≈1 µs for a
+//     poll), and every wait inside a burst is bounded by the other side's
+//     current phase, because no helper outlives its burst. The waiter
+//     calls runtime.Gosched every pollsPerYield polls; that yield is what
+//     lets the goroutine it waits for run when there are fewer CPUs than
+//     workers (GOMAXPROCS=1, Workers > GOMAXPROCS, pipelined rollouts
+//     competing for the same CPUs).
 package dfp
 
 import (
+	"cmp"
 	"runtime"
-	"sync"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/nn"
 )
@@ -139,69 +169,217 @@ func (a *Agent) computeHeadWcol() {
 	}
 }
 
-// TrainStep samples one minibatch from replay, regresses the taken actions'
-// predictions toward the realized future changes (masked MSE), and applies
-// one Adam update. The minibatch runs through the batched engine described
-// at the top of this file. It returns the mean per-sample loss, or -1 if
-// the replay buffer is still empty.
-func (a *Agent) TrainStep() float64 {
-	if a.replay.len() == 0 {
-		return -1
+// TrainStep is a burst of one: it samples one minibatch from replay,
+// regresses the taken actions' predictions toward the realized future
+// changes (masked MSE), and applies one Adam update. It returns the mean
+// per-sample loss, or -1 if the replay buffer is still empty.
+func (a *Agent) TrainStep() (loss float64) {
+	a.TrainSteps(1, func(l float64) { loss = l })
+	return loss
+}
+
+// TrainSteps runs n gradient steps back to back — what n TrainStep calls
+// do, to the bit, on weights, optimizer state, rng and losses — and calls
+// after, when it is not nil, with each step's loss once that step's weights
+// are complete. The minibatches run through the batched engine described at
+// the top of this file; the helper goroutines are started once for the
+// burst and have all returned when TrainSteps does, also when after panics.
+// after runs on the calling goroutine and must not touch the agent. With an
+// empty replay buffer every loss is -1 and nothing else happens; n <= 0 is
+// a no-op.
+func (a *Agent) TrainSteps(n int, after func(loss float64)) {
+	if n <= 0 {
+		return
 	}
-	batch := a.cfg.BatchSize
-	if batch > a.replay.len() {
-		batch = a.replay.len()
-	}
-	// The sample sequence consumes the rng identically regardless of worker
-	// count, so exploration and sampling are reproducible across Workers
-	// settings.
-	a.batchBuf = a.batchBuf[:0]
-	for b := 0; b < batch; b++ {
-		a.batchBuf = append(a.batchBuf, a.replay.sample(a.rng))
+	batch := min(a.cfg.BatchSize, a.replay.len())
+	if batch == 0 {
+		for s := 0; s < n && after != nil; s++ {
+			after(-1)
+		}
+		return
 	}
 	a.ensureWorkers()
-	nw := len(a.workers)
-	if nw > batch {
-		nw = batch
-	}
-	a.computeHeadWcol()
-	shard := (batch + nw - 1) / nw
-	if nw == 1 {
-		a.workers[0].run(a.batchBuf)
-	} else {
-		var wg sync.WaitGroup
-		for w := 1; w < nw; w++ {
-			lo := w * shard
-			hi := min(lo+shard, batch)
-			if lo >= hi {
-				a.workers[w].loss = 0
-				continue
-			}
-			wg.Add(1)
-			go func(tw *trainWorker, exps []*Experience) {
-				defer wg.Done()
-				tw.run(exps)
-			}(a.workers[w], a.batchBuf[lo:hi])
-		}
-		a.workers[0].run(a.batchBuf[:shard])
-		wg.Wait()
-	}
-	total := 0.0
-	for w := 0; w < nw; w++ {
-		total += a.workers[w].loss
-	}
-	// Reduce shadow gradients into the master in fixed worker order.
+	nw := min(len(a.workers), batch)
+	a.planFor(nw)
+	g := &a.gang
+	g.open(nw)
 	for w := 1; w < nw; w++ {
-		for i, p := range a.workers[w].params {
-			nn.AddTo(a.params[i].Grad, p.Grad)
-			nn.Fill(p.Grad, 0)
+		go func() {
+			defer g.left.Add(1)
+			for s := 0; s < n && g.wait() && a.share(w, nw, batch); s++ {
+			}
+		}()
+	}
+	// Leaving the burst — done or panicking — releases any helper still at
+	// a barrier and waits until every helper has returned.
+	defer g.close()
+	for s := 0; s < n; s++ {
+		// The sample sequence consumes the rng identically regardless of
+		// worker count, so exploration and sampling are reproducible across
+		// Workers settings.
+		a.batchBuf = a.batchBuf[:0]
+		for b := 0; b < batch; b++ {
+			a.batchBuf = append(a.batchBuf, a.replay.sample(a.rng))
+		}
+		a.computeHeadWcol()
+		a.opt.BeginStep(a.params)
+		g.wait() // batch published
+		a.share(0, nw, batch)
+		total := 0.0
+		for _, tw := range a.workers[:nw] {
+			total += tw.loss
+		}
+		a.trainSteps++
+		if after != nil {
+			after(total / float64(batch))
 		}
 	}
-	// Average accumulated gradients over the minibatch, clip, and update —
-	// one fused pass per parameter.
-	a.opt.StepScaled(a.params, 1/float64(batch), a.cfg.GradClip)
-	a.trainSteps++
-	return total / float64(batch)
+}
+
+// share is worker w's part of one step, from the published batch to the
+// complete weights: its shard of the minibatch, the parameters it owns, its
+// range of the Adam update. It reports false when the burst was abandoned.
+func (a *Agent) share(w, nw, batch int) bool {
+	g := &a.gang
+	shard := (batch + nw - 1) / nw
+	lo := min(w*shard, batch)
+	a.workers[w].run(a.batchBuf[lo:min(lo+shard, batch)])
+	if !g.wait() {
+		return false
+	}
+	// Average the accumulated gradients over the minibatch and clip: one
+	// factor per parameter, applied inside the Adam kernel.
+	scale := 1 / float64(batch)
+	for _, i := range a.plan.owned[w] {
+		grad := a.params[i].Grad
+		for _, tw := range a.workers[1:nw] {
+			shadow := tw.params[i].Grad
+			nn.AddTo(grad, shadow)
+			nn.Fill(shadow, 0)
+		}
+		a.plan.factor[i] = nn.ClipFactor(grad, scale, a.cfg.GradClip)
+	}
+	if !g.wait() {
+		return false
+	}
+	for _, r := range a.plan.ranges[w] {
+		a.opt.ApplyRange(a.params[r.param], r.lo, r.hi, a.plan.factor[r.param])
+	}
+	return g.wait() // weights complete
+}
+
+// stepPlan is how nw workers divide the part of a step that follows the
+// backward pass. Any division gives the same bits (see the file header), so
+// it is laid out once per worker count and only balances the load.
+type stepPlan struct {
+	nw     int
+	owned  [][]int       // owned[w]: the parameters worker w folds and norms
+	ranges [][]paramSpan // ranges[w]: worker w's 1/nw of the concatenated parameters
+	factor []float64     // per parameter: this step's gradient multiplier
+}
+
+// paramSpan is elements [lo,hi) of parameter number param.
+type paramSpan struct{ param, lo, hi int }
+
+// planFor lays the plan out for nw workers, unless it already is.
+func (a *Agent) planFor(nw int) {
+	if a.plan.nw == nw {
+		return
+	}
+	pl := stepPlan{
+		nw:     nw,
+		owned:  make([][]int, nw),
+		ranges: make([][]paramSpan, nw),
+		factor: make([]float64, len(a.params)),
+	}
+	// Owners: largest parameter first, each onto the least loaded worker.
+	order := make([]int, len(a.params))
+	total := 0
+	for i, p := range a.params {
+		order[i] = i
+		total += len(p.Value)
+	}
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Compare(len(a.params[y].Value), len(a.params[x].Value))
+	})
+	load := make([]int, nw)
+	for _, i := range order {
+		w := 0
+		for k := range load {
+			if load[k] < load[w] {
+				w = k
+			}
+		}
+		pl.owned[w] = append(pl.owned[w], i)
+		load[w] += len(a.params[i].Value)
+	}
+	// Ranges: worker w takes [w*total/nw, (w+1)*total/nw) of the
+	// parameters laid end to end.
+	start := 0
+	for i, p := range a.params {
+		end := start + len(p.Value)
+		for w := 0; w < nw; w++ {
+			lo, hi := max(w*total/nw, start), min((w+1)*total/nw, end)
+			if lo < hi {
+				pl.ranges[w] = append(pl.ranges[w], paramSpan{i, lo - start, hi - start})
+			}
+		}
+		start = end
+	}
+	a.plan = pl
+}
+
+// gang is the barrier the workers of one burst meet at. The last of n
+// arrivals opens the next generation; the others poll for it.
+type gang struct {
+	n       int32
+	arrived atomic.Int32
+	gen     atomic.Uint32
+	gone    atomic.Bool  // the caller has left the burst
+	left    atomic.Int32 // helpers that have returned
+}
+
+// pollsPerYield is how often a waiter hands its CPU to the scheduler: rare
+// enough that a wait between two running workers (a few polls) never pays
+// for it, frequent enough that a worker with no CPU of its own gets one
+// within a microsecond or two.
+const pollsPerYield = 256
+
+func (g *gang) open(n int) {
+	g.n = int32(n)
+	g.arrived.Store(0)
+	g.gone.Store(false)
+	g.left.Store(0)
+}
+
+// wait returns true once all n workers have arrived, and false if the
+// caller left the burst instead.
+func (g *gang) wait() bool {
+	gen := g.gen.Load()
+	if g.arrived.Add(1) == g.n {
+		g.arrived.Store(0)
+		g.gen.Add(1)
+		return true
+	}
+	for i := 1; g.gen.Load() == gen; i++ {
+		if g.gone.Load() {
+			return false
+		}
+		if i%pollsPerYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
+// close ends the burst on the caller's side and waits for the helpers.
+func (g *gang) close() {
+	g.gone.Store(true)
+	for i := 1; g.left.Load() != g.n-1; i++ {
+		if i%pollsPerYield == 0 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // run processes one shard: gather, one batched forward, per-sample dueling

@@ -219,9 +219,9 @@ func TestTrainStepDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrainStepCNNFallback: the CNN state module exercises the Conv1D /
-// MaxPool1D batch kernels inside the engine.
-func TestTrainStepCNNFallback(t *testing.T) {
+// smallCNNConfig is smallConfig with the convolutional state module, on two
+// workers.
+func smallCNNConfig() Config {
 	cfg := smallConfig()
 	cfg.StateDim = 24
 	cfg.UseCNN = true
@@ -230,6 +230,13 @@ func TestTrainStepCNNFallback(t *testing.T) {
 	cfg.CNNStride = 2
 	cfg.CNNPool = 2
 	cfg.Workers = 2
+	return cfg
+}
+
+// TestTrainStepCNNFallback: the CNN state module exercises the Conv1D /
+// MaxPool1D batch kernels inside the engine.
+func TestTrainStepCNNFallback(t *testing.T) {
+	cfg := smallCNNConfig()
 	batched := New(cfg)
 	cfgRef := cfg
 	cfgRef.Workers = 1

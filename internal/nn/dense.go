@@ -173,32 +173,9 @@ func (d *Dense) accumBatchGrads(grad Vec, bsz int) {
 // costs one in·out pass per batched backward — 1/bsz of the product it
 // accelerates.
 func (d *Dense) inputGradBatch(gin, grad Vec, bsz int) {
-	in, out := d.In, d.Out
-	w := d.W.Value
-	d.wtBuf = Ensure(d.wtBuf, in*out)
-	wt := d.wtBuf
-	// 32x32 tiles keep both the read rows and the strided write columns
-	// cache-resident during the transpose.
-	const tile = 32
-	for ot := 0; ot < out; ot += tile {
-		oe := ot + tile
-		if oe > out {
-			oe = out
-		}
-		for it := 0; it < in; it += tile {
-			ie := it + tile
-			if ie > in {
-				ie = in
-			}
-			for o := ot; o < oe; o++ {
-				row := w[o*in : (o+1)*in]
-				for i := it; i < ie; i++ {
-					wt[i*out+o] = row[i]
-				}
-			}
-		}
-	}
-	kern.InputGrad(gin, grad, wt, in, out, bsz)
+	d.wtBuf = Ensure(d.wtBuf, d.In*d.Out)
+	kern.Transpose(d.wtBuf, d.W.Value, d.In, d.Out)
+	kern.InputGrad(gin, grad, d.wtBuf, d.In, d.Out, bsz)
 }
 
 // Params returns the weight and bias parameters.

@@ -39,8 +39,8 @@
 // kernels: the forward tiles weight rows to stay L1-resident across the
 // batch with a 4-wide output microkernel, the weight-gradient accumulation
 // merges 8 samples' rank-1 updates into one streaming pass, and the input
-// gradient runs through a per-call transposed weight copy so every dot
-// product is sequential. At bsz=1 its backward is the exact-order
+// gradient runs through a per-call transposed weight copy (kernel.Set.Transpose)
+// so every dot product is sequential. At bsz=1 its backward is the exact-order
 // element-wise loop (denseBackwardRow), which agrees with the batched
 // kernels to ≤1e-12. Conv1D, MaxPool1D and Softmax run their row kernel per
 // sample, the element-wise activations treat the batch as one longer vector,
@@ -64,6 +64,18 @@
 // gradient buffers and forward state — each worker accumulates into its own
 // gradients, which the caller reduces before the optimizer step
 // (internal/dfp does this across Config.Workers goroutines).
+//
+// The Adam update comes apart the same way. BeginStep opens an update (step
+// counter, bias corrections, moment vectors for parameters that have none),
+// ClipFactor turns one parameter's gradient into its multiplier (scale,
+// shrunk to the clip norm, through L2Norm's fixed four-lane order), and
+// ApplyRange runs the fused kernel over elements [lo,hi) of one parameter.
+// Step and StepScaled are those three in a loop, so there is one update
+// arithmetic; after BeginStep, ApplyRange calls on disjoint ranges may run
+// on different goroutines, and because the kernel is element-wise in both
+// sets the cuts do not change a bit. ApplyRange looks the moment vectors up
+// on every call: TrainState.Apply replaces them, and a holder of the old
+// ones would update vectors the optimizer no longer owns.
 //
 // # Weight snapshots and versioning
 //
@@ -105,8 +117,9 @@
 //
 // The four floating-point hot loops under the layers above — the batched
 // Dense forward, the transposed-matmul input gradient, the weight-gradient
-// accumulation, and the fused Adam step — and the packed one-sample forward
-// live in internal/nn/kernel as a
+// accumulation, and the fused Adam step — with the weight transpose that
+// feeds the second and the packed one-sample forward live in
+// internal/nn/kernel as a
 // function Set selected once at process start: the portable pure-Go
 // reference set ("go", bit-for-bit the pre-dispatch engine), or a
 // CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting amd64

@@ -2,9 +2,11 @@
 // floating-point hot loops of the training and inference engines — the
 // batched Dense matmul forward, the transposed-matmul input gradient, the
 // weight-gradient accumulation, and the fused Adam step — packaged as a
-// Set of function pointers selected once at process start, plus, in a set
-// that has one, a packed one-sample forward for a layer whose input is
-// mostly runs of zeros (Pack, PackedForward).
+// Set of function pointers selected once at process start, plus the weight
+// transpose the input gradient reads (Transpose: a move, the same bits from
+// every set; 4x4 register blocks in the avx2 set) and, in a set that has
+// one, a packed one-sample forward for a layer whose input is mostly runs
+// of zeros (Pack, PackedForward).
 //
 // # Kernel sets
 //

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Set is one coherent family of engine kernels. All four functions of a
-// Set use the same accumulation structure, so results are deterministic
+// Set is one coherent family of engine kernels. All arithmetic functions of
+// a Set use the same accumulation structure, so results are deterministic
 // for a fixed Set and each batch row is bitwise independent of bsz.
 type Set struct {
 	// Name identifies the set ("go", "avx2").
@@ -22,9 +22,13 @@ type Set struct {
 	DenseForward func(dst, x, w, b []float64, in, out, bsz int)
 
 	// InputGrad computes gin = grad·W from the pre-transposed weights
-	// wt (in×out row-major, built by the caller): grad is bsz×out, gin is
-	// bsz×in. gin rows are overwritten, not accumulated.
+	// wt (in×out row-major, built by the caller with Transpose): grad is
+	// bsz×out, gin is bsz×in. gin rows are overwritten, not accumulated.
 	InputGrad func(gin, grad, wt []float64, in, out, bsz int)
+
+	// Transpose writes Wᵀ: wt[i*out+o] = w[o*in+i] for w out×in row-major.
+	// A move, so every set produces the same bits.
+	Transpose func(wt, w []float64, in, out int)
 
 	// AccumGrads accumulates one batch's parameter gradients:
 	// gb += Σ_rows grad and gw += gradᵀ·x, with gw out×in row-major,
@@ -79,6 +83,7 @@ var Reference = &Set{
 	Name:         "go",
 	DenseForward: goDenseForward,
 	InputGrad:    goInputGrad,
+	Transpose:    goTranspose,
 	AccumGrads:   goAccumGrads,
 	AdamStep:     goAdamStep,
 }
@@ -250,6 +255,24 @@ func goInputGrad(gin, grad, wt []float64, in, out, bsz int) {
 				a += gr[o] * wv
 			}
 			gi[i] = a
+		}
+	}
+}
+
+// goTranspose writes Wᵀ in 32x32 tiles, which keep both the read rows and
+// the strided write columns cache-resident.
+func goTranspose(wt, w []float64, in, out int) {
+	const tile = 32
+	for ot := 0; ot < out; ot += tile {
+		oe := min(ot+tile, out)
+		for it := 0; it < in; it += tile {
+			ie := min(it+tile, in)
+			for o := ot; o < oe; o++ {
+				row := w[o*in : (o+1)*in]
+				for i := it; i < ie; i++ {
+					wt[i*out+o] = row[i]
+				}
+			}
 		}
 	}
 }

@@ -22,6 +22,9 @@ func dot1(w, x *float64, n int) float64
 func matvec(dst, w, x, b *float64, in, out int)
 
 //go:noescape
+func transpose4(wt, w *float64, in, out int)
+
+//go:noescape
 func axpy8(dst, x *float64, xstride int, gp *float64, gstride int, n int)
 
 //go:noescape
@@ -88,6 +91,7 @@ var avx2Set, archFeatures = func() (*Set, string) {
 		Name:          "avx2",
 		DenseForward:  avx2DenseForward,
 		InputGrad:     avx2InputGrad,
+		Transpose:     avx2Transpose,
 		AccumGrads:    avx2AccumGrads,
 		AdamStep:      avx2AdamStep,
 		Pack:          avx2Pack,
@@ -161,6 +165,26 @@ func avx2InputGrad(gin, grad, wt []float64, in, out, bsz int) {
 		gi := gin[b0*in : (b0+1)*in]
 		for i := 0; i < in; i++ {
 			gi[i] = dot1(&gr[0], &wt[i*out], out)
+		}
+	}
+}
+
+// avx2Transpose moves the in-in%4 by out-out%4 body in 4x4 register blocks
+// (transpose4) and the in%4 columns and out%4 rows one element at a time.
+func avx2Transpose(wt, w []float64, in, out int) {
+	in4, out4 := in&^3, out&^3
+	if in4 > 0 && out4 > 0 {
+		_, _ = wt[in*out-1], w[in*out-1]
+		transpose4(&wt[0], &w[0], in, out)
+	}
+	for o := 0; o < out; o++ {
+		row := w[o*in : (o+1)*in]
+		i := 0
+		if o < out4 {
+			i = in4
+		}
+		for ; i < in; i++ {
+			wt[i*out+o] = row[i]
 		}
 	}
 }

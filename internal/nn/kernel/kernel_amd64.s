@@ -253,6 +253,61 @@ matvec_done:
 	VZEROUPPER
 	RET
 
+// func transpose4(wt, w *float64, in, out int)
+//
+// The 4x4-block body of Wᵀ: wt[i*out+o] = w[o*in+i] for i < in-in%4 and
+// o < out-out%4 (both at least 4; the caller moves the edges). Four columns
+// at a time, walking down the rows: the four row segments of a block are
+// interleaved pairwise (VUNPCKLPD/VUNPCKHPD) and their 128-bit halves
+// recombined (VPERM2F128), so each block is four loads and four stores, and
+// the stores of one column group run along four rows of wt.
+TEXT ·transpose4(SB), NOSPLIT, $0-32
+	MOVQ wt+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ in+16(FP), R8
+	MOVQ out+24(FP), R9
+	MOVQ R8, R12
+	SHRQ $2, R12
+	SHLQ $3, R8
+	MOVQ R9, CX
+	SHRQ $2, CX
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R10
+	LEAQ (R9)(R9*2), R11
+
+transpose4_cols:
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ CX, R13
+
+transpose4_rows:
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R8*1), Y1
+	VMOVUPD (AX)(R8*2), Y2
+	VMOVUPD (AX)(R10*1), Y3
+	VUNPCKLPD Y1, Y0, Y4
+	VUNPCKHPD Y1, Y0, Y5
+	VUNPCKLPD Y3, Y2, Y6
+	VUNPCKHPD Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, (BX)(R9*1)
+	VMOVUPD Y2, (BX)(R9*2)
+	VMOVUPD Y3, (BX)(R11*1)
+	LEAQ (AX)(R8*4), AX
+	ADDQ $32, BX
+	DECQ R13
+	JNZ  transpose4_rows
+	ADDQ $32, SI
+	LEAQ (DI)(R9*4), DI
+	DECQ R12
+	JNZ  transpose4_cols
+	VZEROUPPER
+	RET
+
 // func axpy8(dst, x *float64, xstride int, gp *float64, gstride int, n int)
 //
 // Merged 8-sample rank-1 update: dst[i] += sum_{k<8} g[k*gstride]*x[k*xstride+i].

@@ -197,6 +197,37 @@ func TestBatchRowIdentity(t *testing.T) {
 	}
 }
 
+// TestTransposeIsTheNaiveLoop: Transpose is a move, so every set must write
+// exactly the naive double loop's Wᵀ, and nothing outside it — at every
+// in%4 and out%4 edge and at the shapes the engine transposes.
+func TestTransposeIsTheNaiveLoop(t *testing.T) {
+	dims := []int{32, 64, 128, 394}
+	for n := 1; n <= 13; n++ {
+		dims = append(dims, n)
+	}
+	for _, s := range benchSets() {
+		r := rand.New(rand.NewSource(7))
+		for _, in := range dims {
+			for _, out := range dims {
+				w := fill(r, out*in)
+				got := make([]float64, in*out+1)
+				got[in*out] = math.Pi // one past the end: must survive
+				s.Transpose(got[:in*out], w, in, out)
+				for o := 0; o < out; o++ {
+					for i := 0; i < in; i++ {
+						if g, want := got[i*out+o], w[o*in+i]; math.Float64bits(g) != math.Float64bits(want) {
+							t.Fatalf("%s in=%d out=%d: wt[%d][%d] = %v, want w[%d][%d] = %v", s.Name, in, out, i, o, g, o, i, want)
+						}
+					}
+				}
+				if got[in*out] != math.Pi {
+					t.Fatalf("%s in=%d out=%d: wrote past the end of wt", s.Name, in, out)
+				}
+			}
+		}
+	}
+}
+
 func TestSelect(t *testing.T) {
 	if s, err := Select("go"); err != nil || s != Reference {
 		t.Fatalf("Select(go) = %v, %v; want Reference", s, err)
@@ -264,11 +295,7 @@ func BenchmarkDenseKernels(b *testing.B) {
 	w := fill(r, out*in)
 	bias := fill(r, out)
 	wt := make([]float64, in*out)
-	for o := 0; o < out; o++ {
-		for i := 0; i < in; i++ {
-			wt[i*out+o] = w[o*in+i]
-		}
-	}
+	Reference.Transpose(wt, w, in, out)
 	dst := make([]float64, bsz*out)
 	grad := fill(r, bsz*out)
 	gin := make([]float64, bsz*in)
@@ -285,6 +312,12 @@ func BenchmarkDenseKernels(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s.InputGrad(gin, grad, wt, in, out, bsz)
+			}
+		})
+		b.Run("Transpose/"+s.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Transpose(wt, w, in, out)
 			}
 		})
 		b.Run("AccumGrads/"+s.Name, func(b *testing.B) {

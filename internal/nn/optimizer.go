@@ -45,10 +45,17 @@ func (o *SGD) Step(params []*Param) {
 
 // Adam implements the Adam optimizer (Kingma & Ba), the de-facto default for
 // DFP training in the original implementation.
+//
+// One update is three pieces, so that a caller may spread it over
+// goroutines: BeginStep opens it, ClipFactor gives one parameter's gradient
+// multiplier, ApplyRange updates a range of one parameter. Step and
+// StepScaled are those pieces in a loop — there is one update arithmetic.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	t                     int
 	m, v                  map[*Param]Vec
+
+	invB1c, invB2c float64 // the open step's reciprocal bias corrections
 }
 
 // NewAdam returns an Adam optimizer; zero-valued hyperparameters take the
@@ -60,27 +67,9 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer. The update runs through the active kernel
-// set's fused Adam kernel: bias corrections are hoisted into reciprocal
-// multiplies and gradient zeroing is fused into the same pass, leaving one
-// unavoidable sqrt+divide per element. Step is StepScaled with f=1, which
+// Step implements Optimizer: StepScaled with scale 1 and no clipping, which
 // is bitwise the unscaled update (x*1.0 is exact for every float64).
-func (o *Adam) Step(params []*Param) {
-	o.t++
-	invB1c := 1 / (1 - math.Pow(o.Beta1, float64(o.t)))
-	invB2c := 1 / (1 - math.Pow(o.Beta2, float64(o.t)))
-	a1, a2 := 1-o.Beta1, 1-o.Beta2
-	for _, p := range params {
-		m := o.m[p]
-		v := o.v[p]
-		if m == nil {
-			m = make(Vec, len(p.Value))
-			v = make(Vec, len(p.Value))
-			o.m[p], o.v[p] = m, v
-		}
-		kern.AdamStep(p.Value, p.Grad, m, v, 1, o.LR, o.Beta1, o.Beta2, a1, a2, invB1c, invB2c, o.Eps)
-	}
-}
+func (o *Adam) Step(params []*Param) { o.StepScaled(params, 1, 0) }
 
 // StepScaled applies one Adam update treating each parameter's effective
 // gradient as scale*Grad, clipped to maxNorm when maxNorm > 0 — folding
@@ -88,26 +77,52 @@ func (o *Adam) Step(params []*Param) {
 // update loop. It matches Scale+ClipGrads+Step to floating-point
 // reassociation.
 func (o *Adam) StepScaled(params []*Param, scale, maxNorm float64) {
-	o.t++
-	invB1c := 1 / (1 - math.Pow(o.Beta1, float64(o.t)))
-	invB2c := 1 / (1 - math.Pow(o.Beta2, float64(o.t)))
-	a1, a2 := 1-o.Beta1, 1-o.Beta2
+	o.BeginStep(params)
 	for _, p := range params {
-		m := o.m[p]
-		v := o.v[p]
-		if m == nil {
-			m = make(Vec, len(p.Value))
-			v = make(Vec, len(p.Value))
-			o.m[p], o.v[p] = m, v
-		}
-		f := scale
-		if maxNorm > 0 {
-			if n := scale * L2Norm(p.Grad); n > maxNorm && n > 0 {
-				f = scale * (maxNorm / n)
-			}
-		}
-		kern.AdamStep(p.Value, p.Grad, m, v, f, o.LR, o.Beta1, o.Beta2, a1, a2, invB1c, invB2c, o.Eps)
+		o.ApplyRange(p, 0, len(p.Value), ClipFactor(p.Grad, scale, maxNorm))
 	}
+}
+
+// BeginStep opens the next update: it advances the step counter, computes
+// the bias corrections once, and gives every parameter that has none yet
+// its moment vectors. After it, and until the next BeginStep, ApplyRange
+// calls on disjoint ranges may run concurrently.
+func (o *Adam) BeginStep(params []*Param) {
+	o.t++
+	o.invB1c = 1 / (1 - math.Pow(o.Beta1, float64(o.t)))
+	o.invB2c = 1 / (1 - math.Pow(o.Beta2, float64(o.t)))
+	for _, p := range params {
+		if o.m[p] == nil {
+			o.m[p] = make(Vec, len(p.Value))
+			o.v[p] = make(Vec, len(p.Value))
+		}
+	}
+}
+
+// ClipFactor returns the multiplier that turns grad into the effective
+// gradient of one parameter: scale, shrunk so that the scaled gradient's L2
+// norm does not exceed maxNorm when maxNorm > 0.
+func ClipFactor(grad Vec, scale, maxNorm float64) float64 {
+	if maxNorm > 0 {
+		if n := scale * L2Norm(grad); n > maxNorm && n > 0 {
+			return scale * (maxNorm / n)
+		}
+	}
+	return scale
+}
+
+// ApplyRange applies the open step to elements [lo,hi) of p with effective
+// gradient f*Grad, and zeroes that range of Grad. The update runs through
+// the active kernel set's fused Adam kernel: bias corrections are hoisted
+// into reciprocal multiplies and gradient zeroing is fused into the same
+// pass, leaving one unavoidable sqrt+divide per element. The kernel is
+// element-wise — its scalar tail computes what its vector body does — so
+// how a parameter is cut into ranges does not change a bit of the result.
+// The moment vectors are looked up on every call, never remembered:
+// TrainState.Apply replaces them.
+func (o *Adam) ApplyRange(p *Param, lo, hi int, f float64) {
+	kern.AdamStep(p.Value[lo:hi], p.Grad[lo:hi], o.m[p][lo:hi], o.v[p][lo:hi],
+		f, o.LR, o.Beta1, o.Beta2, 1-o.Beta1, 1-o.Beta2, o.invB1c, o.invB2c, o.Eps)
 }
 
 // ClipGrads rescales every parameter's gradient so its L2 norm does not

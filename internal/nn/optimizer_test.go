@@ -85,6 +85,51 @@ func TestStepZeroesGradients(t *testing.T) {
 	}
 }
 
+// TestAdamPiecesAreStepScaled: BeginStep, one ClipFactor per parameter and
+// ApplyRange over any cut of each parameter, in any order, are StepScaled to
+// the bit — values, both moments and the zeroed gradient — at lengths on
+// every side of the kernels' vector width, clipped and not.
+func TestAdamPiecesAreStepScaled(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 101} {
+		whole, pieces := NewParam("w", n), NewParam("w", n)
+		for i := range whole.Value {
+			whole.Value[i] = rng.NormFloat64()
+		}
+		copy(pieces.Value, whole.Value)
+		optW, optP := NewAdam(0.01), NewAdam(0.01)
+		for step := 0; step < 4; step++ {
+			scale, maxNorm := 1/float64(step+1), float64(step%2)*0.5 // clips on odd steps
+			for i := range whole.Grad {
+				whole.Grad[i] = rng.NormFloat64() * 3
+			}
+			copy(pieces.Grad, whole.Grad)
+			optW.StepScaled([]*Param{whole}, scale, maxNorm)
+
+			optP.BeginStep([]*Param{pieces})
+			f := ClipFactor(pieces.Grad, scale, maxNorm)
+			c1, c2 := rng.Intn(n+1), rng.Intn(n+1)
+			if c1 > c2 {
+				c1, c2 = c2, c1
+			}
+			optP.ApplyRange(pieces, c2, n, f)
+			optP.ApplyRange(pieces, 0, c1, f)
+			optP.ApplyRange(pieces, c1, c2, f)
+
+			for name, pair := range map[string][2]Vec{
+				"value": {pieces.Value, whole.Value}, "grad": {pieces.Grad, whole.Grad},
+				"m": {optP.m[pieces], optW.m[whole]}, "v": {optP.v[pieces], optW.v[whole]},
+			} {
+				for i := range pair[1] {
+					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+						t.Fatalf("n=%d step %d cuts %d,%d: %s[%d] = %v in pieces, %v whole", n, step, c1, c2, name, i, pair[0][i], pair[1][i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestClipGrads(t *testing.T) {
 	p := NewParam("w", 2)
 	p.Grad[0], p.Grad[1] = 30, 40

@@ -73,23 +73,26 @@ func (l *mrschLearner) Reduce(ep Episode, tr Transcript) (core.EpisodeResult, er
 	if steps == 0 {
 		steps = 16
 	}
+	// One burst for the episode's steps (dfp.Agent.TrainSteps). The clock
+	// is read between steps, only when instrumented: a step's sample runs
+	// from the read that ended the step before it to the one that ends it,
+	// and the steps themselves are untouched.
 	total, n := 0.0, 0
-	for i := 0; i < steps; i++ {
-		// The clock reads bracket TrainStep — an observation boundary —
-		// and happen only when instrumented; the step itself is untouched.
-		var t0 time.Time
+	var t0 time.Time
+	if l.timed {
+		t0 = time.Now()
+	}
+	l.m.Agent.TrainSteps(steps, func(loss float64) {
 		if l.timed {
-			t0 = time.Now()
-		}
-		loss := l.m.Agent.TrainStep()
-		if l.timed {
-			l.trainStep.RecordDuration(time.Since(t0))
+			now := time.Now()
+			l.trainStep.RecordDuration(now.Sub(t0))
+			t0 = now
 		}
 		if loss >= 0 {
 			total += loss
 			n++
 		}
-	}
+	})
 	if l.timed {
 		l.replayOcc.Set(float64(l.m.Agent.ReplaySize()))
 	}

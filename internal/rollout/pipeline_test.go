@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rl"
+	"repro/internal/telemetry"
 )
 
 func runTrainPipelined(t *testing.T, workers int, seed int64) ([]core.EpisodeResult, []byte) {
@@ -211,4 +212,36 @@ func TestPipelinedScheduleShape(t *testing.T) {
 	if p.published != 3 {
 		t.Fatalf("published %d times, want 3 (initial + 2 boundaries)", p.published)
 	}
+}
+
+// TestBurstTelemetryIsPerStepAndObserveOnly: an episode's gradient steps run
+// as one dfp burst — here on three training workers, with two snapshot
+// actors rolling out on the same CPUs — and the harness still records one
+// dfp_train_step_ns sample per step, not per burst, while training the
+// weights an uninstrumented run trains.
+func TestBurstTelemetryIsPerStepAndObserveOnly(t *testing.T) {
+	sys := testSystem()
+	sets := testSets(sys, 6, 25, 41)
+	train := func(reg *telemetry.Registry) []byte {
+		m := testAgentWorkers(sys, 17, 3)
+		cfg := Config{Workers: 2, Seed: 23, Pipelined: true, Metrics: reg}
+		if _, err := Train(NewMRSchLearner(m, trainCfg(sys)), cfg, sets); err != nil {
+			t.Fatal(err)
+		}
+		return weightsOf(t, m)
+	}
+	reg := telemetry.NewRegistry()
+	if !bytes.Equal(train(reg), train(nil)) {
+		t.Fatal("an instrumented run trained different weights")
+	}
+	want := uint64(len(sets) * trainCfg(sys).StepsPerEpisode)
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == "dfp_train_step_ns" {
+			if h.Count != want {
+				t.Fatalf("dfp_train_step_ns has %d samples, want one per gradient step: %d", h.Count, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no dfp_train_step_ns histogram was registered")
 }

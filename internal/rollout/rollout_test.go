@@ -77,10 +77,16 @@ func testSets(sys cluster.Config, nsets, size int, seed int64) []core.JobSet {
 // testAgent builds a small MRSch agent with the single-threaded training
 // engine, so weight evolution is bitwise comparable across hosts.
 func testAgent(sys cluster.Config, seed int64) *core.MRSch {
+	return testAgentWorkers(sys, seed, 1)
+}
+
+// testAgentWorkers is testAgent with its gradient steps spread over the
+// given number of dfp workers.
+func testAgentWorkers(sys cluster.Config, seed int64, workers int) *core.MRSch {
 	return core.New(sys, core.Options{
 		Window:  6,
 		Seed:    seed,
-		Workers: 1,
+		Workers: workers,
 		Mutate: func(c *dfp.Config) {
 			c.StateHidden = []int{24}
 			c.StateOut = 12
