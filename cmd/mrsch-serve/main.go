@@ -52,7 +52,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "system scale the model was trained at: quick or standard")
 	listen := flag.String("listen", "127.0.0.1:7643", "TCP listen address")
 	maxBatch := flag.Int("max-batch", 16, "max concurrent requests coalesced into one forward pass")
-	maxWait := flag.Duration("max-wait", 200*time.Microsecond, "max time the first request of a batch waits for company (0 = no waiting)")
+	maxWait := flag.Duration("max-wait", 200*time.Microsecond, "max time the first request of a batch waits for company (0 = no waiting); on Linux a wait below 1ms lasts about 1.1ms while the daemon is otherwise idle")
 	loadgen := flag.Bool("loadgen", false, "run as load generator instead of daemon")
 	connect := flag.String("connect", "", "loadgen: daemon address to hammer")
 	clients := flag.Int("clients", 2, "loadgen: concurrent clients")

@@ -173,23 +173,28 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		name  string
 		plan  FaultPlan
 		kinds []EventKind
+		// gate is the worker-0 event that lets the healthy worker join
+		// (EventAssign when unset).
+		gate EventKind
 	}{
 		// Worker dies the instant its first cell arrives (rule 4 → 6).
-		{"kill_at_cell", FaultPlan{KillAtCell: 1}, []EventKind{EventWorkerDead, EventRequeue}},
+		{"kill_at_cell", FaultPlan{KillAtCell: 1}, []EventKind{EventWorkerDead, EventRequeue}, ""},
 		// Worker evaluates, then dies before sending — the work is lost and
 		// must be redone elsewhere.
-		{"kill_after_eval", FaultPlan{KillAfterEval: 1}, []EventKind{EventWorkerDead, EventRequeue}},
+		{"kill_after_eval", FaultPlan{KillAfterEval: 1}, []EventKind{EventWorkerDead, EventRequeue}, ""},
 		// Worker stays alive but falls silent: only the heartbeat timeout
 		// can reclaim its cell (rule 4).
-		{"heartbeat_mute", FaultPlan{MuteAtCell: 1}, []EventKind{EventTimeout, EventRequeue}},
+		{"heartbeat_mute", FaultPlan{MuteAtCell: 1}, []EventKind{EventTimeout, EventRequeue}, ""},
 		// Result frame arrives whole but damaged (checksum mismatch): the
 		// peer is corrupt, sever and requeue (rule 5).
-		{"corrupt_result", FaultPlan{CorruptResult: 1}, []EventKind{EventCorrupt, EventRequeue}},
+		{"corrupt_result", FaultPlan{CorruptResult: 1}, []EventKind{EventCorrupt, EventRequeue}, ""},
 		// Crash mid-write: a truncated frame is damage, not data (rule 5).
-		{"truncate_result", FaultPlan{TruncateResult: 1}, []EventKind{EventCorrupt, EventRequeue}},
+		{"truncate_result", FaultPlan{TruncateResult: 1}, []EventKind{EventCorrupt, EventRequeue}, ""},
 		// The same result delivered twice: the second copy is dropped
-		// (rule 2).
-		{"duplicate_result", FaultPlan{DuplicateResult: 1}, []EventKind{EventDuplicate}},
+		// (rule 2). The healthy worker joins only once the first copy is
+		// collated: were it to finish every other cell before that, the run
+		// would end with the second copy still unread.
+		{"duplicate_result", FaultPlan{DuplicateResult: 1}, []EventKind{EventDuplicate}, EventResult},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,12 +203,16 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			opt.Faults = Faults{0: tc.plan}
 			// The healthy worker joins once the sabotaged one holds a cell
 			// (or the run is over), so the fault always has a cell to hit.
+			gateOn := tc.gate
+			if gateOn == "" {
+				gateOn = EventAssign
+			}
 			gate := make(chan struct{})
 			var open sync.Once
 			record := opt.OnEvent
 			opt.OnEvent = func(ev Event) {
 				record(ev)
-				if ev.Kind == EventAssign && ev.Worker == 0 {
+				if ev.Kind == gateOn && ev.Worker == 0 {
 					open.Do(func() { close(gate) })
 				}
 			}

@@ -15,9 +15,15 @@ import (
 // surfaces as an unexpected EOF. Either way the receiver treats the peer as
 // corrupt (contract rule 5): there is no in-band resynchronization, the
 // connection is abandoned and the peer's in-flight work requeued. The frame
-// codec itself lives in internal/wire, shared with the decision service
-// (internal/serve), as is the one-gob-stream-per-frame encoding
-// (wire.EncodeGob/DecodeGob); this file owns only the message type.
+// codec itself lives in internal/wire and is shared with the decision service
+// (internal/serve); the payload encoding is not. serve left gob for a fixed
+// binary layout because it pays the encoding once per scheduling decision;
+// this protocol keeps wire.EncodeGob/DecodeGob deliberately: it sends one
+// frame per campaign cell, seconds of simulation apart, its messages carry
+// metrics.Report and FaultPlan, which change with the experiments and would
+// each need a hand-kept layout, and no committed workload measures its
+// traffic — there is no number a second layout here could be held to. This
+// file owns only the message type.
 
 // ProtocolVersion gates the handshake — in both directions: the coordinator
 // rejects a worker hello carrying another version, and the worker rejects a

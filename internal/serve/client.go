@@ -19,9 +19,12 @@ func (e *RequestError) Error() string { return e.Msg }
 // clients for concurrency — the daemon's admission batching coalesces
 // them.
 type Client struct {
-	mu      sync.Mutex
-	rwc     io.ReadWriteCloser
-	nextID  uint64
+	mu     sync.Mutex
+	rwc    io.ReadWriteCloser
+	nextID uint64
+	fw     frameWriter // both keep their buffers from one request to the next, under mu
+	fr     frameReader
+
 	welcome message
 }
 
@@ -43,11 +46,12 @@ func Dial(addr string) (*Client, error) {
 // connection. It rejects a daemon speaking another protocol revision,
 // naming the peer's version.
 func NewClient(rwc io.ReadWriteCloser) (*Client, error) {
-	if err := writeMessage(rwc, &message{Type: msgHello, Proto: ProtocolVersion}); err != nil {
+	c := &Client{rwc: rwc, fw: frameWriter{w: rwc}, fr: newFrameReader(rwc)}
+	if err := c.fw.write(&message{Type: msgHello, Proto: ProtocolVersion}); err != nil {
 		return nil, fmt.Errorf("serve: sending hello: %w", err)
 	}
-	welcome, err := readMessage(rwc)
-	if err != nil {
+	welcome := &c.welcome
+	if err := c.read(welcome); err != nil {
 		return nil, fmt.Errorf("serve: reading welcome: %w", err)
 	}
 	if welcome.Type != msgWelcome {
@@ -59,7 +63,17 @@ func NewClient(rwc io.ReadWriteCloser) (*Client, error) {
 	if welcome.Proto != ProtocolVersion {
 		return nil, fmt.Errorf("serve: server speaks protocol %d, client %d", welcome.Proto, ProtocolVersion)
 	}
-	return &Client{rwc: rwc, welcome: *welcome}, nil
+	return c, nil
+}
+
+// read reads and decodes the next frame into m.
+func (c *Client) read(m *message) error {
+	payload, err := c.fr.next()
+	if err != nil {
+		return err
+	}
+	_, err = decodeMessage(payload, m, nil)
+	return err
 }
 
 // ModelVersion reports the daemon's model version at handshake time.
@@ -84,11 +98,11 @@ func (c *Client) Decide(req *Request) (pick int, version uint64, err error) {
 	defer c.mu.Unlock()
 	c.nextID++
 	id := c.nextID
-	if err := writeMessage(c.rwc, &message{Type: msgDecide, ID: id, Req: *req}); err != nil {
+	if err := c.fw.write(&message{Type: msgDecide, ID: id, Req: *req}); err != nil {
 		return -1, 0, fmt.Errorf("serve: sending request: %w", err)
 	}
-	m, err := readMessage(c.rwc)
-	if err != nil {
+	var m message
+	if err := c.read(&m); err != nil {
 		return -1, 0, fmt.Errorf("serve: reading decision: %w", err)
 	}
 	if m.Type != msgDecision || m.ID != id {
@@ -108,11 +122,11 @@ func (c *Client) Swap(weights []byte) (uint64, error) {
 	defer c.mu.Unlock()
 	c.nextID++
 	id := c.nextID
-	if err := writeMessage(c.rwc, &message{Type: msgSwap, ID: id, Weights: weights}); err != nil {
+	if err := c.fw.write(&message{Type: msgSwap, ID: id, Weights: weights}); err != nil {
 		return 0, fmt.Errorf("serve: sending swap: %w", err)
 	}
-	m, err := readMessage(c.rwc)
-	if err != nil {
+	var m message
+	if err := c.read(&m); err != nil {
 		return 0, fmt.Errorf("serve: reading swap ack: %w", err)
 	}
 	if m.Type != msgSwapped || m.ID != id {

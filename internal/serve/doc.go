@@ -16,8 +16,9 @@
 //  1. Served decisions are byte-identical to offline ones. For any request,
 //     the daemon's answer equals core.MRSch.Pick (Train=false) on the same
 //     model and the same decision instant — bit for bit, at every batch
-//     size. Three mechanisms compose into this guarantee: gob preserves
-//     float64 bits on the wire, the daemon reconstructs the decision
+//     size. Three mechanisms compose into this guarantee: the wire layout
+//     carries a float64 as its 64 IEEE-754 bits (protocol.go; NaN payloads,
+//     -0 and ±Inf arrive as sent), the daemon reconstructs the decision
 //     instant through the same cluster/encoder arithmetic the simulator
 //     uses (protocol.go), and the batched forward pass is row-wise bitwise
 //     identical to the single-sample path (dfp.BatchDecider; see
@@ -31,7 +32,14 @@
 //  2. Admission batching is invisible. Concurrent requests coalesce into
 //     one batched forward pass — the first request of a batch waits at most
 //     MaxWait for at most MaxBatch-1 companions — but by rule 1 the batch a
-//     request lands in never changes its answer, only its latency.
+//     request lands in never changes its answer, only its latency. What
+//     MaxWait costs a lone client is set by the runtime's timers, not by
+//     its value: Go's Linux poller sleeps in whole milliseconds, so while
+//     the process is otherwise idle any wait below 1 ms lasts about 1.1 ms
+//     (300 time.NewTimer(d) waits on the benchmark guest, p50: 50µs →
+//     1091µs, 200µs → 1094µs, 900µs → 1097µs, 1.5ms → 2205µs). Only a
+//     MaxWait of zero — dispatch whatever is queued, the zero Config's
+//     behaviour — costs nothing; cmd/mrsch-serve's flag defaults to 200µs.
 //
 //  3. Swaps are atomic per batch. A weight swap (admin frame or SIGHUP)
 //     takes the engine's write lock, loads, publishes, and increments the
@@ -42,16 +50,25 @@
 //
 //  4. Request-level failures keep the connection. A malformed request (bad
 //     geometry, overcommitted cluster state, empty queue, a NaN or infinite
-//     time) or a refused swap
+//     time, Demand slices of the wrong or of differing lengths — the layout
+//     carries each job's own count) or a refused swap
 //     is answered with an error reply on an intact connection. Only frame
-//     damage — bad length, checksum, or encoding — kills the connection,
-//     with no resynchronization attempt (the internal/distrib rule 5
-//     discipline: damage is death).
+//     damage — bad length or checksum, or a payload that departs from the
+//     layout: a truncated field, a varint written long, a count the
+//     payload cannot hold, bytes after the last field, an unknown type —
+//     kills the connection, with no resynchronization attempt (the
+//     internal/distrib rule 5 discipline: damage is death).
 //
 //  5. Both sides reject a protocol mismatch, naming the peer. The daemon
 //     refuses a hello from another protocol revision and the client refuses
 //     such a welcome, each stating the peer's version and its own, so the
-//     operator of a mixed deployment knows which binary to upgrade.
+//     operator of a mixed deployment knows which binary to upgrade. That
+//     holds between peers that share this revision's layout (revision 2
+//     and later: the first payload byte is the layout). Revision 1 framed a
+//     gob stream, which no later daemon can read far enough to find a
+//     version in: it drops the connection and logs one line saying the
+//     hello is not in its layout and a peer of another revision is the
+//     likely cause; a revision-1 daemon does the same to a later client.
 //
 //  6. Shutdown drains. After Shutdown begins, new connections and new
 //     requests are refused, but every already-admitted request is answered

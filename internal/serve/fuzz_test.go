@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -9,21 +10,16 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzDecodeRequest wires the serve protocol's gob layer to the shared
-// fuzz discipline (wire.FuzzDecodeFrame, distrib.FuzzDecodeMessage): an
+// FuzzDecodeRequest wires the serve protocol's layout to the shared fuzz
+// discipline (wire.FuzzDecodeFrame, distrib.FuzzDecodeMessage): an
 // arbitrary CRC-verified payload must either decode into a message or fail
 // loudly with ErrCorruptFrame — never panic, never succeed silently with a
 // half-decoded struct that later trips the server. The corpus seeds every
-// real frame type plus the standard damage taxonomy (truncation, bitflip,
-// garbage).
+// real frame type from the encoder plus the standard damage taxonomy
+// (truncation, bitflip, garbage) and one revision-1 frame: a gob-encoded
+// decide, which this revision must refuse.
 func FuzzDecodeRequest(f *testing.F) {
-	encode := func(m *message) []byte {
-		payload, err := wire.EncodeGob(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return payload
-	}
+	encode := func(m *message) []byte { return mustEncode(f, m) }
 	rng := rand.New(rand.NewSource(53))
 	req := randomRequest(rng, testSystem())
 
@@ -49,23 +45,40 @@ func FuzzDecodeRequest(f *testing.F) {
 	nanReq := randomRequest(rng, testSystem())
 	nanReq.Running = append(nanReq.Running, Alloc{JobID: 1 << 20, Demand: []int{0, 0}, EstEnd: math.NaN()})
 	f.Add(encode(&message{Type: msgDecide, ID: 20, Req: nanReq}))
-	f.Add([]byte("MRSCH SERVE, BUT NOT GOB"))
+	f.Add([]byte("MRSCH SERVE, BUT NOT THE LAYOUT"))
+	gobDecide, err := wire.EncodeGob(&message{Type: msgDecide, ID: 17, Req: req})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeMessage(gobDecide, new(message), nil); !errors.Is(err, ErrCorruptFrame) {
+		f.Fatalf("a revision-1 gob decide decoded with %v, want ErrCorruptFrame", err)
+	}
+	f.Add(gobDecide)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeMessage(payload)
+		p := new(pending)
+		var err error
+		p.demands, err = decodeMessage(payload, &p.m, p.demands)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("decode failure %v does not wrap ErrCorruptFrame", err)
 			}
 			return
 		}
-		if m == nil {
-			t.Fatal("nil message with nil error")
+		// Whatever decoded is canonical: it encodes back to the same bytes.
+		// (Before buildContext, which is free to reuse the scratch.)
+		re, err := appendMessage(nil, &p.m)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded message: %v", err)
+		}
+		if !bytes.Equal(re, payload) {
+			t.Fatalf("round trip changed the payload:\n got %x\nwant %x", re, payload)
 		}
 		// A decoded request is rebuilt into a decision instant or refused
 		// (rule 4), never a panic, and never an instant with a NaN or
 		// infinite time in it.
-		if ctx, err := buildContext(testSystem(), 6, &m.Req); err == nil {
+		if err := p.buildContext(testSystem(), 6); err == nil {
+			ctx := &p.ctx
 			ok := finite(ctx.Now)
 			for _, j := range ctx.Queue {
 				ok = ok && finite(j.Walltime) && finite(j.Submit)
@@ -74,17 +87,8 @@ func FuzzDecodeRequest(f *testing.F) {
 				ok = ok && finite(a.Start) && finite(a.EstEnd)
 			}
 			if !ok {
-				t.Fatalf("buildContext accepted a non-finite time: %+v", m.Req)
+				t.Fatalf("buildContext accepted a non-finite time: %+v", p.m.Req)
 			}
-		}
-		// Whatever decoded must survive a round trip: re-encode and
-		// re-decode to an identical request payload.
-		re, err := decodeMessage(encode(m))
-		if err != nil {
-			t.Fatalf("re-decoding a decoded message: %v", err)
-		}
-		if re.Type != m.Type || re.ID != m.ID || re.Pick != m.Pick || len(re.Req.Queue) != len(m.Req.Queue) {
-			t.Fatalf("round trip changed the message: %+v -> %+v", m, re)
 		}
 	})
 }

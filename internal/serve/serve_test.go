@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/dfp"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // testSystem is a small two-resource cluster, fast enough for property
@@ -76,6 +78,32 @@ func randomRequest(rng *rand.Rand, sys cluster.Config) Request {
 		queue[i] = Job{Demand: d, Walltime: 60 + rng.Float64()*7200, Submit: now - rng.Float64()*3600}
 	}
 	return Request{Now: now, Queue: queue, Running: running}
+}
+
+// buildContext rebuilds one request into fresh scratch: what the daemon does
+// per decide frame, for tests that want the instant and not the connection.
+func buildContext(sys cluster.Config, window int, req *Request) (*sched.PickContext, error) {
+	p := &pending{m: message{Req: *req}}
+	if err := p.buildContext(sys, window); err != nil {
+		return nil, err
+	}
+	return &p.ctx, nil
+}
+
+// writeMessage and readMessage move one message over a raw connection with
+// throw-away buffers, for tests that play one side of the protocol by hand.
+func writeMessage(w io.Writer, m *message) error {
+	return (&frameWriter{w: w}).write(m)
+}
+
+func readMessage(r io.Reader) (*message, error) {
+	payload, err := wire.ReadFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	m := new(message)
+	_, err = decodeMessage(payload, m, nil)
+	return m, err
 }
 
 // offlinePicks answers every request with an in-process agent — the
@@ -473,7 +501,7 @@ func TestHandshakeRejectsProtocolMismatch(t *testing.T) {
 	if welcome.Err == "" {
 		t.Fatal("daemon accepted a mismatched protocol")
 	}
-	for _, fragment := range []string{"protocol 8", "server 1"} {
+	for _, fragment := range []string{"protocol 9", "server 2"} {
 		if !strings.Contains(welcome.Err, fragment) {
 			t.Fatalf("rejection %q does not contain %q", welcome.Err, fragment)
 		}
@@ -494,7 +522,7 @@ func TestHandshakeRejectsProtocolMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("client accepted a mismatched protocol")
 	}
-	for _, fragment := range []string{"protocol 8", "client 1"} {
+	for _, fragment := range []string{"protocol 9", "client 2"} {
 		if !strings.Contains(err.Error(), fragment) {
 			t.Fatalf("client rejection %q does not contain %q", err, fragment)
 		}

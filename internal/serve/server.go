@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
@@ -21,9 +22,12 @@ type Config struct {
 	// forward pass (default 16).
 	MaxBatch int
 	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch is dispatched anyway (default 200µs). Zero
-	// or negative disables waiting: a batch takes whatever is already
-	// queued and dispatches immediately.
+	// company before the batch is dispatched anyway. There is no default
+	// here: zero or negative disables waiting — a batch takes whatever is
+	// already queued and dispatches immediately — and the 200µs a deployed
+	// daemon waits is cmd/mrsch-serve's -max-wait flag default. The bound is
+	// as fine as the runtime's timers: on Linux a wait below a millisecond
+	// lasts about 1.1 ms while the process is otherwise idle (doc.go, rule 2).
 	MaxWait time.Duration
 	// Logf, when set, receives connection-level events (accepts, protocol
 	// rejections, swaps). The default is silence.
@@ -94,6 +98,7 @@ type Server struct {
 	m      serveMetrics
 
 	admit chan *pending
+	free  chan *pending // recycled request scratch, at most maxFreePending
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -105,25 +110,77 @@ type Server struct {
 	connWG      sync.WaitGroup
 }
 
-// pending is one admitted decision request parked in the batcher's queue.
+// pending is one request from the moment its frame is read until its reply
+// is written, and the scratch all of that happens in: the decoded message
+// with the flat arena its Demand slices are cut from, and the decision
+// instant rebuilt from it — job slab, queue view, a cluster that is Reset per
+// request, usage vector, context. A pending belongs to exactly one request at
+// a time: the connection's reader takes one from the server's free list per
+// frame and the batcher (or, for a refusal or a swap, the reader) puts it
+// back after the reply, so a connection that pipelines requests holds one per
+// request in flight.
 type pending struct {
-	c   *conn
-	id  uint64
-	ctx *sched.PickContext
+	c *conn
+
+	m       message
+	demands []int
+
+	jobs  []job.Job
+	queue []*job.Job
+	cl    *cluster.Cluster
+	usage []float64
+	ctx   sched.PickContext
 }
 
-// conn is one client connection; the write mutex serializes decision
-// replies (written by the batcher) with swap acks and rejections (written
-// by the connection's reader).
+const (
+	// maxFreePending bounds the free list: four default batches' worth of
+	// scratch, a few KB each at the queue depths a scheduling cycle has.
+	maxFreePending = 64
+	// maxRecycledJobs bounds each entry: the scratch of a request with more
+	// queued and running jobs than this is dropped rather than kept, so what
+	// the list holds does not depend on the largest request ever served.
+	maxRecycledJobs = 1024
+)
+
+func (s *Server) getPending(c *conn) *pending {
+	select {
+	case p := <-s.free:
+		p.c = c
+		return p
+	default:
+		return &pending{c: c}
+	}
+}
+
+func (s *Server) putPending(p *pending) {
+	if len(p.m.Req.Queue)+len(p.m.Req.Running) > maxRecycledJobs {
+		return
+	}
+	p.c = nil
+	select {
+	case s.free <- p:
+	default:
+	}
+}
+
+// conn is one client connection: frames are read by its serveConn goroutine
+// alone; the write mutex serializes decision replies (written by the
+// batcher) with swap acks and rejections (written by the reader).
 type conn struct {
 	rwc io.ReadWriteCloser
+	fr  frameReader
 	wmu sync.Mutex
+	fw  frameWriter
+}
+
+func newConn(rwc io.ReadWriteCloser) *conn {
+	return &conn{rwc: rwc, fr: newFrameReader(rwc), fw: frameWriter{w: rwc}}
 }
 
 func (c *conn) send(m *message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return writeMessage(c.rwc, m)
+	return c.fw.write(m)
 }
 
 // NewServer builds a daemon serving the agent's decisions for the given
@@ -150,6 +207,7 @@ func NewServer(agent *core.MRSch, sys cluster.Config, cfg Config) (*Server, erro
 		window:      agent.Enc.Window,
 		m:           newServeMetrics(cfg.Metrics),
 		admit:       make(chan *pending, 256),
+		free:        make(chan *pending, maxFreePending),
 		conns:       make(map[*conn]struct{}),
 		batcherDone: make(chan struct{}),
 	}
@@ -202,7 +260,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("serve: accept: %w", err)
 		}
-		c := &conn{rwc: rwc}
+		c := newConn(rwc)
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -259,8 +317,13 @@ func (s *Server) serveConn(c *conn) {
 		c.rwc.Close()
 	}()
 
-	hello, err := readMessage(c.rwc)
+	var hello message
+	payload, err := c.fr.next()
+	if err == nil {
+		_, err = decodeMessage(payload, &hello, nil)
+	}
 	if err != nil || hello.Type != msgHello {
+		// A revision-1 client lands here: its gob hello is not this layout.
 		s.cfg.Logf("serve: dropping connection without a valid hello: %v", err)
 		return
 	}
@@ -286,41 +349,48 @@ func (s *Server) serveConn(c *conn) {
 	}
 
 	for {
-		m, err := readMessage(c.rwc)
+		payload, err := c.fr.next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.cfg.Logf("serve: connection read: %v", err)
 			}
 			return
 		}
-		switch m.Type {
+		p := s.getPending(c)
+		if p.demands, err = decodeMessage(payload, &p.m, p.demands); err != nil {
+			s.cfg.Logf("serve: connection read: %v", err)
+			return
+		}
+		switch p.m.Type {
 		case msgDecide:
-			s.handleDecide(c, m)
+			s.handleDecide(p)
 		case msgSwap:
-			v, err := s.Swap(bytes.NewReader(m.Weights))
-			ack := &message{Type: msgSwapped, ID: m.ID, ModelVersion: v}
+			v, err := s.Swap(bytes.NewReader(p.m.Weights))
+			ack := &message{Type: msgSwapped, ID: p.m.ID, ModelVersion: v}
 			if err != nil {
 				ack.Err = err.Error()
 			}
+			p.m.Weights = nil // a view of the frame buffer, which the next read reuses
+			s.putPending(p)
 			if err := c.send(ack); err != nil {
 				return
 			}
 		default:
-			s.cfg.Logf("serve: dropping connection after unexpected %s frame", m.Type)
+			s.cfg.Logf("serve: dropping connection after unexpected %s frame", p.m.Type)
 			return
 		}
 	}
 }
 
-// handleDecide validates and admits one decision request, or answers it
-// with a request-level error leaving the connection intact.
-func (s *Server) handleDecide(c *conn, m *message) {
+// handleDecide validates and admits one decoded decision request, or answers
+// it with a request-level error leaving the connection intact.
+func (s *Server) handleDecide(p *pending) {
 	reject := func(err error) {
 		s.m.rejected.Inc()
-		c.send(&message{Type: msgDecision, ID: m.ID, Pick: -1, Err: err.Error()})
+		p.c.send(&message{Type: msgDecision, ID: p.m.ID, Pick: -1, Err: err.Error()})
+		s.putPending(p)
 	}
-	ctx, err := buildContext(s.sys, s.window, &m.Req)
-	if err != nil {
+	if err := p.buildContext(s.sys, s.window); err != nil {
 		reject(err)
 		return
 	}
@@ -332,7 +402,7 @@ func (s *Server) handleDecide(c *conn, m *message) {
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
-	s.admit <- &pending{c: c, id: m.ID, ctx: ctx}
+	s.admit <- p
 }
 
 // batcher is the admission loop: block for the first pending request, then
@@ -345,6 +415,10 @@ func (s *Server) batcher() {
 		ctxs  []*sched.PickContext
 		picks []int
 	)
+	// One timer, re-armed per batch: Stop and Reset leave nothing stale in its
+	// channel (the go 1.23 timer semantics go.mod selects).
+	timer := time.NewTimer(s.cfg.MaxWait)
+	timer.Stop()
 	for first := range s.admit {
 		// Clock reads happen only here, at observation boundaries, and only
 		// when telemetry is wired: they never influence batching or picks.
@@ -354,7 +428,7 @@ func (s *Server) batcher() {
 		}
 		batch = append(batch[:0], first)
 		if s.cfg.MaxWait > 0 {
-			timer := time.NewTimer(s.cfg.MaxWait)
+			timer.Reset(s.cfg.MaxWait)
 		wait:
 			for len(batch) < s.cfg.MaxBatch {
 				select {
@@ -385,7 +459,7 @@ func (s *Server) batcher() {
 
 		ctxs = ctxs[:0]
 		for _, p := range batch {
-			ctxs = append(ctxs, p.ctx)
+			ctxs = append(ctxs, &p.ctx)
 		}
 		var tDecide time.Time
 		if s.m.timed {
@@ -401,8 +475,9 @@ func (s *Server) batcher() {
 		s.m.batchSize.Record(int64(len(batch)))
 		s.m.decisions.Add(uint64(len(batch)))
 		for i, p := range batch {
-			p.c.send(&message{Type: msgDecision, ID: p.id, Pick: picks[i], ModelVersion: version})
+			p.c.send(&message{Type: msgDecision, ID: p.m.ID, Pick: picks[i], ModelVersion: version})
 			s.inflight.Done()
+			s.putPending(p)
 		}
 	}
 }

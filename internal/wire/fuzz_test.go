@@ -40,8 +40,9 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		var kept []byte // the previous payload's storage, as a connection passes it back
 		for {
-			payload, err := ReadFrame(r)
+			payload, err := ReadFrameInto(r, kept)
 			if err != nil {
 				if err != io.EOF && !errors.Is(err, ErrCorruptFrame) &&
 					!bytes.Contains([]byte(err.Error()), []byte("wire:")) {
@@ -61,6 +62,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if !bytes.Equal(again, payload) {
 				t.Fatalf("round trip changed payload: %d -> %d bytes", len(payload), len(again))
 			}
+			kept = payload
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -161,5 +162,88 @@ func TestGobPayloadRoundTripAndDamage(t *testing.T) {
 	}
 	if _, err := EncodeGob(func() {}); err == nil {
 		t.Fatal("an unencodable value encoded cleanly")
+	}
+}
+
+// countingWriter records how many Write calls a frame took.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func TestFrameLeavesInOneWrite(t *testing.T) {
+	payload := []byte("header and payload travel together")
+	var w countingWriter
+	if err := WriteFrame(&w, payload); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("WriteFrame issued %d writes, want 1", w.writes)
+	}
+	// A frame sealed in place is the frame WriteFrame writes.
+	sealed := append(make([]byte, HeaderBytes), payload...)
+	if err := SealFrame(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sealed, w.Bytes()) {
+		t.Fatalf("sealed frame %x differs from the written frame %x", sealed, w.Bytes())
+	}
+	if err := SealFrame(make([]byte, HeaderBytes+MaxFrameBytes+1)); err == nil {
+		t.Fatal("an oversize frame sealed cleanly")
+	}
+}
+
+func TestReadFrameIntoReusesTheBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	payloads := [][]byte{[]byte("first frame, the longest of the three"), []byte("second"), nil}
+	for _, p := range payloads {
+		if err := WriteFrame(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 128)
+	for i, want := range payloads {
+		got, err := ReadFrameInto(&stream, buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d read %q, want %q", i, got, want)
+		}
+		if &got[:1][0] != &buf[:1][0] {
+			t.Fatalf("frame %d of %d bytes left the %d-byte buffer it was given", i, len(got), cap(buf))
+		}
+		buf = got
+	}
+	// A frame larger than the buffer arrives whole in a larger one.
+	big := bytes.Repeat([]byte{7}, 3*firstReadAlloc+5)
+	if err := WriteFrame(&stream, big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrameInto(&stream, buf)
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("large frame: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestDeclaredLengthAloneAllocatesLittle: eight hostile bytes must not cost
+// the receiver the 64 MiB they declare before a single payload byte arrives.
+func TestDeclaredLengthAloneAllocatesLittle(t *testing.T) {
+	var hdr [HeaderBytes]byte
+	binary.BigEndian.PutUint32(hdr[0:4], MaxFrameBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptFrame) || !strings.Contains(err.Error(), "truncated payload") {
+		t.Fatalf("header then EOF returned %v, want a truncated-payload ErrCorruptFrame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a bare header declaring %d bytes made ReadFrame allocate %d", MaxFrameBytes, got)
 	}
 }
