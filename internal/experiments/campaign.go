@@ -458,7 +458,9 @@ func (r *CampaignRun) EvalCell(cell scenario.Cell) (CellResult, error) {
 	if err != nil {
 		return failed, err
 	}
-	rep, err := Evaluate(sys, policy, jobs, cell.Method.DisplayName(), sp.Name, sys.ResourceIndex("power_kw"))
+	// The workload was built for this cell and nobody else holds it, so the
+	// simulator runs on it directly.
+	rep, err := evaluateOwned(sys, policy, jobs, cell.Method.DisplayName(), sp.Name, sys.ResourceIndex("power_kw"))
 	if err != nil {
 		return failed, err
 	}

@@ -132,7 +132,7 @@ func (fixedWeightGreedy) Pick(ctx *sched.PickContext) int {
 func Figure1() (Figure1Result, error) {
 	sys := figure1System()
 	jobs := figure1Jobs()
-	fixed, err := Evaluate(sys, sched.NewWindowPolicy(fixedWeightGreedy{}, 4), job.CloneAll(jobs), "FixedWeight", "Fig1", -1)
+	fixed, err := Evaluate(sys, sched.NewWindowPolicy(fixedWeightGreedy{}, 4), jobs, "FixedWeight", "Fig1", -1)
 	if err != nil {
 		return Figure1Result{}, err
 	}

@@ -123,7 +123,9 @@ func orSynthetic(trace string) string {
 // specs), then — when the spec asks — lognormal walltime-estimate noise
 // and Zipf-skewed user ownership. Base-trace variant axes (div,
 // interarrival, burst, trace) must already be reflected in the materials'
-// scale; checkSpec rejects mismatches.
+// scale; checkSpec rejects mismatches. Every call builds the jobs afresh —
+// the transform copies the split once, the two axes then run on that copy —
+// and nothing here keeps them: they are the caller's to load or mutate.
 func (m *Materials) WorkloadSpec(sp scenario.ScenarioSpec) ([]*job.Job, error) {
 	if err := m.checkSpec(sp); err != nil {
 		return nil, err
@@ -136,10 +138,10 @@ func (m *Materials) WorkloadSpec(sp scenario.ScenarioSpec) ([]*job.Job, error) {
 		jobs = workload.Apply(m.Test, m.Pool, sp.Mix(), m.Scale.System(), m.Scale.Seed+100)
 	}
 	if sp.WalltimeNoiseSigma > 0 {
-		jobs = workload.NoiseWalltimes(jobs, sp.WalltimeNoiseSigma, m.Scale.Seed+170)
+		workload.NoiseWalltimesInPlace(jobs, sp.WalltimeNoiseSigma, m.Scale.Seed+170)
 	}
 	if sp.ZipfUsers > 0 {
-		jobs = workload.AssignZipfUsers(jobs, sp.ZipfUsers, sp.ZipfTheta, m.Scale.Seed+190)
+		workload.AssignZipfUsersInPlace(jobs, sp.ZipfUsers, sp.ZipfTheta, m.Scale.Seed+190)
 	}
 	return rebase(jobs), nil
 }

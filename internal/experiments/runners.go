@@ -29,10 +29,17 @@ const (
 )
 
 // Evaluate replays jobs through the policy on a fresh cluster and collects
-// the §IV-B metrics. powerIdx is the power resource index or -1.
+// the §IV-B metrics. powerIdx is the power resource index or -1. The jobs
+// are cloned first, so one slice can be replayed under several policies.
 func Evaluate(sys cluster.Config, policy sim.Policy, jobs []*job.Job, method, wl string, powerIdx int) (metrics.Report, error) {
+	return evaluateOwned(sys, policy, job.CloneAll(jobs), method, wl, powerIdx)
+}
+
+// evaluateOwned is Evaluate on jobs the caller built for this one replay
+// and gives up: the simulator writes their state.
+func evaluateOwned(sys cluster.Config, policy sim.Policy, jobs []*job.Job, method, wl string, powerIdx int) (metrics.Report, error) {
 	s := sim.New(sys, policy)
-	if err := s.Load(job.CloneAll(jobs)); err != nil {
+	if err := s.Load(jobs); err != nil {
 		return metrics.Report{}, fmt.Errorf("experiments: %s on %s: %w", method, wl, err)
 	}
 	if err := s.Run(); err != nil {

@@ -20,6 +20,19 @@
 //     of the family's frozen model, so a report does not depend on Index.
 //   - Scalar RL: samples its softmax policy, as in training, from a stream
 //     seeded Seed+9000+Index, through the same kind of actor clone.
+//
+// # Who owns a cell's jobs
+//
+// Materials hold the base trace and its splits, shared and read-only.
+// Materials.WorkloadSpec builds a scenario's jobs from the test split anew
+// on every call — one slab copy by the Table III transform, the walltime
+// and user axes in place on it — and keeps nothing, so the jobs are the
+// caller's. EvalCell is such a caller with one use for them: it loads them
+// into the cell's simulator as they are, the simulator writes their state,
+// and they are garbage with it when the report is out; no workload or trace
+// is cached between cells. Evaluate is for a caller that replays one slice
+// under several policies (mrsch-sim, the quickstart, the ablations): it
+// clones before it loads.
 package experiments
 
 import (

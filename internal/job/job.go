@@ -114,9 +114,15 @@ func (j *Job) Slowdown() float64 {
 // Clone returns a deep copy of the job with simulation state reset, so a
 // single workload can be replayed through many schedulers independently.
 func (j *Job) Clone() *Job {
-	d := make([]int, len(j.Demand))
+	c := j.copyOnto(make([]int, len(j.Demand)))
+	return &c
+}
+
+// copyOnto returns the job's trace fields with Demand copied into d
+// (len(d) == len(j.Demand)) and simulation state reset.
+func (j *Job) copyOnto(d []int) Job {
 	copy(d, j.Demand)
-	return &Job{
+	return Job{
 		ID:       j.ID,
 		Submit:   j.Submit,
 		Runtime:  j.Runtime,
@@ -126,11 +132,29 @@ func (j *Job) Clone() *Job {
 	}
 }
 
-// CloneAll deep-copies a slice of jobs, resetting simulation state.
+// CloneAll deep-copies a slice of jobs, resetting simulation state: each
+// copy equals its source's Clone field for field. The copies share three
+// allocations — one []Job, one []int that every Demand is cut from, and the
+// returned []*Job — so copying a trace costs the same whatever its length. A
+// Demand's capacity is its length: appending to one reallocates it and
+// cannot reach the next job's units. The price is lifetime: the two slabs
+// live as long as any one job cut from them is reachable — a simulator keeps
+// every job it was loaded with until it is dropped itself (Finished, which
+// metrics.Collect reads) — so keep a single job out of a large copied trace
+// with Clone, not by its pointer.
 func CloneAll(jobs []*Job) []*Job {
+	units := 0
+	for _, j := range jobs {
+		units += len(j.Demand)
+	}
+	slab := make([]Job, len(jobs))
+	arena := make([]int, units)
 	out := make([]*Job, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.Clone()
+		n := len(j.Demand)
+		slab[i] = j.copyOnto(arena[:n:n])
+		arena = arena[n:]
+		out[i] = &slab[i]
 	}
 	return out
 }

@@ -7,24 +7,37 @@
 // # Determinism
 //
 // The simulator is fully deterministic: it owns no randomness, reads no wall
-// clock, and iterates no maps on any path that affects results. Events at
-// equal timestamps are processed in push order, and the waiting queue
-// preserves arrival order. An episode's outcome is therefore a pure function
-// of the loaded jobs and the policy's decisions — the property the parallel
-// episode-collection harness builds on; see the internal/rollout package
-// documentation for the repo-wide determinism and seeding contract.
+// clock, and iterates no maps on any path that affects results. Events are
+// processed in one total order, (time, finish before submit, insertion
+// order), assembled from two sources: arrivals wait in a list kept in
+// (submit time, load order), finishes in a heap ordered by (time, start
+// order), and Step drains an instant's finishes before it admits that
+// instant's arrivals. The waiting queue preserves arrival order. An
+// episode's outcome is therefore a pure function of the loaded jobs and the
+// policy's decisions — the property the parallel episode-collection harness
+// builds on; see the internal/rollout package documentation for the
+// repo-wide determinism and seeding contract.
 //
 // # What a round costs
 //
-// Events are values in a binary heap ordered by (time, kind, seq) — finishes
-// before submits at one instant, push order within a kind; seq is unique, so
-// the order is total. The cluster keeps its running set ordered by
-// (EstEnd, JobID) as it allocates and releases (see internal/cluster), so
-// the look-ahead of a reservation, the state encoder and the goal vector
-// read it without sorting. StartAt removes the started job at the queue
-// index the policy already holds, moving the shorter side of the queue (the
-// head: nothing). The window driver (internal/sched) reuses one PickContext,
-// usage vector and set of scan limits from round to round.
+// A trace's arrivals are known when it is loaded, so they never enter a
+// heap: Load appends them to the arrival list — already in order when the
+// trace is, as every generator and reader produces it; a stable sort of the
+// part not yet admitted when a load arrives out of order, which only a
+// mid-run Load does — and Step advances a cursor over it. The heap holds
+// finishes alone, one value per running job (tens of entries under a
+// thousand-job trace), ordered by (time, seq) with seq unique, so the order
+// is total (event.go). Load refuses an ID twice by comparing with the last
+// ID while IDs ascend, and builds a map of them only from the first ID that
+// does not; it keeps the jobs it is handed, without copying them.
+//
+// The cluster keeps its running set ordered by (EstEnd, JobID) as it
+// allocates and releases (see internal/cluster), so the look-ahead of a
+// reservation, the state encoder and the goal vector read it without
+// sorting. StartAt removes the started job at the queue index the policy
+// already holds, moving the shorter side of the queue (the head: nothing).
+// The window driver (internal/sched) reuses one PickContext, usage vector
+// and set of scan limits from round to round.
 //
 // Its EASY backfill does not walk the jobs. Beside the queue the simulator
 // keeps one word per waiting job, the demand vector packed into lanes
@@ -34,7 +47,8 @@
 // through; the word never refuses a job that fits, so NextFit is exact. The
 // scan ends once no unit of resource 0 is free: job.Validate, which Load
 // applies, requires Demand[0] >= 1. A run allocates for set-up and for slices
-// that grow, not per event or per round (TestFCFSAllocationsPerJob).
+// that grow, not per job, per event or per round (TestFCFSAllocationsPerJob,
+// TestLoadOfAscendingIDsAllocatesOnce).
 //
 // # Finite times
 //

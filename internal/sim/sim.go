@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -26,13 +27,20 @@ type Simulator struct {
 	clock0   float64 // time of the first event (metrics window start)
 	started  bool
 	cl       *cluster.Cluster
-	events   eventQueue
-	queue    []*job.Job // waiting jobs in arrival order
-	qKey     []uint64   // lanes.key(queue[i].Demand), index for index: see NextFit
+	arrivals arrivals    // loaded jobs by submit time; the cursor splits past from future
+	finishes finishQueue // completions of the running jobs
+	queue    []*job.Job  // waiting jobs in arrival order
+	qKey     []uint64    // lanes.key(queue[i].Demand), index for index: see NextFit
 	lanes    lanes
-	byID     map[int]*job.Job
 	finished []*job.Job
 	policy   Policy
+
+	// Load refuses an ID twice. While IDs arrive in ascending order — as the
+	// generators, the SWF reader and job.CloneAll produce them — comparing
+	// with the last one is the whole check; ids is built, from the arrival
+	// list, when the first ID breaks that order, and consulted from then on.
+	lastID int
+	ids    map[int]struct{}
 
 	// Reserved is the job currently holding an advance reservation, if any.
 	// It is set by the scheduling framework (internal/sched) and cleared
@@ -55,7 +63,6 @@ func New(cfg cluster.Config, p Policy) *Simulator {
 	return &Simulator{
 		cl:     cluster.New(cfg),
 		lanes:  newLanes(len(cfg.Capacities)),
-		byID:   make(map[int]*job.Job),
 		policy: p,
 	}
 }
@@ -88,22 +95,52 @@ func (s *Simulator) NextFit(i int, have []int) int {
 // Finished returns all completed jobs.
 func (s *Simulator) Finished() []*job.Job { return s.finished }
 
-// Load validates and registers jobs, pushing their submit events. It must be
-// called before Run; jobs must have IDs unique within the simulation.
+// Load validates and registers jobs to arrive at their submit times. It is
+// normally called before Run, but jobs may be added between Steps; jobs must
+// have IDs unique within the simulation. On an error the jobs before the
+// offending one stay loaded.
 func (s *Simulator) Load(jobs []*job.Job) error {
 	caps := s.cl.Config().Capacities
+	a := &s.arrivals
+	a.items = slices.Grow(a.items, len(jobs))
+	inOrder := true
+	var err error
 	for _, j := range jobs {
-		if err := j.Validate(caps); err != nil {
-			return fmt.Errorf("sim: load: %w", err)
+		if err = j.Validate(caps); err != nil {
+			err = fmt.Errorf("sim: load: %w", err)
+			break
 		}
-		if _, dup := s.byID[j.ID]; dup {
-			return fmt.Errorf("sim: load: duplicate job ID %d", j.ID)
+		if s.seen(j.ID) {
+			err = fmt.Errorf("sim: load: duplicate job ID %d", j.ID)
+			break
 		}
 		j.State = job.Queued
-		s.byID[j.ID] = j
-		s.events.push(j.Submit, evSubmit, j)
+		inOrder = a.add(j) && inOrder
 	}
-	return nil
+	if !inOrder {
+		a.sortTail()
+	}
+	return err
+}
+
+// seen reports whether a loaded job already has id, and records id as taken
+// when none does.
+func (s *Simulator) seen(id int) bool {
+	if s.ids == nil {
+		if len(s.arrivals.items) == 0 || id > s.lastID {
+			s.lastID = id
+			return false
+		}
+		s.ids = make(map[int]struct{}, len(s.arrivals.items)+1)
+		for _, a := range s.arrivals.items {
+			s.ids[a.job.ID] = struct{}{}
+		}
+	}
+	if _, dup := s.ids[id]; dup {
+		return true
+	}
+	s.ids[id] = struct{}{}
+	return false
 }
 
 // StartJob begins executing a waiting job now. It allocates resources,
@@ -130,7 +167,7 @@ func (s *Simulator) StartAt(i int) error {
 	}
 	j.State = job.Running
 	j.Start = s.clk
-	s.events.push(s.clk+j.Runtime, evFinish, j)
+	s.finishes.push(s.clk+j.Runtime, j)
 	s.queue = removeAt(s.queue, i)
 	s.qKey = removeAt(s.qKey, i)
 	if s.Reserved == j {
@@ -155,40 +192,47 @@ func removeAt[T any](q []T, i int) []T {
 
 // Step processes all events at the next event time, then invokes the policy
 // once. It returns false when no events remain.
+//
+// The next event is the earlier of the next arrival and the earliest finish.
+// At one instant every finish applies before any arrival, so freed
+// resources are visible to the arriving job's scheduling round; finishes
+// apply in the order their jobs were started, arrivals in the order they
+// were loaded. That is a total order, (time, finish before submit,
+// insertion order), and the only one results depend on.
 func (s *Simulator) Step() (bool, error) {
-	head, ok := s.events.peek()
-	if !ok {
+	arr, fin := s.arrivals.items[s.arrivals.next:], s.finishes.items
+	var t float64
+	switch {
+	case len(arr) == 0 && len(fin) == 0:
 		return false, nil
+	case len(fin) == 0 || (len(arr) > 0 && arr[0].time < fin[0].time):
+		t = arr[0].time
+	default:
+		t = fin[0].time
 	}
 	if !s.started {
 		s.started = true
-		s.clock0 = head.time
-		s.acct.init(s.cl, head.time)
+		s.clock0 = t
+		s.acct.init(s.cl, t)
 	}
-	if head.time < s.clk {
-		return false, fmt.Errorf("sim: time went backwards: %v -> %v", s.clk, head.time)
+	if t < s.clk {
+		return false, fmt.Errorf("sim: time went backwards: %v -> %v", s.clk, t)
 	}
-	s.acct.advance(s.cl, head.time)
-	s.clk = head.time
-	for {
-		e, ok := s.events.peek()
-		if !ok || e.time != s.clk {
-			break
+	s.acct.advance(s.cl, t)
+	s.clk = t
+	for len(s.finishes.items) > 0 && s.finishes.items[0].time == t {
+		j := s.finishes.pop().job
+		if err := s.cl.Release(j.ID); err != nil {
+			return false, fmt.Errorf("sim: finish: %w", err)
 		}
-		s.events.pop()
-		j := e.job
-		switch e.kind {
-		case evSubmit:
-			s.queue = append(s.queue, j)
-			s.qKey = append(s.qKey, s.lanes.key(j.Demand))
-		case evFinish:
-			if err := s.cl.Release(j.ID); err != nil {
-				return false, fmt.Errorf("sim: finish: %w", err)
-			}
-			j.State = job.Finished
-			j.End = s.clk
-			s.finished = append(s.finished, j)
-		}
+		j.State = job.Finished
+		j.End = t
+		s.finished = append(s.finished, j)
+	}
+	for a := &s.arrivals; a.next < len(a.items) && a.items[a.next].time == t; a.next++ {
+		j := a.items[a.next].job
+		s.queue = append(s.queue, j)
+		s.qKey = append(s.qKey, s.lanes.key(j.Demand))
 	}
 	s.policy.OnSchedule(s)
 	s.Decisions++

@@ -31,6 +31,20 @@
 // (zipf_theta/zipf_users, burst, trace) and their variant syntax
 // ("S4@zipf=0.9,burst=5x0.25").
 //
+// # Which form copies
+//
+// Apply (and ApplyPower) never touch their input: they build the scenario's
+// jobs afresh, in the slab layout job.CloneAll documents — one []Job, one
+// []int every Demand is cut from with cap = len, one []*Job — so the result
+// belongs to the caller. The two variant axes come in two forms.
+// NoiseWalltimes and AssignZipfUsers copy: job.CloneAll, then the axis on
+// the copy, for a caller that keeps its input. NoiseWalltimesInPlace and
+// AssignZipfUsersInPlace are that axis alone, on jobs the caller owns — what
+// experiments.Materials.WorkloadSpec runs on the jobs Apply has just handed
+// it, so a cell copies each job once however many axes it stacks. Both forms
+// draw the same values in the same order (slab_test.go holds them against
+// the per-job loops they replaced).
+//
 // # Determinism and seeding
 //
 // Every generator and transform in this package takes an explicit seed and

@@ -49,33 +49,43 @@ func ScenarioByName(name string) (Scenario, error) {
 // [MinTB, MaxTB] (as Table III prescribes: "the assigned burst buffer
 // request is randomly selected from the original requests within a certain
 // range"); S5 additionally halves node counts. The input jobs are not
-// mutated.
+// mutated: the result is fresh jobs the caller owns, laid out like
+// job.CloneAll's (one slab of jobs, one of demand units cut with cap = len).
 func Apply(base []*job.Job, pool []float64, sc Scenario, sys cluster.Config, seed int64) []*job.Job {
 	rng := rand.New(rand.NewSource(seed))
 	restricted := restrictPool(pool, sc.MinTB, sc.MaxTB)
 	bbCap := sys.Capacities[1]
 	nodeCap := sys.Capacities[0]
-	out := make([]*job.Job, 0, len(base))
-	for _, b := range base {
-		j := b.Clone()
-		// Rebuild the demand vector at the target system's arity: the base
-		// trace may carry extra resource columns (e.g. a power-extended
-		// system) that this scenario does not populate.
-		nodes := j.Demand[0]
+	// The demand vector is rebuilt at the target system's arity: the base
+	// trace may carry extra resource columns (e.g. a power-extended system)
+	// that this scenario does not populate.
+	arity := len(sys.Capacities)
+	slab := make([]job.Job, len(base))
+	arena := make([]int, len(base)*arity)
+	out := make([]*job.Job, len(base))
+	for i, b := range base {
+		nodes := b.Demand[0]
 		if sc.HalveNodes {
 			nodes = maxInt(1, nodes/2)
 		}
 		if nodes > nodeCap {
 			nodes = nodeCap
 		}
-		d := make([]int, len(sys.Capacities))
+		d := arena[i*arity : (i+1)*arity : (i+1)*arity]
 		d[0] = nodes
 		if rng.Float64() < sc.BBProb {
 			tb := pickTB(restricted, sc, rng)
 			d[1] = tbToUnits(tb, bbCap)
 		}
-		j.Demand = d
-		out = append(out, j)
+		slab[i] = job.Job{
+			ID:       b.ID,
+			Submit:   b.Submit,
+			Runtime:  b.Runtime,
+			Walltime: b.Walltime,
+			Demand:   d,
+			User:     b.User,
+		}
+		out[i] = &slab[i]
 	}
 	return out
 }
@@ -136,12 +146,9 @@ func ApplyPowerBudget(base []*job.Job, pool []float64, sc PowerScenario, sys clu
 	if len(sys.Capacities) < 3 {
 		panic("workload: ApplyPower requires a power-extended system (WithPower)")
 	}
-	twoRes := cluster.Config{
-		Name:       sys.Name,
-		Resources:  sys.Resources[:2],
-		Capacities: sys.Capacities[:2],
-	}
-	jobs := Apply(base, pool, sc.Scenario, twoRes, seed)
+	// Apply reads the first two capacities and lays every demand out at the
+	// system's arity, so the power column is already there to fill.
+	jobs := Apply(base, pool, sc.Scenario, sys, seed)
 	rng := rand.New(rand.NewSource(seed + 7919))
 	budget := sys.Capacities[2]
 	fullBudgetW := float64(budgetKW*1000) * float64(sys.Capacities[0]) / float64(ThetaNodes)
@@ -155,7 +162,7 @@ func ApplyPowerBudget(base []*job.Job, pool []float64, sc PowerScenario, sys clu
 		if units > budget {
 			units = budget
 		}
-		j.Demand = append(j.Demand, units)
+		j.Demand[2] = units
 	}
 	return jobs
 }

@@ -19,21 +19,29 @@ import (
 // input). Arrivals, runtimes, and demands are untouched: this is the
 // walltime-estimate-noise theta axis, degrading only the information
 // schedulers plan with.
+//
+// This is the copying form: job.CloneAll, then NoiseWalltimesInPlace on the
+// copy. A caller that built the jobs itself skips the copy.
 func NoiseWalltimes(jobs []*job.Job, sigma float64, seed int64) []*job.Job {
+	out := job.CloneAll(jobs)
+	NoiseWalltimesInPlace(out, sigma, seed)
+	return out
+}
+
+// NoiseWalltimesInPlace is NoiseWalltimes on jobs the caller owns: it
+// overwrites each Walltime, touches nothing else, and draws exactly what
+// the copying form draws, in the same order (nothing when sigma <= 0).
+func NoiseWalltimesInPlace(jobs []*job.Job, sigma float64, seed int64) {
 	if sigma <= 0 {
-		return job.CloneAll(jobs)
+		return
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]*job.Job, len(jobs))
-	for i, j := range jobs {
-		c := j.Clone()
-		w := c.Walltime * math.Exp(sigma*rng.NormFloat64())
+	for _, j := range jobs {
+		w := j.Walltime * math.Exp(sigma*rng.NormFloat64())
 		w = math.Ceil(w/900) * 900
-		if w < c.Runtime {
-			w = math.Ceil(c.Runtime/900) * 900
+		if w < j.Runtime {
+			w = math.Ceil(j.Runtime/900) * 900
 		}
-		c.Walltime = w
-		out[i] = c
+		j.Walltime = w
 	}
-	return out
 }

@@ -49,18 +49,28 @@ func ZipfPMF(users int, theta float64) []float64 {
 // state like every workload transform). theta = 0 is the unskewed baseline:
 // a uniform assignment over the same population, from the same draws.
 // users <= 0 disables the axis and returns plain clones with no rng draws.
+//
+// This is the copying form: job.CloneAll, then AssignZipfUsersInPlace on the
+// copy. A caller that built the jobs itself skips the copy.
 func AssignZipfUsers(jobs []*job.Job, users int, theta float64, seed int64) []*job.Job {
+	out := job.CloneAll(jobs)
+	AssignZipfUsersInPlace(out, users, theta, seed)
+	return out
+}
+
+// AssignZipfUsersInPlace is AssignZipfUsers on jobs the caller owns: it
+// overwrites each User, touches nothing else, and draws exactly what the
+// copying form draws, in the same order (nothing when users <= 0).
+func AssignZipfUsersInPlace(jobs []*job.Job, users int, theta float64, seed int64) {
 	if users <= 0 {
-		return job.CloneAll(jobs)
+		return
 	}
 	cdf := ZipfPMF(users, theta)
 	for k := 1; k < users; k++ {
 		cdf[k] += cdf[k-1]
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]*job.Job, len(jobs))
-	for i, j := range jobs {
-		c := j.Clone()
+	for _, j := range jobs {
 		u := rng.Float64()
 		// Inverse CDF: the first rank whose cumulative mass covers u.
 		lo, hi := 0, users-1
@@ -72,8 +82,6 @@ func AssignZipfUsers(jobs []*job.Job, users int, theta float64, seed int64) []*j
 				hi = mid
 			}
 		}
-		c.User = lo + 1
-		out[i] = c
+		j.User = lo + 1
 	}
-	return out
 }
