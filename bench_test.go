@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/rollout"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -143,6 +145,30 @@ func BenchmarkTrainStepSingleWorker(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.TrainStep()
+	}
+}
+
+// BenchmarkTrainStepPhases regenerates ROADMAP's per-phase account of a
+// gradient step: one op is one instrumented quick-scale S4 training (what
+// `go run ./bench -workload train-rollout -trace 1` replicates), and the
+// reported metrics are the medians, over every step of every op, of
+// dfp_train_step_ns and of the four histograms that split it on worker 0.
+//
+//	go test -run=NONE -bench=BenchmarkTrainStepPhases -benchtime=5x .
+func BenchmarkTrainStepPhases(b *testing.B) {
+	sc := experiments.QuickScale()
+	sc.Metrics = telemetry.NewRegistry()
+	m := experiments.MustPrepare(sc)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := experiments.TrainMRSch(m, "S4", false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, h := range sc.Metrics.Snapshot().Histograms {
+		if name, ok := strings.CutPrefix(h.Name, "dfp_"); ok && strings.HasSuffix(name, "_ns") {
+			b.ReportMetric(float64(h.P50)/1e3, strings.TrimSuffix(name, "_ns")+"_p50_us")
+		}
 	}
 }
 

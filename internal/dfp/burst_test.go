@@ -2,12 +2,15 @@ package dfp
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/nn"
+	"repro/internal/nn/kernel"
 )
 
 // burstCases are the agents the burst tests run on, each built afresh per
@@ -111,6 +114,41 @@ func TestTrainStepsEqualsTrainStepLoop(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestBurstWideEqualsNarrowForms: the avx2 set's 512-bit kernel forms are its
+// 256-bit arithmetic, so a 32-step burst ends in the same durable state
+// (weights, both Adam moments, step counters, rng cursor) and reports the same
+// 32 losses under either, at one, two and three workers — on the tiny test
+// network, whose layers are mostly tails, and on one whose shards fill whole
+// tiles and blocks of eight with remainders on every side.
+func TestBurstWideEqualsNarrowForms(t *testing.T) {
+	if kernel.Name() != "avx2" || !strings.Contains(kernel.Features(), "forms=wide") {
+		t.Skipf("no 512-bit forms to compare (kernel set %q, probed: %s)", kernel.Name(), kernel.Features())
+	}
+	tiled := DefaultConfig(70, 2, 5)
+	tiled.StateHidden, tiled.StateOut = []int{28, 20}, 12
+	tiled.ModuleHidden, tiled.StreamHidden = 9, 21
+	for name, cfg := range map[string]Config{"small": smallConfig(), "tiled": tiled} {
+		for workers := 1; workers <= 3; workers++ {
+			run := func(wide bool) ([]float64, []byte) {
+				kernel.SetWide(wide)
+				defer kernel.SetWide(true)
+				cfg.Workers = workers
+				a := New(cfg)
+				fillReplay(a, 64, 9)
+				losses := burstLosses(a, 32)
+				return losses, stateBytes(t, a)
+			}
+			narrowLosses, narrowState := run(false)
+			wideLosses, wideState := run(true)
+			what := fmt.Sprintf("%s workers=%d", name, workers)
+			sameLosses(t, what, wideLosses, narrowLosses)
+			if !bytes.Equal(wideState, narrowState) {
+				t.Fatalf("%s: state after 32 steps on the 512-bit forms differs from the 256-bit forms'", what)
+			}
+		}
+	}
 }
 
 // TestTrainStepsEmptyReplayAndNoSteps: with nothing to sample every step

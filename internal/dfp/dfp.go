@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"time"
 
 	"repro/internal/nn"
 )
@@ -195,6 +196,11 @@ type Agent struct {
 	gang     gang
 	batchBuf []*Experience
 	headWcol nn.Vec // per-step column-collapsed action-head weights (PredDim x StreamHidden)
+
+	// Step observation (ObserveSteps): worker 0's phase clock.
+	observe func(StepPhases)
+	phases  StepPhases
+	phaseAt time.Time
 }
 
 type stepRecord struct {

@@ -32,9 +32,14 @@
 //     matrix-matrix kernels with a sparse dueling backward, sharded across
 //     Config.Workers goroutines that are started once per burst, meet at a
 //     polling barrier, and share the rest of the step too: per-worker
-//     gradients are folded in fixed worker order by each parameter's owner,
-//     who also computes its clip factor, and the Adam update is cut into
-//     one range of the concatenated parameters per worker (engine.go). A
+//     gradients are folded in fixed worker order by each parameter's owner
+//     in one pass per shadow (nn.FoldNorm: add, zero the shadow, and take
+//     the clip norm's sum of squares while the gradient goes by), and the
+//     Adam update is cut into one range of the concatenated parameters per
+//     worker (engine.go). ObserveSteps hands a caller worker 0's time in
+//     each phase of every step — shard, fold, Adam, barrier waits — reading
+//     the clock only while it is set (rollout exports them as
+//     dfp_step_{shard,fold,adam,wait}_ns beside dfp_train_step_ns). A
 //     step must match the reference step kept in engine_test.go —
 //     forwardDueling at bsz=1 plus the dense dueling backward, sample by
 //     sample — to ≤1e-12 and consume the agent rng identically

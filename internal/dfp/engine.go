@@ -30,9 +30,9 @@
 //
 //     batch published → each worker runs its shard → each parameter's
 //     owner folds that parameter's shadow gradients into the master in
-//     worker order, zeroes them and computes its clip factor → each
-//     worker applies Adam to its contiguous range of the concatenated
-//     parameters → weights complete.
+//     worker order, zeroes them and computes its clip factor, one pass
+//     per shadow (nn.FoldNorm) → each worker applies Adam to its
+//     contiguous range of the concatenated parameters → weights complete.
 //
 //     Owners are whole parameters (largest first onto the least loaded
 //     worker) because a clip factor is an L2 norm in nn.L2Norm's own lane
@@ -60,6 +60,7 @@ import (
 	"runtime"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/nn"
 )
@@ -224,7 +225,13 @@ func (a *Agent) TrainSteps(n int, after func(loss float64)) {
 		a.computeHeadWcol()
 		a.opt.BeginStep(a.params)
 		g.wait() // batch published
+		if a.observe != nil {
+			a.phases, a.phaseAt = StepPhases{}, time.Now()
+		}
 		a.share(0, nw, batch)
+		if a.observe != nil {
+			a.observe(a.phases)
+		}
 		total := 0.0
 		for _, tw := range a.workers[:nw] {
 			total += tw.loss
@@ -244,28 +251,64 @@ func (a *Agent) share(w, nw, batch int) bool {
 	shard := (batch + nw - 1) / nw
 	lo := min(w*shard, batch)
 	a.workers[w].run(a.batchBuf[lo:min(lo+shard, batch)])
+	a.lap(w, &a.phases.Shard)
 	if !g.wait() {
 		return false
 	}
+	a.lap(w, &a.phases.Wait)
 	// Average the accumulated gradients over the minibatch and clip: one
-	// factor per parameter, applied inside the Adam kernel.
+	// factor per parameter, applied inside the Adam kernel. The fold reads
+	// each gradient once: the last shadow's pass also takes the norm.
 	scale := 1 / float64(batch)
+	shadows := a.workers[1:nw]
 	for _, i := range a.plan.owned[w] {
 		grad := a.params[i].Grad
-		for _, tw := range a.workers[1:nw] {
-			shadow := tw.params[i].Grad
-			nn.AddTo(grad, shadow)
-			nn.Fill(shadow, 0)
+		norm := 0.0
+		if len(shadows) == 0 && a.cfg.GradClip > 0 {
+			norm = nn.FoldNorm(grad, nil)
 		}
-		a.plan.factor[i] = nn.ClipFactor(grad, scale, a.cfg.GradClip)
+		for _, tw := range shadows {
+			norm = nn.FoldNorm(grad, tw.params[i].Grad)
+		}
+		a.plan.factor[i] = nn.ClipFactorOf(norm, scale, a.cfg.GradClip)
 	}
+	a.lap(w, &a.phases.Fold)
 	if !g.wait() {
 		return false
 	}
+	a.lap(w, &a.phases.Wait)
 	for _, r := range a.plan.ranges[w] {
 		a.opt.ApplyRange(a.params[r.param], r.lo, r.hi, a.plan.factor[r.param])
 	}
-	return g.wait() // weights complete
+	a.lap(w, &a.phases.Adam)
+	ok := g.wait() // weights complete
+	a.lap(w, &a.phases.Wait)
+	return ok
+}
+
+// StepPhases is where the calling goroutine — worker 0 — spent one gradient
+// step after its batch was published: its shard's forward and backward, its
+// share of the gradient fold and clip norms, its range of the Adam update,
+// and the three barrier waits between and after them.
+type StepPhases struct {
+	Shard, Fold, Adam, Wait time.Duration
+}
+
+// ObserveSteps has f called after every gradient step with that step's
+// phases, on the goroutine that called TrainSteps and before its after; nil
+// stops it. The clock is read only while an f is set, and nothing else about
+// a step changes: trained weights are the same bits observed or not.
+func (a *Agent) ObserveSteps(f func(StepPhases)) { a.observe = f }
+
+// lap closes one of worker 0's phases when steps are observed: the time since
+// the previous lap goes to d.
+func (a *Agent) lap(w int, d *time.Duration) {
+	if w != 0 || a.observe == nil {
+		return
+	}
+	now := time.Now()
+	*d += now.Sub(a.phaseAt)
+	a.phaseAt = now
 }
 
 // stepPlan is how nw workers divide the part of a step that follows the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -85,10 +84,6 @@ func blocks(text string) [][]string {
 }
 
 func TestFiguresMatchFrozenParentOutput(t *testing.T) {
-	// Trained weights depend on the minibatch shard count (see
-	// TestNumericGolden); the frozen text was written at 2.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-
 	frozen, err := os.ReadFile(frozenFigures)
 	if err != nil {
 		t.Fatal(err)

@@ -81,11 +81,6 @@ func numericRun(t *testing.T, method scenario.MethodSpec) numericDigest {
 }
 
 func TestNumericGolden(t *testing.T) {
-	// dfp shards each minibatch over GOMAXPROCS workers and the shard
-	// boundaries set the summation order: pin the count so the golden does
-	// not depend on the host, at 2 so replica workers are on the path.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-
 	got := map[string]numericDigest{}
 	for _, c := range numericGoldenCases {
 		got[c.name] = numericRun(t, c.method)
@@ -119,6 +114,25 @@ func TestNumericGolden(t *testing.T) {
 	for _, c := range numericGoldenCases {
 		if got[c.name] != want[c.name] {
 			t.Errorf("%s under kernel set %q:\n got %+v\nwant %+v", c.name, set, got[c.name], want[c.name])
+		}
+	}
+}
+
+// A campaign's trained weights do not depend on the host's core count: the
+// recipe fixes dfp's Workers (campaignStepWorkers), whose shard boundaries set
+// a gradient step's summation order, so a tiny S4 training saves the same
+// model under one, two and four CPUs — and the goldens above need no pin.
+func TestTrainedWeightsIgnoreCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := ""
+	for _, procs := range []int{2, 1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := numericRun(t, numericGoldenCases[0].method).Weights
+		if want == "" {
+			want = got
+		}
+		if got != want {
+			t.Fatalf("GOMAXPROCS=%d trained weights %s, GOMAXPROCS=2 trained %s", procs, got, want)
 		}
 	}
 }

@@ -48,6 +48,9 @@ func evaluateOwned(sys cluster.Config, policy sim.Policy, jobs []*job.Job, metho
 	return metrics.Collect(method, wl, s, powerIdx), nil
 }
 
+// campaignStepWorkers is dfp.Config.Workers for every agent a campaign trains.
+const campaignStepWorkers = 2
+
 // mrschOptions returns the experiment-scale agent options for a system.
 func (s Scale) mrschOptions(seed int64, useCNN bool) core.Options {
 	return core.Options{
@@ -56,6 +59,12 @@ func (s Scale) mrschOptions(seed int64, useCNN bool) core.Options {
 		Seed:   seed,
 		Mutate: func(c *dfp.Config) {
 			c.EpsDecay = s.EpsDecay
+			// A gradient step's shard boundaries set its summation order, and
+			// the model key does not record the host: fix the count, so that
+			// a family's weights are the same bits on every machine. Two is
+			// what every golden was written at and the fastest count measured
+			// (ROADMAP 6(b)).
+			c.Workers = campaignStepWorkers
 			// Short episodes: keep offsets inside the horizon.
 			c.Offsets = []int{1, 2, 4, 8, 16}
 			c.TemporalWeights = []float64{0, 0, 0.5, 0.5, 1}

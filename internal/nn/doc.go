@@ -70,6 +70,11 @@
 // ClipFactor turns one parameter's gradient into its multiplier (scale,
 // shrunk to the clip norm, through L2Norm's fixed four-lane order), and
 // ApplyRange runs the fused kernel over elements [lo,hi) of one parameter.
+// A caller that reduces replica gradients first takes the norm on the way:
+// FoldNorm adds a shadow gradient into the master, zeroes the shadow and
+// returns the L2 norm of the result in one pass (kernel.Set.FoldNorm — to
+// the bit what AddTo, Fill and L2Norm give, in both sets), and ClipFactorOf
+// is ClipFactor from that norm.
 // Step and StepScaled are those three in a loop, so there is one update
 // arithmetic; after BeginStep, ApplyRange calls on disjoint ranges may run
 // on different goroutines, and because the kernel is element-wise in both
@@ -123,8 +128,12 @@
 // function Set selected once at process start: the portable pure-Go
 // reference set ("go", bit-for-bit the pre-dispatch engine), or a
 // CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting amd64
-// hosts. Every caller in this package funnels through the same
-// process-global set, so the selection never splits a process's arithmetic.
+// hosts, whose three batched kernels run in 512-bit register-tiled forms
+// where the CPU has AVX-512 (the same arithmetic and the same bits, so still
+// the "avx2" set; KernelFeatures says which forms are live). The set also
+// carries FoldNorm, the training step's one-pass gradient fold. Every caller
+// in this package funnels through the same process-global set, so the
+// selection never splits a process's arithmetic.
 //
 // What that means for numerical contracts:
 //

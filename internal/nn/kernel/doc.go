@@ -4,7 +4,9 @@
 // weight-gradient accumulation, and the fused Adam step — packaged as a
 // Set of function pointers selected once at process start, plus the weight
 // transpose the input gradient reads (Transpose: a move, the same bits from
-// every set; 4x4 register blocks in the avx2 set) and, in a set that has
+// every set; 4x4 register blocks in the avx2 set), the one-pass gradient
+// fold a training step's tail runs (FoldNorm: add the shadow, zero it, sum
+// the squares — nn.L2Norm's bits from every set) and, in a set that has
 // one, a packed one-sample forward for a layer whose input is mostly runs
 // of zeros (Pack, PackedForward).
 //
@@ -24,6 +26,19 @@
 //     assembly call per layer (the same dot-product bodies, looped over the
 //     rows in assembly), and this set has the packed forward. Requires AVX2,
 //     FMA, and OS AVX state support (OSXSAVE/XCR0), probed via CPUID.
+//     Where the CPU also has AVX512F, DQ and VL and the OS keeps ZMM state,
+//     the three batched kernels run in 512-bit register-tiled forms
+//     (wide_amd64.s): a 4-row x 4-sample tile of dot products for the
+//     forward and the input gradient, two weight-gradient rows per pass over
+//     eight samples for the accumulation, each with its whole tile loop in
+//     one assembly call. They are forms of this set, not a third set: a
+//     set's name identifies its arithmetic — which element meets which FMA
+//     chain, in what order chains are folded, where a multiply is rounded
+//     before an add — because that is what goldens, checkpoints and
+//     cross-process byte comparisons are keyed by, and the 512-bit forms
+//     change none of it (numerical contract, fourth fact). The instruction
+//     set a chain is issued in is not part of that. Features reports which
+//     forms are live; nothing selects them but the CPU.
 //
 // # Selection and the MRSCH_KERNEL override
 //
@@ -85,6 +100,48 @@
 // The property test (TestPackedEqualsDenseBitwise) compares bits over every
 // in mod 8 residue and fails when the fold order or one lane assignment is
 // perturbed. The go set has no packed path; callers stay on DenseForward.
+//
+// The 512-bit forms of the batched kernels are their 256-bit forms to the
+// bit, on every input including NaN, infinities and zeros of either sign
+// (up to which payload an FMA of two NaNs keeps). A fourth fact carries that:
+//
+//   - One ZMM register is the lane map. dot4 keeps element i of a row on
+//     lane i mod 8 of two 4-wide accumulators; element i of a 512-bit
+//     accumulator sits on lane i mod 8 of one 8-wide register, the same
+//     chain of FMAs in the same order. Folding its high 256 bits onto its
+//     low 256, then high 128 onto low 128, then the odd lane onto the even
+//     is ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) again; the in%4 tail is the
+//     same scalar FMAs after the fold and the bias the same last add (the
+//     input gradient has no bias and gets no add — adding +0 would turn a
+//     -0 sum into +0). When in%8 >= 4, dot4's half-step touches only its
+//     first accumulator; here it is a merge-masked FMA on lanes 0-3, which
+//     leaves lanes 4-7 exactly as they were — not multiplied by a padding
+//     zero, which would make NaN of an infinite weight and could flip the
+//     sign of a lane that holds -0. That is the whole -0 argument: no lane
+//     ever sees an operation the 256-bit form does not perform. Sixteen such
+//     accumulators (4 rows x 4 samples) fit because EVEX has 32 registers;
+//     which rows share a tile changes which loads are shared, never a chain.
+//     The weight-gradient chains (axpy8: g1*x1 rounded by a multiply, the
+//     even chain started from the gw load, FMAs in sample order, one add)
+//     are element-wise, so eight lanes, four lanes, a masked remainder and a
+//     scalar tail all store the same element; the zero-coefficient row skip
+//     is per row, and a row left without a partner goes through axpy8.
+//     Rows, samples and input gradients a tile does not cover go through
+//     dot4 and dot1 exactly where the 256-bit loops send them (dot1's
+//     16-in-flight chain is a different rounding, so who gets it must not
+//     move).
+//
+// TestWideDenseFormsBitwise, TestWideAccumFormsBitwise and FuzzDenseForms
+// compare bits over every in mod 8, out mod 4, bsz mod 4 (mod 8 for the
+// accumulation) and every skip pattern of a row pair; TestWideFormsSensitivity
+// shows the comparison failing when the half-step lands on lanes 4-7 or the
+// fold pairs neighbours.
+//
+// FoldNorm's sum of squares is nn.L2Norm's in every set, not to a tolerance
+// either: four interleaved sums, the len%4 tail on the first, added left to
+// right, and each term a multiply rounded on its own and then an add. The Go
+// compiler does not contract a*b+c on amd64, so the avx2 kernel may not
+// (VMULPD then VADDPD, never an FMA) — the one place this set must not fuse.
 //
 // Across sets the results differ by floating-point reassociation and FMA
 // contraction only: the avx2 set accumulates in 4-wide lanes and contracts

@@ -49,6 +49,15 @@ type Set struct {
 	// reciprocal bias corrections, all precomputed by the caller.
 	AdamStep func(val, grad, m, v []float64, f, lr, beta1, beta2, a1, a2, invB1c, invB2c, eps float64)
 
+	// FoldNorm folds one worker's shadow gradient into the master and takes
+	// the clip norm's sum in the same pass: grad[i] += shadow[i],
+	// shadow[i] = 0, and it returns Σ grad[i]² over the folded values —
+	// accumulated exactly as nn.L2Norm does (four interleaved sums, the
+	// len%4 tail on the first, added left to right, multiply and add
+	// rounded separately), so math.Sqrt of it is L2Norm's bits in every set.
+	// A nil shadow folds nothing and only sums.
+	FoldNorm func(grad, shadow []float64) float64
+
 	// Pack re-lays one layer's w (out×in row-major) and b into p for
 	// PackedForward, reusing p's storage, and reports whether it took the
 	// layer. It declines — and the caller stays on DenseForward — a weight
@@ -86,6 +95,7 @@ var Reference = &Set{
 	Transpose:    goTranspose,
 	AccumGrads:   goAccumGrads,
 	AdamStep:     goAdamStep,
+	FoldNorm:     goFoldNorm,
 }
 
 var (
@@ -112,9 +122,11 @@ func Active() *Set { return active }
 // Name returns the active set's name.
 func Name() string { return active.Name }
 
-// Features returns the CPU features the dispatcher detected at init
-// (e.g. "avx2 fma osxsave"), or "none" when no accelerated set exists
-// for this architecture.
+// Features returns the CPU features the dispatcher probed at init and which
+// forms of the avx2 set's batched kernels they selected (e.g. "fma avx avx2
+// avx512f avx512dq avx512vl osxsave zmm forms=wide"; "forms=narrow" without
+// the AVX-512 bits or the OS's ZMM state), or "none" when no accelerated set
+// exists for this architecture.
 func Features() string {
 	if features == "" {
 		return "none"
@@ -373,4 +385,38 @@ func goAdamStep(val, grad, m, v []float64, f, lr, beta1, beta2, a1, a2, invB1c, 
 		v[i] = vi
 		val[i] -= lr * (mi * invB1c) / (math.Sqrt(vi*invB2c) + eps)
 	}
+}
+
+// goFoldNorm is AddTo, Fill(0) and L2Norm's sum in one pass over the pair.
+func goFoldNorm(grad, shadow []float64) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	if shadow == nil {
+		for ; i+4 <= len(grad); i += 4 {
+			s0 += grad[i] * grad[i]
+			s1 += grad[i+1] * grad[i+1]
+			s2 += grad[i+2] * grad[i+2]
+			s3 += grad[i+3] * grad[i+3]
+		}
+		for ; i < len(grad); i++ {
+			s0 += grad[i] * grad[i]
+		}
+		return s0 + s1 + s2 + s3
+	}
+	shadow = shadow[:len(grad)]
+	for ; i+4 <= len(grad); i += 4 {
+		g0, g1, g2, g3 := grad[i]+shadow[i], grad[i+1]+shadow[i+1], grad[i+2]+shadow[i+2], grad[i+3]+shadow[i+3]
+		grad[i], grad[i+1], grad[i+2], grad[i+3] = g0, g1, g2, g3
+		shadow[i], shadow[i+1], shadow[i+2], shadow[i+3] = 0, 0, 0, 0
+		s0 += g0 * g0
+		s1 += g1 * g1
+		s2 += g2 * g2
+		s3 += g3 * g3
+	}
+	for ; i < len(grad); i++ {
+		g := grad[i] + shadow[i]
+		grad[i], shadow[i] = g, 0
+		s0 += g * g
+	}
+	return s0 + s1 + s2 + s3
 }

@@ -34,19 +34,24 @@ func axpy4(dst, x *float64, xstride int, gp *float64, gstride int, n int)
 func axpy1(dst, x *float64, c float64, n int)
 
 //go:noescape
+func foldNorm(grad, shadow *float64, n int) float64
+
+//go:noescape
 func adamStep(val, grad, m, v *float64, n int, f, lr, beta1, beta2, a1, a2, invB1c, invB2c, eps float64)
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-// hasAVX2FMA reports whether the CPU and OS support the avx2 set: AVX2 and
-// FMA instruction sets, plus OS-managed YMM state (OSXSAVE and XCR0 bits
-// 1-2). Returns the detected feature names for the startup log.
-func hasAVX2FMA() (ok bool, feats []string) {
+// probeCPU reports whether the CPU and OS support the avx2 set — AVX2 and
+// FMA, plus OS-managed YMM state (OSXSAVE and XCR0 bits 1-2) — and whether
+// they also support its 512-bit forms (wide_amd64.s): AVX512F, DQ and VL, plus
+// opmask and ZMM state (XCR0 bits 5-7). feats names what was found, for the
+// startup log.
+func probeCPU() (avx2, wide bool, feats []string) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false, nil
+		return false, false, nil
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
@@ -65,39 +70,86 @@ func hasAVX2FMA() (ok bool, feats []string) {
 	if ebx7&avx2Bit != 0 {
 		feats = append(feats, "avx2")
 	}
+	avx512 := true
+	for _, f := range []struct {
+		bit  uint32
+		name string
+	}{{1 << 16, "avx512f"}, {1 << 17, "avx512dq"}, {1 << 31, "avx512vl"}} {
+		if ebx7&f.bit != 0 {
+			feats = append(feats, f.name)
+		} else {
+			avx512 = false
+		}
+	}
 	if ecx1&osxsaveBit == 0 {
-		return false, feats
+		return false, false, feats
 	}
 	xcr0, _ := xgetbv0()
-	const ymmState = 0x6 // XMM (bit 1) + YMM (bit 2) state enabled
+	const (
+		ymmState = 0x06 // XMM (bit 1) + YMM (bit 2) state enabled
+		zmmState = 0xe0 // opmask (bit 5) + ZMM0-15 high halves (6) + ZMM16-31 (7)
+	)
 	if xcr0&ymmState != ymmState {
-		return false, feats
+		return false, false, feats
 	}
 	feats = append(feats, "osxsave")
-	ok = ecx1&fmaBit != 0 && ecx1&avxBit != 0 && ebx7&avx2Bit != 0
-	return ok, feats
+	if xcr0&zmmState == zmmState {
+		feats = append(feats, "zmm")
+	} else {
+		avx512 = false
+	}
+	avx2 = ecx1&fmaBit != 0 && ecx1&avxBit != 0 && ebx7&avx2Bit != 0
+	return avx2, avx2 && avx512, feats
 }
 
-// avx2Set and archFeatures are package-level variable initializers, not an
-// init() func: Go runs all variable initialization before any init(), so
-// kernel.go's selecting init() — which sorts earlier by file name — always
-// sees the probe's result regardless of init order.
-var avx2Set, archFeatures = func() (*Set, string) {
-	ok, feats := hasAVX2FMA()
+// avx2Set, wideForms and archFeatures are package-level variable
+// initializers, not an init() func: Go runs all variable initialization
+// before any init(), so kernel.go's selecting init() — which sorts earlier by
+// file name — always sees the probe's result regardless of init order.
+//
+// The 512-bit forms are chosen here, once, inside the set: they are the avx2
+// set's arithmetic from more registers (package doc, numerical contract), so
+// there is no third name to select, force or key a golden file by.
+var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
+	ok, wide, feats := probeCPU()
 	if !ok {
-		return nil, strings.Join(feats, " ")
+		return nil, false, strings.Join(feats, " ")
 	}
-	return &Set{
+	s := &Set{
 		Name:          "avx2",
-		DenseForward:  avx2DenseForward,
-		InputGrad:     avx2InputGrad,
 		Transpose:     avx2Transpose,
-		AccumGrads:    avx2AccumGrads,
 		AdamStep:      avx2AdamStep,
+		FoldNorm:      avx2FoldNorm,
 		Pack:          avx2Pack,
 		PackedForward: avx2PackedForward,
-	}, strings.Join(feats, " ")
+	}
+	forms := "forms=narrow"
+	if wide {
+		forms = "forms=wide"
+	}
+	s.useForms(wide)
+	return s, wide, strings.Join(append(feats, forms), " ")
 }()
+
+// useForms points the three batched matmul kernels at their 512-bit forms
+// (wide_amd64.go) or their 256-bit ones.
+func (s *Set) useForms(wide bool) {
+	s.DenseForward, s.InputGrad, s.AccumGrads = avx2DenseForward, avx2InputGrad, avx2AccumGrads
+	if wide {
+		s.DenseForward, s.InputGrad, s.AccumGrads = wideDenseForward, wideInputGrad, wideAccumGrads
+	}
+}
+
+// SetWide puts the avx2 set on its 256-bit forms (false) or back on the
+// 512-bit ones the probe chose (true). It exists for the tests and benchmarks
+// that hold one against the other, in this package and in dfp; nothing else
+// may call it, and never while a kernel runs. On a host without the 512-bit
+// forms it does nothing.
+func SetWide(on bool) {
+	if wideForms {
+		avx2Set.useForms(on)
+	}
+}
 
 func nativeSet() *Set     { return avx2Set }
 func cpuFeatures() string { return archFeatures }
@@ -145,6 +197,12 @@ func avx2DenseForward(dst, x, w, b []float64, in, out, bsz int) {
 // weight copy: each Wᵀ row is dotted against four grad rows at once
 // (stride out), reusing the row from registers across the sample block.
 func avx2InputGrad(gin, grad, wt []float64, in, out, bsz int) {
+	inputGradFrom(gin, grad, wt, in, out, bsz, 0)
+}
+
+// inputGradFrom is avx2InputGrad less the first i0 input gradients of the
+// samples that go four at a time (the part a 4x4 tile has already written).
+func inputGradFrom(gin, grad, wt []float64, in, out, bsz, i0 int) {
 	b0 := 0
 	for ; b0+4 <= bsz; b0 += 4 {
 		gi0 := gin[b0*in : (b0+1)*in]
@@ -152,7 +210,7 @@ func avx2InputGrad(gin, grad, wt []float64, in, out, bsz int) {
 		gi2 := gin[(b0+2)*in : (b0+3)*in]
 		gi3 := gin[(b0+3)*in : (b0+4)*in]
 		g := &grad[b0*out]
-		for i := 0; i < in; i++ {
+		for i := i0; i < in; i++ {
 			s0, s1, s2, s3 := dot4(g, out, &wt[i*out], out)
 			gi0[i] = s0
 			gi1[i] = s1
@@ -194,13 +252,7 @@ func avx2Transpose(wt, w []float64, in, out int) {
 // columns); the merged rank-1 updates run through axpy8/axpy4, which
 // broadcast the strided coefficients in registers.
 func avx2AccumGrads(gw, gb, grad, x []float64, in, out, bsz int) {
-	for o := 0; o < out; o++ {
-		var s float64
-		for b := 0; b < bsz; b++ {
-			s += grad[b*out+o]
-		}
-		gb[o] += s
-	}
+	accumBias(gb, grad, out, bsz)
 	b0 := 0
 	for ; b0+8 <= bsz; b0 += 8 {
 		base := b0 * out
@@ -214,6 +266,23 @@ func avx2AccumGrads(gw, gb, grad, x []float64, in, out, bsz int) {
 			axpy8(&gw[o*in], &x[b0*in], in, &grad[base+o], out, in)
 		}
 	}
+	accumRest(gw, grad, x, in, out, b0, bsz)
+}
+
+// accumBias is gb += Σ_rows grad.
+func accumBias(gb, grad []float64, out, bsz int) {
+	for o := 0; o < out; o++ {
+		var s float64
+		for b := 0; b < bsz; b++ {
+			s += grad[b*out+o]
+		}
+		gb[o] += s
+	}
+}
+
+// accumRest accumulates samples b0..bsz-1, fewer than eight: one block of
+// four through axpy4, then single rows through axpy1.
+func accumRest(gw, grad, x []float64, in, out, b0, bsz int) {
 	for ; b0+4 <= bsz; b0 += 4 {
 		base := b0 * out
 		for o := 0; o < out; o++ {
@@ -243,4 +312,18 @@ func avx2AdamStep(val, grad, m, v []float64, f, lr, beta1, beta2, a1, a2, invB1c
 		return
 	}
 	adamStep(&val[0], &grad[0], &m[0], &v[0], len(val), f, lr, beta1, beta2, a1, a2, invB1c, invB2c, eps)
+}
+
+// avx2FoldNorm is goFoldNorm in four lanes: one add, two stores, a multiply
+// and an add per vector, never an FMA — Σ g² must be nn.L2Norm's own bits,
+// and the Go compiler does not contract a*b+c on amd64.
+func avx2FoldNorm(grad, shadow []float64) float64 {
+	if len(grad) == 0 {
+		return 0
+	}
+	var sp *float64
+	if shadow != nil {
+		sp = &shadow[:len(grad)][0]
+	}
+	return foldNorm(&grad[0], sp, len(grad))
 }

@@ -590,6 +590,101 @@ adam_done:
 	VZEROUPPER
 	RET
 
+// func foldNorm(grad, shadow *float64, n int) float64
+//
+// The gradient fold in one pass: grad[i] += shadow[i], shadow[i] = 0, and the
+// sum of the squares of what grad now holds, in nn.L2Norm's order — lane k of
+// Y0 is its accumulator s_k over the elements i = k mod 4 of the 4-wide body,
+// the n%4 tail joins s0, the result is ((s0+s1)+s2)+s3. The square is a
+// multiply and the accumulation an add, as the Go loop compiles: an FMA here
+// would round differently. With shadow nil only the sum is taken. The lanes
+// are taken out of Y0 before the scalar tail (a VEX scalar op zeroes the rest
+// of its destination). One of the two streams was last written by another
+// worker and sits dirty in that core's cache; the prefetches ask for it a dozen
+// lines ahead (running past the end is harmless, a prefetch does not fault).
+TEXT ·foldNorm(SB), NOSPLIT, $0-32
+	MOVQ grad+0(FP), DI
+	MOVQ shadow+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y5, Y5, Y5
+	XORQ BX, BX
+	MOVQ CX, AX
+	SHRQ $2, AX
+	ANDQ $3, CX
+	TESTQ SI, SI
+	JZ   norm_body
+
+	TESTQ AX, AX
+	JZ   fold_lanes
+
+fold_loop4:
+	PREFETCHT0 768(DI)(BX*1)
+	PREFETCHT0 768(SI)(BX*1)
+	VMOVUPD (DI)(BX*1), Y1
+	VADDPD  (SI)(BX*1), Y1, Y1
+	VMOVUPD Y1, (DI)(BX*1)
+	VMOVUPD Y5, (SI)(BX*1)
+	VMULPD  Y1, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ $32, BX
+	DECQ AX
+	JNZ  fold_loop4
+
+fold_lanes:
+	VEXTRACTF128 $1, Y0, X2
+	VSHUFPD $1, X0, X0, X1
+	VSHUFPD $1, X2, X2, X3
+	TESTQ CX, CX
+	JZ   fold_sum
+
+fold_tail1:
+	VMOVSD (DI)(BX*1), X4
+	VADDSD (SI)(BX*1), X4, X4
+	VMOVSD X4, (DI)(BX*1)
+	VMOVSD X5, (SI)(BX*1)
+	VMULSD X4, X4, X4
+	VADDSD X4, X0, X0
+	ADDQ $8, BX
+	DECQ CX
+	JNZ  fold_tail1
+	JMP  fold_sum
+
+norm_body:
+	TESTQ AX, AX
+	JZ   norm_lanes
+
+norm_loop4:
+	VMOVUPD (DI)(BX*1), Y1
+	VMULPD  Y1, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ $32, BX
+	DECQ AX
+	JNZ  norm_loop4
+
+norm_lanes:
+	VEXTRACTF128 $1, Y0, X2
+	VSHUFPD $1, X0, X0, X1
+	VSHUFPD $1, X2, X2, X3
+	TESTQ CX, CX
+	JZ   fold_sum
+
+norm_tail1:
+	VMOVSD (DI)(BX*1), X4
+	VMULSD X4, X4, X4
+	VADDSD X4, X0, X0
+	ADDQ $8, BX
+	DECQ CX
+	JNZ  norm_tail1
+
+fold_sum:
+	VADDSD X1, X0, X0
+	VADDSD X2, X0, X0
+	VADDSD X3, X0, X0
+	VMOVSD X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

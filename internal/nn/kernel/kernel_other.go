@@ -7,3 +7,6 @@ package kernel
 
 func nativeSet() *Set     { return nil }
 func cpuFeatures() string { return "" }
+
+// SetWide has nothing to switch without the avx2 set.
+func SetWide(bool) {}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -228,6 +230,85 @@ func TestTransposeIsTheNaiveLoop(t *testing.T) {
 	}
 }
 
+// addFillNorm is what FoldNorm replaces, as nn runs it: AddTo, Fill(0) and
+// L2Norm's sum, three passes. It is the oracle and the benchmark's baseline.
+func addFillNorm(grad, shadow []float64) float64 {
+	if shadow != nil {
+		for i := range shadow {
+			grad[i] += shadow[i]
+		}
+		for i := range shadow {
+			shadow[i] = 0
+		}
+	}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(grad); i += 4 {
+		s0 += grad[i] * grad[i]
+		s1 += grad[i+1] * grad[i+1]
+		s2 += grad[i+2] * grad[i+2]
+		s3 += grad[i+3] * grad[i+3]
+	}
+	for ; i < len(grad); i++ {
+		s0 += grad[i] * grad[i]
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// TestFoldNormIsAddFillNorm: in every set, FoldNorm leaves the gradient and
+// the shadow exactly as AddTo and Fill do and returns L2Norm's sum to the bit
+// — at every length mod 4 on both sides of the vector body, with -0 in both
+// operands (-0 + -0 must stay -0, -0 + +0 must not), values whose squares
+// underflow or overflow, and with no shadow at all.
+func TestFoldNormIsAddFillNorm(t *testing.T) {
+	draw := func(r *rand.Rand, n int) []float64 {
+		s := fill(r, n)
+		for i := range s {
+			switch r.Intn(6) {
+			case 0:
+				s[i] = math.Copysign(0, -1)
+			case 1:
+				s[i] = 0
+			case 2:
+				s[i] = math.Ldexp(s[i], -540+r.Intn(1080))
+			}
+		}
+		return s
+	}
+	for _, s := range benchSets() {
+		r := rand.New(rand.NewSource(8))
+		for n := 0; n <= 67; n++ {
+			for _, withShadow := range []bool{true, false} {
+				grad := draw(r, n)
+				var shadow []float64
+				if withShadow {
+					shadow = draw(r, n)
+				}
+				wantGrad, wantShadow := append([]float64(nil), grad...), append([]float64(nil), shadow...)
+				if !withShadow {
+					wantShadow = nil
+				}
+				want := addFillNorm(wantGrad, wantShadow)
+				got := s.FoldNorm(grad, shadow)
+				what := fmt.Sprintf("%s n=%d shadow=%v", s.Name, n, withShadow)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: sum of squares %v (%#x), three passes give %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				for i := range grad {
+					if math.Float64bits(grad[i]) != math.Float64bits(wantGrad[i]) {
+						t.Fatalf("%s: grad[%d] = %v, AddTo gives %v", what, i, grad[i], wantGrad[i])
+					}
+				}
+				for i, v := range shadow {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("%s: shadow[%d] = %v, want +0", what, i, v)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSelect(t *testing.T) {
 	if s, err := Select("go"); err != nil || s != Reference {
 		t.Fatalf("Select(go) = %v, %v; want Reference", s, err)
@@ -278,8 +359,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// benchShapes mirror the engine's real call sites: the MRSch default model's
-// wide first layer and the serve batch path.
 func benchSets() []*Set {
 	sets := []*Set{Reference}
 	if n := Native(); n != nil {
@@ -288,44 +367,133 @@ func benchSets() []*Set {
 	return sets
 }
 
-func BenchmarkDenseKernels(b *testing.B) {
-	const in, out, bsz = 746, 128, 16
+// TestFormsAreReported: Features says which forms of the batched kernels the
+// probe selected, and "wide" is never claimed without every bit it needs. The log line is what CI's kernel-forms step
+// prints.
+func TestFormsAreReported(t *testing.T) {
+	f := Features()
+	t.Logf("kernel set %q, probed: %s", Name(), f)
+	wide, narrow := strings.Contains(f, "forms=wide"), strings.Contains(f, "forms=narrow")
+	if Native() == nil {
+		if wide || narrow {
+			t.Fatalf("no native set, yet Features() = %q names its forms", f)
+		}
+		return
+	}
+	if wide == narrow {
+		t.Fatalf("Features() = %q: want exactly one of forms=wide, forms=narrow", f)
+	}
+	if got := Name(); Active() == Native() && got != "avx2" {
+		t.Fatalf("Name() = %q: the forms are inside the avx2 set, not a set of their own", got)
+	}
+	for _, need := range []string{"avx512f", "avx512dq", "avx512vl", "zmm"} {
+		if wide && !strings.Contains(f, need) {
+			t.Fatalf("Features() = %q claims the 512-bit forms without %s", f, need)
+		}
+	}
+}
+
+// benchForm is one way to run a set's batched kernels: the go set, or the
+// avx2 set on its 256-bit or — where the CPU has them — 512-bit forms.
+type benchForm struct {
+	name string
+	set  *Set
+	wide bool
+}
+
+func benchForms() []benchForm {
+	forms := []benchForm{{"go", Reference, false}}
+	if n := Native(); n != nil {
+		forms = append(forms, benchForm{n.Name + "-narrow", n, false})
+		if strings.Contains(Features(), "forms=wide") {
+			forms = append(forms, benchForm{n.Name + "-wide", n, true})
+		}
+	}
+	return forms
+}
+
+// cyclesPerNs is the clock /proc/cpuinfo reports, for the MAC/cycle metric;
+// 0 (no metric) where there is none to read.
+func cyclesPerNs() float64 {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "cpu MHz" {
+			mhz, _ := strconv.ParseFloat(strings.TrimSpace(val), 64)
+			return mhz / 1e3
+		}
+	}
+	return 0
+}
+
+// benchShapes are the layers the quick-scale engine runs batched — the state
+// module's two hidden layers and the action head — at a worker's shard of the
+// minibatch (16) and at serve's smallest tiled batch (4).
+var benchShapes = [][3]int{
+	{394, 128, 16}, {128, 64, 16}, {64, 120, 16},
+	{394, 128, 4}, {128, 64, 4}, {64, 120, 4},
+}
+
+// batchedKernels returns the four batched kernels as calls on one in x out
+// layer and bsz samples of random data, in the order the benchmark lists them.
+func batchedKernels(in, out, bsz int) []struct {
+	name string
+	call func(s *Set)
+} {
 	r := rand.New(rand.NewSource(4))
-	x := fill(r, bsz*in)
-	w := fill(r, out*in)
-	bias := fill(r, out)
+	x, w, bias := fill(r, bsz*in), fill(r, out*in), fill(r, out)
 	wt := make([]float64, in*out)
 	Reference.Transpose(wt, w, in, out)
-	dst := make([]float64, bsz*out)
-	grad := fill(r, bsz*out)
-	gin := make([]float64, bsz*in)
-	gw := make([]float64, out*in)
-	gb := make([]float64, out)
+	dst, grad := make([]float64, bsz*out), fill(r, bsz*out)
+	gin, gw, gb := make([]float64, bsz*in), make([]float64, out*in), make([]float64, out)
+	return []struct {
+		name string
+		call func(s *Set)
+	}{
+		{"Forward", func(s *Set) { s.DenseForward(dst, x, w, bias, in, out, bsz) }},
+		{"InputGrad", func(s *Set) { s.InputGrad(gin, grad, wt, in, out, bsz) }},
+		{"Transpose", func(s *Set) { s.Transpose(wt, w, in, out) }},
+		{"AccumGrads", func(s *Set) { s.AccumGrads(gw, gb, grad, x, in, out, bsz) }},
+	}
+}
+
+func BenchmarkDenseKernels(b *testing.B) {
+	// The engine's shapes, every form, with the multiply-accumulates a cycle
+	// each one sustains.
+	ghz := cyclesPerNs()
+	for _, shape := range benchShapes {
+		in, out, bsz := shape[0], shape[1], shape[2]
+		for _, k := range batchedKernels(in, out, bsz) {
+			if k.name == "Transpose" {
+				continue // one form per set, timed below
+			}
+			for _, f := range benchForms() {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", k.name, in, out, bsz, f.name), func(b *testing.B) {
+					SetWide(f.wide)
+					defer SetWide(true)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						k.call(f.set)
+					}
+					if ns := float64(b.Elapsed().Nanoseconds()); ghz > 0 && ns > 0 {
+						b.ReportMetric(float64(b.N)*float64(in*out*bsz)/(ns*ghz), "MAC/cycle")
+					}
+				})
+			}
+		}
+	}
+	// BENCH_dfp.json's rows: a 746-wide first layer, each set as it runs.
 	for _, s := range benchSets() {
-		b.Run("Forward/"+s.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.DenseForward(dst, x, w, bias, in, out, bsz)
-			}
-		})
-		b.Run("InputGrad/"+s.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.InputGrad(gin, grad, wt, in, out, bsz)
-			}
-		})
-		b.Run("Transpose/"+s.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.Transpose(wt, w, in, out)
-			}
-		})
-		b.Run("AccumGrads/"+s.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.AccumGrads(gw, gb, grad, x, in, out, bsz)
-			}
-		})
+		for _, k := range batchedKernels(746, 128, 16) {
+			b.Run(k.name+"/"+s.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.call(s)
+				}
+			})
+		}
 		benchOneSample(b, s, 394, 128)
 	}
 }
@@ -372,6 +540,31 @@ func benchOneSample(b *testing.B, s *Set, in, out int) {
 func BenchmarkPaperScaleFirstLayer(b *testing.B) {
 	for _, s := range benchSets() {
 		benchOneSample(b, s, 11410, 4000)
+	}
+}
+
+// BenchmarkFoldNorm is one owner's fold of the largest quick-scale parameter
+// (394x128): the three passes it replaces, then each set's single pass. The
+// shadow is refilled outside the timer, so every op folds real values.
+func BenchmarkFoldNorm(b *testing.B) {
+	const n = 394 * 128
+	r := rand.New(rand.NewSource(9))
+	grad, shadow0 := fill(r, n), fill(r, n)
+	shadow := make([]float64, n)
+	run := func(name string, fold func(grad, shadow []float64) float64) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(shadow, shadow0)
+				b.StartTimer()
+				fold(grad, shadow)
+			}
+		})
+	}
+	run("three-pass", addFillNorm)
+	for _, s := range benchSets() {
+		run(s.Name, s.FoldNorm)
 	}
 }
 

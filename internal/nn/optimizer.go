@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
@@ -104,11 +107,30 @@ func (o *Adam) BeginStep(params []*Param) {
 // norm does not exceed maxNorm when maxNorm > 0.
 func ClipFactor(grad Vec, scale, maxNorm float64) float64 {
 	if maxNorm > 0 {
-		if n := scale * L2Norm(grad); n > maxNorm && n > 0 {
-			return scale * (maxNorm / n)
-		}
+		return ClipFactorOf(L2Norm(grad), scale, maxNorm)
 	}
 	return scale
+}
+
+// ClipFactorOf is ClipFactor for a caller that already holds the gradient's
+// L2 norm — FoldNorm's, taken while the gradient was being folded.
+func ClipFactorOf(norm, scale, maxNorm float64) float64 {
+	if n := scale * norm; maxNorm > 0 && n > maxNorm && n > 0 {
+		return scale * (maxNorm / n)
+	}
+	return scale
+}
+
+// FoldNorm adds a worker's shadow gradient into grad, zeroes the shadow and
+// returns the L2 norm of what grad now holds, in one pass of the active
+// kernel set (kernel.Set.FoldNorm) instead of AddTo, Fill and L2Norm's three:
+// the same gradient, the same zeros and, in every set, L2Norm's own bits. A
+// nil shadow folds nothing and only takes the norm.
+func FoldNorm(grad, shadow Vec) float64 {
+	if shadow != nil && len(shadow) != len(grad) {
+		panic(fmt.Sprintf("nn: FoldNorm length mismatch %d vs %d", len(grad), len(shadow)))
+	}
+	return math.Sqrt(kern.FoldNorm(grad, shadow))
 }
 
 // ApplyRange applies the open step to elements [lo,hi) of p with effective

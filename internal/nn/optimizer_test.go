@@ -130,6 +130,52 @@ func TestAdamPiecesAreStepScaled(t *testing.T) {
 	}
 }
 
+// TestFoldNormIsTheThreePasses: under the active kernel set, FoldNorm over two
+// shadows and ClipFactorOf give the gradient, the zeroed shadows and the clip
+// factor that AddTo, Fill and ClipFactor gave — what dfp's step tail ran
+// before it folded in one pass — at lengths 0…67, with -0 gradients.
+func TestFoldNormIsTheThreePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	draw := func(n int) Vec {
+		v := make(Vec, n)
+		for i := range v {
+			if v[i] = rng.NormFloat64() * 3; rng.Intn(5) == 0 {
+				v[i] = math.Copysign(0, -1)
+			}
+		}
+		return v
+	}
+	for n := 0; n <= 67; n++ {
+		grad, sh1, sh2 := draw(n), draw(n), draw(n)
+		want, w1, w2 := Copy(grad), Copy(sh1), Copy(sh2)
+		AddTo(want, w1)
+		Fill(w1, 0)
+		AddTo(want, w2)
+		Fill(w2, 0)
+		wantF := ClipFactor(want, 1.0/32, 0.5)
+
+		FoldNorm(grad, sh1)
+		gotF := ClipFactorOf(FoldNorm(grad, sh2), 1.0/32, 0.5)
+		if math.Float64bits(gotF) != math.Float64bits(wantF) {
+			t.Fatalf("n=%d: clip factor %v, three passes give %v", n, gotF, wantF)
+		}
+		if got, want := FoldNorm(grad, nil), L2Norm(grad); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: FoldNorm(grad, nil) = %v, L2Norm = %v", n, got, want)
+		}
+		for i := range want {
+			if math.Float64bits(grad[i]) != math.Float64bits(want[i]) || math.Float64bits(sh1[i]) != 0 || math.Float64bits(sh2[i]) != 0 {
+				t.Fatalf("n=%d: element %d: grad %v (want %v), shadows %v %v (want +0)", n, i, grad[i], want[i], sh1[i], sh2[i])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FoldNorm took a shadow of another length")
+		}
+	}()
+	FoldNorm(make(Vec, 8), make(Vec, 9))
+}
+
 func TestClipGrads(t *testing.T) {
 	p := NewParam("w", 2)
 	p.Grad[0], p.Grad[1] = 30, 40

@@ -27,6 +27,11 @@ type mrschLearner struct {
 	replayOcc *telemetry.Gauge
 }
 
+// stepPhaseNames are the histograms of where worker 0 spends a gradient step
+// (dfp.StepPhases), in its field order; they tile dfp_train_step_ns less the
+// minibatch sampling that precedes a step.
+var stepPhaseNames = [4]string{"dfp_step_shard_ns", "dfp_step_fold_ns", "dfp_step_adam_ns", "dfp_step_wait_ns"}
+
 // NewMRSchLearner adapts an MRSch agent for Train. cfg follows
 // core.TrainConfig semantics with one extension: StepsPerEpisode < 0 runs no
 // gradient steps at all (pure episode collection, used by the throughput
@@ -36,11 +41,21 @@ func NewMRSchLearner(m *core.MRSch, cfg core.TrainConfig) Learner {
 }
 
 // Instrument implements Instrumented: the adapter exports the DFP engine's
-// per-gradient-step latency and replay-buffer occupancy.
+// per-gradient-step latency, its split over the step's phases, and
+// replay-buffer occupancy.
 func (l *mrschLearner) Instrument(reg *telemetry.Registry) {
 	l.timed = true
 	l.trainStep = reg.Histogram("dfp_train_step_ns")
 	l.replayOcc = reg.Gauge("dfp_replay_occupancy")
+	var phase [4]*telemetry.Histogram
+	for i, name := range stepPhaseNames {
+		phase[i] = reg.Histogram(name)
+	}
+	l.m.Agent.ObserveSteps(func(p dfp.StepPhases) {
+		for i, d := range [4]time.Duration{p.Shard, p.Fold, p.Adam, p.Wait} {
+			phase[i].RecordDuration(d)
+		}
+	})
 }
 
 func (l *mrschLearner) Spawn() (Actor, bool) {

@@ -217,8 +217,8 @@ func TestPipelinedScheduleShape(t *testing.T) {
 // TestBurstTelemetryIsPerStepAndObserveOnly: an episode's gradient steps run
 // as one dfp burst — here on three training workers, with two snapshot
 // actors rolling out on the same CPUs — and the harness still records one
-// dfp_train_step_ns sample per step, not per burst, while training the
-// weights an uninstrumented run trains.
+// dfp_train_step_ns sample per step, not per burst, and one sample of each
+// step phase, while training the weights an uninstrumented run trains.
 func TestBurstTelemetryIsPerStepAndObserveOnly(t *testing.T) {
 	sys := testSystem()
 	sets := testSets(sys, 6, 25, 41)
@@ -234,14 +234,24 @@ func TestBurstTelemetryIsPerStepAndObserveOnly(t *testing.T) {
 	if !bytes.Equal(train(reg), train(nil)) {
 		t.Fatal("an instrumented run trained different weights")
 	}
+	// The step histogram and the four that split a step over worker 0's
+	// phases: one sample each per gradient step, and phases that ran (a wait
+	// may round to nothing, a shard, a fold and an Adam range cannot).
 	want := uint64(len(sets) * trainCfg(sys).StepsPerEpisode)
+	seen := map[string]telemetry.HistogramValue{}
 	for _, h := range reg.Snapshot().Histograms {
-		if h.Name == "dfp_train_step_ns" {
-			if h.Count != want {
-				t.Fatalf("dfp_train_step_ns has %d samples, want one per gradient step: %d", h.Count, want)
-			}
-			return
+		seen[h.Name] = h
+	}
+	for _, name := range append([]string{"dfp_train_step_ns"}, stepPhaseNames[:]...) {
+		h, ok := seen[name]
+		if !ok {
+			t.Fatalf("no %s histogram was registered", name)
+		}
+		if h.Count != want {
+			t.Fatalf("%s has %d samples, want one per gradient step: %d", name, h.Count, want)
+		}
+		if name != "dfp_step_wait_ns" && h.Mean <= 0 {
+			t.Fatalf("%s recorded no time over %d steps", name, h.Count)
 		}
 	}
-	t.Fatal("no dfp_train_step_ns histogram was registered")
 }
