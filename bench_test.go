@@ -242,11 +242,11 @@ func BenchmarkDecisionLatency(b *testing.B) {
 // separately via dfp.Config.Workers). Greedy exploration (eps=0) makes
 // every decision pay the full forward pass, the realistic steady state.
 
-func episodeThroughputAgent(sys cluster.Config) *core.MRSch {
+func episodeThroughputAgent(sys cluster.Config, stepWorkers int) *core.MRSch {
 	return core.New(sys, core.Options{
 		Window:  8,
 		Seed:    11,
-		Workers: 1,
+		Workers: stepWorkers,
 		Mutate: func(c *dfp.Config) {
 			c.StateHidden = []int{64, 32}
 			c.StateOut = 32
@@ -281,7 +281,7 @@ func BenchmarkEpisodeThroughput(b *testing.B) {
 	sets := episodeThroughputSets(sys)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			agent := episodeThroughputAgent(sys)
+			agent := episodeThroughputAgent(sys, 1)
 			learner := rollout.NewMRSchLearner(agent, core.TrainConfig{
 				System:          sys,
 				StepsPerEpisode: -1, // pure collection
@@ -300,11 +300,14 @@ func BenchmarkEpisodeThroughput(b *testing.B) {
 
 // BenchmarkPipelinedThroughput compares barrier and pipelined rollout-
 // training end to end: the same curriculum with real gradient steps
-// (StepsPerEpisode=8) so there is training work for the pipeline to hide
-// behind collection. episodes/sec is the comparison axis; the speedup target
-// is a multicore property (on a single-CPU host both modes collapse to the
-// serial rate and the pipelined row is the overhead regression guard — see
-// BENCH_rollout.json).
+// (StepsPerEpisode=8) so there is training work for collection to overlap,
+// on the two gradient workers every binary trains with. episodes/sec is the
+// comparison axis. Measured on the 2-vCPU guest, 2026-10-03, three runs at
+// -benchtime=20x, barrier against pipelined: 230–337 against 297–355 with two
+// gradient workers (ISSUE 24's sitting: 280–309 against 276–311) — nothing,
+// both vCPUs are already busy; 215–255 against 255–258 with one (224–245
+// against 261–269, 1.10–1.18×), where collection fills the vCPU a one-worker
+// step leaves idle. Unmeasured beyond 2 vCPUs.
 func BenchmarkPipelinedThroughput(b *testing.B) {
 	sys := workload.ThetaScaled(32)
 	sets := episodeThroughputSets(sys)
@@ -313,7 +316,7 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 		pipelined bool
 	}{{"barrier", false}, {"pipelined", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			agent := episodeThroughputAgent(sys)
+			agent := episodeThroughputAgent(sys, 2)
 			learner := rollout.NewMRSchLearner(agent, core.TrainConfig{
 				System:          sys,
 				StepsPerEpisode: 8,

@@ -43,10 +43,11 @@
 //
 // -pipeline overlaps every training campaign's episode collection with its
 // gradient steps against a versioned weight snapshot (rollout.Config
-// .Pipelined) and shards the replay buffer per rollout worker. Campaigns
-// stay reproducible for a fixed (seed, -parallel) pair but differ from
-// barrier-mode campaigns (one-round policy lag); figure tables trained
-// either way keep their qualitative shape.
+// .Pipelined). Campaigns stay reproducible for a fixed (seed, -parallel)
+// pair but differ from barrier-mode campaigns (one-round policy lag); figure
+// tables trained either way keep their qualitative shape. Measured on 2
+// vCPUs a training takes the same wall either way (collection alone is
+// 1.1-1.5x faster at -parallel 2); unmeasured beyond 2 vCPUs.
 //
 // -checkpoint DIR makes runs durable twice over: trained family models are
 // stored content-addressed in DIR (keyed by scenario family plus a hash of

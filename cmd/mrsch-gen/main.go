@@ -1,26 +1,32 @@
 // Command mrsch-gen generates workload traces: the synthetic Theta-like
-// base trace (§IV-A), a Table III scenario (S1-S5), or a power-extended
-// §V-E scenario (S6-S10), written in the plain-text trace format of
-// internal/job.
+// base trace (§IV-A) or any scenario internal/scenario resolves by name — a
+// Table III scenario (S1-S5), a power-extended §V-E one (S6-S10), the
+// trace family (T1-T5) or a variant of one ("S4@wtn=0.5") — written in the
+// plain-text trace format of internal/job.
 //
 // Usage:
 //
-//	mrsch-gen -scenario base|S1..S10 [-div 16] [-days 2] [-gap 110]
+//	mrsch-gen -scenario base|<name>[@variants] [-div 16] [-days 2] [-gap 110]
 //	          [-seed 1] [-out trace.txt]
+//
+// A variant's div axis overrides -div and its interarrival axis multiplies
+// -gap, as they do a campaign's scale.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
 func main() {
-	scenario := flag.String("scenario", "base", "base, S1..S5, or S6..S10")
+	name := flag.String("scenario", "base", "base, or a scenario name (S1..S10, T1..T5) with optional @variants")
 	div := flag.Int("div", 16, "Theta scale divisor")
 	days := flag.Float64("days", 2, "trace duration in days")
 	gap := flag.Float64("gap", 110, "peak mean inter-arrival seconds")
@@ -28,63 +34,72 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	flag.Parse()
 
-	sys := workload.ThetaScaled(*div)
-	gcfg := workload.GeneratorConfig{
-		System:           sys,
-		Duration:         *days * 86400,
-		MeanInterarrival: *gap,
-		Seed:             *seed,
-	}
-	base := workload.GenerateBase(gcfg)
-	pool := workload.AssignDarshanBB(base, sys.Capacities[1], *seed+1)
-
-	var jobs []*job.Job
-	var names []string
-	switch {
-	case *scenario == "base":
-		jobs, names = base, sys.Resources
-	default:
-		if sc, err := workload.ScenarioByName(*scenario); err == nil {
-			jobs = workload.Apply(base, pool, sc, sys, *seed+2)
-			names = sys.Resources
-			break
-		}
-		psys := workload.WithPower(sys)
-		found := false
-		for _, psc := range workload.PowerScenarios() {
-			if psc.Name == *scenario {
-				jobs = workload.ApplyPower(base, pool, psc, psys, *seed+2)
-				names = psys.Resources
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "mrsch-gen: unknown scenario %q\n", *scenario)
+	var sp scenario.ScenarioSpec
+	if *name != "base" {
+		var err error
+		if sp, err = scenario.ByName(*name); err != nil {
+			fmt.Fprintf(os.Stderr, "mrsch-gen: %v\n", err)
 			os.Exit(2)
 		}
 	}
-
-	w := os.Stdout
+	w, closeOut := io.Writer(os.Stdout), func() error { return nil }
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mrsch-gen: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		w = f
+		w, closeOut = f, f.Close
 	}
-	if err := job.WriteTrace(w, jobs, names); err != nil {
+	n, sys, err := generate(w, sp, *div, *days, *gap, *seed)
+	if err == nil {
+		err = closeOut()
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrsch-gen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "mrsch-gen: wrote %d jobs (%s, %s)\n", len(jobs), *scenario, describe(sys, names))
+	desc := fmt.Sprintf("%d nodes, %d TB bb", sys.Capacities[0], sys.Capacities[1])
+	if sp.Power {
+		desc += ", power-extended"
+	}
+	fmt.Fprintf(os.Stderr, "mrsch-gen: wrote %d jobs (%s, %s)\n", n, *name, desc)
 }
 
-func describe(sys cluster.Config, names []string) string {
-	if len(names) == 3 {
-		return fmt.Sprintf("%d nodes, %d TB bb, power-extended", sys.Capacities[0], sys.Capacities[1])
+// generate writes the scenario's trace to w — the base trace for the zero
+// spec — and returns the job count and the system the trace is for.
+func generate(w io.Writer, sp scenario.ScenarioSpec, div int, days, gap float64, seed int64) (int, cluster.Config, error) {
+	if sp.Div > 0 {
+		div = sp.Div
 	}
-	return fmt.Sprintf("%d nodes, %d TB bb", sys.Capacities[0], sys.Capacities[1])
+	if sp.InterarrivalScale > 0 {
+		gap *= sp.InterarrivalScale
+	}
+	sys := workload.ThetaScaled(div)
+	var jobs []*job.Job
+	if sp.Trace != "" {
+		var err error
+		if jobs, err = workload.LoadTraceBase(sp.Trace, sys, days*86400, gap); err != nil {
+			return 0, sys, err
+		}
+	} else {
+		gcfg := workload.GeneratorConfig{System: sys, Duration: days * 86400, MeanInterarrival: gap, Seed: seed}
+		if sp.Burst != nil {
+			b := sp.Burst.Config()
+			gcfg.Burst = &b
+		}
+		jobs = workload.GenerateBase(gcfg)
+	}
+	pool := workload.AssignDarshanBB(jobs, sys.Capacities[1], seed+1)
+	if sp.Name != "" {
+		if sp.Power {
+			sys = workload.WithPower(sys)
+			jobs = workload.ApplyPower(jobs, pool, sp.PowerMix(), sys, seed+2)
+		} else {
+			jobs = workload.Apply(jobs, pool, sp.Mix(), sys, seed+2)
+		}
+		workload.NoiseWalltimesInPlace(jobs, sp.WalltimeNoiseSigma, seed+3)
+		workload.AssignZipfUsersInPlace(jobs, sp.ZipfUsers, sp.ZipfTheta, seed+4)
+	}
+	return len(jobs), sys, job.WriteTrace(w, jobs, sys.Resources)
 }

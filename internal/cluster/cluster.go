@@ -11,8 +11,8 @@
 // binary-search removal on Release. Job IDs are unique among live
 // allocations, so the order is total and is exactly what sorting the set by
 // estimated end then job ID would produce; nothing sorts at query time.
-// Running hands that slice out as a read-only view, and EarliestFit and
-// FreeAt walk it directly.
+// Running hands that slice out as a read-only view, and EarliestFit walks
+// it directly.
 //
 // A total order needs comparable keys: Allocate rejects a NaN or infinite
 // now or estEnd before it changes anything (a NaN key would send the binary
@@ -29,10 +29,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Resource identifies a schedulable resource by index. By convention index 0
-// is the primary compute resource (nodes).
-type Resource int
 
 // Config describes a system: resource names and capacities in units. The
 // unit is whatever the administrator chooses (§III-A): a node for CPU, a TB
@@ -284,22 +280,6 @@ func Fits(demand, free []int) bool {
 		}
 	}
 	return true
-}
-
-// FreeAt returns the projected free vector at time t (>= now), assuming
-// estimated-end releases. Used to compute EASY backfilling's shadow free
-// resources.
-func (c *Cluster) FreeAt(t float64) []int {
-	free := c.FreeVec()
-	for _, a := range c.running {
-		if a.EstEnd > t {
-			break
-		}
-		for r, d := range a.Demand {
-			free[r] += d
-		}
-	}
-	return free
 }
 
 // CheckInvariants verifies conservation — free + sum(alloc demands) equals

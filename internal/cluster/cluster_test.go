@@ -140,20 +140,6 @@ func TestEarliestFitClampsToNow(t *testing.T) {
 	}
 }
 
-func TestFreeAt(t *testing.T) {
-	c := New(testConfig())
-	_ = c.Allocate(1, []int{30, 10}, 0, 100)
-	_ = c.Allocate(2, []int{20, 5}, 0, 200)
-	f := c.FreeAt(150)
-	if f[0] != 100-20 || f[1] != 40-5 {
-		t.Fatalf("FreeAt(150) = %v", f)
-	}
-	f = c.FreeAt(50)
-	if f[0] != 50 {
-		t.Fatalf("FreeAt(50) = %v", f)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New(testConfig())
 	_ = c.Allocate(1, []int{10, 10}, 0, 10)

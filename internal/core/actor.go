@@ -10,7 +10,7 @@ import (
 // states and computes the Eq. (1) goal vector exactly like the master's Pick,
 // but acts through a dfp.Actor whose networks alias the master's weights
 // while all mutable state (forward caches, exploration rng, episode record)
-// is private. Multiple concurrency-safe actors may roll out episodes in
+// is private. Multiple actors may roll out episodes in
 // parallel against one master, provided the master's weights are not updated
 // until the rollouts finish — internal/rollout's round barrier guarantees
 // that. Actors do not update LastGoal or invoke GoalHook; those observation
@@ -23,28 +23,20 @@ type MRSchActor struct {
 	state, goal []float64 // the pick in progress; the dfp actor copies what it records
 }
 
-// Actor returns a rollout actor for the agent. The second result reports
-// whether the actor is safe to run concurrently with other actors; it is
-// false when a custom state module cannot be replicated by nn.SharedClone,
-// in which case the actor borrows the master's own layers and must be the
-// only one in use.
+// Actor returns a rollout actor reading the agent's live weights. The second
+// result is always true: bench/ reads it, and only ROADMAP item 1 may edit
+// bench/.
 func (m *MRSch) Actor() (*MRSchActor, bool) {
-	ac, parallel := m.Agent.Actor()
-	return &MRSchActor{enc: m.Enc, ac: ac, fixedGoal: m.FixedGoal}, parallel
+	return &MRSchActor{enc: m.Enc, ac: m.Agent.Actor(), fixedGoal: m.FixedGoal}, true
 }
 
 // SnapshotActor returns a rollout actor reading the agent's published
 // copy-on-write weight snapshot (dfp.Agent.SnapshotActor) rather than the
 // live weights, so it may roll out episodes concurrently with TrainStep —
 // the contract pipelined training (internal/rollout Config.Pipelined) relies
-// on. It reports false when the state module cannot be snapshot-cloned;
-// unlike Actor there is no borrow-the-master fallback.
-func (m *MRSch) SnapshotActor() (*MRSchActor, bool) {
-	ac, ok := m.Agent.SnapshotActor()
-	if !ok {
-		return nil, false
-	}
-	return &MRSchActor{enc: m.Enc, ac: ac, fixedGoal: m.FixedGoal}, true
+// on.
+func (m *MRSch) SnapshotActor() *MRSchActor {
+	return &MRSchActor{enc: m.Enc, ac: m.Agent.SnapshotActor(), fixedGoal: m.FixedGoal}
 }
 
 // PublishWeights advances the snapshot read by SnapshotActor clones to the

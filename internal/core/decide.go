@@ -27,14 +27,9 @@ type BatchDecider struct {
 
 // BatchDecider returns a batched snapshot-reading decider for the agent
 // (materializing the weight snapshot from the current live weights on first
-// use). It reports false when the agent's state module cannot be
-// snapshot-cloned, like dfp.Agent.SnapshotDecider.
-func (m *MRSch) BatchDecider() (*BatchDecider, bool) {
-	bd, ok := m.Agent.SnapshotDecider()
-	if !ok {
-		return nil, false
-	}
-	return &BatchDecider{enc: m.Enc, bd: bd, fixedGoal: m.FixedGoal}, true
+// use).
+func (m *MRSch) BatchDecider() *BatchDecider {
+	return &BatchDecider{enc: m.Enc, bd: m.Agent.SnapshotDecider(), fixedGoal: m.FixedGoal}
 }
 
 // Decide picks one window job per context, writing into dst (grown as

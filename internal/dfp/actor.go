@@ -32,38 +32,20 @@ func (m *modules) all() []nn.Layer {
 	return []nn.Layer{m.state, m.meas, m.goal, m.exp, m.act}
 }
 
-// cloneVia replicates the five networks through the given nn cloner
-// (nn.SharedClone for live-weight replicas, nn.SnapshotClone for published-
-// snapshot replicas). It reports false when the state module cannot be
-// replicated — the built-in modules always can.
-func (m *modules) cloneVia(clone func(nn.Layer) (nn.Layer, bool)) (modules, bool) {
-	stateC, ok := clone(m.state)
-	if !ok {
-		return modules{}, false
-	}
-	measC, _ := clone(m.meas)
-	goalC, _ := clone(m.goal)
-	expC, _ := clone(m.exp)
-	actC, _ := clone(m.act)
+// cloneVia replicates the five networks through the given nn cloner:
+// nn.SharedClone for replicas whose parameters alias the live weight Values
+// (rollout actors, gradient workers), nn.SnapshotClone for replicas that read
+// the published copy-on-write snapshot and so may run forward passes
+// concurrently with TrainStep. Gradients and forward state are private.
+func (m *modules) cloneVia(clone func(nn.Layer) nn.Layer) modules {
 	return modules{
-		state: stateC,
-		meas:  measC.(*nn.Sequential),
-		goal:  goalC.(*nn.Sequential),
-		exp:   expC.(*nn.Sequential),
-		act:   actC.(*nn.Sequential),
-	}, true
+		state: clone(m.state),
+		meas:  clone(m.meas).(*nn.Sequential),
+		goal:  clone(m.goal).(*nn.Sequential),
+		exp:   clone(m.exp).(*nn.Sequential),
+		act:   clone(m.act).(*nn.Sequential),
+	}
 }
-
-// sharedClone returns a replica whose parameters alias the receiver's weight
-// Values but whose gradients and forward state are private. It reports false
-// when a custom state module cannot be replicated by nn.SharedClone.
-func (m *modules) sharedClone() (modules, bool) { return m.cloneVia(nn.SharedClone) }
-
-// snapshotClone returns a replica whose parameters alias the published
-// copy-on-write weight snapshot (nn.SnapshotClone) with private forward
-// state, so it can run forward passes concurrently with TrainStep. It
-// reports false when a custom state module cannot be snapshot-cloned.
-func (m *modules) snapshotClone() (modules, bool) { return m.cloneVia(nn.SnapshotClone) }
 
 // inferScratch owns the buffers of one zero-allocation inference pass.
 // Every holder of a modules value pairs it with its own inferScratch, so
@@ -157,8 +139,8 @@ func scoreInto(dst []float64, preds [][]float64, goalExt []float64) []float64 {
 // deterministic seed and exploration rate before each rollout.
 //
 // An Actor is not safe for concurrent use by multiple goroutines, but
-// distinct concurrency-safe actors (see Agent.Actor) may run concurrently
-// with each other — not with TrainStep, which updates the shared weights.
+// distinct actors may run concurrently with each other — not with TrainStep,
+// which updates the shared weights.
 type Actor struct {
 	cfg  *Config
 	nets modules
@@ -169,17 +151,17 @@ type Actor struct {
 	steps      []*stepRecord
 	unrecorded bool
 
-	// first is the state module's first Dense when the actor's networks are
-	// its own clones, and nil otherwise. Its packed copy (nn.Dense.Pack) is
-	// good from one Reset to the next — the interval over which nothing may
-	// change the weights an actor reads — so Reset marks it stale and the
-	// first forward after a Reset refreshes it.
+	// first is the state module's first Dense, nil when it opens with
+	// anything else. Its packed copy (nn.Dense.Pack) is good from one Reset
+	// to the next — the interval over which nothing may change the weights
+	// an actor reads — so Reset marks it stale and the first forward after a
+	// Reset refreshes it.
 	first  *nn.Dense
 	repack bool
 }
 
 // firstDense returns the Dense a state module opens with, nil when it opens
-// with anything else (the CNN, a custom module).
+// with anything else (the CNN, the per-resource branches).
 func firstDense(state nn.Layer) *nn.Dense {
 	if seq, ok := state.(*nn.Sequential); ok && len(seq.Layers) > 0 {
 		d, _ := seq.Layers[0].(*nn.Dense)
@@ -188,28 +170,16 @@ func firstDense(state nn.Layer) *nn.Dense {
 	return nil
 }
 
-// Actor returns a rollout actor for the agent. The second result reports
-// whether the actor is safe to run concurrently with other actors: when a
-// custom StateModule cannot be replicated by nn.SharedClone, the returned
-// actor borrows the master's own layers and must be the only actor in use
-// (internal/rollout falls back to serial collection in that case).
-func (a *Agent) Actor() (*Actor, bool) {
-	nets, ok := a.nets.sharedClone()
-	if !ok {
-		return a.newActor(a.nets, false), false
-	}
-	return a.newActor(nets, true), true
-}
+// Actor returns a rollout actor reading the agent's live weights.
+func (a *Agent) Actor() *Actor { return a.newActor(a.nets.cloneVia(nn.SharedClone)) }
 
-// newActor builds an actor over nets. Only layers that are the actor's own
-// clones are ever packed: borrowed ones are the master's, Agent.Act runs
-// through them too and stays dense.
-func (a *Agent) newActor(nets modules, own bool) *Actor {
-	ac := &Actor{cfg: &a.cfg, nets: nets, rng: rand.New(rand.NewSource(a.cfg.Seed)), eps: a.eps}
-	if own {
-		ac.first = firstDense(nets.state)
+// newActor builds an actor over nets, its own clones: only an actor's own
+// layers are ever packed, Agent.Act runs through the master's and stays dense.
+func (a *Agent) newActor(nets modules) *Actor {
+	return &Actor{
+		cfg: &a.cfg, nets: nets, first: firstDense(nets.state),
+		rng: rand.New(rand.NewSource(a.cfg.Seed)), eps: a.eps,
 	}
-	return ac
 }
 
 // SnapshotActor returns a rollout actor reading the published copy-on-write
@@ -219,16 +189,8 @@ func (a *Agent) newActor(nets modules, own bool) *Actor {
 // the live Values — which is the property pipelined rollout-training
 // (internal/rollout Config.Pipelined) is built on. The weights they see
 // advance only when PublishWeights runs, which in turn must happen with no
-// snapshot actor mid-rollout. The second result reports false when a custom
-// state module cannot be snapshot-cloned; there is no borrow-the-master
-// fallback, because a borrowed actor could never overlap training.
-func (a *Agent) SnapshotActor() (*Actor, bool) {
-	nets, ok := a.nets.snapshotClone()
-	if !ok {
-		return nil, false
-	}
-	return a.newActor(nets, true), true
-}
+// snapshot actor mid-rollout.
+func (a *Agent) SnapshotActor() *Actor { return a.newActor(a.nets.cloneVia(nn.SnapshotClone)) }
 
 // PublishWeights copies the live network weights into the snapshot read by
 // SnapshotActor clones and bumps the version (nn.PublishParams). Call it
@@ -290,18 +252,11 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 	return action
 }
 
-// Steps returns the number of decisions recorded since the last Reset or
-// TakeTranscript.
-func (ac *Actor) Steps() int { return len(ac.steps) }
-
 // Transcript is one episode's recorded decisions, opaque to callers. It is
 // produced by Actor.TakeTranscript and consumed by Agent.IngestTranscript.
 type Transcript struct {
 	steps []*stepRecord
 }
-
-// Len returns the number of recorded decisions.
-func (t *Transcript) Len() int { return len(t.steps) }
 
 // TakeTranscript detaches and returns the episode recorded so far, leaving
 // the actor empty for the next rollout.

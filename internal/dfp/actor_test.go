@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/nn"
 )
 
 // actorTestAgent builds a small agent with a filled replay buffer seed.
@@ -41,10 +39,7 @@ func randInputs(rng *rand.Rand, stateDim, meas int) ([]float64, []float64, []flo
 // picks: they share weights, so the forward passes are identical arithmetic.
 func TestActorMatchesGreedyMaster(t *testing.T) {
 	a := actorTestAgent(t)
-	ac, parallel := a.Actor()
-	if !parallel {
-		t.Fatal("built-in modules should be shared-clonable")
-	}
+	ac := a.Actor()
 	ac.Reset(99, 0) // eps=0: greedy
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
@@ -55,8 +50,8 @@ func TestActorMatchesGreedyMaster(t *testing.T) {
 			t.Fatalf("step %d: actor picked %d, master %d", i, got, want)
 		}
 	}
-	if ac.Steps() != 20 {
-		t.Fatalf("actor recorded %d steps, want 20", ac.Steps())
+	if n := len(ac.steps); n != 20 {
+		t.Fatalf("actor recorded %d steps, want 20", n)
 	}
 }
 
@@ -73,7 +68,7 @@ func TestIngestTranscriptMatchesEndEpisode(t *testing.T) {
 	// subsequent TrainStep samples the same minibatch.
 	master.eps = 0
 	viaActor.eps = 0
-	ac, _ := viaActor.Actor()
+	ac := viaActor.Actor()
 	ac.Reset(1, 0)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 12; i++ {
@@ -90,7 +85,7 @@ func TestIngestTranscriptMatchesEndEpisode(t *testing.T) {
 		t.Fatalf("replay sizes differ: %d vs %d", master.ReplaySize(), viaActor.ReplaySize())
 	}
 	for i := 0; i < master.ReplaySize(); i++ {
-		em, ea := master.replay.shards[0].buf[i], viaActor.replay.shards[0].buf[i]
+		em, ea := master.replay.buf[i], viaActor.replay.buf[i]
 		if em.Action != ea.Action {
 			t.Fatalf("experience %d action: %d vs %d", i, em.Action, ea.Action)
 		}
@@ -135,7 +130,7 @@ func TestEpsilonAtMatchesDecay(t *testing.T) {
 // own episode recording untouched.
 func TestActorRecordingIsIndependent(t *testing.T) {
 	a := actorTestAgent(t)
-	ac, _ := a.Actor()
+	ac := a.Actor()
 	ac.Reset(5, 1) // eps=1: pure random exploration, no forward pass
 	rng := rand.New(rand.NewSource(3))
 	state, meas, goal := randInputs(rng, a.cfg.StateDim, a.cfg.Measurements)
@@ -145,10 +140,10 @@ func TestActorRecordingIsIndependent(t *testing.T) {
 	if len(a.episode) != 0 {
 		t.Fatalf("actor recording leaked %d steps into the master", len(a.episode))
 	}
-	if tr := ac.TakeTranscript(); tr.Len() != 6 {
-		t.Fatalf("transcript has %d steps, want 6", tr.Len())
+	if tr := ac.TakeTranscript(); len(tr.steps) != 6 {
+		t.Fatalf("transcript has %d steps, want 6", len(tr.steps))
 	}
-	if ac.Steps() != 0 {
+	if len(ac.steps) != 0 {
 		t.Fatal("TakeTranscript did not clear the actor")
 	}
 }
@@ -181,7 +176,7 @@ func samePreds(t *testing.T, what string, got, want [][]float64) {
 // the copy really was stale until then, which is why Reset is the rule.
 func TestActorRepacksOnReset(t *testing.T) {
 	a := snapshotTestAgent(t)
-	ac, _ := a.Actor()
+	ac := a.Actor()
 	if ac.first == nil {
 		t.Fatal("the MLP state module opens with a Dense; the actor should hold it")
 	}
@@ -218,7 +213,7 @@ func TestActorRepacksOnReset(t *testing.T) {
 	}
 
 	ac.Reset(2, 0)
-	fresh, _ := a.Actor()
+	fresh := a.Actor()
 	fresh.Reset(2, 0)
 	gotA, got := actorPreds(ac, state, meas, goal)
 	wantA, want := actorPreds(fresh, state, meas, goal)
@@ -230,12 +225,11 @@ func TestActorRepacksOnReset(t *testing.T) {
 }
 
 // An actor that was never Reset has packed nothing and reads the weights
-// themselves, as does one whose layers are not its own or whose state module
-// does not open with a Dense.
+// themselves, as does one whose state module does not open with a Dense.
 func TestActorWithoutResetRunsDense(t *testing.T) {
 	a := snapshotTestAgent(t)
 	a.eps = 0 // the actor inherits it: greedy without a Reset
-	ac, _ := a.Actor()
+	ac := a.Actor()
 	rng := rand.New(rand.NewSource(6))
 	state, meas, goal := randInputs(rng, a.cfg.StateDim, a.cfg.Measurements)
 	goalExt := a.cfg.extendGoalInto(make([]float64, a.cfg.GoalDim()), goal)
@@ -246,12 +240,8 @@ func TestActorWithoutResetRunsDense(t *testing.T) {
 	}
 
 	cfg := a.cfg
-	cfg.StateModule = &opaqueModule{inner: nn.NewDense(cfg.StateDim, cfg.StateOut, nn.HeInit, rng)}
-	if borrowed, parallel := New(cfg).Actor(); parallel || borrowed.first != nil {
-		t.Fatal("an actor borrowing the master's layers must not pack them")
-	}
-	cfg.StateModule, cfg.UseCNN, cfg.CNNKernel, cfg.CNNStride = nil, true, 4, 2
-	if cnn, _ := New(cfg).Actor(); cnn.first != nil {
+	cfg.UseCNN, cfg.CNNKernel, cfg.CNNStride = true, 4, 2
+	if cnn := New(cfg).Actor(); cnn.first != nil {
 		t.Fatal("the CNN state module opens with a convolution; nothing to pack")
 	}
 }

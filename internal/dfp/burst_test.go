@@ -3,18 +3,16 @@ package dfp
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/nn"
 	"repro/internal/nn/kernel"
 )
 
 // burstCases are the agents the burst tests run on, each built afresh per
-// call (the custom state module is a pointer the config would share).
+// call.
 var burstCases = []struct {
 	name string
 	mk   func() *Agent
@@ -30,15 +28,6 @@ var burstCases = []struct {
 	{"cnn", func() *Agent {
 		a := New(smallCNNConfig())
 		fillReplay(a, 40, 21)
-		return a
-	}},
-	// SharedClone cannot replicate the module: one worker, whatever Workers says.
-	{"custom-state-module", func() *Agent {
-		cfg := smallConfig()
-		cfg.StateModule = &opaqueModule{inner: nn.NewDense(cfg.StateDim, cfg.StateOut, nn.HeInit, rand.New(rand.NewSource(2)))}
-		cfg.Workers = 4
-		a := New(cfg)
-		fillReplay(a, 30, 3)
 		return a
 	}},
 }

@@ -43,14 +43,8 @@ type BatchDecider struct {
 
 // SnapshotDecider returns a batched greedy decider reading the published
 // weight snapshot (materialized from the current live weights on first use).
-// It reports false when a custom state module cannot be snapshot-cloned,
-// exactly like SnapshotActor.
-func (a *Agent) SnapshotDecider() (*BatchDecider, bool) {
-	nets, ok := a.nets.snapshotClone()
-	if !ok {
-		return nil, false
-	}
-	return &BatchDecider{cfg: &a.cfg, nets: nets}, true
+func (a *Agent) SnapshotDecider() *BatchDecider {
+	return &BatchDecider{cfg: &a.cfg, nets: a.nets.cloneVia(nn.SnapshotClone)}
 }
 
 // DecideBatch greedily selects one action per request row. states[i] is the

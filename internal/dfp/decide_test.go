@@ -51,10 +51,7 @@ func TestDecideBatchMatchesActAtEveryBatchSize(t *testing.T) {
 		want[i] = a.Act(states[i], meas[i], goals[i], valid[i], false)
 	}
 
-	d, ok := a.SnapshotDecider()
-	if !ok {
-		t.Fatal("SnapshotDecider unsupported for a built-in state module")
-	}
+	d := a.SnapshotDecider()
 	for _, bs := range []int{1, 4, total} {
 		got := make([]int, 0, total)
 		for lo := 0; lo < total; lo += bs {
@@ -84,10 +81,7 @@ func TestDecideBatchFollowsPublishedWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	states, meas, goals, valid := randomInputs(&a.cfg, rng, 32)
 
-	d, ok := a.SnapshotDecider()
-	if !ok {
-		t.Fatal("SnapshotDecider unsupported")
-	}
+	d := a.SnapshotDecider()
 	before := append([]int(nil), d.DecideBatch(states, meas, goals, valid, nil)...)
 
 	// Train until the greedy policy moves on at least one row (bounded; the

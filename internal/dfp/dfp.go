@@ -44,9 +44,10 @@ type Config struct {
 	CNNChannels, CNNKernel, CNNStride, CNNPool int
 
 	// StateModule, when non-nil, replaces the built-in state module with a
-	// caller-provided network mapping StateDim inputs to StateOut outputs.
-	// Used for the §III-A one-net-vs-per-resource-nets ablation, where the
-	// caller knows the encoding layout. Takes precedence over UseCNN.
+	// caller-provided network mapping StateDim inputs to StateOut outputs
+	// (New panics if it does not). Used for the §III-A
+	// one-net-vs-per-resource-nets ablation, where the caller knows the
+	// encoding layout. Takes precedence over UseCNN.
 	StateModule nn.Layer
 
 	// LR is the Adam learning rate.
@@ -58,17 +59,6 @@ type Config struct {
 	EpsStart, EpsDecay, EpsMin float64
 	// ReplayCap bounds the experience buffer.
 	ReplayCap int
-	// ReplayShards splits the replay buffer into that many independent
-	// rings (capacity divided evenly): insertion round-robins the shards,
-	// sampling round-robins the non-empty shards with a uniform draw inside
-	// each. Distinct shards can be appended to concurrently by their owning
-	// writers, which is what lets a parallel rollout harness compose with
-	// Workers without funneling through one ring. 0 or 1 keeps the single
-	// reference ring, whose sampling arithmetic is bit-for-bit the
-	// pre-sharding buffer; like Workers, any fixed value is deterministic
-	// run to run but different values sample in different (equally valid)
-	// orders.
-	ReplayShards int
 	// BatchSize is the minibatch size per training step.
 	BatchSize int
 	// Workers is the number of goroutines a gradient step is spread over:
@@ -81,8 +71,7 @@ type Config struct {
 	// runtime.GOMAXPROCS(0). Workers=1 runs the single-threaded engine,
 	// whose arithmetic matches the sample-at-a-time reference step
 	// (engine_test.go) to floating-point reassociation (~1e-12); any
-	// fixed value is bitwise deterministic run to run. Custom StateModules
-	// that nn.SharedClone cannot replicate fall back to a single worker.
+	// fixed value is bitwise deterministic run to run.
 	Workers int
 	// Seed makes the agent deterministic: with a fixed Seed and a fixed
 	// Workers value, training is bitwise reproducible run to run. Note the
@@ -159,9 +148,6 @@ func (c *Config) validate() error {
 		}
 		prev = o
 	}
-	if c.ReplayShards < 0 {
-		return fmt.Errorf("dfp: ReplayShards must be >= 0, got %d", c.ReplayShards)
-	}
 	return nil
 }
 
@@ -225,7 +211,7 @@ func New(cfg Config) *Agent {
 		rng:    rng,
 		rngSrc: src,
 		eps:    cfg.EpsStart,
-		replay: newReplay(cfg.ReplayCap, cfg.ReplayShards),
+		replay: newReplay(cfg.ReplayCap),
 	}
 	a.nets.state = buildStateModule(&cfg, rng)
 	h := cfg.ModuleHidden
@@ -257,7 +243,7 @@ func New(cfg Config) *Agent {
 
 func buildStateModule(cfg *Config, rng *rand.Rand) nn.Layer {
 	if cfg.StateModule != nil {
-		if got := cfg.StateModule.OutSize(cfg.StateDim); got != cfg.StateOut {
+		if got := customOutSize(cfg.StateModule, cfg.StateDim); got != cfg.StateOut {
 			panic(fmt.Sprintf("dfp: custom state module outputs %d, config wants %d", got, cfg.StateOut))
 		}
 		return cfg.StateModule
@@ -280,6 +266,17 @@ func buildStateModule(cfg *Config, rng *rand.Rand) nn.Layer {
 	}
 	layers = append(layers, nn.NewDense(in, cfg.StateOut, nn.HeInit, rng))
 	return nn.NewSequential(cfg.StateDim, layers...)
+}
+
+// customOutSize is m.OutSize(in). A layer answers a width it cannot take by
+// panicking in nn's name; New says whose configuration it was.
+func customOutSize(m nn.Layer, in int) int {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("dfp: custom state module rejects StateDim %d: %v", in, r))
+		}
+	}()
+	return m.OutSize(in)
 }
 
 // Config returns the agent's configuration.

@@ -2,8 +2,10 @@ package dfp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -22,20 +24,28 @@ func smallConfig() Config {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.StateDim = 0 },
-		func(c *Config) { c.Offsets = nil },
-		func(c *Config) { c.Offsets = []int{2, 1} },
-		func(c *Config) { c.Offsets = []int{0, 1} },
-		func(c *Config) { c.TemporalWeights = []float64{1} },
+	rng := rand.New(rand.NewSource(1))
+	bad := []struct {
+		mut  func(*Config)
+		want string // New's panic names the fault
+	}{
+		{func(c *Config) { c.StateDim = 0 }, "dfp: dims must be positive"},
+		{func(c *Config) { c.Offsets = nil }, "dfp: no temporal offsets"},
+		{func(c *Config) { c.Offsets = []int{2, 1} }, "dfp: offsets must be strictly increasing"},
+		{func(c *Config) { c.Offsets = []int{0, 1} }, "dfp: offsets must be strictly increasing"},
+		{func(c *Config) { c.TemporalWeights = []float64{1} }, "dfp: 1 temporal weights"},
+		// A state module of the wrong width on either side is New's to
+		// refuse, not the first forward's.
+		{func(c *Config) { c.StateModule = nn.NewDense(c.StateDim+1, c.StateOut, nn.HeInit, rng) }, "dfp: custom state module rejects StateDim"},
+		{func(c *Config) { c.StateModule = nn.NewDense(c.StateDim, c.StateOut+1, nn.HeInit, rng) }, "dfp: custom state module outputs"},
 	}
-	for i, mut := range bad {
+	for i, tc := range bad {
 		cfg := smallConfig()
-		mut(&cfg)
+		tc.mut(&cfg)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: invalid config accepted", i)
+				if got := fmt.Sprint(recover()); !strings.Contains(got, tc.want) {
+					t.Errorf("case %d: New panicked with %q, want %q", i, got, tc.want)
 				}
 			}()
 			New(cfg)
@@ -216,7 +226,7 @@ func TestEpisodeRecordingAndTargets(t *testing.T) {
 		t.Fatalf("replay size %d, want 3", got)
 	}
 	// Inspect the first stored experience: offsets {1,2}, M=2.
-	e := a.replay.shards[0].buf[0]
+	e := a.replay.buf[0]
 	// target for offset 1 = seq[1]-seq[0] = {0.1,0.2}; offset 2 = seq[2]-seq[0] = {0.3,0.1}
 	want := []float64{0.1, 0.2, 0.3, 0.1}
 	for i := range want {
@@ -225,7 +235,7 @@ func TestEpisodeRecordingAndTargets(t *testing.T) {
 		}
 	}
 	// Second experience (t=1): offset 2 would need t=3 -> valid; t=2 offset2 -> t=4 invalid.
-	e2 := a.replay.shards[0].buf[2] // t=2
+	e2 := a.replay.buf[2] // t=2
 	if e2.Mask[2] || e2.Mask[3] {
 		t.Fatalf("t=2 offset-2 slots must be masked, mask=%v", e2.Mask)
 	}
@@ -368,7 +378,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestReplayRing(t *testing.T) {
-	r := newReplay(3, 1)
+	r := newReplay(3)
 	for i := 0; i < 5; i++ {
 		r.add(&Experience{Action: i})
 	}
@@ -376,7 +386,7 @@ func TestReplayRing(t *testing.T) {
 		t.Fatalf("replay len = %d, want 3", r.len())
 	}
 	// Oldest entries (0,1) must have been evicted.
-	for _, e := range r.shards[0].buf {
+	for _, e := range r.buf {
 		if e.Action < 2 {
 			t.Fatalf("stale experience %d retained", e.Action)
 		}

@@ -48,14 +48,10 @@
 //     burst allocates only what starting its helpers costs, nothing at one
 //     worker (burst_test.go).
 //
-//   - The replay buffer (replay.go) is sharded into independent rings sized
-//     by Config.ReplayShards: insertion round-robins the shards (or targets
-//     one explicitly via addTo, so distinct writers can append lock-free),
-//     eviction is oldest-first per shard, and sampling round-robins the
-//     non-empty shards deterministically with one uniform draw inside the
-//     selected shard. With ReplayShards<=1 the layout, eviction order, and
-//     rng consumption are bit-for-bit the pre-sharding single ring — the
-//     reference barrier-mode training is checked against.
+//   - The replay buffer (replay.go) is one fixed-capacity ring: oldest-first
+//     eviction, one uniform rng.Intn per sampled experience — the draw
+//     sequence every trained-weights golden is pinned to
+//     (TestReplaySingleShardSamplingMatchesReference).
 //
 // # Weight snapshots and rollout actors
 //
@@ -73,8 +69,8 @@
 //     forward; internal/rollout's pipelined mode provides exactly that
 //     point between rounds.
 //
-// Both flavors pack their state module's first Dense (nn.Dense.Pack) when it
-// is their own clone: MRSch's state vector is half exact zeros, lying in runs,
+// Both flavors pack their state module's first Dense (nn.Dense.Pack): MRSch's
+// state vector is half exact zeros, lying in runs,
 // and the packed one-sample forward skips them with bitwise the dense
 // result. The packed copy lives in one buffer per actor, from one Reset to
 // the next: Reset marks it stale and the first forward after it refreshes
@@ -82,17 +78,17 @@
 // PublishWeights (SnapshotActor) already forbid an actor's weights to
 // change. So an actor must be Reset after its weights change and before it
 // acts again — every rollout episode and every evaluated cell does — and
-// there is nothing to configure: an actor that was never Reset, one that
-// borrows the master's layers, a CNN or custom state module, a layer the
-// kernel declines and the go kernel set all run dense, as do Agent.Act,
-// Agent.Predict, TrainSteps and BatchDecider always.
+// there is nothing to configure: an actor that was never Reset, a CNN or
+// per-resource state module, a layer the kernel declines and the go kernel
+// set all run dense, as do Agent.Act, Agent.Predict, TrainSteps and
+// BatchDecider always.
 //
 // # Durable state
 //
 // Save/Load persist weights only (the model-file format). SaveState/
 // LoadState (state.go) persist the agent's complete training state —
 // weights, published snapshot buffers, Adam moments and step counter, the
-// sharded replay rings with their cursors, the epsilon schedule position,
+// replay ring with its cursor, the epsilon schedule position,
 // the rng draw cursor, and any in-flight episode — in a versioned,
 // SHA-256-checksummed container. Saving at a quiescent point and loading
 // into an identically-configured agent resumes training bit-for-bit

@@ -121,19 +121,12 @@ func (a *Agent) ensureWorkers() {
 		head:     head,
 	}}
 	for w := 1; w < nw; w++ {
-		tw, ok := a.newReplicaWorker()
-		if !ok {
-			break // un-cloneable custom state module: single worker
-		}
-		a.workers = append(a.workers, tw)
+		a.workers = append(a.workers, a.newReplicaWorker())
 	}
 }
 
-func (a *Agent) newReplicaWorker() (*trainWorker, bool) {
-	nets, ok := a.nets.sharedClone()
-	if !ok {
-		return nil, false
-	}
+func (a *Agent) newReplicaWorker() *trainWorker {
+	nets := a.nets.cloneVia(nn.SharedClone)
 	trunk, head := splitActStream(nets.act)
 	tw := &trainWorker{
 		a:        a,
@@ -147,7 +140,7 @@ func (a *Agent) newReplicaWorker() (*trainWorker, bool) {
 	for _, net := range nets.all() {
 		tw.params = append(tw.params, net.Params()...)
 	}
-	return tw, true
+	return tw
 }
 
 // computeHeadWcol collapses the action head's weight blocks across actions:
@@ -570,7 +563,7 @@ func (tw *trainWorker) run(exps []*Experience) {
 
 // backwardBatchNoInput elides the module's first-layer input gradient (the
 // module input is data, so nobody consumes it) when the module is a plain
-// Sequential; custom modules take the generic path.
+// Sequential; the per-resource MultiBranch takes the generic path.
 func backwardBatchNoInput(l nn.Layer, grad nn.Vec, bsz int) {
 	if s, ok := l.(*nn.Sequential); ok {
 		s.BackwardBatchNoInput(grad, bsz)

@@ -253,31 +253,6 @@ func TestTrainStepCNNFallback(t *testing.T) {
 	compareAgents(t, batched, reference, 1e-9, "cnn-batched-vs-reference")
 }
 
-// TestTrainStepCustomStateModuleFallsBack: a custom module that SharedClone
-// cannot replicate must degrade to one worker, not crash or corrupt.
-func TestTrainStepCustomStateModuleFallsBack(t *testing.T) {
-	cfg := smallConfig()
-	rng := rand.New(rand.NewSource(2))
-	cfg.StateModule = &opaqueModule{inner: nn.NewDense(cfg.StateDim, cfg.StateOut, nn.HeInit, rng)}
-	cfg.Workers = 4
-	a := New(cfg)
-	fillReplay(a, 30, 3)
-	if l := a.TrainStep(); math.IsNaN(l) || l < 0 {
-		t.Fatalf("TrainStep with custom module returned %v", l)
-	}
-	if len(a.workers) != 1 {
-		t.Fatalf("un-cloneable module must force 1 worker, got %d", len(a.workers))
-	}
-}
-
-// opaqueModule hides a Dense behind a type SharedClone does not know.
-type opaqueModule struct{ inner *nn.Dense }
-
-func (o *opaqueModule) Forward(dst, x nn.Vec, bsz int) nn.Vec  { return o.inner.Forward(dst, x, bsz) }
-func (o *opaqueModule) Backward(dst, g nn.Vec, bsz int) nn.Vec { return o.inner.Backward(dst, g, bsz) }
-func (o *opaqueModule) Params() []*nn.Param                    { return o.inner.Params() }
-func (o *opaqueModule) OutSize(in int) int                     { return o.inner.OutSize(in) }
-
 // TestActZeroAlloc: steady-state inference must not touch the heap — the
 // acceptance target behind BenchmarkDecisionLatency (§V-F).
 func TestActZeroAlloc(t *testing.T) {

@@ -2,6 +2,7 @@ package dfp
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -23,7 +24,12 @@ func FuzzAgentLoadState(f *testing.F) {
 	flipped := append([]byte(nil), valid.Bytes()...)
 	flipped[len(flipped)/3] ^= 0x80
 	f.Add(flipped)
-	f.Add([]byte("mrsch-dfp-state-v1"))
+	f.Add([]byte(stateMagic))
+	parent, err := os.ReadFile(parentStatePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent) // the v1 container: refused by name
 
 	target := New(goldenConfig())
 	f.Fuzz(func(t *testing.T, data []byte) {

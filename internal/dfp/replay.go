@@ -1,9 +1,6 @@
 package dfp
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Experience is one training sample: the inputs observed at a decision, the
 // action taken, and the realized future-measurement changes (Target) with a
@@ -17,123 +14,39 @@ type Experience struct {
 	Mask   []bool
 }
 
-// replayShard is one fixed-capacity ring: oldest-first eviction, uniform
-// intra-shard sampling. It is the pre-sharding replay buffer verbatim.
-type replayShard struct {
+// replay is the experience buffer: one fixed-capacity ring with oldest-first
+// eviction and uniform sampling. It has one writer (Agent.ingest) and one
+// reader (TrainSteps' caller), never at the same time.
+type replay struct {
 	buf  []*Experience
 	next int
 	full bool
 }
 
-func (s *replayShard) add(e *Experience) {
-	s.buf[s.next] = e
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
-		s.full = true
-	}
+// newReplay builds a ring of the given capacity (clamped to at least 1).
+func newReplay(capacity int) *replay {
+	return &replay{buf: make([]*Experience, max(capacity, 1))}
 }
 
-func (s *replayShard) len() int {
-	if s.full {
-		return len(s.buf)
-	}
-	return s.next
-}
-
-// replay is the experience buffer, sharded into independent rings so that
-// (a) distinct writers can each own a shard and append without any shared
-// mutable state (the ingestion side of pipelined training), and (b) sampling
-// never walks one global ring whose mutation would have to be serialized
-// against Config.Workers gradient shards. Insertion round-robins shards via
-// an internal cursor (or targets an explicit shard via addTo); eviction is
-// oldest-first within each shard, so global eviction tracks insertion order.
-//
-// Sampling round-robins the non-empty shards deterministically and draws
-// uniformly within the selected shard — one rng.Intn per draw. With a single
-// shard this is bit-for-bit the pre-sharding ring buffer: the same insertion
-// order, the same eviction order, and the same rng consumption, which is
-// what keeps barrier-mode training byte-identical across the refactor.
-// With S equally-loaded shards the draw is uniform over the buffer; shards
-// of unequal fill are weighted by visit (small shards sample slightly hot),
-// an accepted bias in exchange for lock-free composition.
-type replay struct {
-	shards    []replayShard
-	addCur    int // next shard add appends to
-	sampleCur int // next shard sample visits
-}
-
-// newReplay builds a buffer of the given total capacity split exactly
-// across shards: the first capacity mod shards shards hold one extra slot,
-// so the shard sizes sum to capacity and Config.ReplayCap stays a hard
-// bound. capacity <= 0 is clamped to 1; shards <= 0 collapse to the
-// single-ring reference layout.
-func newReplay(capacity, shards int) *replay {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	base, rem := capacity/shards, capacity%shards
-	r := &replay{shards: make([]replayShard, shards)}
-	for i := range r.shards {
-		n := base
-		if i < rem {
-			n++
-		}
-		r.shards[i].buf = make([]*Experience, n)
-	}
-	return r
-}
-
-// add appends to the next shard in round-robin order. Single-writer only —
-// concurrent writers must each own a shard through addTo.
 func (r *replay) add(e *Experience) {
-	r.shards[r.addCur].add(e)
-	r.addCur++
-	if r.addCur == len(r.shards) {
-		r.addCur = 0
+	r.buf[r.next] = e
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.full = true
 	}
 }
-
-// addTo appends to shard (shard mod #shards). Distinct shards may be written
-// concurrently by their owning goroutines with no synchronization; a single
-// shard is single-writer. Callers that interleave addTo with the round-robin
-// add own the resulting order.
-func (r *replay) addTo(shard int, e *Experience) {
-	r.shards[shard%len(r.shards)].add(e)
-}
-
-// numShards reports the shard count (for sizing per-worker ingest fan-out).
-func (r *replay) numShards() int { return len(r.shards) }
 
 func (r *replay) len() int {
-	n := 0
-	for i := range r.shards {
-		n += r.shards[i].len()
+	if r.full {
+		return len(r.buf)
 	}
-	return n
+	return r.next
 }
 
-// sample draws one experience: advance the shard cursor to the next
-// non-empty shard (deterministic, rng-free) and draw uniformly within it
-// (exactly one rng.Intn, matching the pre-sharding reference). It panics on
-// an empty buffer — callers gate on len() as TrainStep does. Zero heap
-// allocations.
+// sample draws one stored experience uniformly with exactly one rng.Intn —
+// the draw sequence every trained-weights golden is pinned to. It panics on
+// an empty buffer (Intn(0)); callers gate on len() as TrainSteps does.
 func (r *replay) sample(rng *rand.Rand) *Experience {
-	for range r.shards {
-		s := &r.shards[r.sampleCur]
-		r.sampleCur++
-		if r.sampleCur == len(r.shards) {
-			r.sampleCur = 0
-		}
-		if n := s.len(); n > 0 {
-			return s.buf[rng.Intn(n)]
-		}
-	}
-	panic(fmt.Sprintf("dfp: sample from empty replay (%d shards)", len(r.shards)))
+	return r.buf[rng.Intn(r.len())]
 }

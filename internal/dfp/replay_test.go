@@ -2,7 +2,6 @@ package dfp
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -10,14 +9,11 @@ func exp(id int) *Experience {
 	return &Experience{Action: id, State: []float64{float64(id)}}
 }
 
-// ids returns the Action tags currently stored, in shard-then-slot order.
+// ids returns the Action tags currently stored, in slot order.
 func ids(r *replay) []int {
 	var out []int
-	for si := range r.shards {
-		s := &r.shards[si]
-		for i := 0; i < s.len(); i++ {
-			out = append(out, s.buf[i].Action)
-		}
+	for _, e := range r.buf[:r.len()] {
+		out = append(out, e.Action)
 	}
 	return out
 }
@@ -26,7 +22,7 @@ func ids(r *replay) []int {
 // wraparound the oldest entries are evicted first and the write cursor
 // cycles — the FIFO eviction contract the agent's uniform sampling assumes.
 func TestReplayWraparoundEvictionOrder(t *testing.T) {
-	r := newReplay(4, 1)
+	r := newReplay(4)
 	for i := 0; i < 3; i++ {
 		r.add(exp(i))
 	}
@@ -62,84 +58,27 @@ func TestReplayWraparoundEvictionOrder(t *testing.T) {
 	}
 }
 
-// Capacity splits ceil-evenly across shards; insertion round-robins so each
-// shard sees every k-th experience, and eviction stays FIFO per shard.
-func TestReplayShardedInsertionAndEviction(t *testing.T) {
-	r := newReplay(6, 3) // 3 shards x 2 slots
-	if r.numShards() != 3 {
-		t.Fatalf("numShards %d", r.numShards())
-	}
-	for i := 0; i < 6; i++ {
-		r.add(exp(i))
-	}
-	if r.len() != 6 {
-		t.Fatalf("len %d, want 6", r.len())
-	}
-	// Shard s holds experiences s, s+3 (insertion order preserved).
-	got := ids(r)
-	want := []int{0, 3, 1, 4, 2, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sharded contents %v, want %v", got, want)
+// Config.ReplayCap is a hard bound (a non-positive one is a ring of one).
+func TestReplayCapacityExact(t *testing.T) {
+	for _, tc := range []struct{ cap, want int }{{1000, 1000}, {7, 7}, {1, 1}, {0, 1}, {-3, 1}} {
+		r := newReplay(tc.cap)
+		if len(r.buf) != tc.want {
+			t.Fatalf("cap=%d: ring holds %d slots, want %d", tc.cap, len(r.buf), tc.want)
 		}
-	}
-	// Next add round-robins back to shard 0 and evicts its oldest (0).
-	r.add(exp(6))
-	for _, id := range ids(r) {
-		if id == 0 {
-			t.Fatalf("oldest shard-0 entry not evicted: %v", ids(r))
-		}
-	}
-	if r.len() != 6 {
-		t.Fatalf("len %d after eviction, want 6", r.len())
-	}
-}
-
-// More shards than capacity clamps to one slot per shard rather than
-// allocating empty rings.
-func TestReplayShardsClampedToCapacity(t *testing.T) {
-	r := newReplay(2, 8)
-	if r.numShards() != 2 {
-		t.Fatalf("numShards %d, want 2", r.numShards())
-	}
-	r.add(exp(1))
-	r.add(exp(2))
-	r.add(exp(3)) // wraps shard 0
-	if r.len() != 2 {
-		t.Fatalf("len %d, want 2", r.len())
-	}
-}
-
-// Shard sizes sum to exactly the configured capacity for any shard count —
-// Config.ReplayCap is a hard bound, never rounded up per shard.
-func TestReplayCapacityExactAcrossShards(t *testing.T) {
-	for _, tc := range []struct{ cap, shards int }{
-		{1000, 6}, {7, 3}, {5, 5}, {20000, 7}, {9, 4},
-	} {
-		r := newReplay(tc.cap, tc.shards)
-		total := 0
-		for i := range r.shards {
-			total += len(r.shards[i].buf)
-		}
-		if total != tc.cap {
-			t.Fatalf("cap=%d shards=%d: shard sizes sum to %d", tc.cap, tc.shards, total)
-		}
-		for i := 0; i < 3*tc.cap; i++ {
-			r.add(exp(i))
-		}
-		if r.len() != tc.cap {
-			t.Fatalf("cap=%d shards=%d: len %d after overfill", tc.cap, tc.shards, r.len())
+		for i := 0; i < 3*tc.want; i++ {
+			if r.add(exp(i)); r.len() != min(i+1, tc.want) {
+				t.Fatalf("cap=%d: len %d after %d adds", tc.cap, r.len(), i+1)
+			}
 		}
 	}
 }
 
-// Single-shard sampling must consume the rng exactly like the pre-sharding
-// ring: one Intn(len) per draw over the same contents. This is the
-// arithmetic that keeps barrier-mode training byte-identical across the
-// sharding refactor.
+// Sampling must consume the rng exactly like the reference ring written out
+// below: one Intn(len) per draw over the same contents. This is the
+// arithmetic every trained-weights golden is pinned to.
 func TestReplaySingleShardSamplingMatchesReference(t *testing.T) {
 	const cap, n = 8, 11
-	r := newReplay(cap, 1)
+	r := newReplay(cap)
 	var ref []*Experience // reference: plain ring
 	refNext, refFull := 0, false
 	refBuf := make([]*Experience, cap)
@@ -169,81 +108,6 @@ func TestReplaySingleShardSamplingMatchesReference(t *testing.T) {
 	}
 }
 
-// Sampling round-robins the non-empty shards deterministically: with equal
-// fill every shard is visited in turn; empty shards are skipped without
-// consuming randomness.
-func TestReplayShardedSamplingRoundRobin(t *testing.T) {
-	r := newReplay(9, 3)
-	// Fill only shards 0 and 2 (via addTo); shard 1 stays empty.
-	for i := 0; i < 3; i++ {
-		r.addTo(0, exp(i))
-		r.addTo(2, exp(100+i))
-	}
-	rng := rand.New(rand.NewSource(5))
-	var shardSeq []int
-	for i := 0; i < 8; i++ {
-		e := r.sample(rng)
-		if e.Action < 100 {
-			shardSeq = append(shardSeq, 0)
-		} else {
-			shardSeq = append(shardSeq, 2)
-		}
-	}
-	// Strict alternation 0,2,0,2,... — shard 1 never sampled, never blocks.
-	for i, s := range shardSeq {
-		want := 0
-		if i%2 == 1 {
-			want = 2
-		}
-		if s != want {
-			t.Fatalf("draw sequence %v: draw %d from shard %d, want %d", shardSeq, i, s, want)
-		}
-	}
-
-	// Determinism: the same rng seed replays the same draw sequence.
-	r2 := newReplay(9, 3)
-	for i := 0; i < 3; i++ {
-		r2.addTo(0, exp(i))
-		r2.addTo(2, exp(100+i))
-	}
-	rngA, rngB := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-	for i := 0; i < 32; i++ {
-		if a, b := r.sample(rngA), r2.sample(rngB); a.Action != b.Action {
-			t.Fatalf("draw %d diverges: %d vs %d", i, a.Action, b.Action)
-		}
-	}
-}
-
-// Distinct shards accept concurrent owner-writes with no synchronization —
-// the lock-free ingestion property the sharding exists for. Run under
-// -race in CI.
-func TestReplayConcurrentShardOwners(t *testing.T) {
-	const shards, perShard = 4, 200
-	r := newReplay(shards*64, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < perShard; i++ {
-				r.addTo(s, exp(s*1000+i))
-			}
-		}(s)
-	}
-	wg.Wait()
-	if r.len() != shards*64 {
-		t.Fatalf("len %d, want %d (all shards full)", r.len(), shards*64)
-	}
-	// Every surviving experience belongs to the shard that wrote it.
-	for si := range r.shards {
-		for i := 0; i < r.shards[si].len(); i++ {
-			if owner := r.shards[si].buf[i].Action / 1000; owner != si {
-				t.Fatalf("shard %d holds experience from writer %d", si, owner)
-			}
-		}
-	}
-}
-
 // sample on an empty buffer is a programming error and must fail loudly.
 func TestReplayEmptySamplePanics(t *testing.T) {
 	defer func() {
@@ -251,5 +115,5 @@ func TestReplayEmptySamplePanics(t *testing.T) {
 			t.Fatal("sample on empty replay did not panic")
 		}
 	}()
-	newReplay(4, 2).sample(rand.New(rand.NewSource(1)))
+	newReplay(4).sample(rand.New(rand.NewSource(1)))
 }

@@ -1,11 +1,8 @@
 package dfp
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/nn"
 )
 
 func snapshotTestAgent(t *testing.T) *Agent {
@@ -37,10 +34,7 @@ func snapshotTestAgent(t *testing.T) *Agent {
 // makes collection safe to overlap with training.
 func TestSnapshotActorFrozenUntilPublish(t *testing.T) {
 	a := snapshotTestAgent(t)
-	ac, ok := a.SnapshotActor()
-	if !ok {
-		t.Fatal("SnapshotActor rejected the built-in modules")
-	}
+	ac := a.SnapshotActor()
 	actorW := ac.nets.meas.Params()[0].Value
 	liveW := a.nets.meas.Params()[0].Value
 	if &actorW[0] == &liveW[0] {
@@ -79,11 +73,7 @@ func TestSnapshotActorConcurrentWithTraining(t *testing.T) {
 	const actors = 3
 	acs := make([]*Actor, actors)
 	for i := range acs {
-		ac, ok := a.SnapshotActor()
-		if !ok {
-			t.Fatal("SnapshotActor rejected the built-in modules")
-		}
-		acs[i] = ac
+		acs[i] = a.SnapshotActor()
 	}
 	state := make([]float64, a.cfg.StateDim)
 	var wg sync.WaitGroup
@@ -104,18 +94,4 @@ func TestSnapshotActorConcurrentWithTraining(t *testing.T) {
 	// Joined: publishing here is the synchronization point the pipelined
 	// harness uses between rounds.
 	a.PublishWeights()
-}
-
-// A custom state module outside the SnapshotClone substrate must be
-// rejected rather than silently borrowing the master (a borrowed actor
-// could never overlap training).
-func TestSnapshotActorRejectsCustomStateModule(t *testing.T) {
-	cfg := DefaultConfig(8, 2, 3)
-	rng := rand.New(rand.NewSource(4))
-	cfg.Workers = 1
-	cfg.StateModule = &opaqueModule{inner: nn.NewDense(cfg.StateDim, cfg.StateOut, nn.HeInit, rng)}
-	a := New(cfg)
-	if _, ok := a.SnapshotActor(); ok {
-		t.Fatal("SnapshotActor accepted an un-cloneable custom state module")
-	}
 }

@@ -1,12 +1,12 @@
 // Durable agent state. Save (dfp.go) persists weights only — the model-file
 // format consumed by evaluation. SaveState persists everything training
 // needs to resume bit-for-bit: weights, published snapshot buffers, Adam
-// moments and step counter (nn.TrainState), the sharded replay rings with
-// their wraparound and round-robin cursors, the epsilon schedule position,
-// the rng cursor, and any in-flight episode record. LoadState validates the
-// whole container against the receiving agent's architecture before
-// mutating anything: corrupt, truncated, or mismatched input fails with a
-// descriptive error and leaves the agent untouched.
+// moments and step counter (nn.TrainState), the replay ring with its
+// wraparound cursor, the epsilon schedule position, the rng cursor, and any
+// in-flight episode record. LoadState validates the whole container against
+// the receiving agent's architecture before mutating anything: corrupt,
+// truncated, or mismatched input fails with a descriptive error and leaves
+// the agent untouched.
 package dfp
 
 import (
@@ -18,23 +18,15 @@ import (
 )
 
 // stateMagic versions the container. Bump it when the format changes
-// incompatibly; LoadState reports a mismatch instead of misreading.
-const stateMagic = "mrsch-dfp-state-v1"
+// incompatibly; LoadState reports a mismatch instead of misreading. v1 held
+// the replay as a list of shards with two round-robin cursors; a v1 file is
+// refused by this name whatever its shard count.
+const stateMagic = "mrsch-dfp-state-v2"
 
 func init() {
 	// Fixed-order gob type-ID claim, keeping encoded bytes history-free
 	// (see nn.GobWarmup).
 	nn.RegisterGobContainer(func(enc *gob.Encoder) { enc.Encode(&agentState{}) })
-}
-
-// savedShard is one replay ring: the stored experiences in buffer-index
-// order (the filled prefix when the ring has not wrapped, the whole buffer
-// when it has), plus the ring geometry.
-type savedShard struct {
-	Cap   int
-	Next  int
-	Full  bool
-	Items []Experience
 }
 
 // savedStep mirrors stepRecord (whose fields are unexported) for gob.
@@ -51,7 +43,7 @@ type agentState struct {
 	Magic string
 
 	// Architecture guards: a checkpoint only loads into an agent whose
-	// dimensions, seed, and replay layout match the one that wrote it.
+	// dimensions, seed, and replay capacity match the one that wrote it.
 	StateDim     int
 	Measurements int
 	Actions      int
@@ -64,9 +56,13 @@ type agentState struct {
 	Eps        float64
 	TrainSteps int
 
-	Shards    []savedShard
-	AddCur    int
-	SampleCur int
+	// The replay ring: its geometry and the stored experiences in
+	// buffer-index order (the filled prefix when the ring has not wrapped,
+	// the whole buffer when it has).
+	ReplayCap  int
+	ReplayNext int
+	ReplayFull bool
+	Replay     []Experience
 
 	Episode []savedStep
 }
@@ -86,16 +82,12 @@ func (a *Agent) SaveState(w io.Writer) error {
 		RngCursor:    a.rngSrc.Cursor(),
 		Eps:          a.eps,
 		TrainSteps:   a.trainSteps,
-		AddCur:       a.replay.addCur,
-		SampleCur:    a.replay.sampleCur,
+		ReplayCap:    len(a.replay.buf),
+		ReplayNext:   a.replay.next,
+		ReplayFull:   a.replay.full,
 	}
-	for i := range a.replay.shards {
-		s := &a.replay.shards[i]
-		sv := savedShard{Cap: len(s.buf), Next: s.next, Full: s.full}
-		for _, e := range s.buf[:s.len()] {
-			sv.Items = append(sv.Items, *e)
-		}
-		st.Shards = append(st.Shards, sv)
+	for _, e := range a.replay.buf[:a.replay.len()] {
+		st.Replay = append(st.Replay, *e)
 	}
 	for _, rec := range a.episode {
 		st.Episode = append(st.Episode, savedStep{
@@ -112,7 +104,7 @@ func (a *Agent) SaveState(w io.Writer) error {
 // LoadState restores state previously written by SaveState into an agent
 // constructed with the same Config. The container is decoded and validated
 // in full first; any error — decode failure, version mismatch, or a
-// mismatch with this agent's architecture, seed, or replay layout — is
+// mismatch with this agent's architecture, seed, or replay capacity — is
 // returned with nothing applied.
 func (a *Agent) LoadState(r io.Reader) error {
 	var st agentState
@@ -130,20 +122,12 @@ func (a *Agent) LoadState(r io.Reader) error {
 	a.rngSrc.SeekTo(st.RngCursor)
 	a.eps = st.Eps
 	a.trainSteps = st.TrainSteps
-	a.replay.addCur = st.AddCur
-	a.replay.sampleCur = st.SampleCur
-	for i := range a.replay.shards {
-		s := &a.replay.shards[i]
-		sv := &st.Shards[i]
-		s.next = sv.Next
-		s.full = sv.Full
-		for j := range s.buf {
-			s.buf[j] = nil
-		}
-		for j := range sv.Items {
-			e := sv.Items[j]
-			s.buf[j] = &e
-		}
+	a.replay.next = st.ReplayNext
+	a.replay.full = st.ReplayFull
+	clear(a.replay.buf)
+	for i := range st.Replay {
+		e := st.Replay[i] // its own allocation: eviction frees it alone
+		a.replay.buf[i] = &e
 	}
 	a.episode = nil
 	for _, rec := range st.Episode {
@@ -183,34 +167,24 @@ func (a *Agent) checkState(st *agentState) error {
 	if st.TrainSteps < 0 {
 		return fmt.Errorf("negative train-step counter %d", st.TrainSteps)
 	}
-	if len(st.Shards) != len(a.replay.shards) {
-		return fmt.Errorf("replay layout mismatch: state has %d shards, agent has %d (ReplayShards must match the saving configuration)",
-			len(st.Shards), len(a.replay.shards))
+	cap := len(a.replay.buf)
+	if st.ReplayCap != cap {
+		return fmt.Errorf("replay capacity mismatch: state has %d, agent has %d (ReplayCap must match the saving configuration)", st.ReplayCap, cap)
 	}
-	if st.AddCur < 0 || st.AddCur >= len(a.replay.shards) || st.SampleCur < 0 || st.SampleCur >= len(a.replay.shards) {
-		return fmt.Errorf("replay cursors out of range: add=%d sample=%d for %d shards", st.AddCur, st.SampleCur, len(a.replay.shards))
+	if st.ReplayNext < 0 || st.ReplayNext >= cap {
+		return fmt.Errorf("replay wraparound cursor %d out of range [0,%d)", st.ReplayNext, cap)
 	}
-	for i := range st.Shards {
-		sv := &st.Shards[i]
-		cap := len(a.replay.shards[i].buf)
-		if sv.Cap != cap {
-			return fmt.Errorf("replay shard %d capacity mismatch: state has %d, agent has %d (ReplayCap must match the saving configuration)", i, sv.Cap, cap)
-		}
-		if sv.Next < 0 || sv.Next >= cap {
-			return fmt.Errorf("replay shard %d wraparound cursor %d out of range [0,%d)", i, sv.Next, cap)
-		}
-		want := sv.Next
-		if sv.Full {
-			want = cap
-		}
-		if len(sv.Items) != want {
-			return fmt.Errorf("replay shard %d has %d stored experiences, geometry implies %d (next=%d full=%v)",
-				i, len(sv.Items), want, sv.Next, sv.Full)
-		}
-		for j := range sv.Items {
-			if err := a.checkExperience(&sv.Items[j]); err != nil {
-				return fmt.Errorf("replay shard %d experience %d: %w", i, j, err)
-			}
+	want := st.ReplayNext
+	if st.ReplayFull {
+		want = cap
+	}
+	if len(st.Replay) != want {
+		return fmt.Errorf("replay has %d stored experiences, geometry implies %d (next=%d full=%v)",
+			len(st.Replay), want, st.ReplayNext, st.ReplayFull)
+	}
+	for i := range st.Replay {
+		if err := a.checkExperience(&st.Replay[i]); err != nil {
+			return fmt.Errorf("replay experience %d: %w", i, err)
 		}
 	}
 	for i := range st.Episode {

@@ -12,19 +12,23 @@ import (
 )
 
 // goldenStatePath is the committed format-stability fixture: a checkpoint
-// written by this package at format v1. Regenerate (after a DELIBERATE
+// written by this package at format v2. Regenerate (after a DELIBERATE
 // format change, bumping stateMagic) with:
 //
 //	UPDATE_GOLDEN=1 go test -run TestGoldenStateFixture ./internal/dfp/
-var goldenStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v1.ckpt")
+var goldenStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v2.ckpt")
 
-// goldenConfig is the fixture's architecture: small, sharded replay with a
-// capacity low enough that the fixture exercises ring wraparound.
+// parentStatePath is the v1 fixture as the last v1 commit wrote it, from
+// goldenAgent with its replay in two shards: what an old checkpoint looks
+// like to this loader.
+var parentStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v1.ckpt")
+
+// goldenConfig is the fixture's architecture: small, with a replay capacity
+// low enough that the fixture exercises ring wraparound.
 func goldenConfig() Config {
 	cfg := smallConfig()
 	cfg.Workers = 1
 	cfg.ReplayCap = 16
-	cfg.ReplayShards = 2
 	cfg.BatchSize = 4
 	return cfg
 }
@@ -35,7 +39,7 @@ func goldenConfig() Config {
 // snapshot (the pipelined-training buffer).
 func goldenAgent() *Agent {
 	a := New(goldenConfig())
-	fillReplay(a, 24, 5) // 24 > cap 16: both rings wrap
+	fillReplay(a, 24, 5) // 24 > cap 16: the ring wraps
 	for i := 0; i < 6; i++ {
 		a.TrainStep()
 	}
@@ -159,7 +163,7 @@ func TestLoadStateVersionMismatch(t *testing.T) {
 }
 
 // State only loads into the agent configuration that wrote it: dimension,
-// seed, and replay-layout drift are all named in the error.
+// seed, and replay-capacity drift are all named in the error.
 func TestLoadStateConfigMismatch(t *testing.T) {
 	saved := stateBytes(t, goldenAgent())
 	cases := []struct {
@@ -169,7 +173,6 @@ func TestLoadStateConfigMismatch(t *testing.T) {
 	}{
 		{"dims", func(c *Config) { c.StateDim = 13 }, "architecture mismatch"},
 		{"seed", func(c *Config) { c.Seed = 4 }, "seed mismatch"},
-		{"shards", func(c *Config) { c.ReplayShards = 1 }, "replay layout mismatch"},
 		{"capacity", func(c *Config) { c.ReplayCap = 32 }, "capacity mismatch"},
 	}
 	for _, tc := range cases {
@@ -183,8 +186,27 @@ func TestLoadStateConfigMismatch(t *testing.T) {
 	}
 }
 
+// A checkpoint the parent format wrote — the committed v1 fixture, a
+// two-shard container — is refused by its version name with nothing applied,
+// never read as if its replay fields were this format's.
+func TestLoadStateRefusesParentFormat(t *testing.T) {
+	data, err := os.ReadFile(parentStatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(goldenConfig())
+	before := stateBytes(t, b)
+	err = b.LoadState(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), `bad magic "mrsch-dfp-state-v1"`) {
+		t.Fatalf("want the v1 container refused by name, got %v", err)
+	}
+	if !bytes.Equal(before, stateBytes(t, b)) {
+		t.Fatal("refused load mutated the agent")
+	}
+}
+
 // The committed fixture must keep loading — and re-serializing to its
-// exact committed bytes — for as long as stateMagic says v1. If this test
+// exact committed bytes — for as long as stateMagic says v2. If this test
 // fails, the change broke the on-disk format: either restore
 // compatibility or bump the version (with a loud error for old files) and
 // regenerate the fixture.
@@ -202,7 +224,7 @@ func TestGoldenStateFixture(t *testing.T) {
 	}
 	b := New(goldenConfig())
 	if err := b.LoadState(bytes.NewReader(data)); err != nil {
-		t.Fatalf("golden v1 fixture no longer loads: %v", err)
+		t.Fatalf("golden v2 fixture no longer loads: %v", err)
 	}
 	if got := stateBytes(t, b); !bytes.Equal(got, data) {
 		t.Fatal("golden fixture round-trip drifted: load+save no longer reproduces the committed bytes")

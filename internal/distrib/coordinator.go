@@ -22,7 +22,7 @@ import (
 
 // Pool abstracts where workers come from: spawned processes (ProcPool),
 // dialed-in TCP connections (ListenPool), or in-process goroutines over
-// pipes (PoolOf — the fault-injection tests). Start is called once per
+// pipes (the fault-injection tests' pipePool). Start is called once per
 // worker id, sequentially, before distribution begins.
 type Pool interface {
 	Size() int

@@ -16,7 +16,7 @@ import (
 )
 
 // The fault-injection suite: every test runs a real campaign through the
-// real wire protocol — ServeWorker goroutines over net.Pipe ends (PoolOf) —
+// real wire protocol — ServeWorker goroutines over net.Pipe ends (pipePool) —
 // under a deliberately hostile FaultPlan, and asserts the campaign still
 // produces output byte-identical to the uninterrupted single-process
 // experiments.RunCampaign (contract rule 9).
@@ -56,6 +56,16 @@ func render(name string, results []experiments.CellResult) []byte {
 // they must all come home (a stuck worker is itself a bug).
 func testPool(t *testing.T, n int) Pool { return gatedPool(t, n, nil) }
 
+// pipePool is a Pool of n in-process workers: same protocol, same faults, no
+// processes.
+type pipePool struct {
+	n     int
+	start func(id int) (io.ReadWriteCloser, error)
+}
+
+func (p pipePool) Size() int                                { return p.n }
+func (p pipePool) Start(id int) (io.ReadWriteCloser, error) { return p.start(id) }
+
 // gatedPool is testPool whose workers other than worker 0 say hello only
 // once gate is closed (nil = at once). The coordinator assigns to whoever is
 // ready, so on a loaded host an ungated healthy worker can finish the whole
@@ -64,7 +74,7 @@ func gatedPool(t *testing.T, n int, gate <-chan struct{}) Pool {
 	t.Helper()
 	var wg sync.WaitGroup
 	t.Cleanup(wg.Wait)
-	return PoolOf(n, func(id int) (io.ReadWriteCloser, error) {
+	return pipePool{n, func(id int) (io.ReadWriteCloser, error) {
 		coord, work := net.Pipe()
 		wg.Add(1)
 		go func() {
@@ -75,7 +85,7 @@ func gatedPool(t *testing.T, n int, gate <-chan struct{}) Pool {
 			ServeWorker(work, WorkerOptions{})
 		}()
 		return coord, nil
-	})
+	}}
 }
 
 // fastOptions shrinks every robustness timescale so fault recovery happens

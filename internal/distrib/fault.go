@@ -41,9 +41,6 @@ type FaultPlan struct {
 	MuteAtCell int `json:"mute_at_cell,omitempty"`
 }
 
-// Zero reports whether the plan injects nothing.
-func (p FaultPlan) Zero() bool { return p == FaultPlan{} }
-
 // Validate rejects negative ordinals.
 func (p FaultPlan) Validate() error {
 	for _, v := range []struct {

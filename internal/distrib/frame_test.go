@@ -62,7 +62,7 @@ func TestWorkerRejectsCoordinatorProtocol(t *testing.T) {
 func TestCoordinatorSendsProtocolVersion(t *testing.T) {
 	spec := testSpec(t)
 	coordEnd, testEnd := net.Pipe()
-	pool := PoolOf(1, func(id int) (io.ReadWriteCloser, error) { return coordEnd, nil })
+	pool := pipePool{1, func(id int) (io.ReadWriteCloser, error) { return coordEnd, nil }}
 
 	var events []Event
 	done := make(chan error, 1)

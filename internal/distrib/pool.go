@@ -10,26 +10,10 @@ import (
 	"time"
 )
 
-// Worker pools. Three shapes share the Pool interface: subprocesses over
-// stdio (ProcPool, the `mrsch-exp -workers N` path), remote workers dialing
-// in over TCP (ListenPool, the `-listen`/`-connect` path), and in-process
-// goroutines over pipes (PoolOf, the test harness).
-
-// poolFunc adapts a size and a start function into a Pool.
-type poolFunc struct {
-	n     int
-	start func(id int) (io.ReadWriteCloser, error)
-}
-
-func (p poolFunc) Size() int                                { return p.n }
-func (p poolFunc) Start(id int) (io.ReadWriteCloser, error) { return p.start(id) }
-
-// PoolOf builds a Pool from a size and a per-worker start function. The
-// fault-injection tests use it to run ServeWorker goroutines over net.Pipe
-// ends — same protocol, same faults, no processes.
-func PoolOf(n int, start func(id int) (io.ReadWriteCloser, error)) Pool {
-	return poolFunc{n: n, start: start}
-}
+// Worker pools. Two shapes share the Pool interface: subprocesses over stdio
+// (ProcPool, the `mrsch-exp -workers N` path) and remote workers dialing in
+// over TCP (ListenPool, the `-listen`/`-connect` path); the fault-injection
+// tests bring a third, in-process goroutines over pipes.
 
 // ProcPool launches worker subprocesses speaking the protocol over their
 // stdin/stdout. The workers inherit the coordinator's filesystem, so the

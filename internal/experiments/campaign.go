@@ -376,7 +376,9 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 // the full scale spec, the effective rollout worker count, and the
 // training mode — so a campaign re-run under identical settings maps to
 // the same file, and a run under different settings cannot silently load
-// weights trained another way.
+// weights trained another way. The leading version moves whenever training
+// itself changes bits (v2: pipelined trainings sample one replay ring, not
+// one ring per rollout worker).
 func (r *CampaignRun) storePath(cell scenario.Cell) string {
 	if r.opt.ModelDir == "" || cell.Method.Model != "" {
 		return ""
@@ -385,7 +387,7 @@ func (r *CampaignRun) storePath(cell scenario.Cell) string {
 	if err != nil {
 		return "" // unreachable: ScaleSpec marshals; disable the store rather than mis-key it
 	}
-	content := fmt.Sprintf("v1|%s|scale=%s|workers=%d|pipelined=%v",
+	content := fmt.Sprintf("v2|%s|scale=%s|workers=%d|pipelined=%v",
 		r.modelKey(cell), spec, rollout.ResolveWorkers(r.baseScale.RolloutWorkers), r.baseScale.Pipelined)
 	name := fmt.Sprintf("%s-%s-%s.model",
 		cell.Method.Kind, sanitizeName(cell.Scenario.FamilyName()), modelStoreKeyHash(content))
@@ -486,19 +488,13 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 		return sched.NewWindowPolicy(NewGA(m.Scale.Seed+7000+int64(cell.Index)), m.Scale.Window), nil
 	case scenario.KindMRSch:
 		agent := r.models[r.modelKey(cell)].MRSch
-		actor, parallel := agent.Actor()
-		if !parallel {
-			return nil, fmt.Errorf("method mrsch: state module is not clonable for parallel evaluation")
-		}
+		actor, _ := agent.Actor()
 		actor.Reset(m.Scale.Seed+9000+int64(cell.Index), 0) // eps 0: greedy
 		actor.Unrecorded()
 		return actor.Policy(), nil
 	case scenario.KindScalarRL:
 		agent := r.models[r.modelKey(cell)].ScalarRL
-		actor, parallel := agent.Actor()
-		if !parallel {
-			return nil, fmt.Errorf("method scalar-rl: network is not clonable for parallel evaluation")
-		}
+		actor := agent.Actor()
 		actor.Reset(m.Scale.Seed + 9000 + int64(cell.Index))
 		actor.Unrecorded()
 		return actor.Policy(), nil

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -306,5 +308,19 @@ func TestCampaignModelStoreSkipsRetraining(t *testing.T) {
 	}
 	if actions3["cached"] != 0 || actions3["trained"] != 2 {
 		t.Fatalf("pipelined re-run actions %v, want fresh training (store keys must cover the training mode)", actions3)
+	}
+
+	// So must the key's revision: what a commit from before the one-ring
+	// replay stored (content "v1|…") is another file name, so a pipelined
+	// model it trained on per-worker rings is retrained, never loaded.
+	r, err := OpenCampaign(spec, CampaignOptions{Workers: 2, Pipelined: true, ModelDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := r.Cells()[0]
+	scaleJSON, _ := json.Marshal(spec.Scale)
+	content := fmt.Sprintf("|%s|scale=%s|workers=2|pipelined=true", r.modelKey(cell), scaleJSON)
+	if got := r.storePath(cell); !strings.Contains(got, modelStoreKeyHash("v2"+content)) || strings.Contains(got, modelStoreKeyHash("v1"+content)) {
+		t.Fatalf("store path %s is not keyed on revision v2 of %q", got, content)
 	}
 }

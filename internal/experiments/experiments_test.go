@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 )
 
@@ -324,30 +323,6 @@ func TestFigure10ThreeResources(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	FprintFigure10(&buf, results)
-}
-
-func TestOverallScoreOrdersByArea(t *testing.T) {
-	reports := []metrics.Report{
-		{Method: "good", Utilization: []float64{0.9, 0.9}, AvgWaitSec: 10, AvgSlowdown: 1.5},
-		{Method: "bad", Utilization: []float64{0.3, 0.3}, AvgWaitSec: 100, AvgSlowdown: 8},
-	}
-	scores := OverallScore(reports, false)
-	if scores[0] <= scores[1] {
-		t.Fatalf("scores = %v", scores)
-	}
-}
-
-func TestMeanLoss(t *testing.T) {
-	s := Fig4Series{Loss: []float64{5, 4, 3, 2, 1}}
-	if got := MeanLoss(s, 2); got != 1.5 {
-		t.Fatalf("MeanLoss = %v", got)
-	}
-	if got := MeanLoss(s, 99); got != 3 {
-		t.Fatalf("MeanLoss all = %v", got)
-	}
-	if !math.IsNaN(MeanLoss(Fig4Series{}, 3)) {
-		t.Fatal("empty series should be NaN")
-	}
 }
 
 func TestOptimalBatchesBruteForce(t *testing.T) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -297,35 +296,4 @@ func Figure9(r *CampaignRun) ([]Fig9Row, error) {
 		rows = append(rows, Fig9Row{Workload: wl, Stats: metrics.Box(vals)})
 	}
 	return rows, nil
-}
-
-// ---------------------------------------------------------------------------
-// Shape checks shared by tests and the examples.
-
-// OverallScore is the Kiviat polygon area, the paper's "larger area =
-// better overall performance" aggregate.
-func OverallScore(reports []metrics.Report, withPower bool) []float64 {
-	rows := metrics.Kiviat(reports, withPower)
-	out := make([]float64, len(rows))
-	for i, row := range rows {
-		out[i] = metrics.KiviatArea(row)
-	}
-	return out
-}
-
-// MeanLoss returns the average of a Figure 4 loss series' last k points
-// (convergence quality).
-func MeanLoss(series Fig4Series, k int) float64 {
-	n := len(series.Loss)
-	if n == 0 {
-		return math.NaN()
-	}
-	if k > n {
-		k = n
-	}
-	sum := 0.0
-	for _, v := range series.Loss[n-k:] {
-		sum += v
-	}
-	return sum / float64(k)
 }

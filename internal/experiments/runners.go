@@ -68,15 +68,6 @@ func (s Scale) mrschOptions(seed int64, useCNN bool) core.Options {
 			// Short episodes: keep offsets inside the horizon.
 			c.Offsets = []int{1, 2, 4, 8, 16}
 			c.TemporalWeights = []float64{0, 0, 0.5, 0.5, 1}
-			if s.Pipelined {
-				// Pipelined campaigns shard the replay buffer per rollout
-				// worker. Ingestion is still serial today (ROADMAP: parallel
-				// transcript ingestion), so this fixes the shard layout those
-				// campaigns will keep when round-level ingest lands, at the
-				// cost of a shard-count-dependent sampling order — pipelined
-				// runs already diverge from barrier runs by design.
-				c.ReplayShards = rollout.ResolveWorkers(s.RolloutWorkers)
-			}
 		},
 	}
 }

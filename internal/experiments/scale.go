@@ -61,17 +61,17 @@ type Scale struct {
 	RolloutWorkers int
 	// Pipelined overlaps episode collection with gradient steps in every
 	// training campaign of the scale (rollout.Config.Pipelined): round k+1
-	// rolls out against a versioned weight snapshot while round k trains,
-	// and the MRSch replay buffer is sharded per rollout worker
-	// (dfp.Config.ReplayShards). Off by default — barrier mode is the
-	// bitwise-reproducibility reference — and raised by the cmd binaries
-	// via -pipeline. Pipelined campaigns are deterministic for a fixed
-	// (Seed, RolloutWorkers) pair but differ from barrier-mode campaigns;
-	// see rollout's package doc, rules 6-8.
+	// rolls out against a versioned weight snapshot while round k trains.
+	// Off by default — barrier mode is the bitwise-reproducibility
+	// reference — and raised by the cmd binaries via -pipeline. Pipelined
+	// campaigns are deterministic for a fixed (Seed, RolloutWorkers) pair
+	// but differ from barrier-mode campaigns; see rollout's package doc,
+	// rules 6-8, and its opening for what the overlap measured (the same
+	// training wall as barrier mode on 2 vCPUs, unmeasured beyond).
 	Pipelined bool
 	// CheckpointDir, when non-empty, makes every training campaign of the
 	// scale durable: the full agent state (weights, optimizer moments,
-	// replay rings, epsilon and rng cursors) is written atomically to a
+	// replay ring, epsilon and rng cursors) is written atomically to a
 	// per-run file under the directory at every round boundary
 	// (rollout.Config.Checkpoint, rules 9-10 of the rollout package doc).
 	// Raised by the cmd binaries via -checkpoint.

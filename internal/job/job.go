@@ -169,16 +169,3 @@ func SortBySubmit(jobs []*Job) {
 		return jobs[a].ID < jobs[b].ID
 	})
 }
-
-// TotalDemandSeconds returns, per resource, the sum over jobs of
-// demand*walltime — the numerator of the paper's Eq. (1) before
-// normalization (using estimates, as the scheduler would).
-func TotalDemandSeconds(jobs []*Job, resources int) []float64 {
-	out := make([]float64, resources)
-	for _, j := range jobs {
-		for r := 0; r < resources && r < len(j.Demand); r++ {
-			out[r] += float64(j.Demand[r]) * j.Walltime
-		}
-	}
-	return out
-}

@@ -78,17 +78,6 @@ func TestSortBySubmitStable(t *testing.T) {
 	}
 }
 
-func TestTotalDemandSeconds(t *testing.T) {
-	jobs := []*Job{
-		{ID: 1, Walltime: 10, Demand: []int{2, 0}},
-		{ID: 2, Walltime: 5, Demand: []int{1, 4}},
-	}
-	got := TotalDemandSeconds(jobs, 2)
-	if got[0] != 25 || got[1] != 20 {
-		t.Fatalf("TotalDemandSeconds = %v", got)
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	jobs := []*Job{
 		mkJob(1, 0, 100, 16, 5),

@@ -87,6 +87,8 @@ func (l *LeakyReLU) Backward(dst, grad Vec, bsz int) Vec {
 // Params implements Layer (no parameters).
 func (l *LeakyReLU) Params() []*Param { return nil }
 
+func (l *LeakyReLU) clone(func(*Param) *Param) Layer { return &LeakyReLU{Alpha: l.Alpha, lastN: -1} }
+
 // OutSize implements Layer.
 func (l *LeakyReLU) OutSize(in int) int { return in }
 
@@ -143,6 +145,8 @@ func (t *Tanh) Backward(dst, grad Vec, bsz int) Vec {
 
 // Params implements Layer (no parameters).
 func (t *Tanh) Params() []*Param { return nil }
+
+func (t *Tanh) clone(func(*Param) *Param) Layer { return NewTanh() }
 
 // OutSize implements Layer.
 func (t *Tanh) OutSize(in int) int { return in }
@@ -212,6 +216,8 @@ func (s *SoftmaxLayer) Backward(dst, grad Vec, bsz int) Vec {
 
 // Params implements Layer (no parameters).
 func (s *SoftmaxLayer) Params() []*Param { return nil }
+
+func (s *SoftmaxLayer) clone(func(*Param) *Param) Layer { return NewSoftmax() }
 
 // OutSize implements Layer.
 func (s *SoftmaxLayer) OutSize(in int) int { return in }

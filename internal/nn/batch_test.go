@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -240,11 +241,7 @@ func TestSharedClone(t *testing.T) {
 		NewDense(8, 6, HeInit, rng), NewLeakyReLU(0.01),
 		NewDense(6, 3, HeInit, rng),
 	)
-	cloneL, ok := SharedClone(master)
-	if !ok {
-		t.Fatal("SharedClone rejected a Dense stack")
-	}
-	clone := cloneL.(*Sequential)
+	clone := SharedClone(master).(*Sequential)
 
 	x := randVec(rng, 8)
 	want := master.Forward(nil, x, 1)
@@ -309,5 +306,63 @@ func TestEnsure(t *testing.T) {
 	u := Ensure(v, 100)
 	if len(u) != 100 {
 		t.Fatalf("Ensure growth len %d", len(u))
+	}
+}
+
+// TestCloneViewsEveryLayer walks every constructor, and a nest of them,
+// through both clone views: the copy is the original's type with the
+// original's arithmetic, its parameters alias the live Values (SharedClone) or
+// the published snapshot (SnapshotClone), and its gradients and forward state
+// are its own.
+func TestCloneViewsEveryLayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	cases := append(sweepCases(rng), layerCase{"nested", 12, func(r *rand.Rand) Layer {
+		return NewSequential(12, overlapNet(r), NewTanh(),
+			NewSequential(6, NewDense(6, 4, HeInit, r), NewSoftmax()))
+	}})
+	views := []struct {
+		name  string
+		clone func(Layer) Layer
+		value func(*Param) Vec
+	}{
+		{"shared", SharedClone, func(p *Param) Vec { return p.Value }},
+		{"snapshot", SnapshotClone, (*Param).Snapshot},
+	}
+	for _, c := range cases {
+		for _, v := range views {
+			orig := c.build(rand.New(rand.NewSource(7)))
+			cl := v.clone(orig)
+			label := c.name + "/" + v.name
+			if reflect.TypeOf(cl) != reflect.TypeOf(orig) {
+				t.Fatalf("%s: clone is a %T, original a %T", label, cl, orig)
+			}
+			op, cp := orig.Params(), cl.Params()
+			if len(cp) != len(op) {
+				t.Fatalf("%s: clone has %d params, original %d", label, len(cp), len(op))
+			}
+			for i, p := range op {
+				if cp[i].Name != p.Name || &cp[i].Value[0] != &v.value(p)[0] {
+					t.Fatalf("%s: param %s does not alias the original's %s buffer", label, p.Name, v.name)
+				}
+				if len(cp[i].Grad) != len(p.Grad) || &cp[i].Grad[0] == &p.Grad[0] {
+					t.Fatalf("%s: param %s gradient is not a private buffer of the same length", label, p.Name)
+				}
+			}
+			x := randVec(rng, 2*c.in)
+			want := Copy(orig.Forward(nil, x[:c.in], 1))
+			// The clone's two-row pass must leave the original's one-row
+			// forward state alone: its Backward below checks the row count.
+			got := cl.Forward(nil, x, 2)
+			if d := maxAbsDiff(want, got[:len(want)]); d != 0 {
+				t.Fatalf("%s: clone forward differs from the original's by %g", label, d)
+			}
+			cl.Backward(nil, randVec(rng, len(got)), 2)
+			for _, p := range op {
+				if L2Norm(p.Grad) != 0 {
+					t.Fatalf("%s: clone backward reached the original's %s gradient", label, p.Name)
+				}
+			}
+			orig.Backward(nil, randVec(rng, len(want)), 1)
+		}
 	}
 }

@@ -137,6 +137,14 @@ func (c *Conv1D) backwardRow(gin, grad, x Vec) {
 // Params returns kernel and bias parameters.
 func (c *Conv1D) Params() []*Param { return []*Param{c.W, c.B} }
 
+func (c *Conv1D) clone(view func(*Param) *Param) Layer {
+	return &Conv1D{
+		InCh: c.InCh, OutCh: c.OutCh, InLen: c.InLen,
+		Kernel: c.Kernel, Stride: c.Stride, outLen: c.outLen,
+		W: view(c.W), B: view(c.B),
+	}
+}
+
 // OutSize implements Layer.
 func (c *Conv1D) OutSize(in int) int {
 	if in != c.inDim() {
@@ -236,6 +244,10 @@ func (m *MaxPool1D) Backward(dst, grad Vec, bsz int) Vec {
 
 // Params implements Layer (no parameters).
 func (m *MaxPool1D) Params() []*Param { return nil }
+
+func (m *MaxPool1D) clone(func(*Param) *Param) Layer {
+	return &MaxPool1D{Ch: m.Ch, InLen: m.InLen, Pool: m.Pool, outLen: m.outLen}
+}
 
 // OutSize implements Layer.
 func (m *MaxPool1D) OutSize(in int) int {

@@ -181,6 +181,10 @@ func (d *Dense) inputGradBatch(gin, grad Vec, bsz int) {
 // Params returns the weight and bias parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
+func (d *Dense) clone(view func(*Param) *Param) Layer {
+	return &Dense{In: d.In, Out: d.Out, W: view(d.W), B: view(d.B)}
+}
+
 // OutSize implements Layer.
 func (d *Dense) OutSize(in int) int {
 	if in != d.In {

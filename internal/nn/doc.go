@@ -4,12 +4,14 @@
 // stdlib-only substitute. It provides exactly what the paper's networks need:
 // fully-connected (Dense) layers, 1-D convolution and pooling (for the CNN
 // state-module ablation of Figure 3), leaky-rectifier activations, softmax,
-// mean-squared-error and policy-gradient losses, SGD/Adam optimizers, and
-// weight (de)serialization.
+// a mean-squared-error loss, the Adam optimizer, and weight
+// (de)serialization.
 //
 // All layers implement the one Layer interface, so arbitrary directed
 // compositions (such as DFP's three-branch, two-stream topology) can be wired
-// by hand in higher-level packages.
+// by hand in higher-level packages. The interface is closed — its clone
+// method is unexported, see "Weight snapshots and versioning" — so the set of
+// layer types is this package's.
 //
 // # The layer contract
 //
@@ -107,10 +109,15 @@
 //     (the copy-on-write property).
 //
 // SharedClone and SnapshotClone are two views of one structural cloner
-// (cloneWith): the former aliases live Values for same-weights data
-// parallelism, the latter aliases published snapshots for lagged-weights
-// pipelining. Both reject a network containing a layer type from outside
-// this package; such networks train on a single worker behind a barrier.
+// (Layer's unexported clone method, each layer's case written next to the
+// type): the former aliases live Values for same-weights data parallelism,
+// the latter aliases published snapshots for lagged-weights pipelining.
+// That method is why Layer is closed — a type outside this package cannot
+// implement it — and why neither cloner can fail: every data-parallel,
+// pipelined and served path in dfp, rl, rollout, experiments and serve is a
+// clone, and the one caller-provided module the repository has
+// (core's per-resource MultiBranch) is built from this package's layers. A
+// new layer type is a new file here with its clone beside it.
 //
 // The contract is enforced by property tests (batch_test.go) across
 // randomized shapes: batched forward rows bitwise equal to bsz=1, ≤1e-12

@@ -51,6 +51,9 @@ func (p *Param) ZeroGrad() { Fill(p.Grad, 0) }
 // gradients summed over the batch rows and returns the gradient with respect
 // to the input. Layers keep their forward state, so a Layer value must not be
 // shared by concurrent passes. After warm-up neither call allocates.
+//
+// The interface is closed: clone is unexported, so every Layer is one of this
+// package's types and SharedClone and SnapshotClone cannot fail.
 type Layer interface {
 	Forward(dst, x Vec, bsz int) Vec
 	Backward(dst, grad Vec, bsz int) Vec
@@ -58,6 +61,9 @@ type Layer interface {
 	// OutSize reports the per-sample output width for a per-sample input
 	// of width in. It lets Sequential validate composition at build time.
 	OutSize(in int) int
+	// clone returns a structural copy with fresh forward state whose
+	// parameters are view's image of the receiver's (clone.go).
+	clone(view func(*Param) *Param) Layer
 }
 
 // Init is a weight-initialization scheme.

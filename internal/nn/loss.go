@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MSE returns the mean-squared-error loss between pred and target together
 // with dL/dpred. The paper trains DFP by MSE between predicted and realized
@@ -60,50 +57,4 @@ func MaskedMSEInto(grad, pred, target Vec, mask []bool) (loss float64) {
 		grad[i] = 2 * d / fn
 	}
 	return loss / fn
-}
-
-// NLLGrad returns the policy-gradient loss contribution -advantage*log(p[a])
-// and its gradient with respect to the probability vector p. It guards
-// against log(0) with a small floor.
-func NLLGrad(p Vec, action int, advantage float64) (loss float64, grad Vec) {
-	if action < 0 || action >= len(p) {
-		panic(fmt.Sprintf("nn: NLLGrad action %d out of range %d", action, len(p)))
-	}
-	const floor = 1e-12
-	pa := p[action]
-	if pa < floor {
-		pa = floor
-	}
-	loss = -advantage * math.Log(pa)
-	grad = make(Vec, len(p))
-	grad[action] = -advantage / pa
-	return loss, grad
-}
-
-// Huber returns the Huber loss (delta=1) and gradient; available as a more
-// outlier-robust alternative to MSE for DFP training.
-func Huber(pred, target Vec, delta float64) (loss float64, grad Vec) {
-	if len(pred) != len(target) {
-		panic(fmt.Sprintf("nn: Huber length mismatch %d vs %d", len(pred), len(target)))
-	}
-	if delta <= 0 {
-		delta = 1
-	}
-	grad = make(Vec, len(pred))
-	n := float64(len(pred))
-	for i := range pred {
-		d := pred[i] - target[i]
-		if math.Abs(d) <= delta {
-			loss += 0.5 * d * d
-			grad[i] = d / n
-		} else {
-			loss += delta * (math.Abs(d) - 0.5*delta)
-			if d > 0 {
-				grad[i] = delta / n
-			} else {
-				grad[i] = -delta / n
-			}
-		}
-	}
-	return loss / n, grad
 }

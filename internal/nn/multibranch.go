@@ -147,6 +147,14 @@ func (m *MultiBranch) Params() []*Param {
 	return ps
 }
 
+func (m *MultiBranch) clone(view func(*Param) *Param) Layer {
+	branches := make([]Branch, len(m.Branches))
+	for i, b := range m.Branches {
+		branches[i] = Branch{Ranges: b.Ranges, Net: b.Net.clone(view)}
+	}
+	return &MultiBranch{InSize: m.InSize, Branches: branches, outSizes: append([]int(nil), m.outSizes...)}
+}
+
 // OutSize implements Layer.
 func (m *MultiBranch) OutSize(in int) int {
 	if in != m.InSize {

@@ -92,6 +92,14 @@ func (s *Sequential) Params() []*Param {
 	return ps
 }
 
+func (s *Sequential) clone(view func(*Param) *Param) Layer {
+	layers := make([]Layer, len(s.Layers))
+	for i, l := range s.Layers {
+		layers[i] = l.clone(view)
+	}
+	return &Sequential{Layers: layers}
+}
+
 // OutSize implements Layer, so Sequentials can nest.
 func (s *Sequential) OutSize(in int) int {
 	for _, l := range s.Layers {

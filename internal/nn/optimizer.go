@@ -5,47 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and zeroes the gradients.
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param]Vec
-}
-
-// NewSGD returns an SGD optimizer with learning rate lr and momentum mu
-// (mu = 0 disables momentum).
-func NewSGD(lr, mu float64) *SGD {
-	return &SGD{LR: lr, Momentum: mu, velocity: make(map[*Param]Vec)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum != 0 {
-			v := o.velocity[p]
-			if v == nil {
-				v = make(Vec, len(p.Value))
-				o.velocity[p] = v
-			}
-			for i := range p.Value {
-				v[i] = o.Momentum*v[i] - o.LR*p.Grad[i]
-				p.Value[i] += v[i]
-			}
-		} else {
-			for i := range p.Value {
-				p.Value[i] -= o.LR * p.Grad[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba), the de-facto default for
 // DFP training in the original implementation.
 //
@@ -70,8 +29,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer: StepScaled with scale 1 and no clipping, which
-// is bitwise the unscaled update (x*1.0 is exact for every float64).
+// Step applies one update to every parameter and zeroes the gradients:
+// StepScaled with scale 1 and no clipping, which is bitwise the unscaled update (x*1.0 is exact for every float64).
 func (o *Adam) Step(params []*Param) { o.StepScaled(params, 1, 0) }
 
 // StepScaled applies one Adam update treating each parameter's effective

@@ -28,32 +28,6 @@ func gradQuadratic(p *Param, c Vec) float64 {
 	return loss
 }
 
-func TestSGDConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	p, c := quadratic(10, rng)
-	opt := NewSGD(0.05, 0)
-	for i := 0; i < 200; i++ {
-		gradQuadratic(p, c)
-		opt.Step([]*Param{p})
-	}
-	if l := gradQuadratic(p, c); l > 1e-6 {
-		t.Fatalf("SGD did not converge: loss %v", l)
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p, c := quadratic(10, rng)
-	opt := NewSGD(0.02, 0.9)
-	for i := 0; i < 300; i++ {
-		gradQuadratic(p, c)
-		opt.Step([]*Param{p})
-	}
-	if l := gradQuadratic(p, c); l > 1e-4 {
-		t.Fatalf("SGD+momentum did not converge: loss %v", l)
-	}
-}
-
 func TestAdamConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, c := quadratic(10, rng)
@@ -69,13 +43,6 @@ func TestAdamConverges(t *testing.T) {
 
 func TestStepZeroesGradients(t *testing.T) {
 	p := NewParam("w", 3)
-	p.Grad[0] = 1
-	NewSGD(0.1, 0).Step([]*Param{p})
-	for _, g := range p.Grad {
-		if g != 0 {
-			t.Fatal("SGD.Step left gradients set")
-		}
-	}
 	p.Grad[1] = 2
 	NewAdam(0.1).Step([]*Param{p})
 	for _, g := range p.Grad {
@@ -207,36 +174,6 @@ func TestMaskedMSE(t *testing.T) {
 	l, g = MaskedMSE(Vec{1}, Vec{0}, []bool{false})
 	if l != 0 || g[0] != 0 {
 		t.Fatal("all-false mask should be zero loss/grad")
-	}
-}
-
-func TestNLLGrad(t *testing.T) {
-	p := Vec{0.25, 0.75}
-	l, g := NLLGrad(p, 1, 2.0)
-	want := -2 * math.Log(0.75)
-	if !almostEq(l, want, 1e-12) {
-		t.Fatalf("NLL = %v, want %v", l, want)
-	}
-	if !almostEq(g[1], -2/0.75, 1e-12) || g[0] != 0 {
-		t.Fatalf("NLL grad = %v", g)
-	}
-	// Zero probability must not produce Inf.
-	l, _ = NLLGrad(Vec{0, 1}, 0, 1)
-	if math.IsInf(l, 0) || math.IsNaN(l) {
-		t.Fatal("NLLGrad with p=0 must be finite")
-	}
-}
-
-func TestHuber(t *testing.T) {
-	// Inside delta: matches 0.5*d^2.
-	l, g := Huber(Vec{0.5}, Vec{0}, 1)
-	if !almostEq(l, 0.125, 1e-12) || !almostEq(g[0], 0.5, 1e-12) {
-		t.Fatalf("Huber inside = %v grad %v", l, g)
-	}
-	// Outside delta: linear region.
-	l, g = Huber(Vec{3}, Vec{0}, 1)
-	if !almostEq(l, 2.5, 1e-12) || !almostEq(g[0], 1, 1e-12) {
-		t.Fatalf("Huber outside = %v grad %v", l, g)
 	}
 }
 

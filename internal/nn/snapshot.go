@@ -48,14 +48,6 @@ func (p *Param) Publish() {
 // (0 while it still holds the value captured at materialization).
 func (p *Param) Version() uint64 { return p.version }
 
-// SnapshotParams materializes the snapshot of every param, so a subsequent
-// PublishParams covers them all.
-func SnapshotParams(ps []*Param) {
-	for _, p := range ps {
-		p.Snapshot()
-	}
-}
-
 // PublishParams publishes every param's live value into its snapshot.
 func PublishParams(ps []*Param) {
 	for _, p := range ps {
@@ -75,7 +67,5 @@ func snapshotParam(p *Param) *Param {
 // use) instead of the live Value buffers, with private forward state. The
 // clone's weights stay frozen at the last published version while the
 // original trains, and advance when the owner calls Publish/PublishParams at
-// a synchronization point. The second result reports whether every sub-layer
-// is one of this package's layer types; networks containing anything else
-// report false and callers must fall back to barrier-synchronized training.
-func SnapshotClone(l Layer) (Layer, bool) { return cloneWith(l, snapshotParam) }
+// a synchronization point.
+func SnapshotClone(l Layer) Layer { return l.clone(snapshotParam) }

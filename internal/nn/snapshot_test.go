@@ -61,14 +61,8 @@ func TestSnapshotCloneFreezesUntilPublish(t *testing.T) {
 	net := testNet(rng)
 	x := []float64{0.3, -0.2, 0.8, 0.1, -0.5, 0.4}
 
-	snapC, ok := SnapshotClone(net)
-	if !ok {
-		t.Fatal("SnapshotClone rejected a built-in network")
-	}
-	sharedC, ok := SharedClone(net)
-	if !ok {
-		t.Fatal("SharedClone rejected a built-in network")
-	}
+	snapC := SnapshotClone(net)
+	sharedC := SharedClone(net)
 	before := Copy(net.Forward(nil, x, 1))
 
 	// Perturb the live weights.
@@ -108,8 +102,8 @@ func TestSnapshotClonesShareOneVersion(t *testing.T) {
 	net := testNet(rng)
 	x := []float64{1, 0, -1, 0.5, 0.2, -0.3}
 
-	a, _ := SnapshotClone(net)
-	b, _ := SnapshotClone(net)
+	a := SnapshotClone(net)
+	b := SnapshotClone(net)
 	net.Params()[0].Value[0] += 2.5
 	PublishParams(net.Params())
 
@@ -117,41 +111,6 @@ func TestSnapshotClonesShareOneVersion(t *testing.T) {
 	for i := range ao {
 		if ao[i] != bo[i] {
 			t.Fatalf("clone outputs diverge at %d: %v vs %v", i, ao[i], bo[i])
-		}
-	}
-}
-
-type customLayer struct{ Layer }
-
-// The cloners cannot see inside a layer type from outside this package, so
-// both must reject networks containing one (callers fall back to a single
-// worker and barrier-synchronized training).
-func TestSnapshotCloneRejectsCustomLayers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	net := NewSequential(0, customLayer{NewDense(4, 4, HeInit, rng)})
-	if _, ok := SnapshotClone(net); ok {
-		t.Fatal("SnapshotClone accepted a custom layer")
-	}
-	if _, ok := SharedClone(net); ok {
-		t.Fatal("SharedClone accepted a custom layer")
-	}
-}
-
-// SnapshotParams materializes every param so one PublishParams covers the
-// whole network even for params first read later.
-func TestSnapshotParamsMaterializesAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	net := testNet(rng)
-	ps := net.Params()
-	SnapshotParams(ps)
-	for i, p := range ps {
-		p.Value[0] += 1
-		p.Publish()
-		if p.Version() != 1 {
-			t.Fatalf("param %d version %d, want 1", i, p.Version())
-		}
-		if got := p.Snapshot()[0]; got != p.Value[0] {
-			t.Fatalf("param %d snapshot %v, want %v", i, got, p.Value[0])
 		}
 	}
 }

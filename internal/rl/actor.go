@@ -10,9 +10,9 @@ import (
 
 // Actor is a read-only rollout clone of a Scheduler: its policy network
 // aliases the master's weights (nn.SharedClone) while its forward caches,
-// sampling rng, and trajectory record are private, so multiple
-// concurrency-safe actors can sample episodes in parallel against one set of
-// weights. Actors always act in training mode (stochastic prefix sampling);
+// sampling rng, and trajectory record are private, so multiple actors can
+// sample episodes in parallel against one set of weights. Actors always act
+// in training mode (stochastic prefix sampling);
 // the recorded trajectory is handed back with TakeTrajectory and applied to
 // the master with Scheduler.IngestTrajectory.
 type Actor struct {
@@ -25,16 +25,11 @@ type Actor struct {
 	state      []float64 // the pick in progress; a recorded step keeps a copy
 }
 
-// Actor returns a rollout actor for the scheduler. The second result reports
-// whether the actor is safe to run concurrently with other actors; when the
-// network cannot be replicated by nn.SharedClone the actor borrows the
-// master's own layers and must be the only one in use.
-func (s *Scheduler) Actor() (*Actor, bool) {
-	c, ok := nn.SharedClone(s.net)
-	if !ok {
-		return &Actor{s: s, net: s.net, rng: rand.New(rand.NewSource(s.cfg.Seed))}, false
-	}
-	return &Actor{s: s, net: c.(*nn.Sequential), rng: rand.New(rand.NewSource(s.cfg.Seed))}, true
+// Actor returns a rollout actor reading the scheduler's live weights.
+func (s *Scheduler) Actor() *Actor { return s.newActor(nn.SharedClone) }
+
+func (s *Scheduler) newActor(clone func(nn.Layer) nn.Layer) *Actor {
+	return &Actor{s: s, net: clone(s.net).(*nn.Sequential), rng: rand.New(rand.NewSource(s.cfg.Seed))}
 }
 
 // SnapshotActor returns a rollout actor whose policy network reads the
@@ -42,15 +37,8 @@ func (s *Scheduler) Actor() (*Actor, bool) {
 // live weights, so it may sample episodes concurrently with REINFORCE
 // updates on the master — the scalar-RL side of pipelined rollout-training.
 // The weights it sees advance only at PublishWeights, which must run with no
-// snapshot actor mid-rollout. It reports false when the network cannot be
-// snapshot-cloned; there is no borrow-the-master fallback.
-func (s *Scheduler) SnapshotActor() (*Actor, bool) {
-	c, ok := nn.SnapshotClone(s.net)
-	if !ok {
-		return nil, false
-	}
-	return &Actor{s: s, net: c.(*nn.Sequential), rng: rand.New(rand.NewSource(s.cfg.Seed))}, true
-}
+// snapshot actor mid-rollout.
+func (s *Scheduler) SnapshotActor() *Actor { return s.newActor(nn.SnapshotClone) }
 
 // PublishWeights copies the live policy weights into the snapshot read by
 // SnapshotActor clones (nn.PublishParams). Call it only at a synchronization
@@ -105,9 +93,6 @@ func (a *Actor) Policy() *sched.WindowPolicy {
 type Trajectory struct {
 	steps []step
 }
-
-// Len returns the number of recorded decisions.
-func (t *Trajectory) Len() int { return len(t.steps) }
 
 // TakeTrajectory detaches and returns the episode recorded since the last
 // Reset, leaving the actor empty for the next rollout.

@@ -244,9 +244,9 @@ func TestUnrecordedActorSamplesTheSameAndKeepsNothing(t *testing.T) {
 	}
 	queue := []*job.Job{mk(1, 0, 10, 1, 0), mk(2, 0, 10, 2, 1), mk(3, 4, 90, 12, 4), mk(4, 5, 30, 3, 3), mk(5, 6, 20, 1, 1)}
 	ctxs := []*sched.PickContext{ctxWith(cl, 10, queue), ctxWith(cl, 20, queue[2:]), ctxWith(cl, 30, queue[4:])}
-	recording, _ := s.Actor()
+	recording := s.Actor()
 	recording.Reset(11)
-	actor, _ := s.Actor()
+	actor := s.Actor()
 	actor.Reset(11)
 	actor.Unrecorded()
 	for i := 0; i < 60; i++ {
@@ -255,10 +255,10 @@ func TestUnrecordedActorSamplesTheSameAndKeepsNothing(t *testing.T) {
 			t.Fatalf("pick %d: unrecorded actor samples %d, recording actor %d", i, got, want)
 		}
 	}
-	if n := actor.TakeTrajectory().Len(); n != 0 {
+	if n := len(actor.TakeTrajectory().steps); n != 0 {
 		t.Fatalf("an unrecorded actor kept %d decisions", n)
 	}
-	if n := recording.TakeTrajectory().Len(); n != 60 {
+	if n := len(recording.TakeTrajectory().steps); n != 60 {
 		t.Fatalf("the recording actor kept %d of 60 decisions", n)
 	}
 	if avg := testing.AllocsPerRun(100, func() { actor.Pick(ctxs[0]) }); avg != 0 {

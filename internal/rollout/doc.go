@@ -2,8 +2,18 @@
 // independent sim.Simulator environments across worker goroutines and feeds
 // the collected transitions to the batched trainers (internal/dfp for MRSch,
 // internal/rl for the scalar baseline). Training campaigns and scenario
-// sweeps (Map) share one worker-pool engine, so wall-clock scales with cores
-// wherever episodes are independent.
+// sweeps (MapCollect) share one worker-pool engine.
+//
+// What the concurrency buys was measured on the one host every session has,
+// a 2-vCPU guest (ROADMAP, Performance, "knob audit"; 2026-10-03): pure
+// collection runs 1.1–1.5× faster at Workers 2 or 4 than at 1
+// (BenchmarkEpisodeThroughput); a whole quick-scale training reads the same
+// wall at every (Workers, Pipelined) setting, because the two gradient
+// workers it trains with already keep both vCPUs busy; pipelining is ahead
+// (1.10–1.18×, BenchmarkPipelinedThroughput) only where the gradient step
+// leaves a vCPU idle. No setting is slower than its absence, each one's
+// determinism contract below is tested, and all of it is unmeasured beyond
+// 2 vCPUs.
 //
 // # The determinism and seeding contract
 //

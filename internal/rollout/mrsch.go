@@ -59,19 +59,15 @@ func (l *mrschLearner) Instrument(reg *telemetry.Registry) {
 }
 
 func (l *mrschLearner) Spawn() (Actor, bool) {
-	a, parallel := l.m.Actor()
-	return &mrschActor{l: l, a: a}, parallel
+	a, _ := l.m.Actor()
+	return &mrschActor{l: l, a: a}, true
 }
 
 // SpawnSnapshot implements SnapshotLearner: actors read the published
 // weight snapshot (core.MRSch.SnapshotActor), so they may roll out while
 // Reduce's gradient steps mutate the live weights (Config.Pipelined).
-func (l *mrschLearner) SpawnSnapshot() (Actor, bool) {
-	a, ok := l.m.SnapshotActor()
-	if !ok {
-		return nil, false
-	}
-	return &mrschActor{l: l, a: a}, true
+func (l *mrschLearner) SpawnSnapshot() Actor {
+	return &mrschActor{l: l, a: l.m.SnapshotActor()}
 }
 
 // Publish implements SnapshotLearner: advance the snapshot to the live

@@ -1,9 +1,13 @@
 // Pipelined rollout-training: collection of round k+1 overlaps the gradient
 // steps on round k's transcripts. The barrier mode (rollout.go) serializes
-// the two phases for its reproducibility-reference role; on a multicore host
-// that leaves the learner idle while workers roll out and the workers idle
-// while the learner trains. Pipelining removes the idle halves by splitting
-// the weights in two:
+// the two phases for its reproducibility-reference role, which leaves the
+// learner idle while workers roll out and the workers idle while the learner
+// trains. Pipelining fills the idle halves — where there is a CPU to fill
+// them with: on the 2-vCPU guest it is 1.10–1.18× ahead when a one-worker
+// gradient step leaves a vCPU free and level with barrier mode at the two
+// gradient workers every binary trains with (BenchmarkPipelinedThroughput's
+// comment has the runs); unmeasured beyond 2 vCPUs. It splits the weights in
+// two:
 //
 //   - Actors read the published copy-on-write weight snapshot (nn.Param
 //     versioning via SnapshotLearner.SpawnSnapshot), frozen for the duration
@@ -40,11 +44,8 @@ import (
 type SnapshotLearner interface {
 	Learner
 	// SpawnSnapshot returns a per-worker actor reading the published weight
-	// snapshot. false means the learner cannot snapshot its networks (e.g. a
-	// custom module outside nn.SnapshotClone's substrate); pipelined
-	// training is then impossible and Train reports a clear error rather
-	// than borrowing master state.
-	SpawnSnapshot() (Actor, bool)
+	// snapshot.
+	SpawnSnapshot() Actor
 	// Publish copies the live weights into the snapshot the actors read.
 	// The harness calls it only at round boundaries, with no rollout in
 	// flight.
@@ -83,11 +84,7 @@ func trainPipelined(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeRe
 	}
 	actors := make([]Actor, w)
 	for i := range actors {
-		a, parallel := sl.SpawnSnapshot()
-		if !parallel {
-			return nil, fmt.Errorf("rollout: Config.Pipelined requires snapshot-capable actors, but %T cannot clone its networks (custom module?); unset Pipelined for barrier mode", l)
-		}
-		actors[i] = a
+		actors[i] = sl.SpawnSnapshot()
 	}
 	if err := cfg.validateResume(w, n); err != nil {
 		return nil, err

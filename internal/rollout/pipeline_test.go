@@ -181,9 +181,9 @@ type probeActor struct{}
 
 func (probeActor) Rollout(ep Episode) (Transcript, error) { return ep.Index, nil }
 
-func (p *probeLearner) Spawn() (Actor, bool)         { return probeActor{}, true }
-func (p *probeLearner) SpawnSnapshot() (Actor, bool) { return probeActor{}, true }
-func (p *probeLearner) Publish()                     { p.published++ }
+func (p *probeLearner) Spawn() (Actor, bool) { return probeActor{}, true }
+func (p *probeLearner) SpawnSnapshot() Actor { return probeActor{} }
+func (p *probeLearner) Publish()             { p.published++ }
 func (p *probeLearner) Reduce(ep Episode, tr Transcript) (core.EpisodeResult, error) {
 	if tr.(int) != ep.Index {
 		return core.EpisodeResult{}, errors.New("transcript/episode mismatch")

@@ -93,8 +93,8 @@ type Episode struct {
 type Transcript any
 
 // Actor rolls out one episode at a time on behalf of one worker. Distinct
-// actors returned by a Learner reporting parallel=true may run concurrently;
-// a single actor is never invoked concurrently with itself.
+// actors returned by a Learner reporting true may run concurrently; a single
+// actor is never invoked concurrently with itself.
 type Actor interface {
 	Rollout(ep Episode) (Transcript, error)
 }
@@ -103,8 +103,9 @@ type Actor interface {
 type Learner interface {
 	// Spawn returns a per-worker actor. The second result reports whether
 	// the actor may run concurrently with other spawned actors; the first
-	// false collapses the pool to a single worker (un-cloneable custom
-	// network modules).
+	// false collapses the pool to a single worker. Both learners in this
+	// package always report true: the result survives because bench/ wraps
+	// this interface, and only ROADMAP item 1 may edit bench/.
 	Spawn() (Actor, bool)
 	// Reduce folds one episode's transcript into the learner — replay
 	// ingestion and gradient steps for MRSch, the REINFORCE update for
@@ -154,7 +155,9 @@ func trainBarrier(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeResu
 		a, parallel := l.Spawn()
 		actors = append(actors, a)
 		if !parallel {
-			actors = actors[:1] // serial fallback: the actor borrows master state
+			// Unreachable from this repository's learners; kept because
+			// Learner is an interface others may implement.
+			actors = actors[:1]
 			break
 		}
 	}
@@ -303,25 +306,12 @@ func dispatch(workers, n int, fn func(worker, item int)) {
 	wg.Wait()
 }
 
-// Map runs fn over items across up to `workers` goroutines (0 = all cores)
-// and returns the results in input order — the episode-sweep primitive that
-// shares the worker-pool engine with Train. fn receives the worker slot (for
-// per-worker scratch), the item index, and the item; the first error in item
-// order is returned after all items finish.
-func Map[T, R any](workers int, items []T, fn func(worker, index int, item T) (R, error)) ([]R, error) {
-	out, errs := MapCollect(workers, items, fn)
-	for i, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("rollout: item %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// MapCollect is Map with per-item error reporting: every item runs to
-// completion and the caller receives the full parallel error slice (nil for
-// successful items) instead of only the first failure. Campaign runners use
-// it to name every failed grid cell in one pass.
+// MapCollect runs fn over items across up to `workers` goroutines (0 = all
+// cores) and returns the results and the errors in input order (nil for
+// successful items) — the episode-sweep primitive that shares the
+// worker-pool engine with Train. fn receives the worker slot (for per-worker
+// scratch), the item index, and the item; every item runs to completion, so
+// campaign runners can name every failed grid cell in one pass.
 func MapCollect[T, R any](workers int, items []T, fn func(worker, index int, item T) (R, error)) ([]R, []error) {
 	out := make([]R, len(items))
 	errs := make([]error, len(items))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -340,19 +341,19 @@ func TestEpisodeSeedSpread(t *testing.T) {
 	}
 }
 
-// Map returns results in input order regardless of worker interleaving and
-// surfaces the first error by item order.
+// MapCollect returns results in input order regardless of worker
+// interleaving, and the first error by item order is the first non-nil one.
 func TestMapOrderingAndErrors(t *testing.T) {
 	items := make([]int, 64)
 	for i := range items {
 		items[i] = i
 	}
 	var calls atomic.Int64
-	out, err := Map(8, items, func(worker, idx int, v int) (int, error) {
+	out, errs := MapCollect(8, items, func(worker, idx int, v int) (int, error) {
 		calls.Add(1)
 		return v * v, nil
 	})
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 64 {
@@ -363,14 +364,14 @@ func TestMapOrderingAndErrors(t *testing.T) {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
-	_, err = Map(4, items, func(worker, idx int, v int) (int, error) {
+	_, errs = MapCollect(4, items, func(worker, idx int, v int) (int, error) {
 		if v%10 == 3 {
 			return 0, fmt.Errorf("boom %d", v)
 		}
 		return v, nil
 	})
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("boom 3")) {
-		t.Fatalf("err = %v, want first error (item 3)", err)
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i != 3 || errs[3].Error() != "boom 3" {
+		t.Fatalf("first error at item %d (%v), want item 3", i, errs)
 	}
 }
 

@@ -25,19 +25,14 @@ func NewScalarRLLearner(s *rl.Scheduler, cfg core.TrainConfig) Learner {
 }
 
 func (l *scalarRLLearner) Spawn() (Actor, bool) {
-	a, parallel := l.s.Actor()
-	return &scalarRLActor{l: l, a: a}, parallel
+	return &scalarRLActor{l: l, a: l.s.Actor()}, true
 }
 
 // SpawnSnapshot implements SnapshotLearner: actors sample trajectories
 // against the published weight snapshot (rl.Scheduler.SnapshotActor), so
 // collection may overlap the REINFORCE updates (Config.Pipelined).
-func (l *scalarRLLearner) SpawnSnapshot() (Actor, bool) {
-	a, ok := l.s.SnapshotActor()
-	if !ok {
-		return nil, false
-	}
-	return &scalarRLActor{l: l, a: a}, true
+func (l *scalarRLLearner) SpawnSnapshot() Actor {
+	return &scalarRLActor{l: l, a: l.s.SnapshotActor()}
 }
 
 // Publish implements SnapshotLearner: advance the snapshot to the live

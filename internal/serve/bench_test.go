@@ -98,10 +98,7 @@ func BenchmarkDecisionsPerSec(b *testing.B) {
 		}
 		ctxs[i] = ctx
 	}
-	eng, err := newEngine(testAgent(sys, 21))
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := newEngine(testAgent(sys, 21))
 	for _, bs := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
 			var dst []int

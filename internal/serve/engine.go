@@ -29,19 +29,13 @@ type engine struct {
 	pool sync.Pool // of *core.BatchDecider
 }
 
-func newEngine(m *core.MRSch) (*engine, error) {
+func newEngine(m *core.MRSch) *engine {
 	m.Train = false
-	first, ok := m.BatchDecider()
-	if !ok {
-		return nil, fmt.Errorf("serve: the agent's state module does not support weight snapshots")
-	}
 	e := &engine{master: m, version: 1}
-	e.pool.New = func() any {
-		d, _ := m.BatchDecider() // cannot fail: the first clone succeeded
-		return d
-	}
-	e.pool.Put(first)
-	return e, nil
+	e.pool.New = func() any { return m.BatchDecider() }
+	// The first decider materializes the weight snapshot, before any reader.
+	e.pool.Put(m.BatchDecider())
+	return e
 }
 
 // decide answers one admission batch, writing picks into dst (grown as

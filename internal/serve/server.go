@@ -196,10 +196,7 @@ func NewServer(agent *core.MRSch, sys cluster.Config, cfg Config) (*Server, erro
 			return nil, fmt.Errorf("serve: resource %q has %d units, the served model encodes %d", sys.Resources[r], sys.Capacities[r], units)
 		}
 	}
-	eng, err := newEngine(agent)
-	if err != nil {
-		return nil, err
-	}
+	eng := newEngine(agent)
 	s := &Server{
 		cfg:         cfg.withDefaults(),
 		eng:         eng,

@@ -44,10 +44,7 @@ func TestConcurrentDecideAndSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, err := newEngine(testAgent(sys, 17))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(testAgent(sys, 17))
 
 	const readers = 4
 	var wg sync.WaitGroup
@@ -126,10 +123,7 @@ func TestFailedSwapLeavesReadersUntouched(t *testing.T) {
 	}
 	want := offlinePicks(t, testAgent(sys, 19), sys, reqs)
 
-	eng, err := newEngine(testAgent(sys, 19))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(testAgent(sys, 19))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)

@@ -97,16 +97,6 @@ func (j *Journal) Event(event string, kv ...any) {
 	}
 }
 
-// Seq reports the last assigned sequence number (0 before any event).
-func (j *Journal) Seq() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
-
 // Err reports the sticky first write error, if any.
 func (j *Journal) Err() error {
 	if j == nil {

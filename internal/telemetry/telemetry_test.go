@@ -92,8 +92,8 @@ func TestJournalEmitsMonotonicValidJSONL(t *testing.T) {
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Seq() != 3 {
-		t.Fatalf("seq = %d, want 3", j.Seq())
+	if j.seq != 3 {
+		t.Fatalf("seq = %d, want 3", j.seq)
 	}
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	if len(lines) != 3 {
@@ -127,7 +127,7 @@ func TestJournalEmitsMonotonicValidJSONL(t *testing.T) {
 
 	var nilJ *Journal
 	nilJ.Event("dropped") // must not panic
-	if nilJ.Seq() != 0 || nilJ.Err() != nil || nilJ.Close() != nil {
+	if nilJ.Err() != nil || nilJ.Close() != nil {
 		t.Error("nil journal accessors must be inert")
 	}
 }
@@ -150,8 +150,8 @@ func TestJournalWriteErrorIsSticky(t *testing.T) {
 	if j.Err() == nil {
 		t.Fatal("want sticky error")
 	}
-	if j.Seq() != 2 {
-		t.Errorf("seq = %d; events after the sticky error must not consume sequence numbers", j.Seq())
+	if j.seq != 2 {
+		t.Errorf("seq = %d; events after the sticky error must not consume sequence numbers", j.seq)
 	}
 }
 

@@ -46,14 +46,6 @@ func (b Burst) StationaryBurstFrac() float64 {
 	return b.PEnter / (b.PEnter + b.PExit)
 }
 
-// MeanGapScale is the stationary expectation of the per-arrival gap scale —
-// the factor by which modulation changes the trace's long-run mean
-// interarrival (and so, inversely, its job count).
-func (b Burst) MeanGapScale() float64 {
-	p := b.StationaryBurstFrac()
-	return (1-p)*b.CalmScale + p*b.BurstScale
-}
-
 // burstChain is the per-trace chain state. Its rng stream is private to the
 // chain: advancing it never perturbs the generator's main stream.
 type burstChain struct {

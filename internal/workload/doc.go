@@ -36,14 +36,12 @@
 // Apply (and ApplyPower) never touch their input: they build the scenario's
 // jobs afresh, in the slab layout job.CloneAll documents — one []Job, one
 // []int every Demand is cut from with cap = len, one []*Job — so the result
-// belongs to the caller. The two variant axes come in two forms.
-// NoiseWalltimes and AssignZipfUsers copy: job.CloneAll, then the axis on
-// the copy, for a caller that keeps its input. NoiseWalltimesInPlace and
-// AssignZipfUsersInPlace are that axis alone, on jobs the caller owns — what
-// experiments.Materials.WorkloadSpec runs on the jobs Apply has just handed
-// it, so a cell copies each job once however many axes it stacks. Both forms
-// draw the same values in the same order (slab_test.go holds them against
-// the per-job loops they replaced).
+// belongs to the caller. The two variant axes, NoiseWalltimesInPlace and
+// AssignZipfUsersInPlace, run on jobs the caller owns — what
+// experiments.Materials.WorkloadSpec and cmd/mrsch-gen run on the jobs Apply
+// has just handed them, so a cell copies each job once however many axes it
+// stacks; a caller that keeps its input makes the copy itself (job.CloneAll).
+// slab_test.go holds them against the per-job loops they replaced.
 //
 // # Determinism and seeding
 //

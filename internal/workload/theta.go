@@ -86,12 +86,6 @@ type GeneratorConfig struct {
 	Burst *Burst
 }
 
-// DefaultGenerator returns experiment-scale settings for a system: a two-day
-// trace with a 90 s peak inter-arrival (dense enough to create queueing).
-func DefaultGenerator(sys cluster.Config, seed int64) GeneratorConfig {
-	return GeneratorConfig{System: sys, Duration: 2 * 86400, MeanInterarrival: 90, Seed: seed}
-}
-
 // Job-size mixture: classes as fractions of the machine, loosely matching
 // leadership-class logs (many small/debug jobs, a heavy mid-range, rare
 // near-full-machine runs).

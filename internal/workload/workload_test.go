@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cluster"
 	"repro/internal/job"
 )
 
@@ -43,9 +44,29 @@ func TestWithPowerBudgetScales(t *testing.T) {
 	}
 }
 
+// defaultGenerator is the fixture trace: two days at a 90 s peak
+// inter-arrival, dense enough to create queueing.
+func defaultGenerator(sys cluster.Config, seed int64) GeneratorConfig {
+	return GeneratorConfig{System: sys, Duration: 2 * 86400, MeanInterarrival: 90, Seed: seed}
+}
+
+// noiseWalltimes and assignZipfUsers are what a caller that keeps its input
+// writes: job.CloneAll, then the axis on the copy.
+func noiseWalltimes(jobs []*job.Job, sigma float64, seed int64) []*job.Job {
+	out := job.CloneAll(jobs)
+	NoiseWalltimesInPlace(out, sigma, seed)
+	return out
+}
+
+func assignZipfUsers(jobs []*job.Job, users int, theta float64, seed int64) []*job.Job {
+	out := job.CloneAll(jobs)
+	AssignZipfUsersInPlace(out, users, theta, seed)
+	return out
+}
+
 func TestGenerateBaseValidity(t *testing.T) {
 	sys := ThetaScaled(16)
-	cfg := DefaultGenerator(sys, 42)
+	cfg := defaultGenerator(sys, 42)
 	jobs := GenerateBase(cfg)
 	if len(jobs) < 100 {
 		t.Fatalf("only %d jobs generated over %v s", len(jobs), cfg.Duration)
@@ -73,8 +94,8 @@ func TestGenerateBaseValidity(t *testing.T) {
 
 func TestGenerateBaseDeterministic(t *testing.T) {
 	sys := ThetaScaled(16)
-	a := GenerateBase(DefaultGenerator(sys, 7))
-	b := GenerateBase(DefaultGenerator(sys, 7))
+	a := GenerateBase(defaultGenerator(sys, 7))
+	b := GenerateBase(defaultGenerator(sys, 7))
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -83,7 +104,7 @@ func TestGenerateBaseDeterministic(t *testing.T) {
 			t.Fatalf("job %d differs between identical seeds", i)
 		}
 	}
-	c := GenerateBase(DefaultGenerator(sys, 8))
+	c := GenerateBase(defaultGenerator(sys, 8))
 	same := len(a) == len(c)
 	if same {
 		identical := true
@@ -310,7 +331,7 @@ func TestPowerScenarios(t *testing.T) {
 
 func TestSampledSetsPoissonArrivals(t *testing.T) {
 	sys := ThetaScaled(16)
-	base := GenerateBase(DefaultGenerator(sys, 23))
+	base := GenerateBase(defaultGenerator(sys, 23))
 	sets := SampledSets(base, 3, 50, 24)
 	if len(sets) != 3 {
 		t.Fatalf("%d sets", len(sets))
@@ -337,7 +358,7 @@ func TestSampledSetsPoissonArrivals(t *testing.T) {
 
 func TestRealSetsPreserveSpacing(t *testing.T) {
 	sys := ThetaScaled(16)
-	base := GenerateBase(DefaultGenerator(sys, 25))
+	base := GenerateBase(defaultGenerator(sys, 25))
 	sets := RealSets(base, 2, 40)
 	for _, set := range sets {
 		if len(set) != 40 {
@@ -410,7 +431,7 @@ func PaperSplitEmptyGuard() []*job.Job {
 // Property: Apply never produces invalid jobs for any seed.
 func TestApplyValidityProperty(t *testing.T) {
 	sys := ThetaScaled(16)
-	base := GenerateBase(DefaultGenerator(sys, 33))
+	base := GenerateBase(defaultGenerator(sys, 33))
 	pool := AssignDarshanBB(base, sys.Capacities[1], 34)
 	f := func(seed int64, which uint8) bool {
 		sc := Scenarios()[int(which)%5]
@@ -429,17 +450,17 @@ func TestApplyValidityProperty(t *testing.T) {
 
 func TestNoiseWalltimes(t *testing.T) {
 	sys := ThetaScaled(32)
-	base := GenerateBase(DefaultGenerator(sys, 41))
+	base := GenerateBase(defaultGenerator(sys, 41))
 	if len(base) == 0 {
 		t.Fatal("empty base trace")
 	}
 
 	// sigma <= 0 is the identity.
-	if got := NoiseWalltimes(base, 0, 7); !reflect.DeepEqual(got, base) {
+	if got := noiseWalltimes(base, 0, 7); !reflect.DeepEqual(got, base) {
 		t.Fatal("sigma=0 is not the identity")
 	}
 
-	noised := NoiseWalltimes(base, 0.5, 7)
+	noised := noiseWalltimes(base, 0.5, 7)
 	if len(noised) != len(base) {
 		t.Fatalf("%d jobs out, want %d", len(noised), len(base))
 	}
@@ -447,7 +468,7 @@ func TestNoiseWalltimes(t *testing.T) {
 	for i, j := range noised {
 		b := base[i]
 		if j == b {
-			t.Fatal("NoiseWalltimes returned an aliased job instead of a clone")
+			t.Fatal("the copy aliases an input job instead of a clone")
 		}
 		if j.Submit != b.Submit || j.Runtime != b.Runtime || !reflect.DeepEqual(j.Demand, b.Demand) {
 			t.Fatalf("job %d: noise touched a non-walltime field", i)
@@ -467,11 +488,11 @@ func TestNoiseWalltimes(t *testing.T) {
 	}
 
 	// Determinism: same seed, same output; different seed, different noise.
-	again := NoiseWalltimes(base, 0.5, 7)
+	again := noiseWalltimes(base, 0.5, 7)
 	if !jobsEqual(noised, again) {
-		t.Fatal("NoiseWalltimes is not deterministic for a fixed seed")
+		t.Fatal("NoiseWalltimesInPlace is not deterministic for a fixed seed")
 	}
-	other := NoiseWalltimes(base, 0.5, 8)
+	other := noiseWalltimes(base, 0.5, 8)
 	if jobsEqual(noised, other) {
 		t.Fatal("different seeds produced identical noise")
 	}
@@ -503,7 +524,7 @@ func TestWithPowerBudget(t *testing.T) {
 
 	// A tighter budget makes the same physical draws a larger fraction of
 	// capacity: power demand units stay put while capacity shrinks.
-	base := GenerateBase(DefaultGenerator(sys, 51))
+	base := GenerateBase(defaultGenerator(sys, 51))
 	pool := AssignDarshanBB(base, sys.Capacities[1], 52)
 	psc := PowerScenarios()[0]
 	defJobs := ApplyPowerBudget(base, pool, psc, def, ThetaPowerBudgetKW, 9)

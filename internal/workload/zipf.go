@@ -42,25 +42,13 @@ func ZipfPMF(users int, theta float64) []float64 {
 	return p
 }
 
-// AssignZipfUsers returns a copy of jobs whose User fields are drawn from
+// AssignZipfUsersInPlace draws the User field of jobs the caller owns from
 // the Zipf distribution over ranks 1..users with exponent theta, by inverse
 // CDF on exactly one rng draw per job. Everything else — arrivals, runtimes,
-// walltimes, demands — is byte-identical to the input (the clone resets sim
-// state like every workload transform). theta = 0 is the unskewed baseline:
-// a uniform assignment over the same population, from the same draws.
-// users <= 0 disables the axis and returns plain clones with no rng draws.
-//
-// This is the copying form: job.CloneAll, then AssignZipfUsersInPlace on the
-// copy. A caller that built the jobs itself skips the copy.
-func AssignZipfUsers(jobs []*job.Job, users int, theta float64, seed int64) []*job.Job {
-	out := job.CloneAll(jobs)
-	AssignZipfUsersInPlace(out, users, theta, seed)
-	return out
-}
-
-// AssignZipfUsersInPlace is AssignZipfUsers on jobs the caller owns: it
-// overwrites each User, touches nothing else, and draws exactly what the
-// copying form draws, in the same order (nothing when users <= 0).
+// walltimes, demands — is left alone. theta = 0 is the unskewed baseline: a
+// uniform assignment over the same population, from the same draws.
+// users <= 0 disables the axis: nothing written, no rng draws. A caller that
+// keeps its input runs it on a job.CloneAll.
 func AssignZipfUsersInPlace(jobs []*job.Job, users int, theta float64, seed int64) {
 	if users <= 0 {
 		return
