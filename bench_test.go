@@ -97,20 +97,29 @@ func BenchmarkDFPForward(b *testing.B) {
 	}
 }
 
+// fillReplay records episodes of 40 decisions through a rollout actor and
+// ingests them. Epsilon 1 makes every decision a random one (no forward
+// pass), so the fill is cheap even at paper scale.
+func fillReplay(agent *dfp.Agent, episodes int) {
+	state := make([]float64, agent.Config().StateDim)
+	goal := []float64{0.5, 0.5}
+	ac := agent.Actor()
+	for ep := 0; ep < episodes; ep++ {
+		ac.Reset(int64(ep), 1)
+		for t := 0; t < 40; t++ {
+			ac.Act(state, []float64{0.5, 0.5}, goal, 10)
+		}
+		agent.IngestTranscript(ac.TakeTranscript())
+	}
+}
+
 // trainReadyAgent builds a DefaultConfig-scale agent with a populated replay
 // buffer for the TrainStep benchmarks.
 func trainReadyAgent(workers int) *dfp.Agent {
 	cfg := dfp.DefaultConfig(256, 2, 10)
 	cfg.Workers = workers
 	agent := dfp.New(cfg)
-	state := make([]float64, 256)
-	goal := []float64{0.5, 0.5}
-	for ep := 0; ep < 8; ep++ {
-		for t := 0; t < 40; t++ {
-			agent.Act(state, []float64{0.5, 0.5}, goal, 10, true)
-		}
-		agent.EndEpisode()
-	}
+	fillReplay(agent, 8)
 	return agent
 }
 
@@ -178,16 +187,7 @@ func BenchmarkTrainStepPhases(b *testing.B) {
 func BenchmarkTrainStepPaperScale(b *testing.B) {
 	cfg := dfp.PaperScaleConfig(11410, 2, 10)
 	agent := dfp.New(cfg)
-	state := make([]float64, cfg.StateDim)
-	goal := []float64{0.5, 0.5}
-	// EpsStart=1 makes training Acts random (no forward pass), so the
-	// replay fill is cheap even at paper scale.
-	for ep := 0; ep < 4; ep++ {
-		for t := 0; t < 40; t++ {
-			agent.Act(state, []float64{0.5, 0.5}, goal, 10, true)
-		}
-		agent.EndEpisode()
-	}
+	fillReplay(agent, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/dfp"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/rollout"
 	"repro/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func main() {
 	}
 
 	// 4. MRSch: train a compact agent for a handful of episodes on sampled
-	//    job sets, then evaluate greedily.
+	//    job sets through the rollout harness, then evaluate greedily.
 	agent := core.New(sys, core.Options{
 		Window: 10,
 		Seed:   1,
@@ -61,15 +62,19 @@ func main() {
 			c.TemporalWeights = []float64{0, 0.5, 0.5, 1}
 		},
 	})
+	var curriculum []core.JobSet
 	for episode := 0; episode < 8; episode++ {
 		sets := workload.SampledSets(jobs, 1, 40, int64(100+episode))
 		train := workload.Apply(sets[0], pool, s4, sys, int64(200+episode))
-		res, err := core.TrainEpisode(agent, core.TrainConfig{System: sys, StepsPerEpisode: 16},
-			core.JobSet{Kind: core.Sampled, Jobs: train})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("training episode %d: loss=%.4f epsilon=%.2f\n", episode+1, res.Loss, res.Epsilon)
+		curriculum = append(curriculum, core.JobSet{Kind: core.Sampled, Jobs: train})
+	}
+	learner := rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: 16})
+	results, err := rollout.Train(learner, rollout.Config{Workers: 1, Seed: 1}, curriculum)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, res := range results {
+		fmt.Printf("training episode %d: loss=%.4f epsilon=%.2f\n", i+1, res.Loss, res.Epsilon)
 	}
 	fmt.Println()
 	mrsch, err := experiments.Evaluate(sys, agent.Policy(), jobs, "MRSch", "S4", -1)

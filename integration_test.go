@@ -15,6 +15,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/rollout"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -147,8 +148,9 @@ func TestPipelineAgentPersistence(t *testing.T) {
 	pool := workload.AssignDarshanBB(base, sys.Capacities[1], 302)
 	s2, _ := workload.ScenarioByName("S2")
 	train := workload.Apply(base, pool, s2, sys, 303)
-	if _, err := core.TrainEpisode(agent, core.TrainConfig{System: sys, StepsPerEpisode: 8},
-		core.JobSet{Kind: core.Sampled, Jobs: train}); err != nil {
+	learner := rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: 8})
+	if _, err := rollout.Train(learner, rollout.Config{Workers: 1, Seed: 5},
+		[]core.JobSet{{Kind: core.Sampled, Jobs: train}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,8 +13,9 @@ import (
 // is private. Multiple actors may roll out episodes in
 // parallel against one master, provided the master's weights are not updated
 // until the rollouts finish — internal/rollout's round barrier guarantees
-// that. Actors do not update LastGoal or invoke GoalHook; those observation
-// hooks belong to the master's analysis paths (Figures 8/9).
+// that. An actor is the one place an episode is recorded. Actors do not
+// invoke GoalHook; that observation hook belongs to the master's analysis
+// paths (Figures 8/9).
 type MRSchActor struct {
 	enc       encode.Config
 	ac        *dfp.Actor
@@ -77,6 +78,5 @@ func (a *MRSchActor) Policy() *sched.WindowPolicy {
 func (a *MRSchActor) TakeTranscript() *dfp.Transcript { return a.ac.TakeTranscript() }
 
 // Ingest folds an actor-collected episode into the agent's replay buffer and
-// decays its exploration schedule — the actor-path counterpart of the
-// EndEpisode call in TrainEpisode.
+// decays its exploration schedule (dfp.Agent.IngestTranscript).
 func (m *MRSch) Ingest(t *dfp.Transcript) { m.Agent.IngestTranscript(t) }

@@ -131,8 +131,8 @@ func TestMRSchPickRecordsGoal(t *testing.T) {
 	if pick < 0 || pick >= 2 {
 		t.Fatalf("pick = %d out of window", pick)
 	}
-	if m.LastGoal == nil || len(hookGoals) != 1 {
-		t.Fatal("goal not recorded")
+	if len(hookGoals) != 1 || len(hookGoals[0]) != 2 {
+		t.Fatalf("the hook saw goals %v, want one two-resource goal", hookGoals)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestMRSchEndToEndSimulation(t *testing.T) {
 	}
 }
 
-func TestTrainEpisodeAccumulatesExperienceAndLoss(t *testing.T) {
+func TestActorEpisodeAccumulatesExperienceAndLoss(t *testing.T) {
 	m := New(sys(), tinyOptions(11))
 	rng := rand.New(rand.NewSource(4))
 	var jobs []*job.Job
@@ -171,7 +171,7 @@ func TestTrainEpisodeAccumulatesExperienceAndLoss(t *testing.T) {
 		jobs = append(jobs, mk(i, clk, float64(rng.Intn(300)+10), rng.Intn(12)+1, rng.Intn(7)))
 	}
 	cfg := TrainConfig{System: sys(), StepsPerEpisode: 4}
-	res, err := TrainEpisode(m, cfg, JobSet{Kind: Sampled, Jobs: jobs})
+	res, err := actorEpisode(m, cfg, JobSet{Kind: Sampled, Jobs: jobs}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,18 +184,43 @@ func TestTrainEpisodeAccumulatesExperienceAndLoss(t *testing.T) {
 	if res.Epsilon >= 1.0 {
 		t.Fatal("epsilon did not decay")
 	}
-	if m.Train {
-		t.Fatal("Train flag must be reset after the episode")
-	}
 }
 
-// trainSets is the library's harness-free training loop: TrainEpisode over
-// the sets in order, with an optional model-selection protocol observing
-// every episode.
+// actorEpisode is one training episode as the rollout harness runs it, minus
+// the harness: an actor at the agent's current epsilon explores the set and
+// records it, the agent ingests the transcript and takes cfg.StepsPerEpisode
+// gradient steps.
+func actorEpisode(m *MRSch, cfg TrainConfig, set JobSet, seed int64) (EpisodeResult, error) {
+	actor, _ := m.Actor()
+	actor.Reset(seed, m.Agent.Epsilon())
+	s := sim.New(cfg.System, actor.Policy())
+	if err := s.Load(job.CloneAll(set.Jobs)); err != nil {
+		return EpisodeResult{}, err
+	}
+	if err := s.Run(); err != nil {
+		return EpisodeResult{}, err
+	}
+	m.Ingest(actor.TakeTranscript())
+	total, n := 0.0, 0
+	m.Agent.TrainSteps(cfg.StepsPerEpisode, func(l float64) {
+		if l >= 0 {
+			total += l
+			n++
+		}
+	})
+	res := EpisodeResult{Set: set.Kind, Epsilon: m.Agent.Epsilon(), Loss: -1}
+	if n > 0 {
+		res.Loss = total / float64(n)
+	}
+	return res, nil
+}
+
+// trainSets is a harness-free training loop: actorEpisode over the sets in
+// order, with an optional model-selection protocol observing every episode.
 func trainSets(m *MRSch, cfg TrainConfig, sets []JobSet, sel *Selection) ([]EpisodeResult, error) {
 	var results []EpisodeResult
 	for i, set := range sets {
-		r, err := TrainEpisode(m, cfg, set)
+		r, err := actorEpisode(m, cfg, set, int64(i))
 		if err != nil {
 			return results, err
 		}

@@ -10,10 +10,10 @@ import (
 // agent's published weight snapshot instead of the live weights. It encodes
 // each context, computes its Eq. (1) goal vector (or the agent's FixedGoal),
 // and selects all actions in one batched greedy forward pass
-// (dfp.BatchDecider). Row i's decision is byte-identical to
-// m.Pick(ctxs[i]) with Train=false for the same published weights, at any
-// batch size — the decision-service equivalence contract. Not safe for
-// concurrent use; internal/serve pools deciders under its reader lock.
+// (dfp.BatchDecider). Row i's decision is byte-identical to m.Pick(ctxs[i])
+// for the same published weights, at any batch size — the decision-service
+// equivalence contract. Not safe for concurrent use; internal/serve pools
+// deciders under its reader lock.
 type BatchDecider struct {
 	enc       encode.Config
 	bd        *dfp.BatchDecider

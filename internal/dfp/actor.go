@@ -1,13 +1,12 @@
-// Parallel-rollout support. An Actor is a read-only inference clone of an
-// Agent: its networks alias the master's weight Values (via nn.SharedClone)
-// while its forward caches, scratch buffers, exploration rng, and episode
-// record are private. Any number of actors may therefore run epsilon-greedy
-// episodes concurrently against one set of weights, as long as nothing
-// updates those weights until the rollouts finish — the synchronization
-// contract internal/rollout's round barrier provides. Collected episodes are
-// handed back to the master as opaque Transcripts and folded into the replay
-// buffer with Agent.IngestTranscript, which reproduces EndEpisode's
-// experience construction exactly.
+// Episode recording. An Actor is the one place an episode is recorded: a
+// read-only inference clone of an Agent whose networks alias the master's
+// weight Values (via nn.SharedClone) while its forward caches, scratch
+// buffers, exploration rng, and episode record are private. Any number of
+// actors may therefore run epsilon-greedy episodes concurrently against one
+// set of weights, as long as nothing updates those weights until the rollouts
+// finish — the synchronization contract internal/rollout's round barrier
+// provides. Collected episodes are handed back to the master as opaque
+// Transcripts and folded into the replay buffer with Agent.IngestTranscript.
 package dfp
 
 import (
@@ -218,9 +217,9 @@ func (ac *Actor) Reset(seed int64, eps float64) {
 func (ac *Actor) Unrecorded() { ac.unrecorded = true }
 
 // Act selects an action among the first valid actions under the actor's
-// epsilon-greedy policy and records the decision. It consumes the actor's
-// rng exactly like the master's training-mode Act consumes the agent rng:
-// one Float64 per decision plus one Intn when exploring.
+// epsilon-greedy policy (§IV-C) and records the decision. It consumes the
+// actor's rng as one Float64 per decision plus one Intn when exploring; at
+// epsilon 0 it picks what the agent's greedy Act picks.
 func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 	if valid <= 0 || valid > ac.cfg.Actions {
 		valid = ac.cfg.Actions
@@ -252,6 +251,15 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 	return action
 }
 
+// stepRecord is one recorded decision.
+type stepRecord struct {
+	state  []float64
+	meas   []float64
+	goal   []float64 // extended goal (PredDim)
+	action int
+	valid  int // number of valid actions at that step
+}
+
 // Transcript is one episode's recorded decisions, opaque to callers. It is
 // produced by Actor.TakeTranscript and consumed by Agent.IngestTranscript.
 type Transcript struct {
@@ -266,9 +274,39 @@ func (ac *Actor) TakeTranscript() *Transcript {
 	return t
 }
 
-// IngestTranscript folds an actor-collected episode into the replay buffer
-// and decays epsilon, exactly as EndEpisode does for episodes recorded by
-// the master agent itself.
+// IngestTranscript folds an actor-collected episode into the replay buffer:
+// each step's target is the realized measurement change at every temporal
+// offset, with offsets that run past the episode end masked out, and a step
+// with no offset left is dropped. It then decays epsilon.
 func (a *Agent) IngestTranscript(t *Transcript) {
-	a.ingest(t.steps)
+	steps := t.steps
+	pd := a.cfg.PredDim()
+	m := a.cfg.Measurements
+	for i, st := range steps {
+		target := make([]float64, pd)
+		mask := make([]bool, pd)
+		any := false
+		for k, off := range a.cfg.Offsets {
+			tf := i + off
+			if tf >= len(steps) {
+				continue
+			}
+			for mi := 0; mi < m; mi++ {
+				target[k*m+mi] = steps[tf].meas[mi] - st.meas[mi]
+				mask[k*m+mi] = true
+			}
+			any = true
+		}
+		if !any {
+			continue
+		}
+		a.replay.add(&Experience{
+			State: st.state, Meas: st.meas, Goal: st.goal,
+			Action: st.action, Target: target, Mask: mask,
+		})
+	}
+	a.eps *= a.cfg.EpsDecay
+	if a.eps < a.cfg.EpsMin {
+		a.eps = a.cfg.EpsMin
+	}
 }

@@ -3,7 +3,7 @@
 // module — the admission-batching amortization — through the same
 // modules.forwardDueling that Agent.Act runs at bsz=1, so every row's
 // arithmetic is bitwise identical to the single-sample greedy path
-// (Agent.Act with train=false):
+// (Agent.Act):
 //
 //   - nn.Layer.Forward computes every sample row with the same kernel
 //     primitives in the same order regardless of bsz, so each row of a

@@ -86,7 +86,7 @@ func TestDecideBatchFollowsPublishedWeights(t *testing.T) {
 
 	// Train until the greedy policy moves on at least one row (bounded; the
 	// random net at this scale shifts within a few steps).
-	feedEpisode(a, rng)
+	recordEpisode(a, 12, 40)
 	changed := false
 	for step := 0; step < 200 && !changed; step++ {
 		a.TrainStep()
@@ -118,14 +118,4 @@ func TestDecideBatchFollowsPublishedWeights(t *testing.T) {
 			t.Fatalf("row %d after publish decided %d, live Act decided %d", i, fresh[i], want)
 		}
 	}
-}
-
-// feedEpisode records one exploratory episode so the replay buffer has
-// something to train on.
-func feedEpisode(a *Agent, rng *rand.Rand) {
-	states, meas, goals, valid := randomInputs(&a.cfg, rng, 40)
-	for i := range states {
-		a.Act(states[i], meas[i], goals[i], valid[i], true)
-	}
-	a.EndEpisode()
 }

@@ -170,9 +170,8 @@ type Agent struct {
 	// SaveState/LoadState (state.go) persist to resume the stream exactly.
 	rngSrc *nn.CursorSource
 
-	eps     float64
-	replay  *replay
-	episode []*stepRecord
+	eps    float64
+	replay *replay
 
 	trainSteps int
 
@@ -187,14 +186,6 @@ type Agent struct {
 	observe func(StepPhases)
 	phases  StepPhases
 	phaseAt time.Time
-}
-
-type stepRecord struct {
-	state  []float64
-	meas   []float64
-	goal   []float64 // extended goal (PredDim)
-	action int
-	valid  int // number of valid actions at that step
 }
 
 // New constructs an agent. It panics on an invalid configuration.
@@ -287,9 +278,9 @@ func (a *Agent) Epsilon() float64 { return a.eps }
 
 // EpsilonAt returns the exploration rate in effect for 0-based episode i of
 // a training run: EpsStart decayed i times, floored at EpsMin after every
-// decay — exactly the value Epsilon reports after i EndEpisode (or
-// IngestTranscript) calls. Rollout actors are reset with this value so a
-// parallel harness reproduces the serial exploration schedule.
+// decay — exactly the value Epsilon reports after i IngestTranscript calls.
+// Rollout actors are reset with this value so a parallel harness reproduces
+// the serial exploration schedule.
 func (c *Config) EpsilonAt(episode int) float64 {
 	eps := c.EpsStart
 	for i := 0; i < episode; i++ {
@@ -367,78 +358,24 @@ func (a *Agent) Score(preds [][]float64, goalExt []float64) []float64 {
 	return scoreInto(make([]float64, len(preds)), preds, goalExt)
 }
 
-// Act selects an action among the first valid actions. In training mode it
-// follows the epsilon-greedy policy of §IV-C; otherwise it acts greedily on
-// the predicted outcomes. Inference-mode Act performs zero heap allocations
-// in steady state: the whole forward pass runs through agent-owned scratch
-// buffers.
+// Act selects greedily among the first valid actions on the predicted
+// outcomes, with zero heap allocations in steady state: the whole forward
+// pass runs through agent-owned scratch buffers. It records nothing: an
+// episode is explored and recorded by an Actor (Agent.Actor). train must be
+// false and Act panics on true; the parameter stays because bench/ passes it,
+// and only ROADMAP item 1 may edit bench/.
 func (a *Agent) Act(state, meas, goal []float64, valid int, train bool) int {
+	if train {
+		panic("dfp: Agent.Act records no episode; explore through Agent.Actor")
+	}
 	if valid <= 0 || valid > a.cfg.Actions {
 		valid = a.cfg.Actions
 	}
 	a.scr.goalExt = nn.Ensure(a.scr.goalExt, a.cfg.GoalDim())
 	goalExt := a.cfg.extendGoalInto(a.scr.goalExt, goal)
-	var action int
-	if train && a.rng.Float64() < a.eps {
-		action = a.rng.Intn(valid)
-	} else {
-		a.scr.score = nn.Ensure(a.scr.score, a.cfg.Actions)
-		scores := scoreInto(a.scr.score, a.forwardScratch(state, meas, goalExt), goalExt)
-		action = nn.ArgMax(scores[:valid])
-	}
-	if train {
-		a.episode = append(a.episode, &stepRecord{
-			state:  append([]float64(nil), state...),
-			meas:   append([]float64(nil), meas...),
-			goal:   append([]float64(nil), goalExt...),
-			action: action,
-			valid:  valid,
-		})
-	}
-	return action
-}
-
-// EndEpisode converts the recorded episode into replay experiences: for each
-// step, the target is the realized measurement change at every temporal
-// offset, with offsets that run past the episode end masked out. It then
-// decays epsilon. Actor-collected episodes go through the same logic via
-// IngestTranscript (actor.go).
-func (a *Agent) EndEpisode() {
-	steps := a.episode
-	a.episode = nil
-	a.ingest(steps)
-}
-
-func (a *Agent) ingest(steps []*stepRecord) {
-	pd := a.cfg.PredDim()
-	m := a.cfg.Measurements
-	for t, st := range steps {
-		target := make([]float64, pd)
-		mask := make([]bool, pd)
-		any := false
-		for k, off := range a.cfg.Offsets {
-			tf := t + off
-			if tf >= len(steps) {
-				continue
-			}
-			for mi := 0; mi < m; mi++ {
-				target[k*m+mi] = steps[tf].meas[mi] - st.meas[mi]
-				mask[k*m+mi] = true
-			}
-			any = true
-		}
-		if !any {
-			continue
-		}
-		a.replay.add(&Experience{
-			State: st.state, Meas: st.meas, Goal: st.goal,
-			Action: st.action, Target: target, Mask: mask,
-		})
-	}
-	a.eps *= a.cfg.EpsDecay
-	if a.eps < a.cfg.EpsMin {
-		a.eps = a.cfg.EpsMin
-	}
+	a.scr.score = nn.Ensure(a.scr.score, a.cfg.Actions)
+	scores := scoreInto(a.scr.score, a.forwardScratch(state, meas, goalExt), goalExt)
+	return nn.ArgMax(scores[:valid])
 }
 
 // ReplaySize returns the number of stored experiences.

@@ -194,16 +194,33 @@ func TestActGreedyPicksBestScore(t *testing.T) {
 	}
 }
 
+// Exploring or not, an actor picks inside the valid prefix.
 func TestActRespectsValidPrefix(t *testing.T) {
 	a := New(smallConfig())
 	state := make([]float64, 12)
 	meas := []float64{0.5, 0.5}
 	goal := []float64{0.5, 0.5}
-	for trial := 0; trial < 50; trial++ {
-		if got := a.Act(state, meas, goal, 1, true); got != 0 {
-			t.Fatalf("Act with valid=1 returned %d", got)
+	ac := a.Actor()
+	for _, eps := range []float64{1, 0} {
+		ac.Reset(1, eps)
+		for trial := 0; trial < 50; trial++ {
+			if got := ac.Act(state, meas, goal, 1); got != 0 {
+				t.Fatalf("eps %g: Act with valid=1 returned %d", eps, got)
+			}
 		}
 	}
+}
+
+// The agent acts greedily and records nothing: asked to train, it panics and
+// names the actor, where episodes are recorded.
+func TestActTrainPanicsNamingActor(t *testing.T) {
+	a := New(smallConfig())
+	defer func() {
+		if got := fmt.Sprint(recover()); !strings.Contains(got, "Agent.Actor") {
+			t.Fatalf("Act(…, true) panicked with %q, want it to name Agent.Actor", got)
+		}
+	}()
+	a.Act(make([]float64, 12), []float64{0.5, 0.5}, []float64{0.5, 0.5}, 3, true)
 }
 
 func TestEpisodeRecordingAndTargets(t *testing.T) {
@@ -213,14 +230,16 @@ func TestEpisodeRecordingAndTargets(t *testing.T) {
 	goal := []float64{0.5, 0.5}
 	// Deterministic measurement sequence.
 	seq := [][]float64{{0, 0}, {0.1, 0.2}, {0.3, 0.1}, {0.6, 0.4}}
-	a.eps = 0 // force greedy so no randomness in recording
+	ac := a.Actor()
+	ac.Reset(1, 0) // greedy: no randomness in recording
 	for _, m := range seq {
-		a.Act(state, m, goal, cfg.Actions, true)
+		ac.Act(state, m, goal, cfg.Actions)
 	}
-	if len(a.episode) != 4 {
-		t.Fatalf("episode length %d", len(a.episode))
+	tr := ac.TakeTranscript()
+	if len(tr.steps) != 4 {
+		t.Fatalf("episode length %d", len(tr.steps))
 	}
-	a.EndEpisode()
+	a.IngestTranscript(tr)
 	// Steps 0,1,2 have at least offset-1 targets; step 3 has none.
 	if got := a.ReplaySize(); got != 3 {
 		t.Fatalf("replay size %d, want 3", got)
@@ -250,12 +269,12 @@ func TestEpsilonDecay(t *testing.T) {
 	cfg.EpsDecay = 0.5
 	cfg.EpsMin = 0.2
 	a := New(cfg)
-	a.EndEpisode()
+	a.IngestTranscript(&Transcript{})
 	if math.Abs(a.Epsilon()-0.5) > 1e-12 {
 		t.Fatalf("eps after 1 episode = %v", a.Epsilon())
 	}
 	for i := 0; i < 10; i++ {
-		a.EndEpisode()
+		a.IngestTranscript(&Transcript{})
 	}
 	if a.Epsilon() != 0.2 {
 		t.Fatalf("eps floor = %v, want 0.2", a.Epsilon())
@@ -285,18 +304,20 @@ func TestAgentLearnsGoalDependentPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	goals := [][]float64{{1, 0}, {0, 1}, {0.5, 0.5}}
 
+	ac := a.Actor()
 	for ep := 0; ep < 60; ep++ {
 		m := []float64{0.2, 0.2}
 		goal := goals[ep%len(goals)]
+		ac.Reset(int64(ep), a.Epsilon())
 		for step := 0; step < 24; step++ {
-			act := a.Act(state, m, goal, cfg.Actions, true)
+			act := ac.Act(state, m, goal, cfg.Actions)
 			next := make([]float64, 2)
 			for i := range next {
 				next[i] = m[i] + drift[act][i] + rng.NormFloat64()*0.001
 			}
 			m = next
 		}
-		a.EndEpisode()
+		a.IngestTranscript(ac.TakeTranscript())
 		for k := 0; k < 8; k++ {
 			a.TrainStep()
 		}

@@ -88,9 +88,9 @@
 // Save/Load persist weights only (the model-file format). SaveState/
 // LoadState (state.go) persist the agent's complete training state —
 // weights, published snapshot buffers, Adam moments and step counter, the
-// replay ring with its cursor, the epsilon schedule position,
-// the rng draw cursor, and any in-flight episode — in a versioned,
-// SHA-256-checksummed container. Saving at a quiescent point and loading
+// replay ring with its cursor, the epsilon schedule position and the rng
+// draw cursor — in a versioned, SHA-256-checksummed container. An episode in
+// progress lives in an Actor, never in the agent, so there is none to save. Saving at a quiescent point and loading
 // into an identically-configured agent resumes training bit-for-bit
 // (internal/rollout's round-boundary checkpoint hook is that point; see
 // its package doc, rules 9-10). LoadState validates the entire container

@@ -29,9 +29,9 @@ func TestExtendGoalRejectsWrongArity(t *testing.T) {
 	a.ExtendGoal([]float64{1})
 }
 
-func TestEndEpisodeOnEmptyEpisode(t *testing.T) {
+func TestIngestEmptyTranscript(t *testing.T) {
 	a := New(smallConfig())
-	a.EndEpisode() // must not panic
+	a.IngestTranscript(a.Actor().TakeTranscript()) // an actor that never acted; must not panic
 	if a.ReplaySize() != 0 {
 		t.Fatal("phantom experiences")
 	}
@@ -40,9 +40,10 @@ func TestEndEpisodeOnEmptyEpisode(t *testing.T) {
 func TestShortEpisodeFullyMasked(t *testing.T) {
 	// A single-step episode has no future at any offset: nothing stored.
 	a := New(smallConfig())
-	a.eps = 0
-	a.Act(make([]float64, 12), []float64{0.1, 0.2}, []float64{0.5, 0.5}, 3, true)
-	a.EndEpisode()
+	ac := a.Actor()
+	ac.Reset(1, 0)
+	ac.Act(make([]float64, 12), []float64{0.1, 0.2}, []float64{0.5, 0.5}, 3)
+	a.IngestTranscript(ac.TakeTranscript())
 	if a.ReplaySize() != 0 {
 		t.Fatalf("replay has %d from a 1-step episode", a.ReplaySize())
 	}

@@ -29,7 +29,7 @@ func FuzzAgentLoadState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(parent) // the v1 container: refused by name
+	f.Add(parent) // the v2 container: refused by name
 
 	target := New(goldenConfig())
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,12 +19,14 @@ func snapshotTestAgent(t *testing.T) *Agent {
 	a := New(cfg)
 	// Fill the replay buffer so TrainStep has something to regress on.
 	state := make([]float64, cfg.StateDim)
+	ac := a.Actor()
 	for ep := 0; ep < 3; ep++ {
+		ac.Reset(int64(ep), a.Epsilon())
 		for step := 0; step < 12; step++ {
 			state[0] = float64(step)
-			a.Act(state, []float64{0.3, 0.6}, []float64{0.5, 0.5}, cfg.Actions, true)
+			ac.Act(state, []float64{0.3, 0.6}, []float64{0.5, 0.5}, cfg.Actions)
 		}
-		a.EndEpisode()
+		a.IngestTranscript(ac.TakeTranscript())
 	}
 	return a
 }

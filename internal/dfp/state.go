@@ -2,8 +2,8 @@
 // format consumed by evaluation. SaveState persists everything training
 // needs to resume bit-for-bit: weights, published snapshot buffers, Adam
 // moments and step counter (nn.TrainState), the replay ring with its
-// wraparound cursor, the epsilon schedule position, the rng cursor, and any
-// in-flight episode record. LoadState validates the whole container against
+// wraparound cursor, the epsilon schedule position and the rng cursor.
+// LoadState validates the whole container against
 // the receiving agent's architecture before mutating anything: corrupt,
 // truncated, or mismatched input fails with a descriptive error and leaves
 // the agent untouched.
@@ -19,23 +19,15 @@ import (
 
 // stateMagic versions the container. Bump it when the format changes
 // incompatibly; LoadState reports a mismatch instead of misreading. v1 held
-// the replay as a list of shards with two round-robin cursors; a v1 file is
-// refused by this name whatever its shard count.
-const stateMagic = "mrsch-dfp-state-v2"
+// the replay as a list of shards with two round-robin cursors, v2 the steps
+// of an episode the agent was recording itself; a file of either is refused
+// by its version name.
+const stateMagic = "mrsch-dfp-state-v3"
 
 func init() {
 	// Fixed-order gob type-ID claim, keeping encoded bytes history-free
 	// (see nn.GobWarmup).
 	nn.RegisterGobContainer(func(enc *gob.Encoder) { enc.Encode(&agentState{}) })
-}
-
-// savedStep mirrors stepRecord (whose fields are unexported) for gob.
-type savedStep struct {
-	State  []float64
-	Meas   []float64
-	Goal   []float64
-	Action int
-	Valid  int
 }
 
 // agentState is the gob container written by SaveState.
@@ -63,8 +55,6 @@ type agentState struct {
 	ReplayNext int
 	ReplayFull bool
 	Replay     []Experience
-
-	Episode []savedStep
 }
 
 // SaveState writes the agent's full training state to w. The agent must be
@@ -88,12 +78,6 @@ func (a *Agent) SaveState(w io.Writer) error {
 	}
 	for _, e := range a.replay.buf[:a.replay.len()] {
 		st.Replay = append(st.Replay, *e)
-	}
-	for _, rec := range a.episode {
-		st.Episode = append(st.Episode, savedStep{
-			State: rec.state, Meas: rec.meas, Goal: rec.goal,
-			Action: rec.action, Valid: rec.valid,
-		})
 	}
 	if err := nn.EncodeChecksummed(w, &st); err != nil {
 		return fmt.Errorf("dfp: save state: %w", err)
@@ -128,13 +112,6 @@ func (a *Agent) LoadState(r io.Reader) error {
 	for i := range st.Replay {
 		e := st.Replay[i] // its own allocation: eviction frees it alone
 		a.replay.buf[i] = &e
-	}
-	a.episode = nil
-	for _, rec := range st.Episode {
-		a.episode = append(a.episode, &stepRecord{
-			state: rec.State, meas: rec.Meas, goal: rec.Goal,
-			action: rec.Action, valid: rec.Valid,
-		})
 	}
 	return nil
 }
@@ -185,16 +162,6 @@ func (a *Agent) checkState(st *agentState) error {
 	for i := range st.Replay {
 		if err := a.checkExperience(&st.Replay[i]); err != nil {
 			return fmt.Errorf("replay experience %d: %w", i, err)
-		}
-	}
-	for i := range st.Episode {
-		rec := &st.Episode[i]
-		if len(rec.State) != a.cfg.StateDim || len(rec.Meas) != a.cfg.Measurements || len(rec.Goal) != pd {
-			return fmt.Errorf("episode step %d vector lengths state=%d meas=%d goal=%d, want %d/%d/%d",
-				i, len(rec.State), len(rec.Meas), len(rec.Goal), a.cfg.StateDim, a.cfg.Measurements, pd)
-		}
-		if rec.Action < 0 || rec.Action >= a.cfg.Actions || rec.Valid <= 0 || rec.Valid > a.cfg.Actions {
-			return fmt.Errorf("episode step %d action %d / valid %d out of range for %d actions", i, rec.Action, rec.Valid, a.cfg.Actions)
 		}
 	}
 	return nil

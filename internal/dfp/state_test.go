@@ -2,7 +2,6 @@ package dfp
 
 import (
 	"bytes"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,16 +11,16 @@ import (
 )
 
 // goldenStatePath is the committed format-stability fixture: a checkpoint
-// written by this package at format v2. Regenerate (after a DELIBERATE
+// written by this package at format v3. Regenerate (after a DELIBERATE
 // format change, bumping stateMagic) with:
 //
 //	UPDATE_GOLDEN=1 go test -run TestGoldenStateFixture ./internal/dfp/
-var goldenStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v2.ckpt")
+var goldenStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v3.ckpt")
 
-// parentStatePath is the v1 fixture as the last v1 commit wrote it, from
-// goldenAgent with its replay in two shards: what an old checkpoint looks
-// like to this loader.
-var parentStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v1.ckpt")
+// parentStatePath is the v2 fixture as the last v2 commit wrote it, from
+// goldenAgent with a three-step episode the agent was recording itself: what
+// an old checkpoint looks like to this loader.
+var parentStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v2.ckpt")
 
 // goldenConfig is the fixture's architecture: small, with a replay capacity
 // low enough that the fixture exercises ring wraparound.
@@ -35,29 +34,13 @@ func goldenConfig() Config {
 
 // goldenAgent builds the deterministic agent the fixture snapshots: a
 // wrapped replay buffer, a few gradient steps (Adam moments + rng
-// movement), an in-flight episode record, and a materialized published
-// snapshot (the pipelined-training buffer).
+// movement), and a materialized published snapshot (the pipelined-training
+// buffer).
 func goldenAgent() *Agent {
 	a := New(goldenConfig())
 	fillReplay(a, 24, 5) // 24 > cap 16: the ring wraps
 	for i := 0; i < 6; i++ {
 		a.TrainStep()
-	}
-	rng := rand.New(rand.NewSource(9))
-	state := make([]float64, a.cfg.StateDim)
-	meas := make([]float64, a.cfg.Measurements)
-	goal := make([]float64, a.cfg.Measurements)
-	for i := 0; i < 3; i++ {
-		for j := range state {
-			state[j] = rng.NormFloat64()
-		}
-		for j := range meas {
-			meas[j] = rng.Float64()
-		}
-		for j := range goal {
-			goal[j] = rng.Float64()
-		}
-		a.Act(state, meas, goal, a.cfg.Actions, true) // records an in-flight episode step
 	}
 	a.SnapshotActor()
 	a.PublishWeights()
@@ -102,8 +85,8 @@ func TestStateRoundTrip(t *testing.T) {
 
 	// Continue training both: the trajectories must stay bitwise equal
 	// through episode ingestion and further gradient steps.
-	a.EndEpisode()
-	b.EndEpisode()
+	recordEpisode(a, 3, 12)
+	recordEpisode(b, 3, 12)
 	for i := 0; i < 5; i++ {
 		la, lb := a.TrainStep(), b.TrainStep()
 		if la != lb {
@@ -186,9 +169,9 @@ func TestLoadStateConfigMismatch(t *testing.T) {
 	}
 }
 
-// A checkpoint the parent format wrote — the committed v1 fixture, a
-// two-shard container — is refused by its version name with nothing applied,
-// never read as if its replay fields were this format's.
+// A checkpoint the parent format wrote — the committed v2 fixture, which
+// carries an episode the agent was recording itself — is refused by its
+// version name with nothing applied, never read as if it were this format.
 func TestLoadStateRefusesParentFormat(t *testing.T) {
 	data, err := os.ReadFile(parentStatePath)
 	if err != nil {
@@ -197,8 +180,8 @@ func TestLoadStateRefusesParentFormat(t *testing.T) {
 	b := New(goldenConfig())
 	before := stateBytes(t, b)
 	err = b.LoadState(bytes.NewReader(data))
-	if err == nil || !strings.Contains(err.Error(), `bad magic "mrsch-dfp-state-v1"`) {
-		t.Fatalf("want the v1 container refused by name, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `bad magic "mrsch-dfp-state-v2"`) {
+		t.Fatalf("want the v2 container refused by name, got %v", err)
 	}
 	if !bytes.Equal(before, stateBytes(t, b)) {
 		t.Fatal("refused load mutated the agent")
@@ -206,7 +189,7 @@ func TestLoadStateRefusesParentFormat(t *testing.T) {
 }
 
 // The committed fixture must keep loading — and re-serializing to its
-// exact committed bytes — for as long as stateMagic says v2. If this test
+// exact committed bytes — for as long as stateMagic says v3. If this test
 // fails, the change broke the on-disk format: either restore
 // compatibility or bump the version (with a loud error for old files) and
 // regenerate the fixture.
@@ -224,18 +207,15 @@ func TestGoldenStateFixture(t *testing.T) {
 	}
 	b := New(goldenConfig())
 	if err := b.LoadState(bytes.NewReader(data)); err != nil {
-		t.Fatalf("golden v2 fixture no longer loads: %v", err)
+		t.Fatalf("golden v3 fixture no longer loads: %v", err)
 	}
 	if got := stateBytes(t, b); !bytes.Equal(got, data) {
 		t.Fatal("golden fixture round-trip drifted: load+save no longer reproduces the committed bytes")
 	}
 	// Spot-check the restored surface: the fixture has a wrapped 16-slot
-	// replay, a 3-step in-flight episode, and an advanced rng cursor.
+	// replay and an advanced rng cursor.
 	if b.ReplaySize() != 16 {
 		t.Errorf("restored replay size %d, want 16", b.ReplaySize())
-	}
-	if len(b.episode) != 3 {
-		t.Errorf("restored in-flight episode has %d steps, want 3", len(b.episode))
 	}
 	if b.rngSrc.Cursor() == 0 {
 		t.Error("restored rng cursor is zero; the fixture should have consumed draws")

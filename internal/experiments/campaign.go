@@ -51,13 +51,12 @@ type CampaignOptions struct {
 	// campaign whose key hashes to an existing file loads it instead of
 	// retraining — re-running a finished campaign trains zero models.
 	ModelDir string
-	// CheckpointDir/CheckpointEvery/Resume make the in-process family
-	// training runs durable at round granularity (see the matching Scale
-	// fields): a preempted campaign re-run with Resume continues each
-	// partially trained family model from its last written boundary.
-	CheckpointDir   string
-	CheckpointEvery int
-	Resume          bool
+	// CheckpointDir/Resume make the in-process family training runs
+	// durable at every round boundary (see the matching Scale fields): a
+	// preempted campaign re-run with Resume continues each partially
+	// trained family model from its last written boundary.
+	CheckpointDir string
+	Resume        bool
 	// OnModel, when non-nil, observes family-model resolution: action is
 	// "trained" (trained in-process this run), "cached" (loaded from the
 	// ModelDir store), or "file" (loaded from an explicit MethodSpec.Model
@@ -105,7 +104,6 @@ func OpenCampaign(spec scenario.CampaignSpec, opt CampaignOptions) (*CampaignRun
 	baseScale.RolloutWorkers = opt.Workers
 	baseScale.Pipelined = opt.Pipelined
 	baseScale.CheckpointDir = opt.CheckpointDir
-	baseScale.CheckpointEvery = opt.CheckpointEvery
 	baseScale.Resume = opt.Resume
 	baseScale.Metrics = opt.Metrics
 	baseScale.Journal = opt.Journal
@@ -360,9 +358,6 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 	}
 	if r.opt.OnModel != nil {
 		r.opt.OnModel(family, action, path)
-	}
-	if model.MRSch != nil {
-		model.MRSch.Train = false
 	}
 	r.models[key] = model
 	return nil

@@ -11,10 +11,11 @@ import (
 // Actor is a read-only rollout clone of a Scheduler: its policy network
 // aliases the master's weights (nn.SharedClone) while its forward caches,
 // sampling rng, and trajectory record are private, so multiple actors can
-// sample episodes in parallel against one set of weights. Actors always act
-// in training mode (stochastic prefix sampling);
-// the recorded trajectory is handed back with TakeTrajectory and applied to
-// the master with Scheduler.IngestTrajectory.
+// sample episodes in parallel against one set of weights. Actors always
+// sample stochastically over the valid prefix; the recorded trajectory is
+// handed back with TakeTrajectory and applied to the master with
+// Scheduler.IngestTrajectory. An actor is the only way an episode is
+// recorded.
 type Actor struct {
 	s     *Scheduler // read-only: cfg, enc, reward weights
 	net   *nn.Sequential
@@ -59,9 +60,8 @@ func (a *Actor) Reset(seed int64) {
 // take it.
 func (a *Actor) Unrecorded() { a.unrecorded = true }
 
-// Pick implements sched.Picker with the master's training-mode decision
-// logic: stochastic sampling over the valid window prefix, recording the
-// fixed-weight scalar reward of the selection.
+// Pick implements sched.Picker: stochastic sampling over the valid window
+// prefix, recording the fixed-weight scalar reward of the selection.
 func (a *Actor) Pick(ctx *sched.PickContext) int {
 	a.state = a.s.enc.EncodeInto(a.state, ctx)
 	probs := a.net.Forward(nil, a.state, 1)
@@ -100,11 +100,4 @@ func (a *Actor) TakeTrajectory() *Trajectory {
 	t := &Trajectory{steps: a.steps}
 	a.steps = nil
 	return t
-}
-
-// IngestTrajectory applies one REINFORCE update over an actor-collected
-// episode, exactly as EndEpisode does for episodes recorded by the master
-// itself, and returns the mean policy loss.
-func (s *Scheduler) IngestTrajectory(t *Trajectory) float64 {
-	return s.ingest(t.steps)
 }

@@ -8,9 +8,8 @@
 //
 // # Determinism and seeding
 //
-// All stochastic behaviour — weight initialization and training-time action
-// sampling — derives from Config.Seed, so a serial training run is
-// reproducible bit for bit. For parallel episode collection, Scheduler.Actor
+// Weight initialization derives from Config.Seed; every action is sampled by
+// an Actor, never by the Scheduler, which picks nothing. Scheduler.Actor
 // returns read-only clones whose policy network aliases the master weights
 // (nn.SharedClone) while the sampling rng and trajectory record are private;
 // actors are reseeded per episode and their trajectories applied in episode
@@ -22,9 +21,8 @@
 //
 // A campaign cell (internal/experiments) evaluates the trained policy the
 // way it was trained: it samples every action from the softmax, through an
-// unrecorded Actor reseeded Seed+9000+Index for the cell. It does not take
-// the argmax — Scheduler.Policy on the master outside training does, and no
-// experiment path uses that — so a scalar-RL cell's report depends on the
-// cell's index, and comparisons across campaigns should replicate over a
-// seed axis rather than read one cell.
+// unrecorded Actor reseeded Seed+9000+Index for the cell. Nothing takes the
+// argmax, so a scalar-RL cell's report depends on the cell's index, and
+// comparisons across campaigns should replicate over a seed axis rather than
+// read one cell.
 package rl

@@ -24,7 +24,8 @@ type Config struct {
 	LR, Gamma float64
 	// GradClip caps per-parameter gradient norms (0 disables).
 	GradClip float64
-	// Seed fixes stochastic behaviour.
+	// Seed fixes the weight initialization; actors sample from rngs of
+	// their own (Actor.Reset).
 	Seed int64
 }
 
@@ -40,21 +41,14 @@ type step struct {
 	reward float64
 }
 
-// Scheduler is the scalar-reward policy-gradient picker.
+// Scheduler is the scalar-reward policy-gradient learner: the policy
+// network, its optimizer and the REINFORCE update. It picks nothing itself —
+// every decision, trained or evaluated, is an Actor's.
 type Scheduler struct {
 	cfg Config
 	enc encode.Config
 	net *nn.Sequential // state -> logits -> softmax probabilities
-
-	// Train enables stochastic action sampling and episode recording.
-	Train bool
-
-	rng *rand.Rand
-	// rngSrc is rng's underlying source; its draw cursor is what
-	// SaveState/LoadState (state.go) persist to resume the stream exactly.
-	rngSrc  *nn.CursorSource
-	opt     *nn.Adam
-	episode []step
+	opt *nn.Adam
 }
 
 // New builds a scalar-RL scheduler for the given system.
@@ -79,10 +73,8 @@ func New(sys cluster.Config, cfg Config) *Scheduler {
 	if len(cfg.Weights) != r {
 		panic(fmt.Sprintf("rl: %d reward weights for %d resources", len(cfg.Weights), r))
 	}
-	// The agent rng rides a CursorSource so its position can be
-	// checkpointed; the draw streams are bit-identical to rand.NewSource.
-	src := nn.NewCursorSource(cfg.Seed)
-	rng := rand.New(src)
+	// Weight initialization is the one draw from the seed's stream.
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	layers := []nn.Layer{}
 	in := enc.StateDim()
 	for _, h := range cfg.Hidden {
@@ -91,51 +83,16 @@ func New(sys cluster.Config, cfg Config) *Scheduler {
 	}
 	layers = append(layers, nn.NewDense(in, cfg.Window, nn.XavierInit, rng), nn.NewSoftmax())
 	return &Scheduler{
-		cfg:    cfg,
-		enc:    enc,
-		net:    nn.NewSequential(enc.StateDim(), layers...),
-		rng:    rng,
-		rngSrc: src,
-		opt:    nn.NewAdam(cfg.LR),
+		cfg: cfg,
+		enc: enc,
+		net: nn.NewSequential(enc.StateDim(), layers...),
+		opt: nn.NewAdam(cfg.LR),
 	}
 }
 
-var _ sched.Picker = (*Scheduler)(nil)
-
-// Policy wraps the agent in the shared scheduling framework.
-func (s *Scheduler) Policy() *sched.WindowPolicy {
-	return sched.NewWindowPolicy(s, s.cfg.Window)
-}
-
-// Pick implements sched.Picker. The scalar reward recorded for the step is
-// the fixed-weight utilization the system would reach after the action — the
-// immediate effect of the selection under the static priorities.
-func (s *Scheduler) Pick(ctx *sched.PickContext) int {
-	state := s.enc.Encode(ctx)
-	probs := s.net.Forward(nil, state, 1)
-	valid := len(ctx.Window)
-	if valid > s.cfg.Window {
-		valid = s.cfg.Window
-	}
-	var action int
-	if s.Train {
-		action = samplePrefix(probs, valid, s.rng)
-	} else {
-		action = nn.ArgMax(probs[:valid])
-	}
-	if s.Train {
-		s.episode = append(s.episode, step{
-			state:  state,
-			action: action,
-			valid:  valid,
-			reward: s.reward(ctx, action),
-		})
-	}
-	return action
-}
-
-// reward is the fixed-weight scalar: sum_r w_r * util_r after hypothetically
-// starting the chosen job (if it fits).
+// reward is the fixed-weight scalar recorded for a step: sum_r w_r * util_r
+// after hypothetically starting the chosen job (if it fits) — the immediate
+// effect of the selection under the static priorities.
 func (s *Scheduler) reward(ctx *sched.PickContext, action int) float64 {
 	cl := ctx.Cluster
 	j := ctx.Window[action]
@@ -170,17 +127,10 @@ func samplePrefix(probs []float64, valid int, rng *rand.Rand) int {
 	return valid - 1
 }
 
-// EndEpisode applies one REINFORCE update over the recorded episode and
-// clears it. It returns the mean policy loss (0 for an empty episode).
-// Actor-collected episodes go through the same update via IngestTrajectory
-// (actor.go).
-func (s *Scheduler) EndEpisode() float64 {
-	steps := s.episode
-	s.episode = nil
-	return s.ingest(steps)
-}
-
-func (s *Scheduler) ingest(steps []step) float64 {
+// IngestTrajectory applies one REINFORCE update over an actor-collected
+// episode and returns the mean policy loss (0 for an empty episode).
+func (s *Scheduler) IngestTrajectory(t *Trajectory) float64 {
+	steps := t.steps
 	n := len(steps)
 	if n == 0 {
 		return 0

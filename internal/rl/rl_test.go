@@ -66,23 +66,26 @@ func TestPickWithinWindow(t *testing.T) {
 	s := New(sys(), tinyConfig(2))
 	cl := cluster.New(sys())
 	queue := []*job.Job{mk(1, 0, 10, 1, 0), mk(2, 0, 10, 2, 1)}
+	actor := s.Actor()
+	actor.Reset(2)
 	for trial := 0; trial < 20; trial++ {
-		if got := s.Pick(ctxWith(cl, 0, queue)); got < 0 || got >= 2 {
+		if got := actor.Pick(ctxWith(cl, 0, queue)); got < 0 || got >= 2 {
 			t.Fatalf("pick %d out of range", got)
 		}
 	}
 }
 
-// In eval mode the policy network's share of a Pick must not touch the heap:
-// whatever a Pick allocates is the state encoding's.
+// An evaluating (unrecorded) actor's Pick — encoding, network pass and
+// sampling — allocates nothing once its buffers are warm.
 func TestPickNetworkZeroAlloc(t *testing.T) {
 	s := New(sys(), tinyConfig(3))
 	ctx := ctxWith(cluster.New(sys()), 0, []*job.Job{mk(1, 0, 10, 1, 0), mk(2, 0, 10, 2, 1)})
-	s.Pick(ctx) // warm the layer buffers
-	encode := testing.AllocsPerRun(100, func() { s.enc.Encode(ctx) })
-	pick := testing.AllocsPerRun(100, func() { s.Pick(ctx) })
-	if pick != encode {
-		t.Fatalf("eval Pick allocates %v times, the encoding alone %v: the network pass allocates", pick, encode)
+	actor := s.Actor()
+	actor.Reset(3)
+	actor.Unrecorded()
+	actor.Pick(ctx) // warm the layer and encoding buffers
+	if avg := testing.AllocsPerRun(100, func() { actor.Pick(ctx) }); avg != 0 {
+		t.Fatalf("%v allocations per unrecorded pick, want 0", avg)
 	}
 }
 
@@ -129,10 +132,14 @@ func TestPrefixNLLGradMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
-func TestEndEpisodeEmpty(t *testing.T) {
+func TestIngestEmptyTrajectory(t *testing.T) {
 	s := New(sys(), tinyConfig(3))
-	if got := s.EndEpisode(); got != 0 {
+	before := snapshot(s)
+	if got := s.IngestTrajectory(s.Actor().TakeTrajectory()); got != 0 {
 		t.Fatalf("empty episode loss = %v", got)
+	}
+	if snapshot(s) != before {
+		t.Fatal("an empty episode moved the policy")
 	}
 }
 
@@ -145,7 +152,10 @@ func TestEndToEndSimulationCompletes(t *testing.T) {
 		clk += float64(rng.Intn(50))
 		jobs = append(jobs, mk(i, clk, float64(rng.Intn(400)+10), rng.Intn(16)+1, rng.Intn(9)))
 	}
-	simu := sim.New(sys(), s.Policy())
+	actor := s.Actor()
+	actor.Reset(4)
+	actor.Unrecorded()
+	simu := sim.New(sys(), actor.Policy())
 	if err := simu.Load(jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +171,6 @@ func TestEndToEndSimulationCompletes(t *testing.T) {
 
 func TestTrainingEpisodeUpdatesPolicy(t *testing.T) {
 	s := New(sys(), tinyConfig(6))
-	s.Train = true
 	rng := rand.New(rand.NewSource(7))
 	var jobs []*job.Job
 	clk := 0.0
@@ -169,22 +178,25 @@ func TestTrainingEpisodeUpdatesPolicy(t *testing.T) {
 		clk += float64(rng.Intn(40))
 		jobs = append(jobs, mk(i, clk, float64(rng.Intn(200)+10), rng.Intn(12)+1, rng.Intn(7)))
 	}
-	simu := sim.New(sys(), s.Policy())
+	actor := s.Actor()
+	actor.Reset(6)
+	simu := sim.New(sys(), actor.Policy())
 	if err := simu.Load(jobs); err != nil {
 		t.Fatal(err)
 	}
 	if err := simu.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.episode) == 0 {
-		t.Fatal("training mode recorded no steps")
+	tr := actor.TakeTrajectory()
+	if len(tr.steps) == 0 {
+		t.Fatal("the actor recorded no steps")
+	}
+	if len(actor.TakeTrajectory().steps) != 0 {
+		t.Fatal("TakeTrajectory did not clear the actor")
 	}
 	before := snapshot(s)
-	if loss := s.EndEpisode(); math.IsNaN(loss) {
+	if loss := s.IngestTrajectory(tr); math.IsNaN(loss) {
 		t.Fatal("NaN policy loss")
-	}
-	if len(s.episode) != 0 {
-		t.Fatal("episode not cleared")
 	}
 	after := snapshot(s)
 	if before == after {
@@ -203,9 +215,9 @@ func snapshot(s *Scheduler) float64 {
 }
 
 // A bandit-style check: two jobs, one tiny and one huge; rewards favour
-// picking the job that lifts utilization. After repeated single-step
-// episodes the policy probability mass must shift toward the fitting,
-// high-utilization action.
+// picking the job that lifts utilization. After repeated short episodes the
+// policy probability mass must shift toward the fitting, high-utilization
+// action, so that an evaluating actor samples it nearly always.
 func TestPolicyLearnsUtilizationBandit(t *testing.T) {
 	cfg := tinyConfig(8)
 	cfg.LR = 5e-3
@@ -215,27 +227,29 @@ func TestPolicyLearnsUtilizationBandit(t *testing.T) {
 		mk(1, 0, 100, 1, 0),  // low reward
 		mk(2, 0, 100, 14, 7), // high reward
 	}
-	s.Train = true
+	actor := s.Actor()
 	for ep := 0; ep < 300; ep++ {
+		actor.Reset(int64(ep))
 		// Multi-pull episodes: with a mean baseline, a single-step episode
 		// has zero advantage, so each episode makes several decisions.
 		for pull := 0; pull < 6; pull++ {
-			s.Pick(ctxWith(cl, 0, queue))
+			actor.Pick(ctxWith(cl, 0, queue))
 		}
-		s.EndEpisode()
+		s.IngestTrajectory(actor.TakeTrajectory())
 	}
-	s.Train = false
+	actor.Reset(1000)
+	actor.Unrecorded()
 	counts := [2]int{}
 	for i := 0; i < 50; i++ {
-		counts[s.Pick(ctxWith(cl, 0, queue))]++
+		counts[actor.Pick(ctxWith(cl, 0, queue))]++
 	}
 	if counts[1] < 40 {
 		t.Fatalf("policy failed to prefer high-reward action: %v", counts)
 	}
 }
 
-// An unrecorded actor samples what a recording one samples, keeps no
-// trajectory, and once warm allocates nothing per pick.
+// An unrecorded actor samples what a recording one samples and keeps no
+// trajectory.
 func TestUnrecordedActorSamplesTheSameAndKeepsNothing(t *testing.T) {
 	s := New(sys(), tinyConfig(4))
 	cl := cluster.New(sys())
@@ -260,8 +274,5 @@ func TestUnrecordedActorSamplesTheSameAndKeepsNothing(t *testing.T) {
 	}
 	if n := len(recording.TakeTrajectory().steps); n != 60 {
 		t.Fatalf("the recording actor kept %d of 60 decisions", n)
-	}
-	if avg := testing.AllocsPerRun(100, func() { actor.Pick(ctxs[0]) }); avg != 0 {
-		t.Fatalf("%v allocations per unrecorded pick, want 0", avg)
 	}
 }

@@ -2,9 +2,10 @@
 // persist the policy weights only (the model-file form campaign model
 // stores keep), while SaveState/LoadState persist everything REINFORCE
 // training needs to resume bit-for-bit — weights, published snapshot
-// buffers, Adam moments and step counter, the rng cursor, and any
-// in-flight episode record. LoadState validates the whole container before
-// mutating anything.
+// buffers, Adam moments and step counter. An episode in progress lives in an
+// Actor and nothing draws from a master rng after New, so there is neither
+// an episode nor an rng cursor to save. LoadState validates the whole
+// container before mutating anything.
 package rl
 
 import (
@@ -15,20 +16,15 @@ import (
 	"repro/internal/nn"
 )
 
-const stateMagic = "mrsch-rl-state-v1"
+// stateMagic versions the container. v1 also carried the rng cursor and the
+// steps of an episode the scheduler was recording itself; a v1 file is
+// refused by its version name.
+const stateMagic = "mrsch-rl-state-v2"
 
 func init() {
 	// Fixed-order gob type-ID claim, keeping encoded bytes history-free
 	// (see nn.GobWarmup).
 	nn.RegisterGobContainer(func(enc *gob.Encoder) { enc.Encode(&schedulerState{}) })
-}
-
-// savedRLStep mirrors step (whose fields are unexported) for gob.
-type savedRLStep struct {
-	State  []float64
-	Action int
-	Valid  int
-	Reward float64
 }
 
 // schedulerState is the gob container written by SaveState.
@@ -39,10 +35,7 @@ type schedulerState struct {
 	Window   int
 	Seed     int64
 
-	Train     nn.TrainState
-	RngCursor uint64
-
-	Episode []savedRLStep
+	Train nn.TrainState
 }
 
 // Save writes the policy-network weights to w (the evaluation model file).
@@ -56,17 +49,11 @@ func (s *Scheduler) Load(r io.Reader) error { return nn.LoadWeights(r, s.net.Par
 // must be quiescent — no update or rollout in flight.
 func (s *Scheduler) SaveState(w io.Writer) error {
 	st := schedulerState{
-		Magic:     stateMagic,
-		StateDim:  s.enc.StateDim(),
-		Window:    s.cfg.Window,
-		Seed:      s.cfg.Seed,
-		Train:     nn.CaptureTrainState(s.net.Params(), s.opt),
-		RngCursor: s.rngSrc.Cursor(),
-	}
-	for _, rec := range s.episode {
-		st.Episode = append(st.Episode, savedRLStep{
-			State: rec.state, Action: rec.action, Valid: rec.valid, Reward: rec.reward,
-		})
+		Magic:    stateMagic,
+		StateDim: s.enc.StateDim(),
+		Window:   s.cfg.Window,
+		Seed:     s.cfg.Seed,
+		Train:    nn.CaptureTrainState(s.net.Params(), s.opt),
 	}
 	if err := nn.EncodeChecksummed(w, &st); err != nil {
 		return fmt.Errorf("rl: save state: %w", err)
@@ -93,31 +80,10 @@ func (s *Scheduler) LoadState(r io.Reader) error {
 	if st.Seed != s.cfg.Seed {
 		return fmt.Errorf("rl: load state: seed mismatch: state was saved at seed %d, scheduler runs seed %d", st.Seed, s.cfg.Seed)
 	}
-	if st.RngCursor > nn.MaxRngCursor {
-		return fmt.Errorf("rl: load state: rng cursor %d exceeds the plausible maximum %d (corrupt or hand-crafted state; replaying it would hang the loader)", st.RngCursor, uint64(nn.MaxRngCursor))
-	}
-	if err := st.Train.Check(s.net.Params()); err != nil {
-		return fmt.Errorf("rl: load state: %w", err)
-	}
-	for i := range st.Episode {
-		rec := &st.Episode[i]
-		if len(rec.State) != s.enc.StateDim() {
-			return fmt.Errorf("rl: load state: episode step %d state length %d, want %d", i, len(rec.State), s.enc.StateDim())
-		}
-		if rec.Action < 0 || rec.Action >= s.cfg.Window || rec.Valid <= 0 || rec.Valid > s.cfg.Window {
-			return fmt.Errorf("rl: load state: episode step %d action %d / valid %d out of range for window %d", i, rec.Action, rec.Valid, s.cfg.Window)
-		}
-	}
-
+	// The train state is the one section left to apply, and Apply checks it
+	// whole before it copies anything.
 	if err := st.Train.Apply(s.net.Params(), s.opt); err != nil {
-		return fmt.Errorf("rl: load state: %w", err) // unreachable: checked above
-	}
-	s.rngSrc.SeekTo(st.RngCursor)
-	s.episode = nil
-	for _, rec := range st.Episode {
-		s.episode = append(s.episode, step{
-			state: rec.State, action: rec.Action, valid: rec.Valid, reward: rec.Reward,
-		})
+		return fmt.Errorf("rl: load state: %w", err)
 	}
 	return nil
 }

@@ -109,11 +109,4 @@
 //     weight math — so rules 1-10, including checkpoint-resume bitwise
 //     equivalence, hold with telemetry enabled. The resume-equivalence
 //     suite runs with instruments active to enforce this.
-//
-// The library's harness-free path (core.TrainEpisode and the training-mode
-// Act of dfp.Agent/rl.Scheduler) draws exploration and replay sampling from
-// one shared agent rng; the harness instead gives each episode
-// its own stream (rule 1) so episode transcripts cannot depend on collection
-// order. The two designs produce different but statistically equivalent
-// runs; harness results are self-consistent under rules 3-4.
 package rollout

@@ -30,7 +30,6 @@ type engine struct {
 }
 
 func newEngine(m *core.MRSch) *engine {
-	m.Train = false
 	e := &engine{master: m, version: 1}
 	e.pool.New = func() any { return m.BatchDecider() }
 	// The first decider materializes the weight snapshot, before any reader.

@@ -110,7 +110,6 @@ func readMessage(r io.Reader) (*message, error) {
 // reference the daemon must match bit for bit (contract rule 1).
 func offlinePicks(t *testing.T, agent *core.MRSch, sys cluster.Config, reqs []Request) []int {
 	t.Helper()
-	agent.Train = false
 	picks := make([]int, len(reqs))
 	for i := range reqs {
 		ctx, err := buildContext(sys, agent.Enc.Window, &reqs[i])
