@@ -22,6 +22,7 @@ type MRSchActor struct {
 	fixedGoal []float64
 
 	state, goal []float64 // the pick in progress; the dfp actor copies what it records
+	goals       goalTable
 }
 
 // Actor returns a rollout actor reading the agent's live weights. The second
@@ -58,7 +59,7 @@ func (a *MRSchActor) Pick(ctx *sched.PickContext) int {
 	a.state = a.enc.EncodeInto(a.state, ctx)
 	goal := a.fixedGoal
 	if goal == nil {
-		a.goal = GoalVectorInto(a.goal, ctx)
+		a.goal = a.goals.into(a.goal, ctx)
 		goal = a.goal
 	}
 	return a.ac.Act(a.state, ctx.Usage, goal, len(ctx.Window))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -296,20 +297,24 @@ func TestNewDefaultWindow(t *testing.T) {
 	}
 }
 
-// GoalVectorInto is GoalVector in the caller's storage, stale contents and
-// the idle fallback included.
+// A goalTable's vector is GoalVector in the caller's storage, stale contents,
+// the idle fallback and a change of machine included.
 func TestGoalVectorIntoMatchesGoalVector(t *testing.T) {
 	cl := cluster.New(sys())
 	_ = cl.Allocate(99, []int{8, 2}, 0, 500)
+	wider := cluster.New(cluster.Config{Name: "w", Resources: []string{"a", "b", "c"}, Capacities: []int{32, 8, 5}})
+	var table goalTable
 	buf := []float64{7, 7, 7, 7}
 	for _, ctx := range []*sched.PickContext{
 		ctxWith(cl, 100, []*job.Job{mk(1, 0, 100, 8, 4), mk(2, 0, 50, 2, 0)}),
 		ctxWith(cluster.New(sys()), 0, nil),
+		ctxWith(wider, 0, []*job.Job{{ID: 3, Walltime: 60, Demand: []int{4, 0, 5}}}),
+		ctxWith(cl, 100, []*job.Job{mk(1, 0, 100, 8, 4)}),
 	} {
 		want := GoalVector(ctx)
-		buf = GoalVectorInto(buf, ctx)
-		if len(buf) != len(want) || buf[0] != want[0] || buf[1] != want[1] {
-			t.Fatalf("GoalVectorInto = %v, GoalVector = %v", buf, want)
+		buf = table.into(buf, ctx)
+		if !slices.Equal(buf, want) {
+			t.Fatalf("goal table = %v, GoalVector = %v", buf, want)
 		}
 	}
 }

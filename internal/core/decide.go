@@ -23,6 +23,7 @@ type BatchDecider struct {
 	// FixedGoal) goals own their vectors, meas borrows each context's Usage.
 	states, meas, goals [][]float64
 	valid               []int
+	table               goalTable
 }
 
 // BatchDecider returns a batched snapshot-reading decider for the agent
@@ -44,7 +45,7 @@ func (d *BatchDecider) Decide(ctxs []*sched.PickContext, dst []int) []int {
 		d.states[i] = d.enc.EncodeInto(d.states[i], ctx)
 		d.meas[i] = ctx.Usage
 		if d.fixedGoal == nil {
-			d.goals[i] = GoalVectorInto(d.goals[i], ctx)
+			d.goals[i] = d.table.into(d.goals[i], ctx)
 		}
 		d.valid[i] = len(ctx.Window)
 	}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sched"
 )
 
-// goalVectorPerJob is GoalVectorInto's accumulation as it was before the
-// loops were interchanged — every job visits every resource, converting the
-// capacity each time — kept as the bitwise oracle.
+// goalVectorPerJob is Eq. (1) as it was first written — every job visits
+// every resource, dividing its demand by the capacity each time — kept as the
+// bitwise oracle of GoalVector and of a goalTable.
 func goalVectorPerJob(ctx *sched.PickContext) []float64 {
 	r := ctx.Cluster.NumResources()
 	acc := make([]float64, r)
@@ -62,6 +62,34 @@ func deepContext(rng *rand.Rand, n int) *sched.PickContext {
 	return ctxWith(cl, 200, queue)
 }
 
+// resourceContext is a decision instant on a machine of the given
+// capacities: a few running jobs, then n queued ones whose demands run from
+// zero to each capacity — the two ends included in every resource — and one
+// that asks for more than the machine has (past the table: divided).
+func resourceContext(rng *rand.Rand, caps []int, n int) *sched.PickContext {
+	cl := cluster.New(cluster.Config{Name: "r", Resources: make([]string, len(caps)), Capacities: caps})
+	demand := func(f func(c int) int) []int {
+		d := make([]int, len(caps))
+		for res, c := range caps {
+			d[res] = f(c)
+		}
+		return d
+	}
+	for id := 0; id < 3; id++ {
+		_ = cl.Allocate(1000+id, demand(func(c int) int { return rng.Intn(c/3 + 1) }), 0, 50+400*rng.Float64())
+	}
+	queue := []*job.Job{
+		{ID: 1, Walltime: 300, Demand: demand(func(c int) int { return c })},
+		{ID: 2, Walltime: 500, Demand: demand(func(int) int { return 0 })},
+		{ID: 3, Walltime: 70, Demand: demand(func(c int) int { return c + 1 + rng.Intn(3) })},
+	}
+	for i := len(queue); i < n; i++ {
+		queue = append(queue, &job.Job{ID: i + 1, Walltime: 10 + 3600*rng.Float64(),
+			Demand: demand(func(c int) int { return rng.Intn(c + 1) })})
+	}
+	return ctxWith(cl, 200, queue)
+}
+
 func TestGoalVectorIntoMatchesPerJobFormBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ctxs := pickContexts()
@@ -70,13 +98,27 @@ func TestGoalVectorIntoMatchesPerJobFormBitwise(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 270} {
 		ctxs = append(ctxs, deepContext(rng, n))
 	}
+	// Capacities whose fractions are inexact, one to five resources (an odd
+	// one out shares its pass with itself), and a machine the table must be
+	// rebuilt for between decisions.
+	for _, caps := range [][]int{{7}, {137, 40}, {137, 40, 15}, {13, 1000, 3, 29}, {11, 6, 97, 1, 5}, {137, 40}} {
+		for _, n := range []int{3, 4, 50} {
+			ctxs = append(ctxs, resourceContext(rng, caps, n))
+		}
+	}
+	var table goalTable
 	var dst []float64
 	for i, ctx := range ctxs {
-		dst = GoalVectorInto(dst, ctx)
 		want := goalVectorPerJob(ctx)
-		for res := range want {
-			if math.Float64bits(dst[res]) != math.Float64bits(want[res]) {
-				t.Fatalf("context %d resource %d: %v, per-job form %v", i, res, dst[res], want[res])
+		dst = table.into(dst, ctx)
+		for _, got := range [][]float64{dst, GoalVector(ctx)} {
+			if len(got) != len(want) {
+				t.Fatalf("context %d: %d resources, per-job form %d", i, len(got), len(want))
+			}
+			for res := range want {
+				if math.Float64bits(got[res]) != math.Float64bits(want[res]) {
+					t.Fatalf("context %d resource %d: %v, per-job form %v", i, res, got[res], want[res])
+				}
 			}
 		}
 	}
@@ -85,9 +127,15 @@ func TestGoalVectorIntoMatchesPerJobFormBitwise(t *testing.T) {
 func BenchmarkGoalVectorInto(b *testing.B) {
 	ctx := deepContext(rand.New(rand.NewSource(18)), 270)
 	var dst []float64
-	b.Run("interchanged", func(b *testing.B) {
+	var table goalTable
+	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dst = GoalVectorInto(dst, ctx)
+			dst = table.into(dst, ctx)
+		}
+	})
+	b.Run("divide", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = GoalVector(ctx)
 		}
 	})
 	b.Run("per-job", func(b *testing.B) {

@@ -27,18 +27,23 @@
 //     rows in assembly), and this set has the packed forward. Requires AVX2,
 //     FMA, and OS AVX state support (OSXSAVE/XCR0), probed via CPUID.
 //     Where the CPU also has AVX512F, DQ and VL and the OS keeps ZMM state,
-//     the three batched kernels run in 512-bit register-tiled forms
-//     (wide_amd64.s): a 4-row x 4-sample tile of dot products for the
-//     forward and the input gradient, two weight-gradient rows per pass over
-//     eight samples for the accumulation, each with its whole tile loop in
-//     one assembly call. They are forms of this set, not a third set: a
+//     the three batched kernels and the one-sample forward run in 512-bit
+//     register-tiled forms (wide_amd64.s, packed_amd64.s): a 4-row x 4-sample
+//     tile of dot products for the forward and the input gradient, two
+//     weight-gradient rows per pass over eight samples for the accumulation,
+//     eight weight rows per pass over one sample (one ZMM accumulator a row)
+//     for a lone sample and the samples a tile leaves, and sixteen packed rows
+//     per pass over the listed chunks (one ZMM accumulator per two rows) for
+//     the packed forward, each with its whole loop in one assembly call.
+//     They are forms of this set, not a third set: a
 //     set's name identifies its arithmetic — which element meets which FMA
 //     chain, in what order chains are folded, where a multiply is rounded
 //     before an add — because that is what goldens, checkpoints and
 //     cross-process byte comparisons are keyed by, and the 512-bit forms
 //     change none of it (numerical contract, fourth fact). The instruction
 //     set a chain is issued in is not part of that. Features reports which
-//     forms are live; nothing selects them but the CPU.
+//     forms are live; nothing selects them but the CPU (SetWide is the tests'
+//     hook, and moves all five kernels together).
 //
 // # Selection and the MRSCH_KERNEL override
 //
@@ -101,9 +106,9 @@
 // in mod 8 residue and fails when the fold order or one lane assignment is
 // perturbed. The go set has no packed path; callers stay on DenseForward.
 //
-// The 512-bit forms of the batched kernels are their 256-bit forms to the
-// bit, on every input including NaN, infinities and zeros of either sign
-// (up to which payload an FMA of two NaNs keeps). A fourth fact carries that:
+// The 512-bit forms are their 256-bit forms to the bit, on every input
+// including NaN, infinities and zeros of either sign (up to which payload an
+// FMA of two NaNs keeps). A fourth fact carries that:
 //
 //   - One ZMM register is the lane map. dot4 keeps element i of a row on
 //     lane i mod 8 of two 4-wide accumulators; element i of a 512-bit
@@ -121,6 +126,16 @@
 //     ever sees an operation the 256-bit form does not perform. Sixteen such
 //     accumulators (4 rows x 4 samples) fit because EVEX has 32 registers;
 //     which rows share a tile changes which loads are shared, never a chain.
+//     The one-sample form folds eight rows' registers at once: cross-register
+//     lane shuffles (VSHUFF64X2, VUNPCKL/HPD) bring together exactly the two
+//     operands each of the fold's three adds takes, the left one first, and
+//     leave row r's sum on lane r, where the in%4 tail FMAs (against a gathered
+//     column) and the bias add run for the eight rows as one vector each. The
+//     packed form's register holds two rows' 4-lane chains side by side — a
+//     chunk broadcast to both halves meets row r's weights in the low half and
+//     row r+1's in the high one — and its fold is FOLD4's pairs taken the same
+//     way, sixteen rows at a time; the sums come out in a fixed lane order,
+//     which the even + odd join (lane-wise) keeps and one permute undoes.
 //     The weight-gradient chains (axpy8: g1*x1 rounded by a multiply, the
 //     even chain started from the gw load, FMAs in sample order, one add)
 //     are element-wise, so eight lanes, four lanes, a masked remainder and a
@@ -132,10 +147,13 @@
 //     move).
 //
 // TestWideDenseFormsBitwise, TestWideAccumFormsBitwise and FuzzDenseForms
-// compare bits over every in mod 8, out mod 4, bsz mod 4 (mod 8 for the
-// accumulation) and every skip pattern of a row pair; TestWideFormsSensitivity
-// shows the comparison failing when the half-step lands on lanes 4-7 or the
-// fold pairs neighbours.
+// compare bits over every in mod 8, out mod 8, bsz mod 4 (mod 8 for the
+// accumulation; bsz 1-3 against matvec as well) and every skip pattern of a
+// row pair, with every lane at -0 when the half-step runs;
+// TestPackedEqualsDenseBitwise holds the packed forward to the dense one in
+// each form; TestWideFormsSensitivity shows the comparison failing when the
+// half-step lands on lanes 4-7, the fold pairs neighbours (tile and one-sample
+// form alike) or two packed rows trade places.
 //
 // FoldNorm's sum of squares is nn.L2Norm's in every set, not to a tolerance
 // either: four interleaved sums, the len%4 tail on the first, added left to

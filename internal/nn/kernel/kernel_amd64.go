@@ -116,12 +116,11 @@ var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
 		return nil, false, strings.Join(feats, " ")
 	}
 	s := &Set{
-		Name:          "avx2",
-		Transpose:     avx2Transpose,
-		AdamStep:      avx2AdamStep,
-		FoldNorm:      avx2FoldNorm,
-		Pack:          avx2Pack,
-		PackedForward: avx2PackedForward,
+		Name:      "avx2",
+		Transpose: avx2Transpose,
+		AdamStep:  avx2AdamStep,
+		FoldNorm:  avx2FoldNorm,
+		Pack:      avx2Pack,
 	}
 	forms := "forms=narrow"
 	if wide {
@@ -131,12 +130,15 @@ var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
 	return s, wide, strings.Join(append(feats, forms), " ")
 }()
 
-// useForms points the three batched matmul kernels at their 512-bit forms
-// (wide_amd64.go) or their 256-bit ones.
+// useForms points the three batched matmul kernels, the one-sample forward
+// and the packed forward at their 512-bit forms (wide_amd64.go,
+// packed_amd64.go) or their 256-bit ones.
 func (s *Set) useForms(wide bool) {
 	s.DenseForward, s.InputGrad, s.AccumGrads = avx2DenseForward, avx2InputGrad, avx2AccumGrads
+	s.PackedForward = avx2PackedForward
 	if wide {
 		s.DenseForward, s.InputGrad, s.AccumGrads = wideDenseForward, wideInputGrad, wideAccumGrads
+		s.PackedForward = widePackedForward
 	}
 }
 

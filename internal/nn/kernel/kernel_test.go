@@ -494,42 +494,72 @@ func BenchmarkDenseKernels(b *testing.B) {
 				}
 			})
 		}
-		benchOneSample(b, s, 394, 128)
+	}
+	// One decision's layers, every form: the quick-scale state module's first
+	// layer (dense and packed), its second, a 64-wide hidden layer and the
+	// action head.
+	for _, shape := range [][2]int{{394, 128}, {128, 64}, {64, 64}, {64, 120}} {
+		for _, f := range benchForms() {
+			benchOneSample(b, f, shape[0], shape[1], ghz)
+		}
+	}
+	for _, f := range benchForms() {
+		benchPacked(b, f, 394, 128)
 	}
 }
 
 // benchOneSample times one encoder-shaped decision (90 % of the units busy)
-// through an in→out first layer: OneSample is DenseForward at bsz = 1, Packed
-// the packed forward in a set that has one.
-func benchOneSample(b *testing.B, s *Set, in, out int) {
+// through an in→out layer in one form — DenseForward at bsz = 1 — with the
+// multiply-accumulates a cycle it sustains when ghz is known.
+func benchOneSample(b *testing.B, f benchForm, in, out int, ghz float64) {
 	r := rand.New(rand.NewSource(6))
 	x := encoderShaped(r, in, 0.9)
 	w, bias, dst := fill(r, out*in), fill(r, out), make([]float64, out)
-	b.Run("OneSample/"+s.Name, func(b *testing.B) {
+	b.Run(fmt.Sprintf("OneSample/%dx%d/%s", in, out, f.name), func(b *testing.B) {
+		SetWide(f.wide)
+		defer SetWide(true)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.DenseForward(dst, x, w, bias, in, out, 1)
+			f.set.DenseForward(dst, x, w, bias, in, out, 1)
+		}
+		if ns := float64(b.Elapsed().Nanoseconds()); ghz > 0 && ns > 0 {
+			b.ReportMetric(float64(b.N)*float64(in*out)/(ns*ghz), "MAC/cycle")
 		}
 	})
+}
+
+// benchPacked times the same decision through a first layer's packed copy in
+// one form (Packed) and, once per set, the re-lay itself (Pack); a set
+// without a packed path has no rows.
+func benchPacked(b *testing.B, f benchForm, in, out int) {
+	s := f.set
 	if s.Pack == nil {
 		return
 	}
+	r := rand.New(rand.NewSource(6))
+	x := encoderShaped(r, in, 0.9)
+	w, bias, dst := fill(r, out*in), fill(r, out), make([]float64, out)
 	var p Packed
 	if !s.Pack(&p, w, bias, in, out) {
 		b.Fatalf("Pack declined a finite %dx%d layer", out, in)
 	}
-	b.Run("Packed/"+s.Name, func(b *testing.B) {
+	shape := fmt.Sprintf("%dx%d/%s", in, out, f.name)
+	b.Run("Packed/"+shape, func(b *testing.B) {
+		SetWide(f.wide)
+		defer SetWide(true)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.PackedForward(dst, x, &p)
 		}
 	})
-	b.Run("Pack/"+s.Name, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Pack(&p, w, bias, in, out)
-		}
-	})
+	if !f.wide {
+		b.Run("Pack/"+shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Pack(&p, w, bias, in, out)
+			}
+		})
+	}
 }
 
 // BenchmarkPaperScaleFirstLayer is the §IV-C state module's 11410→4000 layer
@@ -538,8 +568,9 @@ func benchOneSample(b *testing.B, s *Set, in, out int) {
 //
 //	go test -run=NONE -bench=BenchmarkPaperScaleFirstLayer -benchtime=20x ./internal/nn/kernel/
 func BenchmarkPaperScaleFirstLayer(b *testing.B) {
-	for _, s := range benchSets() {
-		benchOneSample(b, s, 11410, 4000)
+	for _, f := range benchForms() {
+		benchOneSample(b, f, 11410, 4000, 0)
+		benchPacked(b, f, 11410, 4000)
 	}
 }
 

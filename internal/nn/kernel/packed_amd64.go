@@ -28,7 +28,7 @@ import (
 // meets its R rows' weights in R×32 contiguous bytes.
 
 //go:noescape
-func packedMatvec(dst, x, w, xs *float64, offs *int64, in, out int)
+func packedMatvec(dst, x, w, xs *float64, offs *int64, in, out, wide int)
 
 func avx2Pack(p *Packed, w, b []float64, in, out int) bool {
 	p.in, p.out = 0, 0
@@ -87,7 +87,13 @@ func allFinite(s []float64) bool {
 	return a0+a1+(a2+a3) == 0
 }
 
-func avx2PackedForward(dst, x []float64, p *Packed) {
+func avx2PackedForward(dst, x []float64, p *Packed) { packedForward(dst, x, p, 0) }
+
+// widePackedForward is the packed forward with its 8-row blocks taken two at a
+// time in 512-bit registers (packed_amd64.s), the same bits.
+func widePackedForward(dst, x []float64, p *Packed) { packedForward(dst, x, p, 1) }
+
+func packedForward(dst, x []float64, p *Packed, wide int) {
 	if p.in == 0 {
 		panic("kernel: PackedForward without a successful Pack")
 	}
@@ -97,5 +103,5 @@ func avx2PackedForward(dst, x []float64, p *Packed) {
 	if len(p.xs) > 0 {
 		xs, offs = &p.xs[0], &p.offs[0]
 	}
-	packedMatvec(&dst[0], &x[0], &p.w[0], xs, offs, p.in, p.out)
+	packedMatvec(&dst[0], &x[0], &p.w[0], xs, offs, p.in, p.out, wide)
 }

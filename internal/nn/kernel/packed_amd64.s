@@ -54,7 +54,18 @@
 	VUNPCKLPD t, out, out; \
 	VADDPD a, out, out
 
-// func packedMatvec(dst, x, w, xs *float64, offs *int64, in, out int)
+// order16 undoes the row order the 512-bit fold leaves, 0 4 1 5 2 6 3 7.
+DATA order16<>+0(SB)/8, $0
+DATA order16<>+8(SB)/8, $2
+DATA order16<>+16(SB)/8, $4
+DATA order16<>+24(SB)/8, $6
+DATA order16<>+32(SB)/8, $1
+DATA order16<>+40(SB)/8, $3
+DATA order16<>+48(SB)/8, $5
+DATA order16<>+56(SB)/8, $7
+GLOBL order16<>(SB), RODATA|NOPTR, $64
+
+// func packedMatvec(dst, x, w, xs *float64, offs *int64, in, out, wide int)
 //
 // dst = W·x + b for one sample against a packed layer; out is a multiple of 4.
 // Stage 1 lists x's non-zero even and odd chunks once. Stage 2 takes the row
@@ -62,7 +73,18 @@
 // chunk one FMA per row into that row's accumulator, FOLD4 after each pass,
 // then even sum + odd sum, the in%4 tail FMAs and the bias, four rows to a
 // vector.
-TEXT ·packedMatvec(SB), NOSPLIT, $32-56
+//
+// With wide != 0 (the avx2 set's 512-bit form; the CPU must have AVX512F/DQ/VL)
+// stage 2 first takes the 8-row blocks two at a time: each listed chunk is
+// broadcast to both halves of Z8 and meets sixteen rows in eight FMAs, one ZMM
+// accumulator per two rows' 4-lane chains — twice the independent chains of an
+// 8-row pass for one offset load and one broadcast. The fold is FOLD4's on
+// sixteen rows at once: VSHUFF64X2 pairs each row's lanes (v0,v1) with
+// (v2,v3), VUNPCKL/HPD its two sums, each add with FOLD4's left operand first;
+// the sums come out in the row order 0 4 1 5 2 6 3 7 of each block, which the
+// even + odd join keeps and one VPERMPD undoes. A block of eight or four left
+// over runs the 256-bit passes below.
+TEXT ·packedMatvec(SB), NOSPLIT, $32-64
 	MOVQ x+8(FP), DX
 	MOVQ in+40(FP), CX
 	ANDQ $-4, CX               // body
@@ -111,7 +133,121 @@ list_done:
 	MOVQ w+16(FP), SI
 	MOVQ out+48(FP), R12
 	SHRQ $3, R12
-	JZ   rows4
+	CMPQ wide+56(FP), $0
+	JEQ  blocks8
+	MOVQ k-8(SP), R13
+	SHLQ $3, R13
+	MOVQ in+40(FP), AX
+	ANDQ $3, AX
+	LEAQ 1(R13)(AX*1), R13
+	SHLQ $6, R13               // bytes in an 8-row block: 8 × (8K + in%4 + 1) × 8
+	VMOVUPD order16<>(SB), Z31
+
+block16:
+	CMPQ R12, $2
+	JLT  blocks8
+	XORQ R11, R11              // 0: the xe pass, 1: the xo pass
+	MOVQ xs+24(FP), R9
+	MOVQ offs+32(FP), R10
+	MOVQ ne-16(SP), AX
+
+pass16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	SHRQ $3, AX
+	JZ   fold16
+
+loop16:
+	MOVQ (R10), BX
+	VBROADCASTF64X4 (R9), Z8
+	LEAQ (SI)(BX*2), BX
+	VFMADD231PD (BX), Z8, Z0
+	VFMADD231PD 64(BX), Z8, Z1
+	VFMADD231PD 128(BX), Z8, Z2
+	VFMADD231PD 192(BX), Z8, Z3
+	VFMADD231PD (BX)(R13*1), Z8, Z4
+	VFMADD231PD 64(BX)(R13*1), Z8, Z5
+	VFMADD231PD 128(BX)(R13*1), Z8, Z6
+	VFMADD231PD 192(BX)(R13*1), Z8, Z7
+	ADDQ $32, R9
+	ADDQ $8, R10
+	DECQ AX
+	JNZ  loop16
+
+fold16:
+	VSHUFF64X2 $0x88, Z1, Z0, Z16
+	VSHUFF64X2 $0xDD, Z1, Z0, Z17
+	VADDPD     Z17, Z16, Z16   // rows 0-3: (v0+v2, v1+v3)
+	VSHUFF64X2 $0x88, Z3, Z2, Z18
+	VSHUFF64X2 $0xDD, Z3, Z2, Z19
+	VADDPD     Z19, Z18, Z18   // rows 4-7
+	VSHUFF64X2 $0x88, Z5, Z4, Z20
+	VSHUFF64X2 $0xDD, Z5, Z4, Z21
+	VADDPD     Z21, Z20, Z20   // rows 8-11
+	VSHUFF64X2 $0x88, Z7, Z6, Z22
+	VSHUFF64X2 $0xDD, Z7, Z6, Z23
+	VADDPD     Z23, Z22, Z22   // rows 12-15
+	VUNPCKLPD  Z18, Z16, Z17
+	VUNPCKHPD  Z18, Z16, Z19
+	VADDPD     Z19, Z17, Z0    // the first block's sums, rows 0 4 1 5 2 6 3 7
+	VUNPCKLPD  Z22, Z20, Z21
+	VUNPCKHPD  Z22, Z20, Z23
+	VADDPD     Z23, Z21, Z1    // the second block's
+	TESTQ R11, R11
+	JNZ   join16
+	VMOVAPD Z0, Z24
+	VMOVAPD Z1, Z25
+	MOVQ $1, R11
+	MOVQ k-8(SP), AX
+	SHLQ $3, AX
+	MOVQ offs+32(FP), R10
+	ADDQ AX, R10
+	MOVQ xs+24(FP), R9
+	LEAQ (R9)(AX*4), R9
+	MOVQ no-24(SP), AX
+	JMP  pass16
+
+join16:
+	VADDPD  Z0, Z24, Z24       // even sum + odd sum
+	VADDPD  Z1, Z25, Z25
+	VPERMPD Z24, Z31, Z24
+	VPERMPD Z25, Z31, Z25
+	MOVQ k-8(SP), AX
+	SHLQ $9, AX                // 2K chunks × 8 rows × 32 bytes
+	LEAQ (SI)(AX*1), BX
+	MOVQ xtail-32(SP), DX
+	MOVQ in+40(FP), CX
+	ANDQ $3, CX
+	JZ   bias16
+
+tail16:
+	VBROADCASTSD (DX), Z8
+	VFMADD231PD (BX), Z8, Z24
+	VFMADD231PD (BX)(R13*1), Z8, Z25
+	ADDQ $8, DX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  tail16
+
+bias16:
+	VADDPD  (BX), Z24, Z24
+	VADDPD  (BX)(R13*1), Z25, Z25
+	VMOVUPD Z24, (DI)
+	VMOVUPD Z25, 64(DI)
+	ADDQ $128, DI
+	LEAQ 64(BX)(R13*1), SI     // the next pair follows the second bias
+	SUBQ $2, R12
+	JMP  block16
+
+blocks8:
+	TESTQ R12, R12
+	JZ    rows4
 
 block8:
 	XORQ R11, R11              // 0: the xe pass, 1: the xo pass

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -90,29 +91,40 @@ func samePacked(t *testing.T, s *Set, what string, x, w, b []float64, in, out in
 	}
 }
 
-// The packed forward is DenseForward at bsz = 1 to the bit: every in mod 8
-// residue (1…64), the repository's three first-layer widths, row blocks of 8
-// and 4, a layer Pack declines for its shape, weights of both signs.
+// The packed forward is DenseForward at bsz = 1 to the bit, in the set's
+// 256-bit forms and in its 512-bit ones: every in mod 8 residue (1…64), the
+// repository's three first-layer widths, row blocks of 16, 8 and 4 in every
+// combination, a layer Pack declines for its shape, weights of both signs.
 func TestPackedEqualsDenseBitwise(t *testing.T) {
 	s := packedSet(t)
-	r := rand.New(rand.NewSource(11))
-	ins := []int{394, 746, 11410}
-	for in := 1; in <= 64; in++ {
-		ins = append(ins, in)
-	}
-	for _, in := range ins {
-		outs := []int{4, 8, 12, 128, 6}
-		if in == 11410 {
-			outs = []int{4, 12} // 11410×128 adds nothing but time
-		}
-		xs := packedInputs(r, in)
-		for _, out := range outs {
-			w, b := fill(r, out*in), fill(r, out)
-			b[0] = 0
-			for name, x := range xs {
-				samePacked(t, s, fmt.Sprintf("in=%d out=%d x=%s", in, out, name), x, w, b, in, out)
+	for _, wide := range []bool{false, true} {
+		name := map[bool]string{false: "Narrow", true: "Wide"}[wide]
+		t.Run(name, func(t *testing.T) {
+			if wide && !strings.Contains(Features(), "forms=wide") {
+				t.Skipf("no 512-bit forms on this CPU (probed: %s)", Features())
 			}
-		}
+			SetWide(wide)
+			defer SetWide(true)
+			r := rand.New(rand.NewSource(11))
+			ins := []int{394, 746, 11410}
+			for in := 1; in <= 64; in++ {
+				ins = append(ins, in)
+			}
+			for _, in := range ins {
+				outs := []int{4, 8, 12, 16, 20, 24, 28, 128, 6}
+				if in == 11410 {
+					outs = []int{4, 28} // 11410×128 adds nothing but time
+				}
+				xs := packedInputs(r, in)
+				for _, out := range outs {
+					w, b := fill(r, out*in), fill(r, out)
+					b[0] = 0
+					for name, x := range xs {
+						samePacked(t, s, fmt.Sprintf("in=%d out=%d x=%s", in, out, name), x, w, b, in, out)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,39 +2,61 @@
 
 package kernel
 
-// The 512-bit forms of the avx2 set's three batched kernels, live when
-// probeCPU finds AVX512F/DQ/VL and ZMM state. Each runs its whole tile loop in
-// one assembly call (wide_amd64.s) and hands what the tile does not cover —
-// out%4 rows, bsz%4 samples, in%4 input gradients, the bsz%8 samples of the
-// accumulation, a weight-gradient row without a partner — to the 256-bit
-// primitives, in the loops kernel_amd64.go runs them in. Which elements go
-// through dot4's chain and which through dot1's is therefore what it was, and
-// so is every bit. bsz = 1 never comes here with a tile to fill: a lone
-// forward streams its weights once and is matvec's.
+// The 512-bit forms of the avx2 set's three batched kernels and of its
+// one-sample forward, live when probeCPU finds AVX512F/DQ/VL and ZMM state.
+// Each runs its whole tile or block loop in one assembly call (wide_amd64.s)
+// and hands what the tile does not cover — out%4 rows, in%4 input gradients,
+// the bsz%8 samples of the accumulation, a weight-gradient row without a
+// partner, the out%8 rows of a lone sample — to the 256-bit primitives, in the
+// loops kernel_amd64.go runs them in. Which elements go through dot4's chain
+// and which through dot1's is therefore what it was, and so is every bit. A
+// lone sample (bsz = 1, and the bsz%4 samples a tile leaves) goes through
+// matvec8: at the engine's quick-scale widths its weights sit in L1 or L2 and
+// the 256-bit matvec is bound by its instruction count, not by the stream.
 
 //go:noescape
 func tile4x4(dst, a, b, bias *float64, n, na4, nb4, sa, sb int)
 
 //go:noescape
+func matvec8(dst, w, x, b *float64, in, n8 int)
+
+//go:noescape
 func accum8x2(gw, x, grad *float64, in, out int) (left int)
 
 // wideDenseForward tiles four weight rows against four samples; a weight
-// block stays in L1 while the samples stream past it.
+// block stays in L1 while the samples stream past it. The samples a tile
+// leaves go one at a time through wideMatvec.
 func wideDenseForward(dst, x, w, b []float64, in, out, bsz int) {
 	b4, o4 := bsz&^3, out&^3
-	if b4 == 0 || o4 == 0 {
-		avx2DenseForward(dst, x, w, b, in, out, bsz)
-		return
+	if o4 == 0 {
+		b4 = 0
 	}
-	_, _, _, _ = dst[bsz*out-1], x[bsz*in-1], w[out*in-1], b[out-1]
-	tile4x4(&dst[0], &w[0], &x[0], &b[0], in, o4/4, b4/4, 1, out)
-	for o := o4; o < out; o++ {
-		for bi := 0; bi < b4; bi++ {
-			dst[bi*out+o] = dot1(&w[o*in], &x[bi*in], in) + b[o]
+	if b4 > 0 {
+		_, _, _, _ = dst[bsz*out-1], x[bsz*in-1], w[out*in-1], b[out-1]
+		tile4x4(&dst[0], &w[0], &x[0], &b[0], in, o4/4, b4/4, 1, out)
+		for o := o4; o < out; o++ {
+			for bi := 0; bi < b4; bi++ {
+				dst[bi*out+o] = dot1(&w[o*in], &x[bi*in], in) + b[o]
+			}
 		}
 	}
-	if b4 < bsz {
-		avx2DenseForward(dst[b4*out:], x[b4*in:], w, b, in, out, bsz-b4)
+	for bi := b4; bi < bsz; bi++ {
+		wideMatvec(dst[bi*out:], x[bi*in:], w, b, in, out)
+	}
+}
+
+// wideMatvec is matvec with its rows eight at a time: the out%8 rows after
+// the last block of eight go through matvec, which sends four of them (when
+// there are four) through dot4 and the rest through dot1 — the primitives
+// matvec over the whole layer would give those rows.
+func wideMatvec(dst, x, w, b []float64, in, out int) {
+	_, _, _, _ = dst[out-1], x[in-1], w[out*in-1], b[out-1]
+	o8 := out &^ 7
+	if o8 > 0 {
+		matvec8(&dst[0], &w[0], &x[0], &b[0], in, o8/8)
+	}
+	if o8 < out {
+		matvec(&dst[o8], &w[o8*in], &x[0], &b[o8], in, out-o8)
 	}
 }
 

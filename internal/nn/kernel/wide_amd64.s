@@ -2,15 +2,16 @@
 
 #include "textflag.h"
 
-// 512-bit forms of the avx2 set's three batched kernels. They are the same
-// arithmetic as kernel_amd64.s — that is why the set keeps its name: one ZMM
-// accumulator is DOT4_BODY's two YMM accumulators side by side (element i in
-// lane i mod 8), folded by the same tree, and the axpy chains are
-// element-wise — so every output is bitwise what the 256-bit forms store.
-// What changes is where the operands come from: 32 registers hold a whole
-// 4x4 tile of dot products (8 loads per 16 FMAs, against 10 per 8), or two
-// weight-gradient rows' chains and their sixteen coefficients over one load
-// of the eight sample rows.
+// 512-bit forms of the avx2 set's three batched kernels and of its one-sample
+// forward. They are the same arithmetic as kernel_amd64.s — that is why the
+// set keeps its name: one ZMM accumulator is DOT4_BODY's two YMM accumulators
+// side by side (element i in lane i mod 8), folded by the same tree, and the
+// axpy chains are element-wise — so every output is bitwise what the 256-bit
+// forms store. What changes is where the operands come from: 32 registers
+// hold a whole 4x4 tile of dot products (8 loads per 16 FMAs, against 10 per
+// 8), two weight-gradient rows' chains and their sixteen coefficients over
+// one load of the eight sample rows, or eight rows' chains over one load of
+// the sample (9 loads per 8 FMAs of eight lanes, against 10 per 8 of four).
 //
 // Register discipline as in kernel_amd64.s: NOSPLIT leaves, ABI0 frames,
 // R14/R15/X15 untouched, VZEROUPPER before RET. Some argument slots are
@@ -523,5 +524,155 @@ accum_none:
 	MOVQ $-1, left+40(FP)
 
 accum_done:
+	VZEROUPPER
+	RET
+
+// iota8 is the lane number of each of a ZMM register's eight quadwords.
+DATA iota8<>+0(SB)/8, $0
+DATA iota8<>+8(SB)/8, $1
+DATA iota8<>+16(SB)/8, $2
+DATA iota8<>+24(SB)/8, $3
+DATA iota8<>+32(SB)/8, $4
+DATA iota8<>+40(SB)/8, $5
+DATA iota8<>+48(SB)/8, $6
+DATA iota8<>+56(SB)/8, $7
+GLOBL iota8<>(SB), RODATA|NOPTR, $64
+
+// func matvec8(dst, w, x, b *float64, in, n8 int)
+//
+// One sample through n8 blocks of eight weight rows: dst[o] = dot(w[o*in:], x)
+// + b[o] for o < 8*n8, each output DOT4_BODY's chain to the bit. A row's
+// accumulator is one ZMM register (element i on lane i mod 8); x is loaded
+// once per eight elements for all eight rows; the in%8 >= 4 half-step is a
+// merge-masked FMA on lanes 0-3. The fold runs on the eight rows at once:
+//
+//	l_k + l_(k+4)          rows (0,2), (1,3), (4,6), (5,7) paired by VSHUFF64X2
+//	(a0+a2), (a1+a3)       rows 0,2,4,6 and 1,3,5,7 paired by VSHUFF64X2
+//	(a0+a2) + (a1+a3)      the two halves interleaved by VUNPCKL/HPD
+//
+// the operands DOT4_BODY's VADDPD/VEXTRACTF128/VSHUFPD fold pairs, left one
+// first, leaving row r's sum on lane r. The in%4 tail elements follow as
+// FMAs against a gathered column of the block, then the bias as one add and
+// the store as one vector.
+//
+// Z0-Z7 are the rows' accumulators, Z8 the x chunk, Z9 the gather indices
+// (r*in), K1 the half-step mask; R12 walks the blocks, SI/R9/R10 rows 0, 3
+// and 6 of one.
+TEXT ·matvec8(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), R12
+	MOVQ b+24(FP), BX
+	MOVQ in+32(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8
+	MOVQ n8+40(FP), R13
+	VPBROADCASTQ CX, Z9
+	VPMULLQ iota8<>(SB), Z9, Z9
+	MOVQ $0x0F, AX
+	KMOVW AX, K1
+
+mv8_block:
+	MOVQ R12, SI
+	LEAQ (SI)(R8*2), R9
+	ADDQ R8, R9
+	LEAQ (R9)(R8*2), R10
+	ADDQ R8, R10
+	MOVQ x+16(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ CX, AX
+	SHRQ $3, AX
+	JZ   mv8_half
+
+mv8_loop8:
+	VMOVUPD (DX), Z8
+	VFMADD231PD (SI), Z8, Z0
+	VFMADD231PD (SI)(R8*1), Z8, Z1
+	VFMADD231PD (SI)(R8*2), Z8, Z2
+	VFMADD231PD (R9), Z8, Z3
+	VFMADD231PD (R9)(R8*1), Z8, Z4
+	VFMADD231PD (R9)(R8*2), Z8, Z5
+	VFMADD231PD (R10), Z8, Z6
+	VFMADD231PD (R10)(R8*1), Z8, Z7
+	ADDQ $64, DX
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ $64, R10
+	DECQ AX
+	JNZ  mv8_loop8
+
+mv8_half:
+	TESTQ $4, CX
+	JZ    mv8_fold
+	VMOVUPD (DX), Y8
+	VMOVUPD (SI), Y16
+	VMOVUPD (SI)(R8*1), Y17
+	VMOVUPD (SI)(R8*2), Y18
+	VMOVUPD (R9), Y19
+	VMOVUPD (R9)(R8*1), Y20
+	VMOVUPD (R9)(R8*2), Y21
+	VMOVUPD (R10), Y22
+	VMOVUPD (R10)(R8*1), Y23
+	VFMADD231PD Z16, Z8, K1, Z0
+	VFMADD231PD Z17, Z8, K1, Z1
+	VFMADD231PD Z18, Z8, K1, Z2
+	VFMADD231PD Z19, Z8, K1, Z3
+	VFMADD231PD Z20, Z8, K1, Z4
+	VFMADD231PD Z21, Z8, K1, Z5
+	VFMADD231PD Z22, Z8, K1, Z6
+	VFMADD231PD Z23, Z8, K1, Z7
+	ADDQ $32, DX
+	ADDQ $32, SI
+
+mv8_fold:
+	VSHUFF64X2 $0x44, Z2, Z0, Z16
+	VSHUFF64X2 $0xEE, Z2, Z0, Z17
+	VADDPD     Z17, Z16, Z16 // rows 0, 2: l_k + l_(k+4)
+	VSHUFF64X2 $0x44, Z3, Z1, Z18
+	VSHUFF64X2 $0xEE, Z3, Z1, Z19
+	VADDPD     Z19, Z18, Z18 // rows 1, 3
+	VSHUFF64X2 $0x44, Z6, Z4, Z20
+	VSHUFF64X2 $0xEE, Z6, Z4, Z21
+	VADDPD     Z21, Z20, Z20 // rows 4, 6
+	VSHUFF64X2 $0x44, Z7, Z5, Z22
+	VSHUFF64X2 $0xEE, Z7, Z5, Z23
+	VADDPD     Z23, Z22, Z22 // rows 5, 7
+	VSHUFF64X2 $0x88, Z20, Z16, Z0
+	VSHUFF64X2 $0xDD, Z20, Z16, Z1
+	VADDPD     Z1, Z0, Z0    // rows 0, 2, 4, 6: (a0+a2), (a1+a3)
+	VSHUFF64X2 $0x88, Z22, Z18, Z2
+	VSHUFF64X2 $0xDD, Z22, Z18, Z3
+	VADDPD     Z3, Z2, Z2    // rows 1, 3, 5, 7
+	VUNPCKLPD  Z2, Z0, Z1
+	VUNPCKHPD  Z2, Z0, Z3
+	VADDPD     Z3, Z1, Z0    // row r's sum on lane r
+	MOVQ CX, AX
+	ANDQ $3, AX
+	JZ   mv8_bias
+
+mv8_tail1:
+	KXNORW K2, K2, K2
+	VGATHERQPD (SI)(Z9*8), K2, Z1
+	VBROADCASTSD (DX), Z8
+	VFMADD231PD Z1, Z8, Z0
+	ADDQ $8, DX
+	ADDQ $8, SI
+	DECQ AX
+	JNZ  mv8_tail1
+
+mv8_bias:
+	VADDPD  (BX), Z0, Z0
+	VMOVUPD Z0, (DI)
+	LEAQ (R12)(R8*8), R12
+	ADDQ $64, BX
+	ADDQ $64, DI
+	DECQ R13
+	JNZ  mv8_block
 	VZEROUPPER
 	RET

@@ -78,13 +78,21 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // formShapes covers every in mod 8 (twice over, so the 8-wide loop runs 0, 1
-// and 2 times), every out mod 4 and bsz mod 4 on both sides of a tile, and
-// the engine's three batched layers.
+// and 2 times), every out mod 8 with none, one and two blocks of eight rows,
+// every bsz mod 4 on both sides of a tile, and the engine's three batched
+// layers.
 var (
 	formIns  = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 23, 64, 70}
-	formOuts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13}
+	formOuts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 23}
 	formBsz  = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16}
 )
+
+// matvecEach is the 256-bit one-sample forward, matvec, once per sample.
+func matvecEach(dst, x, w, b []float64, in, out, bsz int) {
+	for bi := 0; bi < bsz; bi++ {
+		avx2DenseForward(dst[bi*out:], x[bi*in:], w, b, in, out, 1)
+	}
+}
 
 func transposed(w []float64, in, out int) []float64 {
 	wt := make([]float64, in*out)
@@ -107,6 +115,10 @@ func TestWideDenseFormsBitwise(t *testing.T) {
 		wideDenseForward(got, x, w, b, in, out, bsz)
 		avx2DenseForward(want, x, w, b, in, out, bsz)
 		sameBits(t, what+" forward", got, want)
+		if bsz < 4 { // the one-sample form, sample by sample
+			matvecEach(want, x, w, b, in, out, bsz)
+			sameBits(t, what+" forward vs matvec", got, want)
+		}
 
 		wt := transposed(w, in, out)
 		gotG, wantG := make([]float64, bsz*in), make([]float64, bsz*in)
@@ -125,9 +137,38 @@ func TestWideDenseFormsBitwise(t *testing.T) {
 			}
 		}
 	}
-	for _, shape := range [][2]int{{394, 128}, {128, 64}, {64, 120}} {
-		for _, bsz := range []int{4, 16, 19} {
+	for _, shape := range [][2]int{{394, 128}, {128, 64}, {64, 64}, {64, 120}} {
+		for _, bsz := range []int{1, 2, 3, 4, 16, 19} {
 			check(shape[0], shape[1], bsz, false)
+			check(shape[0], shape[1], bsz, true)
+		}
+	}
+
+	// Every product underflows to -0, so every lane holds -0 when the in%8 >= 4
+	// half-step runs, and a -0 bias lets the sign through to the output: an
+	// FMA that touched lanes 4-7 there (0·0 + -0 is +0) would show.
+	for _, in := range []int{12, 13, 15, 20, 44} {
+		for _, out := range []int{8, 16, 20} {
+			for _, bsz := range []int{1, 3, 4} {
+				x, w, b := make([]float64, bsz*in), make([]float64, out*in), make([]float64, out)
+				for i := range x {
+					x[i] = 5e-324
+				}
+				for i := range w {
+					w[i] = -0.1
+				}
+				for i := range b {
+					b[i] = math.Copysign(0, -1)
+				}
+				got, want := make([]float64, bsz*out), make([]float64, bsz*out)
+				wideDenseForward(got, x, w, b, in, out, bsz)
+				avx2DenseForward(want, x, w, b, in, out, bsz)
+				what := fmt.Sprintf("in=%d out=%d bsz=%d underflow to -0", in, out, bsz)
+				sameBits(t, what, got, want)
+				if !math.Signbit(want[0]) {
+					t.Fatalf("%s: the 256-bit form stored %v; the case no longer holds a -0 lane", what, want[0])
+				}
+			}
 		}
 	}
 }
@@ -235,38 +276,65 @@ func chainDot(a, b []float64, bias float64, halfStepHigh, foldNeighbours bool) f
 }
 
 // The bitwise comparison above can tell a wrong chain from the right one: the
-// tile equals chainDot on every shape, and stops equalling it when one lane
-// assignment or the fold order is perturbed.
+// tile (bsz = 4) and the one-sample form (bsz = 1) equal chainDot on every
+// shape, and stop equalling it when one lane assignment or the fold order is
+// perturbed.
 func TestWideFormsSensitivity(t *testing.T) {
 	requireWide(t)
 	r := rand.New(rand.NewSource(23))
-	var exact, lane, fold int
-	for in := 1; in <= 40; in++ {
-		const out, bsz = 8, 4
-		x, w, b := fill(r, bsz*in), fill(r, out*in), fill(r, out)
-		got := make([]float64, bsz*out)
-		wideDenseForward(got, x, w, b, in, out, bsz)
-		for bi := 0; bi < bsz; bi++ {
-			for o := 0; o < out; o++ {
-				wr, xr := w[o*in:(o+1)*in], x[bi*in:(bi+1)*in]
-				g := math.Float64bits(got[bi*out+o])
-				if g != math.Float64bits(chainDot(wr, xr, b[o], false, false)) {
-					exact++
-				}
-				if in%8 >= 4 && g != math.Float64bits(chainDot(wr, xr, b[o], true, false)) {
-					lane++
-				}
-				if in >= 8 && g != math.Float64bits(chainDot(wr, xr, b[o], false, true)) {
-					fold++
+	for _, bsz := range []int{4, 1} {
+		var exact, lane, fold int
+		for in := 1; in <= 40; in++ {
+			const out = 8
+			x, w, b := fill(r, bsz*in), fill(r, out*in), fill(r, out)
+			got := make([]float64, bsz*out)
+			wideDenseForward(got, x, w, b, in, out, bsz)
+			for bi := 0; bi < bsz; bi++ {
+				for o := 0; o < out; o++ {
+					wr, xr := w[o*in:(o+1)*in], x[bi*in:(bi+1)*in]
+					g := math.Float64bits(got[bi*out+o])
+					if g != math.Float64bits(chainDot(wr, xr, b[o], false, false)) {
+						exact++
+					}
+					if in%8 >= 4 && g != math.Float64bits(chainDot(wr, xr, b[o], true, false)) {
+						lane++
+					}
+					if in >= 8 && g != math.Float64bits(chainDot(wr, xr, b[o], false, true)) {
+						fold++
+					}
 				}
 			}
 		}
+		if exact != 0 {
+			t.Fatalf("bsz=%d: %d outputs of the 512-bit form are not the documented chain", bsz, exact)
+		}
+		if lane == 0 || fold == 0 {
+			t.Fatalf("bsz=%d: a perturbed chain went unnoticed: half-step on lanes 4-7 differed %d times, neighbour fold %d times", bsz, lane, fold)
+		}
 	}
-	if exact != 0 {
-		t.Fatalf("%d outputs of the 512-bit tile are not the documented chain", exact)
+
+	// The packed form's sixteen-row pass keeps two rows to a register and
+	// reorders the sums before it stores them: it equals the dense rows, and
+	// an output swapped with the row it shares a register or a reorder slot
+	// with would not.
+	const in, out = 394, 32
+	x, w, b := encoderShaped(r, in, 0.5), fill(r, out*in), fill(r, out)
+	var p Packed
+	if !avx2Pack(&p, w, b, in, out) {
+		t.Fatal("Pack declined a finite layer")
 	}
-	if lane == 0 || fold == 0 {
-		t.Fatalf("a perturbed chain went unnoticed: half-step on lanes 4-7 differed %d times, neighbour fold %d times", lane, fold)
+	got, want := make([]float64, out), make([]float64, out)
+	widePackedForward(got, x, &p)
+	wideDenseForward(want, x, w, b, in, out, 1)
+	sameBits(t, "packed", got, want)
+	for o := 0; o < out; o += 2 {
+		for _, other := range []int{o + 1, o ^ 4} {
+			swapped := append([]float64(nil), got...)
+			swapped[o], swapped[other] = swapped[other], swapped[o]
+			if differ(swapped, want) < 0 {
+				t.Fatalf("rows %d and %d swapped went unnoticed", o, other)
+			}
+		}
 	}
 }
 
@@ -277,6 +345,7 @@ func FuzzDenseForms(f *testing.F) {
 	f.Add(uint8(13), uint8(6), uint8(9), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(uint8(64), uint8(8), uint8(16), []byte("a gradient step whose matmuls run from registers"))
 	f.Add(uint8(4), uint8(4), uint8(4), []byte{})
+	f.Add(uint8(70), uint8(19), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x55})
 	f.Fuzz(func(t *testing.T, in8, out8, bsz8 uint8, raw []byte) {
 		requireWide(t)
 		in, out, bsz := 1+int(in8)%72, 1+int(out8)%20, 1+int(bsz8)%20
@@ -301,6 +370,10 @@ func FuzzDenseForms(f *testing.F) {
 		wideDenseForward(got, x, w, b, in, out, bsz)
 		avx2DenseForward(want, x, w, b, in, out, bsz)
 		sameBits(t, "forward", got, want)
+		if bsz < 4 {
+			matvecEach(want, x, w, b, in, out, bsz)
+			sameBits(t, "forward vs matvec", got, want)
+		}
 
 		wt := transposed(w, in, out)
 		gotG, wantG := make([]float64, bsz*in), make([]float64, bsz*in)
