@@ -147,12 +147,3 @@ func (m *MRSch) Save(w io.Writer) error { return m.Agent.Save(w) }
 
 // Load restores network weights into an identically-configured agent.
 func (m *MRSch) Load(r io.Reader) error { return m.Agent.Load(r) }
-
-// SaveState persists the agent's full training state (weights, optimizer
-// moments, replay rings, epsilon and rng cursors) for crash-resume; see
-// dfp.Agent.SaveState.
-func (m *MRSch) SaveState(w io.Writer) error { return m.Agent.SaveState(w) }
-
-// LoadState restores training state written by SaveState into an
-// identically-configured agent, validating everything before applying.
-func (m *MRSch) LoadState(r io.Reader) error { return m.Agent.LoadState(r) }

@@ -1,15 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/nn"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // This file implements the paper's model-validation protocol (§IV-A): the
@@ -69,8 +67,10 @@ type Selection struct {
 	validation []*job.Job
 	every      int
 
-	best        ValidationMetrics
-	bestWeights []byte
+	best ValidationMetrics
+	// bestWeights are the agent's weights (nn.Weights) at its best score, nil
+	// until a validation has run.
+	bestWeights []*nn.Param
 }
 
 // NewSelection prepares the protocol for one training run. every <= 0 means
@@ -95,62 +95,65 @@ func (s *Selection) AfterEpisode(i int, _ EpisodeResult) error {
 	}
 	if s.bestWeights == nil || vm.Score > s.best.Score {
 		s.best = vm
-		var buf bytes.Buffer
-		if err := s.m.Save(&buf); err != nil {
-			return err
+		s.bestWeights = nn.Weights(s.m.Agent.Params())
+	}
+	return nil
+}
+
+// selectionMagic versions the model-selection section. v1 was a gob
+// container that carried the best weights as a whole weights file.
+const selectionMagic = "mrsch-selection-v2"
+
+// AppendState appends the protocol's progress to b as a section — the best
+// validation metrics, then whether a validation has run and, if one has, the
+// weights section of the weights that scored them — so a checkpointed
+// validated training run can resume without silently losing the best weights
+// seen before the interruption (experiments seals it into the train
+// checkpoint).
+func (s *Selection) AppendState(b []byte) []byte {
+	b = wire.AppendString(b, selectionMagic)
+	b = wire.AppendUvarint(b, uint64(len(s.best.Utilization)))
+	b = wire.AppendFloats(b, s.best.Utilization)
+	b = wire.AppendFloat(b, s.best.AvgWaitSec)
+	b = wire.AppendFloat(b, s.best.AvgSlowdown)
+	b = wire.AppendFloat(b, s.best.Score)
+	b = wire.AppendBool(b, s.bestWeights != nil)
+	if s.bestWeights != nil {
+		b = nn.AppendWeights(b, s.bestWeights)
+	}
+	return b
+}
+
+// ReadState decodes a section written by AppendState and checks it — the
+// best weights against the agent's parameters — without changing anything.
+// It returns the function that applies it.
+func (s *Selection) ReadState(r *wire.Reader) (func(), error) {
+	if err := r.Magic(selectionMagic); err != nil {
+		return nil, err
+	}
+	var best ValidationMetrics
+	if n := r.Count(8); n > 0 {
+		best.Utilization = r.Floats(n)
+	}
+	best.AvgWaitSec, best.AvgSlowdown, best.Score = r.Float(), r.Float(), r.Float()
+	var weights []*nn.Param
+	if r.Bool() {
+		var err error
+		if weights, err = nn.ReadWeights(r, s.m.Agent.Params()); err != nil {
+			return nil, fmt.Errorf("selection state: best weights: %w", err)
 		}
-		s.bestWeights = buf.Bytes()
 	}
-	return nil
-}
-
-// selectionMagic versions the serialized model-selection state.
-const selectionMagic = "mrsch-selection-v1"
-
-func init() {
-	// Fixed-order gob type-ID claim, keeping encoded bytes history-free
-	// (see nn.GobWarmup).
-	nn.RegisterGobContainer(func(enc *gob.Encoder) { enc.Encode(&selectionState{}) })
-}
-
-// selectionState is the serializable §IV-A protocol state: the best
-// validation metrics seen so far and the weight snapshot that scored them.
-type selectionState struct {
-	Magic       string
-	Best        ValidationMetrics
-	BestWeights []byte
-}
-
-// SaveState persists the protocol's progress so a checkpointed validated
-// training run can resume without silently losing the best weights seen
-// before the interruption (experiments wires it into the train checkpoint).
-func (s *Selection) SaveState(w io.Writer) error {
-	st := selectionState{Magic: selectionMagic, Best: s.best, BestWeights: s.bestWeights}
-	return nn.EncodeChecksummed(w, &st)
-}
-
-// LoadState restores protocol state written by SaveState. Nothing is
-// mutated on error.
-func (s *Selection) LoadState(r io.Reader) error {
-	var st selectionState
-	if err := nn.DecodeChecksummed(r, &st); err != nil {
-		return fmt.Errorf("core: selection state: %w", err)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if st.Magic != selectionMagic {
-		return fmt.Errorf("core: selection state: bad magic %q (want %q; corrupt file or incompatible format version)", st.Magic, selectionMagic)
-	}
-	s.best = st.Best
-	s.bestWeights = st.BestWeights
-	return nil
+	return func() { s.best, s.bestWeights = best, weights }, nil
 }
 
 // Finish restores the best-scoring weights (when any validation ran) and
 // returns the best metrics observed.
-func (s *Selection) Finish() (ValidationMetrics, error) {
+func (s *Selection) Finish() ValidationMetrics {
 	if s.bestWeights != nil {
-		if err := s.m.Load(bytes.NewReader(s.bestWeights)); err != nil {
-			return s.best, err
-		}
+		nn.SetWeights(s.m.Agent.Params(), s.bestWeights)
 	}
-	return s.best, nil
+	return s.best
 }

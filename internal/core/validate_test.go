@@ -51,10 +51,7 @@ func TestTrainWithSelectionKeepsBestWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := sel.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := sel.Finish()
 	if len(results) != 4 {
 		t.Fatalf("%d episodes", len(results))
 	}
@@ -79,10 +76,7 @@ func TestTrainWithSelectionNoValidationSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := sel.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := sel.Finish()
 	if len(results) != 1 || best.Score != 0 {
 		t.Fatalf("results=%d best=%v", len(results), best)
 	}

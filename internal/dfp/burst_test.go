@@ -230,7 +230,7 @@ func TestBurstAllocatesPerBurstNotPerStep(t *testing.T) {
 	}
 }
 
-// TestLoadStateIntoWarmAgent: LoadState replaces the optimizer's moment
+// TestLoadStateIntoWarmAgent: loading a state replaces the optimizer's moment
 // vectors, so nothing the engine keeps from earlier steps may stand in for
 // them. An agent that has already trained, then loads a checkpoint, must
 // continue exactly as a fresh agent loading the same checkpoint does.
@@ -242,11 +242,11 @@ func TestLoadStateIntoWarmAgent(t *testing.T) {
 	warm, fresh := burstAgent(3, 0), burstAgent(3, 0)
 	warm.TrainSteps(9, nil)
 	for _, a := range []*Agent{warm, fresh} {
-		if err := a.LoadState(bytes.NewReader(saved)); err != nil {
+		if err := loadState(a, saved); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sameLosses(t, "warm agent after LoadState", burstLosses(warm, 5), burstLosses(fresh, 5))
+	sameLosses(t, "warm agent after loading a state", burstLosses(warm, 5), burstLosses(fresh, 5))
 	if !bytes.Equal(stateBytes(t, warm), stateBytes(t, fresh)) {
 		t.Fatal("a warm agent continued from a checkpoint differently from a fresh one (weights, moments, t or rng cursor)")
 	}

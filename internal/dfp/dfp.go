@@ -167,7 +167,7 @@ type Agent struct {
 	opt    *nn.Adam
 	rng    *rand.Rand
 	// rngSrc is rng's underlying source; its draw cursor is what
-	// SaveState/LoadState (state.go) persist to resume the stream exactly.
+	// AppendState/ReadState (state.go) persist to resume the stream exactly.
 	rngSrc *nn.CursorSource
 
 	eps    float64
@@ -387,3 +387,7 @@ func (a *Agent) Save(w io.Writer) error { return nn.SaveWeights(w, a.params) }
 // Load restores network weights written by Save into an agent constructed
 // with the same Config.
 func (a *Agent) Load(r io.Reader) error { return nn.LoadWeights(r, a.params) }
+
+// Params returns the agent's live parameters, in the order its weights are
+// saved.
+func (a *Agent) Params() []*nn.Param { return a.params }

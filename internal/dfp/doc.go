@@ -85,15 +85,16 @@
 //
 // # Durable state
 //
-// Save/Load persist weights only (the model-file format). SaveState/
-// LoadState (state.go) persist the agent's complete training state —
-// weights, published snapshot buffers, Adam moments and step counter, the
-// replay ring with its cursor, the epsilon schedule position and the rng
-// draw cursor — in a versioned, SHA-256-checksummed container. An episode in
-// progress lives in an Actor, never in the agent, so there is none to save. Saving at a quiescent point and loading
-// into an identically-configured agent resumes training bit-for-bit
-// (internal/rollout's round-boundary checkpoint hook is that point; see
-// its package doc, rules 9-10). LoadState validates the entire container
-// against the agent before mutating anything: corrupt, truncated, or
-// mismatched input fails with a descriptive error and no partial state.
+// Save/Load persist weights only (the model-file format). AppendState/
+// ReadState (state.go) write and read the agent's complete training state as
+// one versioned section of the sealed file layout (internal/wire) — weights,
+// published snapshot buffers, Adam moments and step counter, the replay ring
+// with its cursor, the epsilon schedule position and the rng draw cursor. An
+// episode in progress lives in an Actor, never in the agent, so there is none
+// to save. Saving at a quiescent point and loading into an
+// identically-configured agent resumes training bit-for-bit
+// (internal/rollout's round-boundary checkpoint hook is that point; see its
+// package doc, rules 9-10). ReadState checks the entire section against the
+// agent and changes nothing; corrupt, truncated, or mismatched input fails
+// with a descriptive error and no partial state.
 package dfp

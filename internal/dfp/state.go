@@ -1,183 +1,149 @@
 // Durable agent state. Save (dfp.go) persists weights only — the model-file
-// format consumed by evaluation. SaveState persists everything training
-// needs to resume bit-for-bit: weights, published snapshot buffers, Adam
-// moments and step counter (nn.TrainState), the replay ring with its
-// wraparound cursor, the epsilon schedule position and the rng cursor.
-// LoadState validates the whole container against
-// the receiving agent's architecture before mutating anything: corrupt,
-// truncated, or mismatched input fails with a descriptive error and leaves
-// the agent untouched.
+// format consumed by evaluation. AppendState writes everything training needs
+// to resume bit-for-bit as one section: weights, published snapshot buffers,
+// Adam moments and step counter (an nn train state), the rng cursor, the
+// epsilon schedule position, and the replay ring with its wraparound cursor.
+// ReadState checks the whole section against the receiving agent's
+// architecture and changes nothing; the function it returns applies it. A
+// train checkpoint (internal/experiments) is where the section is sealed.
 package dfp
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/nn"
+	"repro/internal/wire"
 )
 
-// stateMagic versions the container. Bump it when the format changes
-// incompatibly; LoadState reports a mismatch instead of misreading. v1 held
-// the replay as a list of shards with two round-robin cursors, v2 the steps
-// of an episode the agent was recording itself; a file of either is refused
-// by its version name.
-const stateMagic = "mrsch-dfp-state-v3"
+// stateMagic versions the section. v1 held the replay as a list of shards
+// with two round-robin cursors, v2 the steps of an episode the agent was
+// recording itself, v3 was a gob container; a file of any of them is refused
+// (wire.Unseal names the retired gob format).
+const stateMagic = "mrsch-dfp-state-v4"
 
-func init() {
-	// Fixed-order gob type-ID claim, keeping encoded bytes history-free
-	// (see nn.GobWarmup).
-	nn.RegisterGobContainer(func(enc *gob.Encoder) { enc.Encode(&agentState{}) })
-}
-
-// agentState is the gob container written by SaveState.
-type agentState struct {
-	Magic string
-
-	// Architecture guards: a checkpoint only loads into an agent whose
-	// dimensions, seed, and replay capacity match the one that wrote it.
-	StateDim     int
-	Measurements int
-	Actions      int
-	PredDim      int
-	Seed         int64
-
-	Train nn.TrainState
-
-	RngCursor  uint64
-	Eps        float64
-	TrainSteps int
-
-	// The replay ring: its geometry and the stored experiences in
-	// buffer-index order (the filled prefix when the ring has not wrapped,
-	// the whole buffer when it has).
-	ReplayCap  int
-	ReplayNext int
-	ReplayFull bool
-	Replay     []Experience
-}
-
-// SaveState writes the agent's full training state to w. The agent must be
-// quiescent — no TrainStep or rollout in flight — which is exactly the
-// state internal/rollout's round-boundary checkpoint hook guarantees.
-func (a *Agent) SaveState(w io.Writer) error {
-	st := agentState{
-		Magic:        stateMagic,
-		StateDim:     a.cfg.StateDim,
-		Measurements: a.cfg.Measurements,
-		Actions:      a.cfg.Actions,
-		PredDim:      a.cfg.PredDim(),
-		Seed:         a.cfg.Seed,
-		Train:        nn.CaptureTrainState(a.params, a.opt),
-		RngCursor:    a.rngSrc.Cursor(),
-		Eps:          a.eps,
-		TrainSteps:   a.trainSteps,
-		ReplayCap:    len(a.replay.buf),
-		ReplayNext:   a.replay.next,
-		ReplayFull:   a.replay.full,
+// AppendState appends the agent's state section to b: the magic, the
+// architecture and seed it only loads back into, the train state, the rng
+// cursor, epsilon and the train-step counter, then the replay ring's geometry
+// and its stored experiences in buffer-index order (the filled prefix when it
+// has not wrapped, the whole buffer when it has), each vector as long as the
+// architecture says. The agent must be quiescent — no TrainStep or rollout in
+// flight — which is exactly the state internal/rollout's round-boundary
+// checkpoint hook guarantees.
+func (a *Agent) AppendState(b []byte) []byte {
+	b = wire.AppendString(b, stateMagic)
+	for _, d := range a.dims() {
+		b = wire.AppendInt(b, d)
 	}
-	for _, e := range a.replay.buf[:a.replay.len()] {
-		st.Replay = append(st.Replay, *e)
-	}
-	if err := nn.EncodeChecksummed(w, &st); err != nil {
-		return fmt.Errorf("dfp: save state: %w", err)
-	}
-	return nil
-}
-
-// LoadState restores state previously written by SaveState into an agent
-// constructed with the same Config. The container is decoded and validated
-// in full first; any error — decode failure, version mismatch, or a
-// mismatch with this agent's architecture, seed, or replay capacity — is
-// returned with nothing applied.
-func (a *Agent) LoadState(r io.Reader) error {
-	var st agentState
-	if err := nn.DecodeChecksummed(r, &st); err != nil {
-		return fmt.Errorf("dfp: load state: %w", err)
-	}
-	if err := a.checkState(&st); err != nil {
-		return fmt.Errorf("dfp: load state: %w", err)
-	}
-
-	// Validation passed: apply every section. Apply cannot fail after Check.
-	if err := st.Train.Apply(a.params, a.opt); err != nil {
-		return fmt.Errorf("dfp: load state: %w", err) // unreachable: checked above
-	}
-	a.rngSrc.SeekTo(st.RngCursor)
-	a.eps = st.Eps
-	a.trainSteps = st.TrainSteps
-	a.replay.next = st.ReplayNext
-	a.replay.full = st.ReplayFull
-	clear(a.replay.buf)
-	for i := range st.Replay {
-		e := st.Replay[i] // its own allocation: eviction frees it alone
-		a.replay.buf[i] = &e
-	}
-	return nil
-}
-
-// checkState validates the decoded container against the agent without
-// mutating anything.
-func (a *Agent) checkState(st *agentState) error {
-	if st.Magic != stateMagic {
-		return fmt.Errorf("bad magic %q (want %q; corrupt file or incompatible format version)", st.Magic, stateMagic)
-	}
-	pd := a.cfg.PredDim()
-	if st.StateDim != a.cfg.StateDim || st.Measurements != a.cfg.Measurements ||
-		st.Actions != a.cfg.Actions || st.PredDim != pd {
-		return fmt.Errorf("architecture mismatch: state was saved for dims state=%d meas=%d actions=%d pred=%d, agent has state=%d meas=%d actions=%d pred=%d",
-			st.StateDim, st.Measurements, st.Actions, st.PredDim,
-			a.cfg.StateDim, a.cfg.Measurements, a.cfg.Actions, pd)
-	}
-	if st.Seed != a.cfg.Seed {
-		return fmt.Errorf("seed mismatch: state was saved at seed %d, agent runs seed %d (the rng cursor is only meaningful for the saved seed)", st.Seed, a.cfg.Seed)
-	}
-	if st.RngCursor > nn.MaxRngCursor {
-		return fmt.Errorf("rng cursor %d exceeds the plausible maximum %d (corrupt or hand-crafted state; replaying it would hang the loader)", st.RngCursor, uint64(nn.MaxRngCursor))
-	}
-	if err := st.Train.Check(a.params); err != nil {
-		return err
-	}
-	if st.Eps < 0 || st.Eps > 1 {
-		return fmt.Errorf("epsilon %g outside [0,1]", st.Eps)
-	}
-	if st.TrainSteps < 0 {
-		return fmt.Errorf("negative train-step counter %d", st.TrainSteps)
-	}
-	cap := len(a.replay.buf)
-	if st.ReplayCap != cap {
-		return fmt.Errorf("replay capacity mismatch: state has %d, agent has %d (ReplayCap must match the saving configuration)", st.ReplayCap, cap)
-	}
-	if st.ReplayNext < 0 || st.ReplayNext >= cap {
-		return fmt.Errorf("replay wraparound cursor %d out of range [0,%d)", st.ReplayNext, cap)
-	}
-	want := st.ReplayNext
-	if st.ReplayFull {
-		want = cap
-	}
-	if len(st.Replay) != want {
-		return fmt.Errorf("replay has %d stored experiences, geometry implies %d (next=%d full=%v)",
-			len(st.Replay), want, st.ReplayNext, st.ReplayFull)
-	}
-	for i := range st.Replay {
-		if err := a.checkExperience(&st.Replay[i]); err != nil {
-			return fmt.Errorf("replay experience %d: %w", i, err)
+	b = wire.AppendInt64(b, a.cfg.Seed)
+	b = nn.AppendTrainState(b, a.params, a.opt)
+	b = wire.AppendUvarint(b, a.rngSrc.Cursor())
+	b = wire.AppendFloat(b, a.eps)
+	b = wire.AppendInt(b, a.trainSteps)
+	b = wire.AppendInt(b, len(a.replay.buf))
+	b = wire.AppendInt(b, a.replay.next)
+	b = wire.AppendBool(b, a.replay.full)
+	stored := a.replay.buf[:a.replay.len()]
+	b = wire.AppendUvarint(b, uint64(len(stored)))
+	for _, e := range stored {
+		b = wire.AppendFloats(b, e.State)
+		b = wire.AppendFloats(b, e.Meas)
+		b = wire.AppendFloats(b, e.Goal)
+		b = wire.AppendInt(b, e.Action)
+		b = wire.AppendFloats(b, e.Target)
+		for _, m := range e.Mask {
+			b = wire.AppendBool(b, m)
 		}
 	}
-	return nil
+	return b
 }
 
-// checkExperience validates one replay sample's vector lengths and action.
-func (a *Agent) checkExperience(e *Experience) error {
-	pd := a.cfg.PredDim()
-	if len(e.State) != a.cfg.StateDim || len(e.Meas) != a.cfg.Measurements || len(e.Goal) != pd ||
-		len(e.Target) != pd || len(e.Mask) != pd {
-		return fmt.Errorf("vector lengths state=%d meas=%d goal=%d target=%d mask=%d, want %d/%d/%d/%d/%d",
-			len(e.State), len(e.Meas), len(e.Goal), len(e.Target), len(e.Mask),
-			a.cfg.StateDim, a.cfg.Measurements, pd, pd, pd)
+// dims is the architecture a state section records: state, measurement,
+// action and prediction widths.
+func (a *Agent) dims() [4]int {
+	return [4]int{a.cfg.StateDim, a.cfg.Measurements, a.cfg.Actions, a.cfg.PredDim()}
+}
+
+// ReadState decodes a state section written by AppendState and checks all of
+// it against this agent — architecture, seed, replay capacity, every counter
+// and every stored experience — without changing anything. It returns the
+// function that applies it.
+func (a *Agent) ReadState(r *wire.Reader) (func(), error) {
+	if err := r.Magic(stateMagic); err != nil {
+		return nil, err
 	}
-	if e.Action < 0 || e.Action >= a.cfg.Actions {
-		return fmt.Errorf("action %d out of range for %d actions", e.Action, a.cfg.Actions)
+	var dims [4]int
+	for i := range dims {
+		dims[i] = r.Int()
 	}
-	return nil
+	seed := r.Int64()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if want := a.dims(); dims != want {
+		return nil, fmt.Errorf("architecture mismatch: state was saved for dims (state, meas, actions, pred) %v, agent has %v", dims, want)
+	}
+	if seed != a.cfg.Seed {
+		return nil, fmt.Errorf("seed mismatch: state was saved at seed %d, agent runs seed %d (the rng cursor is only meaningful for the saved seed)", seed, a.cfg.Seed)
+	}
+	applyTrain, err := nn.ReadTrainState(r, a.params, a.opt)
+	if err != nil {
+		return nil, err
+	}
+	cursor, eps, steps := r.Uvarint(), r.Float(), r.Int()
+	capacity, next, full := r.Int(), r.Int(), r.Bool()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if cursor > nn.MaxRngCursor {
+		return nil, fmt.Errorf("rng cursor %d exceeds the plausible maximum %d (corrupt or hand-crafted state; replaying it would hang the loader)", cursor, uint64(nn.MaxRngCursor))
+	}
+	if !(eps >= 0 && eps <= 1) {
+		return nil, fmt.Errorf("epsilon %g outside [0,1]", eps)
+	}
+	if steps < 0 {
+		return nil, fmt.Errorf("negative train-step counter %d", steps)
+	}
+	if capacity != len(a.replay.buf) {
+		return nil, fmt.Errorf("replay capacity mismatch: state has %d, agent has %d (ReplayCap must match the saving configuration)", capacity, len(a.replay.buf))
+	}
+	if next < 0 || next >= capacity {
+		return nil, fmt.Errorf("replay wraparound cursor %d out of range [0,%d)", next, capacity)
+	}
+	want := next
+	if full {
+		want = capacity
+	}
+	sd, md, pd := a.cfg.StateDim, a.cfg.Measurements, a.cfg.PredDim()
+	n := r.Count(8*(sd+md+2*pd) + 1 + pd)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n != want {
+		return nil, fmt.Errorf("replay has %d stored experiences, geometry implies %d (next=%d full=%v)", n, want, next, full)
+	}
+	replay := make([]*Experience, n)
+	for i := range replay {
+		// Each its own allocation: eviction frees it alone.
+		e := &Experience{State: r.Floats(sd), Meas: r.Floats(md), Goal: r.Floats(pd), Action: r.Int(), Target: r.Floats(pd), Mask: make([]bool, pd)}
+		for k := range e.Mask {
+			e.Mask[k] = r.Bool()
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if e.Action < 0 || e.Action >= a.cfg.Actions {
+			return nil, fmt.Errorf("replay experience %d: action %d out of range for %d actions", i, e.Action, a.cfg.Actions)
+		}
+		replay[i] = e
+	}
+	return func() {
+		applyTrain()
+		a.rngSrc.SeekTo(cursor)
+		a.eps = eps
+		a.trainSteps = steps
+		a.replay.next = next
+		a.replay.full = full
+		clear(a.replay.buf)
+		copy(a.replay.buf, replay)
+	}, nil
 }

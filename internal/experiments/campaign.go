@@ -372,8 +372,10 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 // training mode — so a campaign re-run under identical settings maps to
 // the same file, and a run under different settings cannot silently load
 // weights trained another way. The leading version moves whenever training
-// itself changes bits (v2: pipelined trainings sample one replay ring, not
-// one ring per rollout worker).
+// itself changes bits or the model file its layout (v2: pipelined trainings
+// sample one replay ring, not one ring per rollout worker; v3: model files are
+// sealed sections, not gob streams), so a store filled before retrains once
+// and -prune removes what it left.
 func (r *CampaignRun) storePath(cell scenario.Cell) string {
 	if r.opt.ModelDir == "" || cell.Method.Model != "" {
 		return ""
@@ -382,7 +384,7 @@ func (r *CampaignRun) storePath(cell scenario.Cell) string {
 	if err != nil {
 		return "" // unreachable: ScaleSpec marshals; disable the store rather than mis-key it
 	}
-	content := fmt.Sprintf("v2|%s|scale=%s|workers=%d|pipelined=%v",
+	content := fmt.Sprintf("v3|%s|scale=%s|workers=%d|pipelined=%v",
 		r.modelKey(cell), spec, rollout.ResolveWorkers(r.baseScale.RolloutWorkers), r.baseScale.Pipelined)
 	name := fmt.Sprintf("%s-%s-%s.model",
 		cell.Method.Kind, sanitizeName(cell.Scenario.FamilyName()), modelStoreKeyHash(content))

@@ -1,49 +1,38 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/nn"
 	"repro/internal/rollout"
+	"repro/internal/wire"
 )
 
 // This file makes training runs durable. A run with Scale.CheckpointDir set
-// writes its full agent state to one file at every round boundary (the
+// writes its full state to one file at every round boundary (the
 // rollout.Config.Checkpoint hook, rules 9-10 of the rollout package doc);
 // with Scale.Resume set it restores that file and continues from the
 // recorded boundary, bitwise identical to never having been interrupted.
-// The file is a gob container pairing the agent's own state blob
-// (dfp.Agent.SaveState / rl.Scheduler.SaveState) with a manifest of the
-// settings the equivalence contract depends on — episode counts, effective
-// worker count, pipelined mode, and the rollout seed — all of which are
-// verified on resume and rejected loudly on mismatch.
+// The file is one sealed layout (internal/wire) of sections: a manifest of
+// the settings the equivalence contract depends on — run key, spec hash,
+// episode counts, effective worker count, pipelined mode and rollout seed,
+// all verified on resume and rejected loudly on mismatch — then the agent's
+// state section (dfp.Agent or rl.Scheduler AppendState) and, for a validated
+// run, the §IV-A selection section (core.Selection). Every section is decoded
+// and checked before any is applied.
 
-// ckptMagic versions the checkpoint container format.
-const ckptMagic = "mrsch-train-ckpt-v1"
+// ckptMagic versions the manifest, and with it the file. v1 was a gob
+// container wrapping the agent's own container.
+const ckptMagic = "mrsch-train-ckpt-v2"
 
-func init() {
-	// Fixed-order gob type-ID claim, keeping encoded bytes history-free
-	// (see nn.GobWarmup).
-	nn.RegisterGobContainer(func(enc *gob.Encoder) {
-		enc.Encode(&trainCheckpoint{})
-		enc.Encode(&validatedState{})
-	})
-}
-
-// trainCheckpoint is the on-disk container: the resume manifest plus the
-// agent state blob.
-type trainCheckpoint struct {
-	Magic string
+// manifest is a train checkpoint's first section.
+type manifest struct {
 	// Key names the training run (method kind, scenario family, arity).
 	Key string
 	// SpecHash digests the full scale spec the run's materials and
@@ -60,8 +49,45 @@ type trainCheckpoint struct {
 	Workers   int
 	Pipelined bool
 	Seed      int64
-	// Agent is the agent's own serialized state (dfp or rl SaveState).
-	Agent []byte
+}
+
+func (m manifest) append(b []byte) []byte {
+	b = wire.AppendString(b, ckptMagic)
+	b = wire.AppendString(b, m.Key)
+	b = wire.AppendString(b, m.SpecHash)
+	b = wire.AppendInt(b, m.Episodes)
+	b = wire.AppendInt(b, m.Total)
+	b = wire.AppendInt(b, m.Workers)
+	b = wire.AppendBool(b, m.Pipelined)
+	return wire.AppendInt64(b, m.Seed)
+}
+
+// check refuses a recorded manifest written under settings other than want's.
+func (m manifest) check(want manifest) error {
+	switch {
+	case m.Key != want.Key:
+		return fmt.Errorf("checkpoint is for run %q, this run is %q", m.Key, want.Key)
+	case m.SpecHash != want.SpecHash:
+		return fmt.Errorf("checkpoint was written for a different scale spec (curriculum/materials drifted between runs; bitwise resume requires an identical spec)")
+	case m.Total != want.Total:
+		return fmt.Errorf("checkpoint expects %d episodes, this run has %d (curriculum drifted between runs)", m.Total, want.Total)
+	case m.Workers != want.Workers:
+		return fmt.Errorf("checkpoint was written with %d rollout workers, this run uses %d (bitwise resume requires identical -parallel)", m.Workers, want.Workers)
+	case m.Pipelined != want.Pipelined:
+		return fmt.Errorf("checkpoint was written with pipelined=%v, this run uses %v (bitwise resume requires identical -pipeline)", m.Pipelined, want.Pipelined)
+	case m.Seed != want.Seed:
+		return fmt.Errorf("checkpoint was written at rollout seed %d, this run uses %d", m.Seed, want.Seed)
+	case m.Episodes < 0 || m.Episodes > m.Total:
+		return fmt.Errorf("recorded boundary %d outside [0, %d]", m.Episodes, m.Total)
+	}
+	return nil
+}
+
+// section is what a train checkpoint holds after its manifest: the agent's
+// state, then a validated run's selection state.
+type section interface {
+	AppendState([]byte) []byte
+	ReadState(*wire.Reader) (func(), error)
 }
 
 // trainKey names a training run for checkpoint files and log lines.
@@ -146,37 +172,34 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // wireCheckpoint arms cfg with the scale's durable-training knobs for one
-// run: a round-boundary save hook writing to the key's file under
-// CheckpointDir, and — with Resume set and a checkpoint present — a
-// validated restore through load with cfg.Resume pointing at the recorded
-// boundary. save/load abstract the agent kind (core.MRSch or
-// rl.Scheduler). total is the run's episode count. No CheckpointDir means
-// no-op.
-func (s Scale) wireCheckpoint(cfg *rollout.Config, key string, total int,
-	save func(io.Writer) error, load func(io.Reader) error) error {
+// run: a round-boundary save hook writing the manifest and sections to the
+// key's file under CheckpointDir, and — with Resume set and a checkpoint
+// present — a checked restore of every section with cfg.Resume pointing at
+// the recorded boundary. total is the run's episode count. No CheckpointDir
+// means no-op.
+func (s Scale) wireCheckpoint(cfg *rollout.Config, key string, total int, sections []section) error {
 	if s.CheckpointDir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(s.CheckpointDir, 0o755); err != nil {
 		return fmt.Errorf("experiments: checkpoint dir: %w", err)
 	}
-	workers := rollout.ResolveWorkers(cfg.Workers)
 	specHash, err := s.specHash()
 	if err != nil {
 		return err
 	}
+	want := manifest{Key: key, SpecHash: specHash, Total: total, Workers: rollout.ResolveWorkers(cfg.Workers), Pipelined: cfg.Pipelined, Seed: cfg.Seed}
 	path := checkpointPath(s.CheckpointDir, key, specHash)
 
 	if s.Resume {
-		done, err := resumeCheckpoint(path, key, specHash, total, workers, cfg, load)
-		if err != nil {
-			return err
-		}
-		if done >= 0 {
-			cfg.Resume = done
-			if s.OnCheckpoint != nil {
-				s.OnCheckpoint("resume", done)
+		data, err := os.ReadFile(path)
+		if err == nil {
+			if cfg.Resume, err = readCheckpoint(data, want, sections); err == nil && s.OnCheckpoint != nil {
+				s.OnCheckpoint("resume", cfg.Resume)
 			}
+		}
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("experiments: resume %s: %w", path, err)
 		}
 	}
 
@@ -192,26 +215,13 @@ func (s Scale) wireCheckpoint(cfg *rollout.Config, key string, total int,
 		if boundaries%every != 0 && done != total {
 			return nil
 		}
-		var agent bytes.Buffer
-		if err := save(&agent); err != nil {
-			return err
+		m := want
+		m.Episodes = done
+		b := m.append(nil)
+		for _, sec := range sections {
+			b = sec.AppendState(b)
 		}
-		var buf bytes.Buffer
-		ck := trainCheckpoint{
-			Magic:     ckptMagic,
-			Key:       key,
-			SpecHash:  specHash,
-			Episodes:  done,
-			Total:     total,
-			Workers:   workers,
-			Pipelined: cfg.Pipelined,
-			Seed:      cfg.Seed,
-			Agent:     agent.Bytes(),
-		}
-		if err := nn.EncodeChecksummed(&buf, &ck); err != nil {
-			return fmt.Errorf("encoding checkpoint: %w", err)
-		}
-		if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+		if err := writeFileAtomic(path, wire.Seal(b)); err != nil {
 			return fmt.Errorf("writing checkpoint %s: %w", path, err)
 		}
 		if s.OnCheckpoint != nil {
@@ -222,50 +232,39 @@ func (s Scale) wireCheckpoint(cfg *rollout.Config, key string, total int,
 	return nil
 }
 
-// validatedMagic versions the composite validated-training state.
-const validatedMagic = "mrsch-validated-state-v1"
-
-// validatedState is the agent-state blob of a validated training run: the
-// agent's own training state composed with the §IV-A model-selection state
-// (core.Selection), so -validate runs checkpoint and resume without losing
-// the best weights seen before an interruption.
-type validatedState struct {
-	Magic     string
-	Agent     []byte
-	Selection []byte
-}
-
-// validatedSaver bundles an agent's SaveState with its selection's into one
-// wireCheckpoint save function.
-func validatedSaver(agent interface{ SaveState(io.Writer) error }, sel interface{ SaveState(io.Writer) error }) func(io.Writer) error {
-	return func(w io.Writer) error {
-		var a, s bytes.Buffer
-		if err := agent.SaveState(&a); err != nil {
-			return err
+// readCheckpoint decodes a train checkpoint, checks its manifest against
+// want and every section against its receiver, and only then applies the
+// sections. It returns the recorded episode boundary.
+func readCheckpoint(data []byte, want manifest, sections []section) (int, error) {
+	var m manifest
+	err := wire.Unseal(data, func(r *wire.Reader) (func(), error) {
+		if err := r.Magic(ckptMagic); err != nil {
+			return nil, err
 		}
-		if err := sel.SaveState(&s); err != nil {
-			return err
+		m = manifest{Key: string(r.Bytes()), SpecHash: string(r.Bytes()), Episodes: r.Int(), Total: r.Int(), Workers: r.Int(), Pipelined: r.Bool(), Seed: r.Int64()}
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		return nn.EncodeChecksummed(w, &validatedState{Magic: validatedMagic, Agent: a.Bytes(), Selection: s.Bytes()})
+		if err := m.check(want); err != nil {
+			return nil, err
+		}
+		applies := make([]func(), len(sections))
+		for i, sec := range sections {
+			var err error
+			if applies[i], err = sec.ReadState(r); err != nil {
+				return nil, err
+			}
+		}
+		return func() {
+			for _, apply := range applies {
+				apply()
+			}
+		}, nil
+	})
+	if err != nil {
+		return 0, err
 	}
-}
-
-// validatedLoader is the matching wireCheckpoint load function: both
-// sections decode and validate before either side is mutated.
-func validatedLoader(agent interface{ LoadState(io.Reader) error }, sel interface{ LoadState(io.Reader) error }) func(io.Reader) error {
-	return func(r io.Reader) error {
-		var st validatedState
-		if err := nn.DecodeChecksummed(r, &st); err != nil {
-			return fmt.Errorf("validated state: %w", err)
-		}
-		if st.Magic != validatedMagic {
-			return fmt.Errorf("validated state: bad magic %q (want %q; checkpoint was written without -validate?)", st.Magic, validatedMagic)
-		}
-		if err := agent.LoadState(bytes.NewReader(st.Agent)); err != nil {
-			return err
-		}
-		return sel.LoadState(bytes.NewReader(st.Selection))
-	}
+	return m.Episodes, nil
 }
 
 // specHash digests the scale spec the run's materials and curriculum are
@@ -276,52 +275,6 @@ func (s Scale) specHash() (string, error) {
 		return "", fmt.Errorf("experiments: hashing scale spec: %w", err)
 	}
 	return modelStoreKeyHash("scale|" + string(spec)), nil
-}
-
-// resumeCheckpoint reads and validates the checkpoint at path and restores
-// the agent state through load. It returns the recorded episode boundary,
-// -1 when no checkpoint exists (fresh start), or an error when the file is
-// unreadable or was written under incompatible settings.
-func resumeCheckpoint(path, key, specHash string, total, workers int, cfg *rollout.Config, load func(io.Reader) error) (int, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return -1, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("experiments: resume: %w", err)
-	}
-	var ck trainCheckpoint
-	if err := nn.DecodeChecksummed(bytes.NewReader(data), &ck); err != nil {
-		return 0, fmt.Errorf("experiments: resume %s: %w", path, err)
-	}
-	if ck.Magic != ckptMagic {
-		return 0, fmt.Errorf("experiments: resume %s: bad magic %q (want %q; corrupt file or incompatible format version)", path, ck.Magic, ckptMagic)
-	}
-	if ck.Key != key {
-		return 0, fmt.Errorf("experiments: resume %s: checkpoint is for run %q, this run is %q", path, ck.Key, key)
-	}
-	if ck.SpecHash != specHash {
-		return 0, fmt.Errorf("experiments: resume %s: checkpoint was written for a different scale spec (curriculum/materials drifted between runs; bitwise resume requires an identical spec)", path)
-	}
-	if ck.Total != total {
-		return 0, fmt.Errorf("experiments: resume %s: checkpoint expects %d episodes, this run has %d (curriculum drifted between runs)", path, ck.Total, total)
-	}
-	if ck.Workers != workers {
-		return 0, fmt.Errorf("experiments: resume %s: checkpoint was written with %d rollout workers, this run uses %d (bitwise resume requires identical -parallel)", path, ck.Workers, workers)
-	}
-	if ck.Pipelined != cfg.Pipelined {
-		return 0, fmt.Errorf("experiments: resume %s: checkpoint was written with pipelined=%v, this run uses %v (bitwise resume requires identical -pipeline)", path, ck.Pipelined, cfg.Pipelined)
-	}
-	if ck.Seed != cfg.Seed {
-		return 0, fmt.Errorf("experiments: resume %s: checkpoint was written at rollout seed %d, this run uses %d", path, ck.Seed, cfg.Seed)
-	}
-	if ck.Episodes < 0 || ck.Episodes > ck.Total {
-		return 0, fmt.Errorf("experiments: resume %s: recorded boundary %d outside [0, %d]", path, ck.Episodes, ck.Total)
-	}
-	if err := load(bytes.NewReader(ck.Agent)); err != nil {
-		return 0, fmt.Errorf("experiments: resume %s: %w", path, err)
-	}
-	return ck.Episodes, nil
 }
 
 // modelStoreKeyHash content-addresses a trained family model: the hash

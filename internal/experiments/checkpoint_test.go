@@ -311,8 +311,8 @@ func TestCampaignModelStoreSkipsRetraining(t *testing.T) {
 	}
 
 	// So must the key's revision: what a commit from before the one-ring
-	// replay stored (content "v1|…") is another file name, so a pipelined
-	// model it trained on per-worker rings is retrained, never loaded.
+	// replay (content "v1|…") or before the sealed model file ("v2|…") stored
+	// is another file name, so it is retrained, never loaded.
 	r, err := OpenCampaign(spec, CampaignOptions{Workers: 2, Pipelined: true, ModelDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +320,13 @@ func TestCampaignModelStoreSkipsRetraining(t *testing.T) {
 	cell := r.Cells()[0]
 	scaleJSON, _ := json.Marshal(spec.Scale)
 	content := fmt.Sprintf("|%s|scale=%s|workers=2|pipelined=true", r.modelKey(cell), scaleJSON)
-	if got := r.storePath(cell); !strings.Contains(got, modelStoreKeyHash("v2"+content)) || strings.Contains(got, modelStoreKeyHash("v1"+content)) {
-		t.Fatalf("store path %s is not keyed on revision v2 of %q", got, content)
+	got := r.storePath(cell)
+	if !strings.Contains(got, modelStoreKeyHash("v3"+content)) {
+		t.Fatalf("store path %s is not keyed on revision v3 of %q", got, content)
+	}
+	for _, old := range []string{"v1", "v2"} {
+		if strings.Contains(got, modelStoreKeyHash(old+content)) {
+			t.Fatalf("store path %s is keyed on the retired revision %s", got, old)
+		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 
 	"repro/internal/nn/kernel"
 	"repro/internal/scenario"
+	"repro/internal/wire"
 )
 
 // numericGoldenPath pins the numbers of every trained method end to end:
-// report digests and saved-weights hashes, one block per kernel set
+// report digests and saved-weights digests, one block per kernel set
 // (cross-set results agree to 1e-12, not bitwise). Regenerate after an
 // intentional numeric change, once per kernel set:
 //
@@ -25,7 +26,7 @@ var numericGoldenPath = filepath.Join("testdata", "numeric-golden.json")
 // numericDigest is what one trained method must reproduce bit for bit.
 type numericDigest struct {
 	Report  string `json:"report"`  // SHA-256 of the S4 cell's report JSON
-	Weights string `json:"weights"` // SHA-256 of the stored model file
+	Weights string `json:"weights"` // weightsDigest of the stored model file
 }
 
 // numericGoldenCases cover the three layer stacks a refactor of nn/dfp/rl can
@@ -76,8 +77,30 @@ func numericRun(t *testing.T, method scenario.MethodSpec) numericDigest {
 	}
 	return numericDigest{
 		Report:  fmt.Sprintf("%x", sha256.Sum256(report)),
-		Weights: fmt.Sprintf("%x", sha256.Sum256(weights)),
+		Weights: weightsDigest(t, weights),
 	}
+}
+
+// weightsDigest hashes the numbers in a model file, not its container: the
+// SHA-256 of each parameter's name followed by its values' float64 bits
+// (little-endian), in parameter order.
+func weightsDigest(t *testing.T, file []byte) string {
+	t.Helper()
+	h := sha256.New()
+	err := wire.Unseal(file, func(r *wire.Reader) (func(), error) {
+		if err := r.Magic("mrsch-nn-weights-v2"); err != nil {
+			return nil, err
+		}
+		for n := r.Count(2); n > 0; n-- {
+			h.Write(r.Bytes())
+			h.Write(wire.AppendFloats(nil, r.Floats(r.Count(8))))
+		}
+		return func() {}, r.Err()
+	})
+	if err != nil {
+		t.Fatalf("model file: %v", err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func TestNumericGolden(t *testing.T) {

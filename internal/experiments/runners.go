@@ -121,13 +121,12 @@ type Trained struct {
 	Episodes []core.EpisodeResult
 	Best     core.ValidationMetrics
 
-	// agent is MRSch or ScalarRL as what both are to the model store and
-	// the checkpoint layer: a weight file and a full training state.
+	// agent is MRSch's dfp.Agent or ScalarRL, as what both are to the model
+	// store and the checkpoint layer: a weight file and a state section.
 	agent interface {
 		Save(io.Writer) error
 		Load(io.Reader) error
-		SaveState(io.Writer) error
-		LoadState(io.Reader) error
+		section
 	}
 }
 
@@ -149,7 +148,6 @@ func Train(m *Materials, run TrainRun) (Trained, error) {
 	if err != nil {
 		return out, err
 	}
-	save, load := out.agent.SaveState, out.agent.LoadState
 
 	var sets []core.JobSet
 	if run.Power {
@@ -164,6 +162,7 @@ func Train(m *Materials, run TrainRun) (Trained, error) {
 
 	cfg := sc.rolloutConfig()
 	key := trainKey(string(run.Kind), run.Family, run.CNN && !run.Power, run.Power)
+	sections := []section{out.agent}
 	var sel *core.Selection
 	if run.Validate {
 		if out.MRSch == nil {
@@ -172,10 +171,10 @@ func Train(m *Materials, run TrainRun) (Trained, error) {
 		sel = core.NewSelection(out.MRSch, sys, m.ValidationWorkload(run.Family), 2)
 		cfg.AfterEpisode = sel.AfterEpisode
 		key += "-validated"
-		save, load = validatedSaver(out.MRSch, sel), validatedLoader(out.MRSch, sel)
+		sections = append(sections, sel)
 	}
 	if study := run.Order != (Ordering{}) || run.Seed != 0 || run.PerResourceNets; !study {
-		if err := sc.wireCheckpoint(&cfg, key, len(sets), save, load); err != nil {
+		if err := sc.wireCheckpoint(&cfg, key, len(sets), sections); err != nil {
 			return out, err
 		}
 	}
@@ -183,9 +182,9 @@ func Train(m *Materials, run TrainRun) (Trained, error) {
 		return out, fmt.Errorf("experiments: training %s on %s: %w", run.Kind, run.Family, err)
 	}
 	if sel != nil {
-		out.Best, err = sel.Finish()
+		out.Best = sel.Finish()
 	}
-	return out, err
+	return out, nil
 }
 
 // newAgent builds a run's untrained agent on sys together with the learner
@@ -206,7 +205,7 @@ func (s Scale) newAgent(run TrainRun, sys cluster.Config) (Trained, rollout.Lear
 		opts := s.mrschOptions(seed, run.CNN && !run.Power)
 		opts.PerResourceNets = run.PerResourceNets
 		agent := core.New(sys, opts)
-		return Trained{MRSch: agent, agent: agent}, rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: s.StepsPerEpisode}), nil
+		return Trained{MRSch: agent, agent: agent.Agent}, rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: s.StepsPerEpisode}), nil
 	case scenario.KindScalarRL:
 		cfg := rl.DefaultConfig()
 		cfg.Window = s.Window

@@ -2,237 +2,95 @@
 // model's weights only — enough to evaluate, not enough to resume training:
 // Adam carries per-parameter moment vectors and a step counter, pipelined
 // rollout-training additionally reads a published snapshot buffer per Param,
-// and exploration draws from an rng whose position matters. TrainState
-// captures all of it in one versioned, self-describing container, and
-// CursorSource makes the rng position itself serializable.
+// and exploration draws from an rng whose position matters.
+// AppendTrainState/ReadTrainState write and read the first two as a train
+// state, the nn part of an agent's state section (dfp, rl), and CursorSource
+// makes the rng position itself serializable.
 //
-// The contract shared by every loader in this family: decode and validate
-// the WHOLE container first, mutate nothing until validation passes. A
-// corrupt, truncated, or version-mismatched input fails with a descriptive
-// error and leaves the receiver exactly as it was.
+// Every durable file is one layout: sections of internal/wire's canonical
+// fields behind a magic-and-version string, sealed by one SHA-256
+// (wire.Seal). The contract shared by every loader: decode and check the
+// WHOLE file first, mutate nothing until every check passes (wire.Unseal
+// applies only then). A corrupt, truncated, or version-mismatched input fails
+// with a descriptive error and leaves the receiver exactly as it was.
 package nn
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
-	"sync"
+
+	"repro/internal/wire"
 )
 
-// encoding/gob allocates type IDs from a process-global counter in
-// first-encoded order, so the bytes a container encodes to depend on what
-// the process happened to encode earlier — a checkpoint written mid-run
-// and a model file written at exit would differ byte-for-byte from the
-// same data written by a fresh process. This repo's outputs are supposed
-// to be bitwise reproducible for fixed inputs, so every gob container
-// package registers a warm-up that encodes its zero-valued containers to
-// io.Discard, and every encode entry point calls GobWarmup first: all
-// container types then claim their IDs in one fixed, package-init-driven
-// order, making encoded bytes a pure function of the data for a given
-// binary. (Decoding never needs this — gob streams describe their types
-// inline.)
-
-var (
-	gobWarmMu   sync.Mutex
-	gobWarmFns  []func(*gob.Encoder)
-	gobWarmOnce sync.Once
-)
-
-// RegisterGobContainer registers a warm-up hook that encodes a package's
-// zero-valued gob containers. Call it from package init; hooks run in
-// registration (package-init) order, once, at the first GobWarmup call.
-func RegisterGobContainer(f func(*gob.Encoder)) {
-	gobWarmMu.Lock()
-	defer gobWarmMu.Unlock()
-	gobWarmFns = append(gobWarmFns, f)
-}
-
-// GobWarmup claims gob type IDs for every registered container in fixed
-// order. Encode entry points call it before their first Encode.
-func GobWarmup() {
-	gobWarmOnce.Do(func() {
-		enc := gob.NewEncoder(io.Discard)
-		gobWarmMu.Lock()
-		fns := gobWarmFns
-		gobWarmMu.Unlock()
-		for _, f := range fns {
-			f(enc)
+// AppendTrainState appends the training state of params under opt: the
+// parameter count, then per parameter its record — name and values, then the
+// published snapshot if it has one and Adam's moment pair if the optimizer
+// has stepped it, each behind a presence byte and as long as the values — and
+// last Adam's step counter.
+func AppendTrainState(b []byte, params []*Param, opt *Adam) []byte {
+	b = wire.AppendUvarint(b, uint64(len(params)))
+	for _, p := range params {
+		b = appendValues(b, p)
+		b = wire.AppendFloats(wire.AppendBool(b, p.snap != nil), p.snap)
+		m := opt.m[p]
+		b = wire.AppendBool(b, m != nil)
+		if m != nil {
+			b = wire.AppendFloats(wire.AppendFloats(b, m), opt.v[p])
 		}
-	})
+	}
+	return wire.AppendInt(b, opt.t)
 }
 
-func init() {
-	RegisterGobContainer(func(enc *gob.Encoder) {
-		enc.Encode(&envelope{})
-		enc.Encode(&weightsFile{})
-		enc.Encode(&TrainState{})
-	})
-}
-
-// envelopeMagic versions the checksummed framing itself.
-const envelopeMagic = "mrsch-ckpt-envelope-v1"
-
-// envelope is the outer frame of every checkpoint file: the gob-encoded
-// payload plus its SHA-256. gob alone detects truncation and structural
-// damage but happily decodes a flipped bit inside a float vector; the
-// digest turns ANY byte-level corruption into a loud load error instead of
-// silently training on damaged state.
-type envelope struct {
-	Magic string
-	Sum   [32]byte
-	Data  []byte
-}
-
-// EncodeChecksummed gob-encodes v and writes it to w wrapped in a
-// SHA-256-checksummed envelope. The checkpoint containers (dfp, rl,
-// experiments) all write through this frame.
-func EncodeChecksummed(w io.Writer, v any) error {
-	GobWarmup()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("nn: encoding payload: %w", err)
+// ReadTrainState decodes a train state and checks it against params. It
+// changes nothing and returns the function that applies it: weight values and
+// published snapshots are copied in place (existing SharedClone/SnapshotClone
+// aliases keep following them), and the optimizer's step counter and moment
+// vectors are replaced.
+func ReadTrainState(r *wire.Reader, params []*Param, opt *Adam) (func(), error) {
+	if err := readCount(r, params); err != nil {
+		return nil, err
 	}
-	env := envelope{Magic: envelopeMagic, Sum: sha256.Sum256(buf.Bytes()), Data: buf.Bytes()}
-	if err := gob.NewEncoder(w).Encode(&env); err != nil {
-		return fmt.Errorf("nn: encoding envelope: %w", err)
-	}
-	return nil
-}
-
-// DecodeChecksummed reads an envelope written by EncodeChecksummed,
-// verifies the digest, and decodes the payload into v. Corrupt or
-// truncated input fails before v sees a single byte.
-func DecodeChecksummed(r io.Reader, v any) error {
-	var env envelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return fmt.Errorf("nn: decoding envelope (corrupt or truncated file?): %w", err)
-	}
-	if env.Magic != envelopeMagic {
-		return fmt.Errorf("nn: bad envelope magic %q (want %q; not a checkpoint file or an incompatible version)", env.Magic, envelopeMagic)
-	}
-	if sha256.Sum256(env.Data) != env.Sum {
-		return fmt.Errorf("nn: payload checksum mismatch: file is corrupt")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(env.Data)).Decode(v); err != nil {
-		return fmt.Errorf("nn: decoding payload: %w", err)
-	}
-	return nil
-}
-
-const trainStateMagic = "mrsch-nn-train-v1"
-
-// TrainState is the serializable training state of a parameter set: live
-// weight vectors, the published copy-on-write snapshot of each Param that
-// has one (pipelined training), and the Adam step counter with both moment
-// vectors per parameter. It is the nn-layer section of agent checkpoints
-// (dfp, rl) and is gob-encodable as-is.
-type TrainState struct {
-	Magic  string
-	Params []savedParam
-	// Snaps holds each param's published snapshot buffer, nil for params
-	// that were never snapshotted (barrier-mode and inference agents).
-	Snaps [][]float64
-	// AdamT is the optimizer step counter; AdamM/AdamV the first and second
-	// moment vectors per parameter (nil for parameters the optimizer has
-	// never stepped).
-	AdamT int
-	AdamM [][]float64
-	AdamV [][]float64
-}
-
-// CaptureTrainState snapshots the current training state of params under
-// opt. The returned state holds copies; later training does not mutate it.
-func CaptureTrainState(params []*Param, opt *Adam) TrainState {
-	st := TrainState{
-		Magic: trainStateMagic,
-		Snaps: make([][]float64, len(params)),
-		AdamT: opt.t,
-		AdamM: make([][]float64, len(params)),
-		AdamV: make([][]float64, len(params)),
-	}
+	type record struct{ values, snap, m, v Vec }
+	recs := make([]record, len(params))
 	for i, p := range params {
-		st.Params = append(st.Params, savedParam{Name: p.Name, Values: Copy(p.Value)})
-		if p.snap != nil {
-			st.Snaps[i] = Copy(p.snap)
+		rec := &recs[i]
+		var err error
+		if rec.values, err = readValues(r, i, p); err != nil {
+			return nil, err
 		}
-		if m := opt.m[p]; m != nil {
-			st.AdamM[i] = Copy(m)
-			st.AdamV[i] = Copy(opt.v[p])
+		if r.Bool() {
+			rec.snap = r.Floats(len(p.Value))
 		}
-	}
-	return st
-}
-
-// Check validates the state against the parameter set without mutating
-// anything: magic/version, parameter count, per-parameter name and length,
-// snapshot and moment-vector lengths. It is the validation half of Apply,
-// exposed so composite checkpoint loaders can verify every section before
-// applying any of them.
-func (st *TrainState) Check(params []*Param) error {
-	if st.Magic != trainStateMagic {
-		return fmt.Errorf("nn: train state: bad magic %q (want %q; wrong or newer format?)", st.Magic, trainStateMagic)
-	}
-	if len(st.Params) != len(params) {
-		return fmt.Errorf("nn: train state: have %d params, state has %d", len(params), len(st.Params))
-	}
-	if len(st.Snaps) != len(params) || len(st.AdamM) != len(params) || len(st.AdamV) != len(params) {
-		return fmt.Errorf("nn: train state: section lengths disagree (snaps=%d adamM=%d adamV=%d, want %d)",
-			len(st.Snaps), len(st.AdamM), len(st.AdamV), len(params))
-	}
-	if st.AdamT < 0 {
-		return fmt.Errorf("nn: train state: negative Adam step counter %d", st.AdamT)
-	}
-	for i, sp := range st.Params {
-		p := params[i]
-		if sp.Name != p.Name {
-			return fmt.Errorf("nn: train state: param %d name %q, state has %q", i, p.Name, sp.Name)
-		}
-		if len(sp.Values) != len(p.Value) {
-			return fmt.Errorf("nn: train state: param %q length %d, state has %d", p.Name, len(p.Value), len(sp.Values))
-		}
-		if st.Snaps[i] != nil && len(st.Snaps[i]) != len(p.Value) {
-			return fmt.Errorf("nn: train state: param %q snapshot length %d, want %d", p.Name, len(st.Snaps[i]), len(p.Value))
-		}
-		if (st.AdamM[i] == nil) != (st.AdamV[i] == nil) {
-			return fmt.Errorf("nn: train state: param %q has one Adam moment vector but not the other", p.Name)
-		}
-		if st.AdamM[i] != nil && (len(st.AdamM[i]) != len(p.Value) || len(st.AdamV[i]) != len(p.Value)) {
-			return fmt.Errorf("nn: train state: param %q Adam moment lengths %d/%d, want %d",
-				p.Name, len(st.AdamM[i]), len(st.AdamV[i]), len(p.Value))
+		if r.Bool() {
+			rec.m, rec.v = r.Floats(len(p.Value)), r.Floats(len(p.Value))
 		}
 	}
-	return nil
-}
-
-// Apply restores the state into params and opt: weight values and published
-// snapshots are copied in place (existing SharedClone/SnapshotClone aliases
-// keep following them), and the optimizer's step counter and moment vectors
-// are replaced. Validation runs first; on error nothing is mutated.
-func (st *TrainState) Apply(params []*Param, opt *Adam) error {
-	if err := st.Check(params); err != nil {
-		return err
+	t := r.Int()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	for i, p := range params {
-		copy(p.Value, st.Params[i].Values)
-		if st.Snaps[i] != nil {
-			if p.snap == nil {
-				p.snap = make(Vec, len(p.Value))
+	if t < 0 {
+		return nil, fmt.Errorf("negative Adam step counter %d", t)
+	}
+	return func() {
+		for i, p := range params {
+			rec := recs[i]
+			copy(p.Value, rec.values)
+			if rec.snap != nil {
+				if p.snap == nil {
+					p.snap = rec.snap
+				}
+				copy(p.snap, rec.snap)
 			}
-			copy(p.snap, st.Snaps[i])
+			if rec.m == nil {
+				delete(opt.m, p)
+				delete(opt.v, p)
+			} else {
+				opt.m[p], opt.v[p] = rec.m, rec.v
+			}
 		}
-		if st.AdamM[i] == nil {
-			delete(opt.m, p)
-			delete(opt.v, p)
-		} else {
-			opt.m[p] = Copy(st.AdamM[i])
-			opt.v[p] = Copy(st.AdamV[i])
-		}
-	}
-	opt.t = st.AdamT
-	return nil
+		opt.t = t
+	}, nil
 }
 
 // MaxRngCursor bounds the rng draw cursors agent checkpoints will replay

@@ -81,7 +81,7 @@
 // arithmetic; after BeginStep, ApplyRange calls on disjoint ranges may run
 // on different goroutines, and because the kernel is element-wise in both
 // sets the cuts do not change a bit. ApplyRange looks the moment vectors up
-// on every call: TrainState.Apply replaces them, and a holder of the old
+// on every call: a loaded train state replaces them, and a holder of the old
 // ones would update vectors the optimizer no longer owns.
 //
 // # Weight snapshots and versioning

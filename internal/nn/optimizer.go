@@ -100,7 +100,7 @@ func FoldNorm(grad, shadow Vec) float64 {
 // element-wise — its scalar tail computes what its vector body does — so
 // how a parameter is cut into ranges does not change a bit of the result.
 // The moment vectors are looked up on every call, never remembered:
-// TrainState.Apply replaces them.
+// a train state's apply (ReadTrainState) replaces them.
 func (o *Adam) ApplyRange(p *Param, lo, hi int, f float64) {
 	kern.AdamStep(p.Value[lo:hi], p.Grad[lo:hi], o.m[p][lo:hi], o.v[p][lo:hi],
 		f, o.LR, o.Beta1, o.Beta2, 1-o.Beta1, 1-o.Beta2, o.invB1c, o.invB2c, o.Eps)

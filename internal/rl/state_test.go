@@ -2,23 +2,25 @@ package rl
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/job"
-	"repro/internal/nn"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
-func rlStateBytes(t *testing.T, s *Scheduler) []byte {
+// rlStateBytes is the scheduler's state section as a file: sealed.
+func rlStateBytes(t testing.TB, s *Scheduler) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return wire.Seal(s.AppendState(nil))
 }
+
+// loadRLState loads a file rlStateBytes wrote into s.
+func loadRLState(s *Scheduler, data []byte) error { return wire.Unseal(data, s.ReadState) }
 
 func rlWeightBytes(t *testing.T, s *Scheduler) []byte {
 	t.Helper()
@@ -31,7 +33,7 @@ func rlWeightBytes(t *testing.T, s *Scheduler) []byte {
 
 // trainEpisodes runs n deterministic training episodes through the
 // simulator, each sampled by an actor reseeded from the episode's number.
-func trainEpisodes(t *testing.T, s *Scheduler, n int, seed int64) {
+func trainEpisodes(t testing.TB, s *Scheduler, n int, seed int64) {
 	t.Helper()
 	actor := s.Actor()
 	rng := rand.New(rand.NewSource(seed))
@@ -54,7 +56,7 @@ func trainEpisodes(t *testing.T, s *Scheduler, n int, seed int64) {
 	}
 }
 
-// SaveState -> LoadState must reproduce REINFORCE training bit-for-bit:
+// Saving then loading must reproduce REINFORCE training bit-for-bit:
 // identical re-serialization and an identical continuation.
 func TestSchedulerStateRoundTrip(t *testing.T) {
 	a := New(sys(), tinyConfig(3))
@@ -62,7 +64,7 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 	saved := rlStateBytes(t, a)
 
 	b := New(sys(), tinyConfig(3))
-	if err := b.LoadState(bytes.NewReader(saved)); err != nil {
+	if err := loadRLState(b, saved); err != nil {
 		t.Fatal(err)
 	}
 	if got := rlStateBytes(t, b); !bytes.Equal(got, saved) {
@@ -86,70 +88,92 @@ func TestSchedulerLoadStateRejects(t *testing.T) {
 	for off := 0; off < len(saved); off += len(saved)/53 + 1 {
 		mutated := append([]byte(nil), saved...)
 		mutated[off] ^= 0x10
-		if err := b.LoadState(bytes.NewReader(mutated)); err == nil {
+		if err := loadRLState(b, mutated); err == nil {
 			t.Fatalf("bitflip at %d accepted", off)
 		}
 	}
-	if err := b.LoadState(bytes.NewReader(saved[:len(saved)/2])); err == nil {
+	if err := loadRLState(b, saved[:len(saved)/2]); err == nil {
 		t.Fatal("truncated state accepted")
+	}
+	// Behind a valid seal, a body cut anywhere is refused whole.
+	body := saved[:len(saved)-32]
+	for end := 0; end < len(body); end += len(body)/41 + 1 {
+		if err := loadRLState(b, wire.Seal(append([]byte(nil), body[:end]...))); err == nil {
+			t.Fatalf("body cut at %d accepted", end)
+		}
 	}
 	if after := rlStateBytes(t, b); !bytes.Equal(before, after) {
 		t.Fatal("failed loads mutated the scheduler")
 	}
 
 	c := New(sys(), tinyConfig(4)) // different seed
-	if err := c.LoadState(bytes.NewReader(saved)); err == nil || !strings.Contains(err.Error(), "seed mismatch") {
+	if err := loadRLState(c, saved); err == nil || !strings.Contains(err.Error(), "seed mismatch") {
 		t.Fatalf("want seed mismatch, got %v", err)
 	}
 	wide := tinyConfig(3)
 	wide.Window = 6
 	d := New(sys(), wide)
-	if err := d.LoadState(bytes.NewReader(saved)); err == nil || !strings.Contains(err.Error(), "architecture mismatch") {
+	if err := loadRLState(d, saved); err == nil || !strings.Contains(err.Error(), "architecture mismatch") {
 		t.Fatalf("want architecture mismatch, got %v", err)
 	}
 }
 
-// parentContainer is the v1 container as the parent format wrote it: v2 plus
-// the rng cursor and the steps of an episode the scheduler was recording
-// itself.
-type parentContainer struct {
-	Magic     string
-	StateDim  int
-	Window    int
-	Seed      int64
-	Train     nn.TrainState
-	RngCursor uint64
-	Episode   []parentStep
-}
-
-type parentStep struct {
-	State  []float64
-	Action int
-	Valid  int
-	Reward float64
-}
+// The v2 container as the parent format wrote it — the scheduler state inside
+// a checksummed envelope, both gob streams — built here with encoding/gob.
+type (
+	parentEnvelope struct {
+		Magic string
+		Sum   [32]byte
+		Data  []byte
+	}
+	parentContainer struct {
+		Magic    string
+		StateDim int
+		Window   int
+		Seed     int64
+		Train    parentTrainState
+	}
+	parentTrainState struct {
+		Magic        string
+		Params       []parentParam
+		Snaps        [][]float64
+		AdamT        int
+		AdamM, AdamV [][]float64
+	}
+	parentParam struct {
+		Name   string
+		Values []float64
+	}
+)
 
 // A checkpoint the parent format wrote — well-formed, with a train state that
-// fits — is refused by its version name with nothing applied, never read as
-// if it were this format.
+// fits — is refused as the retired gob format with nothing applied, never
+// read as if it were this format.
 func TestSchedulerLoadStateRefusesParentFormat(t *testing.T) {
 	a := New(sys(), tinyConfig(3))
 	trainEpisodes(t, a, 2, 11)
+	params := a.net.Params()
 	old := parentContainer{
-		Magic: "mrsch-rl-state-v1", StateDim: a.enc.StateDim(), Window: a.cfg.Window, Seed: a.cfg.Seed,
-		Train:     nn.CaptureTrainState(a.net.Params(), a.opt),
-		RngCursor: 75,
-		Episode:   []parentStep{{State: make([]float64, a.enc.StateDim()), Action: 1, Valid: 2, Reward: 0.5}},
+		Magic: "mrsch-rl-state-v2", StateDim: a.enc.StateDim(), Window: a.cfg.Window, Seed: a.cfg.Seed,
+		Train: parentTrainState{Magic: "mrsch-nn-train-v1", Snaps: make([][]float64, len(params)),
+			AdamM: make([][]float64, len(params)), AdamV: make([][]float64, len(params))},
 	}
-	var buf bytes.Buffer
-	if err := nn.EncodeChecksummed(&buf, &old); err != nil {
+	for _, p := range params {
+		old.Train.Params = append(old.Train.Params, parentParam{Name: p.Name, Values: p.Value})
+	}
+	var payload, file bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	env := parentEnvelope{Magic: "mrsch-ckpt-envelope-v1", Sum: sha256.Sum256(payload.Bytes()), Data: payload.Bytes()}
+	if err := gob.NewEncoder(&file).Encode(&env); err != nil {
 		t.Fatal(err)
 	}
 	b := New(sys(), tinyConfig(3))
 	before := rlStateBytes(t, b)
-	err := b.LoadState(bytes.NewReader(buf.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), `bad magic "mrsch-rl-state-v1"`) {
-		t.Fatalf("want the v1 container refused by name, got %v", err)
+	err := loadRLState(b, file.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "retired gob format") {
+		t.Fatalf("want the v2 container refused as the retired gob format, got %v", err)
 	}
 	if !bytes.Equal(before, rlStateBytes(t, b)) {
 		t.Fatal("refused load mutated the scheduler")

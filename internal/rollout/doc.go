@@ -82,7 +82,7 @@
 //     there; a checkpoint therefore captures a pure function of
 //     (seed, workers, pipelined) — the same state every run with those
 //     settings passes through. Resuming from it (Config.Resume = episodes
-//     done, learner state restored via the agent's LoadState) continues
+//     done, learner state restored from the agent's state section) continues
 //     that same trajectory: kill-at-round-k + resume is bitwise identical
 //     to the uninterrupted run — the same EpisodeResult stream (the resumed
 //     run returns the tail) and the same final weights. Resume must match

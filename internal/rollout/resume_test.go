@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // The crash-resume equivalence suite: killing a training run at a round
@@ -54,14 +55,12 @@ func trainToCrash(t *testing.T, cfg Config, at int) ([]core.EpisodeResult, []byt
 	// (doc rule 11).
 	cfg.Metrics = telemetry.NewRegistry()
 	cfg.Journal = telemetry.NewJournal(io.Discard)
-	var state bytes.Buffer
+	var state []byte
 	cfg.Checkpoint = func(done int) error {
 		if done != at {
 			return nil
 		}
-		if err := m.SaveState(&state); err != nil {
-			return err
-		}
+		state = wire.Seal(m.Agent.AppendState(nil))
 		return errSimulatedCrash
 	}
 	results, err := Train(NewMRSchLearner(m, trainCfg(sys)), cfg, sets)
@@ -71,10 +70,10 @@ func trainToCrash(t *testing.T, cfg Config, at int) ([]core.EpisodeResult, []byt
 	if len(results) != at {
 		t.Fatalf("crash run: %d results reduced before the crash, want %d", len(results), at)
 	}
-	if state.Len() == 0 {
+	if len(state) == 0 {
 		t.Fatalf("crash run: checkpoint at %d never captured", at)
 	}
-	return results, state.Bytes()
+	return results, state
 }
 
 // resumeFrom restores the captured state into a fresh agent and finishes
@@ -84,7 +83,7 @@ func resumeFrom(t *testing.T, cfg Config, state []byte, from int) ([]core.Episod
 	sys := testSystem()
 	sets := testSets(sys, 8, 25, 41)
 	m := testAgent(sys, 17)
-	if err := m.LoadState(bytes.NewReader(state)); err != nil {
+	if err := wire.Unseal(state, m.Agent.ReadState); err != nil {
 		t.Fatalf("resume: load state: %v", err)
 	}
 	cfg.Resume = from

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -21,7 +20,8 @@ import (
 //	byte 1   the message type
 //	then     only that type's fields, in the order appendMessage writes them
 //
-// with every field in one of four forms: a uint64 (IDs, model versions) or a
+// with every field in one of four forms of internal/wire's canonical field
+// codec, the one the durable files use: a uint64 (IDs, model versions) or a
 // count (of elements, or of a string's or the weights' bytes) as a uvarint;
 // an int (protocol number, window, capacities, job IDs, demands, the pick) as
 // a zig-zag uvarint; a float64 as its 64 IEEE-754 bits, little-endian, so
@@ -147,76 +147,56 @@ func appendMessage(b []byte, m *message) ([]byte, error) {
 	b = append(b, ProtocolVersion, byte(m.Type))
 	switch m.Type {
 	case msgHello:
-		b = appendInt(b, m.Proto)
+		b = wire.AppendInt(b, m.Proto)
 	case msgWelcome:
-		b = appendInt(b, m.Proto)
-		b = binary.AppendUvarint(b, m.ModelVersion)
-		b = appendInt(b, m.Window)
-		b = binary.AppendUvarint(b, uint64(len(m.Resources)))
+		b = wire.AppendInt(b, m.Proto)
+		b = wire.AppendUvarint(b, m.ModelVersion)
+		b = wire.AppendInt(b, m.Window)
+		b = wire.AppendUvarint(b, uint64(len(m.Resources)))
 		for _, name := range m.Resources {
-			b = appendString(b, name)
+			b = wire.AppendString(b, name)
 		}
-		b = appendInts(b, m.Capacities)
-		b = appendString(b, m.Err)
+		b = wire.AppendInts(b, m.Capacities)
+		b = wire.AppendString(b, m.Err)
 	case msgDecide:
-		b = binary.AppendUvarint(b, m.ID)
-		b = appendFloat(b, m.Req.Now)
-		b = binary.AppendUvarint(b, uint64(len(m.Req.Queue)))
+		b = wire.AppendUvarint(b, m.ID)
+		b = wire.AppendFloat(b, m.Req.Now)
+		b = wire.AppendUvarint(b, uint64(len(m.Req.Queue)))
 		for i := range m.Req.Queue {
 			q := &m.Req.Queue[i]
-			b = appendInts(b, q.Demand)
-			b = appendFloat(b, q.Walltime)
-			b = appendFloat(b, q.Submit)
+			b = wire.AppendInts(b, q.Demand)
+			b = wire.AppendFloat(b, q.Walltime)
+			b = wire.AppendFloat(b, q.Submit)
 		}
-		b = binary.AppendUvarint(b, uint64(len(m.Req.Running)))
+		b = wire.AppendUvarint(b, uint64(len(m.Req.Running)))
 		for i := range m.Req.Running {
 			a := &m.Req.Running[i]
-			b = appendInt(b, a.JobID)
-			b = appendInts(b, a.Demand)
-			b = appendFloat(b, a.Start)
-			b = appendFloat(b, a.EstEnd)
+			b = wire.AppendInt(b, a.JobID)
+			b = wire.AppendInts(b, a.Demand)
+			b = wire.AppendFloat(b, a.Start)
+			b = wire.AppendFloat(b, a.EstEnd)
 		}
 	case msgDecision:
-		b = binary.AppendUvarint(b, m.ID)
-		b = appendInt(b, m.Pick)
-		b = binary.AppendUvarint(b, m.ModelVersion)
-		b = appendString(b, m.Err)
+		b = wire.AppendUvarint(b, m.ID)
+		b = wire.AppendInt(b, m.Pick)
+		b = wire.AppendUvarint(b, m.ModelVersion)
+		b = wire.AppendString(b, m.Err)
 	case msgSwap:
-		b = binary.AppendUvarint(b, m.ID)
-		b = binary.AppendUvarint(b, uint64(len(m.Weights)))
-		b = append(b, m.Weights...)
+		b = wire.AppendUvarint(b, m.ID)
+		b = wire.AppendBytes(b, m.Weights)
 	case msgSwapped:
-		b = binary.AppendUvarint(b, m.ID)
-		b = binary.AppendUvarint(b, m.ModelVersion)
-		b = appendString(b, m.Err)
+		b = wire.AppendUvarint(b, m.ID)
+		b = wire.AppendUvarint(b, m.ModelVersion)
+		b = wire.AppendString(b, m.Err)
 	default:
 		return b, fmt.Errorf("serve: no layout for a %s frame", m.Type)
 	}
 	return b, nil
 }
 
-func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func appendInts(b []byte, vs []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = appendInt(b, v)
-	}
-	return b
-}
-
 // The fewest bytes one element of each counted kind can occupy: what a count
 // is held against before anything is sized from it.
 const (
-	minIntBytes    = 1
 	minStringBytes = 1
 	minJobBytes    = 1 + 8 + 8     // demand count, walltime, submit
 	minAllocBytes  = 1 + 1 + 8 + 8 // job ID, demand count, start, estimated end
@@ -236,60 +216,57 @@ func decodeMessage(payload []byte, m *message, arena []int) ([]int, error) {
 		return arena, fmt.Errorf("%w: payload is not in the serve protocol %d layout (a peer speaking another protocol revision?)", ErrCorruptFrame, ProtocolVersion)
 	}
 	m.Type = msgType(payload[1])
-	r := reader{b: payload[2:]}
+	r := wire.NewReader(payload[2:])
 	switch m.Type {
 	case msgHello:
-		m.Proto = r.int()
+		m.Proto = r.Int()
 	case msgWelcome:
-		m.Proto = r.int()
-		m.ModelVersion = r.uvarint()
-		m.Window = r.int()
-		if n := r.count(minStringBytes); n > 0 {
+		m.Proto = r.Int()
+		m.ModelVersion = r.Uvarint()
+		m.Window = r.Int()
+		if n := r.Count(minStringBytes); n > 0 {
 			m.Resources = make([]string, n)
 			for i := range m.Resources {
-				m.Resources[i] = string(r.bytes())
+				m.Resources[i] = string(r.Bytes())
 			}
 		}
-		m.Capacities, _ = r.ints(nil)
-		m.Err = string(r.bytes())
+		m.Capacities, _ = r.Ints(nil)
+		m.Err = string(r.Bytes())
 	case msgDecide:
-		m.ID = r.uvarint()
-		m.Req.Now = r.float()
-		m.Req.Queue = resize(m.Req.Queue, r.count(minJobBytes))
+		m.ID = r.Uvarint()
+		m.Req.Now = r.Float()
+		m.Req.Queue = resize(m.Req.Queue, r.Count(minJobBytes))
 		for i := range m.Req.Queue {
 			q := &m.Req.Queue[i]
-			q.Demand, arena = r.ints(arena)
-			q.Walltime = r.float()
-			q.Submit = r.float()
+			q.Demand, arena = r.Ints(arena)
+			q.Walltime = r.Float()
+			q.Submit = r.Float()
 		}
-		m.Req.Running = resize(m.Req.Running, r.count(minAllocBytes))
+		m.Req.Running = resize(m.Req.Running, r.Count(minAllocBytes))
 		for i := range m.Req.Running {
 			a := &m.Req.Running[i]
-			a.JobID = r.int()
-			a.Demand, arena = r.ints(arena)
-			a.Start = r.float()
-			a.EstEnd = r.float()
+			a.JobID = r.Int()
+			a.Demand, arena = r.Ints(arena)
+			a.Start = r.Float()
+			a.EstEnd = r.Float()
 		}
 	case msgDecision:
-		m.ID = r.uvarint()
-		m.Pick = r.int()
-		m.ModelVersion = r.uvarint()
-		m.Err = string(r.bytes())
+		m.ID = r.Uvarint()
+		m.Pick = r.Int()
+		m.ModelVersion = r.Uvarint()
+		m.Err = string(r.Bytes())
 	case msgSwap:
-		m.ID = r.uvarint()
-		m.Weights = r.bytes()
+		m.ID = r.Uvarint()
+		m.Weights = r.Bytes()
 	case msgSwapped:
-		m.ID = r.uvarint()
-		m.ModelVersion = r.uvarint()
-		m.Err = string(r.bytes())
+		m.ID = r.Uvarint()
+		m.ModelVersion = r.Uvarint()
+		m.Err = string(r.Bytes())
 	default:
-		r.fail("unknown message type")
+		r.Fail("unknown message type")
 	}
-	if r.damage == "" && len(r.b) > 0 {
-		r.fail("bytes after the last field")
-	}
-	if r.damage != "" {
-		return arena, fmt.Errorf("%w: %s frame: %s", ErrCorruptFrame, m.Type, r.damage)
+	if err := r.Finish(); err != nil {
+		return arena, fmt.Errorf("%w: %s frame: %v", ErrCorruptFrame, m.Type, err)
 	}
 	return arena, nil
 }
@@ -300,88 +277,6 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// reader consumes a payload field by field. The first departure from the
-// layout is recorded in damage and empties the reader: every later read
-// returns zero and every later count is zero, so decodeMessage runs to its
-// end without a check per field and sizes nothing from a damaged count.
-type reader struct {
-	b      []byte
-	damage string
-}
-
-func (r *reader) fail(what string) {
-	if r.damage == "" {
-		r.damage = what
-	}
-	r.b = nil
-}
-
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("truncated or overlong varint")
-		return 0
-	}
-	if n > 1 && r.b[n-1] == 0 {
-		r.fail("varint is not minimal")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) int() int {
-	u := r.uvarint()
-	v := int64(u>>1) ^ -int64(u&1)
-	if int64(int(v)) != v {
-		r.fail("integer does not fit this platform's int")
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) float() float64 {
-	if len(r.b) < 8 {
-		r.fail("truncated float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-// count reads a count of elements that occupy at least minBytes each and
-// refuses one the unread bytes cannot hold.
-func (r *reader) count(minBytes int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/minBytes) {
-		r.fail("count exceeds the bytes that follow it")
-		return 0
-	}
-	return int(n)
-}
-
-// bytes reads a counted run of bytes, returned as a view of the payload.
-func (r *reader) bytes() []byte {
-	n := r.count(1)
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// ints reads a counted run of ints onto the end of arena and returns the run
-// (capped, so appending to it cannot reach its neighbour) and the extended
-// arena. A run handed out earlier stays valid if the arena has to grow: it
-// keeps the array it was cut from.
-func (r *reader) ints(arena []int) (run, extended []int) {
-	n := r.count(minIntBytes)
-	start := len(arena)
-	for i := 0; i < n; i++ {
-		arena = append(arena, r.int())
-	}
-	return arena[start:len(arena):len(arena)], arena
 }
 
 // maxKeptBuffer is the largest frame buffer a connection keeps between

@@ -14,15 +14,25 @@
 // one Write, header and payload together, so a TCP_NODELAY connection sends
 // one segment per small frame.
 //
-// The two protocols encode their payloads differently, on purpose. The
-// decision service answers a frame per scheduling cycle and its client waits
-// for each answer, so it owns a fixed binary layout for its six message types
-// (internal/serve/protocol.go) and reads and writes frames through buffers it
-// keeps (SealFrame, ReadFrameInto). The campaign protocol sends one frame per
-// campaign cell — seconds of simulation apart — and its messages carry
-// metrics.Report and FaultPlan, types that grow with the experiments; it
-// stays on EncodeGob/DecodeGob, one independent gob stream per frame, whose
-// per-frame cost no committed workload measures.
+// It also owns the repository's one canonical field codec (codec.go): a
+// uvarint for uint64s and counts, a zig-zag uvarint for ints, a float64 as
+// its 64 bits little-endian (NaN payloads, -0 and ±Inf survive), a bool as
+// one byte 0 or 1, a string or byte slice as its count then its bytes. A
+// Reader takes a varint only if it is minimal, holds every count against the
+// bytes still unread before anything is sized from it, and latches the first
+// damage, so decoding then encoding is the identity. The decision service's
+// six messages (internal/serve/protocol.go) are fields of it, read and
+// written through buffers they keep (SealFrame, ReadFrameInto). So is every
+// durable file, a model's weights or a train checkpoint: sections, each
+// behind a magic-and-version string, sealed by one SHA-256 (Seal) and loaded
+// by Unseal, which applies nothing unless the whole file decoded and checked.
+//
+// The campaign protocol (internal/distrib) does not use the field codec, on
+// purpose: it sends one frame per campaign cell, seconds of simulation apart,
+// and its messages carry metrics.Report and FaultPlan, types that grow with
+// the experiments. It stays on EncodeGob/DecodeGob, one independent gob
+// stream per frame, whose per-frame cost no committed workload measures; gob
+// frames are never written to disk.
 package wire
 
 import (
