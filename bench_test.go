@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/rollout"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -165,16 +166,15 @@ func BenchmarkTrainStepSingleWorker(b *testing.B) {
 //
 //	go test -run=NONE -bench=BenchmarkTrainStepPhases -benchtime=5x .
 func BenchmarkTrainStepPhases(b *testing.B) {
-	sc := experiments.QuickScale()
-	sc.Metrics = telemetry.NewRegistry()
-	m := experiments.MustPrepare(sc)
+	m := experiments.MustPrepare(experiments.QuickScale())
+	opt := experiments.CampaignOptions{Workers: 1, Metrics: telemetry.NewRegistry()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.TrainMRSch(m, "S4", false); err != nil {
+		if _, err := experiments.Train(m, experiments.TrainRun{Kind: scenario.KindMRSch, Family: "S4"}, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, h := range sc.Metrics.Snapshot().Histograms {
+	for _, h := range opt.Metrics.Snapshot().Histograms {
 		if name, ok := strings.CutPrefix(h.Name, "dfp_"); ok && strings.HasSuffix(name, "_ns") {
 			b.ReportMetric(float64(h.P50)/1e3, strings.TrimSuffix(name, "_ns")+"_p50_us")
 		}

@@ -151,27 +151,13 @@ func main() {
 
 	// Telemetry is observe-only end to end (rollout rule 11, distrib rule
 	// 10): campaign and figure results are identical with or without it.
-	var opt experiments.CampaignOptions
-	if *telemetryAddr != "" {
-		reg := telemetry.NewRegistry()
-		tsrv, err := telemetry.ListenAndServe(*telemetryAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrsch-exp: -telemetry-addr: %v\n", err)
-			os.Exit(1)
-		}
-		defer tsrv.Close()
-		logger.Event("telemetry", "addr", tsrv.Addr())
-		opt.Metrics = reg
+	reg, journal, closeTelemetry, err := telemetry.Open(*telemetryAddr, *journalPath, logger)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrsch-exp: %v\n", err)
+		os.Exit(1)
 	}
-	if *journalPath != "" {
-		j, err := telemetry.OpenJournal(*journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrsch-exp: -journal: %v\n", err)
-			os.Exit(1)
-		}
-		defer j.Close()
-		opt.Journal = j
-	}
+	defer closeTelemetry()
+	opt := experiments.CampaignOptions{Metrics: reg, Journal: journal}
 
 	// A negative -parallel used to fall back to all cores silently via the
 	// rollout.ResolveWorkers n<=0 convention; reject it instead.

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	mrsch-serve -model mrsch-S4.model [-scale quick|standard] [-listen :7643] [-max-batch 16] [-max-wait 200us]
+//	mrsch-serve -model mrsch-S4.model [-scale quick|standard|tiny] [-listen :7643] [-max-batch 16] [-max-wait 200us]
 //
 // SIGHUP re-reads -model and hot-swaps the weights without dropping a
 // request; clients can do the same remotely over the swap admin frame.
@@ -43,13 +43,14 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/nn"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	model := flag.String("model", "", "trained weights file (mrsch-train output); empty serves the untrained network")
-	scaleFlag := flag.String("scale", "quick", "system scale the model was trained at: quick or standard")
+	scaleFlag := flag.String("scale", "quick", "system scale the model was trained at: quick, standard, or tiny")
 	listen := flag.String("listen", "127.0.0.1:7643", "TCP listen address")
 	maxBatch := flag.Int("max-batch", 16, "max concurrent requests coalesced into one forward pass")
 	maxWait := flag.Duration("max-wait", 200*time.Microsecond, "max time the first request of a batch waits for company (0 = no waiting); on Linux a wait below 1ms lasts about 1.1ms while the daemon is otherwise idle")
@@ -63,16 +64,12 @@ func main() {
 	journalPath := flag.String("journal", "", "append daemon events (model swaps) as JSONL to this file (empty = off)")
 	flag.Parse()
 
-	var sc experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "standard":
-		sc = experiments.StandardScale()
-	default:
-		fmt.Fprintf(os.Stderr, "mrsch-serve: unknown scale %q\n", *scaleFlag)
+	scaleSpec, err := scenario.ScaleByName(*scaleFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrsch-serve: %v\n", err)
 		os.Exit(2)
 	}
+	sc := experiments.ScaleFromSpec(scaleSpec)
 
 	if *loadgen {
 		if err := runLoadgen(sc, *connect, *clients, *requests, *rate, *wl); err != nil {
@@ -93,25 +90,11 @@ func runDaemon(sc experiments.Scale, model, listen string, maxBatch int, maxWait
 	logger := telemetry.NewLogger(os.Stderr, "mrsch-serve")
 	// Telemetry is contract-neutral (serve doc rule 7): both knobs are
 	// plain opt-ins that cannot perturb decision bytes.
-	var reg *telemetry.Registry
-	if telemetryAddr != "" {
-		reg = telemetry.NewRegistry()
-		tsrv, err := telemetry.ListenAndServe(telemetryAddr, reg)
-		if err != nil {
-			return fmt.Errorf("-telemetry-addr: %w", err)
-		}
-		defer tsrv.Close()
-		logger.Event("telemetry", "addr", tsrv.Addr())
+	reg, journal, closeTelemetry, err := telemetry.Open(telemetryAddr, journalPath, logger)
+	if err != nil {
+		return err
 	}
-	var journal *telemetry.Journal
-	if journalPath != "" {
-		j, err := telemetry.OpenJournal(journalPath)
-		if err != nil {
-			return fmt.Errorf("-journal: %w", err)
-		}
-		defer j.Close()
-		journal = j
-	}
+	defer closeTelemetry()
 	// The agent must be built with the exact architecture mrsch-train
 	// used, or the weight file will not load.
 	agent := experiments.NewMRSchUntrained(sc, false)

@@ -44,6 +44,12 @@
 // over HTTP, and -journal FILE appends per-round JSONL events; both are
 // observe-only (rollout package doc, rule 11), so instrumented runs stay
 // bitwise identical to bare ones.
+//
+// -scale picks the sizing (experiments.Scale); every other flag above but
+// -workload, -out, -cnn and -validate sets one field of the
+// experiments.CampaignOptions the run trains under — the runtime
+// mrsch-exp's family models train under too, through the same
+// experiments.Train.
 package main
 
 import (
@@ -114,44 +120,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	sc.RolloutWorkers = *parallel
-	sc.Pipelined = *pipeline
-	sc.CheckpointDir = *checkpoint
-	sc.CheckpointEvery = *checkpointEvery
-	sc.Resume = *resume
-
 	// Telemetry is observe-only (rollout doc rule 11): wiring it cannot
 	// perturb the run, so both knobs are plain opt-ins.
-	if *telemetryAddr != "" {
-		reg := telemetry.NewRegistry()
-		tsrv, err := telemetry.ListenAndServe(*telemetryAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrsch-train: -telemetry-addr: %v\n", err)
-			os.Exit(1)
-		}
-		defer tsrv.Close()
-		logger.Event("telemetry", "addr", tsrv.Addr())
-		sc.Metrics = reg
+	reg, journal, closeTelemetry, err := telemetry.Open(*telemetryAddr, *journalPath, logger)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mrsch-train: %v\n", err)
+		os.Exit(1)
 	}
-	if *journalPath != "" {
-		j, err := telemetry.OpenJournal(*journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrsch-train: -journal: %v\n", err)
-			os.Exit(1)
-		}
-		defer j.Close()
-		sc.Journal = j
-	}
+	defer closeTelemetry()
 	resumedAt := 0
-	sc.OnCheckpoint = func(action string, episodes int) {
-		if action == "resume" {
-			resumedAt = episodes
-			fmt.Printf("resumed from checkpoint: %d episode(s) already trained\n", episodes)
-		}
+	opt := experiments.CampaignOptions{
+		Workers:         *parallel,
+		Pipelined:       *pipeline,
+		CheckpointDir:   *checkpoint,
+		CheckpointEvery: *checkpointEvery,
+		Resume:          *resume,
+		OnCheckpoint: func(action string, episodes int) {
+			if action == "resume" {
+				resumedAt = episodes
+				fmt.Printf("resumed from checkpoint: %d episode(s) already trained\n", episodes)
+			}
+		},
+		Metrics: reg,
+		Journal: journal,
 	}
 
 	mode := "barrier"
-	if sc.Pipelined {
+	if opt.Pipelined {
 		mode = "pipelined"
 	}
 	m, err := experiments.Prepare(sc)
@@ -160,8 +155,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("training MRSch on %s (scale %s: Theta/%d, %d sets x %d jobs per kind, %d rollout workers, %s)\n",
-		*wl, sc.Name, sc.Div, sc.SetsPerKind, sc.SetSize, rollout.ResolveWorkers(sc.RolloutWorkers), mode)
-	trained, err := experiments.Train(m, experiments.TrainRun{Kind: scenario.KindMRSch, Family: *wl, CNN: *cnn, Validate: *validate})
+		*wl, sc.Name, sc.Div, sc.SetsPerKind, sc.SetSize, rollout.ResolveWorkers(opt.Workers), mode)
+	trained, err := experiments.Train(m, experiments.TrainRun{Kind: scenario.KindMRSch, Family: *wl, CNN: *cnn, Validate: *validate}, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrsch-train: %v\n", err)
 		os.Exit(1)

@@ -82,7 +82,7 @@ func AblationStateNets(r *CampaignRun) ([]AblationRow, error) {
 		{"single state net", false},
 		{"per-resource nets", true},
 	} {
-		t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S4", Seed: m.Scale.Seed + 47, PerResourceNets: v.per})
+		t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S4", Seed: m.Scale.Seed + 47, PerResourceNets: v.per}, r.opt)
 		if err != nil {
 			return nil, err
 		}

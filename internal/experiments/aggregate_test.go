@@ -79,7 +79,7 @@ func TestCampaignSeedAxisEndToEnd(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "seeded",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: []scenario.ScenarioSpec{base},
 		Methods:   []scenario.MethodSpec{{Kind: scenario.KindHeuristic}},
 		Seeds:     []int64{21, 22, 23},

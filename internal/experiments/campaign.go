@@ -34,14 +34,25 @@ type CellResult struct {
 }
 
 // CampaignOptions are the runtime knobs deliberately kept out of the
-// serialized spec: how wide to fan out, the training mode for in-process
-// family models, and the durability knobs (model store + checkpoints).
+// serialized spec and out of Scale: how wide to fan out, the training mode,
+// the durability knobs (model store and checkpoints) and telemetry. They are
+// the one home of every value a run sets: OpenCampaign keeps them for its
+// family models and Train takes them for a standalone run (mrsch-train).
 type CampaignOptions struct {
-	// Workers bounds parallel evaluation episodes and training rollout
-	// environments (0 = all CPU cores).
+	// Workers bounds parallel evaluation episodes and the simulator
+	// environments the training harness (internal/rollout) rolls out
+	// concurrently; 0 means all CPU cores (rollout.ResolveWorkers). Any
+	// fixed value trains deterministically; 1 is the serial-equivalent
+	// path, deterministic across machines. See the internal/rollout
+	// package doc for the determinism contract.
 	Workers int
-	// Pipelined trains family models with collection overlapped against a
-	// versioned weight snapshot (rollout.Config.Pipelined).
+	// Pipelined overlaps episode collection with gradient steps
+	// (rollout.Config.Pipelined): round k+1 rolls out against a versioned
+	// weight snapshot while round k trains. Off by default — barrier mode is
+	// the bitwise-reproducibility reference. Pipelined training is
+	// deterministic for a fixed (Seed, Workers) pair but differs from
+	// barrier mode; see rollout's package doc, rules 6-8, and its opening
+	// for what the overlap measured.
 	Pipelined bool
 	// ModelDir, when non-empty, is the content-addressed model store:
 	// every in-process-trained family model is saved there under a name
@@ -51,12 +62,30 @@ type CampaignOptions struct {
 	// campaign whose key hashes to an existing file loads it instead of
 	// retraining — re-running a finished campaign trains zero models.
 	ModelDir string
-	// CheckpointDir/Resume make the in-process family training runs
-	// durable at every round boundary (see the matching Scale fields): a
-	// preempted campaign re-run with Resume continues each partially
-	// trained family model from its last written boundary.
+	// CheckpointDir, when non-empty, makes every training run durable: the
+	// full agent state (weights, optimizer moments, replay ring, epsilon and
+	// rng cursors) is written atomically to a per-run file under the
+	// directory at every round boundary (rollout.Config.Checkpoint, rules
+	// 9-10 of the rollout package doc). The bespoke studies' runs are not
+	// checkpointed (TrainRun).
 	CheckpointDir string
-	Resume        bool
+	// CheckpointEvery throttles checkpoint writes to every Nth round
+	// boundary (0 or 1 = every round). The final boundary always writes, so
+	// a completed run's checkpoint is its final state; a crash between
+	// throttled writes just replays up to N rounds on resume.
+	CheckpointEvery int
+	// Resume restarts each training run from its file under CheckpointDir
+	// instead of episode zero — a preempted campaign continues every
+	// partially trained family model from its last written boundary. A
+	// resumed run is bitwise identical to an uninterrupted one for the same
+	// (Seed, Workers, Pipelined) settings; a checkpoint written under other
+	// settings is rejected loudly. With no file present the run starts
+	// fresh (first launch of a preemptable job).
+	Resume bool
+	// OnCheckpoint, when non-nil, observes checkpoint traffic: action is
+	// "save" after each round-boundary write and "resume" after a
+	// successful restore, episodes the cumulative episode count.
+	OnCheckpoint func(action string, episodes int)
 	// OnModel, when non-nil, observes family-model resolution: action is
 	// "trained" (trained in-process this run), "cached" (loaded from the
 	// ModelDir store), or "file" (loaded from an explicit MethodSpec.Model
@@ -70,8 +99,8 @@ type CampaignOptions struct {
 	// out, so a cell retried on another worker can never retrain a model.
 	NoTrain bool
 	// Metrics/Journal wire telemetry through to the training harness
-	// (Scale.Metrics/Journal → rollout.Config). Observe-only; excluded
-	// from model-store keys like every other runtime knob.
+	// (rollout.Config.Metrics/Journal). Observe-only (rollout doc rule 11);
+	// excluded from model-store keys and checkpoints.
 	Metrics *telemetry.Registry
 	Journal *telemetry.Journal
 }
@@ -100,13 +129,6 @@ func OpenCampaign(spec scenario.CampaignSpec, opt CampaignOptions) (*CampaignRun
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	baseScale := ScaleFromSpec(spec.Scale)
-	baseScale.RolloutWorkers = opt.Workers
-	baseScale.Pipelined = opt.Pipelined
-	baseScale.CheckpointDir = opt.CheckpointDir
-	baseScale.Resume = opt.Resume
-	baseScale.Metrics = opt.Metrics
-	baseScale.Journal = opt.Journal
 	if opt.ModelDir != "" {
 		if err := os.MkdirAll(opt.ModelDir, 0o755); err != nil {
 			return nil, fmt.Errorf("experiments: campaign %s: model store: %w", spec.Name, err)
@@ -115,7 +137,7 @@ func OpenCampaign(spec scenario.CampaignSpec, opt CampaignOptions) (*CampaignRun
 	return &CampaignRun{
 		spec:      spec,
 		opt:       opt,
-		baseScale: baseScale,
+		baseScale: ScaleFromSpec(spec.Scale),
 		materials: make(map[string]*Materials),
 		models:    make(map[string]Trained),
 	}, nil
@@ -248,14 +270,21 @@ func PrepareFor(sc Scale, sp scenario.ScenarioSpec) (*Materials, error) {
 	return m, nil
 }
 
-// scaleFor derives the cell's effective scale: the campaign scale with the
-// cell's replicate seed and the scenario's base-trace overrides applied.
-func (r *CampaignRun) scaleFor(cell scenario.Cell) Scale {
+// replicateScale is the campaign scale at the cell's replicate seed: what
+// the cell's materials are prepared from (PrepareFor), before the
+// scenario's base-trace overrides fold in.
+func (r *CampaignRun) replicateScale(cell scenario.Cell) Scale {
 	sc := r.baseScale
 	if cell.Seed != 0 {
 		sc.Seed = cell.Seed
 	}
-	return ScaleForSpec(sc, cell.Scenario)
+	return sc
+}
+
+// materialsKeyOf identifies the cell's base materials: the key of its
+// replicate scale with the scenario's base-trace overrides applied.
+func (r *CampaignRun) materialsKeyOf(cell scenario.Cell) string {
+	return materialsKey(ScaleForSpec(r.replicateScale(cell), cell.Scenario))
 }
 
 // materialsKey identifies one set of base materials. The burst and trace
@@ -274,24 +303,20 @@ func materialsKey(sc Scale) string {
 // resolveMaterials prepares (and caches) the cell's base materials. Called
 // serially before the fan-out; EvalCell only reads the cache.
 func (r *CampaignRun) resolveMaterials(cell scenario.Cell) (*Materials, error) {
-	sc := r.scaleFor(cell)
-	key := materialsKey(sc)
+	key := r.materialsKeyOf(cell)
 	if m, ok := r.materials[key]; ok {
 		return m, nil
 	}
-	m, err := Prepare(sc)
+	m, err := PrepareFor(r.replicateScale(cell), cell.Scenario)
 	if err != nil {
 		return nil, err
-	}
-	if sp := cell.Scenario; sp.InterarrivalScale > 0 && sp.InterarrivalScale != 1 {
-		m.InterarrivalScale = sp.InterarrivalScale
 	}
 	r.materials[key] = m
 	return m, nil
 }
 
 func (r *CampaignRun) materialsOf(cell scenario.Cell) *Materials {
-	return r.materials[materialsKey(r.scaleFor(cell))]
+	return r.materials[r.materialsKeyOf(cell)]
 }
 
 // baseMaterials returns the materials of the campaign scale itself — what a
@@ -307,7 +332,7 @@ func (r *CampaignRun) modelKey(cell scenario.Cell) string {
 	sp := cell.Scenario
 	return fmt.Sprintf("%s|%s|cnn=%v|power=%v|file=%s|%s",
 		cell.Method.Kind, sp.FamilyName(), cell.Method.CNN, sp.Power,
-		cell.Method.Model, materialsKey(r.scaleFor(cell)))
+		cell.Method.Model, r.materialsKeyOf(cell))
 }
 
 // resolveModel trains or loads the cell's model if its method needs one and
@@ -349,7 +374,7 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 		return errNoTrain(family, stored)
 	default:
 		path, action = stored, "trained"
-		if model, err = Train(m, run); err == nil && stored != "" {
+		if model, err = Train(m, run, r.opt); err == nil && stored != "" {
 			err = storeModel(stored, model.agent.Save)
 		}
 	}
@@ -385,7 +410,7 @@ func (r *CampaignRun) storePath(cell scenario.Cell) string {
 		return "" // unreachable: ScaleSpec marshals; disable the store rather than mis-key it
 	}
 	content := fmt.Sprintf("v3|%s|scale=%s|workers=%d|pipelined=%v",
-		r.modelKey(cell), spec, rollout.ResolveWorkers(r.baseScale.RolloutWorkers), r.baseScale.Pipelined)
+		r.modelKey(cell), spec, rollout.ResolveWorkers(r.opt.Workers), r.opt.Pipelined)
 	name := fmt.Sprintf("%s-%s-%s.model",
 		cell.Method.Kind, sanitizeName(cell.Scenario.FamilyName()), modelStoreKeyHash(content))
 	return filepath.Join(r.opt.ModelDir, name)
@@ -445,7 +470,7 @@ func (r *CampaignRun) EvalCell(cell scenario.Cell) (CellResult, error) {
 	failed := CellResult{Cell: cell}
 	m := r.materialsOf(cell)
 	if m == nil {
-		return failed, fmt.Errorf("no materials prepared for scale %q: EvalCell needs a ResolveCell first", materialsKey(r.scaleFor(cell)))
+		return failed, fmt.Errorf("no materials prepared for scale %q: EvalCell needs a ResolveCell first", r.materialsKeyOf(cell))
 	}
 	sp := cell.Scenario
 	sys := m.SystemFor(sp)

@@ -33,7 +33,7 @@ func TestMethodConstantsMatchScenarioRegistry(t *testing.T) {
 // The -fig sweep grid is the paper campaign: every builtin scenario under
 // the two training-free methods, half of them on the three-resource system.
 func TestSweepGridShape(t *testing.T) {
-	cells := scenario.PaperCampaign(tinyScale().Spec()).Expand()
+	cells := scenario.PaperCampaign(tinyScale().ScaleSpec).Expand()
 	if len(cells) != 20 { // (5 + 5 workloads) x 2 methods
 		t.Fatalf("%d cells, want 20", len(cells))
 	}
@@ -57,7 +57,7 @@ func TestSweepGridShape(t *testing.T) {
 // not change any result — unlike training, where it changes the (equally
 // valid) interleaving.
 func TestSweepIndependentOfWorkerCount(t *testing.T) {
-	spec := scenario.PaperCampaign(tinyScale().Spec())
+	spec := scenario.PaperCampaign(tinyScale().ScaleSpec)
 	serial, err := RunCampaign(spec, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSweepRejectsBaseTraceVariants(t *testing.T) {
 
 // A JSON round trip of the campaign spec changes nothing about the run.
 func TestCampaignJSONRoundTripSameResults(t *testing.T) {
-	spec := scenario.PaperCampaign(tinyScale().Spec())
+	spec := scenario.PaperCampaign(tinyScale().ScaleSpec)
 	spec.Scenarios = spec.Scenarios[:2]
 	spec.Methods = []scenario.MethodSpec{{Kind: scenario.KindHeuristic}}
 
@@ -153,7 +153,7 @@ func TestThetaVariantCellsRunEndToEnd(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "variant-smoke",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: append([]scenario.ScenarioSpec{base}, variants...),
 		Methods:   []scenario.MethodSpec{{Kind: scenario.KindHeuristic}},
 	}
@@ -205,7 +205,7 @@ func TestCampaignTrainsOneModelPerFamily(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "trained-smoke",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: []scenario.ScenarioSpec{base, variant},
 		Methods:   []scenario.MethodSpec{{Kind: scenario.KindMRSch, Train: true}},
 	}
@@ -226,9 +226,7 @@ func TestCampaignTrainsOneModelPerFamily(t *testing.T) {
 	// campaign loading it from the file: the model-reference path must
 	// produce the same reports without retraining. The reference training
 	// pins the same rollout worker count the campaign used.
-	sc.RolloutWorkers = 2
-	m := MustPrepare(sc)
-	agent, _, err := TrainMRSch(m, "S4", false)
+	agent, _, err := trainMRSch(MustPrepare(sc), "S4", CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +253,7 @@ func TestCampaignTrainsOneModelPerFamily(t *testing.T) {
 }
 
 func TestCampaignRejectsUntrainedModelMethods(t *testing.T) {
-	spec := scenario.PaperCampaign(tinyScale().Spec())
+	spec := scenario.PaperCampaign(tinyScale().ScaleSpec)
 	spec.Methods = []scenario.MethodSpec{{Kind: scenario.KindMRSch}} // no train, no model
 	if _, err := RunCampaign(spec, CampaignOptions{Workers: 1}); err == nil {
 		t.Fatal("campaign accepted a trained method with neither train nor model")

@@ -14,10 +14,11 @@ import (
 	"repro/internal/wire"
 )
 
-// This file makes training runs durable. A run with Scale.CheckpointDir set
-// writes its full state to one file at every round boundary (the
-// rollout.Config.Checkpoint hook, rules 9-10 of the rollout package doc);
-// with Scale.Resume set it restores that file and continues from the
+// This file makes training runs durable. A run with
+// CampaignOptions.CheckpointDir set writes its full state to one file at
+// every round boundary (the rollout.Config.Checkpoint hook, rules 9-10 of the
+// rollout package doc); with CampaignOptions.Resume set it restores that file
+// and continues from the
 // recorded boundary, bitwise identical to never having been interrupted.
 // The file is one sealed layout (internal/wire) of sections: a manifest of
 // the settings the equivalence contract depends on — run key, spec hash,
@@ -135,10 +136,11 @@ func checkpointPath(dir, key, specHash string) string {
 // writeFileAtomic writes data to path via a temp file + fsync + rename +
 // directory fsync, so neither a crash mid-write nor a power loss shortly
 // after the rename can leave a truncated checkpoint where a complete
-// older one (or nothing) should be.
+// older one (or nothing) should be. The temp file sits in path's own
+// directory ("." for a bare name, never $TMPDIR), so the rename cannot cross
+// filesystems.
 func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -171,31 +173,31 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// wireCheckpoint arms cfg with the scale's durable-training knobs for one
-// run: a round-boundary save hook writing the manifest and sections to the
-// key's file under CheckpointDir, and — with Resume set and a checkpoint
+// wireCheckpoint arms cfg with opt's durable-training knobs for one run at
+// scale sc: a round-boundary save hook writing the manifest and sections to
+// the key's file under CheckpointDir, and — with Resume set and a checkpoint
 // present — a checked restore of every section with cfg.Resume pointing at
 // the recorded boundary. total is the run's episode count. No CheckpointDir
 // means no-op.
-func (s Scale) wireCheckpoint(cfg *rollout.Config, key string, total int, sections []section) error {
-	if s.CheckpointDir == "" {
+func (opt CampaignOptions) wireCheckpoint(cfg *rollout.Config, sc Scale, key string, total int, sections []section) error {
+	if opt.CheckpointDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(s.CheckpointDir, 0o755); err != nil {
+	if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
 		return fmt.Errorf("experiments: checkpoint dir: %w", err)
 	}
-	specHash, err := s.specHash()
+	specHash, err := sc.specHash()
 	if err != nil {
 		return err
 	}
 	want := manifest{Key: key, SpecHash: specHash, Total: total, Workers: rollout.ResolveWorkers(cfg.Workers), Pipelined: cfg.Pipelined, Seed: cfg.Seed}
-	path := checkpointPath(s.CheckpointDir, key, specHash)
+	path := checkpointPath(opt.CheckpointDir, key, specHash)
 
-	if s.Resume {
+	if opt.Resume {
 		data, err := os.ReadFile(path)
 		if err == nil {
-			if cfg.Resume, err = readCheckpoint(data, want, sections); err == nil && s.OnCheckpoint != nil {
-				s.OnCheckpoint("resume", cfg.Resume)
+			if cfg.Resume, err = readCheckpoint(data, want, sections); err == nil && opt.OnCheckpoint != nil {
+				opt.OnCheckpoint("resume", cfg.Resume)
 			}
 		}
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -203,7 +205,7 @@ func (s Scale) wireCheckpoint(cfg *rollout.Config, key string, total int, sectio
 		}
 	}
 
-	every := s.CheckpointEvery
+	every := opt.CheckpointEvery
 	if every < 1 {
 		every = 1
 	}
@@ -224,8 +226,8 @@ func (s Scale) wireCheckpoint(cfg *rollout.Config, key string, total int, sectio
 		if err := writeFileAtomic(path, wire.Seal(b)); err != nil {
 			return fmt.Errorf("writing checkpoint %s: %w", path, err)
 		}
-		if s.OnCheckpoint != nil {
-			s.OnCheckpoint("save", done)
+		if opt.OnCheckpoint != nil {
+			opt.OnCheckpoint("save", done)
 		}
 		return nil
 	}
@@ -270,7 +272,7 @@ func readCheckpoint(data []byte, want manifest, sections []section) (int, error)
 // specHash digests the scale spec the run's materials and curriculum are
 // a deterministic function of.
 func (s Scale) specHash() (string, error) {
-	spec, err := json.Marshal(s.Spec())
+	spec, err := json.Marshal(s.ScaleSpec)
 	if err != nil {
 		return "", fmt.Errorf("experiments: hashing scale spec: %w", err)
 	}

@@ -19,20 +19,18 @@ import (
 func TestTrainCheckpointAndResumeFinishedRun(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScale()
-	sc.RolloutWorkers = 2
-	sc.CheckpointDir = dir
 	var saves, resumes []int
-	sc.OnCheckpoint = func(action string, episodes int) {
+	opt := CampaignOptions{Workers: 2, CheckpointDir: dir, OnCheckpoint: func(action string, episodes int) {
 		switch action {
 		case "save":
 			saves = append(saves, episodes)
 		case "resume":
 			resumes = append(resumes, episodes)
 		}
-	}
+	}}
 
 	m := MustPrepare(sc)
-	agent1, results1, err := TrainMRSch(m, "S4", false)
+	agent1, results1, err := trainMRSch(m, "S4", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +46,9 @@ func TestTrainCheckpointAndResumeFinishedRun(t *testing.T) {
 		t.Fatalf("checkpoint dir holds %v, want exactly one .ckpt", files)
 	}
 
-	sc.Resume = true
+	opt.Resume = true
 	m2 := MustPrepare(sc)
-	agent2, results2, err := TrainMRSch(m2, "S4", false)
+	agent2, results2, err := trainMRSch(m2, "S4", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,23 +76,23 @@ func TestTrainCheckpointAndResumeFinishedRun(t *testing.T) {
 func TestTrainResumeRejectsSettingsDrift(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScale()
-	sc.RolloutWorkers = 2
-	sc.CheckpointDir = dir
-	if _, _, err := TrainMRSch(MustPrepare(sc), "S4", false); err != nil {
+	m := MustPrepare(sc)
+	opt := CampaignOptions{Workers: 2, CheckpointDir: dir}
+	if _, _, err := trainMRSch(m, "S4", opt); err != nil {
 		t.Fatal(err)
 	}
 
-	drift := sc
-	drift.RolloutWorkers = 1
+	drift := opt
+	drift.Workers = 1
 	drift.Resume = true
-	if _, _, err := TrainMRSch(MustPrepare(drift), "S4", false); err == nil || !strings.Contains(err.Error(), "rollout workers") {
+	if _, _, err := trainMRSch(m, "S4", drift); err == nil || !strings.Contains(err.Error(), "rollout workers") {
 		t.Fatalf("worker drift: want a rollout-workers error, got %v", err)
 	}
 
-	drift = sc
+	drift = opt
 	drift.Pipelined = true
 	drift.Resume = true
-	if _, _, err := TrainMRSch(MustPrepare(drift), "S4", false); err == nil || !strings.Contains(err.Error(), "pipelined") {
+	if _, _, err := trainMRSch(m, "S4", drift); err == nil || !strings.Contains(err.Error(), "pipelined") {
 		t.Fatalf("mode drift: want a pipelined error, got %v", err)
 	}
 
@@ -104,12 +102,13 @@ func TestTrainResumeRejectsSettingsDrift(t *testing.T) {
 	// instead of resuming old-curriculum state — Total, Workers, Seed,
 	// and the network dims all still match here, so only the spec hash
 	// separates the two runs.
-	drift = sc
-	drift.SetSize = sc.SetSize + 5
+	edited := sc
+	edited.SetSize = sc.SetSize + 5
+	drift = opt
 	drift.Resume = true
 	resumed := false
 	drift.OnCheckpoint = func(action string, _ int) { resumed = resumed || action == "resume" }
-	_, results, err := TrainMRSch(MustPrepare(drift), "S4", false)
+	_, results, err := trainMRSch(MustPrepare(edited), "S4", drift)
 	if err != nil {
 		t.Fatalf("curriculum drift: edited spec must start fresh, got %v", err)
 	}
@@ -131,7 +130,7 @@ func TestCampaignSeedAxisWithCheckpointResume(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "seeded-ckpt",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: []scenario.ScenarioSpec{base},
 		Methods:   []scenario.MethodSpec{{Kind: scenario.KindMRSch, Train: true}},
 		Seeds:     []int64{21, 22},
@@ -171,7 +170,7 @@ func TestCampaignModelStorePowerCNNReload(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "power-cnn-store",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: []scenario.ScenarioSpec{power},
 		Methods:   []scenario.MethodSpec{{Kind: scenario.KindMRSch, Train: true, CNN: true}},
 	}
@@ -201,17 +200,13 @@ func TestCampaignModelStorePowerCNNReload(t *testing.T) {
 // CheckpointEvery throttles writes to every Nth round boundary but always
 // writes the final one.
 func TestCheckpointEveryThrottles(t *testing.T) {
-	sc := tinyScale()
-	sc.RolloutWorkers = 2
-	sc.CheckpointDir = t.TempDir()
-	sc.CheckpointEvery = 2
 	var saves []int
-	sc.OnCheckpoint = func(action string, episodes int) {
+	opt := CampaignOptions{Workers: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2, OnCheckpoint: func(action string, episodes int) {
 		if action == "save" {
 			saves = append(saves, episodes)
 		}
-	}
-	_, results, err := TrainMRSch(MustPrepare(sc), "S4", false)
+	}}
+	_, results, err := trainMRSch(MustPrepare(tinyScale()), "S4", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +243,7 @@ func TestCampaignModelStoreSkipsRetraining(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "store-smoke",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: []scenario.ScenarioSpec{base, variant},
 		Methods: []scenario.MethodSpec{
 			{Kind: scenario.KindMRSch, Train: true},
@@ -328,5 +323,28 @@ func TestCampaignModelStoreSkipsRetraining(t *testing.T) {
 		if strings.Contains(got, modelStoreKeyHash(old+content)) {
 			t.Fatalf("store path %s is keyed on the retired revision %s", got, old)
 		}
+	}
+}
+
+// A bare file name — what -checkpoint . makes of a checkpoint path — keeps
+// its temp file beside the target, never in $TMPDIR: a rename from there
+// would cross filesystems when /tmp is another mount. A $TMPDIR that does not
+// exist makes any use of it fail.
+func TestWriteFileAtomicBareName(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+	if err := writeFileAtomic("x", []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "x" {
+		t.Fatalf("directory holds %v, want only x", entries)
+	}
+	if data, err := os.ReadFile("x"); err != nil || string(data) != "state" {
+		t.Fatalf("x holds %q (%v), want \"state\"", data, err)
 	}
 }

@@ -24,7 +24,7 @@ type ckptFixture struct {
 func newCkptFixture(t testing.TB) (f ckptFixture) {
 	sc := tinyScale()
 	m := MustPrepare(sc)
-	trained, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S2"})
+	trained, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S2"}, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,11 @@ import (
 	"repro/internal/scenario"
 )
 
-// mustRun opens the campaign run the figures share, at a vetted test scale.
+// mustRun opens the campaign run the figures share, at a vetted test scale
+// and one worker.
 func mustRun(t *testing.T, sc Scale, opt CampaignOptions) *CampaignRun {
 	t.Helper()
-	opt.Workers = sc.RolloutWorkers
+	opt.Workers = 1
 	r, err := OpenCampaign(builtinCampaign(t, sc, "fig567"), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +25,7 @@ func mustRun(t *testing.T, sc Scale, opt CampaignOptions) *CampaignRun {
 // builtinCampaign resolves a builtin campaign at a test scale.
 func builtinCampaign(t *testing.T, sc Scale, name string) scenario.CampaignSpec {
 	t.Helper()
-	spec, err := scenario.CampaignByName(name, sc.Spec())
+	spec, err := scenario.CampaignByName(name, sc.ScaleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,21 +68,24 @@ func figureCells(t *testing.T, name string) ([]CellResult, [][]CellResult) {
 
 // tinyScale keeps unit tests fast while exercising every code path.
 func tinyScale() Scale {
-	return Scale{
-		ScaleSpec: scenario.ScaleSpec{
-			Name:             "tiny",
-			Div:              64,
-			TraceDuration:    0.4 * 86400,
-			MeanInterarrival: 200,
-			Window:           6,
-			SetsPerKind:      2,
-			SetSize:          25,
-			StepsPerEpisode:  6,
-			EpsDecay:         0.7,
-			Seed:             5,
-		},
-		RolloutWorkers: 1,
-	}
+	return ScaleFromSpec(scenario.ScaleSpec{
+		Name:             "tiny",
+		Div:              64,
+		TraceDuration:    0.4 * 86400,
+		MeanInterarrival: 200,
+		Window:           6,
+		SetsPerKind:      2,
+		SetSize:          25,
+		StepsPerEpisode:  6,
+		EpsDecay:         0.7,
+		Seed:             5,
+	})
+}
+
+// trainMRSch is TrainMRSch under explicit runtime options.
+func trainMRSch(m *Materials, name string, opt CampaignOptions) (*core.MRSch, []core.EpisodeResult, error) {
+	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name}, opt)
+	return t.MRSch, t.Episodes, err
 }
 
 func TestFigure1ReproducesTheMotivation(t *testing.T) {

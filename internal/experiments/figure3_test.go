@@ -46,7 +46,7 @@ func TestCampaignCachesAgents(t *testing.T) {
 	}})
 	want := map[string]bool{"3": true, "5": true, "8": true, "9": true, "ablations": true}
 	results := map[string][]CellResult{}
-	for _, fig := range Figures(tinyScale().Spec()) {
+	for _, fig := range Figures(tinyScale().ScaleSpec) {
 		if want[fig.Name] {
 			renderFigure(t, r, fig, results)
 		}

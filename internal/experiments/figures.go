@@ -206,7 +206,7 @@ func Figure4(r *CampaignRun, scenarioName string) ([]Fig4Series, error) {
 	}
 	var out []Fig4Series
 	for _, order := range Orderings() {
-		t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: scenarioName, Order: order, Seed: m.Scale.Seed + 23})
+		t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: scenarioName, Order: order, Seed: m.Scale.Seed + 23}, r.opt)
 		if err != nil {
 			return nil, err
 		}

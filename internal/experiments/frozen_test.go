@@ -101,7 +101,7 @@ func TestFiguresMatchFrozenParentOutput(t *testing.T) {
 	r := mustRun(t, sc, CampaignOptions{OnModel: func(string, string, string) { trained++ }})
 	results := map[string][]CellResult{}
 	var got [][]string
-	for _, fig := range Figures(sc.Spec()) {
+	for _, fig := range Figures(sc.ScaleSpec) {
 		got = append(got, strings.Split(strings.TrimRight(renderFigure(t, r, fig, results), "\n"), "\n"))
 	}
 	// S1-S5 as MLP, CNN and scalar RL, S6-S10 as MLP and scalar RL.
@@ -155,7 +155,7 @@ func TestFigureRenderersMarkFailedCells(t *testing.T) {
 		}
 		return rep
 	}
-	for _, fig := range Figures(tinyScale().Spec()) {
+	for _, fig := range Figures(tinyScale().ScaleSpec) {
 		if fig.Render == nil {
 			continue
 		}

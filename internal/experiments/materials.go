@@ -26,9 +26,9 @@ type Materials struct {
 	Train, Valid, Test []*job.Job
 
 	// InterarrivalScale records the theta-variant interarrival factor
-	// already folded into Scale.MeanInterarrival (0 or 1 = none). The
-	// campaign runner sets it when preparing variant materials, so
-	// WorkloadSpec can verify a spec against the materials it is handed.
+	// already folded into Scale.MeanInterarrival (0 or 1 = none). PrepareFor
+	// sets it when preparing variant materials, so WorkloadSpec can verify a
+	// spec against the materials it is handed.
 	InterarrivalScale float64
 }
 

@@ -24,7 +24,7 @@ func TestNewAxisCampaignEndToEnd(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "new-axes-smoke",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: scenarios,
 		Methods:   []scenario.MethodSpec{{Kind: scenario.KindHeuristic}},
 	}
@@ -82,7 +82,7 @@ func TestNewAxisCampaignEndToEnd(t *testing.T) {
 // we pin the spec-layer contract the driver relies on).
 func TestThetaSkewCampaignExpands(t *testing.T) {
 	sc := tinyScale()
-	spec := scenario.ThetaSkewCampaign(sc.Spec())
+	spec := scenario.ThetaSkewCampaign(sc.ScaleSpec)
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTraceTransferFromModelFile(t *testing.T) {
 	}
 	spec := scenario.CampaignSpec{
 		Name:      "transfer-smoke",
-		Scale:     sc.Spec(),
+		Scale:     sc.ScaleSpec,
 		Scenarios: []scenario.ScenarioSpec{t4},
 		Methods: []scenario.MethodSpec{
 			{Kind: scenario.KindMRSch, Model: path},

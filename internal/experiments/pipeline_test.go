@@ -7,17 +7,13 @@ import (
 	"repro/internal/core"
 )
 
-// A pipelined scale must plumb end to end: the harness runs in pipelined
-// mode (snapshot actors + publish), the agent's replay is sharded per
-// rollout worker, and the campaign stays deterministic for the fixed
-// (Seed, RolloutWorkers) pair.
+// Pipelined options must plumb end to end: the harness runs in pipelined
+// mode (snapshot actors + publish) and training stays deterministic for the
+// fixed (Seed, Workers) pair.
 func TestTrainMRSchPipelinedDeterministic(t *testing.T) {
 	run := func() ([]core.EpisodeResult, []byte) {
-		sc := tinyScale()
-		sc.RolloutWorkers = 2
-		sc.Pipelined = true
-		m := MustPrepare(sc)
-		agent, results, err := TrainMRSch(m, "S2", false)
+		m := MustPrepare(tinyScale())
+		agent, results, err := trainMRSch(m, "S2", CampaignOptions{Workers: 2, Pipelined: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +42,8 @@ func TestTrainMRSchPipelinedDeterministic(t *testing.T) {
 // model-selection hook runs on the reduce goroutine while only snapshot
 // readers are in flight (rollout package doc, rule 8).
 func TestTrainMRSchValidatedPipelined(t *testing.T) {
-	sc := tinyScale()
-	sc.RolloutWorkers = 2
-	sc.Pipelined = true
-	m := MustPrepare(sc)
-	_, results, best, err := trainValidated(m, "S2")
+	m := MustPrepare(tinyScale())
+	_, results, best, err := trainValidated(m, "S2", CampaignOptions{Workers: 2, Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}

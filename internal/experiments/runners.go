@@ -80,9 +80,10 @@ func NewMRSchUntrained(sc Scale, power bool) *core.MRSch {
 }
 
 // TrainMRSch trains the two-resource MRSch family model for a Table III
-// scenario: Train on a TrainRun of kind mrsch.
+// scenario: Train on a TrainRun of kind mrsch, one rollout worker in barrier
+// mode with nothing checkpointed or observed.
 func TrainMRSch(m *Materials, name string, useCNN bool) (*core.MRSch, []core.EpisodeResult, error) {
-	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, CNN: useCNN})
+	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, CNN: useCNN}, CampaignOptions{Workers: 1})
 	return t.MRSch, t.Episodes, err
 }
 
@@ -133,15 +134,18 @@ type Trained struct {
 // paperOrdering is the curriculum ordering the paper found best (§V-B).
 var paperOrdering = Ordering{core.Sampled, core.Real, core.Synthetic}
 
-// Train is the one training entry point: it builds the run's agent, lays
+// Train is the one training entry point, for a campaign's family models and
+// mrsch-train alike: it builds the run's agent at the materials' scale, lays
 // out its curriculum and collects the episodes through the internal/rollout
-// harness on Scale.RolloutWorkers simulator environments. With
-// Scale.CheckpointDir set the run writes a resumable checkpoint at every
-// round boundary — validated runs carry the selection state (best score and
-// weights) alongside the agent state, under a "-validated" key so they never
-// collide with plain ones — and with Scale.Resume it continues a previously
-// interrupted run bitwise identically.
-func Train(m *Materials, run TrainRun) (Trained, error) {
+// harness under opt's runtime — opt.Workers simulator environments, barrier
+// or opt.Pipelined, opt.Metrics/Journal observing. With opt.CheckpointDir
+// set the run writes a resumable checkpoint at every round boundary —
+// validated runs carry the selection state (best score and weights)
+// alongside the agent state, under a "-validated" key so they never collide
+// with plain ones — and with opt.Resume it continues a previously
+// interrupted run bitwise identically. The model-store fields of opt
+// (ModelDir, OnModel, NoTrain) are the campaign's and are not read here.
+func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 	sc := m.Scale
 	sys := sc.systemFor(run.Power)
 	out, learner, err := sc.newAgent(run, sys)
@@ -160,7 +164,13 @@ func Train(m *Materials, run TrainRun) (Trained, error) {
 		sets = order.Sets(m.CurriculumSets(run.Family))
 	}
 
-	cfg := sc.rolloutConfig()
+	cfg := rollout.Config{
+		Workers:   opt.Workers,
+		Seed:      sc.Seed + 7,
+		Pipelined: opt.Pipelined,
+		Metrics:   opt.Metrics,
+		Journal:   opt.Journal,
+	}
 	key := trainKey(string(run.Kind), run.Family, run.CNN && !run.Power, run.Power)
 	sections := []section{out.agent}
 	var sel *core.Selection
@@ -174,7 +184,7 @@ func Train(m *Materials, run TrainRun) (Trained, error) {
 		sections = append(sections, sel)
 	}
 	if study := run.Order != (Ordering{}) || run.Seed != 0 || run.PerResourceNets; !study {
-		if err := sc.wireCheckpoint(&cfg, key, len(sets), sections); err != nil {
+		if err := opt.wireCheckpoint(&cfg, sc, key, len(sets), sections); err != nil {
 			return out, err
 		}
 	}

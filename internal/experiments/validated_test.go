@@ -12,14 +12,14 @@ import (
 )
 
 // trainValidated is the training run mrsch-train -validate makes.
-func trainValidated(m *Materials, name string) (*core.MRSch, []core.EpisodeResult, core.ValidationMetrics, error) {
-	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, Validate: true})
+func trainValidated(m *Materials, name string, opt CampaignOptions) (*core.MRSch, []core.EpisodeResult, core.ValidationMetrics, error) {
+	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, Validate: true}, opt)
 	return t.MRSch, t.Episodes, t.Best, err
 }
 
 func TestTrainMRSchValidatedSelectsModel(t *testing.T) {
 	m := MustPrepare(tinyScale())
-	agent, results, best, err := trainValidated(m, "S2")
+	agent, results, best, err := trainValidated(m, "S2", CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,10 @@ func TestTrainMRSchValidatedSelectsModel(t *testing.T) {
 // model found before the interruption point.
 func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 	sc := tinyScale()
-	sc.RolloutWorkers = 2
+	opt := CampaignOptions{Workers: 2}
 
 	// Uninterrupted reference, no checkpointing.
-	refAgent, refResults, refBest, err := trainValidated(MustPrepare(sc), "S2")
+	refAgent, refResults, refBest, err := trainValidated(MustPrepare(sc), "S2", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	crashDir := t.TempDir()
 	at := 0
-	ckpt := sc
+	ckpt := opt
 	ckpt.CheckpointDir = dir
 	ckpt.OnCheckpoint = func(action string, episodes int) {
 		if action != "save" || at != 0 || episodes == 0 || episodes >= total {
@@ -91,7 +91,7 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	ckptAgent, _, ckptBest, err := trainValidated(MustPrepare(ckpt), "S2")
+	ckptAgent, _, ckptBest, err := trainValidated(MustPrepare(sc), "S2", ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 	}
 
 	// Resume from the crash point and finish the run.
-	res := sc
+	res := opt
 	res.CheckpointDir = crashDir
 	res.Resume = true
 	resumedAt := -1
@@ -121,7 +121,7 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 			resumedAt = episodes
 		}
 	}
-	resAgent, resResults, resBest, err := trainValidated(MustPrepare(res), "S2")
+	resAgent, resResults, resBest, err := trainValidated(MustPrepare(sc), "S2", res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +147,9 @@ func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 // episodes and still reports the recorded best — the selection state
 // (metrics and weight snapshot) round-trips through the checkpoint file.
 func TestValidatedTrainResumeFinishedRunKeepsSelection(t *testing.T) {
-	dir := t.TempDir()
 	sc := tinyScale()
-	sc.CheckpointDir = dir
-	agent1, results1, best1, err := trainValidated(MustPrepare(sc), "S2")
+	opt := CampaignOptions{Workers: 1, CheckpointDir: t.TempDir()}
+	agent1, results1, best1, err := trainValidated(MustPrepare(sc), "S2", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +157,8 @@ func TestValidatedTrainResumeFinishedRunKeepsSelection(t *testing.T) {
 		t.Fatalf("degenerate first run: %d episodes, best %+v", len(results1), best1)
 	}
 
-	sc.Resume = true
-	agent2, results2, best2, err := trainValidated(MustPrepare(sc), "S2")
+	opt.Resume = true
+	agent2, results2, best2, err := trainValidated(MustPrepare(sc), "S2", opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,15 +125,23 @@ type mrschActor struct {
 // on which worker runs the episode or how many workers exist.
 func (w *mrschActor) Rollout(ep Episode) (Transcript, error) {
 	w.a.Reset(ep.Seed, w.l.acfg.EpsilonAt(ep.Index))
-	s := sim.New(w.l.cfg.System, w.a.Policy())
-	if w.l.cfg.MaxEventsPerEpisode > 0 {
-		s.SetMaxEvents(w.l.cfg.MaxEventsPerEpisode)
-	}
-	if err := s.Load(job.CloneAll(ep.Set.Jobs)); err != nil {
-		return nil, err
-	}
-	if err := s.Run(); err != nil {
+	if err := runEpisode(w.l.cfg, w.a.Policy(), ep.Set.Jobs); err != nil {
 		return nil, err
 	}
 	return w.a.TakeTranscript(), nil
+}
+
+// runEpisode replays a job set through a fresh simulator on cfg.System
+// under policy, capped at cfg.MaxEventsPerEpisode events when that is set.
+// The jobs are cloned first: a job set is replayed by every episode that
+// draws it. It is the episode both learners' actors run.
+func runEpisode(cfg core.TrainConfig, policy sim.Policy, jobs []*job.Job) error {
+	s := sim.New(cfg.System, policy)
+	if cfg.MaxEventsPerEpisode > 0 {
+		s.SetMaxEvents(cfg.MaxEventsPerEpisode)
+	}
+	if err := s.Load(job.CloneAll(jobs)); err != nil {
+		return err
+	}
+	return s.Run()
 }

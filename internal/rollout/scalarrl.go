@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/job"
 	"repro/internal/rl"
-	"repro/internal/sim"
 )
 
 // scalarRLLearner adapts the policy-gradient baseline to the harness: actors
@@ -55,14 +53,7 @@ type scalarRLActor struct {
 
 func (w *scalarRLActor) Rollout(ep Episode) (Transcript, error) {
 	w.a.Reset(ep.Seed)
-	s := sim.New(w.l.cfg.System, w.a.Policy())
-	if w.l.cfg.MaxEventsPerEpisode > 0 {
-		s.SetMaxEvents(w.l.cfg.MaxEventsPerEpisode)
-	}
-	if err := s.Load(job.CloneAll(ep.Set.Jobs)); err != nil {
-		return nil, err
-	}
-	if err := s.Run(); err != nil {
+	if err := runEpisode(w.l.cfg, w.a.Policy(), ep.Set.Jobs); err != nil {
 		return nil, err
 	}
 	return w.a.TakeTrajectory(), nil

@@ -316,7 +316,7 @@ func MethodByName(name string) (MethodSpec, error) {
 
 // ScaleSpec is the serializable campaign sizing — the declarative form of
 // experiments.Scale (runtime knobs like worker counts are not part of the
-// spec; they belong to flags).
+// spec; they are experiments.CampaignOptions, set from flags).
 type ScaleSpec struct {
 	Name string `json:"name"`
 	// Div scales the Theta machine (nodes and burst buffer divided by Div).

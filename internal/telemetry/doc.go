@@ -66,6 +66,7 @@
 //
 // Handler serves GET /metrics (plain "name value" text, or JSON with
 // ?format=json), GET /health, and the net/http/pprof suite under
-// /debug/pprof/. ListenAndServe mounts it on a TCP address — the cmd
-// binaries' -telemetry-addr flag.
+// /debug/pprof/. ListenAndServe mounts it on a TCP address. Open is the cmd
+// binaries' -telemetry-addr and -journal flags in one call: the registry
+// served at the address and the journal, each nil when its flag is empty.
 package telemetry

@@ -78,6 +78,37 @@ func ListenAndServe(addr string, reg *Registry) (*Server, error) {
 	return s, nil
 }
 
+// Open wires the cmd binaries' -telemetry-addr and -journal flags: a
+// non-empty addr serves a fresh registry there (ListenAndServe) and logs the
+// bound address as a "telemetry" event on logger; a non-empty journalPath
+// opens the journal (OpenJournal). An empty argument leaves its result nil,
+// which every instrumented path treats as off. closeAll releases whatever
+// was opened; an error names the flag at fault and leaves nothing open.
+func Open(addr, journalPath string, logger *Logger) (reg *Registry, journal *Journal, closeAll func(), err error) {
+	var srv *Server
+	if addr != "" {
+		reg = NewRegistry()
+		if srv, err = ListenAndServe(addr, reg); err != nil {
+			return nil, nil, nil, fmt.Errorf("-telemetry-addr: %w", err)
+		}
+		logger.Event("telemetry", "addr", srv.Addr())
+	}
+	if journalPath != "" {
+		if journal, err = OpenJournal(journalPath); err != nil {
+			if srv != nil {
+				srv.Close()
+			}
+			return nil, nil, nil, fmt.Errorf("-journal: %w", err)
+		}
+	}
+	return reg, journal, func() {
+		journal.Close()
+		if srv != nil {
+			srv.Close()
+		}
+	}, nil
+}
+
 // Addr reports the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 

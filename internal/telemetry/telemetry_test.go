@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -235,6 +236,35 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline: %d", code)
 	}
+}
+
+// Open with both flags empty opens nothing and logs nothing; with an
+// unopenable journal it fails naming -journal.
+func TestOpen(t *testing.T) {
+	var log bytes.Buffer
+	logger := NewLogger(&log, "test")
+	reg, journal, closeAll, err := Open("", "", logger)
+	if err != nil || reg != nil || journal != nil {
+		t.Fatalf("empty flags: reg %v journal %v err %v, want nil, nil, nil", reg, journal, err)
+	}
+	closeAll()
+	if log.Len() != 0 {
+		t.Errorf("empty flags logged %q", log.String())
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing", "run.jsonl")
+	if _, _, _, err := Open("127.0.0.1:0", missing, logger); err == nil || !strings.HasPrefix(err.Error(), "-journal: ") {
+		t.Fatalf("unopenable journal: got %v, want an error naming -journal", err)
+	}
+	if !strings.Contains(log.String(), "event=telemetry addr=127.0.0.1:") {
+		t.Errorf("the endpoint's address was not logged: %q", log.String())
+	}
+
+	reg, journal, closeAll, err = Open("127.0.0.1:0", filepath.Join(t.TempDir(), "run.jsonl"), nil)
+	if err != nil || reg == nil || journal == nil {
+		t.Fatalf("both flags: reg %v journal %v err %v", reg, journal, err)
+	}
+	closeAll()
 }
 
 func TestListenAndServe(t *testing.T) {
