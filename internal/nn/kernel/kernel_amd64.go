@@ -10,7 +10,8 @@ import "strings"
 // rank-1 axpy updates for the weight gradients, and a fully vectorized
 // Adam step. Every sample row still goes through the same primitives in
 // the same order regardless of bsz, preserving the batch-vs-single
-// bitwise row identity.
+// bitwise row identity. The backfill scan tests four waiting jobs a step
+// (backfillScan4).
 
 //go:noescape
 func dot4(w *float64, stride int, x *float64, n int) (s0, s1, s2, s3 float64)
@@ -38,6 +39,9 @@ func foldNorm(grad, shadow *float64, n int) float64
 
 //go:noescape
 func adamStep(val, grad, m, v *float64, n int, f, lr, beta1, beta2, a1, a2, invB1c, invB2c, eps float64)
+
+//go:noescape
+func backfillScan4(keys *uint64, walls *float64, n int, free, extra, guard uint64, now, shadow float64) int
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -116,11 +120,12 @@ var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
 		return nil, false, strings.Join(feats, " ")
 	}
 	s := &Set{
-		Name:      "avx2",
-		Transpose: avx2Transpose,
-		AdamStep:  avx2AdamStep,
-		FoldNorm:  avx2FoldNorm,
-		Pack:      avx2Pack,
+		Name:         "avx2",
+		Transpose:    avx2Transpose,
+		AdamStep:     avx2AdamStep,
+		FoldNorm:     avx2FoldNorm,
+		Pack:         avx2Pack,
+		BackfillScan: avx2BackfillScan,
 	}
 	forms := "forms=narrow"
 	if wide {
@@ -328,4 +333,18 @@ func avx2FoldNorm(grad, shadow []float64) float64 {
 		sp = &shadow[:len(grad)][0]
 	}
 	return foldNorm(&grad[0], sp, len(grad))
+}
+
+// avx2BackfillScan tests four jobs a step (backfillScan4) as far as whole
+// steps reach from i and the len%4 jobs after them one at a time, in the go
+// set's loop.
+func avx2BackfillScan(keys []uint64, walls []float64, i int, free, extra, guard uint64, now, shadow float64) int {
+	walls = walls[:len(keys)]
+	if n := (len(keys) - i) &^ 3; n > 0 {
+		if k := backfillScan4(&keys[i], &walls[i], n, free, extra, guard, now, shadow); k < n {
+			return i + k
+		}
+		i += n
+	}
+	return goBackfillScan(keys, walls, i, free, extra, guard, now, shadow)
 }

@@ -685,6 +685,54 @@ fold_sum:
 	VZEROUPPER
 	RET
 
+// func backfillScan4(keys *uint64, walls *float64, n int, free, extra, guard uint64, now, shadow float64) int
+//
+// The EASY backfill test on four jobs a step, n > 0 a multiple of four: the
+// index of the first job passing it, or n. A limit's test is the go set's
+// (limit-key)&guard == guard in every lane (VPSUBQ, VPAND, VPCMPEQQ); the
+// walltime test is the same IEEE add, now+wall, and an ordered <= against
+// shadow (predicate LE_OQ, false on NaN as Go's <= is). The three lane masks
+// combine as free AND (walltime OR extra), and VMOVMSKPD takes one bit a job.
+TEXT ·backfillScan4(SB), NOSPLIT, $0-72
+	MOVQ keys+0(FP), SI
+	MOVQ walls+8(FP), DI
+	MOVQ n+16(FP), CX
+	VPBROADCASTQ free+24(FP), Y0
+	VPBROADCASTQ extra+32(FP), Y1
+	VPBROADCASTQ guard+40(FP), Y2
+	VBROADCASTSD now+48(FP), Y3
+	VBROADCASTSD shadow+56(FP), Y4
+	XORQ AX, AX
+
+scan_loop4:
+	VMOVDQU (SI)(AX*8), Y5
+	VPSUBQ  Y5, Y0, Y6
+	VPSUBQ  Y5, Y1, Y7
+	VPAND   Y2, Y6, Y6
+	VPAND   Y2, Y7, Y7
+	VPCMPEQQ Y2, Y6, Y6
+	VPCMPEQQ Y2, Y7, Y7
+	VADDPD  (DI)(AX*8), Y3, Y8
+	VCMPPD  $0x12, Y4, Y8, Y8
+	VORPD   Y7, Y8, Y8
+	VANDPD  Y6, Y8, Y8
+	VMOVMSKPD Y8, BX
+	TESTL BX, BX
+	JNZ  scan_hit
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  scan_loop4
+	MOVQ CX, ret+64(FP)
+	VZEROUPPER
+	RET
+
+scan_hit:
+	BSFL BX, BX
+	ADDQ BX, AX
+	MOVQ AX, ret+64(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

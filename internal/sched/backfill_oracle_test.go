@@ -14,7 +14,7 @@ import (
 // snapshotBackfill is the retired easyBackfill: copy the queue, then test
 // every copied candidate against CanFit, the shadow time and the spare
 // capacity. It returns the IDs it started, in order, and the spare vector it
-// ended with — the oracle for the scan that asks sim.NextFit, ends when
+// ended with — the oracle for the scan that asks sim.NextBackfill, ends when
 // Free(0) is zero and begins behind the jobs the previous scan refused.
 func snapshotBackfill(s *sim.Simulator, reserved *job.Job) (started, extra []int) {
 	cl, now := s.Cluster(), s.Now()
@@ -203,11 +203,11 @@ func (c oracleCase) run(t *testing.T, seed int64) (multi, carried int) {
 	}
 	for i := range logs[0] {
 		if i >= len(logs[1]) || logs[0][i] != logs[1][i] {
-			t.Fatalf("seed %d, line %d:\n  NextFit: %s\n snapshot: %s", seed, i, logs[0][i], logs[1][min(i, len(logs[1])-1)])
+			t.Fatalf("seed %d, line %d:\n  in place: %s\n snapshot: %s", seed, i, logs[0][i], logs[1][min(i, len(logs[1])-1)])
 		}
 	}
 	if len(logs[0]) != len(logs[1]) {
-		t.Fatalf("seed %d: %d lines with NextFit, %d with the snapshot scan", seed, len(logs[0]), len(logs[1]))
+		t.Fatalf("seed %d: %d lines in place, %d with the snapshot scan", seed, len(logs[0]), len(logs[1]))
 	}
 	return multi, carried
 }

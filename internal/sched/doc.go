@@ -20,21 +20,24 @@
 // # What a backfill scan skips
 //
 // A waiting job may start in a scan iff it fits free and (now+Walltime <=
-// shadow or it fits extra). The scan finds candidates with sim.NextFit,
-// which is exact, and ends when free[0] is zero, since every job demands a
-// unit of resource 0. It also begins behind jobs it need not ask again. The
-// test is monotone in its limits: a job that does not fit free does not fit
-// less, likewise extra, and now+Walltime <= shadow only gets harder as now
-// grows and shadow shrinks (floating-point addition is monotone: this is
-// exact). When a scan ends, every job still waiting was refused under limits
-// at least its final ones, or not asked because free[0] was zero. The policy
-// remembers those limits and how many queue entries they cover, decrements
-// the count when its own window loop starts a covered job, and begins the
-// next scan behind them if free, extra and shadow are all at most the
-// remembered ones. It trusts none of this to its caller: the simulator must
-// be the same (its clock only advances), and the last covered job must still
-// sit at the last covered index — true exactly when no covered job left
-// unseen, since entries only leave a queue or join its end. Moving a policy
-// to another simulator, or starting a job behind its back through StartJob,
-// costs one full scan; no case changes which jobs pass.
+// shadow or it fits extra). The simulator answers that whole test with
+// sim.NextBackfill, which reads a packed demand key and a walltime per
+// waiting job and returns the next job the scan starts, so the scan touches
+// a *Job only to start it. The scan ends when free[0] is zero, since every
+// job demands a unit of resource 0. It also begins behind jobs it need not
+// ask again. The test is monotone in its limits: a job that does not fit
+// free does not fit less, likewise extra, and now+Walltime <= shadow only
+// gets harder as now grows and shadow shrinks (floating-point addition is
+// monotone: this is exact). When a scan ends, every job still waiting was
+// refused under limits at least its final ones, or not asked because
+// free[0] was zero. The policy remembers those limits and how many queue
+// entries they cover, decrements the count when its own window loop starts a
+// covered job, and begins the next scan behind them if free, extra and
+// shadow are all at most the remembered ones. It trusts none of this to its
+// caller: the simulator must be the same (its clock only advances), and the
+// last covered job must still sit at the last covered index — true exactly
+// when no covered job left unseen, since entries only leave a queue or join
+// its end. Moving a policy to another simulator, or starting a job behind its
+// back through StartJob, costs one full scan; no case changes which jobs
+// pass.
 package sched

@@ -135,9 +135,9 @@ func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
 // finish (by walltime estimate) before the reservation's shadow time, or
 // they fit entirely within the resources left over at the shadow time.
 //
-// The scan asks the simulator for the next waiting job that fits what is
-// free and touches a *Job only then; starting one removes it at the index
-// the scan holds, so the index advances only past jobs left waiting. The
+// The scan asks the simulator for the next waiting job that passes the
+// whole test and touches a *Job only to start it; starting one removes it at
+// the index the scan holds, which is where the scan asks again. The
 // reserved job needs no test of its own: it did not fit a moment ago and
 // free only shrinks. The package doc says where the scan begins and ends.
 func (wp *WindowPolicy) easyBackfill(s *sim.Simulator, reserved *job.Job) {
@@ -158,15 +158,11 @@ func (wp *WindowPolicy) easyBackfill(s *sim.Simulator, reserved *job.Job) {
 		wp.carried++
 	}
 	for free[0] > 0 {
-		if i = s.NextFit(i, free); i == len(s.Queue()) {
+		if i = s.NextBackfill(i, free, extra, shadow); i == len(s.Queue()) {
 			break
 		}
 		cand := s.Queue()[i]
 		endsBeforeShadow := now+cand.Walltime <= shadow
-		if !endsBeforeShadow && !cluster.Fits(cand.Demand, extra) {
-			i++
-			continue
-		}
 		if err := s.StartAt(i); err != nil {
 			panic(fmt.Sprintf("sched: backfill start: %v", err))
 		}

@@ -40,15 +40,23 @@
 // and set of scan limits from round to round.
 //
 // Its EASY backfill does not walk the jobs. Beside the queue the simulator
-// keeps one word per waiting job, the demand vector packed into lanes
-// (lanes.go), appended at submit and removed with the queue entry (so a
-// job's Demand must not change while it waits). NextFit refuses a job with
-// one subtraction on that word and compares in full only a job the word lets
-// through; the word never refuses a job that fits, so NextFit is exact. The
-// scan ends once no unit of resource 0 is free: job.Validate, which Load
-// applies, requires Demand[0] >= 1. A run allocates for set-up and for slices
-// that grow, not per job, per event or per round (TestFCFSAllocationsPerJob,
-// TestLoadOfAscendingIDsAllocatesOnce).
+// keeps two columns, index for index: the demand vector packed into lanes of
+// one word (lanes.go) and the walltime. Both are appended at submit and
+// removed with the queue entry, so a job's Demand and Walltime must not
+// change while it waits. NextBackfill runs the whole EASY test — fits free,
+// and ends by the shadow time or fits extra — over the columns, with the
+// free and extra limits packed once per call, in the kernel set's
+// BackfillScan (internal/nn/kernel: four jobs a step in the avx2 set, the
+// same index from every set). A lost guard proves a demand exceeds a limit,
+// so the scan never refuses a job the test passes; NextBackfill confirms the
+// job it stops at with the full comparison and resumes after a refusal, so
+// it is exact on every system. Only a clamped lane (more than eight
+// resources, or a capacity above a lane's largest value; no builtin system)
+// can cause a refusal, and a job confirmed is the job the caller starts
+// next, which it reads anyway. The scan ends once no unit of resource 0 is
+// free: job.Validate, which Load applies, requires Demand[0] >= 1. A run
+// allocates for set-up and for slices that grow, not per job, per event or
+// per round (TestFCFSAllocationsPerJob, TestLoadOfAscendingIDsAllocatesOnce).
 //
 // # Finite times
 //

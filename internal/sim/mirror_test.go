@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,12 +9,21 @@ import (
 	"repro/internal/job"
 )
 
-// checkMirror fails unless the demand keys are the queue's, index for index,
-// and NextFit answers like a walk over the jobs for the vectors given.
-func checkMirror(t testing.TB, s *Simulator, haves ...[]int) {
+// limits are one EASY scan's: what is free now, what is spare at the shadow
+// time, and the shadow time.
+type limits struct {
+	free, extra []int
+	shadow      float64
+}
+
+// checkMirror fails unless the demand keys and the walltime column are the
+// queue's, index for index, and NextBackfill answers like a walk over the
+// jobs with the whole EASY test for the limits given, from every start up to
+// a few past the end of the queue.
+func checkMirror(t testing.TB, s *Simulator, scans ...limits) {
 	t.Helper()
-	if len(s.qKey) != len(s.queue) {
-		t.Fatalf("%d demand keys for %d waiting jobs", len(s.qKey), len(s.queue))
+	if len(s.qKey) != len(s.queue) || len(s.qWall) != len(s.queue) {
+		t.Fatalf("%d demand keys and %d walltimes for %d waiting jobs", len(s.qKey), len(s.qWall), len(s.queue))
 	}
 	for i, j := range s.queue {
 		if j == nil || j.State != job.Queued {
@@ -22,15 +32,22 @@ func checkMirror(t testing.TB, s *Simulator, haves ...[]int) {
 		if want := s.lanes.key(j.Demand); s.qKey[i] != want {
 			t.Fatalf("key[%d] = %#x, job %d's demand %v packs to %#x", i, s.qKey[i], j.ID, j.Demand, want)
 		}
+		if math.Float64bits(s.qWall[i]) != math.Float64bits(j.Walltime) {
+			t.Fatalf("wall[%d] = %v, job %d's walltime is %v", i, s.qWall[i], j.ID, j.Walltime)
+		}
 	}
-	for _, have := range haves {
-		for from := 0; from <= len(s.queue); from++ {
+	for _, l := range scans {
+		for from := 0; from <= len(s.queue)+4; from++ {
 			want := from
-			for want < len(s.queue) && !cluster.Fits(s.queue[want].Demand, have) {
-				want++
+			for ; want < len(s.queue); want++ {
+				d := s.queue[want].Demand
+				if cluster.Fits(d, l.free) && (s.Now()+s.queue[want].Walltime <= l.shadow || cluster.Fits(d, l.extra)) {
+					break
+				}
 			}
-			if got := s.NextFit(from, have); got != want {
-				t.Fatalf("NextFit(%d, %v) = %d, the first waiting job that fits is at %d", from, have, got, want)
+			if got := s.NextBackfill(from, l.free, l.extra, l.shadow); got != want {
+				t.Fatalf("NextBackfill(%d, %v, %v, %v) at t=%v = %d, the first waiting job backfill may start is at %d",
+					from, l.free, l.extra, l.shadow, s.Now(), got, want)
 			}
 		}
 	}
@@ -38,8 +55,9 @@ func checkMirror(t testing.TB, s *Simulator, haves ...[]int) {
 
 // runQueueOps drives a simulator with a do-nothing policy from a byte
 // string: submit a job and step, start the job at a queue index, or start a
-// waiting job by pointer. After every operation the demand keys must mirror
-// the queue, also after a start the cluster refused.
+// waiting job by pointer. After every operation the demand keys and the
+// walltime column must mirror the queue, also after a start the cluster
+// refused, and NextBackfill must answer like the walk.
 func runQueueOps(t testing.TB, data []byte) {
 	if len(data) == 0 {
 		return
@@ -93,7 +111,14 @@ func runQueueOps(t testing.TB, data []byte) {
 				t.Fatalf("job %d started: %d waiting of %d, state %v", j.ID, len(s.queue), before, j.State)
 			}
 		}
-		checkMirror(t, s, free, s.Cluster().FreeVec())
+		// Spare capacity and a shadow time from the same bytes: the shadow
+		// lands on some walltimes (1+b) exactly.
+		extra := make([]int, len(sys.Capacities))
+		for r, n := range sys.Capacities {
+			extra[r] = (a*(r+3) + b*(n/100+1)*97) % (n + 1)
+		}
+		shadow := s.Now() + float64(a)
+		checkMirror(t, s, limits{free, extra, shadow}, limits{s.Cluster().FreeVec(), extra, shadow}, limits{extra, free, shadow})
 	}
 }
 

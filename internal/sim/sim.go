@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/nn/kernel"
 )
 
 // Policy is a scheduling strategy. OnSchedule is invoked by the simulator
@@ -30,7 +31,8 @@ type Simulator struct {
 	arrivals arrivals    // loaded jobs by submit time; the cursor splits past from future
 	finishes finishQueue // completions of the running jobs
 	queue    []*job.Job  // waiting jobs in arrival order
-	qKey     []uint64    // lanes.key(queue[i].Demand), index for index: see NextFit
+	qKey     []uint64    // lanes.key(queue[i].Demand), index for index: see NextBackfill
+	qWall    []float64   // queue[i].Walltime, index for index
 	lanes    lanes
 	finished []*job.Job
 	policy   Policy
@@ -77,19 +79,26 @@ func (s *Simulator) Now() float64 { return s.clk }
 // the returned slice.
 func (s *Simulator) Queue() []*job.Job { return s.queue }
 
-// NextFit returns the index of the first waiting job at or after i (i >= 0)
-// whose demand fits have in every resource, or len(Queue()) when none does.
-// It refuses most jobs on their demand key (see lanes) and dereferences only
-// a job the key lets through, to compare it in full.
-func (s *Simulator) NextFit(i int, have []int) int {
-	keys, guard := s.qKey, s.lanes.guard
-	limit := s.lanes.key(have) | guard
-	for ; i < len(keys); i++ {
-		if (limit-keys[i])&guard == guard && cluster.Fits(s.queue[i].Demand, have) {
-			break
+// NextBackfill returns the index of the first waiting job at or after i
+// (i >= 0) that EASY backfilling may start now around a reservation whose
+// shadow time is shadow — one that fits free and either ends, by its
+// walltime, at or before shadow or fits extra — or len(Queue()) when none
+// does. The test runs over the demand keys and the walltime column (the
+// kernel set's BackfillScan), which refuses no job the test passes. The job
+// it stops at is confirmed in full, and the scan resumes after a refusal,
+// which only a clamped lane (see lanes) can cause.
+func (s *Simulator) NextBackfill(i int, free, extra []int, shadow float64) int {
+	l, scan := s.lanes, kernel.Active().BackfillScan
+	fkey, ekey := l.key(free)|l.guard, l.key(extra)|l.guard
+	for ; ; i++ {
+		i = scan(s.qKey, s.qWall, i, fkey, ekey, l.guard, s.clk, shadow)
+		if i >= len(s.queue) {
+			return i
+		}
+		if d := s.queue[i].Demand; cluster.Fits(d, free) && (s.clk+s.qWall[i] <= shadow || cluster.Fits(d, extra)) {
+			return i
 		}
 	}
-	return i
 }
 
 // Finished returns all completed jobs.
@@ -170,6 +179,7 @@ func (s *Simulator) StartAt(i int) error {
 	s.finishes.push(s.clk+j.Runtime, j)
 	s.queue = removeAt(s.queue, i)
 	s.qKey = removeAt(s.qKey, i)
+	s.qWall = removeAt(s.qWall, i)
 	if s.Reserved == j {
 		s.Reserved = nil
 	}
@@ -233,6 +243,7 @@ func (s *Simulator) Step() (bool, error) {
 		j := a.items[a.next].job
 		s.queue = append(s.queue, j)
 		s.qKey = append(s.qKey, s.lanes.key(j.Demand))
+		s.qWall = append(s.qWall, j.Walltime)
 	}
 	s.policy.OnSchedule(s)
 	s.Decisions++

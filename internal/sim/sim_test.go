@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -193,46 +192,6 @@ func TestDecisionHook(t *testing.T) {
 	}
 	if calls != s.Decisions || calls == 0 {
 		t.Fatalf("hook calls = %d, decisions = %d", calls, s.Decisions)
-	}
-}
-
-// Property: with a greedy FCFS policy, every job eventually runs, no job
-// starts before submit, and concurrent usage never exceeds capacity (checked
-// through cluster invariants at every decision).
-func TestSimulationInvariantsProperty(t *testing.T) {
-	run := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(40) + 5
-		jobs := make([]*job.Job, n)
-		clk := 0.0
-		for i := range jobs {
-			clk += float64(rng.Intn(50))
-			jobs[i] = mk(i+1, clk, float64(rng.Intn(200)+1), rng.Intn(10)+1, rng.Intn(9))
-		}
-		s := New(cfg2(), greedyFCFS())
-		ok := true
-		s.DecisionHook = func(s *Simulator) {
-			if err := s.Cluster().CheckInvariants(); err != nil {
-				ok = false
-			}
-		}
-		if err := s.Load(jobs); err != nil {
-			return false
-		}
-		if err := s.Run(); err != nil {
-			return false
-		}
-		for _, j := range jobs {
-			if j.State != job.Finished || j.Start < j.Submit || j.End != j.Start+j.Runtime {
-				return false
-			}
-		}
-		return ok
-	}
-	for seed := int64(0); seed < 25; seed++ {
-		if !run(seed) {
-			t.Fatalf("invariants violated for seed %d", seed)
-		}
 	}
 }
 
