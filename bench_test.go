@@ -1,8 +1,8 @@
 // Benchmark harness: microbenchmarks of the substrates the repository
-// benchmark (go run ./bench) decomposes into — the simulator, the state
-// encoder, the DFP forward and training step, decision latency at the
-// paper's full scale, rollout collection and the baseline pickers. The
-// paper's figures are regenerated by cmd/mrsch-exp, not from here.
+// benchmark (go run ./bench) decomposes into — the simulator, the DFP
+// forward and training step, decision latency at the paper's full scale and
+// rollout collection. The paper's figures are regenerated by cmd/mrsch-exp,
+// not from here.
 //
 // Run everything with:
 //
@@ -17,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfp"
-	"repro/internal/encode"
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/rollout"
@@ -30,10 +29,6 @@ import (
 
 // ---------------------------------------------------------------------------
 // Substrate microbenchmarks.
-
-func benchSystem() cluster.Config {
-	return workload.ThetaScaled(16)
-}
 
 // BenchmarkSimulatorFCFS replays S4 traces of 7 and 28 days under FCFS at the
 // geometry the repository benchmark's campaign cells use (1/32 Theta, 110 s
@@ -60,29 +55,6 @@ func BenchmarkSimulatorFCFS(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(jobs)), "jobs/run")
 		})
-	}
-}
-
-func BenchmarkStateEncoding(b *testing.B) {
-	sys := benchSystem()
-	cl := cluster.New(sys)
-	for id := 1; id <= 20; id++ {
-		_ = cl.Allocate(id, []int{8, 2}, 0, float64(1000*id))
-	}
-	var window []*job.Job
-	for i := 0; i < 10; i++ {
-		window = append(window, &job.Job{
-			ID: 100 + i, Runtime: 3600, Walltime: 5400, Demand: []int{16, 4},
-		})
-	}
-	cfg := encode.NewConfig(10, sys.Capacities)
-	ctx := &sched.PickContext{Now: 500, Window: window, Queue: window, Cluster: cl, Usage: cl.Usage()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := cfg.Encode(ctx)
-		if len(v) != cfg.StateDim() {
-			b.Fatal("bad encoding")
-		}
 	}
 }
 
@@ -330,35 +302,5 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(sets))*float64(b.N)/b.Elapsed().Seconds(), "episodes/sec")
 		})
-	}
-}
-
-func BenchmarkGAPick(b *testing.B) {
-	sys := benchSystem()
-	cl := cluster.New(sys)
-	var window []*job.Job
-	for i := 0; i < 10; i++ {
-		window = append(window, &job.Job{
-			ID: i + 1, Runtime: 3600, Walltime: 5400,
-			Demand: []int{16 * (i%4 + 1), 3 * (i % 5)},
-		})
-	}
-	ctx := &sched.PickContext{Now: 0, Window: window, Queue: window, Cluster: cl, Usage: cl.Usage()}
-	picker := experiments.NewGA(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		picker.Pick(ctx)
-	}
-}
-
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	sys := benchSystem()
-	for i := 0; i < b.N; i++ {
-		jobs := workload.GenerateBase(workload.GeneratorConfig{
-			System: sys, Duration: 86400, MeanInterarrival: 60, Seed: int64(i),
-		})
-		if len(jobs) == 0 {
-			b.Fatal("no jobs")
-		}
 	}
 }

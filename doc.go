@@ -10,7 +10,7 @@
 // and the campaign runner that trains, evaluates and renders them
 // (experiments): every figure of the paper's evaluation is a builtin
 // campaign or a study on a campaign run, regenerated by cmd/mrsch-exp.
-// Executables are under cmd/, runnable walkthroughs under examples/, the
+// Executables are under cmd/, a first-contact walkthrough under examples/, the
 // repository benchmark under bench/, and substrate microbenchmarks in
 // bench_test.go in this directory.
 //

@@ -24,9 +24,9 @@ import (
 //   - at the end every job ran once: submit <= start, end = start + runtime,
 //     one entry in Finished.
 //
-// It observes through the simulator's DecisionHook and wp's OnDecision,
-// chained after any hook already set, and by wrapping wp in a policy that
-// notes the queue before the round. It returns the smallest reservation-time
+// It observes through wp's OnDecision, chained after any hook already set,
+// and by wrapping wp in a policy that notes the queue before the round and
+// checks the cluster after it. It returns the smallest reservation-time
 // shadow of every job that was reserved, and how many jobs backfill started,
 // and of those how many borrowed spare capacity.
 func checkedRun(t *testing.T, label string, sys cluster.Config, wp *sched.WindowPolicy, jobs []*job.Job) (shadows map[*job.Job]float64, backfilled, borrowed int) {
@@ -79,12 +79,12 @@ func checkedRun(t *testing.T, label string, sys cluster.Config, wp *sched.Window
 			failure = fmt.Sprintf("t=%v: backfill ran %v past the shadow time %v, with %v spare then", s.Now(), charged, shadow, extra)
 		}
 	})
-	s := sim.New(sys, policy)
-	s.DecisionHook = func(s *sim.Simulator) {
+	s := sim.New(sys, sim.PolicyFunc(func(s *sim.Simulator) {
+		policy(s)
 		if err := s.Cluster().CheckInvariants(); err != nil && failure == "" {
 			failure = fmt.Sprintf("t=%v: %v", s.Now(), err)
 		}
-	}
+	}))
 	if err := s.Load(jobs); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

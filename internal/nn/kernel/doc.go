@@ -8,8 +8,8 @@
 // fold a training step's tail runs (FoldNorm: add the shadow, zero it, sum
 // the squares — nn.L2Norm's bits from every set), in a set that has one, a
 // packed one-sample forward for a layer whose input is mostly runs of zeros
-// (Pack, PackedForward) and, outside the engine, the simulator's EASY
-// backfill test over a waiting queue's packed columns (BackfillScan).
+// (Pack, PackedForward) and, outside the engine, a four-words-a-step
+// integer-and-compare scan the simulator's backfill runs on (BackfillScan4).
 //
 // # Kernel sets
 //
@@ -162,18 +162,13 @@
 // compiler does not contract a*b+c on amd64, so the avx2 kernel may not
 // (VMULPD then VADDPD, never an FMA) — the one place this set must not fuse.
 //
-// BackfillScan moves no bit of any schedule, in any set. Its test is
-// integer logic — per limit a 64-bit subtraction of a demand key from a
-// guarded limit key, a mask and an equality, which no lane order or width
-// changes — and one floating-point test, now+wall <= shadow: one IEEE add,
-// correctly rounded (addition commutes to the bit, and no multiply is there
-// to fuse), and an ordered compare, false on NaN like Go's <=. So the go
-// set's loop and the avx2 set's four jobs a step (VPSUBQ, VPAND, VPCMPEQQ
-// per limit; VADDPD, VCMPPD; one VMOVMSKPD) return the same index, and
-// forcing MRSCH_KERNEL moves no schedule. TestBackfillScanForms holds both
-// to the test on unpacked vectors over every queue length mod 4, a lone
-// passing job in every lane of a step, none at all, and walltimes on the
-// shadow boundary.
+// BackfillScan4 moves no bit, in the one set that has it: per word, a
+// 64-bit subtraction from each limit, a mask and an equality (VPSUBQ,
+// VPAND, VPCMPEQQ), which no lane order changes, and one IEEE add, now+wall,
+// correctly rounded and with no multiply to fuse, under an ordered <=, false
+// on NaN like Go's (VADDPD, VCMPPD). So it gives the index the same
+// expression in Go gives; TestBackfillScan4Forms holds it to that on random
+// words and guards. What the words mean is internal/sim's.
 //
 // Across sets the results differ by floating-point reassociation and FMA
 // contraction only: the avx2 set accumulates in 4-wide lanes and contracts

@@ -74,17 +74,15 @@ type Set struct {
 	// Packed serves one goroutine.
 	PackedForward func(dst, x []float64, p *Packed)
 
-	// BackfillScan is the EASY backfill test over a waiting queue's packed
-	// columns (internal/sim): it returns the first k >= i at which
+	// BackfillScan4 tests four words a step: it returns the first k at which
 	//
 	//	(free-keys[k])&guard == guard &&
 	//	(now+walls[k] <= shadow || (extra-keys[k])&guard == guard)
 	//
-	// holds, or len(keys) when none does. free and extra are limit keys
-	// with every guard bit set, keys are demand keys with every guard bit
-	// clear, and walls has a walltime for every key. It is integer logic and
-	// one IEEE add and compare a job, so every set returns the same index.
-	BackfillScan func(keys []uint64, walls []float64, i int, free, extra, guard uint64, now, shadow float64) int
+	// holds, or len(keys) when none does. len(keys) is a multiple of four and
+	// walls is at least as long. It is nil in the go set, whose callers run
+	// the expression themselves.
+	BackfillScan4 func(keys []uint64, walls []float64, free, extra, guard uint64, now, shadow float64) int
 }
 
 // Packed is one Dense layer's weights and bias in the layout of a set's
@@ -108,7 +106,6 @@ var Reference = &Set{
 	AccumGrads:   goAccumGrads,
 	AdamStep:     goAdamStep,
 	FoldNorm:     goFoldNorm,
-	BackfillScan: goBackfillScan,
 }
 
 var (
@@ -432,17 +429,4 @@ func goFoldNorm(grad, shadow []float64) float64 {
 		s0 += g * g
 	}
 	return s0 + s1 + s2 + s3
-}
-
-// goBackfillScan tests one job a step: a subtraction and a mask per limit,
-// and the walltime add and compare only for a job that fits free.
-func goBackfillScan(keys []uint64, walls []float64, i int, free, extra, guard uint64, now, shadow float64) int {
-	walls = walls[:len(keys)]
-	for ; i < len(keys); i++ {
-		k := keys[i]
-		if (free-k)&guard == guard && (now+walls[i] <= shadow || (extra-k)&guard == guard) {
-			break
-		}
-	}
-	return i
 }

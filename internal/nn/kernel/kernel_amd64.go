@@ -10,8 +10,8 @@ import "strings"
 // rank-1 axpy updates for the weight gradients, and a fully vectorized
 // Adam step. Every sample row still goes through the same primitives in
 // the same order regardless of bsz, preserving the batch-vs-single
-// bitwise row identity. The backfill scan tests four waiting jobs a step
-// (backfillScan4).
+// bitwise row identity. BackfillScan4 is one assembly loop over four words
+// a step (backfillScan4).
 
 //go:noescape
 func dot4(w *float64, stride int, x *float64, n int) (s0, s1, s2, s3 float64)
@@ -120,12 +120,12 @@ var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
 		return nil, false, strings.Join(feats, " ")
 	}
 	s := &Set{
-		Name:         "avx2",
-		Transpose:    avx2Transpose,
-		AdamStep:     avx2AdamStep,
-		FoldNorm:     avx2FoldNorm,
-		Pack:         avx2Pack,
-		BackfillScan: avx2BackfillScan,
+		Name:          "avx2",
+		Transpose:     avx2Transpose,
+		AdamStep:      avx2AdamStep,
+		FoldNorm:      avx2FoldNorm,
+		Pack:          avx2Pack,
+		BackfillScan4: avx2BackfillScan4,
 	}
 	forms := "forms=narrow"
 	if wide {
@@ -335,16 +335,13 @@ func avx2FoldNorm(grad, shadow []float64) float64 {
 	return foldNorm(&grad[0], sp, len(grad))
 }
 
-// avx2BackfillScan tests four jobs a step (backfillScan4) as far as whole
-// steps reach from i and the len%4 jobs after them one at a time, in the go
-// set's loop.
-func avx2BackfillScan(keys []uint64, walls []float64, i int, free, extra, guard uint64, now, shadow float64) int {
-	walls = walls[:len(keys)]
-	if n := (len(keys) - i) &^ 3; n > 0 {
-		if k := backfillScan4(&keys[i], &walls[i], n, free, extra, guard, now, shadow); k < n {
-			return i + k
-		}
-		i += n
+// avx2BackfillScan4 is backfillScan4 over the whole of keys.
+func avx2BackfillScan4(keys []uint64, walls []float64, free, extra, guard uint64, now, shadow float64) int {
+	if len(keys)%4 != 0 {
+		panic("kernel: BackfillScan4 over a length that is not a multiple of four")
 	}
-	return goBackfillScan(keys, walls, i, free, extra, guard, now, shadow)
+	if len(keys) == 0 {
+		return 0
+	}
+	return backfillScan4(&keys[0], &walls[:len(keys)][0], len(keys), free, extra, guard, now, shadow)
 }

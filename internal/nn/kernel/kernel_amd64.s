@@ -687,12 +687,12 @@ fold_sum:
 
 // func backfillScan4(keys *uint64, walls *float64, n int, free, extra, guard uint64, now, shadow float64) int
 //
-// The EASY backfill test on four jobs a step, n > 0 a multiple of four: the
-// index of the first job passing it, or n. A limit's test is the go set's
-// (limit-key)&guard == guard in every lane (VPSUBQ, VPAND, VPCMPEQQ); the
-// walltime test is the same IEEE add, now+wall, and an ordered <= against
-// shadow (predicate LE_OQ, false on NaN as Go's <= is). The three lane masks
-// combine as free AND (walltime OR extra), and VMOVMSKPD takes one bit a job.
+// Set.BackfillScan4's test on four words a step, n > 0 a multiple of four:
+// the first k passing it, or n. A limit's test is (limit-key)&guard == guard
+// (VPSUBQ, VPAND, VPCMPEQQ); the walltime test is the IEEE add now+wall and
+// an ordered <= against shadow (predicate LE_OQ, false on NaN as Go's <= is).
+// The three masks combine as free AND (walltime OR extra), and VMOVMSKPD
+// takes one bit a word.
 TEXT ·backfillScan4(SB), NOSPLIT, $0-72
 	MOVQ keys+0(FP), SI
 	MOVQ walls+8(FP), DI

@@ -2,158 +2,123 @@ package kernel
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// scanLanes is internal/sim's demand-key layout, restated: n lanes of width
-// bits, the top bit of each its guard, the value below it.
-type scanLanes struct {
-	n, width uint
-	guard    uint64
-}
-
-func newScanLanes(n uint) scanLanes {
-	l := scanLanes{n: n, width: 64 / n}
-	for r := uint(0); r < n; r++ {
-		l.guard |= 1 << (r*l.width + l.width - 1)
-	}
-	return l
-}
-
-func (l scanLanes) max() uint64 { return 1<<(l.width-1) - 1 }
-
-func (l scanLanes) key(v []uint64) (k uint64) {
-	for r, x := range v {
-		k |= x << (uint(r) * l.width)
-	}
-	return k
-}
-
-// scanCase is one queue in both forms: unpacked demand vectors, which the
-// oracle compares lane by lane, and the packed columns the kernels read.
-type scanCase struct {
-	l           scanLanes
-	demand      [][]uint64
-	walls       []float64
-	free, extra []uint64
-	now, shadow float64
-	keys        []uint64
-	fkey, ekey  uint64
-}
-
-func (c *scanCase) pack() {
-	c.keys = c.keys[:0]
-	for _, d := range c.demand {
-		c.keys = append(c.keys, c.l.key(d))
-	}
-	c.fkey, c.ekey = c.l.key(c.free)|c.l.guard, c.l.key(c.extra)|c.l.guard
-}
-
-func fitsLanes(d, limit []uint64) bool {
-	for r := range d {
-		if d[r] > limit[r] {
-			return false
+// scan4Want is BackfillScan4's contract in Go: the first word passing the
+// expression, or len(keys).
+func scan4Want(keys []uint64, walls []float64, free, extra, guard uint64, now, shadow float64) int {
+	for k, key := range keys {
+		if (free-key)&guard == guard && (now+walls[k] <= shadow || (extra-key)&guard == guard) {
+			return k
 		}
 	}
-	return true
+	return len(keys)
 }
 
-// want is the EASY test on the unpacked vectors.
-func (c *scanCase) want(i int) int {
-	for ; i < len(c.demand); i++ {
-		d := c.demand[i]
-		if fitsLanes(d, c.free) && (c.now+c.walls[i] <= c.shadow || fitsLanes(d, c.extra)) {
-			break
-		}
+// scan4Sets are the sets with a four-a-step form; the go set has none.
+func scan4Sets(t *testing.T) []*Set {
+	if Reference.BackfillScan4 != nil {
+		t.Fatal("the go set carries a BackfillScan4; its callers run the expression themselves")
 	}
-	return i
-}
-
-// check holds every set to the oracle from every start index, up to a few
-// past the end.
-func (c *scanCase) check(t *testing.T, what string) {
-	t.Helper()
-	c.pack()
+	var sets []*Set
 	for _, s := range benchSets() {
-		for i := 0; i <= len(c.keys)+4; i++ {
-			if got, want := s.BackfillScan(c.keys, c.walls, i, c.fkey, c.ekey, c.l.guard, c.now, c.shadow), c.want(i); got != want {
-				t.Fatalf("%s, %s set, %d jobs, %d lanes, from %d: index %d, want %d", what, s.Name, len(c.keys), c.l.n, i, got, want)
+		if s.BackfillScan4 != nil {
+			sets = append(sets, s)
+		}
+	}
+	if len(sets) == 0 {
+		t.Skipf("no set with BackfillScan4 on this host (probed: %s)", Features())
+	}
+	return sets
+}
+
+// Every set's BackfillScan4 gives the Go expression's index on random words
+// under random guard masks, over lengths 0 to 40, with a lone passing word
+// at each position of a step, passing by its walltime or by extra, and with
+// none at all; walltimes land on the shadow time, a ulp either side of it,
+// and on NaN. The zero words past len(keys) pass any limit with its guard
+// bits set, so a scan that reads beyond its length answers wrong there.
+func TestBackfillScan4Forms(t *testing.T) {
+	sets := scan4Sets(t)
+	rng := rand.New(rand.NewSource(32))
+	// now+wall lands on the shadow time, now+late one ulp past it and
+	// now+just one ulp before it (each difference is exact: Sterbenz); the
+	// walltime's own neighbours round to the shadow time or past it.
+	now := 1e5 + rng.Float64()
+	shadow := now + 3600.25
+	wall, early := shadow-now, (shadow-now)/2
+	late, just := math.Nextafter(shadow, math.Inf(1))-now, math.Nextafter(shadow, 0)-now
+	walls := []float64{wall, late, just, math.Nextafter(wall, 0), math.Nextafter(wall, math.Inf(1)), math.NaN(), early, wall * 2}
+
+	check := func(what string, keys []uint64, ws []float64, free, extra, guard uint64) {
+		t.Helper()
+		n := len(keys)
+		want := scan4Want(keys, ws, free, extra, guard, now, shadow)
+		for _, s := range sets {
+			if got := s.BackfillScan4(keys, ws, free, extra, guard, now, shadow); got != want {
+				t.Fatalf("%s, %s set, %d words, guard %#x: index %d, want %d", what, s.Name, n, guard, got, want)
 			}
 		}
 	}
-}
+	// guardMask sets one to six random bits, so a random word passes a limit
+	// often enough for hits and misses both to turn up.
+	guardMask := func() (g uint64) {
+		for p := 1 + rng.Intn(6); bits.OnesCount64(g) < p; {
+			g |= 1 << rng.Intn(64)
+		}
+		return g
+	}
+	passes := func(limit, key, guard uint64) bool { return (limit-key)&guard == guard }
 
-// Every set gives the index the test on unpacked vectors gives: over every
-// queue length mod 4 and every start, with a lone passing job on every lane
-// of a four-job step and none at all, near misses in every lane, and
-// walltimes a ulp either side of the shadow time and on it.
-func TestBackfillScanForms(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, n := range []uint{1, 2, 3, 8} {
-		l := newScanLanes(n)
-		top := min(l.max(), 40)
-		vec := func(near []uint64) []uint64 {
-			v := make([]uint64, n)
-			for r := range v {
-				v[r] = uint64(rng.Int63n(int64(top + 1)))
-				if near != nil && rng.Intn(3) > 0 { // a near miss or a near fit
-					x := int64(near[r]) + int64(rng.Intn(3)) - 1
-					v[r] = uint64(min(max(x, 0), int64(l.max())))
-				}
+	for trial := 0; trial < 2000; trial++ {
+		n := 4 * rng.Intn(11)
+		keys, ws := make([]uint64, n, n+4), make([]float64, n, n+4)
+		free, extra, guard := rng.Uint64(), rng.Uint64(), guardMask()
+		if trial%2 == 0 {
+			free, extra = free|guard, extra|guard
+		}
+		for k := range keys {
+			keys[k], ws[k] = rng.Uint64(), walls[rng.Intn(len(walls))]
+		}
+		check("random", keys, ws, free, extra, guard)
+	}
+
+	// A lone passing word among words that each fail: too big for free, or
+	// fitting free but ending past the shadow time (a ulp past it, or NaN)
+	// and too big for extra.
+	word := func(free, extra, guard uint64, fitsFree, fitsExtra bool) uint64 {
+		for {
+			k := rng.Uint64()
+			if passes(free, k, guard) == fitsFree && passes(extra, k, guard) == fitsExtra {
+				return k
 			}
-			return v
 		}
-		// Walltimes on the shadow boundary: now+wall equal to shadow, and the
-		// neighbouring doubles, which round to it or past it.
-		now := 1e5 + rng.Float64()
-		wall := 3600.25
-		shadow := now + wall
-		walls := []float64{wall, math.Nextafter(wall, 0), math.Nextafter(wall, math.Inf(1)), wall / 2, wall * 2}
-
-		for trial := 0; trial < 300; trial++ {
-			c := &scanCase{l: l, now: now, shadow: shadow, free: vec(nil)}
-			c.extra = vec(c.free)
-			for range rng.Intn(38) {
-				c.demand = append(c.demand, vec(c.free))
-				c.walls = append(c.walls, walls[rng.Intn(len(walls))])
-			}
-			c.check(t, "random")
-		}
-
-		// One job passes, by its walltime or by fitting extra, among jobs
-		// that each fail one part: too big for free in some lane, or fitting
-		// free but ending past the shadow time and too big for extra.
-		free := make([]uint64, n)
-		extra := make([]uint64, n)
-		for r := range free {
-			free[r], extra[r] = top-1, top/2
-		}
-		over := func(limit []uint64) []uint64 {
-			v := append([]uint64(nil), limit...)
-			v[rng.Intn(int(n))]++
-			return v
-		}
-		for size := 0; size <= 13; size++ {
-			for hit := -1; hit < size; hit++ {
-				c := &scanCase{l: l, now: now, shadow: shadow, free: free, extra: extra}
-				for k := 0; k < size; k++ {
-					switch {
-					case k == hit && k%2 == 0:
-						c.demand, c.walls = append(c.demand, free), append(c.walls, wall)
-					case k == hit:
-						c.demand, c.walls = append(c.demand, extra), append(c.walls, wall*2)
-					case k%2 == 0:
-						c.demand, c.walls = append(c.demand, over(free)), append(c.walls, wall/2)
-					default:
-						c.demand, c.walls = append(c.demand, over(extra)), append(c.walls, wall*2)
+	}
+	for trial := 0; trial < 20; trial++ {
+		guard := guardMask()
+		free, extra := rng.Uint64()|guard, rng.Uint64()|guard
+		for n := 0; n <= 40; n += 4 {
+			for hit := -1; hit < n; hit++ {
+				for _, byExtra := range []bool{false, true} {
+					keys, ws := make([]uint64, n, n+4), make([]float64, n, n+4)
+					for k := range keys {
+						switch {
+						case k == hit && byExtra:
+							keys[k], ws[k] = word(free, extra, guard, true, true), late
+						case k == hit:
+							keys[k], ws[k] = word(free, extra, guard, true, rng.Intn(2) == 0), []float64{wall, just, early}[rng.Intn(3)]
+						case k%2 == 0:
+							keys[k], ws[k] = word(free, extra, guard, false, rng.Intn(2) == 0), early
+						default:
+							keys[k], ws[k] = word(free, extra, guard, true, false), []float64{late, math.NaN()}[rng.Intn(2)]
+						}
 					}
-				}
-				c.check(t, "planted")
-				if hit >= 0 {
-					c.pack()
-					if got := Reference.BackfillScan(c.keys, c.walls, 0, c.fkey, c.ekey, l.guard, now, shadow); got != hit {
-						t.Fatalf("%d lanes, %d jobs: the planted job at %d was found at %d", n, size, hit, got)
+					check("planted", keys, ws, free, extra, guard)
+					if got := scan4Want(keys, ws, free, extra, guard, now, shadow); hit >= 0 && got != hit {
+						t.Fatalf("%d words: the planted word at %d was found at %d", n, hit, got)
 					}
 				}
 			}

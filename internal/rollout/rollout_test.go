@@ -291,9 +291,9 @@ func TestScalarRLDeterminism(t *testing.T) {
 
 // On a genuinely multicore host, parallel collection must beat serial
 // collection by a comfortable margin — the regression guard for the scaling
-// property the harness exists to deliver (BENCH_rollout.json documents the
-// full methodology; this test only catches "accidentally serialized"
-// regressions, so the bar is deliberately loose against CI timing noise).
+// property the harness exists to deliver (BenchmarkEpisodeThroughput measures
+// it; this test only catches "accidentally serialized" regressions, so the
+// bar is deliberately loose against CI timing noise).
 func TestParallelRolloutScalesOnMulticore(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	if cpus := runtime.NumCPU(); procs < 4 || cpus < 4 {

@@ -52,8 +52,8 @@ type oracleCase struct {
 	// below one is an overdue estimate: the job outlives its EstEnd, the
 	// shadow time can equal now, and it can grow from one round to the next.
 	walltimeOver []float64
-	// intrude makes a DecisionHook start a waiting job that fits through
-	// StartJob, behind the policy's back, after every other round.
+	// intrude wraps the policy in one that starts a waiting job that fits
+	// through StartJob, behind the policy's back, after every other round.
 	intrude bool
 	// reuse drives the same WindowPolicy over a second simulator, loaded
 	// with the very same *Job values, after cutting the first one short.
@@ -158,35 +158,39 @@ func (c oracleCase) run(t *testing.T, seed int64) (multi, carried int) {
 			record(s, started, wp.held.extra)
 		})
 		jobs := job.CloneAll(trace)
-		sims := []*sim.Simulator{sim.New(c.sys, policy)}
+		newSim := func() *sim.Simulator {
+			if !c.intrude {
+				return sim.New(c.sys, policy)
+			}
+			hook := rand.New(rand.NewSource(seed))
+			return sim.New(c.sys, sim.PolicyFunc(func(s *sim.Simulator) {
+				policy(s)
+				if hook.Intn(2) != 0 {
+					return
+				}
+				// The shortest waiting job that fits: it will often end
+				// before the shadow time and leave every limit no larger.
+				var short *job.Job
+				for _, j := range s.Queue() {
+					if s.Cluster().CanFit(j.Demand) && (short == nil || j.Walltime < short.Walltime) {
+						short = j
+					}
+				}
+				if short == nil {
+					return
+				}
+				if err := s.StartJob(short); err != nil {
+					t.Fatal(err)
+				}
+				logs[side] = append(logs[side], fmt.Sprintf("t=%v hook started %d", s.Now(), short.ID))
+			}))
+		}
+		sims := []*sim.Simulator{newSim()}
 		if c.reuse {
 			sims[0].SetMaxEvents(40 + int(seed))
-			sims = append(sims, sim.New(c.sys, policy))
+			sims = append(sims, newSim())
 		}
 		for n, s := range sims {
-			if c.intrude {
-				hook := rand.New(rand.NewSource(seed))
-				s.DecisionHook = func(s *sim.Simulator) {
-					if hook.Intn(2) != 0 {
-						return
-					}
-					// The shortest waiting job that fits: it will often end
-					// before the shadow time and leave every limit no larger.
-					var short *job.Job
-					for _, j := range s.Queue() {
-						if s.Cluster().CanFit(j.Demand) && (short == nil || j.Walltime < short.Walltime) {
-							short = j
-						}
-					}
-					if short == nil {
-						return
-					}
-					if err := s.StartJob(short); err != nil {
-						t.Fatal(err)
-					}
-					logs[side] = append(logs[side], fmt.Sprintf("t=%v hook started %d", s.Now(), short.ID))
-				}
-			}
 			if err := s.Load(jobs); err != nil {
 				t.Fatal(err)
 			}

@@ -45,18 +45,25 @@
 // removed with the queue entry, so a job's Demand and Walltime must not
 // change while it waits. NextBackfill runs the whole EASY test — fits free,
 // and ends by the shadow time or fits extra — over the columns, with the
-// free and extra limits packed once per call, in the kernel set's
-// BackfillScan (internal/nn/kernel: four jobs a step in the avx2 set, the
-// same index from every set). A lost guard proves a demand exceeds a limit,
-// so the scan never refuses a job the test passes; NextBackfill confirms the
-// job it stops at with the full comparison and resumes after a refusal, so
-// it is exact on every system. Only a clamped lane (more than eight
-// resources, or a capacity above a lane's largest value; no builtin system)
-// can cause a refusal, and a job confirmed is the job the caller starts
-// next, which it reads anyway. The scan ends once no unit of resource 0 is
-// free: job.Validate, which Load applies, requires Demand[0] >= 1. A run
-// allocates for set-up and for slices that grow, not per job, per event or
-// per round (TestFCFSAllocationsPerJob, TestLoadOfAscendingIDsAllocatesOnce).
+// free and extra limits packed once per call: per limit, a subtraction of
+// the demand key from the guarded limit key and a mask (lanes.go), and
+// now+wall <= shadow for the walltime. This package owns that test and its
+// layout; the kernel set lends only a four-words-a-step form of the same
+// expression (internal/nn/kernel's BackfillScan4, in the avx2 set), which
+// runs over the whole four-job steps from the scan's start, and this
+// package's one-job loop takes the rest, or all of it where the set has no
+// such form (MRSCH_KERNEL=go). Integer logic and one IEEE add and ordered
+// compare a job give the same index either way, so no set moves a schedule.
+// A lost guard proves a demand exceeds a limit, so the scan never refuses a
+// job the test passes; NextBackfill confirms the job it stops at with the
+// full comparison and resumes after a refusal, so it is exact on every
+// system. Only a clamped lane (more than eight resources, or a capacity
+// above a lane's largest value; no builtin system) can cause a refusal, and
+// a job confirmed is the job the caller starts next, which it reads anyway.
+// The scan ends once no unit of resource 0 is free: job.Validate, which Load
+// applies, requires Demand[0] >= 1. A run allocates for set-up and for
+// slices that grow, not per job, per event or per round
+// (TestFCFSAllocationsPerJob, TestLoadOfAscendingIDsAllocatesOnce).
 //
 // # Finite times
 //

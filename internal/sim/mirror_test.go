@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -135,6 +136,67 @@ func FuzzQueueMirror(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 1, 0, 9, 0, 0, 200, 2, 1, 1, 0, 1, 0, 0, 2, 0, 0})
 	f.Add([]byte{3, 0, 11, 250, 0, 5, 77, 0, 0, 0, 2, 2, 0, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runQueueOps(t, data) })
+}
+
+// Planted seeds for checkMirror: over every queue length mod 4 (0 to 13
+// jobs) and every start, one job backfill may start — by its walltime or by
+// fitting extra — at each position, or none, among jobs that each fail one
+// part of the test: too big for free in some resource, or fitting free but
+// ending past the shadow time and too big for extra. Walltimes end on the
+// shadow time and one ulp either side of it. With nine resources the last
+// has no lane, so a job too big there passes the scan and is refused in
+// full.
+func TestNextBackfillOverPlantedQueues(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	now := 1e5 + 0.37
+	shadow := now + 3600.25
+	wall, early := shadow-now, (shadow-now)/2
+	late, just := math.Nextafter(shadow, math.Inf(1))-now, math.Nextafter(shadow, 0)-now
+	for _, n := range []int{1, 2, 3, 8, 9} {
+		sys := cluster.Config{Name: "planted", Resources: make([]string, n), Capacities: make([]int, n)}
+		free, extra := make([]int, n), make([]int, n)
+		for r := range n {
+			sys.Resources[r], sys.Capacities[r] = string(rune('a'+r)), 40
+			free[r], extra[r] = 39, 20
+		}
+		over := func(limit []int) []int {
+			v := slices.Clone(limit)
+			v[rng.Intn(n)]++
+			return v
+		}
+		for size := 0; size <= 13; size++ {
+			for hit := -1; hit < size; hit++ {
+				for _, byExtra := range []bool{false, true} {
+					s := New(sys, PolicyFunc(func(*Simulator) {}))
+					jobs := make([]*job.Job, size)
+					for k := range jobs {
+						d, w := over(extra), late
+						switch {
+						case k == hit && byExtra:
+							d, w = slices.Clone(extra), []float64{late, wall * 2}[rng.Intn(2)]
+						case k == hit:
+							d, w = slices.Clone(free), []float64{wall, just, early}[rng.Intn(3)]
+						case k%2 == 0:
+							d, w = over(free), early
+						case k%4 == 1:
+							w = wall * 2
+						}
+						jobs[k] = &job.Job{ID: k, Submit: now, Runtime: 1, Walltime: w, Demand: d}
+					}
+					if err := s.Load(jobs); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Step(); err != nil {
+						t.Fatal(err)
+					}
+					checkMirror(t, s, limits{free, extra, shadow})
+					if got := s.NextBackfill(0, free, extra, shadow); got != hit && (hit >= 0 || got != size) {
+						t.Fatalf("%d resources, %d jobs: the planted job at %d was found at %d", n, size, hit, got)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Whatever was started, in whatever order, removeAt hands back the other

@@ -51,11 +51,8 @@ type Simulator struct {
 
 	acct accounting
 
-	// Decisions counts policy invocations; DecisionHook, when non-nil, runs
-	// after every scheduling round (used to sample r_BB for Figures 8/9 and
-	// utilization traces without touching scheduler internals).
-	Decisions    int
-	DecisionHook func(s *Simulator)
+	// Decisions counts policy invocations.
+	Decisions int
 
 	maxEvents int
 }
@@ -82,16 +79,16 @@ func (s *Simulator) Queue() []*job.Job { return s.queue }
 // NextBackfill returns the index of the first waiting job at or after i
 // (i >= 0) that EASY backfilling may start now around a reservation whose
 // shadow time is shadow — one that fits free and either ends, by its
-// walltime, at or before shadow or fits extra — or len(Queue()) when none
-// does. The test runs over the demand keys and the walltime column (the
-// kernel set's BackfillScan), which refuses no job the test passes. The job
-// it stops at is confirmed in full, and the scan resumes after a refusal,
-// which only a clamped lane (see lanes) can cause.
+// walltime, at or before shadow or fits extra — or max(i, len(Queue())) when
+// none does. The test runs over the demand keys and the walltime column
+// (scan), which refuses no job the test passes. The job it stops at is
+// confirmed in full, and the scan resumes after a refusal, which only a
+// clamped lane (see lanes) can cause.
 func (s *Simulator) NextBackfill(i int, free, extra []int, shadow float64) int {
-	l, scan := s.lanes, kernel.Active().BackfillScan
+	l := s.lanes
 	fkey, ekey := l.key(free)|l.guard, l.key(extra)|l.guard
 	for ; ; i++ {
-		i = scan(s.qKey, s.qWall, i, fkey, ekey, l.guard, s.clk, shadow)
+		i = s.scan(i, fkey, ekey, shadow)
 		if i >= len(s.queue) {
 			return i
 		}
@@ -99,6 +96,26 @@ func (s *Simulator) NextBackfill(i int, free, extra []int, shadow float64) int {
 			return i
 		}
 	}
+}
+
+// scan returns the first k >= i whose demand key and walltime pass the test
+// against the limit keys free and extra, or max(i, len(qKey)): in the
+// active kernel set's BackfillScan4 over as many whole four-job steps as
+// reach from i when the set has one, and a job at a time after them.
+func (s *Simulator) scan(i int, free, extra uint64, shadow float64) int {
+	keys, walls, guard, now := s.qKey, s.qWall[:len(s.qKey)], s.lanes.guard, s.clk
+	if n, scan4 := (len(keys)-i)&^3, kernel.Active().BackfillScan4; scan4 != nil && n > 0 {
+		if k := scan4(keys[i:i+n], walls[i:i+n], free, extra, guard, now, shadow); k < n {
+			return i + k
+		}
+		i += n
+	}
+	for ; i < len(keys); i++ {
+		if k := keys[i]; (free-k)&guard == guard && (now+walls[i] <= shadow || (extra-k)&guard == guard) {
+			break
+		}
+	}
+	return i
 }
 
 // Finished returns all completed jobs.
@@ -247,9 +264,6 @@ func (s *Simulator) Step() (bool, error) {
 	}
 	s.policy.OnSchedule(s)
 	s.Decisions++
-	if s.DecisionHook != nil {
-		s.DecisionHook(s)
-	}
 	return true, nil
 }
 

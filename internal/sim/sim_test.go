@@ -180,21 +180,6 @@ func TestRunReportsStarvation(t *testing.T) {
 	}
 }
 
-func TestDecisionHook(t *testing.T) {
-	s := New(cfg2(), greedyFCFS())
-	calls := 0
-	s.DecisionHook = func(*Simulator) { calls++ }
-	if err := s.Load([]*job.Job{mk(1, 0, 10, 1, 0), mk(2, 5, 10, 1, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != s.Decisions || calls == 0 {
-		t.Fatalf("hook calls = %d, decisions = %d", calls, s.Decisions)
-	}
-}
-
 func TestEventOrderingWithinInstant(t *testing.T) {
 	// Two finishes and one submit at the same time: both finishes must apply
 	// before the policy sees the queue.
