@@ -7,17 +7,18 @@
 // # The ordered running set
 //
 // A Cluster keeps its live allocations in one slice ordered by
-// (EstEnd, JobID), maintained by a binary-search insert on Allocate and a
-// binary-search removal on Release. Job IDs are unique among live
-// allocations, so the order is total and is exactly what sorting the set by
-// estimated end then job ID would produce; nothing sorts at query time.
-// Running hands that slice out as a read-only view, and EarliestFit walks
-// it directly.
+// (EstEnd, JobID) and has no index by job. Allocate inserts where a binary
+// search puts the key and refuses a key already live, so the order is total;
+// Release takes the key the job was allocated with and refuses unless the
+// entry the same search lands on has exactly that key. Running hands the
+// slice out as a read-only view, and EarliestFit walks it directly. Job IDs
+// unique among live allocations are the caller's part, kept where IDs arise
+// (sim.Load, the decision daemon's request check); CheckInvariants checks it.
+// Allocate rejects a NaN or infinite now or estEnd before it changes
+// anything: a NaN key would send the search to the wrong element.
 //
-// A total order needs comparable keys: Allocate rejects a NaN or infinite
-// now or estEnd before it changes anything (a NaN key would send the binary
-// search to the wrong element), and Release checks that the element its
-// search lands on is the allocation it was asked to release.
+// Version counts the Allocate, Release and Reset calls that changed the
+// cluster, so a look-ahead computed at one version holds at the same version.
 //
 // Released *Alloc values (and their Demand backing arrays) are recycled by
 // later Allocate calls, so a steady-state allocate/release cycle does not
@@ -28,6 +29,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Config describes a system: resource names and capacities in units. The
@@ -85,9 +87,9 @@ type Alloc struct {
 type Cluster struct {
 	cfg     Config
 	free    []int
-	running []*Alloc       // live allocations ordered by (EstEnd, JobID)
-	byJob   map[int]*Alloc // the same allocations keyed by job ID
-	spare   []*Alloc       // released allocations awaiting reuse
+	running []*Alloc // live allocations ordered by (EstEnd, JobID)
+	spare   []*Alloc // released allocations awaiting reuse
+	version uint64   // calls that changed the cluster
 }
 
 // New creates an idle cluster from cfg. It panics on an invalid config (a
@@ -98,7 +100,7 @@ func New(cfg Config) *Cluster {
 	}
 	free := make([]int, len(cfg.Capacities))
 	copy(free, cfg.Capacities)
-	return &Cluster{cfg: cfg, free: free, byJob: make(map[int]*Alloc)}
+	return &Cluster{cfg: cfg, free: free}
 }
 
 // Config returns the cluster configuration.
@@ -139,31 +141,24 @@ func (c *Cluster) AppendUsage(dst []float64) []float64 {
 
 // CanFit reports whether demand fits in the currently free resources.
 func (c *Cluster) CanFit(demand []int) bool {
-	if len(demand) != len(c.free) {
-		return false
-	}
-	for r, d := range demand {
-		if d > c.free[r] {
-			return false
-		}
-	}
-	return true
+	return len(demand) == len(c.free) && Fits(demand, c.free)
 }
 
 // Allocate reserves demand for jobID from now until an estimated end time.
 // It returns an error, with the cluster unchanged, if either time is NaN or
-// infinite, the job is already allocated, or the demand does not fit.
+// infinite, (estEnd, jobID) is already live, or the demand does not fit.
 func (c *Cluster) Allocate(jobID int, demand []int, now, estEnd float64) error {
 	if !finite(now) || !finite(estEnd) {
 		return fmt.Errorf("cluster: job %d has a non-finite start %v or estimated end %v", jobID, now, estEnd)
 	}
-	if _, ok := c.byJob[jobID]; ok {
-		return fmt.Errorf("cluster: job %d already allocated", jobID)
+	i, live := c.position(estEnd, jobID)
+	if live {
+		return fmt.Errorf("cluster: job %d already allocated until %v", jobID, estEnd)
 	}
 	if len(demand) != len(c.free) {
 		return fmt.Errorf("cluster: job %d demand has %d resources, cluster has %d", jobID, len(demand), len(c.free))
 	}
-	if !c.CanFit(demand) {
+	if !Fits(demand, c.free) {
 		return fmt.Errorf("cluster: job %d demand %v exceeds free %v", jobID, demand, c.free)
 	}
 	var a *Alloc
@@ -176,19 +171,19 @@ func (c *Cluster) Allocate(jobID int, demand []int, now, estEnd float64) error {
 	for r, need := range demand {
 		c.free[r] -= need
 	}
-	i := c.position(estEnd, jobID)
 	c.running = append(c.running, nil)
 	copy(c.running[i+1:], c.running[i:])
 	c.running[i] = a
-	c.byJob[jobID] = a
+	c.version++
 	return nil
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // position returns the index in the ordered running set of the first
-// allocation not before (estEnd, jobID): where that key is, or would go.
-func (c *Cluster) position(estEnd float64, jobID int) int {
+// allocation not before (estEnd, jobID), where that key is or would go, and
+// whether it is there.
+func (c *Cluster) position(estEnd float64, jobID int) (int, bool) {
 	lo, hi := 0, len(c.running)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -198,20 +193,17 @@ func (c *Cluster) position(estEnd float64, jobID int) int {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, lo < len(c.running) && c.running[lo].EstEnd == estEnd && c.running[lo].JobID == jobID
 }
 
-// Release frees the resources held by jobID. On error the cluster is
-// unchanged.
-func (c *Cluster) Release(jobID int) error {
-	a, ok := c.byJob[jobID]
-	if !ok {
-		return fmt.Errorf("cluster: job %d not allocated", jobID)
+// Release frees the resources held by jobID, allocated with the estimated
+// end estEnd. On error the cluster is unchanged.
+func (c *Cluster) Release(jobID int, estEnd float64) error {
+	i, live := c.position(estEnd, jobID)
+	if !live {
+		return fmt.Errorf("cluster: job %d is not allocated until %v", jobID, estEnd)
 	}
-	i := c.position(a.EstEnd, jobID)
-	if i == len(c.running) || c.running[i] != a {
-		return fmt.Errorf("cluster: job %d is not at its place in the ordered running set (EstEnd or JobID changed while allocated)", jobID)
-	}
+	a := c.running[i]
 	for r, d := range a.Demand {
 		if c.free[r]+d > c.cfg.Capacities[r] {
 			return fmt.Errorf("cluster: release of job %d would overflow resource %d", jobID, r)
@@ -221,8 +213,8 @@ func (c *Cluster) Release(jobID int) error {
 		c.free[r] += d
 	}
 	c.running = append(c.running[:i], c.running[i+1:]...)
-	delete(c.byJob, jobID)
 	c.spare = append(c.spare, a)
+	c.version++
 	return nil
 }
 
@@ -236,12 +228,16 @@ func (c *Cluster) Running() []*Alloc { return c.running }
 // NumRunning returns the number of live allocations.
 func (c *Cluster) NumRunning() int { return len(c.running) }
 
+// Version returns the number of calls that changed the cluster (see the
+// package documentation).
+func (c *Cluster) Version() uint64 { return c.version }
+
 // Reset returns the cluster to idle.
 func (c *Cluster) Reset() {
 	copy(c.free, c.cfg.Capacities)
 	c.spare = append(c.spare, c.running...)
 	c.running = c.running[:0]
-	clear(c.byJob)
+	c.version++
 }
 
 // EarliestFit returns the earliest time >= now at which demand fits,
@@ -283,20 +279,19 @@ func Fits(demand, free []int) bool {
 }
 
 // CheckInvariants verifies conservation — free + sum(alloc demands) equals
-// capacity for every resource — and that the running set is strictly
-// ordered by (EstEnd, JobID) and agrees with the by-job index. Tests call
-// this after mutation sequences.
+// capacity for every resource — that the running set is strictly ordered by
+// (EstEnd, JobID), and that no job ID is live twice. Tests call this after
+// mutation sequences.
 func (c *Cluster) CheckInvariants() error {
-	if len(c.running) != len(c.byJob) {
-		return fmt.Errorf("cluster: %d allocations in the running set, %d in the job index", len(c.running), len(c.byJob))
-	}
+	ids := make([]int, len(c.running))
 	for i, a := range c.running {
-		if c.byJob[a.JobID] != a {
-			return fmt.Errorf("cluster: running[%d] (job %d) is not the job index's entry", i, a.JobID)
-		}
-		if c.position(a.EstEnd, a.JobID) != i {
+		if at, _ := c.position(a.EstEnd, a.JobID); at != i {
 			return fmt.Errorf("cluster: running[%d] (job %d, est. end %v) is out of order", i, a.JobID, a.EstEnd)
 		}
+		ids[i] = a.JobID
+	}
+	if slices.Sort(ids); len(slices.Compact(ids)) != len(c.running) {
+		return fmt.Errorf("cluster: a job ID is allocated twice")
 	}
 	for r := range c.free {
 		total := c.free[r]

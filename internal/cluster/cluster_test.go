@@ -39,21 +39,24 @@ func TestAllocateRelease(t *testing.T) {
 	if u[0] != 0.6 || u[1] != 0.25 {
 		t.Fatalf("usage = %v", u)
 	}
-	// Double allocation of the same job must fail.
-	if err := c.Allocate(1, []int{1, 0}, 0, 10); err == nil {
+	// A second allocation under a live key must fail.
+	if err := c.Allocate(1, []int{1, 0}, 0, 100); err == nil {
 		t.Fatal("duplicate allocation accepted")
 	}
 	// Oversubscription must fail.
 	if err := c.Allocate(2, []int{50, 0}, 0, 10); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
-	if err := c.Release(1); err != nil {
+	if err := c.Release(1, 10); err == nil {
+		t.Fatal("release under another estimated end accepted")
+	}
+	if err := c.Release(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	if c.Free(0) != 100 || c.Free(1) != 40 {
 		t.Fatal("release did not restore resources")
 	}
-	if err := c.Release(1); err == nil {
+	if err := c.Release(1, 100); err == nil {
 		t.Fatal("double release accepted")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -68,7 +71,7 @@ func TestAllocateDemandCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	d[0] = 999 // caller mutates its slice; cluster must be unaffected
-	if err := c.Release(1); err != nil {
+	if err := c.Release(1, 50); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -149,28 +152,58 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// Version moves on every call that changes the cluster and on no other.
+func TestVersionCountsMutations(t *testing.T) {
+	c := New(testConfig())
+	steps := []struct {
+		name   string
+		mutate func() error
+		moves  bool
+	}{
+		{"allocate", func() error { return c.Allocate(1, []int{10, 4}, 0, 50) }, true},
+		{"allocate a live key", func() error { return c.Allocate(1, []int{1, 0}, 0, 50) }, false},
+		{"allocate past free", func() error { return c.Allocate(2, []int{91, 0}, 0, 50) }, false},
+		{"release another key", func() error { return c.Release(1, 60) }, false},
+		{"look ahead", func() error { c.EarliestFit([]int{100, 0}, 10, nil); return nil }, false},
+		{"release", func() error { return c.Release(1, 50) }, true},
+		{"reset", func() error { c.Reset(); return nil }, true},
+	}
+	for _, st := range steps {
+		before := c.Version()
+		_ = st.mutate()
+		if moved := c.Version() != before; moved != st.moves {
+			t.Fatalf("%s: version %d -> %d, want moved=%v", st.name, before, c.Version(), st.moves)
+		}
+	}
+}
+
 // Property: any sequence of feasible allocations and releases conserves
 // resources exactly.
 func TestConservationProperty(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := New(testConfig())
-		live := []int{}
+		type key struct {
+			id     int
+			estEnd float64
+		}
+		live := []key{}
 		nextID := 1
 		ops := int(opsRaw)%100 + 10
 		for i := 0; i < ops; i++ {
 			if rng.Float64() < 0.6 {
 				d := []int{rng.Intn(40) + 1, rng.Intn(20)}
 				if c.CanFit(d) {
-					if err := c.Allocate(nextID, d, float64(i), float64(i+rng.Intn(100)+1)); err != nil {
+					estEnd := float64(i + rng.Intn(100) + 1)
+					if err := c.Allocate(nextID, d, float64(i), estEnd); err != nil {
 						return false
 					}
-					live = append(live, nextID)
+					live = append(live, key{nextID, estEnd})
 					nextID++
 				}
 			} else if len(live) > 0 {
 				k := rng.Intn(len(live))
-				if err := c.Release(live[k]); err != nil {
+				if err := c.Release(live[k].id, live[k].estEnd); err != nil {
 					return false
 				}
 				live = append(live[:k], live[k+1:]...)

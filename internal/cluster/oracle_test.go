@@ -8,28 +8,37 @@ import (
 	"testing"
 )
 
-// sortedRunning is the retired Running: collect the allocations from the
-// job index in map order and sort them by (EstEnd, JobID). It is the oracle
-// the ordered running set is held against.
-func sortedRunning(c *Cluster) []*Alloc {
-	out := make([]*Alloc, 0, len(c.byJob))
-	for _, a := range c.byJob {
-		out = append(out, a)
+// key is an allocation's place in the ordered running set.
+type key struct {
+	estEnd float64
+	id     int
+}
+
+// sortedRunning is the oracle the ordered running set is held against: the
+// keys the test's own model holds, in map order, sorted by (EstEnd, JobID).
+func sortedRunning(held map[key][]int) []key {
+	out := make([]key, 0, len(held))
+	for k := range held {
+		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].EstEnd != out[j].EstEnd {
-			return out[i].EstEnd < out[j].EstEnd
+		if out[i].estEnd != out[j].estEnd {
+			return out[i].estEnd < out[j].estEnd
 		}
-		return out[i].JobID < out[j].JobID
+		return out[i].id < out[j].id
 	})
 	return out
 }
 
 // runClusterOps interprets data as a sequence of Allocate / Release / Reset
 // calls on a cluster of 1-3 resources (few job IDs and few distinct EstEnd
-// values, so duplicates, misses and ties are all common) and checks after
-// every step that Running is the oracle's order, that the invariants hold,
-// and that each call failed exactly when a plain model says it should.
+// values, so live keys, misses, ties and one ID under two estimated ends are
+// all common) and checks after every step that Running is the oracle's
+// order, and that each call failed exactly when a plain model says it
+// should: Allocate only for a live identical key or a demand that does not
+// fit, Release only for a key that is not live. The cluster leaves unique
+// IDs to its callers, so CheckInvariants must fail exactly when the model
+// holds one ID under two keys.
 func runClusterOps(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -37,9 +46,9 @@ func runClusterOps(t *testing.T, data []byte) {
 	n := 1 + int(data[0])%3
 	cfg := Config{Name: "ops", Resources: []string{"a", "b", "c"}[:n], Capacities: []int{16, 8, 4}[:n]}
 	c := New(cfg)
-	held := map[int][]int{} // the model: job -> demand
+	held := map[key][]int{} // the model: allocation key -> demand
 	for op := data[1:]; len(op) >= 4; op = op[4:] {
-		id := int(op[1]) % 12
+		k := key{estEnd: float64(op[2]%5) * 10, id: int(op[1]) % 12}
 		before := c.FreeVec()
 		switch kind := op[0] % 8; {
 		case kind < 5:
@@ -47,50 +56,50 @@ func runClusterOps(t *testing.T, data []byte) {
 			for r := range demand {
 				demand[r] = int(op[3]>>(2*r)) % 4 * cfg.Capacities[r] / 8
 			}
-			_, dup := held[id]
-			err := c.Allocate(id, demand, 0, float64(op[2]%5)*10)
-			if want := !dup && Fits(demand, before); (err == nil) != want {
-				t.Fatalf("Allocate(%d, %v) with free %v, dup %v: %v", id, demand, before, dup, err)
+			_, live := held[k]
+			err := c.Allocate(k.id, demand, 0, k.estEnd)
+			if want := !live && Fits(demand, before); (err == nil) != want {
+				t.Fatalf("Allocate(%d, %v) until %v with free %v, live %v: %v", k.id, demand, k.estEnd, before, live, err)
 			}
 			if err == nil {
-				held[id] = slices.Clone(demand)
+				held[k] = slices.Clone(demand)
 				clear(demand) // the cluster must hold its own copy
 			} else if !slices.Equal(c.FreeVec(), before) {
 				t.Fatalf("a refused Allocate moved free from %v to %v", before, c.FreeVec())
 			}
 		case kind < 7:
-			_, ok := held[id]
-			if err := c.Release(id); (err == nil) != ok {
-				t.Fatalf("Release(%d), allocated %v: %v", id, ok, err)
+			_, live := held[k]
+			if err := c.Release(k.id, k.estEnd); (err == nil) != live {
+				t.Fatalf("Release(%d, %v), live %v: %v", k.id, k.estEnd, live, err)
 			}
-			delete(held, id)
+			if !live && !slices.Equal(c.FreeVec(), before) {
+				t.Fatalf("a refused Release moved free from %v to %v", before, c.FreeVec())
+			}
+			delete(held, k)
 		default:
 			c.Reset()
 			clear(held)
 		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		ids := map[int]bool{}
+		repeated := false
+		for k := range held {
+			repeated = repeated || ids[k.id]
+			ids[k.id] = true
 		}
-		if got, want := c.Running(), sortedRunning(c); !slices.Equal(got, want) {
-			t.Fatalf("Running() is not the sorted set: %v vs %v", ids(got), ids(want))
+		if err := c.CheckInvariants(); (err != nil) != repeated {
+			t.Fatalf("CheckInvariants with an ID held twice %v: %v", repeated, err)
 		}
-		if len(c.Running()) != len(held) {
-			t.Fatalf("%d running, model holds %d", len(c.Running()), len(held))
+		want := sortedRunning(held)
+		if len(c.Running()) != len(want) {
+			t.Fatalf("%d running, model holds %d", len(c.Running()), len(want))
 		}
-		for _, a := range c.Running() {
-			if h := held[a.JobID]; h == nil || !slices.Equal(a.Demand, h) {
-				t.Fatalf("job %d holds %v, model %v", a.JobID, a.Demand, h)
+		for i, a := range c.Running() {
+			if (key{a.EstEnd, a.JobID}) != want[i] || !slices.Equal(a.Demand, held[want[i]]) {
+				t.Fatalf("Running()[%d] is job %d until %v holding %v, the model's is %v holding %v",
+					i, a.JobID, a.EstEnd, a.Demand, want[i], held[want[i]])
 			}
 		}
 	}
-}
-
-func ids(as []*Alloc) []int {
-	out := make([]int, len(as))
-	for i, a := range as {
-		out[i] = a.JobID
-	}
-	return out
 }
 
 func TestRunningMatchesSortOracle(t *testing.T) {
@@ -105,6 +114,8 @@ func TestRunningMatchesSortOracle(t *testing.T) {
 func FuzzClusterOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 2, 0x15, 0, 2, 2, 0x15, 5, 1, 0, 0, 0, 1, 2, 0x3f, 7, 0, 0, 0})
 	f.Add([]byte{2, 0, 3, 4, 0xff, 0, 3, 4, 0xff, 6, 3, 0, 0})
+	// Job 3 until 10 and until 20, then released under each key.
+	f.Add([]byte{1, 0, 3, 1, 0x01, 0, 3, 2, 0x01, 5, 3, 1, 0, 5, 3, 2, 0})
 	f.Fuzz(runClusterOps)
 }
 
@@ -142,7 +153,7 @@ func TestReleaseLeavesNoPartialState(t *testing.T) {
 	}
 	a := c.Running()[1]
 	a.Demand[1] = 99 // resource 0 would apply cleanly, resource 1 overflows
-	if err := c.Release(a.JobID); err == nil {
+	if err := c.Release(a.JobID, a.EstEnd); err == nil {
 		t.Fatal("overflowing release accepted")
 	}
 	if c.Free(0) != 70 || c.Free(1) != 28 || c.NumRunning() != 3 {
@@ -150,14 +161,14 @@ func TestReleaseLeavesNoPartialState(t *testing.T) {
 	}
 	a.Demand[1] = 4
 	a.EstEnd = 5 // no longer where the order says it is
-	if err := c.Release(a.JobID); err == nil {
+	if err := c.Release(a.JobID, a.EstEnd); err == nil {
 		t.Fatal("release of a misplaced allocation accepted")
 	}
 	if c.Free(0) != 70 || c.Free(1) != 28 || c.NumRunning() != 3 {
 		t.Fatalf("a refused Release changed the cluster: %d running, free %v", c.NumRunning(), c.FreeVec())
 	}
 	a.EstEnd = 20
-	if err := c.Release(a.JobID); err != nil {
+	if err := c.Release(a.JobID, a.EstEnd); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -176,7 +187,7 @@ func TestAllocateReleaseSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	id := 8
 	avg := testing.AllocsPerRun(200, func() {
-		if err := c.Release(id - 8); err != nil {
+		if err := c.Release(id-8, float64((id-8)%3)); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Allocate(id, demand, 0, float64(id%3)); err != nil {

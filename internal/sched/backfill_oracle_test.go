@@ -251,3 +251,81 @@ func TestCarriedScanIsTiedToItsSimulator(t *testing.T) {
 		t.Fatalf("job 3 started at %v in simulator B, want 400: the scan trusted what it learned in A", jobs[3].Start)
 	}
 }
+
+// The reservation's walk is reused while its cluster, that cluster's version
+// and the reserved job are the ones it ran for. At every round that reserves,
+// the shadow and extra the policy plans with must be what a fresh Shadow
+// gives, bit for bit: over random traces, with the policy moved between two
+// simulators, and with the cluster Reset and rebuilt between rounds.
+func TestReusedShadowMatchesFreshWalk(t *testing.T) {
+	three := cluster.Config{Name: "t3", Resources: []string{"nodes", "bb", "power_kw"}, Capacities: []int{16, 8, 40}}
+	for name, c := range map[string]struct{ reuse, reset bool }{
+		"random traces":     {},
+		"policy used twice": {reuse: true},
+		"reset and rebuilt": {reset: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rounds, reused := 0, 0
+			for seed := int64(1); seed <= 30; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				trace := oracleCase{sys: three, walltimeOver: []float64{0.5, 1, 2}}.trace(rng)
+				wp := NewWindowPolicy(PickerFunc(func(ctx *PickContext) int { return rng.Intn(len(ctx.Window)) }), 5)
+				wp.Backfill = false // the test backfills, after it has checked the walk
+				policy := sim.PolicyFunc(func(s *sim.Simulator) {
+					wp.OnSchedule(s)
+					if r := s.Reserved; r != nil {
+						cl, walkedAt := s.Cluster(), wp.walk.now
+						wp.reserve(cl, r, s.Now())
+						shadow, extra := Shadow(cl, r.Demand, s.Now())
+						if wp.lim.shadow != shadow || !slices.Equal(wp.lim.extra, extra) {
+							t.Fatalf("seed %d, t=%v, job %d reserved: planned shadow %v extra %v, a fresh walk gives %v %v",
+								seed, s.Now(), r.ID, wp.lim.shadow, wp.lim.extra, shadow, extra)
+						}
+						rounds++
+						if wp.walk.now == walkedAt && walkedAt != s.Now() {
+							reused++
+						}
+						wp.easyBackfill(s, r)
+					}
+					if c.reset && rng.Intn(3) == 0 {
+						rebuild(t, s.Cluster())
+					}
+				})
+				jobs := job.CloneAll(trace)
+				sims := []*sim.Simulator{sim.New(three, policy)}
+				if c.reuse {
+					sims[0].SetMaxEvents(40 + int(seed))
+					sims = append(sims, sim.New(three, policy))
+				}
+				for n, s := range sims {
+					if err := s.Load(jobs); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Run(); err != nil && n == len(sims)-1 {
+						t.Fatal(err)
+					}
+				}
+			}
+			// The test must not pass by never reusing a walk, or always.
+			t.Logf("%d reservation rounds, %d reused the last walk", rounds, reused)
+			if reused < 200 || reused == rounds {
+				t.Fatalf("%d of %d reservation rounds reused the last walk", reused, rounds)
+			}
+		})
+	}
+}
+
+// rebuild resets cl and allocates its running set again as it was: the
+// same state under a new version.
+func rebuild(t *testing.T, cl *cluster.Cluster) {
+	var held []cluster.Alloc
+	for _, a := range cl.Running() {
+		held = append(held, cluster.Alloc{JobID: a.JobID, Demand: slices.Clone(a.Demand), Start: a.Start, EstEnd: a.EstEnd})
+	}
+	cl.Reset()
+	for _, a := range held {
+		if err := cl.Allocate(a.JobID, a.Demand, a.Start, a.EstEnd); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

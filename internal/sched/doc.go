@@ -40,4 +40,21 @@
 // its end. Moving a policy to another simulator, or starting a job behind its
 // back through StartJob, costs one full scan; no case changes which jobs
 // pass.
+//
+// # When the shadow walk is reused
+//
+// The reservation's shadow time and spare vector come from a walk of the
+// running set (cluster.EarliestFit): from the free vector, add each running
+// job's demand back in (EstEnd, JobID) order until the reserved job fits.
+// The entry it stops at and the spare vector there depend only on the free
+// vector, the running set and the demand; now enters once, as the shadow
+// max(EstEnd, now). So the policy keeps its last walk under the cluster, the
+// cluster's Version (every Allocate, Release and Reset moves it), the
+// reserved *job.Job and the clock it ran at, and while all hold, a round
+// takes the walk's spare vector and max(its shadow, now) instead of walking:
+// max(max(E, now0), now1) is max(E, now1) for now1 >= now0. A round hits
+// when nothing started or finished since the last walk and the same job is
+// reserved: typically an arrival behind the same blocked job. A different
+// cluster, a changed one, another reserved job or a clock that went back
+// walks anew.
 package sched

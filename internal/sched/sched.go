@@ -68,6 +68,20 @@ type WindowPolicy struct {
 	heldN     int
 	heldLast  *job.Job
 	carried   int // scans that began behind refused jobs (the tests' floor)
+
+	walk walk // the last shadow walk, reused while its key holds
+}
+
+// walk is one EarliestFit walk for a reserved job, keyed by the cluster and
+// its version and the clock it ran at: its shadow time (-1 when the demand
+// can never fit) and the spare vector there.
+type walk struct {
+	cl       *cluster.Cluster
+	version  uint64
+	reserved *job.Job
+	now      float64
+	shadow   float64
+	extra    []int
 }
 
 // limits are the three bounds of the EASY test, which is monotone in each.
@@ -142,8 +156,7 @@ func (wp *WindowPolicy) OnSchedule(s *sim.Simulator) {
 // free only shrinks. The package doc says where the scan begins and ends.
 func (wp *WindowPolicy) easyBackfill(s *sim.Simulator, reserved *job.Job) {
 	cl, now, lim := s.Cluster(), s.Now(), &wp.lim
-	lim.shadow, lim.extra = shadowInto(cl, reserved.Demand, now, lim.extra)
-	if lim.shadow < 0 {
+	if wp.reserve(cl, reserved, now); lim.shadow < 0 {
 		return
 	}
 	lim.free = lim.free[:0]
@@ -178,6 +191,22 @@ func (wp *WindowPolicy) easyBackfill(s *sim.Simulator, reserved *job.Job) {
 	q := s.Queue() // every job of it was refused under limits no smaller than lim
 	wp.lim, wp.held = wp.held, wp.lim
 	wp.heldSim, wp.heldN, wp.heldLast = s, len(q), q[len(q)-1]
+}
+
+// reserve sets lim.shadow and lim.extra for reserved at now: from the last
+// walk while the cluster, its version and the reserved job are the ones it
+// ran for and the clock has not gone back, from a new walk otherwise. The
+// package doc says why a reused walk is exact.
+func (wp *WindowPolicy) reserve(cl *cluster.Cluster, reserved *job.Job, now float64) {
+	w := &wp.walk
+	if w.cl != cl || w.version != cl.Version() || w.reserved != reserved || now < w.now {
+		w.shadow, w.extra = shadowInto(cl, reserved.Demand, now, w.extra)
+		w.cl, w.version, w.reserved, w.now = cl, cl.Version(), reserved, now
+	}
+	wp.lim.shadow, wp.lim.extra = w.shadow, append(wp.lim.extra[:0], w.extra...)
+	if w.shadow >= 0 {
+		wp.lim.shadow = max(w.shadow, now)
+	}
 }
 
 // Shadow exposes the reservation shadow-time computation for tests and

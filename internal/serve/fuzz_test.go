@@ -45,6 +45,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	nanReq := randomRequest(rng, testSystem())
 	nanReq.Running = append(nanReq.Running, Alloc{JobID: 1 << 20, Demand: []int{0, 0}, EstEnd: math.NaN()})
 	f.Add(encode(&message{Type: msgDecide, ID: 20, Req: nanReq}))
+	dupReq := randomRequest(rng, testSystem())
+	dupReq.Running = append(dupReq.Running,
+		Alloc{JobID: 1 << 20, Demand: []int{1, 0}, EstEnd: 10}, Alloc{JobID: 1 << 20, Demand: []int{1, 0}, EstEnd: 20})
+	f.Add(encode(&message{Type: msgDecide, ID: 21, Req: dupReq}))
 	f.Add([]byte("MRSCH SERVE, BUT NOT THE LAYOUT"))
 	gobDecide, err := wire.EncodeGob(&message{Type: msgDecide, ID: 17, Req: req})
 	if err != nil {
@@ -76,8 +80,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		// A decoded request is rebuilt into a decision instant or refused
 		// (rule 4), never a panic, and never an instant with a NaN or
-		// infinite time in it.
+		// infinite time or a running job ID twice in it.
 		if err := p.buildContext(testSystem(), 6); err == nil {
+			if err := p.ctx.Cluster.CheckInvariants(); err != nil {
+				t.Fatalf("buildContext accepted %+v: %v", p.m.Req.Running, err)
+			}
 			ctx := &p.ctx
 			ok := finite(ctx.Now)
 			for _, j := range ctx.Queue {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -341,7 +342,9 @@ func (f *frameReader) next() ([]byte, error) {
 // byte-identical to offline ones. Validation is exhaustive: anything that
 // could panic the encoder is rejected here, with the connection intact —
 // NaN and infinite times included (the cluster's ordered running set needs
-// comparable keys, and Allocate refuses a running entry that has none).
+// comparable keys, and Allocate refuses a running entry that has none), and a
+// running job ID given twice (the cluster keeps no index by job, so the
+// request is checked itself: its IDs sorted in kept scratch).
 func (p *pending) buildContext(sys cluster.Config, window int) error {
 	req := &p.m.Req
 	r := len(sys.Capacities)
@@ -350,6 +353,16 @@ func (p *pending) buildContext(sys cluster.Config, window int) error {
 	}
 	if !finite(req.Now) {
 		return fmt.Errorf("serve: request time %v is not finite", req.Now)
+	}
+	p.ids = p.ids[:0]
+	for i := range req.Running {
+		p.ids = append(p.ids, req.Running[i].JobID)
+	}
+	slices.Sort(p.ids)
+	for i := 1; i < len(p.ids); i++ {
+		if p.ids[i] == p.ids[i-1] {
+			return fmt.Errorf("serve: running job %d is given twice", p.ids[i])
+		}
 	}
 	if p.cl == nil {
 		p.cl = cluster.New(sys)

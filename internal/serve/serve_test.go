@@ -419,9 +419,9 @@ func TestRejectedSwapKeepsServing(t *testing.T) {
 }
 
 // TestRequestErrorKeepsConnection sends semantically invalid requests —
-// overcommitted cluster state, empty queue, wrong geometry — and expects
-// request-level errors with the connection still answering (contract rule
-// 4).
+// overcommitted cluster state, empty queue, wrong geometry, a running job
+// given twice — and expects request-level errors with the connection still
+// answering (contract rule 4).
 func TestRequestErrorKeepsConnection(t *testing.T) {
 	sys := testSystem()
 	rng := rand.New(rand.NewSource(37))
@@ -456,6 +456,13 @@ func TestRequestErrorKeepsConnection(t *testing.T) {
 			Request{Now: 1, Queue: queue, Running: []Alloc{{JobID: 1, Demand: d, Start: t, EstEnd: 100}}},
 			Request{Now: 1, Queue: queue, Running: []Alloc{{JobID: 1, Demand: d, EstEnd: 100}, {JobID: 2, Demand: d, EstEnd: t}}},
 		)
+	}
+	// One running ID twice, under two estimated ends: the cluster would hold
+	// both, so the daemon refuses the request before it rebuilds one.
+	repeated := Request{Now: 1, Queue: queue, Running: []Alloc{
+		{JobID: 7, Demand: d, EstEnd: 100}, {JobID: 3, Demand: d, EstEnd: 50}, {JobID: 7, Demand: d, EstEnd: 200}}}
+	if _, _, err := c.Decide(&repeated); err == nil || !strings.Contains(err.Error(), "running job 7 is given twice") {
+		t.Fatalf("a request running job 7 twice returned %v", err)
 	}
 	for i := range bad {
 		_, _, err := c.Decide(&bad[i])

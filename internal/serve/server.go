@@ -127,6 +127,7 @@ type pending struct {
 
 	jobs  []job.Job
 	queue []*job.Job
+	ids   []int // the running job IDs, sorted: the repeated-ID check
 	cl    *cluster.Cluster
 	usage []float64
 	ctx   sched.PickContext

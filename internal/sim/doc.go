@@ -34,10 +34,16 @@
 // The cluster keeps its running set ordered by (EstEnd, JobID) as it
 // allocates and releases (see internal/cluster), so the look-ahead of a
 // reservation, the state encoder and the goal vector read it without
-// sorting. StartAt removes the started job at the queue index the policy
-// already holds, moving the shorter side of the queue (the head: nothing).
-// The window driver (internal/sched) reuses one PickContext, usage vector
-// and set of scan limits from round to round.
+// sorting. It keeps no index by job: a finish releases its job by the key
+// StartAt allocated it with, Start + Walltime (the same float addition, so
+// a running job's Start and Walltime must not change), through the binary
+// search that placed it, and Load's refusal of a repeated ID is what keeps
+// the keys of one trace apart. StartAt removes the started job at the queue
+// index the policy already holds, moving the shorter side of the queue (the
+// head: nothing). The window policy (internal/sched) reuses one PickContext,
+// usage vector and set of scan limits from round to round, and its last
+// reservation walk while the cluster's Version and the reserved job have
+// not changed.
 //
 // Its EASY backfill does not walk the jobs. Beside the queue the simulator
 // keeps two columns, index for index: the demand vector packed into lanes of

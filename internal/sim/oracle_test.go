@@ -132,7 +132,7 @@ func (s *heapSim) step() (bool, error) {
 		case refSubmit:
 			s.queue = append(s.queue, j)
 		case refFinish:
-			if err := s.cl.Release(j.ID); err != nil {
+			if err := s.cl.Release(j.ID, j.Start+j.Walltime); err != nil {
 				return false, fmt.Errorf("sim: finish: %w", err)
 			}
 			j.State = job.Finished

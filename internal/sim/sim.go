@@ -249,7 +249,7 @@ func (s *Simulator) Step() (bool, error) {
 	s.clk = t
 	for len(s.finishes.items) > 0 && s.finishes.items[0].time == t {
 		j := s.finishes.pop().job
-		if err := s.cl.Release(j.ID); err != nil {
+		if err := s.cl.Release(j.ID, j.Start+j.Walltime); err != nil { // StartAt's key
 			return false, fmt.Errorf("sim: finish: %w", err)
 		}
 		j.State = job.Finished
