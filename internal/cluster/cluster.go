@@ -19,6 +19,9 @@
 //
 // Version counts the Allocate, Release and Reset calls that changed the
 // cluster, so a look-ahead computed at one version holds at the same version.
+// Its one reader is the simulator's backfill pass (sim.Simulator.Backfill),
+// which reuses its last EarliestFit walk while the version and the reserved
+// job are unchanged.
 //
 // Released *Alloc values (and their Demand backing arrays) are recycled by
 // later Allocate calls, so a steady-state allocate/release cycle does not

@@ -133,8 +133,8 @@ func propertyRun(t *testing.T, scenarios []scenario.ScenarioSpec) *CampaignRun {
 // needs walltimes that bound runtimes, which every builtin workload has (the
 // generator draws them so, the noise axis clamps to it), and the test checks.
 //
-// At these scales no system's demand keys clamp, so NextBackfill's full
-// comparison confirms every job its keys stop at. The refusal it exists for —
+// At these scales no system's demand keys clamp, so the backfill scan's full
+// comparison (sim's nextBackfill) confirms every job its keys stop at. The refusal it exists for —
 // a lane too narrow for its capacity letting through a job that does not fit
 // — happens in a twin of each power-capped scenario whose power is counted in
 // units 2^20 times smaller: the same schedule, to the second, under FCFS and a

@@ -68,6 +68,27 @@ func traceString(trace []*job.Job) string {
 	return out
 }
 
+// randomTrace draws 150 jobs on sys: submits in bursts on a 20 s grid and
+// runtimes on a 50 s grid, so many instants have several submits, or
+// finishes and submits together, and walltimes at one of the ratios
+// walltimeOver to the runtime.
+func randomTrace(rng *rand.Rand, sys cluster.Config, walltimeOver []float64) []*job.Job {
+	trace := make([]*job.Job, 150)
+	at := 0.0
+	for i := range trace {
+		at += float64(rng.Intn(4)) * 20
+		run := float64(50 * (1 + rng.Intn(8)))
+		demand := make([]int, len(sys.Capacities))
+		for r, n := range sys.Capacities {
+			demand[r] = rng.Intn(n*3/4 + 1)
+		}
+		demand[0]++
+		trace[i] = &job.Job{ID: i, Submit: at, Runtime: run, Demand: demand,
+			Walltime: run * walltimeOver[rng.Intn(len(walltimeOver))]}
+	}
+	return trace
+}
+
 // Random traces on one to four resources, with walltimes below, at and above
 // the runtime and submits and runtimes on a coarse grid (many instants where
 // jobs finish and arrive together), under FCFS and a scripted picker.
@@ -84,8 +105,7 @@ func TestReferenceScheduleMatchesSimulator(t *testing.T) {
 				backfilled := 0
 				for seed := int64(1); seed <= 40; seed++ {
 					rng := rand.New(rand.NewSource(seed))
-					c := oracleCase{sys: sys, walltimeOver: []float64{0.5, 1, 1.5, 3}}
-					trace := c.trace(rng)
+					trace := randomTrace(rng, sys, []float64{0.5, 1, 1.5, 3})
 					var script []byte
 					if picker == "scripted" {
 						script = make([]byte, 1+rng.Intn(32))

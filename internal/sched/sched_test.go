@@ -261,3 +261,39 @@ func TestBackfillImprovesUtilization(t *testing.T) {
 			withBF.Utilization(0), withoutBF.Utilization(0))
 	}
 }
+
+// What a scan proved is about one simulator's clock. Here the policy leaves
+// simulator A, cut short, knowing that jobs 1 to 3 were refused at t=600
+// under (free 1, extra 0, shadow 1000). Simulator B then starts job 0 ahead
+// of them, as A did, and shows it jobs 1 and 3 at indices 0 and 1 under the
+// same limits — but at t=400, when job 3 ends before the shadow time and
+// must be backfilled.
+func TestCarriedScanIsTiedToItsSimulator(t *testing.T) {
+	jobs := []*job.Job{
+		mk(0, 0, 1000, 15, 0),
+		mk(1, 1, 100, 16, 0),
+		mk(2, 600, 500, 1, 0),
+		mk(3, 600, 500, 1, 0),
+	}
+	wp := NewWindowPolicy(FCFS{}, 10)
+	a := sim.New(cfg(), wp)
+	a.SetMaxEvents(2) // t=0, t=1, t=600
+	if err := a.Load(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Run(); err == nil || len(a.Queue()) != 3 {
+		t.Fatalf("simulator A should stop with jobs 1 to 3 waiting: %v, %d waiting", err, len(a.Queue()))
+	}
+
+	jobs[1].Submit, jobs[3].Submit, jobs[2].Submit = 400, 400, 5000
+	b := sim.New(cfg(), wp)
+	if err := b.Load(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if jobs[3].Start != 400 {
+		t.Fatalf("job 3 started at %v in simulator B, want 400: the scan trusted what it learned in A", jobs[3].Start)
+	}
+}

@@ -1,4 +1,4 @@
-package sched
+package sim_test
 
 import (
 	"fmt"
@@ -8,17 +8,23 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// snapshotBackfill is the retired easyBackfill: copy the queue, then test
-// every copied candidate against CanFit, the shadow time and the spare
-// capacity. It returns the IDs it started, in order, and the spare vector it
-// ended with — the oracle for the scan that asks sim.NextBackfill, ends when
-// Free(0) is zero and begins behind the jobs the previous scan refused.
+func cfg() cluster.Config {
+	return cluster.Config{Name: "t", Resources: []string{"nodes", "bb"}, Capacities: []int{16, 8}}
+}
+
+// snapshotBackfill is the retired backfill: copy the queue, then test every
+// copied candidate against CanFit, the shadow time and the spare capacity.
+// It returns the IDs it started, in order, and the spare vector it ended
+// with — the oracle for Simulator.Backfill, whose scan runs over the demand
+// keys, ends when Free(0) is zero and begins behind the jobs the previous
+// scan refused.
 func snapshotBackfill(s *sim.Simulator, reserved *job.Job) (started, extra []int) {
 	cl, now := s.Cluster(), s.Now()
-	shadow, extra := Shadow(cl, reserved.Demand, now)
+	shadow, extra := sched.Shadow(cl, reserved.Demand, now)
 	candidates := slices.Clone(s.Queue())
 	for _, cand := range candidates {
 		if cand == reserved || !cl.CanFit(cand.Demand) {
@@ -55,6 +61,10 @@ type oracleCase struct {
 	// intrude wraps the policy in one that starts a waiting job that fits
 	// through StartJob, behind the policy's back, after every other round.
 	intrude bool
+	// jump wraps the policy in one that, in every other round, when a job
+	// finished, starts a waiting job that fits from inside the prefix the
+	// last scan refused, through StartJob, before the policy runs.
+	jump bool
 	// reuse drives the same WindowPolicy over a second simulator, loaded
 	// with the very same *Job values, after cutting the first one short.
 	reuse bool
@@ -80,8 +90,8 @@ func (c oracleCase) trace(rng *rand.Rand) []*job.Job {
 }
 
 // Two simulators replay one random trace under one seeded random picker;
-// one backfills with easyBackfill, the other with the snapshot oracle. At
-// every round that ends in a reservation they must have started the same
+// one backfills with Simulator.Backfill, the other with the snapshot oracle.
+// At every round that ends in a reservation they must have started the same
 // jobs in the same order and be left with the same spare vector and queue.
 func TestInPlaceBackfillMatchesSnapshotScan(t *testing.T) {
 	two := cfg()
@@ -89,46 +99,57 @@ func TestInPlaceBackfillMatchesSnapshotScan(t *testing.T) {
 	// A lane of the demand key holds 2^20-1 here: the third resource clamps.
 	wide := cluster.Config{Name: "wide", Resources: []string{"nodes", "bb", "bytes"}, Capacities: []int{16, 8, 3 << 20}}
 	for name, c := range map[string]oracleCase{
-		"estimates hold":    {sys: two, walltimeOver: []float64{1, 2, 3}},
-		"overdue":           {sys: two, walltimeOver: []float64{0.4, 1, 2}},
-		"three resources":   {sys: three, walltimeOver: []float64{0.5, 1, 3}},
-		"clamped lane":      {sys: wide, walltimeOver: []float64{1, 2}},
-		"intruding hook":    {sys: two, walltimeOver: []float64{0.5, 1, 2}, intrude: true},
-		"policy used twice": {sys: three, walltimeOver: []float64{1, 2}, reuse: true},
+		"estimates hold":          {sys: two, walltimeOver: []float64{1, 2, 3}},
+		"overdue":                 {sys: two, walltimeOver: []float64{0.4, 1, 2}},
+		"three resources":         {sys: three, walltimeOver: []float64{0.5, 1, 3}},
+		"clamped lane":            {sys: wide, walltimeOver: []float64{1, 2}},
+		"intruding hook":          {sys: two, walltimeOver: []float64{0.5, 1, 2}, intrude: true},
+		"refused job jumps ahead": {sys: two, walltimeOver: []float64{0.5, 1, 2}, jump: true},
+		"policy used twice":       {sys: three, walltimeOver: []float64{1, 2}, reuse: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			multi, carried := 0, 0
+			var sum tally
 			for seed := int64(1); seed <= 40; seed++ {
-				m, c := c.run(t, seed)
-				multi, carried = multi+m, carried+c
+				n := c.run(t, seed)
+				sum.multi, sum.carried, sum.jumped = sum.multi+n.multi, sum.carried+n.carried, sum.jumped+n.jumped
 			}
 			// The test must not pass by never exercising what it is about.
-			if multi < 100 {
-				t.Errorf("only %d rounds backfilled two or more jobs", multi)
+			t.Logf("%d rounds backfilled two or more jobs, %d scans were shortened, %d after a jump", sum.multi, sum.carried, sum.jumped)
+			if sum.multi < 100 {
+				t.Errorf("only %d rounds backfilled two or more jobs", sum.multi)
 			}
-			t.Logf("%d rounds backfilled two or more jobs, %d scans were shortened", multi, carried)
-			if carried < 400 {
-				t.Errorf("only %d scans began behind jobs the previous one refused", carried)
+			if sum.carried < 400 {
+				t.Errorf("only %d scans began behind jobs the previous one refused", sum.carried)
+			}
+			if c.jump && sum.jumped < 100 {
+				t.Errorf("only %d scans began behind the refused jobs left after a jump", sum.jumped)
 			}
 		})
 	}
 }
 
+// tally is what one differential run exercised, for the test's floors.
+type tally struct {
+	multi   int // rounds that backfilled two or more jobs
+	carried int // scans that began behind jobs the previous scan refused
+	jumped  int // of those, scans in a round the jump hook started a refused job
+}
+
 // run replays one seed's trace on both sides and fails on the first line on
-// which they differ. It returns how many rounds backfilled at least two jobs
-// and how many scans the carry-over shortened.
-func (c oracleCase) run(t *testing.T, seed int64) (multi, carried int) {
+// which they differ. It returns what the in-place side exercised.
+func (c oracleCase) run(t *testing.T, seed int64) (n tally) {
 	trace := c.trace(rand.New(rand.NewSource(seed)))
 	// One log line per reservation round: what started, extra, queue.
 	var logs [2][]string
+	jumped := map[int]int{} // the job the in-place side's jump hook started, by round
 	for side := range logs {
-		wp := NewWindowPolicy(nil, 5)
+		wp := sched.NewWindowPolicy(nil, 5)
 		wp.Backfill = false // the test runs the backfill itself, to see its starts
 		pick := rand.New(rand.NewSource(seed))
-		wp.Picker = PickerFunc(func(ctx *PickContext) int { return pick.Intn(len(ctx.Window)) })
+		wp.Picker = sched.PickerFunc(func(ctx *sched.PickContext) int { return pick.Intn(len(ctx.Window)) })
 		record := func(s *sim.Simulator, started, extra []int) {
 			if side == 0 && len(started) >= 2 {
-				multi++
+				n.multi++
 			}
 			q := make([]int, len(s.Queue()))
 			for i, j := range s.Queue() {
@@ -148,61 +169,84 @@ func (c oracleCase) run(t *testing.T, seed int64) (multi, carried int) {
 				return
 			}
 			before := slices.Clone(s.Queue())
-			wp.easyBackfill(s, s.Reserved)
+			s.Backfill(s.Reserved)
 			var started []int
 			for _, j := range before { // the scan starts jobs in queue order
 				if j.State == job.Running {
 					started = append(started, j.ID)
 				}
 			}
-			record(s, started, wp.held.extra)
+			_, extra, _, _ := s.Held()
+			record(s, started, extra)
 		})
+		start := func(s *sim.Simulator, j *job.Job, by string) {
+			if err := s.StartJob(j); err != nil {
+				t.Fatal(err)
+			}
+			logs[side] = append(logs[side], fmt.Sprintf("t=%v %s started %d", s.Now(), by, j.ID))
+		}
 		jobs := job.CloneAll(trace)
 		newSim := func() *sim.Simulator {
-			if !c.intrude {
-				return sim.New(c.sys, policy)
-			}
-			hook := rand.New(rand.NewSource(seed))
-			return sim.New(c.sys, sim.PolicyFunc(func(s *sim.Simulator) {
-				policy(s)
-				if hook.Intn(2) != 0 {
-					return
-				}
-				// The shortest waiting job that fits: it will often end
-				// before the shadow time and leave every limit no larger.
-				var short *job.Job
-				for _, j := range s.Queue() {
-					if s.Cluster().CanFit(j.Demand) && (short == nil || j.Walltime < short.Walltime) {
-						short = j
+			switch {
+			case c.intrude:
+				hook := rand.New(rand.NewSource(seed))
+				return sim.New(c.sys, sim.PolicyFunc(func(s *sim.Simulator) {
+					policy(s)
+					if hook.Intn(2) != 0 {
+						return
 					}
-				}
-				if short == nil {
-					return
-				}
-				if err := s.StartJob(short); err != nil {
-					t.Fatal(err)
-				}
-				logs[side] = append(logs[side], fmt.Sprintf("t=%v hook started %d", s.Now(), short.ID))
-			}))
+					// The shortest waiting job that fits: it will often end
+					// before the shadow time and leave every limit no larger.
+					var short *job.Job
+					for _, j := range s.Queue() {
+						if s.Cluster().CanFit(j.Demand) && (short == nil || j.Walltime < short.Walltime) {
+							short = j
+						}
+					}
+					if short != nil {
+						start(s, short, "hook")
+					}
+				}))
+			case c.jump:
+				round, done := 0, 0
+				return sim.New(c.sys, sim.PolicyFunc(func(s *sim.Simulator) {
+					round++
+					finished := len(s.Finished()) > done
+					done = len(s.Finished())
+					if !finished || round%2 != 0 {
+						policy(s)
+						return
+					}
+					j, carried := jumper(s, side, jumped, round), s.Carried()
+					if j != nil {
+						start(s, j, "jump")
+					}
+					policy(s)
+					if side == 0 && j != nil && s.Carried() > carried {
+						n.jumped++
+					}
+				}))
+			}
+			return sim.New(c.sys, policy)
 		}
 		sims := []*sim.Simulator{newSim()}
 		if c.reuse {
 			sims[0].SetMaxEvents(40 + int(seed))
 			sims = append(sims, newSim())
 		}
-		for n, s := range sims {
+		for k, s := range sims {
 			if err := s.Load(jobs); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Run(); err != nil && n == len(sims)-1 {
+			if err := s.Run(); err != nil && k == len(sims)-1 {
 				t.Fatal(err)
 			}
 			for _, j := range s.Finished() {
 				logs[side] = append(logs[side], fmt.Sprintf("job %d ran %v..%v", j.ID, j.Start, j.End))
 			}
-		}
-		if side == 0 {
-			carried = wp.carried
+			if side == 0 {
+				n.carried += s.Carried()
+			}
 		}
 	}
 	for i := range logs[0] {
@@ -213,50 +257,43 @@ func (c oracleCase) run(t *testing.T, seed int64) (multi, carried int) {
 	if len(logs[0]) != len(logs[1]) {
 		t.Fatalf("seed %d: %d lines in place, %d with the snapshot scan", seed, len(logs[0]), len(logs[1]))
 	}
-	return multi, carried
+	return n
 }
 
-// What a scan proved is about one simulator's clock. Here the policy leaves
-// simulator A, cut short, knowing that jobs 1 to 3 were refused at t=600
-// under (free 1, extra 0, shadow 1000). Simulator B then starts job 0 ahead
-// of them, as A did, and shows it jobs 1 and 3 at indices 0 and 1 under the
-// same limits — but at t=400, when job 3 ends before the shadow time and
-// must be backfilled.
-func TestCarriedScanIsTiedToItsSimulator(t *testing.T) {
-	jobs := []*job.Job{
-		mk(0, 0, 1000, 15, 0),
-		mk(1, 1, 100, 16, 0),
-		mk(2, 600, 500, 1, 0),
-		mk(3, 600, 500, 1, 0),
+// jumper picks the job the jump hook starts at a round. The in-place side
+// takes, from the prefix its last scan refused, the waiting job that fits
+// with the largest first demand — freed units it claims back, so the next
+// scan often still begins behind the prefix — and notes it; the snapshot
+// side, which keeps no prefix, starts the job noted for the same round.
+func jumper(s *sim.Simulator, side int, jumped map[int]int, round int) *job.Job {
+	if side == 1 {
+		if id, ok := jumped[round]; ok {
+			for _, j := range s.Queue() {
+				if j.ID == id && s.Cluster().CanFit(j.Demand) {
+					return j
+				}
+			}
+		}
+		return nil
 	}
-	wp := NewWindowPolicy(FCFS{}, 10)
-	a := sim.New(cfg(), wp)
-	a.SetMaxEvents(2) // t=0, t=1, t=600
-	if err := a.Load(jobs); err != nil {
-		t.Fatal(err)
+	_, _, _, refused := s.Held()
+	var pick *job.Job
+	for _, j := range s.Queue()[:refused] {
+		if s.Cluster().CanFit(j.Demand) && (pick == nil || j.Demand[0] > pick.Demand[0]) {
+			pick = j
+		}
 	}
-	if err := a.Run(); err == nil || len(a.Queue()) != 3 {
-		t.Fatalf("simulator A should stop with jobs 1 to 3 waiting: %v, %d waiting", err, len(a.Queue()))
+	if pick != nil {
+		jumped[round] = pick.ID
 	}
-
-	jobs[1].Submit, jobs[3].Submit, jobs[2].Submit = 400, 400, 5000
-	b := sim.New(cfg(), wp)
-	if err := b.Load(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if jobs[3].Start != 400 {
-		t.Fatalf("job 3 started at %v in simulator B, want 400: the scan trusted what it learned in A", jobs[3].Start)
-	}
+	return pick
 }
 
-// The reservation's walk is reused while its cluster, that cluster's version
-// and the reserved job are the ones it ran for. At every round that reserves,
-// the shadow and extra the policy plans with must be what a fresh Shadow
-// gives, bit for bit: over random traces, with the policy moved between two
-// simulators, and with the cluster Reset and rebuilt between rounds.
+// The reservation's walk is reused while the reserved job and the cluster's
+// version are the ones it ran for. At every round that reserves, the shadow
+// and extra the pass plans with must be what a fresh sched.Shadow gives, bit
+// for bit: over random traces, with one policy driving two simulators, and
+// with the cluster Reset and rebuilt between rounds.
 func TestReusedShadowMatchesFreshWalk(t *testing.T) {
 	three := cluster.Config{Name: "t3", Resources: []string{"nodes", "bb", "power_kw"}, Capacities: []int{16, 8, 40}}
 	for name, c := range map[string]struct{ reuse, reset bool }{
@@ -269,23 +306,24 @@ func TestReusedShadowMatchesFreshWalk(t *testing.T) {
 			for seed := int64(1); seed <= 30; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				trace := oracleCase{sys: three, walltimeOver: []float64{0.5, 1, 2}}.trace(rng)
-				wp := NewWindowPolicy(PickerFunc(func(ctx *PickContext) int { return rng.Intn(len(ctx.Window)) }), 5)
-				wp.Backfill = false // the test backfills, after it has checked the walk
+				wp := sched.NewWindowPolicy(sched.PickerFunc(func(ctx *sched.PickContext) int { return rng.Intn(len(ctx.Window)) }), 5)
+				wp.Backfill = false // the test backfills, after it has taken a fresh walk
 				policy := sim.PolicyFunc(func(s *sim.Simulator) {
 					wp.OnSchedule(s)
 					if r := s.Reserved; r != nil {
-						cl, walkedAt := s.Cluster(), wp.walk.now
-						wp.reserve(cl, r, s.Now())
-						shadow, extra := Shadow(cl, r.Demand, s.Now())
-						if wp.lim.shadow != shadow || !slices.Equal(wp.lim.extra, extra) {
-							t.Fatalf("seed %d, t=%v, job %d reserved: planned shadow %v extra %v, a fresh walk gives %v %v",
-								seed, s.Now(), r.ID, wp.lim.shadow, wp.lim.extra, shadow, extra)
-						}
-						rounds++
-						if wp.walk.now == walkedAt && walkedAt != s.Now() {
+						cl := s.Cluster()
+						walked, version, _ := s.Walk()
+						if walked == r && version == cl.Version() {
 							reused++
 						}
-						wp.easyBackfill(s, r)
+						shadow, extra := sched.Shadow(cl, r.Demand, s.Now())
+						s.Backfill(r)
+						_, _, planned, _ := s.Held()
+						if _, _, walkExtra := s.Walk(); planned != shadow || !slices.Equal(walkExtra, extra) {
+							t.Fatalf("seed %d, t=%v, job %d reserved: planned shadow %v extra %v, a fresh walk gives %v %v",
+								seed, s.Now(), r.ID, planned, walkExtra, shadow, extra)
+						}
+						rounds++
 					}
 					if c.reset && rng.Intn(3) == 0 {
 						rebuild(t, s.Cluster())

@@ -40,16 +40,15 @@
 // search that placed it, and Load's refusal of a repeated ID is what keeps
 // the keys of one trace apart. StartAt removes the started job at the queue
 // index the policy already holds, moving the shorter side of the queue (the
-// head: nothing). The window policy (internal/sched) reuses one PickContext,
-// usage vector and set of scan limits from round to round, and its last
-// reservation walk while the cluster's Version and the reserved job have
-// not changed.
+// head: nothing). The window policy (internal/sched) reuses one PickContext
+// and usage vector from round to round; Backfill reuses its scan limits, and
+// its last reservation walk while it holds (below).
 //
-// Its EASY backfill does not walk the jobs. Beside the queue the simulator
+// The EASY backfill does not walk the jobs. Beside the queue the simulator
 // keeps two columns, index for index: the demand vector packed into lanes of
 // one word (lanes.go) and the walltime. Both are appended at submit and
 // removed with the queue entry, so a job's Demand and Walltime must not
-// change while it waits. NextBackfill runs the whole EASY test — fits free,
+// change while it waits. nextBackfill runs the whole EASY test — fits free,
 // and ends by the shadow time or fits extra — over the columns, with the
 // free and extra limits packed once per call: per limit, a subtraction of
 // the demand key from the guarded limit key and a mask (lanes.go), and
@@ -61,15 +60,52 @@
 // such form (MRSCH_KERNEL=go). Integer logic and one IEEE add and ordered
 // compare a job give the same index either way, so no set moves a schedule.
 // A lost guard proves a demand exceeds a limit, so the scan never refuses a
-// job the test passes; NextBackfill confirms the job it stops at with the
+// job the test passes; nextBackfill confirms the job it stops at with the
 // full comparison and resumes after a refusal, so it is exact on every
 // system. Only a clamped lane (more than eight resources, or a capacity
 // above a lane's largest value; no builtin system) can cause a refusal, and
-// a job confirmed is the job the caller starts next, which it reads anyway.
-// The scan ends once no unit of resource 0 is free: job.Validate, which Load
-// applies, requires Demand[0] >= 1. A run allocates for set-up and for
-// slices that grow, not per job, per event or per round
-// (TestFCFSAllocationsPerJob, TestLoadOfAscendingIDsAllocatesOnce).
+// a job confirmed is the job Backfill starts next, which it reads anyway.
+// A run allocates for set-up and for slices that grow, not per job, per
+// event or per round (TestFCFSAllocationsPerJob,
+// TestLoadOfAscendingIDsAllocatesOnce).
+//
+// # The EASY pass
+//
+// Backfill is the whole of multi-resource EASY backfilling around the job
+// the window policy reserved: it takes the reservation's shadow time and
+// spare vector (extra) from a walk of the running set, free from the
+// cluster, and starts, in queue order, every waiting job that fits free and
+// either ends by its walltime at or before the shadow time or fits extra,
+// charging extra for the jobs that do not end by then. Every input it reads
+// — the queue and its columns, the clock, the cluster — is this package's,
+// so the two memos below need no key naming another package's state.
+//
+// A scan ends once no unit of resource 0 is free: job.Validate, which Load
+// applies, requires Demand[0] >= 1. It also begins behind jobs it need not
+// ask again. The test is monotone in its limits: a job that does not fit
+// free does not fit less, likewise extra, and now+Walltime <= shadow only
+// gets harder as now grows and shadow shrinks (floating-point addition is
+// monotone: this is exact). When a scan ends, every job still waiting was
+// refused under limits at least its final ones, or not asked because free[0]
+// was zero. The simulator keeps those limits and the count of jobs waiting,
+// and begins the next scan behind them when free, extra and shadow are all at
+// most the kept ones. Jobs leave the queue only through StartAt, which
+// decrements the count when it removes one below it — whether the window
+// loop, the pass or a policy's StartJob called it — and join only at its
+// end; the clock never goes back. So the count always covers exactly the
+// refused jobs still waiting, and no case changes which jobs pass.
+//
+// The walk (cluster.EarliestFit) adds each running job's demand back to the
+// free vector in (EstEnd, JobID) order until the reserved job fits. The
+// entry it stops at and the spare vector there depend only on the free
+// vector, the running set and the demand; now enters once, as the shadow
+// max(EstEnd, now). So the simulator keeps its last walk under the reserved
+// *job.Job and the cluster's Version (every Allocate, Release and Reset moves
+// it), and while both hold a pass takes the walk's spare vector and
+// max(its shadow, now) instead of walking: max(max(E, now0), now1) is
+// max(E, now1) for now1 >= now0, which Step guarantees. A pass hits when
+// nothing started or finished since the last walk and the same job is
+// reserved: typically an arrival behind the same blocked job.
 //
 // # Finite times
 //

@@ -11,7 +11,7 @@ package sim
 // values included: a clamped demand above a limit's lane means the limit was
 // stored exactly and the demand is at least max. Guards standing prove
 // nothing about clamped values or resources beyond the first n, which is why
-// NextBackfill follows them with the comparison in full.
+// nextBackfill follows them with the comparison in full.
 type lanes struct {
 	n, width uint
 	max      int

@@ -10,15 +10,8 @@ import (
 	"repro/internal/job"
 )
 
-// limits are one EASY scan's: what is free now, what is spare at the shadow
-// time, and the shadow time.
-type limits struct {
-	free, extra []int
-	shadow      float64
-}
-
 // checkMirror fails unless the demand keys and the walltime column are the
-// queue's, index for index, and NextBackfill answers like a walk over the
+// queue's, index for index, and nextBackfill answers like a walk over the
 // jobs with the whole EASY test for the limits given, from every start up to
 // a few past the end of the queue.
 func checkMirror(t testing.TB, s *Simulator, scans ...limits) {
@@ -46,8 +39,8 @@ func checkMirror(t testing.TB, s *Simulator, scans ...limits) {
 					break
 				}
 			}
-			if got := s.NextBackfill(from, l.free, l.extra, l.shadow); got != want {
-				t.Fatalf("NextBackfill(%d, %v, %v, %v) at t=%v = %d, the first waiting job backfill may start is at %d",
+			if got := s.nextBackfill(from, l.free, l.extra, l.shadow); got != want {
+				t.Fatalf("nextBackfill(%d, %v, %v, %v) at t=%v = %d, the first waiting job backfill may start is at %d",
 					from, l.free, l.extra, l.shadow, s.Now(), got, want)
 			}
 		}
@@ -58,7 +51,7 @@ func checkMirror(t testing.TB, s *Simulator, scans ...limits) {
 // string: submit a job and step, start the job at a queue index, or start a
 // waiting job by pointer. After every operation the demand keys and the
 // walltime column must mirror the queue, also after a start the cluster
-// refused, and NextBackfill must answer like the walk.
+// refused, and nextBackfill must answer like the walk.
 func runQueueOps(t testing.TB, data []byte) {
 	if len(data) == 0 {
 		return
@@ -190,7 +183,7 @@ func TestNextBackfillOverPlantedQueues(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkMirror(t, s, limits{free, extra, shadow})
-					if got := s.NextBackfill(0, free, extra, shadow); got != hit && (hit >= 0 || got != size) {
+					if got := s.nextBackfill(0, free, extra, shadow); got != hit && (hit >= 0 || got != size) {
 						t.Fatalf("%d resources, %d jobs: the planted job at %d was found at %d", n, size, hit, got)
 					}
 				}

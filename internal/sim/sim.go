@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/job"
-	"repro/internal/nn/kernel"
 )
 
 // Policy is a scheduling strategy. OnSchedule is invoked by the simulator
@@ -31,11 +30,12 @@ type Simulator struct {
 	arrivals arrivals    // loaded jobs by submit time; the cursor splits past from future
 	finishes finishQueue // completions of the running jobs
 	queue    []*job.Job  // waiting jobs in arrival order
-	qKey     []uint64    // lanes.key(queue[i].Demand), index for index: see NextBackfill
+	qKey     []uint64    // lanes.key(queue[i].Demand), index for index: see nextBackfill
 	qWall    []float64   // queue[i].Walltime, index for index
 	lanes    lanes
 	finished []*job.Job
 	policy   Policy
+	easy     easy // what Backfill keeps from one round to the next
 
 	// Load refuses an ID twice. While IDs arrive in ascending order — as the
 	// generators, the SWF reader and job.CloneAll produce them — comparing
@@ -75,48 +75,6 @@ func (s *Simulator) Now() float64 { return s.clk }
 // Queue returns the waiting jobs in arrival order. Callers must not mutate
 // the returned slice.
 func (s *Simulator) Queue() []*job.Job { return s.queue }
-
-// NextBackfill returns the index of the first waiting job at or after i
-// (i >= 0) that EASY backfilling may start now around a reservation whose
-// shadow time is shadow — one that fits free and either ends, by its
-// walltime, at or before shadow or fits extra — or max(i, len(Queue())) when
-// none does. The test runs over the demand keys and the walltime column
-// (scan), which refuses no job the test passes. The job it stops at is
-// confirmed in full, and the scan resumes after a refusal, which only a
-// clamped lane (see lanes) can cause.
-func (s *Simulator) NextBackfill(i int, free, extra []int, shadow float64) int {
-	l := s.lanes
-	fkey, ekey := l.key(free)|l.guard, l.key(extra)|l.guard
-	for ; ; i++ {
-		i = s.scan(i, fkey, ekey, shadow)
-		if i >= len(s.queue) {
-			return i
-		}
-		if d := s.queue[i].Demand; cluster.Fits(d, free) && (s.clk+s.qWall[i] <= shadow || cluster.Fits(d, extra)) {
-			return i
-		}
-	}
-}
-
-// scan returns the first k >= i whose demand key and walltime pass the test
-// against the limit keys free and extra, or max(i, len(qKey)): in the
-// active kernel set's BackfillScan4 over as many whole four-job steps as
-// reach from i when the set has one, and a job at a time after them.
-func (s *Simulator) scan(i int, free, extra uint64, shadow float64) int {
-	keys, walls, guard, now := s.qKey, s.qWall[:len(s.qKey)], s.lanes.guard, s.clk
-	if n, scan4 := (len(keys)-i)&^3, kernel.Active().BackfillScan4; scan4 != nil && n > 0 {
-		if k := scan4(keys[i:i+n], walls[i:i+n], free, extra, guard, now, shadow); k < n {
-			return i + k
-		}
-		i += n
-	}
-	for ; i < len(keys); i++ {
-		if k := keys[i]; (free-k)&guard == guard && (now+walls[i] <= shadow || (extra-k)&guard == guard) {
-			break
-		}
-	}
-	return i
-}
 
 // Finished returns all completed jobs.
 func (s *Simulator) Finished() []*job.Job { return s.finished }
@@ -182,7 +140,9 @@ func (s *Simulator) StartJob(j *job.Job) error {
 }
 
 // StartAt is StartJob for the job at Queue()[i], for a policy that already
-// holds the index: the job is removed there instead of searched for.
+// holds the index: the job is removed there instead of searched for. Every
+// start comes through here, so here Backfill's count of refused jobs stays
+// exact.
 func (s *Simulator) StartAt(i int) error {
 	if i < 0 || i >= len(s.queue) {
 		return fmt.Errorf("sim: start queue[%d] of %d waiting jobs", i, len(s.queue))
@@ -197,6 +157,9 @@ func (s *Simulator) StartAt(i int) error {
 	s.queue = removeAt(s.queue, i)
 	s.qKey = removeAt(s.qKey, i)
 	s.qWall = removeAt(s.qWall, i)
+	if i < s.easy.refused {
+		s.easy.refused-- // one of the jobs the last backfill scan refused
+	}
 	if s.Reserved == j {
 		s.Reserved = nil
 	}

@@ -17,7 +17,7 @@ import (
 var reachAllow = map[string]string{
 	"CheckInvariants": "cluster: the conservation oracle the cluster, sim and sched suites and FuzzClusterOps call after every mutation sequence",
 	"NumRunning":      "cluster: what the cluster and sim oracles read the running-set size through",
-	"Shadow":          "sched: the retired shadow computation, the reference easyBackfill's in-place scan is held to (backfill_oracle_test.go)",
+	"Shadow":          "sched: the shadow computation walked afresh, what the simulator's reused walk (sim/backfill_oracle_test.go) and the property suite are held to",
 	"StartJob":        "sim: start-by-pointer, one of the three ops FuzzQueueMirror and the backfill oracle drive the waiting queue with",
 	"GradCheck":       "nn: the finite-difference oracle for every layer's and the whole DFP topology's Backward",
 	"MSE":             "nn: the loss GradCheck differentiates in the layer suites",
