@@ -1,8 +1,8 @@
 // Benchmark harness: microbenchmarks of the substrates the repository
 // benchmark (go run ./bench) decomposes into — the simulator, the DFP
-// forward and training step, decision latency at the paper's full scale and
-// rollout collection. The paper's figures are regenerated by cmd/mrsch-exp,
-// not from here.
+// forward and training step, decision latency at the paper's full scale,
+// a campaign's evaluation picks and rollout collection. The paper's figures
+// are regenerated by cmd/mrsch-exp, not from here.
 //
 // Run everything with:
 //
@@ -204,6 +204,66 @@ func BenchmarkDecisionLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		agent.Act(state, meas, goal, 10, false)
 	}
+}
+
+// BenchmarkEvaluatorPicks runs quick-scale S4 cells on four trace seeds the
+// way a campaign evaluates MRSch — a greedy unrecorded actor of a trained
+// model — and counts, through a wrapping picker, the picks of a cell and how
+// many of them were moot (no waiting job fit, so the actor ran no model:
+// sched.PickContext.Startable). moot/cell over picks/cell is the share of a
+// cell's decisions that skip the forward pass.
+func BenchmarkEvaluatorPicks(b *testing.B) {
+	base := experiments.MustPrepare(experiments.QuickScale())
+	agent, _, err := experiments.TrainMRSch(base, "S4", false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, _ := scenario.ByName("S4")
+	type cell struct {
+		sys  cluster.Config
+		jobs []*job.Job
+	}
+	var cells []cell
+	for _, seed := range []int64{1, 1001, 2001, 3001} {
+		sc := base.Scale
+		sc.Seed = seed
+		m, err := experiments.PrepareFor(sc, sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs, err := m.WorkloadSpec(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = append(cells, cell{m.SystemFor(sp), jobs})
+	}
+	var picks, moot int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range cells {
+			actor, _ := agent.Actor()
+			actor.Reset(base.Scale.Seed+9000+int64(k), 0)
+			actor.Unrecorded()
+			counted := sched.PickerFunc(func(ctx *sched.PickContext) int {
+				picks++
+				if !ctx.Startable() {
+					moot++
+				}
+				return actor.Pick(ctx)
+			})
+			s := sim.New(c.sys, sched.NewWindowPolicy(counted, agent.Enc.Window))
+			if err := s.Load(job.CloneAll(c.jobs)); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	n := float64(b.N * len(cells))
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/n, "ms/cell")
+	b.ReportMetric(float64(picks)/n, "picks/cell")
+	b.ReportMetric(float64(moot)/n, "moot/cell")
 }
 
 // ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ import (
 // is private. Multiple actors may roll out episodes in
 // parallel against one master, provided the master's weights are not updated
 // until the rollouts finish — internal/rollout's round barrier guarantees
-// that. An actor is the one place an episode is recorded. Actors do not
-// invoke GoalHook; that observation hook belongs to the master's analysis
-// paths (Figures 8/9).
+// that. An actor is the one place an episode is recorded; an Unrecorded one
+// is an evaluator, which records nothing and runs no model where its pick is
+// moot (see Pick). Actors do not invoke GoalHook; that observation hook
+// belongs to the master's analysis paths (Figures 8/9).
 type MRSchActor struct {
 	enc       encode.Config
 	ac        *dfp.Actor
 	fixedGoal []float64
+	evaluator bool // Unrecorded: moot picks skip the model
 
 	state, goal []float64 // the pick in progress; the dfp actor copies what it records
 	goals       goalTable
@@ -54,8 +56,14 @@ func (a *MRSchActor) Reset(seed int64, eps float64) { a.ac.Reset(seed, eps) }
 
 // Pick implements sched.Picker with the master's decision logic in
 // exploration mode: encode the state, compute the dynamic goal vector, and
-// let the DFP actor choose (and record) a window job.
+// let the DFP actor choose (and record) a window job. An evaluator skips all
+// three where no waiting job fits (sched.PickContext.Startable), since the
+// round starts nothing whatever it picks; dfp.Actor.Moot draws the
+// exploration rng as the forward path would, so later picks do not move.
 func (a *MRSchActor) Pick(ctx *sched.PickContext) int {
+	if a.evaluator && !ctx.Startable() {
+		return a.ac.Moot(len(ctx.Window))
+	}
 	a.state = a.enc.EncodeInto(a.state, ctx)
 	goal := a.fixedGoal
 	if goal == nil {
@@ -65,9 +73,14 @@ func (a *MRSchActor) Pick(ctx *sched.PickContext) int {
 	return a.ac.Act(a.state, ctx.Usage, goal, len(ctx.Window))
 }
 
-// Unrecorded makes the actor an evaluator (dfp.Actor.Unrecorded): the same
-// picks, no transcript, and once its buffers are warm no allocation per pick.
-func (a *MRSchActor) Unrecorded() { a.ac.Unrecorded() }
+// Unrecorded makes the actor an evaluator (dfp.Actor.Unrecorded): no
+// transcript, no allocation per pick once its buffers are warm, and no model
+// at an instant where no waiting job fits. Its picks are a recording actor's
+// at every startable instant, so its schedule is too.
+func (a *MRSchActor) Unrecorded() {
+	a.ac.Unrecorded()
+	a.evaluator = true
+}
 
 // Policy wraps the actor in the shared window/reservation/backfilling driver
 // with the master's window size.

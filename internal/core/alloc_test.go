@@ -9,22 +9,53 @@ import (
 	"repro/internal/sched"
 )
 
-// pickContexts are a few decision instants on a half-busy cluster, with
-// queues longer and shorter than the window.
-func pickContexts() []*sched.PickContext {
+// halfBusy is a cluster with 7 of 16 nodes and 5 of 8 burst-buffer units
+// free.
+func halfBusy() *cluster.Cluster {
 	cl := cluster.New(sys())
 	_ = cl.Allocate(100, []int{6, 2}, 0, 900)
 	_ = cl.Allocate(101, []int{3, 1}, 0, 400)
+	return cl
+}
+
+// pickContexts are a few decision instants on a half-busy cluster, with
+// queues longer and shorter than the window.
+func pickContexts() []*sched.PickContext {
+	cl := halfBusy()
 	queue := []*job.Job{mk(1, 0, 300, 8, 4), mk(2, 5, 100, 2, 0), mk(3, 9, 700, 12, 6), mk(4, 9, 50, 1, 1), mk(5, 11, 60, 4, 2)}
 	return []*sched.PickContext{ctxWith(cl, 20, queue), ctxWith(cl, 35, queue[1:]), ctxWith(cl, 50, queue[3:]), ctxWith(cl, 60, queue[:1])}
 }
 
+// mootContext returns a decision instant on the half-busy cluster where no
+// waiting job fits, with a full window, at which the agent does not pick the
+// head: the first such among a few clocks and rotations of one queue.
+func mootContext(t *testing.T, m *MRSch) *sched.PickContext {
+	t.Helper()
+	queue := []*job.Job{mk(1, 0, 300, 8, 4), mk(3, 9, 700, 12, 6), mk(6, 12, 200, 10, 1), mk(7, 14, 900, 3, 6), mk(8, 15, 100, 16, 8)}
+	for now := 20.0; now < 1e5; now *= 3 {
+		for range queue {
+			ctx := ctxWith(halfBusy(), now, slices.Clone(queue))
+			if ctx.Startable() {
+				t.Fatal("a job of the moot queue fits")
+			}
+			if m.Pick(ctx) != 0 {
+				return ctx
+			}
+			queue = append(queue[1:], queue[0])
+		}
+	}
+	t.Fatal("the agent picks the head at every moot candidate")
+	return nil
+}
+
 // An evaluating actor decides from buffers it owns: the state, the goal and
-// the network's activations are all in place after the first pick. The picks
-// are those of a recording actor and of the agent itself. Both actors were
-// Reset, so under a kernel set that packs (CI forces each set over this
-// package) their first layer runs packed while the agent's runs dense: the
-// pick equality and the zero below hold for the packed path too.
+// the network's activations are all in place after the first pick. Its picks
+// are those of a recording actor and of the agent itself at every startable
+// instant; at a moot one (no waiting job fits) it answers 0 without its
+// model, where the recording actor still answers the agent's pick. Both
+// actors were Reset, so under a kernel set that packs (CI forces each set
+// over this package) their first layer runs packed while the agent's runs
+// dense: the pick equality and the zero below hold for the packed path too.
 func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
 	m := New(sys(), tinyOptions(5))
 	ctxs := pickContexts()
@@ -39,6 +70,11 @@ func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
 			t.Fatalf("context %d: unrecorded actor picks %d, recording actor %d, agent %d", i, got, rec, want)
 		}
 	}
+	moot := mootContext(t, m)
+	if got, rec, want := actor.Pick(moot), recording.Pick(moot), m.Pick(moot); got != 0 || rec != want {
+		t.Fatalf("moot context: unrecorded actor picks %d, want 0; recording actor %d, agent %d", got, rec, want)
+	}
+	ctxs = append(ctxs, moot)
 	// A transcript is opaque; what it held shows in the replay it feeds.
 	if m.Ingest(actor.TakeTranscript()); m.Agent.ReplaySize() != 0 {
 		t.Fatalf("an unrecorded actor kept %d experiences' worth of decisions", m.Agent.ReplaySize())

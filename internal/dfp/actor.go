@@ -134,8 +134,10 @@ func scoreInto(dst []float64, preds [][]float64, goalExt []float64) []float64 {
 // Actor is a read-only rollout clone of an Agent. It always acts in
 // exploration mode (the epsilon-greedy policy of §IV-C) and records every
 // decision; the recorded episode is retrieved with TakeTranscript and folded
-// into the master with Agent.IngestTranscript. Reset it with the episode's
-// deterministic seed and exploration rate before each rollout.
+// into the master with Agent.IngestTranscript. An Unrecorded actor is an
+// evaluator: it records nothing and may answer moot decisions with Moot.
+// Reset it with the episode's deterministic seed and exploration rate before
+// each rollout.
 //
 // An Actor is not safe for concurrent use by multiple goroutines, but
 // distinct actors may run concurrently with each other — not with TrainStep,
@@ -213,7 +215,8 @@ func (ac *Actor) Reset(seed int64, eps float64) {
 
 // Unrecorded makes the actor an evaluator: Act decides exactly as before, rng
 // draws included, but keeps no record of it — nothing is copied and
-// TakeTranscript stays empty. For callers that will never take the episode.
+// TakeTranscript stays empty. For callers that will never take the episode;
+// only an evaluator may answer a decision with Moot.
 func (ac *Actor) Unrecorded() { ac.unrecorded = true }
 
 // Act selects an action among the first valid actions under the actor's
@@ -221,9 +224,7 @@ func (ac *Actor) Unrecorded() { ac.unrecorded = true }
 // actor's rng as one Float64 per decision plus one Intn when exploring; at
 // epsilon 0 it picks what the agent's greedy Act picks.
 func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
-	if valid <= 0 || valid > ac.cfg.Actions {
-		valid = ac.cfg.Actions
-	}
+	valid = ac.clampValid(valid)
 	ac.scr.goalExt = nn.Ensure(ac.scr.goalExt, ac.cfg.GoalDim())
 	goalExt := ac.cfg.extendGoalInto(ac.scr.goalExt, goal)
 	var action int
@@ -249,6 +250,32 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 		valid:  valid,
 	})
 	return action
+}
+
+// Moot answers a decision whose choice cannot matter (for MRSch, an instant
+// where no waiting job fits: sched.PickContext.Startable) without a forward
+// pass: it draws the actor's rng exactly as Act would — one Float64, plus
+// one Intn when exploring — and returns the explored action, or 0 where Act
+// would have asked the networks. The stream, and so every later decision,
+// stays the one Act would have left. It panics on a recording actor: a
+// transcript is training data and needs the networks' choice.
+func (ac *Actor) Moot(valid int) int {
+	if !ac.unrecorded {
+		panic("dfp: Moot on a recording actor: a transcript needs the networks' choice (call Unrecorded first)")
+	}
+	if ac.rng.Float64() < ac.eps {
+		return ac.rng.Intn(ac.clampValid(valid))
+	}
+	return 0
+}
+
+// clampValid is the number of actions a decision chooses among: valid, or
+// every action when valid is out of range.
+func (ac *Actor) clampValid(valid int) int {
+	if valid <= 0 || valid > ac.cfg.Actions {
+		return ac.cfg.Actions
+	}
+	return valid
 }
 
 // stepRecord is one recorded decision.

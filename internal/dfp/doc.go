@@ -25,7 +25,10 @@
 //     calls it at bsz=B and adds only the request gather, the scoring dot
 //     product and the argmax. It runs through layer-owned and caller-owned
 //     scratch with zero steady-state heap allocations, and every sample's
-//     predictions are bitwise independent of the batch it ran in.
+//     predictions are bitwise independent of the batch it ran in. An
+//     evaluating (Unrecorded) actor answers a decision its caller knows to
+//     be moot with Actor.Moot, which draws the rng as Act would and runs no
+//     forward.
 //
 //   - TrainSteps runs a burst of gradient steps — an episode's worth — and
 //     TrainStep is a burst of one. Each minibatch goes through batched

@@ -500,8 +500,9 @@ func (r CellResult) failed() bool { return len(r.Report.Utilization) < 2 }
 // is the GA seeded Seed+7000+Index; MRSch acts greedily (epsilon 0) and
 // Scalar RL samples its policy from a stream seeded Seed+9000+Index, each
 // through an unrecorded read-only actor clone of the family's frozen model,
-// so cells sharing one model may run concurrently. All seeding derives from
-// Cell.Index.
+// so cells sharing one model may run concurrently. The MRSch evaluator skips
+// its model at every instant where no waiting job fits (core.MRSchActor.Pick);
+// its schedule is a recording actor's. All seeding derives from Cell.Index.
 func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.WindowPolicy, error) {
 	switch cell.Method.Kind {
 	case scenario.KindHeuristic:

@@ -271,3 +271,91 @@ func TestReportsAreInvariantUnderTimeShift(t *testing.T) {
 		}
 	}
 }
+
+// An evaluating MRSch actor answers a moot instant (no waiting job fits:
+// sched.PickContext.Startable) without its model, so its picks there are not
+// a recording actor's; its schedule must be. Tiny S1-S5 cells run through an
+// evaluator and through a recording actor Reset to the same seed, greedy and
+// exploring: every job starts at the same time, every run meets moot
+// instants, and at some of them the two actors pick differently.
+func TestEvaluatorSchedulesLikeRecorder(t *testing.T) {
+	var specs []scenario.ScenarioSpec
+	for _, name := range []string{"S1", "S2", "S3", "S4", "S5"} {
+		sp, err := scenario.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, sp)
+	}
+	r, err := OpenCampaign(scenario.CampaignSpec{Name: "evaluator", Scale: tinyScale().ScaleSpec, Scenarios: specs,
+		Methods: []scenario.MethodSpec{{Kind: scenario.KindMRSch, Train: true}}}, CampaignOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := map[float64]int{} // picks that differ, by epsilon
+	for _, cell := range r.Cells() {
+		if err := r.ResolveCell(cell); err != nil {
+			t.Fatal(err)
+		}
+		m, sp := r.materialsOf(cell), cell.Scenario
+		agent := r.models[r.modelKey(cell)].MRSch
+		for _, eps := range []float64{0, 0.3} {
+			var (
+				starts [2][]float64
+				picks  [2][]int
+				moot   int
+			)
+			for side, evaluator := range []bool{true, false} {
+				actor, _ := agent.Actor()
+				actor.Reset(m.Scale.Seed+9000+int64(cell.Index), eps)
+				if evaluator {
+					actor.Unrecorded()
+				}
+				picker := sched.PickerFunc(func(ctx *sched.PickContext) int {
+					if evaluator && !ctx.Startable() {
+						moot++
+					}
+					pick := actor.Pick(ctx)
+					picks[side] = append(picks[side], pick)
+					return pick
+				})
+				jobs, err := m.WorkloadSpec(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := sim.New(m.SystemFor(sp), sched.NewWindowPolicy(picker, agent.Enc.Window))
+				if err := s.Load(jobs); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range jobs {
+					starts[side] = append(starts[side], j.Start)
+				}
+			}
+			label := fmt.Sprintf("%s eps %v", cell.Label(), eps)
+			for i := range starts[0] {
+				if starts[0][i] != starts[1][i] {
+					t.Fatalf("%s: job %d starts at %v under the evaluator, %v under the recording actor", label, i, starts[0][i], starts[1][i])
+				}
+			}
+			n := 0
+			for i := range picks[0] {
+				if picks[0][i] != picks[1][i] {
+					n++
+				}
+			}
+			t.Logf("%s: %d picks, %d moot, %d picked otherwise", label, len(picks[0]), moot, n)
+			if moot == 0 {
+				t.Fatalf("%s: no moot instant: the cell tests nothing", label)
+			}
+			differ[eps] += n
+		}
+	}
+	for eps, n := range differ {
+		if n == 0 {
+			t.Fatalf("eps %v: the evaluator never picked otherwise than the recording actor", eps)
+		}
+	}
+}

@@ -10,6 +10,18 @@
 // (internal/ga), the scalar-reward policy gradient (internal/rl), and MRSch
 // itself (internal/core).
 //
+// # Moot picks
+//
+// At an instant where no waiting job fits the free resources
+// (PickContext.Startable is false) the round starts nothing whatever the
+// Picker returns: the pick is reserved and the backfill pass finds no
+// candidate. WindowPolicy still asks the Picker and OnDecision at every
+// instant, so what a Picker does there is its own affair; an evaluating
+// MRSch actor answers without its model and draws its rng as it would have
+// (core.MRSchActor.Pick). The reference differential (reference_diff_test.go)
+// answers otherwise at every such instant and must still match every start
+// time.
+//
 // # Determinism
 //
 // The framework itself is deterministic: WindowPolicy consults its Picker

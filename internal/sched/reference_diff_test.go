@@ -20,8 +20,11 @@ import (
 
 // scripted returns the same scripted choice sequence twice, once for each
 // side: the k-th pick is script[k] modulo the window. An empty script is
-// FCFS.
-func scripted(script []byte) (refPicker, Picker) {
+// FCFS. The product side still draws its entry at a moot instant (no waiting
+// job fits: PickContext.Startable) but answers the next window index
+// instead, which must not move a start time; it counts those instants in
+// *moot.
+func scripted(script []byte, moot *int) (refPicker, Picker) {
 	next := func() func(n int) int {
 		k := 0
 		return func(n int) int {
@@ -34,14 +37,22 @@ func scripted(script []byte) (refPicker, Picker) {
 	}
 	ref, prod := next(), next()
 	return func(_ float64, window []*job.Job) int { return ref(len(window)) },
-		PickerFunc(func(ctx *PickContext) int { return prod(len(ctx.Window)) })
+		PickerFunc(func(ctx *PickContext) int {
+			k := prod(len(ctx.Window))
+			if !ctx.Startable() {
+				*moot++
+				return (k + 1) % len(ctx.Window)
+			}
+			return k
+		})
 }
 
 // diffReference runs both sides and fails on the first job whose start
-// times differ. It returns how many jobs the reference backfilled.
-func diffReference(t *testing.T, sys cluster.Config, trace []*job.Job, w int, script []byte) int {
+// times differ. It returns how many jobs the reference backfilled and at how
+// many instants the product side's pick was moot.
+func diffReference(t *testing.T, sys cluster.Config, trace []*job.Job, w int, script []byte) (backfilled, moot int) {
 	t.Helper()
-	refPick, pick := scripted(script)
+	refPick, pick := scripted(script, &moot)
 	want, backfilled := referenceStarts(sys.Capacities, trace, w, refPick)
 	s := sim.New(sys, NewWindowPolicy(pick, w))
 	jobs := job.CloneAll(trace)
@@ -57,7 +68,7 @@ func diffReference(t *testing.T, sys cluster.Config, trace []*job.Job, w int, sc
 				w, script, j.ID, j.Start, got, ok, traceString(trace))
 		}
 	}
-	return backfilled
+	return backfilled, moot
 }
 
 func traceString(trace []*job.Job) string {
@@ -91,7 +102,8 @@ func randomTrace(rng *rand.Rand, sys cluster.Config, walltimeOver []float64) []*
 
 // Random traces on one to four resources, with walltimes below, at and above
 // the runtime and submits and runtimes on a coarse grid (many instants where
-// jobs finish and arrive together), under FCFS and a scripted picker.
+// jobs finish and arrive together), under FCFS and a scripted picker, each
+// answering otherwise at moot instants.
 func TestReferenceScheduleMatchesSimulator(t *testing.T) {
 	systems := []cluster.Config{
 		{Name: "r1", Resources: []string{"nodes"}, Capacities: []int{12}},
@@ -102,7 +114,7 @@ func TestReferenceScheduleMatchesSimulator(t *testing.T) {
 	for _, sys := range systems {
 		for _, picker := range []string{"fcfs", "scripted"} {
 			t.Run(sys.Name+"/"+picker, func(t *testing.T) {
-				backfilled := 0
+				backfilled, moot := 0, 0
 				for seed := int64(1); seed <= 40; seed++ {
 					rng := rand.New(rand.NewSource(seed))
 					trace := randomTrace(rng, sys, []float64{0.5, 1, 1.5, 3})
@@ -111,11 +123,14 @@ func TestReferenceScheduleMatchesSimulator(t *testing.T) {
 						script = make([]byte, 1+rng.Intn(32))
 						rng.Read(script)
 					}
-					backfilled += diffReference(t, sys, trace, 1+rng.Intn(10), script)
+					b, m := diffReference(t, sys, trace, 1+rng.Intn(10), script)
+					backfilled, moot = backfilled+b, moot+m
 				}
-				// The differential must not pass by never backfilling.
-				if backfilled < 200 {
-					t.Fatalf("only %d backfilled starts over 40 traces", backfilled)
+				// The differential must not pass by never backfilling, or by
+				// never meeting a moot instant.
+				t.Logf("%d backfilled starts, %d moot picks", backfilled, moot)
+				if backfilled < 200 || moot < 200 {
+					t.Fatalf("only %d backfilled starts and %d moot picks over 40 traces", backfilled, moot)
 				}
 			})
 		}

@@ -19,6 +19,23 @@ type PickContext struct {
 	Usage   []float64 // used fraction per resource (the measurement vector)
 }
 
+// Startable reports whether some job in Queue fits the cluster's free
+// resources. When none does, the round starts nothing whatever the Picker
+// returns: the picked job does not fit, so WindowPolicy reserves it, and
+// every EASY candidate must fit the free resources, so the backfill pass
+// starts nothing either. The reservation is rewritten by the next round and
+// the pass's memos hold for any reserved job, so the pick cannot change the
+// schedule — an evaluating Picker may answer it without its model, as long as
+// any randomness it draws is drawn as before.
+func (ctx *PickContext) Startable() bool {
+	for _, j := range ctx.Queue {
+		if ctx.Cluster.CanFit(j.Demand) {
+			return true
+		}
+	}
+	return false
+}
+
 // Picker selects which window job to schedule next, returning an index into
 // ctx.Window. Out-of-range returns are treated as 0 (head of queue), which
 // makes FCFS the universal fallback.
@@ -55,9 +72,11 @@ type WindowPolicy struct {
 	W        int
 	Backfill bool
 
-	// OnDecision, when set, observes every pick (training and analysis hook:
-	// the RL methods record trajectories with it, Figures 8/9 sample the
-	// goal vector with it).
+	// OnDecision, when set, observes every pick, moot ones included (see
+	// PickContext.Startable). Its one product user is serve.SampleRequests,
+	// which captures every decision instant as a load-generation request;
+	// episodes are recorded by rollout actors, and Figures 8/9 sample goal
+	// vectors through core.MRSch.GoalHook.
 	OnDecision func(ctx *PickContext, pick int)
 
 	ctx PickContext // the context of the pick in progress

@@ -297,3 +297,29 @@ func TestCarriedScanIsTiedToItsSimulator(t *testing.T) {
 		t.Fatalf("job 3 started at %v in simulator B, want 400: the scan trusted what it learned in A", jobs[3].Start)
 	}
 }
+
+// Startable asks the whole queue, not the window: on a cluster with 4 nodes
+// and 8 burst-buffer units free, a window of two holding jobs too big for it
+// is startable exactly when a job behind the window fits.
+func TestStartable(t *testing.T) {
+	cl := cluster.New(cfg())
+	if err := cl.Allocate(100, []int{12, 0}, 0, 500); err != nil {
+		t.Fatal(err)
+	}
+	big, wide, small := mk(1, 0, 10, 8, 0), mk(2, 0, 10, 2, 9), mk(3, 0, 10, 4, 8)
+	for _, c := range []struct {
+		name  string
+		queue []*job.Job
+		want  bool
+	}{
+		{"empty queue", nil, false},
+		{"nothing fits", []*job.Job{big, wide, big}, false},
+		{"only a job behind the window fits", []*job.Job{big, wide, small}, true},
+		{"the head fits", []*job.Job{small, big}, true},
+	} {
+		ctx := &PickContext{Window: c.queue[:min(2, len(c.queue))], Queue: c.queue, Cluster: cl}
+		if got := ctx.Startable(); got != c.want {
+			t.Errorf("%s: Startable() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
