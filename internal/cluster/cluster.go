@@ -19,7 +19,7 @@
 //
 // Version counts the Allocate, Release and Reset calls that changed the
 // cluster, so a look-ahead computed at one version holds at the same version.
-// Its one reader is the simulator's backfill pass (sim.Simulator.Backfill),
+// Its one reader is the simulator's EASY backfill pass (internal/sim),
 // which reuses its last EarliestFit walk while the version and the reserved
 // job are unchanged.
 //

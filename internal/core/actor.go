@@ -57,9 +57,11 @@ func (a *MRSchActor) Reset(seed int64, eps float64) { a.ac.Reset(seed, eps) }
 // Pick implements sched.Picker with the master's decision logic in
 // exploration mode: encode the state, compute the dynamic goal vector, and
 // let the DFP actor choose (and record) a window job. An evaluator skips all
-// three where no waiting job fits (sched.PickContext.Startable), since the
-// round starts nothing whatever it picks; dfp.Actor.Moot draws the
-// exploration rng as the forward path would, so later picks do not move.
+// three where no waiting job fits (sched.PickContext.Startable, which the
+// simulator's round answers from its demand columns), since the round starts
+// nothing whatever it picks; dfp.Actor.Moot draws the exploration rng as the
+// forward path would, so later picks do not move. A context no round built,
+// such as a daemon request's, counts as startable.
 func (a *MRSchActor) Pick(ctx *sched.PickContext) int {
 	if a.evaluator && !ctx.Startable() {
 		return a.ac.Moot(len(ctx.Window))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // halfBusy is a cluster with 7 of 16 nodes and 5 of 8 burst-buffer units
@@ -26,15 +27,39 @@ func pickContexts() []*sched.PickContext {
 	return []*sched.PickContext{ctxWith(cl, 20, queue), ctxWith(cl, 35, queue[1:]), ctxWith(cl, 50, queue[3:]), ctxWith(cl, 60, queue[:1])}
 }
 
-// mootContext returns a decision instant on the half-busy cluster where no
-// waiting job fits, with a full window, at which the agent does not pick the
-// head: the first such among a few clocks and rotations of one queue.
+// mootContext returns a decision instant where no waiting job fits, with a
+// full window, at which the agent does not pick the head: the first such
+// among a few clocks and rotations of one queue. A round builds it: two jobs
+// start at t=0 and leave the half-busy cluster (they outrun every clock
+// here), the queue arrives with them but for its last job, which arrives at
+// the clock, and the simulator stops after that second round, which starts
+// nothing, so its context still holds.
 func mootContext(t *testing.T, m *MRSch) *sched.PickContext {
 	t.Helper()
 	queue := []*job.Job{mk(1, 0, 300, 8, 4), mk(3, 9, 700, 12, 6), mk(6, 12, 200, 10, 1), mk(7, 14, 900, 3, 6), mk(8, 15, 100, 16, 8)}
 	for now := 20.0; now < 1e5; now *= 3 {
 		for range queue {
-			ctx := ctxWith(halfBusy(), now, slices.Clone(queue))
+			jobs := []*job.Job{
+				{ID: 100, Runtime: 1e6, Walltime: 900, Demand: []int{6, 2}},
+				{ID: 101, Runtime: 1e6, Walltime: 400, Demand: []int{3, 1}},
+			}
+			for _, j := range job.CloneAll(queue) {
+				j.Submit = 0
+				jobs = append(jobs, j)
+			}
+			jobs[len(jobs)-1].Submit = now
+			var ctx *sched.PickContext
+			s := sim.New(sys(), sched.NewWindowPolicy(sched.PickerFunc(func(c *sched.PickContext) int {
+				ctx = c
+				return 0
+			}), m.Enc.Window))
+			s.SetMaxEvents(1)
+			if err := s.Load(jobs); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err == nil || ctx.Now != now || len(ctx.Queue) != len(queue) {
+				t.Fatalf("the simulator should stop after its round at t=%v with %d jobs waiting: %v", now, len(queue), err)
+			}
 			if ctx.Startable() {
 				t.Fatal("a job of the moot queue fits")
 			}

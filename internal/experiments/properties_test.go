@@ -24,41 +24,46 @@ import (
 //   - at the end every job ran once: submit <= start, end = start + runtime,
 //     one entry in Finished.
 //
-// It observes through wp's OnDecision, chained after any hook already set,
-// and by wrapping wp in a policy that notes the queue before the round and
-// checks the cluster after it. It returns the smallest reservation-time
+// It observes by wrapping wp's Picker, restored on return, in one that reads
+// each pick clamped as the round clamps it, and by wrapping wp in a policy
+// that notes the queue before the round and checks the cluster after it. It returns the smallest reservation-time
 // shadow of every job that was reserved, and how many jobs backfill started,
 // and of those how many borrowed spare capacity.
 func checkedRun(t *testing.T, label string, sys cluster.Config, wp *sched.WindowPolicy, jobs []*job.Job) (shadows map[*job.Job]float64, backfilled, borrowed int) {
 	t.Helper()
 	shadows = map[*job.Job]float64{}
 	var (
-		picked  = map[*job.Job]bool{}
-		shadow  float64
-		extra   []int
-		waiting []*job.Job
+		picked   = map[*job.Job]bool{}
+		reserved *job.Job
+		shadow   float64
+		extra    []int
+		waiting  []*job.Job
 	)
-	inner := wp.OnDecision
-	defer func() { wp.OnDecision = inner }()
-	wp.OnDecision = func(ctx *sched.PickContext, pick int) {
-		if inner != nil {
-			inner(ctx, pick)
+	inner := wp.Picker
+	defer func() { wp.Picker = inner }()
+	wp.Picker = sched.PickerFunc(func(ctx *sched.PickContext) int {
+		pick := inner.Pick(ctx)
+		if pick < 0 || pick >= len(ctx.Window) {
+			pick = 0
 		}
 		j := ctx.Window[pick]
 		picked[j] = true
 		if !ctx.Cluster.CanFit(j.Demand) { // the round's reservation
+			reserved = j
 			shadow, extra = sched.Shadow(ctx.Cluster, j.Demand, ctx.Now)
 			if old, seen := shadows[j]; !seen || shadow < old {
 				shadows[j] = shadow
 			}
 		}
-	}
+		return pick
+	})
 	var failure string
 	policy := sim.PolicyFunc(func(s *sim.Simulator) {
 		waiting = append(waiting[:0], s.Queue()...)
 		clear(picked)
+		reserved = nil
 		wp.OnSchedule(s)
-		if s.Reserved == nil || failure != "" {
+		if reserved == nil || failure != "" {
 			return
 		}
 		charged := make([]int, len(extra))

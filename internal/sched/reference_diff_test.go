@@ -23,8 +23,9 @@ import (
 // FCFS. The product side still draws its entry at a moot instant (no waiting
 // job fits: PickContext.Startable) but answers the next window index
 // instead, which must not move a start time; it counts those instants in
-// *moot.
-func scripted(script []byte, moot *int) (refPicker, Picker) {
+// *moot. At every product-side pick, Startable must answer what a loop over
+// the queue with CanFit answers.
+func scripted(t testing.TB, script []byte, moot *int) (refPicker, Picker) {
 	next := func() func(n int) int {
 		k := 0
 		return func(n int) int {
@@ -38,8 +39,14 @@ func scripted(script []byte, moot *int) (refPicker, Picker) {
 	ref, prod := next(), next()
 	return func(_ float64, window []*job.Job) int { return ref(len(window)) },
 		PickerFunc(func(ctx *PickContext) int {
-			k := prod(len(ctx.Window))
-			if !ctx.Startable() {
+			k, startable, fits := prod(len(ctx.Window)), ctx.Startable(), false
+			for _, j := range ctx.Queue {
+				fits = fits || ctx.Cluster.CanFit(j.Demand)
+			}
+			if startable != fits {
+				t.Fatalf("t=%v: Startable() = %v, a job of the queue fits free: %v", ctx.Now, startable, fits)
+			}
+			if !startable {
 				*moot++
 				return (k + 1) % len(ctx.Window)
 			}
@@ -52,7 +59,7 @@ func scripted(script []byte, moot *int) (refPicker, Picker) {
 // many instants the product side's pick was moot.
 func diffReference(t *testing.T, sys cluster.Config, trace []*job.Job, w int, script []byte) (backfilled, moot int) {
 	t.Helper()
-	refPick, pick := scripted(script, &moot)
+	refPick, pick := scripted(t, script, &moot)
 	want, backfilled := referenceStarts(sys.Capacities, trace, w, refPick)
 	s := sim.New(sys, NewWindowPolicy(pick, w))
 	jobs := job.CloneAll(trace)

@@ -147,31 +147,6 @@ func TestPickerOutOfRangeFallsBackToHead(t *testing.T) {
 	}
 }
 
-func TestOnDecisionObservesPicks(t *testing.T) {
-	picks := 0
-	p := NewWindowPolicy(FCFS{}, 10)
-	p.OnDecision = func(ctx *PickContext, pick int) {
-		picks++
-		if pick != 0 {
-			t.Errorf("FCFS picked %d", pick)
-		}
-		if len(ctx.Usage) != 2 {
-			t.Errorf("usage arity %d", len(ctx.Usage))
-		}
-	}
-	s := sim.New(cfg(), p)
-	jobs := []*job.Job{mk(1, 0, 10, 4, 0), mk(2, 0, 10, 4, 0)}
-	if err := s.Load(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if picks == 0 {
-		t.Fatal("OnDecision never called")
-	}
-}
-
 func TestWindowBoundsSelection(t *testing.T) {
 	// A picker that always chooses the last window slot must never see more
 	// than W jobs.
@@ -212,11 +187,8 @@ func TestEASYInvariantRandom(t *testing.T) {
 			jobs = append(jobs, mk(i, clk, float64(rng.Intn(300)+1), rng.Intn(16)+1, rng.Intn(9)))
 		}
 		reservations := map[int]float64{} // job ID -> earliest shadow recorded
-		p := NewWindowPolicy(FCFS{}, 10)
-		s := sim.New(cfg(), p)
-		p.OnDecision = func(ctx *PickContext, pick int) {
-			j := ctx.Window[pick]
-			if !ctx.Cluster.CanFit(j.Demand) {
+		s := sim.New(cfg(), NewWindowPolicy(PickerFunc(func(ctx *PickContext) int {
+			if j := ctx.Window[0]; !ctx.Cluster.CanFit(j.Demand) { // the round reserves FCFS's pick
 				sh, _ := Shadow(ctx.Cluster, j.Demand, ctx.Now)
 				if _, seen := reservations[j.ID]; !seen {
 					reservations[j.ID] = sh
@@ -224,7 +196,8 @@ func TestEASYInvariantRandom(t *testing.T) {
 					reservations[j.ID] = sh // shadow can only improve as jobs end early
 				}
 			}
-		}
+			return 0
+		}), 10))
 		if err := s.Load(jobs); err != nil {
 			t.Fatal(err)
 		}
@@ -298,28 +271,49 @@ func TestCarriedScanIsTiedToItsSimulator(t *testing.T) {
 	}
 }
 
-// Startable asks the whole queue, not the window: on a cluster with 4 nodes
-// and 8 burst-buffer units free, a window of two holding jobs too big for it
-// is startable exactly when a job behind the window fits.
+// Startable asks the whole queue, not the window: a job of 12 nodes and 2
+// burst-buffer units runs from t=0, and at t=1 a queue arrives, on 4 nodes
+// and 6 units free, under a window of two. The round's first pick there is
+// startable exactly when some job of the queue fits, behind the window or
+// not. A context no round built reports true.
 func TestStartable(t *testing.T) {
-	cl := cluster.New(cfg())
-	if err := cl.Allocate(100, []int{12, 0}, 0, 500); err != nil {
-		t.Fatal(err)
-	}
-	big, wide, small := mk(1, 0, 10, 8, 0), mk(2, 0, 10, 2, 9), mk(3, 0, 10, 4, 8)
+	big := func(id int) *job.Job { return mk(id, 1, 10, 8, 0) }
+	wide := func(id int) *job.Job { return mk(id, 1, 10, 2, 7) }
+	small := func(id int) *job.Job { return mk(id, 1, 10, 4, 6) }
 	for _, c := range []struct {
 		name  string
 		queue []*job.Job
 		want  bool
 	}{
-		{"empty queue", nil, false},
-		{"nothing fits", []*job.Job{big, wide, big}, false},
-		{"only a job behind the window fits", []*job.Job{big, wide, small}, true},
-		{"the head fits", []*job.Job{small, big}, true},
+		{"nothing fits", []*job.Job{big(1), wide(2), big(3)}, false},
+		{"only a job behind the window fits", []*job.Job{big(1), wide(2), small(3)}, true},
+		{"the head fits", []*job.Job{small(1), big(2)}, true},
 	} {
-		ctx := &PickContext{Window: c.queue[:min(2, len(c.queue))], Queue: c.queue, Cluster: cl}
-		if got := ctx.Startable(); got != c.want {
-			t.Errorf("%s: Startable() = %v, want %v", c.name, got, c.want)
+		var got []bool // Startable at each pick at t=1
+		p := NewWindowPolicy(PickerFunc(func(ctx *PickContext) int {
+			if ctx.Now == 1 {
+				got = append(got, ctx.Startable())
+			}
+			return 0
+		}), 2)
+		s := sim.New(cfg(), p)
+		if err := s.Load(append([]*job.Job{mk(100, 0, 500, 12, 2)}, c.queue...)); err != nil {
+			t.Fatal(err)
 		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || got[0] != c.want {
+			t.Errorf("%s: Startable() at the round's picks = %v, want %v first", c.name, got, c.want)
+		}
+	}
+	cl := cluster.New(cfg())
+	if err := cl.Allocate(100, []int{12, 2}, 0, 500); err != nil {
+		t.Fatal(err)
+	}
+	queue := []*job.Job{big(1), wide(2), big(3)}
+	ctx := &PickContext{Now: 1, Window: queue[:2], Queue: queue, Cluster: cl, Usage: cl.Usage()}
+	if !ctx.Startable() {
+		t.Error("a context no round built, where nothing fits: Startable() = false, want true")
 	}
 }

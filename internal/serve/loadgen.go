@@ -19,12 +19,12 @@ import (
 // down to max, preserving the trace's coverage from empty-cluster start to
 // saturated steady state.
 func SampleRequests(sys cluster.Config, jobs []*job.Job, window, max int) ([]Request, error) {
-	policy := sched.NewWindowPolicy(sched.FCFS{}, window)
 	var reqs []Request
-	policy.OnDecision = func(ctx *sched.PickContext, pick int) {
+	fcfs := sched.PickerFunc(func(ctx *sched.PickContext) int {
 		reqs = append(reqs, RequestFromContext(ctx))
-	}
-	s := sim.New(sys, policy)
+		return 0
+	})
+	s := sim.New(sys, sched.NewWindowPolicy(fcfs, window))
 	if err := s.Load(job.CloneAll(jobs)); err != nil {
 		return nil, fmt.Errorf("serve: sampling requests: %w", err)
 	}

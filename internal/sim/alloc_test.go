@@ -32,9 +32,14 @@ func TestFCFSAllocationsPerJob(t *testing.T) {
 	for i := range clones {
 		clones[i] = job.CloneAll(trace)
 	}
-	next, decisions := 0, 0
+	next, rounds := 0, 0
 	perRun := testing.AllocsPerRun(runs, func() {
-		s := sim.New(sys, sched.NewWindowPolicy(sched.FCFS{}, 10))
+		wp := sched.NewWindowPolicy(sched.FCFS{}, 10)
+		rounds = 0
+		s := sim.New(sys, sim.PolicyFunc(func(s *sim.Simulator) {
+			rounds++
+			wp.OnSchedule(s)
+		}))
 		if err := s.Load(clones[next]); err != nil {
 			t.Fatal(err)
 		}
@@ -42,9 +47,8 @@ func TestFCFSAllocationsPerJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		next++
-		decisions = s.Decisions
 	})
-	t.Logf("%.0f allocations per run: %.2f per job, %d scheduling rounds", perRun, perRun/jobs, decisions)
+	t.Logf("%.0f allocations per run: %.2f per job, %d scheduling rounds", perRun, perRun/jobs, rounds)
 	if perJob := perRun / jobs; perJob > 1 {
 		t.Fatalf("%.2f allocations per job, want <= 1", perJob)
 	}

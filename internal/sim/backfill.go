@@ -13,7 +13,7 @@ import (
 // jobs that scan refused under them, and the last reservation walk.
 type easy struct {
 	lim, held limits
-	refused   int // queue[:refused] was refused under held; StartAt keeps it
+	refused   int // queue[:refused] was refused under held; startAt keeps it
 	carried   int // scans that began behind refused jobs (the tests' floor)
 	walk      walk
 }
@@ -35,14 +35,13 @@ type walk struct {
 	extra    []int
 }
 
-// Backfill is multi-resource EASY backfilling around reserved, the job that
-// holds the advance reservation: it starts, in queue order, every waiting
-// job that does not delay reserved — one that fits free and either ends, by
-// its walltime, at or before the shadow time or fits the resources spare
-// there. The reserved job needs no test of its own: it did not fit a moment
+// backfill is multi-resource EASY backfilling around reserved, the job the
+// round reserved: it starts, in queue order, every waiting job that does not
+// delay reserved — one that fits free and either ends, by its walltime, at
+// or before the shadow time or fits the resources spare there. The reserved job needs no test of its own: it did not fit a moment
 // ago and free only shrinks. The package doc says when the shadow walk is
 // reused and where the scan begins and ends.
-func (s *Simulator) Backfill(reserved *job.Job) {
+func (s *Simulator) backfill(reserved *job.Job) {
 	e, cl := &s.easy, s.cl
 	w, lim := &e.walk, &e.lim
 	if w.reserved != reserved || w.version != cl.Version() {
@@ -72,7 +71,7 @@ func (s *Simulator) Backfill(reserved *job.Job) {
 			break
 		}
 		demand, endsBeforeShadow := s.queue[i].Demand, s.clk+s.qWall[i] <= shadow
-		if err := s.StartAt(i); err != nil {
+		if err := s.startAt(i); err != nil {
 			panic(fmt.Sprintf("sim: backfill start: %v", err))
 		}
 		for r, d := range demand {

@@ -19,7 +19,7 @@ func cfg() cluster.Config {
 // snapshotBackfill is the retired backfill: copy the queue, then test every
 // copied candidate against CanFit, the shadow time and the spare capacity.
 // It returns the IDs it started, in order, and the spare vector it ended
-// with — the oracle for Simulator.Backfill, whose scan runs over the demand
+// with — the oracle for the simulator's pass, whose scan runs over the demand
 // keys, ends when Free(0) is zero and begins behind the jobs the previous
 // scan refused.
 func snapshotBackfill(s *sim.Simulator, reserved *job.Job) (started, extra []int) {
@@ -49,6 +49,22 @@ func snapshotBackfill(s *sim.Simulator, reserved *job.Job) (started, extra []int
 		}
 	}
 	return started, extra
+}
+
+// reserving wraps p in a picker that sets *reserved to the job a round
+// reserves: its last pick, clamped as the round clamps it, when that pick
+// does not fit. The caller clears *reserved before each round.
+func reserving(p sim.Picker, reserved **job.Job) sim.Picker {
+	return sim.PickerFunc(func(ctx *sim.PickContext) int {
+		k := p.Pick(ctx)
+		if k < 0 || k >= len(ctx.Window) {
+			k = 0
+		}
+		if j := ctx.Window[k]; !ctx.Cluster.CanFit(j.Demand) {
+			*reserved = j
+		}
+		return k
+	})
 }
 
 // oracleCase shapes the traces of one differential run.
@@ -90,7 +106,7 @@ func (c oracleCase) trace(rng *rand.Rand) []*job.Job {
 }
 
 // Two simulators replay one random trace under one seeded random picker;
-// one backfills with Simulator.Backfill, the other with the snapshot oracle.
+// one backfills with the simulator's pass, the other with the snapshot oracle.
 // At every round that ends in a reservation they must have started the same
 // jobs in the same order and be left with the same spare vector and queue.
 func TestInPlaceBackfillMatchesSnapshotScan(t *testing.T) {
@@ -143,10 +159,10 @@ func (c oracleCase) run(t *testing.T, seed int64) (n tally) {
 	var logs [2][]string
 	jumped := map[int]int{} // the job the in-place side's jump hook started, by round
 	for side := range logs {
-		wp := sched.NewWindowPolicy(nil, 5)
-		wp.Backfill = false // the test runs the backfill itself, to see its starts
 		pick := rand.New(rand.NewSource(seed))
-		wp.Picker = sched.PickerFunc(func(ctx *sched.PickContext) int { return pick.Intn(len(ctx.Window)) })
+		var reserved *job.Job
+		wp := sim.NewWindowPolicy(reserving(sim.PickerFunc(func(ctx *sim.PickContext) int { return pick.Intn(len(ctx.Window)) }), &reserved), 5)
+		wp.Backfill = false // the test runs the backfill itself, to see its starts
 		record := func(s *sim.Simulator, started, extra []int) {
 			if side == 0 && len(started) >= 2 {
 				n.multi++
@@ -156,20 +172,21 @@ func (c oracleCase) run(t *testing.T, seed int64) (n tally) {
 				q[i] = j.ID
 			}
 			logs[side] = append(logs[side], fmt.Sprintf("t=%v reserved=%d started=%v extra=%v queue=%v",
-				s.Now(), s.Reserved.ID, started, extra, q))
+				s.Now(), reserved.ID, started, extra, q))
 		}
 		policy := sim.PolicyFunc(func(s *sim.Simulator) {
+			reserved = nil
 			wp.OnSchedule(s)
-			if s.Reserved == nil {
+			if reserved == nil {
 				return
 			}
 			if side == 1 {
-				started, extra := snapshotBackfill(s, s.Reserved)
+				started, extra := snapshotBackfill(s, reserved)
 				record(s, started, extra)
 				return
 			}
 			before := slices.Clone(s.Queue())
-			s.Backfill(s.Reserved)
+			sim.Backfill(s, reserved)
 			var started []int
 			for _, j := range before { // the scan starts jobs in queue order
 				if j.State == job.Running {
@@ -306,18 +323,20 @@ func TestReusedShadowMatchesFreshWalk(t *testing.T) {
 			for seed := int64(1); seed <= 30; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				trace := oracleCase{sys: three, walltimeOver: []float64{0.5, 1, 2}}.trace(rng)
-				wp := sched.NewWindowPolicy(sched.PickerFunc(func(ctx *sched.PickContext) int { return rng.Intn(len(ctx.Window)) }), 5)
+				var r *job.Job // the round's reservation
+				wp := sim.NewWindowPolicy(reserving(sim.PickerFunc(func(ctx *sim.PickContext) int { return rng.Intn(len(ctx.Window)) }), &r), 5)
 				wp.Backfill = false // the test backfills, after it has taken a fresh walk
 				policy := sim.PolicyFunc(func(s *sim.Simulator) {
+					r = nil
 					wp.OnSchedule(s)
-					if r := s.Reserved; r != nil {
+					if r != nil {
 						cl := s.Cluster()
 						walked, version, _ := s.Walk()
 						if walked == r && version == cl.Version() {
 							reused++
 						}
 						shadow, extra := sched.Shadow(cl, r.Demand, s.Now())
-						s.Backfill(r)
+						sim.Backfill(s, r)
 						_, _, planned, _ := s.Held()
 						if _, _, walkExtra := s.Walk(); planned != shadow || !slices.Equal(walkExtra, extra) {
 							t.Fatalf("seed %d, t=%v, job %d reserved: planned shadow %v extra %v, a fresh walk gives %v %v",

@@ -2,7 +2,8 @@
 // job-scheduling simulator (§IV of the paper). It imports jobs from a trace,
 // advances a simulation clock on job-arrival and job-completion events, and
 // on every queue/system change hands control to a scheduling Policy, exactly
-// as CQSim sends scheduling requests to the MRSch agent.
+// as CQSim sends scheduling requests to the MRSch agent. The policy every
+// method runs is this package's round, WindowPolicy (below).
 //
 // # Determinism
 //
@@ -35,14 +36,14 @@
 // allocates and releases (see internal/cluster), so the look-ahead of a
 // reservation, the state encoder and the goal vector read it without
 // sorting. It keeps no index by job: a finish releases its job by the key
-// StartAt allocated it with, Start + Walltime (the same float addition, so
+// startAt allocated it with, Start + Walltime (the same float addition, so
 // a running job's Start and Walltime must not change), through the binary
 // search that placed it, and Load's refusal of a repeated ID is what keeps
-// the keys of one trace apart. StartAt removes the started job at the queue
-// index the policy already holds, moving the shorter side of the queue (the
-// head: nothing). The window policy (internal/sched) reuses one PickContext
-// and usage vector from round to round; Backfill reuses its scan limits, and
-// its last reservation walk while it holds (below).
+// the keys of one trace apart. startAt removes the started job at the queue
+// index the round already holds, moving the shorter side of the queue (the
+// head: nothing). The round reuses one PickContext and usage vector from
+// round to round; the EASY pass reuses its scan limits, and its last
+// reservation walk while it holds (below).
 //
 // The EASY backfill does not walk the jobs. Beside the queue the simulator
 // keeps two columns, index for index: the demand vector packed into lanes of
@@ -64,15 +65,31 @@
 // full comparison and resumes after a refusal, so it is exact on every
 // system. Only a clamped lane (more than eight resources, or a capacity
 // above a lane's largest value; no builtin system) can cause a refusal, and
-// a job confirmed is the job Backfill starts next, which it reads anyway.
+// a job confirmed is the job the pass starts next, which it reads anyway.
 // A run allocates for set-up and for slices that grow, not per job, per
 // event or per round (TestFCFSAllocationsPerJob,
 // TestLoadOfAscendingIDsAllocatesOnce).
 //
+// # The round
+//
+// WindowPolicy is the scheduling round of §III-C: it asks its Picker for a
+// job from the window at the front of the queue, starts each pick that
+// fits, reserves the first that does not, and runs the EASY pass around it.
+// The Picker is the one place a round asks for a decision; internal/sched
+// names the pickers. A pick is moot where no waiting job fits the free
+// resources (PickContext.Startable, the free half of the EASY test over the
+// demand columns): the round reserves it and every EASY candidate must fit
+// free, so nothing starts; the next round rewrites the reservation and the
+// pass's memos hold for any reserved job. So a Picker may answer a moot pick
+// as it likes, drawing any randomness as before: an evaluating MRSch actor
+// answers without its model (core.MRSchActor.Pick), and the reference
+// differential (internal/sched) answers otherwise and must still match every
+// start time.
+//
 // # The EASY pass
 //
-// Backfill is the whole of multi-resource EASY backfilling around the job
-// the window policy reserved: it takes the reservation's shadow time and
+// backfill is the whole of multi-resource EASY backfilling around the job
+// the round reserved: it takes the reservation's shadow time and
 // spare vector (extra) from a walk of the running set, free from the
 // cluster, and starts, in queue order, every waiting job that fits free and
 // either ends by its walltime at or before the shadow time or fits extra,
@@ -89,9 +106,9 @@
 // refused under limits at least its final ones, or not asked because free[0]
 // was zero. The simulator keeps those limits and the count of jobs waiting,
 // and begins the next scan behind them when free, extra and shadow are all at
-// most the kept ones. Jobs leave the queue only through StartAt, which
-// decrements the count when it removes one below it — whether the window
-// loop, the pass or a policy's StartJob called it — and join only at its
+// most the kept ones. Jobs leave the queue only through startAt, which
+// decrements the count when it removes one below it — whether the round,
+// the pass or a policy's StartJob called it — and join only at its
 // end; the clock never goes back. So the count always covers exactly the
 // refused jobs still waiting, and no case changes which jobs pass.
 //

@@ -2,6 +2,10 @@ package sim
 
 import "repro/internal/job"
 
+// Backfill runs the EASY pass around reserved, as a round that reserved it
+// would.
+var Backfill = (*Simulator).backfill
+
 // Held returns the limits the last EASY scan ended with and how many waiting
 // jobs it refused under them: Queue()[:refused].
 func (s *Simulator) Held() (free, extra []int, shadow float64, refused int) {

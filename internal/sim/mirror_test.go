@@ -91,7 +91,7 @@ func runQueueOps(t testing.TB, data []byte) {
 			j, before := s.queue[i], len(s.queue)
 			var err error
 			if op == 1 {
-				err = s.StartAt(i)
+				err = s.startAt(i)
 			} else {
 				err = s.StartJob(j)
 			}

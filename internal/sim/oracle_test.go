@@ -16,7 +16,7 @@ import (
 // submit pushed by Load, a finish pushed by a start — went through one
 // binary heap ordered by (time, finish before submit, push order), and Load
 // kept a map of every ID. That mechanism is kept here, as it was, as the
-// reference: heapSim is the retired Load/Step/StartAt around the retired
+// reference: heapSim is the retired Load/Step/startAt around the retired
 // heap, and the tests below replay random and fuzzed operation strings
 // through it and through the Simulator, requiring the same clock, the same
 // waiting queue, the same finished jobs and the same errors after every
@@ -166,7 +166,7 @@ func greedyFirstFit(s *Simulator) {
 			i++
 			continue
 		}
-		if err := s.StartAt(i); err != nil {
+		if err := s.startAt(i); err != nil {
 			panic(err)
 		}
 	}

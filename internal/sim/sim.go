@@ -35,7 +35,8 @@ type Simulator struct {
 	lanes    lanes
 	finished []*job.Job
 	policy   Policy
-	easy     easy // what Backfill keeps from one round to the next
+	easy     easy  // what backfill keeps from one round to the next
+	free     []int // Startable's scratch: the cluster's free units
 
 	// Load refuses an ID twice. While IDs arrive in ascending order — as the
 	// generators, the SWF reader and job.CloneAll produce them — comparing
@@ -44,16 +45,7 @@ type Simulator struct {
 	lastID int
 	ids    map[int]struct{}
 
-	// Reserved is the job currently holding an advance reservation, if any.
-	// It is set by the scheduling framework (internal/sched) and cleared
-	// when the job starts; the simulator itself only reports it.
-	Reserved *job.Job
-
-	acct accounting
-
-	// Decisions counts policy invocations.
-	Decisions int
-
+	acct      accounting
 	maxEvents int
 }
 
@@ -133,17 +125,17 @@ func (s *Simulator) seen(id int) bool {
 func (s *Simulator) StartJob(j *job.Job) error {
 	for i, q := range s.queue {
 		if q == j {
-			return s.StartAt(i)
+			return s.startAt(i)
 		}
 	}
 	return fmt.Errorf("sim: start job %d in state %v: not in the waiting queue", j.ID, j.State)
 }
 
-// StartAt is StartJob for the job at Queue()[i], for a policy that already
+// startAt is StartJob for the job at queue[i], for a caller that already
 // holds the index: the job is removed there instead of searched for. Every
-// start comes through here, so here Backfill's count of refused jobs stays
+// start comes through here, so here backfill's count of refused jobs stays
 // exact.
-func (s *Simulator) StartAt(i int) error {
+func (s *Simulator) startAt(i int) error {
 	if i < 0 || i >= len(s.queue) {
 		return fmt.Errorf("sim: start queue[%d] of %d waiting jobs", i, len(s.queue))
 	}
@@ -159,9 +151,6 @@ func (s *Simulator) StartAt(i int) error {
 	s.qWall = removeAt(s.qWall, i)
 	if i < s.easy.refused {
 		s.easy.refused-- // one of the jobs the last backfill scan refused
-	}
-	if s.Reserved == j {
-		s.Reserved = nil
 	}
 	return nil
 }
@@ -212,7 +201,7 @@ func (s *Simulator) Step() (bool, error) {
 	s.clk = t
 	for len(s.finishes.items) > 0 && s.finishes.items[0].time == t {
 		j := s.finishes.pop().job
-		if err := s.cl.Release(j.ID, j.Start+j.Walltime); err != nil { // StartAt's key
+		if err := s.cl.Release(j.ID, j.Start+j.Walltime); err != nil { // startAt's key
 			return false, fmt.Errorf("sim: finish: %w", err)
 		}
 		j.State = job.Finished
@@ -226,7 +215,6 @@ func (s *Simulator) Step() (bool, error) {
 		s.qWall = append(s.qWall, j.Walltime)
 	}
 	s.policy.OnSchedule(s)
-	s.Decisions++
 	return true, nil
 }
 
