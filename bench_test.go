@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,6 +265,81 @@ func BenchmarkEvaluatorPicks(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/n, "ms/cell")
 	b.ReportMetric(float64(picks)/n, "picks/cell")
 	b.ReportMetric(float64(moot)/n, "moot/cell")
+}
+
+// BenchmarkLockstepDecisions is the gate of ROADMAP item 10(b), lockstep
+// cells, at the campaign geometry: the startable instants of one quick-scale
+// S4 cell under the trained evaluator, decided one at a time by a greedy
+// evaluator actor (dfp.Actor.Act after a Reset, so its first layer runs
+// packed) and in batches of 4 and 16 rows by a SnapshotDecider (dense, the
+// path a lockstep batch would take). ns/decision is per row; the gate asks
+// batch=16 to beat the evaluator by 1.3x.
+func BenchmarkLockstepDecisions(b *testing.B) {
+	base := experiments.MustPrepare(experiments.QuickScale())
+	agent, _, err := experiments.TrainMRSch(base, "S4", false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, _ := scenario.ByName("S4")
+	jobs, err := base.WorkloadSpec(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var states, meas, goals [][]float64
+	var valid []int
+	actor, _ := agent.Actor()
+	actor.Reset(base.Scale.Seed+9000, 0)
+	actor.Unrecorded()
+	harvest := sched.PickerFunc(func(ctx *sched.PickContext) int {
+		if ctx.Startable() {
+			states = append(states, agent.Enc.Encode(ctx))
+			meas = append(meas, slices.Clone(ctx.Usage))
+			goals = append(goals, core.GoalVector(ctx))
+			valid = append(valid, len(ctx.Window))
+		}
+		return actor.Pick(ctx)
+	})
+	s := sim.New(base.SystemFor(sp), sched.NewWindowPolicy(harvest, agent.Enc.Window))
+	if err := s.Load(job.CloneAll(jobs)); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	n := len(states)
+	if n < 16 {
+		b.Fatalf("harvested %d startable instants", n)
+	}
+	perRow := func(b *testing.B, rows int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/decision")
+		b.ReportMetric(float64(n), "instants")
+	}
+	b.Run("evaluator", func(b *testing.B) {
+		ev := agent.Agent.Actor()
+		ev.Reset(1, 0)
+		ev.Unrecorded()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % n
+			ev.Act(states[k], meas[k], goals[k], valid[k])
+		}
+		perRow(b, 1)
+	})
+	for _, rows := range []int{4, 16} {
+		b.Run(fmt.Sprintf("batch=%d", rows), func(b *testing.B) {
+			d := agent.Agent.SnapshotDecider()
+			var dst []int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := (i * rows) % (n - rows + 1)
+				hi := lo + rows
+				dst = d.DecideBatch(states[lo:hi], meas[lo:hi], goals[lo:hi], valid[lo:hi], dst)
+			}
+			perRow(b, rows)
+		})
+	}
 }
 
 // ---------------------------------------------------------------------------

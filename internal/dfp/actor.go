@@ -11,6 +11,7 @@ package dfp
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/nn"
 )
@@ -35,7 +36,8 @@ func (m *modules) all() []nn.Layer {
 // nn.SharedClone for replicas whose parameters alias the live weight Values
 // (rollout actors, gradient workers), nn.SnapshotClone for replicas that read
 // the published copy-on-write snapshot and so may run forward passes
-// concurrently with TrainStep. Gradients and forward state are private.
+// concurrently with TrainStep. Forward state is private; the clones carry no
+// gradient storage, which only the gradient workers allocate (engine.go).
 func (m *modules) cloneVia(clone func(nn.Layer) nn.Layer) modules {
 	return modules{
 		state: clone(m.state),
@@ -151,6 +153,7 @@ type Actor struct {
 	eps        float64
 	steps      []*stepRecord
 	unrecorded bool
+	packed     runs // a recorded state's runs, before the step keeps a copy of them
 
 	// first is the state module's first Dense, nil when it opens with
 	// anything else. Its packed copy (nn.Dense.Pack) is good from one Reset
@@ -242,8 +245,9 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 	if ac.unrecorded {
 		return action
 	}
+	ac.packed = appendRuns(ac.packed[:0], state)
 	ac.steps = append(ac.steps, &stepRecord{
-		state:  append([]float64(nil), state...),
+		state:  slices.Clone(ac.packed),
 		meas:   append([]float64(nil), meas...),
 		goal:   append([]float64(nil), goalExt...),
 		action: action,
@@ -278,9 +282,10 @@ func (ac *Actor) clampValid(valid int) int {
 	return valid
 }
 
-// stepRecord is one recorded decision.
+// stepRecord is one recorded decision. Its state is kept in the replay's
+// run-length form, which IngestTranscript moves into the Experience as it is.
 type stepRecord struct {
-	state  []float64
+	state  runs
 	meas   []float64
 	goal   []float64 // extended goal (PredDim)
 	action int

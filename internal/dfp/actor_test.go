@@ -205,3 +205,36 @@ func TestActorWithoutResetRunsDense(t *testing.T) {
 		t.Fatal("the CNN state module opens with a convolution; nothing to pack")
 	}
 }
+
+// Clones made for inference carry no gradient storage: at the quick
+// geometry's state width, what Agent.Actor and SnapshotDecider allocate —
+// the clones' params and layers and an actor's rng — stays below one weight
+// vector. The decider is measured once the snapshot it reads exists, since
+// materializing it is one weight vector by design.
+func TestInferenceClonesAllocateNoGradients(t *testing.T) {
+	cfg := DefaultConfig(394, 2, 10)
+	cfg.Workers = 1
+	a := New(cfg)
+	weights := 0
+	for _, p := range a.params {
+		weights += 8 * len(p.Value)
+	}
+	a.SnapshotDecider()
+	var ac *Actor
+	var d *BatchDecider
+	for name, f := range map[string]func(){
+		"Actor":           func() { ac = a.Actor() },
+		"SnapshotDecider": func() { d = a.SnapshotDecider() },
+	} {
+		if n := allocated(f); n >= uint64(weights) {
+			t.Errorf("%s allocated %d bytes; one weight vector is %d", name, n, weights)
+		}
+	}
+	for _, net := range append(ac.nets.all(), d.nets.all()...) {
+		for _, p := range net.Params() {
+			if p.Grad != nil {
+				t.Fatalf("inference clone param %s has gradient storage", p.Name)
+			}
+		}
+	}
+}

@@ -342,7 +342,7 @@ func TestTrainStepReducesLoss(t *testing.T) {
 	mask := []bool{true, true, true, true}
 	for i := 0; i < 64; i++ {
 		a.replay.add(&Experience{
-			State:  make([]float64, cfg.StateDim),
+			State:  appendRuns(nil, make([]float64, cfg.StateDim)),
 			Meas:   []float64{0.5, 0.5},
 			Goal:   a.ExtendGoal([]float64{0.5, 0.5}),
 			Action: i % cfg.Actions,

@@ -54,11 +54,19 @@
 //   - The replay buffer (replay.go) is one fixed-capacity ring: oldest-first
 //     eviction, one uniform rng.Intn per sampled experience — the draw
 //     sequence every trained-weights golden is pinned to
-//     (TestReplaySingleShardSamplingMatchesReference).
+//     (TestReplaySingleShardSamplingMatchesReference). It keeps each state
+//     in a lossless run-length form over element pairs (runs): a recording
+//     Actor packs the state once, IngestTranscript moves that form into the
+//     Experience, and only the minibatch gather and AppendState expand it,
+//     back to the very float64 words recorded. MRSch's unit sections lie in
+//     runs, so a stored state is about 27 % of its dense words at the quick
+//     geometry, and no minibatch row or weight differs.
 //
 // # Weight snapshots and rollout actors
 //
-// Two clone flavors serve the parallel harnesses in internal/rollout:
+// Two clone flavors serve the parallel harnesses in internal/rollout. Neither
+// carries gradient storage: only the training engine's replica workers run a
+// backward pass through a clone, and they allocate it themselves.
 //
 //   - Agent.Actor pairs nn.SharedClone replicas (weights alias the live
 //     Values) with private scratch — safe to run concurrently with other
@@ -92,7 +100,10 @@
 // ReadState (state.go) write and read the agent's complete training state as
 // one versioned section of the sealed file layout (internal/wire) — weights,
 // published snapshot buffers, Adam moments and step counter, the replay ring
-// with its cursor, the epsilon schedule position and the rng draw cursor. An
+// with its cursor, the epsilon schedule position and the rng draw cursor.
+// The section stores every replay state dense, as mrsch-dfp-state-v4 always
+// has: the run-length form is how the ring holds a state in memory, not a
+// file format, and ReadState packs each state as it loads it. An
 // episode in progress lives in an Actor, never in the agent, so there is none
 // to save. Saving at a quiescent point and loading into an
 // identically-configured agent resumes training bit-for-bit

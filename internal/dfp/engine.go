@@ -137,8 +137,13 @@ func (a *Agent) newReplicaWorker() *trainWorker {
 		trunk:    trunk,
 		head:     head,
 	}
+	// The replicas are the one place a clone runs Backward, so the one
+	// place clone gradient storage is allocated: a shadow per parameter.
 	for _, net := range nets.all() {
-		tw.params = append(tw.params, net.Params()...)
+		for _, p := range net.Params() {
+			p.Grad = make(nn.Vec, len(p.Value))
+			tw.params = append(tw.params, p)
+		}
 	}
 	return tw
 }
@@ -433,12 +438,13 @@ func (tw *trainWorker) run(exps []*Experience) {
 	so, h, sh := cfg.StateOut, cfg.ModuleHidden, cfg.StreamHidden
 	jd := so + 2*h
 
-	// Gather the shard into row-major input matrices.
-	tw.stateB = nn.Ensure(tw.stateB, bs*sd)
+	// Gather the shard into row-major input matrices; each state is expanded
+	// from its runs straight into its row.
+	tw.stateB = nn.Ensure(tw.stateB, bs*sd)[:0]
 	tw.measB = nn.Ensure(tw.measB, bs*m)
 	tw.goalB = nn.Ensure(tw.goalB, bs*gd)
 	for b, e := range exps {
-		copy(tw.stateB[b*sd:(b+1)*sd], e.State)
+		tw.stateB = e.State.appendTo(tw.stateB)
 		copy(tw.measB[b*m:(b+1)*m], e.Meas)
 		copy(tw.goalB[b*gd:(b+1)*gd], e.Goal)
 	}

@@ -26,7 +26,7 @@ func (a *Agent) TrainStepReference() float64 {
 	total := 0.0
 	for b := 0; b < batch; b++ {
 		e := a.replay.sample(a.rng)
-		preds := a.forwardScratch(e.State, e.Meas, e.Goal)
+		preds := a.forwardScratch(e.State.appendTo(nil), e.Meas, e.Goal)
 		loss, grad := nn.MaskedMSE(preds[e.Action], e.Target, e.Mask)
 		total += loss
 		grads := make([][]float64, a.cfg.Actions)
@@ -115,7 +115,7 @@ func fillReplay(a *Agent, count int, seed int64) {
 			mask[j] = rng.Float64() < 0.8
 		}
 		a.replay.add(&Experience{
-			State:  state,
+			State:  appendRuns(nil, state),
 			Meas:   meas,
 			Goal:   a.ExtendGoal(goal),
 			Action: rng.Intn(cfg.Actions),

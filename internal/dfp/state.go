@@ -10,6 +10,7 @@ package dfp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/wire"
@@ -44,8 +45,10 @@ func (a *Agent) AppendState(b []byte) []byte {
 	b = wire.AppendBool(b, a.replay.full)
 	stored := a.replay.buf[:a.replay.len()]
 	b = wire.AppendUvarint(b, uint64(len(stored)))
+	var state []float64 // each stored state expanded: the layout is dense
 	for _, e := range stored {
-		b = wire.AppendFloats(b, e.State)
+		state = e.State.appendTo(state[:0])
+		b = wire.AppendFloats(b, state)
 		b = wire.AppendFloats(b, e.Meas)
 		b = wire.AppendFloats(b, e.Goal)
 		b = wire.AppendInt(b, e.Action)
@@ -122,9 +125,14 @@ func (a *Agent) ReadState(r *wire.Reader) (func(), error) {
 		return nil, fmt.Errorf("replay has %d stored experiences, geometry implies %d (next=%d full=%v)", n, want, next, full)
 	}
 	replay := make([]*Experience, n)
+	state, packed := make([]float64, sd), runs(nil)
 	for i := range replay {
+		for k := range state {
+			state[k] = r.Float()
+		}
+		packed = appendRuns(packed[:0], state)
 		// Each its own allocation: eviction frees it alone.
-		e := &Experience{State: r.Floats(sd), Meas: r.Floats(md), Goal: r.Floats(pd), Action: r.Int(), Target: r.Floats(pd), Mask: make([]bool, pd)}
+		e := &Experience{State: slices.Clone(packed), Meas: r.Floats(md), Goal: r.Floats(pd), Action: r.Int(), Target: r.Floats(pd), Mask: make([]bool, pd)}
 		for k := range e.Mask {
 			e.Mask[k] = r.Bool()
 		}

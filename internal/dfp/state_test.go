@@ -250,7 +250,13 @@ type (
 		TrainSteps                               int
 		ReplayCap, ReplayNext                    int
 		ReplayFull                               bool
-		Replay                                   []Experience
+		Replay                                   []gobExperience
+	}
+	gobExperience struct {
+		State, Meas, Goal []float64
+		Action            int
+		Target            []float64
+		Mask              []bool
 	}
 	gobTrainState struct {
 		Magic        string

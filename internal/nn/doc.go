@@ -63,9 +63,12 @@
 //
 // For data-parallel training, SharedClone replicates a network so that the
 // replica shares parameter Values with the original but owns private
-// gradient buffers and forward state — each worker accumulates into its own
-// gradients, which the caller reduces before the optimizer step
-// (internal/dfp does this across Config.Workers goroutines).
+// forward state; the caller gives each replica param a private gradient
+// buffer, each worker accumulates into its own gradients, and the caller
+// reduces them before the optimizer step (internal/dfp does this across
+// Config.Workers goroutines). Clones come without gradient storage because
+// most are made for inference — rollout actors, evaluators, the serve
+// daemon's pooled deciders — and never run Backward.
 //
 // The Adam update comes apart the same way. BeginStep opens an update (step
 // counter, bias corrections, moment vectors for parameters that have none),

@@ -7,7 +7,8 @@ import (
 
 // Param is a learnable tensor with its accumulated gradient. Optimizers
 // update Value from Grad; Grad is accumulated across Backward calls until
-// the optimizer zeroes it.
+// the optimizer zeroes it. A clone's params (SharedClone, SnapshotClone)
+// have a nil Grad until their holder gives them one.
 //
 // A Param additionally carries an optional versioned snapshot of Value
 // (snapshot.go): Snapshot materializes a stable copy that concurrent readers

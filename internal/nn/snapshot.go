@@ -56,16 +56,16 @@ func PublishParams(ps []*Param) {
 }
 
 // snapshotParam returns a Param whose Value aliases p's published snapshot
-// buffer, with a private gradient buffer. It is the param view behind
+// buffer, with no gradient storage. It is the param view behind
 // SnapshotClone, the read-side of the pipelined-training protocol.
 func snapshotParam(p *Param) *Param {
-	return &Param{Name: p.Name, Value: p.Snapshot(), Grad: make(Vec, len(p.Grad))}
+	return &Param{Name: p.Name, Value: p.Snapshot()}
 }
 
 // SnapshotClone returns a copy of l whose parameters read the published
 // weight snapshot (materializing it from the current live values on first
-// use) instead of the live Value buffers, with private forward state. The
-// clone's weights stay frozen at the last published version while the
-// original trains, and advance when the owner calls Publish/PublishParams at
-// a synchronization point.
+// use) instead of the live Value buffers, with private forward state and, as
+// for SharedClone, no gradient storage. The clone's weights stay frozen at
+// the last published version while the original trains, and advance when the
+// owner calls Publish/PublishParams at a synchronization point.
 func SnapshotClone(l Layer) Layer { return l.clone(snapshotParam) }
