@@ -208,8 +208,7 @@ func BenchmarkDecisionLatency(b *testing.B) {
 }
 
 // BenchmarkEvaluatorPicks runs quick-scale S4 cells on four trace seeds the
-// way a campaign evaluates MRSch — a greedy unrecorded actor of a trained
-// model — and counts, through a wrapping picker, the picks of a cell and how
+// way a campaign evaluates MRSch — the evaluator of a trained model — and counts, through a wrapping picker, the picks of a cell and how
 // many of them were moot (no waiting job fit, so the actor ran no model:
 // sched.PickContext.Startable). moot/cell over picks/cell is the share of a
 // cell's decisions that skip the forward pass.
@@ -241,10 +240,8 @@ func BenchmarkEvaluatorPicks(b *testing.B) {
 	var picks, moot int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k, c := range cells {
-			actor, _ := agent.Actor()
-			actor.Reset(base.Scale.Seed+9000+int64(k), 0)
-			actor.Unrecorded()
+		for _, c := range cells {
+			actor := agent.Evaluator()
 			counted := sched.PickerFunc(func(ctx *sched.PickContext) int {
 				picks++
 				if !ctx.Startable() {
@@ -270,9 +267,9 @@ func BenchmarkEvaluatorPicks(b *testing.B) {
 // BenchmarkLockstepDecisions is the gate of ROADMAP item 10(b), lockstep
 // cells, at the campaign geometry: the startable instants of one quick-scale
 // S4 cell under the trained evaluator, decided one at a time by a greedy
-// evaluator actor (dfp.Actor.Act after a Reset, so its first layer runs
-// packed) and in batches of 4 and 16 rows by a SnapshotDecider (dense, the
-// path a lockstep batch would take). ns/decision is per row; the gate asks
+// evaluator (dfp.Agent.Evaluator, whose first layer runs packed) and in
+// batches of 4 and 16 rows by a dfp.BatchDecider (dense, the path a lockstep
+// batch would take). ns/decision is per row; the gate asks
 // batch=16 to beat the evaluator by 1.3x.
 func BenchmarkLockstepDecisions(b *testing.B) {
 	base := experiments.MustPrepare(experiments.QuickScale())
@@ -287,9 +284,7 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 	}
 	var states, meas, goals [][]float64
 	var valid []int
-	actor, _ := agent.Actor()
-	actor.Reset(base.Scale.Seed+9000, 0)
-	actor.Unrecorded()
+	actor := agent.Evaluator()
 	harvest := sched.PickerFunc(func(ctx *sched.PickContext) int {
 		if ctx.Startable() {
 			states = append(states, agent.Enc.Encode(ctx))
@@ -315,9 +310,7 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 		b.ReportMetric(float64(n), "instants")
 	}
 	b.Run("evaluator", func(b *testing.B) {
-		ev := agent.Agent.Actor()
-		ev.Reset(1, 0)
-		ev.Unrecorded()
+		ev := agent.Agent.Evaluator()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -328,7 +321,7 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 	})
 	for _, rows := range []int{4, 16} {
 		b.Run(fmt.Sprintf("batch=%d", rows), func(b *testing.B) {
-			d := agent.Agent.SnapshotDecider()
+			d := agent.Agent.Decider()
 			var dst []int
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -352,10 +345,10 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 
 func episodeThroughputAgent(sys cluster.Config, stepWorkers int) *core.MRSch {
 	return core.New(sys, core.Options{
-		Window:  8,
-		Seed:    11,
-		Workers: stepWorkers,
+		Window: 8,
+		Seed:   11,
 		Mutate: func(c *dfp.Config) {
+			c.Workers = stepWorkers
 			c.StateHidden = []int{64, 32}
 			c.StateOut = 32
 			c.ModuleHidden = 16

@@ -13,15 +13,15 @@ import (
 // is private. Multiple actors may roll out episodes in
 // parallel against one master, provided the master's weights are not updated
 // until the rollouts finish — internal/rollout's round barrier guarantees
-// that. An actor is the one place an episode is recorded; an Unrecorded one
-// is an evaluator, which records nothing and runs no model where its pick is
-// moot (see Pick). Actors do not invoke GoalHook; that observation hook
-// belongs to the master's analysis paths (Figures 8/9).
+// that. An actor is the one place an episode is recorded; an Evaluator
+// records nothing, acts greedily and runs no model where its pick is moot
+// (see Pick). An observer of the picks (Figures 8/9 sample the goal vector)
+// wraps the actor in a sched.PickerFunc.
 type MRSchActor struct {
 	enc       encode.Config
 	ac        *dfp.Actor
 	fixedGoal []float64
-	evaluator bool // Unrecorded: moot picks skip the model
+	evaluator bool // built by Evaluator: moot picks skip the model
 
 	state, goal []float64 // the pick in progress; the dfp actor copies what it records
 	goals       goalTable
@@ -32,6 +32,18 @@ type MRSchActor struct {
 // bench/.
 func (m *MRSch) Actor() (*MRSchActor, bool) {
 	return &MRSchActor{enc: m.Enc, ac: m.Agent.Actor(), fixedGoal: m.FixedGoal}, true
+}
+
+// Evaluator returns the actor every whole-schedule evaluation of the agent
+// runs through (dfp.Agent.Evaluator): greedy at epsilon 0 whatever the
+// training epsilon is, no transcript, no allocation per pick once its buffers
+// are warm, and no model at an instant where no waiting job fits. Its picks
+// are Pick's at every startable instant, so its schedule is the one
+// sched.NewWindowPolicy(m, m.Enc.Window) runs. It takes no seed: at epsilon 0
+// its rng cannot change a pick. Build one per evaluation, after the weights
+// last changed.
+func (m *MRSch) Evaluator() *MRSchActor {
+	return &MRSchActor{enc: m.Enc, ac: m.Agent.Evaluator(), fixedGoal: m.FixedGoal, evaluator: true}
 }
 
 // SnapshotActor returns a rollout actor reading the agent's published
@@ -73,15 +85,6 @@ func (a *MRSchActor) Pick(ctx *sched.PickContext) int {
 		goal = a.goal
 	}
 	return a.ac.Act(a.state, ctx.Usage, goal, len(ctx.Window))
-}
-
-// Unrecorded makes the actor an evaluator (dfp.Actor.Unrecorded): no
-// transcript, no allocation per pick once its buffers are warm, and no model
-// at an instant where no waiting job fits. Its picks are a recording actor's
-// at every startable instant, so its schedule is too.
-func (a *MRSchActor) Unrecorded() {
-	a.ac.Unrecorded()
-	a.evaluator = true
 }
 
 // Policy wraps the actor in the shared window/reservation/backfilling driver

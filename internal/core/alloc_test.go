@@ -73,36 +73,35 @@ func mootContext(t *testing.T, m *MRSch) *sched.PickContext {
 	return nil
 }
 
-// An evaluating actor decides from buffers it owns: the state, the goal and
-// the network's activations are all in place after the first pick. Its picks
-// are those of a recording actor and of the agent itself at every startable
-// instant; at a moot one (no waiting job fits) it answers 0 without its
-// model, where the recording actor still answers the agent's pick. Both
-// actors were Reset, so under a kernel set that packs (CI forces each set
-// over this package) their first layer runs packed while the agent's runs
-// dense: the pick equality and the zero below hold for the packed path too.
+// An evaluator, the unrecorded actor, decides from buffers it owns: the
+// state, the goal and the network's activations are all in place after the
+// first pick. Its picks are those of a recording actor and of the agent
+// itself at every startable instant; at a moot one (no waiting job fits) it
+// answers 0 without its model, where the recording actor still answers the
+// agent's pick. The recording actor was Reset and the evaluator packs at its
+// first forward, so under a kernel set that packs (CI forces each set over
+// this package) their first layer runs packed while the agent's runs dense:
+// the pick equality and the zero below hold for the packed path too.
 func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
 	m := New(sys(), tinyOptions(5))
 	ctxs := pickContexts()
 	recording, _ := m.Actor()
 	recording.Reset(9, 0)
-	actor, _ := m.Actor()
-	actor.Reset(9, 0)
-	actor.Unrecorded()
+	actor := m.Evaluator()
 	for i, ctx := range ctxs { // also the warm-up
 		got, rec, want := actor.Pick(ctx), recording.Pick(ctx), m.Pick(ctx)
 		if got != want || rec != want {
-			t.Fatalf("context %d: unrecorded actor picks %d, recording actor %d, agent %d", i, got, rec, want)
+			t.Fatalf("context %d: evaluator picks %d, recording actor %d, agent %d", i, got, rec, want)
 		}
 	}
 	moot := mootContext(t, m)
 	if got, rec, want := actor.Pick(moot), recording.Pick(moot), m.Pick(moot); got != 0 || rec != want {
-		t.Fatalf("moot context: unrecorded actor picks %d, want 0; recording actor %d, agent %d", got, rec, want)
+		t.Fatalf("moot context: evaluator picks %d, want 0; recording actor %d, agent %d", got, rec, want)
 	}
 	ctxs = append(ctxs, moot)
 	// A transcript is opaque; what it held shows in the replay it feeds.
 	if m.Ingest(actor.TakeTranscript()); m.Agent.ReplaySize() != 0 {
-		t.Fatalf("an unrecorded actor kept %d experiences' worth of decisions", m.Agent.ReplaySize())
+		t.Fatalf("an evaluator kept %d experiences' worth of decisions", m.Agent.ReplaySize())
 	}
 	if m.Ingest(recording.TakeTranscript()); m.Agent.ReplaySize() == 0 {
 		t.Fatal("the recording actor kept no decisions")
@@ -112,7 +111,7 @@ func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
 		actor.Pick(ctxs[i%len(ctxs)])
 		i++
 	}); avg != 0 {
-		t.Fatalf("%v allocations per unrecorded pick, want 0", avg)
+		t.Fatalf("%v allocations per evaluator pick, want 0", avg)
 	}
 }
 

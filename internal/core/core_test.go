@@ -122,18 +122,23 @@ func TestGoalVectorSimplexProperty(t *testing.T) {
 	}
 }
 
-func TestMRSchPickRecordsGoal(t *testing.T) {
+// The agent's pick acts on GoalVector(ctx), the very call through which
+// Figures 8-9 observe the goal of every pick (a Picker wrapper records it),
+// and on a FixedGoal in its place.
+func TestMRSchPickActsOnGoalVector(t *testing.T) {
 	m := New(sys(), tinyOptions(5))
-	cl := cluster.New(sys())
-	queue := []*job.Job{mk(1, 0, 100, 2, 1), mk(2, 0, 100, 4, 2)}
-	var hookGoals [][]float64
-	m.GoalHook = func(now float64, g []float64) { hookGoals = append(hookGoals, g) }
-	pick := m.Pick(ctxWith(cl, 0, queue))
-	if pick < 0 || pick >= 2 {
-		t.Fatalf("pick = %d out of window", pick)
-	}
-	if len(hookGoals) != 1 || len(hookGoals[0]) != 2 {
-		t.Fatalf("the hook saw goals %v, want one two-resource goal", hookGoals)
+	for _, fixed := range [][]float64{nil, {0.9, 0.1}} {
+		m.FixedGoal = fixed
+		for i, ctx := range pickContexts() {
+			goal := fixed
+			if goal == nil {
+				goal = GoalVector(ctx)
+			}
+			want := m.Agent.Act(m.Enc.Encode(ctx), ctx.Usage, goal, len(ctx.Window), false)
+			if got := m.Pick(ctx); got != want {
+				t.Fatalf("fixed goal %v, context %d: Pick = %d, acting on the goal vector picks %d", fixed, i, got, want)
+			}
+		}
 	}
 }
 
@@ -148,7 +153,7 @@ func TestMRSchEndToEndSimulation(t *testing.T) {
 		clk += float64(rng.Intn(60))
 		jobs = append(jobs, mk(i, clk, float64(rng.Intn(500)+10), rng.Intn(16)+1, rng.Intn(9)))
 	}
-	s := sim.New(sys(), m.Policy())
+	s := sim.New(sys(), sched.NewWindowPolicy(m, m.Enc.Window))
 	if err := s.Load(jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +164,46 @@ func TestMRSchEndToEndSimulation(t *testing.T) {
 		if j.State != job.Finished {
 			t.Fatalf("job %d not finished", j.ID)
 		}
+	}
+}
+
+// An evaluator schedules greedily whatever the agent's training epsilon: an
+// actor otherwise starts at that epsilon, and a fresh agent's is 1. Its
+// schedule of a trace is the reference policy's, job for job, while an
+// actor left at the training epsilon schedules the trace otherwise.
+func TestEvaluatorIgnoresTrainingEpsilon(t *testing.T) {
+	m := New(sys(), tinyOptions(13))
+	if m.Agent.Epsilon() <= 0 {
+		t.Fatalf("a fresh agent's epsilon is %v, want it above 0", m.Agent.Epsilon())
+	}
+	rng := rand.New(rand.NewSource(8))
+	var jobs []*job.Job
+	clk := 0.0
+	for i := 1; i <= 60; i++ {
+		clk += float64(rng.Intn(40))
+		jobs = append(jobs, mk(i, clk, float64(rng.Intn(500)+10), rng.Intn(16)+1, rng.Intn(9)))
+	}
+	starts := func(p *sched.WindowPolicy) []float64 {
+		s := sim.New(sys(), p)
+		if err := s.Load(job.CloneAll(jobs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(jobs)+1)
+		for _, j := range s.Finished() {
+			out[j.ID] = j.Start
+		}
+		return out
+	}
+	want := starts(sched.NewWindowPolicy(m, m.Enc.Window))
+	if got := starts(m.Evaluator().Policy()); !slices.Equal(got, want) {
+		t.Fatalf("the evaluator's start times %v, the reference policy's %v", got, want)
+	}
+	exploring, _ := m.Actor()
+	if slices.Equal(starts(exploring.Policy()), want) {
+		t.Fatal("an actor at the training epsilon schedules the trace like the greedy agent: the trace cannot tell them apart")
 	}
 }
 

@@ -7,13 +7,12 @@ import (
 )
 
 // BatchDecider mirrors Pick for a batch of decision contexts, reading the
-// agent's published weight snapshot instead of the live weights. It encodes
-// each context, computes its Eq. (1) goal vector (or the agent's FixedGoal),
-// and selects all actions in one batched greedy forward pass
-// (dfp.BatchDecider). Row i's decision is byte-identical to m.Pick(ctxs[i])
-// for the same published weights, at any batch size — the decision-service
-// equivalence contract. Not safe for concurrent use; internal/serve pools
-// deciders under its reader lock.
+// agent's live weights. It encodes each context, computes its Eq. (1) goal
+// vector (or the agent's FixedGoal), and selects all actions in one batched
+// greedy forward pass (dfp.BatchDecider). Row i's decision is byte-identical
+// to m.Pick(ctxs[i]) at any batch size — the decision-service equivalence
+// contract. Not safe for concurrent use, nor with a weight change;
+// internal/serve runs its one decider and its swaps under one lock.
 type BatchDecider struct {
 	enc       encode.Config
 	bd        *dfp.BatchDecider
@@ -26,11 +25,9 @@ type BatchDecider struct {
 	table               goalTable
 }
 
-// BatchDecider returns a batched snapshot-reading decider for the agent
-// (materializing the weight snapshot from the current live weights on first
-// use).
+// BatchDecider returns a batched decider over the agent's live weights.
 func (m *MRSch) BatchDecider() *BatchDecider {
-	return &BatchDecider{enc: m.Enc, bd: m.Agent.SnapshotDecider(), fixedGoal: m.FixedGoal}
+	return &BatchDecider{enc: m.Enc, bd: m.Agent.Decider(), fixedGoal: m.FixedGoal}
 }
 
 // Decide picks one window job per context, writing into dst (grown as

@@ -16,8 +16,10 @@ import (
 	"repro/internal/sched"
 )
 
-// MRSch is the scheduling agent. Its own picks are greedy and recorded
-// nowhere; an episode is explored and recorded by an MRSchActor (Actor).
+// MRSch is the scheduling agent. Its own picks (Pick) are greedy and recorded
+// nowhere, the reference its actors and deciders are held to; an episode is
+// explored and recorded by an MRSchActor (Actor), and a whole schedule is
+// evaluated by one (Evaluator).
 type MRSch struct {
 	Enc   encode.Config
 	Agent *dfp.Agent
@@ -27,10 +29,6 @@ type MRSch struct {
 	// priority multi-objective agent (what Figure 9 contrasts against the
 	// scalar-RL's implicit fixed 0.5/0.5).
 	FixedGoal []float64
-
-	// GoalHook, when set, observes every computed goal vector with its
-	// decision time (the sampling mechanism behind Figures 8/9).
-	GoalHook func(now float64, goal []float64)
 }
 
 // Options tune the agent's construction beyond the defaults.
@@ -46,12 +44,6 @@ type Options struct {
 	PerResourceNets bool
 	// Seed fixes all stochastic behaviour of the agent.
 	Seed int64
-	// PaperScale selects the full-size §IV-C network (4000/1000/512).
-	PaperScale bool
-	// Workers shards each training minibatch across this many goroutines
-	// (see dfp.Config.Workers); 0 uses all available cores, 1 forces the
-	// single-threaded deterministic path.
-	Workers int
 	// Mutate, when non-nil, receives the dfp.Config before the agent is
 	// built, for fine-grained overrides in tests and experiments.
 	Mutate func(*dfp.Config)
@@ -64,14 +56,8 @@ func New(sys cluster.Config, opts Options) *MRSch {
 		w = 10
 	}
 	enc := encode.NewConfig(w, sys.Capacities)
-	var cfg dfp.Config
-	if opts.PaperScale {
-		cfg = dfp.PaperScaleConfig(enc.StateDim(), enc.Resources(), w)
-	} else {
-		cfg = dfp.DefaultConfig(enc.StateDim(), enc.Resources(), w)
-	}
+	cfg := dfp.DefaultConfig(enc.StateDim(), enc.Resources(), w)
 	cfg.UseCNN = opts.UseCNN
-	cfg.Workers = opts.Workers
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	}
@@ -130,16 +116,7 @@ func (m *MRSch) Pick(ctx *sched.PickContext) int {
 	if goal == nil {
 		goal = GoalVector(ctx)
 	}
-	if m.GoalHook != nil {
-		m.GoalHook(ctx.Now, goal)
-	}
 	return m.Agent.Act(state, ctx.Usage, goal, len(ctx.Window), false)
-}
-
-// Policy wraps the agent in the shared window/reservation/backfilling driver
-// with the paper's window size.
-func (m *MRSch) Policy() *sched.WindowPolicy {
-	return sched.NewWindowPolicy(m, m.Enc.Window)
 }
 
 // Save persists the agent's network weights.

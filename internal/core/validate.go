@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -26,32 +27,22 @@ type ValidationMetrics struct {
 	Score float64
 }
 
-// Validate replays jobs through the agent greedily (no exploration, no
-// recording) and scores the outcome.
+// Validate replays jobs through the agent's evaluator (greedy, no
+// recording) and scores the outcome with §IV-B's metrics (metrics.Collect).
 func Validate(m *MRSch, sys cluster.Config, jobs []*job.Job) (ValidationMetrics, error) {
-	s := sim.New(sys, m.Policy())
+	s := sim.New(sys, m.Evaluator().Policy())
 	if err := s.Load(job.CloneAll(jobs)); err != nil {
 		return ValidationMetrics{}, fmt.Errorf("core: validate: %w", err)
 	}
 	if err := s.Run(); err != nil {
 		return ValidationMetrics{}, fmt.Errorf("core: validate: %w", err)
 	}
-	var vm ValidationMetrics
-	for r := 0; r < s.Cluster().NumResources(); r++ {
-		u := s.Utilization(r)
-		vm.Utilization = append(vm.Utilization, u)
+	rep := metrics.Collect("", "", s, -1)
+	vm := ValidationMetrics{Utilization: rep.Utilization, AvgWaitSec: rep.AvgWaitSec, AvgSlowdown: rep.AvgSlowdown}
+	for _, u := range vm.Utilization {
 		vm.Score += u
 	}
 	vm.Score /= float64(len(vm.Utilization))
-	var wait, sd float64
-	for _, j := range s.Finished() {
-		wait += j.Wait()
-		sd += j.Slowdown()
-	}
-	if n := len(s.Finished()); n > 0 {
-		vm.AvgWaitSec = wait / float64(n)
-		vm.AvgSlowdown = sd / float64(n)
-	}
 	return vm, nil
 }
 

@@ -34,7 +34,8 @@ func (m *modules) all() []nn.Layer {
 
 // cloneVia replicates the five networks through the given nn cloner:
 // nn.SharedClone for replicas whose parameters alias the live weight Values
-// (rollout actors, gradient workers), nn.SnapshotClone for replicas that read
+// (rollout actors, evaluators, the batched decider, gradient workers),
+// nn.SnapshotClone for replicas that read
 // the published copy-on-write snapshot and so may run forward passes
 // concurrently with TrainStep. Forward state is private; the clones carry no
 // gradient storage, which only the gradient workers allocate (engine.go).
@@ -136,10 +137,10 @@ func scoreInto(dst []float64, preds [][]float64, goalExt []float64) []float64 {
 // Actor is a read-only rollout clone of an Agent. It always acts in
 // exploration mode (the epsilon-greedy policy of §IV-C) and records every
 // decision; the recorded episode is retrieved with TakeTranscript and folded
-// into the master with Agent.IngestTranscript. An Unrecorded actor is an
-// evaluator: it records nothing and may answer moot decisions with Moot.
-// Reset it with the episode's deterministic seed and exploration rate before
-// each rollout.
+// into the master with Agent.IngestTranscript. An Evaluator is an unrecorded
+// actor at epsilon 0: it records nothing and may answer moot decisions with
+// Moot. Reset a rollout actor with the episode's deterministic seed and
+// exploration rate before each rollout.
 //
 // An Actor is not safe for concurrent use by multiple goroutines, but
 // distinct actors may run concurrently with each other — not with TrainStep,
@@ -186,6 +187,18 @@ func (a *Agent) newActor(nets modules) *Actor {
 	}
 }
 
+// Evaluator returns a greedy actor reading the agent's live weights that
+// records nothing: epsilon 0 whatever the agent's training epsilon is (an
+// actor otherwise starts at it), and no transcript. Its picks are Agent.Act's,
+// and only an evaluator may answer a decision with Moot. Like a Reset actor it
+// packs its first layer at its first forward, so it reads the weights as they
+// are then: build one per evaluation, after the weights last changed.
+func (a *Agent) Evaluator() *Actor {
+	ac := a.Actor()
+	ac.eps, ac.unrecorded, ac.repack = 0, true, ac.first != nil
+	return ac
+}
+
 // SnapshotActor returns a rollout actor reading the published copy-on-write
 // weight snapshot instead of the live weights (materializing the snapshot
 // from the current weights on first use). Snapshot actors may run
@@ -216,14 +229,9 @@ func (ac *Actor) Reset(seed int64, eps float64) {
 	ac.repack = ac.first != nil
 }
 
-// Unrecorded makes the actor an evaluator: Act decides exactly as before, rng
-// draws included, but keeps no record of it — nothing is copied and
-// TakeTranscript stays empty. For callers that will never take the episode;
-// only an evaluator may answer a decision with Moot.
-func (ac *Actor) Unrecorded() { ac.unrecorded = true }
-
 // Act selects an action among the first valid actions under the actor's
-// epsilon-greedy policy (§IV-C) and records the decision. It consumes the
+// epsilon-greedy policy (§IV-C) and, unless the actor is an evaluator,
+// records the decision. It consumes the
 // actor's rng as one Float64 per decision plus one Intn when exploring; at
 // epsilon 0 it picks what the agent's greedy Act picks.
 func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
@@ -265,7 +273,7 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 // transcript is training data and needs the networks' choice.
 func (ac *Actor) Moot(valid int) int {
 	if !ac.unrecorded {
-		panic("dfp: Moot on a recording actor: a transcript needs the networks' choice (call Unrecorded first)")
+		panic("dfp: Moot on a recording actor: a transcript needs the networks' choice (use Agent.Evaluator)")
 	}
 	if ac.rng.Float64() < ac.eps {
 		return ac.rng.Intn(ac.clampValid(valid))

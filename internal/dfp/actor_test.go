@@ -3,6 +3,7 @@ package dfp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -207,10 +208,9 @@ func TestActorWithoutResetRunsDense(t *testing.T) {
 }
 
 // Clones made for inference carry no gradient storage: at the quick
-// geometry's state width, what Agent.Actor and SnapshotDecider allocate —
-// the clones' params and layers and an actor's rng — stays below one weight
-// vector. The decider is measured once the snapshot it reads exists, since
-// materializing it is one weight vector by design.
+// geometry's state width, what Agent.Actor, Agent.Evaluator and Agent.Decider
+// allocate — the clones' params and layers and an actor's rng — stays below
+// one weight vector.
 func TestInferenceClonesAllocateNoGradients(t *testing.T) {
 	cfg := DefaultConfig(394, 2, 10)
 	cfg.Workers = 1
@@ -219,18 +219,18 @@ func TestInferenceClonesAllocateNoGradients(t *testing.T) {
 	for _, p := range a.params {
 		weights += 8 * len(p.Value)
 	}
-	a.SnapshotDecider()
-	var ac *Actor
+	var ac, ev *Actor
 	var d *BatchDecider
 	for name, f := range map[string]func(){
-		"Actor":           func() { ac = a.Actor() },
-		"SnapshotDecider": func() { d = a.SnapshotDecider() },
+		"Actor":     func() { ac = a.Actor() },
+		"Evaluator": func() { ev = a.Evaluator() },
+		"Decider":   func() { d = a.Decider() },
 	} {
 		if n := allocated(f); n >= uint64(weights) {
 			t.Errorf("%s allocated %d bytes; one weight vector is %d", name, n, weights)
 		}
 	}
-	for _, net := range append(ac.nets.all(), d.nets.all()...) {
+	for _, net := range slices.Concat(ac.nets.all(), ev.nets.all(), d.nets.all()) {
 		for _, p := range net.Params() {
 			if p.Grad != nil {
 				t.Fatalf("inference clone param %s has gradient storage", p.Name)

@@ -23,13 +23,13 @@ import (
 	"repro/internal/nn"
 )
 
-// BatchDecider is a read-only batched inference clone of an Agent, reading
-// the published copy-on-write weight snapshot (nn.SnapshotClone). Any number
-// of deciders may run concurrently with each other; weight publication
-// (Agent.Load + PublishWeights) must be mutually excluded against in-flight
-// Decide calls — the synchronization internal/serve's engine provides with a
-// reader/writer lock. A BatchDecider is not safe for concurrent use by
-// multiple goroutines; callers pool them.
+// BatchDecider is a read-only batched inference clone of an Agent: its
+// networks alias the agent's live weights (nn.SharedClone) while its forward
+// state and gathered rows are private. It reads the weights as they are at
+// each DecideBatch, so a weight change (Agent.Load) must be mutually excluded
+// against in-flight calls — internal/serve's engine holds one decider and
+// runs both under one lock. A BatchDecider is not safe for concurrent use by
+// multiple goroutines.
 type BatchDecider struct {
 	cfg  *Config
 	nets modules
@@ -41,10 +41,9 @@ type BatchDecider struct {
 	stateB, measB nn.Vec
 }
 
-// SnapshotDecider returns a batched greedy decider reading the published
-// weight snapshot (materialized from the current live weights on first use).
-func (a *Agent) SnapshotDecider() *BatchDecider {
-	return &BatchDecider{cfg: &a.cfg, nets: a.nets.cloneVia(nn.SnapshotClone)}
+// Decider returns a batched greedy decider reading the agent's live weights.
+func (a *Agent) Decider() *BatchDecider {
+	return &BatchDecider{cfg: &a.cfg, nets: a.nets.cloneVia(nn.SharedClone)}
 }
 
 // DecideBatch greedily selects one action per request row. states[i] is the

@@ -51,7 +51,7 @@ func TestDecideBatchMatchesActAtEveryBatchSize(t *testing.T) {
 		want[i] = a.Act(states[i], meas[i], goals[i], valid[i], false)
 	}
 
-	d := a.SnapshotDecider()
+	d := a.Decider()
 	for _, bs := range []int{1, 4, total} {
 		got := make([]int, 0, total)
 		for lo := 0; lo < total; lo += bs {
@@ -69,11 +69,10 @@ func TestDecideBatchMatchesActAtEveryBatchSize(t *testing.T) {
 	}
 }
 
-// TestDecideBatchFollowsPublishedWeights pins the snapshot semantics: a
-// decider keeps answering from the last published version while the live
-// weights train, and flips to the new weights on PublishWeights — never to a
-// blend.
-func TestDecideBatchFollowsPublishedWeights(t *testing.T) {
+// TestDecideBatchFollowsLiveWeights pins the live-weight semantics the
+// daemon's swap relies on: a decider built before training answers from the
+// weights as they are at each call, with nothing to publish.
+func TestDecideBatchFollowsLiveWeights(t *testing.T) {
 	cfg := DefaultConfig(24, 2, 6)
 	cfg.Seed = 5
 	cfg.BatchSize = 8
@@ -81,7 +80,7 @@ func TestDecideBatchFollowsPublishedWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	states, meas, goals, valid := randomInputs(&a.cfg, rng, 32)
 
-	d := a.SnapshotDecider()
+	d := a.Decider()
 	before := append([]int(nil), d.DecideBatch(states, meas, goals, valid, nil)...)
 
 	// Train until the greedy policy moves on at least one row (bounded; the
@@ -101,21 +100,12 @@ func TestDecideBatchFollowsPublishedWeights(t *testing.T) {
 		t.Skip("training never moved the greedy policy on these rows")
 	}
 
-	// Unpublished: the decider still answers from the old version.
-	stale := d.DecideBatch(states, meas, goals, valid, nil)
-	for i := range before {
-		if stale[i] != before[i] {
-			t.Fatalf("row %d moved before PublishWeights: %d -> %d", i, before[i], stale[i])
-		}
-	}
-
-	// Published: the decider now matches the live greedy policy exactly.
-	a.PublishWeights()
+	// The same decider now matches the trained greedy policy exactly.
 	fresh := d.DecideBatch(states, meas, goals, valid, nil)
 	for i := range states {
 		want := a.Act(states[i], meas[i], goals[i], valid[i], false)
 		if fresh[i] != want {
-			t.Fatalf("row %d after publish decided %d, live Act decided %d", i, fresh[i], want)
+			t.Fatalf("row %d after training decided %d, live Act decided %d", i, fresh[i], want)
 		}
 	}
 }

@@ -26,9 +26,9 @@
 //     product and the argmax. It runs through layer-owned and caller-owned
 //     scratch with zero steady-state heap allocations, and every sample's
 //     predictions are bitwise independent of the batch it ran in. An
-//     evaluating (Unrecorded) actor answers a decision its caller knows to
-//     be moot with Actor.Moot, which draws the rng as Act would and runs no
-//     forward.
+//     evaluator (Agent.Evaluator: an unrecorded actor at epsilon 0) answers
+//     a decision its caller knows to be moot with Actor.Moot, which draws
+//     the rng as Act would and runs no forward.
 //
 //   - TrainSteps runs a burst of gradient steps — an episode's worth — and
 //     TrainStep is a burst of one. Each minibatch goes through batched
@@ -62,15 +62,19 @@
 //     runs, so a stored state is about 27 % of its dense words at the quick
 //     geometry, and no minibatch row or weight differs.
 //
-// # Weight snapshots and rollout actors
+// # Weight snapshots, actors and deciders
 //
-// Two clone flavors serve the parallel harnesses in internal/rollout. Neither
-// carries gradient storage: only the training engine's replica workers run a
-// backward pass through a clone, and they allocate it themselves.
+// Two clone flavors serve the inference paths. Neither carries gradient
+// storage: only the training engine's replica workers run a backward pass
+// through a clone, and they allocate it themselves.
 //
 //   - Agent.Actor pairs nn.SharedClone replicas (weights alias the live
 //     Values) with private scratch — safe to run concurrently with other
-//     actors but not with TrainStep, the barrier-mode contract.
+//     actors but not with TrainStep, the barrier-mode contract. An
+//     Agent.Evaluator is such an actor, and so is the batched decider
+//     (Agent.Decider) internal/serve decides on: it reads the live weights
+//     at every call, so the daemon orders its batches and its weight swaps
+//     under one lock.
 //
 //   - Agent.SnapshotActor pairs nn.SnapshotClone replicas (weights alias the
 //     published copy-on-write snapshot, see the nn package doc) with private
@@ -78,18 +82,19 @@
 //     mutates only the live Values. Agent.PublishWeights advances the
 //     snapshot at a synchronization point with no snapshot actor mid-
 //     forward; internal/rollout's pipelined mode provides exactly that
-//     point between rounds.
+//     point between rounds. Pipelined rollout is the only reader of a
+//     snapshot.
 //
-// Both flavors pack their state module's first Dense (nn.Dense.Pack): MRSch's
-// state vector is half exact zeros, lying in runs,
-// and the packed one-sample forward skips them with bitwise the dense
-// result. The packed copy lives in one buffer per actor, from one Reset to
-// the next: Reset marks it stale and the first forward after it refreshes
-// it, which is the interval over which the barrier (Actor) and
-// PublishWeights (SnapshotActor) already forbid an actor's weights to
-// change. So an actor must be Reset after its weights change and before it
-// acts again — every rollout episode and every evaluated cell does — and
-// there is nothing to configure: an actor that was never Reset, a CNN or
+// Both actor flavors pack their state module's first Dense (nn.Dense.Pack):
+// MRSch's state vector is half exact zeros, lying in runs, and the packed
+// one-sample forward skips them with bitwise the dense result. The packed
+// copy lives in one buffer per actor, from one Reset to the next: Reset marks
+// it stale and the first forward after it refreshes it, which is the
+// interval over which the barrier (Actor) and PublishWeights (SnapshotActor)
+// already forbid an actor's weights to change. So an actor must be Reset
+// after its weights change and before it acts again — every rollout episode
+// is — and an evaluator, which starts stale, is built per evaluation. There
+// is nothing to configure: an actor that was never Reset, a CNN or
 // per-resource state module, a layer the kernel declines and the go kernel
 // set all run dense, as do Agent.Act, Agent.Predict, TrainSteps and
 // BatchDecider always.

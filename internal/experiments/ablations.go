@@ -61,8 +61,8 @@ func AblationGoal(r *CampaignRun) ([]AblationRow, error) {
 	fixed := *agent // same weights; the shared agent keeps its dynamic goal
 	fixed.FixedGoal = []float64{0.5, 0.5}
 	return ablatePolicies(r, "S5", []policyVariant{
-		{"dynamic goal (Eq. 1)", agent.Policy()},
-		{"fixed goal (0.5/0.5)", fixed.Policy()},
+		{"dynamic goal (Eq. 1)", agent.Evaluator().Policy()},
+		{"fixed goal (0.5/0.5)", fixed.Evaluator().Policy()},
 	})
 }
 
@@ -86,7 +86,7 @@ func AblationStateNets(r *CampaignRun) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		variants = append(variants, policyVariant{v.name, t.MRSch.Policy()})
+		variants = append(variants, policyVariant{v.name, t.MRSch.Evaluator().Policy()})
 	}
 	return ablatePolicies(r, "S4", variants)
 }

@@ -497,12 +497,13 @@ func (r CellResult) failed() bool { return len(r.Report.Utilization) < 2 }
 
 // cellPolicy builds the cell's scheduling policy — the one place a method
 // kind becomes a policy. Heuristic is FCFS and deterministic; Optimization
-// is the GA seeded Seed+7000+Index; MRSch acts greedily (epsilon 0) and
-// Scalar RL samples its policy from a stream seeded Seed+9000+Index, each
-// through an unrecorded read-only actor clone of the family's frozen model,
-// so cells sharing one model may run concurrently. The MRSch evaluator skips
-// its model at every instant where no waiting job fits (core.MRSchActor.Pick);
-// its schedule is a recording actor's. All seeding derives from Cell.Index.
+// is the GA seeded Seed+7000+Index; MRSch acts greedily (epsilon 0, so it
+// needs no seed) and Scalar RL samples its policy from a stream seeded
+// Seed+9000+Index, each through an evaluator, an unrecorded read-only actor
+// clone of the family's frozen model, so cells sharing one model may run
+// concurrently. The MRSch evaluator skips its model at every instant where no
+// waiting job fits (core.MRSchActor.Pick); its schedule is the agent's own
+// greedy one. All seeding derives from Cell.Index.
 func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.WindowPolicy, error) {
 	switch cell.Method.Kind {
 	case scenario.KindHeuristic:
@@ -510,17 +511,9 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 	case scenario.KindOptimize:
 		return sched.NewWindowPolicy(NewGA(m.Scale.Seed+7000+int64(cell.Index)), m.Scale.Window), nil
 	case scenario.KindMRSch:
-		agent := r.models[r.modelKey(cell)].MRSch
-		actor, _ := agent.Actor()
-		actor.Reset(m.Scale.Seed+9000+int64(cell.Index), 0) // eps 0: greedy
-		actor.Unrecorded()
-		return actor.Policy(), nil
+		return r.models[r.modelKey(cell)].MRSch.Evaluator().Policy(), nil
 	case scenario.KindScalarRL:
-		agent := r.models[r.modelKey(cell)].ScalarRL
-		actor := agent.Actor()
-		actor.Reset(m.Scale.Seed + 9000 + int64(cell.Index))
-		actor.Unrecorded()
-		return actor.Policy(), nil
+		return r.models[r.modelKey(cell)].ScalarRL.Evaluator(m.Scale.Seed + 9000 + int64(cell.Index)).Policy(), nil
 	}
 	return nil, fmt.Errorf("unknown method kind %q", cell.Method.Kind)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
@@ -230,19 +231,21 @@ type GoalSample struct {
 	RBB float64
 }
 
-// goalTrace replays a workload through its family's model — the agent
-// itself, greedy, since the goal hook lives on it — collecting r_BB samples.
+// goalTrace replays a workload through its family model's evaluator,
+// collecting the r_BB of the Eq. (1) goal vector (core.GoalVector, the goal
+// the pick acts on) at every pick.
 func goalTrace(r *CampaignRun, wl string) ([]GoalSample, error) {
 	agent, m, err := r.FamilyModel(wl)
 	if err != nil {
 		return nil, err
 	}
+	ev := agent.Evaluator()
 	var samples []GoalSample
-	agent.GoalHook = func(now float64, g []float64) {
-		samples = append(samples, GoalSample{T: now, RBB: g[1]})
-	}
-	defer func() { agent.GoalHook = nil }()
-	_, err = Evaluate(m.Scale.System(), agent.Policy(), m.Workload(wl), MethodMRSch, wl, -1)
+	sampled := sched.PickerFunc(func(ctx *sched.PickContext) int {
+		samples = append(samples, GoalSample{T: ctx.Now, RBB: core.GoalVector(ctx)[1]})
+		return ev.Pick(ctx)
+	})
+	_, err = Evaluate(m.Scale.System(), sched.NewWindowPolicy(sampled, agent.Enc.Window), m.Workload(wl), MethodMRSch, wl, -1)
 	if err != nil {
 		return nil, err
 	}

@@ -280,8 +280,8 @@ func TestReportsAreInvariantUnderTimeShift(t *testing.T) {
 // An evaluating MRSch actor answers a moot instant (no waiting job fits:
 // sched.PickContext.Startable) without its model, so its picks there are not
 // a recording actor's; its schedule must be. Tiny S1-S5 cells run through an
-// evaluator and through a recording actor Reset to the same seed, greedy and
-// exploring: every job starts at the same time, every run meets moot
+// evaluator and through a recording actor, each Reset to the same seed,
+// greedy and exploring: every job starts at the same time, every run meets moot
 // instants, and at some of them the two actors pick differently.
 func TestEvaluatorSchedulesLikeRecorder(t *testing.T) {
 	var specs []scenario.ScenarioSpec
@@ -311,11 +311,11 @@ func TestEvaluatorSchedulesLikeRecorder(t *testing.T) {
 				moot   int
 			)
 			for side, evaluator := range []bool{true, false} {
-				actor, _ := agent.Actor()
-				actor.Reset(m.Scale.Seed+9000+int64(cell.Index), eps)
-				if evaluator {
-					actor.Unrecorded()
+				actor := agent.Evaluator()
+				if !evaluator {
+					actor, _ = agent.Actor()
 				}
+				actor.Reset(m.Scale.Seed+9000+int64(cell.Index), eps)
 				picker := sched.PickerFunc(func(ctx *sched.PickContext) int {
 					if evaluator && !ctx.Startable() {
 						moot++

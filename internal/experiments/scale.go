@@ -19,10 +19,11 @@
 //
 //   - Heuristic: FCFS with EASY backfilling; deterministic.
 //   - Optimization: the GA picker, seeded Seed+7000+Index.
-//   - MRSch: greedy (epsilon 0) through an unrecorded read-only actor clone
-//     of the family's frozen model, so a report does not depend on Index.
+//   - MRSch: greedy (epsilon 0) through the evaluator of the family's frozen
+//     model (core.MRSch.Evaluator, an unrecorded read-only actor clone), so
+//     a report does not depend on Index.
 //   - Scalar RL: samples its softmax policy, as in training, from a stream
-//     seeded Seed+9000+Index, through the same kind of actor clone.
+//     seeded Seed+9000+Index, through its evaluator (rl.Scheduler.Evaluator).
 //
 // # Who owns a cell's jobs
 //

@@ -92,65 +92,6 @@ func (l *LeakyReLU) clone(func(*Param) *Param) Layer { return &LeakyReLU{Alpha: 
 // OutSize implements Layer.
 func (l *LeakyReLU) OutSize(in int) int { return in }
 
-// Tanh applies the hyperbolic tangent element-wise; like LeakyReLU it does
-// not inspect bsz.
-type Tanh struct {
-	outBuf Vec // layer-owned copy of the last output (backward needs tanh(x))
-	ginBuf Vec
-	lastN  int
-}
-
-// NewTanh returns a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{lastN: -1} }
-
-// Forward applies tanh into dst (nil selects the layer-owned output buffer
-// Backward reads).
-func (t *Tanh) Forward(dst, x Vec, bsz int) Vec {
-	t.outBuf = Ensure(t.outBuf, len(x))
-	t.lastN = len(x)
-	for i, v := range x {
-		t.outBuf[i] = math.Tanh(v)
-	}
-	if dst == nil {
-		return t.outBuf
-	}
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("nn: Tanh dst len %d, want %d", len(dst), len(x)))
-	}
-	copy(dst, t.outBuf)
-	return dst
-}
-
-// Backward multiplies by 1-tanh^2 into dst.
-func (t *Tanh) Backward(dst, grad Vec, bsz int) Vec {
-	if t.lastN < 0 {
-		panic("nn: Tanh.Backward before Forward")
-	}
-	if len(grad) != t.lastN {
-		panic(fmt.Sprintf("nn: Tanh.Backward got %d grads, want %d", len(grad), t.lastN))
-	}
-	if dst == nil {
-		t.ginBuf = Ensure(t.ginBuf, len(grad))
-		dst = t.ginBuf
-	}
-	if len(dst) != len(grad) {
-		panic(fmt.Sprintf("nn: Tanh dst len %d, want %d", len(dst), len(grad)))
-	}
-	for i, g := range grad {
-		y := t.outBuf[i]
-		dst[i] = g * (1 - y*y)
-	}
-	return dst
-}
-
-// Params implements Layer (no parameters).
-func (t *Tanh) Params() []*Param { return nil }
-
-func (t *Tanh) clone(func(*Param) *Param) Layer { return NewTanh() }
-
-// OutSize implements Layer.
-func (t *Tanh) OutSize(in int) int { return in }
-
 // SoftmaxLayer turns logits into a probability distribution. Backward
 // applies the full softmax Jacobian, so it composes with any upstream loss
 // gradient (the policy-gradient baseline feeds dL/dp directly). Each of the

@@ -78,7 +78,6 @@ func sweepCases(rng *rand.Rand) []layerCase {
 	return []layerCase{
 		{"dense", in, func(r *rand.Rand) Layer { return NewDense(in, out, HeInit, r) }},
 		{"leakyrelu", in, func(r *rand.Rand) Layer { return NewLeakyReLU(0.01) }},
-		{"tanh", in, func(r *rand.Rand) Layer { return NewTanh() }},
 		{"softmax", in, func(r *rand.Rand) Layer { return NewSoftmax() }},
 		{"conv1d", ch * clen, func(r *rand.Rand) Layer { return NewConv1D(ch, clen, 2, kernel, stride, r) }},
 		{"maxpool", ch * clen, func(r *rand.Rand) Layer { return NewMaxPool1D(ch, clen, pool) }},
@@ -326,7 +325,7 @@ func TestEnsure(t *testing.T) {
 func TestCloneViewsEveryLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := append(sweepCases(rng), layerCase{"nested", 12, func(r *rand.Rand) Layer {
-		return NewSequential(12, overlapNet(r), NewTanh(),
+		return NewSequential(12, overlapNet(r), NewLeakyReLU(0.01),
 			NewSequential(6, NewDense(6, 4, HeInit, r), NewSoftmax()))
 	}})
 	views := []struct {

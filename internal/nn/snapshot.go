@@ -20,6 +20,8 @@
 // the snapshot buffer is shared by all clones, so refreshing it mid-read
 // would race. Params nobody snapshotted skip the copy entirely (the
 // copy-on-write property: inference-only and barrier-mode agents never pay).
+// Pipelined rollout is the only reader: evaluators and the decision daemon's
+// batched decider read the live Values through SharedClone.
 package nn
 
 // Snapshot returns the param's published value buffer, materializing it as a

@@ -15,7 +15,7 @@ import (
 // sample stochastically over the valid prefix; the recorded trajectory is
 // handed back with TakeTrajectory and applied to the master with
 // Scheduler.IngestTrajectory. An actor is the only way an episode is
-// recorded.
+// recorded; an Evaluator samples the same way and records nothing.
 type Actor struct {
 	s     *Scheduler // read-only: cfg, enc, reward weights
 	net   *nn.Sequential
@@ -31,6 +31,17 @@ func (s *Scheduler) Actor() *Actor { return s.newActor(nn.SharedClone) }
 
 func (s *Scheduler) newActor(clone func(nn.Layer) nn.Layer) *Actor {
 	return &Actor{s: s, net: clone(s.net).(*nn.Sequential), rng: rand.New(rand.NewSource(s.cfg.Seed))}
+}
+
+// Evaluator returns an actor that samples the scheduler's policy from a
+// stream seeded seed, as a rollout actor Reset at seed does, but keeps no
+// trajectory (and computes no reward): the actor every whole-schedule
+// evaluation of the scheduler runs through.
+func (s *Scheduler) Evaluator(seed int64) *Actor {
+	a := s.Actor()
+	a.Reset(seed)
+	a.unrecorded = true
+	return a
 }
 
 // SnapshotActor returns a rollout actor whose policy network reads the
@@ -54,11 +65,6 @@ func (a *Actor) Reset(seed int64) {
 	a.rng = rand.New(rand.NewSource(seed))
 	a.steps = nil
 }
-
-// Unrecorded makes the actor an evaluator: Pick samples exactly as before but
-// keeps no trajectory (and computes no reward), for callers that will never
-// take it.
-func (a *Actor) Unrecorded() { a.unrecorded = true }
 
 // Pick implements sched.Picker: stochastic sampling over the valid window
 // prefix, recording the fixed-weight scalar reward of the selection.

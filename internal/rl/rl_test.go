@@ -75,17 +75,15 @@ func TestPickWithinWindow(t *testing.T) {
 	}
 }
 
-// An evaluating (unrecorded) actor's Pick — encoding, network pass and
+// An evaluator's Pick — encoding, network pass and
 // sampling — allocates nothing once its buffers are warm.
 func TestPickNetworkZeroAlloc(t *testing.T) {
 	s := New(sys(), tinyConfig(3))
 	ctx := ctxWith(cluster.New(sys()), 0, []*job.Job{mk(1, 0, 10, 1, 0), mk(2, 0, 10, 2, 1)})
-	actor := s.Actor()
-	actor.Reset(3)
-	actor.Unrecorded()
+	actor := s.Evaluator(3)
 	actor.Pick(ctx) // warm the layer and encoding buffers
 	if avg := testing.AllocsPerRun(100, func() { actor.Pick(ctx) }); avg != 0 {
-		t.Fatalf("%v allocations per unrecorded pick, want 0", avg)
+		t.Fatalf("%v allocations per evaluator pick, want 0", avg)
 	}
 }
 
@@ -152,9 +150,7 @@ func TestEndToEndSimulationCompletes(t *testing.T) {
 		clk += float64(rng.Intn(50))
 		jobs = append(jobs, mk(i, clk, float64(rng.Intn(400)+10), rng.Intn(16)+1, rng.Intn(9)))
 	}
-	actor := s.Actor()
-	actor.Reset(4)
-	actor.Unrecorded()
+	actor := s.Evaluator(4)
 	simu := sim.New(sys(), actor.Policy())
 	if err := simu.Load(jobs); err != nil {
 		t.Fatal(err)
@@ -237,8 +233,7 @@ func TestPolicyLearnsUtilizationBandit(t *testing.T) {
 		}
 		s.IngestTrajectory(actor.TakeTrajectory())
 	}
-	actor.Reset(1000)
-	actor.Unrecorded()
+	actor = s.Evaluator(1000)
 	counts := [2]int{}
 	for i := 0; i < 50; i++ {
 		counts[actor.Pick(ctxWith(cl, 0, queue))]++
@@ -248,8 +243,8 @@ func TestPolicyLearnsUtilizationBandit(t *testing.T) {
 	}
 }
 
-// An unrecorded actor samples what a recording one samples and keeps no
-// trajectory.
+// An evaluator, the unrecorded actor, samples what a recording one Reset at
+// its seed samples and keeps no trajectory.
 func TestUnrecordedActorSamplesTheSameAndKeepsNothing(t *testing.T) {
 	s := New(sys(), tinyConfig(4))
 	cl := cluster.New(sys())
@@ -260,17 +255,15 @@ func TestUnrecordedActorSamplesTheSameAndKeepsNothing(t *testing.T) {
 	ctxs := []*sched.PickContext{ctxWith(cl, 10, queue), ctxWith(cl, 20, queue[2:]), ctxWith(cl, 30, queue[4:])}
 	recording := s.Actor()
 	recording.Reset(11)
-	actor := s.Actor()
-	actor.Reset(11)
-	actor.Unrecorded()
+	actor := s.Evaluator(11)
 	for i := 0; i < 60; i++ {
 		ctx := ctxs[i%len(ctxs)]
 		if got, want := actor.Pick(ctx), recording.Pick(ctx); got != want {
-			t.Fatalf("pick %d: unrecorded actor samples %d, recording actor %d", i, got, want)
+			t.Fatalf("pick %d: evaluator samples %d, recording actor %d", i, got, want)
 		}
 	}
 	if n := len(actor.TakeTrajectory().steps); n != 0 {
-		t.Fatalf("an unrecorded actor kept %d decisions", n)
+		t.Fatalf("an evaluator kept %d decisions", n)
 	}
 	if n := len(recording.TakeTrajectory().steps); n != 60 {
 		t.Fatalf("the recording actor kept %d of 60 decisions", n)

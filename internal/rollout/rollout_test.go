@@ -85,10 +85,10 @@ func testAgent(sys cluster.Config, seed int64) *core.MRSch {
 // given number of dfp workers.
 func testAgentWorkers(sys cluster.Config, seed int64, workers int) *core.MRSch {
 	return core.New(sys, core.Options{
-		Window:  6,
-		Seed:    seed,
-		Workers: workers,
+		Window: 6,
+		Seed:   seed,
 		Mutate: func(c *dfp.Config) {
+			c.Workers = workers
 			c.StateHidden = []int{24}
 			c.StateOut = 12
 			c.ModuleHidden = 8

@@ -14,8 +14,8 @@
 // server, client, and protocol sources cross-reference it by number.
 //
 //  1. Served decisions are byte-identical to offline ones. For any request,
-//     the daemon's answer equals core.MRSch.Pick (Train=false) on the same
-//     model and the same decision instant — bit for bit, at every batch
+//     the daemon's answer equals core.MRSch.Pick on the same model and the
+//     same decision instant — bit for bit, at every batch
 //     size. Three mechanisms compose into this guarantee: the wire layout
 //     carries a float64 as its 64 IEEE-754 bits (protocol.go; NaN payloads,
 //     -0 and ±Inf arrive as sent), the daemon reconstructs the decision
@@ -41,12 +41,15 @@
 //     MaxWait of zero — dispatch whatever is queued, the zero Config's
 //     behaviour — costs nothing; cmd/mrsch-serve's flag defaults to 200µs.
 //
-//  3. Swaps are atomic per batch. A weight swap (admin frame or SIGHUP)
-//     takes the engine's write lock, loads, publishes, and increments the
-//     model version; every batch is decided entirely under one version —
-//     old or new across a concurrent swap, never a blend — and carries that
-//     version in its responses. A swap that fails to load publishes
-//     nothing: the previous version keeps serving, untouched.
+//  3. Swaps are atomic per batch. The engine decides every batch through
+//     one decider over the model's live weights, under one lock. A weight
+//     swap (admin frame or SIGHUP) takes that lock, loads the new weights in
+//     place and increments the model version; every batch is decided
+//     entirely under one version — old or new across a concurrent swap,
+//     never a blend — and carries that version in its responses. The load
+//     checks the whole file before it writes any weight (nn.LoadWeights),
+//     so a swap that fails writes nothing: the previous version keeps
+//     serving, untouched.
 //
 //  4. Request-level failures keep the connection. A malformed request (bad
 //     geometry, overcommitted cluster state, empty queue, a NaN or infinite

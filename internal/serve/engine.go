@@ -10,31 +10,24 @@ import (
 )
 
 // engine owns the served model and answers batched decision requests
-// concurrently with zero-downtime weight swaps.
+// between zero-downtime weight swaps.
 //
-// Concurrency design: decisions read the agent's published copy-on-write
-// weight snapshot through pooled core.BatchDecider clones (each clone
-// aliases the shared snapshot buffers but owns private scratch, so any
-// number may decide at once). Publication refreshes those shared buffers in
-// place, so it must not run concurrently with a reader — the RWMutex
-// provides exactly that: decide holds the read lock, swap the write lock.
-// Swaps therefore wait only for in-flight forward passes (microseconds),
-// never for connections; requests queued behind a swap are answered by the
-// new version.
+// Concurrency design: one decider reads the master's live weights, and one
+// mutex orders its batches against swaps. Only the batcher goroutine
+// decides, so the lock is contended only by a swap, which waits for at most
+// one forward pass (microseconds), never for connections; requests queued
+// behind a swap are answered by the new version. A swap loads in place, which
+// is safe because the load checks the whole file before it writes any weight
+// (nn.LoadWeights): a failed swap leaves the served weights untouched.
 type engine struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	master  *core.MRSch
+	d       *core.BatchDecider
 	version uint64
-
-	pool sync.Pool // of *core.BatchDecider
 }
 
 func newEngine(m *core.MRSch) *engine {
-	e := &engine{master: m, version: 1}
-	e.pool.New = func() any { return m.BatchDecider() }
-	// The first decider materializes the weight snapshot, before any reader.
-	e.pool.Put(m.BatchDecider())
-	return e
+	return &engine{master: m, d: m.BatchDecider(), version: 1}
 }
 
 // decide answers one admission batch, writing picks into dst (grown as
@@ -43,34 +36,27 @@ func newEngine(m *core.MRSch) *engine {
 // batch is always attributable to exactly one version — old or new across a
 // concurrent swap, never a blend.
 func (e *engine) decide(ctxs []*sched.PickContext, dst []int) ([]int, uint64) {
-	d := e.pool.Get().(*core.BatchDecider)
-	e.mu.RLock()
-	dst = d.Decide(ctxs, dst)
-	v := e.version
-	e.mu.RUnlock()
-	e.pool.Put(d)
-	return dst, v
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.d.Decide(ctxs, dst), e.version
 }
 
-// swap loads new weights into the master agent and publishes them to every
-// pooled decider, returning the new model version. On a load error nothing
-// is published: readers keep answering from the previous version untouched
-// (the load may have partially written the master's live values, but those
-// are invisible until the next successful publish).
+// swap loads new weights into the master agent, which the decider reads,
+// and returns the new model version. On a load error nothing was written:
+// the previous version keeps serving untouched and the version stays.
 func (e *engine) swap(r io.Reader) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.master.Load(r); err != nil {
 		return e.version, fmt.Errorf("serve: loading swap weights: %w", err)
 	}
-	e.master.PublishWeights()
 	e.version++
 	return e.version, nil
 }
 
 // modelVersion reports the currently served version.
 func (e *engine) modelVersion() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.version
 }

@@ -58,7 +58,7 @@ const (
 	// msgDecision (server → client) answers one msgDecide by ID. A
 	// request-level failure travels in Err with the connection intact.
 	msgDecision
-	// msgSwap (client → server) is the admin frame: publish new model
+	// msgSwap (client → server) is the admin frame: swap in new model
 	// weights without dropping a single request.
 	msgSwap
 	// msgSwapped (server → client) acknowledges a swap with the new model

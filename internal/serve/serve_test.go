@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -32,10 +33,10 @@ func testSystem() cluster.Config {
 // hold an untouched offline twin of the served model.
 func testAgent(sys cluster.Config, seed int64) *core.MRSch {
 	return core.New(sys, core.Options{
-		Window:  6,
-		Seed:    seed,
-		Workers: 1,
+		Window: 6,
+		Seed:   seed,
 		Mutate: func(c *dfp.Config) {
+			c.Workers = 1
 			c.StateHidden = []int{24}
 			c.StateOut = 12
 			c.ModuleHidden = 8
@@ -184,6 +185,42 @@ func TestEngineDecidesLikePickAtEveryBatchSize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The daemon decides on the live weights through one decider and keeps no
+// copy of them: at the default network geometry, NewServer allocates less
+// than one weight vector beyond what a decider of its agent does. The decider
+// is measured second, so that a weight copy the server made and a decider
+// could share would still count against the server.
+func TestNewServerHoldsNoWeightCopy(t *testing.T) {
+	sys := testSystem()
+	m := core.New(sys, core.Options{Window: 6, Seed: 29, Mutate: func(c *dfp.Config) { c.Workers = 1 }})
+	weights := 0
+	for _, p := range m.Agent.Params() {
+		weights += 8 * len(p.Value)
+	}
+	var srv *Server
+	server := allocated(func() {
+		var err error
+		if srv, err = NewServer(m, sys, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer srv.Shutdown()
+	decider := allocated(func() { m.BatchDecider() })
+	t.Logf("NewServer allocated %d bytes, a decider %d; one weight vector is %d", server, decider, weights)
+	if server >= decider+uint64(weights) {
+		t.Fatalf("NewServer allocated %d bytes, its decider alone %d; one weight vector is %d", server, decider, weights)
+	}
+}
+
+// allocated reports the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestDaemonMatchesOfflineOverTheWire drives a real daemon over TCP from

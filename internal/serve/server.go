@@ -185,9 +185,9 @@ func (c *conn) send(m *message) error {
 }
 
 // NewServer builds a daemon serving the agent's decisions for the given
-// system. The agent is put in inference mode (Train=false) and must not be
-// used by the caller afterwards except through Swap. The system's
-// capacities must match the encoding the agent was built with.
+// system. The daemon decides on the agent's live weights and swaps load into
+// them, so the caller must not use the agent afterwards except through Swap.
+// The system's capacities must match the encoding the agent was built with.
 func NewServer(agent *core.MRSch, sys cluster.Config, cfg Config) (*Server, error) {
 	if len(sys.Capacities) != agent.Enc.Resources() {
 		return nil, fmt.Errorf("serve: system has %d resources, the served model encodes %d", len(sys.Capacities), agent.Enc.Resources())

@@ -7,15 +7,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dfp"
 	"repro/internal/sched"
 )
 
 // TestConcurrentDecideAndSwap is the hot-swap race suite: N reader
-// goroutines loop batched decides while the main goroutine publishes
+// goroutines loop batched decides while the main goroutine swaps in
 // alternating weight sets. Run under -race in CI, it proves the engine's
 // lock discipline (contract rule 3); its assertions prove version
 // atomicity — every batch's decisions match the exact model its reported
-// version names, even mid-publish.
+// version names, even mid-swap.
 func TestConcurrentDecideAndSwap(t *testing.T) {
 	sys := testSystem()
 	rng := rand.New(rand.NewSource(43))
@@ -105,7 +107,11 @@ func TestConcurrentDecideAndSwap(t *testing.T) {
 }
 
 // TestFailedSwapLeavesReadersUntouched races readers against repeated
-// garbage swaps: every load fails, nothing is ever published, and every
+// refused swaps: garbage, a weights file cut short, and a well-formed file
+// of another geometry whose state, measurement and goal modules match the
+// served ones, so it fails only at the first stream. Every load fails, the
+// served weights are live and a swap loads in place, so this holds only
+// because the load checks the whole file before it writes any weight: every
 // decision keeps coming from version 1's model.
 func TestFailedSwapLeavesReadersUntouched(t *testing.T) {
 	sys := testSystem()
@@ -154,9 +160,21 @@ func TestFailedSwapLeavesReadersUntouched(t *testing.T) {
 			}
 		}(k)
 	}
-	for n := 0; n < 20; n++ {
-		if _, err := eng.swap(bytes.NewReader([]byte("junk weights"))); err == nil {
-			t.Fatal("garbage swap succeeded")
+	var good, other bytes.Buffer
+	if err := testAgent(sys, 23).Save(&good); err != nil {
+		t.Fatal(err)
+	}
+	wide := core.New(sys, core.Options{Window: 6, Seed: 23, Mutate: func(c *dfp.Config) {
+		c.StateHidden, c.StateOut, c.ModuleHidden, c.StreamHidden = []int{24}, 12, 8, 20
+		c.Offsets, c.TemporalWeights = []int{1, 2, 4}, []float64{0, 0.5, 1}
+	}})
+	if err := wide.Save(&other); err != nil {
+		t.Fatal(err)
+	}
+	refused := [][]byte{[]byte("junk weights"), good.Bytes()[:good.Len()-1], other.Bytes()}
+	for n := 0; n < 30; n++ {
+		if _, err := eng.swap(bytes.NewReader(refused[n%len(refused)])); err == nil {
+			t.Fatalf("refused swap %d succeeded", n%len(refused))
 		}
 	}
 	close(stop)

@@ -15,21 +15,22 @@ import (
 // or example names and that stays anyway, with the reason. Anything else the
 // guard finds is deleted with its tests, not added here.
 var reachAllow = map[string]string{
-	"CheckInvariants": "cluster: the conservation oracle the cluster, sim and sched suites and FuzzClusterOps call after every mutation sequence",
-	"NumRunning":      "cluster: what the cluster and sim oracles read the running-set size through",
-	"Shadow":          "sched: the shadow computation walked afresh, what the simulator's reused walk (sim/backfill_oracle_test.go) and the property suite are held to",
-	"StartJob":        "sim: start-by-pointer, one of the three ops FuzzQueueMirror and the backfill oracle drive the waiting queue with",
-	"GradCheck":       "nn: the finite-difference oracle for every layer's and the whole DFP topology's Backward",
-	"MSE":             "nn: the loss GradCheck differentiates in the layer suites",
-	"MaskedMSE":       "nn: the allocating form the reference training step (dfp/engine_test.go) is written with",
-	"Native":          "nn/kernel: lets the kernel suites hold the avx2 set to the go set whatever MRSCH_KERNEL selected",
-	"SetWide":         "nn/kernel: the hook the 512-bit-vs-256-bit form tests flip; nothing else may select a form",
-	"TrainStep":       "dfp: a burst of one, the unit the engine, burst, snapshot and state suites step and the reference step is compared against",
-	"Predict":         "dfp: exposes forwardDueling's rows to the gradient-check, actor-equivalence and root benchmarks",
-	"ExtendGoal":      "dfp: the allocating goal extension the reference step and Predict's callers feed it with",
-	"MustPrepare":     "experiments: materials fixture of five experiments suites and the root benchmarks",
-	"Theta":           "workload: the full-scale system; pins §IV-C's 11410-wide state and sizes the paper-scale benchmarks",
-	"WriteSWF":        "job: the writing half of FuzzParseSWF's round trip and of the integration suite's trace IO",
+	"CheckInvariants":  "cluster: the conservation oracle the cluster, sim and sched suites and FuzzClusterOps call after every mutation sequence",
+	"NumRunning":       "cluster: what the cluster and sim oracles read the running-set size through",
+	"Shadow":           "sched: the shadow computation walked afresh, what the simulator's reused walk (sim/backfill_oracle_test.go) and the property suite are held to",
+	"StartJob":         "sim: start-by-pointer, one of the three ops FuzzQueueMirror and the backfill oracle drive the waiting queue with",
+	"GradCheck":        "nn: the finite-difference oracle for every layer's and the whole DFP topology's Backward",
+	"MSE":              "nn: the loss GradCheck differentiates in the layer suites",
+	"MaskedMSE":        "nn: the allocating form the reference training step (dfp/engine_test.go) is written with",
+	"Native":           "nn/kernel: lets the kernel suites hold the avx2 set to the go set whatever MRSCH_KERNEL selected",
+	"SetWide":          "nn/kernel: the hook the 512-bit-vs-256-bit form tests flip; nothing else may select a form",
+	"TrainStep":        "dfp: a burst of one, the unit the engine, burst, snapshot and state suites step and the reference step is compared against",
+	"Predict":          "dfp: exposes forwardDueling's rows to the gradient-check, actor-equivalence and root benchmarks",
+	"ExtendGoal":       "dfp: the allocating goal extension the reference step and Predict's callers feed it with",
+	"MustPrepare":      "experiments: materials fixture of five experiments suites and the root benchmarks",
+	"Theta":            "workload: the full-scale system; pins §IV-C's 11410-wide state and sizes the paper-scale benchmarks",
+	"PaperScaleConfig": "dfp: §IV-C's full-size network (4000/1000/512), which the paper-scale root benchmarks (§V-F decision latency, one training step) build",
+	"WriteSWF":         "job: the writing half of FuzzParseSWF's round trip and of the integration suite's trace IO",
 }
 
 // TestReachability holds ROADMAP aim 2's floor: every top-level func, method
