@@ -86,11 +86,13 @@ type CampaignOptions struct {
 	// "save" after each round-boundary write and "resume" after a
 	// successful restore, episodes the cumulative episode count.
 	OnCheckpoint func(action string, episodes int)
-	// OnModel, when non-nil, observes family-model resolution: action is
-	// "trained" (trained in-process this run), "cached" (loaded from the
-	// ModelDir store), or "file" (loaded from an explicit MethodSpec.Model
-	// path). path names the file involved ("" for in-process training
-	// with no store).
+	// OnModel, when non-nil, observes model resolution, once per model the
+	// run holds (modelKey): action is "trained" (trained in-process this
+	// run), "cached" (loaded from the ModelDir store), or "file" (loaded
+	// from an explicit MethodSpec.Model path, once per distinct loaded agent
+	// however many seeds and scenarios share it; family is the first
+	// resolving cell's). path names the file involved ("" for in-process
+	// training with no store).
 	OnModel func(family, action, path string)
 	// NoTrain forbids in-process training: every trained family model must
 	// resolve from the ModelDir store or an explicit MethodSpec.Model file.
@@ -110,9 +112,10 @@ type CampaignOptions struct {
 // read-only afterwards. RunCampaign drives the whole lifecycle in-process;
 // the distributed runner (internal/distrib) opens a run per process and
 // resolves cells lazily as they are assigned. The caches are keyed by base
-// materials and model family, never by campaign, so one run can serve the
+// materials and by modelKey, never by campaign, so one run can serve the
 // cells of several equally sized campaigns (Run) and the bespoke studies
-// (FamilyModel): mrsch-exp -fig all trains each family once.
+// (FamilyModel): mrsch-exp -fig all trains each family once, and a model
+// file loads once however many replicate seeds read it.
 type CampaignRun struct {
 	spec      scenario.CampaignSpec
 	opt       CampaignOptions
@@ -212,7 +215,9 @@ func (r *CampaignRun) Run(spec scenario.CampaignSpec) ([]CellResult, error) {
 // mrsch cells act through, resolved like theirs (cached, from the store, or
 // trained now). It is how the studies that are not grids (Figures 8 and 9,
 // the goal ablation) reach the agents the figure campaigns trained. The
-// agent is shared: a caller that sets a hook on it must clear it again.
+// agent is the run's and is read-only: a study reads it through an evaluator
+// of its own, and one that varies it copies the struct first, as
+// AblationGoal does for FixedGoal.
 func (r *CampaignRun) FamilyModel(name string) (*core.MRSch, *Materials, error) {
 	sp, err := scenario.ByName(name)
 	if err != nil {
@@ -326,19 +331,34 @@ func (r *CampaignRun) baseMaterials() (*Materials, error) {
 	return r.resolveMaterials(scenario.Cell{})
 }
 
-// modelKey identifies one trained model: a method's model is shared by
-// every cell whose scenario family, arity, and base materials match.
+// modelKey identifies one resolved model, by what its weights and its agent
+// are a function of. A model trained in-process is shared by every cell whose
+// method kind, scenario family, CNN and power flags and base materials match
+// (the key storePath hashes). A model loaded from a file is shared by every
+// cell whose agent is built alike: the file, the method kind, the CNN and
+// power flags, the system SystemFor returns (a power_budget_kw override sizes
+// the state encoding) and the window. The replicate seed, the base materials
+// and the family do not enter it: the agent reads none of them but its rng
+// seed, and an evaluator's pick does not depend on that (cellPolicy). The
+// cell's materials must be resolved.
 func (r *CampaignRun) modelKey(cell scenario.Cell) string {
-	sp := cell.Scenario
-	return fmt.Sprintf("%s|%s|cnn=%v|power=%v|file=%s|%s",
-		cell.Method.Kind, sp.FamilyName(), cell.Method.CNN, sp.Power,
-		cell.Method.Model, r.materialsKeyOf(cell))
+	sp, method := cell.Scenario, cell.Method
+	if method.Model != "" {
+		m := r.materialsOf(cell)
+		sys := m.SystemFor(sp)
+		return fmt.Sprintf("%s|cnn=%v|power=%v|file=%s|sys=%s%v%v|window=%d",
+			method.Kind, method.CNN, sp.Power, method.Model,
+			sys.Name, sys.Resources, sys.Capacities, m.Scale.Window)
+	}
+	return fmt.Sprintf("%s|%s|cnn=%v|power=%v|file=|%s",
+		method.Kind, sp.FamilyName(), method.CNN, sp.Power, r.materialsKeyOf(cell))
 }
 
 // resolveModel trains or loads the cell's model if its method needs one and
-// the family doesn't have it yet. Called serially before the fan-out:
-// training itself parallelizes across rollout workers, and evaluation cells
-// must only ever read frozen weights.
+// the run does not hold it under the cell's modelKey yet: a family trains
+// once per base materials, a model file loads once per distinct agent. Called
+// serially before the fan-out: training itself parallelizes across rollout
+// workers, and evaluation cells must only ever read frozen weights.
 func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 	method := cell.Method
 	if !method.Kind.Trained() {
@@ -500,10 +520,10 @@ func (r CellResult) failed() bool { return len(r.Report.Utilization) < 2 }
 // is the GA seeded Seed+7000+Index; MRSch acts greedily (epsilon 0, so it
 // needs no seed) and Scalar RL samples its policy from a stream seeded
 // Seed+9000+Index, each through an evaluator, an unrecorded read-only actor
-// clone of the family's frozen model, so cells sharing one model may run
-// concurrently. The MRSch evaluator skips its model at every instant where no
-// waiting job fits (core.MRSchActor.Pick); its schedule is the agent's own
-// greedy one. All seeding derives from Cell.Index.
+// clone of the cell's frozen model (modelKey), so cells sharing one model may
+// run concurrently. The MRSch evaluator skips its model at every instant
+// where no waiting job fits (core.MRSchActor.Pick); its schedule is the
+// agent's own greedy one. All seeding derives from Cell.Index.
 func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.WindowPolicy, error) {
 	switch cell.Method.Kind {
 	case scenario.KindHeuristic:

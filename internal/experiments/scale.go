@@ -25,6 +25,20 @@
 //   - Scalar RL: samples its softmax policy, as in training, from a stream
 //     seeded Seed+9000+Index, through its evaluator (rl.Scheduler.Evaluator).
 //
+// # Which cells share a model
+//
+// A run holds one model per modelKey and every cell reads it through an
+// evaluator of its own, so cells sharing a model may evaluate concurrently.
+// A model trained in-process (train=true) is a function of its family's
+// curriculum on the cell's base materials, so it is shared across the
+// scenarios of a family but trained again for each replicate seed's
+// materials; the model store keys it the same way. A model loaded from a
+// file (MethodSpec.Model) is the file's weights in an agent built for the
+// cell's system and window, so it is loaded once for every seed and every
+// scenario of the campaign that builds the agent alike: the paper's one
+// trained model evaluated across many traces. A power scenario whose
+// power_budget_kw sizes the encoding differently gets an agent of its own.
+//
 // # Who owns a cell's jobs
 //
 // Materials hold the base trace and its splits, shared and read-only.

@@ -246,8 +246,9 @@ type MethodSpec struct {
 	// mrsch entries with different models).
 	Label string `json:"label,omitempty"`
 	// Model is a weights file (cmd/mrsch-train output) loaded into an
-	// untrained campaign-architecture agent; the same model is reused
-	// across every grid cell of a scenario family. mrsch only.
+	// untrained campaign-architecture agent; it is loaded once and reused
+	// across every grid cell, of any seed or family, whose agent is built
+	// alike (same system, window and flags). mrsch only.
 	Model string `json:"model,omitempty"`
 	// Train trains one model per scenario family in-process before the
 	// grid cells fan out, then reuses it across that family's cells.
