@@ -27,8 +27,7 @@
 //
 // which harvests decision instants from the named workload's trace (FCFS
 // replay), replays them from -clients concurrent clients, and prints
-// decision throughput with p50/p99/p999 latency as JSON (the
-// BENCH_serve.json rows).
+// decision throughput with p50/p99/p999 latency as JSON.
 package main
 
 import (

@@ -4,15 +4,15 @@
 // The implementation lives under internal/: the neural-network substrate
 // (nn), the Direct Future Prediction algorithm (dfp), the MRSch agent
 // (core), the CQSim-equivalent event-driven simulator (sim), the scheduling
-// framework with window-based reservation and EASY backfilling (sched), the
-// comparison baselines (ga, rl), the workload generators (workload), the
-// evaluation metrics (metrics), the declarative campaign specs (scenario)
-// and the campaign runner that trains, evaluates and renders them
-// (experiments): every figure of the paper's evaluation is a builtin
-// campaign or a study on a campaign run, regenerated by cmd/mrsch-exp.
-// Executables are under cmd/, a first-contact walkthrough under examples/, the
-// repository benchmark under bench/, and substrate microbenchmarks in
-// bench_test.go in this directory.
+// framework with window-based reservation and EASY backfilling and the
+// training-free baselines (sched), the scalar-RL baseline (rl), the
+// workload generators (workload), the evaluation metrics (metrics), the
+// declarative campaign specs (scenario) and the campaign runner that trains,
+// evaluates and renders them (experiments): every figure of the paper's
+// evaluation is a builtin campaign or a study on a campaign run, regenerated
+// by cmd/mrsch-exp. Executables are under cmd/, a first-contact walkthrough
+// under examples/, the repository benchmark under bench/, and substrate
+// microbenchmarks in bench_test.go in this directory.
 //
 // # Performance engine
 //
@@ -42,8 +42,8 @@
 //     dueling backward, lives in dfp's engine_test.go as the oracle the
 //     engine is equivalence-tested against to ≤1e-12.
 //
-// Benchmarks live in bench_test.go (BenchmarkTrainStep*, BenchmarkTrainSteps, BenchmarkAct*,
-// BenchmarkDecisionLatency); BENCH_dfp.json records the current snapshot
-// against the seed baseline, and ROADMAP.md's Performance section describes
-// the methodology.
+// The repository benchmark is go run ./bench; the substrate
+// microbenchmarks live in bench_test.go (BenchmarkTrainStep*,
+// BenchmarkActInference, BenchmarkDecisionLatency and others), and README's
+// "Benchmarks" lists the named lines with their last measured numbers.
 package repro

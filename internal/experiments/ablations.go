@@ -91,15 +91,15 @@ func AblationStateNets(r *CampaignRun) ([]AblationRow, error) {
 	return ablatePolicies(r, "S4", variants)
 }
 
-// AblationWindow sweeps the scheduling window size with the GA picker
-// (training-free, so the sweep isolates the window mechanism itself).
+// AblationWindow sweeps the scheduling window size with the Optimization
+// picker (training-free and deterministic: the sweep isolates the window).
 func AblationWindow(r *CampaignRun, sizes []int) ([]AblationRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{1, 5, 10, 20}
 	}
 	var variants []policyVariant
 	for _, w := range sizes {
-		variants = append(variants, policyVariant{fmt.Sprintf("window %d", w), sched.NewWindowPolicy(NewGA(r.baseScale.Seed+43), w)})
+		variants = append(variants, policyVariant{fmt.Sprintf("window %d", w), sched.NewWindowPolicy(sched.Pareto{}, w)})
 	}
 	return ablatePolicies(r, "S4", variants)
 }

@@ -516,12 +516,12 @@ func (r *CampaignRun) EvalCell(cell scenario.Cell) (CellResult, error) {
 func (r CellResult) failed() bool { return len(r.Report.Utilization) < 2 }
 
 // cellPolicy builds the cell's scheduling policy — the one place a method
-// kind becomes a policy. Heuristic is FCFS and deterministic; Optimization
-// is the GA seeded Seed+7000+Index; MRSch acts greedily (epsilon 0, so it
-// needs no seed) and Scalar RL samples its policy from a stream seeded
+// kind becomes a policy. Heuristic is FCFS and Optimization the exact Pareto
+// knee (sched.Pareto), both deterministic; MRSch acts greedily (epsilon 0,
+// so it needs no seed) and Scalar RL samples its policy from a stream seeded
 // Seed+9000+Index, each through an evaluator, an unrecorded read-only actor
-// clone of the cell's frozen model (modelKey), so cells sharing one model may
-// run concurrently. The MRSch evaluator skips its model at every instant
+// clone of the cell's frozen model (modelKey), so cells sharing one model
+// may run concurrently. The MRSch evaluator skips its model at every instant
 // where no waiting job fits (core.MRSchActor.Pick); its schedule is the
 // agent's own greedy one. All seeding derives from Cell.Index.
 func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.WindowPolicy, error) {
@@ -529,7 +529,7 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 	case scenario.KindHeuristic:
 		return FCFSPolicy(m.Scale.Window), nil
 	case scenario.KindOptimize:
-		return sched.NewWindowPolicy(NewGA(m.Scale.Seed+7000+int64(cell.Index)), m.Scale.Window), nil
+		return sched.NewWindowPolicy(sched.Pareto{}, m.Scale.Window), nil
 	case scenario.KindMRSch:
 		return r.models[r.modelKey(cell)].MRSch.Evaluator().Policy(), nil
 	case scenario.KindScalarRL:

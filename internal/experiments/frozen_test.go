@@ -19,11 +19,15 @@ import (
 //
 // That commit evaluated the figures through a harness of its own, which
 // disagreed with the campaign path on two definitions: it ran scalar RL by
-// argmax and seeded the GA with Seed+29 (Figures 5-7) or Seed+31 (Figure
-// 10), where a campaign cell samples the scalar-RL policy and seeds the GA
-// with Seed+7000+Index. The campaign's definitions won. What may therefore
-// differ from the frozen text is declared row by row in frozenKeep;
-// everything else must still be byte-equal.
+// argmax and seeded the Optimization method's genetic algorithm differently
+// per figure, where a campaign cell samples the scalar-RL policy. The
+// campaign's definitions won. Later the genetic algorithm gave way to the
+// exact Pareto knee it approximated (sched.Pareto), which draws nothing and
+// moved every row it schedules: the Optimization rows, the window sweep's
+// rows but window 1's (a one-job window has one pick) and the paper
+// report's Optimization rows. What may therefore differ from the frozen
+// text is declared row by row in frozenKeep; everything else must still be
+// byte-equal.
 var (
 	frozenFigures = filepath.Join("testdata", "parent-fig-all-tiny.txt")
 	frozenPaper   = filepath.Join("testdata", "parent-campaign-paper-tiny.txt")
@@ -31,7 +35,8 @@ var (
 
 // The column at which a (scenario, method) row's label ends ("  S10  Scalar
 // RL   "), the width of Figure 10's trailing Kiviat-area column, and the
-// width of an ablation row's label.
+// width of an ablation row's label. A paper report row's label ends with
+// its method's name.
 const (
 	methodLabelEnd = 2 + 4 + 1 + 12
 	areaColumn     = 1 + 8
@@ -40,8 +45,9 @@ const (
 
 // frozenKeep returns how many leading bytes of a frozen line the new path
 // must reproduce: all of them unless the row is one the change declares
-// moved. block is the first line of the figure the line belongs to,
-// section the last "Ablation —" title seen in the ablations block.
+// moved. block is the first line of the figure the line belongs to (of the
+// paper report, for -fig sweep), section the last "Ablation —" title seen
+// in the ablations block.
 func frozenKeep(block, section, line string) int {
 	moved := len(line) > methodLabelEnd &&
 		(strings.HasPrefix(line[7:], MethodOptimize) || strings.HasPrefix(line[7:], MethodScalarRL))
@@ -63,6 +69,14 @@ func frozenKeep(block, section, line string) int {
 		}
 		if dataRow {
 			return len(line) - areaColumn // own metrics exact, area normalised over the moved rows
+		}
+	case strings.HasPrefix(block, "Campaign paper"):
+		if i := strings.Index(line, MethodOptimize); i >= 0 {
+			return i + len(MethodOptimize)
+		}
+	case strings.HasPrefix(section, "Ablation — window size sweep"):
+		if strings.HasPrefix(line, "  window ") && !strings.HasPrefix(line, "  window 1 ") {
+			return ablationLabel
 		}
 	case strings.HasPrefix(section, "Ablation — single vs per-resource state nets"):
 		// The two agents now train through the rollout harness like every
@@ -116,10 +130,7 @@ func TestFiguresMatchFrozenParentOutput(t *testing.T) {
 	for i, block := range want {
 		if strings.HasPrefix(block[0], "Scenario sweep") {
 			// -fig sweep is the paper campaign now and prints its table.
-			if text := strings.Join(got[i], "\n") + "\n"; text != string(paper) {
-				t.Errorf("-fig sweep differs from the frozen -campaign paper report:\n%s", text)
-			}
-			continue
+			block = strings.Split(strings.TrimRight(string(paper), "\n"), "\n")
 		}
 		if len(got[i]) != len(block) {
 			t.Errorf("%s: %d lines, frozen %d", block[0], len(got[i]), len(block))
@@ -132,7 +143,11 @@ func TestFiguresMatchFrozenParentOutput(t *testing.T) {
 			}
 			keep := frozenKeep(block[0], section, line)
 			if len(got[i][j]) != len(line) || got[i][j][:keep] != line[:keep] {
-				t.Errorf("%s, line %d:\n   got %q\nfrozen %q (first %d bytes pinned)", block[0], j+1, got[i][j], line, keep)
+				name := block[0]
+				if section != "" {
+					name = section
+				}
+				t.Errorf("%s, line %d:\n   got %q\nfrozen %q (first %d bytes pinned)", name, j+1, got[i][j], line, keep)
 			}
 			if got[i][j] != line {
 				movedRows++

@@ -132,7 +132,7 @@ func propertyRun(t *testing.T, scenarios []scenario.ScenarioSpec) *CampaignRun {
 }
 
 // Every builtin scenario under every picker — FCFS with EASY, the window
-// policy over a trained MRSch, the GA and Scalar RL — keeps the properties
+// policy over a trained MRSch, the Pareto knee and Scalar RL — keeps the properties
 // checkedRun holds, and under FCFS the outcome EASY promises: a reserved job
 // starts no later than the shadow time computed when it was reserved. That
 // needs walltimes that bound runtimes, which every builtin workload has (the

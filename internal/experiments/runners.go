@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfp"
-	"repro/internal/ga"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/rl"
@@ -263,12 +262,10 @@ func (m *Materials) powerCurriculum(powerName string) []core.JobSet {
 	panic("experiments: unknown power workload " + powerName)
 }
 
-// NewGA returns the Optimization baseline picker.
-func NewGA(seed int64) sched.Picker {
-	cfg := ga.DefaultConfig()
-	cfg.Seed = seed
-	return ga.New(cfg)
-}
+// NewGA returns the Optimization baseline picker, sched.Pareto. The seed is
+// unused: the picker is exact and draws nothing. The parameter stays because
+// the benchmark harness passes one.
+func NewGA(int64) sched.Picker { return sched.Pareto{} }
 
 // FCFSPolicy returns the Heuristic baseline policy.
 func FCFSPolicy(window int) *sched.WindowPolicy {

@@ -18,7 +18,7 @@
 // scale seed and the cell's grid index, never from worker identity:
 //
 //   - Heuristic: FCFS with EASY backfilling; deterministic.
-//   - Optimization: the GA picker, seeded Seed+7000+Index.
+//   - Optimization: the exact Pareto-knee picker (sched.Pareto); deterministic.
 //   - MRSch: greedy (epsilon 0) through the evaluator of the family's frozen
 //     model (core.MRSch.Evaluator, an unrecorded read-only actor clone), so
 //     a report does not depend on Index.

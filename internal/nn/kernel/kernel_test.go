@@ -484,7 +484,7 @@ func BenchmarkDenseKernels(b *testing.B) {
 			}
 		}
 	}
-	// BENCH_dfp.json's rows: a 746-wide first layer, each set as it runs.
+	// A 746-wide first layer, each set as it runs.
 	for _, s := range benchSets() {
 		for _, k := range batchedKernels(746, 128, 16) {
 			b.Run(k.name+"/"+s.Name, func(b *testing.B) {

@@ -272,7 +272,7 @@ func (m MethodSpec) Describe() string {
 	case KindHeuristic:
 		return "FCFS with EASY backfilling (training-free)"
 	case KindOptimize:
-		return "per-window NSGA-II optimization (training-free)"
+		return "the exact Pareto knee of each window's maximal packs (training-free)"
 	case KindScalarRL:
 		return "fixed-weight scalar policy-gradient RL (trained per scenario family)"
 	case KindMRSch:

@@ -78,7 +78,7 @@ func TestLargestFirstPicksBiggest(t *testing.T) {
 // (the window+reservation framework guarantees progress regardless of the
 // picker).
 func TestBaselinePickersCompleteWorkloads(t *testing.T) {
-	pickers := map[string]Picker{"tetris": Tetris{}, "sjf": SJF{}, "largest": LargestFirst{}}
+	pickers := map[string]Picker{"tetris": Tetris{}, "sjf": SJF{}, "largest": LargestFirst{}, "pareto": Pareto{}}
 	for name, p := range pickers {
 		rng := rand.New(rand.NewSource(11))
 		var jobs []*job.Job

@@ -4,9 +4,9 @@
 // simulator's, which runs the round: internal/sim's package doc, "The
 // round"), FCFS and the list-scheduling baselines, and Shadow, the
 // reservation's shadow time walked afresh, which the simulator's reused walk
-// and the property suite are held to. The other methods plug in as Pickers
-// too: the genetic-algorithm optimizer (internal/ga), the scalar-reward
-// policy gradient (internal/rl), and MRSch itself (internal/core).
+// and the property suite are held to. Pareto, the Optimization baseline, is
+// here too; the learned methods plug in as Pickers from their packages: the
+// scalar-reward policy gradient (internal/rl) and MRSch (internal/core).
 //
 // # Determinism
 //

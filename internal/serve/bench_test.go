@@ -83,8 +83,7 @@ func BenchmarkCodec(b *testing.B) {
 
 // BenchmarkDecisionsPerSec measures the engine's decision throughput at
 // the admission batch sizes the daemon actually dispatches: the per-batch
-// forward-pass amortization is the whole point of admission batching, and
-// this benchmark is what BENCH_serve.json's engine numbers come from.
+// forward-pass amortization is the whole point of admission batching.
 func BenchmarkDecisionsPerSec(b *testing.B) {
 	sys := testSystem()
 	rng := rand.New(rand.NewSource(61))
