@@ -42,6 +42,10 @@
 //     dueling backward, lives in dfp's engine_test.go as the oracle the
 //     engine is equivalence-tested against to ≤1e-12.
 //
+// Both run on either kernel set (internal/nn/kernel), which compute the same
+// bits. Byte identity across hosts needs the same GOARCH and, on amd64, the
+// same AVX+FMA support (math.Exp rounds by CPU); arm64 is unverified.
+//
 // The repository benchmark is go run ./bench; the substrate
 // microbenchmarks live in bench_test.go (BenchmarkTrainStep*,
 // BenchmarkActInference, BenchmarkDecisionLatency and others), and README's

@@ -17,10 +17,11 @@
 //     and evaluation reads only frozen models and materials (the
 //     internal/rollout determinism contract), so one cell evaluated on any
 //     worker — or in-process — produces identical bytes. Everything else
-//     in this contract leans on that. Workers on one host inherit the same
-//     nn kernel set automatically; a fleet spanning hosts with different
-//     CPU support must pin one (MRSCH_KERNEL=go) to keep cell bytes
-//     machine-independent (internal/nn "Kernel dispatch").
+//     in this contract leans on that. The nn kernel set moves no bit, so
+//     workers need not agree on it; a fleet spanning hosts needs the same
+//     GOARCH on every host and, on amd64, the same AVX+FMA support, because
+//     the standard library's math.Exp rounds by CPU (internal/nn "Kernel
+//     dispatch"). Mixing arm64 and amd64 workers is unverified.
 //
 //  2. Collation is exactly-once by first-valid-result-wins. The first
 //     result frame for a cell is collated; every later copy — a duplicated

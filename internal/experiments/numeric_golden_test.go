@@ -15,12 +15,11 @@ import (
 )
 
 // numericGoldenPath pins the numbers of every trained method end to end:
-// report digests and saved-weights digests, one block per kernel set
-// (cross-set results agree to 1e-12, not bitwise). Regenerate after an
-// intentional numeric change, once per kernel set:
+// report digests and saved-weights digests, one table for every kernel set
+// (the sets compute the same bits). Regenerate after an intentional numeric
+// change:
 //
-//	UPDATE_GOLDEN=1 MRSCH_KERNEL=go   go test -run TestNumericGolden ./internal/experiments/
-//	UPDATE_GOLDEN=1 MRSCH_KERNEL=avx2 go test -run TestNumericGolden ./internal/experiments/
+//	UPDATE_GOLDEN=1 go test -run TestNumericGolden ./internal/experiments/
 var numericGoldenPath = filepath.Join("testdata", "numeric-golden.json")
 
 // numericDigest is what one trained method must reproduce bit for bit.
@@ -109,34 +108,28 @@ func TestNumericGolden(t *testing.T) {
 		got[c.name] = numericRun(t, c.method)
 	}
 
-	golden := map[string]map[string]numericDigest{}
-	data, err := os.ReadFile(numericGoldenPath)
-	if err == nil {
-		err = json.Unmarshal(data, &golden)
-	}
-	set := kernel.Name()
 	if os.Getenv("UPDATE_GOLDEN") == "1" {
-		golden[set] = got // a missing or unreadable file starts empty
-		out, err := json.MarshalIndent(golden, "", "  ")
+		out, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(numericGoldenPath, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s for kernel set %q", numericGoldenPath, set)
+		t.Logf("regenerated %s", numericGoldenPath)
 		return
+	}
+	want := map[string]numericDigest{}
+	data, err := os.ReadFile(numericGoldenPath)
+	if err == nil {
+		err = json.Unmarshal(data, &want)
 	}
 	if err != nil {
 		t.Fatalf("numeric golden unreadable (generate with UPDATE_GOLDEN=1): %v", err)
 	}
-	want, ok := golden[set]
-	if !ok {
-		t.Skipf("%s has no entry for kernel set %q (generate with UPDATE_GOLDEN=1)", numericGoldenPath, set)
-	}
 	for _, c := range numericGoldenCases {
 		if got[c.name] != want[c.name] {
-			t.Errorf("%s under kernel set %q:\n got %+v\nwant %+v", c.name, set, got[c.name], want[c.name])
+			t.Errorf("%s under kernel set %q:\n got %+v\nwant %+v", c.name, kernel.Name(), got[c.name], want[c.name])
 		}
 	}
 }

@@ -135,29 +135,20 @@
 // accumulation, and the fused Adam step — with the weight transpose that
 // feeds the second and the packed one-sample forward live in
 // internal/nn/kernel as a
-// function Set selected once at process start: the portable pure-Go
-// reference set ("go", bit-for-bit the pre-dispatch engine), or a
-// CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting amd64
-// hosts, whose three batched kernels run in 512-bit register-tiled forms
-// where the CPU has AVX-512 (the same arithmetic and the same bits, so still
-// the "avx2" set; KernelFeatures says which forms are live). The set also
-// carries FoldNorm, the training step's one-pass gradient fold. Every caller
-// in this package funnels through the same process-global set, so the
-// selection never splits a process's arithmetic.
-//
-// What that means for numerical contracts:
-//
-//   - Bitwise-stable within a process, under either set: batch forward rows
-//     vs bsz=1 calls at every batch size, rollout determinism for a
-//     fixed (Seed, Workers), checkpoint resume, and the serve daemon's
-//     batched-vs-offline byte identity.
-//
-//   - ≤1e-12 relative across sets: the avx2 kernels reassociate reductions
-//     into 4-wide lanes and contract multiply-add pairs, so cross-set
-//     agreement is tolerance-based (property-tested in the kernel package,
-//     including tail shapes). Artifacts compared byte-for-byte across
-//     processes must therefore come from the same kernel set — automatic on
-//     one host, and forceable anywhere with MRSCH_KERNEL=go.
+// function Set selected once at process start: the portable pure-Go set
+// ("go"), or a CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting
+// amd64 hosts, whose three batched kernels run in 512-bit register-tiled
+// forms where the CPU has AVX-512 (KernelFeatures says which forms are live).
+// The set also carries FoldNorm, the training step's one-pass gradient fold.
+// The go set is the avx2 set's primitives written out in Go under the same
+// loop nests, so a set is a choice of speed, not of arithmetic: batch rows
+// against bsz=1 calls, rollout determinism for a fixed (Seed, Workers),
+// checkpoint resume and the serve daemon's batched-vs-offline byte identity
+// hold within a process and across sets. Across hosts the standard library
+// can still move a bit: math.Exp (workload generation, Softmax) takes an FMA
+// path on amd64 CPUs with AVX and FMA that rounds differently, and arm64 has
+// its own. Byte-identical artifacts across hosts need the same GOARCH and, on
+// amd64, the same AVX+FMA support; arm64 against amd64 is unverified.
 //
 // MRSCH_KERNEL=go|avx2 forces a set (panicking at init if unsupported);
 // KernelName/KernelFeatures report what was selected for startup logs.

@@ -13,20 +13,27 @@
 //
 // # Kernel sets
 //
-// Two sets exist today:
+// Two sets exist today, and they compute the same bits: a set's name
+// selects speed, not arithmetic.
 //
-//   - "go" — the portable pure-Go loops, retained verbatim from the
-//     pre-dispatch engine (cache-blocked, 4/8-way register-unrolled). This
-//     is the arithmetic reference set: it runs on every architecture and
-//     its results are bit-for-bit the pre-dispatch engine's.
+//   - "go" — the portable set: the avx2 set's five primitives and its Adam
+//     step written out in Go (numerical contract, below) under the same loop
+//     nests. It runs wherever the avx2 set cannot (other architectures,
+//     amd64 CPUs without AVX2 and FMA), is the reference the kernel suites
+//     hold the avx2 set to, and has no packed path and no BackfillScan4. The
+//     lane map costs scalar code time: a 394x128 forward at 16 samples takes
+//     616 µs where one-accumulator Go loops take 270 (71 in the avx2 set's
+//     256-bit form; one core of a shared 2.1 GHz Xeon), and where the CPU has
+//     no FMA, math.FMA is software (math/fma.go) and it takes 25 ms
+//     (GODEBUG=cpu.fma=off); README "Benchmarks" gives the end-to-end cost.
 //
 //   - "avx2" (amd64 only) — hand-written AVX2/FMA assembly primitives
 //     (4-row fused-multiply-add dot products, 8/4-way rank-1 axpy updates,
-//     a fully vectorized Adam step including VSQRTPD/VDIVPD) driven by the
-//     same cache-blocking loop nests as the go set. A single sample is one
-//     assembly call per layer (the same dot-product bodies, looped over the
-//     rows in assembly), and this set has the packed forward. Requires AVX2,
-//     FMA, and OS AVX state support (OSXSAVE/XCR0), probed via CPUID.
+//     a fully vectorized Adam step including VSQRTPD/VDIVPD) bound to the
+//     same loop nests as the go set. A single sample is one assembly call per
+//     layer (the same dot-product bodies, looped over the rows in assembly),
+//     and this set has the packed forward. Requires AVX2, FMA, and OS AVX
+//     state support (OSXSAVE/XCR0), probed via CPUID.
 //     Where the CPU also has AVX512F, DQ and VL and the OS keeps ZMM state,
 //     the three batched kernels and the one-sample forward run in 512-bit
 //     register-tiled forms (wide_amd64.s, packed_amd64.s): a 4-row x 4-sample
@@ -36,15 +43,14 @@
 //     for a lone sample and the samples a tile leaves, and sixteen packed rows
 //     per pass over the listed chunks (one ZMM accumulator per two rows) for
 //     the packed forward, each with its whole loop in one assembly call.
-//     They are forms of this set, not a third set: a
-//     set's name identifies its arithmetic — which element meets which FMA
-//     chain, in what order chains are folded, where a multiply is rounded
-//     before an add — because that is what goldens, checkpoints and
-//     cross-process byte comparisons are keyed by, and the 512-bit forms
-//     change none of it (numerical contract, fourth fact). The instruction
-//     set a chain is issued in is not part of that. Features reports which
-//     forms are live; nothing selects them but the CPU (SetWide is the tests'
-//     hook, and moves all five kernels together).
+//     They are forms of this set, not a third set: the arithmetic — which
+//     element meets which FMA chain, in what order chains are folded, where
+//     a multiply is rounded before an add — is what goldens, checkpoints and
+//     cross-process byte comparisons rest on, and neither the 512-bit forms
+//     (numerical contract, fourth fact) nor the go set changes any of it.
+//     The instruction set a chain is issued in is not part of it. Features
+//     reports which forms are live; nothing selects them but the CPU
+//     (SetWide is the tests' hook, and moves all five kernels together).
 //
 // # Selection and the MRSCH_KERNEL override
 //
@@ -55,7 +61,7 @@
 // funnels through it. The best supported set wins by default; the
 // MRSCH_KERNEL environment variable forces one for testing:
 //
-//	MRSCH_KERNEL=go    # force the portable reference set
+//	MRSCH_KERNEL=go    # force the portable set: the same bits, slower
 //	MRSCH_KERNEL=avx2  # force AVX2/FMA; panics at init if unsupported
 //
 // An unknown or unsupported forced name panics at init — a forced run
@@ -63,13 +69,31 @@
 //
 // # Numerical contract
 //
-// Within one process all kernel users share one Set, so every intra-process
-// bitwise guarantee of the stack holds unchanged under either set: batch
-// rows are bitwise identical to single-sample calls at every batch size
-// (each sample row is computed by the same primitive in the same order
-// regardless of bsz — the serve daemon's byte-identity contract rides on
-// this), rollout/pipelined training is bitwise reproducible for a fixed
-// (Seed, Workers), and checkpoint resume reproduces the uninterrupted run.
+// Every set computes the same bits, so every bitwise guarantee of the stack
+// holds under either set and across them: batch rows are bitwise identical
+// to single-sample calls at every batch size (each sample row is computed by
+// the same primitive in the same order regardless of bsz — the serve
+// daemon's byte-identity contract rides on this), rollout/pipelined training
+// is bitwise reproducible for a fixed (Seed, Workers), and checkpoint resume
+// reproduces the uninterrupted run.
+//
+// The sets share one copy of the loop nests (kernel.go) over five primitives
+// and differ only in how those are issued. The go set is this list in Go, each
+// fused step a math.FMA (one rounding on every architecture) and every other
+// product converted to float64 on its own, which Go does not let a compiler
+// fuse with the add that follows:
+//
+//   - dot4: four rows against one x, each on the lane map below.
+//   - dot1: one row on four 4-lane chains over 16-element steps, a tail of
+//     eight on chains 0-1 and a tail of four on chain 2, the chains added
+//     lane-wise (c0+c1)+(c2+c3), the lanes (v0+v2)+(v1+v3), then the n%4
+//     tail by scalar FMA.
+//   - axpy8, axpy4: per element, an even chain started from dst through
+//     samples 0, 2, 4, 6 and an odd chain started from sample 1's rounded
+//     product through 3, 5, 7, FMAs in sample order, joined by one add.
+//     axpy1 is one FMA an element.
+//   - The Adam step: m = fma(a1, g, m·beta1), v = fma(a2, g·g, v·beta2),
+//     val = fma(-lr, q, val) with q = (m·invB1c) / (sqrt(v·invB2c) + eps).
 //
 // The packed forward of the avx2 set is DenseForward at bsz = 1 to the bit,
 // not to a tolerance. Three facts carry that:
@@ -137,11 +161,10 @@
 //     row r+1's in the high one — and its fold is FOLD4's pairs taken the same
 //     way, sixteen rows at a time; the sums come out in a fixed lane order,
 //     which the even + odd join (lane-wise) keeps and one permute undoes.
-//     The weight-gradient chains (axpy8: g1*x1 rounded by a multiply, the
-//     even chain started from the gw load, FMAs in sample order, one add)
-//     are element-wise, so eight lanes, four lanes, a masked remainder and a
-//     scalar tail all store the same element; the zero-coefficient row skip
-//     is per row, and a row left without a partner goes through axpy8.
+//     The weight-gradient chains (axpy8, above) are element-wise, so eight
+//     lanes, four lanes, a masked remainder and a scalar tail all store the
+//     same element; the zero-coefficient row skip is per row, and a row left
+//     without a partner goes through axpy8.
 //     Rows, samples and input gradients a tile does not cover go through
 //     dot4 and dot1 exactly where the 256-bit loops send them (dot1's
 //     16-in-flight chain is a different rounding, so who gets it must not
@@ -158,9 +181,8 @@
 //
 // FoldNorm's sum of squares is nn.L2Norm's in every set, not to a tolerance
 // either: four interleaved sums, the len%4 tail on the first, added left to
-// right, and each term a multiply rounded on its own and then an add. The Go
-// compiler does not contract a*b+c on amd64, so the avx2 kernel may not
-// (VMULPD then VADDPD, never an FMA) — the one place this set must not fuse.
+// right, and each term a multiply rounded on its own (float64(g*g) in Go) and
+// then an add, so the avx2 kernel may not fuse there (VMULPD then VADDPD).
 //
 // BackfillScan4 moves no bit, in the one set that has it: per word, a
 // 64-bit subtraction from each limit, a mask and an equality (VPSUBQ,
@@ -170,13 +192,14 @@
 // expression in Go gives; TestBackfillScan4Forms holds it to that on random
 // words and guards. What the words mean is internal/sim's.
 //
-// Across sets the results differ by floating-point reassociation and FMA
-// contraction only: the avx2 set accumulates in 4-wide lanes and contracts
-// multiply-add pairs, so a given output matches the go set to a relative
-// ~1e-16 per operation, property-tested to ≤1e-12 end to end (including
-// tail shapes where in/out/bsz are not multiples of the vector width).
-// Artifacts that must be byte-comparable across processes (distributed
-// collation, checkpoint files, served decisions vs offline picks) therefore
-// require the same kernel set on both sides — automatic on one host, and
-// forceable anywhere with MRSCH_KERNEL=go.
+// Across sets nothing moves: TestCrossSetAgreement and TestCrossSetAdam hold
+// each avx2 form to the go set bit for bit (a NaN matching any NaN) at every
+// in, out and bsz mod 8, every skip pattern, ±0, subnormals, NaN and ±Inf, and
+// TestSetsMatchTextbookLoops holds both to one-accumulator loops and the Adam
+// formula to 1e-12. Byte-compared artifacts (distributed cells, checkpoints,
+// served decisions against offline picks) still depend on the host: math.Exp,
+// which workload generation and nn's Softmax call, takes an FMA path on amd64
+// CPUs with AVX and FMA (useFMA, math/exp_amd64.go) that rounds differently,
+// and arm64 has its own (math/exp_arm64.s). So identity across hosts needs the
+// same GOARCH and, on amd64, the same AVX+FMA support; arm64 is unverified.
 package kernel

@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// Set is one coherent family of engine kernels. All arithmetic functions of
-// a Set use the same accumulation structure, so results are deterministic
-// for a fixed Set and each batch row is bitwise independent of bsz.
+// Set is one family of engine kernels. Every set computes the same bits (the
+// package doc's numerical contract); sets differ in speed and in the optional
+// kernels they carry, and each batch row is bitwise independent of bsz.
 type Set struct {
 	// Name identifies the set ("go", "avx2").
 	Name string
@@ -95,15 +95,15 @@ type Packed struct {
 	offs    []int64   // each listed chunk's byte offset in a 4-row block
 }
 
-// Reference is the portable pure-Go kernel set — the arithmetic reference
-// every accelerated set is property-tested against, and bit-for-bit the
-// pre-dispatch engine. It is always available.
+// Reference is the portable pure-Go kernel set: the avx2 set's arithmetic,
+// bit for bit, on every architecture, through the same loop nests over Go
+// renderings of its primitives. It is always available.
 var Reference = &Set{
 	Name:         "go",
-	DenseForward: goDenseForward,
-	InputGrad:    goInputGrad,
+	DenseForward: goPrims.denseForward,
+	InputGrad:    goPrims.inputGrad,
 	Transpose:    goTranspose,
-	AccumGrads:   goAccumGrads,
+	AccumGrads:   goPrims.accumGrads,
 	AdamStep:     goAdamStep,
 	FoldNorm:     goFoldNorm,
 }
@@ -146,8 +146,8 @@ func Features() string {
 
 // Native returns this host's accelerated kernel set, or nil when the CPU
 // (or architecture) does not support one. It is exported for equivalence
-// tests, which compare it against Reference directly regardless of which
-// set Active selected.
+// tests, which hold it to Reference bit for bit regardless of which set
+// Active selected.
 func Native() *Set { return nativeSet() }
 
 // Names lists the kernel sets available on this host, reference first.
@@ -181,103 +181,261 @@ func Select(name string) (*Set, error) {
 }
 
 // ---------------------------------------------------------------------------
-// The portable reference set. These are the pre-dispatch engine loops,
-// moved here verbatim from internal/nn (dense.go, optimizer.go) so the
-// "go" set stays bit-for-bit the historical engine.
+// The shared loop nests: both sets run their batched matmuls through these,
+// over their own primitives (Go below, assembly in kernel_amd64.s).
 
-// goDenseForward computes dst = x·Wᵀ + b for bsz row-major samples. The
-// output rows are tiled so the active block of W stays L1-resident across
-// the batch, and within a tile four output neurons share one streaming
-// pass over the input row (4-way register blocking). Each output keeps its
-// own sequential accumulator, so results are bitwise identical to the
-// naive per-output dot product.
-func goDenseForward(dst, x, w, b []float64, in, out, bsz int) {
+// prims are the five primitives a set's batched matmuls are made of, each
+// stated to the lane in the package doc's numerical contract: dot4 dots x with
+// the four rows w[k*stride:], dot1 with w, and axpy8, axpy4 and axpy1 add
+// Σ_k g[k*gstride]·x[k*xstride+i] over eight, four and one samples k to each
+// dst[i].
+type prims struct {
+	dot4         func(w []float64, stride int, x []float64) (s0, s1, s2, s3 float64)
+	dot1         func(w, x []float64) float64
+	axpy8, axpy4 func(dst, x []float64, xstride int, g []float64, gstride int)
+	axpy1        func(dst, x []float64, c float64)
+}
+
+// denseForward computes dst = x·Wᵀ + b for bsz row-major samples. The output
+// rows are tiled so the active block of W stays L1-resident across the batch;
+// within a tile four outputs are one dot4, and the out%4 rows of the last
+// tile go through dot1 — per row, so a sample's outputs do not depend on bsz.
+func (p *prims) denseForward(dst, x, w, b []float64, in, out, bsz int) {
 	// ~16 KB of W per tile, leaving L1 room for the input rows and output;
-	// at least one 4-row microkernel per tile.
+	// at least one 4-row block per tile.
 	oblk := 2048 / in
 	oblk -= oblk % 4
 	if oblk < 4 {
 		oblk = 4
 	}
 	for ob := 0; ob < out; ob += oblk {
-		oe := ob + oblk
-		if oe > out {
-			oe = out
-		}
+		oe := min(ob+oblk, out)
 		for bi := 0; bi < bsz; bi++ {
 			xr := x[bi*in : (bi+1)*in]
 			dr := dst[bi*out : (bi+1)*out]
 			o := ob
 			for ; o+4 <= oe; o += 4 {
-				r0 := w[o*in : (o+1)*in]
-				r1 := w[(o+1)*in : (o+2)*in]
-				r2 := w[(o+2)*in : (o+3)*in]
-				r3 := w[(o+3)*in : (o+4)*in]
-				var s0, s1, s2, s3 float64
-				for i, xi := range xr {
-					s0 += r0[i] * xi
-					s1 += r1[i] * xi
-					s2 += r2[i] * xi
-					s3 += r3[i] * xi
-				}
+				s0, s1, s2, s3 := p.dot4(w[o*in:], in, xr)
 				dr[o] = s0 + b[o]
 				dr[o+1] = s1 + b[o+1]
 				dr[o+2] = s2 + b[o+2]
 				dr[o+3] = s3 + b[o+3]
 			}
 			for ; o < oe; o++ {
-				row := w[o*in : (o+1)*in]
-				var s float64
-				for i, xi := range xr {
-					s += row[i] * xi
-				}
-				dr[o] = s + b[o]
+				dr[o] = p.dot1(w[o*in:], xr) + b[o]
 			}
 		}
 	}
 }
 
-// goInputGrad computes gin = grad·W through the caller's transposed weight
-// copy: with Wᵀ stored in×out, each input gradient is a sequential dot
-// product, and 4-way sample blocking reuses every Wᵀ row across four
-// samples from registers.
-func goInputGrad(gin, grad, wt []float64, in, out, bsz int) {
+// inputGrad computes gin = grad·W through the caller's transposed weight
+// copy: each Wᵀ row is dotted against four grad rows at once (stride out).
+func (p *prims) inputGrad(gin, grad, wt []float64, in, out, bsz int) {
+	p.inputGradFrom(gin, grad, wt, in, out, bsz, 0)
+}
+
+// inputGradFrom is inputGrad less the first i0 input gradients of the samples
+// that go four at a time (the part a 4x4 tile has already written).
+func (p *prims) inputGradFrom(gin, grad, wt []float64, in, out, bsz, i0 int) {
 	b0 := 0
 	for ; b0+4 <= bsz; b0 += 4 {
-		g0r := grad[b0*out : (b0+1)*out]
-		g1r := grad[(b0+1)*out : (b0+2)*out]
-		g2r := grad[(b0+2)*out : (b0+3)*out]
-		g3r := grad[(b0+3)*out : (b0+4)*out]
 		gi0 := gin[b0*in : (b0+1)*in]
 		gi1 := gin[(b0+1)*in : (b0+2)*in]
 		gi2 := gin[(b0+2)*in : (b0+3)*in]
 		gi3 := gin[(b0+3)*in : (b0+4)*in]
-		for i := 0; i < in; i++ {
-			wti := wt[i*out : (i+1)*out]
-			var a0, a1, a2, a3 float64
-			for o, wv := range wti {
-				a0 += g0r[o] * wv
-				a1 += g1r[o] * wv
-				a2 += g2r[o] * wv
-				a3 += g3r[o] * wv
-			}
-			gi0[i] = a0
-			gi1[i] = a1
-			gi2[i] = a2
-			gi3[i] = a3
+		g := grad[b0*out:]
+		for i := i0; i < in; i++ {
+			gi0[i], gi1[i], gi2[i], gi3[i] = p.dot4(g, out, wt[i*out:(i+1)*out])
 		}
 	}
 	for ; b0 < bsz; b0++ {
 		gr := grad[b0*out : (b0+1)*out]
 		gi := gin[b0*in : (b0+1)*in]
-		for i := 0; i < in; i++ {
-			wti := wt[i*out : (i+1)*out]
-			var a float64
-			for o, wv := range wti {
-				a += gr[o] * wv
-			}
-			gi[i] = a
+		for i := range gi {
+			gi[i] = p.dot1(gr, wt[i*out:(i+1)*out])
 		}
+	}
+}
+
+// accumGrads performs gb += Σ_rows grad and gw += gradᵀ·x, eight samples at a
+// time through axpy8 and the rest through accumRest. A weight row whose eight
+// coefficients are all zero is skipped: masked temporal offsets zero whole
+// gradient columns, and the sparse dueling backward zeroes whole samples.
+func (p *prims) accumGrads(gw, gb, grad, x []float64, in, out, bsz int) {
+	accumBias(gb, grad, out, bsz)
+	b0 := 0
+	for ; b0+8 <= bsz; b0 += 8 {
+		base := b0 * out
+		for o := 0; o < out; o++ {
+			if grad[base+o] == 0 && grad[base+out+o] == 0 &&
+				grad[base+2*out+o] == 0 && grad[base+3*out+o] == 0 &&
+				grad[base+4*out+o] == 0 && grad[base+5*out+o] == 0 &&
+				grad[base+6*out+o] == 0 && grad[base+7*out+o] == 0 {
+				continue
+			}
+			p.axpy8(gw[o*in:(o+1)*in], x[b0*in:], in, grad[base+o:], out)
+		}
+	}
+	p.accumRest(gw, grad, x, in, out, b0, bsz)
+}
+
+// accumBias is gb += Σ_rows grad.
+func accumBias(gb, grad []float64, out, bsz int) {
+	for o := 0; o < out; o++ {
+		var s float64
+		for b := 0; b < bsz; b++ {
+			s += grad[b*out+o]
+		}
+		gb[o] += s
+	}
+}
+
+// accumRest accumulates samples b0..bsz-1, fewer than eight: one block of
+// four through axpy4, then single rows through axpy1, each with its
+// zero-coefficient row skip.
+func (p *prims) accumRest(gw, grad, x []float64, in, out, b0, bsz int) {
+	for ; b0+4 <= bsz; b0 += 4 {
+		base := b0 * out
+		for o := 0; o < out; o++ {
+			if grad[base+o] == 0 && grad[base+out+o] == 0 &&
+				grad[base+2*out+o] == 0 && grad[base+3*out+o] == 0 {
+				continue
+			}
+			p.axpy4(gw[o*in:(o+1)*in], x[b0*in:], in, grad[base+o:], out)
+		}
+	}
+	for ; b0 < bsz; b0++ {
+		gr := grad[b0*out : (b0+1)*out]
+		xr := x[b0*in : (b0+1)*in]
+		for o, g := range gr {
+			if g == 0 {
+				continue
+			}
+			p.axpy1(gw[o*in:(o+1)*in], xr, g)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The go set: the avx2 set's primitives and Adam step written out in Go. A
+// fused step is math.FMA, which rounds once on every architecture; every
+// other product is converted to float64 on its own, which the language
+// forbids the compiler to fuse with the add that follows.
+
+var goPrims = &prims{dot4: goDot4, dot1: goDot1, axpy8: goAxpy8, axpy4: goAxpy4, axpy1: goAxpy1}
+
+// goDot4 is dot4: four independent rows of dot8.
+func goDot4(w []float64, stride int, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	return dot8(w[:n], x), dot8(w[stride:stride+n], x), dot8(w[2*stride:2*stride+n], x), dot8(w[3*stride:3*stride+n], x)
+}
+
+// dot8 is one row of dot4, on the lane map of the package doc's numerical
+// contract (the half-step on lanes 0-3, the fold, the n%4 tail by FMA).
+func dot8(w, x []float64) float64 {
+	var l0, l1, l2, l3, l4, l5, l6, l7 float64
+	i := 0
+	for ; i+8 <= len(x); i += 8 {
+		xs, ws := x[i:i+8:i+8], w[i:i+8:i+8]
+		l0 = math.FMA(xs[0], ws[0], l0)
+		l1 = math.FMA(xs[1], ws[1], l1)
+		l2 = math.FMA(xs[2], ws[2], l2)
+		l3 = math.FMA(xs[3], ws[3], l3)
+		l4 = math.FMA(xs[4], ws[4], l4)
+		l5 = math.FMA(xs[5], ws[5], l5)
+		l6 = math.FMA(xs[6], ws[6], l6)
+		l7 = math.FMA(xs[7], ws[7], l7)
+	}
+	if i+4 <= len(x) {
+		xs, ws := x[i:i+4:i+4], w[i:i+4:i+4]
+		l0 = math.FMA(xs[0], ws[0], l0)
+		l1 = math.FMA(xs[1], ws[1], l1)
+		l2 = math.FMA(xs[2], ws[2], l2)
+		l3 = math.FMA(xs[3], ws[3], l3)
+		i += 4
+	}
+	s := ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
+	for ; i < len(x); i++ {
+		s = math.FMA(x[i], w[i], s)
+	}
+	return s
+}
+
+// goDot1 is dot1 as the package doc states it: element j of a 16-element step
+// on chain j/4, lane j%4.
+func goDot1(w, x []float64) float64 {
+	n := len(x)
+	w = w[:n]
+	var c [16]float64 // chain k, lane l at c[4k+l]
+	i := 0
+	for ; i+16 <= n; i += 16 {
+		for j := range c {
+			c[j] = math.FMA(x[i+j], w[i+j], c[j])
+		}
+	}
+	if n&8 != 0 {
+		for j := 0; j < 8; j++ {
+			c[j] = math.FMA(x[i+j], w[i+j], c[j])
+		}
+		i += 8
+	}
+	if n&4 != 0 {
+		for j := 0; j < 4; j++ {
+			c[8+j] = math.FMA(x[i+j], w[i+j], c[8+j])
+		}
+		i += 4
+	}
+	var v [4]float64
+	for l := range v {
+		v[l] = (c[l] + c[4+l]) + (c[8+l] + c[12+l])
+	}
+	s := (v[0] + v[2]) + (v[1] + v[3])
+	for ; i < n; i++ {
+		s = math.FMA(x[i], w[i], s)
+	}
+	return s
+}
+
+// goAxpy8 is axpy8: per element, an even chain from dst and an odd one from
+// sample 1's rounded product, joined by one add.
+func goAxpy8(dst, x []float64, xstride int, g []float64, gstride int) {
+	n := len(dst)
+	g0, g1, g2, g3 := g[0], g[gstride], g[2*gstride], g[3*gstride]
+	g4, g5, g6, g7 := g[4*gstride], g[5*gstride], g[6*gstride], g[7*gstride]
+	x0, x1, x2, x3 := x[:n], x[xstride:xstride+n], x[2*xstride:2*xstride+n], x[3*xstride:3*xstride+n]
+	x4, x5, x6, x7 := x[4*xstride:4*xstride+n], x[5*xstride:5*xstride+n], x[6*xstride:6*xstride+n], x[7*xstride:7*xstride+n]
+	for i := range dst {
+		e := math.FMA(g0, x0[i], dst[i])
+		o := float64(g1 * x1[i])
+		e = math.FMA(g2, x2[i], e)
+		o = math.FMA(g3, x3[i], o)
+		e = math.FMA(g4, x4[i], e)
+		o = math.FMA(g5, x5[i], o)
+		e = math.FMA(g6, x6[i], e)
+		o = math.FMA(g7, x7[i], o)
+		dst[i] = e + o
+	}
+}
+
+// goAxpy4 is axpy4: goAxpy8's two chains over four samples.
+func goAxpy4(dst, x []float64, xstride int, g []float64, gstride int) {
+	n := len(dst)
+	g0, g1, g2, g3 := g[0], g[gstride], g[2*gstride], g[3*gstride]
+	x0, x1, x2, x3 := x[:n], x[xstride:xstride+n], x[2*xstride:2*xstride+n], x[3*xstride:3*xstride+n]
+	for i := range dst {
+		e := math.FMA(g0, x0[i], dst[i])
+		o := float64(g1 * x1[i])
+		e = math.FMA(g2, x2[i], e)
+		o = math.FMA(g3, x3[i], o)
+		dst[i] = e + o
+	}
+}
+
+// goAxpy1 is axpy1: one FMA an element.
+func goAxpy1(dst, x []float64, c float64) {
+	x = x[:len(dst)]
+	for i := range dst {
+		dst[i] = math.FMA(c, x[i], dst[i])
 	}
 }
 
@@ -299,117 +457,35 @@ func goTranspose(wt, w []float64, in, out int) {
 	}
 }
 
-// goAccumGrads performs gb += Σ_rows grad and gw += gradᵀ·x with 8/4-way
-// sample blocking: several samples' rank-1 updates merge into one
-// streaming pass over each weight-gradient row, dividing the gw load/store
-// traffic that dominates the naive per-sample backward.
-func goAccumGrads(gw, gb, grad, x []float64, in, out, bsz int) {
-	for o := 0; o < out; o++ {
-		var s float64
-		for b := 0; b < bsz; b++ {
-			s += grad[b*out+o]
-		}
-		gb[o] += s
-	}
-	b0 := 0
-	for ; b0+8 <= bsz; b0 += 8 {
-		g0r := grad[b0*out : (b0+1)*out]
-		g1r := grad[(b0+1)*out : (b0+2)*out]
-		g2r := grad[(b0+2)*out : (b0+3)*out]
-		g3r := grad[(b0+3)*out : (b0+4)*out]
-		g4r := grad[(b0+4)*out : (b0+5)*out]
-		g5r := grad[(b0+5)*out : (b0+6)*out]
-		g6r := grad[(b0+6)*out : (b0+7)*out]
-		g7r := grad[(b0+7)*out : (b0+8)*out]
-		x0 := x[b0*in : (b0+1)*in]
-		x1 := x[(b0+1)*in : (b0+2)*in]
-		x2 := x[(b0+2)*in : (b0+3)*in]
-		x3 := x[(b0+3)*in : (b0+4)*in]
-		x4 := x[(b0+4)*in : (b0+5)*in]
-		x5 := x[(b0+5)*in : (b0+6)*in]
-		x6 := x[(b0+6)*in : (b0+7)*in]
-		x7 := x[(b0+7)*in : (b0+8)*in]
-		for o := 0; o < out; o++ {
-			g0, g1, g2, g3 := g0r[o], g1r[o], g2r[o], g3r[o]
-			g4, g5, g6, g7 := g4r[o], g5r[o], g6r[o], g7r[o]
-			if g0 == 0 && g1 == 0 && g2 == 0 && g3 == 0 &&
-				g4 == 0 && g5 == 0 && g6 == 0 && g7 == 0 {
-				// Masked temporal offsets zero whole gradient columns; skip
-				// the row entirely (the sparse dueling backward relies on
-				// the same property sample-wise).
-				continue
-			}
-			grow := gw[o*in : (o+1)*in]
-			for i := range grow {
-				grow[i] += g0*x0[i] + g1*x1[i] + g2*x2[i] + g3*x3[i] +
-					g4*x4[i] + g5*x5[i] + g6*x6[i] + g7*x7[i]
-			}
-		}
-	}
-	for ; b0+4 <= bsz; b0 += 4 {
-		g0r := grad[b0*out : (b0+1)*out]
-		g1r := grad[(b0+1)*out : (b0+2)*out]
-		g2r := grad[(b0+2)*out : (b0+3)*out]
-		g3r := grad[(b0+3)*out : (b0+4)*out]
-		x0 := x[b0*in : (b0+1)*in]
-		x1 := x[(b0+1)*in : (b0+2)*in]
-		x2 := x[(b0+2)*in : (b0+3)*in]
-		x3 := x[(b0+3)*in : (b0+4)*in]
-		for o := 0; o < out; o++ {
-			g0, g1, g2, g3 := g0r[o], g1r[o], g2r[o], g3r[o]
-			if g0 == 0 && g1 == 0 && g2 == 0 && g3 == 0 {
-				continue
-			}
-			grow := gw[o*in : (o+1)*in]
-			for i := range grow {
-				grow[i] += g0*x0[i] + g1*x1[i] + g2*x2[i] + g3*x3[i]
-			}
-		}
-	}
-	for ; b0 < bsz; b0++ {
-		gr := grad[b0*out : (b0+1)*out]
-		xr := x[b0*in : (b0+1)*in]
-		for o, g := range gr {
-			if g == 0 {
-				continue
-			}
-			grow := gw[o*in : (o+1)*in]
-			for i := range grow {
-				grow[i] += g * xr[i]
-			}
-		}
-	}
-}
-
-// goAdamStep is the fused scaled Adam update: the inner loop hoists the
-// bias corrections into reciprocal multiplies and fuses gradient zeroing,
-// leaving one unavoidable sqrt+divide per element. With f=1 it is bitwise
-// the unscaled update (x*1.0 is exact for every float64).
+// goAdamStep is the avx2 set's adamStep element by element (package doc). With
+// f = 1 the effective gradient is grad itself (x·1 is exact for every float64).
 func goAdamStep(val, grad, m, v []float64, f, lr, beta1, beta2, a1, a2, invB1c, invB2c, eps float64) {
+	grad, m, v = grad[:len(val)], m[:len(val)], v[:len(val)]
 	for i := range val {
-		g := grad[i] * f
+		g := float64(grad[i] * f)
 		grad[i] = 0
-		mi := beta1*m[i] + a1*g
-		vi := beta2*v[i] + a2*g*g
-		m[i] = mi
-		v[i] = vi
-		val[i] -= lr * (mi * invB1c) / (math.Sqrt(vi*invB2c) + eps)
+		mi := math.FMA(a1, g, float64(m[i]*beta1))
+		vi := math.FMA(a2, float64(g*g), float64(v[i]*beta2))
+		m[i], v[i] = mi, vi
+		q := float64(mi*invB1c) / (math.Sqrt(float64(vi*invB2c)) + eps)
+		val[i] = math.FMA(-lr, q, val[i])
 	}
 }
 
-// goFoldNorm is AddTo, Fill(0) and L2Norm's sum in one pass over the pair.
+// goFoldNorm is AddTo, Fill(0) and L2Norm's sum in one pass over the pair:
+// four interleaved sums, the len%4 tail on the first.
 func goFoldNorm(grad, shadow []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	if shadow == nil {
 		for ; i+4 <= len(grad); i += 4 {
-			s0 += grad[i] * grad[i]
-			s1 += grad[i+1] * grad[i+1]
-			s2 += grad[i+2] * grad[i+2]
-			s3 += grad[i+3] * grad[i+3]
+			s0 += float64(grad[i] * grad[i])
+			s1 += float64(grad[i+1] * grad[i+1])
+			s2 += float64(grad[i+2] * grad[i+2])
+			s3 += float64(grad[i+3] * grad[i+3])
 		}
 		for ; i < len(grad); i++ {
-			s0 += grad[i] * grad[i]
+			s0 += float64(grad[i] * grad[i])
 		}
 		return s0 + s1 + s2 + s3
 	}
@@ -418,15 +494,15 @@ func goFoldNorm(grad, shadow []float64) float64 {
 		g0, g1, g2, g3 := grad[i]+shadow[i], grad[i+1]+shadow[i+1], grad[i+2]+shadow[i+2], grad[i+3]+shadow[i+3]
 		grad[i], grad[i+1], grad[i+2], grad[i+3] = g0, g1, g2, g3
 		shadow[i], shadow[i+1], shadow[i+2], shadow[i+3] = 0, 0, 0, 0
-		s0 += g0 * g0
-		s1 += g1 * g1
-		s2 += g2 * g2
-		s3 += g3 * g3
+		s0 += float64(g0 * g0)
+		s1 += float64(g1 * g1)
+		s2 += float64(g2 * g2)
+		s3 += float64(g3 * g3)
 	}
 	for ; i < len(grad); i++ {
 		g := grad[i] + shadow[i]
 		grad[i], shadow[i] = g, 0
-		s0 += g * g
+		s0 += float64(g * g)
 	}
 	return s0 + s1 + s2 + s3
 }

@@ -4,14 +4,9 @@ package kernel
 
 import "strings"
 
-// The avx2 set drives the same cache-blocking loop nests as the go set,
-// but the innermost loops are AVX2/FMA assembly (kernel_amd64.s): 4-row
-// fused dot products for the forward and input-gradient matmuls, 8/4-way
-// rank-1 axpy updates for the weight gradients, and a fully vectorized
-// Adam step. Every sample row still goes through the same primitives in
-// the same order regardless of bsz, preserving the batch-vs-single
-// bitwise row identity. BackfillScan4 is one assembly loop over four words
-// a step (backfillScan4).
+// The avx2 set runs the loop nests of kernel.go over the AVX2/FMA primitives of
+// kernel_amd64.s (avx2Prims) and adds its own one-sample forward (matvec), Adam
+// step, packed forward, 512-bit forms and BackfillScan4 (package doc).
 
 //go:noescape
 func dot4(w *float64, stride int, x *float64, n int) (s0, s1, s2, s3 float64)
@@ -139,7 +134,7 @@ var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
 // and the packed forward at their 512-bit forms (wide_amd64.go,
 // packed_amd64.go) or their 256-bit ones.
 func (s *Set) useForms(wide bool) {
-	s.DenseForward, s.InputGrad, s.AccumGrads = avx2DenseForward, avx2InputGrad, avx2AccumGrads
+	s.DenseForward, s.InputGrad, s.AccumGrads = avx2DenseForward, avx2Prims.inputGrad, avx2Prims.accumGrads
 	s.PackedForward = avx2PackedForward
 	if wide {
 		s.DenseForward, s.InputGrad, s.AccumGrads = wideDenseForward, wideInputGrad, wideAccumGrads
@@ -161,10 +156,33 @@ func SetWide(on bool) {
 func nativeSet() *Set     { return avx2Set }
 func cpuFeatures() string { return archFeatures }
 
-// avx2DenseForward mirrors goDenseForward's L1 tiling; each 4-output
-// microkernel is one dot4 call (4 weight rows at stride in against one
-// input row), remainder outputs go through dot1. A single sample has no
-// tile to share and is one matvec call: the same dot4 and dot1 bodies over
+// avx2Prims binds the assembly primitives to the shared nests. Each wrapper
+// checks the farthest element its routine reads, which the assembly does not.
+var avx2Prims = &prims{
+	dot4: func(w []float64, stride int, x []float64) (s0, s1, s2, s3 float64) {
+		_ = w[3*stride+len(x)-1]
+		return dot4(&w[0], stride, &x[0], len(x))
+	},
+	dot1: func(w, x []float64) float64 {
+		_ = w[len(x)-1]
+		return dot1(&w[0], &x[0], len(x))
+	},
+	axpy8: func(dst, x []float64, xstride int, g []float64, gstride int) {
+		_, _ = x[7*xstride+len(dst)-1], g[7*gstride]
+		axpy8(&dst[0], &x[0], xstride, &g[0], gstride, len(dst))
+	},
+	axpy4: func(dst, x []float64, xstride int, g []float64, gstride int) {
+		_, _ = x[3*xstride+len(dst)-1], g[3*gstride]
+		axpy4(&dst[0], &x[0], xstride, &g[0], gstride, len(dst))
+	},
+	axpy1: func(dst, x []float64, c float64) {
+		_ = x[len(dst)-1]
+		axpy1(&dst[0], &x[0], c, len(dst))
+	},
+}
+
+// avx2DenseForward is the shared tiled nest, except that a single sample has
+// no tile to share and is one matvec call: the same dot4 and dot1 bodies over
 // the same rows, looped in assembly.
 func avx2DenseForward(dst, x, w, b []float64, in, out, bsz int) {
 	if bsz == 1 {
@@ -172,66 +190,7 @@ func avx2DenseForward(dst, x, w, b []float64, in, out, bsz int) {
 		matvec(&dst[0], &w[0], &x[0], &b[0], in, out)
 		return
 	}
-	oblk := 2048 / in
-	oblk -= oblk % 4
-	if oblk < 4 {
-		oblk = 4
-	}
-	for ob := 0; ob < out; ob += oblk {
-		oe := ob + oblk
-		if oe > out {
-			oe = out
-		}
-		for bi := 0; bi < bsz; bi++ {
-			xr := x[bi*in : (bi+1)*in]
-			dr := dst[bi*out : (bi+1)*out]
-			o := ob
-			for ; o+4 <= oe; o += 4 {
-				s0, s1, s2, s3 := dot4(&w[o*in], in, &xr[0], in)
-				dr[o] = s0 + b[o]
-				dr[o+1] = s1 + b[o+1]
-				dr[o+2] = s2 + b[o+2]
-				dr[o+3] = s3 + b[o+3]
-			}
-			for ; o < oe; o++ {
-				dr[o] = dot1(&w[o*in], &xr[0], in) + b[o]
-			}
-		}
-	}
-}
-
-// avx2InputGrad computes gin = grad·W through the caller's transposed
-// weight copy: each Wᵀ row is dotted against four grad rows at once
-// (stride out), reusing the row from registers across the sample block.
-func avx2InputGrad(gin, grad, wt []float64, in, out, bsz int) {
-	inputGradFrom(gin, grad, wt, in, out, bsz, 0)
-}
-
-// inputGradFrom is avx2InputGrad less the first i0 input gradients of the
-// samples that go four at a time (the part a 4x4 tile has already written).
-func inputGradFrom(gin, grad, wt []float64, in, out, bsz, i0 int) {
-	b0 := 0
-	for ; b0+4 <= bsz; b0 += 4 {
-		gi0 := gin[b0*in : (b0+1)*in]
-		gi1 := gin[(b0+1)*in : (b0+2)*in]
-		gi2 := gin[(b0+2)*in : (b0+3)*in]
-		gi3 := gin[(b0+3)*in : (b0+4)*in]
-		g := &grad[b0*out]
-		for i := i0; i < in; i++ {
-			s0, s1, s2, s3 := dot4(g, out, &wt[i*out], out)
-			gi0[i] = s0
-			gi1[i] = s1
-			gi2[i] = s2
-			gi3[i] = s3
-		}
-	}
-	for ; b0 < bsz; b0++ {
-		gr := grad[b0*out : (b0+1)*out]
-		gi := gin[b0*in : (b0+1)*in]
-		for i := 0; i < in; i++ {
-			gi[i] = dot1(&gr[0], &wt[i*out], out)
-		}
-	}
+	avx2Prims.denseForward(dst, x, w, b, in, out, bsz)
 }
 
 // avx2Transpose moves the in-in%4 by out-out%4 body in 4x4 register blocks
@@ -250,64 +209,6 @@ func avx2Transpose(wt, w []float64, in, out int) {
 		}
 		for ; i < in; i++ {
 			wt[i*out+o] = row[i]
-		}
-	}
-}
-
-// avx2AccumGrads keeps the go set's 8/4-way sample blocking and its
-// zero-coefficient row skip (masked temporal offsets zero whole gradient
-// columns); the merged rank-1 updates run through axpy8/axpy4, which
-// broadcast the strided coefficients in registers.
-func avx2AccumGrads(gw, gb, grad, x []float64, in, out, bsz int) {
-	accumBias(gb, grad, out, bsz)
-	b0 := 0
-	for ; b0+8 <= bsz; b0 += 8 {
-		base := b0 * out
-		for o := 0; o < out; o++ {
-			if grad[base+o] == 0 && grad[base+out+o] == 0 &&
-				grad[base+2*out+o] == 0 && grad[base+3*out+o] == 0 &&
-				grad[base+4*out+o] == 0 && grad[base+5*out+o] == 0 &&
-				grad[base+6*out+o] == 0 && grad[base+7*out+o] == 0 {
-				continue
-			}
-			axpy8(&gw[o*in], &x[b0*in], in, &grad[base+o], out, in)
-		}
-	}
-	accumRest(gw, grad, x, in, out, b0, bsz)
-}
-
-// accumBias is gb += Σ_rows grad.
-func accumBias(gb, grad []float64, out, bsz int) {
-	for o := 0; o < out; o++ {
-		var s float64
-		for b := 0; b < bsz; b++ {
-			s += grad[b*out+o]
-		}
-		gb[o] += s
-	}
-}
-
-// accumRest accumulates samples b0..bsz-1, fewer than eight: one block of
-// four through axpy4, then single rows through axpy1.
-func accumRest(gw, grad, x []float64, in, out, b0, bsz int) {
-	for ; b0+4 <= bsz; b0 += 4 {
-		base := b0 * out
-		for o := 0; o < out; o++ {
-			if grad[base+o] == 0 && grad[base+out+o] == 0 &&
-				grad[base+2*out+o] == 0 && grad[base+3*out+o] == 0 {
-				continue
-			}
-			axpy4(&gw[o*in], &x[b0*in], in, &grad[base+o], out, in)
-		}
-	}
-	for ; b0 < bsz; b0++ {
-		gr := grad[b0*out : (b0+1)*out]
-		xr := x[b0*in : (b0+1)*in]
-		for o, g := range gr {
-			if g == 0 {
-				continue
-			}
-			axpy1(&gw[o*in], &xr[0], g, in)
 		}
 	}
 }

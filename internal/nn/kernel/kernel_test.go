@@ -10,11 +10,6 @@ import (
 	"testing"
 )
 
-// tol is the cross-set agreement bound from the package contract: sets may
-// differ by lane reassociation and FMA contraction only, so even the paper-
-// scale reductions stay far inside 1e-12 relative error.
-const tol = 1e-12
-
 func fill(r *rand.Rand, n int) []float64 {
 	s := make([]float64, n)
 	for i := range s {
@@ -23,133 +18,306 @@ func fill(r *rand.Rand, n int) []float64 {
 	return s
 }
 
-func within(t *testing.T, what string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
+// awkward draws n values two kernels could round differently if their chains
+// differed: normals, ±0, subnormals, magnitudes whose products underflow (to
+// either zero) or overflow, and — when nonFinite — a sprinkle of NaN and ±Inf.
+func awkward(r *rand.Rand, n int, nonFinite bool) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		switch k := r.Intn(16); {
+		case k == 0:
+			s[i] = 0
+		case k == 1:
+			s[i] = math.Copysign(0, -1)
+		case k == 2:
+			s[i] = math.Float64frombits(uint64(1 + r.Intn(1000)))
+		case k == 3:
+			s[i] = -math.Float64frombits(uint64(1 + r.Intn(1000)))
+		case k == 4:
+			s[i] = math.Ldexp(r.NormFloat64(), -600-r.Intn(460))
+		case k == 5:
+			s[i] = math.Ldexp(r.NormFloat64(), 400+r.Intn(200))
+		case k == 6 && nonFinite:
+			switch r.Intn(6) {
+			case 0:
+				s[i] = math.NaN()
+			case 1:
+				s[i] = math.Inf(1)
+			case 2:
+				s[i] = math.Inf(-1)
+			default:
+				s[i] = r.NormFloat64()
+			}
+		default:
+			s[i] = r.NormFloat64()
+		}
 	}
+	return s
+}
+
+// differ reports the first index at which got and want are different bits, a
+// NaN matching any NaN (which payload an operation on two NaNs keeps is not
+// part of the contract), or -1.
+func differ(got, want []float64) int {
 	for i := range want {
-		d := math.Abs(got[i] - want[i])
-		scale := math.Abs(want[i])
-		if scale < 1 {
-			scale = 1
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			return i
 		}
-		if d > tol*scale {
-			t.Fatalf("%s[%d]: got %v want %v (rel err %.3g > %.0g)",
-				what, i, got[i], want[i], d/scale, tol)
-		}
+	}
+	return -1
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if i := differ(got, want); i >= 0 {
+		t.Fatalf("%s[%d]: got %v (%#x), want %v (%#x)", what, i,
+			got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 	}
 }
 
-// Shapes deliberately include sizes off every internal stride: below the
-// 4-wide vector width, straddling the 4-way/8-way unrolls, and crossing the
-// forward kernel's output tile.
-var (
-	testDims = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 33, 64, 130}
-	testBsz  = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 33}
-)
-
-// TestCrossSetAgreement property-tests every accelerated set against the
-// Reference set on random tensors at tail shapes, for all four kernels.
-func TestCrossSetAgreement(t *testing.T) {
-	native := Native()
-	if native == nil {
-		t.Skip("no accelerated kernel set on this host")
-	}
-	r := rand.New(rand.NewSource(1))
-	for _, in := range testDims {
-		for _, out := range testDims {
-			for _, bsz := range testBsz {
-				x := fill(r, bsz*in)
-				w := fill(r, out*in)
-				b := fill(r, out)
-				grad := fill(r, bsz*out)
-				// Zero some gradient columns and one full sample so the
-				// zero-skip paths in AccumGrads are exercised too.
-				for o := 0; o < out; o += 3 {
-					for bi := 0; bi < bsz; bi++ {
-						grad[bi*out+o] = 0
-					}
+// coefficientRows overwrites grad's columns (the rows of gw) with the skip
+// patterns AccumGrads distinguishes, cycling through them: every coefficient
+// zero (of either sign), one sample's non-zero, all drawn. Consecutive
+// columns therefore pair a skipped row with a live one both ways round, and
+// the live ones pair across skipped ones.
+func coefficientRows(r *rand.Rand, grad []float64, out, bsz int) {
+	for o := 0; o < out; o++ {
+		switch pattern := r.Intn(4); pattern {
+		case 0, 1:
+			keep := -1
+			if pattern == 1 {
+				keep = r.Intn(bsz)
+			}
+			for b := 0; b < bsz; b++ {
+				if b != keep {
+					grad[b*out+o] = math.Copysign(0, float64(1-2*r.Intn(2)))
 				}
-				for o := 0; o < out; o++ {
-					grad[(bsz-1)*out+o] = 0
-				}
-				wt := make([]float64, in*out)
-				for o := 0; o < out; o++ {
-					for i := 0; i < in; i++ {
-						wt[i*out+o] = w[o*in+i]
-					}
-				}
-
-				dstG := make([]float64, bsz*out)
-				dstN := make([]float64, bsz*out)
-				Reference.DenseForward(dstG, x, w, b, in, out, bsz)
-				native.DenseForward(dstN, x, w, b, in, out, bsz)
-
-				ginG := make([]float64, bsz*in)
-				ginN := make([]float64, bsz*in)
-				Reference.InputGrad(ginG, grad, wt, in, out, bsz)
-				native.InputGrad(ginN, grad, wt, in, out, bsz)
-
-				gwG := fill(r, out*in)
-				gbG := fill(r, out)
-				gwN := append([]float64(nil), gwG...)
-				gbN := append([]float64(nil), gbG...)
-				Reference.AccumGrads(gwG, gbG, grad, x, in, out, bsz)
-				native.AccumGrads(gwN, gbN, grad, x, in, out, bsz)
-
-				what := fmt.Sprintf("in=%d out=%d bsz=%d forward", in, out, bsz)
-				within(t, what, dstN, dstG)
-				within(t, fmt.Sprintf("in=%d out=%d bsz=%d inputgrad", in, out, bsz), ginN, ginG)
-				within(t, fmt.Sprintf("in=%d out=%d bsz=%d gw", in, out, bsz), gwN, gwG)
-				within(t, fmt.Sprintf("in=%d out=%d bsz=%d gb", in, out, bsz), gbN, gbG)
 			}
 		}
 	}
 }
 
-// TestCrossSetAdam compares the fused Adam step across sets, including the
-// gradient-zeroing side effect and moment updates, at tail lengths.
+// Shapes deliberately include sizes off every internal stride: every residue
+// mod 8 (and, to 17, mod 16, dot1's step), below the 4-wide vector width,
+// straddling the 4-way/8-way unrolls, and crossing the forward kernel's output
+// tile: 33 and 130 leave a partial output tile after a full one, and 130 runs
+// dot4 and dot1 chains longer than 64 elements.
+var (
+	testDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 31, 33, 64, 130}
+	testBsz  = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33}
+)
+
+// TestCrossSetAgreement holds every form of the accelerated set to Reference
+// bit for bit — the forward, the input gradient and the accumulation — at
+// every in, out and bsz mod 8, over every zero-coefficient skip pattern, on
+// values with ±0, subnormals, underflowing and overflowing products, NaN and
+// ±Inf.
+func TestCrossSetAgreement(t *testing.T) {
+	forms := benchForms()[1:] // each form of the accelerated set
+	if len(forms) == 0 {
+		t.Skip("no accelerated kernel set on this host")
+	}
+	defer SetWide(true)
+	r := rand.New(rand.NewSource(1))
+	for _, in := range testDims {
+		for _, out := range testDims {
+			for _, bsz := range testBsz {
+				for _, nonFinite := range []bool{false, true} {
+					crossSetCase(t, forms, r, in, out, bsz, nonFinite)
+				}
+			}
+		}
+	}
+}
+
+func crossSetCase(t *testing.T, forms []benchForm, r *rand.Rand, in, out, bsz int, nonFinite bool) {
+	x, w, b := awkward(r, bsz*in, nonFinite), awkward(r, out*in, nonFinite), awkward(r, out, nonFinite)
+	grad := awkward(r, bsz*out, nonFinite)
+	coefficientRows(r, grad, out, bsz)
+	wt := make([]float64, in*out)
+	Reference.Transpose(wt, w, in, out)
+	gw0, gb0 := awkward(r, out*in, nonFinite), awkward(r, out, nonFinite)
+
+	dstG, ginG := make([]float64, bsz*out), make([]float64, bsz*in)
+	gwG, gbG := append([]float64(nil), gw0...), append([]float64(nil), gb0...)
+	Reference.DenseForward(dstG, x, w, b, in, out, bsz)
+	Reference.InputGrad(ginG, grad, wt, in, out, bsz)
+	Reference.AccumGrads(gwG, gbG, grad, x, in, out, bsz)
+	for _, f := range forms {
+		SetWide(f.wide)
+		what := fmt.Sprintf("%s in=%d out=%d bsz=%d nonfinite=%v", f.name, in, out, bsz, nonFinite)
+		dstN, ginN := make([]float64, bsz*out), make([]float64, bsz*in)
+		gwN, gbN := append([]float64(nil), gw0...), append([]float64(nil), gb0...)
+		f.set.DenseForward(dstN, x, w, b, in, out, bsz)
+		f.set.InputGrad(ginN, grad, wt, in, out, bsz)
+		f.set.AccumGrads(gwN, gbN, grad, x, in, out, bsz)
+		sameBits(t, what+" forward", dstN, dstG)
+		sameBits(t, what+" inputgrad", ginN, ginG)
+		sameBits(t, what+" gw", gwN, gwG)
+		sameBits(t, what+" gb", gbN, gbG)
+	}
+}
+
+// adamCase is one parameter's Adam inputs and step constants.
+type adamCase struct {
+	val, grad, m, v                          []float64
+	f, lr, beta1, beta2, a1, a2, b1c, b2c, e float64
+}
+
+// newAdamCase draws the vectors with draw; v is its absolute value.
+func newAdamCase(n int, f float64, draw func(n int) []float64) adamCase {
+	const lr, beta1, beta2, eps, t = 3e-4, 0.9, 0.999, 1e-8, 8
+	c := adamCase{
+		val: draw(n), grad: draw(n), m: draw(n), v: make([]float64, n),
+		f: f, lr: lr, beta1: beta1, beta2: beta2, a1: 1 - beta1, a2: 1 - beta2,
+		b1c: 1 / (1 - math.Pow(beta1, t)), b2c: 1 / (1 - math.Pow(beta2, t)), e: eps,
+	}
+	for i, g := range draw(n) {
+		c.v[i] = math.Abs(g) // a second moment is nonnegative
+	}
+	return c
+}
+
+func (c adamCase) clone() adamCase {
+	c.val, c.grad = append([]float64(nil), c.val...), append([]float64(nil), c.grad...)
+	c.m, c.v = append([]float64(nil), c.m...), append([]float64(nil), c.v...)
+	return c
+}
+
+func (c adamCase) step(s *Set) {
+	s.AdamStep(c.val, c.grad, c.m, c.v, c.f, c.lr, c.beta1, c.beta2, c.a1, c.a2, c.b1c, c.b2c, c.e)
+}
+
+// TestCrossSetAdam holds the accelerated set's fused Adam step to Reference
+// bit for bit — the value, both moments and the zeroed gradient — at every
+// length mod 4 on both sides of the vector body, with ±0, subnormal, huge,
+// NaN and ±Inf elements.
 func TestCrossSetAdam(t *testing.T) {
 	native := Native()
 	if native == nil {
 		t.Skip("no accelerated kernel set on this host")
 	}
 	r := rand.New(rand.NewSource(2))
-	const (
-		lr, beta1, beta2, eps = 3e-4, 0.9, 0.999, 1e-8
-	)
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65, 1000} {
 		for _, f := range []float64{1, 0.37} {
-			valG := fill(r, n)
-			gradG := fill(r, n)
-			mG := fill(r, n)
-			vG := make([]float64, n)
-			for i := range vG {
-				vG[i] = math.Abs(r.NormFloat64()) // second moment is nonnegative
-			}
-			valN := append([]float64(nil), valG...)
-			gradN := append([]float64(nil), gradG...)
-			mN := append([]float64(nil), mG...)
-			vN := append([]float64(nil), vG...)
-
-			t8 := 8.0
-			invB1c := 1 / (1 - math.Pow(beta1, t8))
-			invB2c := 1 / (1 - math.Pow(beta2, t8))
-			Reference.AdamStep(valG, gradG, mG, vG, f, lr, beta1, beta2, 1-beta1, 1-beta2, invB1c, invB2c, eps)
-			native.AdamStep(valN, gradN, mN, vN, f, lr, beta1, beta2, 1-beta1, 1-beta2, invB1c, invB2c, eps)
-
-			what := fmt.Sprintf("n=%d f=%v", n, f)
-			within(t, what+" val", valN, valG)
-			within(t, what+" m", mN, mG)
-			within(t, what+" v", vN, vG)
-			for i, g := range gradN {
-				if g != 0 {
-					t.Fatalf("%s: grad[%d] = %v, want 0 after fused zeroing", what, i, g)
+			for _, nonFinite := range []bool{false, true} {
+				g := newAdamCase(n, f, func(n int) []float64 { return awkward(r, n, nonFinite) })
+				nc := g.clone()
+				g.step(Reference)
+				nc.step(native)
+				what := fmt.Sprintf("n=%d f=%v nonfinite=%v", n, f, nonFinite)
+				sameBits(t, what+" val", nc.val, g.val)
+				sameBits(t, what+" m", nc.m, g.m)
+				sameBits(t, what+" v", nc.v, g.v)
+				for i := range g.grad {
+					if math.Float64bits(g.grad[i]) != 0 || math.Float64bits(nc.grad[i]) != 0 {
+						t.Fatalf("%s: grad[%d] = %v (go), %v (native); want +0 after fused zeroing", what, i, g.grad[i], nc.grad[i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// oracleTol bounds every set against the textbook loops below, which share no
+// lane map, fold or fused step with either: each output one accumulator in
+// index order, each product rounded before its add. A set that lost or
+// doubled a term, or read the wrong row, misses it by orders of magnitude.
+const oracleTol = 1e-12
+
+func nearOracle(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if d, scale := math.Abs(got[i]-want[i]), math.Max(1, math.Abs(want[i])); !(d <= oracleTol*scale) {
+			t.Fatalf("%s[%d]: got %v, the textbook loop gives %v (rel err %.3g > %.0g)", what, i, got[i], want[i], d/scale, oracleTol)
+		}
+	}
+}
+
+// TestSetsMatchTextbookLoops holds every set to one-accumulator-per-output
+// loops for the forward, the input gradient and the accumulation, and to the
+// Adam formula with its divisions, within oracleTol on finite values.
+func TestSetsMatchTextbookLoops(t *testing.T) {
+	for _, f := range benchForms() {
+		t.Run(f.name, func(t *testing.T) {
+			SetWide(f.wide)
+			defer SetWide(true)
+			r := rand.New(rand.NewSource(10))
+			for _, in := range testDims {
+				for _, out := range testDims {
+					for _, bsz := range testBsz {
+						textbookCase(t, f.set, r, in, out, bsz)
+					}
+				}
+			}
+			for _, n := range []int{1, 3, 4, 5, 17, 1000} {
+				for _, gf := range []float64{1, 0.37} {
+					c := newAdamCase(n, gf, func(n int) []float64 { return fill(r, n) })
+					want := c.clone()
+					c.step(f.set)
+					for i := range want.val {
+						g := want.grad[i] * gf
+						m := want.beta1*want.m[i] + (1-want.beta1)*g
+						v := want.beta2*want.v[i] + (1-want.beta2)*g*g
+						mHat, vHat := m/(1-math.Pow(want.beta1, 8)), v/(1-math.Pow(want.beta2, 8))
+						want.val[i] -= want.lr * mHat / (math.Sqrt(vHat) + want.e)
+						want.m[i], want.v[i] = m, v
+					}
+					what := fmt.Sprintf("adam n=%d f=%v", n, gf)
+					nearOracle(t, what+" val", c.val, want.val)
+					nearOracle(t, what+" m", c.m, want.m)
+					nearOracle(t, what+" v", c.v, want.v)
+				}
+			}
+		})
+	}
+}
+
+func textbookCase(t *testing.T, s *Set, r *rand.Rand, in, out, bsz int) {
+	what := fmt.Sprintf("in=%d out=%d bsz=%d", in, out, bsz)
+	x, w, b, grad := fill(r, bsz*in), fill(r, out*in), fill(r, out), fill(r, bsz*out)
+	coefficientRows(r, grad, out, bsz)
+	dst, want := make([]float64, bsz*out), make([]float64, bsz*out)
+	gin, wantGin := make([]float64, bsz*in), make([]float64, bsz*in)
+	gw, gb := fill(r, out*in), fill(r, out)
+	wantGw, wantGb := append([]float64(nil), gw...), append([]float64(nil), gb...)
+	for bi := 0; bi < bsz; bi++ {
+		for o := 0; o < out; o++ {
+			var acc float64
+			for i := 0; i < in; i++ {
+				acc += float64(w[o*in+i] * x[bi*in+i])
+			}
+			want[bi*out+o] = acc + b[o]
+		}
+		for i := 0; i < in; i++ {
+			var acc float64
+			for o := 0; o < out; o++ {
+				acc += float64(grad[bi*out+o] * w[o*in+i])
+			}
+			wantGin[bi*in+i] = acc
+		}
+	}
+	for o := 0; o < out; o++ {
+		for i := 0; i < in; i++ {
+			acc := wantGw[o*in+i]
+			for bi := 0; bi < bsz; bi++ {
+				acc += float64(grad[bi*out+o] * x[bi*in+i])
+			}
+			wantGw[o*in+i] = acc
+		}
+		for bi := 0; bi < bsz; bi++ {
+			wantGb[o] += grad[bi*out+o]
+		}
+	}
+	wt := make([]float64, in*out)
+	s.Transpose(wt, w, in, out)
+	s.DenseForward(dst, x, w, b, in, out, bsz)
+	s.InputGrad(gin, grad, wt, in, out, bsz)
+	s.AccumGrads(gw, gb, grad, x, in, out, bsz)
+	nearOracle(t, what+" forward", dst, want)
+	nearOracle(t, what+" inputgrad", gin, wantGin)
+	nearOracle(t, what+" gw", gw, wantGw)
+	nearOracle(t, what+" gb", gb, wantGb)
 }
 
 // TestBatchRowIdentity checks the contract the serve daemon's byte-identity
@@ -244,13 +412,13 @@ func addFillNorm(grad, shadow []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(grad); i += 4 {
-		s0 += grad[i] * grad[i]
-		s1 += grad[i+1] * grad[i+1]
-		s2 += grad[i+2] * grad[i+2]
-		s3 += grad[i+3] * grad[i+3]
+		s0 += float64(grad[i] * grad[i])
+		s1 += float64(grad[i+1] * grad[i+1])
+		s2 += float64(grad[i+2] * grad[i+2])
+		s3 += float64(grad[i+3] * grad[i+3])
 	}
 	for ; i < len(grad); i++ {
-		s0 += grad[i] * grad[i]
+		s0 += float64(grad[i] * grad[i])
 	}
 	return s0 + s1 + s2 + s3
 }

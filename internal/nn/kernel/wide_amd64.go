@@ -8,9 +8,9 @@ package kernel
 // and hands what the tile does not cover — out%4 rows, in%4 input gradients,
 // the bsz%8 samples of the accumulation, a weight-gradient row without a
 // partner, the out%8 rows of a lone sample — to the 256-bit primitives, in the
-// loops kernel_amd64.go runs them in. Which elements go through dot4's chain
-// and which through dot1's is therefore what it was, and so is every bit. A
-// lone sample (bsz = 1, and the bsz%4 samples a tile leaves) goes through
+// shared loop nests of kernel.go (prims, bound to the assembly as avx2Prims).
+// Which elements go through dot4's chain and which through dot1's is therefore
+// what it was, and so is every bit. A lone sample (bsz = 1, and the bsz%4 samples a tile leaves) goes through
 // matvec8: at the engine's quick-scale widths its weights sit in L1 or L2 and
 // the 256-bit matvec is bound by its instruction count, not by the stream.
 
@@ -71,7 +71,7 @@ func wideInputGrad(gin, grad, wt []float64, in, out, bsz int) {
 		_, _, _ = gin[bsz*in-1], grad[bsz*out-1], wt[in*out-1]
 		tile4x4(&gin[0], &grad[0], &wt[0], nil, out, b4/4, i4/4, in, 1)
 	}
-	inputGradFrom(gin, grad, wt, in, out, bsz, i4)
+	avx2Prims.inputGradFrom(gin, grad, wt, in, out, bsz, i4)
 }
 
 // wideAccumGrads runs each block of eight samples through accum8x2.
@@ -86,5 +86,5 @@ func wideAccumGrads(gw, gb, grad, x []float64, in, out, bsz int) {
 			axpy8(&gw[o*in], &x[b0*in], in, &grad[b0*out+o], out, in)
 		}
 	}
-	accumRest(gw, grad, x, in, out, b0, bsz)
+	avx2Prims.accumRest(gw, grad, x, in, out, b0, bsz)
 }

@@ -19,64 +19,6 @@ func requireWide(t testing.TB) {
 	}
 }
 
-// awkward draws n values the two forms could round differently if their
-// chains differed: normals, ±0, subnormals, magnitudes whose products
-// underflow (to either zero) or overflow, and — when nonFinite — a sprinkle of
-// NaN and ±Inf.
-func awkward(r *rand.Rand, n int, nonFinite bool) []float64 {
-	s := make([]float64, n)
-	for i := range s {
-		switch k := r.Intn(16); {
-		case k == 0:
-			s[i] = 0
-		case k == 1:
-			s[i] = math.Copysign(0, -1)
-		case k == 2:
-			s[i] = math.Float64frombits(uint64(1 + r.Intn(1000)))
-		case k == 3:
-			s[i] = -math.Float64frombits(uint64(1 + r.Intn(1000)))
-		case k == 4:
-			s[i] = math.Ldexp(r.NormFloat64(), -600-r.Intn(460))
-		case k == 5:
-			s[i] = math.Ldexp(r.NormFloat64(), 400+r.Intn(200))
-		case k == 6 && nonFinite:
-			switch r.Intn(6) {
-			case 0:
-				s[i] = math.NaN()
-			case 1:
-				s[i] = math.Inf(1)
-			case 2:
-				s[i] = math.Inf(-1)
-			default:
-				s[i] = r.NormFloat64()
-			}
-		default:
-			s[i] = r.NormFloat64()
-		}
-	}
-	return s
-}
-
-// differ reports the first index at which got and want are different bits, a
-// NaN matching any NaN (which payload an FMA of two NaNs keeps is not part of
-// the contract), or -1.
-func differ(got, want []float64) int {
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			return i
-		}
-	}
-	return -1
-}
-
-func sameBits(t *testing.T, what string, got, want []float64) {
-	t.Helper()
-	if i := differ(got, want); i >= 0 {
-		t.Fatalf("%s[%d]: wide %v (%#x), narrow %v (%#x)", what, i,
-			got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-	}
-}
-
 // formShapes covers every in mod 8 (twice over, so the 8-wide loop runs 0, 1
 // and 2 times), every out mod 8 with none, one and two blocks of eight rows,
 // every bsz mod 4 on both sides of a tile, and the engine's three batched
@@ -126,7 +68,7 @@ func TestWideDenseFormsBitwise(t *testing.T) {
 			gotG[i] = math.Pi
 		}
 		wideInputGrad(gotG, grad, wt, in, out, bsz)
-		avx2InputGrad(wantG, grad, wt, in, out, bsz)
+		avx2Prims.inputGrad(wantG, grad, wt, in, out, bsz)
 		sameBits(t, what+" inputgrad", gotG, wantG)
 	}
 	for _, in := range formIns {
@@ -173,28 +115,6 @@ func TestWideDenseFormsBitwise(t *testing.T) {
 	}
 }
 
-// coefficientRows overwrites grad's columns (the rows of gw) with the skip
-// patterns AccumGrads distinguishes, cycling through them: every coefficient
-// zero (of either sign), one sample's non-zero, all drawn. Consecutive
-// columns therefore pair a skipped row with a live one both ways round, and
-// the live ones pair across skipped ones.
-func coefficientRows(r *rand.Rand, grad []float64, out, bsz int) {
-	for o := 0; o < out; o++ {
-		switch pattern := r.Intn(4); pattern {
-		case 0, 1:
-			keep := -1
-			if pattern == 1 {
-				keep = r.Intn(bsz)
-			}
-			for b := 0; b < bsz; b++ {
-				if b != keep {
-					grad[b*out+o] = math.Copysign(0, float64(1-2*r.Intn(2)))
-				}
-			}
-		}
-	}
-}
-
 func TestWideAccumFormsBitwise(t *testing.T) {
 	requireWide(t)
 	r := rand.New(rand.NewSource(22))
@@ -204,7 +124,7 @@ func TestWideAccumFormsBitwise(t *testing.T) {
 		gw, gb := awkward(r, out*in, nonFinite), awkward(r, out, nonFinite)
 		gwN, gbN := append([]float64(nil), gw...), append([]float64(nil), gb...)
 		wideAccumGrads(gw, gb, grad, x, in, out, bsz)
-		avx2AccumGrads(gwN, gbN, grad, x, in, out, bsz)
+		avx2Prims.accumGrads(gwN, gbN, grad, x, in, out, bsz)
 		what := fmt.Sprintf("in=%d out=%d bsz=%d nonfinite=%v", in, out, bsz, nonFinite)
 		sameBits(t, what+" gw", gw, gwN)
 		sameBits(t, what+" gb", gb, gbN)
@@ -234,7 +154,7 @@ func TestWideAccumFormsBitwise(t *testing.T) {
 		before, gwN := append([]float64(nil), gw...), append([]float64(nil), gw...)
 		gb, gbN := make([]float64, out), make([]float64, out)
 		wideAccumGrads(gw, gb, grad, x, in, out, bsz)
-		avx2AccumGrads(gwN, gbN, grad, x, in, out, bsz)
+		avx2Prims.accumGrads(gwN, gbN, grad, x, in, out, bsz)
 		sameBits(t, fmt.Sprintf("live rows %v gw", live), gw, gwN)
 		for o := 0; o < out; o++ {
 			moved := differ(gw[o*in:(o+1)*in], before[o*in:(o+1)*in]) >= 0
@@ -378,13 +298,13 @@ func FuzzDenseForms(f *testing.F) {
 		wt := transposed(w, in, out)
 		gotG, wantG := make([]float64, bsz*in), make([]float64, bsz*in)
 		wideInputGrad(gotG, grad, wt, in, out, bsz)
-		avx2InputGrad(wantG, grad, wt, in, out, bsz)
+		avx2Prims.inputGrad(wantG, grad, wt, in, out, bsz)
 		sameBits(t, "inputgrad", gotG, wantG)
 
 		gw, gb := draw(out*in), draw(out)
 		gwN, gbN := append([]float64(nil), gw...), append([]float64(nil), gb...)
 		wideAccumGrads(gw, gb, grad, x, in, out, bsz)
-		avx2AccumGrads(gwN, gbN, grad, x, in, out, bsz)
+		avx2Prims.accumGrads(gwN, gbN, grad, x, in, out, bsz)
 		sameBits(t, "gw", gw, gwN)
 		sameBits(t, "gb", gb, gbN)
 	})

@@ -129,18 +129,18 @@ func SoftmaxInto(dst, v Vec) {
 
 // L2Norm returns the Euclidean norm of v. Four parallel accumulators hide
 // the floating-point add latency on the long gradient vectors the optimizer
-// clips every step.
+// clips every step. Each square is rounded before its add, as FoldNorm's are.
 func L2Norm(v Vec) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(v); i += 4 {
-		s0 += v[i] * v[i]
-		s1 += v[i+1] * v[i+1]
-		s2 += v[i+2] * v[i+2]
-		s3 += v[i+3] * v[i+3]
+		s0 += float64(v[i] * v[i])
+		s1 += float64(v[i+1] * v[i+1])
+		s2 += float64(v[i+2] * v[i+2])
+		s3 += float64(v[i+3] * v[i+3])
 	}
 	for ; i < len(v); i++ {
-		s0 += v[i] * v[i]
+		s0 += float64(v[i] * v[i])
 	}
 	return math.Sqrt(s0 + s1 + s2 + s3)
 }

@@ -38,9 +38,11 @@
 //     core.EpisodeResult stream and the same final network weights, run
 //     after run, machine after machine (modulo dfp.Config.Workers, which
 //     shards gradient summation and has the same pin-it-explicitly rule).
-//     Cross-machine identity additionally requires the same nn kernel set
-//     on both hosts (internal/nn "Kernel dispatch"): sets agree to ≤1e-12,
-//     not bit-for-bit. MRSCH_KERNEL=go pins the portable set anywhere.
+//     The nn kernel set does not enter into it: the sets compute the same
+//     bits. Cross-machine identity does require the same GOARCH and, on
+//     amd64, the same AVX+FMA support, because the standard library's
+//     math.Exp rounds by CPU (internal/nn "Kernel dispatch"); arm64 against
+//     amd64 is unverified.
 //
 //  4. Workers=1 reproduces the inline serial reference loop exactly. The
 //     loop lives in rollout_test.go, as dfp's sample-at-a-time reference

@@ -24,10 +24,11 @@
 //     identical to the single-sample path (dfp.BatchDecider; see
 //     internal/dfp/decide.go for the kernel argument). The
 //     serve-equivalence suite enforces this at batch sizes {1, 4, max},
-//     under whichever nn kernel set the process selected — the row-identity
-//     argument holds per set, and one process never mixes sets. Comparing
-//     served decisions against picks computed in another process requires
-//     the same kernel set on both sides (internal/nn "Kernel dispatch").
+//     under whichever nn kernel set the process selected; the sets compute
+//     the same bits. Comparing served decisions against picks computed in
+//     another process needs the same GOARCH and, on amd64, the same AVX+FMA
+//     support on both sides, not the same kernel set (internal/nn "Kernel
+//     dispatch").
 //
 //  2. Admission batching is invisible. Concurrent requests coalesce into
 //     one batched forward pass — the first request of a batch waits at most
