@@ -88,12 +88,15 @@ func fillReplay(agent *dfp.Agent, episodes int) {
 }
 
 // trainReadyAgent builds a DefaultConfig-scale agent with a populated replay
-// buffer for the TrainStep benchmarks.
+// buffer for the TrainStep benchmarks, and takes one step, so that the
+// engine's one-off set-up (workers, plan, scratch) stays out of the timed
+// loop and allocs/op counts what every burst allocates.
 func trainReadyAgent(workers int) *dfp.Agent {
 	cfg := dfp.DefaultConfig(256, 2, 10)
 	cfg.Workers = workers
 	agent := dfp.New(cfg)
 	fillReplay(agent, 8)
+	agent.TrainStep()
 	return agent
 }
 

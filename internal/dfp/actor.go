@@ -156,11 +156,12 @@ type Actor struct {
 	unrecorded bool
 	packed     runs // a recorded state's runs, before the step keeps a copy of them
 
-	// first is the state module's first Dense, nil when it opens with
-	// anything else. Its packed copy (nn.Dense.Pack) is good from one Reset
-	// to the next — the interval over which nothing may change the weights
-	// an actor reads — so Reset marks it stale and the first forward after a
-	// Reset refreshes it.
+	// first is the state module's first Dense, which this actor packs: nil
+	// when the module opens with anything else, or when the layer reads a
+	// frozen agent's one packed copy. Its own packed copy (nn.Dense.Pack) is
+	// good from one Reset to the next — the interval over which nothing may
+	// change the weights an actor reads — so Reset marks it stale and the
+	// first forward after a Reset refreshes it.
 	first  *nn.Dense
 	repack bool
 }
@@ -175,8 +176,17 @@ func firstDense(state nn.Layer) *nn.Dense {
 	return nil
 }
 
-// Actor returns a rollout actor reading the agent's live weights.
-func (a *Agent) Actor() *Actor { return a.newActor(a.nets.cloneVia(nn.SharedClone)) }
+// Actor returns a rollout actor reading the agent's live weights. An actor
+// of a frozen agent reads the agent's packed first layer (Agent.Freeze) and
+// packs nothing itself.
+func (a *Agent) Actor() *Actor {
+	ac := a.newActor(a.nets.cloneVia(nn.SharedClone))
+	if a.frozen && ac.first != nil {
+		ac.first.SharePack(firstDense(a.nets.state))
+		ac.first = nil
+	}
+	return ac
+}
 
 // newActor builds an actor over nets, its own clones: only an actor's own
 // layers are ever packed, Agent.Act runs through the master's and stays dense.
@@ -190,9 +200,12 @@ func (a *Agent) newActor(nets modules) *Actor {
 // Evaluator returns a greedy actor reading the agent's live weights that
 // records nothing: epsilon 0 whatever the agent's training epsilon is (an
 // actor otherwise starts at it), and no transcript. Its picks are Agent.Act's,
-// and only an evaluator may answer a decision with Moot. Like a Reset actor it
-// packs its first layer at its first forward, so it reads the weights as they
-// are then: build one per evaluation, after the weights last changed.
+// and only an evaluator may answer a decision with Moot. An evaluator of a
+// frozen agent reads the agent's one packed first layer through scratch of
+// its own, so any number of them may run at once and none allocates a copy.
+// Any other evaluator, like a Reset actor, packs its own copy at its first
+// forward, so it reads the weights as they are then: build one per
+// evaluation, after the weights last changed.
 func (a *Agent) Evaluator() *Actor {
 	ac := a.Actor()
 	ac.eps, ac.unrecorded, ac.repack = 0, true, ac.first != nil
@@ -319,6 +332,9 @@ func (ac *Actor) TakeTranscript() *Transcript {
 // offset, with offsets that run past the episode end masked out, and a step
 // with no offset left is dropped. It then decays epsilon.
 func (a *Agent) IngestTranscript(t *Transcript) {
+	if a.frozen {
+		panic(errFrozen("IngestTranscript"))
+	}
 	steps := t.steps
 	pd := a.cfg.PredDim()
 	m := a.cfg.Measurements

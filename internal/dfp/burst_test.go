@@ -230,6 +230,17 @@ func TestBurstAllocatesPerBurstNotPerStep(t *testing.T) {
 	}
 }
 
+// TestTrainStepsAllocatesOnceABurst pins what BenchmarkTrainStep reports at
+// two workers: a warm 32-step burst allocates once, the closure its one
+// helper goroutine starts with, and no step allocates.
+func TestTrainStepsAllocatesOnceABurst(t *testing.T) {
+	a := burstAgent(2, 0)
+	a.TrainSteps(2, nil) // grow every scratch buffer, lay the plan out
+	if allocs := testing.AllocsPerRun(20, func() { a.TrainSteps(32, nil) }); allocs > 1 {
+		t.Errorf("a warm 32-step burst at two workers allocates %v times, want at most 1", allocs)
+	}
+}
+
 // TestLoadStateIntoWarmAgent: loading a state replaces the optimizer's moment
 // vectors, so nothing the engine keeps from earlier steps may stand in for
 // them. An agent that has already trained, then loads a checkpoint, must

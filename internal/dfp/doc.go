@@ -96,8 +96,20 @@
 // is — and an evaluator, which starts stale, is built per evaluation. There
 // is nothing to configure: an actor that was never Reset, a CNN or
 // per-resource state module, a layer the kernel declines and the go kernel
-// set all run dense, as do Agent.Act, Agent.Predict, TrainSteps and
-// BatchDecider always.
+// set all run dense, as do TrainSteps and BatchDecider always, and
+// Agent.Act and Agent.Predict on an agent that is not frozen.
+//
+// # Frozen agents
+//
+// Agent.Freeze ends an agent's training for good: it drops the gradient
+// buffers, the optimizer's moments, the replay ring and the engine's workers,
+// and packs the master's first Dense once. Every actor built from a frozen
+// agent, Evaluator's included, reads that one packed copy through scratch of
+// its own (nn.Dense.SharePack) and never packs, because the weights it reads
+// can no longer change; so do the master's Act and Predict. A frozen agent
+// panics on TrainSteps, TrainStep, IngestTranscript and AppendState and
+// returns an error from Load and ReadState. A campaign freezes every MRSch
+// model it holds (internal/experiments).
 //
 // # Durable state
 //

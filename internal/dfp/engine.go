@@ -187,6 +187,9 @@ func (a *Agent) TrainStep() (loss float64) {
 // empty replay buffer every loss is -1 and nothing else happens; n <= 0 is
 // a no-op.
 func (a *Agent) TrainSteps(n int, after func(loss float64)) {
+	if a.frozen {
+		panic(errFrozen("TrainSteps"))
+	}
 	if n <= 0 {
 		return
 	}

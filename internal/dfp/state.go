@@ -31,6 +31,9 @@ const stateMagic = "mrsch-dfp-state-v4"
 // flight — which is exactly the state internal/rollout's round-boundary
 // checkpoint hook guarantees.
 func (a *Agent) AppendState(b []byte) []byte {
+	if a.frozen {
+		panic(errFrozen("AppendState"))
+	}
 	b = wire.AppendString(b, stateMagic)
 	for _, d := range a.dims() {
 		b = wire.AppendInt(b, d)
@@ -71,6 +74,9 @@ func (a *Agent) dims() [4]int {
 // and every stored experience — without changing anything. It returns the
 // function that applies it.
 func (a *Agent) ReadState(r *wire.Reader) (func(), error) {
+	if a.frozen {
+		return nil, errFrozen("ReadState")
+	}
 	if err := r.Magic(stateMagic); err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func AblationGoal(r *CampaignRun) ([]AblationRow, error) {
 // MRSch's single state network, one with the per-resource networks the
 // paper rejects (job info encoded R times).
 func AblationStateNets(r *CampaignRun) ([]AblationRow, error) {
-	m, err := r.baseMaterials()
+	m, err := r.trainingMaterials(scenario.Cell{})
 	if err != nil {
 		return nil, err
 	}

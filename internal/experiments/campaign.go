@@ -115,13 +115,15 @@ type CampaignOptions struct {
 // materials and by modelKey, never by campaign, so one run can serve the
 // cells of several equally sized campaigns (Run) and the bespoke studies
 // (FamilyModel): mrsch-exp -fig all trains each family once, and a model
-// file loads once however many replicate seeds read it.
+// file loads once however many replicate seeds read it. A run keeps only
+// what its cells evaluate (the package doc's "What a run keeps"):
+// evaluation-only materials, and MRSch models frozen (dfp.Agent.Freeze).
 type CampaignRun struct {
 	spec      scenario.CampaignSpec
 	opt       CampaignOptions
 	baseScale Scale
-	materials map[string]*Materials
-	models    map[string]Trained // by modelKey; Episodes empty for a loaded model
+	materials map[string]*Materials // evaluation-only, by materialsKey
+	models    map[string]Trained    // by modelKey; Episodes empty for a loaded model
 }
 
 // OpenCampaign validates the spec and prepares a run whose cells can be
@@ -211,13 +213,14 @@ func (r *CampaignRun) Run(spec scenario.CampaignSpec) ([]CellResult, error) {
 }
 
 // FamilyModel returns the run's MLP MRSch model for a builtin scenario's
-// family, with the materials it was trained on — the model the scenario's
-// mrsch cells act through, resolved like theirs (cached, from the store, or
-// trained now). It is how the studies that are not grids (Figures 8 and 9,
-// the goal ablation) reach the agents the figure campaigns trained. The
-// agent is the run's and is read-only: a study reads it through an evaluator
-// of its own, and one that varies it copies the struct first, as
-// AblationGoal does for FixedGoal.
+// family, with the run's evaluation-only materials for the base trace it was
+// trained on — the model the scenario's mrsch cells act through, resolved
+// like theirs (cached, from the store, or trained now). It is how the
+// studies that are not grids (Figures 8 and 9, the goal ablation) reach the
+// agents the figure campaigns trained. The agent is the run's and frozen: a
+// study reads it through an evaluator of its own, and one that varies it
+// copies the struct first, as AblationGoal does for FixedGoal. The materials
+// build the scenario's test workload; they train nothing.
 func (r *CampaignRun) FamilyModel(name string) (*core.MRSch, *Materials, error) {
 	sp, err := scenario.ByName(name)
 	if err != nil {
@@ -305,28 +308,38 @@ func materialsKey(sc Scale) string {
 	return key
 }
 
-// resolveMaterials prepares (and caches) the cell's base materials. Called
-// serially before the fan-out; EvalCell only reads the cache.
+// resolveMaterials prepares the cell's base materials and caches their
+// evaluation-only part. Called serially before the fan-out; EvalCell only
+// reads the cache.
 func (r *CampaignRun) resolveMaterials(cell scenario.Cell) (*Materials, error) {
 	key := r.materialsKeyOf(cell)
 	if m, ok := r.materials[key]; ok {
 		return m, nil
 	}
-	m, err := PrepareFor(r.replicateScale(cell), cell.Scenario)
+	full, err := r.trainingMaterials(cell)
 	if err != nil {
 		return nil, err
 	}
+	m := full.evaluationOnly()
 	r.materials[key] = m
 	return m, nil
+}
+
+// trainingMaterials prepares the cell's full base materials afresh, for a
+// training that drops them when it returns. Prepare is deterministic, so
+// they are the materials the cached evaluation-only ones were cut from.
+func (r *CampaignRun) trainingMaterials(cell scenario.Cell) (*Materials, error) {
+	return PrepareFor(r.replicateScale(cell), cell.Scenario)
 }
 
 func (r *CampaignRun) materialsOf(cell scenario.Cell) *Materials {
 	return r.materials[r.materialsKeyOf(cell)]
 }
 
-// baseMaterials returns the materials of the campaign scale itself — what a
-// scenario without base-trace overrides evaluates against, and what the
-// bespoke studies train and replay on.
+// baseMaterials returns the evaluation-only materials of the campaign scale
+// itself — what a scenario without base-trace overrides evaluates against,
+// and what the bespoke studies replay on. A study that trains takes full
+// ones from trainingMaterials(scenario.Cell{}).
 func (r *CampaignRun) baseMaterials() (*Materials, error) {
 	return r.resolveMaterials(scenario.Cell{})
 }
@@ -356,9 +369,12 @@ func (r *CampaignRun) modelKey(cell scenario.Cell) string {
 
 // resolveModel trains or loads the cell's model if its method needs one and
 // the run does not hold it under the cell's modelKey yet: a family trains
-// once per base materials, a model file loads once per distinct agent. Called
-// serially before the fan-out: training itself parallelizes across rollout
-// workers, and evaluation cells must only ever read frozen weights.
+// once per base materials, on full materials prepared for it and dropped
+// after, and a model file loads once per distinct agent. Called serially
+// before the fan-out: training itself parallelizes across rollout workers,
+// and evaluation cells only ever read frozen weights: an MRSch model is
+// frozen (dfp.Agent.Freeze) once it is loaded, or once it is trained and
+// the store holds it.
 func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 	method := cell.Method
 	if !method.Kind.Trained() {
@@ -394,12 +410,19 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 		return errNoTrain(family, stored)
 	default:
 		path, action = stored, "trained"
-		if model, err = Train(m, run, r.opt); err == nil && stored != "" {
+		var full *Materials
+		if full, err = r.trainingMaterials(cell); err == nil {
+			model, err = Train(full, run, r.opt)
+		}
+		if err == nil && stored != "" {
 			err = storeModel(stored, model.agent.Save)
 		}
 	}
 	if err != nil {
 		return fmt.Errorf("model for family %s: %w", family, err)
+	}
+	if model.MRSch != nil {
+		model.MRSch.Agent.Freeze()
 	}
 	if r.opt.OnModel != nil {
 		r.opt.OnModel(family, action, path)

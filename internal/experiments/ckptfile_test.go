@@ -29,7 +29,10 @@ func newCkptFixture(t testing.TB) (f ckptFixture) {
 		t.Fatal(err)
 	}
 	sys := sc.System()
-	valid := m.ValidationWorkload("S2")
+	valid, err := m.ValidationWorkload("S2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.source = trained.MRSch.Agent
 	f.sourceSel = core.NewSelection(trained.MRSch, sys, valid, 1)
 	if err := f.sourceSel.AfterEpisode(0, core.EpisodeResult{}); err != nil {
@@ -85,7 +88,11 @@ func TestValidatedResumeAppliesNothingOnBadSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign := core.NewSelection(cnn.MRSch, sc.System(), MustPrepare(sc).ValidationWorkload("S2"), 1)
+	valid, err := MustPrepare(sc).ValidationWorkload("S2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := core.NewSelection(cnn.MRSch, sc.System(), valid, 1)
 	if err := foreign.AfterEpisode(0, core.EpisodeResult{}); err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ type Fig4Series struct {
 // Figure4 trains six fresh agents, one per curriculum ordering, on the same
 // scenario and budget, and returns their loss curves.
 func Figure4(r *CampaignRun, scenarioName string) ([]Fig4Series, error) {
-	m, err := r.baseMaterials()
+	m, err := r.trainingMaterials(scenario.Cell{})
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,14 @@ import (
 // Materials bundles everything a campaign needs: the scaled machine, the
 // base trace with its Darshan-derived request pool, the Table III workloads
 // (test split), and the curriculum job sets built from the training split.
+//
+// Prepare and PrepareFor return full materials. A CampaignRun keeps only
+// what its cells evaluate: Scale, Pool, InterarrivalScale and the test split
+// in one slab of its own, with Base, Train and Valid nil. Such evaluation-only
+// materials build every workload (WorkloadSpec, Workload, SystemFor) as the
+// full ones do, and refuse to train: Train, ValidationWorkload and
+// CurriculumSets fail loudly on them instead of drawing a curriculum from a
+// split that is not there.
 type Materials struct {
 	Scale Scale
 
@@ -72,6 +80,23 @@ func Prepare(sc Scale) (*Materials, error) {
 		valid = train
 	}
 	return &Materials{Scale: sc, Base: base, Pool: pool, Train: train, Valid: valid, Test: test}, nil
+}
+
+// evaluationOnly returns the part of m a campaign cell evaluates against:
+// its scale, request pool and interarrival factor, and its test split copied
+// into one slab (job.CloneAll), so that the base trace and its training and
+// validation splits are garbage once m is.
+func (m *Materials) evaluationOnly() *Materials {
+	return &Materials{Scale: m.Scale, Pool: m.Pool, Test: job.CloneAll(m.Test), InterarrivalScale: m.InterarrivalScale}
+}
+
+// needTraining fails on materials without a training split: a campaign run's
+// evaluation-only materials, which train nothing.
+func (m *Materials) needTraining(what string) error {
+	if m.Train == nil {
+		return fmt.Errorf("experiments: %s needs the training split, and these materials (seed %d) are evaluation-only; train on Prepare's or PrepareFor's", what, m.Scale.Seed)
+	}
+	return nil
 }
 
 // MustPrepare is Prepare for callers whose scale is a vetted builtin;
@@ -168,10 +193,14 @@ func (m *Materials) powerSystemFor(sp scenario.ScenarioSpec) (cluster.Config, in
 // ValidationWorkload builds the named scenario's Table III mix over the
 // validation split (§IV-A model selection). Resolution goes through
 // scenario.ByName, so trace-family names ("T4") and variant syntax work;
-// only the mix applies here — validation always runs unperturbed.
-func (m *Materials) ValidationWorkload(name string) []*job.Job {
+// only the mix applies here — validation always runs unperturbed. It fails
+// on evaluation-only materials.
+func (m *Materials) ValidationWorkload(name string) ([]*job.Job, error) {
+	if err := m.needTraining("a validation workload"); err != nil {
+		return nil, err
+	}
 	sp := mustScenario(name)
-	return rebase(workload.Apply(m.Valid, m.Pool, sp.Mix(), m.Scale.System(), m.Scale.Seed+150))
+	return rebase(workload.Apply(m.Valid, m.Pool, sp.Mix(), m.Scale.System(), m.Scale.Seed+150)), nil
 }
 
 // Workload builds the named builtin scenario over the test split — the
@@ -211,7 +240,14 @@ func rebase(jobs []*job.Job) []*job.Job {
 // CurriculumSets builds the three §III-D set kinds for the named scenario
 // from the training split: sampled (Poisson arrivals), real (trace slices),
 // and synthetic (fresh generator output), each transformed by the scenario.
+// It panics on evaluation-only materials, whose missing split would
+// otherwise sample nothing and pace the synthetic sets by the scale's mean
+// gap instead of the trace's: Train returns that as an error before it gets
+// here.
 func (m *Materials) CurriculumSets(scenarioName string) map[core.JobSetKind][][]*job.Job {
+	if err := m.needTraining("a curriculum"); err != nil {
+		panic(err)
+	}
 	sc := mustScenario(scenarioName).Mix()
 	s := m.Scale
 	sys := s.System()
@@ -240,6 +276,10 @@ func (m *Materials) CurriculumSets(scenarioName string) map[core.JobSetKind][][]
 	}
 }
 
+// meanGap is the training split's mean interarrival gap, the pace of the
+// synthetic curriculum sets. Only a split too short to have one (a
+// degenerate tiny trace) falls back to the scale's; materials with no split
+// at all never get here (CurriculumSets).
 func (m *Materials) meanGap() float64 {
 	if len(m.Train) < 2 {
 		return m.Scale.MeanInterarrival

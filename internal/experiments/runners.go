@@ -145,6 +145,9 @@ var paperOrdering = Ordering{core.Sampled, core.Real, core.Synthetic}
 // interrupted run bitwise identically. The model-store fields of opt
 // (ModelDir, OnModel, NoTrain) are the campaign's and are not read here.
 func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
+	if err := m.needTraining("training " + run.Family); err != nil {
+		return Trained{}, err
+	}
 	sc := m.Scale
 	sys := sc.systemFor(run.Power)
 	out, learner, err := sc.newAgent(run, sys)
@@ -154,7 +157,9 @@ func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 
 	var sets []core.JobSet
 	if run.Power {
-		sets = m.powerCurriculum(run.Family)
+		if sets, err = m.powerCurriculum(run.Family); err != nil {
+			return out, err
+		}
 	} else {
 		order := run.Order
 		if order == (Ordering{}) {
@@ -177,7 +182,11 @@ func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 		if out.MRSch == nil {
 			return out, fmt.Errorf("experiments: validated training applies to %s only", scenario.KindMRSch)
 		}
-		sel = core.NewSelection(out.MRSch, sys, m.ValidationWorkload(run.Family), 2)
+		valid, err := m.ValidationWorkload(run.Family)
+		if err != nil {
+			return out, err
+		}
+		sel = core.NewSelection(out.MRSch, sys, valid, 2)
 		cfg.AfterEpisode = sel.AfterEpisode
 		key += "-validated"
 		sections = append(sections, sel)
@@ -236,8 +245,12 @@ func (s Scale) systemFor(power bool) cluster.Config {
 
 // powerCurriculum builds sampled and real training sets carrying power
 // demands for an S6-S10 workload. Power workloads reuse the scenario
-// transform of their S1-S5 counterpart for the curriculum.
-func (m *Materials) powerCurriculum(powerName string) []core.JobSet {
+// transform of their S1-S5 counterpart for the curriculum. It fails on
+// evaluation-only materials.
+func (m *Materials) powerCurriculum(powerName string) ([]core.JobSet, error) {
+	if err := m.needTraining("a power curriculum"); err != nil {
+		return nil, err
+	}
 	for i, p := range workload.PowerScenarios() {
 		if p.Name != powerName {
 			continue
@@ -257,9 +270,9 @@ func (m *Materials) powerCurriculum(powerName string) []core.JobSet {
 				sets = append(sets, core.JobSet{Kind: kind, Jobs: jobs})
 			}
 		}
-		return sets
+		return sets, nil
 	}
-	panic("experiments: unknown power workload " + powerName)
+	return nil, fmt.Errorf("experiments: unknown power workload %s", powerName)
 }
 
 // NewGA returns the Optimization baseline picker, sched.Pareto. The seed is

@@ -27,8 +27,9 @@
 //
 // # Which cells share a model
 //
-// A run holds one model per modelKey and every cell reads it through an
-// evaluator of its own, so cells sharing a model may evaluate concurrently.
+// A run holds one frozen model per modelKey and every cell reads it through
+// an evaluator of its own, so cells sharing a model may evaluate
+// concurrently.
 // A model trained in-process (train=true) is a function of its family's
 // curriculum on the cell's base materials, so it is shared across the
 // scenarios of a family but trained again for each replicate seed's
@@ -39,9 +40,31 @@
 // trained model evaluated across many traces. A power scenario whose
 // power_budget_kw sizes the encoding differently gets an agent of its own.
 //
+// # What a run keeps
+//
+// A CampaignRun keeps only what its cells evaluate:
+//
+//   - Evaluation-only materials, one per materials key: the scale, the
+//     request pool, the interarrival factor and the test split, copied into
+//     one slab of its own, with Base, Train and Valid nil. The base trace
+//     and the other four fifths of it are garbage once the run has cut them.
+//   - Frozen models (dfp.Agent.Freeze): an MRSch model loaded from a file or
+//     the store is frozen once loaded, and one trained in-process once the
+//     store holds it, so none keeps a gradient buffer, optimizer moments or
+//     a replay ring.
+//   - One packed first layer per model: a frozen agent packs its state
+//     module's first Dense once, and every cell's evaluator reads that copy
+//     through scratch of its own instead of packing one per cell.
+//
+// A training needs the splits the run dropped, so it re-prepares: the train
+// branch of resolveModel, Figure4 and AblationStateNets take full materials
+// from PrepareFor, which is deterministic, and drop them when they return.
+// Train, ValidationWorkload and CurriculumSets fail loudly on the run's own
+// materials rather than train on a split that is not there.
+//
 // # Who owns a cell's jobs
 //
-// Materials hold the base trace and its splits, shared and read-only.
+// A run's materials hold the test split, shared and read-only.
 // Materials.WorkloadSpec builds a scenario's jobs from the test split anew
 // on every call — one slab copy by the Table III transform, the walltime
 // and user axes in place on it — and keeps nothing, so the jobs are the

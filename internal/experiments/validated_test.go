@@ -184,7 +184,10 @@ func TestValidationWorkloadDistinctFromTest(t *testing.T) {
 	sc := tinyScale()
 	sc.TraceDuration = 0.8 * 86400 // long enough for a non-degenerate split
 	m := MustPrepare(sc)
-	valid := m.ValidationWorkload("S1")
+	valid, err := m.ValidationWorkload("S1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	test := m.Workload("S1")
 	if len(valid) == 0 || len(test) == 0 {
 		t.Fatalf("empty split: valid=%d test=%d", len(valid), len(test))

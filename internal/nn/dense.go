@@ -27,8 +27,13 @@ type Dense struct {
 	wtBuf  Vec // transposed weights (in x out), rebuilt per batched backward
 	lastB  int // rows retained by the last forward (0 = none yet)
 
-	pack   kernel.Packed // Pack's copy of W and B, one buffer for the layer's life
-	packed bool          // the last Pack took the layer: bsz=1 forwards read pack
+	// pack, when not nil, is what bsz=1 forwards read: own, the layer's
+	// packed copy of W and B (Pack), or the copy of the layer it shares its
+	// weights with (SharePack). packScr is this layer's scratch for reading
+	// it, so layers that share one copy may forward concurrently.
+	pack    *kernel.Packed
+	own     kernel.Packed // Pack's buffer, one for the layer's life
+	packScr kernel.PackedScratch
 }
 
 // NewDense constructs an in->out fully-connected layer with the given
@@ -67,8 +72,8 @@ func (d *Dense) Forward(dst, x Vec, bsz int) Vec {
 	// process-global set (pure-Go reference or CPUID-dispatched SIMD). A
 	// packed layer's single sample reads the packed copy instead — the same
 	// bits, without the work on x's zero runs.
-	if bsz == 1 && d.packed {
-		kern.PackedForward(dst, d.inBuf, &d.pack)
+	if bsz == 1 && d.pack != nil {
+		kern.PackedForward(dst, d.inBuf, d.pack, &d.packScr)
 		return dst
 	}
 	kern.DenseForward(dst, d.inBuf, d.W.Value, d.B.Value, d.In, d.Out, bsz)
@@ -81,10 +86,27 @@ func (d *Dense) Forward(dst, x Vec, bsz int) Vec {
 // path or declines the layer, they stay on the dense kernel. Either way a
 // Forward returns the same bits. The copy does not follow W and B: the caller
 // packs again once they have changed and before the next single-sample
-// Forward — dfp.Actor does, from Reset to Reset, and nothing else packs.
+// Forward. A rollout actor does, from Reset to Reset; a frozen dfp.Agent packs
+// its master layer once, and its actors read that copy (SharePack) instead
+// of packing their own. A layer whose copy is shared is never packed again.
 func (d *Dense) Pack() bool {
-	d.packed = kern.Pack != nil && kern.Pack(&d.pack, d.W.Value, d.B.Value, d.In, d.Out)
-	return d.packed
+	d.pack = nil
+	if kern.Pack != nil && kern.Pack(&d.own, d.W.Value, d.B.Value, d.In, d.Out) {
+		d.pack = &d.own
+	}
+	return d.pack != nil
+}
+
+// SharePack has d's single-sample forwards read src's packed copy through
+// scratch of d's own; while src has none, d stays on the dense kernel. d must
+// read src's weights (a SharedClone of src: it panics otherwise), and src
+// must not be packed again while d reads: the copy has many readers and no
+// writer.
+func (d *Dense) SharePack(src *Dense) {
+	if d.In != src.In || d.Out != src.Out || &d.W.Value[0] != &src.W.Value[0] || &d.B.Value[0] != &src.B.Value[0] {
+		panic("nn: Dense.SharePack from a layer whose weights this one does not read")
+	}
+	d.pack = src.pack
 }
 
 // Backward accumulates dL/dW and dL/db summed over the bsz rows of grad and

@@ -56,10 +56,13 @@
 // Forward calls skip the zero runs of x — with the same bits as before, so
 // the row contract above is untouched. The copy lives in one buffer the
 // layer keeps and does not follow the weights: whoever packs must pack again
-// after they change. Only dfp.Actor packs — the state module's first layer,
-// refreshed on the first forward after each Reset — so Agent.Act, the
-// training engine, the serve daemon's BatchDecider and every bsz>1 caller
-// read W itself through DenseForward.
+// after they change. Dense.SharePack has a SharedClone read its original's
+// copy instead, through scratch of its own, so clones over weights that no
+// longer change share one copy. Only dfp packs — an actor's state-module
+// first layer, refreshed on the first forward after each Reset, or a frozen
+// agent's, once, read by every actor of it — so the training engine, the
+// serve daemon's BatchDecider and every bsz>1 caller read W itself through
+// DenseForward.
 //
 // For data-parallel training, SharedClone replicates a network so that the
 // replica shares parameter Values with the original but owns private

@@ -70,9 +70,10 @@ type Set struct {
 
 	// PackedForward is DenseForward at bsz = 1 against a layer Pack took,
 	// bit for bit, in time proportional to the 4-wide chunks of x's even
-	// and odd elements that are not all zero. It uses p's scratch, so one
-	// Packed serves one goroutine.
-	PackedForward func(dst, x []float64, p *Packed)
+	// and odd elements that are not all zero. It only reads p, so any
+	// number of goroutines may share one Packed; it lists x's chunks in s,
+	// which serves one goroutine and is grown on first use.
+	PackedForward func(dst, x []float64, p *Packed, s *PackedScratch)
 
 	// BackfillScan4 tests four words a step: it returns the first k at which
 	//
@@ -86,13 +87,19 @@ type Set struct {
 }
 
 // Packed is one Dense layer's weights and bias in the layout of a set's
-// packed one-sample forward, with the scratch that forward lists x's
-// non-zero chunks in. The zero value is ready for Set.Pack.
+// packed one-sample forward. The zero value is ready for Set.Pack; between
+// one Pack and the next it is only read, so readers on several goroutines
+// may share it, each with a PackedScratch of its own.
 type Packed struct {
 	in, out int
 	w       []float64 // per row block: even chunks, odd chunks, in%4 tail columns, bias
-	xs      []float64 // the listed chunks of xe, then of xo
-	offs    []int64   // each listed chunk's byte offset in a 4-row block
+}
+
+// PackedScratch is where one reader's packed forward lists x's non-zero
+// chunks. The zero value is ready; the first forward sizes it.
+type PackedScratch struct {
+	xs   []float64 // the listed chunks of xe, then of xo
+	offs []int64   // each listed chunk's byte offset in a 4-row block
 }
 
 // Reference is the portable pure-Go kernel set: the avx2 set's arithmetic,

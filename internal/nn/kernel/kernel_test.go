@@ -708,6 +708,7 @@ func benchPacked(b *testing.B, f benchForm, in, out int) {
 	x := encoderShaped(r, in, 0.9)
 	w, bias, dst := fill(r, out*in), fill(r, out), make([]float64, out)
 	var p Packed
+	var scr PackedScratch
 	if !s.Pack(&p, w, bias, in, out) {
 		b.Fatalf("Pack declined a finite %dx%d layer", out, in)
 	}
@@ -717,7 +718,7 @@ func benchPacked(b *testing.B, f benchForm, in, out int) {
 		defer SetWide(true)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.PackedForward(dst, x, &p)
+			s.PackedForward(dst, x, &p, &scr)
 		}
 	})
 	if !f.wide {

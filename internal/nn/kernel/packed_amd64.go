@@ -39,8 +39,6 @@ func avx2Pack(p *Packed, w, b []float64, in, out int) bool {
 	k := (body + 4) / 8 // 4-wide chunks per half
 	perRow := 8*k + tail + 1
 	p.w = slices.Grow(p.w[:0], out*perRow)[:out*perRow]
-	p.xs = slices.Grow(p.xs[:0], 8*k)[:8*k]
-	p.offs = slices.Grow(p.offs[:0], 2*k)[:2*k]
 
 	for o0, rows := 0, 8; o0 < out; o0 += rows {
 		if out-o0 < 8 {
@@ -87,21 +85,30 @@ func allFinite(s []float64) bool {
 	return a0+a1+(a2+a3) == 0
 }
 
-func avx2PackedForward(dst, x []float64, p *Packed) { packedForward(dst, x, p, 0) }
+func avx2PackedForward(dst, x []float64, p *Packed, s *PackedScratch) {
+	packedForward(dst, x, p, s, 0)
+}
 
 // widePackedForward is the packed forward with its 8-row blocks taken two at a
 // time in 512-bit registers (packed_amd64.s), the same bits.
-func widePackedForward(dst, x []float64, p *Packed) { packedForward(dst, x, p, 1) }
+func widePackedForward(dst, x []float64, p *Packed, s *PackedScratch) {
+	packedForward(dst, x, p, s, 1)
+}
 
-func packedForward(dst, x []float64, p *Packed, wide int) {
+func packedForward(dst, x []float64, p *Packed, s *PackedScratch, wide int) {
 	if p.in == 0 {
 		panic("kernel: PackedForward without a successful Pack")
 	}
 	_, _ = dst[p.out-1], x[p.in-1]
+	k := (p.in - p.in%4 + 4) / 8 // 4-wide chunks per half, as Pack laid them
+	if len(s.xs) < 8*k {
+		s.xs = make([]float64, 8*k)
+		s.offs = make([]int64, 2*k)
+	}
 	var xs *float64
 	var offs *int64
-	if len(p.xs) > 0 {
-		xs, offs = &p.xs[0], &p.offs[0]
+	if k > 0 {
+		xs, offs = &s.xs[0], &s.offs[0]
 	}
 	packedMatvec(&dst[0], &x[0], &p.w[0], xs, offs, p.in, p.out, wide)
 }

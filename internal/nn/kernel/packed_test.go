@@ -82,7 +82,7 @@ func samePacked(t *testing.T, s *Set, what string, x, w, b []float64, in, out in
 	for i := range got {
 		got[i] = math.NaN() // every output must be written
 	}
-	s.PackedForward(got, x, &p)
+	s.PackedForward(got, x, &p, new(PackedScratch))
 	for o := range want {
 		if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
 			t.Fatalf("%s: output %d: packed %v (%#x), dense %v (%#x)", what, o,
@@ -135,6 +135,7 @@ func TestPackReusesItsBuffer(t *testing.T) {
 	s := packedSet(t)
 	r := rand.New(rand.NewSource(12))
 	var p Packed
+	var scr PackedScratch
 	for _, shape := range [][2]int{{394, 128}, {21, 12}, {394, 128}, {4, 4}, {30, 8}} {
 		in, out := shape[0], shape[1]
 		w, b, x := fill(r, out*in), fill(r, out), encoderShaped(r, in, 0.5)
@@ -142,7 +143,7 @@ func TestPackReusesItsBuffer(t *testing.T) {
 			t.Fatalf("Pack declined %dx%d", out, in)
 		}
 		got, want := make([]float64, out), make([]float64, out)
-		s.PackedForward(got, x, &p)
+		s.PackedForward(got, x, &p, &scr)
 		s.DenseForward(want, x, w, b, in, out, 1)
 		for o := range want {
 			if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
@@ -153,6 +154,45 @@ func TestPackReusesItsBuffer(t *testing.T) {
 	before := &p.w[0]
 	if !s.Pack(&p, fill(r, 128*394), fill(r, 128), 394, 128) || &p.w[0] != before {
 		t.Fatal("a refresh at the largest shape seen reallocated the packed copy")
+	}
+}
+
+// One Packed read from several goroutines at once, each through a scratch of
+// its own, gives every reader DenseForward's bits: the forward writes nothing
+// of the packed copy (the race detector holds it to that).
+func TestPackedSharedAcrossReaders(t *testing.T) {
+	s := packedSet(t)
+	r := rand.New(rand.NewSource(14))
+	const in, out = 394, 128
+	w, b := fill(r, out*in), fill(r, out)
+	var p Packed
+	if !s.Pack(&p, w, b, in, out) {
+		t.Fatalf("Pack declined %dx%d", out, in)
+	}
+	xs := [][]float64{encoderShaped(r, in, 0.2), encoderShaped(r, in, 0.5), encoderShaped(r, in, 0.9)}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			var scr PackedScratch
+			got, want := make([]float64, out), make([]float64, out)
+			for i := 0; i < 50; i++ {
+				x := xs[(g+i)%len(xs)]
+				s.PackedForward(got, x, &p, &scr)
+				s.DenseForward(want, x, w, b, in, out, 1)
+				for o := range want {
+					if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
+						errs <- fmt.Errorf("reader %d pass %d: output %d: packed %v, dense %v", g, i, o, got[o], want[o])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -208,5 +248,5 @@ func TestPackDeclines(t *testing.T) {
 			t.Fatal("PackedForward ran on a Packed whose Pack declined")
 		}
 	}()
-	s.PackedForward(dense, x, &p)
+	s.PackedForward(dense, x, &p, new(PackedScratch))
 }

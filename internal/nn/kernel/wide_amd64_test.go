@@ -244,7 +244,7 @@ func TestWideFormsSensitivity(t *testing.T) {
 		t.Fatal("Pack declined a finite layer")
 	}
 	got, want := make([]float64, out), make([]float64, out)
-	widePackedForward(got, x, &p)
+	widePackedForward(got, x, &p, new(PackedScratch))
 	wideDenseForward(want, x, w, b, in, out, 1)
 	sameBits(t, "packed", got, want)
 	for o := 0; o < out; o += 2 {
