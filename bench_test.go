@@ -10,10 +10,14 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -23,6 +27,7 @@ import (
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -217,10 +222,11 @@ func BenchmarkDecisionLatency(b *testing.B) {
 // cell's decisions that skip the forward pass.
 func BenchmarkEvaluatorPicks(b *testing.B) {
 	base := experiments.MustPrepare(experiments.QuickScale())
-	agent, _, err := experiments.TrainMRSch(base, "S4", false)
+	trained, _, err := experiments.TrainMRSch(base, "S4", false)
 	if err != nil {
 		b.Fatal(err)
 	}
+	agent := trained.Model()
 	sp, _ := scenario.ByName("S4")
 	type cell struct {
 		sys  cluster.Config
@@ -270,7 +276,7 @@ func BenchmarkEvaluatorPicks(b *testing.B) {
 // BenchmarkLockstepDecisions is the gate of ROADMAP item 10(b), lockstep
 // cells, at the campaign geometry: the startable instants of one quick-scale
 // S4 cell under the trained evaluator, decided one at a time by a greedy
-// evaluator (dfp.Agent.Evaluator, whose first layer runs packed) and in
+// evaluator (dfp.Model.Evaluator, whose first layer runs packed) and in
 // batches of 4 and 16 rows by a dfp.BatchDecider (dense, the path a lockstep
 // batch would take). ns/decision is per row; the gate asks
 // batch=16 to beat the evaluator by 1.3x.
@@ -287,7 +293,8 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 	}
 	var states, meas, goals [][]float64
 	var valid []int
-	actor := agent.Evaluator()
+	model := agent.Model()
+	actor := model.Evaluator()
 	harvest := sched.PickerFunc(func(ctx *sched.PickContext) int {
 		if ctx.Startable() {
 			states = append(states, agent.Enc.Encode(ctx))
@@ -313,7 +320,7 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 		b.ReportMetric(float64(n), "instants")
 	}
 	b.Run("evaluator", func(b *testing.B) {
-		ev := agent.Agent.Evaluator()
+		ev := model.DFP.Evaluator()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -324,7 +331,7 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 	})
 	for _, rows := range []int{4, 16} {
 		b.Run(fmt.Sprintf("batch=%d", rows), func(b *testing.B) {
-			d := agent.Agent.Decider()
+			d := model.DFP.Decider()
 			var dst []int
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -336,6 +343,89 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 			perRow(b, rows)
 		})
 	}
+}
+
+// BenchmarkDecideDuringSwap is a closed-loop client's decision latency while
+// another goroutine swaps the served model in a loop, at the quick geometry:
+// one connection to a daemon on loopback with no admission wait, each
+// request sent when the last is answered, and the model file's own bytes
+// swapped back in as fast as they load. p50_us and worst_us are the client's
+// round trips; swaps/s is what the swapper installed. It uses only the
+// public serve API.
+func BenchmarkDecideDuringSwap(b *testing.B) {
+	sc := experiments.QuickScale()
+	m, err := experiments.Prepare(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	agent := experiments.NewMRSchUntrained(sc, false)
+	var weights bytes.Buffer
+	if err := agent.Save(&weights); err != nil {
+		b.Fatal(err)
+	}
+	sys := sc.System()
+	reqs, err := serve.SampleRequests(sys, m.Workload("S4"), sc.Window, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.NewServer(agent, sys, serve.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Shutdown()
+		if err := <-served; err != nil {
+			b.Error(err)
+		}
+	}()
+	c, err := serve.Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	stop := make(chan struct{})
+	var swapper sync.WaitGroup
+	swaps := 0
+	swapper.Add(1)
+	go func() {
+		defer swapper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := srv.Swap(bytes.NewReader(weights.Bytes())); err != nil {
+				b.Error(err)
+				return
+			}
+			swaps++
+		}
+	}()
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		t0 := time.Now()
+		if _, _, err := c.Decide(&reqs[i%len(reqs)]); err != nil {
+			b.Error(err)
+			break
+		}
+		lat[i] = time.Since(t0)
+	}
+	b.StopTimer()
+	close(stop)
+	swapper.Wait()
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50_us")
+	b.ReportMetric(float64(lat[len(lat)-1].Nanoseconds())/1e3, "worst_us")
+	b.ReportMetric(float64(swaps)/b.Elapsed().Seconds(), "swaps/s")
 }
 
 // ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ func main() {
 		fmt.Printf("training episode %d: loss=%.4f epsilon=%.2f\n", i+1, res.Loss, res.Epsilon)
 	}
 	fmt.Println()
-	mrsch, err := experiments.Evaluate(sys, agent.Evaluator().Policy(), jobs, "MRSch", "S4", -1)
+	mrsch, err := experiments.Evaluate(sys, agent.Model().Evaluator().Policy(), jobs, "MRSch", "S4", -1)
 	if err != nil {
 		log.Fatal(err)
 	}

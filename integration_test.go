@@ -164,7 +164,7 @@ func TestPipelineAgentPersistence(t *testing.T) {
 	}
 
 	run := func(m *core.MRSch) []float64 {
-		s := sim.New(sys, m.Evaluator().Policy())
+		s := sim.New(sys, m.Model().Evaluator().Policy())
 		if err := s.Load(job.CloneAll(train)); err != nil {
 			t.Fatal(err)
 		}

@@ -13,15 +13,15 @@ import (
 // is private. Multiple actors may roll out episodes in
 // parallel against one master, provided the master's weights are not updated
 // until the rollouts finish — internal/rollout's round barrier guarantees
-// that. An actor is the one place an episode is recorded; an Evaluator
-// records nothing, acts greedily and runs no model where its pick is moot
-// (see Pick). An observer of the picks (Figures 8/9 sample the goal vector)
-// wraps the actor in a sched.PickerFunc.
+// that. An actor is the one place an episode is recorded; a model's
+// Evaluator records nothing, acts greedily and runs no model where its pick
+// is moot (see Pick). An observer of the picks (Figures 8/9 sample the goal
+// vector) wraps the actor in a sched.PickerFunc.
 type MRSchActor struct {
 	enc       encode.Config
 	ac        *dfp.Actor
 	fixedGoal []float64
-	evaluator bool // built by Evaluator: moot picks skip the model
+	evaluator bool // built by Model.Evaluator: moot picks skip the model
 
 	state, goal []float64 // the pick in progress; the dfp actor copies what it records
 	goals       goalTable
@@ -34,16 +34,15 @@ func (m *MRSch) Actor() (*MRSchActor, bool) {
 	return &MRSchActor{enc: m.Enc, ac: m.Agent.Actor(), fixedGoal: m.FixedGoal}, true
 }
 
-// Evaluator returns the actor every whole-schedule evaluation of the agent
-// runs through (dfp.Agent.Evaluator): greedy at epsilon 0 whatever the
-// training epsilon is, no transcript, no allocation per pick once its buffers
-// are warm, and no model at an instant where no waiting job fits. Its picks
-// are Pick's at every startable instant, so its schedule is the one
-// sched.NewWindowPolicy(m, m.Enc.Window) runs. It takes no seed: at epsilon 0
-// its rng cannot change a pick. Build one per evaluation, after the weights
-// last changed.
-func (m *MRSch) Evaluator() *MRSchActor {
-	return &MRSchActor{enc: m.Enc, ac: m.Agent.Evaluator(), fixedGoal: m.FixedGoal, evaluator: true}
+// Evaluator returns the actor every whole-schedule evaluation of the model
+// runs through (dfp.Model.Evaluator): greedy at epsilon 0, no transcript, no
+// allocation per pick once its buffers are warm, and no model at an instant
+// where no waiting job fits. Its picks are its agent's Pick at every
+// startable instant, so its schedule is the one sched.NewWindowPolicy(agent,
+// m.Enc.Window) runs. It takes no seed: at epsilon 0 its rng cannot change a
+// pick. Any number of evaluators of one model may run at once.
+func (m *Model) Evaluator() *MRSchActor {
+	return &MRSchActor{enc: m.Enc, ac: m.DFP.Evaluator(), fixedGoal: m.FixedGoal, evaluator: true}
 }
 
 // SnapshotActor returns a rollout actor reading the agent's published

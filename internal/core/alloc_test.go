@@ -87,7 +87,7 @@ func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
 	ctxs := pickContexts()
 	recording, _ := m.Actor()
 	recording.Reset(9, 0)
-	actor := m.Evaluator()
+	actor := m.Model().Evaluator()
 	for i, ctx := range ctxs { // also the warm-up
 		got, rec, want := actor.Pick(ctx), recording.Pick(ctx), m.Pick(ctx)
 		if got != want || rec != want {
@@ -121,7 +121,7 @@ func TestBatchDeciderAllocatesNothingOnceWarm(t *testing.T) {
 	for _, fixed := range [][]float64{nil, {0.7, 0.3}} {
 		m := New(sys(), tinyOptions(6))
 		m.FixedGoal = fixed
-		d := m.BatchDecider()
+		d := m.Model().BatchDecider()
 		ctxs := pickContexts()
 		dst := d.Decide(ctxs, nil)
 		for i, ctx := range ctxs {

@@ -198,7 +198,7 @@ func TestEvaluatorIgnoresTrainingEpsilon(t *testing.T) {
 		return out
 	}
 	want := starts(sched.NewWindowPolicy(m, m.Enc.Window))
-	if got := starts(m.Evaluator().Policy()); !slices.Equal(got, want) {
+	if got := starts(m.Model().Evaluator().Policy()); !slices.Equal(got, want) {
 		t.Fatalf("the evaluator's start times %v, the reference policy's %v", got, want)
 	}
 	exploring, _ := m.Actor()

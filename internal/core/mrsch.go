@@ -19,7 +19,7 @@ import (
 // MRSch is the scheduling agent. Its own picks (Pick) are greedy and recorded
 // nowhere, the reference its actors and deciders are held to; an episode is
 // explored and recorded by an MRSchActor (Actor), and a whole schedule is
-// evaluated by one (Evaluator).
+// evaluated by its trained model's (Model, Model.Evaluator).
 type MRSch struct {
 	Enc   encode.Config
 	Agent *dfp.Agent
@@ -49,8 +49,43 @@ type Options struct {
 	Mutate func(*dfp.Config)
 }
 
+// Model is a trained MRSch model, read-only: the state encoding, the DFP
+// model (dfp.Model) and the goal override. A campaign's cells, validation,
+// the figures and the decision daemon read a trained agent through one. A
+// study that varies the goal copies the struct and sets FixedGoal; the copy
+// shares the weights.
+type Model struct {
+	Enc       encode.Config
+	DFP       *dfp.Model
+	FixedGoal []float64
+}
+
+// Model returns the agent's model over its current weights
+// (dfp.Agent.Model): valid until they next change.
+func (m *MRSch) Model() *Model {
+	return &Model{Enc: m.Enc, DFP: m.Agent.Model(), FixedGoal: m.FixedGoal}
+}
+
+// LoadModel reads a model file saved by an agent New(sys, opts) builds
+// (dfp.LoadModel), without building that agent.
+func LoadModel(sys cluster.Config, opts Options, r io.Reader) (*Model, error) {
+	enc, cfg := configure(sys, opts)
+	dm, err := dfp.LoadModel(cfg, r)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{Enc: enc, DFP: dm}, nil
+}
+
 // New constructs an MRSch agent for the given system.
 func New(sys cluster.Config, opts Options) *MRSch {
+	enc, cfg := configure(sys, opts)
+	return &MRSch{Enc: enc, Agent: dfp.New(cfg)}
+}
+
+// configure returns the state encoding and the DFP configuration of the
+// agent New builds on sys with opts.
+func configure(sys cluster.Config, opts Options) (encode.Config, dfp.Config) {
 	w := opts.Window
 	if w <= 0 {
 		w = 10
@@ -67,7 +102,7 @@ func New(sys cluster.Config, opts Options) *MRSch {
 	if opts.PerResourceNets {
 		cfg.StateModule = perResourceStateModule(&enc, &cfg)
 	}
-	return &MRSch{Enc: enc, Agent: dfp.New(cfg)}
+	return enc, cfg
 }
 
 // perResourceStateModule builds the §III-A alternative state module: one
@@ -119,8 +154,8 @@ func (m *MRSch) Pick(ctx *sched.PickContext) int {
 	return m.Agent.Act(state, ctx.Usage, goal, len(ctx.Window), false)
 }
 
-// Save persists the agent's network weights.
-func (m *MRSch) Save(w io.Writer) error { return m.Agent.Save(w) }
+// Save persists the agent's network weights as a model file.
+func (m *MRSch) Save(w io.Writer) error { return m.Agent.Model().Save(w) }
 
 // Load restores network weights into an identically-configured agent.
 func (m *MRSch) Load(r io.Reader) error { return m.Agent.Load(r) }

@@ -27,9 +27,9 @@ type ValidationMetrics struct {
 	Score float64
 }
 
-// Validate replays jobs through the agent's evaluator (greedy, no
+// Validate replays jobs through the model's evaluator (greedy, no
 // recording) and scores the outcome with §IV-B's metrics (metrics.Collect).
-func Validate(m *MRSch, sys cluster.Config, jobs []*job.Job) (ValidationMetrics, error) {
+func Validate(m *Model, sys cluster.Config, jobs []*job.Job) (ValidationMetrics, error) {
 	s := sim.New(sys, m.Evaluator().Policy())
 	if err := s.Load(job.CloneAll(jobs)); err != nil {
 		return ValidationMetrics{}, fmt.Errorf("core: validate: %w", err)
@@ -80,7 +80,7 @@ func (s *Selection) AfterEpisode(i int, _ EpisodeResult) error {
 	if len(s.validation) == 0 || (i+1)%s.every != 0 {
 		return nil
 	}
-	vm, err := Validate(s.m, s.sys, s.validation)
+	vm, err := Validate(s.m.Model(), s.sys, s.validation)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ func randomJobs(seed int64, n int) []*job.Job {
 
 func TestValidateScoresGreedily(t *testing.T) {
 	m := New(sys(), tinyOptions(31))
-	vm, err := Validate(m, sys(), randomJobs(1, 25))
+	vm, err := Validate(m.Model(), sys(), randomJobs(1, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestTrainWithSelectionKeepsBestWeights(t *testing.T) {
 		t.Fatalf("best score %v", best.Score)
 	}
 	// The restored weights must reproduce the best validation score.
-	vm, err := Validate(m, sys(), valid)
+	vm, err := Validate(m.Model(), sys(), valid)
 	if err != nil {
 		t.Fatal(err)
 	}

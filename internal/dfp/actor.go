@@ -32,9 +32,18 @@ func (m *modules) all() []nn.Layer {
 	return []nn.Layer{m.state, m.meas, m.goal, m.exp, m.act}
 }
 
+// params returns the networks' parameters in the canonical order.
+func (m *modules) params() []*nn.Param {
+	var ps []*nn.Param
+	for _, net := range m.all() {
+		ps = append(ps, net.Params()...)
+	}
+	return ps
+}
+
 // cloneVia replicates the five networks through the given nn cloner:
 // nn.SharedClone for replicas whose parameters alias the live weight Values
-// (rollout actors, evaluators, the batched decider, gradient workers),
+// (rollout actors, models and their readers, gradient workers),
 // nn.SnapshotClone for replicas that read
 // the published copy-on-write snapshot and so may run forward passes
 // concurrently with TrainStep. Forward state is private; the clones carry no
@@ -137,10 +146,10 @@ func scoreInto(dst []float64, preds [][]float64, goalExt []float64) []float64 {
 // Actor is a read-only rollout clone of an Agent. It always acts in
 // exploration mode (the epsilon-greedy policy of §IV-C) and records every
 // decision; the recorded episode is retrieved with TakeTranscript and folded
-// into the master with Agent.IngestTranscript. An Evaluator is an unrecorded
-// actor at epsilon 0: it records nothing and may answer moot decisions with
-// Moot. Reset a rollout actor with the episode's deterministic seed and
-// exploration rate before each rollout.
+// into the master with Agent.IngestTranscript. A model's Evaluator is an
+// unrecorded actor at epsilon 0: it records nothing and may answer moot
+// decisions with Moot. Reset a rollout actor with the episode's
+// deterministic seed and exploration rate before each rollout.
 //
 // An Actor is not safe for concurrent use by multiple goroutines, but
 // distinct actors may run concurrently with each other — not with TrainStep,
@@ -157,11 +166,11 @@ type Actor struct {
 	packed     runs // a recorded state's runs, before the step keeps a copy of them
 
 	// first is the state module's first Dense, which this actor packs: nil
-	// when the module opens with anything else, or when the layer reads a
-	// frozen agent's one packed copy. Its own packed copy (nn.Dense.Pack) is
-	// good from one Reset to the next — the interval over which nothing may
-	// change the weights an actor reads — so Reset marks it stale and the
-	// first forward after a Reset refreshes it.
+	// when the module opens with anything else, or in an evaluator, whose
+	// layer reads its model's one packed copy. Its own packed copy
+	// (nn.Dense.Pack) is good from one Reset to the next — the interval over
+	// which nothing may change the weights an actor reads — so Reset marks it
+	// stale and the first forward after a Reset refreshes it.
 	first  *nn.Dense
 	repack bool
 }
@@ -176,17 +185,8 @@ func firstDense(state nn.Layer) *nn.Dense {
 	return nil
 }
 
-// Actor returns a rollout actor reading the agent's live weights. An actor
-// of a frozen agent reads the agent's packed first layer (Agent.Freeze) and
-// packs nothing itself.
-func (a *Agent) Actor() *Actor {
-	ac := a.newActor(a.nets.cloneVia(nn.SharedClone))
-	if a.frozen && ac.first != nil {
-		ac.first.SharePack(firstDense(a.nets.state))
-		ac.first = nil
-	}
-	return ac
-}
+// Actor returns a rollout actor reading the agent's live weights.
+func (a *Agent) Actor() *Actor { return a.newActor(a.nets.cloneVia(nn.SharedClone)) }
 
 // newActor builds an actor over nets, its own clones: only an actor's own
 // layers are ever packed, Agent.Act runs through the master's and stays dense.
@@ -195,21 +195,6 @@ func (a *Agent) newActor(nets modules) *Actor {
 		cfg: &a.cfg, nets: nets, first: firstDense(nets.state),
 		rng: rand.New(rand.NewSource(a.cfg.Seed)), eps: a.eps,
 	}
-}
-
-// Evaluator returns a greedy actor reading the agent's live weights that
-// records nothing: epsilon 0 whatever the agent's training epsilon is (an
-// actor otherwise starts at it), and no transcript. Its picks are Agent.Act's,
-// and only an evaluator may answer a decision with Moot. An evaluator of a
-// frozen agent reads the agent's one packed first layer through scratch of
-// its own, so any number of them may run at once and none allocates a copy.
-// Any other evaluator, like a Reset actor, packs its own copy at its first
-// forward, so it reads the weights as they are then: build one per
-// evaluation, after the weights last changed.
-func (a *Agent) Evaluator() *Actor {
-	ac := a.Actor()
-	ac.eps, ac.unrecorded, ac.repack = 0, true, ac.first != nil
-	return ac
 }
 
 // SnapshotActor returns a rollout actor reading the published copy-on-write
@@ -233,8 +218,9 @@ func (a *Agent) PublishWeights() { nn.PublishParams(a.params) }
 // transcript. It is also where the actor catches up with its weights: an
 // actor must be Reset after the weights it reads have changed (a TrainStep
 // for Agent.Actor, a PublishWeights for Agent.SnapshotActor) and before it
-// acts again, which is what every rollout round and every evaluated cell
-// does. An actor that was never Reset reads the weights themselves.
+// acts again, which is what every rollout round does. An actor that was never
+// Reset reads the weights themselves. An evaluator's weights never change, so
+// Reset repacks nothing there.
 func (ac *Actor) Reset(seed int64, eps float64) {
 	ac.rng = rand.New(rand.NewSource(seed))
 	ac.eps = eps
@@ -286,7 +272,7 @@ func (ac *Actor) Act(state, meas, goal []float64, valid int) int {
 // transcript is training data and needs the networks' choice.
 func (ac *Actor) Moot(valid int) int {
 	if !ac.unrecorded {
-		panic("dfp: Moot on a recording actor: a transcript needs the networks' choice (use Agent.Evaluator)")
+		panic("dfp: Moot on a recording actor: a transcript needs the networks' choice (use Model.Evaluator)")
 	}
 	if ac.rng.Float64() < ac.eps {
 		return ac.rng.Intn(ac.clampValid(valid))
@@ -332,9 +318,6 @@ func (ac *Actor) TakeTranscript() *Transcript {
 // offset, with offsets that run past the episode end masked out, and a step
 // with no offset left is dropped. It then decays epsilon.
 func (a *Agent) IngestTranscript(t *Transcript) {
-	if a.frozen {
-		panic(errFrozen("IngestTranscript"))
-	}
 	steps := t.steps
 	pd := a.cfg.PredDim()
 	m := a.cfg.Measurements

@@ -208,9 +208,10 @@ func TestActorWithoutResetRunsDense(t *testing.T) {
 }
 
 // Clones made for inference carry no gradient storage: at the quick
-// geometry's state width, what Agent.Actor, Agent.Evaluator and Agent.Decider
+// geometry's state width, what Agent.Actor, Model.Evaluator and Model.Decider
 // allocate — the clones' params and layers and an actor's rng — stays below
-// one weight vector.
+// one weight vector, and so does what Agent.Model allocates beyond the packed
+// copy of its first layer.
 func TestInferenceClonesAllocateNoGradients(t *testing.T) {
 	cfg := DefaultConfig(394, 2, 10)
 	cfg.Workers = 1
@@ -219,18 +220,22 @@ func TestInferenceClonesAllocateNoGradients(t *testing.T) {
 	for _, p := range a.params {
 		weights += 8 * len(p.Value)
 	}
+	var m *Model
+	if n, first := allocated(func() { m = a.Model() }), uint64(8*len(a.params[0].Value)); n >= uint64(weights)+first {
+		t.Errorf("Model allocated %d bytes; one weight vector is %d, its first layer %d", n, weights, first)
+	}
 	var ac, ev *Actor
 	var d *BatchDecider
 	for name, f := range map[string]func(){
 		"Actor":     func() { ac = a.Actor() },
-		"Evaluator": func() { ev = a.Evaluator() },
-		"Decider":   func() { d = a.Decider() },
+		"Evaluator": func() { ev = m.Evaluator() },
+		"Decider":   func() { d = m.Decider() },
 	} {
 		if n := allocated(f); n >= uint64(weights) {
 			t.Errorf("%s allocated %d bytes; one weight vector is %d", name, n, weights)
 		}
 	}
-	for _, net := range slices.Concat(ac.nets.all(), ev.nets.all(), d.nets.all()) {
+	for _, net := range slices.Concat(ac.nets.all(), ev.nets.all(), d.nets.all(), m.nets.all()) {
 		for _, p := range net.Params() {
 			if p.Grad != nil {
 				t.Fatalf("inference clone param %s has gradient storage", p.Name)

@@ -23,13 +23,13 @@ import (
 	"repro/internal/nn"
 )
 
-// BatchDecider is a read-only batched inference clone of an Agent: its
-// networks alias the agent's live weights (nn.SharedClone) while its forward
-// state and gathered rows are private. It reads the weights as they are at
-// each DecideBatch, so a weight change (Agent.Load) must be mutually excluded
-// against in-flight calls — internal/serve's engine holds one decider and
-// runs both under one lock. A BatchDecider is not safe for concurrent use by
-// multiple goroutines.
+// BatchDecider is a read-only batched inference clone of a Model: its
+// networks alias the model's weights (nn.SharedClone), and a batch of one
+// reads the model's packed first layer, while its forward state and gathered
+// rows are private. A model's weights never change, so nothing need be
+// excluded against its calls; internal/serve swaps in a decider of another
+// model instead. A BatchDecider is not safe for concurrent use by multiple
+// goroutines.
 type BatchDecider struct {
 	cfg  *Config
 	nets modules
@@ -39,11 +39,6 @@ type BatchDecider struct {
 	// steady-state Decide performs zero heap allocations, matching the
 	// single-sample Act. The extended goals live in scr.goalExt.
 	stateB, measB nn.Vec
-}
-
-// Decider returns a batched greedy decider reading the agent's live weights.
-func (a *Agent) Decider() *BatchDecider {
-	return &BatchDecider{cfg: &a.cfg, nets: a.nets.cloneVia(nn.SharedClone)}
 }
 
 // DecideBatch greedily selects one action per request row. states[i] is the

@@ -51,7 +51,7 @@ func TestDecideBatchMatchesActAtEveryBatchSize(t *testing.T) {
 		want[i] = a.Act(states[i], meas[i], goals[i], valid[i], false)
 	}
 
-	d := a.Decider()
+	d := a.Model().Decider()
 	for _, bs := range []int{1, 4, total} {
 		got := make([]int, 0, total)
 		for lo := 0; lo < total; lo += bs {
@@ -69,10 +69,12 @@ func TestDecideBatchMatchesActAtEveryBatchSize(t *testing.T) {
 	}
 }
 
-// TestDecideBatchFollowsLiveWeights pins the live-weight semantics the
-// daemon's swap relies on: a decider built before training answers from the
-// weights as they are at each call, with nothing to publish.
-func TestDecideBatchFollowsLiveWeights(t *testing.T) {
+// TestDeciderOfANewModelFollowsTraining pins what a model of a training
+// agent is: its weights are the agent's as they are when it is built, with no
+// copy made, so a model built after the training moved the greedy policy
+// decides like the trained Act at a batch of one (the packed first layer) and
+// at a whole batch (the dense one).
+func TestDeciderOfANewModelFollowsTraining(t *testing.T) {
 	cfg := DefaultConfig(24, 2, 6)
 	cfg.Seed = 5
 	cfg.BatchSize = 8
@@ -80,8 +82,7 @@ func TestDecideBatchFollowsLiveWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	states, meas, goals, valid := randomInputs(&a.cfg, rng, 32)
 
-	d := a.Decider()
-	before := append([]int(nil), d.DecideBatch(states, meas, goals, valid, nil)...)
+	before := append([]int(nil), a.Model().Decider().DecideBatch(states, meas, goals, valid, nil)...)
 
 	// Train until the greedy policy moves on at least one row (bounded; the
 	// random net at this scale shifts within a few steps).
@@ -100,12 +101,13 @@ func TestDecideBatchFollowsLiveWeights(t *testing.T) {
 		t.Skip("training never moved the greedy policy on these rows")
 	}
 
-	// The same decider now matches the trained greedy policy exactly.
-	fresh := d.DecideBatch(states, meas, goals, valid, nil)
+	d := a.Model().Decider()
+	whole := d.DecideBatch(states, meas, goals, valid, nil)
 	for i := range states {
 		want := a.Act(states[i], meas[i], goals[i], valid[i], false)
-		if fresh[i] != want {
-			t.Fatalf("row %d after training decided %d, live Act decided %d", i, fresh[i], want)
+		one := d.DecideBatch(states[i:i+1], meas[i:i+1], goals[i:i+1], valid[i:i+1], nil)[0]
+		if whole[i] != want || one != want {
+			t.Fatalf("row %d after training: the new model decides %d in the batch and %d alone, live Act %d", i, whole[i], one, want)
 		}
 	}
 }

@@ -175,9 +175,6 @@ type Agent struct {
 
 	trainSteps int
 
-	// frozen: Freeze released the training state; the weights are final.
-	frozen bool
-
 	// Training engine state (engine.go).
 	workers  []*trainWorker
 	plan     stepPlan
@@ -207,32 +204,38 @@ func New(cfg Config) *Agent {
 		eps:    cfg.EpsStart,
 		replay: newReplay(cfg.ReplayCap),
 	}
-	a.nets.state = buildStateModule(&cfg, rng)
+	a.nets = buildModules(&cfg, rng)
+	a.params = a.nets.params()
+	a.opt = nn.NewAdam(cfg.LR)
+	return a
+}
+
+// buildModules builds the five networks of cfg's architecture, drawing their
+// initial weights from rng in one fixed order.
+func buildModules(cfg *Config, rng *rand.Rand) modules {
+	var m modules
+	m.state = buildStateModule(cfg, rng)
 	h := cfg.ModuleHidden
-	a.nets.meas = nn.NewSequential(cfg.Measurements,
+	m.meas = nn.NewSequential(cfg.Measurements,
 		nn.NewDense(cfg.Measurements, h, nn.HeInit, rng), nn.NewLeakyReLU(0.01),
 		nn.NewDense(h, h, nn.HeInit, rng), nn.NewLeakyReLU(0.01),
 		nn.NewDense(h, h, nn.HeInit, rng),
 	)
-	a.nets.goal = nn.NewSequential(cfg.GoalDim(),
+	m.goal = nn.NewSequential(cfg.GoalDim(),
 		nn.NewDense(cfg.GoalDim(), h, nn.HeInit, rng), nn.NewLeakyReLU(0.01),
 		nn.NewDense(h, h, nn.HeInit, rng), nn.NewLeakyReLU(0.01),
 		nn.NewDense(h, h, nn.HeInit, rng),
 	)
 	jointDim := cfg.StateOut + 2*h
-	a.nets.exp = nn.NewSequential(jointDim,
+	m.exp = nn.NewSequential(jointDim,
 		nn.NewDense(jointDim, cfg.StreamHidden, nn.HeInit, rng), nn.NewLeakyReLU(0.01),
 		nn.NewDense(cfg.StreamHidden, cfg.PredDim(), nn.XavierInit, rng),
 	)
-	a.nets.act = nn.NewSequential(jointDim,
+	m.act = nn.NewSequential(jointDim,
 		nn.NewDense(jointDim, cfg.StreamHidden, nn.HeInit, rng), nn.NewLeakyReLU(0.01),
 		nn.NewDense(cfg.StreamHidden, cfg.Actions*cfg.PredDim(), nn.XavierInit, rng),
 	)
-	for _, net := range a.nets.all() {
-		a.params = append(a.params, net.Params()...)
-	}
-	a.opt = nn.NewAdam(cfg.LR)
-	return a
+	return m
 }
 
 func buildStateModule(cfg *Config, rng *rand.Rand) nn.Layer {
@@ -384,54 +387,9 @@ func (a *Agent) Act(state, meas, goal []float64, valid int, train bool) int {
 // ReplaySize returns the number of stored experiences.
 func (a *Agent) ReplaySize() int { return a.replay.len() }
 
-// Save writes all network weights to w.
-func (a *Agent) Save(w io.Writer) error { return nn.SaveWeights(w, a.params) }
-
-// Load restores network weights written by Save into an agent constructed
-// with the same Config. A frozen agent refuses.
-func (a *Agent) Load(r io.Reader) error {
-	if a.frozen {
-		return errFrozen("Load")
-	}
-	return nn.LoadWeights(r, a.params)
-}
-
-// Freeze makes the agent an inference-only model for the rest of its life.
-// It releases everything only training uses: every parameter's gradient
-// buffer, the optimizer's moments, the replay ring, the engine's workers and
-// the master layers' forward buffers. It packs the state module's first
-// Dense once (nn.Dense.Pack); every actor built afterwards, Evaluator's
-// included, reads that one copy through scratch of its own instead of
-// packing its own copy. The weights, Save's bytes and every pick stay what
-// they were. From then on the agent refuses what would change its weights or
-// its training state, loudly: TrainSteps, TrainStep and IngestTranscript
-// panic, Load and ReadState return an error, and AppendState panics because
-// a frozen agent has no training state to write. Freeze is not safe to call
-// concurrently with anything else on the agent; calling it twice is a no-op.
-func (a *Agent) Freeze() {
-	if a.frozen {
-		return
-	}
-	// Fresh views of the same weight Values: no gradient storage, no
-	// forward buffers sized by training's minibatches.
-	a.nets = a.nets.cloneVia(nn.SharedClone)
-	a.params = nil
-	for _, net := range a.nets.all() {
-		a.params = append(a.params, net.Params()...)
-	}
-	a.scr = inferScratch{}
-	a.opt, a.replay = nil, new(replay)
-	a.workers, a.plan, a.batchBuf, a.headWcol = nil, stepPlan{}, nil, nil
-	if d := firstDense(a.nets.state); d != nil {
-		d.Pack()
-	}
-	a.frozen = true
-}
-
-// errFrozen names the refused operation.
-func errFrozen(op string) error {
-	return fmt.Errorf("dfp: %s on a frozen agent: its weights and training state are final (Agent.Freeze)", op)
-}
+// Load restores network weights written by Model.Save into an agent
+// constructed with the same Config, checking the whole file first.
+func (a *Agent) Load(r io.Reader) error { return nn.LoadWeights(r, a.params) }
 
 // Params returns the agent's live parameters, in the order its weights are
 // saved.

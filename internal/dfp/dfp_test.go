@@ -379,7 +379,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	want := a.Predict(state, meas, goalExt)
 
 	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
+	if err := a.Model().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg

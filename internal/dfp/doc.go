@@ -26,7 +26,7 @@
 //     product and the argmax. It runs through layer-owned and caller-owned
 //     scratch with zero steady-state heap allocations, and every sample's
 //     predictions are bitwise independent of the batch it ran in. An
-//     evaluator (Agent.Evaluator: an unrecorded actor at epsilon 0) answers
+//     evaluator (Model.Evaluator: an unrecorded actor at epsilon 0) answers
 //     a decision its caller knows to be moot with Actor.Moot, which draws
 //     the rng as Act would and runs no forward.
 //
@@ -70,11 +70,9 @@
 //
 //   - Agent.Actor pairs nn.SharedClone replicas (weights alias the live
 //     Values) with private scratch — safe to run concurrently with other
-//     actors but not with TrainStep, the barrier-mode contract. An
-//     Agent.Evaluator is such an actor, and so is the batched decider
-//     (Agent.Decider) internal/serve decides on: it reads the live weights
-//     at every call, so the daemon orders its batches and its weight swaps
-//     under one lock.
+//     actors but not with TrainStep, the barrier-mode contract. A Model's
+//     readers, Model.Evaluator's actors and Model.Decider's batched
+//     deciders, are such replicas of the model's networks (see Models).
 //
 //   - Agent.SnapshotActor pairs nn.SnapshotClone replicas (weights alias the
 //     published copy-on-write snapshot, see the nn package doc) with private
@@ -85,39 +83,42 @@
 //     point between rounds. Pipelined rollout is the only reader of a
 //     snapshot.
 //
-// Both actor flavors pack their state module's first Dense (nn.Dense.Pack):
-// MRSch's state vector is half exact zeros, lying in runs, and the packed
-// one-sample forward skips them with bitwise the dense result. The packed
-// copy lives in one buffer per actor, from one Reset to the next: Reset marks
-// it stale and the first forward after it refreshes it, which is the
-// interval over which the barrier (Actor) and PublishWeights (SnapshotActor)
-// already forbid an actor's weights to change. So an actor must be Reset
-// after its weights change and before it acts again — every rollout episode
-// is — and an evaluator, which starts stale, is built per evaluation. There
-// is nothing to configure: an actor that was never Reset, a CNN or
-// per-resource state module, a layer the kernel declines and the go kernel
-// set all run dense, as do TrainSteps and BatchDecider always, and
-// Agent.Act and Agent.Predict on an agent that is not frozen.
+// Both rollout actor flavors pack their state module's first Dense
+// (nn.Dense.Pack): MRSch's state vector is half exact zeros, lying in runs,
+// and the packed one-sample forward skips them with bitwise the dense
+// result. The packed copy lives in one buffer per actor, from one Reset to
+// the next: Reset marks it stale and the first forward after it refreshes
+// it, which is the interval over which the barrier (Actor) and
+// PublishWeights (SnapshotActor) already forbid an actor's weights to
+// change. So an actor must be Reset after its weights change and before it
+// acts again — every rollout episode is. There is nothing to configure: an
+// actor that was never Reset, a CNN or per-resource state module, a layer
+// the kernel declines and the go kernel set all run dense, as do TrainSteps,
+// a batch of more than one, and Agent.Act and Agent.Predict always.
 //
-// # Frozen agents
+// # Models
 //
-// Agent.Freeze ends an agent's training for good: it drops the gradient
-// buffers, the optimizer's moments, the replay ring and the engine's workers,
-// and packs the master's first Dense once. Every actor built from a frozen
-// agent, Evaluator's included, reads that one packed copy through scratch of
-// its own (nn.Dense.SharePack) and never packs, because the weights it reads
-// can no longer change; so do the master's Act and Predict. A frozen agent
-// panics on TrainSteps, TrainStep, IngestTranscript and AppendState and
-// returns an error from Load and ReadState. A campaign freezes every MRSch
-// model it holds (internal/experiments).
+// A Model is a trained network and nothing else: the configuration, the
+// weights and the state module's first Dense, packed once when the model is
+// built. LoadModel builds one from a model file, checking the whole file
+// first, with no gradient, optimizer moments or replay ring; Agent.Model
+// builds one over the agent's current weights without copying them, valid
+// until they next change. A model's weights never change, so every reader
+// it hands out (Evaluator, Decider) reads its one packed copy through
+// scratch of its own (nn.Dense.SharePack) and never packs, and any number of
+// them may run at once. Model.Save writes the model file. Evaluation
+// (internal/experiments' cells, core.Validate) and the decision daemon
+// (internal/serve, which swaps in a new model rather than writing weights)
+// read a trained agent through a model.
 //
 // # Durable state
 //
-// Save/Load persist weights only (the model-file format). AppendState/
-// ReadState (state.go) write and read the agent's complete training state as
-// one versioned section of the sealed file layout (internal/wire) — weights,
-// published snapshot buffers, Adam moments and step counter, the replay ring
-// with its cursor, the epsilon schedule position and the rng draw cursor.
+// Model.Save/LoadModel and Agent.Load persist weights only (the model-file
+// format). AppendState/ReadState (state.go) write and read the agent's
+// complete training state as one versioned section of the sealed file layout
+// (internal/wire) — weights, published snapshot buffers, Adam moments and
+// step counter, the replay ring with its cursor, the epsilon schedule
+// position and the rng draw cursor.
 // The section stores every replay state dense, as mrsch-dfp-state-v4 always
 // has: the run-length form is how the ring holds a state in memory, not a
 // file format, and ReadState packs each state as it loads it. An

@@ -139,11 +139,9 @@ func (a *Agent) newReplicaWorker() *trainWorker {
 	}
 	// The replicas are the one place a clone runs Backward, so the one
 	// place clone gradient storage is allocated: a shadow per parameter.
-	for _, net := range nets.all() {
-		for _, p := range net.Params() {
-			p.Grad = make(nn.Vec, len(p.Value))
-			tw.params = append(tw.params, p)
-		}
+	for _, p := range nets.params() {
+		p.Grad = make(nn.Vec, len(p.Value))
+		tw.params = append(tw.params, p)
 	}
 	return tw
 }
@@ -187,9 +185,6 @@ func (a *Agent) TrainStep() (loss float64) {
 // empty replay buffer every loss is -1 and nothing else happens; n <= 0 is
 // a no-op.
 func (a *Agent) TrainSteps(n int, after func(loss float64)) {
-	if a.frozen {
-		panic(errFrozen("TrainSteps"))
-	}
 	if n <= 0 {
 		return
 	}

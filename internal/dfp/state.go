@@ -1,4 +1,4 @@
-// Durable agent state. Save (dfp.go) persists weights only — the model-file
+// Durable agent state. Model.Save (model.go) persists weights only — the model-file
 // format consumed by evaluation. AppendState writes everything training needs
 // to resume bit-for-bit as one section: weights, published snapshot buffers,
 // Adam moments and step counter (an nn train state), the rng cursor, the
@@ -31,9 +31,6 @@ const stateMagic = "mrsch-dfp-state-v4"
 // flight — which is exactly the state internal/rollout's round-boundary
 // checkpoint hook guarantees.
 func (a *Agent) AppendState(b []byte) []byte {
-	if a.frozen {
-		panic(errFrozen("AppendState"))
-	}
 	b = wire.AppendString(b, stateMagic)
 	for _, d := range a.dims() {
 		b = wire.AppendInt(b, d)
@@ -74,9 +71,6 @@ func (a *Agent) dims() [4]int {
 // and every stored experience — without changing anything. It returns the
 // function that applies it.
 func (a *Agent) ReadState(r *wire.Reader) (func(), error) {
-	if a.frozen {
-		return nil, errFrozen("ReadState")
-	}
 	if err := r.Magic(stateMagic); err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func loadState(a *Agent, data []byte) error { return wire.Unseal(data, a.ReadSta
 func weightBytes(t *testing.T, a *Agent) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
+	if err := a.Model().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

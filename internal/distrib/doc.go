@@ -14,7 +14,7 @@
 //
 //  1. The cell is the unit of distribution. CampaignSpec.Expand is a pure
 //     function of the spec, every per-cell seed derives from Cell.Index,
-//     and evaluation reads only frozen models and materials (the
+//     and evaluation reads only read-only models and materials (the
 //     internal/rollout determinism contract), so one cell evaluated on any
 //     worker — or in-process — produces identical bytes. Everything else
 //     in this contract leans on that. The nn kernel set moves no bit, so

@@ -86,7 +86,7 @@ func AblationStateNets(r *CampaignRun) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		variants = append(variants, policyVariant{v.name, t.MRSch.Evaluator().Policy()})
+		variants = append(variants, policyVariant{v.name, t.MRSch.Model().Evaluator().Policy()})
 	}
 	return ablatePolicies(r, "S4", variants)
 }

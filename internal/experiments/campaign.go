@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/rl"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -117,13 +118,20 @@ type CampaignOptions struct {
 // (FamilyModel): mrsch-exp -fig all trains each family once, and a model
 // file loads once however many replicate seeds read it. A run keeps only
 // what its cells evaluate (the package doc's "What a run keeps"):
-// evaluation-only materials, and MRSch models frozen (dfp.Agent.Freeze).
+// evaluation-only materials, and MRSch models as read-only core.Model values.
 type CampaignRun struct {
 	spec      scenario.CampaignSpec
 	opt       CampaignOptions
 	baseScale Scale
 	materials map[string]*Materials // evaluation-only, by materialsKey
-	models    map[string]Trained    // by modelKey; Episodes empty for a loaded model
+	models    map[string]heldModel  // by modelKey
+}
+
+// heldModel is a resolved model as a run's cells read it: MRSch's trained
+// model or a Scalar RL scheduler.
+type heldModel struct {
+	mrsch    *core.Model
+	scalarRL *rl.Scheduler
 }
 
 // OpenCampaign validates the spec and prepares a run whose cells can be
@@ -144,7 +152,7 @@ func OpenCampaign(spec scenario.CampaignSpec, opt CampaignOptions) (*CampaignRun
 		opt:       opt,
 		baseScale: ScaleFromSpec(spec.Scale),
 		materials: make(map[string]*Materials),
-		models:    make(map[string]Trained),
+		models:    make(map[string]heldModel),
 	}, nil
 }
 
@@ -217,11 +225,11 @@ func (r *CampaignRun) Run(spec scenario.CampaignSpec) ([]CellResult, error) {
 // trained on — the model the scenario's mrsch cells act through, resolved
 // like theirs (cached, from the store, or trained now). It is how the
 // studies that are not grids (Figures 8 and 9, the goal ablation) reach the
-// agents the figure campaigns trained. The agent is the run's and frozen: a
-// study reads it through an evaluator of its own, and one that varies it
+// models the figure campaigns trained. The model is the run's and read-only:
+// a study reads it through an evaluator of its own, and one that varies it
 // copies the struct first, as AblationGoal does for FixedGoal. The materials
 // build the scenario's test workload; they train nothing.
-func (r *CampaignRun) FamilyModel(name string) (*core.MRSch, *Materials, error) {
+func (r *CampaignRun) FamilyModel(name string) (*core.Model, *Materials, error) {
 	sp, err := scenario.ByName(name)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %w", err)
@@ -230,7 +238,7 @@ func (r *CampaignRun) FamilyModel(name string) (*core.MRSch, *Materials, error) 
 	if err := r.ResolveCell(cell); err != nil {
 		return nil, nil, err
 	}
-	return r.models[r.modelKey(cell)].MRSch, r.materialsOf(cell), nil
+	return r.models[r.modelKey(cell)].mrsch, r.materialsOf(cell), nil
 }
 
 // Policy resolves the cell and returns the scheduling policy it is
@@ -372,9 +380,9 @@ func (r *CampaignRun) modelKey(cell scenario.Cell) string {
 // once per base materials, on full materials prepared for it and dropped
 // after, and a model file loads once per distinct agent. Called serially
 // before the fan-out: training itself parallelizes across rollout workers,
-// and evaluation cells only ever read frozen weights: an MRSch model is
-// frozen (dfp.Agent.Freeze) once it is loaded, or once it is trained and
-// the store holds it.
+// and evaluation cells only ever read a model: an MRSch file loads as one
+// (core.LoadModel), and a trained agent is kept as its model (core.MRSch.Model)
+// once the store holds it, so nothing of its training outlives the training.
 func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 	method := cell.Method
 	if !method.Kind.Trained() {
@@ -401,33 +409,34 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 			path, action = stored, "cached"
 		}
 	}
-	var model Trained
+	var held heldModel
 	var err error
 	switch {
 	case path != "":
-		model, err = m.loadModel(run, m.SystemFor(sp), path)
+		held, err = m.loadModel(run, m.SystemFor(sp), path)
 	case r.opt.NoTrain:
 		return errNoTrain(family, stored)
 	default:
 		path, action = stored, "trained"
 		var full *Materials
+		var t Trained
 		if full, err = r.trainingMaterials(cell); err == nil {
-			model, err = Train(full, run, r.opt)
+			t, err = Train(full, run, r.opt)
 		}
 		if err == nil && stored != "" {
-			err = storeModel(stored, model.agent.Save)
+			err = storeModel(stored, t.save)
+		}
+		if held.scalarRL = t.ScalarRL; err == nil && t.MRSch != nil {
+			held.mrsch = t.MRSch.Model()
 		}
 	}
 	if err != nil {
 		return fmt.Errorf("model for family %s: %w", family, err)
 	}
-	if model.MRSch != nil {
-		model.MRSch.Agent.Freeze()
-	}
 	if r.opt.OnModel != nil {
 		r.opt.OnModel(family, action, path)
 	}
-	r.models[key] = model
+	r.models[key] = held
 	return nil
 }
 
@@ -483,28 +492,34 @@ func storeModel(path string, save func(io.Writer) error) error {
 	return nil
 }
 
-// loadModel builds the run's untrained agent on sys — the construction
-// Train uses, so stored weights fit — and restores saved weights
-// (cmd/mrsch-train output or a model-store entry) into it.
-func (m *Materials) loadModel(run TrainRun, sys cluster.Config, path string) (Trained, error) {
-	model, _, err := m.Scale.newAgent(run, sys)
-	if err != nil {
-		return model, err
-	}
+// loadModel reads saved weights (cmd/mrsch-train output or a model-store
+// entry) for the run's agent on sys, built as Train builds it so the weights
+// fit: an MRSch file into a model (core.LoadModel), which builds no trainable
+// agent, a Scalar RL file into the scheduler newAgent builds.
+func (m *Materials) loadModel(run TrainRun, sys cluster.Config, path string) (heldModel, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return model, err
+		return heldModel{}, err
 	}
 	defer f.Close()
-	if err := model.agent.Load(f); err != nil {
-		return model, fmt.Errorf("loading %s: %w", path, err)
+	var held heldModel
+	if run.Kind == scenario.KindMRSch {
+		held.mrsch, err = core.LoadModel(sys, m.Scale.runOptions(run), f)
+	} else {
+		var t Trained
+		if t, _, err = m.Scale.newAgent(run, sys); err == nil {
+			held.scalarRL, err = t.ScalarRL, t.ScalarRL.Load(f)
+		}
 	}
-	return model, nil
+	if err != nil {
+		return heldModel{}, fmt.Errorf("loading %s: %w", path, err)
+	}
+	return held, nil
 }
 
 // EvalCell runs one resolved grid cell as an independent evaluation
 // episode. The cell must have been ResolveCell'd first; evaluation reads
-// only frozen models and cached materials, so distinct cells may be
+// only read-only models and cached materials, so distinct cells may be
 // evaluated concurrently (Run fans them over the rollout pool, a
 // distributed worker runs them one at a time). Error results still carry
 // the cell (with a zero Report), so partial campaign renderings label failed
@@ -543,7 +558,7 @@ func (r CellResult) failed() bool { return len(r.Report.Utilization) < 2 }
 // knee (sched.Pareto), both deterministic; MRSch acts greedily (epsilon 0,
 // so it needs no seed) and Scalar RL samples its policy from a stream seeded
 // Seed+9000+Index, each through an evaluator, an unrecorded read-only actor
-// clone of the cell's frozen model (modelKey), so cells sharing one model
+// clone of the cell's model (modelKey), so cells sharing one model
 // may run concurrently. The MRSch evaluator skips its model at every instant
 // where no waiting job fits (core.MRSchActor.Pick); its schedule is the
 // agent's own greedy one. All seeding derives from Cell.Index.
@@ -554,9 +569,9 @@ func (r *CampaignRun) cellPolicy(m *Materials, cell scenario.Cell) (*sched.Windo
 	case scenario.KindOptimize:
 		return sched.NewWindowPolicy(sched.Pareto{}, m.Scale.Window), nil
 	case scenario.KindMRSch:
-		return r.models[r.modelKey(cell)].MRSch.Evaluator().Policy(), nil
+		return r.models[r.modelKey(cell)].mrsch.Evaluator().Policy(), nil
 	case scenario.KindScalarRL:
-		return r.models[r.modelKey(cell)].ScalarRL.Evaluator(m.Scale.Seed + 9000 + int64(cell.Index)).Policy(), nil
+		return r.models[r.modelKey(cell)].scalarRL.Evaluator(m.Scale.Seed + 9000 + int64(cell.Index)).Policy(), nil
 	}
 	return nil, fmt.Errorf("unknown method kind %q", cell.Method.Kind)
 }

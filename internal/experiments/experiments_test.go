@@ -177,7 +177,7 @@ func TestTrainMRSchProducesWorkingAgent(t *testing.T) {
 	if len(results) != 3*tinyScale().SetsPerKind {
 		t.Fatalf("%d episodes, want %d", len(results), 3*tinyScale().SetsPerKind)
 	}
-	rep, err := Evaluate(m.Scale.System(), agent.Evaluator().Policy(), m.Workload("S1"), MethodMRSch, "S1", -1)
+	rep, err := Evaluate(m.Scale.System(), agent.Model().Evaluator().Policy(), m.Workload("S1"), MethodMRSch, "S1", -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestModelFileAgentsFollowTheirBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, name)
-		if err := storeModel(path, model.agent.Save); err != nil {
+		if err := storeModel(path, model.save); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -196,16 +196,17 @@ func saveModelFile(t *testing.T, sc Scale, run TrainRun) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), string(run.Kind)+".model")
-	if err := storeModel(path, model.agent.Save); err != nil {
+	if err := storeModel(path, model.save); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// agentOf is the agent a resolved model holds, for identity comparisons.
-func agentOf(m Trained) any {
-	if m.MRSch != nil {
-		return m.MRSch
+// agentOf is the model or agent a resolved model holds, for identity
+// comparisons.
+func agentOf(m heldModel) any {
+	if m.mrsch != nil {
+		return m.mrsch
 	}
-	return m.ScalarRL
+	return m.scalarRL
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -303,7 +305,8 @@ func TestEvaluatorSchedulesLikeRecorder(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, sp := r.materialsOf(cell), cell.Scenario
-		agent := r.models[r.modelKey(cell)].MRSch
+		model := r.models[r.modelKey(cell)].mrsch
+		twin := trainableTwin(t, m.Scale, model)
 		for _, eps := range []float64{0, 0.3} {
 			var (
 				starts [2][]float64
@@ -311,9 +314,9 @@ func TestEvaluatorSchedulesLikeRecorder(t *testing.T) {
 				moot   int
 			)
 			for side, evaluator := range []bool{true, false} {
-				actor := agent.Evaluator()
+				actor := model.Evaluator()
 				if !evaluator {
-					actor, _ = agent.Actor()
+					actor, _ = twin.Actor()
 				}
 				actor.Reset(m.Scale.Seed+9000+int64(cell.Index), eps)
 				picker := sched.PickerFunc(func(ctx *sched.PickContext) int {
@@ -328,7 +331,7 @@ func TestEvaluatorSchedulesLikeRecorder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := sim.New(m.SystemFor(sp), sched.NewWindowPolicy(picker, agent.Enc.Window))
+				s := sim.New(m.SystemFor(sp), sched.NewWindowPolicy(picker, model.Enc.Window))
 				if err := s.Load(jobs); err != nil {
 					t.Fatal(err)
 				}
@@ -363,4 +366,19 @@ func TestEvaluatorSchedulesLikeRecorder(t *testing.T) {
 			t.Fatalf("eps %v: the evaluator never picked otherwise than the recording actor", eps)
 		}
 	}
+}
+
+// trainableTwin returns an agent built like the run's MRSch agents on sc's
+// system that holds the model's weights: a recording actor needs one.
+func trainableTwin(t *testing.T, sc Scale, model *core.Model) *core.MRSch {
+	t.Helper()
+	var weights bytes.Buffer
+	if err := model.DFP.Save(&weights); err != nil {
+		t.Fatal(err)
+	}
+	agent := core.New(sc.System(), sc.runOptions(TrainRun{Kind: scenario.KindMRSch}))
+	if err := agent.Load(&weights); err != nil {
+		t.Fatal(err)
+	}
+	return agent
 }

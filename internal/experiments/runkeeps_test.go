@@ -11,13 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dfp"
 	"repro/internal/encode"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
 
 // reportDigest is the identity of a report: every float bit shows in its JSON.
@@ -30,10 +28,10 @@ func reportDigest(t *testing.T, rep metrics.Report) string {
 	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
-// A run keeps evaluation-only materials and frozen models, and every cell
+// A run keeps evaluation-only materials and read-only models, and every cell
 // still reports what it reports when it is resolved from full materials with
-// a model that was never frozen: fcfs, a model file's mrsch and a train:true
-// mrsch, over two scenarios and three replicate seeds.
+// a trainable agent loaded or trained for it: fcfs, a model file's mrsch and a
+// train:true mrsch, over two scenarios and three replicate seeds.
 func TestEvaluationMaterialsMatchFullMaterials(t *testing.T) {
 	sc := QuickScale()
 	path := saveModelFile(t, sc, TrainRun{Kind: scenario.KindMRSch, Family: "S4"})
@@ -67,13 +65,13 @@ func TestEvaluationMaterialsMatchFullMaterials(t *testing.T) {
 		}
 	}
 	for key, model := range r.models {
-		if !refusesTraining(model.MRSch.Agent) {
-			t.Fatalf("model %s is not frozen", key)
+		if model.mrsch == nil || model.scalarRL != nil {
+			t.Fatalf("model %s is held as %+v, want a read-only MRSch model (core.Model) alone", key, model)
 		}
 	}
 
 	// The oracle resolves each cell from full materials prepared for it, with
-	// an agent loaded or trained for it and left as it is.
+	// a trainable agent that weights are loaded into or that is trained for it.
 	trained := map[int64]*core.MRSch{} // by seed: both scenarios are family S4
 	for _, res := range results {
 		cell := res.Cell
@@ -87,11 +85,15 @@ func TestEvaluationMaterialsMatchFullMaterials(t *testing.T) {
 		case cell.Method.Kind == scenario.KindHeuristic:
 			policy = FCFSPolicy(full.Scale.Window)
 		case cell.Method.Model != "":
-			model, err := full.loadModel(TrainRun{Kind: scenario.KindMRSch, Family: "S4"}, sys, path)
+			agent := core.New(sys, full.Scale.runOptions(TrainRun{Kind: scenario.KindMRSch, Family: "S4"}))
+			weights, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			policy = model.MRSch.Evaluator().Policy()
+			if err := agent.Load(bytes.NewReader(weights)); err != nil {
+				t.Fatal(err)
+			}
+			policy = agent.Model().Evaluator().Policy()
 		default:
 			agent := trained[cell.Seed]
 			if agent == nil {
@@ -101,7 +103,7 @@ func TestEvaluationMaterialsMatchFullMaterials(t *testing.T) {
 				}
 				agent, trained[cell.Seed] = model.MRSch, model.MRSch
 			}
-			policy = agent.Evaluator().Policy()
+			policy = agent.Model().Evaluator().Policy()
 		}
 		jobs, err := full.WorkloadSpec(cell.Scenario)
 		if err != nil {
@@ -251,12 +253,13 @@ func sampleInstants(t *testing.T, m *Materials, enc *encode.Config, max int) []i
 	return out
 }
 
-// A frozen agent's evaluators, built and run on two goroutines at once, pick
-// what Agent.Act of an unfrozen twin with the same weights picks, and so does
-// the frozen agent's own Act; building one costs a small fraction of the
-// first layer it reads, because every evaluator reads the agent's one packed
-// copy.
-func TestFrozenEvaluatorsPickLikeAct(t *testing.T) {
+// The evaluators of a model, built and run on two goroutines at once, pick
+// what Agent.Act of a trainable agent with the same weights picks, whether
+// the model is the trained agent's own (core.MRSch.Model) or one loaded from
+// its model file (core.LoadModel); a model saves the bytes it was built from,
+// and building an evaluator of it costs a small fraction of the first layer
+// it reads, because every evaluator reads the model's one packed copy.
+func TestModelEvaluatorsPickLikeAct(t *testing.T) {
 	sc := QuickScale()
 	m := MustPrepare(sc)
 	agent, _, err := TrainMRSch(m, "S4", false)
@@ -276,108 +279,51 @@ func TestFrozenEvaluatorsPickLikeAct(t *testing.T) {
 	for i, in := range instants {
 		want[i] = twin.Agent.Act(in.state, in.meas, in.goal, in.valid, false)
 	}
-
-	agent.Agent.Freeze()
-	var frozen bytes.Buffer
-	if err := agent.Save(&frozen); err != nil {
+	loaded, err := core.LoadModel(sc.System(), sc.runOptions(TrainRun{Kind: scenario.KindMRSch, Family: "S4"}), bytes.NewReader(weights.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(frozen.Bytes(), weights.Bytes()) {
-		t.Fatal("freezing changed the saved weights")
-	}
-	for i, in := range instants {
-		if got := agent.Agent.Act(in.state, in.meas, in.goal, in.valid, false); got != want[i] {
-			t.Fatalf("instant %d: the frozen agent's Act picks %d, its unfrozen twin %d", i, got, want[i])
-		}
-	}
 
-	errs := make(chan error, 2)
-	for g := 0; g < 2; g++ {
-		go func() {
-			ev := agent.Agent.Evaluator()
-			for i := range instants {
-				idx := (i + g*len(instants)/2) % len(instants) // the two start apart
-				in := instants[idx]
-				if got := ev.Act(in.state, in.meas, in.goal, in.valid); got != want[idx] {
-					errs <- fmt.Errorf("evaluator %d, instant %d: picks %d, Agent.Act %d", g, idx, got, want[idx])
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	for g := 0; g < 2; g++ {
-		if err := <-errs; err != nil {
+	for name, model := range map[string]*core.Model{"the agent's model": agent.Model(), "the loaded model": loaded} {
+		var saved bytes.Buffer
+		if err := model.DFP.Save(&saved); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	first := agent.Agent.Params()[0] // the state module's first Dense weights
-	in := instants[0]
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const builds = 8
-	for i := 0; i < builds; i++ {
-		agent.Agent.Evaluator().Act(in.state, in.meas, in.goal, in.valid)
-	}
-	runtime.ReadMemStats(&after)
-	if per, layer := (after.TotalAlloc-before.TotalAlloc)/builds, uint64(8*len(first.Value)); per > layer/4 {
-		t.Fatalf("an evaluator of a frozen agent allocates %d bytes to its first decision; its first layer is %d: it packed a copy of its own", per, layer)
-	}
-}
-
-// refusesTraining reports whether a gradient step on the agent panics, the
-// mark of a frozen agent.
-func refusesTraining(a *dfp.Agent) (refused bool) {
-	defer func() { refused = recover() != nil }()
-	a.TrainSteps(1, nil)
-	return false
-}
-
-// A frozen agent refuses, loudly, everything that would change its weights
-// or its training state, and keeps no gradient and no replay.
-func TestFrozenAgentRefusesTraining(t *testing.T) {
-	sc := tinyScale()
-	live := NewMRSchUntrained(sc, false)
-	var weights bytes.Buffer
-	if err := live.Save(&weights); err != nil {
-		t.Fatal(err)
-	}
-	state := wire.Seal(live.Agent.AppendState(nil))
-	actor, _ := live.Actor()
-	if _, err := Evaluate(sc.System(), actor.Policy(), MustPrepare(sc).Workload("S4"), MethodMRSch, "S4", -1); err != nil {
-		t.Fatal(err)
-	}
-	transcript := actor.TakeTranscript()
-
-	a := NewMRSchUntrained(sc, false).Agent
-	a.Freeze()
-	a.Freeze() // a no-op the second time
-	panics := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "frozen") {
-				t.Errorf("%s on a frozen agent: recovered %v, want a panic naming the frozen agent", name, r)
+		if !bytes.Equal(saved.Bytes(), weights.Bytes()) {
+			t.Fatalf("%s saves other bytes than the agent", name)
+		}
+		errs := make(chan error, 2)
+		for g := 0; g < 2; g++ {
+			go func() {
+				ev := model.DFP.Evaluator()
+				for i := range instants {
+					idx := (i + g*len(instants)/2) % len(instants) // the two start apart
+					in := instants[idx]
+					if got := ev.Act(in.state, in.meas, in.goal, in.valid); got != want[idx] {
+						errs <- fmt.Errorf("%s, evaluator %d, instant %d: picks %d, Agent.Act %d", name, g, idx, got, want[idx])
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for g := 0; g < 2; g++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
 			}
-		}()
-		f()
-	}
-	panics("TrainSteps", func() { a.TrainSteps(4, nil) })
-	panics("TrainStep", func() { a.TrainStep() })
-	panics("IngestTranscript", func() { a.IngestTranscript(transcript) })
-	panics("AppendState", func() { a.AppendState(nil) })
-	if err := a.Load(bytes.NewReader(weights.Bytes())); err == nil || !strings.Contains(err.Error(), "frozen") {
-		t.Errorf("Load on a frozen agent: %v, want an error naming the frozen agent", err)
-	}
-	if err := wire.Unseal(state, a.ReadState); err == nil || !strings.Contains(err.Error(), "frozen") {
-		t.Errorf("ReadState on a frozen agent: %v, want an error naming the frozen agent", err)
-	}
-	if a.ReplaySize() != 0 {
-		t.Errorf("a frozen agent holds %d experiences", a.ReplaySize())
-	}
-	for _, p := range a.Params() {
-		if p.Grad != nil {
-			t.Fatalf("param %s keeps a %d-element gradient", p.Name, len(p.Grad))
+		}
+
+		first := agent.Agent.Params()[0] // the state module's first Dense weights
+		in := instants[0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const builds = 8
+		for i := 0; i < builds; i++ {
+			model.DFP.Evaluator().Act(in.state, in.meas, in.goal, in.valid)
+		}
+		runtime.ReadMemStats(&after)
+		if per, layer := (after.TotalAlloc-before.TotalAlloc)/builds, uint64(8*len(first.Value)); per > layer/4 {
+			t.Fatalf("an evaluator of %s allocates %d bytes to its first decision; its first layer is %d: it packed a copy of its own", name, per, layer)
 		}
 	}
 }

@@ -50,12 +50,23 @@ func evaluateOwned(sys cluster.Config, policy sim.Policy, jobs []*job.Job, metho
 // campaignStepWorkers is dfp.Config.Workers for every agent a campaign trains.
 const campaignStepWorkers = 2
 
-// mrschOptions returns the experiment-scale agent options for a system.
-func (s Scale) mrschOptions(seed int64, useCNN bool) core.Options {
+// runOptions returns the experiment-scale options of a run's MRSch agent:
+// the ones newAgent builds it with and a saved model of it loads with. MRSch
+// seeds Seed+11 (Seed+13 on the three-resource system) unless the run sets
+// its own.
+func (s Scale) runOptions(run TrainRun) core.Options {
+	seed := run.Seed
+	if seed == 0 {
+		seed = s.Seed + 11
+		if run.Power {
+			seed = s.Seed + 13
+		}
+	}
 	return core.Options{
-		Window: s.Window,
-		UseCNN: useCNN,
-		Seed:   seed,
+		Window:          s.Window,
+		UseCNN:          run.CNN && !run.Power,
+		PerResourceNets: run.PerResourceNets,
+		Seed:            seed,
 		Mutate: func(c *dfp.Config) {
 			c.EpsDecay = s.EpsDecay
 			// A gradient step's shard boundaries set its summation order, and
@@ -121,13 +132,10 @@ type Trained struct {
 	Episodes []core.EpisodeResult
 	Best     core.ValidationMetrics
 
-	// agent is MRSch's dfp.Agent or ScalarRL, as what both are to the model
-	// store and the checkpoint layer: a weight file and a state section.
-	agent interface {
-		Save(io.Writer) error
-		Load(io.Reader) error
-		section
-	}
+	// agent is MRSch's dfp.Agent or ScalarRL, as what both are to the
+	// checkpoint layer: a state section; save writes its model file.
+	agent section
+	save  func(io.Writer) error
 }
 
 // paperOrdering is the curriculum ordering the paper found best (§V-B).
@@ -208,28 +216,18 @@ func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 // newAgent builds a run's untrained agent on sys together with the learner
 // that trains it — the one construction training, model-store reloading and
 // mrsch-train's weight files must agree on, or saved weights stop fitting.
-// MRSch seeds Seed+11 (Seed+13 on the three-resource system), scalar RL
-// Seed+17.
+// MRSch takes runOptions, scalar RL seeds Seed+17.
 func (s Scale) newAgent(run TrainRun, sys cluster.Config) (Trained, rollout.Learner, error) {
 	switch run.Kind {
 	case scenario.KindMRSch:
-		seed := run.Seed
-		if seed == 0 {
-			seed = s.Seed + 11
-			if run.Power {
-				seed = s.Seed + 13
-			}
-		}
-		opts := s.mrschOptions(seed, run.CNN && !run.Power)
-		opts.PerResourceNets = run.PerResourceNets
-		agent := core.New(sys, opts)
-		return Trained{MRSch: agent, agent: agent.Agent}, rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: s.StepsPerEpisode}), nil
+		agent := core.New(sys, s.runOptions(run))
+		return Trained{MRSch: agent, agent: agent.Agent, save: agent.Save}, rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: s.StepsPerEpisode}), nil
 	case scenario.KindScalarRL:
 		cfg := rl.DefaultConfig()
 		cfg.Window = s.Window
 		cfg.Seed = s.Seed + 17
 		agent := rl.New(sys, cfg)
-		return Trained{ScalarRL: agent, agent: agent}, rollout.NewScalarRLLearner(agent, core.TrainConfig{System: sys}), nil
+		return Trained{ScalarRL: agent, agent: agent, save: agent.Save}, rollout.NewScalarRLLearner(agent, core.TrainConfig{System: sys}), nil
 	}
 	return Trained{}, nil, fmt.Errorf("experiments: method %s is training-free", run.Kind)
 }

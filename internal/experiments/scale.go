@@ -19,26 +19,26 @@
 //
 //   - Heuristic: FCFS with EASY backfilling; deterministic.
 //   - Optimization: the exact Pareto-knee picker (sched.Pareto); deterministic.
-//   - MRSch: greedy (epsilon 0) through the evaluator of the family's frozen
-//     model (core.MRSch.Evaluator, an unrecorded read-only actor clone), so
-//     a report does not depend on Index.
+//   - MRSch: greedy (epsilon 0) through the evaluator of the family's model
+//     (core.Model.Evaluator, an unrecorded read-only actor clone), so a
+//     report does not depend on Index.
 //   - Scalar RL: samples its softmax policy, as in training, from a stream
 //     seeded Seed+9000+Index, through its evaluator (rl.Scheduler.Evaluator).
 //
 // # Which cells share a model
 //
-// A run holds one frozen model per modelKey and every cell reads it through
-// an evaluator of its own, so cells sharing a model may evaluate
+// A run holds one read-only model per modelKey and every cell reads it
+// through an evaluator of its own, so cells sharing a model may evaluate
 // concurrently.
 // A model trained in-process (train=true) is a function of its family's
 // curriculum on the cell's base materials, so it is shared across the
 // scenarios of a family but trained again for each replicate seed's
 // materials; the model store keys it the same way. A model loaded from a
-// file (MethodSpec.Model) is the file's weights in an agent built for the
+// file (MethodSpec.Model) is the file's weights in a model built for the
 // cell's system and window, so it is loaded once for every seed and every
-// scenario of the campaign that builds the agent alike: the paper's one
+// scenario of the campaign that builds the model alike: the paper's one
 // trained model evaluated across many traces. A power scenario whose
-// power_budget_kw sizes the encoding differently gets an agent of its own.
+// power_budget_kw sizes the encoding differently gets a model of its own.
 //
 // # What a run keeps
 //
@@ -48,13 +48,14 @@
 //     request pool, the interarrival factor and the test split, copied into
 //     one slab of its own, with Base, Train and Valid nil. The base trace
 //     and the other four fifths of it are garbage once the run has cut them.
-//   - Frozen models (dfp.Agent.Freeze): an MRSch model loaded from a file or
-//     the store is frozen once loaded, and one trained in-process once the
-//     store holds it, so none keeps a gradient buffer, optimizer moments or
-//     a replay ring.
-//   - One packed first layer per model: a frozen agent packs its state
-//     module's first Dense once, and every cell's evaluator reads that copy
-//     through scratch of its own instead of packing one per cell.
+//   - Models, not agents (core.Model, dfp.Model): an MRSch model file or
+//     store entry loads as a model (core.LoadModel), which builds no
+//     trainable agent, and an agent trained in-process is kept as its model
+//     (core.MRSch.Model) once the store holds it, so nothing keeps a gradient
+//     buffer, optimizer moments or a replay ring.
+//   - One packed first layer per model: a model packs its state module's
+//     first Dense once, and every cell's evaluator reads that copy through
+//     scratch of its own instead of packing one per cell.
 //
 // A training needs the splits the run dropped, so it re-prepares: the train
 // branch of resolveModel, Figure4 and AblationStateNets take full materials

@@ -30,7 +30,7 @@ func TestTrainMRSchValidatedSelectsModel(t *testing.T) {
 		t.Fatalf("validation score %v", best.Score)
 	}
 	// The selected agent must still schedule the test workload.
-	rep, err := Evaluate(m.Scale.System(), agent.Evaluator().Policy(), m.Workload("S2"), MethodMRSch, "S2", -1)
+	rep, err := Evaluate(m.Scale.System(), agent.Model().Evaluator().Policy(), m.Workload("S2"), MethodMRSch, "S2", -1)
 	if err != nil {
 		t.Fatal(err)
 	}

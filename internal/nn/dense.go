@@ -86,9 +86,9 @@ func (d *Dense) Forward(dst, x Vec, bsz int) Vec {
 // path or declines the layer, they stay on the dense kernel. Either way a
 // Forward returns the same bits. The copy does not follow W and B: the caller
 // packs again once they have changed and before the next single-sample
-// Forward. A rollout actor does, from Reset to Reset; a frozen dfp.Agent packs
-// its master layer once, and its actors read that copy (SharePack) instead
-// of packing their own. A layer whose copy is shared is never packed again.
+// Forward. A rollout actor does, from Reset to Reset; a dfp.Model packs its
+// layer once, and its readers read that copy (SharePack) instead of packing
+// their own. A layer whose copy is shared is never packed again.
 func (d *Dense) Pack() bool {
 	d.pack = nil
 	if kern.Pack != nil && kern.Pack(&d.own, d.W.Value, d.B.Value, d.In, d.Out) {

@@ -58,11 +58,11 @@
 // layer keeps and does not follow the weights: whoever packs must pack again
 // after they change. Dense.SharePack has a SharedClone read its original's
 // copy instead, through scratch of its own, so clones over weights that no
-// longer change share one copy. Only dfp packs — an actor's state-module
-// first layer, refreshed on the first forward after each Reset, or a frozen
-// agent's, once, read by every actor of it — so the training engine, the
-// serve daemon's BatchDecider and every bsz>1 caller read W itself through
-// DenseForward.
+// longer change share one copy. Only dfp packs — a rollout actor's
+// state-module first layer, refreshed on the first forward after each
+// Reset, or a model's, once, read by every evaluator and batched decider of
+// it at a batch of one — so the training engine and every bsz>1 caller read
+// W itself through DenseForward.
 //
 // For data-parallel training, SharedClone replicates a network so that the
 // replica shares parameter Values with the original but owns private

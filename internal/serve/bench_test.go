@@ -97,7 +97,7 @@ func BenchmarkDecisionsPerSec(b *testing.B) {
 		}
 		ctxs[i] = ctx
 	}
-	eng := newEngine(testAgent(sys, 21))
+	eng := newEngine(testAgent(sys, 21).Model())
 	for _, bs := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
 			var dst []int

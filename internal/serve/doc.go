@@ -43,14 +43,22 @@
 //     behaviour — costs nothing; cmd/mrsch-serve's flag defaults to 200µs.
 //
 //  3. Swaps are atomic per batch. The engine decides every batch through
-//     one decider over the model's live weights, under one lock. A weight
-//     swap (admin frame or SIGHUP) takes that lock, loads the new weights in
-//     place and increments the model version; every batch is decided
-//     entirely under one version — old or new across a concurrent swap,
-//     never a blend — and carries that version in its responses. The load
-//     checks the whole file before it writes any weight (nn.LoadWeights),
-//     so a swap that fails writes nothing: the previous version keeps
-//     serving, untouched.
+//     one decider of one read-only model (core.Model), under one lock, and
+//     carries the version that decided it in its responses. A weight swap
+//     (admin frame or SIGHUP) keeps five rules. (a) Loading and packing
+//     happen outside the lock: the swap reads and checks the whole model
+//     file and builds the new model and its decider while batches keep
+//     being decided by the current version; before that it holds the lock
+//     only for a pointer load, to learn which decider's build to load
+//     into. (b) The install step is a pointer store plus version++, so
+//     every batch is decided entirely under one version — old or new
+//     across a concurrent swap, never a blend. (c) Versions are numbered
+//     in install order: the version a swap returns is the one its install
+//     made, whichever swap finished loading first. (d) A failed load
+//     touches nothing and leaves the version as it was: no model's weights
+//     are ever written, and a file refused anywhere in it builds no model,
+//     so the previous version keeps serving, untouched. (e) The swap path
+//     starts no goroutine: it runs on the goroutine that asked for the swap.
 //
 //  4. Request-level failures keep the connection. A malformed request (bad
 //     geometry, overcommitted cluster state, empty queue, a NaN or infinite

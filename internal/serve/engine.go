@@ -12,22 +12,22 @@ import (
 // engine owns the served model and answers batched decision requests
 // between zero-downtime weight swaps.
 //
-// Concurrency design: one decider reads the master's live weights, and one
-// mutex orders its batches against swaps. Only the batcher goroutine
-// decides, so the lock is contended only by a swap, which waits for at most
-// one forward pass (microseconds), never for connections; requests queued
-// behind a swap are answered by the new version. A swap loads in place, which
-// is safe because the load checks the whole file before it writes any weight
-// (nn.LoadWeights): a failed swap leaves the served weights untouched.
+// Concurrency design: one decider of one read-only model answers every
+// batch, and one mutex orders its batches against the swaps that replace it
+// (contract rule 3). Only the batcher goroutine decides. A swap loads and
+// packs the new model on its own goroutine, outside the lock, and holds the
+// lock only to store the new decider and bump the version, so a batch never
+// waits for a load, and requests queued behind a swap are answered by the new
+// version. No model's weights are ever written: a failed load builds nothing
+// and the previous version keeps serving, untouched.
 type engine struct {
 	mu      sync.Mutex
-	master  *core.MRSch
 	d       *core.BatchDecider
 	version uint64
 }
 
-func newEngine(m *core.MRSch) *engine {
-	return &engine{master: m, d: m.BatchDecider(), version: 1}
+func newEngine(m *core.Model) *engine {
+	return &engine{d: m.BatchDecider(), version: 1}
 }
 
 // decide answers one admission batch, writing picks into dst (grown as
@@ -41,15 +41,21 @@ func (e *engine) decide(ctxs []*sched.PickContext, dst []int) ([]int, uint64) {
 	return e.d.Decide(ctxs, dst), e.version
 }
 
-// swap loads new weights into the master agent, which the decider reads,
-// and returns the new model version. On a load error nothing was written:
-// the previous version keeps serving untouched and the version stays.
+// swap loads the model file r into a decider of the served build, outside
+// the lock, then installs it and returns its version: the versions number
+// the installs in the order they happen. On a load error nothing was built
+// or installed: the previous version keeps serving and the version stays.
 func (e *engine) swap(r io.Reader) (uint64, error) {
 	e.mu.Lock()
+	cur := e.d
+	e.mu.Unlock()
+	d, err := cur.Reload(r)
+	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.master.Load(r); err != nil {
+	if err != nil {
 		return e.version, fmt.Errorf("serve: loading swap weights: %w", err)
 	}
+	e.d = d
 	e.version++
 	return e.version, nil
 }

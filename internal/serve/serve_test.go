@@ -187,11 +187,13 @@ func TestEngineDecidesLikePickAtEveryBatchSize(t *testing.T) {
 	}
 }
 
-// The daemon decides on the live weights through one decider and keeps no
-// copy of them: at the default network geometry, NewServer allocates less
-// than one weight vector beyond what a decider of its agent does. The decider
-// is measured second, so that a weight copy the server made and a decider
-// could share would still count against the server.
+// The daemon decides through one decider of the agent's model, which reads
+// the agent's weights and keeps no copy of them: at the default network
+// geometry, NewServer allocates less than one weight vector beyond what a
+// decider of an already-built model does. What it adds is the model's packed
+// first layer, about half a weight vector here. The decider is measured
+// second, so that a weight copy the server made and a decider could share
+// would still count against the server.
 func TestNewServerHoldsNoWeightCopy(t *testing.T) {
 	sys := testSystem()
 	m := core.New(sys, core.Options{Window: 6, Seed: 29, Mutate: func(c *dfp.Config) { c.Workers = 1 }})
@@ -207,7 +209,8 @@ func TestNewServerHoldsNoWeightCopy(t *testing.T) {
 		}
 	})
 	defer srv.Shutdown()
-	decider := allocated(func() { m.BatchDecider() })
+	model := m.Model()
+	decider := allocated(func() { model.BatchDecider() })
 	t.Logf("NewServer allocated %d bytes, a decider %d; one weight vector is %d", server, decider, weights)
 	if server >= decider+uint64(weights) {
 		t.Fatalf("NewServer allocated %d bytes, its decider alone %d; one weight vector is %d", server, decider, weights)

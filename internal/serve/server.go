@@ -184,10 +184,13 @@ func (c *conn) send(m *message) error {
 	return c.fw.write(m)
 }
 
-// NewServer builds a daemon serving the agent's decisions for the given
-// system. The daemon decides on the agent's live weights and swaps load into
-// them, so the caller must not use the agent afterwards except through Swap.
-// The system's capacities must match the encoding the agent was built with.
+// NewServer builds a daemon serving the decisions of the agent's model
+// (core.MRSch.Model) for the given system. The model reads the agent's
+// weights without copying them, so the caller must not change them (train
+// or load) while the daemon serves version 1; a swap builds a model of its
+// own and writes nothing of the agent's. The daemon keeps nothing else of
+// the agent. The system's capacities must match the encoding the agent was
+// built with.
 func NewServer(agent *core.MRSch, sys cluster.Config, cfg Config) (*Server, error) {
 	if len(sys.Capacities) != agent.Enc.Resources() {
 		return nil, fmt.Errorf("serve: system has %d resources, the served model encodes %d", len(sys.Capacities), agent.Enc.Resources())
@@ -197,7 +200,7 @@ func NewServer(agent *core.MRSch, sys cluster.Config, cfg Config) (*Server, erro
 			return nil, fmt.Errorf("serve: resource %q has %d units, the served model encodes %d", sys.Resources[r], sys.Capacities[r], units)
 		}
 	}
-	eng := newEngine(agent)
+	eng := newEngine(agent.Model())
 	s := &Server{
 		cfg:         cfg.withDefaults(),
 		eng:         eng,
@@ -218,10 +221,12 @@ func NewServer(agent *core.MRSch, sys cluster.Config, cfg Config) (*Server, erro
 // incremented by each successful swap).
 func (s *Server) ModelVersion() uint64 { return s.eng.modelVersion() }
 
-// Swap atomically replaces the served weights with those read from r
-// (nn.SaveWeights format) and returns the new model version. On error the
-// previous version keeps serving and the returned version is unchanged.
-// In-flight requests finish on whichever version their batch started with.
+// Swap reads a model file from r (nn.SaveWeights format), atomically
+// replaces the served model with it and returns the new model version. The
+// current version keeps answering while r is read and loaded (rule 3). On
+// error the previous version keeps serving and the returned version is
+// unchanged. In-flight requests finish on whichever version their batch
+// started with.
 func (s *Server) Swap(r io.Reader) (uint64, error) {
 	v, err := s.eng.swap(r)
 	if err == nil {

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dfp"
@@ -46,7 +48,7 @@ func TestConcurrentDecideAndSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := newEngine(testAgent(sys, 17))
+	eng := newEngine(testAgent(sys, 17).Model())
 
 	const readers = 4
 	var wg sync.WaitGroup
@@ -109,10 +111,9 @@ func TestConcurrentDecideAndSwap(t *testing.T) {
 // TestFailedSwapLeavesReadersUntouched races readers against repeated
 // refused swaps: garbage, a weights file cut short, and a well-formed file
 // of another geometry whose state, measurement and goal modules match the
-// served ones, so it fails only at the first stream. Every load fails, the
-// served weights are live and a swap loads in place, so this holds only
-// because the load checks the whole file before it writes any weight: every
-// decision keeps coming from version 1's model.
+// served ones, so it fails only at the first stream. Every load fails, and
+// a failed load builds no model and installs nothing: every decision keeps
+// coming from version 1's model.
 func TestFailedSwapLeavesReadersUntouched(t *testing.T) {
 	sys := testSystem()
 	rng := rand.New(rand.NewSource(47))
@@ -129,7 +130,7 @@ func TestFailedSwapLeavesReadersUntouched(t *testing.T) {
 	}
 	want := offlinePicks(t, testAgent(sys, 19), sys, reqs)
 
-	eng := newEngine(testAgent(sys, 19))
+	eng := newEngine(testAgent(sys, 19).Model())
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
@@ -182,5 +183,106 @@ func TestFailedSwapLeavesReadersUntouched(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// gatedReader hands out its bytes only once its gate is open, and closes
+// reading at its first Read: a swap given one is blocked inside its load.
+type gatedReader struct {
+	gate, reading chan struct{}
+	once          sync.Once
+	r             io.Reader
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	g.once.Do(func() { close(g.reading) })
+	<-g.gate
+	return g.r.Read(p)
+}
+
+// TestDecisionsAnsweredWhileSwapLoads holds rule 3's first clause: a swap
+// loads outside the lock every batch is decided under. While Server.Swap is
+// blocked reading its model file, every request is still answered, by
+// version 1, within a timeout; once the file arrives the swap installs
+// version 2, and the next batch is answered by it.
+func TestDecisionsAnsweredWhileSwapLoads(t *testing.T) {
+	sys := testSystem()
+	rng := rand.New(rand.NewSource(53))
+	reqs := []Request{randomRequest(rng, sys), randomRequest(rng, sys), randomRequest(rng, sys)}
+	wantOld := offlinePicks(t, testAgent(sys, 41), sys, reqs)
+	wantNew := offlinePicks(t, testAgent(sys, 42), sys, reqs)
+	var weights bytes.Buffer
+	if err := testAgent(sys, 42).Save(&weights); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(testAgent(sys, 41), sys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(startServer(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const timeout = 5 * time.Second
+	g := &gatedReader{gate: make(chan struct{}), reading: make(chan struct{}), r: bytes.NewReader(weights.Bytes())}
+	release := sync.OnceFunc(func() { close(g.gate) })
+	defer release() // a test that fails while the swap waits still lets it finish
+	swapped := make(chan error, 1)
+	go func() {
+		v, err := srv.Swap(g)
+		if err == nil && v != 2 {
+			err = fmt.Errorf("the swap installed version %d, want 2", v)
+		}
+		swapped <- err
+	}()
+	select {
+	case <-g.reading:
+	case <-time.After(timeout):
+		t.Fatal("the swap never read its model file")
+	}
+
+	type answer struct {
+		pick    int
+		version uint64
+		err     error
+	}
+	for i := range reqs {
+		answered := make(chan answer, 1)
+		go func() {
+			pick, version, err := c.Decide(&reqs[i])
+			answered <- answer{pick, version, err}
+		}()
+		select {
+		case a := <-answered:
+			if a.err != nil {
+				t.Fatalf("request %d while the swap loads: %v", i, a.err)
+			}
+			if a.version != 1 || a.pick != wantOld[i] {
+				t.Fatalf("request %d while the swap loads: version %d pick %d, want version 1 pick %d", i, a.version, a.pick, wantOld[i])
+			}
+		case <-time.After(timeout):
+			t.Fatalf("request %d: no answer within %v while a swap was loading: the load holds the decision lock", i, timeout)
+		}
+	}
+
+	release()
+	select {
+	case err := <-swapped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(timeout):
+		t.Fatalf("the swap did not return within %v of its file arriving", timeout)
+	}
+	for i := range reqs {
+		pick, version, err := c.Decide(&reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if version != 2 || pick != wantNew[i] {
+			t.Fatalf("request %d after the swap: version %d pick %d, want version 2 pick %d", i, version, pick, wantNew[i])
+		}
 	}
 }

@@ -58,7 +58,7 @@ func TestDaemonSchedulesLikeEvaluator(t *testing.T) {
 			t.Fatal(err)
 		}
 		cells[i] = cell{m.SystemFor(sp), jobs}
-		want[i] = evaluateCell(t, cells[i].sys, agent.Evaluator().Policy(), jobs)
+		want[i] = evaluateCell(t, cells[i].sys, agent.Model().Evaluator().Policy(), jobs)
 	}
 
 	// The daemon decides on the weights it is given, so it serves a twin
