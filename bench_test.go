@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -96,20 +97,18 @@ func fillReplay(agent *dfp.Agent, episodes int) {
 // buffer for the TrainStep benchmarks, and takes one step, so that the
 // engine's one-off set-up (workers, plan, scratch) stays out of the timed
 // loop and allocs/op counts what every burst allocates.
-func trainReadyAgent(workers int) *dfp.Agent {
-	cfg := dfp.DefaultConfig(256, 2, 10)
-	cfg.Workers = workers
-	agent := dfp.New(cfg)
+func trainReadyAgent() *dfp.Agent {
+	agent := dfp.New(dfp.DefaultConfig(256, 2, 10))
 	fillReplay(agent, 8)
 	agent.TrainStep()
 	return agent
 }
 
 // BenchmarkTrainStep measures the batched sparse-dueling training engine at
-// DefaultConfig scale (BatchSize 32), sharded across all cores: a burst of
-// one, so every op pays the helpers' start.
+// DefaultConfig scale (BatchSize 32), its two shards on two goroutines where
+// there are two CPUs: a burst of one, so every op pays the helper's start.
 func BenchmarkTrainStep(b *testing.B) {
-	agent := trainReadyAgent(0)
+	agent := trainReadyAgent()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -118,9 +117,9 @@ func BenchmarkTrainStep(b *testing.B) {
 }
 
 // BenchmarkTrainSteps is what an episode's reduction runs: one op is one
-// 32-step burst on all cores, its helper goroutines started once.
+// 32-step burst, its helper goroutine started once.
 func BenchmarkTrainSteps(b *testing.B) {
-	agent := trainReadyAgent(0)
+	agent := trainReadyAgent()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -129,9 +128,11 @@ func BenchmarkTrainSteps(b *testing.B) {
 }
 
 // BenchmarkTrainStepSingleWorker isolates the batched kernels from the
-// parallel sharding (Workers=1).
+// parallel sharding: both shards on one goroutine (GOMAXPROCS=1), the same
+// bits as BenchmarkTrainStep computes.
 func BenchmarkTrainStepSingleWorker(b *testing.B) {
-	agent := trainReadyAgent(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	agent := trainReadyAgent()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,12 +144,13 @@ func BenchmarkTrainStepSingleWorker(b *testing.B) {
 // gradient step: one op is one instrumented quick-scale S4 training (what
 // `go run ./bench -workload train-rollout -trace 1` replicates), and the
 // reported metrics are the medians, over every step of every op, of
-// dfp_train_step_ns and of the four histograms that split it on worker 0.
+// dfp_train_step_ns and of the four histograms that split it on the calling
+// goroutine.
 //
 //	go test -run=NONE -bench=BenchmarkTrainStepPhases -benchtime=5x .
 func BenchmarkTrainStepPhases(b *testing.B) {
 	m := experiments.MustPrepare(experiments.QuickScale())
-	opt := experiments.CampaignOptions{Workers: 1, Metrics: telemetry.NewRegistry()}
+	opt := experiments.CampaignOptions{Metrics: telemetry.NewRegistry()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Train(m, experiments.TrainRun{Kind: scenario.KindMRSch, Family: "S4"}, opt); err != nil {
@@ -429,19 +431,16 @@ func BenchmarkDecideDuringSwap(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// internal/rollout — parallel episode collection. Sub-benchmarks fix the
-// worker count; episodes/sec is the comparison axis. StepsPerEpisode=-1
-// disables gradient steps so the measurement isolates rollout+ingest — the
-// part of the training loop the harness parallelizes (gradient steps scale
-// separately via dfp.Config.Workers). Greedy exploration (eps=0) makes
+// internal/rollout — episode collection, one episode a round; episodes/sec is
+// the comparison axis. StepsPerEpisode=-1 disables gradient steps so the
+// measurement isolates rollout+ingest. Greedy exploration (eps=0) makes
 // every decision pay the full forward pass, the realistic steady state.
 
-func episodeThroughputAgent(sys cluster.Config, stepWorkers int) *core.MRSch {
+func episodeThroughputAgent(sys cluster.Config) *core.MRSch {
 	return core.New(sys, core.Options{
 		Window: 8,
 		Seed:   11,
 		Mutate: func(c *dfp.Config) {
-			c.Workers = stepWorkers
 			c.StateHidden = []int{64, 32}
 			c.StateOut = 32
 			c.ModuleHidden = 16
@@ -473,35 +472,30 @@ func episodeThroughputSets(sys cluster.Config) []core.JobSet {
 func BenchmarkEpisodeThroughput(b *testing.B) {
 	sys := workload.ThetaScaled(32)
 	sets := episodeThroughputSets(sys)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			agent := episodeThroughputAgent(sys, 1)
-			learner := rollout.NewMRSchLearner(agent, core.TrainConfig{
-				System:          sys,
-				StepsPerEpisode: -1, // pure collection
-			})
-			cfg := rollout.Config{Workers: workers, Seed: 7}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rollout.Train(learner, cfg, sets); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(sets))*float64(b.N)/b.Elapsed().Seconds(), "episodes/sec")
-		})
+	learner := rollout.NewMRSchLearner(episodeThroughputAgent(sys), core.TrainConfig{
+		System:          sys,
+		StepsPerEpisode: -1, // pure collection
+	})
+	cfg := rollout.Config{Seed: 7}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rollout.Train(learner, cfg, sets); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(sets))*float64(b.N)/b.Elapsed().Seconds(), "episodes/sec")
 }
 
 // BenchmarkPipelinedThroughput compares barrier and pipelined rollout-
 // training end to end: the same curriculum with real gradient steps
 // (StepsPerEpisode=8) so there is training work for collection to overlap,
-// on the two gradient workers every binary trains with. episodes/sec is the
-// comparison axis. Measured on the 2-vCPU guest, 2026-10-03, three runs at
-// -benchtime=20x, barrier against pipelined: 230–337 against 297–355 with two
-// gradient workers (ISSUE 24's sitting: 280–309 against 276–311) — nothing,
-// both vCPUs are already busy; 215–255 against 255–258 with one (224–245
-// against 261–269, 1.10–1.18×), where collection fills the vCPU a one-worker
-// step leaves idle. Unmeasured beyond 2 vCPUs.
+// one episode a round and each step's two shards on up to two goroutines.
+// episodes/sec is the comparison axis. Measured on the 2-vCPU guest,
+// 2026-10-03, three runs at -benchtime=20x with four episodes a round (a
+// setting that is gone), barrier against pipelined: 230–337 against 297–355
+// with two gradient goroutines — nothing, both vCPUs are already busy;
+// 215–255 against 255–258 with one (1.10–1.18×), where collection fills the
+// vCPU a one-goroutine step leaves idle. Unmeasured beyond 2 vCPUs.
 func BenchmarkPipelinedThroughput(b *testing.B) {
 	sys := workload.ThetaScaled(32)
 	sets := episodeThroughputSets(sys)
@@ -510,12 +504,12 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 		pipelined bool
 	}{{"barrier", false}, {"pipelined", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			agent := episodeThroughputAgent(sys, 2)
+			agent := episodeThroughputAgent(sys)
 			learner := rollout.NewMRSchLearner(agent, core.TrainConfig{
 				System:          sys,
 				StepsPerEpisode: 8,
 			})
-			cfg := rollout.Config{Workers: 4, Seed: 7, Pipelined: mode.pipelined}
+			cfg := rollout.Config{Seed: 7, Pipelined: mode.pipelined}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := rollout.Train(learner, cfg, sets); err != nil {

@@ -10,9 +10,9 @@
 //
 // Usage:
 //
-//	mrsch-exp [-scale quick|standard|tiny] [-fig all|1|3|4|5|6|7|8|9|10|sweep|ablations] [-parallel 4] [-pipeline]
+//	mrsch-exp [-scale quick|standard|tiny] [-fig all|1|3|4|5|6|7|8|9|10|sweep|ablations] [-parallel N] [-pipeline]
 //	mrsch-exp -fig 3,5 [-checkpoint dir [-resume]] [-workers 2] [-report file] [-dry-run]
-//	mrsch-exp -campaign spec.json [-parallel 4] [-pipeline] [-checkpoint dir [-resume]] [-report file]
+//	mrsch-exp -campaign spec.json [-parallel N] [-pipeline] [-checkpoint dir [-resume]] [-report file]
 //	mrsch-exp -campaign paper|theta-variants|theta-skew|fig3|fig567|fig10 [-scale quick]
 //	mrsch-exp -campaign spec.json -dry-run
 //	mrsch-exp -campaign spec.json -workers 4 [-fault-plan faults.json]
@@ -23,9 +23,9 @@
 //	mrsch-exp -list
 //
 // -campaign runs a campaign spec: a JSON file (see -dump-campaign for the
-// format), or a builtin campaign name. Cells fan out across the -parallel
-// worker pool; per-cell seeding derives from the cell's grid index, so
-// results are identical for every worker count.
+// format), or a builtin campaign name. Cells fan out across -parallel
+// goroutines; per-cell seeding derives from the cell's grid index, so
+// results are identical for every count.
 //
 // -dump-campaign writes a builtin campaign as JSON to stdout at the
 // selected -scale — the starting point for custom specs, and the golden
@@ -37,17 +37,18 @@
 // bursty arrivals), campaigns, and figures with the campaign each renders,
 // generated from the spec and figure registries.
 //
-// -parallel N runs training rollouts and campaign evaluation episodes on N
-// simulator environments concurrently (0 = all CPU cores). Results are
-// reproducible for any fixed N (see internal/rollout).
+// -parallel N evaluates up to N campaign cells at once (default 0 = all CPU
+// cores). It chooses speed only: tables, trained models and model-store
+// names are the same bits at every N, because a training collects one
+// episode at a time and sums each gradient step in two fixed shards (see
+// internal/rollout).
 //
 // -pipeline overlaps every training campaign's episode collection with its
 // gradient steps against a versioned weight snapshot (rollout.Config
-// .Pipelined). Campaigns stay reproducible for a fixed (seed, -parallel)
-// pair but differ from barrier-mode campaigns (one-round policy lag); figure
-// tables trained either way keep their qualitative shape. Measured on 2
-// vCPUs a training takes the same wall either way (collection alone is
-// 1.1-1.5x faster at -parallel 2); unmeasured beyond 2 vCPUs.
+// .Pipelined). Campaigns stay reproducible but differ from barrier-mode
+// campaigns (one-round policy lag); figure tables trained either way keep
+// their qualitative shape. Measured on 2 vCPUs a training takes the same
+// wall either way; unmeasured beyond 2 vCPUs.
 //
 // -checkpoint DIR makes runs durable twice over: trained family models are
 // stored content-addressed in DIR (keyed by scenario family plus a hash of
@@ -116,7 +117,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick, standard, or tiny")
 	figFlag := flag.String("fig", "all", "comma-separated figures to run: 1,3,4,5,6,7,8,9,10,sweep,ablations or all")
 	seed := flag.Int64("seed", 0, "override campaign seed (0 keeps the scale default)")
-	parallel := flag.Int("parallel", 1, "parallel rollout environments (0 = all CPU cores)")
+	parallel := flag.Int("parallel", 0, "campaign cells evaluated at once (0 = all CPU cores); moves no result bit")
 	pipeline := flag.Bool("pipeline", false, "overlap collection with training against a versioned weight snapshot")
 	campaignFlag := flag.String("campaign", "", "run a campaign instead of figures: a spec JSON file or a builtin name (see -list)")
 	checkpoint := flag.String("checkpoint", "", "directory for the family-model store and training checkpoints")
@@ -159,8 +160,6 @@ func main() {
 	defer closeTelemetry()
 	opt := experiments.CampaignOptions{Metrics: reg, Journal: journal}
 
-	// A negative -parallel used to fall back to all cores silently via the
-	// rollout.ResolveWorkers n<=0 convention; reject it instead.
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "mrsch-exp: -parallel must be >= 0 (0 = all CPU cores), got %d\n", *parallel)
 		os.Exit(2)
@@ -197,7 +196,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mrsch-exp: -prune requires -checkpoint DIR (the model store to collect)")
 			os.Exit(2)
 		}
-		runPrune(*checkpoint, *parallel, *dryRun)
+		runPrune(*checkpoint, *dryRun)
 		return
 	}
 	if *distWorkers < 0 {
@@ -294,8 +293,8 @@ func (stdioConn) Close() error {
 }
 
 // runPrune garbage-collects the model store (-prune).
-func runPrune(dir string, workers int, dryRun bool) {
-	kept, pruned, err := experiments.PruneModelStore(dir, workers, dryRun)
+func runPrune(dir string, dryRun bool) {
+	kept, pruned, err := experiments.PruneModelStore(dir, dryRun)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrsch-exp: %v\n", err)
 		os.Exit(1)

@@ -4,30 +4,29 @@
 //
 // Usage:
 //
-//	mrsch-train -workload S4 [-scale quick|standard|tiny] [-parallel 4] [-pipeline] [-out mrsch-s4.model]
+//	mrsch-train -workload S4 [-scale quick|standard|tiny] [-pipeline] [-out mrsch-s4.model]
 //
-// -parallel N collects training episodes from N simulator environments
-// concurrently (0 = all CPU cores) through the internal/rollout harness;
-// results are bitwise reproducible for any fixed N (see the rollout package
-// documentation for the determinism contract).
+// Training collects its episodes one at a time through the internal/rollout
+// harness, and each gradient step sums its minibatch in two fixed shards on
+// as many of two CPUs as there are, so the saved model is the same bits on
+// every host of the same GOARCH and AVX+FMA support, at any core count (see
+// the rollout package documentation for the determinism contract).
 //
-// -pipeline additionally overlaps collection with training: round k+1 rolls
-// out against a versioned weight snapshot while round k's gradient steps run.
-// Runs stay bitwise reproducible for a fixed (seed, -parallel) pair but
-// differ from barrier-mode runs (the collection policy lags one round); with
-// -validate, the validation protocol scores the live weights as usual while
-// only snapshot readers are in flight. Measured on 2 vCPUs (ten alternated
-// S4 quick-scale runs per setting) the process wall is the same at every
-// -parallel/-pipeline combination, 405-417 ms medians inside one another's
-// quartiles: the two gradient workers already fill both vCPUs. Unmeasured
-// beyond 2 vCPUs.
+// -pipeline overlaps collection with training: episode k+1 rolls out against
+// a versioned weight snapshot while episode k's gradient steps run. Runs
+// stay bitwise reproducible but differ from barrier-mode runs (the
+// collection policy lags one episode); with -validate, the validation
+// protocol scores the live weights as usual while only snapshot readers are
+// in flight. Measured on 2 vCPUs (ten alternated S4 quick-scale runs per
+// setting) the process wall is the same with and without it: the two
+// gradient shards already fill both vCPUs. Unmeasured beyond 2 vCPUs.
 //
 // -checkpoint DIR makes the run durable: the agent's full training state
 // (weights, Adam moments, the replay ring, epsilon and rng cursors) is written
 // atomically to DIR at every round boundary. -resume restarts an
 // interrupted run from its checkpoint — bitwise identical to never having
-// been interrupted for the same (-workload, -scale, -parallel, -pipeline)
-// flags, which the checkpoint records (including a hash of the full scale
+// been interrupted for the same (-workload, -scale, -pipeline) flags, which
+// the checkpoint records (including a hash of the full scale
 // spec) and verifies. With no checkpoint file present, -resume starts
 // fresh, so a preemptable job can always launch with both flags.
 // -checkpoint-every N throttles writes to every Nth round boundary (the
@@ -59,7 +58,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/nn"
-	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -70,7 +68,6 @@ func main() {
 	out := flag.String("out", "", "weights output file (default mrsch-<workload>.model)")
 	cnn := flag.Bool("cnn", false, "use the CNN state module (Figure 3 ablation)")
 	validate := flag.Bool("validate", false, "keep the best weights by validation score (§IV-A protocol)")
-	parallel := flag.Int("parallel", 1, "parallel rollout environments (0 = all CPU cores)")
 	pipeline := flag.Bool("pipeline", false, "overlap collection with training against a versioned weight snapshot")
 	checkpoint := flag.String("checkpoint", "", "directory for round-boundary training checkpoints (empty = no checkpointing)")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "write a checkpoint every N round boundaries (the final boundary always writes)")
@@ -84,17 +81,7 @@ func main() {
 	logger := telemetry.NewLogger(os.Stderr, "mrsch-train")
 	logger.Event("kernel", "set", nn.KernelName(), "features", nn.KernelFeatures())
 
-	// Flag combinations fail loudly: a negative -parallel used to fall back
-	// to all cores silently (the rollout.ResolveWorkers n<=0 convention),
-	// which silently un-pins a run the user thought was deterministic across
-	// machines.
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "mrsch-train: -parallel must be >= 0 (0 = all CPU cores), got %d\n", *parallel)
-		os.Exit(2)
-	}
-	if *pipeline && *parallel == 1 {
-		fmt.Fprintln(os.Stderr, "mrsch-train: note: -pipeline with -parallel 1 overlaps each episode's collection with the previous episode's gradient steps only; raise -parallel for wider rounds")
-	}
+	// Flag combinations fail loudly.
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "mrsch-train: -resume requires -checkpoint DIR (there is nothing to resume from)")
 		os.Exit(2)
@@ -130,7 +117,6 @@ func main() {
 	defer closeTelemetry()
 	resumedAt := 0
 	opt := experiments.CampaignOptions{
-		Workers:         *parallel,
 		Pipelined:       *pipeline,
 		CheckpointDir:   *checkpoint,
 		CheckpointEvery: *checkpointEvery,
@@ -154,8 +140,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mrsch-train: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("training MRSch on %s (scale %s: Theta/%d, %d sets x %d jobs per kind, %d rollout workers, %s)\n",
-		*wl, sc.Name, sc.Div, sc.SetsPerKind, sc.SetSize, rollout.ResolveWorkers(opt.Workers), mode)
+	fmt.Printf("training MRSch on %s (scale %s: Theta/%d, %d sets x %d jobs per kind, %s)\n",
+		*wl, sc.Name, sc.Div, sc.SetsPerKind, sc.SetSize, mode)
 	trained, err := experiments.Train(m, experiments.TrainRun{Kind: scenario.KindMRSch, Family: *wl, CNN: *cnn, Validate: *validate}, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrsch-train: %v\n", err)

@@ -34,10 +34,10 @@
 //     and drives the nn package's cache-blocked batch kernels once per
 //     shard instead of once per sample, backpropagates the dueling action
 //     stream sparsely (only the taken action's slice, with a
-//     rank-collapsed mean correction), and spreads the shards, the
-//     gradient reduction in fixed worker order, the clipping and the Adam
-//     update over dfp.Config.Workers goroutines that are started once per
-//     burst — bitwise deterministic for any fixed worker count. A
+//     rank-collapsed mean correction), and spreads its two fixed shards,
+//     the gradient reduction in fixed shard order, the clipping and the
+//     Adam update over up to two goroutines that are started once per
+//     burst — the same bits at every core count. A
 //     sample-at-a-time step over the same layers at bsz=1, with the dense
 //     dueling backward, lives in dfp's engine_test.go as the oracle the
 //     engine is equivalence-tested against to ≤1e-12.

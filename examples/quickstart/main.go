@@ -69,7 +69,7 @@ func main() {
 		curriculum = append(curriculum, core.JobSet{Kind: core.Sampled, Jobs: train})
 	}
 	learner := rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: 16})
-	results, err := rollout.Train(learner, rollout.Config{Workers: 1, Seed: 1}, curriculum)
+	results, err := rollout.Train(learner, rollout.Config{Seed: 1}, curriculum)
 	if err != nil {
 		log.Fatal(err)
 	}

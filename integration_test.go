@@ -149,7 +149,7 @@ func TestPipelineAgentPersistence(t *testing.T) {
 	s2, _ := workload.ScenarioByName("S2")
 	train := workload.Apply(base, pool, s2, sys, 303)
 	learner := rollout.NewMRSchLearner(agent, core.TrainConfig{System: sys, StepsPerEpisode: 8})
-	if _, err := rollout.Train(learner, rollout.Config{Workers: 1, Seed: 5},
+	if _, err := rollout.Train(learner, rollout.Config{Seed: 5},
 		[]core.JobSet{{Kind: core.Sampled, Jobs: train}}); err != nil {
 		t.Fatal(err)
 	}

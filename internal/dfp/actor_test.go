@@ -17,7 +17,6 @@ func actorTestAgent(t *testing.T) *Agent {
 	cfg.StateOut = 8
 	cfg.ModuleHidden = 8
 	cfg.StreamHidden = 8
-	cfg.Workers = 1
 	return New(cfg)
 }
 
@@ -214,7 +213,6 @@ func TestActorWithoutResetRunsDense(t *testing.T) {
 // copy of its first layer.
 func TestInferenceClonesAllocateNoGradients(t *testing.T) {
 	cfg := DefaultConfig(394, 2, 10)
-	cfg.Workers = 1
 	a := New(cfg)
 	weights := 0
 	for _, p := range a.params {

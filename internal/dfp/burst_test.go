@@ -17,11 +17,12 @@ var burstCases = []struct {
 	name string
 	mk   func() *Agent
 }{
+	// workers=N: the minibatch is cut into N shards, one per worker.
 	{"workers=1", func() *Agent { return burstAgent(1, 0) }},
 	{"workers=2", func() *Agent { return burstAgent(2, 0) }},
 	{"workers=3", func() *Agent { return burstAgent(3, 0) }},
 	{"workers=4", func() *Agent { return burstAgent(4, 0) }},
-	// Fewer samples than workers: the burst runs on three workers.
+	// Fewer samples than shards: the burst runs three workers.
 	{"batch=3,workers=4", func() *Agent { return burstAgent(4, 3) }},
 	// Shards of two leave the fourth worker an empty one.
 	{"batch=5,workers=4", func() *Agent { return burstAgent(4, 5) }},
@@ -32,9 +33,10 @@ var burstCases = []struct {
 	}},
 }
 
+// burstAgent is an agent whose steps cut the minibatch into `workers` shards.
 func burstAgent(workers, batch int) *Agent {
 	cfg := smallConfig()
-	cfg.Workers = workers
+	cfg.shards = workers
 	if batch > 0 {
 		cfg.BatchSize = batch
 	}
@@ -123,7 +125,7 @@ func TestBurstWideEqualsNarrowForms(t *testing.T) {
 			run := func(wide bool) ([]float64, []byte) {
 				kernel.SetWide(wide)
 				defer kernel.SetWide(true)
-				cfg.Workers = workers
+				cfg.shards = workers
 				a := New(cfg)
 				fillReplay(a, 64, 9)
 				losses := burstLosses(a, 32)
@@ -144,7 +146,7 @@ func TestBurstWideEqualsNarrowForms(t *testing.T) {
 // reports -1 and no worker is built; n <= 0 does nothing at all.
 func TestTrainStepsEmptyReplayAndNoSteps(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Workers = 3
+	cfg.shards = 3
 	a := New(cfg)
 	sameLosses(t, "empty replay", burstLosses(a, 4), []float64{-1, -1, -1, -1})
 	a.TrainSteps(4, nil)

@@ -61,25 +61,16 @@ type Config struct {
 	ReplayCap int
 	// BatchSize is the minibatch size per training step.
 	BatchSize int
-	// Workers is the number of goroutines a gradient step is spread over:
-	// each takes a shard of the minibatch and accumulates into its own
-	// gradient buffers, which are folded in worker order, and each takes a
-	// share of that fold, of the clipping and of the Adam update (engine.go).
-	// The goroutines beyond the caller live for one burst of steps
-	// (TrainSteps) and meet at a barrier that polls and yields, so more
-	// Workers than CPUs is slower but never stuck. 0 defaults to
-	// runtime.GOMAXPROCS(0). Workers=1 runs the single-threaded engine,
-	// whose arithmetic matches the sample-at-a-time reference step
-	// (engine_test.go) to floating-point reassociation (~1e-12); any
-	// fixed value is bitwise deterministic run to run.
-	Workers int
-	// Seed makes the agent deterministic: with a fixed Seed and a fixed
-	// Workers value, training is bitwise reproducible run to run. Note the
-	// Workers=0 default resolves to the host's core count, whose shard
-	// boundaries affect floating-point summation order — pin Workers
-	// explicitly (e.g. 1) when bitwise reproducibility across machines
-	// matters.
+	// Seed makes the agent deterministic: training is a function of the
+	// config, Seed included, bitwise, whatever the host's core count (a
+	// gradient step always cuts its minibatch into the same shards,
+	// engine.go).
 	Seed int64
+
+	// shards is the number of shards a gradient step cuts its minibatch
+	// into, 0 meaning stepShards. Only this package's tests set it: the
+	// fixtures written at one shard, and the engine's tests at more.
+	shards int
 }
 
 // DefaultConfig returns the experiment-scale configuration for a given
@@ -182,7 +173,7 @@ type Agent struct {
 	batchBuf []*Experience
 	headWcol nn.Vec // per-step column-collapsed action-head weights (PredDim x StreamHidden)
 
-	// Step observation (ObserveSteps): worker 0's phase clock.
+	// Step observation (ObserveSteps): the calling goroutine's phase clock.
 	observe func(StepPhases)
 	phases  StepPhases
 	phaseAt time.Time

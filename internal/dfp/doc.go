@@ -32,16 +32,20 @@
 //
 //   - TrainSteps runs a burst of gradient steps — an episode's worth — and
 //     TrainStep is a burst of one. Each minibatch goes through batched
-//     matrix-matrix kernels with a sparse dueling backward, sharded across
-//     Config.Workers goroutines that are started once per burst, meet at a
-//     polling barrier, and share the rest of the step too: per-worker
-//     gradients are folded in fixed worker order by each parameter's owner
-//     in one pass per shadow (nn.FoldNorm: add, zero the shadow, and take
-//     the clip norm's sum of squares while the gradient goes by), and the
-//     Adam update is cut into one range of the concatenated parameters per
-//     worker (engine.go). ObserveSteps hands a caller worker 0's time in
-//     each phase of every step — shard, fold, Adam, barrier waits — reading
-//     the clock only while it is set (rollout exports them as
+//     matrix-matrix kernels with a sparse dueling backward, cut into a fixed
+//     two shards, one per worker, that run on min(GOMAXPROCS, 2)
+//     goroutines started once per burst; they meet at a polling barrier
+//     and share the rest of the step too: per-worker gradients are folded
+//     in fixed worker order by each parameter's owner in one pass per
+//     shadow (nn.FoldNorm: add, zero the shadow, and take the clip norm's
+//     sum of squares while the gradient goes by), and the Adam update is
+//     cut into one range of the concatenated parameters per goroutine
+//     (engine.go). The shard count alone decides the bits, so trained
+//     weights are a function of the Config at every core count; at
+//     GOMAXPROCS=1 the second shard's gradient buffer is kept all the same
+//     (one more copy of the weights). ObserveSteps hands a caller the
+//     calling goroutine's time in each phase of every step — shard, fold,
+//     Adam, barrier waits — reading the clock only while it is set (rollout exports them as
 //     dfp_step_{shard,fold,adam,wait}_ns beside dfp_train_step_ns). A
 //     step must match the reference step kept in engine_test.go —
 //     forwardDueling at bsz=1 plus the dense dueling backward, sample by
@@ -49,7 +53,7 @@
 //     (engine_test.go); a burst of n must be n single steps to the bit,
 //     leave no goroutine behind, and allocate nothing per step — a warm
 //     burst allocates only what starting its helpers costs, nothing at one
-//     worker (burst_test.go).
+//     goroutine (burst_test.go).
 //
 //   - The replay buffer (replay.go) is one fixed-capacity ring: oldest-first
 //     eviction, one uniform rng.Intn per sampled experience — the draw

@@ -1,8 +1,8 @@
-// The minibatch training engine. One TrainStep samples a minibatch, shards
-// it across Config.Workers goroutines, and runs one *batched* forward and
-// backward pass per shard through the nn package's matrix-matrix kernels,
-// where a per-sample loop (the reference step in engine_test.go) would run
-// bsz=1 passes. Three ideas carry the speedup:
+// The minibatch training engine. One TrainStep samples a minibatch, cuts it
+// into stepShards shards, and runs one *batched* forward and backward pass
+// per shard through the nn package's matrix-matrix kernels, where a
+// per-sample loop (the reference step in engine_test.go) would run bsz=1
+// passes. Three ideas carry the speedup:
 //
 //  1. Batched kernels: each worker gathers its shard into row-major
 //     matrices and drives every layer's Forward/Backward at bsz = shard
@@ -20,28 +20,35 @@
 //     fraction of the FLOPs. The input gradient's mean term reuses a
 //     per-step column-collapse of the head weights (headWcol).
 //
-//  3. Data parallelism, forked once per burst. An episode's gradient steps
-//     run back to back (TrainSteps), so the unit of forking is that burst:
-//     workers 1..N-1 are started once, stay for its n steps and exit with
-//     it. They run on nn.SharedClone replicas whose parameters alias the
-//     master weight Values but own private (shadow) gradient buffers, and
-//     all N workers share every phase of a step, not only the backward
-//     pass:
+//  3. Fixed shards, run on the CPUs there are. A step's minibatch is always
+//     cut into min(stepShards, batch) shards, and each shard has its worker:
+//     worker 0 views the agent's own layers, worker k > 0 an nn.SharedClone
+//     replica whose parameters alias the master weight Values but own a
+//     private (shadow) gradient buffer. The shards run on
+//     G = min(GOMAXPROCS, shards) goroutines, goroutine g running the
+//     workers g, g+G, …; a goroutine that runs two still accumulates the
+//     second into that worker's shadow. An episode's gradient steps run back to
+//     back (TrainSteps), so the helper goroutines are started once per
+//     burst, stay for its n steps and exit with it, and all G goroutines
+//     share every phase of a step, not only the backward pass:
 //
-//     batch published → each worker runs its shard → each parameter's
+//     batch published → each goroutine runs its shards → each parameter's
 //     owner folds that parameter's shadow gradients into the master in
 //     worker order, zeroes them and computes its clip factor, one pass
-//     per shadow (nn.FoldNorm) → each worker applies Adam to its
+//     per shadow (nn.FoldNorm) → each goroutine applies Adam to its
 //     contiguous range of the concatenated parameters → weights complete.
 //
 //     Owners are whole parameters (largest first onto the least loaded
-//     worker) because a clip factor is an L2 norm in nn.L2Norm's own lane
-//     order; the fold is element-wise in worker order and the Adam kernel
-//     is element-wise, so neither the owner assignment nor where the
-//     ranges are cut changes a bit: shard boundaries, sample order, rng
-//     consumption and reduction association are a function of the worker
-//     count alone, and a given Workers setting is bitwise deterministic
-//     run to run.
+//     goroutine) because a clip factor is an L2 norm in nn.L2Norm's own
+//     lane order; the fold is element-wise in worker order and the Adam
+//     kernel is element-wise, so neither which goroutine runs a shard, nor
+//     the owner assignment, nor where the ranges are cut changes a bit:
+//     shard boundaries, sample order, rng consumption and reduction
+//     association are a function of the shard count alone, which is fixed.
+//     Trained weights are therefore the same bits at every GOMAXPROCS. The
+//     price of fixing it is memory: at GOMAXPROCS=1 a step still keeps the
+//     second worker's shadow gradient, one more copy of the weights —
+//     0.73 MB at quick scale, 409 MB at §IV-C's width.
 //
 //     The phases are separated by a generation-counting barrier (gang)
 //     whose waiter polls an atomic and never parks: waking a parked
@@ -50,9 +57,8 @@
 //     poll), and every wait inside a burst is bounded by the other side's
 //     current phase, because no helper outlives its burst. The waiter
 //     calls runtime.Gosched every pollsPerYield polls; that yield is what
-//     lets the goroutine it waits for run when there are fewer CPUs than
-//     workers (GOMAXPROCS=1, Workers > GOMAXPROCS, pipelined rollouts
-//     competing for the same CPUs).
+//     lets the goroutine it waits for run when another goroutine holds the
+//     CPU it needs (pipelined rollouts competing for the same CPUs).
 package dfp
 
 import (
@@ -100,15 +106,22 @@ func splitActStream(act *nn.Sequential) (*nn.Sequential, *nn.Dense) {
 	return &nn.Sequential{Layers: act.Layers[:last]}, act.Layers[last].(*nn.Dense)
 }
 
-// ensureWorkers builds the worker pool on first use (lazily, so inference-
-// only agents at paper scale never pay for replica gradient buffers).
+// stepShards is the number of shards a gradient step cuts its minibatch
+// into (fewer only when the minibatch has fewer samples). It decides the
+// summation order of a step's gradient, so it is fixed: two is what every
+// golden was written at and the fastest count measured (ROADMAP 6(b)).
+const stepShards = 2
+
+// ensureWorkers builds one worker per shard on first use (lazily, so
+// inference-only agents at paper scale never pay for replica gradient
+// buffers).
 func (a *Agent) ensureWorkers() {
 	if a.workers != nil {
 		return
 	}
-	nw := a.cfg.Workers
+	nw := a.cfg.shards
 	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
+		nw = stepShards
 	}
 	trunk, head := splitActStream(a.nets.act)
 	a.workers = []*trainWorker{{
@@ -196,14 +209,15 @@ func (a *Agent) TrainSteps(n int, after func(loss float64)) {
 		return
 	}
 	a.ensureWorkers()
-	nw := min(len(a.workers), batch)
-	a.planFor(nw)
+	shards := min(len(a.workers), batch)
+	ng := min(runtime.GOMAXPROCS(0), shards)
+	a.planFor(ng)
 	g := &a.gang
-	g.open(nw)
-	for w := 1; w < nw; w++ {
+	g.open(ng)
+	for w := 1; w < ng; w++ {
 		go func() {
 			defer g.left.Add(1)
-			for s := 0; s < n && g.wait() && a.share(w, nw, batch); s++ {
+			for s := 0; s < n && g.wait() && a.share(w, ng, shards, batch); s++ {
 			}
 		}()
 	}
@@ -211,9 +225,6 @@ func (a *Agent) TrainSteps(n int, after func(loss float64)) {
 	// a barrier and waits until every helper has returned.
 	defer g.close()
 	for s := 0; s < n; s++ {
-		// The sample sequence consumes the rng identically regardless of
-		// worker count, so exploration and sampling are reproducible across
-		// Workers settings.
 		a.batchBuf = a.batchBuf[:0]
 		for b := 0; b < batch; b++ {
 			a.batchBuf = append(a.batchBuf, a.replay.sample(a.rng))
@@ -224,12 +235,12 @@ func (a *Agent) TrainSteps(n int, after func(loss float64)) {
 		if a.observe != nil {
 			a.phases, a.phaseAt = StepPhases{}, time.Now()
 		}
-		a.share(0, nw, batch)
+		a.share(0, ng, shards, batch)
 		if a.observe != nil {
 			a.observe(a.phases)
 		}
 		total := 0.0
-		for _, tw := range a.workers[:nw] {
+		for _, tw := range a.workers[:shards] {
 			total += tw.loss
 		}
 		a.trainSteps++
@@ -239,14 +250,17 @@ func (a *Agent) TrainSteps(n int, after func(loss float64)) {
 	}
 }
 
-// share is worker w's part of one step, from the published batch to the
-// complete weights: its shard of the minibatch, the parameters it owns, its
-// range of the Adam update. It reports false when the burst was abandoned.
-func (a *Agent) share(w, nw, batch int) bool {
+// share is goroutine w's part of one step on ng goroutines, from the
+// published batch to the complete weights: the shards of workers w, w+ng, …,
+// the parameters it owns, its range of the Adam update. It reports false
+// when the burst was abandoned.
+func (a *Agent) share(w, ng, shards, batch int) bool {
 	g := &a.gang
-	shard := (batch + nw - 1) / nw
-	lo := min(w*shard, batch)
-	a.workers[w].run(a.batchBuf[lo:min(lo+shard, batch)])
+	shard := (batch + shards - 1) / shards
+	for k := w; k < shards; k += ng {
+		lo := min(k*shard, batch)
+		a.workers[k].run(a.batchBuf[lo:min(lo+shard, batch)])
+	}
 	a.lap(w, &a.phases.Shard)
 	if !g.wait() {
 		return false
@@ -256,7 +270,7 @@ func (a *Agent) share(w, nw, batch int) bool {
 	// factor per parameter, applied inside the Adam kernel. The fold reads
 	// each gradient once: the last shadow's pass also takes the norm.
 	scale := 1 / float64(batch)
-	shadows := a.workers[1:nw]
+	shadows := a.workers[1:shards]
 	for _, i := range a.plan.owned[w] {
 		grad := a.params[i].Grad
 		norm := 0.0
@@ -282,10 +296,10 @@ func (a *Agent) share(w, nw, batch int) bool {
 	return ok
 }
 
-// StepPhases is where the calling goroutine — worker 0 — spent one gradient
-// step after its batch was published: its shard's forward and backward, its
-// share of the gradient fold and clip norms, its range of the Adam update,
-// and the three barrier waits between and after them.
+// StepPhases is where the calling goroutine spent one gradient step after
+// its batch was published: its shards' forward and backward, its share of
+// the gradient fold and clip norms, its range of the Adam update, and the
+// three barrier waits between and after them.
 type StepPhases struct {
 	Shard, Fold, Adam, Wait time.Duration
 }
@@ -296,8 +310,8 @@ type StepPhases struct {
 // a step changes: trained weights are the same bits observed or not.
 func (a *Agent) ObserveSteps(f func(StepPhases)) { a.observe = f }
 
-// lap closes one of worker 0's phases when steps are observed: the time since
-// the previous lap goes to d.
+// lap closes one of goroutine 0's phases when steps are observed: the time
+// since the previous lap goes to d.
 func (a *Agent) lap(w int, d *time.Duration) {
 	if w != 0 || a.observe == nil {
 		return
@@ -307,20 +321,20 @@ func (a *Agent) lap(w int, d *time.Duration) {
 	a.phaseAt = now
 }
 
-// stepPlan is how nw workers divide the part of a step that follows the
+// stepPlan is how nw goroutines divide the part of a step that follows the
 // backward pass. Any division gives the same bits (see the file header), so
-// it is laid out once per worker count and only balances the load.
+// it is laid out once per goroutine count and only balances the load.
 type stepPlan struct {
 	nw     int
-	owned  [][]int       // owned[w]: the parameters worker w folds and norms
-	ranges [][]paramSpan // ranges[w]: worker w's 1/nw of the concatenated parameters
+	owned  [][]int       // owned[w]: the parameters goroutine w folds and norms
+	ranges [][]paramSpan // ranges[w]: goroutine w's 1/nw of the concatenated parameters
 	factor []float64     // per parameter: this step's gradient multiplier
 }
 
 // paramSpan is elements [lo,hi) of parameter number param.
 type paramSpan struct{ param, lo, hi int }
 
-// planFor lays the plan out for nw workers, unless it already is.
+// planFor lays the plan out for nw goroutines, unless it already is.
 func (a *Agent) planFor(nw int) {
 	if a.plan.nw == nw {
 		return
@@ -331,7 +345,7 @@ func (a *Agent) planFor(nw int) {
 		ranges: make([][]paramSpan, nw),
 		factor: make([]float64, len(a.params)),
 	}
-	// Owners: largest parameter first, each onto the least loaded worker.
+	// Owners: largest parameter first, each onto the least loaded goroutine.
 	order := make([]int, len(a.params))
 	total := 0
 	for i, p := range a.params {
@@ -352,7 +366,7 @@ func (a *Agent) planFor(nw int) {
 		pl.owned[w] = append(pl.owned[w], i)
 		load[w] += len(a.params[i].Value)
 	}
-	// Ranges: worker w takes [w*total/nw, (w+1)*total/nw) of the
+	// Ranges: goroutine w takes [w*total/nw, (w+1)*total/nw) of the
 	// parameters laid end to end.
 	start := 0
 	for i, p := range a.params {
@@ -368,7 +382,7 @@ func (a *Agent) planFor(nw int) {
 	a.plan = pl
 }
 
-// gang is the barrier the workers of one burst meet at. The last of n
+// gang is the barrier the goroutines of one burst meet at. The last of n
 // arrivals opens the next generation; the others poll for it.
 type gang struct {
 	n       int32
@@ -379,8 +393,8 @@ type gang struct {
 }
 
 // pollsPerYield is how often a waiter hands its CPU to the scheduler: rare
-// enough that a wait between two running workers (a few polls) never pays
-// for it, frequent enough that a worker with no CPU of its own gets one
+// enough that a wait between two running goroutines (a few polls) never pays
+// for it, frequent enough that a goroutine with no CPU of its own gets one
 // within a microsecond or two.
 const pollsPerYield = 256
 
@@ -391,7 +405,7 @@ func (g *gang) open(n int) {
 	g.left.Store(0)
 }
 
-// wait returns true once all n workers have arrived, and false if the
+// wait returns true once all n goroutines have arrived, and false if the
 // caller left the burst instead.
 func (g *gang) wait() bool {
 	gen := g.gen.Load()

@@ -1,8 +1,11 @@
 package dfp
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -152,9 +155,7 @@ func compareAgents(t *testing.T, x, y *Agent, rel float64, label string) {
 // the scalar reference arithmetic (same samples, same rng draws) to within
 // floating-point reassociation across multiple optimizer steps.
 func TestTrainStepMatchesReference(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Workers = 1
-	newEngine := New(cfg)
+	newEngine := New(smallConfig())
 	reference := New(smallConfig())
 	fillReplay(newEngine, 80, 5)
 	fillReplay(reference, 80, 5)
@@ -169,37 +170,41 @@ func TestTrainStepMatchesReference(t *testing.T) {
 	compareAgents(t, newEngine, reference, 1e-9, "batched-vs-reference")
 }
 
-// TestTrainStepWorkerCountEquivalence: sharding the minibatch across
-// workers must not change the result beyond reduction-order float noise.
+// TestTrainStepWorkerCountEquivalence: however many goroutines a step's two
+// shards run on, the losses and the whole durable state are the same bits —
+// one goroutine running both shards folds the second exactly as two
+// goroutines do — for the small test network and for a bare DefaultConfig.
 func TestTrainStepWorkerCountEquivalence(t *testing.T) {
-	mk := func(workers int) *Agent {
-		cfg := smallConfig()
-		cfg.Workers = workers
-		a := New(cfg)
-		fillReplay(a, 64, 9)
-		return a
-	}
-	single := mk(1)
-	quad := mk(4)
-	for step := 0; step < 25; step++ {
-		l1 := single.TrainStep()
-		l4 := quad.TrainStep()
-		if math.Abs(l1-l4) > 1e-10*math.Max(1, math.Abs(l1)) {
-			t.Fatalf("step %d: loss %v (1 worker) vs %v (4 workers)", step, l1, l4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, cfg := range map[string]Config{"small": smallConfig(), "default": DefaultConfig(40, 2, 5)} {
+		var wantLosses []float64
+		var wantState []byte
+		for _, procs := range []int{2, 1, 4} {
+			runtime.GOMAXPROCS(procs)
+			a := New(cfg)
+			fillReplay(a, 64, 9)
+			losses := append(stepLosses(a, 13), burstLosses(a, 12)...)
+			if len(a.workers) != stepShards {
+				t.Fatalf("%s, GOMAXPROCS=%d: %d workers, want %d", name, procs, len(a.workers), stepShards)
+			}
+			if wantState == nil {
+				wantLosses, wantState = losses, stateBytes(t, a)
+				continue
+			}
+			sameLosses(t, fmt.Sprintf("%s, GOMAXPROCS=%d", name, procs), losses, wantLosses)
+			if !bytes.Equal(stateBytes(t, a), wantState) {
+				t.Fatalf("%s, GOMAXPROCS=%d: state after 25 steps differs from GOMAXPROCS=2's", name, procs)
+			}
 		}
-	}
-	compareAgents(t, single, quad, 1e-9, "workers-1-vs-4")
-	if len(quad.workers) != 4 {
-		t.Fatalf("expected 4 workers, built %d", len(quad.workers))
 	}
 }
 
-// TestTrainStepDeterminism: a fixed Workers setting must be bitwise
-// reproducible run to run.
+// TestTrainStepDeterminism: a fixed shard count is bitwise reproducible run
+// to run.
 func TestTrainStepDeterminism(t *testing.T) {
 	mk := func() *Agent {
 		cfg := smallConfig()
-		cfg.Workers = 3
+		cfg.shards = 3
 		a := New(cfg)
 		fillReplay(a, 50, 13)
 		return a
@@ -219,8 +224,7 @@ func TestTrainStepDeterminism(t *testing.T) {
 	}
 }
 
-// smallCNNConfig is smallConfig with the convolutional state module, on two
-// workers.
+// smallCNNConfig is smallConfig with the convolutional state module.
 func smallCNNConfig() Config {
 	cfg := smallConfig()
 	cfg.StateDim = 24
@@ -229,7 +233,6 @@ func smallCNNConfig() Config {
 	cfg.CNNKernel = 4
 	cfg.CNNStride = 2
 	cfg.CNNPool = 2
-	cfg.Workers = 2
 	return cfg
 }
 
@@ -238,9 +241,7 @@ func smallCNNConfig() Config {
 func TestTrainStepCNNFallback(t *testing.T) {
 	cfg := smallCNNConfig()
 	batched := New(cfg)
-	cfgRef := cfg
-	cfgRef.Workers = 1
-	reference := New(cfgRef)
+	reference := New(cfg)
 	fillReplay(batched, 40, 21)
 	fillReplay(reference, 40, 21)
 	for step := 0; step < 10; step++ {

@@ -32,11 +32,7 @@ func LoadModel(cfg Config, r io.Reader) (*Model, error) {
 	}
 	built := buildModules(&cfg, rand.New(rand.NewSource(cfg.Seed)))
 	nets := built.cloneVia(nn.SharedClone)
-	params := nets.params()
-	for _, p := range params {
-		p.Value = make(nn.Vec, len(p.Value))
-	}
-	if err := nn.LoadWeights(r, params); err != nil {
+	if err := nn.AdoptWeights(r, nets.params()); err != nil {
 		return nil, err
 	}
 	return newModel(cfg, nets), nil

@@ -2,7 +2,10 @@ package dfp
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -16,7 +19,7 @@ import (
 // model.
 func TestLoadModelRoundTripAndRefusals(t *testing.T) {
 	cfg := DefaultConfig(64, 2, 6)
-	cfg.Workers, cfg.Seed = 1, 13
+	cfg.Seed = 13
 	a := New(cfg)
 	recordEpisode(a, 3, 40)
 	for i := 0; i < 5; i++ {
@@ -106,6 +109,46 @@ func TestLoadModelLeavesACustomStateModule(t *testing.T) {
 	for i := range loaded {
 		if !slices.Equal(loaded[i].Value, written[i].Value) {
 			t.Fatalf("the model's state module param %s is not the file's", loaded[i].Name)
+		}
+	}
+}
+
+// Loading a quick-geometry model allocates under five times the file: the
+// architecture's initial weights and gradients (two), the file's bytes read
+// into one buffer sized up front (one), the decoded values the model adopts
+// (one) and the packed first layer. Growing the buffer geometrically, or
+// copying the decoded values into fresh ones, goes over.
+func TestLoadModelAllocatesUnderFiveFiles(t *testing.T) {
+	cfg := DefaultConfig(394, 2, 10)
+	cfg.Offsets, cfg.TemporalWeights = []int{1, 2, 4, 8, 16}, []float64{0, 0, 0.5, 0.5, 1}
+	var file bytes.Buffer
+	if err := New(cfg).Model().Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "quick.model")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func() io.Reader{
+		"bytes.Reader": func() io.Reader { return bytes.NewReader(file.Bytes()) },
+		"os.File": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		},
+	}
+	for name, open := range readers {
+		r := open()
+		var err error
+		n := allocated(func() { _, err = LoadModel(cfg, r) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := 5 * uint64(file.Len()); n > bound {
+			t.Errorf("%s: loading a %d-byte model allocated %d bytes (%.2fx), want at most %d", name, file.Len(), n, float64(n)/float64(file.Len()), bound)
 		}
 	}
 }

@@ -230,7 +230,7 @@ func FuzzRuns(f *testing.F) {
 func TestGatheredMinibatchEqualsDenseCopy(t *testing.T) {
 	cfg := smallConfig()
 	cfg.StateDim = 15 // odd: the last segment is a literal of odd length
-	cfg.Workers = 1
+	cfg.shards = 1    // the whole minibatch in worker 0's gather
 	cfg.BatchSize = 16
 	a := New(cfg)
 	fillReplay(a, 40, 8)

@@ -8,7 +8,6 @@ import (
 func snapshotTestAgent(t *testing.T) *Agent {
 	t.Helper()
 	cfg := DefaultConfig(12, 2, 4)
-	cfg.Workers = 1
 	cfg.StateHidden = []int{16}
 	cfg.StateOut = 8
 	cfg.ModuleHidden = 6

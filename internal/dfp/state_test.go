@@ -26,10 +26,11 @@ var goldenStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v4.ck
 var parentStatePath = filepath.Join("..", "..", "specs", "golden-dfp-state-v3.ckpt")
 
 // goldenConfig is the fixture's architecture: small, with a replay capacity
-// low enough that the fixture exercises ring wraparound.
+// low enough that the fixture exercises ring wraparound, trained at the one
+// shard the fixture was written at.
 func goldenConfig() Config {
 	cfg := smallConfig()
-	cfg.Workers = 1
+	cfg.shards = 1
 	cfg.ReplayCap = 16
 	cfg.BatchSize = 4
 	return cfg

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -263,7 +262,6 @@ func Run(spec scenario.CampaignSpec, copt experiments.CampaignOptions, opt Optio
 			Spec:            []byte(specBuf.String()),
 			Fingerprint:     fp,
 			ModelDir:        copt.ModelDir,
-			Workers:         rollout.ResolveWorkers(copt.Workers),
 			Pipelined:       copt.Pipelined,
 			HeartbeatMillis: opt.HeartbeatInterval.Milliseconds(),
 		},

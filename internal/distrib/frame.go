@@ -29,8 +29,10 @@ import (
 // rejects a worker hello carrying another version, and the worker rejects a
 // config frame carrying another version, each naming the peer's version in
 // the error. Two binaries built from different protocol revisions refuse to
-// pair instead of mis-decoding each other's frames.
-const ProtocolVersion = 1
+// pair instead of mis-decoding each other's frames. Version 2 dropped the
+// config frame's rollout worker count, which no model-store key holds
+// anymore.
+const ProtocolVersion = 2
 
 // ErrCorruptFrame marks a frame whose length, checksum, or encoding is
 // damaged. The coordinator maps it to worker death (rule 5). It aliases
@@ -90,14 +92,13 @@ type message struct {
 
 	// Config: the campaign spec in canonical Dump JSON, its fingerprint,
 	// the model-store directory, the worker's id and fault plan, the
-	// coordinator's resolved rollout worker count and training mode (the
-	// model-store key depends on them), and the heartbeat cadence.
+	// coordinator's training mode (the model-store key depends on it), and
+	// the heartbeat cadence.
 	Spec            []byte
 	Fingerprint     string
 	ModelDir        string
 	Worker          int
 	Plan            FaultPlan
-	Workers         int
 	Pipelined       bool
 	HeartbeatMillis int64
 

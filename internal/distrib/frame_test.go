@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -44,7 +45,7 @@ func TestWorkerRejectsCoordinatorProtocol(t *testing.T) {
 		if err == nil {
 			t.Fatal("ServeWorker accepted a mismatched coordinator protocol")
 		}
-		for _, want := range []string{"protocol 42", "worker 1"} {
+		for _, want := range []string{fmt.Sprintf("protocol %d", ProtocolVersion+41), fmt.Sprintf("worker %d", ProtocolVersion)} {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %q does not contain %q", err, want)
 			}

@@ -135,11 +135,9 @@ func (w *worker) configure(m *message) error {
 		return err
 	}
 	// NoTrain: every trained family model must already sit in the store the
-	// coordinator populated (rule 7). Workers and Pipelined mirror the
-	// coordinator's training settings — the store key and the loaded model
-	// architecture are functions of them.
+	// coordinator populated (rule 7). Pipelined mirrors the coordinator's
+	// training mode — the store key is a function of it.
 	run, err := experiments.OpenCampaign(spec, experiments.CampaignOptions{
-		Workers:   m.Workers,
 		Pipelined: m.Pipelined,
 		ModelDir:  m.ModelDir,
 		NoTrain:   true,

@@ -24,9 +24,9 @@ import (
 // This file runs declarative campaigns (internal/scenario): the spec's
 // scenario x method x seed axes expand into cells, per-cell base materials
 // and per-family trained models resolve serially up front, and the cells
-// then fan out across the internal/rollout worker pool as independent
-// evaluation episodes. Per-cell seeding derives from Cell.Index, so results
-// are identical for every worker count.
+// then fan out across CampaignOptions.Workers goroutines
+// (rollout.MapCollect) as independent evaluation episodes. Per-cell seeding
+// derives from Cell.Index, so results are identical for every worker count.
 
 // CellResult pairs one expanded campaign cell with its §IV-B metrics.
 type CellResult struct {
@@ -40,26 +40,24 @@ type CellResult struct {
 // the one home of every value a run sets: OpenCampaign keeps them for its
 // family models and Train takes them for a standalone run (mrsch-train).
 type CampaignOptions struct {
-	// Workers bounds parallel evaluation episodes and the simulator
-	// environments the training harness (internal/rollout) rolls out
-	// concurrently; 0 means all CPU cores (rollout.ResolveWorkers). Any
-	// fixed value trains deterministically; 1 is the serial-equivalent
-	// path, deterministic across machines. See the internal/rollout
-	// package doc for the determinism contract.
+	// Workers bounds how many campaign cells evaluate at once; 0 means
+	// all CPU cores. It chooses speed only: no report, trained weight or
+	// model-store name depends on it (a training rolls one episode out at
+	// a time and a gradient step always sums the same two shards; see the
+	// internal/rollout package doc for the determinism contract).
 	Workers int
 	// Pipelined overlaps episode collection with gradient steps
 	// (rollout.Config.Pipelined): round k+1 rolls out against a versioned
 	// weight snapshot while round k trains. Off by default — barrier mode is
 	// the bitwise-reproducibility reference. Pipelined training is
-	// deterministic for a fixed (Seed, Workers) pair but differs from
-	// barrier mode; see rollout's package doc, rules 6-8, and its opening
-	// for what the overlap measured.
+	// deterministic but differs from barrier mode (a one-round policy lag);
+	// see rollout's package doc, rules 6-8.
 	Pipelined bool
 	// ModelDir, when non-empty, is the content-addressed model store:
 	// every in-process-trained family model is saved there under a name
 	// derived from the scenario family and a hash of everything its
 	// weights are a deterministic function of (method, family, base
-	// materials, scale spec, worker count, training mode). A later
+	// materials, scale spec, training mode). A later
 	// campaign whose key hashes to an existing file loads it instead of
 	// retraining — re-running a finished campaign trains zero models.
 	ModelDir string
@@ -79,8 +77,8 @@ type CampaignOptions struct {
 	// instead of episode zero — a preempted campaign continues every
 	// partially trained family model from its last written boundary. A
 	// resumed run is bitwise identical to an uninterrupted one for the same
-	// (Seed, Workers, Pipelined) settings; a checkpoint written under other
-	// settings is rejected loudly. With no file present the run starts
+	// (Seed, Pipelined) settings; a checkpoint written under other settings
+	// is rejected loudly. With no file present the run starts
 	// fresh (first launch of a preemptable job).
 	Resume bool
 	// OnCheckpoint, when non-nil, observes checkpoint traffic: action is
@@ -445,14 +443,14 @@ func (r *CampaignRun) resolveModel(cell scenario.Cell) error {
 // references an explicit weights file (which IS its own store). The name
 // hashes everything the trained weights are a deterministic function of:
 // the model key (method kind, family, CNN/power flags, base materials),
-// the full scale spec, the effective rollout worker count, and the
-// training mode — so a campaign re-run under identical settings maps to
-// the same file, and a run under different settings cannot silently load
-// weights trained another way. The leading version moves whenever training
-// itself changes bits or the model file its layout (v2: pipelined trainings
-// sample one replay ring, not one ring per rollout worker; v3: model files are
-// sealed sections, not gob streams), so a store filled before retrains once
-// and -prune removes what it left.
+// the full scale spec, and the training mode — so a campaign re-run under
+// identical settings maps to the same file, and a run under different
+// settings cannot silently load weights trained another way. The leading
+// version moves whenever training itself changes bits, the model file its
+// layout, or the key its content (v2: pipelined trainings sample one replay
+// ring, not one ring per rollout worker; v3: model files are sealed
+// sections, not gob streams; v4: the rollout worker count left the key), so
+// a store filled before retrains once and -prune removes what it left.
 func (r *CampaignRun) storePath(cell scenario.Cell) string {
 	if r.opt.ModelDir == "" || cell.Method.Model != "" {
 		return ""
@@ -461,8 +459,7 @@ func (r *CampaignRun) storePath(cell scenario.Cell) string {
 	if err != nil {
 		return "" // unreachable: ScaleSpec marshals; disable the store rather than mis-key it
 	}
-	content := fmt.Sprintf("v3|%s|scale=%s|workers=%d|pipelined=%v",
-		r.modelKey(cell), spec, rollout.ResolveWorkers(r.opt.Workers), r.opt.Pipelined)
+	content := fmt.Sprintf("v4|%s|scale=%s|pipelined=%v", r.modelKey(cell), spec, r.opt.Pipelined)
 	name := fmt.Sprintf("%s-%s-%s.model",
 		cell.Method.Kind, sanitizeName(cell.Scenario.FamilyName()), modelStoreKeyHash(content))
 	return filepath.Join(r.opt.ModelDir, name)

@@ -224,9 +224,8 @@ func TestCampaignTrainsOneModelPerFamily(t *testing.T) {
 
 	// Save the family model the same way mrsch-train would and rerun the
 	// campaign loading it from the file: the model-reference path must
-	// produce the same reports without retraining. The reference training
-	// pins the same rollout worker count the campaign used.
-	agent, _, err := trainMRSch(MustPrepare(sc), "S4", CampaignOptions{Workers: 2})
+	// produce the same reports without retraining.
+	agent, _, err := trainMRSch(MustPrepare(sc), "S4", CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,16 @@ import (
 // recorded boundary, bitwise identical to never having been interrupted.
 // The file is one sealed layout (internal/wire) of sections: a manifest of
 // the settings the equivalence contract depends on — run key, spec hash,
-// episode counts, effective worker count, pipelined mode and rollout seed,
-// all verified on resume and rejected loudly on mismatch — then the agent's
+// episode counts, pipelined mode and rollout seed, all verified on resume
+// and rejected loudly on mismatch — then the agent's
 // state section (dfp.Agent or rl.Scheduler AppendState) and, for a validated
 // run, the §IV-A selection section (core.Selection). Every section is decoded
 // and checked before any is applied.
 
 // ckptMagic versions the manifest, and with it the file. v1 was a gob
-// container wrapping the agent's own container.
-const ckptMagic = "mrsch-train-ckpt-v2"
+// container wrapping the agent's own container; v2 recorded the rollout
+// worker count, which no longer enters a training.
+const ckptMagic = "mrsch-train-ckpt-v3"
 
 // manifest is a train checkpoint's first section.
 type manifest struct {
@@ -45,9 +46,8 @@ type manifest struct {
 	// Total the run's episode count (a second curriculum guard).
 	Episodes int
 	Total    int
-	// Workers/Pipelined/Seed pin the rollout settings the bitwise resume
-	// contract requires (rollout doc rules 9-10).
-	Workers   int
+	// Pipelined/Seed pin the rollout settings the bitwise resume contract
+	// requires (rollout doc rules 9-10).
 	Pipelined bool
 	Seed      int64
 }
@@ -58,7 +58,6 @@ func (m manifest) append(b []byte) []byte {
 	b = wire.AppendString(b, m.SpecHash)
 	b = wire.AppendInt(b, m.Episodes)
 	b = wire.AppendInt(b, m.Total)
-	b = wire.AppendInt(b, m.Workers)
 	b = wire.AppendBool(b, m.Pipelined)
 	return wire.AppendInt64(b, m.Seed)
 }
@@ -72,8 +71,6 @@ func (m manifest) check(want manifest) error {
 		return fmt.Errorf("checkpoint was written for a different scale spec (curriculum/materials drifted between runs; bitwise resume requires an identical spec)")
 	case m.Total != want.Total:
 		return fmt.Errorf("checkpoint expects %d episodes, this run has %d (curriculum drifted between runs)", m.Total, want.Total)
-	case m.Workers != want.Workers:
-		return fmt.Errorf("checkpoint was written with %d rollout workers, this run uses %d (bitwise resume requires identical -parallel)", m.Workers, want.Workers)
 	case m.Pipelined != want.Pipelined:
 		return fmt.Errorf("checkpoint was written with pipelined=%v, this run uses %v (bitwise resume requires identical -pipeline)", m.Pipelined, want.Pipelined)
 	case m.Seed != want.Seed:
@@ -190,7 +187,7 @@ func (opt CampaignOptions) wireCheckpoint(cfg *rollout.Config, sc Scale, key str
 	if err != nil {
 		return err
 	}
-	want := manifest{Key: key, SpecHash: specHash, Total: total, Workers: rollout.ResolveWorkers(cfg.Workers), Pipelined: cfg.Pipelined, Seed: cfg.Seed}
+	want := manifest{Key: key, SpecHash: specHash, Total: total, Pipelined: cfg.Pipelined, Seed: cfg.Seed}
 	path := checkpointPath(opt.CheckpointDir, key, specHash)
 
 	if opt.Resume {
@@ -243,7 +240,7 @@ func readCheckpoint(data []byte, want manifest, sections []section) (int, error)
 		if err := r.Magic(ckptMagic); err != nil {
 			return nil, err
 		}
-		m = manifest{Key: string(r.Bytes()), SpecHash: string(r.Bytes()), Episodes: r.Int(), Total: r.Int(), Workers: r.Int(), Pipelined: r.Bool(), Seed: r.Int64()}
+		m = manifest{Key: string(r.Bytes()), SpecHash: string(r.Bytes()), Episodes: r.Int(), Total: r.Int(), Pipelined: r.Bool(), Seed: r.Int64()}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

@@ -20,7 +20,7 @@ func TestTrainCheckpointAndResumeFinishedRun(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScale()
 	var saves, resumes []int
-	opt := CampaignOptions{Workers: 2, CheckpointDir: dir, OnCheckpoint: func(action string, episodes int) {
+	opt := CampaignOptions{CheckpointDir: dir, OnCheckpoint: func(action string, episodes int) {
 		switch action {
 		case "save":
 			saves = append(saves, episodes)
@@ -70,26 +70,18 @@ func TestTrainCheckpointAndResumeFinishedRun(t *testing.T) {
 	}
 }
 
-// A checkpoint written under one (workers, pipelined) setting refuses to
-// resume under another — silently continuing would break the bitwise
-// contract.
+// A checkpoint written under one training mode refuses to resume under
+// another — silently continuing would break the bitwise contract.
 func TestTrainResumeRejectsSettingsDrift(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScale()
 	m := MustPrepare(sc)
-	opt := CampaignOptions{Workers: 2, CheckpointDir: dir}
+	opt := CampaignOptions{CheckpointDir: dir}
 	if _, _, err := trainMRSch(m, "S4", opt); err != nil {
 		t.Fatal(err)
 	}
 
 	drift := opt
-	drift.Workers = 1
-	drift.Resume = true
-	if _, _, err := trainMRSch(m, "S4", drift); err == nil || !strings.Contains(err.Error(), "rollout workers") {
-		t.Fatalf("worker drift: want a rollout-workers error, got %v", err)
-	}
-
-	drift = opt
 	drift.Pipelined = true
 	drift.Resume = true
 	if _, _, err := trainMRSch(m, "S4", drift); err == nil || !strings.Contains(err.Error(), "pipelined") {
@@ -99,8 +91,8 @@ func TestTrainResumeRejectsSettingsDrift(t *testing.T) {
 	// A curriculum edit that keeps the episode count (SetsPerKind) but
 	// changes every job set maps to a different per-spec checkpoint file:
 	// the edited run must start fresh (full episode stream, no resume)
-	// instead of resuming old-curriculum state — Total, Workers, Seed,
-	// and the network dims all still match here, so only the spec hash
+	// instead of resuming old-curriculum state — Total, Seed and the
+	// network dims all still match here, so only the spec hash
 	// separates the two runs.
 	edited := sc
 	edited.SetSize = sc.SetSize + 5
@@ -201,7 +193,7 @@ func TestCampaignModelStorePowerCNNReload(t *testing.T) {
 // writes the final one.
 func TestCheckpointEveryThrottles(t *testing.T) {
 	var saves []int
-	opt := CampaignOptions{Workers: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2, OnCheckpoint: func(action string, episodes int) {
+	opt := CampaignOptions{CheckpointDir: t.TempDir(), CheckpointEvery: 2, OnCheckpoint: func(action string, episodes int) {
 		if action == "save" {
 			saves = append(saves, episodes)
 		}
@@ -214,11 +206,11 @@ func TestCheckpointEveryThrottles(t *testing.T) {
 	if len(saves) == 0 || saves[len(saves)-1] != total {
 		t.Fatalf("saves %v must end at the final boundary %d", saves, total)
 	}
-	// Round width 2 over `total` episodes: boundaries at 2, 4, ..., total;
-	// every=2 keeps the even-numbered boundaries plus the final one.
+	// A round is one episode: boundaries at 1, 2, ..., total; every=2 keeps
+	// the even-numbered boundaries plus the final one.
 	var want []int
-	for b, i := 2, 1; b <= total; b, i = b+2, i+1 {
-		if i%2 == 0 || b == total {
+	for b := 1; b <= total; b++ {
+		if b%2 == 0 || b == total {
 			want = append(want, b)
 		}
 	}
@@ -306,22 +298,26 @@ func TestCampaignModelStoreSkipsRetraining(t *testing.T) {
 	}
 
 	// So must the key's revision: what a commit from before the one-ring
-	// replay (content "v1|…") or before the sealed model file ("v2|…") stored
-	// is another file name, so it is retrained, never loaded.
+	// replay (content "v1|…"), before the sealed model file ("v2|…") or
+	// while the key held the rollout worker count ("v3|…|workers=N|…")
+	// stored is another file name, so it is retrained, never loaded.
 	r, err := OpenCampaign(spec, CampaignOptions{Workers: 2, Pipelined: true, ModelDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cell := r.Cells()[0]
 	scaleJSON, _ := json.Marshal(spec.Scale)
-	content := fmt.Sprintf("|%s|scale=%s|workers=2|pipelined=true", r.modelKey(cell), scaleJSON)
+	key := fmt.Sprintf("|%s|scale=%s|", r.modelKey(cell), scaleJSON)
+	content := key + "pipelined=true"
 	got := r.storePath(cell)
-	if !strings.Contains(got, modelStoreKeyHash("v3"+content)) {
-		t.Fatalf("store path %s is not keyed on revision v3 of %q", got, content)
+	if !strings.Contains(got, modelStoreKeyHash("v4"+content)) {
+		t.Fatalf("store path %s is not keyed on revision v4 of %q", got, content)
 	}
-	for _, old := range []string{"v1", "v2"} {
-		if strings.Contains(got, modelStoreKeyHash(old+content)) {
-			t.Fatalf("store path %s is keyed on the retired revision %s", got, old)
+	for _, old := range []string{"v1", "v2", "v3"} {
+		for _, w := range []int{1, 2} {
+			if strings.Contains(got, modelStoreKeyHash(fmt.Sprintf("%s%sworkers=%d|pipelined=true", old, key, w))) {
+				t.Fatalf("store path %s is keyed on the retired revision %s", got, old)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ type ckptFixture struct {
 func newCkptFixture(t testing.TB) (f ckptFixture) {
 	sc := tinyScale()
 	m := MustPrepare(sc)
-	trained, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S2"}, CampaignOptions{Workers: 1})
+	trained, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S2"}, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func newCkptFixture(t testing.TB) (f ckptFixture) {
 	target := NewMRSchUntrained(sc, false)
 	f.target = target.Agent
 	f.targetSel = core.NewSelection(target, sys, valid, 1)
-	f.want = manifest{Key: "mrsch-S2-validated", SpecHash: "0123456789abcdef", Episodes: 6, Total: 6, Workers: 1, Seed: 5}
+	f.want = manifest{Key: "mrsch-S2-validated", SpecHash: "0123456789abcdef", Episodes: 6, Total: 6, Seed: 5}
 	return f
 }
 
@@ -74,6 +75,44 @@ func TestTrainCheckpointRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(f.file(f.target, f.targetSel), file) {
 		t.Fatal("a loaded checkpoint writes back other bytes")
+	}
+}
+
+// A v2 train checkpoint, whose manifest recorded the rollout worker count,
+// is refused by its magic under -resume, loudly, and nothing in it applies.
+func TestTrainResumeRefusesV2Checkpoint(t *testing.T) {
+	f := newCkptFixture(t)
+	b := wire.AppendString(nil, "mrsch-train-ckpt-v2")
+	b = wire.AppendString(b, f.want.Key)
+	b = wire.AppendString(b, f.want.SpecHash)
+	b = wire.AppendInt(b, f.want.Episodes)
+	b = wire.AppendInt(b, f.want.Total)
+	b = wire.AppendInt(b, 1) // rollout workers
+	b = wire.AppendBool(b, f.want.Pipelined)
+	b = wire.AppendInt64(b, f.want.Seed)
+	v2 := wire.Seal(f.sourceSel.AppendState(f.source.AppendState(b)))
+
+	before := f.receiverState()
+	if _, err := readCheckpoint(v2, f.want, []section{f.target, f.targetSel}); err == nil || !strings.Contains(err.Error(), "mrsch-train-ckpt-v2") {
+		t.Fatalf("want the v2 manifest refused by name, got %v", err)
+	}
+	if !bytes.Equal(before, f.receiverState()) {
+		t.Fatal("a refused v2 checkpoint changed the agent or its selection")
+	}
+
+	// Through a run: the file where -resume looks for it fails the run.
+	dir := t.TempDir()
+	sc := tinyScale()
+	specHash, err := sc.specHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(checkpointPath(dir, "mrsch-S2", specHash), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := CampaignOptions{CheckpointDir: dir, Resume: true}
+	if _, err := Train(MustPrepare(sc), TrainRun{Kind: scenario.KindMRSch, Family: "S2"}, opt); err == nil || !strings.Contains(err.Error(), "mrsch-train-ckpt-v2") {
+		t.Fatalf("-resume over a v2 checkpoint: want it refused by name, got %v", err)
 	}
 }
 

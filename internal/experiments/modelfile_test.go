@@ -191,7 +191,7 @@ func runPastSpecCheck(r *CampaignRun, cells []scenario.Cell) ([]CellResult, erro
 // weights where a method's model field can name them.
 func saveModelFile(t *testing.T, sc Scale, run TrainRun) string {
 	t.Helper()
-	model, err := Train(MustPrepare(sc), run, CampaignOptions{Workers: 2})
+	model, err := Train(MustPrepare(sc), run, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,9 @@ var numericGoldenCases = []struct {
 }
 
 // numericRun trains the method on S4 at tiny scale, evaluates the S4 cell
-// with the trained model and digests both artifacts.
-func numericRun(t *testing.T, method scenario.MethodSpec) numericDigest {
+// with the trained model and digests both artifacts. workers is the
+// campaign's CampaignOptions.Workers.
+func numericRun(t *testing.T, method scenario.MethodSpec, workers int) numericDigest {
 	t.Helper()
 	s4, err := scenario.ByName("S4")
 	if err != nil {
@@ -56,7 +57,7 @@ func numericRun(t *testing.T, method scenario.MethodSpec) numericDigest {
 	}
 	var model string
 	results, err := RunCampaign(spec, CampaignOptions{
-		Workers:  1,
+		Workers:  workers,
 		ModelDir: t.TempDir(),
 		OnModel:  func(_, _, path string) { model = path },
 	})
@@ -105,7 +106,7 @@ func weightsDigest(t *testing.T, file []byte) string {
 func TestNumericGolden(t *testing.T) {
 	got := map[string]numericDigest{}
 	for _, c := range numericGoldenCases {
-		got[c.name] = numericRun(t, c.method)
+		got[c.name] = numericRun(t, c.method, 1)
 	}
 
 	if os.Getenv("UPDATE_GOLDEN") == "1" {
@@ -134,21 +135,31 @@ func TestNumericGolden(t *testing.T) {
 	}
 }
 
-// A campaign's trained weights do not depend on the host's core count: the
-// recipe fixes dfp's Workers (campaignStepWorkers), whose shard boundaries set
-// a gradient step's summation order, so a tiny S4 training saves the same
-// model under one, two and four CPUs — and the goldens above need no pin.
+// A trained model is a function of its spec: a campaign trains the same
+// weights at every CampaignOptions.Workers and every GOMAXPROCS, for MRSch
+// and for Scalar RL. A gradient step always sums its minibatch in the same
+// two shards, whose boundaries set its summation order, and a rollout round
+// is one episode — so the goldens above need no pin.
 func TestTrainedWeightsIgnoreCoreCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	want := ""
-	for _, procs := range []int{2, 1, 4} {
-		runtime.GOMAXPROCS(procs)
-		got := numericRun(t, numericGoldenCases[0].method).Weights
-		if want == "" {
-			want = got
+	for _, c := range numericGoldenCases {
+		if c.method.CNN {
+			continue
 		}
-		if got != want {
-			t.Fatalf("GOMAXPROCS=%d trained weights %s, GOMAXPROCS=2 trained %s", procs, got, want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			want := ""
+			for _, procs := range []int{1, 2, 3, 4} {
+				runtime.GOMAXPROCS(procs)
+				for _, workers := range []int{1, 2, 3} {
+					got := numericRun(t, c.method, workers).Weights
+					if want == "" {
+						want = got
+					}
+					if got != want {
+						t.Fatalf("Workers=%d GOMAXPROCS=%d trained weights %s, Workers=1 GOMAXPROCS=1 trained %s", workers, procs, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -8,12 +8,11 @@ import (
 )
 
 // Pipelined options must plumb end to end: the harness runs in pipelined
-// mode (snapshot actors + publish) and training stays deterministic for the
-// fixed (Seed, Workers) pair.
+// mode (snapshot actors + publish) and training stays deterministic.
 func TestTrainMRSchPipelinedDeterministic(t *testing.T) {
 	run := func() ([]core.EpisodeResult, []byte) {
 		m := MustPrepare(tinyScale())
-		agent, results, err := trainMRSch(m, "S2", CampaignOptions{Workers: 2, Pipelined: true})
+		agent, results, err := trainMRSch(m, "S2", CampaignOptions{Pipelined: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +42,7 @@ func TestTrainMRSchPipelinedDeterministic(t *testing.T) {
 // readers are in flight (rollout package doc, rule 8).
 func TestTrainMRSchValidatedPipelined(t *testing.T) {
 	m := MustPrepare(tinyScale())
-	_, results, best, err := trainValidated(m, "S2", CampaignOptions{Workers: 2, Pipelined: true})
+	_, results, best, err := trainValidated(m, "S2", CampaignOptions{Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
-	"repro/internal/rollout"
 	"repro/internal/scenario"
 )
 
@@ -21,7 +19,7 @@ import (
 // The keep-set is deliberately conservative: it enumerates every builtin
 // campaign at every builtin scale, with the trained-method axis (mrsch,
 // mrsch+cnn, scalar-rl) added to each campaign's method list, under both
-// training modes and a ladder of plausible worker counts. Entries keyed by
+// training modes. Entries keyed by
 // anything outside that envelope — a custom spec file, a -seed override, a
 // hand-edited scale — are reported as prunable, which is why -dry-run
 // exists and should be run first when a store mixes builtin and custom
@@ -46,45 +44,24 @@ func builtinScaleSpecs() []scenario.ScaleSpec {
 	}
 }
 
-// keepWorkerCounts returns the resolved rollout worker counts the keep-set
-// covers: the caller's own setting plus a ladder of common explicit counts
-// and the all-cores default (the store key hashes the resolved count).
-func keepWorkerCounts(workers int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, w := range []int{rollout.ResolveWorkers(workers), 1, 2, 4, 8, 16, rollout.ResolveWorkers(0), runtime.NumCPU()} {
-		if w > 0 && !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // PruneKeepSet computes the set of store file names (base names) reachable
 // from the builtin-campaign envelope for a store rooted at dir.
-func PruneKeepSet(dir string, workers int) (map[string]bool, error) {
+func PruneKeepSet(dir string) (map[string]bool, error) {
 	keep := make(map[string]bool)
 	for _, scale := range builtinScaleSpecs() {
 		for _, spec := range scenario.BuiltinCampaigns(scale) {
 			spec.Methods = append(append([]scenario.MethodSpec{}, spec.Methods...), trainedMethodVariants()...)
 			for _, pipelined := range []bool{false, true} {
-				for _, w := range keepWorkerCounts(workers) {
-					run, err := OpenCampaign(spec, CampaignOptions{
-						Workers:   w,
-						Pipelined: pipelined,
-						ModelDir:  dir,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("experiments: prune keep-set: %w", err)
+				run, err := OpenCampaign(spec, CampaignOptions{Pipelined: pipelined, ModelDir: dir})
+				if err != nil {
+					return nil, fmt.Errorf("experiments: prune keep-set: %w", err)
+				}
+				for _, cell := range run.Cells() {
+					if !cell.Method.Kind.Trained() || cell.Method.Model != "" {
+						continue
 					}
-					for _, cell := range run.Cells() {
-						if !cell.Method.Kind.Trained() || cell.Method.Model != "" {
-							continue
-						}
-						if p := run.storePath(cell); p != "" {
-							keep[filepath.Base(p)] = true
-						}
+					if p := run.storePath(cell); p != "" {
+						keep[filepath.Base(p)] = true
 					}
 				}
 			}
@@ -97,8 +74,8 @@ func PruneKeepSet(dir string, workers int) (map[string]bool, error) {
 // by the builtin-campaign keep-set and, unless dryRun is set, deletes the
 // prunable ones. Non-store files (checkpoint manifests, anything not
 // *.model) are never touched. Both lists come back sorted.
-func PruneModelStore(dir string, workers int, dryRun bool) (kept, pruned []string, err error) {
-	keep, err := PruneKeepSet(dir, workers)
+func PruneModelStore(dir string, dryRun bool) (kept, pruned []string, err error) {
+	keep, err := PruneKeepSet(dir)
 	if err != nil {
 		return nil, nil, err
 	}

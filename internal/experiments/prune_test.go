@@ -15,8 +15,9 @@ import (
 )
 
 // PruneModelStore: entries reachable from the builtin campaign envelope
-// survive, orphans — a retired revision's entries among them — go, and
-// nothing that isn't a *.model file is touched.
+// survive — one trained at any -parallel among them — orphans — a retired
+// revision's entries among them — go, and nothing that isn't a *.model file
+// is touched.
 func TestPruneModelStore(t *testing.T) {
 	store := t.TempDir()
 	sp, err := scenario.ByName("S2")
@@ -29,7 +30,7 @@ func TestPruneModelStore(t *testing.T) {
 		Scenarios: []scenario.ScenarioSpec{sp},
 		Methods:   []scenario.MethodSpec{{Kind: scenario.KindMRSch, Train: true}},
 	}
-	r, err := OpenCampaign(spec, CampaignOptions{Workers: 1, ModelDir: store})
+	r, err := OpenCampaign(spec, CampaignOptions{ModelDir: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestPruneModelStore(t *testing.T) {
 	content := fmt.Sprintf("v2|%s|scale=%s|workers=1|pipelined=false", r.modelKey(cell), scaleJSON)
 	gobModel := fmt.Sprintf("%s-%s-%s.model", cell.Method.Kind, sanitizeName(cell.Scenario.FamilyName()), modelStoreKeyHash(content))
 	if gobModel == live {
-		t.Fatal("the v2 and v3 store names collide")
+		t.Fatal("the v2 and current store names collide")
 	}
 	var gobFile bytes.Buffer
 	if err := gob.NewEncoder(&gobFile).Encode(struct{ Magic string }{"mrsch-nn-weights-v1"}); err != nil {
@@ -53,7 +54,9 @@ func TestPruneModelStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	actions := map[string]int{}
-	opt := CampaignOptions{Workers: 1, ModelDir: store, OnModel: func(_, action, _ string) { actions[action]++ }}
+	// Three cells at once is a setting prune never heard of: it chooses
+	// speed, not the model, so the entry it trains is the live one.
+	opt := CampaignOptions{Workers: 3, ModelDir: store, OnModel: func(_, action, _ string) { actions[action]++ }}
 	if _, err := RunCampaign(spec, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestPruneModelStore(t *testing.T) {
 
 	wantPruned := []string{gobModel, orphan}
 	sort.Strings(wantPruned)
-	kept, pruned, err := PruneModelStore(store, 1, true)
+	kept, pruned, err := PruneModelStore(store, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestPruneModelStore(t *testing.T) {
 		t.Fatal("dry run deleted the orphan")
 	}
 
-	if _, pruned, err = PruneModelStore(store, 1, false); err != nil {
+	if _, pruned, err = PruneModelStore(store, false); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(pruned, wantPruned) {
@@ -108,7 +111,7 @@ func TestPruneModelStore(t *testing.T) {
 	}
 
 	// A reachable store never shrinks: prune again, nothing to do.
-	if _, pruned, err = PruneModelStore(store, 1, false); err != nil {
+	if _, pruned, err = PruneModelStore(store, false); err != nil {
 		t.Fatal(err)
 	} else if len(pruned) != 0 {
 		t.Fatalf("second prune removed %v", pruned)

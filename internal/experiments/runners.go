@@ -47,9 +47,6 @@ func evaluateOwned(sys cluster.Config, policy sim.Policy, jobs []*job.Job, metho
 	return metrics.Collect(method, wl, s, powerIdx), nil
 }
 
-// campaignStepWorkers is dfp.Config.Workers for every agent a campaign trains.
-const campaignStepWorkers = 2
-
 // runOptions returns the experiment-scale options of a run's MRSch agent:
 // the ones newAgent builds it with and a saved model of it loads with. MRSch
 // seeds Seed+11 (Seed+13 on the three-resource system) unless the run sets
@@ -69,12 +66,6 @@ func (s Scale) runOptions(run TrainRun) core.Options {
 		Seed:            seed,
 		Mutate: func(c *dfp.Config) {
 			c.EpsDecay = s.EpsDecay
-			// A gradient step's shard boundaries set its summation order, and
-			// the model key does not record the host: fix the count, so that
-			// a family's weights are the same bits on every machine. Two is
-			// what every golden was written at and the fastest count measured
-			// (ROADMAP 6(b)).
-			c.Workers = campaignStepWorkers
 			// Short episodes: keep offsets inside the horizon.
 			c.Offsets = []int{1, 2, 4, 8, 16}
 			c.TemporalWeights = []float64{0, 0, 0.5, 0.5, 1}
@@ -90,10 +81,10 @@ func NewMRSchUntrained(sc Scale, power bool) *core.MRSch {
 }
 
 // TrainMRSch trains the two-resource MRSch family model for a Table III
-// scenario: Train on a TrainRun of kind mrsch, one rollout worker in barrier
-// mode with nothing checkpointed or observed.
+// scenario: Train on a TrainRun of kind mrsch, in barrier mode with nothing
+// checkpointed or observed.
 func TrainMRSch(m *Materials, name string, useCNN bool) (*core.MRSch, []core.EpisodeResult, error) {
-	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, CNN: useCNN}, CampaignOptions{Workers: 1})
+	t, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: name, CNN: useCNN}, CampaignOptions{})
 	return t.MRSch, t.Episodes, err
 }
 
@@ -144,8 +135,8 @@ var paperOrdering = Ordering{core.Sampled, core.Real, core.Synthetic}
 // Train is the one training entry point, for a campaign's family models and
 // mrsch-train alike: it builds the run's agent at the materials' scale, lays
 // out its curriculum and collects the episodes through the internal/rollout
-// harness under opt's runtime — opt.Workers simulator environments, barrier
-// or opt.Pipelined, opt.Metrics/Journal observing. With opt.CheckpointDir
+// harness under opt's runtime — barrier or opt.Pipelined, opt.Metrics/Journal
+// observing. With opt.CheckpointDir
 // set the run writes a resumable checkpoint at every round boundary —
 // validated runs carry the selection state (best score and weights)
 // alongside the agent state, under a "-validated" key so they never collide
@@ -177,7 +168,6 @@ func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 	}
 
 	cfg := rollout.Config{
-		Workers:   opt.Workers,
 		Seed:      sc.Seed + 7,
 		Pipelined: opt.Pipelined,
 		Metrics:   opt.Metrics,

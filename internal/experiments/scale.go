@@ -7,10 +7,13 @@
 // []CellResult; the rest (1, 4, 8, 9, the ablations) are ordinary functions
 // of a run, which lends them its materials and family models (Figures lists
 // both kinds). Everything is a pure function of an explicit Scale — the
-// sizing — and CampaignOptions — the runtime (worker count, training mode,
+// sizing — and CampaignOptions — the runtime (cell fan-out, training mode,
 // model store, checkpoints, telemetry) — so the same code runs a CI-sized
 // replica or a heavier standalone configuration. Materials derive from the
-// Scale alone and carry nothing a run sets.
+// Scale alone and carry nothing a run sets. A trained family model is a
+// function of the Scale, the method and the training mode alone: the cell
+// fan-out and the host's core count choose speed, never a bit, so neither
+// is in a checkpoint manifest or a model-store name.
 //
 // # How a cell evaluates each method
 //
@@ -86,7 +89,7 @@ import (
 // Scale fixes the size of an experimental campaign: the embedded
 // scenario.ScaleSpec, whose fields and Validate promote (s.Div, s.Window,
 // ...). All randomness derives from Seed, so campaigns are reproducible.
-// How a run executes at that size — rollout workers, training mode,
+// How a run executes at that size — cell fan-out, training mode,
 // checkpoints, telemetry — is CampaignOptions, never part of a Scale.
 type Scale struct {
 	scenario.ScaleSpec

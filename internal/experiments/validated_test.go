@@ -46,7 +46,7 @@ func TestTrainMRSchValidatedSelectsModel(t *testing.T) {
 // model found before the interruption point.
 func TestValidatedTrainCheckpointResumeEquivalence(t *testing.T) {
 	sc := tinyScale()
-	opt := CampaignOptions{Workers: 2}
+	opt := CampaignOptions{}
 
 	// Uninterrupted reference, no checkpointing.
 	refAgent, refResults, refBest, err := trainValidated(MustPrepare(sc), "S2", opt)

@@ -68,8 +68,8 @@
 // replica shares parameter Values with the original but owns private
 // forward state; the caller gives each replica param a private gradient
 // buffer, each worker accumulates into its own gradients, and the caller
-// reduces them before the optimizer step (internal/dfp does this across
-// Config.Workers goroutines). Clones come without gradient storage because
+// reduces them before the optimizer step (internal/dfp does this for the
+// two shards of every step). Clones come without gradient storage because
 // most are made for inference — rollout actors, evaluators, the serve
 // daemon's pooled deciders — and never run Backward.
 //
@@ -145,7 +145,7 @@
 // The set also carries FoldNorm, the training step's one-pass gradient fold.
 // The go set is the avx2 set's primitives written out in Go under the same
 // loop nests, so a set is a choice of speed, not of arithmetic: batch rows
-// against bsz=1 calls, rollout determinism for a fixed (Seed, Workers),
+// against bsz=1 calls, rollout determinism for a fixed seed,
 // checkpoint resume and the serve daemon's batched-vs-offline byte identity
 // hold within a process and across sets. Across hosts the standard library
 // can still move a bit: math.Exp (workload generation, Softmax) takes an FMA

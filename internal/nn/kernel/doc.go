@@ -74,7 +74,7 @@
 // to single-sample calls at every batch size (each sample row is computed by
 // the same primitive in the same order regardless of bsz — the serve
 // daemon's byte-identity contract rides on this), rollout/pipelined training
-// is bitwise reproducible for a fixed (Seed, Workers), and checkpoint resume
+// is bitwise reproducible for a fixed seed, and checkpoint resume
 // reproduces the uninterrupted run.
 //
 // The sets share one copy of the loop nests (kernel.go) over five primitives

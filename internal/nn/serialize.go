@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/wire"
 )
@@ -38,17 +39,61 @@ func AppendWeights(b []byte, params []*Param) []byte {
 // The whole file is checked before anything is copied: on any error every
 // parameter is left exactly as it was.
 func LoadWeights(r io.Reader, params []*Param) error {
-	data, err := io.ReadAll(r)
+	return loadWeights(r, params, SetWeights)
+}
+
+// AdoptWeights is LoadWeights for params whose values nothing else reads:
+// each param takes the vector decoded from the file as its Value, instead of
+// having it copied into the one it has. The whole file is checked first.
+func AdoptWeights(r io.Reader, params []*Param) error {
+	return loadWeights(r, params, func(params, w []*Param) {
+		for i, p := range params {
+			p.Value = w[i].Value
+		}
+	})
+}
+
+func loadWeights(r io.Reader, params []*Param, apply func(params, w []*Param)) error {
+	data, err := readFile(r)
 	if err == nil {
 		err = wire.Unseal(data, func(r *wire.Reader) (func(), error) {
 			w, err := ReadWeights(r, params)
-			return func() { SetWeights(params, w) }, err
+			return func() { apply(params, w) }, err
 		})
 	}
 	if err != nil {
 		return fmt.Errorf("nn: load weights: %w", err)
 	}
 	return nil
+}
+
+// readFile reads r to its end. Where r tells how much is left — an *os.File
+// by Stat, a bytes or strings reader by Len — the buffer is that size from
+// the start, instead of growing geometrically as io.ReadAll's does.
+func readFile(r io.Reader) ([]byte, error) {
+	size := 512
+	switch f := r.(type) {
+	case interface{ Len() int }:
+		size = f.Len() + 1 // the +1 lets the read that finds EOF fit
+	case *os.File:
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size()) + 1
+		}
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // ReadWeights decodes a weights section and checks it against params:

@@ -27,9 +27,9 @@ type mrschLearner struct {
 	replayOcc *telemetry.Gauge
 }
 
-// stepPhaseNames are the histograms of where worker 0 spends a gradient step
-// (dfp.StepPhases), in its field order; they tile dfp_train_step_ns less the
-// minibatch sampling that precedes a step.
+// stepPhaseNames are the histograms of where the reducing goroutine spends a
+// gradient step (dfp.StepPhases), in its field order; they tile
+// dfp_train_step_ns less the minibatch sampling that precedes a step.
 var stepPhaseNames = [4]string{"dfp_step_shard_ns", "dfp_step_fold_ns", "dfp_step_adam_ns", "dfp_step_wait_ns"}
 
 // NewMRSchLearner adapts an MRSch agent for Train. cfg follows
@@ -121,8 +121,7 @@ type mrschActor struct {
 
 // Rollout replays the job set through a fresh simulator with the actor
 // exploring at the episode's slot in the epsilon schedule, so the
-// exploration stream depends only on (harness seed, episode index) — never
-// on which worker runs the episode or how many workers exist.
+// exploration stream depends only on (harness seed, episode index).
 func (w *mrschActor) Rollout(ep Episode) (Transcript, error) {
 	w.a.Reset(ep.Seed, w.l.acfg.EpsilonAt(ep.Index))
 	if err := runEpisode(w.l.cfg, w.a.Policy(), ep.Set.Jobs); err != nil {

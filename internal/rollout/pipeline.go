@@ -1,15 +1,13 @@
-// Pipelined rollout-training: collection of round k+1 overlaps the gradient
-// steps on round k's transcripts. The barrier mode (rollout.go) serializes
-// the two phases for its reproducibility-reference role, which leaves the
-// learner idle while workers roll out and the workers idle while the learner
-// trains. Pipelining fills the idle halves — where there is a CPU to fill
-// them with: on the 2-vCPU guest it is 1.10–1.18× ahead when a one-worker
-// gradient step leaves a vCPU free and level with barrier mode at the two
-// gradient workers every binary trains with (BenchmarkPipelinedThroughput's
-// comment has the runs); unmeasured beyond 2 vCPUs. It splits the weights in
-// two:
+// Pipelined rollout-training: collection of episode i+1 overlaps the
+// gradient steps on episode i's transcript. The barrier mode (rollout.go)
+// serializes the two phases for its reproducibility-reference role, which
+// leaves the learner idle while the actor rolls out and the actor idle while
+// the learner trains. Pipelining fills the idle halves — where there is a
+// CPU to fill them with: on the 2-vCPU guest it is level with barrier mode
+// at the two gradient shards a step runs on (ROADMAP, Performance, "knob
+// audit"); unmeasured beyond 2 vCPUs. It splits the weights in two:
 //
-//   - Actors read the published copy-on-write weight snapshot (nn.Param
+//   - The actor reads the published copy-on-write weight snapshot (nn.Param
 //     versioning via SnapshotLearner.SpawnSnapshot), frozen for the duration
 //     of a round.
 //
@@ -18,16 +16,15 @@
 //
 // At each round boundary — the only synchronization point — the in-flight
 // collection is joined and the live weights are published into the snapshot.
-// Collection of round r therefore acts on the weights as of the end of round
-// r-2's reduction: a one-round policy lag, the classic trade of asynchronous
-// actor-learner schedulers (MARS and the original A3C line), in exchange for
-// hiding rollout latency behind training. Determinism is preserved: episode
-// rngs are keyed to the episode index (rule 1 of the package contract),
-// transcripts are reduced in episode order on one goroutine, and the
-// snapshot a round sees is a pure function of (seed, workers), so a fixed
-// (Seed, Workers) pair is bitwise reproducible run to run — it just differs
-// from the barrier interleaving, exactly as two worker counts differ from
-// each other.
+// Collection of episode r therefore acts on the weights as of the end of
+// episode r-2's reduction: a one-round policy lag, the classic trade of
+// asynchronous actor-learner schedulers (MARS and the original A3C line),
+// in exchange for hiding rollout latency behind training. Determinism is
+// preserved: episode rngs are keyed to the episode index (rule 1 of the
+// package contract), transcripts are reduced in episode order on one
+// goroutine, and the snapshot a round sees is a pure function of the seed,
+// so a pipelined run is bitwise reproducible run to run — it just differs
+// from the barrier interleaving.
 package rollout
 
 import (
@@ -43,8 +40,8 @@ import (
 // scalar-RL adapters over dfp.Agent.SnapshotActor / rl.Scheduler.
 type SnapshotLearner interface {
 	Learner
-	// SpawnSnapshot returns a per-worker actor reading the published weight
-	// snapshot.
+	// SpawnSnapshot returns the actor a pipelined run rolls out with,
+	// reading the published weight snapshot.
 	SpawnSnapshot() Actor
 	// Publish copies the live weights into the snapshot the actors read.
 	// The harness calls it only at round boundaries, with no rollout in
@@ -52,17 +49,16 @@ type SnapshotLearner interface {
 	Publish()
 }
 
-// pipeRound is one double-buffered collection slot: the transcripts and
-// rollout errors of episodes [start, start+cnt).
+// pipeRound is one double-buffered collection slot: the transcript and
+// rollout error of episode i.
 type pipeRound struct {
-	trs   []Transcript
-	errs  []error
-	start int
-	cnt   int
+	tr  Transcript
+	err error
+	i   int
 }
 
-// trainPipelined runs Train's pipelined mode: round r+1 is collected by a
-// background goroutine against the current snapshot while round r reduces
+// trainPipelined runs Train's pipelined mode: episode i+1 is collected by a
+// background goroutine against the current snapshot while episode i reduces
 // inline, with a join + publish at every round boundary. See the file doc
 // for the synchronization argument and the package doc for the determinism
 // contract (rules 6-8).
@@ -75,18 +71,8 @@ func trainPipelined(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeRe
 	if n == 0 {
 		return nil, nil
 	}
-	w := cfg.resolveWorkers()
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	actors := make([]Actor, w)
-	for i := range actors {
-		actors[i] = sl.SpawnSnapshot()
-	}
-	if err := cfg.validateResume(w, n); err != nil {
+	actor := sl.SpawnSnapshot()
+	if err := cfg.validateResume(n); err != nil {
 		return nil, err
 	}
 	m := newRolloutMetrics(l, cfg)
@@ -98,27 +84,22 @@ func trainPipelined(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeRe
 		sl.Publish()
 	}
 	// On resume the snapshot buffers were restored from the checkpoint and
-	// already hold the weights the first re-collected round must act on —
+	// already hold the weights the first re-collected episode must act on —
 	// the version published one round before the checkpoint (rule 10), NOT
 	// the live weights. Publishing here would overwrite them; the live
 	// weights publish after the priming collection below, exactly where the
 	// interrupted run published them.
 
-	newRound := func() *pipeRound {
-		return &pipeRound{trs: make([]Transcript, w), errs: make([]error, w)}
-	}
-	collect := func(r *pipeRound, start, cnt int) {
-		r.start, r.cnt = start, cnt
-		dispatch(cnt, cnt, func(worker, i int) {
-			r.trs[i], r.errs[i] = actors[worker].Rollout(episodeAt(cfg, sets, start+i))
-		})
+	collect := func(r *pipeRound, i int) {
+		r.i = i
+		r.tr, r.err = actor.Rollout(episodeAt(cfg, sets, i))
 	}
 
-	cur, nxt := newRound(), newRound()
-	collect(cur, cfg.Resume, min(w, n-cfg.Resume)) // prime the pipeline: nothing to overlap yet
+	cur, nxt := &pipeRound{}, &pipeRound{}
+	collect(cur, cfg.Resume) // prime the pipeline: nothing to overlap yet
 	if cfg.Resume > 0 {
 		// The interrupted run published its post-reduction weights right
-		// after the checkpoint was written, i.e. after this round's
+		// after the checkpoint was written, i.e. after this episode's
 		// collection had joined; re-publish them now that the priming
 		// collection (which read the restored pre-crash snapshot) is done.
 		sl.Publish()
@@ -132,43 +113,39 @@ func trainPipelined(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeRe
 		if m.timed {
 			t0 = time.Now()
 		}
-		// Launch the next round against the current snapshot before
+		// Launch the next episode against the current snapshot before
 		// reducing this one — the overlap that is the point of the mode.
 		var done chan struct{}
-		if next := cur.start + cur.cnt; next < n {
+		if next := cur.i + 1; next < n {
 			done = make(chan struct{})
-			go func(r *pipeRound, start, cnt int) {
+			go func(r *pipeRound, i int) {
 				defer close(done)
-				collect(r, start, cnt)
-			}(nxt, next, min(w, n-next))
+				collect(r, i)
+			}(nxt, next)
 		}
 
-		// Reduce the current round inline, in episode order.
+		// Reduce the current episode inline.
 		var loopErr error
-		for i := 0; i < cur.cnt; i++ {
-			if results, loopErr = reduceEpisode(l, cfg, m, sets, cur.start+i, cur.trs[i], cur.errs[i], results); loopErr != nil {
-				break
-			}
-		}
+		results, loopErr = reduceEpisode(l, cfg, m, sets, cur.i, cur.tr, cur.err, results)
 
 		// Round boundary: join the in-flight collection even on error (no
 		// goroutine may outlive the call), checkpoint while the live weights
 		// and the still-unpublished snapshot are both quiescent, then
-		// publish the post-reduction weights for the round after next.
+		// publish the post-reduction weights for the episode after next.
 		if done != nil {
 			<-done
 		}
 		if loopErr != nil {
 			return results, loopErr
 		}
-		if err := runCheckpoint(cfg, cur.start+cur.cnt); err != nil {
+		if err := runCheckpoint(cfg, cur.i+1); err != nil {
 			return results, err
 		}
 		var dt time.Duration
 		if m.timed {
 			dt = time.Since(t0)
 		}
-		m.roundDone(cfg.Journal, cur.start+cur.cnt, cur.cnt, dt)
+		m.roundDone(cfg.Journal, cur.i+1, dt)
 		if done == nil {
 			return results, nil
 		}

@@ -3,6 +3,7 @@ package rollout
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,18 +25,22 @@ func runTrainPipelined(t *testing.T, workers int, seed int64) ([]core.EpisodeRes
 	return results, weightsOf(t, m)
 }
 
-// Pipelined runs obey contract rule 7: same seed + same worker count ⇒
-// identical EpisodeResult streams and identical final weights, even though
-// collection and training overlap.
+// Pipelined runs obey contract rule 7: same seed ⇒ identical EpisodeResult
+// streams and identical final weights, whatever Config.Workers and GOMAXPROCS
+// say, even though collection and training overlap.
 func TestPipelinedDeterministicForFixedWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r0, w0 := runTrainPipelined(t, 1, 17)
 	for _, workers := range []int{1, 2, 3} {
-		r1, w1 := runTrainPipelined(t, workers, 17)
-		r2, w2 := runTrainPipelined(t, workers, 17)
-		if !resultsEqual(r1, r2) {
-			t.Fatalf("pipelined workers=%d: result streams differ across runs:\n%v\n%v", workers, r1, r2)
-		}
-		if !bytes.Equal(w1, w2) {
-			t.Fatalf("pipelined workers=%d: final weights differ across runs", workers)
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			r, w := runTrainPipelined(t, workers, 17)
+			if !resultsEqual(r, r0) {
+				t.Fatalf("pipelined workers=%d GOMAXPROCS=%d: result stream differs:\n%v\n%v", workers, procs, r, r0)
+			}
+			if !bytes.Equal(w, w0) {
+				t.Fatalf("pipelined workers=%d GOMAXPROCS=%d: final weights differ", workers, procs)
+			}
 		}
 	}
 }
@@ -46,7 +51,7 @@ func TestPipelinedProducesWorkingAgent(t *testing.T) {
 	sys := testSystem()
 	sets := testSets(sys, 6, 25, 43)
 	m := testAgent(sys, 19)
-	results, err := Train(NewMRSchLearner(m, trainCfg(sys)), Config{Workers: 3, Seed: 29, Pipelined: true}, sets)
+	results, err := Train(NewMRSchLearner(m, trainCfg(sys)), Config{Seed: 29, Pipelined: true}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func TestPipelinedScalarRLDeterminism(t *testing.T) {
 		cfg.Seed = 7
 		agent := rl.New(sys, cfg)
 		l := NewScalarRLLearner(agent, core.TrainConfig{System: sys, MaxEventsPerEpisode: 4000})
-		results, err := Train(l, Config{Workers: 2, Seed: 59, Pipelined: true}, sets)
+		results, err := Train(l, Config{Seed: 59, Pipelined: true}, sets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +96,7 @@ func TestPipelinedScalarRLDeterminism(t *testing.T) {
 	r1, s1 := run()
 	r2, s2 := run()
 	if !resultsEqual(r1, r2) || s1 != s2 {
-		t.Fatal("pipelined scalar RL: fixed (seed, workers) not reproducible")
+		t.Fatal("pipelined scalar RL: a fixed seed is not reproducible")
 	}
 }
 
@@ -102,7 +107,7 @@ func TestPipelinedAfterEpisodeOrdering(t *testing.T) {
 	sets := testSets(sys, 5, 20, 47)
 	m := testAgent(sys, 21)
 	var seen []int
-	cfg := Config{Workers: 2, Seed: 31, Pipelined: true, AfterEpisode: func(i int, r core.EpisodeResult) error {
+	cfg := Config{Seed: 31, Pipelined: true, AfterEpisode: func(i int, r core.EpisodeResult) error {
 		seen = append(seen, i)
 		return nil
 	}}
@@ -150,7 +155,7 @@ func TestPipelinedRequiresSnapshotLearner(t *testing.T) {
 	sets := testSets(sys, 3, 15, 61)
 	m := testAgent(sys, 25)
 	l := &barrierOnlyLearner{l: NewMRSchLearner(m, trainCfg(sys))}
-	_, err := Train(l, Config{Workers: 2, Seed: 67, Pipelined: true}, sets)
+	_, err := Train(l, Config{Seed: 67, Pipelined: true}, sets)
 	if err == nil {
 		t.Fatal("pipelined Train accepted a non-snapshot learner")
 	}
@@ -163,13 +168,14 @@ func TestPipelinedRequiresSnapshotLearner(t *testing.T) {
 func TestPipelinedEmptySets(t *testing.T) {
 	sys := testSystem()
 	m := testAgent(sys, 27)
-	results, err := Train(NewMRSchLearner(m, trainCfg(sys)), Config{Workers: 2, Seed: 71, Pipelined: true}, nil)
+	results, err := Train(NewMRSchLearner(m, trainCfg(sys)), Config{Seed: 71, Pipelined: true}, nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("results %v, err %v", results, err)
 	}
 }
 
-// The pipelined schedule publishes once per round boundary and hands every
+// The pipelined schedule publishes once per round boundary (one episode) and
+// hands every
 // episode to Reduce in order — verified through a probe learner that records
 // the call sequence (rollouts themselves are trivial).
 type probeLearner struct {
@@ -194,9 +200,9 @@ func (p *probeLearner) Reduce(ep Episode, tr Transcript) (core.EpisodeResult, er
 
 func TestPipelinedScheduleShape(t *testing.T) {
 	sys := testSystem()
-	sets := testSets(sys, 7, 5, 73) // 7 episodes, workers=3 -> rounds of 3,3,1
+	sets := testSets(sys, 7, 5, 73) // 7 episodes: 7 rounds of one
 	p := &probeLearner{}
-	results, err := Train(p, Config{Workers: 3, Seed: 79, Pipelined: true}, sets)
+	results, err := Train(p, Config{Seed: 79, Pipelined: true}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,23 +214,23 @@ func TestPipelinedScheduleShape(t *testing.T) {
 			t.Fatalf("reduce order %v", p.reduced)
 		}
 	}
-	// One initial publish plus one per round boundary between the 3 rounds.
-	if p.published != 3 {
-		t.Fatalf("published %d times, want 3 (initial + 2 boundaries)", p.published)
+	// One initial publish plus one per round boundary between the 7 rounds.
+	if p.published != 7 {
+		t.Fatalf("published %d times, want 7 (initial + 6 boundaries)", p.published)
 	}
 }
 
 // TestBurstTelemetryIsPerStepAndObserveOnly: an episode's gradient steps run
-// as one dfp burst — here on three training workers, with two snapshot
-// actors rolling out on the same CPUs — and the harness still records one
+// as one dfp burst — here with the next episode's snapshot actor rolling
+// out on the same CPUs — and the harness still records one
 // dfp_train_step_ns sample per step, not per burst, and one sample of each
 // step phase, while training the weights an uninstrumented run trains.
 func TestBurstTelemetryIsPerStepAndObserveOnly(t *testing.T) {
 	sys := testSystem()
 	sets := testSets(sys, 6, 25, 41)
 	train := func(reg *telemetry.Registry) []byte {
-		m := testAgentWorkers(sys, 17, 3)
-		cfg := Config{Workers: 2, Seed: 23, Pipelined: true, Metrics: reg}
+		m := testAgent(sys, 17)
+		cfg := Config{Seed: 23, Pipelined: true, Metrics: reg}
 		if _, err := Train(NewMRSchLearner(m, trainCfg(sys)), cfg, sets); err != nil {
 			t.Fatal(err)
 		}
@@ -234,8 +240,8 @@ func TestBurstTelemetryIsPerStepAndObserveOnly(t *testing.T) {
 	if !bytes.Equal(train(reg), train(nil)) {
 		t.Fatal("an instrumented run trained different weights")
 	}
-	// The step histogram and the four that split a step over worker 0's
-	// phases: one sample each per gradient step, and phases that ran (a wait
+	// The step histogram and the four that split a step over the reducing
+	// goroutine's phases: one sample each per gradient step, and phases that ran (a wait
 	// may round to nothing, a shard, a fold and an Adam range cannot).
 	want := uint64(len(sets) * trainCfg(sys).StepsPerEpisode)
 	seen := map[string]telemetry.HistogramValue{}

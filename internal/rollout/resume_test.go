@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -16,30 +17,16 @@ import (
 // boundary and resuming from the checkpoint written there must be bitwise
 // identical to never having been interrupted — the same final weights and
 // the same EpisodeResult stream (contract rules 9-10). Exercised for
-// barrier and pipelined modes, Workers 1 and 4, and checkpoints at the
-// first, a middle, and the final round boundary.
+// barrier and pipelined modes, Config.Workers 1 and 4 (which nothing reads),
+// and checkpoints at the first, a middle, and the final round boundary.
 
 // errSimulatedCrash is the sentinel a Checkpoint hook returns to model the
 // process dying right after the checkpoint write.
 var errSimulatedCrash = errors.New("simulated crash")
 
-// resumeBoundaries returns the round-boundary episode counts of a run of n
-// episodes with effective round width w: first, a middle one, and the last.
-func resumeBoundaries(w, n int) []int {
-	var all []int
-	for b := w; b < n; b += w {
-		all = append(all, b)
-	}
-	all = append(all, n)
-	switch len(all) {
-	case 1:
-		return all
-	case 2:
-		return all
-	default:
-		return []int{all[0], all[len(all)/2], all[len(all)-1]}
-	}
-}
+// resumeBoundaries returns round-boundary episode counts of a run of n > 2
+// episodes, a round each: the first, a middle one, and the last.
+func resumeBoundaries(n int) []int { return []int{1, n / 2, n} }
 
 // trainToCrash trains a fresh agent until the checkpoint at `at` episodes,
 // captures the agent state written there, and returns it with the results
@@ -118,12 +105,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			cfg := Config{Workers: workers, Seed: 23, Pipelined: pipelined}
 			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
 				refResults, refWeights := runReference(t, cfg)
-				n := len(refResults)
-				w := workers
-				if w > n {
-					w = n
-				}
-				for _, at := range resumeBoundaries(w, n) {
+				for _, at := range resumeBoundaries(len(refResults)) {
 					prefix, state := trainToCrash(t, cfg, at)
 					tail, weights := resumeFrom(t, cfg, state, at)
 					if !bytes.Equal(weights, refWeights) {
@@ -140,9 +122,10 @@ func TestCrashResumeEquivalence(t *testing.T) {
 }
 
 // A checkpoint written at the final boundary resumes to an immediate,
-// result-free completion with the reference weights intact.
+// result-free completion with the reference weights intact; an offset past
+// it is refused in both modes.
 func TestResumeAtCompletion(t *testing.T) {
-	cfg := Config{Workers: 4, Seed: 23}
+	cfg := Config{Seed: 23}
 	refResults, refWeights := runReference(t, cfg)
 	_, state := trainToCrash(t, cfg, len(refResults))
 	tail, weights := resumeFrom(t, cfg, state, len(refResults))
@@ -152,43 +135,32 @@ func TestResumeAtCompletion(t *testing.T) {
 	if !bytes.Equal(weights, refWeights) {
 		t.Fatal("resume at completion: weights differ from the uninterrupted run")
 	}
-}
-
-// Resume offsets that don't land on a round boundary are rejected loudly
-// in both modes — silently re-collecting a partial round would break the
-// equivalence contract.
-func TestResumeRejectsMidRound(t *testing.T) {
 	sys := testSystem()
 	sets := testSets(sys, 8, 25, 41)
 	for _, pipelined := range []bool{false, true} {
 		m := testAgent(sys, 17)
-		cfg := Config{Workers: 4, Seed: 23, Pipelined: pipelined, Resume: 3}
+		cfg := Config{Seed: 23, Pipelined: pipelined, Resume: len(sets) + 1}
 		if _, err := Train(NewMRSchLearner(m, trainCfg(sys)), cfg, sets); err == nil {
-			t.Errorf("pipelined=%v: mid-round Resume=3 with Workers=4 accepted, want error", pipelined)
-		}
-		m = testAgent(sys, 17)
-		cfg.Resume = 9
-		if _, err := Train(NewMRSchLearner(m, trainCfg(sys)), cfg, sets); err == nil {
-			t.Errorf("pipelined=%v: out-of-range Resume=9 accepted, want error", pipelined)
+			t.Errorf("pipelined=%v: out-of-range Resume=%d accepted, want error", pipelined, cfg.Resume)
 		}
 	}
 }
 
-// The checkpoint hook fires at every round boundary with the cumulative
-// episode count, including the final one.
+// The checkpoint hook fires at every round boundary — after every episode —
+// with the cumulative episode count, including the final one.
 func TestCheckpointBoundaries(t *testing.T) {
 	sys := testSystem()
 	sets := testSets(sys, 6, 25, 41)
 	for _, pipelined := range []bool{false, true} {
 		m := testAgent(sys, 17)
 		var got []int
-		cfg := Config{Workers: 4, Seed: 23, Pipelined: pipelined,
+		cfg := Config{Seed: 23, Pipelined: pipelined,
 			Checkpoint: func(done int) error { got = append(got, done); return nil }}
 		if _, err := Train(NewMRSchLearner(m, trainCfg(sys)), cfg, sets); err != nil {
 			t.Fatal(err)
 		}
-		want := []int{4, 6}
-		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		want := []int{1, 2, 3, 4, 5, 6}
+		if !slices.Equal(got, want) {
 			t.Errorf("pipelined=%v: checkpoint boundaries %v, want %v", pipelined, got, want)
 		}
 	}

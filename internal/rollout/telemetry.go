@@ -51,13 +51,13 @@ func (m rolloutMetrics) episodeDone(eps, loss float64) {
 	}
 }
 
-// roundDone marks a round boundary: counter, throughput gauge, and one
-// journal line. dt is zero when the harness is not timing (nil registry);
-// the journal then carries only the progress fields.
-func (m rolloutMetrics) roundDone(j *telemetry.Journal, done, cnt int, dt time.Duration) {
+// roundDone marks a round boundary (one episode): counter, throughput
+// gauge, and one journal line. dt is zero when the harness is not timing
+// (nil registry); the journal then carries only the progress field.
+func (m rolloutMetrics) roundDone(j *telemetry.Journal, done int, dt time.Duration) {
 	m.rounds.Inc()
 	if dt > 0 {
-		m.episodesPerSec.Set(float64(cnt) / dt.Seconds())
+		m.episodesPerSec.Set(1 / dt.Seconds())
 	}
-	j.Event("rollout_round", "episodes_done", done, "round_episodes", cnt)
+	j.Event("rollout_round", "episodes_done", done)
 }

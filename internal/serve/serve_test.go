@@ -36,7 +36,6 @@ func testAgent(sys cluster.Config, seed int64) *core.MRSch {
 		Window: 6,
 		Seed:   seed,
 		Mutate: func(c *dfp.Config) {
-			c.Workers = 1
 			c.StateHidden = []int{24}
 			c.StateOut = 12
 			c.ModuleHidden = 8
@@ -196,7 +195,7 @@ func TestEngineDecidesLikePickAtEveryBatchSize(t *testing.T) {
 // would still count against the server.
 func TestNewServerHoldsNoWeightCopy(t *testing.T) {
 	sys := testSystem()
-	m := core.New(sys, core.Options{Window: 6, Seed: 29, Mutate: func(c *dfp.Config) { c.Workers = 1 }})
+	m := core.New(sys, core.Options{Window: 6, Seed: 29})
 	weights := 0
 	for _, p := range m.Agent.Params() {
 		weights += 8 * len(p.Value)
