@@ -430,6 +430,27 @@ func BenchmarkDecideDuringSwap(b *testing.B) {
 	b.ReportMetric(float64(swaps)/b.Elapsed().Seconds(), "swaps/s")
 }
 
+// BenchmarkLoadModel is one model file load at the quick geometry, the file
+// read from memory: what a served model's Swap and a campaign's model-store
+// reload run. B/op is the architecture's zero values, the file's bytes, the
+// decoded values the model adopts and its packed first layer.
+func BenchmarkLoadModel(b *testing.B) {
+	agent := experiments.NewMRSchUntrained(experiments.QuickScale(), false)
+	var file bytes.Buffer
+	if err := agent.Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	cfg := agent.Agent.Config()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dfp.LoadModel(cfg, bytes.NewReader(file.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(file.Len()), "file_bytes")
+}
+
 // ---------------------------------------------------------------------------
 // internal/rollout — episode collection, one episode a round; episodes/sec is
 // the comparison axis. StepsPerEpisode=-1 disables gradient steps so the

@@ -107,6 +107,47 @@ func TestTrainStepsEqualsTrainStepLoop(t *testing.T) {
 	})
 }
 
+// TestReleaseBetweenBurstsKeepsBits: releasing the step engine between
+// bursts changes nothing a later burst computes. k bursts, a release and m
+// more give the losses, the durable state (weights, Adam moments and step
+// counter, rng cursor, step count) and the saved weights of k+m bursts run
+// straight through; the release leaves the agent no worker, and its own
+// layers never hold a gradient.
+func TestReleaseBetweenBurstsKeepsBits(t *testing.T) {
+	atOneCPU(t, func(t *testing.T) {
+		for _, c := range burstCases {
+			t.Run(c.name, func(t *testing.T) {
+				const k, m, n = 3, 2, 4
+				straight, released := c.mk(), c.mk()
+				var want, got []float64
+				for range k + m {
+					want = append(want, burstLosses(straight, n)...)
+				}
+				for range k {
+					got = append(got, burstLosses(released, n)...)
+				}
+				if w, g := released.TrainScratch(); w == 0 || g != 0 {
+					t.Fatalf("before the release: %d workers, %d gradients on the agent's own layers; want some, none", w, g)
+				}
+				released.ReleaseWorkers()
+				if w, g := released.TrainScratch(); w != 0 || g != 0 {
+					t.Fatalf("after the release: %d workers, %d gradients on the agent's own layers; want none", w, g)
+				}
+				for range m {
+					got = append(got, burstLosses(released, n)...)
+				}
+				sameLosses(t, "bursts across a release", got, want)
+				if !bytes.Equal(stateBytes(t, released), stateBytes(t, straight)) {
+					t.Fatal("state after a release between bursts differs from the uninterrupted bursts'")
+				}
+				if !bytes.Equal(weightBytes(t, released), weightBytes(t, straight)) {
+					t.Fatal("saved weights after a release between bursts differ from the uninterrupted bursts'")
+				}
+			})
+		}
+	})
+}
+
 // TestBurstWideEqualsNarrowForms: the avx2 set's 512-bit kernel forms are its
 // 256-bit arithmetic, so a 32-step burst ends in the same durable state
 // (weights, both Adam moments, step counters, rng cursor) and reports the same

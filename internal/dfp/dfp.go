@@ -166,7 +166,8 @@ type Agent struct {
 
 	trainSteps int
 
-	// Training engine state (engine.go).
+	// Training engine state (engine.go): built by the first TrainSteps,
+	// dropped by ReleaseWorkers.
 	workers  []*trainWorker
 	plan     stepPlan
 	gang     gang
@@ -202,7 +203,8 @@ func New(cfg Config) *Agent {
 }
 
 // buildModules builds the five networks of cfg's architecture, drawing their
-// initial weights from rng in one fixed order.
+// initial weights from rng in one fixed order; a nil rng draws none and
+// leaves them zero, for a load that replaces them.
 func buildModules(cfg *Config, rng *rand.Rand) modules {
 	var m modules
 	m.state = buildStateModule(cfg, rng)

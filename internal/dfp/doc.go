@@ -33,17 +33,23 @@
 //   - TrainSteps runs a burst of gradient steps — an episode's worth — and
 //     TrainStep is a burst of one. Each minibatch goes through batched
 //     matrix-matrix kernels with a sparse dueling backward, cut into a fixed
-//     two shards, one per worker, that run on min(GOMAXPROCS, 2)
-//     goroutines started once per burst; they meet at a polling barrier
-//     and share the rest of the step too: per-worker gradients are folded
-//     in fixed worker order by each parameter's owner in one pass per
-//     shadow (nn.FoldNorm: add, zero the shadow, and take the clip norm's
-//     sum of squares while the gradient goes by), and the Adam update is
-//     cut into one range of the concatenated parameters per goroutine
-//     (engine.go). The shard count alone decides the bits, so trained
-//     weights are a function of the Config at every core count; at
-//     GOMAXPROCS=1 the second shard's gradient buffer is kept all the same
-//     (one more copy of the weights). ObserveSteps hands a caller the
+//     two shards, one per worker — an nn.SharedClone replica with a
+//     gradient of its own — that run on min(GOMAXPROCS, 2) goroutines
+//     started once per burst; they meet at a polling barrier and share the
+//     rest of the step too: the other workers' gradients are folded into
+//     worker 0's in fixed worker order by each parameter's owner in one
+//     pass per shadow (nn.FoldNorm: add, zero the shadow, and take the clip
+//     norm's sum of squares while the gradient goes by), and the Adam
+//     update of the master weights from that sum is cut into one range of
+//     the concatenated parameters per goroutine (engine.go). The shard
+//     count alone decides the bits, so trained weights are a function of
+//     the Config at every core count; at GOMAXPROCS=1 both shards'
+//     gradient buffers are kept all the same. The agent's own layers never
+//     run a backward pass and hold no gradient; the workers, with their
+//     gradients and training-sized buffers, are built by the first burst
+//     and dropped by ReleaseWorkers — experiments.Train's last step — after
+//     which the next burst rebuilds them and continues to the bit
+//     (burst_test.go). ObserveSteps hands a caller the
 //     calling goroutine's time in each phase of every step — shard, fold,
 //     Adam, barrier waits — reading the clock only while it is set (rollout exports them as
 //     dfp_step_{shard,fold,adam,wait}_ns beside dfp_train_step_ns). A
@@ -70,7 +76,9 @@
 //
 // Two clone flavors serve the inference paths. Neither carries gradient
 // storage: only the training engine's replica workers run a backward pass
-// through a clone, and they allocate it themselves.
+// through a clone, and they allocate it themselves. A Model loaded from a
+// file (LoadModel) draws no initial weights: its networks are built zero
+// and take the file's values.
 //
 //   - Agent.Actor pairs nn.SharedClone replicas (weights alias the live
 //     Values) with private scratch — safe to run concurrently with other

@@ -22,21 +22,24 @@
 //
 //  3. Fixed shards, run on the CPUs there are. A step's minibatch is always
 //     cut into min(stepShards, batch) shards, and each shard has its worker:
-//     worker 0 views the agent's own layers, worker k > 0 an nn.SharedClone
-//     replica whose parameters alias the master weight Values but own a
-//     private (shadow) gradient buffer. The shards run on
-//     G = min(GOMAXPROCS, shards) goroutines, goroutine g running the
-//     workers g, g+G, …; a goroutine that runs two still accumulates the
-//     second into that worker's shadow. An episode's gradient steps run back to
-//     back (TrainSteps), so the helper goroutines are started once per
-//     burst, stay for its n steps and exit with it, and all G goroutines
-//     share every phase of a step, not only the backward pass:
+//     an nn.SharedClone replica of the agent's networks whose parameters
+//     alias the master weight Values but own a private gradient buffer. The
+//     agent's own layers run no backward pass and hold no gradient. The
+//     shards run on G = min(GOMAXPROCS, shards) goroutines, goroutine g
+//     running the workers g, g+G, …; a goroutine that runs two still
+//     accumulates the second into that worker's gradient. An episode's
+//     gradient steps run back to back (TrainSteps), so the helper goroutines
+//     are started once per burst, stay for its n steps and exit with it, and
+//     all G goroutines share every phase of a step, not only the backward
+//     pass:
 //
 //     batch published → each goroutine runs its shards → each parameter's
-//     owner folds that parameter's shadow gradients into the master in
-//     worker order, zeroes them and computes its clip factor, one pass
-//     per shadow (nn.FoldNorm) → each goroutine applies Adam to its
-//     contiguous range of the concatenated parameters → weights complete.
+//     owner folds the other workers' gradients of that parameter into
+//     worker 0's in worker order, zeroes them and computes its clip factor,
+//     one pass per shadow (nn.FoldNorm) → each goroutine applies Adam to the
+//     master weights over its contiguous range of the concatenated
+//     parameters, reading and zeroing worker 0's gradient → weights
+//     complete.
 //
 //     Owners are whole parameters (largest first onto the least loaded
 //     goroutine) because a clip factor is an L2 norm in nn.L2Norm's own
@@ -45,10 +48,16 @@
 //     the owner assignment, nor where the ranges are cut changes a bit:
 //     shard boundaries, sample order, rng consumption and reduction
 //     association are a function of the shard count alone, which is fixed.
-//     Trained weights are therefore the same bits at every GOMAXPROCS. The
-//     price of fixing it is memory: at GOMAXPROCS=1 a step still keeps the
-//     second worker's shadow gradient, one more copy of the weights —
-//     0.73 MB at quick scale, 409 MB at §IV-C's width.
+//     Trained weights are therefore the same bits at every GOMAXPROCS.
+//
+//     The workers are the step engine's memory: per worker a gradient (one
+//     copy of the weights, 0.73 MB at quick scale, 409 MB at §IV-C's width,
+//     kept at GOMAXPROCS=1 too) and the training-sized activations and
+//     transposed weights of its layers. They are built by the first
+//     TrainSteps and live until ReleaseWorkers, which experiments.Train
+//     calls when a training ends, so two gradient buffers exist only while
+//     an agent trains; the next TrainSteps builds them again, zeroed, and
+//     continues to the bit.
 //
 //     The phases are separated by a generation-counting barrier (gang)
 //     whose waiter polls an atomic and never parks: waking a parked
@@ -71,9 +80,10 @@ import (
 	"repro/internal/nn"
 )
 
-// trainWorker owns one shard's network view and scratch buffers. Worker 0
-// views the agent's own layers (gradients accumulate directly into the
-// master); higher workers hold SharedClone replicas with shadow gradients.
+// trainWorker owns one shard's network replica, its gradient and its scratch
+// buffers. Every worker is an nn.SharedClone of the agent's networks: it
+// reads the master weight Values and accumulates into a gradient of its own,
+// so the agent's own layers never run a backward pass.
 type trainWorker struct {
 	a *Agent
 
@@ -84,7 +94,7 @@ type trainWorker struct {
 	trunk    *nn.Sequential // action stream minus its final Dense
 	head     *nn.Dense      // StreamHidden -> Actions*PredDim
 
-	params []*nn.Param // replica params in master order; nil for worker 0
+	params []*nn.Param // replica params in master order, each with its Grad
 
 	// Scratch, all Ensure-grown and reused across steps.
 	stateB, measB, goalB   nn.Vec
@@ -112,9 +122,9 @@ func splitActStream(act *nn.Sequential) (*nn.Sequential, *nn.Dense) {
 // golden was written at and the fastest count measured (ROADMAP 6(b)).
 const stepShards = 2
 
-// ensureWorkers builds one worker per shard on first use (lazily, so
-// inference-only agents at paper scale never pay for replica gradient
-// buffers).
+// ensureWorkers builds one worker per shard on first use: lazily, so an
+// agent that only decides never holds a gradient, and again after
+// ReleaseWorkers.
 func (a *Agent) ensureWorkers() {
 	if a.workers != nil {
 		return
@@ -123,22 +133,22 @@ func (a *Agent) ensureWorkers() {
 	if nw <= 0 {
 		nw = stepShards
 	}
-	trunk, head := splitActStream(a.nets.act)
-	a.workers = []*trainWorker{{
-		a:        a,
-		stateNet: a.nets.state,
-		measNet:  a.nets.meas,
-		goalNet:  a.nets.goal,
-		expNet:   a.nets.exp,
-		trunk:    trunk,
-		head:     head,
-	}}
-	for w := 1; w < nw; w++ {
-		a.workers = append(a.workers, a.newReplicaWorker())
+	for range nw {
+		a.workers = append(a.workers, a.newWorker())
 	}
 }
 
-func (a *Agent) newReplicaWorker() *trainWorker {
+// ReleaseWorkers drops the step engine's workers with their gradients,
+// training-sized activations and transposed weights, and its per-step
+// buffers. The weights, the optimizer, the replay ring and the rng are
+// untouched, so the next TrainSteps rebuilds the workers and continues to
+// the bit as if they had never gone. Call it between bursts — a returned
+// TrainSteps has seen every helper goroutine return — never during one.
+func (a *Agent) ReleaseWorkers() {
+	a.workers, a.batchBuf, a.headWcol = nil, nil, nil
+}
+
+func (a *Agent) newWorker() *trainWorker {
 	nets := a.nets.cloneVia(nn.SharedClone)
 	trunk, head := splitActStream(nets.act)
 	tw := &trainWorker{
@@ -150,8 +160,9 @@ func (a *Agent) newReplicaWorker() *trainWorker {
 		trunk:    trunk,
 		head:     head,
 	}
-	// The replicas are the one place a clone runs Backward, so the one
-	// place clone gradient storage is allocated: a shadow per parameter.
+	// The workers are the one place a network runs Backward in training, so
+	// the one place its gradients are allocated: one per parameter per
+	// worker. The sparse head path accumulates into the head's by hand.
 	for _, p := range nets.params() {
 		p.Grad = make(nn.Vec, len(p.Value))
 		tw.params = append(tw.params, p)
@@ -266,13 +277,14 @@ func (a *Agent) share(w, ng, shards, batch int) bool {
 		return false
 	}
 	a.lap(w, &a.phases.Wait)
-	// Average the accumulated gradients over the minibatch and clip: one
-	// factor per parameter, applied inside the Adam kernel. The fold reads
-	// each gradient once: the last shadow's pass also takes the norm.
+	// Fold the workers' gradients into worker 0's, in worker order, then
+	// average over the minibatch and clip: one factor per parameter, applied
+	// inside the Adam kernel. The fold reads each gradient once: the last
+	// shadow's pass also takes the norm.
 	scale := 1 / float64(batch)
-	shadows := a.workers[1:shards]
+	sum, shadows := a.workers[0], a.workers[1:shards]
 	for _, i := range a.plan.owned[w] {
-		grad := a.params[i].Grad
+		grad := sum.params[i].Grad
 		norm := 0.0
 		if len(shadows) == 0 && a.cfg.GradClip > 0 {
 			norm = nn.FoldNorm(grad, nil)
@@ -288,7 +300,7 @@ func (a *Agent) share(w, ng, shards, batch int) bool {
 	}
 	a.lap(w, &a.phases.Wait)
 	for _, r := range a.plan.ranges[w] {
-		a.opt.ApplyRange(a.params[r.param], r.lo, r.hi, a.plan.factor[r.param])
+		a.opt.ApplyRange(a.params[r.param], sum.params[r.param].Grad, r.lo, r.hi, a.plan.factor[r.param])
 	}
 	a.lap(w, &a.phases.Adam)
 	ok := g.wait() // weights complete

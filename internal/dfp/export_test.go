@@ -9,3 +9,15 @@ func (a *Agent) ReplayStateWords() (kept, dense int) {
 	}
 	return kept, dense
 }
+
+// TrainScratch reports what the agent holds for its gradient steps: the
+// step engine's workers, and the parameters of the agent's own layers that
+// hold a gradient.
+func (a *Agent) TrainScratch() (workers, grads int) {
+	for _, p := range a.params {
+		if p.Grad != nil {
+			grads++
+		}
+	}
+	return len(a.workers), grads
+}

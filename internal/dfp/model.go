@@ -24,13 +24,14 @@ type Model struct {
 // built with cfg. The whole file is checked before the model exists: on a
 // file of another architecture, or a damaged or truncated one, it returns an
 // error and no model. The networks it reads into are gradient-free views of
-// cfg's architecture with values of their own, so a custom state module is
-// left as it was, and it builds no optimizer and no replay ring.
+// cfg's architecture, built without drawing initial weights, that take the
+// file's values as their own, so a custom state module is left as it was;
+// it builds no optimizer and no replay ring.
 func LoadModel(cfg Config, r io.Reader) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	built := buildModules(&cfg, rand.New(rand.NewSource(cfg.Seed)))
+	built := buildModules(&cfg, nil)
 	nets := built.cloneVia(nn.SharedClone)
 	if err := nn.AdoptWeights(r, nets.params()); err != nil {
 		return nil, err

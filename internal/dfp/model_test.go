@@ -114,10 +114,11 @@ func TestLoadModelLeavesACustomStateModule(t *testing.T) {
 }
 
 // Loading a quick-geometry model allocates under five times the file: the
-// architecture's initial weights and gradients (two), the file's bytes read
-// into one buffer sized up front (one), the decoded values the model adopts
-// (one) and the packed first layer. Growing the buffer geometrically, or
-// copying the decoded values into fresh ones, goes over.
+// architecture's zero values (one: no initial draw, no gradient), the file's
+// bytes read into one buffer sized up front (one), the decoded values the
+// model adopts (one) and the packed first layer — about 3.6 files. Growing the
+// buffer geometrically, or copying the decoded values into fresh ones, goes
+// over.
 func TestLoadModelAllocatesUnderFiveFiles(t *testing.T) {
 	cfg := DefaultConfig(394, 2, 10)
 	cfg.Offsets, cfg.TemporalWeights = []int{1, 2, 4, 8, 16}, []float64{0, 0, 0.5, 0.5, 1}

@@ -141,7 +141,9 @@ var paperOrdering = Ordering{core.Sampled, core.Real, core.Synthetic}
 // validated runs carry the selection state (best score and weights)
 // alongside the agent state, under a "-validated" key so they never collide
 // with plain ones — and with opt.Resume it continues a previously
-// interrupted run bitwise identically. The model-store fields of opt
+// interrupted run bitwise identically. It ends by releasing what an MRSch
+// agent's gradient steps kept (dfp.Agent.ReleaseWorkers), so a trained agent
+// holds what deciding and resuming read. The model-store fields of opt
 // (ModelDir, OnModel, NoTrain) are the campaign's and are not read here.
 func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 	if err := m.needTraining("training " + run.Family); err != nil {
@@ -194,7 +196,13 @@ func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 			return out, err
 		}
 	}
-	if out.Episodes, err = rollout.Train(learner, cfg, sets); err != nil {
+	out.Episodes, err = rollout.Train(learner, cfg, sets)
+	if out.MRSch != nil {
+		// rollout.Train has returned, and with it every burst of gradient
+		// steps and its helpers, so nothing reads the workers any more.
+		out.MRSch.Agent.ReleaseWorkers()
+	}
+	if err != nil {
 		return out, fmt.Errorf("experiments: training %s on %s: %w", run.Kind, run.Family, err)
 	}
 	if sel != nil {

@@ -25,8 +25,9 @@ type Conv1D struct {
 	lastB  int
 }
 
-// NewConv1D builds a convolution layer. Output length is
-// floor((inLen-kernel)/stride)+1; it panics if the geometry is infeasible.
+// NewConv1D builds a convolution layer, He-initialized from rng (a nil rng
+// leaves the kernel zero). Output length is floor((inLen-kernel)/stride)+1;
+// it panics if the geometry is infeasible.
 func NewConv1D(inCh, inLen, outCh, kernel, stride int, rng *rand.Rand) *Conv1D {
 	if kernel <= 0 || stride <= 0 || inLen < kernel {
 		panic(fmt.Sprintf("nn: NewConv1D bad geometry inLen=%d kernel=%d stride=%d", inLen, kernel, stride))
@@ -87,8 +88,8 @@ func (c *Conv1D) forwardRow(out, x Vec) {
 	}
 }
 
-// Backward accumulates kernel/bias gradients summed over rows and writes
-// input gradients into dst.
+// Backward accumulates kernel/bias gradients summed over rows, allocating
+// them on the first call, and writes input gradients into dst.
 func (c *Conv1D) Backward(dst, grad Vec, bsz int) Vec {
 	if c.lastB != bsz {
 		panic(fmt.Sprintf("nn: Conv1D.Backward bsz %d, forward saw %d", bsz, c.lastB))
@@ -113,20 +114,21 @@ func (c *Conv1D) Backward(dst, grad Vec, bsz int) Vec {
 }
 
 func (c *Conv1D) backwardRow(gin, grad, x Vec) {
+	gw, gb := c.W.grad(), c.B.grad()
 	for oc := 0; oc < c.OutCh; oc++ {
 		for p := 0; p < c.outLen; p++ {
 			g := grad[oc*c.outLen+p]
 			if g == 0 {
 				continue
 			}
-			c.B.Grad[oc] += g
+			gb[oc] += g
 			base := p * c.Stride
 			for ic := 0; ic < c.InCh; ic++ {
 				in := x[ic*c.InLen:]
 				ginCh := gin[ic*c.InLen:]
 				for k := 0; k < c.Kernel; k++ {
 					wi := c.wAt(oc, ic, k)
-					c.W.Grad[wi] += g * in[base+k]
+					gw[wi] += g * in[base+k]
 					ginCh[base+k] += g * c.W.Value[wi]
 				}
 			}

@@ -37,7 +37,7 @@ type Dense struct {
 }
 
 // NewDense constructs an in->out fully-connected layer with the given
-// initialization scheme.
+// initialization scheme, drawn from rng; a nil rng leaves the weights zero.
 func NewDense(in, out int, scheme Init, rng *rand.Rand) *Dense {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: NewDense invalid dims %dx%d", in, out))
@@ -109,8 +109,8 @@ func (d *Dense) SharePack(src *Dense) {
 	d.pack = src.pack
 }
 
-// Backward accumulates dL/dW and dL/db summed over the bsz rows of grad and
-// writes bsz rows of dL/dx into dst.
+// Backward accumulates dL/dW and dL/db summed over the bsz rows of grad,
+// allocating them on the first call, and writes bsz rows of dL/dx into dst.
 func (d *Dense) Backward(dst, grad Vec, bsz int) Vec {
 	if d.lastB != bsz {
 		panic(fmt.Sprintf("nn: Dense.Backward bsz %d, forward saw %d", bsz, d.lastB))
@@ -126,7 +126,7 @@ func (d *Dense) Backward(dst, grad Vec, bsz int) Vec {
 		panic(fmt.Sprintf("nn: Dense.Backward dst len %d, want %d x %d", len(dst), bsz, d.In))
 	}
 	if bsz == 1 {
-		denseBackwardRow(dst, grad, d.inBuf, d.W.Value, d.W.Grad, d.B.Grad, d.In, d.Out)
+		denseBackwardRow(dst, grad, d.inBuf, d.W.Value, d.W.grad(), d.B.grad(), d.In, d.Out)
 		return dst
 	}
 	d.accumBatchGrads(grad, bsz)
@@ -186,7 +186,7 @@ func denseBackwardRow(gin, grad, x, w, gw, gb Vec, in, out int) {
 // accumBatchGrads performs gb += Σ_rows grad and gw += gradᵀ·x through the
 // active kernel set's sample-blocked accumulation kernel.
 func (d *Dense) accumBatchGrads(grad Vec, bsz int) {
-	kern.AccumGrads(d.W.Grad, d.B.Grad, grad, d.inBuf, d.In, d.Out, bsz)
+	kern.AccumGrads(d.W.grad(), d.B.grad(), grad, d.inBuf, d.In, d.Out, bsz)
 }
 
 // inputGradBatch computes gin = grad·W through a freshly transposed weight

@@ -35,7 +35,9 @@
 //
 //   - Backward must follow a Forward of the same bsz. Parameter gradients
 //     accumulate summed over the batch rows, across calls, until the
-//     optimizer zeroes them.
+//     optimizer zeroes them. A parameter holds no gradient until the first
+//     Backward that accumulates into it (Dense, Conv1D) allocates one, so a
+//     network that only runs forward passes holds its values alone.
 //
 // Dense runs a batch as cache-blocked, register-unrolled matrix-matrix
 // kernels: the forward tiles weight rows to stay L1-resident across the
@@ -66,20 +68,25 @@
 //
 // For data-parallel training, SharedClone replicates a network so that the
 // replica shares parameter Values with the original but owns private
-// forward state; the caller gives each replica param a private gradient
-// buffer, each worker accumulates into its own gradients, and the caller
-// reduces them before the optimizer step (internal/dfp does this for the
-// two shards of every step). Clones come without gradient storage because
-// most are made for inference — rollout actors, evaluators, the serve
-// daemon's pooled deciders — and never run Backward.
+// forward state and, once it runs Backward, private gradients; each worker
+// accumulates into its own, and the caller reduces them before the
+// optimizer step. internal/dfp does this for the two shards of every step,
+// with every shard on a replica: the workers' gradients are summed into the
+// first worker's and ApplyRange updates the original's values from it, so
+// the original — the agent's own network — never holds a gradient. Clones
+// come without gradient storage, and the many made for inference — rollout
+// actors, evaluators, the serve daemon's pooled deciders — never run
+// Backward and never get one.
 //
 // The Adam update comes apart the same way. BeginStep opens an update (step
 // counter, bias corrections, moment vectors for parameters that have none),
 // ClipFactor turns one parameter's gradient into its multiplier (scale,
 // shrunk to the clip norm, through L2Norm's fixed four-lane order), and
-// ApplyRange runs the fused kernel over elements [lo,hi) of one parameter.
+// ApplyRange runs the fused kernel over elements [lo,hi) of one parameter
+// from the gradient its caller names — the parameter's own, or a reduced
+// replica gradient.
 // A caller that reduces replica gradients first takes the norm on the way:
-// FoldNorm adds a shadow gradient into the master, zeroes the shadow and
+// FoldNorm adds a shadow gradient into the sum, zeroes the shadow and
 // returns the L2 norm of the result in one pass (kernel.Set.FoldNorm — to
 // the bit what AddTo, Fill and L2Norm give, in both sets), and ClipFactorOf
 // is ClipFactor from that norm.

@@ -34,7 +34,7 @@ func GradCheck(params []*Param, loss func() float64, backward func(), eps float6
 			lm := loss()
 			p.Value[i] = orig
 			num := (lp - lm) / (2 * eps)
-			ana := p.Grad[i]
+			ana := p.grad()[i]
 			denom := math.Max(1e-8, math.Abs(num)+math.Abs(ana))
 			rel := math.Abs(num-ana) / denom
 			if rel > worst && math.Abs(num-ana) > 1e-7 {

@@ -7,8 +7,12 @@ import (
 
 // Param is a learnable tensor with its accumulated gradient. Optimizers
 // update Value from Grad; Grad is accumulated across Backward calls until
-// the optimizer zeroes it. A clone's params (SharedClone, SnapshotClone)
-// have a nil Grad until their holder gives them one.
+// the optimizer zeroes it. Grad is nil until something accumulates into it:
+// the first Backward through the parameter's layer allocates it (Dense,
+// Conv1D), or a holder that accumulates by hand gives it one. So a network
+// that only runs forward passes — an inference clone, a loaded model, a
+// training agent whose replicas take the backward passes — holds its values
+// and nothing more.
 //
 // A Param additionally carries an optional versioned snapshot of Value
 // (snapshot.go): Snapshot materializes a stable copy that concurrent readers
@@ -26,12 +30,23 @@ type Param struct {
 	version uint64
 }
 
-// NewParam allocates a parameter of n elements named name.
+// NewParam allocates a parameter of n elements named name: the value, and
+// no gradient yet.
 func NewParam(name string, n int) *Param {
-	return &Param{Name: name, Value: make(Vec, n), Grad: make(Vec, n)}
+	return &Param{Name: name, Value: make(Vec, n)}
 }
 
-// ZeroGrad clears the accumulated gradient.
+// grad returns p's gradient, allocating it zeroed on first use: what a
+// layer's Backward and the optimizer accumulate into and read.
+func (p *Param) grad() Vec {
+	if p.Grad == nil {
+		p.Grad = make(Vec, len(p.Value))
+	}
+	return p.Grad
+}
+
+// ZeroGrad clears the accumulated gradient; one that was never allocated is
+// already zero.
 func (p *Param) ZeroGrad() { Fill(p.Grad, 0) }
 
 // Layer is a differentiable transformation of a minibatch of bsz row-major
@@ -78,8 +93,13 @@ const (
 	ZeroInit
 )
 
-// initWeights fills w (treated as fanOut x fanIn) according to scheme.
+// initWeights fills w (treated as fanOut x fanIn) according to scheme. A nil
+// rng draws nothing and leaves w as allocated, zero: the layer of a network
+// whose values are about to be replaced, a model file's load.
 func initWeights(w Vec, fanIn, fanOut int, scheme Init, rng *rand.Rand) {
+	if rng == nil {
+		return
+	}
 	switch scheme {
 	case ZeroInit:
 		Fill(w, 0)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,5 +279,72 @@ func TestTrainingConvergesOnXOR(t *testing.T) {
 	}
 	if last/4 > 0.02 {
 		t.Fatalf("XOR did not converge: final avg loss %v", last/4)
+	}
+}
+
+// TestGradientsAllocateOnFirstBackward pins the lazy-gradient rule: a
+// constructor-built Dense or Conv1D holds its values and no gradient, a
+// SharedClone that only runs forward passes never gets one (nor does its
+// original), and the first Backward — at a batch of one or a batched one —
+// allocates it once, at the parameter's length, and later ones accumulate
+// into the same buffer.
+func TestGradientsAllocateOnFirstBackward(t *testing.T) {
+	builds := []struct {
+		name  string
+		in    int
+		layer func(*rand.Rand) Layer
+	}{
+		{"dense", 7, func(r *rand.Rand) Layer { return NewDense(7, 5, HeInit, r) }},
+		{"conv1d", 2 * 9, func(r *rand.Rand) Layer { return NewConv1D(2, 9, 3, 3, 2, r) }},
+		{"dense-first-of-sequential", 7, func(r *rand.Rand) Layer {
+			return NewSequential(7, NewDense(7, 5, HeInit, r), NewLeakyReLU(0.01), NewDense(5, 3, HeInit, r))
+		}},
+	}
+	rng := rand.New(rand.NewSource(43))
+	noGrads := func(label string, ps []*Param) {
+		t.Helper()
+		for _, p := range ps {
+			if p.Grad != nil {
+				t.Fatalf("%s: %s holds a %d-element gradient, want none", label, p.Name, len(p.Grad))
+			}
+		}
+	}
+	for _, b := range builds {
+		for _, bsz := range []int{1, 4} {
+			label := fmt.Sprintf("%s bsz=%d", b.name, bsz)
+			l := b.layer(rng)
+			noGrads(label+" as built", l.Params())
+
+			clone := SharedClone(l)
+			for _, n := range []int{1, bsz} {
+				clone.Forward(nil, randVec(rng, n*b.in), n)
+			}
+			noGrads(label+" inference clone", clone.Params())
+			noGrads(label+" original of an inference clone", l.Params())
+
+			out := l.Forward(nil, randVec(rng, bsz*b.in), bsz)
+			if s, ok := l.(*Sequential); ok && bsz > 1 {
+				s.BackwardBatchNoInput(randVec(rng, len(out)), bsz)
+			} else {
+				l.Backward(nil, randVec(rng, len(out)), bsz)
+			}
+			var first []*float64
+			for _, p := range l.Params() {
+				if len(p.Grad) != len(p.Value) {
+					t.Fatalf("%s: after the first Backward %s has a %d-element gradient, want %d", label, p.Name, len(p.Grad), len(p.Value))
+				}
+				first = append(first, &p.Grad[0])
+			}
+			for _, n := range []int{bsz, 1, 3} {
+				out := l.Forward(nil, randVec(rng, n*b.in), n)
+				l.Backward(nil, randVec(rng, len(out)), n)
+			}
+			for i, p := range l.Params() {
+				if &p.Grad[0] != first[i] {
+					t.Fatalf("%s: a later Backward gave %s a new gradient buffer", label, p.Name)
+				}
+			}
+			noGrads(label+" inference clone after its original trained", clone.Params())
+		}
 	}
 }

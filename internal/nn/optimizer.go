@@ -41,7 +41,8 @@ func (o *Adam) Step(params []*Param) { o.StepScaled(params, 1, 0) }
 func (o *Adam) StepScaled(params []*Param, scale, maxNorm float64) {
 	o.BeginStep(params)
 	for _, p := range params {
-		o.ApplyRange(p, 0, len(p.Value), ClipFactor(p.Grad, scale, maxNorm))
+		g := p.grad()
+		o.ApplyRange(p, g, 0, len(p.Value), ClipFactor(g, scale, maxNorm))
 	}
 }
 
@@ -93,7 +94,10 @@ func FoldNorm(grad, shadow Vec) float64 {
 }
 
 // ApplyRange applies the open step to elements [lo,hi) of p with effective
-// gradient f*Grad, and zeroes that range of Grad. The update runs through
+// gradient f*grad, and zeroes that range of grad. grad is p's length: p.Grad
+// itself, or a gradient a caller accumulated elsewhere — internal/dfp's
+// first replica worker's, into which the others were folded — so that p
+// needs none of its own. The update runs through
 // the active kernel set's fused Adam kernel: bias corrections are hoisted
 // into reciprocal multiplies and gradient zeroing is fused into the same
 // pass, leaving one unavoidable sqrt+divide per element. The kernel is
@@ -101,8 +105,8 @@ func FoldNorm(grad, shadow Vec) float64 {
 // how a parameter is cut into ranges does not change a bit of the result.
 // The moment vectors are looked up on every call, never remembered:
 // a train state's apply (ReadTrainState) replaces them.
-func (o *Adam) ApplyRange(p *Param, lo, hi int, f float64) {
-	kern.AdamStep(p.Value[lo:hi], p.Grad[lo:hi], o.m[p][lo:hi], o.v[p][lo:hi],
+func (o *Adam) ApplyRange(p *Param, grad Vec, lo, hi int, f float64) {
+	kern.AdamStep(p.Value[lo:hi], grad[lo:hi], o.m[p][lo:hi], o.v[p][lo:hi],
 		f, o.LR, o.Beta1, o.Beta2, 1-o.Beta1, 1-o.Beta2, o.invB1c, o.invB2c, o.Eps)
 }
 

@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// quadratic builds params for minimizing f(w) = sum (w_i - c_i)^2.
+// quadratic builds params for minimizing f(w) = sum (w_i - c_i)^2, with the
+// gradient gradQuadratic accumulates into by hand.
 func quadratic(n int, rng *rand.Rand) (*Param, Vec) {
 	p := NewParam("w", n)
+	p.Grad = make(Vec, n)
 	c := make(Vec, n)
 	for i := range c {
 		c[i] = rng.NormFloat64()
@@ -43,7 +45,7 @@ func TestAdamConverges(t *testing.T) {
 
 func TestStepZeroesGradients(t *testing.T) {
 	p := NewParam("w", 3)
-	p.Grad[1] = 2
+	p.Grad = Vec{0, 2, 0}
 	NewAdam(0.1).Step([]*Param{p})
 	for _, g := range p.Grad {
 		if g != 0 {
@@ -60,6 +62,7 @@ func TestAdamPiecesAreStepScaled(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 101} {
 		whole, pieces := NewParam("w", n), NewParam("w", n)
+		whole.Grad, pieces.Grad = make(Vec, n), make(Vec, n)
 		for i := range whole.Value {
 			whole.Value[i] = rng.NormFloat64()
 		}
@@ -79,9 +82,9 @@ func TestAdamPiecesAreStepScaled(t *testing.T) {
 			if c1 > c2 {
 				c1, c2 = c2, c1
 			}
-			optP.ApplyRange(pieces, c2, n, f)
-			optP.ApplyRange(pieces, 0, c1, f)
-			optP.ApplyRange(pieces, c1, c2, f)
+			optP.ApplyRange(pieces, pieces.Grad, c2, n, f)
+			optP.ApplyRange(pieces, pieces.Grad, 0, c1, f)
+			optP.ApplyRange(pieces, pieces.Grad, c1, c2, f)
 
 			for name, pair := range map[string][2]Vec{
 				"value": {pieces.Value, whole.Value}, "grad": {pieces.Grad, whole.Grad},
@@ -145,7 +148,7 @@ func TestFoldNormIsTheThreePasses(t *testing.T) {
 
 func TestClipGrads(t *testing.T) {
 	p := NewParam("w", 2)
-	p.Grad[0], p.Grad[1] = 30, 40
+	p.Grad = Vec{30, 40}
 	ClipGrads([]*Param{p}, 5)
 	if n := L2Norm(p.Grad); math.Abs(n-5) > 1e-12 {
 		t.Fatalf("clipped norm = %v, want 5", n)

@@ -20,7 +20,6 @@ type Instrumented interface {
 // either way (doc rule 11).
 type rolloutMetrics struct {
 	timed          bool
-	rounds         *telemetry.Counter
 	episodes       *telemetry.Counter
 	episodesPerSec *telemetry.Gauge
 	epsilon        *telemetry.Gauge
@@ -34,7 +33,6 @@ func newRolloutMetrics(l Learner, cfg Config) rolloutMetrics {
 	reg := cfg.Metrics
 	return rolloutMetrics{
 		timed:          reg != nil,
-		rounds:         reg.Counter("rollout_rounds_total"),
 		episodes:       reg.Counter("rollout_episodes_total"),
 		episodesPerSec: reg.Gauge("rollout_episodes_per_sec"),
 		epsilon:        reg.Gauge("rollout_epsilon"),
@@ -51,11 +49,10 @@ func (m rolloutMetrics) episodeDone(eps, loss float64) {
 	}
 }
 
-// roundDone marks a round boundary (one episode): counter, throughput
-// gauge, and one journal line. dt is zero when the harness is not timing
-// (nil registry); the journal then carries only the progress field.
+// roundDone marks a round boundary (one episode): throughput gauge and one
+// journal line. dt is zero when the harness is not timing (nil registry);
+// the journal then carries only the progress field.
 func (m rolloutMetrics) roundDone(j *telemetry.Journal, done int, dt time.Duration) {
-	m.rounds.Inc()
 	if dt > 0 {
 		m.episodesPerSec.Set(1 / dt.Seconds())
 	}
