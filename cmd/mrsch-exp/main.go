@@ -44,7 +44,7 @@
 // internal/rollout).
 //
 // -pipeline overlaps every training campaign's episode collection with its
-// gradient steps against a versioned weight snapshot (rollout.Config
+// gradient steps against a published weight snapshot (rollout.Config
 // .Pipelined). Campaigns stay reproducible but differ from barrier-mode
 // campaigns (one-round policy lag); figure tables trained either way keep
 // their qualitative shape. Measured on 2 vCPUs a training takes the same
@@ -108,7 +108,7 @@ import (
 
 	"repro/internal/distrib"
 	"repro/internal/experiments"
-	"repro/internal/nn"
+	"repro/internal/nn/kernel"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -118,7 +118,7 @@ func main() {
 	figFlag := flag.String("fig", "all", "comma-separated figures to run: 1,3,4,5,6,7,8,9,10,sweep,ablations or all")
 	seed := flag.Int64("seed", 0, "override campaign seed (0 keeps the scale default)")
 	parallel := flag.Int("parallel", 0, "campaign cells evaluated at once (0 = all CPU cores); moves no result bit")
-	pipeline := flag.Bool("pipeline", false, "overlap collection with training against a versioned weight snapshot")
+	pipeline := flag.Bool("pipeline", false, "overlap collection with training against a published weight snapshot")
 	campaignFlag := flag.String("campaign", "", "run a campaign instead of figures: a spec JSON file or a builtin name (see -list)")
 	checkpoint := flag.String("checkpoint", "", "directory for the family-model store and training checkpoints")
 	resume := flag.Bool("resume", false, "resume preempted family training from -checkpoint")
@@ -139,7 +139,7 @@ func main() {
 	// Kernel-set attribution goes to stderr only: worker mode speaks the
 	// distrib frame protocol on stdout, which must stay clean.
 	logger := telemetry.NewLogger(os.Stderr, "mrsch-exp")
-	logger.Event("kernel", "set", nn.KernelName(), "features", nn.KernelFeatures())
+	logger.Event("kernel", "set", kernel.Name(), "features", kernel.Features())
 
 	if *workerFlag {
 		runWorker(*connectFlag)

@@ -41,7 +41,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/nn"
+	"repro/internal/nn/kernel"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -127,9 +127,9 @@ func runDaemon(sc experiments.Scale, model, listen string, maxBatch int, maxWait
 	if err != nil {
 		return err
 	}
-	logger.Event("kernel", "set", nn.KernelName(), "features", nn.KernelFeatures())
+	logger.Event("kernel", "set", kernel.Name(), "features", kernel.Features())
 	logger.Event("serving", "system", sys.Name, "addr", ln.Addr(), "window", agent.Enc.Window,
-		"model_version", srv.ModelVersion(), "max_batch", maxBatch, "max_wait", maxWait, "kernel", nn.KernelName())
+		"model_version", srv.ModelVersion(), "max_batch", maxBatch, "max_wait", maxWait, "kernel", kernel.Name())
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)

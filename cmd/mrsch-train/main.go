@@ -13,7 +13,7 @@
 // the rollout package documentation for the determinism contract).
 //
 // -pipeline overlaps collection with training: episode k+1 rolls out against
-// a versioned weight snapshot while episode k's gradient steps run. Runs
+// a published weight snapshot while episode k's gradient steps run. Runs
 // stay bitwise reproducible but differ from barrier-mode runs (the
 // collection policy lags one episode); with -validate, the validation
 // protocol scores the live weights as usual while only snapshot readers are
@@ -57,7 +57,7 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/nn"
+	"repro/internal/nn/kernel"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -68,7 +68,7 @@ func main() {
 	out := flag.String("out", "", "weights output file (default mrsch-<workload>.model)")
 	cnn := flag.Bool("cnn", false, "use the CNN state module (Figure 3 ablation)")
 	validate := flag.Bool("validate", false, "keep the best weights by validation score (§IV-A protocol)")
-	pipeline := flag.Bool("pipeline", false, "overlap collection with training against a versioned weight snapshot")
+	pipeline := flag.Bool("pipeline", false, "overlap collection with training against a published weight snapshot")
 	checkpoint := flag.String("checkpoint", "", "directory for round-boundary training checkpoints (empty = no checkpointing)")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "write a checkpoint every N round boundaries (the final boundary always writes)")
 	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint if one exists (requires identical flags)")
@@ -76,10 +76,10 @@ func main() {
 	journalPath := flag.String("journal", "", "append run events as JSONL to this file (empty = off)")
 	flag.Parse()
 
-	// Attribute every run to its kernel set up front (MRSCH_KERNEL forces
-	// one; see internal/nn/kernel).
+	// Attribute every run to its kernel set up front (the CPU selects it;
+	// see internal/nn/kernel).
 	logger := telemetry.NewLogger(os.Stderr, "mrsch-train")
-	logger.Event("kernel", "set", nn.KernelName(), "features", nn.KernelFeatures())
+	logger.Event("kernel", "set", kernel.Name(), "features", kernel.Features())
 
 	// Flag combinations fail loudly.
 	if *resume && *checkpoint == "" {

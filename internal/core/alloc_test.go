@@ -79,9 +79,10 @@ func mootContext(t *testing.T, m *MRSch) *sched.PickContext {
 // itself at every startable instant; at a moot one (no waiting job fits) it
 // answers 0 without its model, where the recording actor still answers the
 // agent's pick. The recording actor was Reset and the evaluator packs at its
-// first forward, so under a kernel set that packs (CI forces each set over
-// this package) their first layer runs packed while the agent's runs dense:
-// the pick equality and the zero below hold for the packed path too.
+// first forward, so under a kernel set that packs (CI runs this package on
+// the CPU's set and in a purego build) their first layer runs packed while
+// the agent's runs dense: the pick equality and the zero below hold for the
+// packed path too.
 func TestUnrecordedActorPickAllocatesNothing(t *testing.T) {
 	m := New(sys(), tinyOptions(5))
 	ctxs := pickContexts()

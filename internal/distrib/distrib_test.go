@@ -88,6 +88,23 @@ func gatedPool(t *testing.T, n int, gate <-chan struct{}) Pool {
 	}}
 }
 
+// gateOn returns a gate for gatedPool that opens at worker 0's first event of
+// the given kind, seen through opt.OnEvent, and release, which opens it if
+// the run ends first (gatedPool's cleanup waits for every worker).
+func gateOn(opt *Options, kind EventKind) (gate <-chan struct{}, release func()) {
+	g := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(g) }) }
+	record := opt.OnEvent
+	opt.OnEvent = func(ev Event) {
+		record(ev)
+		if ev.Kind == kind && ev.Worker == 0 {
+			release()
+		}
+	}
+	return g, release
+}
+
 // fastOptions shrinks every robustness timescale so fault recovery happens
 // in milliseconds, and records the scheduling decisions for assertions
 // (OnEvent fires on Run's own goroutine — no locking needed).
@@ -213,21 +230,13 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			opt.Faults = Faults{0: tc.plan}
 			// The healthy worker joins once the sabotaged one holds a cell
 			// (or the run is over), so the fault always has a cell to hit.
-			gateOn := tc.gate
-			if gateOn == "" {
-				gateOn = EventAssign
+			kind := tc.gate
+			if kind == "" {
+				kind = EventAssign
 			}
-			gate := make(chan struct{})
-			var open sync.Once
-			record := opt.OnEvent
-			opt.OnEvent = func(ev Event) {
-				record(ev)
-				if ev.Kind == gateOn && ev.Worker == 0 {
-					open.Do(func() { close(gate) })
-				}
-			}
+			gate, release := gateOn(&opt, kind)
+			defer release()
 			got, err := Run(spec, experiments.CampaignOptions{Workers: 1}, opt, gatedPool(t, 2, gate))
-			open.Do(func() { close(gate) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,8 +299,12 @@ func TestExactlyOnceTraining(t *testing.T) {
 	var events []Event
 	opt := fastOptions(&events)
 	opt.Faults = Faults{0: {KillAfterEval: 1}}
+	// Worker 1 joins once worker 0 holds a cell: ungated, it could evaluate
+	// both cells first, and worker 0 would never reach its kill.
+	gate, release := gateOn(&opt, EventAssign)
+	defer release()
 	var trained1, cached1 int
-	got1, err := Run(spec, counts(&trained1, &cached1), opt, testPool(t, 2))
+	got1, err := Run(spec, counts(&trained1, &cached1), opt, gatedPool(t, 2, gate))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ type CampaignOptions struct {
 	// internal/rollout package doc for the determinism contract).
 	Workers int
 	// Pipelined overlaps episode collection with gradient steps
-	// (rollout.Config.Pipelined): round k+1 rolls out against a versioned
+	// (rollout.Config.Pipelined): round k+1 rolls out against a published
 	// weight snapshot while round k trains. Off by default — barrier mode is
 	// the bitwise-reproducibility reference. Pipelined training is
 	// deterministic but differs from barrier mode (a one-round policy lag);

@@ -30,20 +30,25 @@ type numericDigest struct {
 
 // numericGoldenCases cover the three layer stacks a refactor of nn/dfp/rl can
 // move: Dense+LeakyReLU through the DFP engine, Conv1D+MaxPool1D through the
-// same engine, and Dense+Softmax through per-step REINFORCE.
+// same engine, and Dense+Softmax through per-step REINFORCE; and the two
+// trainers again in pipelined mode, whose rounds roll out against a weight
+// snapshot one round behind.
 var numericGoldenCases = []struct {
 	name   string
 	method scenario.MethodSpec
+	opt    CampaignOptions
 }{
-	{"mrsch-mlp", scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true}},
-	{"mrsch-cnn", scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true, CNN: true}},
-	{"scalar-rl", scenario.MethodSpec{Kind: scenario.KindScalarRL, Train: true}},
+	{"mrsch-mlp", scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true}, CampaignOptions{}},
+	{"mrsch-cnn", scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true, CNN: true}, CampaignOptions{}},
+	{"scalar-rl", scenario.MethodSpec{Kind: scenario.KindScalarRL, Train: true}, CampaignOptions{}},
+	{"mrsch-mlp-pipelined", scenario.MethodSpec{Kind: scenario.KindMRSch, Train: true}, CampaignOptions{Pipelined: true}},
+	{"scalar-rl-pipelined", scenario.MethodSpec{Kind: scenario.KindScalarRL, Train: true}, CampaignOptions{Pipelined: true}},
 }
 
-// numericRun trains the method on S4 at tiny scale, evaluates the S4 cell
-// with the trained model and digests both artifacts. workers is the
-// campaign's CampaignOptions.Workers.
-func numericRun(t *testing.T, method scenario.MethodSpec, workers int) numericDigest {
+// numericRun trains the method on S4 at tiny scale under opt, evaluates the
+// S4 cell with the trained model and digests both artifacts. numericRun sets
+// opt's model store; the caller sets the rest.
+func numericRun(t *testing.T, method scenario.MethodSpec, opt CampaignOptions) numericDigest {
 	t.Helper()
 	s4, err := scenario.ByName("S4")
 	if err != nil {
@@ -56,11 +61,9 @@ func numericRun(t *testing.T, method scenario.MethodSpec, workers int) numericDi
 		Methods:   []scenario.MethodSpec{method},
 	}
 	var model string
-	results, err := RunCampaign(spec, CampaignOptions{
-		Workers:  workers,
-		ModelDir: t.TempDir(),
-		OnModel:  func(_, _, path string) { model = path },
-	})
+	opt.ModelDir = t.TempDir()
+	opt.OnModel = func(_, _, path string) { model = path }
+	results, err := RunCampaign(spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,9 @@ func weightsDigest(t *testing.T, file []byte) string {
 func TestNumericGolden(t *testing.T) {
 	got := map[string]numericDigest{}
 	for _, c := range numericGoldenCases {
-		got[c.name] = numericRun(t, c.method, 1)
+		opt := c.opt
+		opt.Workers = 1
+		got[c.name] = numericRun(t, c.method, opt)
 	}
 
 	if os.Getenv("UPDATE_GOLDEN") == "1" {
@@ -137,9 +142,10 @@ func TestNumericGolden(t *testing.T) {
 
 // A trained model is a function of its spec: a campaign trains the same
 // weights at every CampaignOptions.Workers and every GOMAXPROCS, for MRSch
-// and for Scalar RL. A gradient step always sums its minibatch in the same
-// two shards, whose boundaries set its summation order, and a rollout round
-// is one episode — so the goldens above need no pin.
+// and for Scalar RL, barrier and pipelined. A gradient step always sums its
+// minibatch in the same two shards, whose boundaries set its summation
+// order, and a rollout round is one episode — so the goldens above need no
+// pin.
 func TestTrainedWeightsIgnoreCoreCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range numericGoldenCases {
@@ -151,7 +157,9 @@ func TestTrainedWeightsIgnoreCoreCount(t *testing.T) {
 			for _, procs := range []int{1, 2, 3, 4} {
 				runtime.GOMAXPROCS(procs)
 				for _, workers := range []int{1, 2, 3} {
-					got := numericRun(t, c.method, workers).Weights
+					opt := c.opt
+					opt.Workers = workers
+					got := numericRun(t, c.method, opt).Weights
 					if want == "" {
 						want = got
 					}

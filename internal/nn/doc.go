@@ -10,7 +10,7 @@
 // All layers implement the one Layer interface, so arbitrary directed
 // compositions (such as DFP's three-branch, two-stream topology) can be wired
 // by hand in higher-level packages. The interface is closed — its clone
-// method is unexported, see "Weight snapshots and versioning" — so the set of
+// method is unexported, see "Weight snapshots" — so the set of
 // layer types is this package's.
 //
 // # The layer contract
@@ -97,25 +97,23 @@
 // on every call: a loaded train state replaces them, and a holder of the old
 // ones would update vectors the optimizer no longer owns.
 //
-// # Weight snapshots and versioning
+// # Weight snapshots
 //
 // Pipelined training (internal/rollout) needs readers of round-k weights to
 // run concurrently with the writer of round-k+1 weights. Each Param can
-// therefore carry a versioned copy-on-write snapshot of its Value
-// (snapshot.go):
+// therefore carry a copy-on-write snapshot of its Value (snapshot.go):
 //
 //   - Param.Snapshot materializes a stable second buffer holding a copy of
 //     the current Value; SnapshotClone builds a network replica whose params
 //     alias those buffers (with private forward state), so any number of
-//     replicas can run forward passes against a frozen weight version while
-//     the live Values train.
+//     replicas can run forward passes against frozen weights while the live
+//     Values train.
 //
 //   - Param.Publish / PublishParams copies the live Value into the snapshot
-//     buffer in place and bumps Param.Version. Because the buffer is shared
-//     by every replica, Publish must only run at a synchronization point
-//     with no replica mid-forward — internal/rollout's inter-round join.
-//     Replicas observe the new version on their next forward pass without
-//     re-cloning.
+//     buffer in place. Because the buffer is shared by every replica,
+//     Publish must only run at a synchronization point with no replica
+//     mid-forward — internal/rollout's inter-round join. Replicas observe
+//     the new weights on their next forward pass without re-cloning.
 //
 //   - Params that are never snapshotted skip the copy entirely, so
 //     inference-only agents and barrier-mode training pay nothing
@@ -144,11 +142,10 @@
 // Dense forward, the transposed-matmul input gradient, the weight-gradient
 // accumulation, and the fused Adam step — with the weight transpose that
 // feeds the second and the packed one-sample forward live in
-// internal/nn/kernel as a
-// function Set selected once at process start: the portable pure-Go set
-// ("go"), or a CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting
+// internal/nn/kernel as a function Set the CPU selects once at process
+// start: the portable pure-Go set ("go"), or a CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting
 // amd64 hosts, whose three batched kernels run in 512-bit register-tiled
-// forms where the CPU has AVX-512 (KernelFeatures says which forms are live).
+// forms where the CPU has AVX-512 (kernel.Features says which forms are live).
 // The set also carries FoldNorm, the training step's one-pass gradient fold.
 // The go set is the avx2 set's primitives written out in Go under the same
 // loop nests, so a set is a choice of speed, not of arithmetic: batch rows
@@ -160,6 +157,8 @@
 // its own. Byte-identical artifacts across hosts need the same GOARCH and, on
 // amd64, the same AVX+FMA support; arm64 against amd64 is unverified.
 //
-// MRSCH_KERNEL=go|avx2 forces a set (panicking at init if unsupported);
-// KernelName/KernelFeatures report what was selected for startup logs.
+// The CPU alone selects the set; no setting forces one. A build with the
+// purego tag compiles no kernel assembly and runs the go set on any host,
+// which is how the tests exercise it (go test -tags purego ./...);
+// kernel.Name and kernel.Features report what was selected for startup logs.
 package nn

@@ -13,19 +13,20 @@
 //
 // # Kernel sets
 //
-// Two sets exist today, and they compute the same bits: a set's name
-// selects speed, not arithmetic.
+// Two sets exist today, and they compute the same bits: they differ in
+// speed, not arithmetic.
 //
 //   - "go" — the portable set: the avx2 set's five primitives and its Adam
 //     step written out in Go (numerical contract, below) under the same loop
 //     nests. It runs wherever the avx2 set cannot (other architectures,
-//     amd64 CPUs without AVX2 and FMA), is the reference the kernel suites
-//     hold the avx2 set to, and has no packed path and no BackfillScan4. The
-//     lane map costs scalar code time: a 394x128 forward at 16 samples takes
-//     616 µs where one-accumulator Go loops take 270 (71 in the avx2 set's
-//     256-bit form; one core of a shared 2.1 GHz Xeon), and where the CPU has
-//     no FMA, math.FMA is software (math/fma.go) and it takes 25 ms
-//     (GODEBUG=cpu.fma=off); README "Benchmarks" gives the end-to-end cost.
+//     amd64 CPUs without AVX2 and FMA, purego builds), is the reference the
+//     kernel suites hold the avx2 set to, and has no packed path and no
+//     BackfillScan4. The lane map costs scalar code time: a 394x128 forward
+//     at 16 samples takes 616 µs where one-accumulator Go loops take 270 (71
+//     in the avx2 set's 256-bit form; one core of a shared 2.1 GHz Xeon), and
+//     where the CPU has no FMA, math.FMA is software (math/fma.go) and it
+//     takes 25 ms (GODEBUG=cpu.fma=off); README "Benchmarks" gives the
+//     end-to-end cost.
 //
 //   - "avx2" (amd64 only) — hand-written AVX2/FMA assembly primitives
 //     (4-row fused-multiply-add dot products, 8/4-way rank-1 axpy updates,
@@ -52,20 +53,24 @@
 //     reports which forms are live; nothing selects them but the CPU
 //     (SetWide is the tests' hook, and moves all five kernels together).
 //
-// # Selection and the MRSCH_KERNEL override
+// # Selection
 //
-// Selection happens exactly once, at package init, and is process-global:
-// Active returns the same Set for the life of the process, and every
-// caller — inference at bsz=1 (Act/Pick), the batched decision path
-// (BatchDecider), and the training engine (TrainStep) —
-// funnels through it. The best supported set wins by default; the
-// MRSCH_KERNEL environment variable forces one for testing:
+// The CPU alone selects the set, once, at package init, and the choice is
+// process-global: Active returns the same Set for the life of the process,
+// and every caller — inference at bsz=1 (Act/Pick), the batched decision
+// path (BatchDecider), and the training engine (TrainStep) — funnels
+// through it. It is the avx2 set where the probe finds AVX2, FMA and the
+// OS's YMM state, and the go set otherwise. No setting chooses a set: the
+// sets compute the same bits, so a choice could only pick slower code.
 //
-//	MRSCH_KERNEL=go    # force the portable set: the same bits, slower
-//	MRSCH_KERNEL=avx2  # force AVX2/FMA; panics at init if unsupported
+// The tests run the go set where the CPU would pick avx2 by building with
+// the purego tag, the Go ecosystem's tag for "no assembly":
 //
-// An unknown or unsupported forced name panics at init — a forced run
-// must never silently fall back to a different set than it asked for.
+//	go test -tags purego ./internal/nn/...
+//
+// A purego build compiles kernel_other.go, the dispatch every non-amd64 host
+// compiles, and none of the kernel assembly. In the default build the kernel
+// suites call both sets directly and hold the avx2 set to the go set.
 //
 // # Numerical contract
 //

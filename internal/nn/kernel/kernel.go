@@ -1,10 +1,8 @@
 package kernel
 
 import (
-	"fmt"
+	"cmp"
 	"math"
-	"os"
-	"strings"
 )
 
 // Set is one family of engine kernels. Every set computes the same bits (the
@@ -115,25 +113,14 @@ var Reference = &Set{
 	FoldNorm:     goFoldNorm,
 }
 
-var (
-	active   *Set
-	features string
-)
+// active is the process-global set: the CPU's accelerated set where the
+// probe found one, Reference otherwise. It is a variable initializer, like the
+// probe's, so it is resolved once, before any init() runs.
+var active = cmp.Or(nativeSet(), Reference)
 
-func init() {
-	features = cpuFeatures()
-	s, err := Select(os.Getenv("MRSCH_KERNEL"))
-	if err != nil {
-		// A forced set that cannot be honored must fail loudly, never
-		// silently fall back (the run would be attributed to the wrong
-		// kernels).
-		panic(err)
-	}
-	active = s
-}
-
-// Active returns the process-global kernel set, selected once at init:
-// the best CPU-supported set, or whatever MRSCH_KERNEL forced.
+// Active returns the process-global kernel set, resolved once at init from
+// the CPU alone: the avx2 set where the CPU has AVX2 and FMA, the go set
+// otherwise (and in a purego build).
 func Active() *Set { return active }
 
 // Name returns the active set's name.
@@ -143,49 +130,8 @@ func Name() string { return active.Name }
 // forms of the avx2 set's batched kernels they selected (e.g. "fma avx avx2
 // avx512f avx512dq avx512vl osxsave zmm forms=wide"; "forms=narrow" without
 // the AVX-512 bits or the OS's ZMM state), or "none" when no accelerated set
-// exists for this architecture.
-func Features() string {
-	if features == "" {
-		return "none"
-	}
-	return features
-}
-
-// Native returns this host's accelerated kernel set, or nil when the CPU
-// (or architecture) does not support one. It is exported for equivalence
-// tests, which hold it to Reference bit for bit regardless of which set
-// Active selected.
-func Native() *Set { return nativeSet() }
-
-// Names lists the kernel sets available on this host, reference first.
-func Names() []string {
-	names := []string{Reference.Name}
-	if n := nativeSet(); n != nil {
-		names = append(names, n.Name)
-	}
-	return names
-}
-
-// Select resolves a kernel-set name to a Set: "" or "auto" picks the best
-// supported set, "go" forces the reference set, and an accelerated set's
-// name ("avx2") forces that set or errors when this host cannot run it.
-func Select(name string) (*Set, error) {
-	switch name {
-	case "", "auto":
-		if n := nativeSet(); n != nil {
-			return n, nil
-		}
-		return Reference, nil
-	case Reference.Name:
-		return Reference, nil
-	default:
-		if n := nativeSet(); n != nil && n.Name == name {
-			return n, nil
-		}
-		return nil, fmt.Errorf("kernel: MRSCH_KERNEL=%q: unknown or unsupported kernel set on this host (available: %s)",
-			name, strings.Join(Names(), "|"))
-	}
-}
+// exists for this build.
+func Features() string { return cmp.Or(cpuFeatures(), "none") }
 
 // ---------------------------------------------------------------------------
 // The shared loop nests: both sets run their batched matmuls through these,

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package kernel
 
@@ -102,13 +102,13 @@ func probeCPU() (avx2, wide bool, feats []string) {
 }
 
 // avx2Set, wideForms and archFeatures are package-level variable
-// initializers, not an init() func: Go runs all variable initialization
-// before any init(), so kernel.go's selecting init() — which sorts earlier by
-// file name — always sees the probe's result regardless of init order.
+// initializers, and so is kernel.go's active, which reads avx2Set through
+// nativeSet: Go initializes a variable after those it refers to, so active
+// always sees the probe's result.
 //
 // The 512-bit forms are chosen here, once, inside the set: they are the avx2
 // set's arithmetic from more registers (package doc, numerical contract), so
-// there is no third name to select, force or key a golden file by.
+// there is no third set to name or key a golden file by.
 var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
 	ok, wide, feats := probeCPU()
 	if !ok {

@@ -1,9 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package kernel
 
-// No accelerated kernel set exists for this architecture; the portable
-// reference set is the only (and therefore the native-equivalent) choice.
+// No accelerated kernel set exists off amd64, nor in a purego build, which
+// compiles no kernel assembly: the portable reference set is the only choice.
 
 func nativeSet() *Set     { return nil }
 func cpuFeatures() string { return "" }

@@ -193,7 +193,7 @@ func (c adamCase) step(s *Set) {
 // length mod 4 on both sides of the vector body, with ±0, subnormal, huge,
 // NaN and ±Inf elements.
 func TestCrossSetAdam(t *testing.T) {
-	native := Native()
+	native := nativeSet()
 	if native == nil {
 		t.Skip("no accelerated kernel set on this host")
 	}
@@ -335,12 +335,8 @@ func TestBatchRowIdentity(t *testing.T) {
 	for n := 1; n <= 13; n++ {
 		outs = append(outs, n)
 	}
-	for _, name := range Names() {
-		s, err := Select(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, s := range benchSets() {
+		t.Run(s.Name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(3))
 			for _, in := range ins {
 				for _, out := range outs {
@@ -477,59 +473,26 @@ func TestFoldNormIsAddFillNorm(t *testing.T) {
 	}
 }
 
+// TestSelect: the CPU alone selects the set in use — the native set wherever
+// this build has one, Reference otherwise — and it was resolved before any
+// init() ran. A default amd64 build on an AVX2+FMA host therefore runs the
+// avx2 set, never silently the go set, and a purego build runs the go set.
 func TestSelect(t *testing.T) {
-	if s, err := Select("go"); err != nil || s != Reference {
-		t.Fatalf("Select(go) = %v, %v; want Reference", s, err)
+	want := nativeSet()
+	if want == nil {
+		want = Reference
 	}
-	auto, err := Select("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := Native(); n != nil {
-		if auto != n {
-			t.Fatalf("Select(auto) = %q with native available; want %q", auto.Name, n.Name)
-		}
-		if s, err := Select(n.Name); err != nil || s != n {
-			t.Fatalf("Select(%q) = %v, %v; want native set", n.Name, s, err)
-		}
-	} else if auto != Reference {
-		t.Fatalf("Select(auto) = %q without native set; want go", auto.Name)
-	}
-	if _, err := Select("sse9"); err == nil {
-		t.Fatal("Select(sse9): want error for unknown set, got nil")
-	}
-	if Active() == nil || Name() == "" {
-		t.Fatal("no active set after init")
-	}
-	// Init-order regression: with no override, the selecting init must have
-	// seen the arch probe's result (variable initialization precedes init()),
-	// so the native set — when one exists — is what actually went live.
-	switch forced := os.Getenv("MRSCH_KERNEL"); {
-	case forced != "" && forced != "auto":
-		if Active().Name != forced {
-			t.Fatalf("Active() = %q with MRSCH_KERNEL=%q", Active().Name, forced)
-		}
-	case Native() != nil:
-		if Active() != Native() {
-			t.Fatalf("Active() = %q but native set %q exists and no override is set", Active().Name, Native().Name)
-		}
-	default:
-		if Active() != Reference {
-			t.Fatalf("Active() = %q with no native set", Active().Name)
-		}
+	if Active() != want || Name() != want.Name {
+		t.Fatalf("Active() = %q, Name() = %q; want the %q set", Active().Name, Name(), want.Name)
 	}
 	if Features() == "" {
 		t.Fatal(`Features() = ""; want detected features or "none"`)
-	}
-	names := Names()
-	if len(names) == 0 || names[0] != "go" {
-		t.Fatalf("Names() = %v; want reference first", names)
 	}
 }
 
 func benchSets() []*Set {
 	sets := []*Set{Reference}
-	if n := Native(); n != nil {
+	if n := nativeSet(); n != nil {
 		sets = append(sets, n)
 	}
 	return sets
@@ -542,7 +505,7 @@ func TestFormsAreReported(t *testing.T) {
 	f := Features()
 	t.Logf("kernel set %q, probed: %s", Name(), f)
 	wide, narrow := strings.Contains(f, "forms=wide"), strings.Contains(f, "forms=narrow")
-	if Native() == nil {
+	if nativeSet() == nil {
 		if wide || narrow {
 			t.Fatalf("no native set, yet Features() = %q names its forms", f)
 		}
@@ -551,7 +514,7 @@ func TestFormsAreReported(t *testing.T) {
 	if wide == narrow {
 		t.Fatalf("Features() = %q: want exactly one of forms=wide, forms=narrow", f)
 	}
-	if got := Name(); Active() == Native() && got != "avx2" {
+	if got := Name(); got != "avx2" {
 		t.Fatalf("Name() = %q: the forms are inside the avx2 set, not a set of their own", got)
 	}
 	for _, need := range []string{"avx512f", "avx512dq", "avx512vl", "zmm"} {
@@ -571,7 +534,7 @@ type benchForm struct {
 
 func benchForms() []benchForm {
 	forms := []benchForm{{"go", Reference, false}}
-	if n := Native(); n != nil {
+	if n := nativeSet(); n != nil {
 		forms = append(forms, benchForm{n.Name + "-narrow", n, false})
 		if strings.Contains(Features(), "forms=wide") {
 			forms = append(forms, benchForm{n.Name + "-wide", n, true})

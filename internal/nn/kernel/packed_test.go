@@ -11,7 +11,7 @@ import (
 // packedSet is the set whose packed path the tests below hold against its own
 // DenseForward, or nil when this host has none.
 func packedSet(t testing.TB) *Set {
-	s := Native()
+	s := nativeSet()
 	if s == nil || s.Pack == nil {
 		t.Skip("no kernel set with a packed path on this host")
 	}

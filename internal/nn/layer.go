@@ -14,7 +14,7 @@ import (
 // training agent whose replicas take the backward passes — holds its values
 // and nothing more.
 //
-// A Param additionally carries an optional versioned snapshot of Value
+// A Param additionally carries an optional snapshot of Value
 // (snapshot.go): Snapshot materializes a stable copy that concurrent readers
 // may alias while the live Value keeps training, and Publish refreshes that
 // copy at a synchronization point chosen by the caller. Params that are
@@ -25,9 +25,8 @@ type Param struct {
 	Grad  Vec
 
 	// snap is the published copy-on-write view of Value, lazily allocated
-	// by Snapshot; version counts Publish calls that refreshed it.
-	snap    Vec
-	version uint64
+	// by Snapshot.
+	snap Vec
 }
 
 // NewParam allocates a parameter of n elements named name: the value, and

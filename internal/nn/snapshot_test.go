@@ -18,10 +18,10 @@ func TestParamSnapshotPublishVersioning(t *testing.T) {
 	p := NewParam("w", 4)
 	copy(p.Value, []float64{1, 2, 3, 4})
 
-	// Publish before any snapshot is a no-op and does not bump the version.
+	// Publish before any snapshot is a no-op: it materializes nothing.
 	p.Publish()
-	if p.Version() != 0 {
-		t.Fatalf("version %d after publish without snapshot", p.Version())
+	if p.snap != nil {
+		t.Fatal("publish without a snapshot materialized one")
 	}
 
 	snap := p.Snapshot()
@@ -43,9 +43,6 @@ func TestParamSnapshotPublishVersioning(t *testing.T) {
 	if snap[0] != 99 {
 		t.Fatalf("snapshot did not follow Publish: %v", snap[0])
 	}
-	if p.Version() != 1 {
-		t.Fatalf("version %d after one publish", p.Version())
-	}
 
 	// Snapshot is idempotent: the same backing buffer every time.
 	if again := p.Snapshot(); &again[0] != &snap[0] {
@@ -53,7 +50,7 @@ func TestParamSnapshotPublishVersioning(t *testing.T) {
 	}
 }
 
-// SnapshotClone outputs are frozen at the published version while the
+// SnapshotClone outputs are frozen at the published weights while the
 // original's live weights change, and advance on PublishParams without
 // re-cloning. SharedClone, by contrast, follows live weights immediately.
 func TestSnapshotCloneFreezesUntilPublish(t *testing.T) {

@@ -50,7 +50,7 @@
 //
 //  6. Pipelined mode (Config.Pipelined) overlaps episode k+1's collection
 //     with episode k's reduction. Actors then read the published copy-on-write
-//     weight snapshot (nn.Param versioning, via SnapshotLearner) instead of
+//     weight snapshot (nn.Param snapshots, via SnapshotLearner) instead of
 //     the live weights; the snapshot advances only at round boundaries, with
 //     no rollout in flight. Collection of episode r therefore acts on the
 //     weights as of the end of episode r-2's reduction — a one-round policy

@@ -105,7 +105,7 @@ type Learner interface {
 // the loop is the serial reference loop in rollout_test.go.
 //
 // With cfg.Pipelined set, Train instead overlaps episode i+1's collection
-// with episode i's reduction against a versioned weight snapshot
+// with episode i's reduction against a published weight snapshot
 // (pipeline.go).
 func Train(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeResult, error) {
 	if cfg.Pipelined {

@@ -58,8 +58,9 @@
 // expression (internal/nn/kernel's BackfillScan4, in the avx2 set), which
 // runs over the whole four-job steps from the scan's start, and this
 // package's one-job loop takes the rest, or all of it where the set has no
-// such form (MRSCH_KERNEL=go). Integer logic and one IEEE add and ordered
-// compare a job give the same index either way, so no set moves a schedule.
+// such form (the go set, as in a purego build). Integer logic and one IEEE
+// add and ordered compare a job give the same index either way, so no set
+// moves a schedule.
 // A lost guard proves a demand exceeds a limit, so the scan never refuses a
 // job the test passes; nextBackfill confirms the job it stops at with the
 // full comparison and resumes after a refusal, so it is exact on every

@@ -22,7 +22,6 @@ var reachAllow = map[string]string{
 	"GradCheck":        "nn: the finite-difference oracle for every layer's and the whole DFP topology's Backward",
 	"MSE":              "nn: the loss GradCheck differentiates in the layer suites",
 	"MaskedMSE":        "nn: the allocating form the reference training step (dfp/engine_test.go) is written with",
-	"Native":           "nn/kernel: lets the kernel suites hold the avx2 set to the go set whatever MRSCH_KERNEL selected",
 	"SetWide":          "nn/kernel: the hook the 512-bit-vs-256-bit form tests flip; nothing else may select a form",
 	"TrainStep":        "dfp: a burst of one, the unit the engine, burst, snapshot and state suites step and the reference step is compared against",
 	"Predict":          "dfp: exposes forwardDueling's rows to the gradient-check, actor-equivalence and root benchmarks",
