@@ -23,8 +23,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfp"
+	"repro/internal/encode"
 	"repro/internal/experiments"
 	"repro/internal/job"
+	"repro/internal/nn/kernel"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -279,9 +281,10 @@ func BenchmarkEvaluatorPicks(b *testing.B) {
 // cells, at the campaign geometry: the startable instants of one quick-scale
 // S4 cell under the trained evaluator, decided one at a time by a greedy
 // evaluator (dfp.Model.Evaluator, whose first layer runs packed) and in
-// batches of 4 and 16 rows by a dfp.BatchDecider (dense, the path a lockstep
-// batch would take). ns/decision is per row; the gate asks
-// batch=16 to beat the evaluator by 1.3x.
+// batches of 4 and 16 rows by a dfp.BatchDecider (packed too, over the
+// chunks any row of the batch needs: the path a lockstep batch would take).
+// ns/decision is per row; the gate asks batch=16 to beat the evaluator by
+// 1.3x.
 func BenchmarkLockstepDecisions(b *testing.B) {
 	base := experiments.MustPrepare(experiments.QuickScale())
 	agent, _, err := experiments.TrainMRSch(base, "S4", false)
@@ -345,6 +348,140 @@ func BenchmarkLockstepDecisions(b *testing.B) {
 			perRow(b, rows)
 		})
 	}
+}
+
+// BenchmarkPaperScaleDecide is a decision on the §IV-C network at the
+// paper's geometry (dfp.PaperScaleConfig: the 11410→4000 first layer, 365 MB
+// dense, that Theta's 5,685 schedulable units give), untrained, over the
+// startable instants of an S4 workload simulated under FCFS on the full
+// Theta machine (workload.ThetaScaled(1)), encoded by the encoder: the dense
+// Agent.Act, a model's lone packed evaluator, and its DecideBatch at 1, 4 and
+// 16 rows, whose first layer reads the chunks any row of the batch needs.
+// ns/decision is per row, and first_layer_MB/decision the first-layer
+// weights a decision reads: the whole matrix dense, the listed chunks'
+// columns packed (shared by a batch's rows). It holds about 0.8 GB (the
+// agent's weights and the model's packed copy), so it is a one-off line, not
+// a CI step:
+//
+//	go test -run=NONE -bench=BenchmarkPaperScaleDecide -benchtime=60x .
+func BenchmarkPaperScaleDecide(b *testing.B) {
+	sc := experiments.QuickScale()
+	sc.Div = 1
+	sp, _ := scenario.ByName("S4")
+	m, err := experiments.PrepareFor(sc, sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs, err := m.WorkloadSpec(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := m.SystemFor(sp)
+	enc := encode.NewConfig(sc.Window, sys.Capacities)
+	const want = 300
+	var states, meas, goals [][]float64
+	var valid []int
+	harvest := sched.PickerFunc(func(ctx *sched.PickContext) int {
+		if len(states) < want && ctx.Startable() {
+			states = append(states, enc.Encode(ctx))
+			meas = append(meas, slices.Clone(ctx.Usage))
+			goals = append(goals, core.GoalVector(ctx))
+			valid = append(valid, len(ctx.Window))
+		}
+		return 0
+	})
+	s := sim.New(sys, sched.NewWindowPolicy(harvest, sc.Window))
+	if err := s.Load(job.CloneAll(jobs)); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	n := len(states)
+	if n < 16 {
+		b.Fatalf("harvested %d startable instants", n)
+	}
+	cfg := dfp.PaperScaleConfig(enc.StateDim(), enc.Resources(), sc.Window)
+	agent := dfp.New(cfg)
+	model := agent.Model()
+
+	in, out := cfg.StateDim, cfg.StateHidden[0]
+	packed := kernel.Active().Pack != nil && out%4 == 0
+	// firstLayerMB is what the first layer reads for the rows of one call:
+	// the dense matrix, or the listed chunks' columns, the in%4 tail and the
+	// bias of the packed layout.
+	firstLayerMB := func(rows [][]float64, dense bool) float64 {
+		if dense || !packed {
+			return float64(in*out+out) * 8 / 1e6
+		}
+		body := in - in%4
+		listed := 0
+		for k := 0; 8*k < body; k++ {
+			for half := 0; half < 2; half++ {
+				for _, x := range rows {
+					if nonZeroChunk(x[8*k+half:body], 2) {
+						listed++
+						break
+					}
+				}
+			}
+		}
+		return float64((4*listed+in%4+1)*out) * 8 / 1e6
+	}
+	perRow := func(b *testing.B, rows int, mb float64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/decision")
+		b.ReportMetric(mb/float64(b.N*rows), "first_layer_MB/decision")
+		b.ReportMetric(float64(n), "instants")
+	}
+	b.Run("act", func(b *testing.B) {
+		var mb float64
+		for i := 0; i < b.N; i++ {
+			k := i % n
+			agent.Act(states[k], meas[k], goals[k], valid[k], false)
+			mb += firstLayerMB(nil, true)
+		}
+		perRow(b, 1, mb)
+	})
+	b.Run("evaluator", func(b *testing.B) {
+		ev := model.Evaluator()
+		var mb float64
+		for i := 0; i < b.N; i++ {
+			k := i % n
+			ev.Act(states[k], meas[k], goals[k], valid[k])
+			b.StopTimer()
+			mb += firstLayerMB(states[k:k+1], false)
+			b.StartTimer()
+		}
+		perRow(b, 1, mb)
+	})
+	for _, rows := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("batch=%d", rows), func(b *testing.B) {
+			d := model.Decider()
+			var dst []int
+			var mb float64
+			for i := 0; i < b.N; i++ {
+				lo := (i * rows) % (n - rows + 1)
+				hi := lo + rows
+				dst = d.DecideBatch(states[lo:hi], meas[lo:hi], goals[lo:hi], valid[lo:hi], dst)
+				b.StopTimer()
+				mb += firstLayerMB(states[lo:hi], false)
+				b.StartTimer()
+			}
+			perRow(b, rows, mb)
+		})
+	}
+}
+
+// nonZeroChunk reports whether one 4-wide chunk of x taken every stride-th
+// element, from x[0], holds a lane that is not ±0; lanes past x's end are
+// padding.
+func nonZeroChunk(x []float64, stride int) bool {
+	for l := 0; l < 4 && l*stride < len(x); l++ {
+		if x[l*stride] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // BenchmarkDecideDuringSwap is a closed-loop client's decision latency while
@@ -432,8 +569,9 @@ func BenchmarkDecideDuringSwap(b *testing.B) {
 
 // BenchmarkLoadModel is one model file load at the quick geometry, the file
 // read from memory: what a served model's Swap and a campaign's model-store
-// reload run. B/op is the architecture's zero values, the file's bytes, the
-// decoded values the model adopts and its packed first layer.
+// reload run. B/op is the file's bytes, the architecture's values the file
+// is decoded into (the first layer's dense matrix among them, dropped once
+// the layer is packed) and that packed copy.
 func BenchmarkLoadModel(b *testing.B) {
 	agent := experiments.NewMRSchUntrained(experiments.QuickScale(), false)
 	var file bytes.Buffer

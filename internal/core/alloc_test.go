@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"io"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // halfBusy is a cluster with 7 of 16 nodes and 5 of 8 burst-buffer units
@@ -139,5 +144,35 @@ func TestBatchDeciderAllocatesNothingOnceWarm(t *testing.T) {
 				t.Fatalf("fixed goal %v: warm batch of %d decided %v, want %v", fixed, b, dst, want[:b])
 			}
 		}
+	}
+}
+
+// Saving the quick S4 geometry's agent allocates under 1.2 times the file it
+// writes: one buffer sized once from the parameters, with room for the
+// trailer. Growing the buffer from empty, or packing a first layer the save
+// never reads, goes over.
+func TestSaveAllocatesOneFile(t *testing.T) {
+	spec := scenario.QuickScaleSpec()
+	m := New(workload.ThetaScaled(spec.Div), Options{Window: spec.Window, Seed: 1})
+	var file bytes.Buffer
+	if err := m.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	if model := new(bytes.Buffer); m.Model().DFP.Save(model) != nil || !bytes.Equal(model.Bytes(), file.Bytes()) {
+		t.Fatal("the agent saves other bytes than its model")
+	}
+	const saves = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range saves {
+		if err := m.Save(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / saves
+	t.Logf("one save: a %d-byte file, %.0f bytes allocated (%.2fx)", file.Len(), per, per/float64(file.Len()))
+	if bound := 1.2 * float64(file.Len()); per > bound {
+		t.Errorf("one save of a %d-byte model file allocates %.0f bytes (%.2fx), want at most %.0f", file.Len(), per, per/float64(file.Len()), bound)
 	}
 }

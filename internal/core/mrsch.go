@@ -154,8 +154,10 @@ func (m *MRSch) Pick(ctx *sched.PickContext) int {
 	return m.Agent.Act(state, ctx.Usage, goal, len(ctx.Window), false)
 }
 
-// Save persists the agent's network weights as a model file.
-func (m *MRSch) Save(w io.Writer) error { return m.Agent.Model().Save(w) }
+// Save persists the agent's network weights as a model file: the bytes
+// its Model would save, written from the agent's parameters without building
+// one (a model packs its first layer, which a save never reads).
+func (m *MRSch) Save(w io.Writer) error { return nn.SaveWeights(w, m.Agent.Params()) }
 
 // Load restores network weights into an identically-configured agent.
 func (m *MRSch) Load(r io.Reader) error { return m.Agent.Load(r) }

@@ -9,6 +9,9 @@
 //     primitives in the same order regardless of bsz, so each row of a
 //     batched pass is bitwise equal to the bsz=1 result under whichever nn
 //     kernel set the process runs — the Set contract in internal/nn/kernel.
+//     That holds for the model's packed first layer too: a batch lists the
+//     chunks of x any of its rows needs, and each row gets DenseForward's
+//     bits whatever rows share it (the package's numerical contract).
 //   - The dueling combine is forwardDueling's, and goal extension, the
 //     scoring dot product and the argmax below are the calls Act makes.
 //
@@ -24,9 +27,9 @@ import (
 )
 
 // BatchDecider is a read-only batched inference clone of a Model: its
-// networks alias the model's weights (nn.SharedClone), and a batch of one
-// reads the model's packed first layer, while its forward state and gathered
-// rows are private. A model's weights never change, so nothing need be
+// networks alias the model's weights (nn.SharedClone), and a batch of any
+// size reads the model's packed first layer, while its forward state and
+// gathered rows are private. A model's weights never change, so nothing need be
 // excluded against its calls; internal/serve swaps in a decider of another
 // model instead. A BatchDecider is not safe for concurrent use by multiple
 // goroutines.

@@ -106,19 +106,24 @@
 // acts again — every rollout episode is. There is nothing to configure: an
 // actor that was never Reset, a CNN or per-resource state module, a layer
 // the kernel declines and the go kernel set all run dense, as do TrainSteps,
-// a batch of more than one, and Agent.Act and Agent.Predict always.
+// and Agent.Act and Agent.Predict always.
 //
 // # Models
 //
 // A Model is a trained network and nothing else: the configuration, the
 // weights and the state module's first Dense, packed once when the model is
 // built. LoadModel builds one from a model file, checking the whole file
-// first, with no gradient, optimizer moments or replay ring; Agent.Model
-// builds one over the agent's current weights without copying them, valid
-// until they next change. A model's weights never change, so every reader
-// it hands out (Evaluator, Decider) reads its one packed copy through
-// scratch of its own (nn.Dense.SharePack) and never packs, and any number of
-// them may run at once. Model.Save writes the model file. Evaluation
+// first, with no gradient, optimizer moments or replay ring, and decodes the
+// file straight into the model's values; it then packs the first Dense and
+// keeps that layer only in its packed layout (where the kernel set packs it;
+// otherwise it stays dense). Agent.Model builds one
+// over the agent's current weights without copying them, valid until they
+// next change; its packed copy sits beside the agent's dense weights. A
+// model's weights never change, so every reader it hands out (Evaluator,
+// Decider) reads its one packed copy through scratch of its own
+// (nn.Dense.SharePack), at every batch size, and never packs, and any number
+// of them may run at once. Model.Save writes the model file, a packed-only
+// layer's rows read back out of the packed copy. Evaluation
 // (internal/experiments' cells, core.Validate) and the decision daemon
 // (internal/serve, which swaps in a new model rather than writing weights)
 // read a trained agent through a model.

@@ -9,12 +9,21 @@ import (
 
 // Model is a trained DFP network, read-only for its whole life: the
 // configuration, the five networks' weights and the state module's first
-// Dense packed once (nn.Dense.Pack) when the model is built. It has no
-// gradient, optimizer, replay ring or exploration schedule, and nothing
-// changes its weights. Every reader it hands out, Evaluator's actors and
-// Decider's batched deciders, is an nn.SharedClone of its networks with
-// private scratch that reads the one packed copy (nn.Dense.SharePack), so any
-// number of them may run at once and none packs or copies a layer.
+// Dense packed (nn.Dense.Pack) when the model is built. It has no gradient,
+// optimizer, replay ring or exploration schedule, and nothing changes its
+// weights. Every reader it hands out, Evaluator's actors and Decider's
+// batched deciders, is an nn.SharedClone of its networks with private
+// scratch that reads the one packed copy (nn.Dense.SharePack) at every batch
+// size, so any number of them may run at once and none packs or copies a
+// layer.
+//
+// Each model keeps its first layer in one layout. One that LoadModel built
+// keeps it only packed, where the kernel set packs it: the packed copy is
+// where its weights live, and Save reads them back from it. One that
+// Agent.Model built reads the agent's dense weights, which the agent keeps,
+// and packs a copy of them for its readers. Where the set has no packed path
+// (the go set, a purego build) or declines the layer, either kind stays
+// dense and every reader forwards through it.
 type Model struct {
 	cfg  Config
 	nets modules
@@ -23,18 +32,25 @@ type Model struct {
 // LoadModel builds a model from a model file (Save's output) for an agent
 // built with cfg. The whole file is checked before the model exists: on a
 // file of another architecture, or a damaged or truncated one, it returns an
-// error and no model. The networks it reads into are gradient-free views of
-// cfg's architecture, built without drawing initial weights, that take the
-// file's values as their own, so a custom state module is left as it was;
-// it builds no optimizer and no replay ring.
+// error and no model. It builds cfg's architecture without drawing initial
+// weights, decodes the file straight into its values (nn.LoadFresh), then
+// keeps the state module's first Dense only in its packed layout where the
+// kernel set packs it (nn.Dense.PackOnly). A custom state module is read into
+// a copy of its own, so the caller's is left as it was. It builds no
+// gradient, optimizer or replay ring.
 func LoadModel(cfg Config, r io.Reader) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	built := buildModules(&cfg, nil)
-	nets := built.cloneVia(nn.SharedClone)
-	if err := nn.AdoptWeights(r, nets.params()); err != nil {
+	nets := buildModules(&cfg, nil)
+	if cfg.StateModule != nil {
+		nets.state = nn.ZeroClone(nets.state)
+	}
+	if err := nn.LoadFresh(r, nets.params()); err != nil {
 		return nil, err
+	}
+	if d := firstDense(nets.state); d != nil {
+		d.PackOnly()
 	}
 	return newModel(cfg, nets), nil
 }
@@ -45,7 +61,8 @@ func LoadModel(cfg Config, r io.Reader) (*Model, error) {
 // another one after they change.
 func (a *Agent) Model() *Model { return newModel(a.cfg, a.nets.cloneVia(nn.SharedClone)) }
 
-// newModel packs the first layer of nets, the model's own clones.
+// newModel packs the first layer of nets, the model's own networks: a
+// packed-only layer is packed already.
 func newModel(cfg Config, nets modules) *Model {
 	if d := firstDense(nets.state); d != nil {
 		d.Pack()
@@ -56,11 +73,12 @@ func newModel(cfg Config, nets modules) *Model {
 // Config returns the configuration the model was built for.
 func (m *Model) Config() Config { return m.cfg }
 
-// Save writes the model's weights to w as a model file.
+// Save writes the model's weights to w as a model file: the bytes LoadModel
+// read it from, a packed-only first layer read back out of its packed copy.
 func (m *Model) Save(w io.Writer) error { return nn.SaveWeights(w, m.nets.params()) }
 
 // share returns SharedClone replicas of the model's networks whose first
-// Dense reads the model's packed copy.
+// Dense reads the model's packed copy, at every batch size.
 func (m *Model) share() modules {
 	nets := m.nets.cloneVia(nn.SharedClone)
 	if d := firstDense(nets.state); d != nil {

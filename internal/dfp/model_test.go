@@ -3,6 +3,7 @@ package dfp
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/nn/kernel"
 )
 
 // A model file loads into a model that saves the very bytes it was read from,
@@ -113,15 +115,14 @@ func TestLoadModelLeavesACustomStateModule(t *testing.T) {
 	}
 }
 
-// Loading a quick-geometry model allocates under five times the file: the
-// architecture's zero values (one: no initial draw, no gradient), the file's
-// bytes read into one buffer sized up front (one), the decoded values the
-// model adopts (one) and the packed first layer — about 3.6 files. Growing the
-// buffer geometrically, or copying the decoded values into fresh ones, goes
-// over.
-func TestLoadModelAllocatesUnderFiveFiles(t *testing.T) {
-	cfg := DefaultConfig(394, 2, 10)
-	cfg.Offsets, cfg.TemporalWeights = []int{1, 2, 4, 8, 16}, []float64{0, 0, 0.5, 0.5, 1}
+// Loading a quick-geometry model allocates under three times the file: the
+// file's bytes read into one buffer sized up front (one), the architecture's
+// values, which the file is decoded straight into (one, the first layer's
+// zero matrix among them, dropped where the layer is packed), and the packed
+// first layer (about 0.56) — about 2.6 files. Growing the buffer
+// geometrically, or decoding into fresh vectors, goes over.
+func TestLoadModelAllocatesUnderThreeFiles(t *testing.T) {
+	cfg := quickConfig()
 	var file bytes.Buffer
 	if err := New(cfg).Model().Save(&file); err != nil {
 		t.Fatal(err)
@@ -148,8 +149,60 @@ func TestLoadModelAllocatesUnderFiveFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bound := 5 * uint64(file.Len()); n > bound {
+		if bound := 3 * uint64(file.Len()); n > bound {
 			t.Errorf("%s: loading a %d-byte model allocated %d bytes (%.2fx), want at most %d", name, file.Len(), n, float64(n)/float64(file.Len()), bound)
+		}
+	}
+}
+
+// quickConfig is the quick-scale S4 geometry: a 394-wide state and a
+// 394→128 first layer, which the avx2 set packs.
+func quickConfig() Config {
+	cfg := DefaultConfig(394, 2, 10)
+	cfg.Offsets, cfg.TemporalWeights = []int{1, 2, 4, 8, 16}, []float64{0, 0, 0.5, 0.5, 1}
+	return cfg
+}
+
+// packs reports whether the active kernel set packs a layer it is given.
+func packs() bool { return kernel.Active().Pack != nil }
+
+// A loaded model keeps its first layer in one layout: packed-only where the
+// kernel set packs it — no dense matrix left — and dense where it declines (a
+// -0 bias) or has no packed path. Either way it saves the bytes it was read
+// from, and decides like the agent that wrote them.
+func TestLoadModelKeepsOneLayout(t *testing.T) {
+	for _, negZeroBias := range []bool{false, true} {
+		cfg := quickConfig()
+		cfg.Seed = 21
+		a := New(cfg)
+		if negZeroBias {
+			firstDense(a.nets.state).B.Value[5] = math.Copysign(0, -1)
+		}
+		var file bytes.Buffer
+		if err := a.Model().Save(&file); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadModel(cfg, bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := firstDense(m.nets.state)
+		if packedOnly, want := first.W.Value == nil, packs() && !negZeroBias; packedOnly != want {
+			t.Fatalf("-0 bias %v: the loaded first layer is packed-only %v, want %v", negZeroBias, packedOnly, want)
+		}
+		var again bytes.Buffer
+		if err := m.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), file.Bytes()) {
+			t.Fatalf("-0 bias %v: the loaded model saves %d bytes that differ from the %d it was loaded from", negZeroBias, again.Len(), file.Len())
+		}
+		states, meas, goals, valid := sparseInputs(&cfg, rand.New(rand.NewSource(22)), 24)
+		ev := m.Evaluator()
+		for i := range states {
+			if got, want := ev.Act(states[i], meas[i], goals[i], valid[i]), a.Act(states[i], meas[i], goals[i], valid[i], false); got != want {
+				t.Fatalf("-0 bias %v: row %d: the loaded model picks %d, the agent %d", negZeroBias, i, got, want)
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package nn
 
-// shadowParam returns a Param aliasing p's Value storage, with no gradient
-// storage of its own (see SharedClone).
+// shadowParam returns a Param aliasing p's Value storage, or its packed copy,
+// with no gradient storage of its own (see SharedClone).
 func shadowParam(p *Param) *Param {
-	return &Param{Name: p.Name, Value: p.Value}
+	return &Param{Name: p.Name, Value: p.Value, packed: p.packed}
 }
 
 // SharedClone returns a copy of l that shares parameter Values with l but
@@ -17,3 +17,10 @@ func shadowParam(p *Param) *Param {
 // SnapshotClone it is Layer.clone under a param view, each layer type's case
 // written next to the type.
 func SharedClone(l Layer) Layer { return l.clone(shadowParam) }
+
+// ZeroClone returns a copy of l's architecture with zero values of its own
+// and no gradient storage: what a load decodes into (LoadFresh) when l is a
+// caller's template whose values must stay as they are.
+func ZeroClone(l Layer) Layer {
+	return l.clone(func(p *Param) *Param { return NewParam(p.Name, len(p.Value)) })
+}

@@ -16,6 +16,13 @@ import (
 // unrolled matrix-matrix kernel instead of B matrix-vector loops. The forward
 // input is copied into a layer-owned buffer, so callers may mutate their
 // input slice between Forward and Backward.
+//
+// A packed layer (Pack, SharePack) runs every Forward, at any batch size,
+// through the kernel set's packed forward, with the same bits. A layer that
+// PackOnly packed is packed-only: W.Value is nil and the packed copy is the
+// one place its weights live (a model's first layer, which never changes). It forwards, shares its copy and saves —
+// AppendWeights reads the rows back out of the packed copy, in the dense
+// order — but has no Backward.
 type Dense struct {
 	In, Out int
 	W       *Param // len In*Out, row-major (row = output neuron)
@@ -27,10 +34,10 @@ type Dense struct {
 	wtBuf  Vec // transposed weights (in x out), rebuilt per batched backward
 	lastB  int // rows retained by the last forward (0 = none yet)
 
-	// pack, when not nil, is what bsz=1 forwards read: own, the layer's
-	// packed copy of W and B (Pack), or the copy of the layer it shares its
-	// weights with (SharePack). packScr is this layer's scratch for reading
-	// it, so layers that share one copy may forward concurrently.
+	// pack, when not nil, is what forwards read: own, the layer's packed
+	// copy of W and B (Pack), or the copy of the layer it shares
+	// its weights with (SharePack). packScr is this layer's scratch for
+	// reading it, so layers that share one copy may forward concurrently.
 	pack    *kernel.Packed
 	own     kernel.Packed // Pack's buffer, one for the layer's life
 	packScr kernel.PackedScratch
@@ -70,10 +77,10 @@ func (d *Dense) Forward(dst, x Vec, bsz int) Vec {
 	}
 	// The forward matmul is a kernel-set call: dst = x·Wᵀ + b through the
 	// process-global set (pure-Go reference or CPUID-dispatched SIMD). A
-	// packed layer's single sample reads the packed copy instead — the same
-	// bits, without the work on x's zero runs.
-	if bsz == 1 && d.pack != nil {
-		kern.PackedForward(dst, d.inBuf, d.pack, &d.packScr)
+	// packed layer reads the packed copy instead — the same bits, without
+	// the work on the chunks of x that are zero in every row.
+	if d.pack != nil {
+		kern.PackedForward(dst, d.inBuf, bsz, d.pack, &d.packScr)
 		return dst
 	}
 	kern.DenseForward(dst, d.inBuf, d.W.Value, d.B.Value, d.In, d.Out, bsz)
@@ -81,15 +88,20 @@ func (d *Dense) Forward(dst, x Vec, bsz int) Vec {
 }
 
 // Pack builds, or refreshes in place, the layer's packed copy of W and B for
-// the active kernel set's one-sample forward (kernel.Set.Pack) and reports
-// whether single-sample Forward calls now read it; when the set has no packed
-// path or declines the layer, they stay on the dense kernel. Either way a
-// Forward returns the same bits. The copy does not follow W and B: the caller
-// packs again once they have changed and before the next single-sample
-// Forward. A rollout actor does, from Reset to Reset; a dfp.Model packs its
-// layer once, and its readers read that copy (SharePack) instead of packing
-// their own. A layer whose copy is shared is never packed again.
+// the active kernel set's packed forward (kernel.Set.Pack) and reports
+// whether Forward calls now read it; when the set has no packed path or
+// declines the layer, they stay on the dense kernel. Either way a Forward
+// returns the same bits. The copy does not follow W and B: the caller packs
+// again once they have changed and before the next Forward. A rollout actor
+// does, from Reset to Reset; a dfp.Model packs its layer once, and its
+// readers read that copy (SharePack) instead of packing their own. A layer
+// whose copy is shared is never packed again, and a packed-only layer (or a
+// clone of one) is its copy: Pack reads that.
 func (d *Dense) Pack() bool {
+	if d.W.packed != nil {
+		d.pack = d.W.packed
+		return true
+	}
 	d.pack = nil
 	if kern.Pack != nil && kern.Pack(&d.own, d.W.Value, d.B.Value, d.In, d.Out) {
 		d.pack = &d.own
@@ -97,16 +109,38 @@ func (d *Dense) Pack() bool {
 	return d.pack != nil
 }
 
-// SharePack has d's single-sample forwards read src's packed copy through
-// scratch of d's own; while src has none, d stays on the dense kernel. d must
-// read src's weights (a SharedClone of src: it panics otherwise), and src
-// must not be packed again while d reads: the copy has many readers and no
-// writer.
+// PackOnly packs the layer (Pack) and, where the set packs it, drops W's
+// dense values: the layer becomes packed-only, its packed copy the one place
+// its weights live. It is for a layer whose weights nothing else reads and
+// nothing changes again, a loaded model's (dfp.LoadModel); where the set has
+// no packed path or declines the layer, it stays dense. It reports whether
+// the layer is packed.
+func (d *Dense) PackOnly() bool {
+	if !d.Pack() {
+		return false
+	}
+	d.W.Value, d.W.packed = nil, d.pack
+	return true
+}
+
+// SharePack has d's forwards read src's packed copy through scratch of d's
+// own; while src has none, d stays on the dense kernel. d must read src's
+// weights (a SharedClone of src: it panics otherwise), and src must not be
+// packed again while d reads: the copy has many readers and no writer.
 func (d *Dense) SharePack(src *Dense) {
-	if d.In != src.In || d.Out != src.Out || &d.W.Value[0] != &src.W.Value[0] || &d.B.Value[0] != &src.B.Value[0] {
+	if d.In != src.In || d.Out != src.Out || !sameValues(d.W, src.W) || !sameValues(d.B, src.B) {
 		panic("nn: Dense.SharePack from a layer whose weights this one does not read")
 	}
 	d.pack = src.pack
+}
+
+// sameValues reports whether a and b read the same values: one Value array,
+// or one packed copy.
+func sameValues(a, b *Param) bool {
+	if a.packed != nil || b.packed != nil {
+		return a.packed == b.packed
+	}
+	return len(a.Value) > 0 && len(b.Value) > 0 && &a.Value[0] == &b.Value[0]
 }
 
 // Backward accumulates dL/dW and dL/db summed over the bsz rows of grad,

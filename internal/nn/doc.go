@@ -53,18 +53,20 @@
 //
 // A single sample (bsz=1) through Dense is one kernel call per layer. Dense.Pack
 // additionally builds a packed copy of W and B for the active set's packed
-// one-sample forward (kernel.Set.Pack: the avx2 set has one, the go set does
-// not, and a layer the kernel declines stays dense), after which bsz=1
-// Forward calls skip the zero runs of x — with the same bits as before, so
-// the row contract above is untouched. The copy lives in one buffer the
-// layer keeps and does not follow the weights: whoever packs must pack again
-// after they change. Dense.SharePack has a SharedClone read its original's
-// copy instead, through scratch of its own, so clones over weights that no
-// longer change share one copy. Only dfp packs — a rollout actor's
-// state-module first layer, refreshed on the first forward after each
-// Reset, or a model's, once, read by every evaluator and batched decider of
-// it at a batch of one — so the training engine and every bsz>1 caller read
-// W itself through DenseForward.
+// forward (kernel.Set.Pack: the avx2 set has one, the go set does not, and a
+// layer the kernel declines stays dense), after which every Forward, at any
+// batch size, skips the chunks of x that are zero in all of its rows — with
+// the same bits as before, so the row contract above is untouched. The copy
+// lives in one buffer the layer keeps and does not follow the weights:
+// whoever packs must pack again after they change. Dense.SharePack has a
+// SharedClone read its original's copy instead, through scratch of its own,
+// so clones over weights that no longer change share one copy. A layer that
+// Dense.PackOnly packs is packed-only: its dense W is dropped and
+// AppendWeights reads the rows back out of the packed copy.
+// Only dfp packs — a rollout actor's state-module first layer, refreshed on
+// the first forward after each Reset, or a model's, once, read by every
+// evaluator and batched decider of it — so the training engine reads W
+// itself through DenseForward.
 //
 // For data-parallel training, SharedClone replicates a network so that the
 // replica shares parameter Values with the original but owns private
@@ -141,7 +143,7 @@
 // The four floating-point hot loops under the layers above — the batched
 // Dense forward, the transposed-matmul input gradient, the weight-gradient
 // accumulation, and the fused Adam step — with the weight transpose that
-// feeds the second and the packed one-sample forward live in
+// feeds the second and the packed forward live in
 // internal/nn/kernel as a function Set the CPU selects once at process
 // start: the portable pure-Go set ("go"), or a CPUID-dispatched AVX2/FMA assembly set ("avx2") on supporting
 // amd64 hosts, whose three batched kernels run in 512-bit register-tiled

@@ -7,8 +7,9 @@
 // every set; 4x4 register blocks in the avx2 set), the one-pass gradient
 // fold a training step's tail runs (FoldNorm: add the shadow, zero it, sum
 // the squares — nn.L2Norm's bits from every set), in a set that has one, a
-// packed one-sample forward for a layer whose input is mostly runs of zeros
-// (Pack, PackedForward) and, outside the engine, a four-words-a-step
+// packed forward for a layer whose input is mostly runs of zeros (Pack,
+// PackedForward: one sample, or a batch whose rows share one pass
+// over the weights) and, outside the engine, a four-words-a-step
 // integer-and-compare scan the simulator's backfill runs on (BackfillScan4).
 //
 // # Kernel sets
@@ -44,6 +45,8 @@
 //     for a lone sample and the samples a tile leaves, and sixteen packed rows
 //     per pass over the listed chunks (one ZMM accumulator per two rows) for
 //     the packed forward, each with its whole loop in one assembly call.
+//     The batched packed forward takes its blocks the same way, every row of
+//     the batch through each block's passes in turn.
 //     They are forms of this set, not a third set: the arithmetic — which
 //     element meets which FMA chain, in what order chains are folded, where
 //     a multiply is rounded before an add — is what goldens, checkpoints and
@@ -135,6 +138,29 @@
 // The property test (TestPackedEqualsDenseBitwise) compares bits over every
 // in mod 8 residue and fails when the fold order or one lane assignment is
 // perturbed. The go set has no packed path; callers stay on DenseForward.
+//
+// The batched packed forward is DenseForward row by row to the bit as well,
+// at every batch size. It lists the chunks that are non-zero in any row of
+// the batch, once, and runs every row over that one list: each row block's
+// weights for a stretch of the list are read once and stay in cache while
+// every row takes them. Two more facts carry its rows:
+//
+//   - One order. A row's accumulators meet the listed chunks in index order,
+//     in an even pass and then an odd one, as its lone forward meets its own
+//     chunks; the fold, the even + odd join, the tail FMAs and the bias add
+//     are the lone forward's, in its order. The list is walked in stretches,
+//     and a row's accumulators are stored and reloaded between them, which
+//     moves no bit.
+//
+//   - The exact no-op again. A listed chunk that is all ±0 in this row —
+//     non-zero only in another — adds a product of ±0 to each of the row's
+//     lanes: the case the second fact above covers. Which rows share a batch
+//     therefore changes which chunks a row multiplies, never a bit of it.
+//
+// TestPackedBatchEqualsDenseBitwise and FuzzPackedBatch compare each row to
+// DenseForward at bsz = 1 in both forms, over every in%4 tail, out%8 of 0
+// and 4, one to three stretches of the list, batches of 1 to 17 rows and
+// rows whose chunks are zero in some rows only.
 //
 // The 512-bit forms are their 256-bit forms to the bit, on every input
 // including NaN, infinities and zeros of either sign (up to which payload an

@@ -62,16 +62,19 @@ type Set struct {
 	// that is not finite, a bias that is -0, and a shape the packed kernel
 	// does not handle (see the package doc's numerical contract for why
 	// each would break bitwise equality). p is a copy: it goes stale when w
-	// or b change. Pack and PackedForward are nil in a set without a packed
-	// path (the go set).
+	// or b change. Pack and PackedForward are nil in a set without
+	// a packed path (the go set).
 	Pack func(p *Packed, w, b []float64, in, out int) bool
 
-	// PackedForward is DenseForward at bsz = 1 against a layer Pack took,
-	// bit for bit, in time proportional to the 4-wide chunks of x's even
-	// and odd elements that are not all zero. It only reads p, so any
-	// number of goroutines may share one Packed; it lists x's chunks in s,
-	// which serves one goroutine and is grown on first use.
-	PackedForward func(dst, x []float64, p *Packed, s *PackedScratch)
+	// PackedForward is DenseForward against a layer Pack took, bit for bit,
+	// for bsz row-major samples. A lone sample takes time proportional to
+	// the 4-wide chunks of x's even and odd elements that are not all zero;
+	// a batch streams each weight block once for the chunks that are not all
+	// zero in some row, and every row takes those chunks in the order its
+	// lone forward takes its own (package doc, numerical contract). It only
+	// reads p, so any number of goroutines may share one Packed; it lists
+	// x's chunks in s, which serves one goroutine and is grown on first use.
+	PackedForward func(dst, x []float64, bsz int, p *Packed, s *PackedScratch)
 
 	// BackfillScan4 tests four words a step: it returns the first k at which
 	//
@@ -82,22 +85,6 @@ type Set struct {
 	// walls is at least as long. It is nil in the go set, whose callers run
 	// the expression themselves.
 	BackfillScan4 func(keys []uint64, walls []float64, free, extra, guard uint64, now, shadow float64) int
-}
-
-// Packed is one Dense layer's weights and bias in the layout of a set's
-// packed one-sample forward. The zero value is ready for Set.Pack; between
-// one Pack and the next it is only read, so readers on several goroutines
-// may share it, each with a PackedScratch of its own.
-type Packed struct {
-	in, out int
-	w       []float64 // per row block: even chunks, odd chunks, in%4 tail columns, bias
-}
-
-// PackedScratch is where one reader's packed forward lists x's non-zero
-// chunks. The zero value is ready; the first forward sizes it.
-type PackedScratch struct {
-	xs   []float64 // the listed chunks of xe, then of xo
-	offs []int64   // each listed chunk's byte offset in a 4-row block
 }
 
 // Reference is the portable pure-Go kernel set: the avx2 set's arithmetic,

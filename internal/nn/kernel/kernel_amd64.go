@@ -119,7 +119,7 @@ var avx2Set, wideForms, archFeatures = func() (*Set, bool, string) {
 		Transpose:     avx2Transpose,
 		AdamStep:      avx2AdamStep,
 		FoldNorm:      avx2FoldNorm,
-		Pack:          avx2Pack,
+		Pack:          pack,
 		BackfillScan4: avx2BackfillScan4,
 	}
 	forms := "forms=narrow"

@@ -660,8 +660,9 @@ func benchOneSample(b *testing.B, f benchForm, in, out int, ghz float64) {
 }
 
 // benchPacked times the same decision through a first layer's packed copy in
-// one form (Packed) and, once per set, the re-lay itself (Pack); a set
-// without a packed path has no rows.
+// one form (Packed), batches of 4 and 16 of them packed and dense
+// (PackedBatch, DenseBatch) and, once per set, the re-lay itself (Pack); a
+// set without a packed path has no rows.
 func benchPacked(b *testing.B, f benchForm, in, out int) {
 	s := f.set
 	if s.Pack == nil {
@@ -681,9 +682,35 @@ func benchPacked(b *testing.B, f benchForm, in, out int) {
 		defer SetWide(true)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.PackedForward(dst, x, &p, &scr)
+			s.PackedForward(dst, x, 1, &p, &scr)
 		}
 	})
+	// A lockstep batch: rows at busy levels from 80 to 100 %, so the chunks
+	// the batch lists are a few more than any one row's. ns/row against the
+	// dense rows at the same batch size.
+	for _, bsz := range []int{4, 16} {
+		xb := make([]float64, 0, bsz*in)
+		for range bsz {
+			xb = append(xb, encoderShaped(r, in, 0.8+0.2*r.Float64())...)
+		}
+		db := make([]float64, bsz*out)
+		for _, packed := range []bool{false, true} {
+			name := map[bool]string{false: "DenseBatch", true: "PackedBatch"}[packed]
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", name, in, out, bsz, f.name), func(b *testing.B) {
+				SetWide(f.wide)
+				defer SetWide(true)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if packed {
+						s.PackedForward(db, xb, bsz, &p, &scr)
+					} else {
+						s.DenseForward(db, xb, w, bias, in, out, bsz)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bsz), "ns/row")
+			})
+		}
+	}
 	if !f.wide {
 		b.Run("Pack/"+shape, func(b *testing.B) {
 			b.ReportAllocs()

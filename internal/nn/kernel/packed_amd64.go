@@ -2,97 +2,52 @@
 
 package kernel
 
-import (
-	"math"
-	"slices"
-)
-
-// The packed one-sample forward of the avx2 set. MRSch's state vector spends
-// two elements on every resource unit — (0, time-to-free) when busy, (1, 0)
-// when free — so the even and the odd elements of x each carry long runs of
-// exact zeros. Pack de-interleaves W's columns the way the kernel
-// de-interleaves x, and the kernel multiplies only the 4-wide chunks of
-// either half that hold a non-zero. The package doc's numerical contract
-// says why the result is DenseForward's to the bit.
-//
-// Layout of Packed.w. With body = in - in%4 and K = ceil(body/8) chunks per
-// half, rows go in blocks of 8 (then one of 4 when out%8 == 4), and a block
-// of R rows holds, back to back:
-//
-//	even chunks  K × R × 4   chunk k, row r, lane l = W[r][2(4k+l)]
-//	odd chunks   K × R × 4   chunk k, row r, lane l = W[r][2(4k+l)+1]
-//	tail         (in%4) × R  column t, row r        = W[r][body+t]
-//	bias         R
-//
-// columns at or past body reading as zero. One listed chunk of x therefore
-// meets its R rows' weights in R×32 contiguous bytes.
+// The packed forward of the avx2 set over the layout of packed.go: a lone
+// sample lists its own non-zero chunks (packedMatvec), and a batch lists the
+// chunks that are non-zero in any of its rows and runs every row over that
+// one list (packedPass4/8/16), so each weight block is read once a batch.
+// The batch passes give a lone sample the same bits, but not as fast: they
+// copy the sample de-interleaved and carry a batch's bookkeeping, and at
+// bsz = 1 they read 12–16 % slower than packedMatvec in BenchmarkDenseKernels'
+// Packed rows and ≈ 5 % slower a lone decision at the paper's width
+// (BenchmarkPaperScaleDecide), so a lone sample keeps its own routine.
 
 //go:noescape
 func packedMatvec(dst, x, w, xs *float64, offs *int64, in, out, wide int)
 
-func avx2Pack(p *Packed, w, b []float64, in, out int) bool {
-	p.in, p.out = 0, 0
-	if in <= 0 || out <= 0 || out%4 != 0 || !allFinite(w[:out*in]) {
-		return false
-	}
-	body, tail := in-in%4, in%4
-	k := (body + 4) / 8 // 4-wide chunks per half
-	perRow := 8*k + tail + 1
-	p.w = slices.Grow(p.w[:0], out*perRow)[:out*perRow]
+//go:noescape
+func packedSpread(xs *float64, mask *uint8, x *float64, in int)
 
-	for o0, rows := 0, 8; o0 < out; o0 += rows {
-		if out-o0 < 8 {
-			rows = 4
-		}
-		blk := p.w[o0*perRow : (o0+rows)*perRow]
-		tails, bias := blk[8*k*rows:], blk[(8*k+tail)*rows:]
-		for r := 0; r < rows; r++ {
-			row := w[(o0+r)*in : (o0+r+1)*in]
-			for c, at := 0, r*4; c < k; c, at = c+1, at+4*rows {
-				var src [8]float64 // a half chunk's padding lanes stay zero
-				copy(src[:], row[8*c:body])
-				even, odd := blk[at:at+4], blk[at+4*k*rows:at+4*k*rows+4]
-				even[0], even[1], even[2], even[3] = src[0], src[2], src[4], src[6]
-				odd[0], odd[1], odd[2], odd[3] = src[1], src[3], src[5], src[7]
-			}
-			for t, v := range row[body:] {
-				tails[t*rows+r] = v
-			}
-			bv := b[o0+r]
-			if bv == 0 && math.Signbit(bv) {
-				return false
-			}
-			bias[r] = bv
-		}
-	}
-	p.in, p.out = in, out
-	return true
-}
+//go:noescape
+func packedPass4(dst, xs, w *float64, offs *int64, acc *float64, n, bsz, k, tail, xstride, dstride int)
 
-// allFinite reports whether s holds no NaN and no infinity: v-v is 0 for a
-// finite v and NaN otherwise, and NaN is sticky in a sum.
-func allFinite(s []float64) bool {
-	var a0, a1, a2, a3 float64
-	for ; len(s) >= 4; s = s[4:] {
-		a0 += s[0] - s[0]
-		a1 += s[1] - s[1]
-		a2 += s[2] - s[2]
-		a3 += s[3] - s[3]
-	}
-	for _, v := range s {
-		a0 += v - v
-	}
-	return a0+a1+(a2+a3) == 0
-}
+//go:noescape
+func packedPass8(dst, xs, w *float64, offs *int64, acc *float64, n, bsz, k, tail, xstride, dstride int)
 
-func avx2PackedForward(dst, x []float64, p *Packed, s *PackedScratch) {
-	packedForward(dst, x, p, s, 0)
+//go:noescape
+func packedPass16(dst, xs, w *float64, offs *int64, acc *float64, n, bsz, k, tail, xstride, dstride int)
+
+// batchAcc is the doubles of bacc a batch row takes: sixteen rows' 4-lane
+// accumulators carried from one segment of the chunk list to the next, then
+// the even pass's sixteen sums.
+const batchAcc = 80
+
+func avx2PackedForward(dst, x []float64, bsz int, p *Packed, s *PackedScratch) {
+	if bsz == 1 {
+		packedForward(dst, x, p, s, 0)
+		return
+	}
+	packedBatchForward(dst, x, bsz, p, s, false)
 }
 
 // widePackedForward is the packed forward with its 8-row blocks taken two at a
 // time in 512-bit registers (packed_amd64.s), the same bits.
-func widePackedForward(dst, x []float64, p *Packed, s *PackedScratch) {
-	packedForward(dst, x, p, s, 1)
+func widePackedForward(dst, x []float64, bsz int, p *Packed, s *PackedScratch) {
+	if bsz == 1 {
+		packedForward(dst, x, p, s, 1)
+		return
+	}
+	packedBatchForward(dst, x, bsz, p, s, true)
 }
 
 func packedForward(dst, x []float64, p *Packed, s *PackedScratch, wide int) {
@@ -100,7 +55,7 @@ func packedForward(dst, x []float64, p *Packed, s *PackedScratch, wide int) {
 		panic("kernel: PackedForward without a successful Pack")
 	}
 	_, _ = dst[p.out-1], x[p.in-1]
-	k := (p.in - p.in%4 + 4) / 8 // 4-wide chunks per half, as Pack laid them
+	k, _ := packGeometry(p.in)
 	if len(s.xs) < 8*k {
 		s.xs = make([]float64, 8*k)
 		s.offs = make([]int64, 2*k)
@@ -111,4 +66,78 @@ func packedForward(dst, x []float64, p *Packed, s *PackedScratch, wide int) {
 		xs, offs = &s.xs[0], &s.offs[0]
 	}
 	packedMatvec(&dst[0], &x[0], &p.w[0], xs, offs, p.in, p.out, wide)
+}
+
+// packedBatchForward is the packed forward of bsz rows. It de-interleaves
+// every row into s.bx, noting which chunks are non-zero in any row, lists
+// those chunks once, and runs each row block's even pass and then its odd
+// pass over every row of the batch (packed_amd64.s): a row takes the listed
+// chunks in index order, the order its lone forward takes the ones it lists
+// itself, and a chunk that is zero in this row but not in another adds a
+// product of ±0, which the numerical contract's exact no-op covers. The blocks
+// go as the lone forward takes them: sixteen rows at a time in the 512-bit
+// form, then eight, then the last four when out%8 == 4.
+func packedBatchForward(dst, x []float64, bsz int, p *Packed, s *PackedScratch, wide bool) {
+	in, out := p.in, p.out
+	if in == 0 {
+		panic("kernel: PackedForward without a successful Pack")
+	}
+	_, _ = dst[bsz*out-1], x[bsz*in-1]
+	body, tail := in-in%4, in%4
+	k, perRow := packGeometry(in)
+	xstride := 8*k + tail
+	s.bx = grow(s.bx, max(bsz*xstride, 1))
+	s.bacc = grow(s.bacc, bsz*batchAcc)
+	s.bmask = grow(s.bmask, max(2*k, 1))
+	s.boffs = grow(s.boffs, max(2*k, 1))
+	mask := s.bmask[:2*k]
+	clear(mask)
+	for b := 0; b < bsz; b++ {
+		row, xb := s.bx[b*xstride:(b+1)*xstride], x[b*in:(b+1)*in]
+		if k > 0 {
+			packedSpread(&row[0], &mask[0], &xb[0], in)
+		}
+		copy(row[8*k:], xb[body:])
+	}
+	n, ne := 0, 0
+	for c, m := range mask {
+		if m != 0 {
+			s.boffs[n] = int64(32 * c)
+			n++
+		}
+		if c == k-1 {
+			ne = n
+		}
+	}
+	xs, acc := &s.bx[0], &s.bacc[0]
+	evens, odds := &s.boffs[0], &s.boffs[min(ne, len(s.boffs)-1)] // an empty list's pointer is never read
+	no := n - ne
+	xsb, dsb := 8*xstride, 8*out
+	o0 := 0
+	if wide {
+		for ; out-o0 >= 16; o0 += 16 {
+			w := &p.w[o0*perRow]
+			packedPass16(nil, xs, w, evens, acc, ne, bsz, k, tail, xsb, dsb)
+			packedPass16(&dst[o0], xs, w, odds, acc, no, bsz, k, tail, xsb, dsb)
+		}
+	}
+	for ; out-o0 >= 8; o0 += 8 {
+		w := &p.w[o0*perRow]
+		packedPass8(nil, xs, w, evens, acc, ne, bsz, k, tail, xsb, dsb)
+		packedPass8(&dst[o0], xs, w, odds, acc, no, bsz, k, tail, xsb, dsb)
+	}
+	if o0 < out {
+		w := &p.w[o0*perRow]
+		packedPass4(nil, xs, w, evens, acc, ne, bsz, k, tail, xsb, dsb)
+		packedPass4(&dst[o0], xs, w, odds, acc, no, bsz, k, tail, xsb, dsb)
+	}
+}
+
+// grow returns s with at least n elements, reallocated only when it has too
+// few.
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		return make([]T, n)
+	}
+	return s
 }

@@ -65,6 +65,83 @@ DATA order16<>+48(SB)/8, $5
 DATA order16<>+56(SB)/8, $7
 GLOBL order16<>(SB), RODATA|NOPTR, $64
 
+// The batched packed forward (packed_amd64.go, packedBatchForward). The caller
+// de-interleaves each row of the batch into xs with packedSpread — per row,
+// K even chunks, K odd chunks, then the in%4 tail elements, xstride bytes in
+// all — and lists the chunks that are non-zero in some row by their byte
+// offset in a row of xs (32 a chunk, so chunk c of an R-row block sits at
+// offset × R). Then each row block takes an even pass over the even list and
+// an odd pass over the odd list, one call each. A pass runs every row of the
+// batch over the list in segments of SEG chunks, whose weights stay in L1
+// from one row to the next, carrying a row's accumulators in acc between
+// segments: each accumulator is the same chain of FMAs in the same order as
+// in the lone forward's pass, only stored and reloaded on its way. After the
+// last segment the even pass folds and keeps each row's sums at acc+512; the
+// odd pass (dst != nil) folds, adds them to the kept even sums, then the tail
+// FMAs and the bias, as packedMatvec does, and stores the row's outputs at
+// dst + row × dstride. acc holds 640 bytes a row.
+
+#define SEG 32
+
+// SPREAD_CHUNK is LIST_CHUNK's de-interleave without the list: the eight
+// elements of x in Y0 (first four) and Y1 go to DI (even) and DI+R9 (odd),
+// and each half's non-zero lane flags are or-ed into its byte at SI (even)
+// or R10 (odd). Y7 = 0.
+#define SPREAD_CHUNK \
+	VUNPCKLPD Y1, Y0, Y2; \
+	VUNPCKHPD Y1, Y0, Y3; \
+	VPERMPD $0xD8, Y2, Y2; \
+	VPERMPD $0xD8, Y3, Y3; \
+	VMOVUPD Y2, (DI); \
+	VMOVUPD Y3, (DI)(R9*1); \
+	VCMPPD $4, Y7, Y2, Y2; \
+	VCMPPD $4, Y7, Y3, Y3; \
+	VMOVMSKPD Y2, AX; \
+	ORB AL, (SI); \
+	VMOVMSKPD Y3, AX; \
+	ORB AL, (R10); \
+	ADDQ $32, DI; \
+	INCQ SI; \
+	INCQ R10
+
+// SEGMENT sets R9 to the chunks of the segment that starts R8 chunks into
+// the list, and DI to 1 when it is the list's last (possibly empty) one.
+#define SEGMENT(cut, rows) \
+	MOVQ n+40(FP), R9; \
+	SUBQ R8, R9; \
+	XORQ DI, DI; \
+	CMPQ R9, $SEG; \
+	JGT  cut; \
+	MOVQ $1, DI; \
+	JMP  rows; \
+cut: \
+	MOVQ $SEG, R9
+
+// ROWS starts the walk over the batch's rows: DX the row's chunks, R11 its
+// acc, R12 its outputs (0 in the even pass), R10 the rows left.
+#define ROWS \
+	MOVQ xs+8(FP), DX; \
+	MOVQ acc+32(FP), R11; \
+	MOVQ dst+0(FP), R12; \
+	MOVQ bsz+48(FP), R10
+
+// CHUNKS points CX at the segment's first listed offset and AX at its count.
+#define CHUNKS \
+	MOVQ offs+24(FP), CX; \
+	LEAQ (CX)(R8*8), CX; \
+	MOVQ R9, AX
+
+// NEXT_ROW moves to the next row, and after the last one to the next segment
+// until the last segment is done.
+#define NEXT_ROW(row, seg) \
+	ADDQ xstride+72(FP), DX; \
+	ADDQ $640, R11; \
+	DECQ R10; \
+	JNZ  row; \
+	ADDQ R9, R8; \
+	TESTQ DI, DI; \
+	JZ   seg
+
 // func packedMatvec(dst, x, w, xs *float64, offs *int64, in, out, wide int)
 //
 // dst = W·x + b for one sample against a packed layer; out is a multiple of 4.
@@ -400,5 +477,393 @@ bias4:
 	VMOVUPD Y10, (DI)
 
 done:
+	VZEROUPPER
+	RET
+
+// func packedSpread(xs *float64, mask *uint8, x *float64, in int)
+//
+// De-interleaves the in-in%4 body of one row x into xs (K even chunks, then K
+// odd ones) and marks in mask (K even flags, then K odd ones) every chunk
+// with a lane that is not ±0. in >= 4.
+TEXT ·packedSpread(SB), NOSPLIT, $0-32
+	MOVQ xs+0(FP), DI
+	MOVQ mask+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ in+24(FP), CX
+	ANDQ $-4, CX
+	MOVQ CX, R8                // body
+	LEAQ 4(CX), AX
+	SHRQ $3, AX                // K
+	LEAQ (SI)(AX*1), R10       // the odd chunks' flags
+	SHLQ $5, AX
+	MOVQ AX, R9                // the odd chunks start K×32 bytes into the row
+	VXORPD Y7, Y7, Y7
+	SHRQ $3, CX
+	JZ   spread_half
+
+spread_loop:
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	SPREAD_CHUNK
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  spread_loop
+
+spread_half:
+	TESTQ $4, R8
+	JZ    spread_done
+	VMOVUPD (DX), Y0
+	VXORPD Y1, Y1, Y1
+	SPREAD_CHUNK
+
+spread_done:
+	VZEROUPPER
+	RET
+
+// func packedPass4(dst, xs, w *float64, offs *int64, acc *float64, n, bsz, k, tail, xstride, dstride int)
+//
+// One pass of a 4-row block (the last block when out%8 == 4): four
+// accumulators a row, packedMatvec's pass4.
+TEXT ·packedPass4(SB), NOSPLIT, $0-88
+	MOVQ w+16(FP), SI
+	XORQ R8, R8                // listed chunks before this segment
+
+seg4:
+	SEGMENT(cut4, rows4)
+
+rows4:
+	ROWS
+
+row4:
+	TESTQ R8, R8
+	JNZ   load4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	JMP   run4
+
+load4:
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD 64(R11), Y2
+	VMOVUPD 96(R11), Y3
+
+run4:
+	CHUNKS
+	TESTQ AX, AX
+	JZ    ran4
+
+chunk4:
+	MOVQ (CX), BX
+	VMOVUPD (DX)(BX*1), Y8
+	LEAQ (SI)(BX*4), BX        // chunk c of a 4-row block: 128c bytes
+	VFMADD231PD (BX), Y8, Y0
+	VFMADD231PD 32(BX), Y8, Y1
+	VFMADD231PD 64(BX), Y8, Y2
+	VFMADD231PD 96(BX), Y8, Y3
+	ADDQ $8, CX
+	DECQ AX
+	JNZ  chunk4
+
+ran4:
+	TESTQ DI, DI
+	JNZ   fold4b
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD Y3, 96(R11)
+	JMP   next4
+
+fold4b:
+	FOLD4(Y0, Y1, Y2, Y3, Y8, Y12)
+	TESTQ R12, R12
+	JNZ   join4b
+	VMOVUPD Y12, 512(R11)
+	JMP   next4
+
+join4b:
+	VMOVUPD 512(R11), Y10
+	VADDPD  Y12, Y10, Y10      // even sum + odd sum
+	MOVQ k+56(FP), BX
+	SHLQ $8, BX                // 2K chunks × 4 rows × 32 bytes
+	ADDQ SI, BX
+	MOVQ k+56(FP), AX
+	SHLQ $6, AX
+	ADDQ DX, AX                // the row's tail elements
+	MOVQ tail+64(FP), CX
+	TESTQ CX, CX
+	JZ   bias4b
+
+tail4b:
+	VBROADCASTSD (AX), Y8
+	VFMADD231PD (BX), Y8, Y10
+	ADDQ $8, AX
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  tail4b
+
+bias4b:
+	VADDPD  (BX), Y10, Y10
+	VMOVUPD Y10, (R12)
+	ADDQ dstride+80(FP), R12
+
+next4:
+	NEXT_ROW(row4, seg4)
+	VZEROUPPER
+	RET
+
+// func packedPass8(dst, xs, w *float64, offs *int64, acc *float64, n, bsz, k, tail, xstride, dstride int)
+//
+// One pass of an 8-row block: eight accumulators a row, packedMatvec's pass8.
+TEXT ·packedPass8(SB), NOSPLIT, $0-88
+	MOVQ w+16(FP), SI
+	XORQ R8, R8
+
+seg8:
+	SEGMENT(cut8, rows8)
+
+rows8:
+	ROWS
+
+row8:
+	TESTQ R8, R8
+	JNZ   load8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	JMP   run8
+
+load8:
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD 64(R11), Y2
+	VMOVUPD 96(R11), Y3
+	VMOVUPD 128(R11), Y4
+	VMOVUPD 160(R11), Y5
+	VMOVUPD 192(R11), Y6
+	VMOVUPD 224(R11), Y7
+
+run8:
+	CHUNKS
+	TESTQ AX, AX
+	JZ    ran8
+
+chunk8:
+	MOVQ (CX), BX
+	VMOVUPD (DX)(BX*1), Y8
+	LEAQ (SI)(BX*8), BX        // chunk c of an 8-row block: 256c bytes
+	VFMADD231PD (BX), Y8, Y0
+	VFMADD231PD 32(BX), Y8, Y1
+	VFMADD231PD 64(BX), Y8, Y2
+	VFMADD231PD 96(BX), Y8, Y3
+	VFMADD231PD 128(BX), Y8, Y4
+	VFMADD231PD 160(BX), Y8, Y5
+	VFMADD231PD 192(BX), Y8, Y6
+	VFMADD231PD 224(BX), Y8, Y7
+	ADDQ $8, CX
+	DECQ AX
+	JNZ  chunk8
+
+ran8:
+	TESTQ DI, DI
+	JNZ   fold8b
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD Y3, 96(R11)
+	VMOVUPD Y4, 128(R11)
+	VMOVUPD Y5, 160(R11)
+	VMOVUPD Y6, 192(R11)
+	VMOVUPD Y7, 224(R11)
+	JMP   next8
+
+fold8b:
+	FOLD4(Y0, Y1, Y2, Y3, Y8, Y12)
+	FOLD4(Y4, Y5, Y6, Y7, Y8, Y13)
+	TESTQ R12, R12
+	JNZ   join8b
+	VMOVUPD Y12, 512(R11)
+	VMOVUPD Y13, 544(R11)
+	JMP   next8
+
+join8b:
+	VMOVUPD 512(R11), Y10
+	VMOVUPD 544(R11), Y11
+	VADDPD  Y12, Y10, Y10      // even sum + odd sum
+	VADDPD  Y13, Y11, Y11
+	MOVQ k+56(FP), BX
+	SHLQ $9, BX                // 2K chunks × 8 rows × 32 bytes
+	ADDQ SI, BX
+	MOVQ k+56(FP), AX
+	SHLQ $6, AX
+	ADDQ DX, AX                // the row's tail elements
+	MOVQ tail+64(FP), CX
+	TESTQ CX, CX
+	JZ   bias8b
+
+tail8b:
+	VBROADCASTSD (AX), Y8
+	VFMADD231PD (BX), Y8, Y10
+	VFMADD231PD 32(BX), Y8, Y11
+	ADDQ $8, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  tail8b
+
+bias8b:
+	VADDPD  (BX), Y10, Y10
+	VADDPD  32(BX), Y11, Y11
+	VMOVUPD Y10, (R12)
+	VMOVUPD Y11, 32(R12)
+	ADDQ dstride+80(FP), R12
+
+next8:
+	NEXT_ROW(row8, seg8)
+	VZEROUPPER
+	RET
+
+// func packedPass16(dst, xs, w *float64, offs *int64, acc *float64, n, bsz, k, tail, xstride, dstride int)
+//
+// One pass of two 8-row blocks in 512-bit registers (AVX512F/DQ/VL): eight
+// ZMM accumulators a row, packedMatvec's pass16, its fold and its reorder.
+TEXT ·packedPass16(SB), NOSPLIT, $0-88
+	MOVQ w+16(FP), SI
+	MOVQ k+56(FP), R13
+	SHLQ $3, R13
+	ADDQ tail+64(FP), R13
+	LEAQ 1(R13), R13
+	SHLQ $6, R13               // bytes in an 8-row block: 8 × (8K + in%4 + 1) × 8
+	VMOVUPD order16<>(SB), Z31
+	XORQ R8, R8
+
+seg16:
+	SEGMENT(cut16, rows16)
+
+rows16:
+	ROWS
+
+row16:
+	TESTQ R8, R8
+	JNZ   load16
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	JMP   run16
+
+load16:
+	VMOVUPD (R11), Z0
+	VMOVUPD 64(R11), Z1
+	VMOVUPD 128(R11), Z2
+	VMOVUPD 192(R11), Z3
+	VMOVUPD 256(R11), Z4
+	VMOVUPD 320(R11), Z5
+	VMOVUPD 384(R11), Z6
+	VMOVUPD 448(R11), Z7
+
+run16:
+	CHUNKS
+	TESTQ AX, AX
+	JZ    ran16
+
+chunk16:
+	MOVQ (CX), BX
+	VBROADCASTF64X4 (DX)(BX*1), Z8
+	LEAQ (SI)(BX*8), BX
+	VFMADD231PD (BX), Z8, Z0
+	VFMADD231PD 64(BX), Z8, Z1
+	VFMADD231PD 128(BX), Z8, Z2
+	VFMADD231PD 192(BX), Z8, Z3
+	VFMADD231PD (BX)(R13*1), Z8, Z4
+	VFMADD231PD 64(BX)(R13*1), Z8, Z5
+	VFMADD231PD 128(BX)(R13*1), Z8, Z6
+	VFMADD231PD 192(BX)(R13*1), Z8, Z7
+	ADDQ $8, CX
+	DECQ AX
+	JNZ  chunk16
+
+ran16:
+	TESTQ DI, DI
+	JNZ   fold16b
+	VMOVUPD Z0, (R11)
+	VMOVUPD Z1, 64(R11)
+	VMOVUPD Z2, 128(R11)
+	VMOVUPD Z3, 192(R11)
+	VMOVUPD Z4, 256(R11)
+	VMOVUPD Z5, 320(R11)
+	VMOVUPD Z6, 384(R11)
+	VMOVUPD Z7, 448(R11)
+	JMP   next16
+
+fold16b:
+	VSHUFF64X2 $0x88, Z1, Z0, Z16
+	VSHUFF64X2 $0xDD, Z1, Z0, Z17
+	VADDPD     Z17, Z16, Z16
+	VSHUFF64X2 $0x88, Z3, Z2, Z18
+	VSHUFF64X2 $0xDD, Z3, Z2, Z19
+	VADDPD     Z19, Z18, Z18
+	VSHUFF64X2 $0x88, Z5, Z4, Z20
+	VSHUFF64X2 $0xDD, Z5, Z4, Z21
+	VADDPD     Z21, Z20, Z20
+	VSHUFF64X2 $0x88, Z7, Z6, Z22
+	VSHUFF64X2 $0xDD, Z7, Z6, Z23
+	VADDPD     Z23, Z22, Z22
+	VUNPCKLPD  Z18, Z16, Z17
+	VUNPCKHPD  Z18, Z16, Z19
+	VADDPD     Z19, Z17, Z0    // the first block's sums, rows 0 4 1 5 2 6 3 7
+	VUNPCKLPD  Z22, Z20, Z21
+	VUNPCKHPD  Z22, Z20, Z23
+	VADDPD     Z23, Z21, Z1    // the second block's
+	TESTQ R12, R12
+	JNZ   join16b
+	VMOVUPD Z0, 512(R11)
+	VMOVUPD Z1, 576(R11)
+	JMP   next16
+
+join16b:
+	VMOVUPD 512(R11), Z24
+	VMOVUPD 576(R11), Z25
+	VADDPD  Z0, Z24, Z24       // even sum + odd sum
+	VADDPD  Z1, Z25, Z25
+	VPERMPD Z24, Z31, Z24
+	VPERMPD Z25, Z31, Z25
+	MOVQ k+56(FP), BX
+	SHLQ $9, BX                // 2K chunks × 8 rows × 32 bytes
+	ADDQ SI, BX
+	MOVQ k+56(FP), AX
+	SHLQ $6, AX
+	ADDQ DX, AX                // the row's tail elements
+	MOVQ tail+64(FP), CX
+	TESTQ CX, CX
+	JZ   bias16b
+
+tail16b:
+	VBROADCASTSD (AX), Z8
+	VFMADD231PD (BX), Z8, Z24
+	VFMADD231PD (BX)(R13*1), Z8, Z25
+	ADDQ $8, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  tail16b
+
+bias16b:
+	VADDPD  (BX), Z24, Z24
+	VADDPD  (BX)(R13*1), Z25, Z25
+	VMOVUPD Z24, (R12)
+	VMOVUPD Z25, 64(R12)
+	ADDQ dstride+80(FP), R12
+
+next16:
+	NEXT_ROW(row16, seg16)
 	VZEROUPPER
 	RET

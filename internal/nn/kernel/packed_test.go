@@ -82,7 +82,7 @@ func samePacked(t *testing.T, s *Set, what string, x, w, b []float64, in, out in
 	for i := range got {
 		got[i] = math.NaN() // every output must be written
 	}
-	s.PackedForward(got, x, &p, new(PackedScratch))
+	s.PackedForward(got, x, 1, &p, new(PackedScratch))
 	for o := range want {
 		if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
 			t.Fatalf("%s: output %d: packed %v (%#x), dense %v (%#x)", what, o,
@@ -143,7 +143,7 @@ func TestPackReusesItsBuffer(t *testing.T) {
 			t.Fatalf("Pack declined %dx%d", out, in)
 		}
 		got, want := make([]float64, out), make([]float64, out)
-		s.PackedForward(got, x, &p, &scr)
+		s.PackedForward(got, x, 1, &p, &scr)
 		s.DenseForward(want, x, w, b, in, out, 1)
 		for o := range want {
 			if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
@@ -177,7 +177,7 @@ func TestPackedSharedAcrossReaders(t *testing.T) {
 			got, want := make([]float64, out), make([]float64, out)
 			for i := 0; i < 50; i++ {
 				x := xs[(g+i)%len(xs)]
-				s.PackedForward(got, x, &p, &scr)
+				s.PackedForward(got, x, 1, &p, &scr)
 				s.DenseForward(want, x, w, b, in, out, 1)
 				for o := range want {
 					if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
@@ -248,5 +248,90 @@ func TestPackDeclines(t *testing.T) {
 			t.Fatal("PackedForward ran on a Packed whose Pack declined")
 		}
 	}()
-	s.PackedForward(dense, x, &p, new(PackedScratch))
+	s.PackedForward(dense, x, 1, &p, new(PackedScratch))
+}
+
+// batchRows draws bsz rows of an in-wide batch the way a lockstep batch of
+// decisions looks: each row encoder-shaped at its own busy level, and then
+// some 8-element groups zeroed in one row only, so the batch lists chunks
+// that are zero in some of its rows and not in others; one row all zero, one
+// dense, one salted with -0, subnormals, NaN and infinities.
+func batchRows(r *rand.Rand, in, bsz int) []float64 {
+	x := make([]float64, 0, bsz*in)
+	for b := 0; b < bsz; b++ {
+		row := encoderShaped(r, in, r.Float64())
+		switch b % 7 {
+		case 3:
+			clear(row)
+		case 4:
+			row = fill(r, in)
+		case 5:
+			row = awkward(r, in, true)
+		}
+		for g := 0; g < in; g += 8 {
+			if r.Intn(3) == 0 {
+				clear(row[g:min(g+8, in)])
+			}
+		}
+		x = append(x, row...)
+	}
+	return x
+}
+
+// sameBatchRows holds s's packed forward of a batch to DenseForward row by
+// row, a NaN matching any NaN (x may hold them; which payload a product of
+// two keeps is not part of the contract).
+func sameBatchRows(t *testing.T, s *Set, what string, x, w, b []float64, in, out, bsz int) {
+	t.Helper()
+	var p Packed
+	if !s.Pack(&p, w, b, in, out) {
+		t.Fatalf("%s: Pack declined a finite %dx%d layer", what, out, in)
+	}
+	got, want := make([]float64, bsz*out), make([]float64, out)
+	for i := range got {
+		got[i] = math.Pi // every output must be written
+	}
+	s.PackedForward(got, x, bsz, &p, new(PackedScratch))
+	for bi := 0; bi < bsz; bi++ {
+		s.DenseForward(want, x[bi*in:(bi+1)*in], w, b, in, out, 1)
+		if o := differ(got[bi*out:(bi+1)*out], want); o >= 0 {
+			g := got[bi*out+o]
+			t.Fatalf("%s: row %d output %d: packed %v (%#x), dense %v (%#x)", what, bi, o,
+				g, math.Float64bits(g), want[o], math.Float64bits(want[o]))
+		}
+	}
+}
+
+// The packed forward of a batch is DenseForward row by row, to the bit, in
+// the set's 256-bit forms and in its 512-bit ones: every in mod 8 residue,
+// the quick and the 746-wide first layer (their chunk lists run in two and
+// three segments), row blocks of 16, 8 and 4 in every combination, and every
+// batch size from 2 to 17.
+func TestPackedBatchEqualsDenseBitwise(t *testing.T) {
+	s := packedSet(t)
+	for _, wide := range []bool{false, true} {
+		name := map[bool]string{false: "Narrow", true: "Wide"}[wide]
+		t.Run(name, func(t *testing.T) {
+			if wide && !strings.Contains(Features(), "forms=wide") {
+				t.Skipf("no 512-bit forms on this CPU (probed: %s)", Features())
+			}
+			SetWide(wide)
+			defer SetWide(true)
+			r := rand.New(rand.NewSource(15))
+			ins := []int{394, 746}
+			for in := 1; in <= 40; in++ {
+				ins = append(ins, in)
+			}
+			for _, in := range ins {
+				for _, out := range []int{4, 8, 12, 16, 20, 28, 44} {
+					w, b := fill(r, out*in), fill(r, out)
+					b[0] = 0
+					for bsz := 2; bsz <= 17; bsz += 1 + bsz/4 {
+						what := fmt.Sprintf("in=%d out=%d bsz=%d", in, out, bsz)
+						sameBatchRows(t, s, what, batchRows(r, in, bsz), w, b, in, out, bsz)
+					}
+				}
+			}
+		})
+	}
 }

@@ -242,11 +242,11 @@ func TestWideFormsSensitivity(t *testing.T) {
 	const in, out = 394, 32
 	x, w, b := encoderShaped(r, in, 0.5), fill(r, out*in), fill(r, out)
 	var p Packed
-	if !avx2Pack(&p, w, b, in, out) {
+	if !pack(&p, w, b, in, out) {
 		t.Fatal("Pack declined a finite layer")
 	}
 	got, want := make([]float64, out), make([]float64, out)
-	widePackedForward(got, x, &p, new(PackedScratch))
+	widePackedForward(got, x, 1, &p, new(PackedScratch))
 	wideDenseForward(want, x, w, b, in, out, 1)
 	sameBits(t, "packed", got, want)
 	for o := 0; o < out; o += 2 {

@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"math/rand"
+
+	"repro/internal/nn/kernel"
 )
 
 // Param is a learnable tensor with its accumulated gradient. Optimizers
@@ -27,12 +29,26 @@ type Param struct {
 	// snap is the published copy-on-write view of Value, lazily allocated
 	// by Snapshot.
 	snap Vec
+
+	// packed, on the W of a packed-only Dense, is the layer's packed copy,
+	// the one place its values live: Value is nil (Dense).
+	packed *kernel.Packed
 }
 
 // NewParam allocates a parameter of n elements named name: the value, and
 // no gradient yet.
 func NewParam(name string, n int) *Param {
 	return &Param{Name: name, Value: make(Vec, n)}
+}
+
+// size returns the number of values p holds, in Value or in its layer's
+// packed copy.
+func (p *Param) size() int {
+	if p.packed != nil {
+		in, out := p.packed.Shape()
+		return in * out
+	}
+	return len(p.Value)
 }
 
 // grad returns p's gradient, allocating it zeroed on first use: what a

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -67,12 +68,21 @@ func TestLoadWeightsRefusesGobFormat(t *testing.T) {
 	}
 }
 
-// FuzzLoadWeights drives arbitrary bytes through the model-file loader — what
+// packNet is a network whose first Dense the avx2 kernel set packs (out%4 ==
+// 0), built with zero values when rng is nil.
+func packNet(rng *rand.Rand) *Sequential {
+	return NewSequential(8, NewDense(8, 4, HeInit, rng), NewLeakyReLU(0.01), NewDense(4, 2, HeInit, rng))
+}
+
+// FuzzLoadWeights drives arbitrary bytes through the model-file loaders — what
 // any client reaches through the daemon's swap frame and -model — as they are
 // and sealed, so the fuzzer reaches the section decoder behind the checksum.
 // Invariants: no panic, a failed load changes no weight, and a load allocates
 // no more than a small multiple of its input (every count is held against the
-// bytes left before anything is sized from it).
+// bytes left before anything is sized from it). LoadFresh, into a network just
+// built, loads exactly the files LoadWeights loads into the same
+// architecture, and then saves the bytes LoadWeights' network saves, also
+// once PackOnly has moved its first layer into the packed layout.
 func FuzzLoadWeights(f *testing.F) {
 	valid := weightsFile(f, weightsNet(9).Params())
 	body := valid[:len(valid)-32]
@@ -82,6 +92,10 @@ func FuzzLoadWeights(f *testing.F) {
 	f.Add(body)
 	f.Add(body[:len(body)/2])
 	f.Add(wire.AppendUvarint(wire.AppendString(nil, weightsMagic), 1<<40))
+	packed := packNet(rand.New(rand.NewSource(9)))
+	f.Add(weightsFile(f, packed.Params()))
+	packed.Layers[0].(*Dense).B.Value[1] = math.Copysign(0, -1) // a layer Pack declines
+	f.Add(weightsFile(f, packed.Params()))
 
 	target := weightsNet(1234).Params()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -93,6 +107,25 @@ func FuzzLoadWeights(f *testing.F) {
 			}
 			if err != nil && !bytes.Equal(before, weightsFile(t, target)) {
 				t.Fatal("failed load changed the weights")
+			}
+
+			fresh, ref := packNet(nil), packNet(rand.New(rand.NewSource(1234))).Params()
+			if n := allocated(func() { err = LoadFresh(bytes.NewReader(file), fresh.Params()) }); n > 4*uint64(len(file))+64<<10 {
+				t.Fatalf("loading %d bytes fresh allocated %d", len(file), n)
+			}
+			errRef := LoadWeights(bytes.NewReader(file), ref)
+			if (err == nil) != (errRef == nil) {
+				t.Fatalf("LoadFresh: %v, LoadWeights: %v", err, errRef)
+			}
+			if err != nil {
+				continue
+			}
+			want := weightsFile(t, ref)
+			if !bytes.Equal(weightsFile(t, fresh.Params()), want) {
+				t.Fatal("a fresh load saves other bytes than the same file loaded into a built network")
+			}
+			if fresh.Layers[0].(*Dense).PackOnly() && !bytes.Equal(weightsFile(t, fresh.Params()), want) {
+				t.Fatal("a packed-only layer saves other bytes than its dense values")
 			}
 		}
 	})

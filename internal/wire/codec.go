@@ -155,6 +155,19 @@ func (r *Reader) Floats(n int) []float64 {
 	return out
 }
 
+// FloatsInto reads len(dst) float64s written by AppendFloats into dst, the
+// run Floats(len(dst)) would return, without allocating.
+func (r *Reader) FloatsInto(dst []float64) {
+	if len(dst) > len(r.b)/8 {
+		r.Fail("truncated float64 run")
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
+	}
+	r.b = r.b[8*len(dst):]
+}
+
 // Bool reads one byte that must be 0 or 1.
 func (r *Reader) Bool() bool {
 	if len(r.b) < 1 || r.b[0] > 1 {
@@ -210,6 +223,10 @@ func (r *Reader) Magic(want string) error {
 	}
 	return nil
 }
+
+// SealSize is the bytes Seal appends: a buffer with that much room past the
+// file is sealed in place.
+const SealSize = sha256.Size
 
 // Seal appends the SHA-256 of file to it: the trailer every durable file
 // ends in.
