@@ -3,7 +3,9 @@ package dfp
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -129,7 +131,7 @@ func TestReleaseBetweenBurstsKeepsBits(t *testing.T) {
 				if w, g := released.TrainScratch(); w == 0 || g != 0 {
 					t.Fatalf("before the release: %d workers, %d gradients on the agent's own layers; want some, none", w, g)
 				}
-				released.ReleaseWorkers()
+				released.releaseWorkers()
 				if w, g := released.TrainScratch(); w != 0 || g != 0 {
 					t.Fatalf("after the release: %d workers, %d gradients on the agent's own layers; want none", w, g)
 				}
@@ -146,6 +148,69 @@ func TestReleaseBetweenBurstsKeepsBits(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestReleaseTrainingKeepsTheModel: releasing a trained agent drops what
+// only training reads and keeps its model. It leaves no worker, no gradient,
+// an empty ring and a fresh optimizer; the saved weights, the predictions
+// and the pick do not change; its state section round-trips through
+// ReadState and is what a new agent that loaded the saved weights writes at
+// the released one's rng cursor, epsilon and step count. So training it
+// further is fine-tuning from its weights: the same experiences and bursts
+// move both agents to the bit.
+func TestReleaseTrainingKeepsTheModel(t *testing.T) {
+	for _, c := range burstCases {
+		t.Run(c.name, func(t *testing.T) {
+			a := c.mk()
+			burstLosses(a, 5)
+			weights := weightBytes(t, a)
+			state, meas, goal := randInputs(rand.New(rand.NewSource(3)), a.cfg.StateDim, a.cfg.Measurements)
+			goalExt := a.ExtendGoal(goal)
+			preds := slices.Clone(a.Predict(state, meas, goalExt))
+			for i := range preds {
+				preds[i] = slices.Clone(preds[i])
+			}
+			pick := a.Act(state, meas, goal, a.cfg.Actions, false)
+
+			a.ReleaseTraining()
+			if w, g := a.TrainScratch(); w != 0 || g != 0 || a.ReplaySize() != 0 || !a.OptimizerFresh() {
+				t.Fatalf("after the release: %d workers, %d gradients, %d experiences, fresh optimizer %v; want none, none, none, true",
+					w, g, a.ReplaySize(), a.OptimizerFresh())
+			}
+			if !bytes.Equal(weightBytes(t, a), weights) {
+				t.Fatal("the release changed the saved weights")
+			}
+			samePreds(t, "predictions after the release", a.Predict(state, meas, goalExt), preds)
+			if got := a.Act(state, meas, goal, a.cfg.Actions, false); got != pick {
+				t.Fatalf("the released agent picks %d, it picked %d", got, pick)
+			}
+
+			released := stateBytes(t, a)
+			back := New(a.cfg)
+			if err := loadState(back, released); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stateBytes(t, back), released) {
+				t.Fatal("the released agent's state section does not round-trip")
+			}
+			loaded := New(a.cfg)
+			if err := loaded.Load(bytes.NewReader(weights)); err != nil {
+				t.Fatal(err)
+			}
+			loaded.rngSrc.SeekTo(a.rngSrc.Cursor())
+			loaded.eps, loaded.trainSteps = a.eps, a.trainSteps
+			if !bytes.Equal(stateBytes(t, loaded), released) {
+				t.Fatal("the released agent's state section holds more than its weights, rng cursor, epsilon and step count")
+			}
+
+			fillReplay(a, 40, 5)
+			fillReplay(loaded, 40, 5)
+			sameLosses(t, "fine-tuning after the release", burstLosses(a, 4), burstLosses(loaded, 4))
+			if !bytes.Equal(stateBytes(t, a), stateBytes(t, loaded)) {
+				t.Fatal("fine-tuning the released agent and the loaded one ends in different states")
+			}
+		})
+	}
 }
 
 // TestBurstWideEqualsNarrowForms: the avx2 set's 512-bit kernel forms are its

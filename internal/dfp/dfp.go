@@ -167,7 +167,7 @@ type Agent struct {
 	trainSteps int
 
 	// Training engine state (engine.go): built by the first TrainSteps,
-	// dropped by ReleaseWorkers.
+	// dropped by releaseWorkers and ReleaseTraining.
 	workers  []*trainWorker
 	plan     stepPlan
 	gang     gang

@@ -46,10 +46,15 @@
 //     the Config at every core count; at GOMAXPROCS=1 both shards'
 //     gradient buffers are kept all the same. The agent's own layers never
 //     run a backward pass and hold no gradient; the workers, with their
-//     gradients and training-sized buffers, are built by the first burst
-//     and dropped by ReleaseWorkers — experiments.Train's last step — after
-//     which the next burst rebuilds them and continues to the bit
-//     (burst_test.go). ObserveSteps hands a caller the
+//     gradients and training-sized buffers, are built by the first burst;
+//     dropped between bursts (releaseWorkers), the next burst rebuilds them
+//     and continues to the bit (burst_test.go). A finished training ends in
+//     Agent.ReleaseTraining — experiments.Train's last step — which drops
+//     them together with the rest of what only gradient steps read: the
+//     replay ring's experiences and the Adam moments and step count. The
+//     weights stay, and with them every pick, Model and saved file; training
+//     the released agent further is fine-tuning from its weights, with a
+//     fresh optimizer and an empty ring. ObserveSteps hands a caller the
 //     calling goroutine's time in each phase of every step — shard, fold,
 //     Adam, barrier waits — reading the clock only while it is set (rollout exports them as
 //     dfp_step_{shard,fold,adam,wait}_ns beside dfp_train_step_ns). A
@@ -143,7 +148,8 @@
 // to save. Saving at a quiescent point and loading into an
 // identically-configured agent resumes training bit-for-bit
 // (internal/rollout's round-boundary checkpoint hook is that point; see its
-// package doc, rules 9-10). ReadState checks the entire section against the
+// package doc, rules 9-10). A released agent's section is the same layout
+// with an empty ring and no moments: it loads back a fine-tuning start. ReadState checks the entire section against the
 // agent and changes nothing; corrupt, truncated, or mismatched input fails
 // with a descriptive error and no partial state.
 package dfp

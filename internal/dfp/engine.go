@@ -54,10 +54,11 @@
 //     copy of the weights, 0.73 MB at quick scale, 409 MB at §IV-C's width,
 //     kept at GOMAXPROCS=1 too) and the training-sized activations and
 //     transposed weights of its layers. They are built by the first
-//     TrainSteps and live until ReleaseWorkers, which experiments.Train
-//     calls when a training ends, so two gradient buffers exist only while
-//     an agent trains; the next TrainSteps builds them again, zeroed, and
-//     continues to the bit.
+//     TrainSteps and live until releaseWorkers, so two gradient buffers
+//     exist only while an agent trains; the next TrainSteps builds them
+//     again, zeroed, and continues to the bit. ReleaseTraining, which
+//     experiments.Train calls when a training ends, drops them together
+//     with the replay ring's experiences and the Adam moments.
 //
 //     The phases are separated by a generation-counting barrier (gang)
 //     whose waiter polls an atomic and never parks: waking a parked
@@ -124,7 +125,7 @@ const stepShards = 2
 
 // ensureWorkers builds one worker per shard on first use: lazily, so an
 // agent that only decides never holds a gradient, and again after
-// ReleaseWorkers.
+// releaseWorkers.
 func (a *Agent) ensureWorkers() {
 	if a.workers != nil {
 		return
@@ -138,14 +139,29 @@ func (a *Agent) ensureWorkers() {
 	}
 }
 
-// ReleaseWorkers drops the step engine's workers with their gradients,
+// releaseWorkers drops the step engine's workers with their gradients,
 // training-sized activations and transposed weights, and its per-step
 // buffers. The weights, the optimizer, the replay ring and the rng are
 // untouched, so the next TrainSteps rebuilds the workers and continues to
 // the bit as if they had never gone. Call it between bursts — a returned
 // TrainSteps has seen every helper goroutine return — never during one.
-func (a *Agent) ReleaseWorkers() {
+func (a *Agent) releaseWorkers() {
 	a.workers, a.batchBuf, a.headWcol = nil, nil, nil
+}
+
+// ReleaseTraining ends a training: it drops what only gradient steps read —
+// the step engine's workers and buffers, the replay ring's experiences and
+// the optimizer's moments and step count — and keeps what deciding and
+// saving read. The weights, and so every pick, Model and the saved
+// model file, do not change; the state section still round-trips through
+// ReadState, with an empty ring and no moments, in the v4 layout. Training
+// the agent further is fine-tuning from its weights, with a fresh optimizer
+// and an empty ring; the rng, epsilon and step counter carry on. Like
+// releaseWorkers it is called between bursts, never during one.
+func (a *Agent) ReleaseTraining() {
+	a.releaseWorkers()
+	a.replay.reset()
+	a.opt = nn.NewAdam(a.cfg.LR)
 }
 
 func (a *Agent) newWorker() *trainWorker {

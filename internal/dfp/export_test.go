@@ -1,5 +1,11 @@
 package dfp
 
+import (
+	"bytes"
+
+	"repro/internal/nn"
+)
+
 // ReplayStateWords reports the words the replay keeps for its stored states
 // and the words the same states take dense.
 func (a *Agent) ReplayStateWords() (kept, dense int) {
@@ -20,4 +26,10 @@ func (a *Agent) TrainScratch() (workers, grads int) {
 		}
 	}
 	return len(a.workers), grads
+}
+
+// OptimizerFresh reports whether the agent's optimizer holds nothing: no
+// moment vector and a zero step count, the train state a new Adam writes.
+func (a *Agent) OptimizerFresh() bool {
+	return bytes.Equal(nn.AppendTrainState(nil, a.params, a.opt), nn.AppendTrainState(nil, a.params, nn.NewAdam(a.cfg.LR)))
 }

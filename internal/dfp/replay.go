@@ -51,6 +51,13 @@ func (r *replay) add(e *Experience) {
 	}
 }
 
+// reset empties the ring in place: its slots keep their capacity and drop
+// their experiences, so eviction and sampling start over from an empty ring.
+func (r *replay) reset() {
+	clear(r.buf)
+	r.next, r.full = 0, false
+}
+
 func (r *replay) len() int {
 	if r.full {
 		return len(r.buf)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/wire"
 )
 
-// ckptFixture is what the checkpoint tests below load: a trained agent's state
+// ckptFixture is what the checkpoint tests below load: a training's state
 // section and a §IV-A selection section, sealed under one manifest, into an
 // untrained receiver of the same architecture with a selection of its own.
 type ckptFixture struct {
@@ -25,17 +26,25 @@ type ckptFixture struct {
 func newCkptFixture(t testing.TB) (f ckptFixture) {
 	sc := tinyScale()
 	m := MustPrepare(sc)
-	trained, err := Train(m, TrainRun{Kind: scenario.KindMRSch, Family: "S2"}, CampaignOptions{})
+	// Train releases the ring and the moments it returns the agent without,
+	// so the source is the run's last checkpoint — a real training state —
+	// read into an untrained agent.
+	run := TrainRun{Kind: scenario.KindMRSch, Family: "S2"}
+	source, _, err := sc.newAgent(run, sc.System())
 	if err != nil {
 		t.Fatal(err)
+	}
+	finalCheckpoint(t, m, run, source.agent)
+	if source.MRSch.Agent.ReplaySize() == 0 {
+		t.Fatal("the checkpointed training state has an empty replay ring")
 	}
 	sys := sc.System()
 	valid, err := m.ValidationWorkload("S2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.source = trained.MRSch.Agent
-	f.sourceSel = core.NewSelection(trained.MRSch, sys, valid, 1)
+	f.source = source.MRSch.Agent
+	f.sourceSel = core.NewSelection(source.MRSch, sys, valid, 1)
 	if err := f.sourceSel.AfterEpisode(0, core.EpisodeResult{}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +53,32 @@ func newCkptFixture(t testing.TB) (f ckptFixture) {
 	f.targetSel = core.NewSelection(target, sys, valid, 1)
 	f.want = manifest{Key: "mrsch-S2-validated", SpecHash: "0123456789abcdef", Episodes: 6, Total: 6, Seed: 5}
 	return f
+}
+
+// finalCheckpoint trains run with a checkpoint directory and reads the last
+// checkpoint the run wrote, its state before Train's release, into sections.
+// It returns what Train returned.
+func finalCheckpoint(t testing.TB, m *Materials, run TrainRun, sections ...section) Trained {
+	t.Helper()
+	dir := t.TempDir()
+	trained, err := Train(m, run, CampaignOptions{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specHash, err := m.Scale.specHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := trainKey(string(run.Kind), run.Family, false, false)
+	data, err := os.ReadFile(checkpointPath(dir, key, specHash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := manifest{Key: key, SpecHash: specHash, Total: len(trained.Episodes), Seed: m.Scale.Seed + 7}
+	if done, err := readCheckpoint(data, want, sections); err != nil || done != want.Total {
+		t.Fatalf("reading the final checkpoint: boundary %d of %d, %v", done, want.Total, err)
+	}
+	return trained
 }
 
 // file seals the manifest and the given sections.
@@ -202,4 +237,58 @@ func allocated(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// Scalar RL leaves Train as MRSch does. The returned scheduler holds its
+// weights and no Adam moment: its state section is what a new scheduler
+// that loaded its model file writes. And it saves and evaluates as the
+// unreleased scheduler of the run's last checkpoint does.
+func TestTrainReleasesScalarRL(t *testing.T) {
+	sc := tinyScale()
+	m := MustPrepare(sc)
+	run := TrainRun{Kind: scenario.KindScalarRL, Family: "S4"}
+	unreleased, _, err := sc.newAgent(run, sc.System())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := finalCheckpoint(t, m, run, unreleased.agent)
+	var file, unreleasedFile bytes.Buffer
+	if err := trained.save(&file); err != nil {
+		t.Fatal(err)
+	}
+	if err := unreleased.save(&unreleasedFile); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file.Bytes(), unreleasedFile.Bytes()) {
+		t.Fatal("the trained scheduler saves other weights than its last checkpoint holds")
+	}
+
+	loaded, _, err := sc.newAgent(run, sc.System())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.ScalarRL.Load(bytes.NewReader(file.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	state := trained.agent.AppendState(nil)
+	if !bytes.Equal(state, loaded.agent.AppendState(nil)) {
+		t.Fatal("the trained scheduler's state section holds more than its weights: Adam moments or a step count")
+	}
+	if bytes.Equal(state, unreleased.agent.AppendState(nil)) {
+		t.Fatal("the last checkpoint holds no optimizer state: nothing was released")
+	}
+
+	for seed := range int64(3) {
+		got, err := Evaluate(sc.System(), trained.ScalarRL.Evaluator(seed).Policy(), m.Workload("S4"), MethodScalarRL, "S4", -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Evaluate(sc.System(), unreleased.ScalarRL.Evaluator(seed).Policy(), m.Workload("S4"), MethodScalarRL, "S4", -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("evaluator seed %d: the trained scheduler reports %+v, its last checkpoint %+v", seed, got, want)
+		}
+	}
 }

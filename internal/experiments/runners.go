@@ -114,7 +114,8 @@ type TrainRun struct {
 	PerResourceNets bool
 }
 
-// Trained is what a training run leaves behind: the agent, by kind, the
+// Trained is what a training run leaves behind: the agent, by kind, holding
+// its weights and nothing only training reads (Train releases the rest), the
 // per-episode results (after a resume, the tail that ran in this process)
 // and, for a validated run, the best validation score seen.
 type Trained struct {
@@ -123,10 +124,18 @@ type Trained struct {
 	Episodes []core.EpisodeResult
 	Best     core.ValidationMetrics
 
-	// agent is MRSch's dfp.Agent or ScalarRL, as what both are to the
-	// checkpoint layer: a state section; save writes its model file.
-	agent section
+	// agent is MRSch's dfp.Agent or ScalarRL, as what both are to Train: a
+	// checkpoint state section that a finished training releases; save
+	// writes its model file.
+	agent trainee
 	save  func(io.Writer) error
+}
+
+// trainee is what both agent kinds are to Train: a state section, and what
+// ReleaseTraining drops once the last gradient step has run.
+type trainee interface {
+	section
+	ReleaseTraining()
 }
 
 // paperOrdering is the curriculum ordering the paper found best (§V-B).
@@ -141,10 +150,15 @@ var paperOrdering = Ordering{core.Sampled, core.Real, core.Synthetic}
 // validated runs carry the selection state (best score and weights)
 // alongside the agent state, under a "-validated" key so they never collide
 // with plain ones — and with opt.Resume it continues a previously
-// interrupted run bitwise identically. It ends by releasing what an MRSch
-// agent's gradient steps kept (dfp.Agent.ReleaseWorkers), so a trained agent
-// holds what deciding and resuming read. The model-store fields of opt
-// (ModelDir, OnModel, NoTrain) are the campaign's and are not read here.
+// interrupted run bitwise identically. It ends, on the error path too, by
+// releasing what only training reads (dfp.Agent.ReleaseTraining,
+// rl.Scheduler.ReleaseTraining): the step workers, the replay ring's
+// experiences, the gradients and the optimizer's moments. A trained agent
+// holds its weights — what deciding and saving read — and the run's
+// checkpoint, written before the release, is what resuming reads. Training
+// the returned agent further is fine-tuning from its weights, with a fresh
+// optimizer and an empty ring. The model-store fields of opt (ModelDir,
+// OnModel, NoTrain) are the campaign's and are not read here.
 func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 	if err := m.needTraining("training " + run.Family); err != nil {
 		return Trained{}, err
@@ -197,11 +211,10 @@ func Train(m *Materials, run TrainRun, opt CampaignOptions) (Trained, error) {
 		}
 	}
 	out.Episodes, err = rollout.Train(learner, cfg, sets)
-	if out.MRSch != nil {
-		// rollout.Train has returned, and with it every burst of gradient
-		// steps and its helpers, so nothing reads the workers any more.
-		out.MRSch.Agent.ReleaseWorkers()
-	}
+	// rollout.Train has returned, and with it every update, burst of
+	// gradient steps and helper goroutine, and the last checkpoint is
+	// written, so nothing reads what only training reads any more.
+	out.agent.ReleaseTraining()
 	if err != nil {
 		return out, fmt.Errorf("experiments: training %s on %s: %w", run.Kind, run.Family, err)
 	}

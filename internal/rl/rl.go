@@ -177,6 +177,19 @@ func (s *Scheduler) IngestTrajectory(t *Trajectory) float64 {
 	return totalLoss / float64(n)
 }
 
+// ReleaseTraining ends a training: it drops what only REINFORCE updates
+// read — the policy network's gradients and the optimizer's moments and step
+// count — and keeps the weights, so every pick and the saved model file stay
+// what they were. The state section still round-trips through ReadState,
+// with no moments. Training the scheduler further is fine-tuning from its
+// weights with a fresh optimizer. Call it with no update in flight.
+func (s *Scheduler) ReleaseTraining() {
+	for _, p := range s.net.Params() {
+		p.Grad = nil
+	}
+	s.opt = nn.NewAdam(s.cfg.LR)
+}
+
 // prefixNLLGrad computes L = -adv * log(p_a / S) with S = sum(probs[:valid])
 // and its gradient with respect to the probability vector. Restricting to
 // the valid prefix keeps the policy correct when the queue is shorter than

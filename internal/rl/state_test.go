@@ -5,10 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -177,5 +180,64 @@ func TestSchedulerLoadStateRefusesParentFormat(t *testing.T) {
 	}
 	if !bytes.Equal(before, rlStateBytes(t, b)) {
 		t.Fatal("refused load mutated the scheduler")
+	}
+}
+
+// A released scheduler holds no gradient and no Adam moment and keeps its
+// policy: the same saved weights and the same evaluator picks. Its state
+// section round-trips and is what a new scheduler that loaded its model file
+// writes, so training it further is fine-tuning from its weights with a
+// fresh optimizer: the same episodes move both to the bit.
+func TestReleaseTrainingKeepsThePolicy(t *testing.T) {
+	s := New(sys(), tinyConfig(5))
+	trainEpisodes(t, s, 3, 21)
+	weights := rlWeightBytes(t, s)
+	cl := cluster.New(sys())
+	if err := cl.Allocate(9, []int{6, 2}, 0, 300); err != nil {
+		t.Fatal(err)
+	}
+	queue := []*job.Job{mk(1, 0, 10, 1, 0), mk(2, 0, 10, 2, 1), mk(3, 4, 90, 12, 4), mk(4, 5, 30, 3, 3), mk(5, 6, 20, 1, 1)}
+	ctxs := []*sched.PickContext{ctxWith(cl, 10, queue), ctxWith(cl, 20, queue[2:]), ctxWith(cl, 30, queue[4:])}
+	picks := func() []int {
+		ev := s.Evaluator(13)
+		var got []int
+		for i := range 60 {
+			got = append(got, ev.Pick(ctxs[i%len(ctxs)]))
+		}
+		return got
+	}
+	before := picks()
+
+	s.ReleaseTraining()
+	for _, p := range s.net.Params() {
+		if p.Grad != nil {
+			t.Fatalf("after the release %s keeps its gradient", p.Name)
+		}
+	}
+	if !bytes.Equal(rlWeightBytes(t, s), weights) {
+		t.Fatal("the release changed the saved weights")
+	}
+	if !slices.Equal(picks(), before) {
+		t.Fatal("the released scheduler's evaluator picks otherwise")
+	}
+	released := rlStateBytes(t, s)
+	back := New(sys(), tinyConfig(5))
+	if err := loadRLState(back, released); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rlStateBytes(t, back), released) {
+		t.Fatal("the released state section does not round-trip")
+	}
+	loaded := New(sys(), tinyConfig(5))
+	if err := loaded.Load(bytes.NewReader(weights)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rlStateBytes(t, loaded), released) {
+		t.Fatal("the released state section holds more than the weights: Adam moments or a step count")
+	}
+	trainEpisodes(t, s, 2, 22)
+	trainEpisodes(t, loaded, 2, 22)
+	if !bytes.Equal(rlStateBytes(t, s), rlStateBytes(t, loaded)) {
+		t.Fatal("fine-tuning the released scheduler and the loaded one ends in different states")
 	}
 }

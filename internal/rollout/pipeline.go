@@ -95,6 +95,13 @@ func trainPipelined(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeRe
 		r.tr, r.err = actor.Rollout(episodeAt(cfg, sets, i))
 	}
 
+	// Clock reads sit at the start and at round boundaries only, and only
+	// when telemetry is wired — they never influence collection, reduction,
+	// or publish. The first round begins with the priming collection.
+	var start time.Time
+	if m.timed {
+		start = time.Now()
+	}
 	cur, nxt := &pipeRound{}, &pipeRound{}
 	collect(cur, cfg.Resume) // prime the pipeline: nothing to overlap yet
 	if cfg.Resume > 0 {
@@ -107,12 +114,6 @@ func trainPipelined(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeRe
 
 	results := make([]core.EpisodeResult, 0, n-cfg.Resume)
 	for {
-		// Clock reads sit at round boundaries only, and only when telemetry
-		// is wired — they never influence collection, reduction, or publish.
-		var t0 time.Time
-		if m.timed {
-			t0 = time.Now()
-		}
 		// Launch the next episode against the current snapshot before
 		// reducing this one — the overlap that is the point of the mode.
 		var done chan struct{}
@@ -141,11 +142,11 @@ func trainPipelined(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeRe
 		if err := runCheckpoint(cfg, cur.i+1); err != nil {
 			return results, err
 		}
-		var dt time.Duration
+		var elapsed time.Duration
 		if m.timed {
-			dt = time.Since(t0)
+			elapsed = time.Since(start)
 		}
-		m.roundDone(cfg.Journal, cur.i+1, dt)
+		m.roundDone(cfg.Journal, cur.i+1, cur.i+1-cfg.Resume, elapsed)
 		if done == nil {
 			return results, nil
 		}

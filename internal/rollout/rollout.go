@@ -125,13 +125,14 @@ func trainBarrier(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeResu
 	m := newRolloutMetrics(l, cfg)
 
 	results := make([]core.EpisodeResult, 0, n-cfg.Resume)
+	// Clock reads sit at the start and at round boundaries only, and only
+	// when telemetry is wired — they never influence collection or
+	// reduction.
+	var start time.Time
+	if m.timed {
+		start = time.Now()
+	}
 	for i := cfg.Resume; i < n; i++ {
-		// Clock reads sit at round boundaries only, and only when telemetry
-		// is wired — they never influence collection or reduction.
-		var t0 time.Time
-		if m.timed {
-			t0 = time.Now()
-		}
 		tr, err := actor.Rollout(episodeAt(cfg, sets, i))
 		if results, err = reduceEpisode(l, cfg, m, sets, i, tr, err, results); err != nil {
 			return results, err
@@ -139,11 +140,11 @@ func trainBarrier(l Learner, cfg Config, sets []core.JobSet) ([]core.EpisodeResu
 		if err := runCheckpoint(cfg, i+1); err != nil {
 			return results, err
 		}
-		var dt time.Duration
+		var elapsed time.Duration
 		if m.timed {
-			dt = time.Since(t0)
+			elapsed = time.Since(start)
 		}
-		m.roundDone(cfg.Journal, i+1, dt)
+		m.roundDone(cfg.Journal, i+1, i+1-cfg.Resume, elapsed)
 	}
 	return results, nil
 }

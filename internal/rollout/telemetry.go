@@ -50,11 +50,13 @@ func (m rolloutMetrics) episodeDone(eps, loss float64) {
 }
 
 // roundDone marks a round boundary (one episode): throughput gauge and one
-// journal line. dt is zero when the harness is not timing (nil registry);
-// the journal then carries only the progress field.
-func (m rolloutMetrics) roundDone(j *telemetry.Journal, done int, dt time.Duration) {
-	if dt > 0 {
-		m.episodesPerSec.Set(1 / dt.Seconds())
+// journal line. The gauge is a rate over the whole run in this process: ran
+// episodes (after a resume, those since it) over elapsed, the wall time
+// since the first round began. elapsed is zero when the harness is not
+// timing (nil registry); the journal then carries only the progress field.
+func (m rolloutMetrics) roundDone(j *telemetry.Journal, done, ran int, elapsed time.Duration) {
+	if elapsed > 0 {
+		m.episodesPerSec.Set(float64(ran) / elapsed.Seconds())
 	}
 	j.Event("rollout_round", "episodes_done", done)
 }
